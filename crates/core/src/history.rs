@@ -320,6 +320,48 @@ mod tests {
         check_list_append(&txns, &HashMap::new()).unwrap();
     }
 
+    /// Read-only scanners against cross-shard writers: w1 appends to x,
+    /// then w2 reads x (seeing w1) and appends to y. A scanner that saw
+    /// w2's y but an empty x read a cut no serial order produces — it
+    /// follows w2 (wr on y) yet precedes w1 (rw on x), and w1 precedes w2.
+    /// Consistent cuts, before, between and after the writers, pass.
+    #[test]
+    fn torn_read_only_scan_is_a_cycle_and_consistent_cuts_pass() {
+        let writers = vec![
+            TxnObservation {
+                id: gtx(1),
+                reads: vec![(k("x"), vec![])],
+                appends: vec![k("x")],
+            },
+            TxnObservation {
+                id: gtx(2),
+                reads: vec![(k("x"), vec![gtx(1)]), (k("y"), vec![])],
+                appends: vec![k("y")],
+            },
+        ];
+        let mut finals = HashMap::new();
+        finals.insert(k("x"), vec![gtx(1)]);
+        finals.insert(k("y"), vec![gtx(2)]);
+        let scan = |id: u64, x: Vec<GlobalTxId>, y: Vec<GlobalTxId>| TxnObservation {
+            id: gtx(id),
+            reads: vec![(k("x"), x), (k("y"), y)],
+            appends: vec![],
+        };
+
+        let mut torn = writers.clone();
+        torn.push(scan(9, vec![], vec![gtx(2)]));
+        assert!(matches!(
+            check_list_append(&torn, &finals),
+            Err(HistoryError::Cycle(_))
+        ));
+
+        let mut consistent = writers;
+        consistent.push(scan(10, vec![], vec![]));
+        consistent.push(scan(11, vec![gtx(1)], vec![]));
+        consistent.push(scan(12, vec![gtx(1)], vec![gtx(2)]));
+        check_list_append(&consistent, &finals).unwrap();
+    }
+
     #[test]
     fn long_serial_chain_passes() {
         let mut txns = Vec::new();

@@ -233,6 +233,11 @@ pub enum PeerMsg {
         /// prepare; defaulted so pre-batching encodings keep decoding).
         #[serde(default)]
         batch: Vec<WriteCmd>,
+        /// The whole transaction wrote nothing anywhere: validate, release
+        /// every lock and vote — nothing is logged and no decision follows
+        /// (defaulted so older encodings keep decoding as a full prepare).
+        #[serde(default)]
+        read_only: bool,
     },
     /// Commit `gtx` (phase two).
     Commit {
@@ -265,7 +270,8 @@ pub enum PeerReply {
     },
     /// Prepare vote.
     Vote {
-        /// True = prepared and stabilized; false = abort.
+        /// True = prepared and stabilized (or, for a read-only prepare,
+        /// validated and finished); false = abort.
         yes: bool,
     },
     /// Commit/abort acknowledged.
@@ -508,11 +514,14 @@ mod tests {
     #[test]
     fn peer_msg_roundtrip() {
         let gtx = GlobalTxId { node: 1, seq: 2 };
-        let m = PeerMsg::Prepare {
-            gtx,
-            batch: Vec::new(),
-        };
-        assert_eq!(decode::<PeerMsg>(&encode(&m)), Some(m));
+        for read_only in [false, true] {
+            let m = PeerMsg::Prepare {
+                gtx,
+                batch: Vec::new(),
+                read_only,
+            };
+            assert_eq!(decode::<PeerMsg>(&encode(&m)), Some(m));
+        }
     }
 
     #[test]
@@ -528,7 +537,11 @@ mod tests {
             writes: writes.clone(),
         };
         assert_eq!(decode::<PeerMsg>(&encode(&batch)), Some(batch));
-        let piggyback = PeerMsg::Prepare { gtx, batch: writes };
+        let piggyback = PeerMsg::Prepare {
+            gtx,
+            batch: writes,
+            read_only: false,
+        };
         assert_eq!(decode::<PeerMsg>(&encode(&piggyback)), Some(piggyback));
         for fail in [
             None,
@@ -545,8 +558,9 @@ mod tests {
 
     #[test]
     fn pre_batching_prepare_still_decodes() {
-        // Prepares encoded before the piggybacked batch existed carry no
-        // `batch` field; the serde default must keep them decoding.
+        // Prepares encoded before the piggybacked batch (or the read-only
+        // flag) existed carry neither field; the serde defaults must keep
+        // them decoding as a plain full prepare.
         let old: PeerMsg = decode(br#"{"Prepare":{"gtx":{"node":1,"seq":2}}}"#)
             .expect("batch-less prepare decodes");
         assert_eq!(
@@ -554,6 +568,7 @@ mod tests {
             PeerMsg::Prepare {
                 gtx: GlobalTxId { node: 1, seq: 2 },
                 batch: Vec::new(),
+                read_only: false,
             }
         );
         // An empty commit payload is not valid JSON for ClientCommitReq;

@@ -178,11 +178,33 @@ fn decision_wire(gtx: GlobalTxId, commit: bool) -> (u8, MsgKind, Vec<u8>) {
     }
 }
 
+#[derive(Default)]
 struct CoordTxn {
     /// Remote participant endpoints (self excluded).
     remotes: Vec<EndpointId>,
     /// Local engine transaction, if any key landed on this node.
     local: Option<Box<dyn EngineTxn>>,
+    /// Whether this coordinator ever routed a write for the transaction
+    /// (point write, range delete, write batch, or writes shipped with the
+    /// commit). While `false` at commit, no participant has anything to
+    /// apply and the commit takes the read-only lane.
+    wrote: bool,
+}
+
+/// Reads one participant's prepare reply: `None` is a yes vote, `Some`
+/// says why the transaction cannot commit.
+fn vote_refusal(
+    peer: EndpointId,
+    reply: std::result::Result<(TxMeta, Vec<u8>), treaty_net::NetError>,
+) -> Option<String> {
+    match reply {
+        Ok((_, bytes)) => match decode::<PeerReply>(&bytes) {
+            Some(PeerReply::Vote { yes: true }) => None,
+            Some(PeerReply::Vote { yes: false }) => Some(format!("participant {peer} voted no")),
+            _ => Some(format!("participant {peer} malformed vote")),
+        },
+        Err(e) => Some(format!("participant {peer}: {e}")),
+    }
 }
 
 /// Applies a deferred-write slice to an engine transaction in order,
@@ -527,10 +549,8 @@ impl TreatyNode {
         }
         let owner = self.shard_map.owner(op.key());
         // Take the coordinator state out while we (potentially) block.
-        let mut ctx = self.active_coord.lock().remove(&gtx).unwrap_or(CoordTxn {
-            remotes: Vec::new(),
-            local: None,
-        });
+        let mut ctx = self.active_coord.lock().remove(&gtx).unwrap_or_default();
+        ctx.wrote |= matches!(op, Op::Put { .. } | Op::Delete { .. });
 
         let result = if owner == self.endpoint {
             let local = ctx
@@ -599,10 +619,8 @@ impl TreatyNode {
     /// key sets — merge into one sorted result before the limit applies.
     fn coordinate_range_op(self: &Arc<Self>, gtx: GlobalTxId, op: Op) -> OpResult {
         treaty_sim::runtime::set_tag("h:coordinate_range_op");
-        let mut ctx = self.active_coord.lock().remove(&gtx).unwrap_or(CoordTxn {
-            remotes: Vec::new(),
-            local: None,
-        });
+        let mut ctx = self.active_coord.lock().remove(&gtx).unwrap_or_default();
+        ctx.wrote |= matches!(op, Op::RangeDelete { .. });
         let peers: Vec<EndpointId> = self
             .shard_map
             .nodes()
@@ -745,10 +763,8 @@ impl TreatyNode {
         if writes.is_empty() {
             return OpResult::Ok { value: None };
         }
-        let mut ctx = self.active_coord.lock().remove(&gtx).unwrap_or(CoordTxn {
-            remotes: Vec::new(),
-            local: None,
-        });
+        let mut ctx = self.active_coord.lock().remove(&gtx).unwrap_or_default();
+        ctx.wrote = true;
         let (local_writes, remote_slices) = self.split_writes_by_shard(writes);
         let mut pending: Vec<(EndpointId, PendingReply)> = Vec::with_capacity(remote_slices.len());
         for (owner, slice) in remote_slices {
@@ -845,14 +861,7 @@ impl TreatyNode {
                 reason: "transaction was aborted".into(),
             },
             None if shipped.is_empty() => CommitResult::Committed, // empty transaction
-            None => self.commit_with_writes(
-                gtx,
-                CoordTxn {
-                    remotes: Vec::new(),
-                    local: None,
-                },
-                shipped,
-            ),
+            None => self.commit_with_writes(gtx, CoordTxn::default(), shipped),
             Some(ctx) if shipped.is_empty() => self.run_two_phase_commit(gtx, ctx, Vec::new()),
             Some(ctx) => self.commit_with_writes(gtx, ctx, shipped),
         };
@@ -910,6 +919,7 @@ impl TreatyNode {
         mut ctx: CoordTxn,
         writes: Vec<WriteCmd>,
     ) -> CommitResult {
+        ctx.wrote = true;
         let (local_writes, batches) = self.split_writes_by_shard(writes);
         if !local_writes.is_empty() {
             let local = ctx
@@ -953,6 +963,10 @@ impl TreatyNode {
             };
         }
 
+        if !ctx.wrote {
+            return self.finish_read_only(gtx, ctx);
+        }
+
         // (5) Log the transaction to the Clog with a trusted counter value.
         let mut participants: Vec<u32> = ctx.remotes.clone();
         if ctx.local.is_some() {
@@ -985,7 +999,11 @@ impl TreatyNode {
                     .map(|(_, b)| std::mem::take(b))
                     .unwrap_or_default();
                 let meta = self.peer_meta(gtx, MsgKind::TxnPrepare);
-                let msg = encode(&PeerMsg::Prepare { gtx, batch });
+                let msg = encode(&PeerMsg::Prepare {
+                    gtx,
+                    batch,
+                    read_only: false,
+                });
                 pending.push((
                     r,
                     self.rpc.enqueue_request(r, req::PEER_PREPARE, &meta, &msg),
@@ -1005,22 +1023,9 @@ impl TreatyNode {
             }
             treaty_sim::runtime::set_tag("h:2pc-collect-votes");
             for (r, p) in pending {
-                match p.wait() {
-                    Ok((_, bytes)) => match decode::<PeerReply>(&bytes) {
-                        Some(PeerReply::Vote { yes: true }) => {}
-                        Some(PeerReply::Vote { yes: false }) => {
-                            all_yes = false;
-                            reason = format!("participant {r} voted no");
-                        }
-                        _ => {
-                            all_yes = false;
-                            reason = format!("participant {r} malformed vote");
-                        }
-                    },
-                    Err(e) => {
-                        all_yes = false;
-                        reason = format!("participant {r}: {e}");
-                    }
+                if let Some(why) = vote_refusal(r, p.wait()) {
+                    all_yes = false;
+                    reason = why;
                 }
             }
         }
@@ -1063,6 +1068,63 @@ impl TreatyNode {
         } else {
             let _ = self.engine.abort_prepared(gtx);
             CommitResult::Aborted { reason }
+        }
+    }
+
+    /// The read-only commit lane: the coordinator never routed a write, so
+    /// no participant has anything to apply and nothing needs a durable
+    /// record — no Clog start, no decision, no phase two. One
+    /// `Prepare { read_only }` burst asks every remote to validate and
+    /// finish its slice; the local slice finishes through the same engine
+    /// branch while the round trip is in flight. Every lock the transaction
+    /// will ever take was granted before the client sent this commit, so
+    /// each participant releasing on its own schedule still follows the
+    /// transaction's lock point (DESIGN.md §17).
+    fn finish_read_only(self: &Arc<Self>, gtx: GlobalTxId, mut ctx: CoordTxn) -> CommitResult {
+        treaty_sim::runtime::set_tag("h:2pc-read-only");
+        let _span = treaty_sim::obs::span_with(
+            "2pc.read_only_finish",
+            &[("remotes", ctx.remotes.len() as u64)],
+        );
+        let msg = encode(&PeerMsg::Prepare {
+            gtx,
+            batch: Vec::new(),
+            read_only: true,
+        });
+        let mut pending: Vec<(EndpointId, PendingReply)> = Vec::with_capacity(ctx.remotes.len());
+        for &r in &ctx.remotes {
+            let meta = self.peer_meta(gtx, MsgKind::TxnPrepare);
+            pending.push((
+                r,
+                self.rpc.enqueue_request(r, req::PEER_PREPARE, &meta, &msg),
+            ));
+        }
+        self.rpc.tx_burst();
+        treaty_sim::crashpoint::hit("coord.after_prepare_fanout");
+
+        let mut refused: Option<String> = None;
+        if let Some(mut local) = ctx.local.take() {
+            if let Err(e) = local.commit() {
+                refused = Some(format!("local read-only finish: {e}"));
+            }
+        }
+        // Every reply is collected, as in phase one of the logged path.
+        for (r, p) in pending {
+            if let Some(why) = vote_refusal(r, p.wait()) {
+                refused.get_or_insert(why);
+            }
+        }
+        match refused {
+            None => {
+                treaty_sim::obs::counter_add("core.read_only_commits", 1);
+                CommitResult::Committed
+            }
+            Some(reason) => {
+                // A participant that never answered may still hold the
+                // transaction's volatile locks: advise everyone once.
+                self.abort_everywhere(gtx, ctx);
+                CommitResult::Aborted { reason }
+            }
         }
     }
 
@@ -1613,7 +1675,23 @@ impl TreatyNode {
                     }
                 }
             }
-            PeerMsg::Prepare { gtx, batch } => {
+            PeerMsg::Prepare {
+                gtx,
+                read_only: true,
+                ..
+            } => {
+                // Whole-transaction read-only: validate and finish through
+                // the engine's read-only commit — every lock drops, nothing
+                // is logged, no decision will follow. A slice this node no
+                // longer holds (it restarted and shed the locks) cannot
+                // vouch for its reads: vote no.
+                let txn = self.active_part.lock().remove(&gtx);
+                treaty_sim::crashpoint::hit("part.read_only_finish");
+                PeerReply::Vote {
+                    yes: txn.is_some_and(|mut txn| txn.commit().is_ok()),
+                }
+            }
+            PeerMsg::Prepare { gtx, batch, .. } => {
                 treaty_sim::crashpoint::hit("part.before_prepare");
                 if !batch.is_empty() {
                     self.stats.lock().participant_ops += batch.len() as u64;
@@ -1717,6 +1795,7 @@ impl TreatyNode {
                     let msg = encode(&PeerMsg::Prepare {
                         gtx,
                         batch: Vec::new(),
+                        read_only: false,
                     });
                     match self.rpc.call(r, req::PEER_PREPARE, &meta, &msg) {
                         Ok((_, bytes)) => match decode::<PeerReply>(&bytes) {

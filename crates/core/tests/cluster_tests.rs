@@ -882,3 +882,362 @@ fn scans_and_range_deletes_survive_cluster_restart() {
         tx.commit().unwrap();
     });
 }
+
+// ---- read-only commit lane (DESIGN.md §17) -----------------------------------
+
+/// Bytes of every WAL generation and the Clog under each node's directory:
+/// unchanged across a commit means the commit appended no record.
+fn log_bytes(cluster: &Cluster) -> Vec<u64> {
+    (0..cluster.node_endpoints().len())
+        .map(|i| {
+            let dir = &cluster.env(i).expect("durable cluster").dir;
+            std::fs::read_dir(dir)
+                .unwrap()
+                .map(|e| e.unwrap())
+                .filter(|e| {
+                    let name = e.file_name().to_string_lossy().into_owned();
+                    name.starts_with("wal-") || name == "CLOG"
+                })
+                .map(|e| e.metadata().unwrap().len())
+                .sum()
+        })
+        .collect()
+}
+
+fn locked_keys(cluster: &Cluster) -> Vec<usize> {
+    (0..cluster.node_endpoints().len())
+        .map(|i| cluster.store(i).unwrap().locked_keys())
+        .collect()
+}
+
+#[test]
+fn read_only_dist_txn_commits_in_one_unlogged_round() {
+    let dir = tempfile::tempdir().unwrap();
+    let path = dir.path().to_path_buf();
+    block_on(move || {
+        let obs = treaty_sim::obs::Obs::with_default_cap();
+        treaty_sim::obs::install(&obs);
+        let mut o = options(SecurityProfile::treaty_full(), &path);
+        // Inline decision delivery: the seeding 2PC is fully on the wire
+        // (and in every WAL) by the time its commit() returns.
+        o.sync_decisions = true;
+        let cluster = Cluster::start(o).unwrap();
+        let per_owner = keys_per_owner(&cluster, 2);
+        assert_eq!(per_owner.len(), 3);
+        let keys: Vec<Vec<u8>> = per_owner.values().flatten().cloned().collect();
+        let client = cluster.client();
+        let mut tx = client.begin(1);
+        for k in &keys {
+            tx.put(k, b"seeded").unwrap();
+        }
+        tx.commit().unwrap();
+
+        // Gets on every shard plus a fanned-out scan: S = 3 participants.
+        let read_everything = |tx: &mut treaty_core::DistTxn<'_>| {
+            for k in &keys {
+                assert_eq!(tx.get(k).unwrap(), Some(b"seeded".to_vec()));
+            }
+            assert_eq!(tx.scan(b"batch-", b"batch-~", 0).unwrap().len(), keys.len());
+        };
+
+        // The seeding left an unstabilized Decide record at the tail of
+        // each participant's WAL. The first read-only commit waits it out
+        // (the stable-read condition): counter rounds, but still no record.
+        let logs = log_bytes(&cluster);
+        let mut warm = client.begin(1);
+        read_everything(&mut warm);
+        let sent = cluster.fabric().stats().sent;
+        warm.commit().unwrap();
+        assert!(
+            cluster.fabric().stats().sent - sent > 6,
+            "reads of an unstabilized WAL tail must wait for a counter round"
+        );
+        assert_eq!(log_bytes(&cluster), logs);
+
+        // Idle WALs from here on: the lane costs one request per
+        // participant and nothing else.
+        let mut tx = client.begin(1);
+        let gtx = tx.gtx();
+        read_everything(&mut tx);
+        assert!(locked_keys(&cluster).iter().all(|&n| n > 0));
+        let sent = cluster.fabric().stats().sent;
+        let lane_commits = obs.metrics().counter("core.read_only_commits");
+        tx.commit().unwrap();
+        // Client→coordinator and coordinator→each of the two remotes, one
+        // reply each: 2·S messages. A ROTE round would add twelve more.
+        assert_eq!(cluster.fabric().stats().sent - sent, 6);
+        assert_eq!(log_bytes(&cluster), logs, "no Clog record, no WAL record");
+        assert_eq!(cluster.node(0).clog().unwrap().protocol_state(gtx), None);
+        assert_eq!(locked_keys(&cluster), vec![0, 0, 0]);
+        assert_eq!(
+            obs.metrics().counter("core.read_only_commits"),
+            lane_commits + 1
+        );
+        let events = obs.events();
+        let lane_spans = events
+            .iter()
+            .filter(|e| e.txn == gtx.seq && e.kind == treaty_sim::obs::EventKind::Enter)
+            .filter(|e| e.phase == "2pc.read_only_finish")
+            .count();
+        assert_eq!(lane_spans, 1);
+        assert!(
+            !events.iter().any(|e| e.txn == gtx.seq
+                && (e.phase.starts_with("clog.") || e.phase.starts_with("wal."))),
+            "the lane touches neither log"
+        );
+        treaty_sim::obs::uninstall();
+    });
+}
+
+#[test]
+fn read_only_optimistic_txn_with_stale_read_votes_no() {
+    let dir = tempfile::tempdir().unwrap();
+    let path = dir.path().to_path_buf();
+    block_on(move || {
+        let mut o = options(SecurityProfile::treaty_full(), &path);
+        o.txn_mode = treaty_store::TxnMode::Optimistic;
+        o.sync_decisions = true;
+        let cluster = Cluster::start(o).unwrap();
+        let keys = keys_on_different_nodes(&cluster);
+        let client = cluster.client();
+        let mut tx = client.begin(1);
+        for k in &keys {
+            tx.put(k, b"v1").unwrap();
+        }
+        tx.commit().unwrap();
+
+        let mut reader = client.begin(1);
+        for k in &keys {
+            assert_eq!(reader.get(k).unwrap(), Some(b"v1".to_vec()));
+        }
+        // Overwrite one of the reader's keys under it.
+        let other = cluster.client();
+        let mut writer = other.begin(2);
+        writer.put(&keys[0], b"v2").unwrap();
+        writer.commit().unwrap();
+
+        match reader.commit() {
+            Err(TreatyError::Aborted(_, reason)) => {
+                assert!(
+                    reason.contains("voted no") || reason.contains("read-only finish"),
+                    "{reason}"
+                )
+            }
+            other => panic!("stale read-only transaction must abort, got {other:?}"),
+        }
+        assert_eq!(locked_keys(&cluster), vec![0, 0, 0]);
+        assert_eq!(cluster.totals(), (2, 1));
+    });
+}
+
+#[test]
+fn one_write_keeps_the_logged_two_phase_path() {
+    let dir = tempfile::tempdir().unwrap();
+    let path = dir.path().to_path_buf();
+    block_on(move || {
+        let obs = treaty_sim::obs::Obs::with_default_cap();
+        treaty_sim::obs::install(&obs);
+        let mut o = options(SecurityProfile::treaty_full(), &path);
+        o.sync_decisions = true;
+        let cluster = Cluster::start(o).unwrap();
+        let keys = keys_on_different_nodes(&cluster);
+        let client = cluster.client();
+        let mut tx = client.begin(1);
+        for k in &keys {
+            tx.put(k, b"v").unwrap();
+        }
+        tx.commit().unwrap();
+
+        // Reads on every shard, one buffered write shipped with the commit.
+        let mut tx = client.begin(1);
+        let gtx = tx.gtx();
+        for k in &keys {
+            assert_eq!(tx.get(k).unwrap(), Some(b"v".to_vec()));
+        }
+        tx.put(&keys[0], b"w").unwrap();
+        let logs = log_bytes(&cluster);
+        tx.commit().unwrap();
+
+        let state = cluster.node(0).clog().unwrap().protocol_state(gtx).unwrap();
+        assert_eq!(state.decision, Some(true), "Start and Decision both logged");
+        assert_eq!(state.participants.len(), 3);
+        let after = log_bytes(&cluster);
+        assert!(
+            after.iter().zip(&logs).all(|(a, b)| a > b),
+            "every participant logs its prepare: {logs:?} -> {after:?}"
+        );
+        assert_eq!(obs.metrics().counter("core.read_only_commits"), 0);
+        treaty_sim::obs::uninstall();
+    });
+}
+
+/// Concurrent whole-span scanners (read-only lane) against cross-shard
+/// list-append writers (full 2PC): the committed history must be
+/// serializable, with every scan a consistent cut.
+#[test]
+fn read_only_scanners_serialize_with_cross_shard_writers() {
+    let dir = tempfile::tempdir().unwrap();
+    let path = dir.path().to_path_buf();
+    block_on(move || {
+        let cluster =
+            Arc::new(Cluster::start(options(SecurityProfile::treaty_full(), &path)).unwrap());
+        let observations = Arc::new(Mutex::new(Vec::new()));
+        let keyspace: Vec<Vec<u8>> = (0..6).map(|i| format!("list-{i}").into_bytes()).collect();
+        let decode = |b: &[u8]| -> Vec<GlobalTxId> { serde_json::from_slice(b).unwrap() };
+        // Every list exists (empty) up front, so each append overwrites a
+        // present key and meets the scanners on that key's own lock.
+        let seeder = cluster.client();
+        let mut tx = seeder.begin(1);
+        for k in &keyspace {
+            tx.put(k, b"[]").unwrap();
+        }
+        tx.commit().unwrap();
+
+        let mut handles = Vec::new();
+        for c in 0..6usize {
+            let cluster = Arc::clone(&cluster);
+            let observations = Arc::clone(&observations);
+            let keyspace = keyspace.clone();
+            handles.push(spawn(move || {
+                let client = cluster.client();
+                let coordinator = 1 + (c % 3) as u32;
+                for t in 0..6usize {
+                    let mut tx = client.begin(coordinator);
+                    let mut obs = TxnObservation {
+                        id: tx.gtx(),
+                        reads: Vec::new(),
+                        appends: Vec::new(),
+                    };
+                    let result = (|| -> Result<(), TreatyError> {
+                        if c % 2 == 0 {
+                            // Scanner: one cut over the whole key space.
+                            let rows = tx.scan(b"list-", b"list-~", 0)?;
+                            for k in &keyspace {
+                                let seen = rows.iter().find(|(rk, _)| rk == k);
+                                obs.reads.push((
+                                    k.clone(),
+                                    seen.map(|(_, v)| decode(v)).unwrap_or_default(),
+                                ));
+                            }
+                        } else {
+                            for k in [&keyspace[(c + t) % 6], &keyspace[(c + t * 3 + 1) % 6]] {
+                                if obs.appends.contains(k) {
+                                    continue;
+                                }
+                                let mut list = tx.get(k)?.map(|b| decode(&b)).unwrap_or_default();
+                                obs.reads.push((k.clone(), list.clone()));
+                                list.push(obs.id);
+                                tx.put(k, &serde_json::to_vec(&list).unwrap())?;
+                                obs.appends.push(k.clone());
+                            }
+                        }
+                        Ok(())
+                    })();
+                    if result.is_ok() && tx.commit().is_ok() {
+                        observations.lock().push(obs);
+                    }
+                }
+            }));
+        }
+        for h in handles {
+            join(h);
+        }
+        sleep(100 * treaty_sim::MILLIS);
+
+        let reader = cluster.client();
+        let mut tx = reader.begin(1);
+        let finals: HashMap<Vec<u8>, Vec<GlobalTxId>> = tx
+            .scan(b"list-", b"list-~", 0)
+            .unwrap()
+            .into_iter()
+            .map(|(k, v)| (k, decode(&v)))
+            .collect();
+        tx.commit().unwrap();
+
+        let txns = observations.lock().clone();
+        let scans = txns.iter().filter(|t| t.appends.is_empty()).count();
+        assert!(
+            scans > 0 && scans < txns.len(),
+            "{scans} scans of {} txns",
+            txns.len()
+        );
+        if let Err(e) = check_list_append(&txns, &finals) {
+            panic!("serializability violated: {e}");
+        }
+    });
+}
+
+/// A YCSB-E-shaped mix — 95 % short scans, 5 % inserts of fresh keys, 16
+/// closed-loop clients — runs to completion. Before the MemTable cursor
+/// stopped holding its shard lock across a charge, a scan parked inside
+/// `range_cursor` wedged the first insert's apply on the same shard.
+#[test]
+fn scan_heavy_mix_with_inserts_runs_to_completion() {
+    let dir = tempfile::tempdir().unwrap();
+    let path = dir.path().to_path_buf();
+    block_on(move || {
+        let cluster =
+            Arc::new(Cluster::start(options(SecurityProfile::treaty_full(), &path)).unwrap());
+        let seeder = cluster.client();
+        for chunk in (0..200u32).collect::<Vec<_>>().chunks(20) {
+            let mut tx = seeder.begin(1);
+            for i in chunk {
+                tx.put(format!("e-{:05}", i * 10).as_bytes(), b"row")
+                    .unwrap();
+            }
+            tx.commit().unwrap();
+        }
+
+        let committed = Arc::new(Mutex::new(0u32));
+        let mut handles = Vec::new();
+        for c in 0..16u32 {
+            let cluster = Arc::clone(&cluster);
+            let committed = Arc::clone(&committed);
+            handles.push(spawn(move || {
+                let client = cluster.client();
+                let mut x = 0x9e37_79b9u32.wrapping_mul(c + 1);
+                let mut next = move || {
+                    x ^= x << 13;
+                    x ^= x >> 17;
+                    x ^= x << 5;
+                    x
+                };
+                for _ in 0..8 {
+                    let ops: Vec<(bool, u32)> =
+                        (0..2).map(|_| (next() % 100 < 5, next() % 2000)).collect();
+                    // Retried like a real client: a lock timeout against
+                    // an inserter is an abort, not a failure.
+                    for _attempt in 0..8 {
+                        let mut tx = client.begin(1 + c % 3);
+                        let result = (|| -> Result<(), TreatyError> {
+                            for &(insert, at) in &ops {
+                                let key = format!("e-{at:05}");
+                                if insert {
+                                    tx.put(format!("{key}-c{c}").as_bytes(), b"new")?;
+                                } else {
+                                    let rows = tx.scan(key.as_bytes(), b"e-~", 10)?;
+                                    assert!(rows.windows(2).all(|w| w[0].0 < w[1].0));
+                                }
+                            }
+                            Ok(())
+                        })();
+                        if result.is_ok() && tx.commit().is_ok() {
+                            *committed.lock() += 1;
+                            break;
+                        }
+                    }
+                }
+            }));
+        }
+        for h in handles {
+            join(h);
+        }
+        let committed = *committed.lock();
+        assert!(
+            committed >= 16 * 8 * 9 / 10,
+            "only {committed} of 128 committed"
+        );
+        sleep(100 * treaty_sim::MILLIS);
+        assert_eq!(locked_keys(&cluster), vec![0, 0, 0]);
+    });
+}

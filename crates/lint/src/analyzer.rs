@@ -2,7 +2,8 @@
 //! crash points, and lock-order edges (rules L007–L010).
 //!
 //! This is a hand-rolled tokenizer + brace/scope tracker, not a parser.
-//! It recognizes `let g = x.lock()…` guard bindings (including `if let`
+//! It recognizes `let g = x.lock()…` guard bindings (`RwLock`
+//! `.read()` / `.write()` alike, including `if let`
 //! / `match` scrutinees and temporary-guard expressions), approximates
 //! each guard's live range inside its function body, and checks the
 //! registered yield-point vocabulary ([`crate::registry`]) against the
@@ -21,6 +22,11 @@
 //!   carrying across `else` branches.
 //! * `if *x.lock() { … }` — a plain-condition temporary dies at the
 //!   opening `{`.
+//! * `x.read()` / `x.write()` with no argument acquire an `RwLock` and
+//!   follow the same rules as `.lock()`.
+//! * `x.read().clone().get(…)` — the call chained onto a value cloned
+//!   out of a guard temporary runs under that guard; its body is opaque
+//!   here, so it counts as a yield point for that guard.
 //! * `move |…| …` closures are deferred execution on another fiber:
 //!   they form a fresh guard region — outer guards are not considered
 //!   live inside them, and locks taken inside do not edge to outer
@@ -399,7 +405,9 @@ impl<'a> Analysis<'a> {
                 "." => {
                     let name = self.toks.get(i + 1).map(|t| t.text).unwrap_or("");
                     let is_call = self.toks.get(i + 2).map(|t| t.text) == Some("(");
-                    if (name == "lock" || name == "try_lock")
+                    // `.read()` / `.write()` with no argument are RwLock
+                    // acquisitions (I/O reads and writes take a buffer).
+                    if matches!(name, "lock" | "try_lock" | "read" | "write")
                         && is_call
                         && self.toks.get(i + 3).map(|t| t.text) == Some(")")
                     {
@@ -481,6 +489,22 @@ impl<'a> Analysis<'a> {
                                     line,
                                     region,
                                 };
+                                // `x.read().clone().get(..)`: the guard
+                                // temporary outlives the chained call (to
+                                // the end of the statement, or of the whole
+                                // construct in a scrutinee), so the call
+                                // runs under it. The callee is opaque to a
+                                // lexer, and a shared object just cloned
+                                // out of a lock is exactly what charges and
+                                // parks: count the call as a yield point.
+                                if let Some(callee) = cloned_out_call(&self.toks, end) {
+                                    let what = format!(".clone().{}()", callee.text);
+                                    self.check_yield(
+                                        std::slice::from_ref(&guard),
+                                        &what,
+                                        callee.line,
+                                    );
+                                }
                                 if let Some(pc) = pending_construct.as_mut() {
                                     pc.temps.push(guard);
                                 } else if terminal
@@ -585,6 +609,21 @@ impl<'a> Analysis<'a> {
             });
         }
     }
+}
+
+/// If the tokens at `at` read `.clone().name(` — a method called on a
+/// value cloned out of the expression before it — returns the `name`
+/// token. `unwrap*` / `expect` adapters only unpack the clone and are
+/// not calls into it.
+fn cloned_out_call<'t, 'a>(toks: &'t [Tok<'a>], at: usize) -> Option<&'t Tok<'a>> {
+    let text = |k: usize| toks.get(at + k).map(|t| t.text);
+    let chain = [text(0), text(1), text(2), text(3), text(4)];
+    if chain != [Some("."), Some("clone"), Some("("), Some(")"), Some(".")] {
+        return None;
+    }
+    let callee = toks.get(at + 5)?;
+    let adapter = callee.text.starts_with("unwrap") || callee.text == "expect";
+    (is_ident(callee.text) && text(6) == Some("(") && !adapter).then_some(callee)
 }
 
 fn describe(g: &Guard) -> String {
@@ -1040,6 +1079,71 @@ mod tests {
         let src = "fn f(&self) {\n    let g = self.commit_lock.lock();\n    self.env.charge_crypto(64);\n    runtime::sleep(5);\n}\n";
         let fa = check(ENGINE, src);
         assert!(fa.violations.is_empty(), "{:?}", fa.violations);
+    }
+
+    // ---- RwLock guards: the two baseline stalls ----------------------------
+
+    const MEMTABLE: &str = "crates/store/src/memtable.rs";
+    const SHARD_GUARD_ACROSS_CHARGE: &str = include_str!("../fixtures/guard_across_charge.rs");
+    const SCRUTINEE_CLONE_CALL: &str = include_str!("../fixtures/scrutinee_clone_call.rs");
+
+    #[test]
+    fn l007_flags_shard_guard_across_charge() {
+        let fa = check(MEMTABLE, SHARD_GUARD_ACROSS_CHARGE);
+        assert_eq!(fa.violations.len(), 1, "{:?}", fa.violations);
+        let v = &fa.violations[0];
+        assert_eq!(v.rule, "L007");
+        assert_eq!(v.lock.as_deref(), Some("store.memtable_shard"));
+        assert!(v.detail.contains("`.charge_enclave_op()`"), "{}", v.detail);
+        assert!(v.detail.contains("`guard`"), "{}", v.detail);
+
+        // Collect under the guard, charge after its block closes: clean.
+        let fixed = "fn f(&self) {\n    for shard in &self.shards {\n        let list = {\n            let guard = shard.read();\n            guard.iter().collect()\n        };\n        self.env.charge_enclave_op(list.len(), 5);\n    }\n}\n";
+        assert!(check(MEMTABLE, fixed).violations.is_empty());
+
+        // `.write()` guards count the same way.
+        let write = "fn f(&self, s: usize) {\n    let mut g = self.shards[s].write();\n    self.env.charge_enclave_op(1, 5);\n    g.clear();\n}\n";
+        let fa = check(MEMTABLE, write);
+        assert_eq!(fa.violations.len(), 1, "{:?}", fa.violations);
+        assert_eq!(
+            fa.violations[0].lock.as_deref(),
+            Some("store.memtable_shard")
+        );
+    }
+
+    #[test]
+    fn l007_flags_call_on_value_cloned_out_of_guard_temporary() {
+        let fa = check(ENGINE, SCRUTINEE_CLONE_CALL);
+        assert_eq!(fa.violations.len(), 1, "{:?}", fa.violations);
+        let v = &fa.violations[0];
+        assert_eq!(v.rule, "L007");
+        assert_eq!(v.lock.as_deref(), Some("store.mem"));
+        assert!(v.detail.contains("`.clone().get()`"), "{}", v.detail);
+
+        // Binding the clone first ends the guard at the `;`.
+        let fixed = "fn f(&self, k: &[u8]) {\n    let mem = self.inner.mem.read().clone();\n    if let Some(v) = mem.get(k, 1) {\n        return v;\n    }\n}\n";
+        assert!(check(ENGINE, fixed).violations.is_empty());
+
+        // Unpacking the clone is not a call into it.
+        let adapter =
+            "fn f(&self) -> Vec<u8> {\n    self.manifest.lock().clone().unwrap_or_default()\n}\n";
+        assert!(check(ENGINE, adapter).violations.is_empty());
+    }
+
+    #[test]
+    fn l010_covers_rwlock_receivers() {
+        let src = "fn f(&self) {\n    let g = self.mystery.read();\n}\n";
+        let fa = check(ENGINE, src);
+        assert_eq!(fa.violations.len(), 1, "{:?}", fa.violations);
+        assert_eq!(fa.violations[0].rule, "L010");
+        assert!(
+            fa.violations[0].detail.contains("`.read()`"),
+            "{}",
+            fa.violations[0].detail
+        );
+        // I/O reads and writes take a buffer: not lock acquisitions.
+        let io = "fn f(&self, buf: &mut [u8]) {\n    self.file.read(buf);\n    self.file.write(buf);\n}\n";
+        assert!(check(ENGINE, io).violations.is_empty());
     }
 
     // ---- guard liveness --------------------------------------------------

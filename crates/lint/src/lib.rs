@@ -43,10 +43,11 @@
 //! analyzer** ([`analyzer`], [`registry`]) with four more rules:
 //!
 //! * **L007 — no guard live across a yield point.** The cooperative
-//!   fiber runtime runs one fiber at a time; a `MutexGuard` held across
-//!   `sleep`/`park`/`yield_now`/an RPC round trip deadlocks the node if
-//!   the next fiber touches the same lock. Fiber-aware locks
-//!   (`FiberMutex`) are exempt — being held across yields is their job.
+//!   fiber runtime runs one fiber at a time; a `Mutex` or `RwLock` guard
+//!   held across `sleep`/`park`/`yield_now`/a charge/an RPC round trip
+//!   deadlocks the node if the next fiber touches the same lock.
+//!   Fiber-aware locks (`FiberMutex`) are exempt — being held across
+//!   yields is their job.
 //! * **L008 — no guard live across `crashpoint::hit`.** `CrashUnwind`
 //!   unwinds the fiber at the crash site, poisoning any std `Mutex` held
 //!   there and silently breaking crash → heal → restart. Audited
@@ -55,7 +56,8 @@
 //!   holding B" edges, keyed by [`registry::LOCK_REGISTRY`] classes, are
 //!   merged into a global graph; any cycle is reported in full with a
 //!   file:line witness per edge.
-//! * **L010 — every `.lock()` site resolves through the registry** in
+//! * **L010 — every `.lock()` / `.read()` / `.write()` site resolves
+//!   through the registry** in
 //!   crates/{core,store,sim,net}, so L009's graph can never silently
 //!   miss an edge (the L006 pattern).
 //!

@@ -4,10 +4,11 @@
 //! The analyzer (`crate::analyzer`) is a lexer, not a type checker: it
 //! cannot see what a `.lock()` receiver *is*, only what it is *called*.
 //! This module closes that gap by declaration — every mutex in the
-//! concurrency-bearing crates (`core`, `store`, `sim`, `net`) is
-//! registered here as `(file, receiver identifier) → lock class`, and
-//! L010 fails any `.lock()` site that does not resolve, so the L009
-//! lock-order graph can never silently miss an edge.
+//! concurrency-bearing crates (`core`, `store`, `sim`, `net`), `RwLock`s
+//! included, is registered here as `(file, receiver identifier) → lock
+//! class`, and L010 fails any `.lock()` / `.read()` / `.write()` site
+//! that does not resolve, so the L009 lock-order graph can never
+//! silently miss an edge.
 //!
 //! Two flags qualify a class:
 //!
@@ -81,22 +82,30 @@ pub const LOCK_CLASSES: &[LockClass] = &[
     LockClass { name: "store.commit_lock", fiber: true, ordered: false },
     LockClass { name: "store.commit_queue", fiber: false, ordered: false },
     LockClass { name: "store.frontier", fiber: false, ordered: false },
+    LockClass { name: "store.frozen", fiber: false, ordered: false },
+    LockClass { name: "store.levels", fiber: false, ordered: false },
     LockClass { name: "store.live_wal_gens", fiber: false, ordered: false },
     // Hash-sharded lock-table: shards are only ever taken one at a time.
     LockClass { name: "store.lock_table_shard", fiber: false, ordered: true },
     // Maintenance daemon lock: held across flush/compaction I/O by design.
     LockClass { name: "store.maintenance_lock", fiber: true, ordered: false },
     LockClass { name: "store.manifest", fiber: false, ordered: false },
+    LockClass { name: "store.mem", fiber: false, ordered: false },
+    // Hash-sharded MemTable skip lists: one shard at a time.
+    LockClass { name: "store.memtable_shard", fiber: false, ordered: true },
+    LockClass { name: "store.memtable_tombstones", fiber: false, ordered: false },
     LockClass { name: "store.null_engine_data", fiber: false, ordered: false },
     LockClass { name: "store.null_engine_prepared", fiber: false, ordered: false },
     LockClass { name: "store.pending_gc", fiber: false, ordered: false },
     // Striped prepared-table families: stripes within a family are taken
     // one at a time (iteration) — a single ordered class each.
     LockClass { name: "store.prepared_key_index", fiber: false, ordered: true },
+    LockClass { name: "store.prepared_ranges", fiber: false, ordered: false },
     LockClass { name: "store.prepared_stripes", fiber: false, ordered: true },
     LockClass { name: "store.flush_backlog", fiber: false, ordered: false },
     // WAL append lock: spans encrypt + counter-assign + SSD charge (that
     // is why it is a FiberMutex, per the log.rs doc comment).
+    LockClass { name: "store.wal", fiber: false, ordered: false },
     LockClass { name: "store.wal_write", fiber: true, ordered: false },
     LockClass { name: "store.wal_file", fiber: false, ordered: false },
 ];
@@ -143,6 +152,14 @@ pub const LOCK_REGISTRY: &[LockSpec] = &[
     LockSpec { file: "crates/store/src/engine.rs", receiver: "stripe", class: "store.prepared_stripes" },
     LockSpec { file: "crates/store/src/engine.rs", receiver: "stripes", class: "store.prepared_stripes" },
     LockSpec { file: "crates/store/src/engine.rs", receiver: "key_stripe", class: "store.prepared_key_index" },
+    LockSpec { file: "crates/store/src/engine.rs", receiver: "mem", class: "store.mem" },
+    LockSpec { file: "crates/store/src/engine.rs", receiver: "frozen", class: "store.frozen" },
+    LockSpec { file: "crates/store/src/engine.rs", receiver: "levels", class: "store.levels" },
+    LockSpec { file: "crates/store/src/engine.rs", receiver: "wal", class: "store.wal" },
+    LockSpec { file: "crates/store/src/engine.rs", receiver: "ranges", class: "store.prepared_ranges" },
+    LockSpec { file: "crates/store/src/memtable.rs", receiver: "shards", class: "store.memtable_shard" },
+    LockSpec { file: "crates/store/src/memtable.rs", receiver: "shard", class: "store.memtable_shard" },
+    LockSpec { file: "crates/store/src/memtable.rs", receiver: "range_tombstones", class: "store.memtable_tombstones" },
     LockSpec { file: "crates/store/src/locks.rs", receiver: "locks", class: "store.lock_table_shard" },
     LockSpec { file: "crates/store/src/log.rs", receiver: "write_lock", class: "store.wal_write" },
     LockSpec { file: "crates/store/src/log.rs", receiver: "file", class: "store.wal_file" },

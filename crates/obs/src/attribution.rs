@@ -46,7 +46,8 @@ pub const CATEGORY_COUNT: usize = 8;
 pub enum Category {
     /// Blocked in the 2PC lock table (`store.lock_wait`).
     LockWait,
-    /// Commit-log durability: log writes and counter stabilization.
+    /// Log durability: Clog writes and the counter stabilization of the
+    /// Clog and of the participants' WALs (`clog.*`, `wal.*`).
     ClogDurability,
     /// Wire time: NIC serialization spans plus uncovered remote-wait gaps.
     Network,
@@ -98,7 +99,7 @@ impl Category {
     pub fn of_phase(phase: &str) -> Category {
         if phase == "store.lock_wait" {
             Category::LockWait
-        } else if phase.starts_with("clog.") {
+        } else if phase.starts_with("clog.") || phase.starts_with("wal.") {
             Category::ClogDurability
         } else if phase.starts_with("net.") {
             Category::Network
@@ -127,6 +128,7 @@ fn is_waiting(phase: &str) -> bool {
             | "client.snapshot_read"
             | "client.snapshot_validate"
             | "2pc.prepare"
+            | "2pc.read_only_finish"
             | "2pc.coordinate_op"
             | "2pc.send_decision"
             | "2pc.rollback"
@@ -833,6 +835,33 @@ mod tests {
         assert_eq!(t.by_category[Category::Other.index()], 30);
         assert_eq!(t.by_category[Category::Network.index()], 40);
         assert_eq!(t.by_category[Category::LockWait.index()], 0);
+    }
+
+    /// The participant's WAL stabilization inside `2pc.participant.prepare`
+    /// is durability time, not participant self time: with the wait wrapped
+    /// in `wal.stabilize` [40, 80) only the handler's own [30,40)+[80,90)
+    /// stays in `other`.
+    #[test]
+    fn participant_wal_stabilize_is_durability_not_other() {
+        assert_eq!(Category::of_phase("wal.stabilize"), Category::ClogDurability);
+        assert_eq!(Category::of_phase("clog.stabilize"), Category::ClogDurability);
+        let mut tr = Tracer::new();
+        let txn = 6;
+        tr.ev(0, 9, 1, txn, EventKind::Enter, "client.commit", &[]);
+        tr.ev(10, 1, 2, txn, EventKind::Enter, "2pc.prepare", &[]);
+        tr.ev(30, 3, 4, txn, EventKind::Enter, "2pc.participant.prepare", &[]);
+        tr.ev(40, 3, 4, txn, EventKind::Enter, "wal.stabilize", &[]);
+        tr.ev(80, 3, 4, txn, EventKind::Exit, "wal.stabilize", &[]);
+        tr.ev(90, 3, 4, txn, EventKind::Exit, "2pc.participant.prepare", &[]);
+        tr.ev(100, 1, 2, txn, EventKind::Exit, "2pc.prepare", &[]);
+        tr.ev(110, 9, 1, txn, EventKind::Instant, "client.committed", &[("elapsed_ns", 110)]);
+        tr.ev(110, 9, 1, txn, EventKind::Exit, "client.commit", &[]);
+        let report = attribute(&tr.events, 0);
+        let t = &report.txns[0];
+        assert_eq!(t.attributed_ns, 110);
+        assert_eq!(t.by_category[Category::ClogDurability.index()], 40);
+        assert_eq!(t.by_category[Category::Other.index()], 20);
+        assert_eq!(t.by_category[Category::Network.index()], 50);
     }
 
     /// rpc.handle roots report queue_ns/open_ns: the uncovered run-up to

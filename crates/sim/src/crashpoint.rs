@@ -61,6 +61,7 @@ pub const ALL_POINTS: &[&str] = &[
     "part.before_prepare",
     "part.batch_apply",
     "part.after_prepare",
+    "part.read_only_finish",
     "part.after_commit_apply",
     "part.after_abort_apply",
     "part.snapshot_read",

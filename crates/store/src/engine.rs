@@ -449,6 +449,14 @@ struct FlushWork {
     old_gens: Vec<u64>,
 }
 
+/// One [`TreatyStore::fenced_pass`] over a span.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct FencedSpan {
+    pub rows: Vec<(UserKey, Vec<u8>)>,
+    pub present: Vec<UserKey>,
+    pub bound: UserKey,
+}
+
 pub(crate) struct StoreInner {
     pub env: Arc<Env>,
     mem: RwLock<Arc<MemTable>>,
@@ -492,6 +500,11 @@ pub(crate) struct StoreInner {
     /// the successor-lookup gap lock while this is non-zero, so workloads
     /// that never scan keep their point-write fast path.
     pub(crate) active_scans: AtomicU64,
+    /// Bumped whenever a transaction's versions became present in the
+    /// MemTable — after the insert, before the writer releases its locks.
+    /// A pessimistic scan that reads the same value before its pass and
+    /// after its last lock grant knows no version slipped in between.
+    apply_epoch: AtomicU64,
     pub stats: StatsCells,
 }
 
@@ -567,6 +580,7 @@ impl TreatyStore {
                 maintenance_running: AtomicBool::new(false),
                 gc_stabilizing: AtomicBool::new(false),
                 active_scans: AtomicU64::new(0),
+                apply_epoch: AtomicU64::new(0),
                 stats: StatsCells::default(),
                 env,
             };
@@ -680,7 +694,10 @@ impl TreatyStore {
     pub(crate) fn get_visible(&self, key: &[u8], snapshot: SeqNum) -> Result<Option<Vec<u8>>> {
         let _span = treaty_sim::obs::span("store.get");
         self.inner.stats.gets.fetch_add(1, Ordering::Relaxed);
-        if let Some(v) = self.inner.mem.read().clone().get(key, snapshot)? {
+        // Bind the Arc first: as an `if let` scrutinee temporary the read
+        // guard would live across the charging `get` and wedge a rotation.
+        let mem = self.inner.mem.read().clone();
+        if let Some(v) = mem.get(key, snapshot)? {
             return Ok(v);
         }
         // Frozen MemTables awaiting their background build, newest first.
@@ -1002,6 +1019,58 @@ impl TreatyStore {
         Ok(keys)
     }
 
+    /// The store's apply epoch (see `StoreInner::apply_epoch`).
+    pub(crate) fn apply_epoch(&self) -> u64 {
+        self.inner.apply_epoch.load(Ordering::SeqCst)
+    }
+
+    /// Everything a pessimistic scan of `[start, end)` needs, from one
+    /// merge pass: the visible rows (up to `limit`, `0` = unbounded), every
+    /// key *present* up to the last row returned, and the gap bound — the
+    /// first key present past them (past `end` when the span was not cut
+    /// short by `limit`), or the EOF sentinel when the store ends first.
+    /// S-locking `present` plus `bound` fences exactly what `rows` claims.
+    ///
+    /// # Errors
+    ///
+    /// Integrity violations from block verification.
+    pub(crate) fn fenced_pass(&self, start: &[u8], end: &[u8], limit: usize) -> Result<FencedSpan> {
+        let mut span = FencedSpan {
+            rows: Vec::new(),
+            present: Vec::new(),
+            bound: crate::locks::EOF_SENTINEL.to_vec(),
+        };
+        let mut full = false;
+        self.merge_scan(start, None, SeqNum::MAX, |key, seq, value, shadow| {
+            if full || key.as_slice() >= end {
+                span.bound = key;
+                return false;
+            }
+            span.present.push(key.clone());
+            // Same-seq point writes beat their transaction's range delete.
+            if seq >= shadow {
+                if let Some(v) = value {
+                    span.rows.push((key, v));
+                    full = limit > 0 && span.rows.len() == limit;
+                }
+            }
+            true
+        })?;
+        Ok(span)
+    }
+
+    /// Blocks until every record appended to the live WAL so far is
+    /// rollback-protected: what a transaction read from this store can
+    /// then no longer be rolled back under it. Free on an idle WAL.
+    pub(crate) fn stabilize_wal_tail(&self) -> Result<()> {
+        let wal = self.inner.wal.read().clone();
+        let last = wal.last_counter();
+        if last <= wal.stable_counter() {
+            return Ok(());
+        }
+        stabilize_traced(&wal, last)
+    }
+
     /// The k-way merge under scans: yields the newest version `<= snapshot`
     /// of each key in `[start, end)` in key order, together with the
     /// newest covering range-tombstone seq (0 = none), until `visit`
@@ -1201,6 +1270,7 @@ impl TreatyStore {
                     for (start, end, seq) in &req.ranges {
                         mem.delete_range(start, end, *seq);
                     }
+                    self.inner.apply_epoch.fetch_add(1, Ordering::SeqCst);
                     let counter = first + i as u64;
                     if Arc::ptr_eq(&req.done, &done) {
                         my_result = Some(Ok((counter, Arc::clone(&wal))));
@@ -1249,6 +1319,7 @@ impl TreatyStore {
         for (start, end) in ranges {
             mem.delete_range(start, end, seq);
         }
+        self.inner.apply_epoch.fetch_add(1, Ordering::SeqCst);
         let r = self.maybe_flush_locked();
         drop(guard);
         r
@@ -2032,6 +2103,7 @@ impl TreatyStore {
             maintenance_running: AtomicBool::new(false),
             gc_stabilizing: AtomicBool::new(false),
             active_scans: AtomicU64::new(0),
+            apply_epoch: AtomicU64::new(0),
             stats: StatsCells::default(),
             env,
         };
@@ -2039,6 +2111,13 @@ impl TreatyStore {
             inner: Arc::new(inner),
         })
     }
+}
+
+/// Waits for `counter` on `wal` under a `wal.stabilize` span, so a
+/// participant's durability wait is attributable in the trace.
+pub(crate) fn stabilize_traced(wal: &LogWriter, counter: u64) -> Result<()> {
+    let _span = treaty_sim::obs::span("wal.stabilize");
+    wal.stabilize(counter)
 }
 
 /// Clips `tombs` to the partition `[lo, hi)` (`None` = unbounded on that
@@ -2166,6 +2245,16 @@ impl CompactCursor {
 mod frontier_tests {
     use super::*;
 
+    fn prepared(writes: Vec<WriteOp>, lock_owner: TxId) -> PreparedState {
+        PreparedState {
+            lock_keys: writes.iter().map(|w| w.key.clone()).collect(),
+            writes,
+            ranges: Vec::new(),
+            lock_owner,
+            deciding: false,
+        }
+    }
+
     #[test]
     fn frontier_advances_contiguously() {
         let f = StableFrontier::new(0);
@@ -2204,14 +2293,7 @@ mod frontier_tests {
         // One coordinator, consecutive sequence numbers — the worst case
         // for a naive modulo. The mixer must still spread them.
         for seq in 0..1024u64 {
-            t.insert(
-                GlobalTxId { node: 1, seq },
-                PreparedState {
-                    writes: Vec::new(),
-                    lock_owner: seq,
-                    deciding: false,
-                },
-            );
+            t.insert(GlobalTxId { node: 1, seq }, prepared(Vec::new(), seq));
         }
         let sizes: Vec<usize> = (0..t.stripe_count()).map(|i| t.stripe_len(i)).collect();
         assert_eq!(sizes.iter().sum::<usize>(), 1024);
@@ -2233,14 +2315,13 @@ mod frontier_tests {
         let gtx = GlobalTxId { node: 2, seq: 7 };
         t.insert(
             gtx,
-            PreparedState {
-                writes: vec![WriteOp {
+            prepared(
+                vec![WriteOp {
                     key: b"a".to_vec(),
                     value: Some(b"v".to_vec()),
                 }],
-                lock_owner: 1,
-                deciding: false,
-            },
+                1,
+            ),
         );
         assert!(t.overlaps(b"a"));
         assert!(!t.overlaps(b"b"));
@@ -2262,22 +2343,8 @@ mod frontier_tests {
         };
         let a = GlobalTxId { node: 1, seq: 1 };
         let b = GlobalTxId { node: 1, seq: 2 };
-        t.insert(
-            a,
-            PreparedState {
-                writes: w(b"k"),
-                lock_owner: 1,
-                deciding: false,
-            },
-        );
-        t.insert(
-            b,
-            PreparedState {
-                writes: w(b"k"),
-                lock_owner: 2,
-                deciding: false,
-            },
-        );
+        t.insert(a, prepared(w(b"k"), 1));
+        t.insert(b, prepared(w(b"k"), 2));
         // Two in-doubt writers: removing one must leave the key in doubt.
         t.remove(&a);
         assert!(t.overlaps(b"k"));
@@ -2291,18 +2358,17 @@ mod frontier_tests {
         let gtx = GlobalTxId { node: 3, seq: 1 };
         t.insert(
             gtx,
-            PreparedState {
-                writes: vec![WriteOp {
+            prepared(
+                vec![WriteOp {
                     key: b"k".to_vec(),
                     value: Some(b"v".to_vec()),
                 }],
-                lock_owner: 9,
-                deciding: false,
-            },
+                9,
+            ),
         );
-        let (writes, owner) = t.begin_decide(&gtx).expect("first claim wins");
-        assert_eq!(owner, 9);
-        assert_eq!(writes.len(), 1);
+        let claim = t.begin_decide(&gtx).expect("first claim wins");
+        assert_eq!(claim.lock_owner, 9);
+        assert_eq!(claim.writes.len(), 1);
         // Mid-decision: a duplicate decision is a no-op, but the key is
         // still in doubt for snapshot reads and validation.
         assert!(t.begin_decide(&gtx).is_none());

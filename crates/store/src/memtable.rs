@@ -353,12 +353,16 @@ impl MemTable {
         let probe = MemKey::new(start.to_vec(), SeqNum::MAX);
         let mut lists = Vec::with_capacity(self.shards.len());
         for shard in &self.shards {
-            let guard = shard.read();
-            let list: Vec<(MemKey, ValueEntry)> = guard
-                .range_from(&probe)
-                .take_while(|(k, _)| end.map(|e| k.user.as_slice() < e).unwrap_or(true))
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect();
+            // Collect under the guard, charge after it drops: the charge
+            // yields, and a parked reader would wedge `put`'s shard write.
+            let list: Vec<(MemKey, ValueEntry)> = {
+                let guard = shard.read();
+                guard
+                    .range_from(&probe)
+                    .take_while(|(k, _)| end.map(|e| k.user.as_slice() < e).unwrap_or(true))
+                    .map(|(k, v)| (k.clone(), v.clone()))
+                    .collect()
+            };
             self.env.charge_enclave_op(
                 list.len() * ENTRY_OVERHEAD + ENTRY_OVERHEAD,
                 self.env.costs.memtable_op_ns,

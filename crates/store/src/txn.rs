@@ -18,7 +18,10 @@ use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use crate::engine::{EngineIntrospection, PreparedDecision, PreparedState, TreatyStore, WalRecord};
+use crate::engine::{
+    stabilize_traced, EngineIntrospection, FencedSpan, PreparedDecision, PreparedState,
+    TreatyStore, WalRecord,
+};
 use crate::locks::{LockMode, LockTable, EOF_SENTINEL};
 use crate::memtable::{SeqNum, UserKey};
 use crate::{Result, StoreError};
@@ -384,7 +387,9 @@ pub trait EngineTxn: Send {
     /// which mean "vote abort".
     fn prepare(&mut self, gtx: GlobalTxId) -> Result<()>;
 
-    /// Commits (single-node path).
+    /// Commits: the single-node path, and — for a transaction that wrote
+    /// nothing — every participant's finish in the distributed read-only
+    /// lane (validate, release every lock, log nothing).
     ///
     /// # Errors
     ///
@@ -492,62 +497,41 @@ impl EngineTxn for Txn {
         match self.mode {
             TxnMode::Pessimistic => {
                 self.register_scan();
-                // Lock-then-verify: S-lock every key *present* in the span
+                // Pass, then fence: S-lock every key *present* in the span
                 // (deleted versions still fence gaps) plus the next key
-                // beyond it, then re-scan; a stable result proves the span
-                // was fully fenced before anything could slip in. Rounds
-                // only ever add locks (2PL never releases mid-txn), so the
-                // loop converges or conflicts out.
-                let mut raw = match self.store.scan(start, end, SeqNum::MAX, raw_limit) {
-                    Ok(r) => r,
-                    Err(e) => return Err(self.abort_with(e)),
-                };
+                // beyond it. An apply epoch unmoved since before the pass
+                // proves no version slipped in ahead of the last lock
+                // grant. A moved one — any commit on this store — goes
+                // round again: a pass that reads back exactly what is
+                // already fenced is the same proof. Rounds only ever add
+                // locks (2PL never releases mid-txn), so the loop converges
+                // or conflicts out.
+                let mut fenced: Option<FencedSpan> = None;
                 let mut rounds = 0;
-                loop {
-                    // A truncated scan fences only what it returned: lock
-                    // up to just past the last returned key, not to `end`.
-                    let lock_end: UserKey =
-                        if raw_limit > 0 && raw.len() == raw_limit {
-                            let mut p = raw.last().expect("truncated scan non-empty").0.clone();
-                            p.push(0);
-                            p
-                        } else {
-                            end.to_vec()
-                        };
-                    let present = match self.store.keys_in_range(start, &lock_end) {
-                        Ok(p) => p,
+                let span = loop {
+                    let epoch = self.store.apply_epoch();
+                    let span = match self.store.fenced_pass(start, end, raw_limit) {
+                        Ok(s) => s,
                         Err(e) => return Err(self.abort_with(e)),
                     };
-                    for k in &present {
+                    if fenced.as_ref() == Some(&span) {
+                        break span;
+                    }
+                    for k in span.present.iter().chain(std::iter::once(&span.bound)) {
                         if let Err(e) = self.lock_gap(k, LockMode::Shared) {
                             return Err(self.abort_with(e));
                         }
                     }
-                    let bound = match self.gap_bound(&lock_end) {
-                        Ok(b) => b,
-                        Err(e) => return Err(self.abort_with(e)),
-                    };
-                    if let Err(e) = self.lock_gap(&bound, LockMode::Shared) {
-                        return Err(self.abort_with(e));
+                    if self.store.apply_epoch() == epoch {
+                        break span;
                     }
-                    let again = match self.store.scan(start, end, SeqNum::MAX, raw_limit) {
-                        Ok(r) => r,
-                        Err(e) => return Err(self.abort_with(e)),
-                    };
-                    let present_again = match self.store.keys_in_range(start, &lock_end) {
-                        Ok(p) => p,
-                        Err(e) => return Err(self.abort_with(e)),
-                    };
-                    if again == raw && present_again == present {
-                        break;
-                    }
-                    raw = again;
+                    fenced = Some(span);
                     rounds += 1;
                     if rounds > 16 {
                         return Err(self.abort_with(StoreError::Conflict));
                     }
-                }
-                Ok(self.overlay_scan(start, end, &raw, limit))
+                };
+                Ok(self.overlay_scan(start, end, &span.rows, limit))
             }
             TxnMode::Optimistic => {
                 let raw = self.store.scan(start, end, SeqNum::MAX, raw_limit)?;
@@ -639,7 +623,7 @@ impl EngineTxn for Txn {
         };
         // Participants only ACK once the prepare entry is stabilized —
         // otherwise a crash could lose a vote the coordinator relied on.
-        if let Err(e) = wal.stabilize(counter) {
+        if let Err(e) = stabilize_traced(&wal, counter) {
             return Err(self.abort_with(e));
         }
         treaty_sim::crashpoint::hit("store.prepare_logged");
@@ -691,9 +675,17 @@ impl EngineTxn for Txn {
             }
         }
         if self.buffer.is_empty() && self.ranges.is_empty() {
-            // Read-only: nothing to log.
+            // Read-only: nothing to log, no seq, no prepared entry. Every
+            // lock drops here, gap locks included — the transaction never
+            // reads again, so later writers serialize after it. What it
+            // read must be rollback-protected before it is acknowledged:
+            // wait out any WAL record appended ahead of the last read (a
+            // group commit drops its locks before stabilizing).
             self.release_locks();
             self.state = TxnState::Finished;
+            if let Err(e) = self.store.stabilize_wal_tail() {
+                return Err(self.abort_with(e));
+            }
             self.store
                 .inner
                 .stats
@@ -721,7 +713,7 @@ impl EngineTxn for Txn {
         // before stabilization (the paper exploits exactly this window).
         self.release_locks();
         self.state = TxnState::Finished;
-        let stabilized = wal.stabilize(counter);
+        let stabilized = stabilize_traced(&wal, counter);
         // Recorded even if stabilization failed: the writes are already
         // applied and visible to locked reads, so snapshot parity holds
         // either way, and skipping the record would wedge the frontier.

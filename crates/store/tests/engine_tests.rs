@@ -866,6 +866,68 @@ fn next_key_locking_blocks_phantom_inserts() {
 }
 
 #[test]
+fn quiescent_scan_fences_in_exactly_one_store_pass() {
+    let dir = tempfile::tempdir().unwrap();
+    let (_env, store) = open(SecurityProfile::treaty_full(), dir.path());
+    for k in [b"p10", b"p30", b"p50"] {
+        put(&store, k, b"v");
+    }
+    let mut scanner = store.begin_mode(TxnMode::Pessimistic);
+    let before = store.stats().scans;
+    assert_eq!(scanner.scan(b"p00", b"p99", 0).unwrap().len(), 3);
+    assert_eq!(
+        store.stats().scans,
+        before + 1,
+        "rows, fence keys and gap bound: one pass"
+    );
+    // A truncated scan fences what it returned plus the next key present.
+    let first = scanner.scan(b"p00", b"p99", 1).unwrap();
+    assert_eq!(first, vec![(b"p10".to_vec(), b"v".to_vec())]);
+    assert_eq!(store.stats().scans, before + 2);
+    scanner.commit().unwrap();
+    assert_eq!(store.locked_keys(), 0);
+}
+
+#[test]
+fn apply_between_pass_and_lock_grant_forces_a_second_pass() {
+    let dir = tempfile::tempdir().unwrap();
+    let path = dir.path().to_path_buf();
+    block_on(move || {
+        let env = Env::for_testing(SecurityProfile::treaty_full(), &path);
+        let store = TreatyStore::open(env).unwrap();
+        for k in [b"p10", b"p30", b"p50"] {
+            put(&store, k, b"old");
+        }
+        // The writer X-locks p30 before any scan is live (no gap lock, no
+        // successor lookup), then holds it across the scanner's pass.
+        let mut writer = store.begin_mode(TxnMode::Pessimistic);
+        writer.put(b"p30", b"new").unwrap();
+        let before = store.stats().scans;
+
+        let store2 = store.clone();
+        let rows = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let rows2 = Arc::clone(&rows);
+        let scanner = spawn(move || {
+            let mut t = store2.begin_mode(TxnMode::Pessimistic);
+            *rows2.lock() = t.scan(b"p00", b"p99", 0).unwrap();
+            t.commit().unwrap();
+        });
+        // The scanner passes once (seeing the old p30) and parks on p30's
+        // lock; the commit below applies inside that window.
+        treaty_sim::runtime::sleep(treaty_sim::MILLIS);
+        assert_eq!(store.stats().scans, before + 1);
+        writer.commit().unwrap();
+        join(scanner);
+
+        // The moved epoch forced a verifying pass, which saw the new row.
+        assert_eq!(store.stats().scans, before + 2);
+        let rows = rows.lock().clone();
+        assert_eq!(rows.len(), 3);
+        assert_eq!(rows[1], (b"p30".to_vec(), b"new".to_vec()));
+    });
+}
+
+#[test]
 fn range_delete_locks_out_concurrent_writers_in_span() {
     let dir = tempfile::tempdir().unwrap();
     let path = dir.path().to_path_buf();

@@ -535,6 +535,113 @@ fn snapshot_read_crash_leaks_no_locks_and_recovery_is_unchanged() {
     );
 }
 
+/// The read-only-lane fault cell: a participant dies *inside* the
+/// read-only finish (`part.read_only_finish`) — it has taken the engine
+/// transaction out of its table but neither validated nor voted. The lane
+/// logs nothing anywhere, so the crash must leave nothing behind: no Clog
+/// record for recovery to re-drive, no prepared entry, no lock on any node
+/// (the survivors released at their own finish, the victim's were volatile),
+/// and the client is told `Aborted`, never `Committed`.
+fn run_read_only_finish_cell() -> String {
+    let dir = tempfile::tempdir().unwrap();
+    let path = dir.path().to_path_buf();
+    block_on(move || {
+        let plan = crashpoint::install();
+        let mut cluster = Cluster::start(options(&path)).unwrap();
+        let keys: Vec<Vec<u8>> = key_per_node(&cluster).into_values().collect();
+
+        let client = cluster.client();
+        let mut tx = client.begin(COORD);
+        for k in &keys {
+            tx.put(k, b"stable-value").expect("seed write failed");
+        }
+        tx.commit().expect("seed commit failed");
+        sleep(50 * MILLIS);
+
+        plan.arm(FaultSchedule::new().crash_at("part.read_only_finish", PART, 1));
+        let mut tx = client.begin(COORD);
+        let gtx = tx.gtx();
+        for k in &keys {
+            assert_eq!(
+                tx.get(k).expect("locked read"),
+                Some(b"stable-value".to_vec())
+            );
+        }
+        let acked = match tx.commit() {
+            Ok(()) => panic!("a participant that never voted cannot commit the lane"),
+            Err(TreatyError::Aborted(..)) => 'A',
+            Err(TreatyError::Net(_)) => 'U',
+            Err(e) => panic!("unexpected read-only commit failure mode: {e}"),
+        };
+
+        sleep(SECONDS);
+        let fired = plan.fired();
+        assert_eq!(fired.len(), 1, "expected exactly one crash, got {fired:?}");
+        assert_eq!(fired[0].point, "part.read_only_finish");
+        assert_eq!(fired[0].node, PART);
+        let fired_at = fired[0].at;
+
+        cluster.crash_node((PART - 1) as usize);
+        cluster.restart_node((PART - 1) as usize).unwrap();
+        let rec = cluster.resolve_recovered();
+        assert_eq!(
+            (rec.re_decided, rec.resolved, rec.failed),
+            (0, 0, 0),
+            "the read-only lane must give recovery nothing to re-drive: {rec:?}"
+        );
+        let clog = cluster.node((COORD - 1) as usize).clog().expect("durable");
+        assert_eq!(
+            clog.protocol_state(gtx),
+            None,
+            "the lane wrote a Clog record"
+        );
+
+        for i in 0..cluster.node_endpoints().len() {
+            let store = cluster.store(i).expect("durable cluster");
+            assert_eq!(
+                store.locked_keys(),
+                0,
+                "node {}: read-only finish crash leaked locks",
+                i + 1
+            );
+            assert!(
+                store.prepared_txns().is_empty(),
+                "node {}: read-only finish crash left a prepared entry",
+                i + 1
+            );
+        }
+
+        // The data is untouched and writable again.
+        let writer = cluster.client();
+        let mut tx = writer.begin(COORD);
+        for k in &keys {
+            assert_eq!(tx.get(k).unwrap(), Some(b"stable-value".to_vec()));
+            tx.put(k, b"after").unwrap();
+        }
+        tx.commit().expect("post-recovery write commit");
+
+        format!(
+            "part.read_only_finish crash=n{PART} fired@{fired_at} acked={acked} \
+             rec={}/{}/{}",
+            rec.re_decided, rec.resolved, rec.failed,
+        )
+    })
+}
+
+/// A participant crash inside the read-only finish leaves no locks and no
+/// prepared entries, gives recovery nothing to re-drive, and is
+/// transcript-identical across runs.
+#[test]
+fn read_only_finish_crash_leaves_nothing_behind() {
+    let t1 = run_read_only_finish_cell();
+    println!("{t1}");
+    assert_eq!(
+        t1,
+        run_read_only_finish_cell(),
+        "read-only finish fault cell must be deterministic"
+    );
+}
+
 /// The coalesced-fan-out fault cell: the coordinator dies at
 /// `coord.batch_fanout` — after the per-shard `PEER_OP_BATCH` burst left
 /// its endpoint, before any reply was drained or a prepare was sent. The
