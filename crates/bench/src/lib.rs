@@ -25,6 +25,9 @@ use treaty_workload::{
 /// Adapter: a distributed client transaction as a workload target.
 pub struct DistKv<'a, 'b> {
     txn: &'a mut DistTxn<'b>,
+    /// Ship every write as it is issued instead of letting it ride the
+    /// next read or the commit (the unbatched ablation).
+    eager: bool,
 }
 
 impl KvTxn for DistKv<'_, '_> {
@@ -32,7 +35,11 @@ impl KvTxn for DistKv<'_, '_> {
         self.txn.get(key).map_err(|e| e.to_string())
     }
     fn put(&mut self, key: &[u8], value: &[u8]) -> Result<(), String> {
-        self.txn.put(key, value).map_err(|e| e.to_string())
+        self.txn.put(key, value).map_err(|e| e.to_string())?;
+        if self.eager {
+            self.txn.flush().map_err(|e| e.to_string())?;
+        }
+        Ok(())
     }
     fn scan(
         &mut self,
@@ -370,7 +377,10 @@ fn run_experiment_inner(
                     let start = runtime::now();
                     let mut txn = client.begin(coordinator);
                     let body = {
-                        let mut kv = DistKv { txn: &mut txn };
+                        let mut kv = DistKv {
+                            txn: &mut txn,
+                            eager: false,
+                        };
                         match (&mut ycsb, &mut tpcc, &mut social) {
                             (Some(g), _, _) => g.run_txn(&mut kv),
                             (_, Some(g), _) => g.run_txn(&mut kv).map(|_| ()),
@@ -689,9 +699,9 @@ pub fn run_snapshot_experiment(cfg: RunConfig) -> (BenchStats, SnapshotReport) {
                             let mut body = Ok(());
                             for op in &ops {
                                 let r = match op.kind {
-                                    YcsbOpKind::Scan { len } => txn
-                                        .scan(&op.key, KEY_SPACE_END, len as usize)
-                                        .map(|_| ()),
+                                    YcsbOpKind::Scan { len } => {
+                                        txn.scan(&op.key, KEY_SPACE_END, len as usize).map(|_| ())
+                                    }
                                     _ => txn.get(&op.key).map(|_| ()),
                                 };
                                 if let Err(e) = r {
@@ -705,7 +715,10 @@ pub fn run_snapshot_experiment(cfg: RunConfig) -> (BenchStats, SnapshotReport) {
                             // TPC-C (no pure-read classification).
                             let mut txn = client.begin(coordinator);
                             let body = {
-                                let mut kv = DistKv { txn: &mut txn };
+                                let mut kv = DistKv {
+                                    txn: &mut txn,
+                                    eager: false,
+                                };
                                 match &mut tpcc {
                                     Some(g) => g.run_txn(&mut kv).map(|_| ()),
                                     None => unreachable!(),
@@ -1248,7 +1261,10 @@ pub fn run_attribution_experiment(
                     let start = runtime::now();
                     let mut txn = client.begin(coordinator);
                     let body = {
-                        let mut kv = DistKv { txn: &mut txn };
+                        let mut kv = DistKv {
+                            txn: &mut txn,
+                            eager: false,
+                        };
                         match (&mut ycsb, &mut tpcc, &mut social) {
                             (Some(g), _, _) => g.run_txn(&mut kv),
                             (_, Some(g), _) => g.run_txn(&mut kv).map(|_| ()),
@@ -1335,7 +1351,10 @@ pub fn run_attribution_experiment(
         });
     });
 
-    let result = out.lock().take().expect("attribution run produced a report");
+    let result = out
+        .lock()
+        .take()
+        .expect("attribution run produced a report");
     result
 }
 
@@ -1353,7 +1372,8 @@ pub struct ScaleRunConfig {
     pub offered_tps: f64,
     /// Total transactions the arrival process injects.
     pub arrivals: usize,
-    /// Deferred-write batching on the client ([`DistTxn::set_batching`]).
+    /// Deferred-write batching on the client; off ships every write as it
+    /// is issued ([`DistTxn::flush`] after each).
     pub batching: bool,
     /// Multi-tenant zipfian workload shape.
     pub scale: ScaleConfig,
@@ -1475,9 +1495,11 @@ pub fn run_scale_experiment(cfg: ScaleRunConfig) -> ScalePoint {
                 let coordinator = 1 + (i % cfg.nodes) as u32;
                 let mut gen = ScaleGenerator::new(cfg.scale.clone(), cfg.seed ^ (i as u64 + 1));
                 let mut txn = client.begin(coordinator);
-                txn.set_batching(cfg.batching);
                 let body = {
-                    let mut kv = DistKv { txn: &mut txn };
+                    let mut kv = DistKv {
+                        txn: &mut txn,
+                        eager: !cfg.batching,
+                    };
                     gen.run_txn(&mut kv)
                 };
                 let ok = body.is_ok() && txn.commit().is_ok();
@@ -1661,7 +1683,10 @@ mod tests {
             report.readonly.committed > 0,
             "scan transactions must commit on the snapshot path"
         );
-        assert!(report.snapshot_scans > 0, "server must serve snapshot scans");
+        assert!(
+            report.snapshot_scans > 0,
+            "server must serve snapshot scans"
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The client library: interactive transactions over a mutually
 //! authenticated channel (§IV-A).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
@@ -12,8 +12,7 @@ use treaty_store::GlobalTxId;
 
 use crate::messages::{
     decode, encode, req, ClientCommitReq, CommitResult, ObsSnapshotReply, Op, OpResult,
-    SnapshotReadReply, SnapshotReadReq, SnapshotScanReply, SnapshotScanReq,
-    SnapshotValidateReply, SnapshotValidateReq, WriteCmd,
+    SnapshotReadReply, SnapshotReadReq, SnapshotValidateReply, SnapshotValidateReq, WriteCmd,
 };
 use crate::shard::ShardMap;
 use crate::{Result, TreatyError};
@@ -109,8 +108,7 @@ impl TreatyClient {
             seq,
             op_seq: 1,
             finished: false,
-            buffered: Vec::new(),
-            batching: true,
+            pending: Vec::new(),
             begin_ts: if treaty_sim::runtime::in_fiber() {
                 treaty_sim::runtime::now()
             } else {
@@ -161,30 +159,7 @@ impl TreatyClient {
     /// Network errors, or [`TreatyError::Rejected`] when the retry budget
     /// is exhausted (a pathologically write-hot key set).
     pub fn snapshot_read(&self, keys: &[Vec<u8>]) -> Result<Vec<Option<Vec<u8>>>> {
-        const ATTEMPTS: u32 = 8;
-        let mut last = String::new();
-        for attempt in 0..ATTEMPTS {
-            let mut txn = self.begin_read_only()?;
-            match txn.get_many(keys) {
-                Ok(values) => match txn.finish() {
-                    Ok(()) => return Ok(values),
-                    Err(e) if snapshot_retryable(&e) => last = e.to_string(),
-                    Err(e) => return Err(e),
-                },
-                Err(e) if snapshot_retryable(&e) => last = e.to_string(),
-                Err(e) => return Err(e),
-            }
-            treaty_sim::obs::counter_add("client.snapshot_retries", 1);
-            if treaty_sim::runtime::in_fiber() {
-                // Linear deterministic backoff: long enough for the
-                // in-doubt prepare to decide, short enough to stay well
-                // under a locking read's round-trip budget.
-                treaty_sim::runtime::sleep((u64::from(attempt) + 1) * treaty_sim::MILLIS / 4);
-            }
-        }
-        Err(TreatyError::Rejected(format!(
-            "snapshot read gave up after {ATTEMPTS} attempts: {last}"
-        )))
+        self.snapshot_retry("read", |txn| txn.get_many(keys))
     }
 
     /// One-shot snapshot range scan with the staleness/retry protocol
@@ -204,26 +179,36 @@ impl TreatyClient {
         end: &[u8],
         limit: usize,
     ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
+        self.snapshot_retry("scan", |txn| txn.scan(start, end, limit))
+    }
+
+    /// Runs `body` in a fresh read-only transaction and finishes it,
+    /// starting over on a retryable rejection ([`TreatyError::SnapshotRetry`]:
+    /// refresh the snapshot and try again) until the attempts run out.
+    fn snapshot_retry<T>(
+        &self,
+        what: &str,
+        body: impl Fn(&mut SnapshotTxn<'_>) -> Result<T>,
+    ) -> Result<T> {
         const ATTEMPTS: u32 = 8;
         let mut last = String::new();
         for attempt in 0..ATTEMPTS {
             let mut txn = self.begin_read_only()?;
-            match txn.scan(start, end, limit) {
-                Ok(entries) => match txn.finish() {
-                    Ok(()) => return Ok(entries),
-                    Err(e) if snapshot_retryable(&e) => last = e.to_string(),
-                    Err(e) => return Err(e),
-                },
-                Err(e) if snapshot_retryable(&e) => last = e.to_string(),
+            match body(&mut txn).and_then(|out| txn.finish().map(|()| out)) {
+                Ok(out) => return Ok(out),
+                Err(TreatyError::SnapshotRetry(why)) => last = why,
                 Err(e) => return Err(e),
             }
             treaty_sim::obs::counter_add("client.snapshot_retries", 1);
             if treaty_sim::runtime::in_fiber() {
+                // Linear deterministic backoff: long enough for the
+                // in-doubt prepare to decide, short enough to stay well
+                // under a locking read's round-trip budget.
                 treaty_sim::runtime::sleep((u64::from(attempt) + 1) * treaty_sim::MILLIS / 4);
             }
         }
         Err(TreatyError::Rejected(format!(
-            "snapshot scan gave up after {ATTEMPTS} attempts: {last}"
+            "snapshot {what} gave up after {ATTEMPTS} attempts: {last}"
         )))
     }
 
@@ -256,20 +241,14 @@ impl TreatyClient {
     }
 }
 
-/// Whether a snapshot-read failure means "refresh the snapshot and retry"
-/// (stale timestamp, in-doubt prepare, failed validation) rather than a
-/// hard error.
-fn snapshot_retryable(e: &TreatyError) -> bool {
-    matches!(e, TreatyError::SnapshotRetry(_))
-}
-
 /// An interactive distributed transaction.
 ///
-/// Created by [`TreatyClient::begin`]. Reads execute immediately on the
-/// cluster (acquiring locks as they go); blind writes are deferred — they
-/// append to a local buffer and cost nothing until a read must observe
-/// them (which flushes the buffer in one [`req::CLIENT_OP_BATCH`]) or the
-/// transaction commits (which ships the buffer in the
+/// Created by [`TreatyClient::begin`]. Blind writes are deferred — they
+/// append to a local pending list and cost nothing until something ships
+/// it: a read or range operation the list cannot answer (which travels
+/// *behind* the pending writes in the same [`req::CLIENT_OPS`] message, so
+/// it observes them and acquires its locks in one round trip), an explicit
+/// [`DistTxn::flush`], or the commit (which carries the list in the
 /// [`req::CLIENT_COMMIT`] payload, where the coordinator piggybacks each
 /// shard's slice on its prepare message). [`DistTxn::commit`] runs the
 /// secure 2PC.
@@ -279,12 +258,8 @@ pub struct DistTxn<'a> {
     seq: u64,
     op_seq: u64,
     finished: bool,
-    /// Deferred writes in issue order, not yet shipped to the coordinator.
-    buffered: Vec<WriteCmd>,
-    /// Deferred-write batching on (the default). The off position is the
-    /// ablation: every put/delete goes back to an eager `CLIENT_OP` round
-    /// trip, as before PR 10.
-    batching: bool,
+    /// Writes in issue order, not yet shipped to the coordinator.
+    pending: Vec<WriteCmd>,
     /// Virtual time `begin` was called — the client-measured latency
     /// anchor reported on the `client.committed` trace instant.
     begin_ts: Nanos,
@@ -336,17 +311,30 @@ impl<'a> DistTxn<'a> {
         }
     }
 
-    fn run_op_raw(&mut self, op: Op) -> Result<OpResult> {
+    fn ensure_open(&self) -> Result<()> {
         if self.finished {
             return Err(TreatyError::Rejected("transaction finished".into()));
         }
+        Ok(())
+    }
+
+    /// Ships the pending writes, followed by `last` if any, to the
+    /// coordinator in one sealed [`req::CLIENT_OPS`] message and returns
+    /// the last operation's result.
+    fn ship(&mut self, last: Option<Op>) -> Result<OpResult> {
+        self.ensure_open()?;
+        let ops: Vec<Op> = std::mem::take(&mut self.pending)
+            .into_iter()
+            .map(Op::Write)
+            .chain(last)
+            .collect();
         let _txn = treaty_sim::obs::txn_scope(self.seq);
-        let _span = treaty_sim::obs::span("client.op");
+        let _span = treaty_sim::obs::span_with("client.op", &[("ops", ops.len() as u64)]);
         let meta = self.meta(MsgKind::TxnPut);
         let call = self
             .client
             .rpc
-            .call(self.coordinator, req::CLIENT_OP, &meta, &encode(&op));
+            .call(self.coordinator, req::CLIENT_OPS, &meta, &encode(&ops));
         let (_, bytes) = match call {
             Ok(x) => x,
             Err(e) => {
@@ -356,9 +344,9 @@ impl<'a> DistTxn<'a> {
             }
         };
         match decode::<OpResult>(&bytes) {
-            Some(OpResult::Err { reason }) => {
+            Some(OpResult::Failed(f)) => {
                 self.finished = true;
-                Err(TreatyError::Aborted(self.gtx(), reason))
+                Err(TreatyError::Aborted(self.gtx(), f.reason))
             }
             Some(result) => Ok(result),
             None => {
@@ -368,127 +356,77 @@ impl<'a> DistTxn<'a> {
         }
     }
 
-    fn run_op(&mut self, op: Op) -> Result<Option<Vec<u8>>> {
-        match self.run_op_raw(op)? {
-            OpResult::Ok { value } => Ok(value),
-            _ => Err(TreatyError::Rejected("unexpected reply shape".into())),
-        }
+    /// Appends a write to the pending list.
+    fn buffer(&mut self, write: WriteCmd) -> Result<()> {
+        self.ensure_open()?;
+        treaty_sim::obs::counter_add("client.buffered_writes", 1);
+        self.pending.push(write);
+        Ok(())
     }
 
-    /// Turns deferred-write batching off (the ablation): every put/delete
-    /// reverts to an eager, individually-sealed `CLIENT_OP` round trip.
-    pub fn set_batching(&mut self, on: bool) {
-        self.batching = on;
-    }
-
-    /// Ships the deferred write buffer to the coordinator in one sealed
-    /// [`req::CLIENT_OP_BATCH`] message. A read that cannot be answered
-    /// from the buffer calls this first, so it observes its own writes.
-    fn flush_writes(&mut self) -> Result<()> {
-        if self.buffered.is_empty() {
+    /// Ships whatever writes are pending now instead of with the next read
+    /// or the commit — they take their locks on the cluster before this
+    /// returns. A no-op (and no round trip) when nothing is pending.
+    ///
+    /// # Errors
+    ///
+    /// See [`DistTxn::get`].
+    pub fn flush(&mut self) -> Result<()> {
+        if self.pending.is_empty() {
             return Ok(());
         }
-        let writes = std::mem::take(&mut self.buffered);
-        let _txn = treaty_sim::obs::txn_scope(self.seq);
-        let _span = treaty_sim::obs::span_with(
-            "client.flush_writes",
-            &[("writes", writes.len() as u64)],
-        );
-        let meta = self.meta(MsgKind::TxnPut);
-        let payload = encode(&ClientCommitReq { writes });
-        let call = self
-            .client
-            .rpc
-            .call(self.coordinator, req::CLIENT_OP_BATCH, &meta, &payload);
-        let (_, bytes) = match call {
-            Ok(x) => x,
-            Err(e) => {
-                self.finished = true;
-                self.best_effort_rollback();
-                return Err(TreatyError::Net(e.to_string()));
-            }
-        };
-        match decode::<OpResult>(&bytes) {
-            Some(OpResult::Err { reason }) => {
-                self.finished = true;
-                Err(TreatyError::Aborted(self.gtx(), reason))
-            }
-            Some(_) => Ok(()),
-            None => {
-                self.finished = true;
-                Err(TreatyError::Rejected("malformed coordinator reply".into()))
-            }
-        }
+        self.ship(None).map(|_| ())
     }
 
     /// Transactional read ([`TxnGet`](MsgKind::TxnGet)). A key the
-    /// transaction has a buffered write for is answered straight from the
-    /// buffer (read-your-writes, zero round trips); any other read first
-    /// flushes the buffer so the cluster-side transaction observes every
-    /// write issued before it.
+    /// transaction has a pending write for is answered straight from the
+    /// list (read-your-writes, zero round trips); any other read ships the
+    /// list ahead of itself in the same message, so the cluster-side
+    /// transaction observes every write issued before it.
     ///
     /// # Errors
     ///
     /// [`TreatyError::Aborted`] if the operation aborted the transaction
     /// (lock timeout, conflict), [`TreatyError::Net`] on network failure.
     pub fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        if self.finished {
-            return Err(TreatyError::Rejected("transaction finished".into()));
-        }
-        // Last buffered write to this key wins — including a buffered
+        self.ensure_open()?;
+        // Last pending write to this key wins — including a pending
         // delete, which reads back as absent.
-        if let Some(cmd) = self.buffered.iter().rev().find(|c| c.key == key) {
+        if let Some(cmd) = self.pending.iter().rev().find(|c| c.key == key) {
             treaty_sim::obs::counter_add("client.buffer_read_hits", 1);
             return Ok(cmd.value.clone());
         }
-        self.flush_writes()?;
-        self.run_op(Op::Get { key: key.to_vec() })
+        match self.ship(Some(Op::Get { key: key.to_vec() }))? {
+            OpResult::Ok { value } => Ok(value),
+            _ => Err(TreatyError::Rejected("unexpected reply shape".into())),
+        }
     }
 
-    /// Transactional write: appended to the local write buffer and free
-    /// until a read must observe it or the transaction commits.
+    /// Transactional write: appended to the pending list and free until a
+    /// read must observe it, [`DistTxn::flush`], or the commit.
     ///
     /// # Errors
     ///
-    /// See [`DistTxn::get`].
+    /// [`TreatyError::Rejected`] on a finished transaction.
     pub fn put(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
-        if self.batching {
-            if self.finished {
-                return Err(TreatyError::Rejected("transaction finished".into()));
-            }
-            treaty_sim::obs::counter_add("client.buffered_writes", 1);
-            self.buffered.push(WriteCmd::put(key, value));
-            return Ok(());
-        }
-        self.run_op(Op::Put {
-            key: key.to_vec(),
-            value: value.to_vec(),
-        })?;
-        Ok(())
+        self.buffer(WriteCmd::put(key, value))
     }
 
-    /// Transactional delete — buffered exactly like [`DistTxn::put`].
+    /// Transactional delete — deferred exactly like [`DistTxn::put`].
     ///
     /// # Errors
     ///
-    /// See [`DistTxn::get`].
+    /// See [`DistTxn::put`].
     pub fn delete(&mut self, key: &[u8]) -> Result<()> {
-        if self.batching {
-            if self.finished {
-                return Err(TreatyError::Rejected("transaction finished".into()));
-            }
-            treaty_sim::obs::counter_add("client.buffered_writes", 1);
-            self.buffered.push(WriteCmd::delete(key));
-            return Ok(());
-        }
-        self.run_op(Op::Delete { key: key.to_vec() })?;
-        Ok(())
+        self.buffer(WriteCmd::delete(key))
     }
 
     /// Transactional range scan of `[start, end)`, serializable via
     /// next-key locking on every shard (no phantoms). Returns up to
     /// `limit` pairs in ascending key order (`0` = unbounded); the
-    /// coordinator fans the span out to every shard and merges.
+    /// coordinator fans the span out to every shard and merges. A span can
+    /// overlap any pending key, so the pending writes always travel ahead
+    /// of the scan and it observes this transaction's own writes.
     ///
     /// # Errors
     ///
@@ -499,14 +437,11 @@ impl<'a> DistTxn<'a> {
         end: &[u8],
         limit: usize,
     ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        // A span can overlap any buffered key: flush conservatively so the
-        // scan observes this transaction's own writes.
-        self.flush_writes()?;
-        match self.run_op_raw(Op::Scan {
+        match self.ship(Some(Op::Scan {
             start: start.to_vec(),
             end: end.to_vec(),
             limit: limit as u64,
-        })? {
+        }))? {
             OpResult::Entries { entries } => Ok(entries),
             _ => Err(TreatyError::Rejected("unexpected scan reply shape".into())),
         }
@@ -515,20 +450,18 @@ impl<'a> DistTxn<'a> {
     /// Transactional range delete of `[start, end)`: every shard buffers a
     /// multi-version range tombstone over its slice, visible (to this
     /// transaction immediately, to others at commit) as the whole span
-    /// being deleted.
+    /// being deleted. Pending writes inside the span land first, so the
+    /// tombstone shadows them in issue order.
     ///
     /// # Errors
     ///
     /// See [`DistTxn::get`].
     pub fn delete_range(&mut self, start: &[u8], end: &[u8]) -> Result<()> {
-        // Buffered writes inside the span must land first so the tombstone
-        // shadows them in issue order.
-        self.flush_writes()?;
-        self.run_op(Op::RangeDelete {
+        self.ship(Some(Op::RangeDelete {
             start: start.to_vec(),
             end: end.to_vec(),
-        })?;
-        Ok(())
+        }))
+        .map(|_| ())
     }
 
     /// Commits via the secure 2PC. On success the transaction is durable
@@ -538,22 +471,16 @@ impl<'a> DistTxn<'a> {
     ///
     /// [`TreatyError::Aborted`] with the abort reason, or network errors.
     pub fn commit(mut self) -> Result<()> {
-        if self.finished {
-            return Err(TreatyError::Rejected("transaction finished".into()));
-        }
+        self.ensure_open()?;
         self.finished = true;
         let _txn = treaty_sim::obs::txn_scope(self.seq);
         let _span = treaty_sim::obs::span("client.commit");
-        // Ship the deferred writes with the commit itself: the coordinator
+        // Ship the pending writes with the commit itself: the coordinator
         // piggybacks each shard's slice on its prepare message, so a
         // write-only transaction pays one round trip per shard, total.
-        let writes = std::mem::take(&mut self.buffered);
-        let payload = if writes.is_empty() {
-            Vec::new()
-        } else {
-            treaty_sim::obs::counter_add("client.shipped_commit_writes", writes.len() as u64);
-            encode(&ClientCommitReq { writes })
-        };
+        let writes = std::mem::take(&mut self.pending);
+        treaty_sim::obs::counter_add("client.shipped_commit_writes", writes.len() as u64);
+        let payload = encode(&ClientCommitReq { writes });
         let meta = self.meta(MsgKind::TxnCommit);
         let call = self
             .client
@@ -640,6 +567,10 @@ impl std::fmt::Debug for SnapshotTxn<'_> {
     }
 }
 
+/// One shard's answer to a snapshot round: a value per requested key and a
+/// sorted `(key, value)` slice per requested span, both in request order.
+type ShardRead = (Vec<Option<Vec<u8>>>, Vec<Vec<(Vec<u8>, Vec<u8>)>>);
+
 impl SnapshotTxn<'_> {
     fn meta(&mut self) -> TxMeta {
         let op_id = self.op_seq;
@@ -673,64 +604,108 @@ impl SnapshotTxn<'_> {
     /// fresh transaction, which [`TreatyClient::snapshot_read`]
     /// automates), or network errors.
     pub fn get_many(&mut self, keys: &[Vec<u8>]) -> Result<Vec<Option<Vec<u8>>>> {
-        if keys.is_empty() {
-            return Ok(Vec::new());
-        }
-        let _txn = treaty_sim::obs::txn_scope(self.seq);
-        let _span =
-            treaty_sim::obs::span_with("client.snapshot_read", &[("keys", keys.len() as u64)]);
         // Group by owning shard, remembering where each value goes.
-        let mut by_shard: HashMap<EndpointId, (Vec<Vec<u8>>, Vec<usize>)> = HashMap::new();
+        let mut slots: BTreeMap<EndpointId, Vec<usize>> = BTreeMap::new();
         for (i, key) in keys.iter().enumerate() {
-            let owner = self.shards.owner(key);
-            let entry = by_shard.entry(owner).or_default();
-            entry.0.push(key.clone());
-            entry.1.push(i);
+            slots.entry(self.shards.owner(key)).or_default().push(i);
         }
-        // Fan out: every shard's request leaves in one burst.
-        let mut pending: Vec<(EndpointId, Vec<usize>, PendingReply)> = Vec::new();
-        for (owner, (shard_keys, slots)) in by_shard {
+        let asks = slots
+            .iter()
+            .map(|(&owner, at)| (owner, at.iter().map(|&i| keys[i].clone()).collect()))
+            .collect();
+        let mut out: Vec<Option<Vec<u8>>> = vec![None; keys.len()];
+        for (at, (values, _)) in slots.values().zip(self.read(asks, &[], 0)?) {
+            for (slot, value) in at.iter().zip(values) {
+                out[*slot] = value;
+            }
+        }
+        Ok(out)
+    }
+
+    /// Scans `[start, end)` at the snapshot. Keys are hash-partitioned, so
+    /// the span fans out to every shard (each pinning its stable timestamp
+    /// on first contact) and the sorted, disjoint slices merge into one
+    /// result before the limit applies. The span joins the validation set:
+    /// [`SnapshotTxn::finish`] proves no key in it — including keys
+    /// *inserted* after the scan — changed past the snapshot.
+    ///
+    /// # Errors
+    ///
+    /// See [`SnapshotTxn::get_many`].
+    pub fn scan(
+        &mut self,
+        start: &[u8],
+        end: &[u8],
+        limit: usize,
+    ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
+        let asks = self
+            .shards
+            .nodes()
+            .iter()
+            .map(|&n| (n, Vec::new()))
+            .collect();
+        let span = [(start.to_vec(), end.to_vec())];
+        let answers = self.read(asks, &span, limit)?;
+        let slices = answers.into_iter().flat_map(|(_, rows)| rows).collect();
+        // Shards own disjoint key sets: a true k-way merge over the sorted
+        // slices, early-exiting at the limit.
+        Ok(crate::node::merge_sorted_slices(slices, limit))
+    }
+
+    /// The one snapshot round: asks each shard in `asks` for its keys and
+    /// for every span in `spans`, all requests leaving in one burst at the
+    /// shard's pinned timestamp (pinning it on first contact), and records
+    /// what was read for [`SnapshotTxn::finish`]. Answers come back in
+    /// `asks` order.
+    fn read(
+        &mut self,
+        asks: Vec<(EndpointId, Vec<Vec<u8>>)>,
+        spans: &[(Vec<u8>, Vec<u8>)],
+        limit: usize,
+    ) -> Result<Vec<ShardRead>> {
+        let _txn = treaty_sim::obs::txn_scope(self.seq);
+        let _span = treaty_sim::obs::span_with(
+            "client.snapshot_read",
+            &[("shards", asks.len() as u64), ("spans", spans.len() as u64)],
+        );
+        let mut pending: Vec<(EndpointId, Vec<Vec<u8>>, PendingReply)> = Vec::new();
+        for (owner, keys) in asks {
             // `None` until this shard pins: an explicit option rather than
             // a `0` sentinel, so a shard whose stable frontier is 0 pins
             // exactly once like any other (two reads in one transaction
             // must never re-pin the same shard at a newer timestamp).
             let req_msg = SnapshotReadReq {
                 ts: self.pinned.get(&owner).copied(),
-                keys: shard_keys,
+                keys,
+                spans: spans.to_vec(),
+                limit: limit as u64,
             };
             let meta = self.meta();
-            pending.push((
-                owner,
-                slots,
-                self.client.rpc.enqueue_request(
-                    owner,
-                    req::SNAPSHOT_READ,
-                    &meta,
-                    &encode(&req_msg),
-                ),
-            ));
+            let payload = encode(&req_msg);
+            let rpc = &self.client.rpc;
+            let reply = rpc.enqueue_request(owner, req::SNAPSHOT_READ, &meta, &payload);
+            pending.push((owner, req_msg.keys, reply));
         }
         self.client.rpc.tx_burst();
-        let mut out: Vec<Option<Vec<u8>>> = vec![None; keys.len()];
+        let mut out = Vec::with_capacity(pending.len());
         let mut reject: Option<TreatyError> = None;
-        for (owner, slots, p) in pending {
+        for (owner, keys, p) in pending {
             let (_, bytes) = match p.wait() {
                 Ok(x) => x,
                 Err(e) => return Err(TreatyError::Net(e.to_string())),
             };
             match decode::<SnapshotReadReply>(&bytes) {
-                Some(SnapshotReadReply::Values { ts, values }) => {
-                    if values.len() != slots.len() {
+                Some(SnapshotReadReply::Values { ts, values, rows }) => {
+                    if values.len() != keys.len() || rows.len() != spans.len() {
                         return Err(TreatyError::Rejected(
                             "malformed snapshot reply: wrong arity".into(),
                         ));
                     }
                     self.pinned.insert(owner, ts);
-                    let validate = self.validate_set.entry(owner).or_default();
-                    for (slot, value) in slots.iter().zip(values) {
-                        validate.push(keys[*slot].clone());
-                        out[*slot] = value;
-                    }
+                    self.validate_set.entry(owner).or_default().extend(keys);
+                    let scanned = self.validate_spans.entry(owner).or_default();
+                    scanned.extend_from_slice(spans);
+                    out.push((values, rows));
                 }
                 Some(SnapshotReadReply::Stale { stable_ts }) => {
                     reject.get_or_insert(TreatyError::SnapshotRetry(format!(
@@ -755,87 +730,6 @@ impl SnapshotTxn<'_> {
         }
     }
 
-    /// Scans `[start, end)` at the snapshot. Keys are hash-partitioned, so
-    /// the span fans out to every shard (each pinning its stable timestamp
-    /// on first contact) and the sorted, disjoint slices merge into one
-    /// result before the limit applies. The span joins the validation set:
-    /// [`SnapshotTxn::finish`] proves no key in it — including keys
-    /// *inserted* after the scan — changed past the snapshot.
-    ///
-    /// # Errors
-    ///
-    /// See [`SnapshotTxn::get_many`].
-    pub fn scan(
-        &mut self,
-        start: &[u8],
-        end: &[u8],
-        limit: usize,
-    ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        let _txn = treaty_sim::obs::txn_scope(self.seq);
-        let _span =
-            treaty_sim::obs::span_with("client.snapshot_scan", &[("limit", limit as u64)]);
-        let nodes: Vec<EndpointId> = self.shards.nodes().to_vec();
-        let mut pending: Vec<(EndpointId, PendingReply)> = Vec::with_capacity(nodes.len());
-        for &owner in &nodes {
-            let req_msg = SnapshotScanReq {
-                ts: self.pinned.get(&owner).copied(),
-                start: start.to_vec(),
-                end: end.to_vec(),
-                limit: limit as u64,
-            };
-            let meta = self.meta();
-            pending.push((
-                owner,
-                self.client.rpc.enqueue_request(
-                    owner,
-                    req::SNAPSHOT_SCAN,
-                    &meta,
-                    &encode(&req_msg),
-                ),
-            ));
-        }
-        self.client.rpc.tx_burst();
-        let mut slices: Vec<Vec<(Vec<u8>, Vec<u8>)>> = Vec::with_capacity(nodes.len());
-        let mut reject: Option<TreatyError> = None;
-        for (owner, p) in pending {
-            let (_, bytes) = match p.wait() {
-                Ok(x) => x,
-                Err(e) => return Err(TreatyError::Net(e.to_string())),
-            };
-            match decode::<SnapshotScanReply>(&bytes) {
-                Some(SnapshotScanReply::Entries { ts, entries }) => {
-                    self.pinned.insert(owner, ts);
-                    self.validate_spans
-                        .entry(owner)
-                        .or_default()
-                        .push((start.to_vec(), end.to_vec()));
-                    slices.push(entries);
-                }
-                Some(SnapshotScanReply::Stale { stable_ts }) => {
-                    reject.get_or_insert(TreatyError::SnapshotRetry(format!(
-                        "stale at shard {owner} (stable {stable_ts})"
-                    )));
-                }
-                Some(SnapshotScanReply::InDoubt) => {
-                    reject.get_or_insert(TreatyError::SnapshotRetry(format!(
-                        "in doubt at shard {owner}"
-                    )));
-                }
-                None => {
-                    return Err(TreatyError::Rejected(
-                        "malformed snapshot scan reply".into(),
-                    ));
-                }
-            }
-        }
-        if let Some(e) = reject {
-            return Err(e);
-        }
-        // Shards own disjoint key sets: a true k-way merge over the sorted
-        // slices, early-exiting at the limit.
-        Ok(crate::node::merge_sorted_slices(slices, limit))
-    }
-
     /// Finishes the transaction. Single-shard snapshots are consistent by
     /// construction; multi-shard snapshots run one validation round per
     /// shard (again concurrently) proving no commit or prepare slipped
@@ -855,8 +749,7 @@ impl SnapshotTxn<'_> {
             "client.snapshot_validate",
             &[("shards", self.pinned.len() as u64)],
         );
-        let mut work: HashMap<EndpointId, (Vec<Vec<u8>>, Vec<(Vec<u8>, Vec<u8>)>)> =
-            HashMap::new();
+        let mut work: HashMap<EndpointId, (Vec<Vec<u8>>, Vec<(Vec<u8>, Vec<u8>)>)> = HashMap::new();
         for (owner, keys) in self.validate_set.drain() {
             work.entry(owner).or_default().0 = keys;
         }

@@ -7,35 +7,27 @@ use treaty_store::GlobalTxId;
 
 /// Request types on the fabric.
 pub mod req {
-    /// Client → coordinator: one transactional operation.
-    pub const CLIENT_OP: u8 = 1;
+    /// Client → coordinator: an ordered `Vec<Op>` — zero or more writes
+    /// followed by at most one read or range operation; a single operation
+    /// is a list of one. The reply is the last operation's `OpResult`.
+    pub const CLIENT_OPS: u8 = 1;
     /// Client → coordinator: commit.
     pub const CLIENT_COMMIT: u8 = 2;
     /// Client → coordinator: rollback.
     pub const CLIENT_ROLLBACK: u8 = 3;
-    /// Client → coordinator: flush of the client's deferred write buffer
-    /// (a read is about to need the writes visible). One sealed message
-    /// carries every buffered write instead of one `CLIENT_OP` each.
-    pub const CLIENT_OP_BATCH: u8 = 8;
-    /// Client → shard: lock-free snapshot read (read-only transactions;
-    /// no 2PC state, no coordinator).
+    /// Client → shard: lock-free snapshot read of keys and spans (read-only
+    /// transactions; no 2PC state, no coordinator).
     pub const SNAPSHOT_READ: u8 = 4;
     /// Client → shard: end-of-transaction snapshot validation (multi-shard
     /// read-only transactions only).
     pub const SNAPSHOT_VALIDATE: u8 = 5;
-    /// Client → shard: lock-free snapshot range scan over this shard's
-    /// slice of the key space (read-only transactions).
-    pub const SNAPSHOT_SCAN: u8 = 7;
     /// Anyone → node: live introspection snapshot (queue depths, stable
     /// frontier, backpressure, cache hit rates). Read-only; serves the
     /// `treaty-top` dashboard.
     pub const OBS_SNAPSHOT: u8 = 6;
-    /// Coordinator → participant: one operation.
-    pub const PEER_OP: u8 = 10;
-    /// Coordinator → participant: this shard's slice of a deferred write
-    /// batch — applied in one sealed message (one seal/unseal per shard
-    /// instead of per op).
-    pub const PEER_OP_BATCH: u8 = 15;
+    /// Coordinator → participant: this shard's slice of an operation list,
+    /// applied in one sealed message (one seal/unseal per shard, not per op).
+    pub const PEER_OPS: u8 = 10;
     /// Coordinator → participant: 2PC prepare.
     pub const PEER_PREPARE: u8 = 11;
     /// Coordinator → participant: 2PC commit.
@@ -49,21 +41,11 @@ pub mod req {
 /// One transactional operation.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Op {
+    /// Blind point write (put or delete).
+    Write(WriteCmd),
     /// Point read.
     Get {
         /// Key to read.
-        key: Vec<u8>,
-    },
-    /// Write.
-    Put {
-        /// Key to write.
-        key: Vec<u8>,
-        /// New value.
-        value: Vec<u8>,
-    },
-    /// Deletion.
-    Delete {
-        /// Key to delete.
         key: Vec<u8>,
     },
     /// Range scan of `[start, end)`. Keys are hash-partitioned, so the
@@ -87,25 +69,26 @@ pub enum Op {
 }
 
 impl Op {
-    /// The key this operation touches; for range operations, the span's
-    /// start (they are routed by fan-out, not by this anchor).
-    pub fn key(&self) -> &[u8] {
+    /// The key a point operation is routed by; `None` for range operations,
+    /// which span the whole key space and fan out to every shard.
+    pub fn point_key(&self) -> Option<&[u8]> {
         match self {
-            Op::Get { key } | Op::Put { key, .. } | Op::Delete { key } => key,
-            Op::Scan { start, .. } | Op::RangeDelete { start, .. } => start,
+            Op::Write(WriteCmd { key, .. }) | Op::Get { key } => Some(key),
+            Op::Scan { .. } | Op::RangeDelete { .. } => None,
         }
     }
 
-    /// Whether this operation spans the whole key space (fan-out routing).
-    pub fn is_range(&self) -> bool {
-        matches!(self, Op::Scan { .. } | Op::RangeDelete { .. })
+    /// Whether this operation leaves something for a participant to apply
+    /// at commit (a transaction with none takes the read-only lane).
+    pub fn is_write(&self) -> bool {
+        matches!(self, Op::Write(_) | Op::RangeDelete { .. })
     }
 }
 
-/// One deferred blind write: `Some(value)` is a put, `None` a delete.
-/// Clients buffer these locally ([`crate::DistTxn::put`] returns without
-/// touching the network) and ship them wholesale — on the first read that
-/// could observe them ([`req::CLIENT_OP_BATCH`]) or with the commit itself
+/// One blind write: `Some(value)` is a put, `None` a delete. Clients buffer
+/// these locally ([`crate::DistTxn::put`] returns without touching the
+/// network) and ship them wholesale — ahead of the first read that could
+/// observe them ([`req::CLIENT_OPS`]) or with the commit itself
 /// ([`req::CLIENT_COMMIT`] payload).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WriteCmd {
@@ -133,19 +116,16 @@ impl WriteCmd {
     }
 }
 
-/// Client → coordinator payload of [`req::CLIENT_OP_BATCH`] and
-/// [`req::CLIENT_COMMIT`]: the deferred write buffer, in issue order.
-/// (An empty `CLIENT_COMMIT` payload still means "no shipped writes", so
-/// pre-batching clients keep working.)
+/// Client → coordinator payload of [`req::CLIENT_COMMIT`]: the writes still
+/// buffered at commit, in issue order.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ClientCommitReq {
     /// Buffered writes in the order the client issued them.
-    #[serde(default)]
     pub writes: Vec<WriteCmd>,
 }
 
-/// Why one operation of a batch failed — typed, so a batch reply can say
-/// *which* op failed and *how* instead of first-error-wins prose.
+/// Why one operation of a list failed — typed, so a reply can say *which*
+/// op failed and *how* instead of first-error-wins prose.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FailCode {
     /// Lock acquisition timed out (contention / deadlock avoidance).
@@ -173,11 +153,13 @@ impl From<&treaty_store::StoreError> for FailCode {
     }
 }
 
-/// The failing operation of a batch: its position in the shipped write
-/// list, a typed code, and the engine's reason.
+/// The failing operation of a list: its position, a typed code, and the
+/// engine's reason.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OpFailure {
-    /// Index of the failing write within the batch this shard received.
+    /// Index of the failing op within the list the reporting node received
+    /// (a shard's slice, or the client's list at the coordinator); `0` when
+    /// the failure is not one op's (an unreachable shard).
     pub index: u32,
     /// Typed failure class.
     pub code: FailCode,
@@ -185,12 +167,24 @@ pub struct OpFailure {
     pub reason: String,
 }
 
-/// Result of an [`Op`].
+impl OpFailure {
+    /// A failure of the list as a whole (routing, transport, malformed
+    /// reply) rather than of one operation in it.
+    pub fn other(reason: String) -> Self {
+        OpFailure {
+            index: 0,
+            code: FailCode::Other,
+            reason,
+        }
+    }
+}
+
+/// Result of an operation list: that of its last [`Op`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum OpResult {
     /// Success; `value` set for gets.
     Ok {
-        /// Value read, if this was a get.
+        /// Value read, if the last operation was a get.
         value: Option<Vec<u8>>,
     },
     /// Success of an [`Op::Scan`]: the visible pairs of one shard's slice
@@ -199,44 +193,31 @@ pub enum OpResult {
         /// `(key, value)` pairs in ascending key order.
         entries: Vec<(Vec<u8>, Vec<u8>)>,
     },
-    /// The operation failed and the transaction aborted.
-    Err {
-        /// Human-readable reason.
-        reason: String,
-    },
+    /// An operation failed and the transaction aborted; the whole list was
+    /// rolled back with it (all-or-nothing).
+    Failed(OpFailure),
 }
 
 /// Coordinator → participant messages.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PeerMsg {
-    /// Execute one operation inside `gtx`.
-    Op {
+    /// Apply this shard's slice of an operation list inside `gtx`.
+    Ops {
         /// Transaction id.
         gtx: GlobalTxId,
-        /// Operation.
-        op: Op,
-    },
-    /// Apply this shard's slice of a deferred write batch inside `gtx`.
-    OpBatch {
-        /// Transaction id.
-        gtx: GlobalTxId,
-        /// The writes, in client issue order.
-        writes: Vec<WriteCmd>,
+        /// The operations, in client issue order.
+        ops: Vec<Op>,
     },
     /// Prepare `gtx` (phase one). For write-only participants the
-    /// coordinator piggybacks their batch slice here, collapsing
-    /// execute+prepare into one round trip per shard.
+    /// coordinator piggybacks their slice of the commit's writes here,
+    /// collapsing execute+prepare into one round trip per shard.
     Prepare {
         /// Transaction id.
         gtx: GlobalTxId,
-        /// Deferred writes to apply before preparing (empty for a plain
-        /// prepare; defaulted so pre-batching encodings keep decoding).
-        #[serde(default)]
-        batch: Vec<WriteCmd>,
+        /// Writes to apply before preparing (empty for a plain prepare).
+        batch: Vec<Op>,
         /// The whole transaction wrote nothing anywhere: validate, release
-        /// every lock and vote — nothing is logged and no decision follows
-        /// (defaulted so older encodings keep decoding as a full prepare).
-        #[serde(default)]
+        /// every lock and vote — nothing is logged and no decision follows.
         read_only: bool,
     },
     /// Commit `gtx` (phase two).
@@ -259,15 +240,10 @@ pub enum PeerMsg {
 /// Participant → coordinator replies.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PeerReply {
-    /// Result of an [`PeerMsg::Op`].
-    OpDone(OpResult),
-    /// Result of a [`PeerMsg::OpBatch`]: `None` = every write applied;
-    /// `Some` pinpoints the first failing write (the participant rolled
-    /// the whole batch back — all-or-nothing).
-    BatchDone {
-        /// The failing write, if any.
-        fail: Option<OpFailure>,
-    },
+    /// Result of a [`PeerMsg::Ops`] slice: its last operation's result, or
+    /// the first failing operation (the participant rolled the whole slice
+    /// back — all-or-nothing).
+    OpsDone(OpResult),
     /// Prepare vote.
     Vote {
         /// True = prepared and stabilized (or, for a read-only prepare,
@@ -295,7 +271,10 @@ pub enum CommitResult {
     },
 }
 
-/// Client → shard snapshot-read request (read-only transactions).
+/// Client → shard snapshot-read request (read-only transactions): point
+/// reads and span scans served lock-free at one timestamp. Keys are
+/// hash-partitioned, so the client groups `keys` by owner but fans every
+/// span out to every shard and merges the sorted slices.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SnapshotReadReq {
     /// Snapshot timestamp pinned at this shard; `None` asks the shard to
@@ -306,6 +285,10 @@ pub struct SnapshotReadReq {
     pub ts: Option<u64>,
     /// Keys to read, all owned by this shard.
     pub keys: Vec<Vec<u8>>,
+    /// Spans (`[start, end)` pairs) to scan over this shard's slice.
+    pub spans: Vec<(Vec<u8>, Vec<u8>)>,
+    /// Maximum pairs this shard should return per span (`0` = unbounded).
+    pub limit: u64,
 }
 
 /// Shard → client snapshot-read reply.
@@ -318,6 +301,9 @@ pub enum SnapshotReadReply {
         ts: u64,
         /// One value per requested key, in request order.
         values: Vec<Option<Vec<u8>>>,
+        /// One sorted `(key, value)` slice per requested span, in request
+        /// order.
+        rows: Vec<Vec<(Vec<u8>, Vec<u8>)>>,
     },
     /// The requested timestamp runs ahead of this shard's stable read
     /// timestamp; retry with a refreshed snapshot.
@@ -325,50 +311,12 @@ pub enum SnapshotReadReply {
         /// The shard's current stable read timestamp.
         stable_ts: u64,
     },
-    /// A key overlaps an undecided prepared transaction; its outcome may
-    /// already be visible elsewhere, so the snapshot must retry.
+    /// A key or span overlaps an undecided prepared transaction; its
+    /// outcome may already be visible elsewhere, so the snapshot must retry.
     InDoubt {
-        /// The offending key.
+        /// The offending key (for a span, its start).
         key: Vec<u8>,
     },
-}
-
-/// Client → shard snapshot-scan request (read-only transactions): scan
-/// `[start, end)` lock-free at the shard's stable timestamp. Keys are
-/// hash-partitioned, so the client fans this out to every shard and
-/// merges the sorted slices.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SnapshotScanReq {
-    /// Snapshot timestamp pinned at this shard; `None` asks the shard to
-    /// pin its current stable read timestamp and report it back.
-    pub ts: Option<u64>,
-    /// First key of the span (inclusive).
-    pub start: Vec<u8>,
-    /// End of the span (exclusive).
-    pub end: Vec<u8>,
-    /// Maximum pairs this shard should return (`0` = unbounded).
-    pub limit: u64,
-}
-
-/// Shard → client snapshot-scan reply.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SnapshotScanReply {
-    /// This shard's slice of the span, served lock-free at `ts`.
-    Entries {
-        /// The snapshot timestamp actually used.
-        ts: u64,
-        /// `(key, value)` pairs in ascending key order.
-        entries: Vec<(Vec<u8>, Vec<u8>)>,
-    },
-    /// The requested timestamp runs ahead of this shard's stable read
-    /// timestamp; retry with a refreshed snapshot.
-    Stale {
-        /// The shard's current stable read timestamp.
-        stable_ts: u64,
-    },
-    /// The span overlaps an undecided prepared transaction; its outcome
-    /// may already be visible elsewhere, so the snapshot must retry.
-    InDoubt,
 }
 
 /// Client → shard end-of-transaction validation for multi-shard read-only
@@ -383,8 +331,7 @@ pub struct SnapshotValidateReq {
     /// validation cannot see a key *inserted* into a scanned span after
     /// the read, so spans are validated wholesale: any version, tombstone
     /// or in-doubt prepare newer than `ts` inside a span fails the
-    /// snapshot. Defaulted so old clients keep decoding.
-    #[serde(default)]
+    /// snapshot.
     pub spans: Vec<(Vec<u8>, Vec<u8>)>,
 }
 
@@ -450,23 +397,6 @@ mod tests {
 
     #[test]
     fn op_roundtrip() {
-        let ops = vec![
-            Op::Get { key: b"k".to_vec() },
-            Op::Put {
-                key: b"k".to_vec(),
-                value: b"v".to_vec(),
-            },
-            Op::Delete { key: b"k".to_vec() },
-        ];
-        for op in ops {
-            let bytes = encode(&op);
-            assert_eq!(decode::<Op>(&bytes), Some(op.clone()));
-            assert_eq!(op.key(), b"k");
-        }
-    }
-
-    #[test]
-    fn range_op_roundtrip() {
         let scan = Op::Scan {
             start: b"a".to_vec(),
             end: b"m".to_vec(),
@@ -476,48 +406,66 @@ mod tests {
             start: b"a".to_vec(),
             end: b"m".to_vec(),
         };
-        for op in [scan, rdel] {
-            assert_eq!(decode::<Op>(&encode(&op)), Some(op.clone()));
-            assert_eq!(op.key(), b"a");
-            assert!(op.is_range());
-        }
-        let res = OpResult::Entries {
-            entries: vec![(b"a".to_vec(), b"1".to_vec()), (b"b".to_vec(), b"2".to_vec())],
-        };
-        assert_eq!(decode::<OpResult>(&encode(&res)), Some(res));
+        let ops = vec![
+            Op::Write(WriteCmd::put(b"k", b"v")),
+            Op::Write(WriteCmd::delete(b"k")),
+            Op::Get { key: b"k".to_vec() },
+            scan,
+            rdel,
+        ];
+        // The CLIENT_OPS payload is the bare list.
+        assert_eq!(decode::<Vec<Op>>(&encode(&ops)), Some(ops.clone()));
+        let keys: Vec<Option<&[u8]>> = ops.iter().map(Op::point_key).collect();
+        assert_eq!(keys, [Some(&b"k"[..]), Some(b"k"), Some(b"k"), None, None]);
+        let writes: Vec<bool> = ops.iter().map(Op::is_write).collect();
+        assert_eq!(writes, [true, true, false, false, true]);
     }
 
     #[test]
-    fn snapshot_scan_roundtrip() {
-        let req = SnapshotScanReq {
-            ts: Some(7),
-            start: b"a".to_vec(),
-            end: b"m".to_vec(),
-            limit: 0,
-        };
-        assert_eq!(decode::<SnapshotScanReq>(&encode(&req)), Some(req));
-        for reply in [
-            SnapshotScanReply::Entries {
-                ts: 7,
-                entries: vec![(b"a".to_vec(), b"1".to_vec())],
+    fn op_results_roundtrip() {
+        for res in [
+            OpResult::Ok {
+                value: Some(b"v".to_vec()),
             },
-            SnapshotScanReply::Stale { stable_ts: 3 },
-            SnapshotScanReply::InDoubt,
+            OpResult::Entries {
+                entries: vec![
+                    (b"a".to_vec(), b"1".to_vec()),
+                    (b"b".to_vec(), b"2".to_vec()),
+                ],
+            },
+            OpResult::Failed(OpFailure {
+                index: 3,
+                code: FailCode::LockTimeout,
+                reason: "lock timeout on key".into(),
+            }),
+            OpResult::Failed(OpFailure::other("participant 2: timeout".into())),
         ] {
-            assert_eq!(
-                decode::<SnapshotScanReply>(&encode(&reply)),
-                Some(reply.clone())
-            );
+            assert_eq!(decode::<OpResult>(&encode(&res)), Some(res.clone()));
+            let reply = PeerReply::OpsDone(res);
+            assert_eq!(decode::<PeerReply>(&encode(&reply)), Some(reply.clone()));
         }
     }
 
     #[test]
     fn peer_msg_roundtrip() {
         let gtx = GlobalTxId { node: 1, seq: 2 };
-        for read_only in [false, true] {
+        let ops = vec![
+            Op::Write(WriteCmd::put(b"a", b"1")),
+            Op::Write(WriteCmd::delete(b"b")),
+        ];
+        let shipped = ClientCommitReq {
+            writes: vec![WriteCmd::put(b"a", b"1"), WriteCmd::delete(b"b")],
+        };
+        assert_eq!(decode::<ClientCommitReq>(&encode(&shipped)), Some(shipped));
+        let slice = PeerMsg::Ops {
+            gtx,
+            ops: ops.clone(),
+        };
+        assert_eq!(decode::<PeerMsg>(&encode(&slice)), Some(slice));
+        for (batch, read_only) in [(Vec::new(), false), (Vec::new(), true), (ops, false)] {
             let m = PeerMsg::Prepare {
                 gtx,
-                batch: Vec::new(),
+                batch,
                 read_only,
             };
             assert_eq!(decode::<PeerMsg>(&encode(&m)), Some(m));
@@ -525,63 +473,12 @@ mod tests {
     }
 
     #[test]
-    fn write_batch_payloads_roundtrip() {
-        let gtx = GlobalTxId { node: 1, seq: 2 };
-        let writes = vec![WriteCmd::put(b"a", b"1"), WriteCmd::delete(b"b")];
-        let shipped = ClientCommitReq {
-            writes: writes.clone(),
-        };
-        assert_eq!(decode::<ClientCommitReq>(&encode(&shipped)), Some(shipped));
-        let batch = PeerMsg::OpBatch {
-            gtx,
-            writes: writes.clone(),
-        };
-        assert_eq!(decode::<PeerMsg>(&encode(&batch)), Some(batch));
-        let piggyback = PeerMsg::Prepare {
-            gtx,
-            batch: writes,
-            read_only: false,
-        };
-        assert_eq!(decode::<PeerMsg>(&encode(&piggyback)), Some(piggyback));
-        for fail in [
-            None,
-            Some(OpFailure {
-                index: 3,
-                code: FailCode::LockTimeout,
-                reason: "lock timeout on key".into(),
-            }),
-        ] {
-            let reply = PeerReply::BatchDone { fail };
-            assert_eq!(decode::<PeerReply>(&encode(&reply)), Some(reply.clone()));
-        }
-    }
-
-    #[test]
-    fn pre_batching_prepare_still_decodes() {
-        // Prepares encoded before the piggybacked batch (or the read-only
-        // flag) existed carry neither field; the serde defaults must keep
-        // them decoding as a plain full prepare.
-        let old: PeerMsg = decode(br#"{"Prepare":{"gtx":{"node":1,"seq":2}}}"#)
-            .expect("batch-less prepare decodes");
-        assert_eq!(
-            old,
-            PeerMsg::Prepare {
-                gtx: GlobalTxId { node: 1, seq: 2 },
-                batch: Vec::new(),
-                read_only: false,
-            }
-        );
-        // An empty commit payload is not valid JSON for ClientCommitReq;
-        // the coordinator treats an empty payload as "no shipped writes"
-        // before decoding — but a writes-less object must also decode.
-        let bare: ClientCommitReq = decode(br#"{}"#).expect("writes-less commit decodes");
-        assert!(bare.writes.is_empty());
-    }
-
-    #[test]
     fn fail_code_classifies_store_errors() {
         use treaty_store::StoreError;
-        assert_eq!(FailCode::from(&StoreError::LockTimeout), FailCode::LockTimeout);
+        assert_eq!(
+            FailCode::from(&StoreError::LockTimeout),
+            FailCode::LockTimeout
+        );
         assert_eq!(FailCode::from(&StoreError::Conflict), FailCode::Conflict);
         assert_eq!(
             FailCode::from(&StoreError::Integrity("bad".into())),
@@ -592,12 +489,27 @@ mod tests {
             FailCode::Integrity
         );
         assert_eq!(FailCode::from(&StoreError::Finished), FailCode::Finished);
-        assert_eq!(FailCode::from(&StoreError::Io("disk".into())), FailCode::Other);
+        assert_eq!(
+            FailCode::from(&StoreError::Io("disk".into())),
+            FailCode::Other
+        );
     }
 
     #[test]
     fn garbage_decodes_to_none() {
         assert_eq!(decode::<PeerMsg>(b"not json"), None);
+        // A payload missing a field is malformed like any other: no peer
+        // older than this tree exists, so nothing is defaulted.
+        assert_eq!(
+            decode::<PeerMsg>(br#"{"Prepare":{"gtx":{"node":1,"seq":2}}}"#),
+            None
+        );
+        assert_eq!(decode::<ClientCommitReq>(b"{}"), None);
+        assert_eq!(decode::<ClientCommitReq>(b""), None);
+        assert_eq!(
+            decode::<SnapshotValidateReq>(br#"{"ts":7,"keys":[[97]]}"#),
+            None
+        );
     }
 
     #[test]
@@ -606,6 +518,8 @@ mod tests {
             let req = SnapshotReadReq {
                 ts,
                 keys: vec![b"a".to_vec(), b"b".to_vec()],
+                spans: vec![(b"a".to_vec(), b"m".to_vec())],
+                limit: 10,
             };
             assert_eq!(decode::<SnapshotReadReq>(&encode(&req)), Some(req));
         }
@@ -613,6 +527,7 @@ mod tests {
             SnapshotReadReply::Values {
                 ts: 7,
                 values: vec![Some(b"v".to_vec()), None],
+                rows: vec![vec![(b"a".to_vec(), b"1".to_vec())]],
             },
             SnapshotReadReply::Stale { stable_ts: 3 },
             SnapshotReadReply::InDoubt { key: b"a".to_vec() },
@@ -628,10 +543,6 @@ mod tests {
             spans: vec![(b"a".to_vec(), b"m".to_vec())],
         };
         assert_eq!(decode::<SnapshotValidateReq>(&encode(&val)), Some(val));
-        // Requests encoded before spans existed still decode (serde default).
-        let old: SnapshotValidateReq =
-            decode(br#"{"ts":7,"keys":[[97]]}"#).expect("span-less request decodes");
-        assert!(old.spans.is_empty());
         for reply in [
             SnapshotValidateReply::Ok,
             SnapshotValidateReply::Fail { key: b"a".to_vec() },

@@ -22,8 +22,8 @@ use treaty_store::{EngineTxn, GlobalTxId, StoreError, TxnEngine, TxnMode};
 use crate::clog::Clog;
 use crate::messages::{
     decode, encode, req, ClientCommitReq, CommitResult, ObsSnapshotReply, Op, OpFailure, OpResult,
-    PeerMsg, PeerReply, SnapshotReadReply, SnapshotReadReq, SnapshotScanReply, SnapshotScanReq,
-    SnapshotValidateReply, SnapshotValidateReq, WriteCmd,
+    PeerMsg, PeerReply, SnapshotReadReply, SnapshotReadReq, SnapshotValidateReply,
+    SnapshotValidateReq, WriteCmd,
 };
 use crate::shard::ShardMap;
 
@@ -185,9 +185,9 @@ struct CoordTxn {
     /// Local engine transaction, if any key landed on this node.
     local: Option<Box<dyn EngineTxn>>,
     /// Whether this coordinator ever routed a write for the transaction
-    /// (point write, range delete, write batch, or writes shipped with the
-    /// commit). While `false` at commit, no participant has anything to
-    /// apply and the commit takes the read-only lane.
+    /// (point write, range delete, or writes shipped with the commit).
+    /// While `false` at commit, no participant has anything to apply and
+    /// the commit takes the read-only lane.
     wrote: bool,
 }
 
@@ -207,29 +207,77 @@ fn vote_refusal(
     }
 }
 
-/// Applies a deferred-write slice to an engine transaction in order,
-/// reporting the first failing write with its index and a typed code. The
-/// caller decides what to do with the transaction on failure (participants
-/// drop it — rollback — and vote no / reply with the failure).
-fn apply_write_slice(
-    txn: &mut dyn EngineTxn,
-    writes: &[WriteCmd],
-) -> std::result::Result<(), OpFailure> {
-    for (i, w) in writes.iter().enumerate() {
-        let r = match &w.value {
-            Some(v) => txn.put(&w.key, v),
-            None => txn.delete(&w.key),
+/// Executes an operation list inside an engine transaction, in order, and
+/// returns the last operation's result — or the first failing operation
+/// with its index and a typed code. The caller decides what to do with the
+/// transaction on failure (participants drop it — rollback — and vote no /
+/// reply with the failure).
+fn apply_ops(txn: &mut dyn EngineTxn, ops: &[Op]) -> OpResult {
+    let mut last = OpResult::Ok { value: None };
+    for (i, op) in ops.iter().enumerate() {
+        let done = match op {
+            Op::Write(w) => {
+                let r = match &w.value {
+                    Some(v) => txn.put(&w.key, v),
+                    None => txn.delete(&w.key),
+                };
+                // A crash here is mid-apply: some writes landed in the
+                // volatile engine transaction, none are prepared.
+                treaty_sim::crashpoint::hit("part.batch_apply");
+                r.map(|()| OpResult::Ok { value: None })
+            }
+            Op::Get { key } => txn.get(key).map(|value| OpResult::Ok { value }),
+            Op::Scan { start, end, limit } => {
+                treaty_sim::crashpoint::hit("part.scan");
+                txn.scan(start, end, *limit as usize)
+                    .map(|entries| OpResult::Entries { entries })
+            }
+            Op::RangeDelete { start, end } => {
+                treaty_sim::crashpoint::hit("part.range_delete");
+                txn.delete_range(start, end)
+                    .map(|()| OpResult::Ok { value: None })
+            }
         };
-        if let Err(e) = r {
-            return Err(OpFailure {
-                index: i as u32,
-                code: (&e).into(),
-                reason: e.to_string(),
-            });
+        match done {
+            Ok(r) => last = r,
+            Err(e) => {
+                return OpResult::Failed(OpFailure {
+                    index: i as u32,
+                    code: (&e).into(),
+                    reason: e.to_string(),
+                })
+            }
         }
     }
-    Ok(())
+    last
 }
+
+/// One protocol handler: `(node, source endpoint, metadata, payload)`.
+type Handler = fn(&Arc<TreatyNode>, EndpointId, TxMeta, Vec<u8>) -> Option<(TxMeta, Vec<u8>)>;
+
+/// Every request the node accepts: code, whether the `(node, tx, op)`
+/// replay guard covers it, and its handler (DESIGN.md §16 has the table).
+const HANDLERS: &[(u8, bool, Handler)] = &[
+    (req::CLIENT_OPS, true, TreatyNode::handle_client_ops),
+    (req::CLIENT_COMMIT, true, TreatyNode::handle_client_commit),
+    (
+        req::CLIENT_ROLLBACK,
+        true,
+        TreatyNode::handle_client_rollback,
+    ),
+    (req::SNAPSHOT_READ, true, TreatyNode::handle_snapshot_read),
+    (
+        req::SNAPSHOT_VALIDATE,
+        true,
+        TreatyNode::handle_snapshot_validate,
+    ),
+    (req::OBS_SNAPSHOT, false, TreatyNode::handle_obs_snapshot),
+    (req::PEER_OPS, true, TreatyNode::handle_peer),
+    (req::PEER_PREPARE, true, TreatyNode::handle_peer),
+    (req::PEER_COMMIT, true, TreatyNode::handle_peer),
+    (req::PEER_ABORT, true, TreatyNode::handle_peer),
+    (req::QUERY_DECISION, false, TreatyNode::handle_peer),
+];
 
 /// True k-way merge of per-shard scan slices. Each slice is sorted and the
 /// shards own disjoint key sets, so a min-heap over the slice heads yields
@@ -382,96 +430,25 @@ impl TreatyNode {
     }
 
     fn register_handlers(self: &Arc<Self>) {
-        let me = Arc::clone(self);
-        self.rpc.register_handler(
-            req::CLIENT_OP,
-            true,
-            Arc::new(move |src, meta, payload| me.handle_client_op(src, meta, payload)),
-        );
-        let me = Arc::clone(self);
-        self.rpc.register_handler(
-            req::CLIENT_OP_BATCH,
-            true,
-            Arc::new(move |src, meta, payload| me.handle_client_op_batch(src, meta, payload)),
-        );
-        let me = Arc::clone(self);
-        self.rpc.register_handler(
-            req::CLIENT_COMMIT,
-            true,
-            Arc::new(move |src, meta, payload| me.handle_client_commit(src, meta, payload)),
-        );
-        let me = Arc::clone(self);
-        self.rpc.register_handler(
-            req::CLIENT_ROLLBACK,
-            true,
-            Arc::new(move |src, meta, _| me.handle_client_rollback(src, meta)),
-        );
-        let me = Arc::clone(self);
-        self.rpc.register_handler(
-            req::SNAPSHOT_READ,
-            true,
-            Arc::new(move |_src, meta, payload| me.handle_snapshot_read(meta, payload)),
-        );
-        let me = Arc::clone(self);
-        self.rpc.register_handler(
-            req::SNAPSHOT_VALIDATE,
-            true,
-            Arc::new(move |_src, meta, payload| me.handle_snapshot_validate(meta, payload)),
-        );
-        let me = Arc::clone(self);
-        self.rpc.register_handler(
-            req::SNAPSHOT_SCAN,
-            true,
-            Arc::new(move |_src, meta, payload| me.handle_snapshot_scan(meta, payload)),
-        );
-        let me = Arc::clone(self);
-        self.rpc.register_handler(
-            req::PEER_OP,
-            true,
-            Arc::new(move |_src, meta, payload| me.handle_peer(meta, payload)),
-        );
-        let me = Arc::clone(self);
-        self.rpc.register_handler(
-            req::PEER_OP_BATCH,
-            true,
-            Arc::new(move |_src, meta, payload| me.handle_peer(meta, payload)),
-        );
-        let me = Arc::clone(self);
-        self.rpc.register_handler(
-            req::PEER_PREPARE,
-            true,
-            Arc::new(move |_src, meta, payload| me.handle_peer(meta, payload)),
-        );
-        let me = Arc::clone(self);
-        self.rpc.register_handler(
-            req::PEER_COMMIT,
-            true,
-            Arc::new(move |_src, meta, payload| me.handle_peer(meta, payload)),
-        );
-        let me = Arc::clone(self);
-        self.rpc.register_handler(
-            req::PEER_ABORT,
-            true,
-            Arc::new(move |_src, meta, payload| me.handle_peer(meta, payload)),
-        );
-        let me = Arc::clone(self);
-        self.rpc.register_handler(
-            req::QUERY_DECISION,
-            false,
-            Arc::new(move |_src, meta, payload| me.handle_peer(meta, payload)),
-        );
-        let me = Arc::clone(self);
-        self.rpc.register_handler(
-            req::OBS_SNAPSHOT,
-            false,
-            Arc::new(move |_src, meta, _| me.handle_obs_snapshot(meta)),
-        );
+        for &(req_type, guarded, handler) in HANDLERS {
+            let me = Arc::clone(self);
+            self.rpc.register_handler(
+                req_type,
+                guarded,
+                Arc::new(move |src, meta, payload| handler(&me, src, meta, payload)),
+            );
+        }
     }
 
     /// Serves [`req::OBS_SNAPSHOT`]: a live read of this node's queue
     /// depths, MVCC frontier, backpressure and cache counters. Read-only
     /// and replay-exempt — the `treaty-top` dashboard polls it.
-    fn handle_obs_snapshot(self: &Arc<Self>, meta: TxMeta) -> Option<(TxMeta, Vec<u8>)> {
+    fn handle_obs_snapshot(
+        self: &Arc<Self>,
+        _src: EndpointId,
+        meta: TxMeta,
+        _payload: Vec<u8>,
+    ) -> Option<(TxMeta, Vec<u8>)> {
         treaty_sim::runtime::set_tag("h:obs_snapshot");
         treaty_sim::obs::set_node(self.endpoint);
         let stats = *self.stats.lock();
@@ -521,305 +498,148 @@ impl TreatyNode {
 
     // ---- coordinator: client-facing handlers ------------------------------
 
-    fn handle_client_op(
+    /// Serves [`req::CLIENT_OPS`]: the client's buffered writes and the
+    /// read or range operation that made it ship them, in one message.
+    fn handle_client_ops(
         self: &Arc<Self>,
         _src: EndpointId,
         meta: TxMeta,
         payload: Vec<u8>,
     ) -> Option<(TxMeta, Vec<u8>)> {
-        let op: Op = decode(&payload)?;
+        let ops: Vec<Op> = decode(&payload)?;
         let gtx = self.gtx_for_client(&meta);
         treaty_sim::obs::set_node(self.endpoint);
         let _txn = treaty_sim::obs::txn_scope(gtx.seq);
-        let _span = treaty_sim::obs::span("2pc.coordinate_op");
-        let result = self.coordinate_op(gtx, op);
+        let _span = treaty_sim::obs::span_with("2pc.coordinate_op", &[("ops", ops.len() as u64)]);
+        let result = self.coordinate_ops(gtx, ops);
         let kind = match result {
-            OpResult::Err { .. } => MsgKind::Nack,
+            OpResult::Failed(_) => MsgKind::Nack,
             _ => MsgKind::Ack,
         };
         Some((TxMeta { kind, ..meta }, encode(&result)))
     }
 
-    fn coordinate_op(self: &Arc<Self>, gtx: GlobalTxId, op: Op) -> OpResult {
-        treaty_sim::runtime::set_tag("h:coordinate_op");
-        if op.is_range() {
-            // Keys are hash-partitioned: a span has pieces on every shard,
-            // so range operations bypass single-owner routing entirely.
-            return self.coordinate_range_op(gtx, op);
-        }
-        let owner = self.shard_map.owner(op.key());
-        // Take the coordinator state out while we (potentially) block.
-        let mut ctx = self.active_coord.lock().remove(&gtx).unwrap_or_default();
-        ctx.wrote |= matches!(op, Op::Put { .. } | Op::Delete { .. });
-
-        let result = if owner == self.endpoint {
-            let local = ctx
-                .local
-                .get_or_insert_with(|| self.engine.begin_txn(self.txn_mode));
-            match &op {
-                Op::Get { key } => match local.get(key) {
-                    Ok(v) => OpResult::Ok { value: v },
-                    Err(e) => OpResult::Err {
-                        reason: e.to_string(),
-                    },
-                },
-                Op::Put { key, value } => match local.put(key, value) {
-                    Ok(()) => OpResult::Ok { value: None },
-                    Err(e) => OpResult::Err {
-                        reason: e.to_string(),
-                    },
-                },
-                Op::Delete { key } => match local.delete(key) {
-                    Ok(()) => OpResult::Ok { value: None },
-                    Err(e) => OpResult::Err {
-                        reason: e.to_string(),
-                    },
-                },
-                // Range operations never reach the single-owner path.
-                Op::Scan { .. } | Op::RangeDelete { .. } => OpResult::Err {
-                    reason: "range operation on point-op path".into(),
-                },
-            }
-        } else {
-            if !ctx.remotes.contains(&owner) {
-                ctx.remotes.push(owner);
-            }
-            let msg = PeerMsg::Op { gtx, op };
-            let meta = self.peer_meta(gtx, MsgKind::TxnPut);
-            match self.rpc.call(owner, req::PEER_OP, &meta, &encode(&msg)) {
-                Ok((_, bytes)) => match decode::<PeerReply>(&bytes) {
-                    Some(PeerReply::OpDone(r)) => r,
-                    _ => OpResult::Err {
-                        reason: "malformed participant reply".into(),
-                    },
-                },
-                Err(e) => OpResult::Err {
-                    reason: format!("participant unreachable: {e}"),
-                },
-            }
-        };
-
-        match result {
-            OpResult::Err { .. } => {
-                // The transaction is dead: abort everywhere, drop state.
-                self.abort_everywhere(gtx, ctx);
-            }
-            _ => {
-                self.active_coord.lock().insert(gtx, ctx);
-            }
-        }
-        result
-    }
-
-    /// Coordinates a range operation ([`Op::Scan`] / [`Op::RangeDelete`]).
-    /// Hash partitioning scatters a span's keys across every shard, so the
-    /// operation fans out to all peers in one burst (the local slice
-    /// overlaps the round trips), every peer joins the transaction's
-    /// participant set, and scan slices — sorted per shard over disjoint
-    /// key sets — merge into one sorted result before the limit applies.
-    fn coordinate_range_op(self: &Arc<Self>, gtx: GlobalTxId, op: Op) -> OpResult {
-        treaty_sim::runtime::set_tag("h:coordinate_range_op");
-        let mut ctx = self.active_coord.lock().remove(&gtx).unwrap_or_default();
-        ctx.wrote |= matches!(op, Op::RangeDelete { .. });
-        let peers: Vec<EndpointId> = self
-            .shard_map
-            .nodes()
-            .iter()
-            .copied()
-            .filter(|n| *n != self.endpoint)
-            .collect();
-        for &p in &peers {
-            if !ctx.remotes.contains(&p) {
-                ctx.remotes.push(p);
-            }
-        }
-        let payload = encode(&PeerMsg::Op {
-            gtx,
-            op: op.clone(),
-        });
-        let mut pending: Vec<(EndpointId, PendingReply)> = Vec::with_capacity(peers.len());
-        for &p in &peers {
-            let meta = self.peer_meta(gtx, MsgKind::TxnPut);
-            pending.push((p, self.rpc.enqueue_request(p, req::PEER_OP, &meta, &payload)));
-        }
-        self.rpc.tx_burst();
-        treaty_sim::crashpoint::hit("coord.scan_fanout");
-
-        let local = ctx
-            .local
-            .get_or_insert_with(|| self.engine.begin_txn(self.txn_mode));
-        let mut slices: Vec<Vec<(Vec<u8>, Vec<u8>)>> = Vec::with_capacity(peers.len() + 1);
-        let mut failure: Option<String> = None;
-        let limit = match &op {
-            Op::Scan { start, end, limit } => {
-                match local.scan(start, end, *limit as usize) {
-                    Ok(entries) => slices.push(entries),
-                    Err(e) => failure = Some(format!("local scan: {e}")),
-                }
-                *limit as usize
-            }
-            Op::RangeDelete { start, end } => {
-                if let Err(e) = local.delete_range(start, end) {
-                    failure = Some(format!("local range delete: {e}"));
-                }
-                0
-            }
-            _ => {
-                failure = Some("point operation on range path".into());
-                0
-            }
-        };
-        // Collect every reply even after a failure: an abandoned
-        // `PendingReply` would leave the burst dangling mid-session.
-        for (p, pr) in pending {
-            match pr.wait() {
-                Ok((_, bytes)) => match decode::<PeerReply>(&bytes) {
-                    Some(PeerReply::OpDone(OpResult::Entries { entries })) => slices.push(entries),
-                    Some(PeerReply::OpDone(OpResult::Ok { .. })) => {}
-                    Some(PeerReply::OpDone(OpResult::Err { reason })) => {
-                        failure.get_or_insert(format!("participant {p}: {reason}"));
-                    }
-                    _ => {
-                        failure.get_or_insert(format!("participant {p} malformed reply"));
-                    }
-                },
-                Err(e) => {
-                    failure.get_or_insert(format!("participant {p}: {e}"));
-                }
-            }
-        }
-        if let Some(reason) = failure {
-            self.abort_everywhere(gtx, ctx);
-            return OpResult::Err { reason };
-        }
-
-        let result = if matches!(op, Op::Scan { .. }) {
-            OpResult::Entries {
-                entries: merge_sorted_slices(slices, limit),
-            }
-        } else {
-            OpResult::Ok { value: None }
-        };
-        self.active_coord.lock().insert(gtx, ctx);
-        result
-    }
-
-    /// Splits a shipped write set into the local slice and one slice per
-    /// remote shard, preserving client issue order within each slice. The
-    /// remote slices keep first-touch order so the fan-out is
-    /// deterministic (no hash-map iteration on the message path).
-    fn split_writes_by_shard(
-        &self,
-        writes: Vec<WriteCmd>,
-    ) -> (Vec<WriteCmd>, Vec<(EndpointId, Vec<WriteCmd>)>) {
-        let mut local: Vec<WriteCmd> = Vec::new();
-        let mut remote: Vec<(EndpointId, Vec<WriteCmd>)> = Vec::new();
-        for w in writes {
-            let owner = self.shard_map.owner(&w.key);
+    /// Routes an operation list: a point operation goes to its key's
+    /// owner, a range operation to every shard (hash partitioning scatters
+    /// a span's keys over all of them). Returns the local slice and one
+    /// slice per remote shard, each in client issue order. The remote
+    /// slices keep first-touch order so the fan-out is deterministic (no
+    /// hash-map iteration on the message path).
+    fn route(&self, ops: Vec<Op>) -> (Vec<Op>, Vec<(EndpointId, Vec<Op>)>) {
+        let mut local: Vec<Op> = Vec::new();
+        let mut remote: Vec<(EndpointId, Vec<Op>)> = Vec::new();
+        let mut place = |owner: EndpointId, op: Op| {
             if owner == self.endpoint {
-                local.push(w);
-                continue;
+                local.push(op);
+            } else if let Some((_, slice)) = remote.iter_mut().find(|(p, _)| *p == owner) {
+                slice.push(op);
+            } else {
+                remote.push((owner, vec![op]));
             }
-            match remote.iter_mut().find(|(p, _)| *p == owner) {
-                Some((_, slice)) => slice.push(w),
-                None => remote.push((owner, vec![w])),
+        };
+        for op in ops {
+            match op.point_key().map(|key| self.shard_map.owner(key)) {
+                Some(owner) => place(owner, op),
+                None => {
+                    for &node in self.shard_map.nodes() {
+                        place(node, op.clone());
+                    }
+                }
             }
         }
         (local, remote)
     }
 
-    /// Serves [`req::CLIENT_OP_BATCH`]: the client's deferred write buffer,
-    /// flushed because a read is about to need it visible.
-    fn handle_client_op_batch(
-        self: &Arc<Self>,
-        _src: EndpointId,
-        meta: TxMeta,
-        payload: Vec<u8>,
-    ) -> Option<(TxMeta, Vec<u8>)> {
-        let shipped: ClientCommitReq = decode(&payload)?;
-        let gtx = self.gtx_for_client(&meta);
-        treaty_sim::obs::set_node(self.endpoint);
-        let _txn = treaty_sim::obs::txn_scope(gtx.seq);
-        let _span = treaty_sim::obs::span_with(
-            "2pc.coordinate_batch",
-            &[("writes", shipped.writes.len() as u64)],
-        );
-        let result = self.coordinate_write_batch(gtx, shipped.writes);
-        let kind = match result {
-            OpResult::Err { .. } => MsgKind::Nack,
-            _ => MsgKind::Ack,
-        };
-        Some((TxMeta { kind, ..meta }, encode(&result)))
-    }
-
-    /// Coordinates a shipped write set mid-transaction: the writes group
-    /// by owning shard, one [`req::PEER_OP_BATCH`] per shard leaves in a
-    /// single burst (one seal per shard instead of per op), and the local
-    /// slice applies while the round trips are in flight — mirroring
-    /// [`TreatyNode::coordinate_range_op`]. Every touched shard joins the
-    /// participant set.
-    fn coordinate_write_batch(self: &Arc<Self>, gtx: GlobalTxId, writes: Vec<WriteCmd>) -> OpResult {
-        treaty_sim::runtime::set_tag("h:coordinate_batch");
-        if writes.is_empty() {
-            return OpResult::Ok { value: None };
-        }
+    /// Coordinates an operation list mid-transaction: the operations group
+    /// by shard ([`TreatyNode::route`]), one [`req::PEER_OPS`] per remote
+    /// shard leaves in a single burst (one seal per shard instead of per
+    /// op), and the local slice applies while the round trips are in
+    /// flight. Every touched shard joins the participant set. The reply is
+    /// the last operation's result: the owner's value for a get, every
+    /// shard's slice — sorted per shard over disjoint key sets — merged
+    /// into one sorted result before the limit applies for a scan.
+    fn coordinate_ops(self: &Arc<Self>, gtx: GlobalTxId, ops: Vec<Op>) -> OpResult {
+        treaty_sim::runtime::set_tag("h:coordinate_ops");
+        // Take the coordinator state out while we (potentially) block.
         let mut ctx = self.active_coord.lock().remove(&gtx).unwrap_or_default();
-        ctx.wrote = true;
-        let (local_writes, remote_slices) = self.split_writes_by_shard(writes);
-        let mut pending: Vec<(EndpointId, PendingReply)> = Vec::with_capacity(remote_slices.len());
-        for (owner, slice) in remote_slices {
+        // One reply carries one result, so only the last operation may
+        // produce one; the client library never builds any other shape.
+        let writes = &ops[..ops.len().saturating_sub(1)];
+        if let Some(i) = writes.iter().position(|op| !matches!(op, Op::Write(_))) {
+            self.abort_everywhere(gtx, ctx);
+            return OpResult::Failed(OpFailure {
+                index: i as u32,
+                ..OpFailure::other("only the last op of a list may be a read or range op".into())
+            });
+        }
+        ctx.wrote |= ops.iter().any(Op::is_write);
+        let scan_limit = match ops.last() {
+            Some(Op::Scan { limit, .. }) => Some(*limit as usize),
+            _ => None,
+        };
+        let (local_ops, remote) = self.route(ops);
+        let mut pending: Vec<(EndpointId, PendingReply)> = Vec::with_capacity(remote.len());
+        for (owner, slice) in remote {
             if !ctx.remotes.contains(&owner) {
                 ctx.remotes.push(owner);
             }
             let meta = self.peer_meta(gtx, MsgKind::TxnPut);
-            let payload = encode(&PeerMsg::OpBatch { gtx, writes: slice });
+            let payload = encode(&PeerMsg::Ops { gtx, ops: slice });
             pending.push((
                 owner,
                 self.rpc
-                    .enqueue_request(owner, req::PEER_OP_BATCH, &meta, &payload),
+                    .enqueue_request(owner, req::PEER_OPS, &meta, &payload),
             ));
         }
         self.rpc.tx_burst();
-        treaty_sim::crashpoint::hit("coord.batch_fanout");
+        treaty_sim::crashpoint::hit("coord.ops_fanout");
 
-        let mut failure: Option<String> = None;
-        if !local_writes.is_empty() {
+        let mut results: Vec<OpResult> = Vec::with_capacity(pending.len() + 1);
+        if !local_ops.is_empty() {
             let local = ctx
                 .local
                 .get_or_insert_with(|| self.engine.begin_txn(self.txn_mode));
-            if let Err(f) = apply_write_slice(local.as_mut(), &local_writes) {
-                failure = Some(format!("local batch write {}: {}", f.index, f.reason));
-            }
+            results.push(apply_ops(local.as_mut(), &local_ops));
         }
         // Collect every reply even after a failure: an abandoned
         // `PendingReply` would leave the burst dangling mid-session.
         for (p, pr) in pending {
-            match pr.wait() {
+            results.push(match pr.wait() {
                 Ok((_, bytes)) => match decode::<PeerReply>(&bytes) {
-                    Some(PeerReply::BatchDone { fail: None }) => {}
-                    Some(PeerReply::BatchDone { fail: Some(f) }) => {
-                        treaty_sim::obs::counter_add("core.batch_op_failed", 1);
-                        failure.get_or_insert(format!(
-                            "participant {p} batch write {} ({:?}): {}",
-                            f.index, f.code, f.reason
-                        ));
-                    }
-                    _ => {
-                        failure.get_or_insert(format!("participant {p} malformed reply"));
-                    }
+                    Some(PeerReply::OpsDone(OpResult::Failed(f))) => OpResult::Failed(OpFailure {
+                        reason: format!("participant {p}: {}", f.reason),
+                        ..f
+                    }),
+                    Some(PeerReply::OpsDone(r)) => r,
+                    _ => OpResult::Failed(OpFailure::other(format!(
+                        "participant {p} malformed reply"
+                    ))),
                 },
-                Err(e) => {
-                    failure.get_or_insert(format!("participant {p}: {e}"));
+                Err(e) => OpResult::Failed(OpFailure::other(format!("participant {p}: {e}"))),
+            });
+        }
+
+        let mut value: Option<Vec<u8>> = None;
+        let mut slices: Vec<Vec<(Vec<u8>, Vec<u8>)>> = Vec::new();
+        for r in results {
+            match r {
+                OpResult::Failed(f) => {
+                    // The transaction is dead: abort everywhere, drop state.
+                    self.abort_everywhere(gtx, ctx);
+                    return OpResult::Failed(f);
                 }
+                // Writes answer `None`; only the get's owner has a value.
+                OpResult::Ok { value: v } => value = value.or(v),
+                OpResult::Entries { entries } => slices.push(entries),
             }
         }
-        if let Some(reason) = failure {
-            self.abort_everywhere(gtx, ctx);
-            return OpResult::Err { reason };
-        }
-        treaty_sim::obs::counter_add("core.batched_writes", 1);
         self.active_coord.lock().insert(gtx, ctx);
-        OpResult::Ok { value: None }
+        match scan_limit {
+            Some(limit) => OpResult::Entries {
+                entries: merge_sorted_slices(slices, limit),
+            },
+            None => OpResult::Ok { value },
+        }
     }
 
     fn handle_client_commit(
@@ -832,25 +652,17 @@ impl TreatyNode {
         treaty_sim::obs::set_node(self.endpoint);
         let _txn = treaty_sim::obs::txn_scope(gtx.seq);
         let _span = treaty_sim::obs::span("2pc.commit");
-        // Deferred writes shipped with the commit itself (empty payload =
-        // none; pre-batching clients keep working).
-        let shipped: Vec<WriteCmd> = if payload.is_empty() {
-            Vec::new()
-        } else {
-            match decode::<ClientCommitReq>(&payload) {
-                Some(r) => r.writes,
-                None => {
-                    return Some((
-                        TxMeta {
-                            kind: MsgKind::Nack,
-                            ..meta
-                        },
-                        encode(&CommitResult::Aborted {
-                            reason: "malformed commit payload".into(),
-                        }),
-                    ));
-                }
-            }
+        // The writes still buffered at the client ride the commit itself.
+        let Some(ClientCommitReq { writes }) = decode(&payload) else {
+            return Some((
+                TxMeta {
+                    kind: MsgKind::Nack,
+                    ..meta
+                },
+                encode(&CommitResult::Aborted {
+                    reason: "malformed commit payload".into(),
+                }),
+            ));
         };
         let ctx = self.active_coord.lock().remove(&gtx);
         let result = match ctx {
@@ -860,10 +672,8 @@ impl TreatyNode {
             None if self.recently_aborted.lock().contains(&gtx) => CommitResult::Aborted {
                 reason: "transaction was aborted".into(),
             },
-            None if shipped.is_empty() => CommitResult::Committed, // empty transaction
-            None => self.commit_with_writes(gtx, CoordTxn::default(), shipped),
-            Some(ctx) if shipped.is_empty() => self.run_two_phase_commit(gtx, ctx, Vec::new()),
-            Some(ctx) => self.commit_with_writes(gtx, ctx, shipped),
+            None if writes.is_empty() => CommitResult::Committed, // empty transaction
+            ctx => self.commit_with_writes(gtx, ctx.unwrap_or_default(), writes),
         };
         match &result {
             CommitResult::Committed => {
@@ -884,6 +694,7 @@ impl TreatyNode {
         self: &Arc<Self>,
         _src: EndpointId,
         meta: TxMeta,
+        _payload: Vec<u8>,
     ) -> Option<(TxMeta, Vec<u8>)> {
         let gtx = self.gtx_for_client(&meta);
         treaty_sim::obs::set_node(self.endpoint);
@@ -907,11 +718,11 @@ impl TreatyNode {
         ))
     }
 
-    /// Commits a transaction whose final deferred writes arrived with the
-    /// commit request itself. The local slice applies inline; each remote
-    /// shard's slice piggybacks on its prepare message, collapsing
+    /// Commits a transaction, first routing the writes that arrived with
+    /// the commit request itself. The local slice applies inline; each
+    /// remote shard's slice piggybacks on its prepare message, collapsing
     /// execute+prepare into one round trip (one seal/unseal) per shard. A
-    /// shard that only ever received deferred writes therefore costs one
+    /// shard that only ever received such writes therefore costs one
     /// sealed message for all of phase one.
     fn commit_with_writes(
         self: &Arc<Self>,
@@ -919,16 +730,16 @@ impl TreatyNode {
         mut ctx: CoordTxn,
         writes: Vec<WriteCmd>,
     ) -> CommitResult {
-        ctx.wrote = true;
-        let (local_writes, batches) = self.split_writes_by_shard(writes);
-        if !local_writes.is_empty() {
+        ctx.wrote |= !writes.is_empty();
+        let (local_ops, batches) = self.route(writes.into_iter().map(Op::Write).collect());
+        if !local_ops.is_empty() {
             let local = ctx
                 .local
                 .get_or_insert_with(|| self.engine.begin_txn(self.txn_mode));
-            if let Err(f) = apply_write_slice(local.as_mut(), &local_writes) {
+            if let OpResult::Failed(f) = apply_ops(local.as_mut(), &local_ops) {
                 self.abort_everywhere(gtx, ctx);
                 return CommitResult::Aborted {
-                    reason: format!("local batch write {}: {}", f.index, f.reason),
+                    reason: format!("local write {}: {}", f.index, f.reason),
                 };
             }
         }
@@ -940,14 +751,14 @@ impl TreatyNode {
         self.run_two_phase_commit(gtx, ctx, batches)
     }
 
-    /// The secure two-phase commit of Fig. 2. `batches` carries deferred
-    /// writes to piggyback on the prepare message per remote shard
-    /// (empty for the classic eager-execution path).
+    /// The secure two-phase commit of Fig. 2. `batches` carries the writes
+    /// to piggyback on the prepare message per remote shard (empty when
+    /// everything was shipped before the commit).
     fn run_two_phase_commit(
         self: &Arc<Self>,
         gtx: GlobalTxId,
         mut ctx: CoordTxn,
-        mut batches: Vec<(EndpointId, Vec<WriteCmd>)>,
+        batches: Vec<(EndpointId, Vec<Op>)>,
     ) -> CommitResult {
         treaty_sim::runtime::set_tag("h:2pc");
         // Fast path: single-participant transaction, local only (1PC).
@@ -984,55 +795,15 @@ impl TreatyNode {
         treaty_sim::crashpoint::hit("coord.after_clog_start");
 
         treaty_sim::runtime::set_tag("h:2pc-fanout");
-        let mut all_yes = true;
-        let mut reason = String::new();
-        {
+        let refused = {
             let _prepare =
                 treaty_sim::obs::span_with("2pc.prepare", &[("remotes", ctx.remotes.len() as u64)]);
-            // Phase one: prepares fan out in one burst; the local prepare
-            // overlaps the network round trip.
-            let mut pending: Vec<(EndpointId, PendingReply)> = Vec::new();
-            for &r in &ctx.remotes {
-                let batch = batches
-                    .iter_mut()
-                    .find(|(p, _)| *p == r)
-                    .map(|(_, b)| std::mem::take(b))
-                    .unwrap_or_default();
-                let meta = self.peer_meta(gtx, MsgKind::TxnPrepare);
-                let msg = encode(&PeerMsg::Prepare {
-                    gtx,
-                    batch,
-                    read_only: false,
-                });
-                pending.push((
-                    r,
-                    self.rpc.enqueue_request(r, req::PEER_PREPARE, &meta, &msg),
-                ));
-            }
-            self.rpc.tx_burst();
-            treaty_sim::crashpoint::hit("coord.after_prepare_fanout");
-
-            treaty_sim::runtime::set_tag("h:2pc-local-prepare");
-            if let Some(local) = ctx.local.take() {
-                let mut local = local;
-                if let Err(e) = local.prepare(gtx) {
-                    all_yes = false;
-                    reason = format!("local prepare: {e}");
-                }
-                // Prepared state now lives in the engine (or was rolled back).
-            }
-            treaty_sim::runtime::set_tag("h:2pc-collect-votes");
-            for (r, p) in pending {
-                if let Some(why) = vote_refusal(r, p.wait()) {
-                    all_yes = false;
-                    reason = why;
-                }
-            }
-        }
+            self.collect_votes(gtx, &mut ctx, batches, false)
+        };
         treaty_sim::crashpoint::hit("coord.after_votes");
 
         treaty_sim::runtime::set_tag("h:2pc-log-decision");
-        let commit = all_yes;
+        let commit = refused.is_none();
         {
             let _decide = treaty_sim::obs::span("2pc.decide");
             if let Some(clog) = &self.clog {
@@ -1062,12 +833,15 @@ impl TreatyNode {
         }
         treaty_sim::crashpoint::hit("coord.after_decision_send");
         treaty_sim::runtime::set_tag("h:2pc-decide-local");
-        if commit {
-            let _ = self.engine.commit_prepared(gtx);
-            CommitResult::Committed
-        } else {
-            let _ = self.engine.abort_prepared(gtx);
-            CommitResult::Aborted { reason }
+        match refused {
+            None => {
+                let _ = self.engine.commit_prepared(gtx);
+                CommitResult::Committed
+            }
+            Some(reason) => {
+                let _ = self.engine.abort_prepared(gtx);
+                CommitResult::Aborted { reason }
+            }
         }
     }
 
@@ -1086,35 +860,7 @@ impl TreatyNode {
             "2pc.read_only_finish",
             &[("remotes", ctx.remotes.len() as u64)],
         );
-        let msg = encode(&PeerMsg::Prepare {
-            gtx,
-            batch: Vec::new(),
-            read_only: true,
-        });
-        let mut pending: Vec<(EndpointId, PendingReply)> = Vec::with_capacity(ctx.remotes.len());
-        for &r in &ctx.remotes {
-            let meta = self.peer_meta(gtx, MsgKind::TxnPrepare);
-            pending.push((
-                r,
-                self.rpc.enqueue_request(r, req::PEER_PREPARE, &meta, &msg),
-            ));
-        }
-        self.rpc.tx_burst();
-        treaty_sim::crashpoint::hit("coord.after_prepare_fanout");
-
-        let mut refused: Option<String> = None;
-        if let Some(mut local) = ctx.local.take() {
-            if let Err(e) = local.commit() {
-                refused = Some(format!("local read-only finish: {e}"));
-            }
-        }
-        // Every reply is collected, as in phase one of the logged path.
-        for (r, p) in pending {
-            if let Some(why) = vote_refusal(r, p.wait()) {
-                refused.get_or_insert(why);
-            }
-        }
-        match refused {
+        match self.collect_votes(gtx, &mut ctx, Vec::new(), true) {
             None => {
                 treaty_sim::obs::counter_add("core.read_only_commits", 1);
                 CommitResult::Committed
@@ -1126,6 +872,63 @@ impl TreatyNode {
                 CommitResult::Aborted { reason }
             }
         }
+    }
+
+    /// Phase one of both commit lanes: one `Prepare` burst to every remote
+    /// (each carrying its slice of `batches`, if any), the local slice's
+    /// prepare — or, on the read-only lane, its validating finish —
+    /// overlapping the round trip, then every vote collected. `None` means
+    /// everyone voted yes; `Some` is the first refusal.
+    fn collect_votes(
+        self: &Arc<Self>,
+        gtx: GlobalTxId,
+        ctx: &mut CoordTxn,
+        mut batches: Vec<(EndpointId, Vec<Op>)>,
+        read_only: bool,
+    ) -> Option<String> {
+        let mut pending: Vec<(EndpointId, PendingReply)> = Vec::with_capacity(ctx.remotes.len());
+        for &r in &ctx.remotes {
+            let batch = batches
+                .iter_mut()
+                .find(|(p, _)| *p == r)
+                .map(|(_, b)| std::mem::take(b))
+                .unwrap_or_default();
+            let meta = self.peer_meta(gtx, MsgKind::TxnPrepare);
+            let msg = encode(&PeerMsg::Prepare {
+                gtx,
+                batch,
+                read_only,
+            });
+            pending.push((
+                r,
+                self.rpc.enqueue_request(r, req::PEER_PREPARE, &meta, &msg),
+            ));
+        }
+        self.rpc.tx_burst();
+        treaty_sim::crashpoint::hit("coord.after_prepare_fanout");
+
+        treaty_sim::runtime::set_tag("h:2pc-local-prepare");
+        let mut refused: Option<String> = None;
+        // Either way the local transaction is consumed: prepared state
+        // lives in the engine from here (or was rolled back).
+        if let Some(mut local) = ctx.local.take() {
+            let (step, done) = if read_only {
+                ("read-only finish", local.commit().map(|_| ()))
+            } else {
+                ("prepare", local.prepare(gtx))
+            };
+            if let Err(e) = done {
+                refused = Some(format!("local {step}: {e}"));
+            }
+        }
+        treaty_sim::runtime::set_tag("h:2pc-collect-votes");
+        // Every reply is collected even after a refusal.
+        for (r, p) in pending {
+            if let Some(why) = vote_refusal(r, p.wait()) {
+                refused.get_or_insert(why);
+            }
+        }
+        refused
     }
 
     /// True when phase-2 delivery rides the dispatcher daemon instead of
@@ -1372,130 +1175,83 @@ impl TreatyNode {
 
     // ---- snapshot reads (lock-free read-only transactions) -----------------
 
-    /// Serves a lock-free snapshot read: every key is read at the
-    /// requested timestamp straight off the MVCC read path — no 2PC state,
-    /// no coordinator, and zero lock-table traffic. An unpinned request
-    /// (`ts: None`) pins this shard's current stable read timestamp and
-    /// reports it back; a timestamp ahead of the stable frontier is
-    /// rejected as stale, and a key an undecided prepared transaction is
-    /// about to write is rejected as in-doubt — both make the client
-    /// retry with a refreshed snapshot.
+    /// Serves a lock-free snapshot read: every key and every span is read
+    /// at the requested timestamp straight off the MVCC read path and the
+    /// authenticated merge iterator — no 2PC state, no coordinator, and
+    /// zero lock-table traffic. An unpinned request (`ts: None`) pins this
+    /// shard's current stable read timestamp and reports it back; a
+    /// timestamp ahead of the stable frontier is rejected as stale, and a
+    /// key or span an undecided prepared transaction is about to write is
+    /// rejected as in-doubt — both make the client retry with a refreshed
+    /// snapshot.
     fn handle_snapshot_read(
         self: &Arc<Self>,
+        _src: EndpointId,
         meta: TxMeta,
         payload: Vec<u8>,
     ) -> Option<(TxMeta, Vec<u8>)> {
         treaty_sim::runtime::set_tag("h:snapshot_read");
-        let req_msg: SnapshotReadReq = decode(&payload)?;
+        let SnapshotReadReq {
+            ts,
+            keys,
+            spans,
+            limit,
+        } = decode(&payload)?;
         treaty_sim::obs::set_node(self.endpoint);
         let _txn = treaty_sim::obs::txn_scope(meta.tx_id);
         let _span = treaty_sim::obs::span_with(
             "core.snapshot_read",
-            &[("keys", req_msg.keys.len() as u64)],
+            &[("keys", keys.len() as u64), ("spans", spans.len() as u64)],
         );
-        treaty_sim::crashpoint::hit("part.snapshot_read");
-        let stable = self.engine.stable_ts();
-        treaty_sim::obs::gauge_set("store.stable_ts", stable);
-        let ts = req_msg.ts.unwrap_or(stable);
-        let mut values = Vec::with_capacity(req_msg.keys.len());
-        for key in &req_msg.keys {
-            match self.engine.snapshot_get(key, ts) {
-                Ok(v) => values.push(v),
-                Err(StoreError::SnapshotStale { stable }) => {
-                    treaty_sim::obs::counter_add("core.snapshot_stale_reject", 1);
-                    return Some((
-                        TxMeta {
-                            kind: MsgKind::Nack,
-                            ..meta
-                        },
-                        encode(&SnapshotReadReply::Stale { stable_ts: stable }),
-                    ));
-                }
-                Err(StoreError::SnapshotInDoubt) => {
-                    treaty_sim::obs::counter_add("core.snapshot_indoubt_reject", 1);
-                    return Some((
-                        TxMeta {
-                            kind: MsgKind::Nack,
-                            ..meta
-                        },
-                        encode(&SnapshotReadReply::InDoubt { key: key.clone() }),
-                    ));
-                }
-                // Integrity violations must not be papered over with a
-                // retry signal: drop the request, the client times out.
-                Err(_) => return None,
-            }
+        if !keys.is_empty() {
+            treaty_sim::crashpoint::hit("part.snapshot_read");
         }
-        treaty_sim::obs::counter_add("core.snapshot_reads", 1);
-        Some((
-            TxMeta {
-                kind: MsgKind::Ack,
-                ..meta
-            },
-            encode(&SnapshotReadReply::Values { ts, values }),
-        ))
-    }
-
-    /// Serves a lock-free snapshot range scan: this shard's slice of
-    /// `[start, end)` at the requested timestamp, straight off the
-    /// authenticated merge iterator — no 2PC state, no coordinator, and
-    /// zero lock-table traffic. Stale and in-doubt rejections mirror
-    /// [`TreatyNode::handle_snapshot_read`]; an integrity violation drops
-    /// the request so the client times out instead of silently retrying.
-    fn handle_snapshot_scan(
-        self: &Arc<Self>,
-        meta: TxMeta,
-        payload: Vec<u8>,
-    ) -> Option<(TxMeta, Vec<u8>)> {
-        treaty_sim::runtime::set_tag("h:snapshot_scan");
-        let req_msg: SnapshotScanReq = decode(&payload)?;
-        treaty_sim::obs::set_node(self.endpoint);
-        let _txn = treaty_sim::obs::txn_scope(meta.tx_id);
-        let _span = treaty_sim::obs::span_with("core.snapshot_scan", &[("limit", req_msg.limit)]);
-        treaty_sim::crashpoint::hit("part.snapshot_scan");
+        if !spans.is_empty() {
+            treaty_sim::crashpoint::hit("part.snapshot_scan");
+        }
         let stable = self.engine.stable_ts();
         treaty_sim::obs::gauge_set("store.stable_ts", stable);
-        let ts = req_msg.ts.unwrap_or(stable);
-        match self.engine.snapshot_scan(
-            &req_msg.start,
-            &req_msg.end,
-            ts,
-            req_msg.limit as usize,
-        ) {
-            Ok(entries) => {
-                treaty_sim::obs::counter_add("core.snapshot_scans", 1);
-                Some((
-                    TxMeta {
-                        kind: MsgKind::Ack,
-                        ..meta
-                    },
-                    encode(&SnapshotScanReply::Entries { ts, entries }),
-                ))
+        let ts = ts.unwrap_or(stable);
+        // The first rejected key (or span, named by its start) ends the read.
+        let read = || {
+            let values = keys
+                .iter()
+                .map(|key| self.engine.snapshot_get(key, ts).map_err(|e| (key, e)))
+                .collect::<Result<Vec<_>, _>>()?;
+            let rows = spans
+                .iter()
+                .map(|(start, end)| {
+                    let slice = self.engine.snapshot_scan(start, end, ts, limit as usize);
+                    slice.map_err(|e| (start, e))
+                })
+                .collect::<Result<Vec<_>, _>>()?;
+            Ok((values, rows))
+        };
+        let (kind, reply) = match read() {
+            Ok((values, rows)) => {
+                treaty_sim::obs::counter_add("core.snapshot_reads", u64::from(!keys.is_empty()));
+                treaty_sim::obs::counter_add("core.snapshot_scans", u64::from(!spans.is_empty()));
+                (MsgKind::Ack, SnapshotReadReply::Values { ts, values, rows })
             }
-            Err(StoreError::SnapshotStale { stable }) => {
+            Err((_, StoreError::SnapshotStale { stable })) => {
                 treaty_sim::obs::counter_add("core.snapshot_stale_reject", 1);
-                Some((
-                    TxMeta {
-                        kind: MsgKind::Nack,
-                        ..meta
-                    },
-                    encode(&SnapshotScanReply::Stale { stable_ts: stable }),
-                ))
+                (
+                    MsgKind::Nack,
+                    SnapshotReadReply::Stale { stable_ts: stable },
+                )
             }
-            Err(StoreError::SnapshotInDoubt) => {
+            Err((key, StoreError::SnapshotInDoubt)) => {
                 treaty_sim::obs::counter_add("core.snapshot_indoubt_reject", 1);
-                Some((
-                    TxMeta {
-                        kind: MsgKind::Nack,
-                        ..meta
-                    },
-                    encode(&SnapshotScanReply::InDoubt),
-                ))
+                (
+                    MsgKind::Nack,
+                    SnapshotReadReply::InDoubt { key: key.clone() },
+                )
             }
             // Integrity violations must not be papered over with a retry
             // signal: drop the request, the client times out.
-            Err(_) => None,
-        }
+            Err(_) => return None,
+        };
+        Some((TxMeta { kind, ..meta }, encode(&reply)))
     }
 
     /// End-of-transaction validation for multi-shard snapshot reads: the
@@ -1507,6 +1263,7 @@ impl TreatyNode {
     /// validation on some shard.
     fn handle_snapshot_validate(
         self: &Arc<Self>,
+        _src: EndpointId,
         meta: TxMeta,
         payload: Vec<u8>,
     ) -> Option<(TxMeta, Vec<u8>)> {
@@ -1565,13 +1322,17 @@ impl TreatyNode {
 
     // ---- participant: peer-facing handlers ---------------------------------
 
-    fn handle_peer(self: &Arc<Self>, meta: TxMeta, payload: Vec<u8>) -> Option<(TxMeta, Vec<u8>)> {
+    fn handle_peer(
+        self: &Arc<Self>,
+        _src: EndpointId,
+        meta: TxMeta,
+        payload: Vec<u8>,
+    ) -> Option<(TxMeta, Vec<u8>)> {
         treaty_sim::runtime::set_tag("h:peer");
         let msg: PeerMsg = decode(&payload)?;
         treaty_sim::obs::set_node(self.endpoint);
         let (phase, gtx) = match &msg {
-            PeerMsg::Op { gtx, .. } => ("2pc.participant.op", *gtx),
-            PeerMsg::OpBatch { gtx, .. } => ("2pc.participant.op_batch", *gtx),
+            PeerMsg::Ops { gtx, .. } => ("2pc.participant.op", *gtx),
             PeerMsg::Prepare { gtx, .. } => ("2pc.participant.prepare", *gtx),
             PeerMsg::Commit { gtx } => ("2pc.participant.commit", *gtx),
             PeerMsg::Abort { gtx } => ("2pc.participant.abort", *gtx),
@@ -1580,100 +1341,22 @@ impl TreatyNode {
         let _txn = treaty_sim::obs::txn_scope(gtx.seq);
         let _span = treaty_sim::obs::span(phase);
         let reply = match msg {
-            PeerMsg::Op { gtx, op } => {
-                self.stats.lock().participant_ops += 1;
-                let mut txn = self
-                    .active_part
-                    .lock()
-                    .remove(&gtx)
-                    .unwrap_or_else(|| self.engine.begin_txn(self.txn_mode));
-                let result = match &op {
-                    Op::Get { key } => match txn.get(key) {
-                        Ok(v) => OpResult::Ok { value: v },
-                        Err(e) => OpResult::Err {
-                            reason: e.to_string(),
-                        },
-                    },
-                    Op::Put { key, value } => match txn.put(key, value) {
-                        Ok(()) => OpResult::Ok { value: None },
-                        Err(e) => OpResult::Err {
-                            reason: e.to_string(),
-                        },
-                    },
-                    Op::Delete { key } => match txn.delete(key) {
-                        Ok(()) => OpResult::Ok { value: None },
-                        Err(e) => OpResult::Err {
-                            reason: e.to_string(),
-                        },
-                    },
-                    Op::Scan { start, end, limit } => {
-                        treaty_sim::crashpoint::hit("part.scan");
-                        match txn.scan(start, end, *limit as usize) {
-                            Ok(entries) => OpResult::Entries { entries },
-                            Err(e) => OpResult::Err {
-                                reason: e.to_string(),
-                            },
-                        }
-                    }
-                    Op::RangeDelete { start, end } => {
-                        treaty_sim::crashpoint::hit("part.range_delete");
-                        match txn.delete_range(start, end) {
-                            Ok(()) => OpResult::Ok { value: None },
-                            Err(e) => OpResult::Err {
-                                reason: e.to_string(),
-                            },
-                        }
-                    }
-                };
-                match &result {
-                    OpResult::Err { .. } => {
-                        // txn dropped -> rolled back; coordinator aborts.
-                    }
-                    _ => {
-                        self.active_part.lock().insert(gtx, txn);
-                    }
-                }
-                PeerReply::OpDone(result)
-            }
-            PeerMsg::OpBatch { gtx, writes } => {
-                // This shard's slice of a deferred write batch: applied
+            PeerMsg::Ops { gtx, ops } => {
+                // This shard's slice of an operation list: applied
                 // all-or-nothing in one sealed message. On the first
                 // failure the whole engine transaction rolls back and the
-                // reply pinpoints the failing write with a typed code.
-                self.stats.lock().participant_ops += writes.len() as u64;
+                // reply pinpoints the failing op with a typed code.
+                self.stats.lock().participant_ops += ops.len() as u64;
                 let mut txn = self
                     .active_part
                     .lock()
                     .remove(&gtx)
                     .unwrap_or_else(|| self.engine.begin_txn(self.txn_mode));
-                let mut fail: Option<OpFailure> = None;
-                for (i, w) in writes.iter().enumerate() {
-                    let r = match &w.value {
-                        Some(v) => txn.put(&w.key, v),
-                        None => txn.delete(&w.key),
-                    };
-                    // A crash here is mid-apply: some writes landed in the
-                    // volatile engine transaction, none are prepared.
-                    treaty_sim::crashpoint::hit("part.batch_apply");
-                    if let Err(e) = r {
-                        fail = Some(OpFailure {
-                            index: i as u32,
-                            code: (&e).into(),
-                            reason: e.to_string(),
-                        });
-                        break;
-                    }
-                }
-                match fail {
-                    None => {
-                        self.active_part.lock().insert(gtx, txn);
-                        PeerReply::BatchDone { fail: None }
-                    }
-                    Some(f) => {
-                        // txn dropped -> rolled back; coordinator aborts.
-                        PeerReply::BatchDone { fail: Some(f) }
-                    }
-                }
+                let result = apply_ops(txn.as_mut(), &ops);
+                if !matches!(result, OpResult::Failed(_)) {
+                    self.active_part.lock().insert(gtx, txn);
+                } // else: txn dropped -> rolled back; coordinator aborts.
+                PeerReply::OpsDone(result)
             }
             PeerMsg::Prepare {
                 gtx,
@@ -1693,25 +1376,23 @@ impl TreatyNode {
             }
             PeerMsg::Prepare { gtx, batch, .. } => {
                 treaty_sim::crashpoint::hit("part.before_prepare");
-                if !batch.is_empty() {
-                    self.stats.lock().participant_ops += batch.len() as u64;
-                }
+                self.stats.lock().participant_ops += batch.len() as u64;
                 let txn = self.active_part.lock().remove(&gtx);
-                // A piggybacked batch means this shard received deferred
-                // writes with the prepare itself (execute+prepare in one
-                // round trip) — begin the engine transaction here if the
-                // shard saw nothing earlier.
+                // A piggybacked batch means this shard received writes with
+                // the prepare itself (execute+prepare in one round trip) —
+                // begin the engine transaction here if the shard saw
+                // nothing earlier.
                 let txn = match txn {
                     Some(t) => Some(t),
                     None if batch.is_empty() => None,
                     None => Some(self.engine.begin_txn(self.txn_mode)),
                 };
                 let yes = match txn {
-                    Some(mut txn) => match apply_write_slice(txn.as_mut(), &batch) {
-                        Ok(()) => txn.prepare(gtx).is_ok(),
-                        // txn dropped -> rolled back; vote no.
-                        Err(_) => false,
-                    },
+                    // A failed batch drops the txn -> rolled back; vote no.
+                    Some(mut txn) => {
+                        !matches!(apply_ops(txn.as_mut(), &batch), OpResult::Failed(_))
+                            && txn.prepare(gtx).is_ok()
+                    }
                     // Recovery re-drive: still prepared from a past life?
                     None => self.engine.prepared_txns().contains(&gtx),
                 };

@@ -562,8 +562,11 @@ fn range_scan_merges_all_shards_in_order() {
         // a contiguous scan exercises the full fan-out + merge.
         let mut tx = client.begin(1);
         for i in 0..40u32 {
-            tx.put(format!("scan-{i:03}").as_bytes(), format!("v{i}").as_bytes())
-                .unwrap();
+            tx.put(
+                format!("scan-{i:03}").as_bytes(),
+                format!("v{i}").as_bytes(),
+            )
+            .unwrap();
         }
         tx.commit().unwrap();
 
@@ -706,7 +709,10 @@ fn read_your_writes_from_buffer_without_rpc() {
         );
         // A read outside the buffer flushes it first.
         assert_eq!(tx.get(b"ryw-missing").unwrap(), None);
-        assert!(cluster.fabric().stats().sent > sent0, "miss flushed the buffer");
+        assert!(
+            cluster.fabric().stats().sent > sent0,
+            "miss flushed the buffer"
+        );
         tx.commit().unwrap();
 
         let mut tx = client.begin(2);
@@ -727,7 +733,7 @@ fn scan_flushes_buffered_writes_first() {
         tx.put(b"sfl-001", b"a").unwrap();
         tx.put(b"sfl-002", b"b").unwrap();
         // The scan overlaps the buffered span: it must see both writes,
-        // which forces a conservative flush before the fan-out.
+        // so they travel ahead of it in the same message.
         let rows = tx.scan(b"sfl-", b"sfl-~", 0).unwrap();
         assert_eq!(
             rows,
@@ -736,6 +742,12 @@ fn scan_flushes_buffered_writes_first() {
                 (b"sfl-002".to_vec(), b"b".to_vec())
             ]
         );
+        // One more write, then the scan: on that key's owner the slice is
+        // [put k, scan ∋ k], and the scan still sees the write before it.
+        tx.put(b"sfl-003", b"c").unwrap();
+        let rows = tx.scan(b"sfl-", b"sfl-~", 0).unwrap();
+        assert_eq!(rows.len(), 3);
+        assert_eq!(rows[2], (b"sfl-003".to_vec(), b"c".to_vec()));
         tx.commit().unwrap();
     });
 }
@@ -775,11 +787,11 @@ fn buffered_writes_abort_cleanly_on_conflict() {
         let keys = keys_on_different_nodes(&cluster);
         let client = cluster.client();
 
-        // Holder writes one of the keys eagerly so it holds the lock while
-        // the batched transaction commits.
+        // Holder ships its write to one of the keys so it holds the lock
+        // while the batched transaction commits.
         let mut holder = client.begin(1);
-        holder.set_batching(false);
         holder.put(&keys[0], b"held").unwrap();
+        holder.flush().unwrap();
 
         // The buffered transaction never touched the network before commit;
         // its shipped batch hits the held lock and the whole commit aborts.
@@ -814,12 +826,14 @@ fn batched_commit_round_trips_scale_with_shards_not_writes() {
         assert_eq!(per_owner.len(), 3);
         let client = cluster.client();
 
-        let run = |keys: &[Vec<u8>], batching: bool| -> u64 {
+        let run = |keys: &[Vec<u8>], batched: bool| -> u64 {
             let before = cluster.fabric().stats().sent;
             let mut tx = client.begin(1);
-            tx.set_batching(batching);
             for k in keys {
                 tx.put(k, b"v").unwrap();
+                if !batched {
+                    tx.flush().unwrap();
+                }
             }
             tx.commit().unwrap();
             cluster.fabric().stats().sent - before
@@ -827,8 +841,7 @@ fn batched_commit_round_trips_scale_with_shards_not_writes() {
 
         // One write per shard (W = S = 3) vs two per shard (W = 6): the
         // batched wire cost is a function of the shard count only.
-        let one_per_shard: Vec<Vec<u8>> =
-            per_owner.values().map(|b| b[0].clone()).collect();
+        let one_per_shard: Vec<Vec<u8>> = per_owner.values().map(|b| b[0].clone()).collect();
         let two_per_shard: Vec<Vec<u8>> =
             per_owner.values().flat_map(|b| b.iter().cloned()).collect();
         let batched_w3 = run(&one_per_shard, true);
@@ -838,13 +851,48 @@ fn batched_commit_round_trips_scale_with_shards_not_writes() {
             "batched round trips must depend on shards, not writes"
         );
 
-        // The unbatched ablation pays per write: strictly more messages for
-        // the same W = 6 transaction.
+        // Flushing after every write pays per write: strictly more messages
+        // for the same W = 6 transaction.
         let unbatched_w6 = run(&two_per_shard, false);
         assert!(
             batched_w6 < unbatched_w6,
             "batched {batched_w6} vs unbatched {unbatched_w6} messages"
         );
+    });
+}
+
+#[test]
+fn read_after_buffered_writes_is_one_round_trip() {
+    let dir = tempfile::tempdir().unwrap();
+    let path = dir.path().to_path_buf();
+    block_on(move || {
+        let mut o = options(SecurityProfile::treaty_full(), &path);
+        // Inline decision delivery: no phase-2 traffic outlives a commit.
+        o.sync_decisions = true;
+        let cluster = Cluster::start(o).unwrap();
+        let per_owner = keys_per_owner(&cluster, 1);
+        let client = cluster.client();
+        // Coordinator is endpoint 1: the read goes to its own shard, the two
+        // writes to the two remote ones.
+        let (a, b, c) = (&per_owner[&2][0], &per_owner[&3][0], &per_owner[&1][0]);
+
+        let mut tx = client.begin(1);
+        tx.put(a, b"va").unwrap();
+        tx.put(b, b"vb").unwrap();
+        let before = cluster.fabric().stats().sent;
+        assert_eq!(tx.get(c).unwrap(), None);
+        assert_eq!(
+            cluster.fabric().stats().sent - before,
+            2 + 2 * 2,
+            "request + reply, plus one request + reply per remote shard: \
+             the writes ride the read's message instead of a flush of their own"
+        );
+        tx.commit().unwrap();
+
+        let mut tx = client.begin(2);
+        assert_eq!(tx.get(a).unwrap(), Some(b"va".to_vec()));
+        assert_eq!(tx.get(b).unwrap(), Some(b"vb".to_vec()));
+        tx.commit().unwrap();
     });
 }
 

@@ -19,7 +19,9 @@ use std::sync::Arc;
 
 use treaty_core::client::client_net;
 use treaty_core::cluster::{wire_crypto, COUNTER_BASE, COUNTER_CLIENT_BASE};
-use treaty_core::messages::{decode, encode, req, CommitResult, Op, OpResult};
+use treaty_core::messages::{
+    decode, encode, req, ClientCommitReq, CommitResult, Op, OpResult, WriteCmd,
+};
 use treaty_core::{Cluster, ClusterOptions};
 use treaty_crypto::{MsgKind, TxMeta};
 use treaty_net::{Rpc, RpcConfig};
@@ -75,6 +77,11 @@ fn raw_meta(client_id: u32, tx_seq: u64, op_id: u64, kind: MsgKind) -> TxMeta {
     }
 }
 
+/// The commit payload of a client with nothing left to ship.
+fn empty_commit() -> Vec<u8> {
+    encode(&ClientCommitReq::default())
+}
+
 /// Bug 1: a transaction rolled back by the client, then committed again by
 /// a confused (or retrying) client, was acked `Committed` because the
 /// coordinator had no state for it and treated it as an empty transaction.
@@ -93,12 +100,17 @@ fn commit_after_rollback_is_acked_aborted() {
         for k in keys.values() {
             tx.put(k, b"doomed").unwrap();
         }
+        // Writes only buffer: ship them so the coordinator holds state to
+        // roll back.
+        tx.flush().unwrap();
         tx.rollback().unwrap();
 
         // The confused client re-sends the commit for the same transaction.
         let raw = raw_client(&cluster, 9900, treaty_net::DEFAULT_RPC_TIMEOUT);
         let meta = raw_meta(9900, seq, 1, MsgKind::TxnCommit);
-        let (_, bytes) = raw.call(1, req::CLIENT_COMMIT, &meta, &[]).unwrap();
+        let (_, bytes) = raw
+            .call(1, req::CLIENT_COMMIT, &meta, &empty_commit())
+            .unwrap();
         let result: CommitResult = decode(&bytes).unwrap();
         assert!(
             matches!(result, CommitResult::Aborted { .. }),
@@ -126,16 +138,16 @@ fn commit_after_op_error_abort_is_acked_aborted() {
         let client = cluster.client();
         let mut tx = client.begin(1);
         let seq = tx.gtx().seq;
-        assert!(
-            tx.put(&dead_key, b"x").is_err(),
-            "op to a crashed participant must fail"
-        );
+        tx.put(&dead_key, b"x").unwrap();
+        assert!(tx.flush().is_err(), "op to a crashed participant must fail");
         // Let the coordinator finish the op handler and its advisory abort.
         treaty_sim::runtime::sleep(2 * SECONDS);
 
         let raw = raw_client(&cluster, 9901, treaty_net::DEFAULT_RPC_TIMEOUT);
         let meta = raw_meta(9901, seq, 7, MsgKind::TxnCommit);
-        let (_, bytes) = raw.call(1, req::CLIENT_COMMIT, &meta, &[]).unwrap();
+        let (_, bytes) = raw
+            .call(1, req::CLIENT_COMMIT, &meta, &empty_commit())
+            .unwrap();
         let result: CommitResult = decode(&bytes).unwrap();
         assert!(
             matches!(result, CommitResult::Aborted { .. }),
@@ -161,17 +173,14 @@ fn pre_prepare_abort_does_not_stall_the_session() {
         // A raw call with a generous timeout measures the handler's true
         // duration (the client library would give up at its own timeout).
         let raw = raw_client(&cluster, 9902, 5 * SECONDS);
-        let op = Op::Put {
-            key: dead_key,
-            value: b"x".to_vec(),
-        };
+        let ops = vec![Op::Write(WriteCmd::put(&dead_key, b"x"))];
         let meta = raw_meta(9902, (9902u64 << 32) | 1, 1, MsgKind::TxnPut);
         let t0 = now();
-        let (_, bytes) = raw.call(1, req::CLIENT_OP, &meta, &encode(&op)).unwrap();
+        let (_, bytes) = raw.call(1, req::CLIENT_OPS, &meta, &encode(&ops)).unwrap();
         let elapsed = now() - t0;
         let result: OpResult = decode(&bytes).unwrap();
         assert!(
-            matches!(result, OpResult::Err { .. }),
+            matches!(result, OpResult::Failed(_)),
             "op on a dead shard must fail, got {result:?}"
         );
         assert!(
@@ -179,6 +188,41 @@ fn pre_prepare_abort_does_not_stall_the_session() {
             "pre-prepare abort stalled the session fiber for {} ms",
             elapsed / MILLIS
         );
+    });
+}
+
+/// An op list is zero or more writes, then at most one read or range op:
+/// the reply carries one result. A raw client that sends any other shape
+/// gets a typed failure naming the offending op, and the transaction is
+/// aborted like after any other failed op.
+#[test]
+fn op_list_with_a_read_before_its_end_is_rejected() {
+    let dir = tempfile::tempdir().unwrap();
+    let path = dir.path().to_path_buf();
+    block_on(move || {
+        let cluster = Cluster::start(options(&path)).unwrap();
+        let raw = raw_client(&cluster, 9904, treaty_net::DEFAULT_RPC_TIMEOUT);
+        let seq = (9904u64 << 32) | 1;
+        let ops = vec![
+            Op::Write(WriteCmd::put(b"shape-a", b"x")),
+            Op::Get {
+                key: b"shape-b".to_vec(),
+            },
+            Op::Write(WriteCmd::put(b"shape-c", b"x")),
+        ];
+        let meta = raw_meta(9904, seq, 1, MsgKind::TxnPut);
+        let (_, bytes) = raw.call(1, req::CLIENT_OPS, &meta, &encode(&ops)).unwrap();
+        match decode::<OpResult>(&bytes).unwrap() {
+            OpResult::Failed(f) => assert_eq!(f.index, 1, "the read in the middle: {f:?}"),
+            other => panic!("malformed list must fail, got {other:?}"),
+        }
+        let meta = raw_meta(9904, seq, 2, MsgKind::TxnCommit);
+        let (_, bytes) = raw
+            .call(1, req::CLIENT_COMMIT, &meta, &empty_commit())
+            .unwrap();
+        let result: CommitResult = decode(&bytes).unwrap();
+        assert!(matches!(result, CommitResult::Aborted { .. }), "{result:?}");
+        assert_eq!(cluster.totals(), (0, 1));
     });
 }
 
@@ -208,6 +252,7 @@ fn aborts_are_counted_exactly_once() {
         for k in keys.values() {
             tx.put(k, b"doomed").unwrap();
         }
+        tx.flush().unwrap();
         tx.rollback().unwrap();
         assert_eq!(cluster.totals(), (1, 1));
 
@@ -223,7 +268,9 @@ fn aborts_are_counted_exactly_once() {
 
         // Nor must a commit attempt for the same aborted transaction.
         let meta = raw_meta(9903, seq, 12, MsgKind::TxnCommit);
-        let (_, bytes) = raw.call(1, req::CLIENT_COMMIT, &meta, &[]).unwrap();
+        let (_, bytes) = raw
+            .call(1, req::CLIENT_COMMIT, &meta, &empty_commit())
+            .unwrap();
         let result: CommitResult = decode(&bytes).unwrap();
         assert!(matches!(result, CommitResult::Aborted { .. }));
         assert_eq!(

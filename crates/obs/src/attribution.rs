@@ -92,7 +92,10 @@ impl Category {
 
     /// Index into a `[u64; CATEGORY_COUNT]` accumulator.
     pub fn index(self) -> usize {
-        Category::ALL.iter().position(|c| *c == self).expect("ALL is total")
+        Category::ALL
+            .iter()
+            .position(|c| *c == self)
+            .expect("ALL is total")
     }
 
     /// Maps a span phase to its category (the span's *self* time).
@@ -152,7 +155,10 @@ struct Flat {
 }
 
 fn arg(span: &Span, key: &str) -> u64 {
-    span.args.iter().find(|(k, _)| *k == key).map_or(0, |(_, v)| *v)
+    span.args
+        .iter()
+        .find(|(k, _)| *k == key)
+        .map_or(0, |(_, v)| *v)
 }
 
 fn flatten(
@@ -435,7 +441,11 @@ pub fn attribute(events: &[TraceEvent], dropped: u64) -> AttributionReport {
     let mut committed: BTreeMap<u64, (u64, (u32, u64))> = BTreeMap::new();
     for e in events {
         if e.phase == "client.committed" && e.txn != 0 {
-            let elapsed = e.args.iter().find(|(k, _)| *k == "elapsed_ns").map_or(0, |(_, v)| *v);
+            let elapsed = e
+                .args
+                .iter()
+                .find(|(k, _)| *k == "elapsed_ns")
+                .map_or(0, |(_, v)| *v);
             committed.insert(e.txn, (elapsed, (e.node, e.fiber)));
         }
     }
@@ -460,9 +470,16 @@ pub fn attribute(events: &[TraceEvent], dropped: u64) -> AttributionReport {
         }
         client_roots.sort_by_key(|&i| (arena[i].start, i));
         let w_lo = arena[client_roots[0]].start;
-        let w_hi = client_roots.iter().map(|&i| arena[i].end).max().unwrap_or(w_lo);
+        let w_hi = client_roots
+            .iter()
+            .map(|&i| arena[i].end)
+            .max()
+            .unwrap_or(w_lo);
 
-        let walker = Walker { arena: &arena, roots };
+        let walker = Walker {
+            arena: &arena,
+            roots,
+        };
         let mut acc = Acc::default();
         let mut path = Vec::new();
         let mut cursor = w_lo;
@@ -576,12 +593,19 @@ impl AttributionReport {
     /// transactions committed) — the SLO gate: attribution must explain
     /// ≥95% of *every* committed transaction's measured latency.
     pub fn min_coverage_bp(&self) -> u64 {
-        self.txns.iter().map(TxnAttribution::coverage_bp).min().unwrap_or(10_000)
+        self.txns
+            .iter()
+            .map(TxnAttribution::coverage_bp)
+            .min()
+            .unwrap_or(10_000)
     }
 
     /// Dominant category of the tail (≥p99) bucket; `None` with no txns.
     pub fn p99_dominant(&self) -> Option<Category> {
-        self.buckets.iter().find(|b| b.name == "ge_p99" && b.txns > 0).map(BucketAgg::dominant)
+        self.buckets
+            .iter()
+            .find(|b| b.name == "ge_p99" && b.txns > 0)
+            .map(BucketAgg::dominant)
     }
 
     /// Deterministic JSON export (integers only — shares are basis points).
@@ -593,7 +617,11 @@ impl AttributionReport {
                     out.push(',');
                 }
                 let ns = by[c.index()];
-                let bp = if total == 0 { 0 } else { (ns as u128 * 10_000 / total as u128) as u64 };
+                let bp = if total == 0 {
+                    0
+                } else {
+                    (ns as u128 * 10_000 / total as u128) as u64
+                };
                 out.push_str(&format!(
                     "{{\"category\":\"{}\",\"ns\":{},\"share_bp\":{}}}",
                     c.name(),
@@ -687,7 +715,10 @@ impl AttributionReport {
                 self.dropped_events
             ));
         }
-        out.push_str(&format!("{:<18} {:>8} {:>16} {:>16}  dominant\n", "bucket", "txns", "measured", "attributed"));
+        out.push_str(&format!(
+            "{:<18} {:>8} {:>16} {:>16}  dominant\n",
+            "bucket", "txns", "measured", "attributed"
+        ));
         for b in &self.buckets {
             out.push_str(&format!(
                 "{:<18} {:>8} {:>16} {:>16}  {}\n",
@@ -695,14 +726,22 @@ impl AttributionReport {
                 b.txns,
                 us(b.measured_ns),
                 us(b.attributed_ns),
-                if b.txns == 0 { "none" } else { b.dominant().name() }
+                if b.txns == 0 {
+                    "none"
+                } else {
+                    b.dominant().name()
+                }
             ));
         }
         out.push_str("\nper-category critical-path time:\n");
         let total = self.attributed_total();
         for c in Category::ALL {
             let ns = self.by_category[c.index()];
-            let bp = if total == 0 { 0 } else { (ns as u128 * 10_000 / total as u128) as u64 };
+            let bp = if total == 0 {
+                0
+            } else {
+                (ns as u128 * 10_000 / total as u128) as u64
+            };
             out.push_str(&format!(
                 "  {:<18} {:>16} {:>3}.{:02}%\n",
                 c.name(),
@@ -720,7 +759,12 @@ impl AttributionReport {
                 t.dominant().name()
             ));
             for (c, phase, ns) in &t.top_segments {
-                out.push_str(&format!("    {:<28} {:<16} {:>14}\n", phase, c.name(), us(*ns)));
+                out.push_str(&format!(
+                    "    {:<28} {:<16} {:>14}\n",
+                    phase,
+                    c.name(),
+                    us(*ns)
+                ));
             }
         }
         out
@@ -739,7 +783,10 @@ mod tests {
 
     impl Tracer {
         fn new() -> Self {
-            Tracer { events: Vec::new(), seq: 0 }
+            Tracer {
+                events: Vec::new(),
+                seq: 0,
+            }
         }
 
         fn ev(
@@ -782,7 +829,15 @@ mod tests {
         t.ev(50, 1, 2, txn, EventKind::Enter, "store.lock_wait", &[]);
         t.ev(70, 1, 2, txn, EventKind::Exit, "store.lock_wait", &[]);
         t.ev(80, 1, 2, txn, EventKind::Exit, "2pc.commit", &[]);
-        t.ev(100, 9, 1, txn, EventKind::Instant, "client.committed", &[("elapsed_ns", 100)]);
+        t.ev(
+            100,
+            9,
+            1,
+            txn,
+            EventKind::Instant,
+            "client.committed",
+            &[("elapsed_ns", 100)],
+        );
         t.ev(100, 9, 1, txn, EventKind::Exit, "client.commit", &[]);
         t.events
     }
@@ -813,14 +868,54 @@ mod tests {
         let txn = 5;
         tr.ev(0, 9, 1, txn, EventKind::Enter, "client.commit", &[]);
         tr.ev(10, 1, 2, txn, EventKind::Enter, "2pc.prepare", &[]);
-        tr.ev(20, 2, 3, txn, EventKind::Enter, "2pc.participant.prepare", &[]);
-        tr.ev(30, 3, 4, txn, EventKind::Enter, "2pc.participant.prepare", &[]);
-        tr.ev(40, 2, 3, txn, EventKind::Exit, "2pc.participant.prepare", &[]);
+        tr.ev(
+            20,
+            2,
+            3,
+            txn,
+            EventKind::Enter,
+            "2pc.participant.prepare",
+            &[],
+        );
+        tr.ev(
+            30,
+            3,
+            4,
+            txn,
+            EventKind::Enter,
+            "2pc.participant.prepare",
+            &[],
+        );
+        tr.ev(
+            40,
+            2,
+            3,
+            txn,
+            EventKind::Exit,
+            "2pc.participant.prepare",
+            &[],
+        );
         tr.ev(40, 3, 4, txn, EventKind::Enter, "store.commit", &[]);
         tr.ev(80, 3, 4, txn, EventKind::Exit, "store.commit", &[]);
-        tr.ev(90, 3, 4, txn, EventKind::Exit, "2pc.participant.prepare", &[]);
+        tr.ev(
+            90,
+            3,
+            4,
+            txn,
+            EventKind::Exit,
+            "2pc.participant.prepare",
+            &[],
+        );
         tr.ev(100, 1, 2, txn, EventKind::Exit, "2pc.prepare", &[]);
-        tr.ev(110, 9, 1, txn, EventKind::Instant, "client.committed", &[("elapsed_ns", 110)]);
+        tr.ev(
+            110,
+            9,
+            1,
+            txn,
+            EventKind::Instant,
+            "client.committed",
+            &[("elapsed_ns", 110)],
+        );
         tr.ev(110, 9, 1, txn, EventKind::Exit, "client.commit", &[]);
         let report = attribute(&tr.events, 0);
         assert_eq!(report.txns.len(), 1);
@@ -843,18 +938,48 @@ mod tests {
     /// stays in `other`.
     #[test]
     fn participant_wal_stabilize_is_durability_not_other() {
-        assert_eq!(Category::of_phase("wal.stabilize"), Category::ClogDurability);
-        assert_eq!(Category::of_phase("clog.stabilize"), Category::ClogDurability);
+        assert_eq!(
+            Category::of_phase("wal.stabilize"),
+            Category::ClogDurability
+        );
+        assert_eq!(
+            Category::of_phase("clog.stabilize"),
+            Category::ClogDurability
+        );
         let mut tr = Tracer::new();
         let txn = 6;
         tr.ev(0, 9, 1, txn, EventKind::Enter, "client.commit", &[]);
         tr.ev(10, 1, 2, txn, EventKind::Enter, "2pc.prepare", &[]);
-        tr.ev(30, 3, 4, txn, EventKind::Enter, "2pc.participant.prepare", &[]);
+        tr.ev(
+            30,
+            3,
+            4,
+            txn,
+            EventKind::Enter,
+            "2pc.participant.prepare",
+            &[],
+        );
         tr.ev(40, 3, 4, txn, EventKind::Enter, "wal.stabilize", &[]);
         tr.ev(80, 3, 4, txn, EventKind::Exit, "wal.stabilize", &[]);
-        tr.ev(90, 3, 4, txn, EventKind::Exit, "2pc.participant.prepare", &[]);
+        tr.ev(
+            90,
+            3,
+            4,
+            txn,
+            EventKind::Exit,
+            "2pc.participant.prepare",
+            &[],
+        );
         tr.ev(100, 1, 2, txn, EventKind::Exit, "2pc.prepare", &[]);
-        tr.ev(110, 9, 1, txn, EventKind::Instant, "client.committed", &[("elapsed_ns", 110)]);
+        tr.ev(
+            110,
+            9,
+            1,
+            txn,
+            EventKind::Instant,
+            "client.committed",
+            &[("elapsed_ns", 110)],
+        );
         tr.ev(110, 9, 1, txn, EventKind::Exit, "client.commit", &[]);
         let report = attribute(&tr.events, 0);
         let t = &report.txns[0];
@@ -870,15 +995,41 @@ mod tests {
     fn queue_and_open_time_split_out_of_the_wire_gap() {
         let mut tr = Tracer::new();
         let txn = 3;
-        tr.ev(0, 9, 1, txn, EventKind::Enter, "client.op", &[]);
+        // Two buffered writes ride the read's message: one waiting span,
+        // whatever the list length.
+        tr.ev(0, 9, 1, txn, EventKind::Enter, "client.op", &[("ops", 3)]);
         // Handler opens at 50: 10ns queue wait, 5ns open reported.
-        tr.ev(50, 1, 2, txn, EventKind::Enter, "rpc.handle", &[("queue_ns", 10), ("open_ns", 5)]);
-        tr.ev(55, 1, 2, txn, EventKind::Enter, "2pc.coordinate_op", &[]);
+        tr.ev(
+            50,
+            1,
+            2,
+            txn,
+            EventKind::Enter,
+            "rpc.handle",
+            &[("queue_ns", 10), ("open_ns", 5)],
+        );
+        tr.ev(
+            55,
+            1,
+            2,
+            txn,
+            EventKind::Enter,
+            "2pc.coordinate_op",
+            &[("ops", 3)],
+        );
         tr.ev(70, 1, 2, txn, EventKind::Exit, "2pc.coordinate_op", &[]);
         tr.ev(75, 1, 2, txn, EventKind::Exit, "rpc.handle", &[]);
         tr.ev(90, 9, 1, txn, EventKind::Exit, "client.op", &[]);
         tr.ev(90, 9, 1, txn, EventKind::Enter, "client.commit", &[]);
-        tr.ev(95, 9, 1, txn, EventKind::Instant, "client.committed", &[("elapsed_ns", 95)]);
+        tr.ev(
+            95,
+            9,
+            1,
+            txn,
+            EventKind::Instant,
+            "client.committed",
+            &[("elapsed_ns", 95)],
+        );
         tr.ev(95, 9, 1, txn, EventKind::Exit, "client.commit", &[]);
         let report = attribute(&tr.events, 0);
         let t = &report.txns[0];
@@ -926,7 +1077,15 @@ mod tests {
             let base = i * 1_000;
             let lat = 100 + i * 10;
             tr.ev(base, 9, 1, txn, EventKind::Enter, "client.commit", &[]);
-            tr.ev(base + lat, 9, 1, txn, EventKind::Instant, "client.committed", &[("elapsed_ns", lat)]);
+            tr.ev(
+                base + lat,
+                9,
+                1,
+                txn,
+                EventKind::Instant,
+                "client.committed",
+                &[("elapsed_ns", lat)],
+            );
             tr.ev(base + lat, 9, 1, txn, EventKind::Exit, "client.commit", &[]);
         }
         let report = attribute(&tr.events, 0);
@@ -934,7 +1093,10 @@ mod tests {
         let total: u64 = report.buckets.iter().map(|b| b.txns).sum();
         assert_eq!(total, 20, "every txn in exactly one bucket");
         let tail = report.buckets.iter().find(|b| b.name == "ge_p99").unwrap();
-        assert!(tail.txns >= 1, "slowest txn always lands in the tail bucket");
+        assert!(
+            tail.txns >= 1,
+            "slowest txn always lands in the tail bucket"
+        );
         assert_eq!(report.exemplars.len(), EXEMPLARS);
         assert_eq!(report.exemplars[0].measured_ns, 290, "slowest first");
     }

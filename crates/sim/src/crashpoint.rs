@@ -55,8 +55,7 @@ pub const ALL_POINTS: &[&str] = &[
     "coord.after_decision_send",
     "coord.before_client_reply",
     "coord.decision_queued",
-    "coord.scan_fanout",
-    "coord.batch_fanout",
+    "coord.ops_fanout",
     // Participant (treaty-core node.rs, peer handler).
     "part.before_prepare",
     "part.batch_apply",

@@ -169,7 +169,11 @@ impl PreparedTable {
     /// missing from it while its transaction is visible in a stripe.
     fn index_add(&self, writes: &[WriteOp]) {
         for w in writes {
-            *self.key_stripe(&w.key).lock().entry(w.key.clone()).or_insert(0) += 1;
+            *self
+                .key_stripe(&w.key)
+                .lock()
+                .entry(w.key.clone())
+                .or_insert(0) += 1;
         }
     }
 
@@ -299,10 +303,12 @@ impl PreparedTable {
         })
     }
 
+    #[cfg(test)]
     pub fn stripe_count(&self) -> usize {
         self.stripes.len()
     }
 
+    #[cfg(test)]
     pub fn stripe_len(&self, idx: usize) -> usize {
         self.stripes[idx].lock().len()
     }
@@ -678,8 +684,7 @@ impl TreatyStore {
     /// (flush backlog plus L0 file count).
     pub fn backpressure_level(&self) -> u8 {
         let cfg = &self.inner.env.config;
-        let pressure =
-            self.inner.flush_backlog.lock().len() + self.inner.levels.read()[0].len();
+        let pressure = self.inner.flush_backlog.lock().len() + self.inner.levels.read()[0].len();
         if pressure >= cfg.l0_stop_trigger {
             2
         } else if pressure >= cfg.l0_slowdown_trigger {
@@ -876,10 +881,15 @@ impl TreatyStore {
             return Ok(false);
         }
         let mut max_seq: SeqNum = 0;
-        self.merge_scan(start, Some(end), SeqNum::MAX, |_key, seq, _value, shadow| {
-            max_seq = max_seq.max(seq.max(shadow));
-            max_seq <= ts // the first newer version already decides
-        })?;
+        self.merge_scan(
+            start,
+            Some(end),
+            SeqNum::MAX,
+            |_key, seq, _value, shadow| {
+                max_seq = max_seq.max(seq.max(shadow));
+                max_seq <= ts // the first newer version already decides
+            },
+        )?;
         if max_seq > ts {
             return Ok(false);
         }
@@ -1012,10 +1022,15 @@ impl TreatyStore {
     /// Integrity violations from block verification.
     pub(crate) fn keys_in_range(&self, start: &[u8], end: &[u8]) -> Result<Vec<UserKey>> {
         let mut keys = Vec::new();
-        self.merge_scan(start, Some(end), SeqNum::MAX, |key, _seq, _value, _shadow| {
-            keys.push(key);
-            true
-        })?;
+        self.merge_scan(
+            start,
+            Some(end),
+            SeqNum::MAX,
+            |key, _seq, _value, _shadow| {
+                keys.push(key);
+                true
+            },
+        )?;
         Ok(keys)
     }
 
@@ -1447,7 +1462,12 @@ impl TreatyStore {
         // after the build's MANIFEST edits, so no record is lost.)
         let prepared_snapshot = self.inner.prepared.snapshot_writes();
         for (gtx, writes, ranges) in prepared_snapshot {
-            let rec = serde_json::to_vec(&WalRecord::Prepare { gtx, writes, ranges }).unwrap();
+            let rec = serde_json::to_vec(&WalRecord::Prepare {
+                gtx,
+                writes,
+                ranges,
+            })
+            .unwrap();
             wal.append(&rec)?;
         }
         *self.inner.wal.write() = wal;
@@ -1997,7 +2017,11 @@ impl TreatyStore {
                 let rec: WalRecord = serde_json::from_slice(payload)
                     .map_err(|_| StoreError::Integrity("wal record does not parse".into()))?;
                 match rec {
-                    WalRecord::Commit { seq, writes, ranges } => {
+                    WalRecord::Commit {
+                        seq,
+                        writes,
+                        ranges,
+                    } => {
                         max_seq = max_seq.max(seq);
                         for w in writes {
                             match w.value {
@@ -2009,7 +2033,11 @@ impl TreatyStore {
                             mem.delete_range(&start, &end, seq);
                         }
                     }
-                    WalRecord::Prepare { gtx, writes, ranges } => {
+                    WalRecord::Prepare {
+                        gtx,
+                        writes,
+                        ranges,
+                    } => {
                         let owner = next_txid;
                         next_txid += 1;
                         // Recovery re-acquires the write-set locks only: the

@@ -643,13 +643,15 @@ fn read_only_finish_crash_leaves_nothing_behind() {
 }
 
 /// The coalesced-fan-out fault cell: the coordinator dies at
-/// `coord.batch_fanout` — after the per-shard `PEER_OP_BATCH` burst left
-/// its endpoint, before any reply was drained or a prepare was sent. The
-/// shipped batch never reached the commit protocol (no Clog start, no
+/// `coord.ops_fanout` — after the per-shard `PEER_OPS` burst left its
+/// endpoint, before any reply was drained or a prepare was sent. The
+/// shipped list never reached the commit protocol (no Clog start, no
 /// prepares), so the participants' speculative applies hold only volatile
 /// locks: bouncing them (= session timeout) must shed everything, and the
-/// doomed writes must be visible nowhere.
-fn run_batch_fanout_cell() -> String {
+/// doomed writes must be visible nowhere. The op that ships the buffered
+/// writes is a point read, or with `scan` a range scan fanned out to every
+/// shard behind them.
+fn run_ops_fanout_cell(scan: bool) -> String {
     let dir = tempfile::tempdir().unwrap();
     let path = dir.path().to_path_buf();
     block_on(move || {
@@ -666,17 +668,23 @@ fn run_batch_fanout_cell() -> String {
         tx.commit().expect("seed commit failed");
         sleep(50 * MILLIS);
 
-        plan.arm(FaultSchedule::new().crash_at("coord.batch_fanout", COORD, 1));
+        plan.arm(FaultSchedule::new().crash_at("coord.ops_fanout", COORD, 1));
 
         // Doomed: buffered writes to all three shards, then a read outside
-        // the buffer — the conservative flush ships the batch and the
+        // the buffer — the writes ship ahead of it in one list and the
         // coordinator dies mid fan-out.
         let mut tx = client.begin(COORD);
         for k in &keys {
-            tx.put(k, b"doomed").expect("buffered put never hits the wire");
+            tx.put(k, b"doomed")
+                .expect("buffered put never hits the wire");
         }
-        let acked = match tx.get(b"batch-fanout-flush-trigger") {
-            Ok(_) => 'C',
+        let shipped = if scan {
+            tx.scan(b"", b"\xff", 0).map(|_| ())
+        } else {
+            tx.get(b"batch-fanout-flush-trigger").map(|_| ())
+        };
+        let acked = match shipped {
+            Ok(()) => 'C',
             Err(TreatyError::Aborted(..)) => 'A',
             Err(TreatyError::Net(_)) => 'U',
             Err(_) => 'R',
@@ -685,7 +693,7 @@ fn run_batch_fanout_cell() -> String {
         sleep(4 * SECONDS);
         let fired = plan.fired();
         assert_eq!(fired.len(), 1, "expected exactly one crash, got {fired:?}");
-        assert_eq!(fired[0].point, "coord.batch_fanout");
+        assert_eq!(fired[0].point, "coord.ops_fanout");
         assert_eq!(fired[0].node, COORD);
         let fired_at = fired[0].at;
 
@@ -734,7 +742,7 @@ fn run_batch_fanout_cell() -> String {
         tx.commit().expect("verify commit");
 
         format!(
-            "coord.batch_fanout crash=n{COORD} fired@{fired_at} acked={acked} \
+            "coord.ops_fanout scan={scan} crash=n{COORD} fired@{fired_at} acked={acked} \
              rec={}/{}/{}",
             rec.re_decided, rec.resolved, rec.failed,
         )
@@ -746,17 +754,19 @@ fn run_batch_fanout_cell() -> String {
 /// write visible anywhere — and the episode is byte-deterministic.
 #[test]
 fn batch_fanout_crash_is_invisible_after_recovery() {
-    let t1 = run_batch_fanout_cell();
-    println!("{t1}");
-    assert_eq!(
-        t1,
-        run_batch_fanout_cell(),
-        "batch fan-out fault cell must be deterministic"
-    );
+    for scan in [false, true] {
+        let t1 = run_ops_fanout_cell(scan);
+        println!("{t1}");
+        assert_eq!(
+            t1,
+            run_ops_fanout_cell(scan),
+            "ops fan-out fault cell must be deterministic"
+        );
+    }
 }
 
 /// The participant-side batching fault cell: `PART` dies at
-/// `part.batch_apply`, mid-way through applying a shipped `PEER_OP_BATCH`.
+/// `part.batch_apply`, mid-way through applying a shipped `PEER_OPS` slice.
 /// The coordinator's reply drain fails, it aborts everywhere (freeing the
 /// other participant's speculative locks), and the client sees a clean
 /// abort: the batch is all-or-nothing — in this cell, "nothing".
@@ -782,7 +792,8 @@ fn run_batch_apply_cell() -> String {
         // batch out and PART dies while applying its slice.
         let mut tx = client.begin(COORD);
         for k in &keys {
-            tx.put(k, b"doomed").expect("buffered put never hits the wire");
+            tx.put(k, b"doomed")
+                .expect("buffered put never hits the wire");
         }
         let acked = match tx.get(b"batch-apply-flush-trigger") {
             Ok(_) => 'C',
