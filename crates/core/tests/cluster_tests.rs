@@ -2,7 +2,7 @@
 //! (CAS bootstrap, counter protection group, 3 nodes), clients, the secure
 //! 2PC, failures and the §III adversary.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -22,7 +22,9 @@ fn options(profile: SecurityProfile, dir: &std::path::Path) -> ClusterOptions {
 
 /// Keys guaranteed to live on different nodes.
 fn keys_on_different_nodes(cluster: &Cluster) -> Vec<Vec<u8>> {
-    let mut found: HashMap<u32, Vec<u8>> = HashMap::new();
+    // Ordered by owner: which key stands for which shard must not vary
+    // from run to run.
+    let mut found: BTreeMap<u32, Vec<u8>> = BTreeMap::new();
     for i in 0..10_000u32 {
         let k = format!("spread-{i}").into_bytes();
         let owner = cluster.shard_map().owner(&k);

@@ -99,7 +99,10 @@ fn tokenize(scrubbed: &str) -> Vec<Tok<'_>> {
             while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
                 i += 1;
             }
-            toks.push(Tok { text: &scrubbed[start..i], line });
+            toks.push(Tok {
+                text: &scrubbed[start..i],
+                line,
+            });
             continue;
         }
         if c.is_ascii_digit() {
@@ -107,18 +110,27 @@ fn tokenize(scrubbed: &str) -> Vec<Tok<'_>> {
             while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
                 i += 1;
             }
-            toks.push(Tok { text: &scrubbed[start..i], line });
+            toks.push(Tok {
+                text: &scrubbed[start..i],
+                line,
+            });
             continue;
         }
         if let Some(op) = COMPOUND_OPS
             .iter()
             .find(|op| scrubbed[i..].starts_with(*op))
         {
-            toks.push(Tok { text: &scrubbed[i..i + op.len()], line });
+            toks.push(Tok {
+                text: &scrubbed[i..i + op.len()],
+                line,
+            });
             i += op.len();
             continue;
         }
-        toks.push(Tok { text: &scrubbed[i..i + c.len_utf8()], line });
+        toks.push(Tok {
+            text: &scrubbed[i..i + c.len_utf8()],
+            line,
+        });
         i += c.len_utf8();
     }
     toks
@@ -206,7 +218,9 @@ impl<'a> Analysis<'a> {
     fn crash_safe_marked(&self, line: usize) -> bool {
         let hi = line.min(self.raw_lines.len());
         let lo = hi.saturating_sub(4);
-        self.raw_lines[lo..hi].iter().any(|l| l.contains(CRASH_SAFE_MARKER))
+        self.raw_lines[lo..hi]
+            .iter()
+            .any(|l| l.contains(CRASH_SAFE_MARKER))
     }
 
     /// Walks a function body starting at `open` (index of its `{`).
@@ -352,7 +366,10 @@ impl<'a> Analysis<'a> {
                             "match" | "for" => ConstructKind::Scrutinee,
                             _ => ConstructKind::Cond,
                         };
-                        pending_construct = Some(PendingConstruct { kind, temps: Vec::new() });
+                        pending_construct = Some(PendingConstruct {
+                            kind,
+                            temps: Vec::new(),
+                        });
                     }
                     i += 1;
                 }
@@ -413,8 +430,8 @@ impl<'a> Analysis<'a> {
                     {
                         let line = self.toks[i + 1].line;
                         let receiver = resolve_receiver(&self.toks, i);
-                        let spec = receiver
-                            .and_then(|r| registry::resolve(self.registry, self.file, r));
+                        let spec =
+                            receiver.and_then(|r| registry::resolve(self.registry, self.file, r));
                         match spec {
                             None => {
                                 if self.rule_on("L010") {
@@ -444,7 +461,11 @@ impl<'a> Analysis<'a> {
                                 // Acquiring a fiber lock parks when
                                 // contended: a yield point in itself.
                                 if fiber && name == "lock" {
-                                    self.check_yield(&live, &format!("{}.lock()", spec.receiver), line);
+                                    self.check_yield(
+                                        &live,
+                                        &format!("{}.lock()", spec.receiver),
+                                        line,
+                                    );
                                 }
                                 for g in &live {
                                     self.edges.push(LockEdge {
@@ -633,11 +654,7 @@ fn describe(g: &Guard) -> String {
     }
 }
 
-fn live_guards(
-    scopes: &[Scope],
-    pending: &Option<PendingConstruct>,
-    region: usize,
-) -> Vec<Guard> {
+fn live_guards(scopes: &[Scope], pending: &Option<PendingConstruct>, region: usize) -> Vec<Guard> {
     let mut out = Vec::new();
     for s in scopes {
         out.extend(s.guards.iter().cloned());
@@ -866,7 +883,10 @@ pub fn analyze_file_with(
             i += 1;
         }
     }
-    FileAnalysis { violations: a.violations, edges: a.edges }
+    FileAnalysis {
+        violations: a.violations,
+        edges: a.edges,
+    }
 }
 
 /// Analyzes one file with the production [`LOCK_REGISTRY`] and all
@@ -895,7 +915,9 @@ pub fn lock_graph_violations(edges: &[LockEdge]) -> Vec<Violation> {
 
     for e in &uniq {
         if e.from == e.to {
-            let ordered = registry::class_by_name(&e.from).map(|c| c.ordered).unwrap_or(false);
+            let ordered = registry::class_by_name(&e.from)
+                .map(|c| c.ordered)
+                .unwrap_or(false);
             if !ordered {
                 out.push(Violation {
                     rule: "L009",
@@ -1084,30 +1106,30 @@ mod tests {
     // ---- RwLock guards: the two baseline stalls ----------------------------
 
     const MEMTABLE: &str = "crates/store/src/memtable.rs";
-    const SHARD_GUARD_ACROSS_CHARGE: &str = include_str!("../fixtures/guard_across_charge.rs");
+    const INDEX_GUARD_ACROSS_CHARGE: &str = include_str!("../fixtures/guard_across_charge.rs");
     const SCRUTINEE_CLONE_CALL: &str = include_str!("../fixtures/scrutinee_clone_call.rs");
 
     #[test]
-    fn l007_flags_shard_guard_across_charge() {
-        let fa = check(MEMTABLE, SHARD_GUARD_ACROSS_CHARGE);
+    fn l007_flags_index_guard_across_charge() {
+        let fa = check(MEMTABLE, INDEX_GUARD_ACROSS_CHARGE);
         assert_eq!(fa.violations.len(), 1, "{:?}", fa.violations);
         let v = &fa.violations[0];
         assert_eq!(v.rule, "L007");
-        assert_eq!(v.lock.as_deref(), Some("store.memtable_shard"));
+        assert_eq!(v.lock.as_deref(), Some("store.memtable_index"));
         assert!(v.detail.contains("`.charge_enclave_op()`"), "{}", v.detail);
         assert!(v.detail.contains("`guard`"), "{}", v.detail);
 
         // Collect under the guard, charge after its block closes: clean.
-        let fixed = "fn f(&self) {\n    for shard in &self.shards {\n        let list = {\n            let guard = shard.read();\n            guard.iter().collect()\n        };\n        self.env.charge_enclave_op(list.len(), 5);\n    }\n}\n";
+        let fixed = "fn f(&self) {\n    let list = {\n        let guard = self.index.read();\n        guard.iter().collect()\n    };\n    self.env.charge_enclave_op(list.len(), 5);\n}\n";
         assert!(check(MEMTABLE, fixed).violations.is_empty());
 
         // `.write()` guards count the same way.
-        let write = "fn f(&self, s: usize) {\n    let mut g = self.shards[s].write();\n    self.env.charge_enclave_op(1, 5);\n    g.clear();\n}\n";
+        let write = "fn f(&self) {\n    let mut g = self.index.write();\n    self.env.charge_enclave_op(1, 5);\n    g.clear();\n}\n";
         let fa = check(MEMTABLE, write);
         assert_eq!(fa.violations.len(), 1, "{:?}", fa.violations);
         assert_eq!(
             fa.violations[0].lock.as_deref(),
-            Some("store.memtable_shard")
+            Some("store.memtable_index")
         );
     }
 
@@ -1170,7 +1192,10 @@ mod tests {
         let src = "fn f(&self, k: u64) {\n    if let Some(t) = self.active_part.lock().remove(&k) {\n        runtime::sleep(5);\n    }\n}\n";
         let fa = check(NODE, src);
         assert_eq!(fa.violations.len(), 1, "{:?}", fa.violations);
-        assert_eq!(fa.violations[0].lock.as_deref(), Some("core.node.active_part"));
+        assert_eq!(
+            fa.violations[0].lock.as_deref(),
+            Some("core.node.active_part")
+        );
         assert_eq!(fa.violations[0].line, 3);
 
         // ... and it carries across `else`.
@@ -1245,10 +1270,26 @@ mod tests {
     /// Synthetic registry for the cycle fixture: classes outside
     /// LOCK_CLASSES resolve as plain, unordered locks.
     const CYCLE_REGISTRY: &[LockSpec] = &[
-        LockSpec { file: "fixture/cycle_a.rs", receiver: "alpha", class: "t.alpha" },
-        LockSpec { file: "fixture/cycle_a.rs", receiver: "beta", class: "t.beta" },
-        LockSpec { file: "fixture/cycle_b.rs", receiver: "alpha", class: "t.alpha" },
-        LockSpec { file: "fixture/cycle_b.rs", receiver: "beta", class: "t.beta" },
+        LockSpec {
+            file: "fixture/cycle_a.rs",
+            receiver: "alpha",
+            class: "t.alpha",
+        },
+        LockSpec {
+            file: "fixture/cycle_a.rs",
+            receiver: "beta",
+            class: "t.beta",
+        },
+        LockSpec {
+            file: "fixture/cycle_b.rs",
+            receiver: "alpha",
+            class: "t.alpha",
+        },
+        LockSpec {
+            file: "fixture/cycle_b.rs",
+            receiver: "beta",
+            class: "t.beta",
+        },
     ];
 
     /// The two on-disk fixture files: A takes alpha→beta, B takes
@@ -1269,8 +1310,16 @@ mod tests {
         assert!(v[0].detail.contains("`t.beta`"), "{}", v[0].detail);
         // Each edge of the cycle is printed with its file:line witness:
         // the inner acquisition in each fixture file.
-        assert!(v[0].detail.contains("fixture/cycle_a.rs:12"), "{}", v[0].detail);
-        assert!(v[0].detail.contains("fixture/cycle_b.rs:7"), "{}", v[0].detail);
+        assert!(
+            v[0].detail.contains("fixture/cycle_a.rs:12"),
+            "{}",
+            v[0].detail
+        );
+        assert!(
+            v[0].detail.contains("fixture/cycle_b.rs:7"),
+            "{}",
+            v[0].detail
+        );
 
         // Disabled: the canary goes dark.
         assert!(lint_concurrency_with(&files, CYCLE_REGISTRY, &["L007"]).is_empty());

@@ -106,7 +106,8 @@ impl Category {
             Category::ClogDurability
         } else if phase.starts_with("net.") {
             Category::Network
-        } else if phase == "store.get" || phase.starts_with("core.snapshot_") {
+        } else if matches!(phase, "store.get" | "store.scan") || phase.starts_with("core.snapshot_")
+        {
             Category::StoreRead
         } else if phase.starts_with("store.") {
             Category::StoreWrite
@@ -946,6 +947,11 @@ mod tests {
             Category::of_phase("clog.stabilize"),
             Category::ClogDurability
         );
+        // Both store read entry points are reads; the rest of `store.` is
+        // the write path.
+        assert_eq!(Category::of_phase("store.get"), Category::StoreRead);
+        assert_eq!(Category::of_phase("store.scan"), Category::StoreRead);
+        assert_eq!(Category::of_phase("store.apply"), Category::StoreWrite);
         let mut tr = Tracer::new();
         let txn = 6;
         tr.ev(0, 9, 1, txn, EventKind::Enter, "client.commit", &[]);

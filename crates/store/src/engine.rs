@@ -27,7 +27,7 @@ use crate::env::Env;
 use crate::locks::{LockTable, TxId};
 use crate::log::{self, LogWriter};
 use crate::memtable::{MemCursor, MemTable, RangeTombstone, SeqNum, UserKey};
-use crate::sstable::{self, SsRecord, SsTable, TableCursor};
+use crate::sstable::{self, SsTable, TableCursor};
 use crate::txn::{GlobalTxId, Txn, TxnMode, TxnOptions, WriteOp};
 use crate::{Result, StoreError};
 
@@ -483,6 +483,11 @@ pub(crate) struct StoreInner {
     pub prepared: PreparedTable,
     /// The stable read timestamp served to lock-free snapshot readers.
     pub frontier: StableFrontier,
+    /// Snapshot reads below this seq are refused: a compaction keeps only
+    /// the newest version of each key, so an older snapshot could quietly
+    /// miss the version it should see. Raised to the newest seq a
+    /// compaction merged *before* its outputs are published.
+    snapshot_floor: AtomicU64,
     commit_lock: FiberMutex,
     commit_queue: Mutex<Vec<CommitReq>>,
     /// (manifest counter that must stabilize, path) — deferred deletions.
@@ -576,6 +581,7 @@ impl TreatyStore {
                 locks: LockTable::new(env.config.lock_shards, env.config.lock_timeout),
                 prepared: PreparedTable::new(PREPARED_STRIPES),
                 frontier: StableFrontier::new(0),
+                snapshot_floor: AtomicU64::new(0),
                 commit_lock: FiberMutex::new(),
                 commit_queue: Mutex::new(Vec::new()),
                 pending_gc: Mutex::new(Vec::new()),
@@ -727,7 +733,7 @@ impl TreatyStore {
             if let Some(s) = t.covering_tombstone_seq(key, snapshot) {
                 shadow = shadow.max(s);
             }
-            if let Some((s, v)) = t.get_with_seq_public(key, snapshot)? {
+            if let Some((s, v)) = t.get_with_seq(key, snapshot)? {
                 if best.as_ref().map(|(bs, _)| s > *bs).unwrap_or(true) {
                     best = Some((s, v));
                 }
@@ -747,7 +753,7 @@ impl TreatyStore {
                     if let Some(s) = t.covering_tombstone_seq(key, snapshot) {
                         shadow = shadow.max(s);
                     }
-                    if let Some((s, v)) = t.get_with_seq_public(key, snapshot)? {
+                    if let Some((s, v)) = t.get_with_seq(key, snapshot)? {
                         return Ok(if s >= shadow { v } else { None });
                     }
                     break;
@@ -833,20 +839,33 @@ impl TreatyStore {
     /// # Errors
     ///
     /// [`StoreError::SnapshotStale`] when `ts` runs ahead of this node's
-    /// stable timestamp (the caller refreshes and retries);
+    /// stable timestamp or has fallen below the snapshot floor (the caller
+    /// refreshes and retries);
     /// [`StoreError::SnapshotInDoubt`] when an undecided prepared
     /// transaction writes `key` (its commit may already be visible on
     /// another shard, so reading around it could tear a transaction);
     /// plus the usual integrity errors from storage verification.
     pub fn snapshot_get(&self, key: &[u8], ts: SeqNum) -> Result<Option<Vec<u8>>> {
-        let stable = self.inner.frontier.get();
-        if ts > stable {
-            return Err(StoreError::SnapshotStale { stable });
-        }
+        self.check_snapshot_ts(ts)?;
         if self.inner.prepared.overlaps(key) {
             return Err(StoreError::SnapshotInDoubt);
         }
-        self.get_visible(key, ts)
+        let value = self.get_visible(key, ts)?;
+        self.check_snapshot_ts(ts)?;
+        Ok(value)
+    }
+
+    /// Whether a snapshot at `ts` can be served: not ahead of the stable
+    /// frontier, not below the snapshot floor. Snapshot reads ask before
+    /// *and* after the read: the level list is pinned mid-read, a
+    /// compaction may publish in between, and it raises the floor before
+    /// it publishes — so the second check sees it.
+    fn check_snapshot_ts(&self, ts: SeqNum) -> Result<()> {
+        let stable = self.inner.frontier.get();
+        if ts > stable || ts < self.inner.snapshot_floor.load(Ordering::SeqCst) {
+            return Err(StoreError::SnapshotStale { stable });
+        }
+        Ok(())
     }
 
     /// Validates that a snapshot read of `key` at `ts` is still the latest
@@ -881,7 +900,7 @@ impl TreatyStore {
             return Ok(false);
         }
         let mut max_seq: SeqNum = 0;
-        self.merge_scan(
+        let tomb_seq = self.merge_scan(
             start,
             Some(end),
             SeqNum::MAX,
@@ -890,43 +909,10 @@ impl TreatyStore {
                 max_seq <= ts // the first newer version already decides
             },
         )?;
-        if max_seq > ts {
-            return Ok(false);
-        }
         // A range tombstone over a currently-empty part of the span is a
         // change too (it deleted what the snapshot saw) but surfaces no
-        // per-key shadow above — check the tombstones themselves.
-        Ok(self.max_span_tombstone_seq(start, end) <= ts)
-    }
-
-    /// The newest range-tombstone seq intersecting `[start, end)` across
-    /// every source (0 = none).
-    fn max_span_tombstone_seq(&self, start: &[u8], end: &[u8]) -> SeqNum {
-        let intersects =
-            |rt: &RangeTombstone| rt.end.as_slice() > start && rt.start.as_slice() < end;
-        let mut max_seq = 0;
-        let mem = self.inner.mem.read().clone();
-        for rt in mem.range_tombstones() {
-            if intersects(&rt) {
-                max_seq = max_seq.max(rt.seq);
-            }
-        }
-        for m in self.inner.frozen.read().iter() {
-            for rt in m.range_tombstones() {
-                if intersects(&rt) {
-                    max_seq = max_seq.max(rt.seq);
-                }
-            }
-        }
-        let levels = Arc::clone(&*self.inner.levels.read());
-        for t in levels.iter().flatten() {
-            for rt in &t.meta().range_tombstones {
-                if intersects(rt) {
-                    max_seq = max_seq.max(rt.seq);
-                }
-            }
-        }
-        max_seq
+        // per-key shadow above — hence the merge's own tombstone seq.
+        Ok(max_seq.max(tomb_seq) <= ts)
     }
 
     // ---- authenticated range scans (merge iterator, §V-B) ------------------
@@ -972,7 +958,8 @@ impl TreatyStore {
     /// # Errors
     ///
     /// [`StoreError::SnapshotStale`] when `ts` runs ahead of the stable
-    /// frontier; [`StoreError::SnapshotInDoubt`] when an undecided prepare
+    /// frontier or has fallen below the snapshot floor;
+    /// [`StoreError::SnapshotInDoubt`] when an undecided prepare
     /// touches the span; plus integrity errors from verification.
     pub fn snapshot_scan(
         &self,
@@ -981,10 +968,7 @@ impl TreatyStore {
         ts: SeqNum,
         limit: usize,
     ) -> Result<Vec<(UserKey, Vec<u8>)>> {
-        let stable = self.inner.frontier.get();
-        if ts > stable {
-            return Err(StoreError::SnapshotStale { stable });
-        }
+        self.check_snapshot_ts(ts)?;
         if self.inner.prepared.overlaps_span(start, end) {
             return Err(StoreError::SnapshotInDoubt);
         }
@@ -992,6 +976,7 @@ impl TreatyStore {
         if self.inner.prepared.overlaps_span(start, end) {
             return Err(StoreError::SnapshotInDoubt);
         }
+        self.check_snapshot_ts(ts)?;
         Ok(out)
     }
 
@@ -1012,39 +997,19 @@ impl TreatyStore {
         Ok(found)
     }
 
-    /// Every key *present* in `[start, end)` — visible, point-deleted or
-    /// tombstone-shadowed alike. Pessimistic range deletes X-lock this set
-    /// (plus the gap bound) so concurrent writers of any version of a
-    /// covered key serialize against the delete.
-    ///
-    /// # Errors
-    ///
-    /// Integrity violations from block verification.
-    pub(crate) fn keys_in_range(&self, start: &[u8], end: &[u8]) -> Result<Vec<UserKey>> {
-        let mut keys = Vec::new();
-        self.merge_scan(
-            start,
-            Some(end),
-            SeqNum::MAX,
-            |key, _seq, _value, _shadow| {
-                keys.push(key);
-                true
-            },
-        )?;
-        Ok(keys)
-    }
-
     /// The store's apply epoch (see `StoreInner::apply_epoch`).
     pub(crate) fn apply_epoch(&self) -> u64 {
         self.inner.apply_epoch.load(Ordering::SeqCst)
     }
 
-    /// Everything a pessimistic scan of `[start, end)` needs, from one
-    /// merge pass: the visible rows (up to `limit`, `0` = unbounded), every
-    /// key *present* up to the last row returned, and the gap bound — the
-    /// first key present past them (past `end` when the span was not cut
-    /// short by `limit`), or the EOF sentinel when the store ends first.
-    /// S-locking `present` plus `bound` fences exactly what `rows` claims.
+    /// Everything a span fence over `[start, end)` needs, from one merge
+    /// pass: the visible rows (up to `limit`, `0` = unbounded), every key
+    /// *present* up to the last row returned — visible, point-deleted or
+    /// tombstone-shadowed alike — and the gap bound: the first key present
+    /// past them (past `end` when the span was not cut short by `limit`),
+    /// or the EOF sentinel when the store ends first. Locking `present`
+    /// plus `bound` fences exactly what `rows` claims (S for a scan, X for
+    /// a range delete).
     ///
     /// # Errors
     ///
@@ -1086,17 +1051,18 @@ impl TreatyStore {
         stabilize_traced(&wal, last)
     }
 
-    /// The k-way merge under scans: yields the newest version `<= snapshot`
-    /// of each key in `[start, end)` in key order, together with the
-    /// newest covering range-tombstone seq (0 = none), until `visit`
-    /// returns `false` or the span is exhausted.
+    /// The authenticated merge under every span read: pins the active
+    /// MemTable, the frozen backlog and the COW level snapshot, opens one
+    /// verified cursor per source overlapping `[start, end)` and runs
+    /// [`merge_newest`] over them with the range tombstones in the span.
+    /// Returns the newest of those tombstones' seqs (0 = none).
     fn merge_scan<F>(
         &self,
         start: &[u8],
         end: Option<&[u8]>,
         snapshot: SeqNum,
         mut visit: F,
-    ) -> Result<()>
+    ) -> Result<SeqNum>
     where
         F: FnMut(UserKey, SeqNum, Option<Vec<u8>>, SeqNum) -> bool,
     {
@@ -1140,54 +1106,16 @@ impl TreatyStore {
                     .filter(|rt| in_span(rt))
                     .cloned(),
             );
-            sources.push(ScanSource::Table(t.range_cursor(start)?));
+            sources.push(ScanSource::Table(t.range_cursor(start, true)?));
         }
-
-        let mut heads: Vec<Option<(UserKey, SeqNum, Option<Vec<u8>>)>> =
-            Vec::with_capacity(sources.len());
-        for src in &mut sources {
-            heads.push(refill(src, end, snapshot)?);
-        }
-        let mut last_key: Option<UserKey> = None;
-        loop {
-            // Smallest key wins; seq desc breaks ties so the first record
-            // of each key is its newest visible version.
-            let mut best: Option<usize> = None;
-            for (i, h) in heads.iter().enumerate() {
-                let Some((k, s, _)) = h else { continue };
-                let better = match best {
-                    None => true,
-                    Some(j) => {
-                        let (bk, bs, _) = heads[j].as_ref().expect("best head present");
-                        match k.cmp(bk) {
-                            std::cmp::Ordering::Less => true,
-                            std::cmp::Ordering::Greater => false,
-                            std::cmp::Ordering::Equal => s > bs,
-                        }
-                    }
-                };
-                if better {
-                    best = Some(i);
-                }
-            }
-            let Some(i) = best else { break };
-            let (key, seq, value) = heads[i].take().expect("selected head present");
-            heads[i] = refill(&mut sources[i], end, snapshot)?;
-            if last_key.as_ref() == Some(&key) {
-                continue; // older version of a key already decided
-            }
-            let shadow = tombs
-                .iter()
-                .filter(|rt| rt.covers(&key))
-                .map(|rt| rt.seq)
-                .max()
-                .unwrap_or(0);
-            last_key = Some(key.clone());
-            if !visit(key, seq, value, shadow) {
-                return Ok(());
-            }
-        }
-        Ok(())
+        merge_newest(
+            &mut sources,
+            &tombs,
+            end,
+            snapshot,
+            |key, seq, value, shadow| Ok(visit(key, seq, value, shadow)),
+        )?;
+        Ok(tombs.iter().map(|rt| rt.seq).max().unwrap_or(0))
     }
 
     // ---- commit path (group commit, §VII-B) --------------------------------
@@ -1323,6 +1251,7 @@ impl TreatyStore {
         writes: &[WriteOp],
         ranges: &[(UserKey, UserKey)],
     ) -> Result<()> {
+        let _span = treaty_sim::obs::span("store.apply");
         let guard = self.inner.commit_lock.lock();
         let mem = self.inner.mem.read().clone();
         for w in writes {
@@ -1344,6 +1273,7 @@ impl TreatyStore {
     /// (2PC prepare / decide records). Returns the record counter and the
     /// WAL generation it landed in (for stabilization).
     pub(crate) fn wal_append(&self, rec: &WalRecord) -> Result<(u64, Arc<LogWriter>)> {
+        let _span = treaty_sim::obs::span("store.wal_append");
         let bytes = serde_json::to_vec(rec).expect("wal record serializes");
         let wal = self.inner.wal.read().clone();
         let counter = wal.append(&bytes)?;
@@ -1734,20 +1664,21 @@ impl TreatyStore {
 
         // Merge: newest-first precedence is upper level tables in order,
         // then lower level. Every input is already sorted (user key asc,
-        // seq desc), so a k-way streaming merge over per-block cursors
-        // needs no materialized map, no per-record key clone and no output
-        // sort — the footprint is one block per input, not the level.
+        // seq desc), so the shared k-way merge streams them through the
+        // same verified cursors a scan uses — fence continuity included;
+        // inputs come back from untrusted storage too — with no
+        // materialized map and no output sort: the footprint is one block
+        // per input, not the level. The cursors bypass the block cache.
         let bottom = level + 1 >= 5;
-        let mut cursors: Vec<CompactCursor> = Vec::new();
-        for t in inputs_upper.iter().chain(inputs_lower.iter()) {
-            cursors.push(CompactCursor::new(Arc::clone(t))?);
+        let inputs = || inputs_upper.iter().chain(inputs_lower.iter());
+        let mut sources = Vec::new();
+        for t in inputs() {
+            sources.push(ScanSource::Table(t.range_cursor(b"", false)?));
         }
         // Range tombstones from every input ride the outputs (partitioned
         // below) until the bottom level, where they — and the versions
         // they shadow — are garbage-collected for good.
-        let mut tombs: Vec<RangeTombstone> = inputs_upper
-            .iter()
-            .chain(inputs_lower.iter())
+        let mut tombs: Vec<RangeTombstone> = inputs()
             .flat_map(|t| t.meta().range_tombstones.clone())
             .collect();
         tombs.sort_by(|a, b| (&a.start, &a.end, a.seq).cmp(&(&b.start, &b.end, b.seq)));
@@ -1766,61 +1697,35 @@ impl TreatyStore {
         // the first output also owns everything left of its first key).
         let mut chunk_lo: Option<UserKey> = None;
         let mut parked: Option<(Vec<(UserKey, SeqNum, Option<Vec<u8>>)>, Option<UserKey>)> = None;
-        let mut boundary_pending = false;
         let target = self.inner.env.config.sstable_bytes;
         let live_tombs: Vec<RangeTombstone> = if bottom { Vec::new() } else { tombs.clone() };
-        loop {
-            // Smallest key across the cursor heads.
-            let mut key: Option<UserKey> = None;
-            for c in &cursors {
-                if let Some(r) = c.head() {
-                    if key.as_ref().map(|k| r.key < *k).unwrap_or(true) {
-                        key = Some(r.key.clone());
-                    }
-                }
-            }
-            let Some(key) = key else { break };
-            if boundary_pending {
-                // This key opens a new partition; the parked chunk's span
-                // ends right before it.
+        // The merge keeps the newest version of each key; the earliest
+        // cursor — the newer level — wins seq ties.
+        merge_newest(
+            &mut sources,
+            &tombs,
+            None,
+            SeqNum::MAX,
+            |key, seq, value, shadow| {
                 if let Some((entries, lo)) = parked.take() {
+                    // This key opens a new partition; the parked chunk's span
+                    // ends right before it.
                     let frag = tomb_fragments(&live_tombs, lo.as_deref(), Some(&key));
                     outputs.push(self.write_table(&entries, &frag)?);
+                    chunk_lo = Some(key.clone());
                 }
-                chunk_lo = Some(key.clone());
-                boundary_pending = false;
-            }
-            // Consume every version of `key`, keeping the newest. Strict
-            // `>` so the earliest cursor — the newer level — wins seq ties.
-            let mut best: Option<(SeqNum, Option<Vec<u8>>)> = None;
-            for c in &mut cursors {
-                while c.head().map(|r| r.key == key).unwrap_or(false) {
-                    let r = c.take()?;
-                    if best.as_ref().map(|(s, _)| r.seq > *s).unwrap_or(true) {
-                        best = Some((r.seq, r.value));
-                    }
+                if bottom && (value.is_none() || shadow > seq) {
+                    return Ok(true); // (range-)deleted at the bottom level: drop it
                 }
-            }
-            let (seq, value) = best.expect("some cursor headed this key");
-            if bottom {
-                let shadow = tombs
-                    .iter()
-                    .filter(|rt| rt.covers(&key))
-                    .map(|rt| rt.seq)
-                    .max()
-                    .unwrap_or(0);
-                if value.is_none() || shadow > seq {
-                    continue; // (range-)deleted at the bottom level: drop it
+                chunk_bytes += key.len() + value.as_ref().map(|v| v.len()).unwrap_or(0) + 17;
+                chunk.push((key, seq, value));
+                if chunk_bytes >= target {
+                    parked = Some((std::mem::take(&mut chunk), chunk_lo.take()));
+                    chunk_bytes = 0;
                 }
-            }
-            chunk_bytes += key.len() + value.as_ref().map(|v| v.len()).unwrap_or(0) + 17;
-            chunk.push((key, seq, value));
-            if chunk_bytes >= target {
-                parked = Some((std::mem::take(&mut chunk), chunk_lo.take()));
-                chunk_bytes = 0;
-                boundary_pending = true;
-            }
-        }
+                Ok(true)
+            },
+        )?;
         if let Some((entries, lo)) = parked.take() {
             // The merge ended with a chunk parked: it is the last output
             // unless the open chunk reopened after it.
@@ -1845,7 +1750,7 @@ impl TreatyStore {
                 file_id: t.meta().file_id,
             })?;
         }
-        for t in inputs_upper.iter().chain(inputs_lower.iter()) {
+        for t in inputs() {
             last_counter = self.manifest_append(&ManifestEdit::RemoveTable {
                 level: if inputs_upper.iter().any(|u| Arc::ptr_eq(u, t)) {
                     level
@@ -1855,6 +1760,12 @@ impl TreatyStore {
                 file_id: t.meta().file_id,
             })?;
         }
+        // Older versions of the merged keys are gone once the outputs are
+        // visible: raise the snapshot floor first (see `check_snapshot_ts`).
+        let merged_seq = inputs().map(|t| t.meta().max_seq).max().unwrap_or(0);
+        self.inner
+            .snapshot_floor
+            .fetch_max(merged_seq, Ordering::SeqCst);
         {
             let mut levels = self.inner.levels.write();
             let mut next = (**levels).clone();
@@ -1866,7 +1777,7 @@ impl TreatyStore {
         }
         {
             let mut gc = self.inner.pending_gc.lock();
-            for t in inputs_upper.iter().chain(inputs_lower.iter()) {
+            for t in inputs() {
                 t.release();
                 // Retired tables' blocks must stop occupying the trusted
                 // cache (and its EPC budget) immediately.
@@ -2121,6 +2032,9 @@ impl TreatyStore {
             // Everything recovered was replayed from verified-fresh logs:
             // the whole recovered history is stable.
             frontier: StableFrontier::new(max_seq),
+            // Tables on disk may already have been compacted: nothing
+            // below the recovered history is served.
+            snapshot_floor: AtomicU64::new(max_seq),
             commit_lock: FiberMutex::new(),
             commit_queue: Mutex::new(Vec::new()),
             pending_gc: Mutex::new(Vec::new()),
@@ -2178,8 +2092,8 @@ fn tomb_fragments(
     out
 }
 
-/// One input of the authenticated merge scan: a MemTable shard-merge
-/// cursor or a verified SSTable block cursor, unified behind one `next`.
+/// One input of the authenticated merge: a MemTable cursor or a verified
+/// SSTable block cursor, unified behind one `next`.
 enum ScanSource<'a> {
     Mem(MemCursor<'a>),
     Table(TableCursor),
@@ -2214,57 +2128,63 @@ fn refill(
     Ok(None)
 }
 
-/// A streaming scan over one compaction input: holds one decoded block of
-/// records at a time instead of materializing the whole table.
-struct CompactCursor {
-    table: Arc<SsTable>,
-    next_block: usize,
-    records: std::vec::IntoIter<SsRecord>,
-    head: Option<SsRecord>,
-}
-
-impl CompactCursor {
-    fn new(table: Arc<SsTable>) -> Result<Self> {
-        let mut c = CompactCursor {
-            table,
-            next_block: 0,
-            records: Vec::new().into_iter(),
-            head: None,
-        };
-        c.advance()?;
-        Ok(c)
+/// The store's one k-way merge, under scans and compaction alike: yields
+/// the newest version `<= snapshot` of each key below `end` across
+/// `sources` in key order, together with the newest seq among the `tombs`
+/// covering it (0 = none), until `visit` returns `Ok(false)` or every
+/// source is exhausted.
+fn merge_newest<F>(
+    sources: &mut [ScanSource<'_>],
+    tombs: &[RangeTombstone],
+    end: Option<&[u8]>,
+    snapshot: SeqNum,
+    mut visit: F,
+) -> Result<()>
+where
+    F: FnMut(UserKey, SeqNum, Option<Vec<u8>>, SeqNum) -> Result<bool>,
+{
+    let mut heads: Vec<Option<(UserKey, SeqNum, Option<Vec<u8>>)>> =
+        Vec::with_capacity(sources.len());
+    for src in sources.iter_mut() {
+        heads.push(refill(src, end, snapshot)?);
     }
-
-    /// The next record, in (user key asc, seq desc) order; `None` when the
-    /// table is exhausted.
-    fn head(&self) -> Option<&SsRecord> {
-        self.head.as_ref()
-    }
-
-    /// Takes the head record and advances past it.
-    fn take(&mut self) -> Result<SsRecord> {
-        let out = self.head.take().expect("take() on an exhausted cursor");
-        self.advance()?;
-        Ok(out)
-    }
-
-    fn advance(&mut self) -> Result<()> {
-        loop {
-            if let Some(r) = self.records.next() {
-                self.head = Some(r);
-                return Ok(());
+    let mut last_key: Option<UserKey> = None;
+    loop {
+        // Smallest key wins; seq desc breaks ties so the first record
+        // of each key is its newest visible version.
+        let mut best: Option<usize> = None;
+        for (i, h) in heads.iter().enumerate() {
+            let Some((k, s, _)) = h else { continue };
+            let better = match best {
+                None => true,
+                Some(j) => {
+                    let (bk, bs, _) = heads[j].as_ref().expect("best head present");
+                    match k.cmp(bk) {
+                        std::cmp::Ordering::Less => true,
+                        std::cmp::Ordering::Greater => false,
+                        std::cmp::Ordering::Equal => s > bs,
+                    }
+                }
+            };
+            if better {
+                best = Some(i);
             }
-            if self.next_block >= self.table.block_count() {
-                self.head = None;
-                return Ok(());
-            }
-            let block = self.table.scan_block(self.next_block)?;
-            self.next_block += 1;
-            // The uncached read hands us a fresh Arc: unwrap in place
-            // rather than copying the records out.
-            self.records = Arc::try_unwrap(block)
-                .unwrap_or_else(|a| (*a).clone())
-                .into_iter();
+        }
+        let Some(i) = best else { return Ok(()) };
+        let (key, seq, value) = heads[i].take().expect("selected head present");
+        heads[i] = refill(&mut sources[i], end, snapshot)?;
+        if last_key.as_ref() == Some(&key) {
+            continue; // older version of a key already decided
+        }
+        let shadow = tombs
+            .iter()
+            .filter(|rt| rt.covers(&key))
+            .map(|rt| rt.seq)
+            .max()
+            .unwrap_or(0);
+        last_key = Some(key.clone());
+        if !visit(key, seq, value, shadow)? {
+            return Ok(());
         }
     }
 }
@@ -2407,23 +2327,5 @@ mod frontier_tests {
         t.finish_decide(&gtx);
         assert!(!t.overlaps(b"k"));
         assert!(t.begin_decide(&gtx).is_none());
-    }
-}
-
-// A small shim so the engine can ask an SSTable for (seq, value) on the L0
-// path without exposing internals publicly.
-impl SsTable {
-    pub(crate) fn get_with_seq_public(
-        &self,
-        key: &[u8],
-        snapshot: SeqNum,
-    ) -> Result<Option<(SeqNum, Option<Vec<u8>>)>> {
-        let mut best: Option<(SeqNum, Option<Vec<u8>>)> = None;
-        self.probe_key(key, |r| {
-            if r.seq <= snapshot && best.as_ref().map(|(s, _)| r.seq > *s).unwrap_or(true) {
-                best = Some((r.seq, r.value.clone()));
-            }
-        })?;
-        Ok(best)
     }
 }

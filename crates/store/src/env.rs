@@ -17,8 +17,6 @@ use crate::cache::{BlockCache, ReadAccelStats};
 pub struct EngineConfig {
     /// MemTable flush threshold in bytes (values + keys).
     pub memtable_bytes: usize,
-    /// Number of MemTable shards (parallel-update skip lists).
-    pub memtable_shards: usize,
     /// Number of lock-table shards (the paper runs "a big number of
     /// shards" to avoid lock bottlenecks).
     pub lock_shards: usize,
@@ -60,7 +58,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             memtable_bytes: 4 << 20,
-            memtable_shards: 16,
             lock_shards: 1024,
             lock_timeout: 10 * treaty_sim::MILLIS,
             block_bytes: 4096,
@@ -84,7 +81,6 @@ impl EngineConfig {
     pub fn tiny() -> Self {
         EngineConfig {
             memtable_bytes: 16 << 10,
-            memtable_shards: 4,
             lock_shards: 64,
             block_bytes: 1024,
             sstable_bytes: 16 << 10,

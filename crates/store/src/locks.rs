@@ -148,7 +148,7 @@ impl LockTable {
         (stripe_hash(key) % self.shards.len() as u64) as usize
     }
 
-    fn shard_of(&self, key: &[u8]) -> &Shard {
+    fn shard_for(&self, key: &[u8]) -> &Shard {
         &self.shards[self.shard_idx(key)]
     }
 
@@ -164,7 +164,7 @@ impl LockTable {
         // Every lock-table entry point counts: the snapshot-read tests
         // assert read-only transactions leave this at zero.
         treaty_sim::obs::counter_add("store.lock_acquire", 1);
-        let shard = self.shard_of(key);
+        let shard = self.shard_for(key);
         // Fast path.
         if shard
             .locks
@@ -207,7 +207,7 @@ impl LockTable {
     /// Returns [`StoreError::LockTimeout`] immediately when contended.
     pub fn try_lock(&self, tx: TxId, key: &[u8], mode: LockMode) -> Result<()> {
         treaty_sim::obs::counter_add("store.lock_acquire", 1);
-        let shard = self.shard_of(key);
+        let shard = self.shard_for(key);
         if shard
             .locks
             .lock()

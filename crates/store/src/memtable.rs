@@ -6,8 +6,10 @@
 //! This keeps the EPC footprint proportional to key count, not data size —
 //! the central trick that lets an LSM engine live in a 94 MiB enclave.
 //!
-//! Parallel updates are supported by sharding the key space over
-//! independent skip lists (§VII-B).
+//! One skip list holds every version in `(user key asc, seq desc)` order,
+//! so point reads, range cursors and the flush all walk the same index.
+//! The fiber runtime runs one fiber at a time (§VII-C), so a second list
+//! would buy no parallelism — only a merge under every ordered read.
 
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
@@ -93,7 +95,8 @@ const ENTRY_OVERHEAD: usize = 48;
 /// A sorted in-memory write buffer.
 pub struct MemTable {
     env: Arc<Env>,
-    shards: Vec<RwLock<SkipList<MemKey, ValueEntry>>>,
+    /// The one ordered index: `(user key asc, seq desc)`.
+    index: RwLock<SkipList<MemKey, ValueEntry>>,
     /// Range tombstones buffered in this MemTable, in arrival order.
     /// Always few (one entry per `delete_range` call, not per key), so a
     /// linear scan per read is cheap; they ride the flush into the
@@ -122,24 +125,16 @@ impl std::fmt::Debug for MemTable {
 impl MemTable {
     /// Creates an empty MemTable.
     pub fn new(env: Arc<Env>) -> Self {
-        let shards = (0..env.config.memtable_shards.max(1))
-            .map(|_| RwLock::new(SkipList::new()))
-            .collect();
         MemTable {
             value_key: env.keys.storage.derive("memtable-values"),
             env,
-            shards,
+            index: RwLock::new(SkipList::new()),
             range_tombstones: RwLock::new(Vec::new()),
             bytes: AtomicUsize::new(0),
             entries: AtomicUsize::new(0),
             nonce_seq: AtomicU64::new(0),
             released: AtomicBool::new(false),
         }
-    }
-
-    fn shard_of(&self, key: &[u8]) -> usize {
-        let h = hash::sha256(key);
-        (u64::from_le_bytes(h.0[..8].try_into().unwrap()) % self.shards.len() as u64) as usize
     }
 
     fn next_nonce(&self) -> [u8; 12] {
@@ -183,8 +178,7 @@ impl MemTable {
             .fetch_add(key.len() + ENTRY_OVERHEAD + value.len(), Ordering::Relaxed);
         self.entries.fetch_add(1, Ordering::Relaxed);
 
-        let shard = self.shard_of(key);
-        self.shards[shard].write().insert(
+        self.index.write().insert(
             MemKey::new(key.to_vec(), seq),
             ValueEntry::Put {
                 handle,
@@ -204,8 +198,7 @@ impl MemTable {
         self.bytes
             .fetch_add(key.len() + ENTRY_OVERHEAD, Ordering::Relaxed);
         self.entries.fetch_add(1, Ordering::Relaxed);
-        let shard = self.shard_of(key);
-        self.shards[shard]
+        self.index
             .write()
             .insert(MemKey::new(key.to_vec(), seq), ValueEntry::Delete);
     }
@@ -258,8 +251,7 @@ impl MemTable {
     pub fn get(&self, key: &[u8], snapshot: SeqNum) -> Result<Option<Option<Vec<u8>>>> {
         self.env
             .charge_enclave_op(key.len() + ENTRY_OVERHEAD, self.env.costs.memtable_op_ns);
-        let shard = self.shard_of(key);
-        let guard = self.shards[shard].read();
+        let guard = self.index.read();
         let probe = MemKey::new(key.to_vec(), snapshot);
         let point = match guard.range_from(&probe).next() {
             Some((k, v)) if k.user == key => Some((k.seq(), v.clone())),
@@ -317,8 +309,7 @@ impl MemTable {
     /// Newest sequence number of `key` in this MemTable, if any (used by
     /// optimistic validation).
     pub fn latest_seq_of(&self, key: &[u8]) -> Option<SeqNum> {
-        let shard = self.shard_of(key);
-        let guard = self.shards[shard].read();
+        let guard = self.index.read();
         let probe = MemKey::new(key.to_vec(), SeqNum::MAX);
         match guard.range_from(&probe).next() {
             Some((k, _)) if k.user == key => Some(k.seq()),
@@ -342,59 +333,36 @@ impl MemTable {
         self.len() == 0 && self.range_tombstones.read().is_empty()
     }
 
-    /// Opens a merging cursor over `[start, end)` (`end = None` scans to
-    /// the end of the key space): per-shard skip-list
-    /// range cursors k-way-merged into global `(user key asc, seq desc)`
-    /// order. Only the enclave-resident `(key, seq, handle)` entries are
+    /// Opens a cursor over `[start, end)` (`end = None` scans to the end of
+    /// the key space) in `(user key asc, seq desc)` order: one skip-list
+    /// seek. Only the enclave-resident `(key, seq, handle)` entries are
     /// snapshotted up front; values stay in host memory until the cursor
     /// yields them, so a scan never materializes more than one value at a
     /// time in enclave memory.
     pub fn range_cursor(&self, start: &[u8], end: Option<&[u8]>) -> MemCursor<'_> {
         let probe = MemKey::new(start.to_vec(), SeqNum::MAX);
-        let mut lists = Vec::with_capacity(self.shards.len());
-        for shard in &self.shards {
-            // Collect under the guard, charge after it drops: the charge
-            // yields, and a parked reader would wedge `put`'s shard write.
-            let list: Vec<(MemKey, ValueEntry)> = {
-                let guard = shard.read();
-                guard
-                    .range_from(&probe)
-                    .take_while(|(k, _)| end.map(|e| k.user.as_slice() < e).unwrap_or(true))
-                    .map(|(k, v)| (k.clone(), v.clone()))
-                    .collect()
-            };
-            self.env.charge_enclave_op(
-                list.len() * ENTRY_OVERHEAD + ENTRY_OVERHEAD,
-                self.env.costs.memtable_op_ns,
-            );
-            if !list.is_empty() {
-                lists.push(list);
-            }
-        }
+        // Collect under the guard, charge after it drops: the charge
+        // yields, and a parked reader would wedge `put`'s index write.
+        let entries: Vec<(MemKey, ValueEntry)> = {
+            let guard = self.index.read();
+            guard
+                .range_from(&probe)
+                .take_while(|(k, _)| end.map(|e| k.user.as_slice() < e).unwrap_or(true))
+                .map(|(k, v)| (k.clone(), v.clone()))
+                .collect()
+        };
+        self.env.charge_enclave_op(
+            entries.len() * ENTRY_OVERHEAD + ENTRY_OVERHEAD,
+            self.env.costs.memtable_op_ns,
+        );
         MemCursor {
             mt: self,
-            pos: vec![0; lists.len()],
-            lists,
+            entries: entries.into_iter(),
         }
     }
 
-    /// Drains every entry in globally sorted order (user key asc, seq
-    /// desc), decrypting values and releasing host/enclave memory —
-    /// [`MemTable::freeze_entries`] followed by
-    /// [`MemTable::release_flushed`], for single-owner callers.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::Integrity`] if any host-resident value was
-    /// tampered with.
-    pub fn drain_for_flush(&self) -> Result<Vec<(UserKey, SeqNum, Option<Vec<u8>>)>> {
-        let out = self.freeze_entries()?;
-        self.release_flushed();
-        Ok(out)
-    }
-
-    /// Collects every entry in globally sorted order (user key asc, seq
-    /// desc) *without* releasing the underlying buffers: the frozen
+    /// Collects every entry in index order (user key asc, seq desc)
+    /// *without* releasing the underlying buffers: the frozen
     /// MemTable stays fully readable while its SSTable is built on the
     /// maintenance fiber. Call [`MemTable::release_flushed`] once the
     /// table is published.
@@ -404,15 +372,10 @@ impl MemTable {
     /// Returns [`StoreError::Integrity`] if any host-resident value was
     /// tampered with.
     pub fn freeze_entries(&self) -> Result<Vec<(UserKey, SeqNum, Option<Vec<u8>>)>> {
-        let mut all = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            let guard = shard.read();
-            for (k, v) in guard.iter() {
-                all.push((k.clone(), v.clone()));
-            }
-        }
-        all.sort_by(|a, b| a.0.cmp(&b.0));
-
+        let all: Vec<(MemKey, ValueEntry)> = {
+            let guard = self.index.read();
+            guard.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
+        };
         let mut out = Vec::with_capacity(all.len());
         for (k, v) in all {
             match v {
@@ -461,22 +424,20 @@ impl MemTable {
             let freed = rt.start.len() + rt.end.len() + ENTRY_OVERHEAD;
             self.env.enclave.free_trusted(freed as u64);
         }
-        for shard in &self.shards {
-            let guard = shard.read();
-            for (k, v) in guard.iter() {
-                let freed = k.user.len() + ENTRY_OVERHEAD;
-                self.env.enclave.free_trusted(freed as u64);
-                if let ValueEntry::Put {
-                    handle,
-                    hash: digest,
-                    ..
-                } = v
-                {
-                    let _ = self.env.vault.free(*handle);
-                    if !self.env.profile.encryption && self.env.profile.authentication {
-                        // Release the integrity pin taken at put time.
-                        self.env.enclave.unpin_integrity(digest);
-                    }
+        let guard = self.index.read();
+        for (k, v) in guard.iter() {
+            let freed = k.user.len() + ENTRY_OVERHEAD;
+            self.env.enclave.free_trusted(freed as u64);
+            if let ValueEntry::Put {
+                handle,
+                hash: digest,
+                ..
+            } = v
+            {
+                let _ = self.env.vault.free(*handle);
+                if !self.env.profile.encryption && self.env.profile.authentication {
+                    // Release the integrity pin taken at put time.
+                    self.env.enclave.unpin_integrity(digest);
                 }
             }
         }
@@ -491,53 +452,37 @@ impl Drop for MemTable {
     }
 }
 
-/// A k-way-merging range cursor over a MemTable's shards
-/// ([`MemTable::range_cursor`]). Each shard's in-range entries are
-/// snapshotted (keys/handles only) at open; `next` merges them into
-/// global `(user key asc, seq desc)` order and resolves one value at a
+/// A range cursor over a MemTable ([`MemTable::range_cursor`]). The
+/// in-range entries are snapshotted (keys/handles only) at open, already
+/// in `(user key asc, seq desc)` order; `next` resolves one value at a
 /// time from host memory.
 pub struct MemCursor<'a> {
     mt: &'a MemTable,
-    lists: Vec<Vec<(MemKey, ValueEntry)>>,
-    pos: Vec<usize>,
+    entries: std::vec::IntoIter<(MemKey, ValueEntry)>,
 }
 
 impl std::fmt::Debug for MemCursor<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MemCursor")
-            .field("lists", &self.lists.len())
+            .field("remaining", &self.entries.len())
             .finish_non_exhaustive()
     }
 }
 
 impl MemCursor<'_> {
-    /// The next entry in merged order, or `None` when exhausted.
+    /// The next entry in index order, or `None` when exhausted.
     ///
     /// # Errors
     ///
     /// [`StoreError::Integrity`] if the entry's host-resident value was
     /// tampered with.
     pub fn next(&mut self) -> Result<Option<(UserKey, SeqNum, Option<Vec<u8>>)>> {
-        // Shards hash-partition the key space, so per-key version runs
-        // never straddle lists: picking the smallest head key is a total
-        // order. A handful of shards makes the linear min scan cheap.
-        let mut best: Option<usize> = None;
-        for (i, list) in self.lists.iter().enumerate() {
-            let Some((k, _)) = list.get(self.pos[i]) else {
-                continue;
-            };
-            match best {
-                Some(b) if self.lists[b][self.pos[b]].0 <= *k => {}
-                _ => best = Some(i),
-            }
-        }
-        let Some(i) = best else {
+        let Some((k, v)) = self.entries.next() else {
             return Ok(None);
         };
-        let (k, v) = &self.lists[i][self.pos[i]];
-        self.pos[i] += 1;
-        let value = self.mt.resolve_value(&k.user, v)?;
-        Ok(Some((k.user.clone(), k.seq(), value)))
+        let value = self.mt.resolve_value(&k.user, &v)?;
+        let seq = k.seq();
+        Ok(Some((k.user, seq, value)))
     }
 }
 
@@ -650,14 +595,15 @@ mod tests {
     }
 
     #[test]
-    fn drain_for_flush_sorted_and_frees_memory() {
+    fn freeze_is_sorted_and_release_frees_memory() {
         let (_d, env, mt) = memtable(SecurityProfile::treaty_full());
         mt.put(b"b", 2, b"vb");
         mt.put(b"a", 1, b"va");
         mt.delete(b"c", 3);
         let before = env.vault.live_buffers();
         assert_eq!(before, 2);
-        let entries = mt.drain_for_flush().unwrap();
+        let entries = mt.freeze_entries().unwrap();
+        mt.release_flushed();
         assert_eq!(entries.len(), 3);
         assert_eq!(entries[0].0, b"a");
         assert_eq!(entries[0].2, Some(b"va".to_vec()));
@@ -705,7 +651,7 @@ mod tests {
         let (_d, _e, mt) = memtable(SecurityProfile::treaty_full());
         mt.put(b"k", 1, b"v1");
         mt.put(b"k", 2, b"v2");
-        let entries = mt.drain_for_flush().unwrap();
+        let entries = mt.freeze_entries().unwrap();
         assert_eq!(entries.len(), 2);
         assert_eq!(entries[0].1, 2, "newest version first");
         assert_eq!(entries[1].1, 1);
@@ -766,9 +712,9 @@ mod tests {
     }
 
     #[test]
-    fn range_cursor_merges_shards_in_global_order() {
+    fn range_cursor_yields_global_order() {
         let (_d, _e, mt) = memtable(SecurityProfile::treaty_full());
-        // Enough keys to hit all 4 shards; interleaved versions.
+        // Interleaved versions of twenty keys.
         for i in 0..40u64 {
             let key = format!("k{:03}", i % 20).into_bytes();
             mt.put(&key, i + 1, format!("v{i}").as_bytes());
@@ -788,7 +734,9 @@ mod tests {
             assert!(ordered, "cursor must yield (key asc, seq desc)");
         }
         // The tombstone rides the cursor as a None value.
-        assert!(got.iter().any(|e| e.0 == b"k005" && e.1 == 100 && e.2.is_none()));
+        assert!(got
+            .iter()
+            .any(|e| e.0 == b"k005" && e.1 == 100 && e.2.is_none()));
         // Exactly the in-range versions: keys k003..k014, two each, plus
         // the delete.
         assert_eq!(got.len(), 12 * 2 + 1);
@@ -803,16 +751,14 @@ mod tests {
         assert_eq!(env.enclave.resident_bytes(), 0);
     }
 
-    // Satellite: freeze_entries global sortedness under randomized
-    // interleaved writers. Multiple OS threads hammer the sharded skip
-    // lists with seeded-random keys/versions; the frozen output must be
-    // globally (user key asc, seq desc) regardless of interleaving, since
-    // shard cursors and the flush path both rely on that order.
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
-        #[test]
-        fn freeze_entries_globally_sorted_under_interleaved_writers(seed in 0u64..1000) {
-            use rand::{Rng, SeedableRng};
+    // freeze_entries sortedness under randomized interleaved writers:
+    // OS threads hammer the one index with seeded-random keys/versions; the
+    // frozen output must be (user key asc, seq desc) regardless of
+    // interleaving, since range cursors and the flush path rely on it.
+    #[test]
+    fn freeze_entries_globally_sorted_under_interleaved_writers() {
+        use rand::{Rng, SeedableRng};
+        for seed in 0..16u64 {
             let dir = tempfile::tempdir().unwrap();
             let env = Env::for_testing(SecurityProfile::treaty_full(), dir.path());
             let mt = MemTable::new(Arc::clone(&env));
@@ -822,8 +768,7 @@ mod tests {
                     let mt = &mt;
                     let next_seq = &next_seq;
                     s.spawn(move || {
-                        let mut rng =
-                            rand_chacha::ChaCha8Rng::seed_from_u64(seed * 7 + t);
+                        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed * 7 + t);
                         for _ in 0..64 {
                             let key = format!("key-{:03}", rng.gen_range(0..50));
                             let seq = next_seq.fetch_add(1, Ordering::Relaxed);
@@ -837,13 +782,12 @@ mod tests {
                 }
             });
             let frozen = mt.freeze_entries().unwrap();
-            proptest::prop_assert_eq!(frozen.len(), 4 * 64);
+            assert_eq!(frozen.len(), 4 * 64);
             for w in frozen.windows(2) {
-                let ordered =
-                    w[0].0 < w[1].0 || (w[0].0 == w[1].0 && w[0].1 > w[1].1);
-                proptest::prop_assert!(
+                let ordered = w[0].0 < w[1].0 || (w[0].0 == w[1].0 && w[0].1 > w[1].1);
+                assert!(
                     ordered,
-                    "freeze_entries must be (user key asc, seq desc): {:?} then {:?}",
+                    "seed {seed}: freeze_entries must be (user key asc, seq desc): {:?} then {:?}",
                     (&w[0].0, w[0].1),
                     (&w[1].0, w[1].1)
                 );

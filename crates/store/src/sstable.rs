@@ -454,18 +454,6 @@ impl SsTable {
         self.disk_bytes
     }
 
-    /// Number of data blocks.
-    pub(crate) fn block_count(&self) -> usize {
-        self.meta.blocks.len()
-    }
-
-    /// Reads one verified block for a streaming scan (compaction input).
-    /// Bypasses the block cache: inputs are about to be retired, so
-    /// caching them would only evict hot entries.
-    pub(crate) fn scan_block(&self, block_no: usize) -> Result<Arc<Vec<SsRecord>>> {
-        self.read_block_uncached(block_no)
-    }
-
     /// True if `key` falls inside this table's key range.
     pub fn covers(&self, key: &[u8]) -> bool {
         self.meta.min_key.as_slice() <= key && key <= self.meta.max_key.as_slice()
@@ -615,6 +603,23 @@ impl SsTable {
         Ok(())
     }
 
+    /// The one point lookup: the newest version of `key` visible at
+    /// `snapshot` with its seq (`None` value = tombstone), which the
+    /// engine's descent weighs against range tombstones.
+    pub(crate) fn get_with_seq(
+        &self,
+        key: &[u8],
+        snapshot: SeqNum,
+    ) -> Result<Option<(SeqNum, Option<Vec<u8>>)>> {
+        let mut best: Option<(SeqNum, Option<Vec<u8>>)> = None;
+        self.probe_key(key, |r| {
+            if r.seq <= snapshot && best.as_ref().map(|(s, _)| r.seq > *s).unwrap_or(true) {
+                best = Some((r.seq, r.value.clone()));
+            }
+        })?;
+        Ok(best)
+    }
+
     /// Looks up the newest version of `key` visible at `snapshot`.
     /// `None` = this table holds no visible version; `Some(None)` =
     /// tombstone.
@@ -623,13 +628,7 @@ impl SsTable {
     ///
     /// Propagates integrity/IO failures from block reads.
     pub fn get(&self, key: &[u8], snapshot: SeqNum) -> Result<Option<Option<Vec<u8>>>> {
-        let mut best: Option<(SeqNum, Option<Vec<u8>>)> = None;
-        self.probe_key(key, |r| {
-            if r.seq <= snapshot && best.as_ref().map(|(s, _)| r.seq > *s).unwrap_or(true) {
-                best = Some((r.seq, r.value.clone()));
-            }
-        })?;
-        Ok(best.map(|(_, v)| v))
+        Ok(self.get_with_seq(key, snapshot)?.map(|(_, v)| v))
     }
 
     /// The newest sequence number for `key` in this table, if any.
@@ -649,15 +648,16 @@ impl SsTable {
 
     /// Opens an authenticated streaming cursor over `[start, ..)`, seeking
     /// via the sealed fence keys — no block before the first candidate is
-    /// read, and only one block is enclave-resident at a time (the old
-    /// `scan_all` materialized the whole table with no EPC charge; it is
-    /// retired in favour of this cursor).
+    /// read, and only one block is enclave-resident at a time. `cached`
+    /// routes block reads through the trusted block cache; compaction
+    /// passes `false` because its inputs are about to be retired and would
+    /// only evict hot entries.
     ///
     /// # Errors
     ///
     /// [`StoreError::Integrity`] when the fence-key index itself is
     /// inconsistent (overlapping or reordered fences).
-    pub fn range_cursor(self: &Arc<Self>, start: &[u8]) -> Result<TableCursor> {
+    pub fn range_cursor(self: &Arc<Self>, start: &[u8], cached: bool) -> Result<TableCursor> {
         // Fence monotonicity over the whole index, checked once up front:
         // adjacent blocks must not overlap beyond sharing a straddling
         // version run's key, and each block's own fences must be ordered.
@@ -686,6 +686,7 @@ impl SsTable {
             .partition_point(|b| b.last_key.as_slice() < start);
         Ok(TableCursor {
             table: Arc::clone(self),
+            cached,
             next_block: block,
             start: start.to_vec(),
             records: None,
@@ -704,17 +705,18 @@ impl SsTable {
 /// An authenticated streaming cursor over one SSTable ([`SsTable::range_cursor`]).
 ///
 /// Yields records in `(user key asc, seq desc)` order starting at the seek
-/// key, reading one verified block at a time through the trusted block
-/// cache. Every block is checked against the sealed fence keys as it is
-/// crossed: its first/last record must equal the footer's fences, its
-/// records must be sorted, and it must continue strictly after the
-/// previous block — so untrusted storage splicing, truncating or
+/// key, reading one verified block at a time (through the trusted block
+/// cache unless opened uncached). Every block is checked against the
+/// sealed fence keys as it is crossed: its first/last record must equal
+/// the footer's fences, its records must be sorted, and it must continue
+/// strictly after the previous block — so untrusted storage splicing, truncating or
 /// reordering any part of a scanned range surfaces as
 /// [`StoreError::Integrity`], and the fence chain proves the scan saw
 /// *every* record in the range (completeness, not just per-record
 /// authenticity).
 pub struct TableCursor {
     table: Arc<SsTable>,
+    cached: bool,
     next_block: usize,
     start: Vec<u8>,
     records: Option<Arc<Vec<SsRecord>>>,
@@ -748,7 +750,11 @@ impl TableCursor {
         }
         let block_no = self.next_block;
         let bm = &meta.blocks[block_no];
-        let records = self.table.read_block(block_no)?;
+        let records = if self.cached {
+            self.table.read_block(block_no)?
+        } else {
+            self.table.read_block_uncached(block_no)?
+        };
         let fail = |what: &str| {
             Err(StoreError::Integrity(format!(
                 "sstable {} block {block_no}: {what} — scanned range spliced or reordered",
@@ -873,8 +879,8 @@ mod tests {
     }
 
     /// Collects a cursor to exhaustion.
-    fn drain(t: &Arc<SsTable>, start: &[u8]) -> Result<Vec<SsRecord>> {
-        let mut cur = t.range_cursor(start)?;
+    fn drain(t: &Arc<SsTable>, start: &[u8], cached: bool) -> Result<Vec<SsRecord>> {
+        let mut cur = t.range_cursor(start, cached)?;
         let mut out = Vec::new();
         while let Some(r) = cur.next()? {
             out.push(r);
@@ -976,12 +982,21 @@ mod tests {
 
     #[test]
     fn cursor_returns_everything_in_order() -> Result<()> {
-        let (_d, _e, t) = build_one(SecurityProfile::treaty_full(), 150)?;
-        let all = drain(&t, b"")?;
+        let (_d, env, t) = build_one(SecurityProfile::treaty_full(), 150)?;
+        let all = drain(&t, b"", true)?;
         assert_eq!(all.len(), 150);
         let mut sorted = all.clone();
         sorted.sort_by(|a, b| a.key.cmp(&b.key));
         assert_eq!(all, sorted);
+        // Opened uncached (a compaction input): the same records, and no
+        // block-cache traffic.
+        let cache = env
+            .block_cache
+            .as_ref()
+            .ok_or_else(|| StoreError::Io("tiny config enables the cache".into()))?;
+        let traffic = cache.hits() + cache.misses();
+        assert_eq!(drain(&t, b"", false)?, all);
+        assert_eq!(cache.hits() + cache.misses(), traffic);
         Ok(())
     }
 
@@ -1003,7 +1018,7 @@ mod tests {
             .ok_or_else(|| StoreError::Io("multi-block table expected".into()))?
             .first_key
             .clone();
-        let got = drain(&t, &start)?;
+        let got = drain(&t, &start, true)?;
         assert!(!got.is_empty());
         assert!(got.iter().all(|r| r.key.as_slice() >= start.as_slice()));
         let blocks_read = (cache.hits() - h0) + (cache.misses() - m0);
@@ -1017,8 +1032,11 @@ mod tests {
     #[test]
     fn cursor_mid_block_seek_skips_records_before_start() -> Result<()> {
         let (_d, _e, t) = build_one(SecurityProfile::treaty_full(), 60)?;
-        let got = drain(&t, b"key-00031")?;
-        assert_eq!(got.first().map(|r| r.key.clone()), Some(b"key-00031".to_vec()));
+        let got = drain(&t, b"key-00031", true)?;
+        assert_eq!(
+            got.first().map(|r| r.key.clone()),
+            Some(b"key-00031".to_vec())
+        );
         assert_eq!(got.len(), 60 - 31);
         Ok(())
     }
@@ -1026,7 +1044,7 @@ mod tests {
     #[test]
     fn cursor_past_end_is_empty() -> Result<()> {
         let (_d, _e, t) = build_one(SecurityProfile::treaty_full(), 20)?;
-        assert!(drain(&t, b"zzz")?.is_empty());
+        assert!(drain(&t, b"zzz", true)?.is_empty());
         Ok(())
     }
 
@@ -1071,7 +1089,11 @@ mod tests {
         let versions = 40u64;
         for i in 0..versions {
             let seq = 1000 - i; // seq desc within the key
-            rows.push((b"hot".to_vec(), seq, Some(format!("{pad}{seq}").into_bytes())));
+            rows.push((
+                b"hot".to_vec(),
+                seq,
+                Some(format!("{pad}{seq}").into_bytes()),
+            ));
         }
         rows.push((b"z-after".to_vec(), 1, Some(b"y".to_vec())));
         let (_d, _e, t) = build_rows(&rows)?;
@@ -1082,7 +1104,10 @@ mod tests {
         );
         let mut seen = 0;
         t.probe_key(b"hot", |_| seen += 1)?;
-        assert_eq!(seen, versions, "every version across the run must be visited");
+        assert_eq!(
+            seen, versions,
+            "every version across the run must be visited"
+        );
         // Newest version wins at snapshot MAX; oldest at its own seq.
         assert_eq!(
             t.get(b"hot", SeqNum::MAX)?,
@@ -1131,14 +1156,21 @@ mod tests {
         // key: append a suffix to the former.
         let mut gap_key = t.meta().blocks[0].last_key.clone();
         gap_key.push(b'!');
-        assert!(gap_key < t.meta().blocks[1].first_key, "gap key must fall between blocks");
+        assert!(
+            gap_key < t.meta().blocks[1].first_key,
+            "gap key must fall between blocks"
+        );
         let cache = env
             .block_cache
             .as_ref()
             .ok_or_else(|| StoreError::Io("tiny config enables the cache".into()))?;
         let (h0, m0) = (cache.hits(), cache.misses());
         assert_eq!(t.get(&gap_key, SeqNum::MAX)?, None);
-        assert_eq!(cache.hits() - h0 + cache.misses() - m0, 0, "gap reject must read no blocks");
+        assert_eq!(
+            cache.hits() - h0 + cache.misses() - m0,
+            0,
+            "gap reject must read no blocks"
+        );
         assert_eq!(env.read_stats.fence_gap_rejects(), 1);
         assert_eq!(env.read_stats.bloom_false_positives(), 0);
         Ok(())
@@ -1178,7 +1210,7 @@ mod tests {
         let cut = t.meta().blocks[1].offset as usize;
         let raw = std::fs::read(t.path())?;
         std::fs::write(t.path(), &raw[..cut])?;
-        let mut cur = t.range_cursor(b"")?;
+        let mut cur = t.range_cursor(b"", true)?;
         let err = loop {
             match cur.next() {
                 Ok(Some(_)) => continue,
@@ -1219,7 +1251,7 @@ mod tests {
                 .collect();
             tampered[s0].copy_from_slice(&graft);
             std::fs::write(t.path(), &tampered)?;
-            let mut cur = t.range_cursor(b"")?;
+            let mut cur = t.range_cursor(b"", true)?;
             let err = loop {
                 match cur.next() {
                     Ok(Some(_)) => continue,
@@ -1242,7 +1274,7 @@ mod tests {
         let mut raw = std::fs::read(t.path())?;
         raw[b1.offset as usize + 4] ^= 0x01;
         std::fs::write(t.path(), &raw)?;
-        let mut cur = t.range_cursor(b"")?;
+        let mut cur = t.range_cursor(b"", true)?;
         let err = loop {
             match cur.next() {
                 Ok(Some(_)) => continue,
@@ -1304,8 +1336,11 @@ mod tests {
         assert_eq!(t.meta().entries, 0);
         assert!(t.covers(b"b"));
         assert!(!t.covers(b"z"));
-        assert!(drain(&t, b"")?.is_empty());
-        assert_eq!(t.range_cursor(b"")?.range_tombstones(), rts.as_slice());
+        assert!(drain(&t, b"", true)?.is_empty());
+        assert_eq!(
+            t.range_cursor(b"", true)?.range_tombstones(),
+            rts.as_slice()
+        );
         Ok(())
     }
 

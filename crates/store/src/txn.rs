@@ -246,20 +246,14 @@ impl Txn {
     fn register_scan(&mut self) {
         if !self.scan_registered {
             self.scan_registered = true;
-            self.store
-                .inner
-                .active_scans
-                .fetch_add(1, Ordering::SeqCst);
+            self.store.inner.active_scans.fetch_add(1, Ordering::SeqCst);
         }
     }
 
     fn unregister_scan(&mut self) {
         if self.scan_registered {
             self.scan_registered = false;
-            self.store
-                .inner
-                .active_scans
-                .fetch_sub(1, Ordering::SeqCst);
+            self.store.inner.active_scans.fetch_sub(1, Ordering::SeqCst);
         }
     }
 
@@ -281,13 +275,56 @@ impl Txn {
         err
     }
 
-    /// The key fencing the gap at/after `from`: the first key present at
-    /// or after it, or the EOF sentinel when the store ends first.
-    fn gap_bound(&self, from: &[u8]) -> Result<UserKey> {
-        Ok(self
-            .store
-            .successor_key(from)?
-            .unwrap_or_else(|| EOF_SENTINEL.to_vec()))
+    /// The one span fence, under scans (S), range deletes (X) and — as its
+    /// pass alone, with `try_lock` — OCC validation. Pass, then fence: lock
+    /// every key *present* in the span (deleted versions still fence gaps)
+    /// plus the next key beyond it. An apply epoch unmoved since before
+    /// the pass proves no version slipped in ahead of the last lock grant.
+    /// A moved one — any commit on this store — goes round again: a pass
+    /// that reads back exactly what is already fenced is the same proof.
+    /// Rounds only ever add locks (2PL never releases mid-txn), so the loop
+    /// converges or conflicts out.
+    fn fence_span(
+        &mut self,
+        start: &[u8],
+        end: &[u8],
+        limit: usize,
+        mode: LockMode,
+    ) -> Result<FencedSpan> {
+        self.register_scan();
+        let mut fenced: Option<FencedSpan> = None;
+        for _round in 0..=16 {
+            let epoch = self.store.apply_epoch();
+            let span = self.store.fenced_pass(start, end, limit)?;
+            if fenced.as_ref() == Some(&span) {
+                return Ok(span);
+            }
+            for k in span.present.iter().chain(std::iter::once(&span.bound)) {
+                self.lock_gap(k, mode)?;
+            }
+            if self.store.apply_epoch() == epoch {
+                return Ok(span);
+            }
+            fenced = Some(span);
+        }
+        Err(StoreError::Conflict)
+    }
+
+    /// Insert-side half of next-key locking, paid only while some scan is
+    /// live: a brand-new key lands in a gap some scanner may have fenced,
+    /// and the fence for any gap is the successor key — which that scanner
+    /// locked. Returns that fence key for the writer to X-lock (colliding
+    /// there is exactly the phantom being refused), or `None` when `key`
+    /// is present (an overwrite is fenced by the key's own X-lock) or no
+    /// scan is live.
+    fn insert_fence(&self, key: &[u8]) -> Result<Option<UserKey>> {
+        if self.store.inner.active_scans.load(Ordering::SeqCst) == 0 {
+            return Ok(None);
+        }
+        Ok(match self.store.successor_key(key)? {
+            Some(k) if k.as_slice() == key => None,
+            other => Some(other.unwrap_or_else(|| EOF_SENTINEL.to_vec())),
+        })
     }
 
     /// Overlays this txn's buffered writes and range deletes onto raw
@@ -299,8 +336,7 @@ impl Txn {
         raw: &[(UserKey, Vec<u8>)],
         limit: usize,
     ) -> Vec<(UserKey, Vec<u8>)> {
-        let mut view: std::collections::BTreeMap<UserKey, Vec<u8>> =
-            raw.iter().cloned().collect();
+        let mut view: std::collections::BTreeMap<UserKey, Vec<u8>> = raw.iter().cloned().collect();
         // Buffered range deletes shadow store state; buffered point writes
         // are applied afterwards because `delete_range` already rewrote
         // covered buffer entries, so the buffer is strictly newer.
@@ -442,25 +478,13 @@ impl EngineTxn for Txn {
             if let Err(e) = self.lock(key, LockMode::Exclusive) {
                 return Err(self.abort_with(e));
             }
-            // Insert-side half of next-key locking, paid only while some
-            // scan is live: a brand-new key lands in a gap some scanner
-            // may have fenced, and the fence for any gap is the successor
-            // key — which that scanner S-locked. Colliding there is
-            // exactly the phantom being refused. Overwrites of a present
-            // key are fenced by the key's own X-lock above.
-            if self.store.inner.active_scans.load(Ordering::SeqCst) > 0 {
-                let succ = match self.store.successor_key(key) {
-                    Ok(s) => s,
-                    Err(e) => return Err(self.abort_with(e)),
-                };
-                match succ {
-                    Some(k) if k.as_slice() == key => {} // present: overwrite
-                    other => {
-                        let bound = other.unwrap_or_else(|| EOF_SENTINEL.to_vec());
-                        if let Err(e) = self.lock_gap(&bound, LockMode::Exclusive) {
-                            return Err(self.abort_with(e));
-                        }
-                    }
+            let fence = match self.insert_fence(key) {
+                Ok(f) => f,
+                Err(e) => return Err(self.abort_with(e)),
+            };
+            if let Some(bound) = fence {
+                if let Err(e) = self.lock_gap(&bound, LockMode::Exclusive) {
+                    return Err(self.abort_with(e));
                 }
             }
         }
@@ -496,40 +520,9 @@ impl EngineTxn for Txn {
         };
         match self.mode {
             TxnMode::Pessimistic => {
-                self.register_scan();
-                // Pass, then fence: S-lock every key *present* in the span
-                // (deleted versions still fence gaps) plus the next key
-                // beyond it. An apply epoch unmoved since before the pass
-                // proves no version slipped in ahead of the last lock
-                // grant. A moved one — any commit on this store — goes
-                // round again: a pass that reads back exactly what is
-                // already fenced is the same proof. Rounds only ever add
-                // locks (2PL never releases mid-txn), so the loop converges
-                // or conflicts out.
-                let mut fenced: Option<FencedSpan> = None;
-                let mut rounds = 0;
-                let span = loop {
-                    let epoch = self.store.apply_epoch();
-                    let span = match self.store.fenced_pass(start, end, raw_limit) {
-                        Ok(s) => s,
-                        Err(e) => return Err(self.abort_with(e)),
-                    };
-                    if fenced.as_ref() == Some(&span) {
-                        break span;
-                    }
-                    for k in span.present.iter().chain(std::iter::once(&span.bound)) {
-                        if let Err(e) = self.lock_gap(k, LockMode::Shared) {
-                            return Err(self.abort_with(e));
-                        }
-                    }
-                    if self.store.apply_epoch() == epoch {
-                        break span;
-                    }
-                    fenced = Some(span);
-                    rounds += 1;
-                    if rounds > 16 {
-                        return Err(self.abort_with(StoreError::Conflict));
-                    }
+                let span = match self.fence_span(start, end, raw_limit, LockMode::Shared) {
+                    Ok(s) => s,
+                    Err(e) => return Err(self.abort_with(e)),
                 };
                 Ok(self.overlay_scan(start, end, &span.rows, limit))
             }
@@ -548,41 +541,10 @@ impl EngineTxn for Txn {
             return Ok(());
         }
         if self.mode == TxnMode::Pessimistic {
-            self.register_scan();
-            // X-lock every present covered key plus the gap bound, then
-            // re-list to close the lock-acquisition race; a stable key
-            // list means no writer can slip a new key into the span
-            // before this txn's tombstone seq.
-            let mut covered = match self.store.keys_in_range(start, end) {
-                Ok(c) => c,
-                Err(e) => return Err(self.abort_with(e)),
-            };
-            let mut rounds = 0;
-            loop {
-                for k in &covered {
-                    if let Err(e) = self.lock_gap(k, LockMode::Exclusive) {
-                        return Err(self.abort_with(e));
-                    }
-                }
-                let bound = match self.gap_bound(end) {
-                    Ok(b) => b,
-                    Err(e) => return Err(self.abort_with(e)),
-                };
-                if let Err(e) = self.lock_gap(&bound, LockMode::Exclusive) {
-                    return Err(self.abort_with(e));
-                }
-                let again = match self.store.keys_in_range(start, end) {
-                    Ok(c) => c,
-                    Err(e) => return Err(self.abort_with(e)),
-                };
-                if again == covered {
-                    break;
-                }
-                covered = again;
-                rounds += 1;
-                if rounds > 16 {
-                    return Err(self.abort_with(StoreError::Conflict));
-                }
+            // X-fence the span: no writer can slip a version of a covered
+            // key, or a new key, under this txn's tombstone seq.
+            if let Err(e) = self.fence_span(start, end, 0, LockMode::Exclusive) {
+                return Err(self.abort_with(e));
             }
         }
         // The range supersedes older covered buffer entries — rewrite them
@@ -741,51 +703,38 @@ impl EngineTxn for Txn {
 }
 
 impl Txn {
+    /// X-locks `key` without waiting; held until the txn finishes.
+    fn try_lock_exclusive(&mut self, key: UserKey) -> Result<()> {
+        self.store
+            .inner
+            .locks
+            .try_lock(self.id, &key, LockMode::Exclusive)
+            .map_err(|_| StoreError::Conflict)?;
+        self.locked.push(key);
+        Ok(())
+    }
+
     /// OCC validation: write set lockable, read versions unchanged,
     /// scanned spans unchanged, range-delete spans lockable.
     fn validate_optimistic(&mut self) -> Result<()> {
         let write_keys: Vec<UserKey> = self.buffer.to_ops().into_iter().map(|w| w.key).collect();
         for key in &write_keys {
-            self.store
-                .inner
-                .locks
-                .try_lock(self.id, key, LockMode::Exclusive)
-                .map_err(|_| StoreError::Conflict)?;
-            self.locked.push(key.clone());
+            self.try_lock_exclusive(key.clone())?;
         }
         // Range deletes: X-lock every present covered key plus the gap
-        // bound, exactly as the pessimistic path does at execution time.
+        // bound — the pessimistic fence's pass, taken without waiting.
         let ranges = self.ranges.clone();
         for (s, e) in &ranges {
-            let mut targets = self.store.keys_in_range(s, e)?;
-            targets.push(self.gap_bound(e)?);
-            for k in targets {
-                self.store
-                    .inner
-                    .locks
-                    .try_lock(self.id, &k, LockMode::Exclusive)
-                    .map_err(|_| StoreError::Conflict)?;
-                self.locked.push(k);
+            let span = self.store.fenced_pass(s, e, 0)?;
+            for k in span.present.into_iter().chain(std::iter::once(span.bound)) {
+                self.try_lock_exclusive(k)?;
             }
         }
-        // Inserts of brand-new keys while some scan is live: colliding on
-        // the successor's fence lock is a phantom being refused; an
-        // overwrite conflicts on the key's own X-lock above instead.
-        if !write_keys.is_empty() && self.store.inner.active_scans.load(Ordering::SeqCst) > 0 {
-            for key in &write_keys {
-                let succ = self.store.successor_key(key)?;
-                match succ {
-                    Some(k) if &k == key => {}
-                    other => {
-                        let bound = other.unwrap_or_else(|| EOF_SENTINEL.to_vec());
-                        self.store
-                            .inner
-                            .locks
-                            .try_lock(self.id, &bound, LockMode::Exclusive)
-                            .map_err(|_| StoreError::Conflict)?;
-                        self.locked.push(bound);
-                    }
-                }
+        // Inserts of brand-new keys while some scan is live conflict on
+        // the successor's fence lock.
+        for key in &write_keys {
+            if let Some(bound) = self.insert_fence(key)? {
+                self.try_lock_exclusive(bound)?;
             }
         }
         for (key, seen) in &self.read_set {

@@ -758,7 +758,11 @@ fn scan_merges_memtable_backlog_and_levels_in_order() {
     // few even keys get overwritten so the merge must prefer memtable
     // versions over on-disk ones.
     for i in (1..80u32).step_by(2) {
-        put(&store, format!("s{i:03}").as_bytes(), format!("mem-{i}").as_bytes());
+        put(
+            &store,
+            format!("s{i:03}").as_bytes(),
+            format!("mem-{i}").as_bytes(),
+        );
     }
     put(&store, b"s010", b"rewritten");
 
@@ -884,46 +888,86 @@ fn quiescent_scan_fences_in_exactly_one_store_pass() {
     let first = scanner.scan(b"p00", b"p99", 1).unwrap();
     assert_eq!(first, vec![(b"p10".to_vec(), b"v".to_vec())]);
     assert_eq!(store.stats().scans, before + 2);
+    // A range delete X-fences its span through the same single pass.
+    scanner.delete_range(b"p00", b"p99").unwrap();
+    assert_eq!(store.stats().scans, before + 3);
     scanner.commit().unwrap();
     assert_eq!(store.locked_keys(), 0);
+    assert_eq!(scan_committed(&store, b"p00", b"p99"), vec![]);
 }
 
 #[test]
 fn apply_between_pass_and_lock_grant_forces_a_second_pass() {
+    // Once with a scan (S) and once with a range delete (X) as the fenced op.
+    for range_delete in [false, true] {
+        let dir = tempfile::tempdir().unwrap();
+        let path = dir.path().to_path_buf();
+        block_on(move || {
+            let env = Env::for_testing(SecurityProfile::treaty_full(), &path);
+            let store = TreatyStore::open(env).unwrap();
+            for k in [b"p10", b"p30", b"p50"] {
+                put(&store, k, b"old");
+            }
+            // The writer X-locks p30 before any scan is live (no gap lock, no
+            // successor lookup), then holds it across the fence's pass.
+            let mut writer = store.begin_mode(TxnMode::Pessimistic);
+            writer.put(b"p30", b"new").unwrap();
+            let before = store.stats().scans;
+
+            let store2 = store.clone();
+            let rows = Arc::new(parking_lot::Mutex::new(Vec::new()));
+            let rows2 = Arc::clone(&rows);
+            let fencer = spawn(move || {
+                let mut t = store2.begin_mode(TxnMode::Pessimistic);
+                if range_delete {
+                    t.delete_range(b"p00", b"p99").unwrap();
+                } else {
+                    *rows2.lock() = t.scan(b"p00", b"p99", 0).unwrap();
+                }
+                t.commit().unwrap();
+            });
+            // The fencer passes once (seeing the old p30) and parks on p30's
+            // lock; the commit below applies inside that window.
+            treaty_sim::runtime::sleep(treaty_sim::MILLIS);
+            assert_eq!(store.stats().scans, before + 1);
+            writer.commit().unwrap();
+            join(fencer);
+
+            // The moved epoch forced exactly one verifying pass.
+            assert_eq!(store.stats().scans, before + 2);
+            if range_delete {
+                assert_eq!(scan_committed(&store, b"p00", b"p99"), vec![]);
+            } else {
+                // ... which saw the new row.
+                let rows = rows.lock().clone();
+                assert_eq!(rows.len(), 3);
+                assert_eq!(rows[1], (b"p30".to_vec(), b"new".to_vec()));
+            }
+        });
+    }
+}
+
+#[test]
+fn memtable_scan_pays_one_seek() {
+    // One ordered index: a memtable-only scan seeks once, so a one-row scan
+    // may cost no more virtual time than two point reads.
     let dir = tempfile::tempdir().unwrap();
     let path = dir.path().to_path_buf();
     block_on(move || {
         let env = Env::for_testing(SecurityProfile::treaty_full(), &path);
         let store = TreatyStore::open(env).unwrap();
-        for k in [b"p10", b"p30", b"p50"] {
-            put(&store, k, b"old");
-        }
-        // The writer X-locks p30 before any scan is live (no gap lock, no
-        // successor lookup), then holds it across the scanner's pass.
-        let mut writer = store.begin_mode(TxnMode::Pessimistic);
-        writer.put(b"p30", b"new").unwrap();
-        let before = store.stats().scans;
-
-        let store2 = store.clone();
-        let rows = Arc::new(parking_lot::Mutex::new(Vec::new()));
-        let rows2 = Arc::clone(&rows);
-        let scanner = spawn(move || {
-            let mut t = store2.begin_mode(TxnMode::Pessimistic);
-            *rows2.lock() = t.scan(b"p00", b"p99", 0).unwrap();
-            t.commit().unwrap();
-        });
-        // The scanner passes once (seeing the old p30) and parks on p30's
-        // lock; the commit below applies inside that window.
-        treaty_sim::runtime::sleep(treaty_sim::MILLIS);
-        assert_eq!(store.stats().scans, before + 1);
-        writer.commit().unwrap();
-        join(scanner);
-
-        // The moved epoch forced a verifying pass, which saw the new row.
-        assert_eq!(store.stats().scans, before + 2);
-        let rows = rows.lock().clone();
-        assert_eq!(rows.len(), 3);
-        assert_eq!(rows[1], (b"p30".to_vec(), b"new".to_vec()));
+        put(&store, b"k", b"v");
+        let t0 = treaty_sim::runtime::now();
+        store.get_committed(b"k").unwrap();
+        store.get_committed(b"k").unwrap();
+        let two_gets = treaty_sim::runtime::now() - t0;
+        let t1 = treaty_sim::runtime::now();
+        assert_eq!(store.scan(b"a", b"z", u64::MAX, 0).unwrap().len(), 1);
+        let scan = treaty_sim::runtime::now() - t1;
+        assert!(
+            scan <= two_gets,
+            "a one-row memtable scan took {scan} ns, two point reads {two_gets} ns"
+        );
     });
 }
 
@@ -1011,13 +1055,50 @@ fn snapshot_scan_stale_indoubt_and_success() {
     // Span validation sees the same hazard.
     assert!(!store.snapshot_validate_span(b"q0", b"q9z", stable).unwrap());
     // Disjoint spans are unaffected.
-    assert!(store.snapshot_scan(b"z0", b"z9", stable, 0).unwrap().is_empty());
+    assert!(store
+        .snapshot_scan(b"z0", b"z9", stable, 0)
+        .unwrap()
+        .is_empty());
 
     store.commit_prepared(gtx).unwrap();
     let rows = store
         .snapshot_scan(b"q0", b"q9z", store.stable_ts(), 0)
         .unwrap();
     assert_eq!(rows.len(), 11, "decided insert now visible");
+}
+
+#[test]
+fn snapshot_below_a_compacted_version_is_refused_not_misread() {
+    let dir = tempfile::tempdir().unwrap();
+    let (_env, store) = open(SecurityProfile::treaty_full(), dir.path());
+    put(&store, b"k", b"v1");
+    let ts = store.stable_ts();
+    assert_eq!(store.snapshot_get(b"k", ts).unwrap(), Some(b"v1".to_vec()));
+    store.flush().unwrap();
+    put(&store, b"k", b"v2");
+    // Tiny config compacts at two L0 tables; the merge keeps only v2.
+    store.flush().unwrap();
+    assert!(store.stats().compactions >= 1);
+
+    // The version the pinned snapshot should see is gone: refuse, so the
+    // client re-pins — never answer "absent".
+    assert!(matches!(
+        store.snapshot_get(b"k", ts),
+        Err(StoreError::SnapshotStale { .. })
+    ));
+    assert!(matches!(
+        store.snapshot_scan(b"a", b"z", ts, 0),
+        Err(StoreError::SnapshotStale { .. })
+    ));
+    let fresh = store.stable_ts();
+    assert_eq!(
+        store.snapshot_get(b"k", fresh).unwrap(),
+        Some(b"v2".to_vec())
+    );
+    assert_eq!(
+        store.snapshot_scan(b"a", b"z", fresh, 0).unwrap(),
+        vec![(b"k".to_vec(), b"v2".to_vec())]
+    );
 }
 
 #[test]
@@ -1121,5 +1202,112 @@ fn dropped_range_tombstone_detected_via_sealed_footer() {
     assert!(
         matches!(outcome, Err(StoreError::Integrity(_))),
         "footer tampering must be detected, got {outcome:?}"
+    );
+}
+
+// ---- differential test against a trivial reference model --------------------
+
+#[test]
+fn engine_matches_btreemap_model_under_random_ops() {
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeMap;
+
+    let key = |n: u32| format!("m{n:03}").into_bytes();
+    let (mut flushes, mut compactions, mut reopens) = (0, 0, 0);
+    for seed in 0..8u64 {
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let dir = tempfile::tempdir().unwrap();
+        let env = Env::for_testing(SecurityProfile::treaty_full(), dir.path());
+        let mut store = TreatyStore::open(Arc::clone(&env)).unwrap();
+        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+        for step in 0..600u32 {
+            let mode = if rng.gen_bool(0.5) {
+                TxnMode::Pessimistic
+            } else {
+                TxnMode::Optimistic
+            };
+            let k = key(rng.gen_range(0..60u32));
+            match rng.gen_range(0..100u32) {
+                0..=59 => {
+                    let v = format!("s{seed}-{step}-{}", "v".repeat(rng.gen_range(0..400)));
+                    let mut tx = store.begin_mode(mode);
+                    tx.put(&k, v.as_bytes()).unwrap();
+                    tx.commit().unwrap();
+                    model.insert(k, v.into_bytes());
+                }
+                60..=77 => {
+                    let mut tx = store.begin_mode(mode);
+                    tx.delete(&k).unwrap();
+                    tx.commit().unwrap();
+                    model.remove(&k);
+                }
+                78..=89 => {
+                    let a = rng.gen_range(0..60u32);
+                    let (lo, hi) = (key(a), key(a + rng.gen_range(1..12u32)));
+                    let mut tx = store.begin_mode(mode);
+                    tx.delete_range(&lo, &hi).unwrap();
+                    let doomed: Vec<_> = model
+                        .range(lo.clone()..hi)
+                        .map(|(k, _)| k.clone())
+                        .collect();
+                    for d in doomed {
+                        model.remove(&d);
+                    }
+                    // A covered put after the range delete, same transaction:
+                    // the same-seq point write must win.
+                    if rng.gen_bool(0.4) {
+                        let v = format!("resurrected-{step}");
+                        tx.put(&lo, v.as_bytes()).unwrap();
+                        model.insert(lo, v.into_bytes());
+                    }
+                    tx.commit().unwrap();
+                }
+                90..=95 => store.flush().unwrap(),
+                _ => {
+                    // Crash: drop without shutdown, recover from WAL + tables.
+                    // `stats()` starts over on reopen, so bank the counts.
+                    let st = store.stats();
+                    flushes += st.flushes;
+                    compactions += st.compactions;
+                    reopens += 1;
+                    drop(store);
+                    store = TreatyStore::open(Arc::clone(&env)).unwrap();
+                }
+            }
+            let probe = key(rng.gen_range(0..62u32));
+            assert_eq!(
+                store.get_committed(&probe).unwrap(),
+                model.get(&probe).cloned(),
+                "seed {seed} step {step}: point get of {:?}",
+                String::from_utf8_lossy(&probe)
+            );
+            if step % 5 == 0 {
+                let a = rng.gen_range(0..60u32);
+                let (lo, hi) = (key(a), key(a + rng.gen_range(1..30u32)));
+                let limit = rng.gen_range(0..8usize);
+                let want: Vec<_> = model
+                    .range(lo.clone()..hi.clone())
+                    .take(if limit == 0 { usize::MAX } else { limit })
+                    .map(|(k, v)| (k.clone(), v.clone()))
+                    .collect();
+                assert_eq!(
+                    store.scan(&lo, &hi, u64::MAX, limit).unwrap(),
+                    want,
+                    "seed {seed} step {step}: scan limit {limit}"
+                );
+            }
+        }
+        let st = store.stats();
+        flushes += st.flushes;
+        compactions += st.compactions;
+    }
+    assert!(flushes >= 16, "the workload must flush, got {flushes}");
+    assert!(
+        compactions >= 8,
+        "the workload must compact, got {compactions}"
+    );
+    assert!(
+        reopens >= 8,
+        "the workload must crash and recover, got {reopens}"
     );
 }
