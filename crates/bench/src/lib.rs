@@ -1,25 +1,36 @@
-//! Benchmark harnesses regenerating every table and figure of the Treaty
+//! The benchmark harness regenerating every table and figure of the Treaty
 //! paper (§VIII). See `DESIGN.md` §3 for the experiment index and
 //! `EXPERIMENTS.md` for paper-vs-measured results.
+//!
+//! The evaluation is one template — *system variant × workload × load* —
+//! so there is one driver: [`run`] boots a cluster from a [`RunConfig`],
+//! preloads, drives the clients and folds everything into one [`Report`].
+//! Three experiments boot no cluster and stand alone: [`run_network`]
+//! (Fig. 8), [`run_recovery`] (Table I) and [`run_counter_ablation`]
+//! (§IV-B). The `treaty-bench` binary is a table of presets over these.
 //!
 //! All numbers are *virtual time* from the deterministic simulation; the
 //! claims under reproduction are the ratios between system variants, not
 //! absolute testbed throughput.
 
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use serde::Serialize;
 use treaty_core::messages::ObsSnapshotReply;
-use treaty_core::{Cluster, ClusterOptions, DistTxn};
+use treaty_core::{Cluster, ClusterOptions, DistTxn, TreatyClient};
+use treaty_obs::{AttributionReport, Obs};
 use treaty_sched::block_on;
 use treaty_sim::runtime::{self, join, spawn};
 use treaty_sim::{BenchStats, CostModel, Histogram, Nanos, SecurityProfile, TeeMode, Transport};
-use treaty_store::{EngineConfig, TxnMode};
+use treaty_store::TxnMode;
 use treaty_workload::ycsb::KEY_SPACE_END;
 use treaty_workload::{
     KvTxn, PoissonArrivals, ScaleConfig, ScaleGenerator, SocialConfig, SocialGenerator, SocialTxn,
-    TpccConfig, TpccGenerator, YcsbConfig, YcsbGenerator, YcsbOp, YcsbOpKind,
+    TpccConfig, TpccGenerator, YcsbConfig, YcsbGenerator, YcsbOpKind,
 };
 
 /// Adapter: a distributed client transaction as a workload target.
@@ -51,7 +62,7 @@ impl KvTxn for DistKv<'_, '_> {
     }
 }
 
-/// Workload selection for the generic runners.
+/// Workload selection for the driver.
 #[derive(Debug, Clone)]
 pub enum Workload {
     /// YCSB with the given config.
@@ -60,67 +71,195 @@ pub enum Workload {
     Tpcc(TpccConfig),
     /// Read-mostly social feed with the given config.
     Social(SocialConfig),
+    /// Multi-tenant zipfian hot keys with the given config (the open-loop
+    /// scale sweep's workload).
+    Scale(ScaleConfig),
 }
 
-/// One experiment configuration.
-#[derive(Debug, Clone)]
-pub struct RunConfig {
-    /// System variant.
-    pub profile: SecurityProfile,
-    /// Cluster size (3 for the distributed experiments, 1 for §VIII-D).
-    pub nodes: usize,
-    /// Closed-loop clients.
-    pub clients: usize,
-    /// Transactions per client.
-    pub txns_per_client: usize,
-    /// Concurrency control.
-    pub txn_mode: TxnMode,
-    /// Workload.
-    pub workload: Workload,
-    /// Determinism seed.
-    pub seed: u64,
-    /// `false` = storage-less 2PC (§VIII-B).
-    pub durable: bool,
-    /// Trusted block cache on/off (the read-acceleration ablation knob;
-    /// `false` runs with `block_cache_bytes = 0`).
-    pub block_cache: bool,
-    /// `true` delivers phase-2 decisions inline before the client ack
-    /// (the `--sync-decisions` ablation of the pipelined commit path).
-    pub sync_decisions: bool,
-    /// `true` runs SSTable builds and compaction inline on the
-    /// group-commit leader (the `--inline-maintenance` ablation).
-    pub inline_maintenance: bool,
-    /// `true` routes pure-read transactions through the lock-free
-    /// snapshot-read path (`--read-snapshot`); `false` runs them through
-    /// regular 2PC — the locking-read ablation. Only the snapshot-aware
-    /// runner ([`run_snapshot_experiment`]) honours this.
-    pub read_snapshot: bool,
+/// One operation of a transaction drawn as a list, values included.
+enum Op {
+    Get(Vec<u8>),
+    Put(Vec<u8>, Vec<u8>),
+    Scan(Vec<u8>, usize),
 }
 
-impl RunConfig {
-    /// Distributed YCSB (Fig. 5 axes).
-    pub fn distributed_ycsb(profile: SecurityProfile, ycsb: YcsbConfig, clients: usize) -> Self {
-        RunConfig {
-            profile,
-            nodes: 3,
-            clients,
-            txns_per_client: 20,
-            txn_mode: TxnMode::Pessimistic,
-            workload: Workload::Ycsb(ycsb),
-            seed: 42,
-            durable: true,
-            block_cache: true,
-            sync_decisions: false,
-            inline_maintenance: false,
-            read_snapshot: false,
+/// One client's deterministic transaction stream.
+enum TxnStream {
+    Ycsb(YcsbGenerator),
+    Tpcc(TpccGenerator),
+    Social(SocialGenerator),
+    Scale(ScaleGenerator),
+}
+
+impl Workload {
+    /// The rows loaded before the measured window: the whole key space,
+    /// except for [`Workload::Scale`], which loads the hot head of every
+    /// tenant's key space so zipfian reads hit existing rows.
+    fn preload_rows(&self, seed: u64) -> Vec<(Vec<u8>, Vec<u8>)> {
+        match self {
+            Workload::Ycsb(ycsb) => {
+                let mut seeder = YcsbGenerator::new(*ycsb, seed);
+                YcsbGenerator::all_keys(ycsb)
+                    .map(|k| (k, seeder.next_value()))
+                    .collect()
+            }
+            Workload::Tpcc(tpcc) => TpccGenerator::initial_rows(tpcc),
+            Workload::Social(social) => SocialGenerator::all_keys(social)
+                .map(|k| (k, vec![b'i'; social.value_size]))
+                .collect(),
+            Workload::Scale(scale) => treaty_workload::scale::hot_rows(scale, 64),
         }
     }
 
-    /// Distributed TPC-C (Fig. 3 axes).
-    pub fn distributed_tpcc(profile: SecurityProfile, tpcc: TpccConfig, clients: usize) -> Self {
+    fn stream(&self, seed: u64) -> TxnStream {
+        match self {
+            Workload::Ycsb(c) => TxnStream::Ycsb(YcsbGenerator::new(*c, seed)),
+            Workload::Tpcc(c) => TxnStream::Tpcc(TpccGenerator::new(*c, seed)),
+            Workload::Social(c) => TxnStream::Social(SocialGenerator::new(*c, seed)),
+            Workload::Scale(c) => TxnStream::Scale(ScaleGenerator::new(c.clone(), seed)),
+        }
+    }
+}
+
+impl TxnStream {
+    /// Runs the next transaction to completion and returns `(committed,
+    /// pure_read)`. A *pure-read* transaction (point gets and/or range
+    /// scans only) takes the lock-free snapshot lane when
+    /// [`RunConfig::read_snapshot`] is set and regular 2PC otherwise — the
+    /// locking-read ablation; everything else always runs 2PC.
+    ///
+    /// YCSB and social transactions are drawn as an op list, values
+    /// included, before anything runs: that is what lets them be
+    /// classified, and it keeps a client's stream independent of where a
+    /// transaction aborted, so the snapshot and locking variants of one
+    /// seed read exactly the same keys in the same order. TPC-C and the
+    /// scale workload interleave their draws with their reads and are
+    /// never pure reads.
+    fn next_txn(
+        &mut self,
+        client: &TreatyClient,
+        coordinator: u32,
+        cfg: &RunConfig,
+    ) -> (bool, bool) {
+        let two_phase = |body: &mut dyn FnMut(&mut DistKv) -> Result<(), String>| {
+            let mut txn = client.begin(coordinator);
+            let body_ok = body(&mut DistKv {
+                txn: &mut txn,
+                eager: cfg.eager_writes,
+            })
+            .is_ok();
+            body_ok && txn.commit().is_ok()
+        };
+        let ops: Vec<Op> = match self {
+            TxnStream::Tpcc(g) => return (two_phase(&mut |kv| g.run_txn(kv).map(|_| ())), false),
+            TxnStream::Scale(g) => return (two_phase(&mut |kv| g.run_txn(kv)), false),
+            TxnStream::Ycsb(g) => g
+                .next_txn()
+                .into_iter()
+                .map(|op| match op.kind {
+                    YcsbOpKind::Read => Op::Get(op.key),
+                    YcsbOpKind::Update | YcsbOpKind::Insert => Op::Put(op.key, g.next_value()),
+                    YcsbOpKind::Scan { len } => Op::Scan(op.key, len as usize),
+                })
+                .collect(),
+            TxnStream::Social(g) => match g.next_txn() {
+                SocialTxn::LoadFeed { keys } => keys.into_iter().map(Op::Get).collect(),
+                SocialTxn::Post { key, value } => vec![Op::Put(key, value)],
+            },
+        };
+        let pure_read = !ops.iter().any(|op| matches!(op, Op::Put(..)));
+        let committed = if pure_read && cfg.read_snapshot {
+            snapshot_readonly_txn(client, &ops)
+        } else {
+            two_phase(&mut |kv| {
+                for op in &ops {
+                    match op {
+                        Op::Get(key) => drop(kv.get(key)?),
+                        Op::Put(key, value) => kv.put(key, value)?,
+                        Op::Scan(start, limit) => drop(kv.scan(start, KEY_SPACE_END, *limit)?),
+                    }
+                }
+                Ok(())
+            })
+        };
+        (committed, pure_read)
+    }
+}
+
+/// How transactions are offered to the cluster — the only thing that
+/// differs between the closed and the open loop.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Load {
+    /// `clients` closed-loop clients, each running transactions back to
+    /// back until it has committed `txns_per_client` of them (or failed
+    /// that many in a row, at which point it gives up). The measured
+    /// window ends when the first client has committed its quota (see
+    /// [`Report::stats`]). The quota counts commits, not attempts: where
+    /// an abort is much cheaper than a commit (OCC validation against a
+    /// stabilized 5 ms commit), a client whose attempts all abort would
+    /// otherwise close the window before the first commit lands.
+    Closed {
+        /// Concurrent clients.
+        clients: usize,
+        /// Transactions each client has to commit.
+        txns_per_client: usize,
+    },
+    /// A Poisson arrival process injects `arrivals` transactions at
+    /// `offered_tps` regardless of how fast earlier ones complete; each
+    /// runs once, in its own fiber, and its latency is measured from its
+    /// *intended* arrival time, so queueing delay under overload lands in
+    /// the percentiles instead of silently throttling the offered rate.
+    Open {
+        /// Offered arrival rate in transactions per second of virtual time.
+        offered_tps: f64,
+        /// Total transactions the arrival process injects.
+        arrivals: usize,
+    },
+}
+
+/// One experiment configuration.
+#[derive(Clone)]
+pub struct RunConfig {
+    /// The cluster under test: system variant (`profile`), size (`nodes`:
+    /// 3 for the distributed experiments, 1 for §VIII-D), concurrency
+    /// control (`txn_mode`), `durable` (`false` = storage-less 2PC,
+    /// §VIII-B), determinism `seed`, the `sync_decisions` ablation, and
+    /// `engine_config` (`block_cache_bytes = 0` is the read-acceleration
+    /// ablation, `inline_maintenance` the maintenance one). The driver
+    /// overwrites only `base_dir`, with a fresh temporary directory.
+    pub cluster: ClusterOptions,
+    /// Workload.
+    pub workload: Workload,
+    /// Closed-loop clients or open-loop arrivals.
+    pub load: Load,
+    /// `true` routes pure-read transactions through the lock-free
+    /// snapshot-read path; `false` runs them through regular 2PC — the
+    /// locking-read ablation.
+    pub read_snapshot: bool,
+    /// `true` ships every write as it is issued ([`DistTxn::flush`] after
+    /// each) instead of deferring it to the next read or the commit — the
+    /// unbatched ablation.
+    pub eager_writes: bool,
+}
+
+impl RunConfig {
+    /// `clients` closed-loop clients × `txns` transactions of `workload` on
+    /// a default 3-node cluster of `profile` (the Fig. 3 and Fig. 5 axes).
+    pub fn closed(
+        profile: SecurityProfile,
+        workload: Workload,
+        clients: usize,
+        txns: usize,
+    ) -> Self {
         RunConfig {
-            workload: Workload::Tpcc(tpcc),
-            ..Self::distributed_ycsb(profile, YcsbConfig::balanced(), clients)
+            cluster: ClusterOptions::new(profile, PathBuf::new()),
+            workload,
+            load: Load::Closed {
+                clients,
+                txns_per_client: txns,
+            },
+            read_snapshot: false,
+            eager_writes: false,
         }
     }
 
@@ -130,30 +269,41 @@ impl RunConfig {
         mode: TxnMode,
         workload: Workload,
         clients: usize,
+        txns: usize,
     ) -> Self {
-        RunConfig {
-            profile,
-            nodes: 1,
-            clients,
-            txns_per_client: 20,
-            txn_mode: mode,
-            workload,
-            seed: 42,
-            durable: true,
-            block_cache: true,
-            sync_decisions: false,
-            inline_maintenance: false,
-            read_snapshot: false,
-        }
+        let mut cfg = Self::closed(profile, workload, clients, txns);
+        cfg.cluster.nodes = 1;
+        cfg.cluster.txn_mode = mode;
+        cfg
     }
 
     /// Storage-less 2PC (Fig. 4 axes).
-    pub fn protocol_only(profile: SecurityProfile, clients: usize) -> Self {
-        RunConfig {
-            durable: false,
-            txns_per_client: 10,
-            ..Self::distributed_ycsb(profile, YcsbConfig::balanced(), clients)
-        }
+    pub fn protocol_only(profile: SecurityProfile, clients: usize, txns: usize) -> Self {
+        let workload = Workload::Ycsb(YcsbConfig::balanced());
+        let mut cfg = Self::closed(profile, workload, clients, txns);
+        cfg.cluster.durable = false;
+        cfg
+    }
+
+    /// One point of the open-loop scale sweep: `arrivals` Poisson arrivals
+    /// at `offered_tps` against a `nodes`-node full-Treaty cluster, with
+    /// deferred-write batching on or off.
+    pub fn open_loop(
+        nodes: usize,
+        offered_tps: f64,
+        arrivals: usize,
+        batching: bool,
+        scale: ScaleConfig,
+    ) -> Self {
+        let profile = SecurityProfile::treaty_full();
+        let mut cfg = Self::closed(profile, Workload::Scale(scale), 0, 0);
+        cfg.cluster.nodes = nodes;
+        cfg.load = Load::Open {
+            offered_tps,
+            arrivals,
+        };
+        cfg.eager_writes = !batching;
+        cfg
     }
 }
 
@@ -187,599 +337,383 @@ fn preload(cluster: &Cluster, rows: Vec<(Vec<u8>, Vec<u8>)>) {
     }
 }
 
-/// Read-acceleration counters aggregated across the cluster's stores.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AccelReport {
-    /// Point-read block fetches served from the trusted block cache.
-    pub block_cache_hits: u64,
-    /// Point-read block fetches that went to storage.
-    pub block_cache_misses: u64,
-    /// Lookups short-circuited by per-table Bloom filters.
-    pub bloom_negatives: u64,
-    /// Lookups the filters let through although the key was absent.
-    pub bloom_false_positives: u64,
-    /// Point lookups rejected by SSTable fence keys (key outside the
-    /// table's `[min, max]` span) without touching a block.
-    pub fence_gap_rejects: u64,
-    /// Range scans served by the authenticated merge iterator.
-    pub scans: u64,
+/// Width of one windowed time-series bucket in a run's metrics registry.
+pub const SERIES_WINDOW: Nanos = 5 * treaty_sim::MILLIS;
+
+/// Outcomes and latencies of one transaction population inside the window.
+#[derive(Default)]
+struct Population {
+    committed: u64,
+    aborted: u64,
+    hist: Histogram,
 }
 
-impl AccelReport {
-    /// Block-cache hit rate over all point-read block fetches.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.block_cache_hits + self.block_cache_misses;
-        if total == 0 {
-            0.0
+impl Population {
+    fn record(&mut self, committed: bool, latency: Nanos) {
+        if committed {
+            self.committed += 1;
+            self.hist.record(latency);
         } else {
-            self.block_cache_hits as f64 / total as f64
+            self.aborted += 1;
         }
+    }
+
+    fn stats(&mut self, label: String, clients: usize, duration: Nanos) -> BenchStats {
+        BenchStats::from_histogram(
+            label,
+            clients,
+            self.committed,
+            self.aborted,
+            duration,
+            &mut self.hist,
+        )
     }
 }
 
-/// Deterministic observability artifacts from a traced run.
-///
-/// Everything in here derives from the virtual clock and the per-`Sim`
-/// trace sink, so two runs with the same [`RunConfig`] produce
-/// byte-identical reports.
-#[derive(Debug, Clone)]
-pub struct TraceReport {
-    /// Chrome `trace_event` JSON — load in Perfetto or `chrome://tracing`.
-    pub chrome_json: String,
-    /// Virtual-time phase-breakdown table (the Fig. 4 decomposition).
-    pub phase_breakdown: String,
-    /// Rendered metrics-registry snapshot (counters, gauges, histograms).
-    pub metrics: String,
+/// What the client fibers fold their transactions into.
+#[derive(Default)]
+struct Tally {
+    all: Population,
+    readonly: Population,
+    /// When the measured window ended; `None` while it is open.
+    end: Option<Nanos>,
 }
 
-impl TraceReport {
-    /// Writes the Chrome trace to `path` and the breakdown/metrics text
-    /// reports to sidecar files (`<path>.breakdown.txt`, `<path>.metrics.txt`).
+/// Everything one [`run`] measured. The observability hub is installed
+/// for every run (spans charge no virtual time), so there is no separate
+/// "traced" mode: the Chrome trace, the phase breakdown, the critical-path
+/// attribution, the windowed series and the `treaty-top` dashboard are all
+/// functions of a report.
+///
+/// Everything in here derives from the virtual clock, so two runs of the
+/// same [`RunConfig`] produce equal reports.
+#[derive(Debug, Clone)]
+pub struct Report {
+    /// Stats over every transaction that *completed inside the measured
+    /// window*. Under [`Load::Closed`] the window ends when the first
+    /// client has committed its quota — until then every client is still
+    /// offering load, so one straggler waiting out a lock timeout cannot
+    /// stretch the window over 95 idle clients. Under [`Load::Open`] it
+    /// ends when the last arrival has completed, and latencies count from
+    /// the intended arrival time.
+    pub stats: BenchStats,
+    /// The same, over pure-read transactions only.
+    pub readonly: BenchStats,
+    /// The metrics registry at the end of the run: every counter (less
+    /// what the preload had already counted) and every gauge, including
+    /// the per-subsystem stats of the nodes, stores and fabric. Whole-run,
+    /// not window: `bench.committed` / `bench.aborted` count every
+    /// finished transaction, stragglers included.
+    pub counters: BTreeMap<String, u64>,
+    /// Fabric messages sent between the end of the preload and the last
+    /// client's exit — the wire cost the coalesced fan-out amortises.
+    pub messages_sent: u64,
+    /// One live `OBS_SNAPSHOT` reply per node, in endpoint order, polled
+    /// over the fabric after the last client finished.
+    pub snapshots: Vec<ObsSnapshotReply>,
+    /// The run's observability hub: trace events and metrics registry.
+    pub obs: Arc<Obs>,
+}
+
+/// The part of a [`Report`] a table prints and `--out` serializes.
+#[derive(Debug, Clone, Serialize)]
+pub struct Row {
+    /// [`Report::stats`] (its `label` names the row).
+    pub stats: BenchStats,
+    /// [`Report::readonly`].
+    pub readonly: BenchStats,
+    /// [`Report::messages_sent`].
+    pub messages_sent: u64,
+    /// [`Report::counters`], in name order.
+    pub counters: Vec<(String, u64)>,
+}
+
+impl Row {
+    /// One registry counter or gauge of the run (0 if never touched).
+    pub fn counter(&self, name: &str) -> u64 {
+        let found = self.counters.iter().find(|(k, _)| k == name);
+        found.map_or(0, |(_, v)| *v)
+    }
+}
+
+impl Report {
+    /// One registry counter or gauge of the run (0 if never touched).
+    pub fn counter(&self, name: &str) -> u64 {
+        self.counters.get(name).copied().unwrap_or(0)
+    }
+
+    /// The serializable summary of this report.
+    pub fn row(&self) -> Row {
+        Row {
+            stats: self.stats.clone(),
+            readonly: self.readonly.clone(),
+            messages_sent: self.messages_sent,
+            counters: self.counters.clone().into_iter().collect(),
+        }
+    }
+
+    /// Chrome `trace_event` JSON — load in Perfetto or `chrome://tracing`.
+    pub fn chrome_trace(&self) -> String {
+        treaty_obs::chrome_trace_json_with_meta(&self.obs.events(), self.obs.dropped())
+    }
+
+    /// Virtual-time phase-breakdown table (the Fig. 4 decomposition).
+    pub fn phase_breakdown(&self) -> String {
+        treaty_obs::export::phase_breakdown_with_drops(&self.obs.events(), self.obs.dropped())
+    }
+
+    /// Rendered windowed time series (virtual-time buckets of
+    /// [`SERIES_WINDOW`]).
+    pub fn series(&self) -> String {
+        let series = self.obs.metrics().series_snapshot();
+        series.map(|s| s.render()).unwrap_or_default()
+    }
+
+    /// Per-transaction critical-path attribution of every committed
+    /// transaction of the run.
+    pub fn attribution(&self) -> AttributionReport {
+        treaty_obs::attribute(&self.obs.events(), self.obs.dropped())
+    }
+
+    /// Writes the Chrome trace to `path` and the text reports to sidecar
+    /// files: `<path>.breakdown.txt`, `<path>.metrics.txt`,
+    /// `<path>.attribution.json`, `<path>.series.txt`, `<path>.top.txt`.
     ///
     /// # Errors
     ///
     /// Propagates file-system errors.
-    pub fn write_to(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, &self.chrome_json)?;
-        let mut breakdown = path.as_os_str().to_owned();
-        breakdown.push(".breakdown.txt");
-        std::fs::write(&breakdown, &self.phase_breakdown)?;
-        let mut metrics = path.as_os_str().to_owned();
-        metrics.push(".metrics.txt");
-        std::fs::write(&metrics, &self.metrics)
+    pub fn write_trace(&self, path: &Path) -> std::io::Result<()> {
+        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+            std::fs::create_dir_all(dir)?;
+        }
+        std::fs::write(path, self.chrome_trace())?;
+        for (suffix, body) in [
+            (".breakdown.txt", self.phase_breakdown()),
+            (".metrics.txt", self.obs.metrics().snapshot().render()),
+            (".attribution.json", self.attribution().to_json()),
+            (".series.txt", self.series()),
+            (".top.txt", treaty_top(&self.snapshots)),
+        ] {
+            let mut sidecar = path.as_os_str().to_owned();
+            sidecar.push(suffix);
+            std::fs::write(&sidecar, body)?;
+        }
+        Ok(())
+    }
+
+    /// Arms the flight recorder on this run's hub and writes, under `dir`,
+    /// one `slo.breach` dump per committed transaction whose measured
+    /// latency exceeded `slo_ns`, then a `run.complete` checkpoint so the
+    /// artifact exists even on a clean run. Returns the dump paths in
+    /// write order; the breach count is the length less one.
+    pub fn write_flight_dumps(&self, dir: &Path, slo_ns: Nanos) -> Vec<PathBuf> {
+        self.obs.configure_flight(dir, 512);
+        let mut dumps = Vec::new();
+        for t in &self.attribution().txns {
+            if t.measured_ns > slo_ns {
+                // A transaction id carries its client's endpoint up top.
+                dumps.extend(self.obs.flight_dump(
+                    (t.txn >> 32) as u32,
+                    t.window.1,
+                    "slo.breach",
+                    "committed transaction exceeded the latency SLO",
+                ));
+            }
+        }
+        let now = self.snapshots.iter().map(|r| r.ts).max().unwrap_or(0);
+        dumps.extend(
+            self.obs
+                .flight_dump(0, now, "run.complete", "end-of-run checkpoint"),
+        );
+        dumps.into_iter().map(|d| d.path).collect()
     }
 }
 
-/// Runs one closed-loop experiment and returns its stats.
+/// Runs one experiment: boots the cluster, preloads the workload's rows,
+/// drives the configured load and folds everything into a [`Report`]. The
+/// only function in this crate that boots a cluster.
+///
+/// Fully deterministic per config: arrivals, workload and the simulated
+/// cluster all derive from `cfg.cluster.seed` (client `c` draws from
+/// `seed ^ (c + 1)`, the preload from `seed`).
 ///
 /// # Panics
 ///
-/// Panics if the cluster fails to boot or the simulation errors.
-pub fn run_experiment(cfg: RunConfig) -> BenchStats {
-    run_experiment_detailed(cfg).0
-}
-
-/// Like [`run_experiment`], additionally returning the read-acceleration
-/// counters (block-cache hit rate, Bloom-filter effectiveness) summed over
-/// the cluster's stores.
-///
-/// # Panics
-///
-/// Panics if the cluster fails to boot or the simulation errors.
-pub fn run_experiment_detailed(cfg: RunConfig) -> (BenchStats, AccelReport) {
-    let (stats, accel, _) = run_experiment_inner(cfg, false);
-    (stats, accel)
-}
-
-/// Like [`run_experiment_detailed`], but with the deterministic tracing hub
-/// installed for the whole run: additionally returns the Chrome trace,
-/// phase breakdown and metrics snapshot.
-///
-/// # Panics
-///
-/// Panics if the cluster fails to boot or the simulation errors.
-pub fn run_experiment_traced(cfg: RunConfig) -> (BenchStats, AccelReport, TraceReport) {
-    let (stats, accel, trace) = run_experiment_inner(cfg, true);
-    (stats, accel, trace.expect("tracing was enabled"))
-}
-
-fn run_experiment_inner(
-    cfg: RunConfig,
-    trace: bool,
-) -> (BenchStats, AccelReport, Option<TraceReport>) {
-    let label = cfg.profile.label().to_string();
-    #[allow(clippy::type_complexity)]
-    let out: Arc<Mutex<Option<(BenchStats, AccelReport, Option<TraceReport>)>>> =
-        Arc::new(Mutex::new(None));
-    let out2 = Arc::clone(&out);
+/// Panics if the cluster fails to boot, a node fails to answer the
+/// introspection RPC, or the simulation errors.
+pub fn run(cfg: &RunConfig) -> Report {
+    let cfg = Arc::new(cfg.clone());
     let dir = tempfile::tempdir().expect("bench tempdir");
-    let path = dir.path().to_path_buf();
+    let mut options = cfg.cluster.clone();
+    options.base_dir = dir.path().to_path_buf();
 
     block_on(move || {
         // Install the observability hub first, from the root fiber, so every
         // fiber the cluster spawns inherits it.
-        let obs = if trace {
-            let obs = treaty_obs::Obs::with_default_cap();
-            treaty_sim::obs::install(&obs);
-            Some(obs)
-        } else {
-            None
-        };
-        let mut options = ClusterOptions::new(cfg.profile, path);
-        options.nodes = cfg.nodes;
-        options.txn_mode = cfg.txn_mode;
-        options.durable = cfg.durable;
-        options.seed = cfg.seed;
-        options.engine_config = EngineConfig::default();
-        if !cfg.block_cache {
-            options.engine_config.block_cache_bytes = 0;
-        }
-        options.sync_decisions = cfg.sync_decisions;
-        options.engine_config.inline_maintenance = cfg.inline_maintenance;
+        let obs = Obs::with_default_cap();
+        obs.metrics().enable_series(SERIES_WINDOW, 4096);
+        treaty_sim::obs::install(&obs);
+        let (nodes, seed, durable) = (options.nodes, options.seed, options.durable);
+        let label = options.profile.label().to_string();
         let cluster = Arc::new(Cluster::start(options).expect("cluster boots"));
 
-        // Load phase (unmeasured).
-        if cfg.durable {
-            match &cfg.workload {
-                Workload::Ycsb(ycsb) => {
-                    let mut seeder = YcsbGenerator::new(*ycsb, cfg.seed);
-                    let rows: Vec<_> = YcsbGenerator::all_keys(ycsb)
-                        .map(|k| {
-                            let v = seeder.next_value();
-                            (k, v)
-                        })
-                        .collect();
-                    preload(&cluster, rows);
-                }
-                Workload::Tpcc(tpcc) => {
-                    preload(&cluster, TpccGenerator::initial_rows(tpcc));
-                }
-                Workload::Social(social) => {
-                    let rows: Vec<_> = SocialGenerator::all_keys(social)
-                        .map(|k| (k, vec![b'i'; social.value_size]))
-                        .collect();
-                    preload(&cluster, rows);
-                }
-            }
+        // Load phase (unmeasured). Preload commits count too (locks,
+        // counter rounds); the report covers what came after.
+        if durable {
+            preload(&cluster, cfg.workload.preload_rows(seed));
         }
+        let counted_before = obs.metrics().snapshot().counters;
+        let sent_before = cluster.fabric().stats().sent;
 
         // Measured window.
         let t0 = runtime::now();
-        let committed = Arc::new(AtomicU64::new(0));
-        let aborted = Arc::new(AtomicU64::new(0));
-        let hist = Arc::new(Mutex::new(Histogram::new()));
-        let mut handles = Vec::new();
-        for c in 0..cfg.clients {
+        let tally = Arc::new(Mutex::new(Tally::default()));
+        let client_fiber = |idx: usize, quota: usize, arrival: Option<Nanos>| {
             let cluster = Arc::clone(&cluster);
-            let committed = Arc::clone(&committed);
-            let aborted = Arc::clone(&aborted);
-            let hist = Arc::clone(&hist);
-            let cfg = cfg.clone();
-            handles.push(spawn(move || {
+            let tally = Arc::clone(&tally);
+            let cfg = Arc::clone(&cfg);
+            spawn(move || {
                 runtime::set_tag("bench-client");
                 let client = cluster.client();
-                let coordinator = 1 + (c % cfg.nodes) as u32;
-                let mut ycsb = match &cfg.workload {
-                    Workload::Ycsb(y) => Some(YcsbGenerator::new(*y, cfg.seed ^ (c as u64 + 1))),
-                    _ => None,
-                };
-                let mut tpcc = match &cfg.workload {
-                    Workload::Tpcc(t) => Some(TpccGenerator::new(*t, cfg.seed ^ (c as u64 + 1))),
-                    _ => None,
-                };
-                let mut social = match &cfg.workload {
-                    Workload::Social(s) => {
-                        Some(SocialGenerator::new(*s, cfg.seed ^ (c as u64 + 1)))
+                let coordinator = 1 + (idx % nodes) as u32;
+                let mut stream = cfg.workload.stream(seed ^ (idx as u64 + 1));
+                let (mut commits, mut failed_in_a_row) = (0, 0);
+                while commits < quota && failed_in_a_row < quota {
+                    if tally.lock().end.is_some() {
+                        return; // the window closed under this straggler
                     }
-                    _ => None,
-                };
-                for _ in 0..cfg.txns_per_client {
-                    let start = runtime::now();
-                    let mut txn = client.begin(coordinator);
-                    let body = {
-                        let mut kv = DistKv {
-                            txn: &mut txn,
-                            eager: false,
-                        };
-                        match (&mut ycsb, &mut tpcc, &mut social) {
-                            (Some(g), _, _) => g.run_txn(&mut kv),
-                            (_, Some(g), _) => g.run_txn(&mut kv).map(|_| ()),
-                            (_, _, Some(g)) => g.run_txn(&mut kv),
-                            _ => unreachable!(),
-                        }
-                    };
-                    let ok = body.is_ok() && txn.commit().is_ok();
-                    let elapsed = runtime::now() - start;
-                    if ok {
-                        committed.fetch_add(1, Ordering::Relaxed);
-                        hist.lock().record(elapsed);
-                        treaty_sim::obs::hist_record("client.txn_latency_ns", elapsed);
+                    let start = arrival.unwrap_or_else(runtime::now);
+                    let (committed, pure_read) = stream.next_txn(&client, coordinator, &cfg);
+                    let now = runtime::now();
+                    if committed {
+                        (commits, failed_in_a_row) = (commits + 1, 0);
+                        treaty_sim::obs::counter_add("bench.committed", 1);
                     } else {
-                        aborted.fetch_add(1, Ordering::Relaxed);
+                        failed_in_a_row += 1;
+                        treaty_sim::obs::counter_add("bench.aborted", 1);
+                    }
+                    let mut tally = tally.lock();
+                    if tally.end.is_some_and(|end| now > end) {
+                        return;
+                    }
+                    tally.all.record(committed, now - start);
+                    if pure_read {
+                        tally.readonly.record(committed, now - start);
                     }
                 }
-            }));
-        }
+                if arrival.is_none() && commits == quota {
+                    // Closed loop: the first client to commit its quota
+                    // ends the window for everyone.
+                    tally.lock().end.get_or_insert(runtime::now());
+                }
+            })
+        };
+        let (population, handles): (usize, Vec<_>) = match cfg.load {
+            Load::Closed {
+                clients,
+                txns_per_client,
+            } => (
+                clients,
+                (0..clients)
+                    .map(|c| client_fiber(c, txns_per_client, None))
+                    .collect(),
+            ),
+            Load::Open {
+                offered_tps,
+                arrivals,
+            } => {
+                let mut gaps = PoissonArrivals::new(offered_tps, seed ^ 0x5ca1e);
+                let mut next = t0;
+                let fibers = (0..arrivals).map(|i| {
+                    next += gaps.next_gap();
+                    let now = runtime::now();
+                    if next > now {
+                        runtime::sleep(next - now);
+                    }
+                    client_fiber(i, 1, Some(next))
+                });
+                (arrivals, fibers.collect())
+            }
+        };
         for h in handles {
             join(h);
         }
-        let duration = runtime::now() - t0;
-        let stats = BenchStats::from_histogram(
-            label,
-            cfg.clients,
-            committed.load(Ordering::Relaxed),
-            aborted.load(Ordering::Relaxed),
-            duration.max(1),
-            &mut hist.lock(),
-        );
-        let mut accel = AccelReport::default();
-        for idx in 0..cfg.nodes {
-            if let Some(store) = cluster.store(idx) {
-                let es = store.stats();
-                accel.block_cache_hits += es.block_cache_hits;
-                accel.block_cache_misses += es.block_cache_misses;
-                accel.bloom_negatives += es.bloom_negatives;
-                accel.bloom_false_positives += es.bloom_false_positives;
-                accel.fence_gap_rejects += es.fence_gap_rejects;
-                accel.scans += es.scans;
-            }
-        }
-        let trace_report = obs.as_ref().map(|obs| {
-            absorb_cluster_stats(obs, &cluster, cfg.nodes);
-            let events = obs.events();
-            TraceReport {
-                chrome_json: treaty_obs::export::chrome_trace_json(&events),
-                phase_breakdown: treaty_obs::export::phase_breakdown(&events),
-                metrics: obs.metrics().snapshot().render(),
-            }
-        });
-        *out2.lock() = Some((stats, accel, trace_report));
-    });
+        let mut tally = std::mem::take(&mut *tally.lock());
+        let duration = (tally.end.unwrap_or_else(runtime::now) - t0).max(1);
+        let messages_sent = cluster.fabric().stats().sent - sent_before;
 
-    let result = out.lock().take().expect("experiment produced stats");
-    result
+        // Live introspection: every node answers OBS_SNAPSHOT over the
+        // fabric (this is the treaty-top poll, not a local peek).
+        let client = cluster.client();
+        let snapshots = cluster
+            .node_endpoints()
+            .into_iter()
+            .map(|ep| client.obs_snapshot(ep).expect("OBS_SNAPSHOT reply"))
+            .collect();
+
+        absorb_cluster_stats(&obs, &cluster, nodes);
+        let end_of_run = obs.metrics().snapshot();
+        let mut counters = end_of_run.gauges;
+        for (name, v) in end_of_run.counters {
+            let before = counted_before.get(&name).copied().unwrap_or(0);
+            counters.insert(name, v - before);
+        }
+        Report {
+            stats: tally.all.stats(label.clone(), population, duration),
+            readonly: tally
+                .readonly
+                .stats(format!("{label} (read-only)"), population, duration),
+            counters,
+            messages_sent,
+            snapshots,
+            obs,
+        }
+    })
 }
 
 /// Mirrors the legacy per-subsystem counter structs ([`treaty_core`]'s
-/// `NodeStats`, the engine's `EngineStats`, the fabric's `FabricStats`)
-/// into the metrics registry, so one snapshot carries every counter the
-/// stack exposes.
-fn absorb_cluster_stats(obs: &Arc<treaty_obs::Obs>, cluster: &Cluster, nodes: usize) {
-    let m = obs.metrics();
-    let mut node_totals = (0u64, 0u64, 0u64, 0u64);
-    let mut engine = treaty_store::EngineStats::default();
+/// `NodeStats`, the engine's `EngineStats`, the fabric's `FabricStats`),
+/// summed over the cluster, into the metrics registry as gauges, so one
+/// snapshot carries every counter the stack exposes.
+fn absorb_cluster_stats(obs: &Obs, cluster: &Cluster, nodes: usize) {
+    let mut totals: BTreeMap<&str, u64> = BTreeMap::new();
+    let mut add = |name, v| *totals.entry(name).or_default() += v;
     for idx in 0..nodes {
         let ns = cluster.node(idx).stats();
-        node_totals.0 += ns.committed;
-        node_totals.1 += ns.aborted;
-        node_totals.2 += ns.participant_ops;
-        node_totals.3 += ns.decision_retries;
+        add("core.nodes.committed", ns.committed);
+        add("core.nodes.aborted", ns.aborted);
+        add("core.nodes.participant_ops", ns.participant_ops);
+        add("core.nodes.decision_retries", ns.decision_retries);
         if let Some(store) = cluster.store(idx) {
             let es = store.stats();
-            engine.commits += es.commits;
-            engine.aborts += es.aborts;
-            engine.gets += es.gets;
-            engine.flushes += es.flushes;
-            engine.compactions += es.compactions;
-            engine.files_deleted += es.files_deleted;
-            engine.group_commits += es.group_commits;
-            engine.grouped_txns += es.grouped_txns;
-            engine.block_cache_hits += es.block_cache_hits;
-            engine.block_cache_misses += es.block_cache_misses;
-            engine.bloom_negatives += es.bloom_negatives;
-            engine.bloom_false_positives += es.bloom_false_positives;
-            engine.fence_gap_rejects += es.fence_gap_rejects;
-            engine.scans += es.scans;
+            add("store.commits", es.commits);
+            add("store.aborts", es.aborts);
+            add("store.gets", es.gets);
+            add("store.flushes", es.flushes);
+            add("store.compactions", es.compactions);
+            add("store.files_deleted", es.files_deleted);
+            add("store.group_commits", es.group_commits);
+            add("store.grouped_txns", es.grouped_txns);
+            add("store.block_cache.hits", es.block_cache_hits);
+            add("store.block_cache.misses", es.block_cache_misses);
+            add("store.bloom.negatives", es.bloom_negatives);
+            add("store.bloom.false_positives", es.bloom_false_positives);
+            add("store.fence_gap_rejects", es.fence_gap_rejects);
+            add("store.scans", es.scans);
         }
     }
-    m.gauge_set("core.nodes.committed", node_totals.0);
-    m.gauge_set("core.nodes.aborted", node_totals.1);
-    m.gauge_set("core.nodes.participant_ops", node_totals.2);
-    m.gauge_set("core.nodes.decision_retries", node_totals.3);
-    m.gauge_set("store.commits", engine.commits);
-    m.gauge_set("store.aborts", engine.aborts);
-    m.gauge_set("store.gets", engine.gets);
-    m.gauge_set("store.flushes", engine.flushes);
-    m.gauge_set("store.compactions", engine.compactions);
-    m.gauge_set("store.files_deleted", engine.files_deleted);
-    m.gauge_set("store.group_commits", engine.group_commits);
-    m.gauge_set("store.grouped_txns", engine.grouped_txns);
-    m.gauge_set("store.block_cache.hits", engine.block_cache_hits);
-    m.gauge_set("store.block_cache.misses", engine.block_cache_misses);
-    m.gauge_set("store.bloom.negatives", engine.bloom_negatives);
-    m.gauge_set("store.bloom.false_positives", engine.bloom_false_positives);
-    m.gauge_set("store.fence_gap_rejects", engine.fence_gap_rejects);
-    m.gauge_set("store.scans", engine.scans);
     let fs = cluster.fabric().stats();
-    m.gauge_set("fabric.sent", fs.sent);
-    m.gauge_set("fabric.delivered", fs.delivered);
-    m.gauge_set("fabric.dropped_adversary", fs.dropped_adversary);
-    m.gauge_set("fabric.dropped_mtu", fs.dropped_mtu);
-    m.gauge_set("fabric.dropped_unreachable", fs.dropped_unreachable);
-    m.gauge_set("fabric.tampered", fs.tampered);
-    m.gauge_set("fabric.duplicated", fs.duplicated);
-    m.gauge_set("obs.dropped_events", obs.dropped());
-}
-
-// ---- snapshot reads: lock-free read-only transactions ------------------------
-
-/// Outcome of a snapshot-aware run ([`run_snapshot_experiment`]): the
-/// pure-read sub-population's latency stats plus the snapshot-path
-/// counters, all drawn from the metrics registry.
-#[derive(Debug, Clone)]
-pub struct SnapshotReport {
-    /// Latency stats over pure-read transactions only.
-    pub readonly: BenchStats,
-    /// Server-side lock-free snapshot reads served.
-    pub snapshot_reads: u64,
-    /// Server-side lock-free snapshot range scans served.
-    pub snapshot_scans: u64,
-    /// Snapshot reads rejected because the requested timestamp outran the
-    /// shard's stable read timestamp.
-    pub stale_rejects: u64,
-    /// Snapshot reads rejected because a key overlapped an in-doubt
-    /// prepared transaction.
-    pub indoubt_rejects: u64,
-    /// Client-side whole-transaction snapshot retries.
-    pub client_retries: u64,
-    /// Lock-table acquisitions during the measured window (excludes the
-    /// preload phase). Zero when every transaction was a snapshot read.
-    pub lock_acquires: u64,
-}
-
-/// Runs a closed-loop experiment that *classifies* transactions: pure-read
-/// transactions take the lock-free snapshot path when
-/// [`RunConfig::read_snapshot`] is set, or regular 2PC when it is not (the
-/// locking-read ablation); mixed transactions always run 2PC. Returns the
-/// overall stats plus the pure-read sub-population's stats and the
-/// snapshot counters.
-///
-/// Both modes draw identical transaction streams from the same seed, so
-/// the two variants read exactly the same keys in the same order — the
-/// only difference is the read path.
-///
-/// # Panics
-///
-/// Panics if the cluster fails to boot or the simulation errors.
-pub fn run_snapshot_experiment(cfg: RunConfig) -> (BenchStats, SnapshotReport) {
-    let label = cfg.profile.label().to_string();
-    let mode = if cfg.read_snapshot {
-        "snapshot"
-    } else {
-        "locking"
-    };
-    #[allow(clippy::type_complexity)]
-    let out: Arc<Mutex<Option<(BenchStats, SnapshotReport)>>> = Arc::new(Mutex::new(None));
-    let out2 = Arc::clone(&out);
-    let dir = tempfile::tempdir().expect("bench tempdir");
-    let path = dir.path().to_path_buf();
-
-    block_on(move || {
-        // The counters live in the metrics registry, so the hub is always
-        // installed for this runner.
-        let obs = treaty_obs::Obs::with_default_cap();
-        treaty_sim::obs::install(&obs);
-        let mut options = ClusterOptions::new(cfg.profile, path);
-        options.nodes = cfg.nodes;
-        options.txn_mode = cfg.txn_mode;
-        options.durable = cfg.durable;
-        options.seed = cfg.seed;
-        options.engine_config = EngineConfig::default();
-        if !cfg.block_cache {
-            options.engine_config.block_cache_bytes = 0;
-        }
-        options.sync_decisions = cfg.sync_decisions;
-        options.engine_config.inline_maintenance = cfg.inline_maintenance;
-        let cluster = Arc::new(Cluster::start(options).expect("cluster boots"));
-
-        // Load phase (unmeasured).
-        if cfg.durable {
-            match &cfg.workload {
-                Workload::Ycsb(ycsb) => {
-                    let mut seeder = YcsbGenerator::new(*ycsb, cfg.seed);
-                    let rows: Vec<_> = YcsbGenerator::all_keys(ycsb)
-                        .map(|k| (k, seeder.next_value()))
-                        .collect();
-                    preload(&cluster, rows);
-                }
-                Workload::Tpcc(tpcc) => {
-                    preload(&cluster, TpccGenerator::initial_rows(tpcc));
-                }
-                Workload::Social(social) => {
-                    let rows: Vec<_> = SocialGenerator::all_keys(social)
-                        .map(|k| (k, vec![b'i'; social.value_size]))
-                        .collect();
-                    preload(&cluster, rows);
-                }
-            }
-        }
-        // Preload commits acquire locks too; the report covers only the
-        // measured window.
-        let lock_baseline = obs.metrics().counter("store.lock_acquire");
-
-        // Measured window.
-        let t0 = runtime::now();
-        let committed = Arc::new(AtomicU64::new(0));
-        let aborted = Arc::new(AtomicU64::new(0));
-        let ro_committed = Arc::new(AtomicU64::new(0));
-        let ro_aborted = Arc::new(AtomicU64::new(0));
-        let hist = Arc::new(Mutex::new(Histogram::new()));
-        let ro_hist = Arc::new(Mutex::new(Histogram::new()));
-        let mut handles = Vec::new();
-        for c in 0..cfg.clients {
-            let cluster = Arc::clone(&cluster);
-            let committed = Arc::clone(&committed);
-            let aborted = Arc::clone(&aborted);
-            let ro_committed = Arc::clone(&ro_committed);
-            let ro_aborted = Arc::clone(&ro_aborted);
-            let hist = Arc::clone(&hist);
-            let ro_hist = Arc::clone(&ro_hist);
-            let cfg = cfg.clone();
-            handles.push(spawn(move || {
-                runtime::set_tag("bench-client");
-                let client = cluster.client();
-                let coordinator = 1 + (c % cfg.nodes) as u32;
-                let mut ycsb = match &cfg.workload {
-                    Workload::Ycsb(y) => Some(YcsbGenerator::new(*y, cfg.seed ^ (c as u64 + 1))),
-                    _ => None,
-                };
-                let mut tpcc = match &cfg.workload {
-                    Workload::Tpcc(t) => Some(TpccGenerator::new(*t, cfg.seed ^ (c as u64 + 1))),
-                    _ => None,
-                };
-                let mut social = match &cfg.workload {
-                    Workload::Social(s) => {
-                        Some(SocialGenerator::new(*s, cfg.seed ^ (c as u64 + 1)))
-                    }
-                    _ => None,
-                };
-                for _ in 0..cfg.txns_per_client {
-                    // Classify the next transaction: `Some(ops)` = pure
-                    // read (point gets and/or range scans), `None` = runs
-                    // the regular mixed path below.
-                    let read_set: Option<Vec<YcsbOp>> = match (&mut ycsb, &mut social) {
-                        (Some(g), _) => {
-                            let ops = g.next_txn();
-                            if ops.iter().all(|op| {
-                                matches!(op.kind, YcsbOpKind::Read | YcsbOpKind::Scan { .. })
-                            }) {
-                                Some(ops)
-                            } else {
-                                // Mixed: run it inline, drawing values in
-                                // the same order as `run_txn` would.
-                                let start = runtime::now();
-                                let mut txn = client.begin(coordinator);
-                                let mut body = Ok(());
-                                for op in ops {
-                                    let r = match op.kind {
-                                        YcsbOpKind::Read => txn.get(&op.key).map(|_| ()),
-                                        YcsbOpKind::Update | YcsbOpKind::Insert => {
-                                            let v = g.next_value();
-                                            txn.put(&op.key, &v)
-                                        }
-                                        YcsbOpKind::Scan { len } => txn
-                                            .scan(&op.key, KEY_SPACE_END, len as usize)
-                                            .map(|_| ()),
-                                    };
-                                    if r.is_err() {
-                                        body = r;
-                                        break;
-                                    }
-                                }
-                                let ok = body.is_ok() && txn.commit().is_ok();
-                                record_txn(&committed, &aborted, &hist, start, ok);
-                                continue;
-                            }
-                        }
-                        (_, Some(g)) => match g.next_txn() {
-                            SocialTxn::LoadFeed { keys } => Some(
-                                keys.into_iter()
-                                    .map(|key| YcsbOp {
-                                        key,
-                                        kind: YcsbOpKind::Read,
-                                    })
-                                    .collect(),
-                            ),
-                            SocialTxn::Post { key, value } => {
-                                let start = runtime::now();
-                                let mut txn = client.begin(coordinator);
-                                let ok = txn.put(&key, &value).is_ok() && txn.commit().is_ok();
-                                record_txn(&committed, &aborted, &hist, start, ok);
-                                continue;
-                            }
-                        },
-                        _ => None,
-                    };
-                    let start = runtime::now();
-                    let ok = match read_set {
-                        Some(ops) if cfg.read_snapshot => snapshot_readonly_txn(&client, &ops),
-                        Some(ops) => {
-                            // Locking ablation: identical reads through 2PC.
-                            let mut txn = client.begin(coordinator);
-                            let mut body = Ok(());
-                            for op in &ops {
-                                let r = match op.kind {
-                                    YcsbOpKind::Scan { len } => {
-                                        txn.scan(&op.key, KEY_SPACE_END, len as usize).map(|_| ())
-                                    }
-                                    _ => txn.get(&op.key).map(|_| ()),
-                                };
-                                if let Err(e) = r {
-                                    body = Err(e);
-                                    break;
-                                }
-                            }
-                            body.is_ok() && txn.commit().is_ok()
-                        }
-                        None => {
-                            // TPC-C (no pure-read classification).
-                            let mut txn = client.begin(coordinator);
-                            let body = {
-                                let mut kv = DistKv {
-                                    txn: &mut txn,
-                                    eager: false,
-                                };
-                                match &mut tpcc {
-                                    Some(g) => g.run_txn(&mut kv).map(|_| ()),
-                                    None => unreachable!(),
-                                }
-                            };
-                            let ok = body.is_ok() && txn.commit().is_ok();
-                            record_txn(&committed, &aborted, &hist, start, ok);
-                            continue;
-                        }
-                    };
-                    let elapsed = runtime::now() - start;
-                    if ok {
-                        committed.fetch_add(1, Ordering::Relaxed);
-                        ro_committed.fetch_add(1, Ordering::Relaxed);
-                        hist.lock().record(elapsed);
-                        ro_hist.lock().record(elapsed);
-                        treaty_sim::obs::hist_record("client.readonly_latency_ns", elapsed);
-                    } else {
-                        aborted.fetch_add(1, Ordering::Relaxed);
-                        ro_aborted.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }));
-        }
-        for h in handles {
-            join(h);
-        }
-        let duration = runtime::now() - t0;
-        let stats = BenchStats::from_histogram(
-            format!("{label} ({mode})"),
-            cfg.clients,
-            committed.load(Ordering::Relaxed),
-            aborted.load(Ordering::Relaxed),
-            duration.max(1),
-            &mut hist.lock(),
-        );
-        let readonly = BenchStats::from_histogram(
-            format!("{label} readonly ({mode})"),
-            cfg.clients,
-            ro_committed.load(Ordering::Relaxed),
-            ro_aborted.load(Ordering::Relaxed),
-            duration.max(1),
-            &mut ro_hist.lock(),
-        );
-        let m = obs.metrics();
-        let report = SnapshotReport {
-            readonly,
-            snapshot_reads: m.counter("core.snapshot_reads"),
-            snapshot_scans: m.counter("core.snapshot_scans"),
-            stale_rejects: m.counter("core.snapshot_stale_reject"),
-            indoubt_rejects: m.counter("core.snapshot_indoubt_reject"),
-            client_retries: m.counter("client.snapshot_retries"),
-            lock_acquires: m
-                .counter("store.lock_acquire")
-                .saturating_sub(lock_baseline),
-        };
-        *out2.lock() = Some((stats, report));
-    });
-
-    let result = out.lock().take().expect("experiment produced stats");
-    result
+    add("fabric.sent", fs.sent);
+    add("fabric.delivered", fs.delivered);
+    add("fabric.dropped_adversary", fs.dropped_adversary);
+    add("fabric.dropped_mtu", fs.dropped_mtu);
+    add("fabric.dropped_unreachable", fs.dropped_unreachable);
+    add("fabric.tampered", fs.tampered);
+    add("fabric.duplicated", fs.duplicated);
+    add("obs.dropped_events", obs.dropped());
+    for (name, v) in totals {
+        obs.metrics().gauge_set(name, v);
+    }
 }
 
 /// Runs one pure-read transaction (point gets and range scans) on the
@@ -787,19 +721,15 @@ pub fn run_snapshot_experiment(cfg: RunConfig) -> (BenchStats, SnapshotReport) {
 /// [`treaty_core::TreatyError::SnapshotRetry`] — the same policy as
 /// `TreatyClient::snapshot_read`, but spanning gets *and* scans in one
 /// consistent snapshot.
-fn snapshot_readonly_txn(client: &treaty_core::TreatyClient, ops: &[YcsbOp]) -> bool {
+fn snapshot_readonly_txn(client: &TreatyClient, ops: &[Op]) -> bool {
     const ATTEMPTS: u32 = 8;
     for attempt in 0..ATTEMPTS {
         let outcome = (|| {
             let mut txn = client.begin_read_only()?;
             for op in ops {
-                match op.kind {
-                    YcsbOpKind::Scan { len } => {
-                        txn.scan(&op.key, KEY_SPACE_END, len as usize)?;
-                    }
-                    _ => {
-                        txn.get(&op.key)?;
-                    }
+                match op {
+                    Op::Scan(start, limit) => drop(txn.scan(start, KEY_SPACE_END, *limit)?),
+                    Op::Get(key) | Op::Put(key, _) => drop(txn.get(key)?),
                 }
             }
             txn.finish()
@@ -808,32 +738,12 @@ fn snapshot_readonly_txn(client: &treaty_core::TreatyClient, ops: &[YcsbOp]) -> 
             Ok(()) => return true,
             Err(treaty_core::TreatyError::SnapshotRetry(_)) => {
                 treaty_sim::obs::counter_add("client.snapshot_retries", 1);
-                if treaty_sim::runtime::in_fiber() {
-                    treaty_sim::runtime::sleep((u64::from(attempt) + 1) * treaty_sim::MILLIS / 4);
-                }
+                runtime::sleep((u64::from(attempt) + 1) * treaty_sim::MILLIS / 4);
             }
             Err(_) => return false,
         }
     }
     false
-}
-
-/// Shared bookkeeping for one finished transaction in the snapshot runner.
-fn record_txn(
-    committed: &AtomicU64,
-    aborted: &AtomicU64,
-    hist: &Mutex<Histogram>,
-    start: Nanos,
-    ok: bool,
-) {
-    let elapsed = runtime::now() - start;
-    if ok {
-        committed.fetch_add(1, Ordering::Relaxed);
-        hist.lock().record(elapsed);
-        treaty_sim::obs::hist_record("client.txn_latency_ns", elapsed);
-    } else {
-        aborted.fetch_add(1, Ordering::Relaxed);
-    }
 }
 
 // ---- Fig. 8: network bandwidth -----------------------------------------------
@@ -896,32 +806,26 @@ pub fn run_network(system: NetSystem, msg_bytes: usize, messages: u64) -> f64 {
     use treaty_net::{EndpointConfig, Fabric, Rpc, RpcConfig};
 
     let (transport, tee, crypto) = system.params();
-    let out = Arc::new(Mutex::new(0.0f64));
-    let out2 = Arc::clone(&out);
     block_on(move || {
         let fabric = Fabric::new(CostModel::default(), 7);
         let key = KeyHierarchy::for_testing().network;
-        let net_cfg = EndpointConfig {
-            transport,
-            tee,
-            link_gbps: 40,
+        let rpc_config = RpcConfig {
+            endpoint: EndpointConfig {
+                transport,
+                tee,
+                link_gbps: 40,
+            },
+            crypto,
+            key,
+            cores: None,
+            timeout: treaty_net::DEFAULT_RPC_TIMEOUT,
         };
 
         let received_bytes = Arc::new(AtomicU64::new(0));
         let received_msgs = Arc::new(AtomicU64::new(0));
         let last_arrival = Arc::new(AtomicU64::new(0));
 
-        let server = Rpc::new(
-            &fabric,
-            1,
-            RpcConfig {
-                endpoint: net_cfg,
-                crypto,
-                key,
-                cores: None,
-                timeout: treaty_net::DEFAULT_RPC_TIMEOUT,
-            },
-        );
+        let server = Rpc::new(&fabric, 1, rpc_config.clone());
         {
             let received_bytes = Arc::clone(&received_bytes);
             let received_msgs = Arc::clone(&received_msgs);
@@ -939,17 +843,7 @@ pub fn run_network(system: NetSystem, msg_bytes: usize, messages: u64) -> f64 {
         }
         server.start();
 
-        let client = Rpc::new(
-            &fabric,
-            2,
-            RpcConfig {
-                endpoint: net_cfg,
-                crypto,
-                key,
-                cores: None,
-                timeout: treaty_net::DEFAULT_RPC_TIMEOUT,
-            },
-        );
+        let client = Rpc::new(&fabric, 2, rpc_config);
 
         let t0 = runtime::now();
         let payload = vec![0xA5u8; msg_bytes];
@@ -980,11 +874,8 @@ pub fn run_network(system: NetSystem, msg_bytes: usize, messages: u64) -> f64 {
         }
         let bytes = received_bytes.load(Ordering::Relaxed);
         let end = last_arrival.load(Ordering::Relaxed).max(t0 + 1);
-        let duration = (end - t0) as f64;
-        *out2.lock() = bytes as f64 * 8.0 / duration; // bits per ns == Gbit/s
-    });
-    let gbps = *out.lock();
-    gbps
+        bytes as f64 * 8.0 / (end - t0) as f64 // bits per ns == Gbit/s
+    })
 }
 
 // ---- Table I: recovery -------------------------------------------------------
@@ -996,8 +887,6 @@ pub fn run_recovery(profile: SecurityProfile, entries: usize, entry_bytes: usize
     use treaty_store::env::Env;
     use treaty_store::log;
 
-    let out = Arc::new(Mutex::new((0u64, 0u64)));
-    let out2 = Arc::clone(&out);
     let dir = tempfile::tempdir().expect("tempdir");
     let path = dir.path().to_path_buf();
     block_on(move || {
@@ -1020,81 +909,96 @@ pub fn run_recovery(profile: SecurityProfile, entries: usize, entry_bytes: usize
         let t0 = runtime::now();
         let replay = log::replay(&env, "wal-recovery", &file, 0).expect("replay");
         assert_eq!(replay.records.len(), entries);
-        let elapsed = runtime::now() - t0;
-        *out2.lock() = (elapsed, log_bytes);
-    });
-    let r = *out.lock();
-    r
+        (runtime::now() - t0, log_bytes)
+    })
 }
 
-// ---- trace artifacts ---------------------------------------------------------
+// ---- §IV-B: the trusted counter choice ---------------------------------------
 
-/// Parses the `--trace-out FILE` flag shared by the bench binaries.
-pub fn trace_out_arg() -> Option<std::path::PathBuf> {
-    std::env::args()
-        .skip_while(|a| a != "--trace-out")
-        .nth(1)
-        .map(Into::into)
-}
+/// Why Treaty needs the asynchronous trusted counter service: the mean
+/// virtual time of 50 sequential single-node commits under each of three
+/// stabilization backends, as `(label, ns per commit)` — no rollback
+/// protection (the `Treaty w/ Enc` variant), the ROTE-style distributed
+/// counter group (the shipped design), and the SGX hardware monotonic
+/// counter, which §IV-B rejects (up to 250 ms per increment per the paper;
+/// ROTE measures ~60-250 ms).
+pub fn run_counter_ablation() -> [(&'static str, Nanos); 3] {
+    use treaty_counter::{CounterBackend, HwCounterBackend, NullBackend, RoteGroup, RoteReplica};
+    use treaty_crypto::KeyHierarchy;
+    use treaty_store::env::{EngineConfig, Env};
+    use treaty_store::{EngineTxn as _, TreatyStore};
 
-/// Runs `cfg` with the tracing hub installed and writes the Chrome trace
-/// plus the breakdown/metrics sidecars to `path`, printing the text
-/// reports. The run is deterministic: the same `cfg` always produces
-/// byte-identical artifacts.
-///
-/// # Panics
-///
-/// Panics if the experiment fails or the artifacts cannot be written.
-pub fn write_trace_artifact(path: &std::path::Path, cfg: RunConfig) {
-    let (stats, _accel, trace) = run_experiment_traced(cfg);
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("trace output directory");
-        }
+    #[derive(Clone, Copy)]
+    enum Backend {
+        None,
+        Rote,
+        Hardware,
     }
-    trace.write_to(path).expect("write trace artifacts");
-    println!(
-        "\ntrace: {} committed / {} aborted txns -> {}",
-        stats.committed,
-        stats.aborted,
-        path.display()
-    );
-    println!("\n{}", trace.phase_breakdown);
-    println!("{}", trace.metrics);
+    let per_commit = |choice: Backend| {
+        let dir = tempfile::tempdir().expect("tempdir");
+        let path = dir.path().to_path_buf();
+        block_on(move || {
+            let fabric = treaty_net::Fabric::new(CostModel::default(), 3);
+            let keys = KeyHierarchy::for_testing();
+            let mut replicas = Vec::new();
+            let backend: Arc<dyn CounterBackend> = match choice {
+                Backend::None => NullBackend::new(),
+                Backend::Hardware => HwCounterBackend::new(CostModel::default()),
+                Backend::Rote => {
+                    replicas.extend((1000..1003).map(|endpoint| {
+                        RoteReplica::start(&fabric, endpoint, keys.counter, keys.sealing, &path)
+                    }));
+                    let round_floor = 2 * treaty_sim::MILLIS;
+                    RoteGroup::connect(
+                        &fabric,
+                        1100,
+                        keys.counter,
+                        vec![1000, 1001, 1002],
+                        round_floor,
+                    )
+                }
+            };
+            let profile = SecurityProfile::treaty_full();
+            let config = EngineConfig::default();
+            let enclave = Arc::new(treaty_tee::Enclave::new(profile.tee));
+            let block_cache = treaty_store::BlockCache::new_shared(
+                Arc::clone(&enclave),
+                config.block_cache_bytes as u64,
+            );
+            let env = Arc::new(Env {
+                profile,
+                costs: CostModel::default(),
+                enclave,
+                vault: treaty_tee::HostVault::new(),
+                cores: None,
+                keys,
+                backend,
+                dir: path.join("node-0"),
+                config,
+                block_cache,
+                read_stats: treaty_store::ReadAccelStats::default(),
+            });
+            let store = TreatyStore::open(env).expect("store opens");
+            let txns = 50u64;
+            let t0 = runtime::now();
+            for i in 0..txns {
+                let mut tx = store.begin_mode(TxnMode::Pessimistic);
+                tx.put(format!("k{i}").as_bytes(), &[0u8; 500])
+                    .expect("put");
+                tx.commit().expect("commit");
+            }
+            (runtime::now() - t0) / txns
+        })
+    };
+    [
+        ("no rollback protection", Backend::None),
+        ("ROTE-style service (the design)", Backend::Rote),
+        ("SGX hardware counter (rejected)", Backend::Hardware),
+    ]
+    .map(|(label, choice)| (label, per_commit(choice)))
 }
 
-// ---- tail-latency attribution + treaty-top (DESIGN.md §14) -------------------
-
-/// Width of one windowed time-series bucket in the attribution runner.
-pub const SERIES_WINDOW: Nanos = 5 * treaty_sim::MILLIS;
-
-/// Outcome of [`run_attribution_experiment`]: the critical-path
-/// attribution report, the usual trace artifacts, the windowed time-series
-/// rendering, one live `OBS_SNAPSHOT` reply per node (polled over the
-/// fabric after the measured window), the rendered `treaty-top` dashboard,
-/// and any flight-recorder dumps written along the way.
-///
-/// Everything except `flight_dumps` paths derives from the virtual clock,
-/// so two runs with the same config are byte-identical.
-#[derive(Debug, Clone)]
-pub struct AttributionRun {
-    /// Overall run stats.
-    pub stats: BenchStats,
-    /// Per-transaction critical-path attribution.
-    pub report: treaty_obs::AttributionReport,
-    /// Chrome trace + phase breakdown + metrics snapshot.
-    pub trace: TraceReport,
-    /// Rendered windowed time series (virtual-time buckets).
-    pub series: String,
-    /// One `OBS_SNAPSHOT` reply per node, in endpoint order.
-    pub snapshots: Vec<ObsSnapshotReply>,
-    /// Rendered `treaty-top` dashboard over `snapshots`.
-    pub top: String,
-    /// Committed transactions whose measured latency exceeded the SLO.
-    pub slo_breaches: u64,
-    /// Flight-recorder dump files under the flight directory, sorted.
-    pub flight_dumps: Vec<std::path::PathBuf>,
-}
+// ---- reporting helpers ---------------------------------------------------------
 
 /// Renders the `treaty-top` live-cluster dashboard from one round of
 /// `OBS_SNAPSHOT` replies: MVCC frontier, queue depths, backpressure,
@@ -1111,28 +1015,15 @@ pub fn treaty_top(snapshots: &[ObsSnapshotReply]) -> String {
         snapshots.len(),
         now
     );
-    let _ = writeln!(
-        s,
-        "{:>4} {:>12} {:>5} {:>5} {:>4} {:>8} {:>8} {:>7} {:>9} {:>8} {:>7}",
-        "node",
-        "stable_ts",
-        "decq",
-        "flush",
-        "bp",
-        "prepared",
-        "commit",
-        "abort",
-        "part_ops",
-        "retries",
-        "cache%"
+    // Right-aligned to the widths of the row format below.
+    s.push_str(
+        "node    stable_ts  decq flush   bp prepared   commit   abort  part_ops  retries  cache%\n",
     );
     for r in snapshots {
         let fetches = r.block_cache_hits + r.block_cache_misses;
-        let hit_bp = if fetches == 0 {
-            0
-        } else {
-            r.block_cache_hits * 10_000 / fetches
-        };
+        let hit_bp = (r.block_cache_hits * 10_000)
+            .checked_div(fetches)
+            .unwrap_or(0);
         let bp = match r.backpressure {
             0 => "ok",
             1 => "slow",
@@ -1158,425 +1049,40 @@ pub fn treaty_top(snapshots: &[ObsSnapshotReply]) -> String {
     s
 }
 
-/// Runs `cfg` with the full observability stack armed: tracing hub,
-/// windowed time series, and (when `flight_dir` is given) the
-/// flight recorder. Committed transactions slower than `slo_ns` trigger an
-/// `slo.breach` flight dump; a `run.complete` checkpoint dump is always
-/// written at the end of an armed run so the artifact exists even on a
-/// clean run. After the measured window every node is polled live over
-/// the fabric with `OBS_SNAPSHOT` and the replies rendered as
-/// `treaty-top`.
-///
-/// # Panics
-///
-/// Panics if the cluster fails to boot, a node fails to answer the
-/// introspection RPC, or the simulation errors.
-pub fn run_attribution_experiment(
-    cfg: RunConfig,
-    slo_ns: Option<Nanos>,
-    flight_dir: Option<std::path::PathBuf>,
-) -> AttributionRun {
-    let label = cfg.profile.label().to_string();
-    let out: Arc<Mutex<Option<AttributionRun>>> = Arc::new(Mutex::new(None));
-    let out2 = Arc::clone(&out);
-    let dir = tempfile::tempdir().expect("bench tempdir");
-    let path = dir.path().to_path_buf();
-
-    block_on(move || {
-        let obs = treaty_obs::Obs::with_default_cap();
-        obs.metrics().enable_series(SERIES_WINDOW, 4096);
-        if let Some(dir) = &flight_dir {
-            std::fs::create_dir_all(dir).expect("flight directory");
-            obs.configure_flight(dir, 512);
-        }
-        treaty_sim::obs::install(&obs);
-        let mut options = ClusterOptions::new(cfg.profile, path);
-        options.nodes = cfg.nodes;
-        options.txn_mode = cfg.txn_mode;
-        options.durable = cfg.durable;
-        options.seed = cfg.seed;
-        options.engine_config = EngineConfig::default();
-        if !cfg.block_cache {
-            options.engine_config.block_cache_bytes = 0;
-        }
-        options.sync_decisions = cfg.sync_decisions;
-        options.engine_config.inline_maintenance = cfg.inline_maintenance;
-        let cluster = Arc::new(Cluster::start(options).expect("cluster boots"));
-
-        // Load phase (unmeasured).
-        if cfg.durable {
-            match &cfg.workload {
-                Workload::Ycsb(ycsb) => {
-                    let mut seeder = YcsbGenerator::new(*ycsb, cfg.seed);
-                    let rows: Vec<_> = YcsbGenerator::all_keys(ycsb)
-                        .map(|k| (k, seeder.next_value()))
-                        .collect();
-                    preload(&cluster, rows);
-                }
-                Workload::Tpcc(tpcc) => {
-                    preload(&cluster, TpccGenerator::initial_rows(tpcc));
-                }
-                Workload::Social(social) => {
-                    let rows: Vec<_> = SocialGenerator::all_keys(social)
-                        .map(|k| (k, vec![b'i'; social.value_size]))
-                        .collect();
-                    preload(&cluster, rows);
-                }
-            }
-        }
-
-        // Measured window.
-        let t0 = runtime::now();
-        let committed = Arc::new(AtomicU64::new(0));
-        let aborted = Arc::new(AtomicU64::new(0));
-        let breaches = Arc::new(AtomicU64::new(0));
-        let hist = Arc::new(Mutex::new(Histogram::new()));
-        let mut handles = Vec::new();
-        for c in 0..cfg.clients {
-            let cluster = Arc::clone(&cluster);
-            let committed = Arc::clone(&committed);
-            let aborted = Arc::clone(&aborted);
-            let breaches = Arc::clone(&breaches);
-            let hist = Arc::clone(&hist);
-            let cfg = cfg.clone();
-            handles.push(spawn(move || {
-                runtime::set_tag("bench-client");
-                let client = cluster.client();
-                let coordinator = 1 + (c % cfg.nodes) as u32;
-                let mut ycsb = match &cfg.workload {
-                    Workload::Ycsb(y) => Some(YcsbGenerator::new(*y, cfg.seed ^ (c as u64 + 1))),
-                    _ => None,
-                };
-                let mut tpcc = match &cfg.workload {
-                    Workload::Tpcc(t) => Some(TpccGenerator::new(*t, cfg.seed ^ (c as u64 + 1))),
-                    _ => None,
-                };
-                let mut social = match &cfg.workload {
-                    Workload::Social(s) => {
-                        Some(SocialGenerator::new(*s, cfg.seed ^ (c as u64 + 1)))
-                    }
-                    _ => None,
-                };
-                for _ in 0..cfg.txns_per_client {
-                    let start = runtime::now();
-                    let mut txn = client.begin(coordinator);
-                    let body = {
-                        let mut kv = DistKv {
-                            txn: &mut txn,
-                            eager: false,
-                        };
-                        match (&mut ycsb, &mut tpcc, &mut social) {
-                            (Some(g), _, _) => g.run_txn(&mut kv),
-                            (_, Some(g), _) => g.run_txn(&mut kv).map(|_| ()),
-                            (_, _, Some(g)) => g.run_txn(&mut kv),
-                            _ => unreachable!(),
-                        }
-                    };
-                    let ok = body.is_ok() && txn.commit().is_ok();
-                    let elapsed = runtime::now() - start;
-                    if ok {
-                        committed.fetch_add(1, Ordering::Relaxed);
-                        hist.lock().record(elapsed);
-                        treaty_sim::obs::hist_record("client.txn_latency_ns", elapsed);
-                        if slo_ns.is_some_and(|slo| elapsed > slo) {
-                            breaches.fetch_add(1, Ordering::Relaxed);
-                            treaty_sim::obs::counter_add("client.slo_breaches", 1);
-                            treaty_sim::obs::flight_dump(
-                                "slo.breach",
-                                "committed transaction exceeded the latency SLO",
-                            );
-                        }
-                    } else {
-                        aborted.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }));
-        }
-        for h in handles {
-            join(h);
-        }
-        let duration = runtime::now() - t0;
-
-        // Live introspection: every node answers OBS_SNAPSHOT over the
-        // fabric (this is the treaty-top poll, not a local peek).
-        let client = cluster.client();
-        let mut snapshots = Vec::new();
-        for ep in cluster.node_endpoints() {
-            snapshots.push(client.obs_snapshot(ep).expect("OBS_SNAPSHOT reply"));
-        }
-
-        // End-of-run checkpoint, so an armed recorder always leaves at
-        // least one dump even when nothing breached.
-        treaty_sim::obs::flight_dump("run.complete", "end-of-run checkpoint");
-
-        let stats = BenchStats::from_histogram(
-            label,
-            cfg.clients,
-            committed.load(Ordering::Relaxed),
-            aborted.load(Ordering::Relaxed),
-            duration.max(1),
-            &mut hist.lock(),
-        );
-        absorb_cluster_stats(&obs, &cluster, cfg.nodes);
-        let events = obs.events();
-        let dropped = obs.dropped();
-        let report = treaty_obs::attribute(&events, dropped);
-        let trace = TraceReport {
-            chrome_json: treaty_obs::chrome_trace_json_with_meta(&events, dropped),
-            phase_breakdown: treaty_obs::export::phase_breakdown_with_drops(&events, dropped),
-            metrics: obs.metrics().snapshot().render(),
-        };
-        let series = obs
-            .metrics()
-            .series_snapshot()
-            .map(|s| s.render())
-            .unwrap_or_default();
-        let mut flight_dumps = Vec::new();
-        if let Some(dir) = &flight_dir {
-            if let Ok(rd) = std::fs::read_dir(dir) {
-                flight_dumps.extend(rd.flatten().map(|e| e.path()));
-            }
-            flight_dumps.sort();
-        }
-        let top = treaty_top(&snapshots);
-        *out2.lock() = Some(AttributionRun {
-            stats,
-            report,
-            trace,
-            series,
-            snapshots,
-            top,
-            slo_breaches: breaches.load(Ordering::Relaxed),
-            flight_dumps,
-        });
-    });
-
-    let result = out
-        .lock()
-        .take()
-        .expect("attribution run produced a report");
-    result
-}
-
-// ---- open-loop scale harness (DESIGN.md §16, ROADMAP item 5) -----------------
-
-/// One point of the open-loop scale sweep: a fixed offered rate against a
-/// fixed cluster size, with deferred-write batching on or off.
-#[derive(Debug, Clone)]
-pub struct ScaleRunConfig {
-    /// System variant.
-    pub profile: SecurityProfile,
-    /// Cluster size.
-    pub nodes: usize,
-    /// Offered arrival rate in transactions per second of virtual time.
-    pub offered_tps: f64,
-    /// Total transactions the arrival process injects.
-    pub arrivals: usize,
-    /// Deferred-write batching on the client; off ships every write as it
-    /// is issued ([`DistTxn::flush`] after each).
-    pub batching: bool,
-    /// Multi-tenant zipfian workload shape.
-    pub scale: ScaleConfig,
-    /// Determinism seed.
-    pub seed: u64,
-}
-
-impl ScaleRunConfig {
-    /// A sweep point with the default workload shape.
-    pub fn point(nodes: usize, offered_tps: f64, arrivals: usize, batching: bool) -> Self {
-        ScaleRunConfig {
-            profile: SecurityProfile::treaty_full(),
-            nodes,
-            offered_tps,
-            arrivals,
-            batching,
-            scale: ScaleConfig::default(),
-            seed: 42,
-        }
-    }
-}
-
-/// Measured outcome of one [`run_scale_experiment`] point.
-///
-/// Latencies are *open-loop*: measured from each transaction's intended
-/// Poisson arrival time, so queueing delay under overload lands in p99
-/// instead of silently throttling the offered rate.
-#[derive(Debug, Clone)]
-pub struct ScalePoint {
-    /// Cluster size.
-    pub nodes: usize,
-    /// Whether deferred-write batching was on.
-    pub batching: bool,
-    /// Offered arrival rate (tps).
-    pub offered_tps: f64,
-    /// Achieved commit rate (tps) over the whole run including drain.
-    pub achieved_tps: f64,
-    /// Committed transactions.
-    pub committed: u64,
-    /// Aborted transactions.
-    pub aborted: u64,
-    /// Open-loop median latency.
-    pub p50_ns: Nanos,
-    /// Open-loop 99th-percentile latency.
-    pub p99_ns: Nanos,
-    /// Open-loop mean latency.
-    pub mean_ns: Nanos,
-    /// Virtual duration from first arrival to last completion.
-    pub duration_ns: Nanos,
-    /// Fabric messages sent during the measured window — the wire cost the
-    /// coalesced fan-out amortises.
-    pub messages_sent: u64,
-}
-
-impl ScalePoint {
-    /// Achieved/offered ratio; the saturation knee is the last sweep rate
-    /// where this stays ≥ 0.9.
-    pub fn saturation(&self) -> f64 {
-        if self.offered_tps <= 0.0 {
-            return 0.0;
-        }
-        self.achieved_tps / self.offered_tps
-    }
-}
-
-/// Runs one open-loop scale point: a Poisson arrival process injects
-/// `cfg.arrivals` transactions at `cfg.offered_tps` regardless of how fast
-/// earlier ones complete; each transaction runs in its own fiber against a
-/// round-robin coordinator. Latency is measured from the intended arrival
-/// time (queueing included), which is what makes the harness open-loop.
-///
-/// Fully deterministic per config: arrivals, workload, and the simulated
-/// cluster all derive from `cfg.seed`.
-///
-/// # Panics
-///
-/// Panics if the cluster fails to boot or the simulation errors.
-pub fn run_scale_experiment(cfg: ScaleRunConfig) -> ScalePoint {
-    let out: Arc<Mutex<Option<ScalePoint>>> = Arc::new(Mutex::new(None));
-    let out2 = Arc::clone(&out);
-    let dir = tempfile::tempdir().expect("bench tempdir");
-    let path = dir.path().to_path_buf();
-
-    block_on(move || {
-        let mut options = ClusterOptions::new(cfg.profile, path);
-        options.nodes = cfg.nodes;
-        options.txn_mode = TxnMode::Pessimistic;
-        options.seed = cfg.seed;
-        options.engine_config = EngineConfig::default();
-        let cluster = Arc::new(Cluster::start(options).expect("cluster boots"));
-
-        // Load phase (unmeasured): the hot head of every tenant's key
-        // space, so zipfian reads hit existing rows.
-        preload(&cluster, treaty_workload::scale::hot_rows(&cfg.scale, 64));
-
-        let sent_baseline = cluster.fabric().stats().sent;
-        let t0 = runtime::now();
-        let committed = Arc::new(AtomicU64::new(0));
-        let aborted = Arc::new(AtomicU64::new(0));
-        let hist = Arc::new(Mutex::new(Histogram::new()));
-        let mut arrivals = PoissonArrivals::new(cfg.offered_tps, cfg.seed ^ 0x5ca1e);
-        let mut handles = Vec::new();
-        let mut next = t0;
-        for i in 0..cfg.arrivals {
-            next += arrivals.next_gap();
-            let now = runtime::now();
-            if next > now {
-                runtime::sleep(next - now);
-            }
-            let intended = next;
-            let cluster = Arc::clone(&cluster);
-            let committed = Arc::clone(&committed);
-            let aborted = Arc::clone(&aborted);
-            let hist = Arc::clone(&hist);
-            let cfg = cfg.clone();
-            handles.push(spawn(move || {
-                runtime::set_tag("scale-client");
-                let client = cluster.client();
-                let coordinator = 1 + (i % cfg.nodes) as u32;
-                let mut gen = ScaleGenerator::new(cfg.scale.clone(), cfg.seed ^ (i as u64 + 1));
-                let mut txn = client.begin(coordinator);
-                let body = {
-                    let mut kv = DistKv {
-                        txn: &mut txn,
-                        eager: !cfg.batching,
-                    };
-                    gen.run_txn(&mut kv)
-                };
-                let ok = body.is_ok() && txn.commit().is_ok();
-                // Open-loop latency: completion minus *intended* arrival.
-                let elapsed = runtime::now() - intended;
-                if ok {
-                    committed.fetch_add(1, Ordering::Relaxed);
-                    hist.lock().record(elapsed);
-                } else {
-                    aborted.fetch_add(1, Ordering::Relaxed);
-                }
-            }));
-        }
-        for h in handles {
-            join(h);
-        }
-        let duration = (runtime::now() - t0).max(1);
-        let committed = committed.load(Ordering::Relaxed);
-        let messages_sent = cluster.fabric().stats().sent - sent_baseline;
-        let mut hist = hist.lock();
-        *out2.lock() = Some(ScalePoint {
-            nodes: cfg.nodes,
-            batching: cfg.batching,
-            offered_tps: cfg.offered_tps,
-            achieved_tps: committed as f64 * 1e9 / duration as f64,
-            committed,
-            aborted: aborted.load(Ordering::Relaxed),
-            p50_ns: hist.quantile(0.50),
-            p99_ns: hist.quantile(0.99),
-            mean_ns: hist.mean(),
-            duration_ns: duration,
-            messages_sent,
-        });
-    });
-
-    let result = out.lock().take().expect("scale run produced a point");
-    result
-}
-
-// ---- reporting helpers ---------------------------------------------------------
-
-/// Formats a slowdown factor like the paper's figures.
-pub fn slowdown(baseline_tps: f64, tps: f64) -> f64 {
-    if tps <= 0.0 {
-        f64::INFINITY
-    } else {
-        baseline_tps / tps
-    }
-}
-
 /// Prints the read-acceleration line shown under a stats row.
-pub fn print_accel(a: &AccelReport) {
+pub fn print_accel(row: &Row) {
+    let hits = row.counter("store.block_cache.hits");
+    let misses = row.counter("store.block_cache.misses");
     println!(
         "      block cache {:>7} hits / {:>7} misses ({:>5.1}% hit rate)   bloom {:>7} filtered, {:>5} false positives, {:>5} fence-gap rejects   scans {:>6}",
-        a.block_cache_hits,
-        a.block_cache_misses,
-        a.hit_rate() * 100.0,
-        a.bloom_negatives,
-        a.bloom_false_positives,
-        a.fence_gap_rejects,
-        a.scans,
+        hits,
+        misses,
+        hits as f64 * 100.0 / ((hits + misses).max(1)) as f64,
+        row.counter("store.bloom.negatives"),
+        row.counter("store.bloom.false_positives"),
+        row.counter("store.fence_gap_rejects"),
+        row.counter("store.scans"),
     );
 }
 
-/// Prints one stats row.
-pub fn print_row(stats: &BenchStats, baseline_tps: Option<f64>) {
-    let tps = stats.tps();
-    let slow = baseline_tps.map(|b| slowdown(b, tps));
+/// Prints one stats row. Against a baseline it prints the throughput
+/// slowdown and, beside it, the mean-latency ratio: the two agree when
+/// both windows are saturated and part when aborted attempts or cut
+/// in-flight transactions take a different share of the two.
+pub fn print_row(stats: &BenchStats, baseline: Option<&BenchStats>) {
     println!(
         "  {:<26} {:>10.0} tps  {:>8.2} ms mean  {:>8.2} ms p99  {:>6.1}% aborts{}",
         stats.label,
-        tps,
+        stats.tps(),
         stats.mean_latency_ns as f64 / 1e6,
         stats.p99_latency_ns as f64 / 1e6,
         stats.abort_rate() * 100.0,
-        match slow {
-            Some(s) => format!("  {s:>5.2}x slower than baseline"),
+        match baseline {
+            Some(b) => format!(
+                "  {:>5.2}x slower than baseline ({:.2}x mean latency)",
+                b.tps() / stats.tps(),
+                stats.mean_latency_ns as f64 / b.mean_latency_ns.max(1) as f64,
+            ),
             None => "  (baseline)".to_string(),
         }
     );
@@ -1586,97 +1092,71 @@ pub fn print_row(stats: &BenchStats, baseline_tps: Option<f64>) {
 mod tests {
     use super::*;
 
+    fn small_ycsb(mut ycsb: YcsbConfig, keys: u64, clients: usize, txns: usize) -> RunConfig {
+        ycsb.keys = keys;
+        let profile = SecurityProfile::treaty_full();
+        RunConfig::closed(profile, Workload::Ycsb(ycsb), clients, txns)
+    }
+
     #[test]
     fn protocol_only_smoke() {
-        let stats = run_experiment(RunConfig {
-            clients: 4,
-            txns_per_client: 3,
-            ..RunConfig::protocol_only(SecurityProfile::rocksdb(), 4)
-        });
+        let stats = run(&RunConfig::protocol_only(SecurityProfile::rocksdb(), 4, 3)).stats;
         assert!(stats.committed > 0);
         assert!(stats.tps() > 0.0);
     }
 
     #[test]
     fn distributed_ycsb_smoke() {
-        let mut ycsb = YcsbConfig::balanced();
-        ycsb.keys = 200;
-        let stats = run_experiment(RunConfig {
-            clients: 4,
-            txns_per_client: 3,
-            ..RunConfig::distributed_ycsb(SecurityProfile::treaty_full(), ycsb, 4)
-        });
+        let stats = run(&small_ycsb(YcsbConfig::balanced(), 200, 4, 3)).stats;
         assert!(stats.committed > 0);
     }
 
     #[test]
     fn single_node_tpcc_smoke() {
-        let stats = run_experiment(RunConfig {
-            clients: 2,
-            txns_per_client: 3,
-            ..RunConfig::single_node(
-                SecurityProfile::native_treaty(),
-                TxnMode::Pessimistic,
-                Workload::Tpcc(TpccConfig::tiny()),
-                2,
-            )
-        });
-        assert!(stats.committed > 0);
+        let cfg = RunConfig::single_node(
+            SecurityProfile::native_treaty(),
+            TxnMode::Pessimistic,
+            Workload::Tpcc(TpccConfig::tiny()),
+            2,
+            3,
+        );
+        assert!(run(&cfg).stats.committed > 0);
     }
 
     #[test]
-    fn snapshot_runner_smoke() {
-        let mut ycsb = YcsbConfig::read_heavy();
-        ycsb.keys = 200;
-        let mut cfg = RunConfig {
-            clients: 4,
-            txns_per_client: 4,
-            ..RunConfig::distributed_ycsb(SecurityProfile::treaty_full(), ycsb, 4)
-        };
+    fn snapshot_lane_smoke() {
+        let mut cfg = small_ycsb(YcsbConfig::read_heavy(), 200, 4, 4);
         cfg.read_snapshot = true;
-        let (stats, report) = run_snapshot_experiment(cfg);
-        assert!(stats.committed > 0);
+        let report = run(&cfg);
+        assert!(report.stats.committed > 0);
         // 80 %R x 10 ops leaves ~10 % pure-read transactions; with 16 txns
         // drawn the run should see at least one.
         assert!(
             report.readonly.committed + report.readonly.aborted > 0,
             "expected some pure-read transactions"
         );
-        assert!(report.snapshot_reads > 0);
+        assert!(report.counter("core.snapshot_reads") > 0);
     }
 
     #[test]
     fn ycsb_e_locking_smoke() {
-        let mut ycsb = YcsbConfig::ycsb_e();
-        ycsb.keys = 150;
-        let cfg = RunConfig {
-            clients: 3,
-            txns_per_client: 3,
-            ..RunConfig::distributed_ycsb(SecurityProfile::treaty_full(), ycsb, 3)
-        };
-        let (stats, report) = run_snapshot_experiment(cfg);
-        assert!(stats.committed > 0);
+        let report = run(&small_ycsb(YcsbConfig::ycsb_e(), 150, 3, 3));
+        assert!(report.stats.committed > 0);
         // Locking mode: scans go through 2PC with next-key locks, never
         // the lock-free snapshot path.
-        assert_eq!(report.snapshot_scans, 0);
+        assert_eq!(report.counter("core.snapshot_scans"), 0);
         assert!(
-            report.lock_acquires > 0,
+            report.counter("store.lock_acquire") > 0,
             "locking-mode scans must take locks"
         );
     }
 
     #[test]
     fn ycsb_e_snapshot_smoke() {
-        let mut ycsb = YcsbConfig::ycsb_e();
-        ycsb.keys = 150;
-        let mut cfg = RunConfig {
-            clients: 3,
-            txns_per_client: 3,
-            ..RunConfig::distributed_ycsb(SecurityProfile::treaty_full(), ycsb, 3)
-        };
+        let mut cfg = small_ycsb(YcsbConfig::ycsb_e(), 150, 3, 3);
         cfg.read_snapshot = true;
-        let (stats, report) = run_snapshot_experiment(cfg);
-        assert!(stats.committed > 0);
+        let report = run(&cfg);
+        assert!(report.stats.committed > 0);
         // 95 % of YCSB-E transactions are pure scans; they must ride the
         // snapshot path and register server-side.
         assert!(
@@ -1684,84 +1164,83 @@ mod tests {
             "scan transactions must commit on the snapshot path"
         );
         assert!(
-            report.snapshot_scans > 0,
+            report.counter("core.snapshot_scans") > 0,
             "server must serve snapshot scans"
         );
     }
 
+    fn social(clients: usize, txns: usize) -> RunConfig {
+        let workload = Workload::Social(SocialConfig::feed());
+        let mut cfg = RunConfig::closed(SecurityProfile::treaty_full(), workload, clients, txns);
+        cfg.read_snapshot = true;
+        cfg
+    }
+
     #[test]
     fn social_workload_smoke() {
-        let mut cfg = RunConfig {
-            clients: 3,
-            txns_per_client: 4,
-            ..RunConfig::distributed_ycsb(
-                SecurityProfile::treaty_full(),
-                YcsbConfig::read_heavy(),
-                3,
-            )
-        };
-        cfg.workload = Workload::Social(SocialConfig::feed());
-        cfg.read_snapshot = true;
-        let (stats, report) = run_snapshot_experiment(cfg);
-        assert!(stats.committed > 0);
+        let report = run(&social(3, 4));
+        assert!(report.stats.committed > 0);
         assert!(report.readonly.committed > 0, "feed loads must commit");
     }
 
     #[test]
-    fn attribution_runner_smoke() {
-        let mut ycsb = YcsbConfig::balanced();
-        ycsb.keys = 200;
-        let cfg = RunConfig {
-            clients: 4,
-            txns_per_client: 3,
-            ..RunConfig::distributed_ycsb(SecurityProfile::treaty_full(), ycsb, 4)
-        };
-        let dir = tempfile::tempdir().unwrap();
-        // SLO of 1 ns: every commit breaches, exercising the dump path.
-        let run = run_attribution_experiment(cfg, Some(1), Some(dir.path().to_path_buf()));
-        assert!(run.stats.committed > 0);
+    fn attribution_and_introspection_smoke() {
+        let report = run(&small_ycsb(YcsbConfig::balanced(), 200, 4, 3));
+        assert!(report.stats.committed > 0);
+        let committed = report.counter("bench.committed");
+        assert!(report.stats.committed <= committed);
+        let attribution = report.attribution();
         assert_eq!(
-            run.report.txns.len() as u64,
-            run.stats.committed,
+            attribution.txns.len() as u64,
+            committed,
             "one attribution per committed transaction"
         );
         assert!(
-            run.report.min_coverage_bp() >= 9_500,
+            attribution.min_coverage_bp() >= 9_500,
             "attribution must explain >= 95% of every committed txn \
              (min {} bp)",
-            run.report.min_coverage_bp()
+            attribution.min_coverage_bp()
         );
-        assert!(run.report.p99_dominant().is_some());
-        assert_eq!(run.snapshots.len(), 3, "every node answers OBS_SNAPSHOT");
-        let committed: u64 = run.snapshots.iter().map(|r| r.committed).sum();
+        assert!(attribution.p99_dominant().is_some());
+        assert_eq!(report.snapshots.len(), 3, "every node answers OBS_SNAPSHOT");
         assert_eq!(
-            committed, run.stats.committed,
+            report.snapshots.iter().map(|r| r.committed).sum::<u64>(),
+            committed,
             "live coordinator counts must add up to the run total"
         );
-        assert_eq!(run.slo_breaches, run.stats.committed);
-        assert!(
-            !run.flight_dumps.is_empty(),
-            "breaches + end-of-run checkpoint must leave dumps"
+        // SLO of 1 ns: every commit breaches, exercising the dump path.
+        let dir = tempfile::tempdir().unwrap();
+        let dumps = report.write_flight_dumps(dir.path(), 1);
+        assert_eq!(
+            dumps.len() as u64,
+            committed + 1,
+            "one dump per breach plus the end-of-run checkpoint"
         );
-        assert!(run.top.contains("treaty-top"));
-        assert!(run.series.contains("window"), "series rendering present");
+        assert!(dumps.iter().all(|d| d.exists()));
+        assert!(treaty_top(&report.snapshots).contains("treaty-top"));
+        assert!(
+            report.series().contains("window"),
+            "series rendering present"
+        );
+        assert!(report.chrome_trace().contains("traceEvents"));
     }
 
-    #[test]
-    fn scale_runner_smoke_batching_cuts_messages() {
+    fn write_only_scale(batching: bool) -> RunConfig {
         let scale = ScaleConfig {
             tenants: 2,
             keys_per_tenant: 500,
             write_pct: 100,
             ..ScaleConfig::default()
         };
-        let mut cfg = ScaleRunConfig::point(3, 5_000.0, 12, true);
-        cfg.scale = scale;
-        let batched = run_scale_experiment(cfg.clone());
-        cfg.batching = false;
-        let unbatched = run_scale_experiment(cfg);
-        assert!(batched.committed > 0, "batched run commits");
-        assert!(unbatched.committed > 0, "unbatched run commits");
+        RunConfig::open_loop(3, 5_000.0, 12, batching, scale)
+    }
+
+    #[test]
+    fn open_loop_smoke_batching_cuts_messages() {
+        let batched = run(&write_only_scale(true));
+        let unbatched = run(&write_only_scale(false));
+        assert!(batched.stats.committed > 0, "batched run commits");
+        assert!(unbatched.stats.committed > 0, "unbatched run commits");
         // Pure-write transactions: batching ships one coalesced payload per
         // shard instead of one round trip per op, so it must use strictly
         // fewer fabric messages for the same transaction stream.
@@ -1774,17 +1253,38 @@ mod tests {
     }
 
     #[test]
-    fn scale_runner_is_deterministic() {
-        let mut cfg = ScaleRunConfig::point(3, 5_000.0, 8, true);
-        cfg.scale.keys_per_tenant = 200;
-        let a = run_scale_experiment(cfg.clone());
-        let b = run_scale_experiment(cfg);
-        assert_eq!(a.committed, b.committed);
-        assert_eq!(a.aborted, b.aborted);
-        assert_eq!(a.p50_ns, b.p50_ns);
-        assert_eq!(a.p99_ns, b.p99_ns);
-        assert_eq!(a.duration_ns, b.duration_ns);
-        assert_eq!(a.messages_sent, b.messages_sent);
+    fn run_is_deterministic() {
+        let scale = ScaleConfig {
+            keys_per_tenant: 200,
+            ..ScaleConfig::default()
+        };
+        for cfg in [
+            social(4, 6),
+            RunConfig::open_loop(3, 5_000.0, 8, true, scale),
+        ] {
+            let row = |cfg| serde_json::to_vec(&run(cfg).row()).unwrap();
+            let (a, b) = (row(&cfg), row(&cfg));
+            assert!(
+                a == b,
+                "same config, different rows:\n{}\n{}",
+                String::from_utf8_lossy(&a),
+                String::from_utf8_lossy(&b)
+            );
+        }
+    }
+
+    #[test]
+    fn closed_window_ends_with_the_first_finisher() {
+        let report = run(&small_ycsb(YcsbConfig::write_heavy(), 50, 6, 4));
+        let in_window = report.stats.committed + report.stats.aborted;
+        let finished = report.counter("bench.committed") + report.counter("bench.aborted");
+        assert!(
+            (4..6 * 4).contains(&report.stats.committed),
+            "the first finisher's four commits are inside, five stragglers' quotas are not"
+        );
+        // Nobody starts a transaction after the window closed, so at most
+        // the five stragglers' in-flight ones finish outside it.
+        assert!(in_window <= finished && finished - in_window <= 5);
     }
 
     #[test]
@@ -1807,5 +1307,14 @@ mod tests {
         let (native, _) = run_recovery(SecurityProfile::rocksdb(), 2000, 100);
         let (enc, _) = run_recovery(SecurityProfile::treaty_full(), 2000, 100);
         assert!(enc > native, "encrypted recovery must cost more");
+    }
+
+    #[test]
+    fn counter_ablation_orders_the_backends() {
+        let [(_, none), (_, rote), (_, hw)] = run_counter_ablation();
+        assert!(
+            none < rote && rote < hw,
+            "none {none} < rote {rote} < hw {hw}"
+        );
     }
 }

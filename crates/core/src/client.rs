@@ -1,7 +1,7 @@
 //! The client library: interactive transactions over a mutually
 //! authenticated channel (§IV-A).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
@@ -142,9 +142,9 @@ impl TreatyClient {
             shards,
             seq,
             op_seq: 1,
-            pinned: HashMap::new(),
-            validate_set: HashMap::new(),
-            validate_spans: HashMap::new(),
+            pinned: BTreeMap::new(),
+            validate_set: BTreeMap::new(),
+            validate_spans: BTreeMap::new(),
         })
     }
 
@@ -550,12 +550,12 @@ pub struct SnapshotTxn<'a> {
     seq: u64,
     op_seq: u64,
     /// Snapshot timestamp pinned at each shard touched so far.
-    pinned: HashMap<EndpointId, u64>,
+    pinned: BTreeMap<EndpointId, u64>,
     /// Keys read per shard, for the validation round.
-    validate_set: HashMap<EndpointId, Vec<Vec<u8>>>,
+    validate_set: BTreeMap<EndpointId, Vec<Vec<u8>>>,
     /// Spans scanned per shard, validated wholesale at finish (per-key
     /// validation cannot see keys inserted into a span — the phantom).
-    validate_spans: HashMap<EndpointId, Vec<(Vec<u8>, Vec<u8>)>>,
+    validate_spans: BTreeMap<EndpointId, Vec<(Vec<u8>, Vec<u8>)>>,
 }
 
 impl std::fmt::Debug for SnapshotTxn<'_> {
@@ -749,11 +749,14 @@ impl SnapshotTxn<'_> {
             "client.snapshot_validate",
             &[("shards", self.pinned.len() as u64)],
         );
-        let mut work: HashMap<EndpointId, (Vec<Vec<u8>>, Vec<(Vec<u8>, Vec<u8>)>)> = HashMap::new();
-        for (owner, keys) in self.validate_set.drain() {
+        // Ordered by shard, so the validate burst is sealed and numbered
+        // in the same order on every run.
+        let mut work: BTreeMap<EndpointId, (Vec<Vec<u8>>, Vec<(Vec<u8>, Vec<u8>)>)> =
+            BTreeMap::new();
+        for (owner, keys) in std::mem::take(&mut self.validate_set) {
             work.entry(owner).or_default().0 = keys;
         }
-        for (owner, spans) in self.validate_spans.drain() {
+        for (owner, spans) in std::mem::take(&mut self.validate_spans) {
             work.entry(owner).or_default().1 = spans;
         }
         let mut pending: Vec<(EndpointId, PendingReply)> = Vec::new();

@@ -189,25 +189,32 @@ impl Clog {
         self.state.lock().get(&gtx).and_then(|s| s.decision)
     }
 
-    /// Transactions started but undecided — what recovery must re-drive.
+    /// Transactions started but undecided — what recovery must re-drive —
+    /// sorted by id (recovery sends and logs in this order).
     pub fn undecided(&self) -> Vec<(GlobalTxId, Vec<u32>)> {
-        self.state
+        let mut out: Vec<_> = self
+            .state
             .lock()
             .iter()
             .filter(|(_, s)| s.decision.is_none())
             .map(|(g, s)| (*g, s.participants.clone()))
-            .collect()
+            .collect();
+        out.sort_unstable_by_key(|(g, _)| *g);
+        out
     }
 
     /// Transactions with a logged decision (recovery re-delivers phase
-    /// two for them, since ACKs are not logged).
+    /// two for them, since ACKs are not logged), sorted by id.
     pub fn decided(&self) -> Vec<(GlobalTxId, TxProtocolState)> {
-        self.state
+        let mut out: Vec<_> = self
+            .state
             .lock()
             .iter()
             .filter(|(_, s)| s.decision.is_some())
             .map(|(g, s)| (*g, s.clone()))
-            .collect()
+            .collect();
+        out.sort_unstable_by_key(|(g, _)| *g);
+        out
     }
 
     /// Full protocol state for `gtx` (test introspection).

@@ -16,7 +16,7 @@
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -51,11 +51,17 @@ fn decode(b: &[u8]) -> Option<RoteMsg> {
     serde_json::from_slice(b).ok()
 }
 
-#[derive(Debug, Default, Serialize, Deserialize)]
+#[derive(Debug, Default)]
 struct ReplicaState {
-    stable: HashMap<String, u64>,
-    #[serde(skip)]
+    stable: BTreeMap<String, u64>,
     pending: HashMap<String, u64>,
+}
+
+/// What a replica seals: the stable map as key-sorted pairs, so the sealed
+/// bytes (and the write they are priced by) never depend on hash order.
+#[derive(Serialize, Deserialize)]
+struct SealedState {
+    stable: Vec<(String, u64)>,
 }
 
 /// One replica of the protection group.
@@ -96,14 +102,18 @@ impl RoteReplica {
         let measurement = Measurement::of_code("treaty-rote-replica-v1");
         let seal_path = seal_dir.join(format!("rote-{endpoint}.seal"));
         let state = if seal_path.exists() {
-            let recovered: Option<ReplicaState> = std::fs::read(&seal_path)
+            let recovered: Option<SealedState> = std::fs::read(&seal_path)
                 .ok()
                 .and_then(|raw| serde_json::from_slice::<SealedBlob>(&raw).ok())
                 .and_then(|blob| unseal(&sealing_key, &measurement, &blob).ok())
                 .and_then(|plain| serde_json::from_slice(&plain).ok());
-            recovered.expect(
+            let sealed = recovered.expect(
                 "replica sealed state is corrupt or was tampered with — refusing to restart",
-            )
+            );
+            ReplicaState {
+                stable: sealed.stable.into_iter().collect(),
+                pending: HashMap::new(),
+            }
         } else {
             ReplicaState::default()
         };
@@ -169,7 +179,10 @@ impl RoteReplica {
                     } else if pending_ok {
                         st.stable.insert(id.clone(), value);
                         st.pending.remove(&id);
-                        Some(serde_json::to_vec(&*st).expect("state serializes"))
+                        let sealed = SealedState {
+                            stable: st.stable.iter().map(|(k, v)| (k.clone(), *v)).collect(),
+                        };
+                        Some(serde_json::to_vec(&sealed).expect("state serializes"))
                     } else {
                         let m = TxMeta {
                             kind: MsgKind::Nack,

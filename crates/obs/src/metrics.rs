@@ -2,7 +2,7 @@
 //! histograms behind one deterministic snapshot API.
 //!
 //! This absorbs the scattered per-subsystem stats structs (`NodeStats`,
-//! `EngineStats`, `FabricStats`, `AccelReport`, RPC counters): live
+//! `EngineStats`, `FabricStats`, RPC counters): live
 //! increments flow in during the run, and at the end the bench harness
 //! mirrors the legacy structs into gauges so one [`MetricsSnapshot`] tells
 //! the whole story.
@@ -319,7 +319,11 @@ impl SeriesSnapshot {
             self.evicted
         ));
         for (idx, cell) in &self.windows {
-            out.push_str(&format!("window {idx} [{}ns..{}ns):\n", idx * self.window_ns, (idx + 1) * self.window_ns));
+            out.push_str(&format!(
+                "window {idx} [{}ns..{}ns):\n",
+                idx * self.window_ns,
+                (idx + 1) * self.window_ns
+            ));
             for (k, v) in &cell.counters {
                 out.push_str(&format!("  +{k:<43} {v:>14}\n"));
             }
@@ -327,7 +331,11 @@ impl SeriesSnapshot {
                 out.push_str(&format!("  ={k:<43} {v:>14}\n"));
             }
             for (k, (n, sum, max)) in &cell.hists {
-                let mean = if *n == 0 { 0 } else { (sum / *n as u128) as u64 };
+                let mean = if *n == 0 {
+                    0
+                } else {
+                    (sum / *n as u128) as u64
+                };
                 out.push_str(&format!("  ~{k:<43} n={n} mean={mean} max={max}\n"));
             }
         }

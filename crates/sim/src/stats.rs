@@ -188,9 +188,15 @@ impl WallTimer {
     }
 }
 
-/// Result of one closed-loop benchmark run: `clients` concurrent clients
-/// each executed transactions back-to-back for `duration_ns` of virtual
-/// time.
+/// Result of one benchmark run over a measured window of `duration_ns` of
+/// virtual time. In a closed loop, `clients` concurrent clients each
+/// execute transactions back-to-back and the window ends when the *first*
+/// client has committed its quota: until then every client is offering
+/// load, so one straggler waiting out a lock timeout cannot idle the rest
+/// inside the window. `committed`, `aborted` and the latencies count only
+/// transactions that *completed inside the window*; `tps()` is therefore
+/// commits per second of a window in which the system was loaded
+/// throughout.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BenchStats {
     /// Label of the system variant measured.
@@ -353,11 +359,27 @@ mod tests {
 
     #[test]
     fn bucket_index_and_bound_are_consistent() {
-        for v in [0, 1, 63, 64, 127, 128, 129, 255, 256, 1_000, 1 << 20, u64::MAX / 2] {
+        for v in [
+            0,
+            1,
+            63,
+            64,
+            127,
+            128,
+            129,
+            255,
+            256,
+            1_000,
+            1 << 20,
+            u64::MAX / 2,
+        ] {
             let i = bucket_index(v);
             let lo = bucket_bound(i);
             assert!(lo <= v, "bound {lo} above value {v}");
-            assert!(bucket_index(lo) == i, "bound of {v} lands in its own bucket");
+            assert!(
+                bucket_index(lo) == i,
+                "bound of {v} lands in its own bucket"
+            );
             if i + 1 < bucket_index(u64::MAX) {
                 assert!(bucket_bound(i + 1) > v, "next bucket starts after {v}");
             }

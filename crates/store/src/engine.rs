@@ -16,7 +16,7 @@
 
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -249,15 +249,23 @@ impl PreparedTable {
         self.remove(gtx);
     }
 
+    /// Every prepared transaction, sorted by id: recovery resolves them
+    /// (sends, seq allocations) in this order, so it must not be hash order.
     pub fn ids(&self) -> Vec<GlobalTxId> {
-        self.stripes
+        let mut ids: Vec<GlobalTxId> = self
+            .stripes
             .iter()
             .flat_map(|stripe| stripe.lock().keys().copied().collect::<Vec<_>>())
-            .collect()
+            .collect();
+        ids.sort_unstable();
+        ids
     }
 
+    /// Every prepared transaction's writes, sorted by id: a WAL rotation
+    /// re-logs them in this order.
     pub fn snapshot_writes(&self) -> Vec<(GlobalTxId, Vec<WriteOp>, Vec<(UserKey, UserKey)>)> {
-        self.stripes
+        let mut all: Vec<_> = self
+            .stripes
             .iter()
             .flat_map(|stripe| {
                 stripe
@@ -266,7 +274,9 @@ impl PreparedTable {
                     .map(|(g, st)| (*g, st.writes.clone(), st.ranges.clone()))
                     .collect::<Vec<_>>()
             })
-            .collect()
+            .collect();
+        all.sort_unstable_by_key(|(g, _, _)| *g);
+        all
     }
 
     /// Whether any prepared (in-doubt) transaction writes `key` — one
@@ -1863,7 +1873,7 @@ impl TreatyStore {
         let replayed = log::replay(&env, "manifest", &manifest_path, 0)?;
         log::verify_freshness(&env, "manifest", replayed.last_counter)?;
 
-        let mut table_levels: HashMap<u64, usize> = HashMap::new();
+        let mut table_levels: BTreeMap<u64, usize> = BTreeMap::new();
         let mut live_gens: Vec<u64> = Vec::new();
         let mut max_gen = 0;
         for (_, payload) in &replayed.records {

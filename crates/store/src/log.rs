@@ -33,9 +33,18 @@ use crate::{Result, StoreError};
 const MAC_LEN: usize = 32;
 const HEADER_LEN: usize = 12;
 
-/// Derives the cluster-unique trusted counter id for a log file.
+/// Derives the cluster-unique trusted counter id for a log file from the
+/// node's own directory *name* (`node-0/wal-1`). Never the absolute path:
+/// the id rides counter messages and sealed replica state, so a host path
+/// in it would make byte counts — and every length-priced charge — differ
+/// from run to run.
 pub fn counter_id(env: &Env, name: &str) -> String {
-    format!("{}/{}", env.dir.display(), name)
+    let node = env
+        .dir
+        .file_name()
+        .map(|n| n.to_string_lossy())
+        .unwrap_or_default();
+    format!("{node}/{name}")
 }
 
 fn record_nonce(name: &str, counter: u64) -> [u8; 12] {

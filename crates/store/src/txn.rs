@@ -1090,7 +1090,9 @@ impl TxnEngine for SharedNullEngine {
     }
 
     fn prepared_txns(&self) -> Vec<GlobalTxId> {
-        self.shared.inner.prepared.lock().keys().copied().collect()
+        let mut ids: Vec<GlobalTxId> = self.shared.inner.prepared.lock().keys().copied().collect();
+        ids.sort_unstable();
+        ids
     }
 
     fn stable_ts(&self) -> SeqNum {

@@ -183,6 +183,7 @@ mod tests {
 
     #[test]
     fn feed_reads_are_pure() {
+        use crate::KvTxn as _;
         struct Mock {
             gets: u32,
             puts: u32,

@@ -1,18 +1,20 @@
-//! Property-based fault injection: random crash schedules interleaved
-//! with random list-append workloads must never break the recovery
-//! oracle.
+//! Generated fault injection: a crash schedule at every registered crash
+//! point on every node, interleaved with a list-append workload, must
+//! never break the recovery oracle.
 //!
-//! Each case arms one random `(point, node, k-th hit)` fault, runs a
-//! small workload across rotating coordinators, then power-cycles the
-//! whole cluster and resolves recovery. Whether or not the fault fired
-//! (a schedule can name a hit count the workload never reaches), the
-//! invariants are the same: every acked commit survives the restart, no
-//! prepared transaction outlives recovery, and the committed history is
-//! serializable against the final state.
+//! Each case arms one `(point, node, k-th hit)` fault — hit count and
+//! workload length drawn from a seeded generator — runs a small workload
+//! across rotating coordinators, then power-cycles the whole cluster and
+//! resolves recovery. Whether or not the fault fired (a schedule can name
+//! a hit count the workload never reaches), the invariants are the same:
+//! every acked commit survives the restart, no prepared transaction
+//! outlives recovery, and the committed history is serializable against
+//! the final state.
 
 use std::collections::HashMap;
 
-use proptest::prelude::*;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 use treaty::core::{check_list_append, Cluster, ClusterOptions, TxnObservation};
 use treaty::sched::block_on;
 use treaty::sim::crashpoint::{self, FaultSchedule};
@@ -76,6 +78,10 @@ fn run_case(point: &'static str, node: u32, hit: u64, txns: usize) {
         // cluster: volatile state (stuck locks included) is gone, acked
         // state must not be.
         sleep(4 * SECONDS);
+        // The schedule covers the workload only: left armed, a point on
+        // the read path would crash the node under the verification read
+        // below, which nothing restarts.
+        plan.disarm();
         let fired = plan.fired();
         for f in &fired {
             assert_eq!(f.point, point);
@@ -139,18 +145,17 @@ fn run_case(point: &'static str, node: u32, hit: u64, txns: usize) {
     });
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
-
-    /// Random fault schedules against random workloads: the recovery
-    /// oracle holds whether the crash fires or not.
-    #[test]
-    fn random_crash_schedules_preserve_the_recovery_oracle(
-        point_idx in 0..crashpoint::ALL_POINTS.len(),
-        node in 1u32..=3,
-        hit in 1u64..=3,
-        txns in 4usize..=8,
-    ) {
-        run_case(crashpoint::ALL_POINTS[point_idx], node, hit, txns);
+/// A crash schedule at every point of `ALL_POINTS` on every node (hit
+/// count and workload length seeded per case): the recovery oracle holds
+/// whether the crash fires or not.
+#[test]
+fn crash_schedules_preserve_the_recovery_oracle() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x5eed);
+    for &point in crashpoint::ALL_POINTS {
+        for node in 1u32..=3 {
+            let hit = rng.gen_range(1u64..=3);
+            let txns = rng.gen_range(4usize..=8);
+            run_case(point, node, hit, txns);
+        }
     }
 }
