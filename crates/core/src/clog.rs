@@ -1,9 +1,10 @@
 //! The coordinator log (Clog) — the third authenticated log file (§V-A).
 //!
 //! "Clog is written by Txs coordinators and keeps the 2PC protocol state."
-//! Every entry carries a trusted counter value; the *decision* entry is
-//! stabilized before the transaction may commit, which is what makes the
-//! outcome of a distributed transaction rollback-protected (§VI).
+//! Every entry carries a trusted counter value. A commit is
+//! rollback-protected once the *start* entry and every participant's
+//! prepare are stable (DESIGN.md §11); the *decision* entry is stabilized
+//! before anyone but the client learns the outcome (§VI).
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -49,7 +50,7 @@ pub struct Clog {
     state: Mutex<HashMap<GlobalTxId, TxProtocolState>>,
     /// Highest Clog counter known stabilized against the trusted counter —
     /// the coordinator-side stable prefix backing lock-free snapshot
-    /// reads. Advanced by the stabilize path in [`Clog::log_decision`].
+    /// reads. Advanced by [`Clog::publish_decision`].
     stable_counter: AtomicU64,
     env: Arc<Env>,
 }
@@ -116,6 +117,16 @@ impl Clog {
             &path,
             recovered_counter,
         )?);
+        // A tail past the group's stabilized value was appended but the
+        // crash came before its round: make it stable now, so recovery
+        // never sends or applies a decision an adversary could still roll
+        // back (the rule `publish_decision` keeps on the live path).
+        if env.profile.stabilization {
+            let id = log::counter_id(&env, CLOG_NAME);
+            if env.backend.latest(&id) < recovered_counter {
+                env.backend.stabilize(&id, recovered_counter)?;
+            }
+        }
         Ok(Clog {
             writer,
             state: Mutex::new(state),
@@ -151,29 +162,80 @@ impl Clog {
         Ok(counter)
     }
 
-    /// Logs the decision and — under the stabilization profile — blocks
-    /// until it is rollback-protected (§V-A steps 6–7).
+    /// Appends the decision record and returns its counter. Appended is
+    /// not decided: nothing reads the decision until
+    /// [`Clog::publish_decision`], which follows [`Clog::stabilize`].
     ///
     /// # Errors
     ///
-    /// Propagates log I/O and stabilization failures.
-    pub fn log_decision(&self, gtx: GlobalTxId, commit: bool) -> Result<()> {
+    /// Propagates log I/O failures.
+    pub fn append_decision(&self, gtx: GlobalTxId, commit: bool) -> Result<u64> {
         let _span =
             treaty_sim::obs::span_with("clog.log_decision", &[("commit", u64::from(commit))]);
         let rec = ClogRecord::Decision { gtx, commit };
         let counter = self.writer.append(&encode_clog_record(&rec)?)?;
         treaty_sim::crashpoint::hit("clog.decision_appended");
-        if self.env.profile.stabilization {
-            let _stab = treaty_sim::obs::span("clog.stabilize");
-            self.writer.stabilize(counter)?;
+        Ok(counter)
+    }
+
+    /// Whether the record at `counter` is rollback-protected already —
+    /// always so under a profile without stabilization, where durability
+    /// is the append itself.
+    pub fn is_stable(&self, counter: u64) -> bool {
+        !self.env.profile.stabilization || self.writer.stable_counter() >= counter
+    }
+
+    /// Starts making the record at `counter` stable without waiting for
+    /// it: a helper fiber leads (or rides) the counter round, and a later
+    /// [`Clog::stabilize`] joins it. Does nothing when there is no round to
+    /// run, or outside the runtime.
+    pub fn kick_stabilize(&self, counter: u64) {
+        if self.is_stable(counter) || !treaty_sim::runtime::in_fiber() {
+            return;
         }
-        // Stabilized (or the profile waives stabilization, in which case
-        // durability is the append itself): the stable prefix grows.
+        let writer = Arc::clone(&self.writer);
+        treaty_sim::runtime::spawn_daemon(move || {
+            treaty_sim::runtime::set_tag("clog-kick");
+            // A failed round is reported to whoever joins it.
+            let _ = writer.stabilize(counter);
+        });
+    }
+
+    /// Blocks until the record at `counter` is rollback-protected (§V-A
+    /// steps 6–7), riding the counter round in flight if there is one.
+    ///
+    /// # Errors
+    ///
+    /// Propagates stabilization failures.
+    pub fn stabilize(&self, counter: u64) -> Result<()> {
+        if self.is_stable(counter) {
+            return Ok(());
+        }
+        let _stab = treaty_sim::obs::span("clog.stabilize");
+        self.writer.stabilize(counter)
+    }
+
+    /// Makes the decision at `counter` — stable by now — the transaction's
+    /// outcome: what [`Clog::decision`] answers (and with it
+    /// `QueryDecision`) and what [`Clog::stable_ts`] covers.
+    pub fn publish_decision(&self, gtx: GlobalTxId, commit: bool, counter: u64) {
         self.stable_counter.fetch_max(counter, Ordering::SeqCst);
         treaty_sim::obs::gauge_set("clog.stable_ts", counter);
         if let Some(st) = self.state.lock().get_mut(&gtx) {
             st.decision = Some(commit);
         }
+    }
+
+    /// Logs the decision: append, stabilize, publish.
+    ///
+    /// # Errors
+    ///
+    /// Propagates log I/O and stabilization failures; the decision is then
+    /// not published.
+    pub fn log_decision(&self, gtx: GlobalTxId, commit: bool) -> Result<()> {
+        let counter = self.append_decision(gtx, commit)?;
+        self.stabilize(counter)?;
+        self.publish_decision(gtx, commit, counter);
         Ok(())
     }
 
@@ -295,6 +357,51 @@ mod tests {
         }
         let clog = Clog::open(env(dir.path()))?;
         assert!(clog.stable_ts() >= stable_before);
+        Ok(())
+    }
+
+    /// Appended is not decided: nothing a reader of the Clog can ask
+    /// changes until the record is published.
+    #[test]
+    fn appended_decision_is_invisible_until_published() -> Result<()> {
+        let dir = tempfile::tempdir()?;
+        let gtx = GlobalTxId { node: 1, seq: 2 };
+        let clog = Clog::open(env(dir.path()))?;
+        clog.log_start(gtx, vec![1, 2])?;
+        let counter = clog.append_decision(gtx, true)?;
+        assert!(!clog.is_stable(counter));
+        assert_eq!(clog.decision(gtx), None);
+        assert_eq!(clog.undecided().len(), 1);
+        assert_eq!(clog.stable_ts(), 0);
+
+        clog.stabilize(counter)?;
+        assert!(clog.is_stable(counter));
+        assert_eq!(clog.decision(gtx), None, "stable is not yet published");
+        clog.publish_decision(gtx, true, counter);
+        assert_eq!(clog.decision(gtx), Some(true));
+        assert!(clog.undecided().is_empty());
+        assert_eq!(clog.stable_ts(), counter);
+        Ok(())
+    }
+
+    /// A decision record that was appended but never had its round is made
+    /// stable when the Clog reopens, before recovery can act on it.
+    #[test]
+    fn unstable_tail_is_stabilized_on_open() -> Result<()> {
+        let dir = tempfile::tempdir()?;
+        let e = env(dir.path());
+        let gtx = GlobalTxId { node: 1, seq: 4 };
+        let counter = {
+            let clog = Clog::open(Arc::clone(&e))?;
+            clog.log_start(gtx, vec![1, 2])?;
+            clog.append_decision(gtx, true)?
+            // crash before the round
+        };
+        let id = log::counter_id(&e, CLOG_NAME);
+        assert_eq!(e.backend.latest(&id), 0);
+        let clog = Clog::open(Arc::clone(&e))?;
+        assert_eq!(clog.decision(gtx), Some(true));
+        assert_eq!(e.backend.latest(&id), counter);
         Ok(())
     }
 

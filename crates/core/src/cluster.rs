@@ -199,7 +199,7 @@ impl Cluster {
                 (0..options.counter_replicas)
                     .map(|i| COUNTER_BASE + i as u32)
                     .collect(),
-                2 * treaty_sim::MILLIS,
+                options.costs.counter_round_ns,
             )
         } else {
             NullBackend::new()

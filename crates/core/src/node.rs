@@ -9,12 +9,12 @@
 
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use treaty_crypto::{Key, MsgKind, TxMeta, WireCrypto};
 use treaty_net::{EndpointConfig, EndpointId, Fabric, PendingReply, Rpc, RpcConfig};
-use treaty_sched::CorePool;
+use treaty_sched::{CorePool, WaitQueue};
 use treaty_sim::Nanos;
 use treaty_store::env::Env;
 use treaty_store::{EngineTxn, GlobalTxId, StoreError, TxnEngine, TxnMode};
@@ -48,11 +48,11 @@ pub struct NodeOptions {
     pub txn_mode: TxnMode,
     /// RPC timeout.
     pub timeout: Nanos,
-    /// Deliver phase-2 decisions inline on the client-session fiber before
-    /// acking the client (the pre-pipelining behaviour; the
-    /// `--sync-decisions` ablation). With the default `false`, the ack is
-    /// sent as soon as the decision is Clog-durable and delivery moves to
-    /// the per-node dispatcher daemon.
+    /// Stabilize the decision, deliver phase two and apply the local slice
+    /// inline on the client-session fiber before acking the client (the
+    /// pre-pipelining behaviour; the `--sync-decisions` ablation). With the
+    /// default `false`, a commit is acked at its commit point and that tail
+    /// runs behind the ack (DESIGN.md §11).
     pub sync_decisions: bool,
 }
 
@@ -91,8 +91,9 @@ pub struct RecoveryOutcome {
     pub re_decided: usize,
     /// Locally prepared transactions resolved by asking their coordinator.
     pub resolved: usize,
-    /// Undecided transactions whose re-drive could not log a decision —
-    /// they stay undecided and need another recovery pass.
+    /// Undecided transactions whose re-drive could not reach a durable
+    /// decision (a participant or the counter group out of reach) — they
+    /// stay undecided and need another recovery pass.
     pub failed: usize,
 }
 
@@ -138,8 +139,9 @@ impl AbortRing {
     }
 }
 
-/// Bound on the decision-dispatch queue: past this, committers fall back
-/// to the inline send — backpressure instead of unbounded queue growth.
+/// Bound on the decision-dispatch queue and on the commits finishing
+/// behind their ack: past this, committers fall back to the inline send
+/// and the inline finish — backpressure instead of unbounded growth.
 const DECISION_QUEUE_CAP: usize = 256;
 
 /// A Clog-durable phase-2 decision awaiting delivery by the dispatcher.
@@ -147,6 +149,37 @@ struct DecisionDispatch {
     gtx: GlobalTxId,
     remotes: Vec<EndpointId>,
     commit: bool,
+}
+
+/// One acknowledged commit finishing behind its ack. Dropped when the
+/// continuation ends — returning, or unwinding at a crash point — so
+/// `drain_decisions` never waits on a fiber that is gone.
+struct FinishSlot {
+    node: Arc<TreatyNode>,
+}
+
+impl FinishSlot {
+    /// `None` at the cap: the committer then finishes inline.
+    fn reserve(node: &Arc<TreatyNode>) -> Option<Self> {
+        let before = node
+            .finishes_inflight
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
+                (n < DECISION_QUEUE_CAP).then_some(n + 1)
+            })
+            .ok()?;
+        treaty_sim::obs::gauge_set("core.finishes_inflight", before as u64 + 1);
+        Some(FinishSlot {
+            node: Arc::clone(node),
+        })
+    }
+}
+
+impl Drop for FinishSlot {
+    fn drop(&mut self) {
+        let before = self.node.finishes_inflight.fetch_sub(1, Ordering::SeqCst);
+        treaty_sim::obs::gauge_set("core.finishes_inflight", before as u64 - 1);
+        self.node.finish_done.notify_all();
+    }
 }
 
 /// Deterministic backoff jitter for decision retries: a splitmix64-style
@@ -334,6 +367,11 @@ pub struct TreatyNode {
     decision_queue: Mutex<VecDeque<DecisionDispatch>>,
     /// Guards the spawn-on-demand dispatcher daemon (one at a time).
     dispatcher_running: AtomicBool,
+    /// Acknowledged commits whose finish is still running on a
+    /// continuation fiber (bounded by [`DECISION_QUEUE_CAP`]).
+    finishes_inflight: AtomicUsize,
+    /// Woken when a continuation ends; `drain_decisions` waits here.
+    finish_done: WaitQueue,
 }
 
 impl std::fmt::Debug for TreatyNode {
@@ -374,6 +412,16 @@ impl TreatyNode {
                 timeout: options.timeout,
             },
         );
+        // Peer op ids key the participants' at-most-once cache — (node, tx,
+        // op) — so a restarted coordinator must not reuse those of its past
+        // life: a re-driven prepare or decision would be answered with the
+        // memoized reply to an older message and never run. The clock
+        // stands in for a boot epoch.
+        let first_op = if treaty_sim::runtime::in_fiber() {
+            treaty_sim::runtime::now().max(1)
+        } else {
+            1
+        };
         let node = Arc::new(TreatyNode {
             endpoint: options.endpoint,
             rpc: Arc::clone(&rpc),
@@ -384,11 +432,13 @@ impl TreatyNode {
             active_coord: Mutex::new(HashMap::new()),
             active_part: Mutex::new(HashMap::new()),
             recently_aborted: Mutex::new(AbortRing::default()),
-            op_seq: AtomicU64::new(1),
+            op_seq: AtomicU64::new(first_op),
             stats: Mutex::new(NodeStats::default()),
             sync_decisions: options.sync_decisions,
             decision_queue: Mutex::new(VecDeque::new()),
             dispatcher_running: AtomicBool::new(false),
+            finishes_inflight: AtomicUsize::new(0),
+            finish_done: WaitQueue::new(),
         });
         node.register_handlers();
         rpc.start();
@@ -779,70 +829,180 @@ impl TreatyNode {
         }
 
         // (5) Log the transaction to the Clog with a trusted counter value.
+        // Nothing in phase one depends on the record being stable, so its
+        // counter round starts now and runs alongside the prepares.
         let mut participants: Vec<u32> = ctx.remotes.clone();
         if ctx.local.is_some() {
             participants.push(self.endpoint);
         }
         treaty_sim::runtime::set_tag("h:2pc-clog-start");
-        if let Some(clog) = &self.clog {
-            if let Err(e) = clog.log_start(gtx, participants) {
-                self.abort_everywhere(gtx, ctx);
-                return CommitResult::Aborted {
-                    reason: format!("clog: {e}"),
-                };
-            }
-        }
+        let start = match &self.clog {
+            Some(clog) => match clog.log_start(gtx, participants) {
+                Ok(counter) => {
+                    clog.kick_stabilize(counter);
+                    Some((clog, counter))
+                }
+                Err(e) => {
+                    self.abort_everywhere(gtx, ctx);
+                    return CommitResult::Aborted {
+                        reason: format!("clog: {e}"),
+                    };
+                }
+            },
+            None => None,
+        };
         treaty_sim::crashpoint::hit("coord.after_clog_start");
 
         treaty_sim::runtime::set_tag("h:2pc-fanout");
-        let refused = {
+        let mut refused = {
             let _prepare =
                 treaty_sim::obs::span_with("2pc.prepare", &[("remotes", ctx.remotes.len() as u64)]);
             self.collect_votes(gtx, &mut ctx, batches, false)
         };
+        if let Some((clog, counter)) = start {
+            // The votes' other half: joins the round kicked above.
+            let _join = treaty_sim::obs::span("2pc.start_stable");
+            if let Err(e) = clog.stabilize(counter) {
+                refused.get_or_insert(format!("clog start: {e}"));
+            }
+        }
         treaty_sim::crashpoint::hit("coord.after_votes");
 
+        // The commit point. Every vote is yes and the Start record and
+        // every Prepare record are stable: whatever suffix of whichever
+        // log is rolled back, the only outcome recovery can reach is
+        // commit. The decision record is appended and the client answered;
+        // stabilizing the record — still required before any participant,
+        // the local slice or `QueryDecision` learns the outcome — runs
+        // behind the ack. An abort is implied by no stable state, so its
+        // record is stable before anyone hears of it.
         treaty_sim::runtime::set_tag("h:2pc-log-decision");
         let commit = refused.is_none();
-        {
+        let logged = {
             let _decide = treaty_sim::obs::span("2pc.decide");
-            if let Some(clog) = &self.clog {
-                if let Err(e) = clog.log_decision(gtx, commit) {
-                    // Cannot make the decision durable: abort (participants
-                    // will learn via QueryDecision / coordinator recovery).
-                    self.send_decision(gtx, &ctx.remotes, false);
-                    let _ = self.engine.abort_prepared(gtx);
-                    return CommitResult::Aborted {
-                        reason: format!("decision log: {e}"),
-                    };
-                }
+            match &self.clog {
+                Some(clog) if commit => clog.append_decision(gtx, true).map(Some),
+                Some(clog) => clog.log_decision(gtx, false).map(|()| None),
+                None => Ok(None),
             }
+        };
+        let remotes = ctx.remotes;
+        let unstable = match logged {
+            Ok(counter) => counter,
+            Err(e) => {
+                // Cannot log the decision, and nobody was told commit:
+                // abort (participants that miss it learn via QueryDecision
+                // / coordinator recovery).
+                self.send_decision(gtx, &remotes, false);
+                self.decide_local(gtx, false);
+                return CommitResult::Aborted {
+                    reason: format!("decision log: {e}"),
+                };
+            }
+        };
+        if let Some(reason) = refused {
+            self.finish(gtx, remotes, false, None);
+            return CommitResult::Aborted { reason };
+        }
+        treaty_sim::crashpoint::hit("coord.commit_point");
+        // With nothing to wait for, the finish costs the client no round,
+        // and answering first would only queue its appends behind the next
+        // commit's (a native WAL is bound by one fsync per record).
+        let behind_ack = match (&self.clog, unstable) {
+            (Some(clog), Some(counter))
+                if !clog.is_stable(counter) && self.pipelined_decisions() =>
+            {
+                FinishSlot::reserve(self)
+            }
+            _ => None,
+        };
+        match behind_ack {
+            Some(slot) => {
+                treaty_sim::obs::counter_add("core.commit_point_acks", 1);
+                treaty_sim::runtime::spawn_daemon(move || {
+                    treaty_sim::runtime::set_tag("2pc-finish");
+                    let _span = treaty_sim::obs::span("2pc.finish");
+                    slot.node.finish(gtx, remotes, true, unstable);
+                });
+            }
+            None => self.finish(gtx, remotes, true, unstable),
+        }
+        CommitResult::Committed
+    }
+
+    /// The tail of a decided transaction, the same steps for every
+    /// outcome: wait until the decision record is stable, publish it, hand
+    /// phase two to the dispatcher, apply the local slice. `unstable` is
+    /// the counter of a commit record appended but not yet published; an
+    /// abort arrives with its record already stable and published. Runs on
+    /// the committing fiber, or for an acknowledged commit on a
+    /// continuation of its own — never on the dispatcher daemon, whose
+    /// stabilize → send → await-acks loop would hold every later
+    /// transaction's locks behind one delivery.
+    fn finish(
+        self: &Arc<Self>,
+        gtx: GlobalTxId,
+        remotes: Vec<EndpointId>,
+        commit: bool,
+        unstable: Option<u64>,
+    ) {
+        if let (Some(clog), Some(counter)) = (&self.clog, unstable) {
+            if !self.stabilize_decision(clog, gtx, counter) {
+                return;
+            }
+            treaty_sim::crashpoint::hit("coord.finish_stable");
+            clog.publish_decision(gtx, commit, counter);
         }
         treaty_sim::crashpoint::hit("coord.after_log_decision");
 
         treaty_sim::runtime::set_tag("h:2pc-phase2");
         if self.pipelined_decisions() {
-            // Early ack (the pipelined commit path): the decision is
-            // Clog-durable, so the client need not wait for the fan-out —
-            // delivery moves to the dispatcher daemon, and even a total
-            // delivery failure resolves via recovery (coordinator re-send
-            // or participant QueryDecision, §VI).
-            self.queue_decision(gtx, std::mem::take(&mut ctx.remotes), commit);
+            // The decision is Clog-durable, so nobody waits for the
+            // fan-out: delivery moves to the dispatcher daemon, and even a
+            // total delivery failure resolves via recovery (coordinator
+            // re-send or participant QueryDecision, §VI).
+            self.queue_decision(gtx, remotes, commit);
         } else {
-            self.send_decision(gtx, &ctx.remotes, commit);
+            self.send_decision(gtx, &remotes, commit);
         }
         treaty_sim::crashpoint::hit("coord.after_decision_send");
         treaty_sim::runtime::set_tag("h:2pc-decide-local");
-        match refused {
-            None => {
-                let _ = self.engine.commit_prepared(gtx);
-                CommitResult::Committed
-            }
-            Some(reason) => {
-                let _ = self.engine.abort_prepared(gtx);
-                CommitResult::Aborted { reason }
-            }
+        self.decide_local(gtx, commit);
+    }
+
+    /// Waits until the commit record at `counter` is stable. Past the
+    /// commit point nothing may abort: a failed round is retried on the
+    /// decision-retry schedule, and after that the transaction is left as
+    /// it stands — prepared everywhere, undecided in the Clog — for
+    /// [`TreatyNode::resolve_recovered`], which can only commit it.
+    /// `false` also when the node stopped meanwhile: a crash takes the
+    /// continuation with the rest of the volatile state.
+    fn stabilize_decision(&self, clog: &Clog, gtx: GlobalTxId, counter: u64) -> bool {
+        let stable = Self::with_backoff(gtx, self.endpoint, |_, _| clog.stabilize(counter).is_ok());
+        if self.rpc.is_stopped() {
+            return false;
         }
+        if !stable {
+            treaty_sim::obs::counter_add("core.decision_unstable", 1);
+            treaty_sim::obs::instant(
+                "2pc.decision_unstable",
+                &[("coordinator", u64::from(self.endpoint))],
+            );
+            treaty_sim::obs::flight_dump(
+                "2pc.decision_unstable",
+                "an acknowledged commit's decision record could not be stabilized",
+            );
+        }
+        stable
+    }
+
+    /// Applies a decision to the local slice (a no-op without one).
+    fn decide_local(&self, gtx: GlobalTxId, commit: bool) {
+        let _ = if commit {
+            self.engine.commit_prepared(gtx)
+        } else {
+            self.engine.abort_prepared(gtx)
+        };
     }
 
     /// The read-only commit lane: the coordinator never routed a write, so
@@ -931,9 +1091,10 @@ impl TreatyNode {
         refused
     }
 
-    /// True when phase-2 delivery rides the dispatcher daemon instead of
-    /// the client-session fiber. Outside the runtime (plain tests) there
-    /// is no daemon to run, so delivery stays inline.
+    /// True when the work behind a decision leaves the client-session
+    /// fiber: an acknowledged commit finishes on a continuation and
+    /// phase-2 delivery rides the dispatcher daemon. Outside the runtime
+    /// (plain tests) there is no fiber to run either, so both stay inline.
     fn pipelined_decisions(&self) -> bool {
         !self.sync_decisions && treaty_sim::runtime::in_fiber()
     }
@@ -1045,11 +1206,17 @@ impl TreatyNode {
         }
     }
 
-    /// Synchronously delivers every queued decision (graceful shutdown:
+    /// Waits out every commit still finishing behind its ack, then
+    /// synchronously delivers every queued decision (graceful shutdown:
     /// queued phase-2 messages must reach participants before the cluster
     /// stops serving; also safe to race the daemon — each decision drains
     /// exactly once).
     pub fn drain_decisions(self: &Arc<Self>) {
+        // Commits finishing behind their ack come first: each ends by
+        // queueing its phase two.
+        while self.finishes_inflight.load(Ordering::SeqCst) > 0 {
+            self.finish_done.wait();
+        }
         loop {
             let work: Vec<DecisionDispatch> = {
                 let mut queue = self.decision_queue.lock();
@@ -1097,13 +1264,7 @@ impl TreatyNode {
     fn retry_decision(self: &Arc<Self>, gtx: GlobalTxId, r: EndpointId, commit: bool) {
         treaty_sim::runtime::set_tag("sd:retry");
         let (rt, kind, payload) = decision_wire(gtx, commit);
-        let deadline = if treaty_sim::runtime::in_fiber() {
-            Some(treaty_sim::runtime::now() + treaty_sim::SECONDS)
-        } else {
-            None
-        };
-        let mut backoff = treaty_sim::MILLIS / 2;
-        for attempt in 0u64..6 {
+        let resend = |attempt, backoff| {
             self.stats.lock().decision_retries += 1;
             treaty_sim::obs::counter_add("core.decision_retries", 1);
             treaty_sim::obs::instant(
@@ -1115,12 +1276,34 @@ impl TreatyNode {
                 ],
             );
             let meta = self.peer_meta(gtx, kind);
-            if self.rpc.call(r, rt, &meta, &payload).is_ok() {
-                break;
+            self.rpc.call(r, rt, &meta, &payload).is_ok()
+        };
+        Self::with_backoff(gtx, r, resend);
+    }
+
+    /// The retry schedule of everything that must eventually happen for a
+    /// decided transaction: up to six tries of `attempt(n, next backoff)`,
+    /// backing off exponentially (0.5 ms doubling to 8 ms) with
+    /// deterministic jitter, inside a one-second window. Returns whether a
+    /// try succeeded.
+    fn with_backoff(
+        gtx: GlobalTxId,
+        peer: EndpointId,
+        mut attempt: impl FnMut(u64, Nanos) -> bool,
+    ) -> bool {
+        let deadline = if treaty_sim::runtime::in_fiber() {
+            Some(treaty_sim::runtime::now() + treaty_sim::SECONDS)
+        } else {
+            None
+        };
+        let mut backoff = treaty_sim::MILLIS / 2;
+        for n in 0u64..6 {
+            if attempt(n, backoff) {
+                return true;
             }
             match deadline {
                 Some(d) if treaty_sim::runtime::now() < d => {
-                    let jitter = decision_jitter(gtx, r, attempt) % (backoff / 2 + 1);
+                    let jitter = decision_jitter(gtx, peer, n) % (backoff / 2 + 1);
                     treaty_sim::runtime::sleep(backoff + jitter);
                     backoff = (backoff * 2).min(8 * treaty_sim::MILLIS);
                 }
@@ -1131,6 +1314,7 @@ impl TreatyNode {
                 None => {}
             }
         }
+        false
     }
 
     /// Records a coordinator-side abort exactly once per transaction: the
@@ -1455,20 +1639,24 @@ impl TreatyNode {
                     .filter(|p| *p != self.endpoint)
                     .collect();
                 self.send_decision(gtx, &remotes, commit);
-                if commit {
-                    let _ = self.engine.commit_prepared(gtx);
-                } else {
-                    let _ = self.engine.abort_prepared(gtx);
-                }
+                self.decide_local(gtx, commit);
             }
-            // Undecided transactions: re-execute the prepare phase.
+            // Undecided transactions: re-execute the prepare phase. Such a
+            // transaction may be past its commit point — acknowledged, its
+            // decision record lost with an unstable Clog tail — so only an
+            // explicit no vote aborts it: a participant still prepared
+            // votes yes, one that never prepared (and so never let the
+            // commit point be reached) votes no, and one that cannot be
+            // asked leaves the transaction undecided for the next pass.
             for (gtx, participants) in clog.undecided() {
                 let remotes: Vec<u32> = participants
                     .iter()
                     .copied()
                     .filter(|p| *p != self.endpoint)
                     .collect();
-                let mut all_yes = true;
+                let mut refused = participants.contains(&self.endpoint)
+                    && !self.engine.prepared_txns().contains(&gtx);
+                let mut unreachable = false;
                 for &r in &remotes {
                     let meta = self.peer_meta(gtx, MsgKind::TxnPrepare);
                     // Re-drives never re-ship deferred writes: a batch that
@@ -1478,45 +1666,33 @@ impl TreatyNode {
                         batch: Vec::new(),
                         read_only: false,
                     });
-                    match self.rpc.call(r, req::PEER_PREPARE, &meta, &msg) {
-                        Ok((_, bytes)) => match decode::<PeerReply>(&bytes) {
-                            Some(PeerReply::Vote { yes }) => all_yes &= yes,
-                            _ => all_yes = false,
-                        },
-                        Err(_) => all_yes = false,
+                    let vote = self.rpc.call(r, req::PEER_PREPARE, &meta, &msg);
+                    match vote.ok().and_then(|(_, bytes)| decode::<PeerReply>(&bytes)) {
+                        Some(PeerReply::Vote { yes }) => refused |= !yes,
+                        _ => unreachable = true,
                     }
                 }
-                if participants.contains(&self.endpoint) {
-                    all_yes &= self.engine.prepared_txns().contains(&gtx);
-                }
-                match clog.log_decision(gtx, all_yes) {
-                    Ok(()) => {
-                        self.send_decision(gtx, &remotes, all_yes);
-                        if all_yes {
-                            let _ = self.engine.commit_prepared(gtx);
-                        } else {
-                            let _ = self.engine.abort_prepared(gtx);
-                        }
-                        outcome.re_decided += 1;
-                        treaty_sim::obs::counter_add("core.recovery_redecided", 1);
-                    }
-                    Err(_) => {
-                        // The re-drive could not make a decision durable —
-                        // the transaction stays undecided. Surface it: the
-                        // old code dropped the error on the floor, leaving
-                        // the operator with no signal that recovery was
-                        // incomplete.
-                        outcome.failed += 1;
-                        treaty_sim::obs::counter_add("core.recovery_redrive_failed", 1);
-                        treaty_sim::obs::instant(
-                            "2pc.recovery_redrive_failed",
-                            &[("coordinator", u64::from(self.endpoint))],
-                        );
-                        treaty_sim::obs::flight_dump(
-                            "recovery.redrive_failed",
-                            "re-drive could not make a decision durable",
-                        );
-                    }
+                let commit = !refused;
+                if (refused || !unreachable) && clog.log_decision(gtx, commit).is_ok() {
+                    self.send_decision(gtx, &remotes, commit);
+                    self.decide_local(gtx, commit);
+                    outcome.re_decided += 1;
+                    treaty_sim::obs::counter_add("core.recovery_redecided", 1);
+                } else {
+                    // No durable decision — a participant or the counter
+                    // group out of reach — so the transaction stays
+                    // undecided. Surface it: the operator needs the signal
+                    // that recovery is incomplete.
+                    outcome.failed += 1;
+                    treaty_sim::obs::counter_add("core.recovery_redrive_failed", 1);
+                    treaty_sim::obs::instant(
+                        "2pc.recovery_redrive_failed",
+                        &[("coordinator", u64::from(self.endpoint))],
+                    );
+                    treaty_sim::obs::flight_dump(
+                        "recovery.redrive_failed",
+                        "re-drive could not make a decision durable",
+                    );
                 }
             }
         }

@@ -11,8 +11,8 @@ use treaty_core::{
 };
 use treaty_sched::block_on;
 use treaty_sim::runtime::{join, sleep, spawn};
-use treaty_sim::SecurityProfile;
-use treaty_store::GlobalTxId;
+use treaty_sim::{SecurityProfile, MILLIS};
+use treaty_store::{GlobalTxId, TxnEngine as _, TxnMode};
 
 fn options(profile: SecurityProfile, dir: &std::path::Path) -> ClusterOptions {
     let mut o = ClusterOptions::new(profile, dir.to_path_buf());
@@ -637,6 +637,50 @@ fn rolled_back_range_delete_leaves_no_trace() {
         assert_eq!(tx.scan(b"rb-", b"rb-~", 0).unwrap().len(), 10);
         tx.commit().unwrap();
     });
+}
+
+/// A commit is acknowledged one counter round ahead of its apply, so a scan
+/// that starts on the ack finds the inserted rows only in prepared write
+/// sets. It must still meet every one of them: 2PL parks on the in-doubt
+/// keys' locks until the decision lands, OCC refuses to validate over
+/// them and the retry reads the rows.
+#[test]
+fn scan_after_acknowledged_insert_waits_for_the_apply() {
+    for mode in [TxnMode::Pessimistic, TxnMode::Optimistic] {
+        let dir = tempfile::tempdir().unwrap();
+        let path = dir.path().to_path_buf();
+        block_on(move || {
+            let mut o = options(SecurityProfile::treaty_full(), &path);
+            o.txn_mode = mode;
+            // Slow rounds hold the ack → apply window wide open.
+            o.costs.counter_round_ns = 4 * MILLIS;
+            let cluster = Cluster::start(o).unwrap();
+            let client = cluster.client();
+            let mut tx = client.begin(1);
+            for i in 0..40u32 {
+                tx.put(format!("ack-{i:03}").as_bytes(), b"v").unwrap();
+            }
+            tx.commit().unwrap();
+            let in_doubt = (0..3).any(|i| !cluster.store(i).unwrap().prepared_txns().is_empty());
+            assert!(in_doubt, "{mode:?}: the ack must come ahead of the apply");
+
+            let mut attempts = 0;
+            let rows = loop {
+                attempts += 1;
+                let mut tx = client.begin(2);
+                let rows = tx.scan(b"ack-", b"ack-~", 0).unwrap();
+                if tx.commit().is_ok() {
+                    break rows;
+                }
+                assert!(attempts < 20, "{mode:?}: the scan never committed");
+                sleep(MILLIS);
+            };
+            assert_eq!(rows.len(), 40, "{mode:?}: a committed scan missed rows");
+            if mode == TxnMode::Pessimistic {
+                assert_eq!(attempts, 1, "2PL waits, it does not retry");
+            }
+        });
+    }
 }
 
 #[test]

@@ -134,7 +134,11 @@ impl CounterBackend for HwCounterBackend {
 struct CounterState {
     stable: u64,
     round_in_flight: bool,
-    failed: Option<CounterError>,
+    /// Rounds finished so far: the number of the round in flight, or of
+    /// the next one to start.
+    round: u64,
+    /// The last failed round and its error, for the waiters parked on it.
+    failed: Option<(u64, CounterError)>,
 }
 
 /// One logical trusted counter, e.g. for a node's Clog.
@@ -172,6 +176,7 @@ impl TrustedCounter {
             state: Mutex::new(CounterState {
                 stable: recovered,
                 round_in_flight: false,
+                round: 0,
                 failed: None,
             }),
             waiters: WaitQueue::new(),
@@ -202,28 +207,23 @@ impl TrustedCounter {
     /// Blocks until `value` is rollback-protected.
     ///
     /// Waiters are batched: one becomes the round leader and stabilizes the
-    /// highest currently-assigned value; the rest sleep. A leader failure is
-    /// propagated to every waiter of that round.
+    /// highest currently-assigned value; the rest sleep. A failed round
+    /// fails its leader and every waiter parked on it — and nobody else:
+    /// the next caller leads a fresh round.
     ///
     /// # Errors
     ///
     /// Returns the backend's [`CounterError`] if stabilization fails.
     pub fn wait_stable(&self, value: u64) -> Result<(), CounterError> {
         loop {
-            let lead = {
+            let (lead, round) = {
                 let mut st = self.state.lock();
                 if st.stable >= value {
                     return Ok(());
                 }
-                if let Some(err) = &st.failed {
-                    return Err(err.clone());
-                }
-                if st.round_in_flight {
-                    false
-                } else {
-                    st.round_in_flight = true;
-                    true
-                }
+                let lead = !st.round_in_flight;
+                st.round_in_flight = true;
+                (lead, st.round)
             };
             if lead {
                 // Stabilize the highest assigned value: everything queued
@@ -232,18 +232,22 @@ impl TrustedCounter {
                 let result = self.backend.stabilize(&self.id, target);
                 let mut st = self.state.lock();
                 st.round_in_flight = false;
-                match result {
-                    Ok(()) => {
-                        st.stable = st.stable.max(target);
-                    }
-                    Err(e) => {
-                        st.failed = Some(e);
-                    }
+                st.round += 1;
+                match &result {
+                    Ok(()) => st.stable = st.stable.max(target),
+                    Err(e) => st.failed = Some((round, e.clone())),
                 }
                 drop(st);
                 self.waiters.notify_all();
-            } else {
-                self.waiters.wait();
+                return result;
+            }
+            self.waiters.wait();
+            // Woken by the leader of `round`: its failure is ours; after its
+            // success either `stable` covers us or we join the next round.
+            if let Some((failed, err)) = &self.state.lock().failed {
+                if *failed == round {
+                    return Err(err.clone());
+                }
             }
         }
     }

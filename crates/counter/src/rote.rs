@@ -497,4 +497,42 @@ mod tests {
             assert_eq!(c.latest_stabilized(), 2);
         });
     }
+
+    /// A failed round fails its own waiters only: once a quorum is back the
+    /// same counter stabilizes again, without a node restart.
+    #[test]
+    fn counter_recovers_after_a_failed_round() {
+        let dir = tempfile::tempdir().unwrap();
+        let path = dir.path().to_path_buf();
+        block_on(move || {
+            let key = treaty_crypto::KeyHierarchy::for_testing();
+            let (fabric, replicas, client) = group(&path);
+            let c = TrustedCounter::new("node1/clog", client as Arc<dyn CounterBackend>, 0);
+            let v1 = c.assign();
+            c.wait_stable(v1).unwrap();
+
+            replicas[1].stop();
+            replicas[2].stop();
+            let v2 = c.assign();
+            // The leader and a waiter parked on its round both see it fail.
+            let rider = {
+                let c = Arc::clone(&c);
+                runtime::spawn(move || {
+                    let err = c.wait_stable(v2).unwrap_err();
+                    assert!(matches!(err, CounterError::NoQuorum { .. }), "{err:?}");
+                })
+            };
+            let err = c.wait_stable(v2).unwrap_err();
+            assert!(matches!(err, CounterError::NoQuorum { .. }), "{err:?}");
+            runtime::join(rider);
+            assert_eq!(c.stable(), v1);
+
+            let revived = RoteReplica::start(&fabric, 1001, key.counter, key.sealing, &path);
+            assert_eq!(revived.stable_value("node1/clog"), v1);
+            let v3 = c.assign();
+            c.wait_stable(v3).unwrap();
+            assert_eq!(c.stable(), v3);
+            assert_eq!(c.latest_stabilized(), v3);
+        });
+    }
 }

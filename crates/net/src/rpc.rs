@@ -206,6 +206,11 @@ impl Rpc {
         }
     }
 
+    /// Whether [`Rpc::stop`] ran: the endpoint's node has crashed.
+    pub fn is_stopped(&self) -> bool {
+        self.stopped.load(Ordering::SeqCst)
+    }
+
     /// Number of messages rejected for failed authentication.
     pub fn rejected_count(&self) -> u64 {
         self.counters.rejected.load(Ordering::Relaxed)

@@ -47,7 +47,8 @@ pub enum Category {
     /// Blocked in the 2PC lock table (`store.lock_wait`).
     LockWait,
     /// Log durability: Clog writes and the counter stabilization of the
-    /// Clog and of the participants' WALs (`clog.*`, `wal.*`).
+    /// Clog and of the participants' WALs (`clog.*`, `wal.*`, and the
+    /// coordinator's join on its Start record, `2pc.start_stable`).
     ClogDurability,
     /// Wire time: NIC serialization spans plus uncovered remote-wait gaps.
     Network,
@@ -102,7 +103,10 @@ impl Category {
     pub fn of_phase(phase: &str) -> Category {
         if phase == "store.lock_wait" {
             Category::LockWait
-        } else if phase.starts_with("clog.") || phase.starts_with("wal.") {
+        } else if phase.starts_with("clog.")
+            || phase.starts_with("wal.")
+            || phase == "2pc.start_stable"
+        {
             Category::ClogDurability
         } else if phase.starts_with("net.") {
             Category::Network
@@ -132,6 +136,8 @@ fn is_waiting(phase: &str) -> bool {
             | "client.snapshot_read"
             | "client.snapshot_validate"
             | "2pc.prepare"
+            | "2pc.start_stable"
+            | "2pc.finish"
             | "2pc.read_only_finish"
             | "2pc.coordinate_op"
             | "2pc.send_decision"
@@ -993,6 +999,54 @@ mod tests {
         assert_eq!(t.by_category[Category::ClogDurability.index()], 40);
         assert_eq!(t.by_category[Category::Other.index()], 20);
         assert_eq!(t.by_category[Category::Network.index()], 50);
+    }
+
+    /// The commit point: the coordinator's join on its Start record
+    /// (`2pc.start_stable` [20, 60), the counter wait [30, 50) inside it)
+    /// is durability time to the last nanosecond, and the continuation
+    /// that stabilizes the decision record behind the ack (`2pc.finish`
+    /// [100, 200)) is not on the client's path at all.
+    #[test]
+    fn commit_point_join_is_durability_and_the_finish_is_off_path() {
+        assert_eq!(
+            Category::of_phase("2pc.start_stable"),
+            Category::ClogDurability
+        );
+        assert!(is_waiting("2pc.start_stable") && is_waiting("2pc.finish"));
+        let mut tr = Tracer::new();
+        let txn = 8;
+        tr.ev(0, 9, 1, txn, EventKind::Enter, "client.commit", &[]);
+        tr.ev(10, 1, 2, txn, EventKind::Enter, "2pc.commit", &[]);
+        tr.ev(20, 1, 2, txn, EventKind::Enter, "2pc.start_stable", &[]);
+        tr.ev(30, 1, 2, txn, EventKind::Enter, "clog.stabilize", &[]);
+        tr.ev(50, 1, 2, txn, EventKind::Exit, "clog.stabilize", &[]);
+        tr.ev(60, 1, 2, txn, EventKind::Exit, "2pc.start_stable", &[]);
+        tr.ev(60, 1, 2, txn, EventKind::Enter, "2pc.decide", &[]);
+        tr.ev(70, 1, 2, txn, EventKind::Exit, "2pc.decide", &[]);
+        tr.ev(70, 1, 2, txn, EventKind::Exit, "2pc.commit", &[]);
+        tr.ev(
+            100,
+            9,
+            1,
+            txn,
+            EventKind::Instant,
+            "client.committed",
+            &[("elapsed_ns", 100)],
+        );
+        tr.ev(100, 9, 1, txn, EventKind::Exit, "client.commit", &[]);
+        tr.ev(100, 1, 5, txn, EventKind::Enter, "2pc.finish", &[]);
+        tr.ev(100, 1, 5, txn, EventKind::Enter, "clog.stabilize", &[]);
+        tr.ev(180, 1, 5, txn, EventKind::Exit, "clog.stabilize", &[]);
+        tr.ev(200, 1, 5, txn, EventKind::Exit, "2pc.finish", &[]);
+        let report = attribute(&tr.events, 0);
+        let t = &report.txns[0];
+        assert_eq!(t.measured_ns, 100);
+        assert_eq!(t.attributed_ns, 100);
+        assert_eq!(t.by_category[Category::ClogDurability.index()], 40);
+        // 2pc.commit's own [10,20) plus the decision append [60,70).
+        assert_eq!(t.by_category[Category::Other.index()], 20);
+        // Request [0,10) and reply [70,100) in flight.
+        assert_eq!(t.by_category[Category::Network.index()], 40);
     }
 
     /// rpc.handle roots report queue_ns/open_ns: the uncovered run-up to

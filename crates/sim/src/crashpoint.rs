@@ -50,6 +50,8 @@ pub const ALL_POINTS: &[&str] = &[
     "coord.after_clog_start",
     "coord.after_prepare_fanout",
     "coord.after_votes",
+    "coord.commit_point",
+    "coord.finish_stable",
     "coord.after_log_decision",
     "coord.mid_decision_fanout",
     "coord.after_decision_send",

@@ -313,6 +313,26 @@ impl PreparedTable {
         })
     }
 
+    /// The in-doubt point-write keys inside `[start, end)`, sorted — the
+    /// keys a span fence cannot see in the store yet and must wait on.
+    pub fn keys_in_span(&self, start: &[u8], end: &[u8]) -> Vec<UserKey> {
+        let mut keys: Vec<UserKey> = self
+            .key_index
+            .iter()
+            .flat_map(|stripe| {
+                let in_span = |k: &&UserKey| k.as_slice() >= start && k.as_slice() < end;
+                stripe
+                    .lock()
+                    .keys()
+                    .filter(in_span)
+                    .cloned()
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        keys.sort_unstable();
+        keys
+    }
+
     #[cfg(test)]
     pub fn stripe_count(&self) -> usize {
         self.stripes.len()

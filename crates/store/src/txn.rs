@@ -278,12 +278,16 @@ impl Txn {
     /// The one span fence, under scans (S), range deletes (X) and — as its
     /// pass alone, with `try_lock` — OCC validation. Pass, then fence: lock
     /// every key *present* in the span (deleted versions still fence gaps)
-    /// plus the next key beyond it. An apply epoch unmoved since before
-    /// the pass proves no version slipped in ahead of the last lock grant.
-    /// A moved one — any commit on this store — goes round again: a pass
-    /// that reads back exactly what is already fenced is the same proof.
-    /// Rounds only ever add locks (2PL never releases mid-txn), so the loop
-    /// converges or conflicts out.
+    /// plus the next key beyond it, plus every key a *prepared* transaction
+    /// is about to write there — the pass cannot see a key that exists only
+    /// in a prepared write set, yet that transaction may already be
+    /// acknowledged, so the grant waits for its decision. An apply epoch
+    /// unmoved since before the pass proves no version slipped in ahead of
+    /// the last lock grant. A moved one — any commit on this store, the
+    /// awaited apply included — goes round again: a pass that reads back
+    /// exactly what is already fenced is the same proof. Rounds only ever
+    /// add locks (2PL never releases mid-txn), so the loop converges or
+    /// conflicts out.
     fn fence_span(
         &mut self,
         start: &[u8],
@@ -301,6 +305,12 @@ impl Txn {
             }
             for k in span.present.iter().chain(std::iter::once(&span.bound)) {
                 self.lock_gap(k, mode)?;
+            }
+            // Free: the in-enclave index snapshot reads consult per key.
+            // The bound lies short of `end` only when `limit` cut the pass.
+            let upper = end.min(&span.bound);
+            for k in self.store.inner.prepared.keys_in_span(start, upper) {
+                self.lock_gap(&k, mode)?;
             }
             if self.store.apply_epoch() == epoch {
                 return Ok(span);
@@ -737,17 +747,21 @@ impl Txn {
                 self.try_lock_exclusive(bound)?;
             }
         }
+        // A version a prepared transaction is about to replace is no
+        // longer the latest word, whatever its seq: that writer may be
+        // acknowledged already, and OCC takes no lock to wait on.
+        let prepared = &self.store.inner.prepared;
         for (key, seen) in &self.read_set {
-            let now = self.store.latest_seq(key)?;
-            if now != *seen {
+            if prepared.overlaps(key) || self.store.latest_seq(key)? != *seen {
                 return Err(StoreError::Conflict);
             }
         }
         // Scan re-validation: the raw span must read back identically —
         // any slipped-in, removed or rewritten key is a conflict.
         for (s, e, raw_limit, raw) in &self.scan_set {
-            let again = self.store.scan(s, e, SeqNum::MAX, *raw_limit)?;
-            if &again != raw {
+            if prepared.overlaps_span(s, e)
+                || &self.store.scan(s, e, SeqNum::MAX, *raw_limit)? != raw
+            {
                 return Err(StoreError::Conflict);
             }
         }

@@ -947,6 +947,54 @@ fn apply_between_pass_and_lock_grant_forces_a_second_pass() {
     }
 }
 
+/// A key that exists only in a prepared write set is invisible to the
+/// pass, yet its writer may already be acknowledged: the fence asks for
+/// that key's lock, parks until the decision, and reads the row.
+#[test]
+fn span_fence_waits_for_a_prepared_insert_in_its_span() {
+    for range_delete in [false, true] {
+        let dir = tempfile::tempdir().unwrap();
+        let path = dir.path().to_path_buf();
+        block_on(move || {
+            let env = Env::for_testing(SecurityProfile::treaty_full(), &path);
+            let store = TreatyStore::open(env).unwrap();
+            put(&store, b"p10", b"a");
+            put(&store, b"p50", b"b");
+            let gtx = GlobalTxId { node: 4, seq: 4 };
+            let mut writer = store.begin_mode(TxnMode::Pessimistic);
+            writer.put(b"p30", b"in-doubt").unwrap();
+            writer.prepare(gtx).unwrap();
+
+            let store2 = store.clone();
+            let rows = Arc::new(parking_lot::Mutex::new(None));
+            let rows2 = Arc::clone(&rows);
+            let fencer = spawn(move || {
+                let mut t = store2.begin_mode(TxnMode::Pessimistic);
+                if range_delete {
+                    t.delete_range(b"p00", b"p99").unwrap();
+                    *rows2.lock() = Some(Vec::new());
+                } else {
+                    *rows2.lock() = Some(t.scan(b"p00", b"p99", 0).unwrap());
+                }
+                t.commit().unwrap();
+            });
+            treaty_sim::runtime::sleep(treaty_sim::MILLIS);
+            assert!(rows.lock().is_none(), "the fence must park on p30");
+            store.commit_prepared(gtx).unwrap();
+            join(fencer);
+
+            if range_delete {
+                assert_eq!(scan_committed(&store, b"p00", b"p99"), vec![]);
+            } else {
+                let rows = rows.lock().clone().unwrap();
+                assert_eq!(rows.len(), 3);
+                assert_eq!(rows[1], (b"p30".to_vec(), b"in-doubt".to_vec()));
+            }
+            assert_eq!(store.locked_keys(), 0);
+        });
+    }
+}
+
 #[test]
 fn memtable_scan_pays_one_seek() {
     // One ordered index: a memtable-only scan seeks once, so a one-row scan
@@ -1021,6 +1069,46 @@ fn optimistic_scan_aborts_on_phantom_at_validation() {
 
     assert_eq!(reader.commit().unwrap_err(), StoreError::Conflict);
     assert_eq!(store.get_committed(b"o-result").unwrap(), None);
+}
+
+/// OCC takes no lock to wait on, so a read or a scan that a prepared —
+/// possibly acknowledged — writer is about to overwrite fails validation
+/// instead of committing against the version being replaced.
+#[test]
+fn optimistic_validation_refuses_in_doubt_reads_and_spans() {
+    let dir = tempfile::tempdir().unwrap();
+    let (_env, store) = open(SecurityProfile::treaty_full(), dir.path());
+    put(&store, b"o10", b"old");
+
+    let mut point = store.begin_mode(TxnMode::Optimistic);
+    assert_eq!(point.get(b"o10").unwrap(), Some(b"old".to_vec()));
+    point.put(b"from-point", b"x").unwrap();
+    let mut span = store.begin_mode(TxnMode::Optimistic);
+    assert_eq!(span.scan(b"o20", b"o99", 0).unwrap(), vec![]);
+    span.put(b"from-span", b"x").unwrap();
+    let mut disjoint = store.begin_mode(TxnMode::Optimistic);
+    assert_eq!(disjoint.scan(b"o40", b"o99", 0).unwrap(), vec![]);
+    disjoint.put(b"from-disjoint", b"x").unwrap();
+
+    // Prepared, undecided: the store still reads as it did above.
+    let gtx = GlobalTxId { node: 5, seq: 5 };
+    let mut writer = store.begin_mode(TxnMode::Optimistic);
+    writer.put(b"o10", b"new").unwrap();
+    writer.put(b"o30", b"insert").unwrap();
+    writer.prepare(gtx).unwrap();
+
+    assert_eq!(point.commit().unwrap_err(), StoreError::Conflict);
+    assert_eq!(span.commit().unwrap_err(), StoreError::Conflict);
+    disjoint.commit().unwrap();
+    store.commit_prepared(gtx).unwrap();
+    assert_eq!(store.get_committed(b"from-point").unwrap(), None);
+    assert_eq!(store.get_committed(b"from-span").unwrap(), None);
+
+    let mut after = store.begin_mode(TxnMode::Optimistic);
+    assert_eq!(after.get(b"o10").unwrap(), Some(b"new".to_vec()));
+    assert_eq!(after.scan(b"o20", b"o99", 0).unwrap().len(), 1);
+    after.put(b"from-after", b"x").unwrap();
+    after.commit().unwrap();
 }
 
 #[test]

@@ -27,11 +27,18 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
+use treaty::core::client::client_net;
+use treaty::core::clog::{CLOG_FILE, CLOG_NAME};
+use treaty::core::cluster::{wire_crypto, COUNTER_BASE, COUNTER_CLIENT_BASE};
+use treaty::core::messages::{decode, encode, req, PeerMsg, PeerReply};
 use treaty::core::{check_list_append, Cluster, ClusterOptions, TreatyError, TxnObservation};
+use treaty::crypto::{MsgKind, TxMeta};
+use treaty::net::{Rpc, RpcConfig};
 use treaty::sched::block_on;
 use treaty::sim::crashpoint::{self, FaultSchedule};
-use treaty::sim::runtime::sleep;
-use treaty::sim::{SecurityProfile, MILLIS, SECONDS};
+use treaty::sim::runtime::{join, now, sleep, spawn};
+use treaty::sim::{SecurityProfile, MICROS, MILLIS, SECONDS};
+use treaty::store::log::counter_id;
 use treaty::store::{EngineConfig, GlobalTxId, TxnEngine as _};
 
 /// Endpoint of the coordinator every transaction uses.
@@ -94,6 +101,10 @@ fn cells() -> Vec<Cell> {
     ] {
         v.push(cell(p, COORD, Cfg::Commit));
         v.push(cell(p, COORD, Cfg::Abort));
+    }
+    // Past the commit point there is no abort left to crash in.
+    for p in ["coord.commit_point", "coord.finish_stable"] {
+        v.push(cell(p, COORD, Cfg::Commit));
     }
     for p in ["part.before_prepare", "part.after_prepare"] {
         v.push(cell(p, PART, Cfg::Commit));
@@ -949,4 +960,383 @@ fn armed_crash_leaves_a_parseable_flight_dump() {
         "every dumped event is well-formed"
     );
     assert_eq!(v.counters["crash.fired"], 1);
+}
+
+// ---- the commit point (DESIGN.md §11) -----------------------------------
+//
+// A commit is acknowledged once its Clog Start record and every Prepare
+// record are stable and every vote is yes; the decision record is
+// stabilized, published, sent and applied behind the ack. The cells below
+// crash or starve the coordinator inside that window and hold the
+// acknowledged outcome to it.
+
+/// Seeds one acked value per shard and lets the pipelined tail drain.
+fn seed(cluster: &Cluster, keys: &[Vec<u8>]) {
+    let client = cluster.client();
+    let mut tx = client.begin(COORD);
+    for k in keys {
+        tx.put(k, b"seed").expect("seed write failed");
+    }
+    tx.commit().expect("seed commit failed");
+    sleep(50 * MILLIS);
+}
+
+fn store(cluster: &Cluster, node: u32) -> &treaty::store::TreatyStore {
+    cluster.store((node - 1) as usize).expect("durable cluster")
+}
+
+/// Asks `COORD` over the wire what it decided for `gtx`, as a recovering
+/// participant would.
+fn query_decision(cluster: &Cluster, gtx: GlobalTxId) -> Option<bool> {
+    let rpc = Rpc::new(
+        cluster.fabric(),
+        9900,
+        RpcConfig {
+            endpoint: client_net(),
+            crypto: wire_crypto(&SecurityProfile::treaty_full()),
+            key: cluster.keys().network,
+            cores: None,
+            timeout: treaty::net::DEFAULT_RPC_TIMEOUT,
+        },
+    );
+    rpc.start();
+    let meta = TxMeta {
+        node_id: 9900,
+        tx_id: gtx.seq,
+        op_id: 1,
+        kind: MsgKind::QueryDecision,
+    };
+    let msg = encode(&PeerMsg::QueryDecision { gtx });
+    let reply = rpc.call(COORD, req::QUERY_DECISION, &meta, &msg);
+    rpc.stop();
+    match decode(&reply.expect("coordinator answers").1) {
+        Some(PeerReply::Decision { commit }) => commit,
+        other => panic!("not a decision reply: {other:?}"),
+    }
+}
+
+/// Phase-two requests of type `req_type` the fabric has carried since
+/// `start_capture`.
+fn captured(cluster: &Cluster, req_type: u8) -> usize {
+    let sent = cluster.fabric().captured();
+    sent.iter()
+        .filter(|d| !d.is_response && d.req_type == req_type)
+        .count()
+}
+
+/// The committed end state every commit-point cell must reach: decided
+/// commit, the acknowledged value readable on every shard, nothing left
+/// prepared.
+fn assert_committed_everywhere(cluster: &Cluster, gtx: GlobalTxId, keys: &[Vec<u8>], cell: &str) {
+    let clog = cluster.node((COORD - 1) as usize).clog().expect("durable");
+    assert_eq!(clog.decision(gtx), Some(true), "{cell}: not decided commit");
+    let client = cluster.client();
+    let mut tx = client.begin(SPARE);
+    for k in keys {
+        let got = tx.get(k).expect("post-recovery read");
+        assert_eq!(got.as_deref(), Some(&b"acked"[..]), "{cell}: value lost");
+    }
+    tx.commit().expect("verify commit");
+    for n in [COORD, PART, SPARE] {
+        let left = store(cluster, n).prepared_txns();
+        assert!(left.is_empty(), "{cell}: n{n} still holds {left:?}");
+    }
+}
+
+/// What a commit-point cell adds to the coordinator crash.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Twist {
+    /// Restart and recover, nothing else.
+    Plain,
+    /// Before the restart the adversary rolls the Clog back as far as the
+    /// counter group lets it: to the stabilized prefix.
+    RollBackClog,
+    /// The rolled-back Clog again, and `PART` is down during the first
+    /// recovery pass.
+    ParticipantDown,
+}
+
+/// Truncates node `idx`'s Clog to the records at or below the group's
+/// stabilized value; returns how many records that cut.
+fn roll_back_clog(cluster: &Cluster, idx: usize) -> usize {
+    let env = cluster.env(idx).expect("durable cluster");
+    let stable = env.backend.latest(&counter_id(env, CLOG_NAME));
+    let path = env.dir.join(CLOG_FILE);
+    let raw = std::fs::read(&path).unwrap();
+    // Frame: counter 8 B | payload length 4 B | payload | MAC 32 B.
+    let (mut pos, mut keep, mut cut) = (0, raw.len(), 0);
+    while pos + 12 <= raw.len() {
+        let counter = u64::from_le_bytes(raw[pos..pos + 8].try_into().unwrap());
+        let len = u32::from_le_bytes(raw[pos + 8..pos + 12].try_into().unwrap()) as usize;
+        if counter > stable {
+            keep = keep.min(pos);
+            cut += 1;
+        }
+        pos += 12 + len + 32;
+    }
+    std::fs::write(&path, &raw[..keep]).unwrap();
+    cut
+}
+
+/// The coordinator dies at `point` — past the commit point, before any
+/// participant heard a decision — and recovery, whatever the `twist`, can
+/// only commit.
+fn run_commit_point_cell(point: &'static str, twist: Twist) -> String {
+    let dir = tempfile::tempdir().unwrap();
+    let path = dir.path().to_path_buf();
+    block_on(move || {
+        let plan = crashpoint::install();
+        let mut cluster = Cluster::start(options(&path)).unwrap();
+        let keys: Vec<Vec<u8>> = key_per_node(&cluster).into_values().collect();
+        seed(&cluster, &keys);
+        let cell = format!("{point} {twist:?}");
+
+        plan.arm(FaultSchedule::new().crash_at(point, COORD, 1));
+        let client = cluster.client();
+        let mut tx = client.begin(COORD);
+        let gtx = tx.gtx();
+        for k in &keys {
+            tx.put(k, b"acked").expect("buffered put");
+        }
+        let acked = match tx.commit() {
+            Ok(()) => 'C',
+            Err(TreatyError::Aborted(_, why)) => panic!("{cell}: aborted past the votes: {why}"),
+            Err(_) => 'U', // the crash came before the reply
+        };
+        sleep(SECONDS);
+        let fired = plan.fired();
+        assert_eq!(fired.len(), 1, "{cell}: expected one crash, got {fired:?}");
+        assert_eq!((fired[0].point.as_str(), fired[0].node), (point, COORD));
+        for n in [PART, SPARE] {
+            let prepared = store(&cluster, n).prepared_txns();
+            assert_eq!(prepared, [gtx], "{cell}: n{n} heard a decision");
+        }
+
+        cluster.crash_node((COORD - 1) as usize);
+        let cut = match twist {
+            Twist::Plain => 0,
+            _ => roll_back_clog(&cluster, (COORD - 1) as usize),
+        };
+        if twist == Twist::ParticipantDown {
+            cluster.crash_node((PART - 1) as usize);
+        }
+        cluster.restart_node((COORD - 1) as usize).unwrap();
+        let mut rec = cluster.resolve_recovered();
+        if twist == Twist::ParticipantDown {
+            // A participant that cannot be asked is not a no vote.
+            assert_eq!((rec.re_decided, rec.failed), (0, 1), "{cell}: {rec:?}");
+            let clog = cluster.node((COORD - 1) as usize).clog().expect("durable");
+            assert_eq!(clog.decision(gtx), None, "{cell}: decided without PART");
+            for n in [COORD, SPARE] {
+                let prepared = store(&cluster, n).prepared_txns();
+                assert_eq!(prepared, [gtx], "{cell}: n{n} no longer prepared");
+            }
+            cluster.restart_node((PART - 1) as usize).unwrap();
+            rec = cluster.resolve_recovered();
+        }
+        assert_eq!(rec.failed, 0, "{cell}: {rec:?}");
+        assert_committed_everywhere(&cluster, gtx, &keys, &cell);
+
+        format!(
+            "{cell} fired@{} acked={acked} cut={cut} rec={}/{}/{}",
+            fired[0].at, rec.re_decided, rec.resolved, rec.failed,
+        )
+    })
+}
+
+fn run_twice(run: impl Fn() -> String) {
+    let t1 = run();
+    println!("{t1}");
+    assert_eq!(t1, run(), "commit-point fault cell must be deterministic");
+}
+
+/// A coordinator crash between the commit point and the first decision
+/// message commits on every shard: an unanswered client's transaction at
+/// `coord.commit_point`, an acknowledged one at `coord.finish_stable`.
+#[test]
+fn commit_point_crash_commits_everywhere() {
+    for point in ["coord.commit_point", "coord.finish_stable"] {
+        run_twice(|| run_commit_point_cell(point, Twist::Plain));
+    }
+}
+
+/// The same crashes with the Clog rolled back to its stabilized prefix —
+/// Start only at `coord.commit_point`, where the appended decision never
+/// had its round — still commit: Start plus the stable Prepares are the
+/// durable record of the outcome.
+#[test]
+fn commit_point_crash_with_clog_rolled_back_still_commits() {
+    for point in ["coord.commit_point", "coord.finish_stable"] {
+        run_twice(|| run_commit_point_cell(point, Twist::RollBackClog));
+    }
+}
+
+/// The rolled-back `coord.commit_point` crash — undecided at restart, the
+/// client possibly holding an ack — with a participant down during the
+/// first recovery pass: the pass reports the transaction as failed and
+/// aborts nothing; the second pass, with the participant back, commits.
+/// (With the decision record stable, as at `coord.finish_stable`, recovery
+/// re-sends it and a participant that is down asks when it returns.)
+#[test]
+fn commit_point_recovery_with_a_participant_down_stays_undecided() {
+    run_twice(|| run_commit_point_cell("coord.commit_point", Twist::ParticipantDown));
+}
+
+/// The counter group loses its quorum between the ack and the decision
+/// round: the coordinator retries, gives up with a flight dump and leaves
+/// the transaction undecided — no abort (and no commit) ever reaches the
+/// fabric — and once the group is back one recovery pass on the live node
+/// commits it.
+fn run_commit_point_no_quorum_cell() -> String {
+    let dir = tempfile::tempdir().unwrap();
+    let path = dir.path().to_path_buf();
+    let flight_dir = tempfile::tempdir().unwrap();
+    let flight = flight_dir.path().join("dumps");
+    let flight2 = flight.clone();
+    let transcript = block_on(move || {
+        let obs = treaty::obs::Obs::with_default_cap();
+        obs.configure_flight(&flight2, 128);
+        treaty::sim::obs::install(&obs);
+        let cluster = Cluster::start(options(&path)).unwrap();
+        let keys: Vec<Vec<u8>> = key_per_node(&cluster).into_values().collect();
+        seed(&cluster, &keys);
+        cluster.fabric().start_capture();
+
+        let client = cluster.client();
+        let mut tx = client.begin(COORD);
+        let gtx = tx.gtx();
+        // Every Prepare record is stable the moment all three shards list
+        // the transaction as prepared (the Start record's round, kicked
+        // first, ended before theirs); the decision record is a WAL append
+        // away. Cut the coordinator's counter client off right there.
+        let stores: Vec<_> = [COORD, PART, SPARE]
+            .iter()
+            .map(|&n| store(&cluster, n).clone())
+            .collect();
+        let fabric = std::sync::Arc::clone(cluster.fabric());
+        let cutter = spawn(move || {
+            while !stores.iter().all(|s| s.prepared_txns().contains(&gtx)) {
+                sleep(10 * MICROS);
+            }
+            fabric.with_adversary(|a| {
+                for r in 0..3u32 {
+                    a.partitions.insert((COUNTER_CLIENT_BASE, COUNTER_BASE + r));
+                }
+            });
+        });
+        for k in &keys {
+            tx.put(k, b"acked").expect("buffered put");
+        }
+        tx.commit().expect("the commit point was reached");
+        let acked_at = now();
+        join(cutter);
+
+        // Six failed rounds later the coordinator has given up.
+        sleep(SECONDS);
+        let clog = cluster.node((COORD - 1) as usize).clog().expect("durable");
+        assert_eq!(clog.decision(gtx), None, "decided without a stable record");
+        assert_eq!(captured(&cluster, req::PEER_ABORT), 0, "an ack was aborted");
+        assert_eq!(
+            captured(&cluster, req::PEER_COMMIT),
+            0,
+            "unstable commit sent"
+        );
+        for n in [COORD, PART, SPARE] {
+            assert_eq!(store(&cluster, n).prepared_txns(), [gtx], "n{n}");
+        }
+
+        // The group is back: the same Clog counter stabilizes again, on
+        // the live node.
+        cluster.fabric().with_adversary(|a| a.partitions.clear());
+        let rec = cluster.resolve_recovered();
+        assert_eq!((rec.re_decided, rec.failed), (1, 0), "{rec:?}");
+        assert_committed_everywhere(&cluster, gtx, &keys, "no-quorum");
+        assert_eq!(captured(&cluster, req::PEER_ABORT), 0);
+        treaty::sim::obs::uninstall();
+        format!(
+            "no-quorum acked@{acked_at} commits_sent={} rec={}/{}/{}",
+            captured(&cluster, req::PEER_COMMIT),
+            rec.re_decided,
+            rec.resolved,
+            rec.failed,
+        )
+    });
+    let dumps: Vec<String> = std::fs::read_dir(&flight)
+        .expect("flight directory written")
+        .flatten()
+        .map(|e| std::fs::read_to_string(e.path()).unwrap())
+        .collect();
+    assert_eq!(dumps.len(), 1, "one undecided commit, one dump");
+    assert!(dumps[0].contains("\"reason\": \"2pc.decision_unstable\""));
+    transcript
+}
+
+#[test]
+fn commit_point_decision_round_without_quorum_never_aborts() {
+    run_twice(run_commit_point_no_quorum_cell);
+}
+
+/// Appended is not externalised. Under 5 ms counter rounds the client
+/// holds `Committed` well before the decision record is stable, and in
+/// that window nobody else can learn the outcome: `QueryDecision` answers
+/// `None`, no `PEER_COMMIT` has left the coordinator, every shard still
+/// lists the transaction as prepared, the Clog's stable frontier has not
+/// moved, and a locking read of a written key parks instead of returning
+/// the old value. Once the record is stable all of it flips.
+#[test]
+fn commit_point_appended_is_not_externalised() {
+    let dir = tempfile::tempdir().unwrap();
+    let path = dir.path().to_path_buf();
+    block_on(move || {
+        let mut o = options(&path);
+        o.costs.counter_round_ns = 5 * MILLIS;
+        let cluster = Cluster::start(o).unwrap();
+        let keys: Vec<Vec<u8>> = key_per_node(&cluster).into_values().collect();
+        seed(&cluster, &keys);
+        let clog = cluster.node((COORD - 1) as usize).clog().expect("durable");
+        let stable_before = clog.stable_ts();
+        cluster.fabric().start_capture();
+
+        let client = cluster.client();
+        let mut tx = client.begin(COORD);
+        let gtx = tx.gtx();
+        for k in &keys {
+            tx.put(k, b"acked").expect("buffered put");
+        }
+        tx.commit().expect("commit");
+        let acked_at = now();
+
+        // Between the ack and the stable decision record.
+        let read = std::sync::Arc::new(parking_lot::Mutex::new(None));
+        let reader = {
+            let (read, key) = (std::sync::Arc::clone(&read), keys[1].clone());
+            let client = cluster.client();
+            spawn(move || {
+                let mut tx = client.begin(SPARE);
+                *read.lock() = Some((tx.get(&key).expect("locking read"), now()));
+                tx.commit().expect("reader commit");
+            })
+        };
+        assert_eq!(query_decision(&cluster, gtx), None);
+        assert_eq!(captured(&cluster, req::PEER_COMMIT), 0);
+        for n in [COORD, PART, SPARE] {
+            assert_eq!(store(&cluster, n).prepared_txns(), [gtx], "n{n}");
+        }
+        assert_eq!(clog.stable_ts(), stable_before);
+        sleep(MILLIS);
+        assert!(read.lock().is_none(), "the read must park on the lock");
+        assert!(now() - acked_at < 5 * MILLIS, "still inside the round");
+
+        // Afterwards.
+        join(reader);
+        sleep(50 * MILLIS);
+        let (value, read_at) = read.lock().take().expect("reader finished");
+        assert_eq!(value.as_deref(), Some(&b"acked"[..]));
+        assert!(read_at - acked_at >= 4 * MILLIS, "read before the round");
+        assert_eq!(query_decision(&cluster, gtx), Some(true));
+        assert_eq!(captured(&cluster, req::PEER_COMMIT), 2);
+        // Start and Decision: two records past the seed's.
+        assert_eq!(clog.stable_ts(), stable_before + 2);
+        assert_committed_everywhere(&cluster, gtx, &keys, "externalised");
+    });
 }
