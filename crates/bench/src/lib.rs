@@ -1017,7 +1017,7 @@ pub fn treaty_top(snapshots: &[ObsSnapshotReply]) -> String {
     );
     // Right-aligned to the widths of the row format below.
     s.push_str(
-        "node    stable_ts  decq flush   bp prepared   commit   abort  part_ops  retries  cache%\n",
+        "node    stable_ts   fin flush   bp prepared   commit   abort  part_ops  retries  cache%\n",
     );
     for r in snapshots {
         let fetches = r.block_cache_hits + r.block_cache_misses;
@@ -1034,7 +1034,7 @@ pub fn treaty_top(snapshots: &[ObsSnapshotReply]) -> String {
             "{:>4} {:>12} {:>5} {:>5} {:>4} {:>8} {:>8} {:>7} {:>9} {:>8} {:>4}.{:02}",
             r.node,
             r.stable_ts,
-            r.decision_queue_depth,
+            r.finishes_inflight,
             r.flush_backlog,
             bp,
             r.prepared_txns,

@@ -359,8 +359,9 @@ pub struct ObsSnapshotReply {
     pub ts: u64,
     /// The shard's stable read timestamp (MVCC frontier).
     pub stable_ts: u64,
-    /// Decisions durably logged but not yet dispatched (phase-2 queue).
-    pub decision_queue_depth: u64,
+    /// Fibers still working behind a decision: commits finishing behind
+    /// their ack and phase-two deliveries.
+    pub finishes_inflight: u64,
     /// Memtables sealed and waiting for the flush daemon.
     pub flush_backlog: u64,
     /// Commit backpressure: 0 = clear, 1 = throttled, 2 = stalled.

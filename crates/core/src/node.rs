@@ -9,7 +9,7 @@
 
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use treaty_crypto::{Key, MsgKind, TxMeta, WireCrypto};
@@ -139,32 +139,27 @@ impl AbortRing {
     }
 }
 
-/// Bound on the decision-dispatch queue and on the commits finishing
-/// behind their ack: past this, committers fall back to the inline send
-/// and the inline finish — backpressure instead of unbounded growth.
-const DECISION_QUEUE_CAP: usize = 256;
+/// Bound on the fibers working behind decisions — commits finishing behind
+/// their ack and phase-two deliveries: past this, the committer finishes
+/// and delivers inline — backpressure instead of unbounded growth. A commit
+/// finishing behind its ack holds two (continuation and delivery): 128 such.
+const FINISH_FIBER_CAP: usize = 256;
 
-/// A Clog-durable phase-2 decision awaiting delivery by the dispatcher.
-struct DecisionDispatch {
-    gtx: GlobalTxId,
-    remotes: Vec<EndpointId>,
-    commit: bool,
-}
-
-/// One acknowledged commit finishing behind its ack. Dropped when the
-/// continuation ends — returning, or unwinding at a crash point — so
-/// `drain_decisions` never waits on a fiber that is gone.
+/// One fiber working behind a decision: an acknowledged commit's finish,
+/// or a phase-two delivery. Dropped when the fiber ends — returning, or
+/// unwinding at a crash point — so `drain_decisions` never waits on a
+/// fiber that is gone.
 struct FinishSlot {
     node: Arc<TreatyNode>,
 }
 
 impl FinishSlot {
-    /// `None` at the cap: the committer then finishes inline.
+    /// `None` at the cap: the committer then does the work inline.
     fn reserve(node: &Arc<TreatyNode>) -> Option<Self> {
         let before = node
             .finishes_inflight
             .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
-                (n < DECISION_QUEUE_CAP).then_some(n + 1)
+                (n < FINISH_FIBER_CAP).then_some(n + 1)
             })
             .ok()?;
         treaty_sim::obs::gauge_set("core.finishes_inflight", before as u64 + 1);
@@ -363,14 +358,10 @@ pub struct TreatyNode {
     stats: Mutex<NodeStats>,
     /// `--sync-decisions`: keep phase-2 delivery inline (ablation).
     sync_decisions: bool,
-    /// Clog-durable decisions awaiting dispatch (bounded FIFO).
-    decision_queue: Mutex<VecDeque<DecisionDispatch>>,
-    /// Guards the spawn-on-demand dispatcher daemon (one at a time).
-    dispatcher_running: AtomicBool,
-    /// Acknowledged commits whose finish is still running on a
-    /// continuation fiber (bounded by [`DECISION_QUEUE_CAP`]).
+    /// Fibers still working behind a decision: finish continuations and
+    /// phase-two deliveries (bounded by [`FINISH_FIBER_CAP`]).
     finishes_inflight: AtomicUsize,
-    /// Woken when a continuation ends; `drain_decisions` waits here.
+    /// Woken when such a fiber ends; `drain_decisions` waits here.
     finish_done: WaitQueue,
 }
 
@@ -435,8 +426,6 @@ impl TreatyNode {
             op_seq: AtomicU64::new(first_op),
             stats: Mutex::new(NodeStats::default()),
             sync_decisions: options.sync_decisions,
-            decision_queue: Mutex::new(VecDeque::new()),
-            dispatcher_running: AtomicBool::new(false),
             finishes_inflight: AtomicUsize::new(0),
             finish_done: WaitQueue::new(),
         });
@@ -490,8 +479,8 @@ impl TreatyNode {
         }
     }
 
-    /// Serves [`req::OBS_SNAPSHOT`]: a live read of this node's queue
-    /// depths, MVCC frontier, backpressure and cache counters. Read-only
+    /// Serves [`req::OBS_SNAPSHOT`]: a live read of this node's backlogs,
+    /// MVCC frontier, backpressure and cache counters. Read-only
     /// and replay-exempt — the `treaty-top` dashboard polls it.
     fn handle_obs_snapshot(
         self: &Arc<Self>,
@@ -507,7 +496,7 @@ impl TreatyNode {
             node: self.endpoint,
             ts: treaty_sim::runtime::now(),
             stable_ts: self.engine.stable_ts(),
-            decision_queue_depth: self.decision_queue.lock().len() as u64,
+            finishes_inflight: self.finishes_inflight.load(Ordering::SeqCst) as u64,
             flush_backlog: engine.flush_backlog,
             backpressure: engine.backpressure,
             prepared_txns: self.engine.prepared_txns().len() as u64,
@@ -905,9 +894,9 @@ impl TreatyNode {
             return CommitResult::Aborted { reason };
         }
         treaty_sim::crashpoint::hit("coord.commit_point");
-        // With nothing to wait for, the finish costs the client no round,
-        // and answering first would only queue its appends behind the next
-        // commit's (a native WAL is bound by one fsync per record).
+        // With nothing to wait for — the record already stable, as it
+        // always is without stabilization — the finish costs the client no
+        // round and stays on its fiber.
         let behind_ack = match (&self.clog, unstable) {
             (Some(clog), Some(counter))
                 if !clog.is_stable(counter) && self.pipelined_decisions() =>
@@ -931,14 +920,11 @@ impl TreatyNode {
     }
 
     /// The tail of a decided transaction, the same steps for every
-    /// outcome: wait until the decision record is stable, publish it, hand
-    /// phase two to the dispatcher, apply the local slice. `unstable` is
-    /// the counter of a commit record appended but not yet published; an
-    /// abort arrives with its record already stable and published. Runs on
-    /// the committing fiber, or for an acknowledged commit on a
-    /// continuation of its own — never on the dispatcher daemon, whose
-    /// stabilize → send → await-acks loop would hold every later
-    /// transaction's locks behind one delivery.
+    /// outcome: wait until the decision record is stable, publish it, send
+    /// phase two, apply the local slice. `unstable` is the counter of a
+    /// commit record appended but not yet published; an abort arrives with
+    /// its record already stable and published. Runs on the committing
+    /// fiber, or for an acknowledged commit on a continuation of its own.
     fn finish(
         self: &Arc<Self>,
         gtx: GlobalTxId,
@@ -956,14 +942,24 @@ impl TreatyNode {
         treaty_sim::crashpoint::hit("coord.after_log_decision");
 
         treaty_sim::runtime::set_tag("h:2pc-phase2");
-        if self.pipelined_decisions() {
-            // The decision is Clog-durable, so nobody waits for the
-            // fan-out: delivery moves to the dispatcher daemon, and even a
-            // total delivery failure resolves via recovery (coordinator
-            // re-send or participant QueryDecision, §VI).
-            self.queue_decision(gtx, remotes, commit);
+        // The decision is Clog-durable, so nothing waits for the fan-out —
+        // not the client, not the local slice's locks: the acks and the
+        // retry train are awaited on a delivery fiber, and even a total
+        // delivery failure resolves via recovery (coordinator re-send or
+        // participant QueryDecision, §VI).
+        let slot = if self.pipelined_decisions() && !remotes.is_empty() {
+            FinishSlot::reserve(self)
         } else {
-            self.send_decision(gtx, &remotes, commit);
+            None
+        };
+        match slot {
+            Some(slot) => {
+                treaty_sim::runtime::spawn_daemon(move || {
+                    treaty_sim::runtime::set_tag("2pc-deliver");
+                    slot.node.send_decision(gtx, &remotes, commit);
+                });
+            }
+            None => self.send_decision(gtx, &remotes, commit),
         }
         treaty_sim::crashpoint::hit("coord.after_decision_send");
         treaty_sim::runtime::set_tag("h:2pc-decide-local");
@@ -1093,143 +1089,25 @@ impl TreatyNode {
 
     /// True when the work behind a decision leaves the client-session
     /// fiber: an acknowledged commit finishes on a continuation and
-    /// phase-2 delivery rides the dispatcher daemon. Outside the runtime
+    /// phase-two delivery on a fiber of its own. Outside the runtime
     /// (plain tests) there is no fiber to run either, so both stay inline.
     fn pipelined_decisions(&self) -> bool {
         !self.sync_decisions && treaty_sim::runtime::in_fiber()
     }
 
-    /// Hands a Clog-durable decision to the dispatcher daemon. The queue
-    /// is bounded: past the cap the committer falls back to the inline
-    /// send, paying for delivery itself — backpressure, never a drop.
-    fn queue_decision(self: &Arc<Self>, gtx: GlobalTxId, remotes: Vec<EndpointId>, commit: bool) {
-        let mut queue = self.decision_queue.lock();
-        if queue.len() >= DECISION_QUEUE_CAP {
-            drop(queue);
-            treaty_sim::obs::counter_add("core.decision_queue_overflow", 1);
-            self.send_decision(gtx, &remotes, commit);
-            return;
-        }
-        queue.push_back(DecisionDispatch {
-            gtx,
-            remotes,
-            commit,
-        });
-        let depth = queue.len() as u64;
-        drop(queue);
-        treaty_sim::obs::gauge_set("core.decision_queue_depth", depth);
-        treaty_sim::obs::counter_add("core.decisions_queued", 1);
-        // Queued but not yet sent: a crash here must resolve through the
-        // Clog decision (coordinator re-send at recovery) or the
-        // participants' QueryDecision.
-        treaty_sim::crashpoint::hit("coord.decision_queued");
-        self.ensure_dispatcher();
-    }
-
-    /// Spawns the dispatcher daemon if it is not already running.
-    fn ensure_dispatcher(self: &Arc<Self>) {
-        if self.dispatcher_running.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        let me = Arc::clone(self);
-        treaty_sim::runtime::spawn_daemon(move || {
-            treaty_sim::runtime::set_tag("decision-dispatch");
-            // Batches span transactions; each item scopes its own txn.
-            let _txn = treaty_sim::obs::txn_scope(0);
-            me.run_dispatcher();
-        });
-    }
-
-    /// Daemon body: drains the queue in batches until it stays empty,
-    /// with a claim/re-check dance so a decision can never be stranded
-    /// between an idle check and the running-flag reset.
-    fn run_dispatcher(self: &Arc<Self>) {
-        loop {
-            let work: Vec<DecisionDispatch> = {
-                let mut queue = self.decision_queue.lock();
-                queue.drain(..).collect()
-            };
-            if work.is_empty() {
-                self.dispatcher_running.store(false, Ordering::SeqCst);
-                if self.decision_queue.lock().is_empty() {
-                    return;
-                }
-                if self.dispatcher_running.swap(true, Ordering::SeqCst) {
-                    return; // a newer daemon claimed the work
-                }
-                continue;
-            }
-            treaty_sim::obs::gauge_set("core.decision_queue_depth", 0);
-            self.dispatch_batch(work);
-        }
-    }
-
-    /// Delivers a batch of queued decisions. Every message is enqueued
-    /// up front and leaves in a single `tx_burst` — decisions headed for
-    /// the same peer coalesce into one wire flush — then each
-    /// transaction's replies are awaited (and retried) one transaction at
-    /// a time, so its `2pc.send_decision` span nests cleanly under its
-    /// own txn scope.
-    fn dispatch_batch(self: &Arc<Self>, work: Vec<DecisionDispatch>) {
-        let _span = treaty_sim::obs::span_with(
-            "2pc.dispatch_decisions",
-            &[("decisions", work.len() as u64)],
-        );
-        let mut pending: Vec<Vec<(EndpointId, PendingReply)>> = Vec::with_capacity(work.len());
-        for d in &work {
-            let (rt, kind, payload) = decision_wire(d.gtx, d.commit);
-            let mut item = Vec::with_capacity(d.remotes.len());
-            for &r in &d.remotes {
-                let meta = self.peer_meta(d.gtx, kind);
-                item.push((r, self.rpc.enqueue_request(r, rt, &meta, &payload)));
-            }
-            pending.push(item);
-        }
-        treaty_sim::runtime::set_tag("dd:burst");
-        self.rpc.tx_burst();
-        treaty_sim::crashpoint::hit("coord.mid_decision_fanout");
-        for (d, item) in work.iter().zip(pending) {
-            let _txn = treaty_sim::obs::txn_scope(d.gtx.seq);
-            let _span = treaty_sim::obs::span_with(
-                "2pc.send_decision",
-                &[
-                    ("remotes", d.remotes.len() as u64),
-                    ("commit", u64::from(d.commit)),
-                ],
-            );
-            for (r, p) in item {
-                if p.wait().is_ok() {
-                    continue;
-                }
-                self.retry_decision(d.gtx, r, d.commit);
-            }
-        }
-    }
-
-    /// Waits out every commit still finishing behind its ack, then
-    /// synchronously delivers every queued decision (graceful shutdown:
-    /// queued phase-2 messages must reach participants before the cluster
-    /// stops serving; also safe to race the daemon — each decision drains
-    /// exactly once).
+    /// Waits out every fiber still working behind a decision — commits
+    /// finishing behind their ack, phase-two deliveries with their retry
+    /// trains (graceful shutdown: phase two must reach the participants
+    /// before the cluster stops serving).
     pub fn drain_decisions(self: &Arc<Self>) {
-        // Commits finishing behind their ack come first: each ends by
-        // queueing its phase two.
         while self.finishes_inflight.load(Ordering::SeqCst) > 0 {
             self.finish_done.wait();
         }
-        loop {
-            let work: Vec<DecisionDispatch> = {
-                let mut queue = self.decision_queue.lock();
-                queue.drain(..).collect()
-            };
-            if work.is_empty() {
-                return;
-            }
-            treaty_sim::obs::gauge_set("core.decision_queue_depth", 0);
-            self.dispatch_batch(work);
-        }
     }
 
+    /// Phase two, and the only sender of `PEER_COMMIT`/`PEER_ABORT`
+    /// requests: one burst to every remote, then each ack awaited and a
+    /// missed delivery retried.
     fn send_decision(self: &Arc<Self>, gtx: GlobalTxId, remotes: &[EndpointId], commit: bool) {
         let _span = treaty_sim::obs::span_with(
             "2pc.send_decision",

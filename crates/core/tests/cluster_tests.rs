@@ -1165,6 +1165,48 @@ fn one_write_keeps_the_logged_two_phase_path() {
     });
 }
 
+/// Without stabilization the finish runs inline on the client's fiber —
+/// but phase two does not: its acks are awaited on a delivery fiber, so
+/// the client is answered before any participant has acknowledged.
+/// `sync_decisions` is the contrast: both acks precede the answer.
+#[test]
+fn phase_two_acks_stay_off_an_inline_finish() {
+    use treaty_core::messages::req::PEER_COMMIT;
+    for sync_decisions in [false, true] {
+        let dir = tempfile::tempdir().unwrap();
+        let path = dir.path().to_path_buf();
+        block_on(move || {
+            let mut o = options(SecurityProfile::native_treaty(), &path);
+            o.sync_decisions = sync_decisions;
+            let cluster = Cluster::start(o).unwrap();
+            // Remote shards only: with no local slice to apply, nothing but
+            // the acks could stand between the decision and the answer.
+            let keys = keys_on_different_nodes(&cluster);
+            let remote: Vec<_> = keys
+                .iter()
+                .filter(|k| cluster.shard_map().owner(k) != 1)
+                .collect();
+            assert_eq!(remote.len(), 2);
+            let client = cluster.client();
+            let mut tx = client.begin(1);
+            for k in &remote {
+                tx.put(k, b"v").unwrap();
+            }
+            cluster.fabric().start_capture();
+            tx.commit().unwrap();
+            let acks = || {
+                let sent = cluster.fabric().captured();
+                sent.iter()
+                    .filter(|d| d.is_response && d.req_type == PEER_COMMIT)
+                    .count()
+            };
+            assert_eq!(acks(), if sync_decisions { 2 } else { 0 });
+            cluster.node(0).drain_decisions();
+            assert_eq!(acks(), 2);
+        });
+    }
+}
+
 /// Concurrent whole-span scanners (read-only lane) against cross-shard
 /// list-append writers (full 2PC): the committed history must be
 /// serializable, with every scan a consistent cut.

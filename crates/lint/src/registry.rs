@@ -52,7 +52,6 @@ pub const LOCK_CLASSES: &[LockClass] = &[
     LockClass { name: "core.clog.state", fiber: false, ordered: false },
     LockClass { name: "core.node.active_coord", fiber: false, ordered: false },
     LockClass { name: "core.node.active_part", fiber: false, ordered: false },
-    LockClass { name: "core.node.decision_queue", fiber: false, ordered: false },
     LockClass { name: "core.node.recently_aborted", fiber: false, ordered: false },
     LockClass { name: "core.node.stats", fiber: false, ordered: false },
     LockClass { name: "net.fabric.adversary", fiber: false, ordered: false },
@@ -138,7 +137,6 @@ pub const LOCK_REGISTRY: &[LockSpec] = &[
     LockSpec { file: "crates/core/src/node.rs", receiver: "active_coord", class: "core.node.active_coord" },
     LockSpec { file: "crates/core/src/node.rs", receiver: "active_part", class: "core.node.active_part" },
     LockSpec { file: "crates/core/src/node.rs", receiver: "recently_aborted", class: "core.node.recently_aborted" },
-    LockSpec { file: "crates/core/src/node.rs", receiver: "decision_queue", class: "core.node.decision_queue" },
     LockSpec { file: "crates/core/src/clog.rs", receiver: "state", class: "core.clog.state" },
     // -- crates/store -------------------------------------------------
     LockSpec { file: "crates/store/src/engine.rs", receiver: "commit_lock", class: "store.commit_lock" },

@@ -58,7 +58,7 @@ pub enum Category {
     StoreWrite,
     /// TEE boundary: shielded RPC open/seal and handler crypto overhead.
     Tee,
-    /// Queueing: RPC worker backlog and decision-dispatch batching.
+    /// Queueing: RPC worker backlog.
     Queueing,
     /// Everything else (coordinator CPU, client-side think time).
     Other,
@@ -117,8 +117,6 @@ impl Category {
             Category::StoreWrite
         } else if phase.starts_with("tee.") || phase == "rpc.handle" {
             Category::Tee
-        } else if phase == "2pc.dispatch_decisions" {
-            Category::Queueing
         } else {
             Category::Other
         }

@@ -56,7 +56,6 @@ pub const ALL_POINTS: &[&str] = &[
     "coord.mid_decision_fanout",
     "coord.after_decision_send",
     "coord.before_client_reply",
-    "coord.decision_queued",
     "coord.ops_fanout",
     // Participant (treaty-core node.rs, peer handler).
     "part.before_prepare",

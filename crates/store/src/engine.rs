@@ -92,6 +92,11 @@ pub(crate) struct PreparedState {
     /// validation can never pass in the window between "decided" and
     /// "visible" (that window includes WAL I/O and fiber yields).
     pub deciding: bool,
+    /// The `Prepare` record is rollback-protected, so the participant may
+    /// vouch for it. The entry exists from the moment the record is on
+    /// disk — a rotation must re-log it — but it is listed by
+    /// [`PreparedTable::ids`] and in doubt only once this is set.
+    pub stable: bool,
 }
 
 /// Stripe count for [`PreparedTable`]. Prepared transactions are few but
@@ -190,23 +195,34 @@ impl PreparedTable {
         }
     }
 
-    pub fn insert(&self, gtx: GlobalTxId, st: PreparedState) {
+    /// Puts `st`'s keys and ranges in doubt; runs before the entry shows
+    /// as stable in its stripe (see [`PreparedTable::index_add`]).
+    fn index_entry(&self, gtx: GlobalTxId, st: &PreparedState) {
         self.index_add(&st.writes);
-        {
-            let mut ranges = self.ranges.write();
-            ranges.retain(|(g, _, _)| *g != gtx);
-            for (s, e) in &st.ranges {
-                ranges.push((gtx, s.clone(), e.clone()));
-            }
+        let mut ranges = self.ranges.write();
+        ranges.retain(|(g, _, _)| *g != gtx);
+        for (s, e) in &st.ranges {
+            ranges.push((gtx, s.clone(), e.clone()));
+        }
+    }
+
+    /// Enters `st`. Only a stable entry is in doubt — indexed for
+    /// `overlaps` and the span queries: a transaction whose vote is not out
+    /// cannot have committed on any shard.
+    pub fn insert(&self, gtx: GlobalTxId, st: PreparedState) {
+        if st.stable {
+            self.index_entry(gtx, &st);
         }
         if let Some(old) = self.stripe(&gtx).lock().insert(gtx, st) {
-            self.index_remove(&old.writes);
+            if old.stable {
+                self.index_remove(&old.writes);
+            }
         }
     }
 
     pub fn remove(&self, gtx: &GlobalTxId) -> Option<PreparedState> {
         let st = self.stripe(gtx).lock().remove(gtx);
-        if let Some(st) = &st {
+        if let Some(st) = st.as_ref().filter(|st| st.stable) {
             self.index_remove(&st.writes);
             if !st.ranges.is_empty() {
                 self.ranges.write().retain(|(g, _, _)| g != gtx);
@@ -217,7 +233,8 @@ impl PreparedTable {
 
     /// Claims a prepared transaction for its 2PC decision: marks it
     /// `deciding` and returns a copy of its state, leaving the entry in
-    /// the table (and its keys in-doubt) until [`PreparedTable::finish_decide`].
+    /// the table (and its keys in-doubt) until the group-commit leader that
+    /// logged the `Decide` has applied it and [`PreparedTable::remove`]s it.
     /// Returns `None` if the transaction is unknown or already claimed —
     /// decisions are idempotent, so callers treat that as "nothing to do".
     pub fn begin_decide(&self, gtx: &GlobalTxId) -> Option<PreparedDecision> {
@@ -236,32 +253,48 @@ impl PreparedTable {
     }
 
     /// Releases a claim after a failed decision attempt (WAL append
-    /// error), so recovery can retry the decision later.
-    pub fn cancel_decide(&self, gtx: &GlobalTxId) {
-        if let Some(st) = self.stripe(gtx).lock().get_mut(gtx) {
-            st.deciding = false;
-        }
+    /// error), so recovery can retry the decision later. `false` when the
+    /// entry is gone: the `Decide` was logged and took effect after all.
+    pub fn cancel_decide(&self, gtx: &GlobalTxId) -> bool {
+        self.stripe(gtx)
+            .lock()
+            .get_mut(gtx)
+            .map(|st| st.deciding = false)
+            .is_some()
     }
 
-    /// Completes a decision: the writes are applied (or the abort is
-    /// logged), so the entry — and its keys' in-doubt status — can go.
-    pub fn finish_decide(&self, gtx: &GlobalTxId) {
-        self.remove(gtx);
+    /// Marks `gtx`'s `Prepare` record rollback-protected: from here the
+    /// entry is listed by [`PreparedTable::ids`] and its keys are in doubt.
+    /// In place, so a rotation's re-log cannot miss it. `false` when an
+    /// abort that raced the counter round has claimed or retired the entry.
+    pub fn mark_stable(&self, gtx: &GlobalTxId) -> bool {
+        let mut stripe = self.stripe(gtx).lock();
+        let Some(st) = stripe.get_mut(gtx).filter(|st| !st.deciding) else {
+            return false;
+        };
+        self.index_entry(*gtx, st);
+        st.stable = true;
+        true
     }
 
-    /// Every prepared transaction, sorted by id: recovery resolves them
-    /// (sends, seq allocations) in this order, so it must not be hash order.
+    /// Every transaction whose `Prepare` record is stable, sorted by id:
+    /// recovery resolves them (sends, seq allocations) in this order, so
+    /// it must not be hash order.
     pub fn ids(&self) -> Vec<GlobalTxId> {
         let mut ids: Vec<GlobalTxId> = self
             .stripes
             .iter()
-            .flat_map(|stripe| stripe.lock().keys().copied().collect::<Vec<_>>())
+            .flat_map(|stripe| {
+                let stripe = stripe.lock();
+                let stable = stripe.iter().filter(|(_, st)| st.stable);
+                stable.map(|(g, _)| *g).collect::<Vec<_>>()
+            })
             .collect();
         ids.sort_unstable();
         ids
     }
 
-    /// Every prepared transaction's writes, sorted by id: a WAL rotation
+    /// Every entry's writes, stable or not, sorted by id: a WAL rotation
     /// re-logs them in this order.
     pub fn snapshot_writes(&self) -> Vec<(GlobalTxId, Vec<WriteOp>, Vec<(UserKey, UserKey)>)> {
         let mut all: Vec<_> = self
@@ -438,7 +471,8 @@ pub struct EngineStats {
     pub files_deleted: u64,
     /// Group-commit batches written.
     pub group_commits: u64,
-    /// Transactions carried per group-commit batch, cumulative.
+    /// Records (`Commit`, `Prepare`, `Decide`) carried per group-commit
+    /// batch, cumulative.
     pub grouped_txns: u64,
     /// Point-read block fetches served from the trusted block cache.
     pub block_cache_hits: u64,
@@ -469,12 +503,43 @@ pub(crate) struct StatsCells {
     pub scans: AtomicU64,
 }
 
+/// A transaction's versions on their way into a MemTable: its sequence
+/// number, point writes and range deletes (`[start, end)`).
+pub(crate) type Versions = (SeqNum, Vec<WriteOp>, Vec<(UserKey, UserKey)>);
+
+/// What the group-commit leader does for a record once its batch is on
+/// disk, still under the commit lock — where rotations run too, so a
+/// rotation sees a record and its effect together or not at all.
+pub(crate) enum Effect {
+    /// `Commit`: the versions enter the MemTable.
+    Apply(Versions),
+    /// `Prepare`: the entry joins the [`PreparedTable`].
+    Prepare(GlobalTxId, PreparedState),
+    /// `Decide`: the claimed entry leaves the [`PreparedTable`] — a commit's
+    /// versions enter the MemTable first, so its keys stay in doubt until
+    /// they are visible.
+    Decide(GlobalTxId, Option<Versions>),
+}
+
 struct CommitReq {
     record: Vec<u8>,
-    writes: Vec<(UserKey, SeqNum, Option<Vec<u8>>)>,
-    /// Range deletes `(start, end, seq)` applied after the point writes.
-    ranges: Vec<(UserKey, UserKey, SeqNum)>,
+    effect: Effect,
     done: Arc<Mutex<Option<Result<(u64, Arc<LogWriter>)>>>>,
+}
+
+/// Inserts a transaction's versions. Same-seq point writes win over the
+/// transaction's own range deletes (tombstones shadow strictly-older seqs
+/// only), so the order within one transaction is free.
+fn apply_versions(mem: &MemTable, (seq, writes, ranges): &Versions) {
+    for w in writes {
+        match &w.value {
+            Some(v) => mem.put(&w.key, *seq, v),
+            None => mem.delete(&w.key, *seq),
+        }
+    }
+    for (start, end) in ranges {
+        mem.delete_range(start, end, *seq);
+    }
 }
 
 /// A rotated-out MemTable awaiting its SSTable build, plus the WAL
@@ -1161,21 +1226,14 @@ impl TreatyStore {
         writes: &[WriteOp],
         ranges: &[(UserKey, UserKey)],
     ) -> Result<(SeqNum, u64, Arc<LogWriter>)> {
-        let record = serde_json::to_vec(&WalRecord::Commit {
+        let rec = WalRecord::Commit {
             seq,
             writes: writes.to_vec(),
             ranges: ranges.to_vec(),
-        })
-        .expect("wal record serializes");
-        let applied: Vec<(UserKey, SeqNum, Option<Vec<u8>>)> = writes
-            .iter()
-            .map(|w| (w.key.clone(), seq, w.value.clone()))
-            .collect();
-        let applied_ranges: Vec<(UserKey, UserKey, SeqNum)> = ranges
-            .iter()
-            .map(|(s, e)| (s.clone(), e.clone(), seq))
-            .collect();
-        let (counter, wal) = self.group_commit(record, applied, applied_ranges)?;
+        };
+        let versions = (seq, writes.to_vec(), ranges.to_vec());
+        self.commit_backpressure();
+        let (counter, wal) = self.group_commit(&rec, Effect::Apply(versions))?;
         // The commit is in the WAL and the MemTable but not yet acked to
         // the caller — recovery must replay it from the log alone.
         treaty_sim::crashpoint::hit("store.commit_logged");
@@ -1183,22 +1241,25 @@ impl TreatyStore {
         Ok((seq, counter, wal))
     }
 
-    fn group_commit(
+    /// The one way onto the live WAL: queues `rec`, and whichever queued
+    /// fiber gets the commit lock first writes the whole queue in one
+    /// append and runs every record's [`Effect`]. Returns the record's
+    /// counter and the WAL generation it landed in (for stabilization).
+    /// An `Err` to the leader may be its rotation's, with the record
+    /// logged and its effect run.
+    pub(crate) fn group_commit(
         &self,
-        record: Vec<u8>,
-        writes: Vec<(UserKey, SeqNum, Option<Vec<u8>>)>,
-        ranges: Vec<(UserKey, UserKey, SeqNum)>,
+        rec: &WalRecord,
+        effect: Effect,
     ) -> Result<(u64, Arc<LogWriter>)> {
         if treaty_sim::runtime::in_fiber() {
             treaty_sim::runtime::set_tag("e:group_commit");
         }
-        self.commit_backpressure();
         let _span = treaty_sim::obs::span("store.commit");
         let done = Arc::new(Mutex::new(None));
         self.inner.commit_queue.lock().push(CommitReq {
-            record,
-            writes,
-            ranges,
+            record: serde_json::to_vec(rec).expect("wal record serializes"),
+            effect,
             done: Arc::clone(&done),
         });
 
@@ -1226,102 +1287,44 @@ impl TreatyStore {
             .grouped_txns
             .fetch_add(batch.len() as u64, Ordering::Relaxed);
 
-        let mut my_result: Option<Result<(u64, Arc<LogWriter>)>> = None;
-        match append {
-            Ok((first, _last)) => {
-                let mem = self.inner.mem.read().clone();
-                for (i, req) in batch.iter().enumerate() {
-                    for (key, seq, value) in &req.writes {
-                        match value {
-                            Some(v) => mem.put(key, *seq, v),
-                            None => mem.delete(key, *seq),
+        let mem = self.inner.mem.read().clone();
+        let apply = |versions: &Versions| {
+            apply_versions(&mem, versions);
+            // Only what reached the MemTable moves the epoch: a `Prepare`
+            // bumping it would send every scan fence into its re-pass.
+            self.inner.apply_epoch.fetch_add(1, Ordering::SeqCst);
+        };
+        for (i, req) in batch.into_iter().enumerate() {
+            let result = match &append {
+                Ok((first, _last)) => {
+                    match req.effect {
+                        Effect::Apply(versions) => apply(&versions),
+                        Effect::Prepare(gtx, state) => self.inner.prepared.insert(gtx, state),
+                        Effect::Decide(gtx, versions) => {
+                            if let Some(versions) = &versions {
+                                apply(versions);
+                            }
+                            self.inner.prepared.remove(&gtx);
                         }
                     }
-                    // Same-seq point writes win over the transaction's own
-                    // range deletes (tombstones shadow strictly-older seqs
-                    // only), so apply order within the request is free.
-                    for (start, end, seq) in &req.ranges {
-                        mem.delete_range(start, end, *seq);
-                    }
-                    self.inner.apply_epoch.fetch_add(1, Ordering::SeqCst);
-                    let counter = first + i as u64;
-                    if Arc::ptr_eq(&req.done, &done) {
-                        my_result = Some(Ok((counter, Arc::clone(&wal))));
-                    } else {
-                        *req.done.lock() = Some(Ok((counter, Arc::clone(&wal))));
-                    }
+                    Ok((first + i as u64, Arc::clone(&wal)))
                 }
-            }
-            Err(e) => {
-                for req in &batch {
-                    if Arc::ptr_eq(&req.done, &done) {
-                        my_result = Some(Err(e.clone()));
-                    } else {
-                        *req.done.lock() = Some(Err(e.clone()));
-                    }
-                }
-            }
+                Err(e) => Err(e.clone()),
+            };
+            *req.done.lock() = Some(result);
         }
 
         // Rotate / flush if the MemTable outgrew its budget. Done by the
         // leader while holding the commit lock, so no writes race the swap.
-        let flush_result = self.maybe_flush_locked();
+        let full = mem.approx_bytes() >= self.inner.env.config.memtable_bytes;
+        let flush_result = if full { self.flush_locked() } else { Ok(()) };
         drop(guard);
-        if let Err(e) = flush_result {
-            return Err(e);
-        }
-        my_result.unwrap_or(Err(StoreError::Io("commit result lost".into())))
-    }
-
-    /// Applies a decided prepared transaction's writes to the MemTable and
-    /// flushes if due (the WAL already carries its `Decide` record).
-    pub(crate) fn apply_decided(
-        &self,
-        seq: SeqNum,
-        writes: &[WriteOp],
-        ranges: &[(UserKey, UserKey)],
-    ) -> Result<()> {
-        let _span = treaty_sim::obs::span("store.apply");
-        let guard = self.inner.commit_lock.lock();
-        let mem = self.inner.mem.read().clone();
-        for w in writes {
-            match &w.value {
-                Some(v) => mem.put(&w.key, seq, v),
-                None => mem.delete(&w.key, seq),
-            }
-        }
-        for (start, end) in ranges {
-            mem.delete_range(start, end, seq);
-        }
-        self.inner.apply_epoch.fetch_add(1, Ordering::SeqCst);
-        let r = self.maybe_flush_locked();
-        drop(guard);
-        r
-    }
-
-    /// Appends a record to the current WAL outside the group-commit batch
-    /// (2PC prepare / decide records). Returns the record counter and the
-    /// WAL generation it landed in (for stabilization).
-    pub(crate) fn wal_append(&self, rec: &WalRecord) -> Result<(u64, Arc<LogWriter>)> {
-        let _span = treaty_sim::obs::span("store.wal_append");
-        let bytes = serde_json::to_vec(rec).expect("wal record serializes");
-        let wal = self.inner.wal.read().clone();
-        let counter = wal.append(&bytes)?;
-        Ok((counter, wal))
+        flush_result?;
+        let mine = done.lock().take();
+        mine.unwrap_or(Err(StoreError::Io("commit result lost".into())))
     }
 
     // ---- flush & compaction -------------------------------------------------
-
-    fn maybe_flush_locked(&self) -> Result<()> {
-        let full = {
-            let mem = self.inner.mem.read();
-            mem.approx_bytes() >= self.inner.env.config.memtable_bytes
-        };
-        if !full {
-            return Ok(());
-        }
-        self.flush_locked()
-    }
 
     /// Forces a MemTable flush and runs queued maintenance to completion,
     /// so data is on disk when this returns (tests, shutdown, explicit
@@ -1412,24 +1415,16 @@ impl TreatyStore {
             &self.inner.env.dir.join(wal_name(new_gen)),
             0,
         )?);
-        // Undecided prepared transactions must survive the old WAL's
-        // deletion: re-log them into the new generation. Snapshot first —
-        // appends park, and the prepared map must stay lockable meanwhile.
-        // (New prepares land in the new WAL anyway once it is published;
-        // until then the commit lock excludes concurrent group commits but
-        // not prepares, which append through `wal_append` on whichever
-        // generation is current — still the old one, which is only deleted
-        // after the build's MANIFEST edits, so no record is lost.)
-        let prepared_snapshot = self.inner.prepared.snapshot_writes();
-        for (gtx, writes, ranges) in prepared_snapshot {
-            let rec = serde_json::to_vec(&WalRecord::Prepare {
-                gtx,
-                writes,
-                ranges,
-            })
-            .unwrap();
-            wal.append(&rec)?;
-        }
+        // Every transaction with a `Prepare` on the live WAL and no `Decide`
+        // must survive the old generations' deletion: re-log them into the
+        // new one before it is published. The table holds exactly those —
+        // the leader enters and removes entries under the commit lock this
+        // runs under, in the turn that logged the record — so a rotation
+        // never sees a `Prepare` without its entry or an entry already
+        // decided, and a `Decide` lands in a generation that holds its
+        // `Prepare` (recovery re-logs too) and backs the MemTable it
+        // applied to.
+        relog_prepared(&self.inner.prepared, &wal)?;
         *self.inner.wal.write() = wal;
         self.manifest_append(&ManifestEdit::NewWal { gen: new_gen })?;
         Ok(Some(FlushWork { frozen, old_gens }))
@@ -1605,7 +1600,8 @@ impl TreatyStore {
     /// group-commit queue: one bounded stall at the soft trigger, and a
     /// stall loop — never an error — at the hard cap until the maintenance
     /// daemon catches up. Pressure is the flush backlog plus the L0 file
-    /// count.
+    /// count. Paid by commits only: stalling a `Prepare` or a `Decide`
+    /// would lengthen a lock hold, not slow a writer down.
     fn commit_backpressure(&self) {
         if !self.background_maintenance() {
             return;
@@ -1964,21 +1960,22 @@ impl TreatyStore {
                         ranges,
                     } => {
                         max_seq = max_seq.max(seq);
-                        for w in writes {
-                            match w.value {
-                                Some(v) => mem.put(&w.key, seq, &v),
-                                None => mem.delete(&w.key, seq),
-                            }
-                        }
-                        for (start, end) in ranges {
-                            mem.delete_range(&start, &end, seq);
-                        }
+                        apply_versions(&mem, &(seq, writes, ranges));
                     }
                     WalRecord::Prepare {
                         gtx,
                         writes,
                         ranges,
                     } => {
+                        // A rotation re-logs every in-doubt transaction, so
+                        // until the flush build retires the older
+                        // generation one `Prepare` is live twice: the first
+                        // keeps its entry and its locks.
+                        if let Some(first) = prepared.get(&gtx) {
+                            if first.writes == writes && first.ranges == ranges {
+                                continue;
+                            }
+                        }
                         let owner = next_txid;
                         next_txid += 1;
                         // Recovery re-acquires the write-set locks only: the
@@ -2005,26 +2002,29 @@ impl TreatyStore {
                                 lock_keys,
                                 lock_owner: owner,
                                 deciding: false,
+                                stable: true,
                             },
                         );
                     }
-                    WalRecord::Decide { gtx, commit, seq } => {
-                        if let Some(st) = prepared.remove(&gtx) {
+                    WalRecord::Decide { gtx, commit, seq } => match prepared.remove(&gtx) {
+                        Some(st) => {
                             locks.release(st.lock_owner, st.lock_keys.iter().cloned());
                             if commit {
                                 max_seq = max_seq.max(seq);
-                                for w in st.writes {
-                                    match w.value {
-                                        Some(v) => mem.put(&w.key, seq, &v),
-                                        None => mem.delete(&w.key, seq),
-                                    }
-                                }
-                                for (start, end) in st.ranges {
-                                    mem.delete_range(&start, &end, seq);
-                                }
+                                apply_versions(&mem, &(seq, st.writes, st.ranges));
                             }
                         }
-                    }
+                        // A `Decide` is logged into a generation that holds
+                        // its `Prepare` (or a re-log of it), and records are
+                        // MAC'd and counter-sequenced: a commit with nothing
+                        // to apply is an acknowledged write gone, not a no-op.
+                        None if commit => {
+                            return Err(StoreError::Integrity(format!(
+                                "commit decision for {gtx} without a prepare in any live WAL"
+                            )));
+                        }
+                        None => {}
+                    },
                 }
             }
         }
@@ -2047,6 +2047,12 @@ impl TreatyStore {
         let edit = serde_json::to_vec(&ManifestEdit::NewWal { gen: new_gen }).unwrap();
         manifest.append(&edit)?;
         live_gens.push(new_gen);
+        // Re-log as a rotation does: the in-doubt `Decide`s will land here,
+        // and the next flush retires the recovered generations one MANIFEST
+        // edit at a time. After `NewWal`, so a crash in between leaves an
+        // empty generation, not an unlisted file to append to from zero.
+        let prepared = PreparedTable::from_map(PREPARED_STRIPES, prepared);
+        relog_prepared(&prepared, &wal)?;
 
         let inner = StoreInner {
             mem: RwLock::new(mem),
@@ -2058,7 +2064,7 @@ impl TreatyStore {
             next_file_id: AtomicU64::new(max_file_id + 1),
             next_txid: AtomicU64::new(next_txid),
             locks,
-            prepared: PreparedTable::from_map(PREPARED_STRIPES, prepared),
+            prepared,
             // Everything recovered was replayed from verified-fresh logs:
             // the whole recovered history is stable.
             frontier: StableFrontier::new(max_seq),
@@ -2083,6 +2089,27 @@ impl TreatyStore {
             inner: Arc::new(inner),
         })
     }
+}
+
+/// Re-logs every in-doubt transaction into `wal` — a generation not yet
+/// taking writes — in one batch, one fsync.
+fn relog_prepared(prepared: &PreparedTable, wal: &LogWriter) -> Result<()> {
+    let relog: Vec<Vec<u8>> = prepared
+        .snapshot_writes()
+        .into_iter()
+        .map(|(gtx, writes, ranges)| {
+            let rec = WalRecord::Prepare {
+                gtx,
+                writes,
+                ranges,
+            };
+            serde_json::to_vec(&rec).expect("wal record serializes")
+        })
+        .collect();
+    if !relog.is_empty() {
+        wal.append_batch(&relog)?;
+    }
+    Ok(())
 }
 
 /// Waits for `counter` on `wal` under a `wal.stabilize` span, so a
@@ -2230,6 +2257,7 @@ mod frontier_tests {
             ranges: Vec::new(),
             lock_owner,
             deciding: false,
+            stable: true,
         }
     }
 
@@ -2352,10 +2380,42 @@ mod frontier_tests {
         assert!(t.begin_decide(&gtx).is_none());
         assert!(t.overlaps(b"k"));
         // A failed attempt un-claims so recovery can retry.
-        t.cancel_decide(&gtx);
+        assert!(t.cancel_decide(&gtx));
         assert!(t.begin_decide(&gtx).is_some());
-        t.finish_decide(&gtx);
+        t.remove(&gtx);
         assert!(!t.overlaps(b"k"));
         assert!(t.begin_decide(&gtx).is_none());
+        assert!(!t.cancel_decide(&gtx));
+    }
+
+    #[test]
+    fn entry_is_relogged_from_insert_and_in_doubt_from_mark_stable() {
+        let t = PreparedTable::new(8);
+        let w = vec![WriteOp {
+            key: b"k".to_vec(),
+            value: Some(b"v".to_vec()),
+        }];
+        let unstable = |owner| PreparedState {
+            stable: false,
+            ..prepared(w.clone(), owner)
+        };
+        let gtx = GlobalTxId { node: 4, seq: 1 };
+        t.insert(gtx, unstable(1));
+        assert_eq!(t.snapshot_writes().len(), 1);
+        assert!(t.ids().is_empty() && !t.overlaps(b"k"));
+        assert!(t.mark_stable(&gtx));
+        assert_eq!(t.ids(), vec![gtx]);
+        assert!(t.overlaps(b"k"));
+        t.remove(&gtx);
+        assert!(!t.overlaps(b"k"));
+
+        // A decision that claimed the entry during the round wins: nothing
+        // becomes in doubt, and a retired entry is not marked either.
+        t.insert(gtx, unstable(2));
+        assert!(t.begin_decide(&gtx).is_some());
+        assert!(!t.mark_stable(&gtx));
+        assert!(!t.overlaps(b"k"));
+        t.remove(&gtx);
+        assert!(!t.mark_stable(&gtx));
     }
 }

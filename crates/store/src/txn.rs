@@ -19,7 +19,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use crate::engine::{
-    stabilize_traced, EngineIntrospection, FencedSpan, PreparedDecision, PreparedState,
+    stabilize_traced, Effect, EngineIntrospection, FencedSpan, PreparedDecision, PreparedState,
     TreatyStore, WalRecord,
 };
 use crate::locks::{LockMode, LockTable, EOF_SENTINEL};
@@ -585,26 +585,13 @@ impl EngineTxn for Txn {
         }
         let writes = self.buffer.to_ops();
         let ranges = self.ranges.clone();
-        let (counter, wal) = match self.store.wal_append(&WalRecord::Prepare {
-            gtx,
-            writes: writes.clone(),
-            ranges: ranges.clone(),
-        }) {
-            Ok(c) => c,
-            Err(e) => return Err(self.abort_with(e)),
-        };
-        // Participants only ACK once the prepare entry is stabilized —
-        // otherwise a crash could lose a vote the coordinator relied on.
-        if let Err(e) = stabilize_traced(&wal, counter) {
-            return Err(self.abort_with(e));
-        }
-        treaty_sim::crashpoint::hit("store.prepare_logged");
         // Write locks AND the next-key/gap locks of scans and range
         // deletes move to the prepared record (same owner id) and are held
         // until the decision — releasing a predicate fence here would let
         // a phantom commit under an in-doubt scan. Plain read locks may
-        // release now: the growing phase is over and this transaction will
-        // never read again, so any later writer serializes after it.
+        // release once prepared: the growing phase is over and this
+        // transaction will never read again, so any later writer
+        // serializes after it.
         let mut lock_keys: Vec<UserKey> = writes.iter().map(|w| w.key.clone()).collect();
         for k in &self.range_locked {
             if !lock_keys.iter().any(|l| l == k) {
@@ -618,16 +605,36 @@ impl EngineTxn for Txn {
             .filter(|k| !retained.contains(k))
             .cloned()
             .collect();
-        self.store.inner.prepared.insert(
+        let rec = WalRecord::Prepare {
             gtx,
-            PreparedState {
-                writes,
-                ranges,
-                lock_keys,
-                lock_owner: self.id,
-                deciding: false,
-            },
-        );
+            writes: writes.clone(),
+            ranges: ranges.clone(),
+        };
+        let entry = PreparedState {
+            writes,
+            ranges,
+            lock_keys,
+            lock_owner: self.id,
+            deciding: false,
+            stable: false,
+        };
+        // Participants only ACK once the prepare entry is stabilized —
+        // otherwise a crash could lose a vote the coordinator relied on —
+        // and never for a transaction an abort decided during the round.
+        let prepared = &self.store.inner.prepared;
+        let voted = self
+            .store
+            .group_commit(&rec, Effect::Prepare(gtx, entry))
+            .and_then(|(counter, wal)| stabilize_traced(&wal, counter))
+            .and_then(|()| match prepared.mark_stable(&gtx) {
+                true => Ok(()),
+                false => Err(StoreError::UnknownPrepared),
+            });
+        if let Err(e) = voted {
+            prepared.remove(&gtx);
+            return Err(self.abort_with(e));
+        }
+        treaty_sim::crashpoint::hit("store.prepare_logged");
         self.store.inner.locks.release(self.id, read_only);
         self.locked.clear();
         self.range_locked.clear();
@@ -853,6 +860,64 @@ pub trait TxnEngine: Send + Sync {
     }
 }
 
+impl TreatyStore {
+    /// Logs and applies a prepared transaction's decision.
+    fn decide_prepared(&self, gtx: GlobalTxId, commit: bool) -> Result<()> {
+        // Claim, don't remove: until the leader that logs the `Decide` has
+        // applied its writes, the entry keeps the write set's keys in-doubt
+        // for `overlaps`, so a concurrent snapshot validation cannot pass in
+        // the window between this decision and its writes becoming visible
+        // (the WAL append and the apply both yield). Without that hold, a
+        // multi-shard read-only transaction that saw the commit on one shard
+        // could validate cleanly here and tear the snapshot.
+        let Some(PreparedDecision {
+            writes,
+            ranges,
+            lock_keys,
+            lock_owner,
+        }) = self.inner.prepared.begin_decide(&gtx)
+        else {
+            return Ok(()); // already decided or deciding: ignore (§VI)
+        };
+        let seq = if commit {
+            self.inner.seq.fetch_add(1, Ordering::SeqCst) + 1
+        } else {
+            0
+        };
+        let rec = WalRecord::Decide { gtx, commit, seq };
+        let versions = commit.then_some((seq, writes, ranges));
+        let logged = self.group_commit(&rec, Effect::Decide(gtx, versions));
+        // Nothing logged: un-claim, keeping the entry and its locks, so
+        // recovery can retry the decision. (An error with the entry gone is
+        // the leader's rotation failing after the decision took effect.)
+        let retryable = logged.is_err() && self.inner.prepared.cancel_decide(&gtx);
+        if !retryable {
+            self.inner.locks.release(lock_owner, lock_keys);
+        }
+        if commit {
+            // The commit decision's rollback protection is the
+            // coordinator's Clog; the participant need not wait here
+            // (§V-A). The version is nonetheless snapshot-stable already:
+            // the prepare record was stabilized before this participant
+            // ACKed its vote, so the write set survives any rollback.
+            // Recorded on every path — applied, the writes are in the
+            // MemTable at `seq` whatever the rotation did; not logged,
+            // nothing is visible at `seq` — because the stable frontier
+            // only advances contiguously and a hole would wedge it.
+            self.inner.frontier.record(seq);
+        }
+        logged?;
+        let stats = &self.inner.stats;
+        let stat = if commit {
+            &stats.commits
+        } else {
+            &stats.aborts
+        };
+        stat.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+}
+
 impl TxnEngine for TreatyStore {
     fn begin_txn(&self, mode: TxnMode) -> Box<dyn EngineTxn> {
         Box::new(self.begin(TxnOptions { mode }))
@@ -862,75 +927,11 @@ impl TxnEngine for TreatyStore {
         if treaty_sim::runtime::in_fiber() {
             treaty_sim::runtime::set_tag("e:commit_prepared");
         }
-        // Claim, don't remove: until `finish_decide` below, the entry keeps
-        // the write set's keys in-doubt for `overlaps`, so a concurrent
-        // snapshot validation cannot pass in the window between this
-        // decision and its writes becoming visible (the WAL append and the
-        // apply both yield). Without that hold, a multi-shard read-only
-        // transaction that saw the commit on one shard could validate
-        // cleanly here and tear the snapshot.
-        let PreparedDecision {
-            writes,
-            ranges,
-            lock_keys,
-            lock_owner,
-        } = match self.inner.prepared.begin_decide(&gtx) {
-            Some(x) => x,
-            None => return Ok(()), // already decided or deciding: ignore (§VI)
-        };
-        let seq = self.inner.seq.fetch_add(1, Ordering::SeqCst) + 1;
-        if let Err(e) = self.wal_append(&WalRecord::Decide {
-            gtx,
-            commit: true,
-            seq,
-        }) {
-            // Un-claim so recovery can retry the decision, and fill the
-            // leaked seq's hole — nothing is visible at it, and the stable
-            // frontier only advances contiguously.
-            self.inner.prepared.cancel_decide(&gtx);
-            self.inner.frontier.record(seq);
-            return Err(e);
-        }
-        let applied = self.apply_decided(seq, &writes, &ranges);
-        self.inner.prepared.finish_decide(&gtx);
-        self.inner.locks.release(lock_owner, lock_keys);
-        // The commit decision's rollback protection is the coordinator's
-        // Clog; the participant need not wait here (§V-A). The version is
-        // nonetheless snapshot-stable already: the prepare record was
-        // stabilized before this participant ACKed its vote, so the write
-        // set survives any rollback, and the decision is Clog-protected
-        // at the coordinator. Recorded even if the apply's flush dispatch
-        // failed — the writes are in the MemTable at `seq` regardless, and
-        // skipping the record would wedge the contiguous frontier forever.
-        self.inner.frontier.record(seq);
-        applied?;
-        self.inner.stats.commits.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+        self.decide_prepared(gtx, true)
     }
 
     fn abort_prepared(&self, gtx: GlobalTxId) -> Result<()> {
-        let PreparedDecision {
-            lock_keys,
-            lock_owner,
-            ..
-        } = match self.inner.prepared.begin_decide(&gtx) {
-            Some(x) => x,
-            None => return Ok(()),
-        };
-        if let Err(e) = self.wal_append(&WalRecord::Decide {
-            gtx,
-            commit: false,
-            seq: 0,
-        }) {
-            // Keep the entry (and its locks) so recovery can retry; the
-            // old remove-first ordering leaked the locks forever here.
-            self.inner.prepared.cancel_decide(&gtx);
-            return Err(e);
-        }
-        self.inner.prepared.finish_decide(&gtx);
-        self.inner.locks.release(lock_owner, lock_keys);
-        self.inner.stats.aborts.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+        self.decide_prepared(gtx, false)
     }
 
     fn prepared_txns(&self) -> Vec<GlobalTxId> {

@@ -314,6 +314,194 @@ fn pessimistic_writers_conflict_via_lock_timeout() {
     });
 }
 
+/// Counter rounds that take 2 ms of virtual time, like the ROTE group's.
+struct SlowRounds(Arc<treaty_counter::NullBackend>);
+
+impl treaty_counter::CounterBackend for SlowRounds {
+    fn stabilize(&self, id: &str, value: u64) -> Result<(), treaty_counter::CounterError> {
+        treaty_sim::runtime::sleep(2 * treaty_sim::MILLIS);
+        self.0.stabilize(id, value)
+    }
+
+    fn latest(&self, id: &str) -> u64 {
+        self.0.latest(id)
+    }
+}
+
+/// `Env::for_testing` over `dir`, stabilizing through `backend`.
+fn env_with_backend(
+    dir: &std::path::Path,
+    backend: Arc<dyn treaty_counter::CounterBackend>,
+) -> Arc<Env> {
+    let mut env = Arc::try_unwrap(Env::for_testing(SecurityProfile::treaty_full(), dir)).unwrap();
+    env.backend = backend;
+    Arc::new(env)
+}
+
+/// A commit big enough to rotate `EngineConfig::tiny()`'s 16 KiB MemTable.
+fn rotating_filler(store: &TreatyStore) {
+    put(store, b"filler", &vec![7u8; 24 << 10]);
+}
+
+/// A `Prepare` whose counter round is still running when the MemTable
+/// rotates is re-logged like any other: the flush build may then retire
+/// the generation it was first written to.
+#[test]
+fn prepare_in_flight_across_a_rotation_survives_a_crash() {
+    let dir = tempfile::tempdir().unwrap();
+    let path = dir.path().to_path_buf();
+    block_on(move || {
+        let env = env_with_backend(&path, Arc::new(SlowRounds(Default::default())));
+        let gtx = GlobalTxId { node: 1, seq: 7 };
+        {
+            let store = TreatyStore::open(Arc::clone(&env)).unwrap();
+            let store2 = store.clone();
+            let preparer = spawn(move || {
+                let mut tx = store2.begin_mode(TxnMode::Pessimistic);
+                tx.put(b"acct", b"voted-for").unwrap();
+                tx.prepare(gtx).unwrap();
+            });
+            // The record is on disk, its round half way: not vouched for yet.
+            treaty_sim::runtime::sleep(treaty_sim::MILLIS);
+            assert_eq!(store.prepared_txns(), vec![]);
+            rotating_filler(&store);
+            store.drain_maintenance().unwrap();
+            assert_eq!(store.stats().flushes, 1);
+            join(preparer);
+            assert_eq!(store.prepared_txns(), vec![gtx]);
+            store.commit_prepared(gtx).unwrap();
+            // crash
+        }
+        let store = TreatyStore::open(env).unwrap();
+        assert_eq!(
+            store.get_committed(b"acct").unwrap(),
+            Some(b"voted-for".to_vec())
+        );
+    });
+}
+
+/// Between a rotation and the flush build's `WalObsolete` the re-logged
+/// `Prepare` is live in two generations; recovery takes it once.
+#[test]
+fn crash_between_rotation_and_flush_build_recovers_a_prepared_txn() {
+    let dir = tempfile::tempdir().unwrap();
+    let path = dir.path().to_path_buf();
+    block_on(move || {
+        let node = path.join("a/node");
+        let copy = path.join("b/node");
+        let env = Env::for_testing(SecurityProfile::treaty_full(), &node);
+        let gtx = GlobalTxId { node: 1, seq: 8 };
+        let store = TreatyStore::open(Arc::clone(&env)).unwrap();
+        let mut tx = store.begin_mode(TxnMode::Pessimistic);
+        tx.put(b"acct", b"voted-for").unwrap();
+        tx.prepare(gtx).unwrap();
+        rotating_filler(&store);
+        // The crash image: rotated, the build's MANIFEST edits not written.
+        assert_eq!(store.flush_backlog_len(), 1);
+        assert_eq!(store.stats().flushes, 0);
+        std::fs::create_dir_all(&copy).unwrap();
+        for file in std::fs::read_dir(&node).unwrap() {
+            let file = file.unwrap();
+            std::fs::copy(file.path(), copy.join(file.file_name())).unwrap();
+        }
+        assert!(copy.join("wal-000001").exists() && copy.join("wal-000002").exists());
+
+        let env = env_with_backend(&copy, Arc::clone(&env.backend));
+        let store = TreatyStore::open(env).unwrap();
+        assert_eq!(store.prepared_txns(), vec![gtx]);
+        store.commit_prepared(gtx).unwrap();
+        assert_eq!(
+            store.get_committed(b"acct").unwrap(),
+            Some(b"voted-for".to_vec())
+        );
+        assert_eq!(store.locked_keys(), 0);
+    });
+}
+
+/// A transaction in doubt across a restart is decided in the generation
+/// recovery opened, so recovery re-logs its `Prepare` there: the next flush
+/// retires the recovered generations one MANIFEST edit at a time, and a
+/// crash between two of them must not leave the `Decide` live alone.
+#[test]
+fn decide_after_restart_survives_a_crash_between_wal_obsolete_edits() {
+    let dir = tempfile::tempdir().unwrap();
+    let path = dir.path().to_path_buf();
+    block_on(move || {
+        let node = path.join("a/node");
+        let copy = path.join("b/node");
+        // Slow rounds keep the GC stabilizer parked while the image is
+        // taken: the MANIFEST tail is not rollback-protected yet and the
+        // retired generations are still on disk.
+        let env = env_with_backend(&node, Arc::new(SlowRounds(Default::default())));
+        let gtx = GlobalTxId { node: 1, seq: 9 };
+        {
+            let store = TreatyStore::open(Arc::clone(&env)).unwrap();
+            let mut tx = store.begin_mode(TxnMode::Pessimistic);
+            tx.put(b"acct", b"voted-for").unwrap();
+            tx.prepare(gtx).unwrap();
+            // crash in doubt: the `Prepare` is in generation 1
+        }
+        let store = TreatyStore::open(Arc::clone(&env)).unwrap();
+        store.commit_prepared(gtx).unwrap(); // the `Decide` is in generation 2
+        store.flush().unwrap(); // retires 1, then 2
+        assert_eq!(store.stats().flushes, 1);
+        std::fs::create_dir_all(&copy).unwrap();
+        for file in std::fs::read_dir(&node).unwrap() {
+            let file = file.unwrap();
+            std::fs::copy(file.path(), copy.join(file.file_name())).unwrap();
+        }
+        assert!(copy.join("wal-000002").exists());
+        // The crash image: `WalObsolete { gen: 2 }`, the last MANIFEST
+        // edit, torn mid-write — generation 2 is live, generation 1 is not.
+        let manifest = std::fs::read(copy.join("MANIFEST")).unwrap();
+        std::fs::write(copy.join("MANIFEST"), &manifest[..manifest.len() - 1]).unwrap();
+
+        let env = env_with_backend(&copy, Arc::clone(&env.backend));
+        let store = TreatyStore::open(env).unwrap();
+        assert_eq!(store.prepared_txns(), vec![]);
+        assert_eq!(
+            store.get_committed(b"acct").unwrap(),
+            Some(b"voted-for".to_vec())
+        );
+        assert_eq!(store.locked_keys(), 0);
+    });
+}
+
+/// An abort that arrives while the `Prepare`'s counter round is parked
+/// decides the entry the leader entered; the preparer must then fail —
+/// not vote yes for a transaction whose locks are already released.
+#[test]
+fn abort_racing_the_prepare_round_fails_the_prepare() {
+    let dir = tempfile::tempdir().unwrap();
+    let path = dir.path().to_path_buf();
+    block_on(move || {
+        let env = env_with_backend(&path, Arc::new(SlowRounds(Default::default())));
+        let gtx = GlobalTxId { node: 1, seq: 10 };
+        {
+            let store = TreatyStore::open(Arc::clone(&env)).unwrap();
+            let store2 = store.clone();
+            let preparer = spawn(move || {
+                let mut tx = store2.begin_mode(TxnMode::Pessimistic);
+                tx.put(b"acct", b"never-voted").unwrap();
+                assert_eq!(tx.prepare(gtx).unwrap_err(), StoreError::UnknownPrepared);
+            });
+            treaty_sim::runtime::sleep(treaty_sim::MILLIS);
+            store.abort_prepared(gtx).unwrap();
+            put(&store, b"acct", b"next-writer"); // the write lock is free
+            join(preparer);
+            assert_eq!(store.prepared_txns(), vec![]);
+            assert_eq!(store.locked_keys(), 0);
+            // crash
+        }
+        let store = TreatyStore::open(env).unwrap();
+        assert_eq!(store.prepared_txns(), vec![]);
+        assert_eq!(
+            store.get_committed(b"acct").unwrap(),
+            Some(b"next-writer".to_vec())
+        );
+    });
+}
+
 #[test]
 fn group_commit_batches_concurrent_committers() {
     let dir = tempfile::tempdir().unwrap();
@@ -341,6 +529,42 @@ fn group_commit_batches_concurrent_committers() {
             stats.group_commits
         );
         assert_eq!(stats.grouped_txns, 32);
+
+        // The 2PC records ride the same leader: 32 prepares, then their 32
+        // commit decisions, each round sharing WAL flushes too.
+        let gtx = |i: u32| GlobalTxId {
+            node: 1,
+            seq: u64::from(i),
+        };
+        let round = |decide: bool| {
+            let before = store.stats();
+            let handles: Vec<_> = (0..32u32)
+                .map(|i| {
+                    let store = store.clone();
+                    spawn(move || {
+                        if decide {
+                            return store.commit_prepared(gtx(i)).unwrap();
+                        }
+                        let mut tx = store.begin_mode(TxnMode::Pessimistic);
+                        tx.put(format!("p{i}").as_bytes(), b"v").unwrap();
+                        tx.prepare(gtx(i)).unwrap();
+                    })
+                })
+                .collect();
+            handles.into_iter().for_each(join);
+            let after = store.stats();
+            assert_eq!(after.grouped_txns - before.grouped_txns, 32);
+            assert!(
+                after.group_commits - before.group_commits < 32,
+                "32 concurrent 2PC records (decide: {decide}) must share WAL flushes, used {}",
+                after.group_commits - before.group_commits
+            );
+        };
+        round(false);
+        assert_eq!(store.prepared_txns().len(), 32);
+        round(true);
+        assert_eq!(store.prepared_txns(), vec![]);
+        assert_eq!(store.get_committed(b"p31").unwrap(), Some(b"v".to_vec()));
     });
 }
 

@@ -94,7 +94,6 @@ fn cells() -> Vec<Cell> {
         "coord.after_prepare_fanout",
         "coord.after_votes",
         "coord.after_log_decision",
-        "coord.decision_queued",
         "coord.mid_decision_fanout",
         "coord.after_decision_send",
         "coord.before_client_reply",
