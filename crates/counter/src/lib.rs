@@ -12,8 +12,14 @@
 //!   deterministic, monotonic value for a log entry,
 //! * [`TrustedCounter::wait_stable`] — blocks until a value is
 //!   rollback-protected. Concurrent waiters are batched: one fiber becomes
-//!   the round leader and stabilizes the highest assigned value on behalf
+//!   the round leader and stabilizes the highest written value on behalf
 //!   of everyone (the same group-amortization Treaty uses for commits).
+//!
+//! A round *occupies* its counter only for the message exchange; the rest
+//! of the service's ≈ 2 ms is latency, and the next round's exchange runs
+//! under it. Rounds of one counter still publish in the order they
+//! started: round *k+1*'s exchange begins after round *k*'s acks and both
+//! wait out the same floor from their own start.
 //!
 //! Backends:
 //! * [`rote::RoteGroup`] — the real distributed protocol over `treaty-net`,
@@ -28,8 +34,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use treaty_sched::WaitQueue;
-use treaty_sim::runtime;
-use treaty_sim::CostModel;
+use treaty_sim::{crashpoint, obs, runtime, CostModel, Nanos};
 use treaty_tee::HwCounter;
 
 pub use rote::{RoteGroup, RoteReplica};
@@ -56,13 +61,17 @@ pub enum CounterError {
 
 /// A backend capable of making counter values rollback-protected.
 pub trait CounterBackend: Send + Sync {
-    /// Blocks until `value` for `id` is stable (rollback-protected).
+    /// Runs the exchange that makes `value` for `id` rollback-protected
+    /// and returns the share of the service's latency still to elapse: the
+    /// caller may start the next exchange at once, but must wait that long
+    /// before it treats `value` as stable. A serial device sleeps its
+    /// whole cost in here and returns 0.
     ///
     /// # Errors
     ///
     /// Returns a [`CounterError`] if the protection group cannot make the
     /// value durable.
-    fn stabilize(&self, id: &str, value: u64) -> Result<(), CounterError>;
+    fn stabilize(&self, id: &str, value: u64) -> Result<Nanos, CounterError>;
 
     /// The latest stabilized value known for `id` (0 if none) — used by
     /// recovery to verify log freshness.
@@ -84,11 +93,11 @@ impl NullBackend {
 }
 
 impl CounterBackend for NullBackend {
-    fn stabilize(&self, id: &str, value: u64) -> Result<(), CounterError> {
+    fn stabilize(&self, id: &str, value: u64) -> Result<Nanos, CounterError> {
         let mut m = self.latest.lock();
         let e = m.entry(id.to_string()).or_insert(0);
         *e = (*e).max(value);
-        Ok(())
+        Ok(0)
     }
 
     fn latest(&self, id: &str) -> u64 {
@@ -117,13 +126,15 @@ impl HwCounterBackend {
 }
 
 impl CounterBackend for HwCounterBackend {
-    fn stabilize(&self, id: &str, value: u64) -> Result<(), CounterError> {
+    fn stabilize(&self, id: &str, value: u64) -> Result<Nanos, CounterError> {
         let (_, cost) = self.counter.increment(&self.costs);
-        runtime::sleep(cost); // 60-250 ms of real SGX pain
+        // 60-250 ms of real SGX pain, and the device takes one increment
+        // at a time: nothing of it overlaps the next.
+        runtime::sleep(cost);
         let mut m = self.latest.lock();
         let e = m.entry(id.to_string()).or_insert(0);
         *e = (*e).max(value);
-        Ok(())
+        Ok(0)
     }
 
     fn latest(&self, id: &str) -> u64 {
@@ -132,19 +143,31 @@ impl CounterBackend for HwCounterBackend {
 }
 
 struct CounterState {
+    /// Highest published (rollback-protected) value.
     stable: u64,
-    round_in_flight: bool,
-    /// Rounds finished so far: the number of the round in flight, or of
-    /// the next one to start.
-    round: u64,
-    /// The last failed round and its error, for the waiters parked on it.
+    /// Highest value whose record is on disk: all a round may cover.
+    written: u64,
+    /// Highest target of a launched round that has not failed. A waiter at
+    /// or below it rides that round instead of leading another.
+    covered: u64,
+    /// The round whose exchange occupies the counter, with `covered` as it
+    /// was before the round launched: where `covered` falls back to if the
+    /// round fails, and the line above which a waiter is this round's
+    /// rider (below it a predecessor past its exchange covers the waiter,
+    /// and that round can no longer fail).
+    exchanging: Option<(u64, u64)>,
+    /// Rounds launched so far: the number of the next one.
+    rounds: u64,
+    /// Callers that parked since the last launch.
+    queued: u64,
+    /// The last failed round and its error, for the waiters riding it.
     failed: Option<(u64, CounterError)>,
 }
 
 /// One logical trusted counter, e.g. for a node's Clog.
 ///
 /// Values are assigned locally (deterministic, monotonic, gap-free) and
-/// stabilized through the backend with batched rounds.
+/// stabilized through the backend with batched, overlapping rounds.
 pub struct TrustedCounter {
     id: CounterId,
     backend: Arc<dyn CounterBackend>,
@@ -162,6 +185,16 @@ impl std::fmt::Debug for TrustedCounter {
     }
 }
 
+/// Virtual time, or 0 outside the runtime (plain unit tests, whose
+/// backends are instant).
+fn vnow() -> Nanos {
+    if runtime::in_fiber() {
+        runtime::now()
+    } else {
+        0
+    }
+}
+
 impl TrustedCounter {
     /// Creates a counter starting after `recovered` (0 for a fresh log).
     pub fn new(
@@ -175,8 +208,11 @@ impl TrustedCounter {
             next: AtomicU64::new(recovered + 1),
             state: Mutex::new(CounterState {
                 stable: recovered,
-                round_in_flight: false,
-                round: 0,
+                written: recovered,
+                covered: recovered,
+                exchanging: None,
+                rounds: 0,
+                queued: 0,
                 failed: None,
             }),
             waiters: WaitQueue::new(),
@@ -199,57 +235,116 @@ impl TrustedCounter {
         self.next.load(Ordering::SeqCst) - 1
     }
 
+    /// Reports that every record up to `value` is on disk. A round covers
+    /// written values only: the group must never hold a value the log
+    /// cannot show after a crash, or recovery refuses the log as rolled
+    /// back.
+    pub fn mark_written(&self, value: u64) {
+        let mut st = self.state.lock();
+        st.written = st.written.max(value);
+    }
+
+    /// Highest value reported written (or waited for) so far.
+    pub fn written(&self) -> u64 {
+        self.state.lock().written
+    }
+
     /// Highest rollback-protected value.
     pub fn stable(&self) -> u64 {
         self.state.lock().stable
     }
 
-    /// Blocks until `value` is rollback-protected.
+    /// Blocks until `value` — whose record the caller has written — is
+    /// rollback-protected.
     ///
-    /// Waiters are batched: one becomes the round leader and stabilizes the
-    /// highest currently-assigned value; the rest sleep. A failed round
-    /// fails its leader and every waiter parked on it — and nobody else:
-    /// the next caller leads a fresh round.
+    /// Waiters are batched: one becomes the round leader and stabilizes
+    /// the highest written value; whoever that covers rides the round. The
+    /// leader occupies the counter for the exchange only, so the next
+    /// leader starts under this round's remaining latency. A failed round
+    /// fails its leader and its riders — and nobody else: riders of an
+    /// earlier round still publish, and the next caller leads afresh.
     ///
     /// # Errors
     ///
     /// Returns the backend's [`CounterError`] if stabilization fails.
     pub fn wait_stable(&self, value: u64) -> Result<(), CounterError> {
+        let mut slot_wait_from = Some(vnow());
+        let mut queued = false;
         loop {
-            let (lead, round) = {
+            let riding = {
                 let mut st = self.state.lock();
                 if st.stable >= value {
                     return Ok(());
                 }
-                let lead = !st.round_in_flight;
-                st.round_in_flight = true;
-                (lead, st.round)
-            };
-            if lead {
-                // Stabilize the highest assigned value: everything queued
-                // behind us rides along (group stabilization).
-                let target = self.assigned().max(value);
-                let result = self.backend.stabilize(&self.id, target);
-                let mut st = self.state.lock();
-                st.round_in_flight = false;
-                st.round += 1;
-                match &result {
-                    Ok(()) => st.stable = st.stable.max(target),
-                    Err(e) => st.failed = Some((round, e.clone())),
+                st.written = st.written.max(value);
+                let covered = st.covered >= value;
+                let lead = !covered && st.exchanging.is_none();
+                if covered || lead {
+                    if let Some(from) = slot_wait_from.take() {
+                        obs::hist_record("counter.slot_wait_ns", vnow() - from);
+                    }
                 }
-                drop(st);
-                self.waiters.notify_all();
-                return result;
-            }
+                if lead {
+                    let round = st.rounds;
+                    st.rounds += 1;
+                    let target = st.written;
+                    st.exchanging = Some((round, st.covered));
+                    st.covered = target;
+                    let waiters = st.queued + u64::from(!queued);
+                    st.queued = 0;
+                    drop(st);
+                    obs::counter_add("counter.rounds", 1);
+                    obs::hist_record("counter.waiters_per_round", waiters);
+                    return self.lead(round, target);
+                }
+                if !queued {
+                    queued = true;
+                    st.queued += 1;
+                }
+                st.exchanging
+                    .filter(|&(_, line)| covered && value > line)
+                    .map(|(round, _)| round)
+            };
             self.waiters.wait();
-            // Woken by the leader of `round`: its failure is ours; after its
-            // success either `stable` covers us or we join the next round.
+            // Woken by a slot release or a publication. The failure of the
+            // round we rode is ours; otherwise `stable` covers us, a round
+            // in flight does, or we lead the next one.
             if let Some((failed, err)) = &self.state.lock().failed {
-                if *failed == round {
+                if Some(*failed) == riding {
                     return Err(err.clone());
                 }
             }
         }
+    }
+
+    /// Leads `round`: the exchange under the slot, then — with the slot
+    /// released — the rest of the service latency, then publication.
+    fn lead(&self, round: u64, target: u64) -> Result<(), CounterError> {
+        let started = vnow();
+        let result = self.backend.stabilize(&self.id, target);
+        obs::hist_record("counter.exchange_ns", vnow() - started);
+        {
+            let mut st = self.state.lock();
+            let (_, fallback) = st.exchanging.take().expect("the leader holds the slot");
+            if let Err(e) = &result {
+                st.covered = fallback;
+                st.failed = Some((round, e.clone()));
+            }
+        }
+        // The slot is free: the next leader's exchange runs under this
+        // round's remaining latency, and a failed round's riders learn.
+        self.waiters.notify_all();
+        let remaining = result?;
+        if remaining > 0 {
+            runtime::sleep(remaining);
+        }
+        crashpoint::hit("counter.round_acked");
+        {
+            let mut st = self.state.lock();
+            st.stable = st.stable.max(target);
+        }
+        self.waiters.notify_all();
+        Ok(())
     }
 
     /// Recovery-side freshness check: the latest stabilized value according
@@ -310,7 +405,7 @@ mod tests {
         inner: Arc<NullBackend>,
     }
     impl CounterBackend for SlowBackend {
-        fn stabilize(&self, id: &str, value: u64) -> Result<(), CounterError> {
+        fn stabilize(&self, id: &str, value: u64) -> Result<Nanos, CounterError> {
             self.rounds.fetch_add(1, Ordering::SeqCst);
             runtime::sleep(1_000_000);
             self.inner.stabilize(id, value)

@@ -55,6 +55,8 @@ fn decode(b: &[u8]) -> Option<RoteMsg> {
 struct ReplicaState {
     stable: BTreeMap<String, u64>,
     pending: HashMap<String, u64>,
+    /// Bumped per applied `Confirm`: what a seal must cover to carry it.
+    version: u64,
 }
 
 /// What a replica seals: the stable map as key-sorted pairs, so the sealed
@@ -64,6 +66,29 @@ struct SealedState {
     stable: Vec<(String, u64)>,
 }
 
+/// What a replica restarting from `seal_path` knows: the sealed stable
+/// map, or nothing when it never sealed.
+///
+/// # Panics
+///
+/// Panics if the file exists but does not unseal.
+fn recover(seal_path: &Path, sealing_key: &Key, measurement: &Measurement) -> ReplicaState {
+    if !seal_path.exists() {
+        return ReplicaState::default();
+    }
+    let recovered: Option<SealedState> = std::fs::read(seal_path)
+        .ok()
+        .and_then(|raw| serde_json::from_slice::<SealedBlob>(&raw).ok())
+        .and_then(|blob| unseal(sealing_key, measurement, &blob).ok())
+        .and_then(|plain| serde_json::from_slice(&plain).ok());
+    let sealed = recovered
+        .expect("replica sealed state is corrupt or was tampered with — refusing to restart");
+    ReplicaState {
+        stable: sealed.stable.into_iter().collect(),
+        ..ReplicaState::default()
+    }
+}
+
 /// One replica of the protection group.
 pub struct RoteReplica {
     rpc: Arc<Rpc>,
@@ -71,6 +96,9 @@ pub struct RoteReplica {
     seal_path: PathBuf,
     seal_lock: Arc<FiberMutex>,
     seal_seq: Arc<AtomicU64>,
+    /// The state version the last finished seal contains. Read and
+    /// written under `seal_lock` only.
+    sealed_version: AtomicU64,
     sealing_key: Key,
     measurement: Measurement,
     endpoint: EndpointId,
@@ -101,22 +129,7 @@ impl RoteReplica {
     ) -> Arc<Self> {
         let measurement = Measurement::of_code("treaty-rote-replica-v1");
         let seal_path = seal_dir.join(format!("rote-{endpoint}.seal"));
-        let state = if seal_path.exists() {
-            let recovered: Option<SealedState> = std::fs::read(&seal_path)
-                .ok()
-                .and_then(|raw| serde_json::from_slice::<SealedBlob>(&raw).ok())
-                .and_then(|blob| unseal(&sealing_key, &measurement, &blob).ok())
-                .and_then(|plain| serde_json::from_slice(&plain).ok());
-            let sealed = recovered.expect(
-                "replica sealed state is corrupt or was tampered with — refusing to restart",
-            );
-            ReplicaState {
-                stable: sealed.stable.into_iter().collect(),
-                pending: HashMap::new(),
-            }
-        } else {
-            ReplicaState::default()
-        };
+        let state = recover(&seal_path, &sealing_key, &measurement);
 
         let rpc = Rpc::new(fabric, endpoint, RpcConfig::client(WireCrypto::Full, key));
         let replica = Arc::new(RoteReplica {
@@ -125,6 +138,7 @@ impl RoteReplica {
             seal_path,
             seal_lock: Arc::new(FiberMutex::new()),
             seal_seq: Arc::new(AtomicU64::new(0)),
+            sealed_version: AtomicU64::new(0),
             sealing_key,
             measurement,
             endpoint,
@@ -169,7 +183,7 @@ impl RoteReplica {
                 }
             }
             RoteMsg::Confirm { id, value } => {
-                let blob = {
+                let applied = {
                     let mut st = self.state.lock();
                     let stable = *st.stable.get(&id).unwrap_or(&0);
                     let pending_ok = st.pending.get(&id).map(|&p| p >= value).unwrap_or(false);
@@ -177,12 +191,10 @@ impl RoteReplica {
                         // Already durable: idempotent ACK.
                         None
                     } else if pending_ok {
-                        st.stable.insert(id.clone(), value);
                         st.pending.remove(&id);
-                        let sealed = SealedState {
-                            stable: st.stable.iter().map(|(k, v)| (k.clone(), *v)).collect(),
-                        };
-                        Some(serde_json::to_vec(&sealed).expect("state serializes"))
+                        st.stable.insert(id, value);
+                        st.version += 1;
+                        Some(st.version)
                     } else {
                         let m = TxMeta {
                             kind: MsgKind::Nack,
@@ -191,8 +203,8 @@ impl RoteReplica {
                         return Some((m, encode(&RoteMsg::Nack { rollback: false })));
                     }
                 };
-                if let Some(bytes) = blob {
-                    self.persist(&bytes);
+                if let Some(version) = applied {
+                    self.persist(version);
                 }
                 RoteMsg::Ack
             }
@@ -207,13 +219,30 @@ impl RoteReplica {
         Some((reply_meta, encode(&reply)))
     }
 
-    fn persist(&self, state_bytes: &[u8]) {
+    /// Returns once a seal containing the update applied as `version` is
+    /// on disk. A group seal: a `Confirm` that queued behind a seal begun
+    /// after its update finds itself covered; otherwise one seal of the
+    /// *current* map carries every `Confirm` applied before it began.
+    fn persist(&self, version: u64) {
         let guard = self.seal_lock.lock();
+        if self.sealed_version.load(Ordering::Relaxed) >= version {
+            return;
+        }
+        let (covers, state_bytes) = {
+            let st = self.state.lock();
+            let sealed = SealedState {
+                stable: st.stable.iter().map(|(k, v)| (k.clone(), *v)).collect(),
+            };
+            (
+                st.version,
+                serde_json::to_vec(&sealed).expect("state serializes"),
+            )
+        };
         let seq = self.seal_seq.fetch_add(1, Ordering::Relaxed);
         let mut nonce = [0u8; 12];
         nonce[..4].copy_from_slice(&self.endpoint.to_be_bytes());
         nonce[4..].copy_from_slice(&seq.to_be_bytes());
-        let blob = seal(&self.sealing_key, &self.measurement, nonce, state_bytes);
+        let blob = seal(&self.sealing_key, &self.measurement, nonce, &state_bytes);
         let raw = serde_json::to_vec(&blob).expect("blob serializes");
         // Charge the sealing write before making it visible.
         let costs = self.rpc.fabric().costs();
@@ -221,6 +250,7 @@ impl RoteReplica {
         let tmp = self.seal_path.with_extension("tmp");
         std::fs::write(&tmp, &raw).expect("write sealed state");
         std::fs::rename(&tmp, &self.seal_path).expect("publish sealed state");
+        self.sealed_version.store(covers, Ordering::Relaxed);
         drop(guard);
     }
 }
@@ -247,7 +277,8 @@ impl RoteGroup {
     /// Creates a client on `endpoint` talking to `replicas`.
     ///
     /// `round_floor` models the deployment latency of the real service
-    /// (~2 ms in the paper); a full round never completes faster.
+    /// (~2 ms in the paper): a value is never stable sooner after its
+    /// round started.
     ///
     /// # Panics
     ///
@@ -279,7 +310,9 @@ impl RoteGroup {
         self.quorum
     }
 
-    fn broadcast(&self, msg: &RoteMsg) -> Vec<RoteMsg> {
+    /// Sends `msg` to every replica on RPC session `session` and collects
+    /// the replies.
+    fn broadcast(&self, session: u64, msg: &RoteMsg) -> Vec<RoteMsg> {
         let payload = encode(msg);
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let mut pending = Vec::new();
@@ -290,7 +323,10 @@ impl RoteGroup {
                 op_id: i as u64,
                 kind: MsgKind::Counter,
             };
-            pending.push(self.rpc.enqueue_request(r, ROTE_REQ, &meta, &payload));
+            pending.push(
+                self.rpc
+                    .enqueue_request_on(r, ROTE_REQ, &meta, &payload, session),
+            );
         }
         self.rpc.tx_burst();
         let mut replies = Vec::new();
@@ -305,15 +341,28 @@ impl RoteGroup {
     }
 }
 
+/// The RPC session of counter `id`. One session per counter id: a replica
+/// serves a counter's requests in order on one worker fiber, and different
+/// counters of one client side by side — instead of a fresh session, and
+/// with it a fresh worker fiber, per broadcast.
+fn session_of(id: &str) -> u64 {
+    let digest = treaty_crypto::hash::sha256(id.as_bytes());
+    u64::from_le_bytes(digest.0[..8].try_into().expect("a digest is 32 bytes"))
+}
+
 impl CounterBackend for RoteGroup {
-    fn stabilize(&self, id: &str, value: u64) -> Result<(), CounterError> {
+    fn stabilize(&self, id: &str, value: u64) -> Result<Nanos, CounterError> {
         let t0 = runtime::now();
+        let session = session_of(id);
 
         // Round 1: update + echoes.
-        let echoes = self.broadcast(&RoteMsg::Update {
-            id: id.to_string(),
-            value,
-        });
+        let echoes = self.broadcast(
+            session,
+            &RoteMsg::Update {
+                id: id.to_string(),
+                value,
+            },
+        );
         let mut echo_count = 0;
         for e in &echoes {
             match e {
@@ -330,10 +379,13 @@ impl CounterBackend for RoteGroup {
         }
 
         // Round 2: confirm + ACKs (replicas persist here).
-        let acks = self.broadcast(&RoteMsg::Confirm {
-            id: id.to_string(),
-            value,
-        });
+        let acks = self.broadcast(
+            session,
+            &RoteMsg::Confirm {
+                id: id.to_string(),
+                value,
+            },
+        );
         let ack_count = acks.iter().filter(|a| matches!(a, RoteMsg::Ack)).count();
         if ack_count < self.quorum {
             return Err(CounterError::NoQuorum {
@@ -342,16 +394,13 @@ impl CounterBackend for RoteGroup {
             });
         }
 
-        // Floor to the deployed service's observed latency.
-        let elapsed = runtime::now() - t0;
-        if elapsed < self.round_floor {
-            runtime::sleep(self.round_floor - elapsed);
-        }
-        Ok(())
+        // The deployed service's observed latency is a floor on when the
+        // value counts as stable, not on when the next exchange may start.
+        Ok(self.round_floor.saturating_sub(runtime::now() - t0))
     }
 
     fn latest(&self, id: &str) -> u64 {
-        let replies = self.broadcast(&RoteMsg::Query { id: id.to_string() });
+        let replies = self.broadcast(session_of(id), &RoteMsg::Query { id: id.to_string() });
         let mut values: Vec<u64> = replies
             .iter()
             .filter_map(|r| match r {
@@ -375,6 +424,13 @@ mod tests {
     use treaty_sim::{CostModel, MILLIS};
 
     fn group(dir: &Path) -> (Arc<Fabric>, Vec<Arc<RoteReplica>>, Arc<RoteGroup>) {
+        group_with_floor(dir, 2 * MILLIS)
+    }
+
+    fn group_with_floor(
+        dir: &Path,
+        round_floor: Nanos,
+    ) -> (Arc<Fabric>, Vec<Arc<RoteReplica>>, Arc<RoteGroup>) {
         let fabric = Fabric::new(CostModel::default(), 11);
         let key = treaty_crypto::KeyHierarchy::for_testing();
         let replicas: Vec<_> = (0..3)
@@ -385,20 +441,39 @@ mod tests {
             1100,
             key.counter,
             vec![1000, 1001, 1002],
-            2 * MILLIS,
+            round_floor,
         );
         (fabric, replicas, client)
     }
 
+    /// When a waiter returned, and with what.
+    type Outcome = Arc<Mutex<Option<(Nanos, Result<(), CounterError>)>>>;
+
+    /// Spawns a fiber that waits for `value` and stores when it returned.
+    fn waiter(c: &Arc<TrustedCounter>, value: u64) -> (runtime::FiberId, Outcome) {
+        let out = Arc::new(Mutex::new(None));
+        let (c, out2) = (Arc::clone(c), Arc::clone(&out));
+        let fiber = runtime::spawn(move || {
+            let result = c.wait_stable(value);
+            *out2.lock() = Some((runtime::now(), result));
+        });
+        (fiber, out)
+    }
+
     #[test]
-    fn stabilize_reaches_quorum_and_respects_floor() {
+    fn stabilize_reaches_quorum_and_reports_the_rest_of_the_floor() {
         let dir = tempfile::tempdir().unwrap();
         let path = dir.path().to_path_buf();
         block_on(move || {
             let (_f, replicas, client) = group(&path);
             let t0 = runtime::now();
-            client.stabilize("wal-1", 5).unwrap();
-            assert!(runtime::now() - t0 >= 2 * MILLIS, "round floor not applied");
+            let remaining = client.stabilize("wal-1", 5).unwrap();
+            let exchange = runtime::now() - t0;
+            assert!(
+                exchange > 0 && exchange < 2 * MILLIS,
+                "exchange took {exchange}"
+            );
+            assert_eq!(exchange + remaining, 2 * MILLIS, "round floor not applied");
             assert_eq!(client.latest("wal-1"), 5);
             for r in &replicas {
                 assert_eq!(r.stable_value("wal-1"), 5);
@@ -533,6 +608,206 @@ mod tests {
             c.wait_stable(v3).unwrap();
             assert_eq!(c.stable(), v3);
             assert_eq!(c.latest_stabilized(), v3);
+        });
+    }
+
+    /// A round occupies its counter for the exchange, not for the floor: a
+    /// waiter that just misses a round leads the next one under it.
+    #[test]
+    fn rounds_overlap_their_latency() {
+        let dir = tempfile::tempdir().unwrap();
+        let path = dir.path().to_path_buf();
+        block_on(move || {
+            let (_f, _r, client) = group(&path);
+            let c = TrustedCounter::new("node1/wal", client as Arc<dyn CounterBackend>, 0);
+            let t0 = runtime::now();
+            let (first, first_done) = waiter(&c, c.assign());
+            runtime::sleep(300 * treaty_sim::MICROS);
+            let v2 = c.assign();
+            c.wait_stable(v2).unwrap();
+            let second_at = runtime::now();
+            runtime::join(first);
+            let (first_at, result) = first_done.lock().take().unwrap();
+            result.unwrap();
+            assert!(
+                first_at - t0 >= 2 * MILLIS,
+                "first published before its floor"
+            );
+            assert!(first_at <= second_at, "rounds published out of start order");
+            assert!(
+                second_at - t0 < 4 * MILLIS,
+                "the second round waited out the first: stable after {} ns",
+                second_at - t0
+            );
+        });
+    }
+
+    /// Nobody observes `stable() >= v` before a quorum of replicas has
+    /// sealed `v` and the full floor has passed since `v`'s round began.
+    #[test]
+    fn publication_waits_for_ack_quorum_and_the_full_floor() {
+        let dir = tempfile::tempdir().unwrap();
+        let path = dir.path().to_path_buf();
+        block_on(move || {
+            let (_f, replicas, client) = group(&path);
+            let quorum = client.quorum();
+            let c = TrustedCounter::new("node1/wal", client as Arc<dyn CounterBackend>, 0);
+            let t0 = runtime::now();
+            let (first, _) = waiter(&c, c.assign());
+            let watcher = {
+                let c = Arc::clone(&c);
+                runtime::spawn(move || {
+                    // Values 1 and 2 are waited for at t0 and t0 + 300 µs.
+                    let began = [t0, t0 + 300 * treaty_sim::MICROS];
+                    while c.stable() < 2 {
+                        let stable = c.stable();
+                        let sealed = replicas
+                            .iter()
+                            .filter(|r| r.stable_value("node1/wal") >= stable)
+                            .count();
+                        assert!(sealed >= quorum, "{stable} published on {sealed} replicas");
+                        if stable > 0 {
+                            let since = runtime::now() - began[stable as usize - 1];
+                            assert!(since >= 2 * MILLIS, "{stable} published after {since} ns");
+                        }
+                        runtime::sleep(10 * treaty_sim::MICROS);
+                    }
+                })
+            };
+            runtime::sleep(300 * treaty_sim::MICROS);
+            let v2 = c.assign();
+            c.wait_stable(v2).unwrap();
+            assert!(runtime::now() - t0 >= 2 * MILLIS + 300 * treaty_sim::MICROS);
+            runtime::join(first);
+            runtime::join(watcher);
+        });
+    }
+
+    /// A round that fails while its predecessor is still waiting out the
+    /// floor fails its own leader and riders only: the predecessor and its
+    /// riders publish, and the failed values are led afresh.
+    #[test]
+    fn a_failed_round_spares_its_predecessor() {
+        let dir = tempfile::tempdir().unwrap();
+        let path = dir.path().to_path_buf();
+        block_on(move || {
+            let key = treaty_crypto::KeyHierarchy::for_testing();
+            // A floor longer than the 10 ms a replica-less exchange takes
+            // to give up, so the failure lands inside round one's wait.
+            let floor = 30 * MILLIS;
+            let (fabric, replicas, client) = group_with_floor(&path, floor);
+            let c = TrustedCounter::new("node1/clog", client as Arc<dyn CounterBackend>, 0);
+            let t0 = runtime::now();
+            let v1 = c.assign();
+            let (leader1, leader1_done) = waiter(&c, v1);
+            runtime::sleep(MILLIS); // round one is past its exchange
+            replicas[1].stop();
+            replicas[2].stop();
+            let v2 = c.assign();
+            let (leader2, leader2_done) = waiter(&c, v2);
+            runtime::sleep(MILLIS); // round two is mid-exchange
+            let (rider1, rider1_done) = waiter(&c, v1);
+            let (rider2, rider2_done) = waiter(&c, v2);
+
+            runtime::join(leader2);
+            runtime::join(rider2);
+            for done in [leader2_done, rider2_done] {
+                let (at, result) = done.lock().take().unwrap();
+                assert!(
+                    at - t0 < floor,
+                    "round two failed only after round one published"
+                );
+                assert!(
+                    matches!(result, Err(CounterError::NoQuorum { .. })),
+                    "{result:?}"
+                );
+            }
+            assert_eq!(c.stable(), 0, "round one is still waiting out its floor");
+            assert!(leader1_done.lock().is_none() && rider1_done.lock().is_none());
+
+            // `covered` fell back to round one's target: the next caller
+            // for `v2` leads a fresh round instead of riding a dead one.
+            let _revived = RoteReplica::start(&fabric, 1001, key.counter, key.sealing, &path);
+            let (leader3, leader3_done) = waiter(&c, v2);
+
+            runtime::join(leader1);
+            runtime::join(rider1);
+            for done in [leader1_done, rider1_done] {
+                let (at, result) = done.lock().take().unwrap();
+                result.unwrap();
+                assert_eq!(at - t0, floor);
+            }
+            assert_eq!(c.stable(), v1);
+            runtime::join(leader3);
+            leader3_done.lock().take().unwrap().1.unwrap();
+            assert_eq!(c.stable(), v2);
+            assert_eq!(c.latest_stabilized(), v2);
+        });
+    }
+
+    /// Concurrent `Confirm`s share seals, and every `Ack` still follows
+    /// the rename of a seal that contains its update.
+    #[test]
+    fn concurrent_confirms_share_seals_and_every_ack_is_recoverable() {
+        let dir = tempfile::tempdir().unwrap();
+        let path = dir.path().to_path_buf();
+        block_on(move || {
+            let (_f, replicas, _client) = group(&path);
+            let replica = Arc::clone(&replicas[0]);
+            let meta = TxMeta {
+                node_id: 1,
+                tx_id: 1,
+                op_id: 0,
+                kind: MsgKind::Counter,
+            };
+            let send = move |r: &RoteReplica, msg: RoteMsg| {
+                let (_, reply) = r.handle(meta, encode(&msg)).expect("replica answers");
+                decode(&reply).expect("reply decodes")
+            };
+            let confirms: Vec<_> = (0..8u64)
+                .map(|i| {
+                    let id = format!("node{i}/wal");
+                    let value = 10 + i;
+                    let echo = send(
+                        &replica,
+                        RoteMsg::Update {
+                            id: id.clone(),
+                            value,
+                        },
+                    );
+                    assert!(matches!(echo, RoteMsg::Echo { .. }));
+                    let replica = Arc::clone(&replica);
+                    runtime::spawn(move || {
+                        let ack = send(
+                            &replica,
+                            RoteMsg::Confirm {
+                                id: id.clone(),
+                                value,
+                            },
+                        );
+                        assert!(matches!(ack, RoteMsg::Ack));
+                        // What a replica crashing right now restarts with.
+                        let on_disk = recover(
+                            &replica.seal_path,
+                            &replica.sealing_key,
+                            &replica.measurement,
+                        );
+                        assert!(
+                            on_disk.stable.get(&id).is_some_and(|&v| v >= value),
+                            "{id} acked at {value}, the seal holds {:?}",
+                            on_disk.stable.get(&id)
+                        );
+                    })
+                })
+                .collect();
+            for fiber in confirms {
+                runtime::join(fiber);
+            }
+            let seals = replica.seal_seq.load(Ordering::Relaxed);
+            assert!(
+                (1..8).contains(&seals),
+                "8 concurrent confirms wrote {seals} seals"
+            );
         });
     }
 }

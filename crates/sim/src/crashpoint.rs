@@ -43,8 +43,9 @@ use crate::Nanos;
 ///
 /// Coordinator points fire on the node coordinating the transaction,
 /// participant points on the remote shard, `clog.*` on the coordinator's
-/// commit-log path and `store.*` inside the storage engine of whichever
-/// node is writing. Lint rule L006 checks call sites against this list.
+/// commit-log path, `store.*` inside the storage engine of whichever node
+/// is writing and `counter.*` on whichever node leads a counter round.
+/// Lint rule L006 checks call sites against this list.
 pub const ALL_POINTS: &[&str] = &[
     // Coordinator (treaty-core node.rs, Fig. 2 steps 2-13).
     "coord.after_clog_start",
@@ -75,6 +76,9 @@ pub const ALL_POINTS: &[&str] = &[
     "store.commit_logged",
     "store.bg_flush_start",
     "store.bg_compact_start",
+    // Trusted counter (treaty-counter lib.rs): the group acknowledged a
+    // round, its leader has not yet published the value as stable.
+    "counter.round_acked",
 ];
 
 /// One armed fault: crash `node` the `hit`-th time (1-based, counted from

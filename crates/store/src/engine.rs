@@ -1134,12 +1134,13 @@ impl TreatyStore {
         Ok(span)
     }
 
-    /// Blocks until every record appended to the live WAL so far is
+    /// Blocks until every record written to the live WAL so far is
     /// rollback-protected: what a transaction read from this store can
-    /// then no longer be rolled back under it. Free on an idle WAL.
+    /// then no longer be rolled back under it (a record still being
+    /// written has applied nothing yet). Free on an idle WAL.
     pub(crate) fn stabilize_wal_tail(&self) -> Result<()> {
         let wal = self.inner.wal.read().clone();
-        let last = wal.last_counter();
+        let last = wal.written_counter();
         if last <= wal.stable_counter() {
             return Ok(());
         }
@@ -1839,7 +1840,7 @@ impl TreatyStore {
         let stable = {
             let manifest = self.inner.manifest.lock().clone();
             if self.inner.env.profile.stabilization {
-                let last = manifest.last_counter();
+                let last = manifest.written_counter();
                 let stable = manifest.stable_counter();
                 if last > stable {
                     if treaty_sim::runtime::in_fiber() {

@@ -198,6 +198,10 @@ impl LogWriter {
             f.flush()?;
             f.sync_data()?;
         }
+        // Only now may a counter round cover these records: one led while
+        // the write was in flight must not hand the group a value the
+        // file cannot show after a crash.
+        self.counter.mark_written(last);
         drop(guard);
         Ok((first, last))
     }
@@ -218,9 +222,9 @@ impl LogWriter {
         Ok(())
     }
 
-    /// Highest counter value assigned so far.
-    pub fn last_counter(&self) -> u64 {
-        self.counter.assigned()
+    /// Highest counter value whose record is on disk.
+    pub fn written_counter(&self) -> u64 {
+        self.counter.written()
     }
 
     /// Highest rollback-protected counter value.
@@ -479,6 +483,37 @@ mod tests {
         assert!(matches!(err, StoreError::Rollback(_)));
         verify_freshness(&env, "wal-1", last)?;
         Ok(())
+    }
+
+    /// A round led while a later record is still being written covers the
+    /// written records only: the group never holds a value the file
+    /// cannot show, which recovery would refuse as a rollback.
+    #[test]
+    fn round_never_covers_a_record_not_on_disk() -> Result<()> {
+        use treaty_sim::runtime;
+        let (dir, env) = env(SecurityProfile::treaty_full())?;
+        let path = dir.path().join("wal-1");
+        treaty_sched::block_on(move || {
+            let w = Arc::new(LogWriter::open(Arc::clone(&env), "wal-1", &path, 0)?);
+            let first = w.append(b"first")?;
+            let w2 = Arc::clone(&w);
+            let second = runtime::spawn(move || {
+                assert!(w2.append(&[7u8; 4096]).is_ok());
+            });
+            // The second append has its counter and is paying for the write.
+            runtime::sleep(1_000);
+            assert_eq!(w.counter().assigned(), first + 1);
+            w.stabilize(first)?;
+            let stabilized = env.backend.latest(&counter_id(&env, "wal-1"));
+            let on_disk = replay(&env, "wal-1", &path, 0)?.last_counter;
+            assert!(
+                stabilized <= on_disk,
+                "group stabilized {stabilized}, disk holds {on_disk}"
+            );
+            verify_freshness(&env, "wal-1", on_disk)?;
+            runtime::join(second);
+            Ok(())
+        })
     }
 
     #[test]

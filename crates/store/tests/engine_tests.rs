@@ -318,7 +318,11 @@ fn pessimistic_writers_conflict_via_lock_timeout() {
 struct SlowRounds(Arc<treaty_counter::NullBackend>);
 
 impl treaty_counter::CounterBackend for SlowRounds {
-    fn stabilize(&self, id: &str, value: u64) -> Result<(), treaty_counter::CounterError> {
+    fn stabilize(
+        &self,
+        id: &str,
+        value: u64,
+    ) -> Result<treaty_sim::Nanos, treaty_counter::CounterError> {
         treaty_sim::runtime::sleep(2 * treaty_sim::MILLIS);
         self.0.stabilize(id, value)
     }
@@ -336,6 +340,16 @@ fn env_with_backend(
     let mut env = Arc::try_unwrap(Env::for_testing(SecurityProfile::treaty_full(), dir)).unwrap();
     env.backend = backend;
     Arc::new(env)
+}
+
+/// Copies the files of `from` into `to` (created if missing, existing
+/// files overwritten): a crash image of a node directory.
+fn copy_dir(from: &std::path::Path, to: &std::path::Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for file in std::fs::read_dir(from).unwrap() {
+        let file = file.unwrap();
+        std::fs::copy(file.path(), to.join(file.file_name())).unwrap();
+    }
 }
 
 /// A commit big enough to rotate `EngineConfig::tiny()`'s 16 KiB MemTable.
@@ -399,11 +413,7 @@ fn crash_between_rotation_and_flush_build_recovers_a_prepared_txn() {
         // The crash image: rotated, the build's MANIFEST edits not written.
         assert_eq!(store.flush_backlog_len(), 1);
         assert_eq!(store.stats().flushes, 0);
-        std::fs::create_dir_all(&copy).unwrap();
-        for file in std::fs::read_dir(&node).unwrap() {
-            let file = file.unwrap();
-            std::fs::copy(file.path(), copy.join(file.file_name())).unwrap();
-        }
+        copy_dir(&node, &copy);
         assert!(copy.join("wal-000001").exists() && copy.join("wal-000002").exists());
 
         let env = env_with_backend(&copy, Arc::clone(&env.backend));
@@ -445,11 +455,7 @@ fn decide_after_restart_survives_a_crash_between_wal_obsolete_edits() {
         store.commit_prepared(gtx).unwrap(); // the `Decide` is in generation 2
         store.flush().unwrap(); // retires 1, then 2
         assert_eq!(store.stats().flushes, 1);
-        std::fs::create_dir_all(&copy).unwrap();
-        for file in std::fs::read_dir(&node).unwrap() {
-            let file = file.unwrap();
-            std::fs::copy(file.path(), copy.join(file.file_name())).unwrap();
-        }
+        copy_dir(&node, &copy);
         assert!(copy.join("wal-000002").exists());
         // The crash image: `WalObsolete { gen: 2 }`, the last MANIFEST
         // edit, torn mid-write — generation 2 is live, generation 1 is not.
@@ -499,6 +505,55 @@ fn abort_racing_the_prepare_round_fails_the_prepare() {
             store.get_committed(b"acct").unwrap(),
             Some(b"next-writer".to_vec())
         );
+    });
+}
+
+/// A read-only commit stabilizes the WAL tail; one that runs while a group
+/// commit is still paying for its write must not hand the counter group
+/// that record's value. The image is the last one taken before the write
+/// reached the file, with what the group held then: no more than the image
+/// shows.
+#[test]
+fn crash_image_taken_during_a_wal_write_reopens() {
+    let dir = tempfile::tempdir().unwrap();
+    let path = dir.path().to_path_buf();
+    block_on(move || {
+        let node = path.join("a/node");
+        let copy = path.join("b/node");
+        let (env, store) = open(SecurityProfile::treaty_full(), &node);
+        put(&store, b"k1", b"v1");
+        let wal = newest_wal(&node);
+        let wal_len = |wal: &std::path::Path| std::fs::metadata(wal).unwrap().len();
+        let before = wal_len(&wal);
+        let wal_name = wal.file_name().unwrap().to_string_lossy().into_owned();
+        let wal_id = treaty_store::log::counter_id(&env, &wal_name);
+        let writer = {
+            let store = store.clone();
+            spawn(move || put(&store, b"k2", &[7u8; 4096]))
+        };
+        let mut images = 0;
+        let mut group_held = 0;
+        loop {
+            treaty_sim::runtime::sleep(1_000);
+            let mut reader = store.begin_mode(TxnMode::Pessimistic);
+            assert_eq!(reader.get(b"k1").unwrap(), Some(b"v1".to_vec()));
+            reader.commit().unwrap();
+            if wal_len(&wal) != before {
+                break;
+            }
+            copy_dir(&node, &copy);
+            group_held = env.backend.latest(&wal_id);
+            images += 1;
+        }
+        join(writer);
+        assert!(images > 0, "the write landed before any image was taken");
+
+        let group = treaty_counter::NullBackend::new();
+        treaty_counter::CounterBackend::stabilize(&*group, &wal_id, group_held).unwrap();
+        let env = env_with_backend(&copy, group);
+        let store = TreatyStore::open(env).unwrap();
+        assert_eq!(store.get_committed(b"k1").unwrap(), Some(b"v1".to_vec()));
+        assert!(store.get_committed(b"k2").unwrap().is_none());
     });
 }
 

@@ -1143,10 +1143,91 @@ fn run_commit_point_cell(point: &'static str, twist: Twist) -> String {
     })
 }
 
+/// The participant dies at `counter.round_acked`: the group has
+/// acknowledged its `Prepare`'s counter, the participant has neither
+/// marked the transaction stable nor voted. Its log re-opens — the group
+/// holds nothing the disk lacks — with the transaction in doubt, and the
+/// coordinator, which never saw the vote, resolves it.
+fn run_round_acked_cell() -> String {
+    let dir = tempfile::tempdir().unwrap();
+    let path = dir.path().to_path_buf();
+    block_on(move || {
+        let plan = crashpoint::install();
+        let mut cluster = Cluster::start(options(&path)).unwrap();
+        let keys: Vec<Vec<u8>> = key_per_node(&cluster).into_values().collect();
+        seed(&cluster, &keys);
+        let cell = "counter.round_acked";
+        let part = (PART - 1) as usize;
+        let group_holds = |cluster: &Cluster| {
+            let env = cluster.env(part).expect("durable cluster");
+            let wal = std::fs::read_dir(&env.dir)
+                .unwrap()
+                .filter_map(|e| e.ok()?.file_name().into_string().ok())
+                .filter(|name| name.starts_with("wal-"))
+                .max()
+                .expect("a WAL exists");
+            env.backend.latest(&counter_id(env, &wal))
+        };
+        let before = group_holds(&cluster);
+
+        plan.arm(FaultSchedule::new().crash_at(cell, PART, 1));
+        let client = cluster.client();
+        let mut tx = client.begin(COORD);
+        let gtx = tx.gtx();
+        for k in &keys {
+            tx.put(k, b"doomed").expect("buffered put");
+        }
+        let acked = match tx.commit() {
+            Ok(()) => panic!("{cell}: committed without PART's vote"),
+            Err(TreatyError::Aborted(..)) => 'A',
+            Err(_) => 'U',
+        };
+        sleep(SECONDS);
+        let fired = plan.fired();
+        assert_eq!(fired.len(), 1, "{cell}: expected one crash, got {fired:?}");
+        assert_eq!((fired[0].point.as_str(), fired[0].node), (cell, PART));
+        assert!(
+            group_holds(&cluster) > before,
+            "{cell}: the group never acknowledged the Prepare"
+        );
+
+        cluster.crash_node(part);
+        cluster.restart_node(part).expect("the log re-opens");
+        assert_eq!(store(&cluster, PART).prepared_txns(), [gtx], "{cell}");
+        let rec = cluster.resolve_recovered();
+        assert_eq!(rec.failed, 0, "{cell}: {rec:?}");
+
+        let clog = cluster.node((COORD - 1) as usize).clog().expect("durable");
+        assert_eq!(clog.decision(gtx), Some(false), "{cell}: not decided abort");
+        let mut tx = client.begin(SPARE);
+        for k in &keys {
+            let got = tx.get(k).expect("post-recovery read");
+            assert_eq!(got.as_deref(), Some(&b"seed"[..]), "{cell}: half-applied");
+        }
+        tx.commit().expect("verify commit");
+        for n in [COORD, PART, SPARE] {
+            let left = store(&cluster, n).prepared_txns();
+            assert!(left.is_empty(), "{cell}: n{n} still holds {left:?}");
+        }
+
+        format!(
+            "{cell} fired@{} acked={acked} rec={}/{}/{}",
+            fired[0].at, rec.re_decided, rec.resolved, rec.failed,
+        )
+    })
+}
+
 fn run_twice(run: impl Fn() -> String) {
     let t1 = run();
     println!("{t1}");
     assert_eq!(t1, run(), "commit-point fault cell must be deterministic");
+}
+
+/// A participant crash between a counter round's ack quorum and its
+/// publication leaves the transaction in doubt, never half-decided.
+#[test]
+fn round_acked_crash_leaves_the_prepare_in_doubt() {
+    run_twice(run_round_acked_cell);
 }
 
 /// A coordinator crash between the commit point and the first decision
