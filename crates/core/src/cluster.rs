@@ -11,7 +11,7 @@ use treaty_net::{EndpointConfig, EndpointId, Fabric};
 use treaty_sched::CorePool;
 use treaty_sim::{CostModel, SecurityProfile, Transport};
 use treaty_store::env::{EngineConfig, Env};
-use treaty_store::{SharedNullEngine, TreatyStore, TxnEngine, TxnMode};
+use treaty_store::{NullEngine, TreatyStore, TxnEngine, TxnMode};
 
 use crate::client::TreatyClient;
 use crate::node::{NodeOptions, RecoveryOutcome, TreatyNode};
@@ -254,7 +254,7 @@ impl Cluster {
             self.slots[idx].store = Some(store.clone());
             (Arc::new(store), Some(env))
         } else {
-            (Arc::new(SharedNullEngine::new()), None)
+            (Arc::new(NullEngine::new()), None)
         };
 
         let node = TreatyNode::start(

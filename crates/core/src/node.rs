@@ -1,7 +1,7 @@
 //! A Treaty node: participant and coordinator for the secure 2PC (Fig. 2).
 //!
 //! Every node runs a transactional engine (the secure LSM store, or the
-//! storage-less [`treaty_store::SharedNullEngine`] for the isolated 2PC
+//! storage-less [`treaty_store::NullEngine`] for the isolated 2PC
 //! benchmarks), serves client sessions as their transaction coordinator,
 //! and serves peer sessions as a participant. One fiber per session
 //! (§VII-C) keeps a transaction's operations ordered while unrelated

@@ -1343,8 +1343,8 @@ mod tests {
             file: "x.rs".to_string(),
             line: 7,
         };
-        // Striped families declare an intra-class order: allowed.
-        assert!(lock_graph_violations(&[edge("store.prepared_stripes")]).is_empty());
+        // Sharded families declare an intra-class order: allowed.
+        assert!(lock_graph_violations(&[edge("store.lock_table_shard")]).is_empty());
         // An unordered class nested inside itself is a one-node cycle.
         let v = lock_graph_violations(&[edge("core.node.stats")]);
         assert_eq!(v.len(), 1);
@@ -1373,7 +1373,12 @@ mod tests {
     fn l010_resolves_method_call_receivers() {
         // `self.stripe(&gtx).lock()` resolves through the method name.
         let src = "fn f(&self, gtx: u64) {\n    let s = self.stripe(&gtx).lock();\n}\n";
-        let fa = check(ENGINE, src);
+        let by_method = [LockSpec {
+            file: ENGINE,
+            receiver: "stripe",
+            class: "store.lock_table_shard",
+        }];
+        let fa = analyze_file_with(ENGINE, src, &by_method, ALL);
         assert!(fa.violations.is_empty(), "{:?}", fa.violations);
 
         // try_lock() resolves through the same table and is not a yield.

@@ -40,7 +40,7 @@ pub struct LockSpec {
     /// Repo-relative file the receiver lives in.
     pub file: &'static str,
     /// The identifier immediately before `.lock()` — a field name, a
-    /// local binding, or the method that returns the shard (`stripe`).
+    /// local binding, or the method that returns the lock.
     pub receiver: &'static str,
     /// Name of the [`LockClass`] this receiver resolves to.
     pub class: &'static str,
@@ -96,11 +96,9 @@ pub const LOCK_CLASSES: &[LockClass] = &[
     LockClass { name: "store.null_engine_data", fiber: false, ordered: false },
     LockClass { name: "store.null_engine_prepared", fiber: false, ordered: false },
     LockClass { name: "store.pending_gc", fiber: false, ordered: false },
-    // Striped prepared-table families: stripes within a family are taken
-    // one at a time (iteration) — a single ordered class each.
-    LockClass { name: "store.prepared_key_index", fiber: false, ordered: true },
+    LockClass { name: "store.prepared_key_index", fiber: false, ordered: false },
     LockClass { name: "store.prepared_ranges", fiber: false, ordered: false },
-    LockClass { name: "store.prepared_stripes", fiber: false, ordered: true },
+    LockClass { name: "store.prepared_txns", fiber: false, ordered: false },
     LockClass { name: "store.flush_backlog", fiber: false, ordered: false },
     // WAL append lock: spans encrypt + counter-assign + SSD charge (that
     // is why it is a FiberMutex, per the log.rs doc comment).
@@ -148,9 +146,8 @@ pub const LOCK_REGISTRY: &[LockSpec] = &[
     LockSpec { file: "crates/store/src/engine.rs", receiver: "live_wal_gens", class: "store.live_wal_gens" },
     LockSpec { file: "crates/store/src/engine.rs", receiver: "flush_backlog", class: "store.flush_backlog" },
     LockSpec { file: "crates/store/src/engine.rs", receiver: "state", class: "store.frontier" },
-    LockSpec { file: "crates/store/src/engine.rs", receiver: "stripe", class: "store.prepared_stripes" },
-    LockSpec { file: "crates/store/src/engine.rs", receiver: "stripes", class: "store.prepared_stripes" },
-    LockSpec { file: "crates/store/src/engine.rs", receiver: "key_stripe", class: "store.prepared_key_index" },
+    LockSpec { file: "crates/store/src/engine.rs", receiver: "txns", class: "store.prepared_txns" },
+    LockSpec { file: "crates/store/src/engine.rs", receiver: "key_index", class: "store.prepared_key_index" },
     LockSpec { file: "crates/store/src/engine.rs", receiver: "mem", class: "store.mem" },
     LockSpec { file: "crates/store/src/engine.rs", receiver: "frozen", class: "store.frozen" },
     LockSpec { file: "crates/store/src/engine.rs", receiver: "levels", class: "store.levels" },
@@ -190,7 +187,7 @@ pub const FREE_YIELDS: &[&str] = &[
 ];
 
 /// Methods that yield the calling fiber: scheduler primitives
-/// (`WaitQueue`, `Channel`, `CorePool`, `IdleBackoff`), the RPC
+/// (`WaitQueue`, `Channel`, `CorePool`), the RPC
 /// send/recv entry points in `crates/net`, CPU/I-O charges, and log
 /// stabilization. Matched as `.name(`.
 pub const METHOD_YIELDS: &[&str] = &[
@@ -200,7 +197,6 @@ pub const METHOD_YIELDS: &[&str] = &[
     "recv",
     "recv_timeout",
     "charge",
-    "idle",
     // CPU / storage charges (pool.charge or runtime::sleep underneath)
     "charge_enclave_op",
     "charge_cpu",
@@ -282,7 +278,7 @@ mod tests {
             }
         }
         assert!(class_by_name("store.commit_lock").unwrap().fiber);
-        assert!(class_by_name("store.prepared_stripes").unwrap().ordered);
+        assert!(class_by_name("store.lock_table_shard").unwrap().ordered);
         assert!(class_by_name("no.such.class").is_none());
     }
 }

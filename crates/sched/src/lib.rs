@@ -11,9 +11,7 @@
 //! * [`CorePool`] — models a node's limited CPU cores: fibers *charge*
 //!   virtual CPU time and queue when all cores are busy, which is what
 //!   produces realistic saturation curves in the benchmarks,
-//! * [`FiberMutex`] — a mutex that may be held across yield points,
-//! * [`IdleBackoff`] — the adaptive sleep the paper's scheduler uses to
-//!   yield to SCONE when no fiber is runnable.
+//! * [`FiberMutex`] — a mutex that may be held across yield points.
 //!
 //! All primitives rely on the runtime's cooperative atomicity: between two
 //! yield points no other fiber runs, so check-then-park sequences are
@@ -505,49 +503,6 @@ impl Drop for FiberMutexGuard<'_> {
     }
 }
 
-/// The adaptive idle strategy of Treaty's userland scheduler: when no fiber
-/// is runnable the scheduler sleeps, doubling the interval up to a cap so an
-/// idle enclave thread stops burning syscalls (§VII-C).
-#[derive(Debug, Clone)]
-pub struct IdleBackoff {
-    current: Nanos,
-    min: Nanos,
-    max: Nanos,
-}
-
-impl Default for IdleBackoff {
-    fn default() -> Self {
-        Self::new(1_000, 1_000_000)
-    }
-}
-
-impl IdleBackoff {
-    /// Creates a backoff sleeping `min`..`max` nanoseconds.
-    pub fn new(min: Nanos, max: Nanos) -> Self {
-        IdleBackoff {
-            current: min,
-            min,
-            max,
-        }
-    }
-
-    /// Sleeps for the current interval and doubles it (capped).
-    pub fn idle(&mut self) {
-        runtime::sleep(self.current);
-        self.current = (self.current * 2).min(self.max);
-    }
-
-    /// Resets the interval after useful work was found.
-    pub fn reset(&mut self) {
-        self.current = self.min;
-    }
-
-    /// The next idle sleep duration.
-    pub fn current(&self) -> Nanos {
-        self.current
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -722,21 +677,6 @@ mod tests {
             assert!(mutex.try_lock().is_none());
             drop(g);
             assert!(mutex.try_lock().is_some());
-        });
-    }
-
-    #[test]
-    fn idle_backoff_doubles_and_resets() {
-        block_on(|| {
-            let mut b = IdleBackoff::new(10, 50);
-            b.idle();
-            assert_eq!(b.current(), 20);
-            b.idle();
-            b.idle();
-            assert_eq!(b.current(), 50); // capped
-            b.reset();
-            assert_eq!(b.current(), 10);
-            assert_eq!(now(), 10 + 20 + 40);
         });
     }
 }

@@ -1,18 +1,30 @@
 //! Cooperative fiber runtime with a virtual clock.
 //!
-//! Exactly one fiber executes at any instant; control is handed between the
-//! scheduler thread (the caller of [`Sim::run`]) and fiber threads through a
-//! baton of mutex/condvar pairs. This gives the key property the rest of the
-//! system builds on: **between two yield points a fiber runs atomically with
-//! respect to every other fiber**, so higher-level primitives (wait queues,
-//! channels, lock tables) never race — exactly like the userland scheduler
-//! Treaty runs inside the enclave (§VII-C of the paper).
+//! Exactly one fiber executes at any instant. A fiber is an OS thread that
+//! waits on its own baton (a mutex/condvar flag); the runtime has no
+//! scheduler thread. Whoever gives up the processor — a fiber that parks,
+//! sleeps, yields or finishes — takes the runtime lock, runs the one
+//! scheduling decision ([`next_fiber`]: pop the run queue, else advance the
+//! virtual clock to the next timer), drops the lock, releases the chosen
+//! fiber's baton and waits on its own: one wake-up per switch. A fiber that
+//! picks *itself* (a lone sleeper charging virtual time, a yield into an
+//! empty queue) neither wakes nor waits. The caller of [`Sim::run`] starts
+//! the root fiber the same way and then blocks until the last fiber to
+//! finish wakes it.
+//!
+//! This gives the key property the rest of the system builds on: **between
+//! two yield points a fiber runs atomically with respect to every other
+//! fiber**, so higher-level primitives (wait queues, channels, lock tables)
+//! never race — exactly like the userland scheduler Treaty runs inside the
+//! enclave (§VII-C of the paper), where a fiber that blocks hands the core
+//! directly to the next one. The schedule is a function of the run queue
+//! and the timer heap alone, so a run is deterministic.
 //!
 //! Blocking primitives ([`sleep`], [`park`], [`park_timeout`], [`yield_now`])
 //! may only be called from inside a fiber; they panic otherwise. Pure reads
 //! ([`now`], [`in_fiber`], [`current`]) are safe anywhere.
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::fmt;
@@ -99,7 +111,6 @@ enum FiberState {
     Runnable,
     Running,
     Parked,
-    Done,
 }
 
 struct FiberSlot {
@@ -129,6 +140,9 @@ struct Inner {
     live_non_daemon: usize,
     shutting_down: bool,
     panic_msg: Option<String>,
+    /// Set when [`next_fiber`] found nothing to run with non-daemon fibers
+    /// still parked: `(parked non-daemon fibers, virtual time)`.
+    deadlock: Option<(usize, Nanos)>,
     switches: u64,
     completed: u64,
     /// Per-`Sim` observability hub; `None` until a root fiber installs one.
@@ -139,7 +153,8 @@ struct Inner {
 
 struct Shared {
     inner: Mutex<Inner>,
-    sched_cell: Arc<ParkCell>,
+    /// Released by the last fiber to finish; [`Sim::run`] waits on it.
+    done: Arc<ParkCell>,
 }
 
 thread_local! {
@@ -211,12 +226,13 @@ impl Sim {
                 live_non_daemon: 0,
                 shutting_down: false,
                 panic_msg: None,
+                deadlock: None,
                 switches: 0,
                 completed: 0,
                 obs: None,
                 crash: None,
             }),
-            sched_cell: ParkCell::new(),
+            done: ParkCell::new(),
         });
 
         // Optional stall watchdog (TREATY_SIM_WATCHDOG=1): reports when no
@@ -255,7 +271,22 @@ impl Sim {
             });
         }
         spawn_fiber(&shared, Box::new(root), false, 0, 0);
-        scheduler_loop(&shared)
+        let root = next_fiber(&mut shared.inner.lock()).expect("the root fiber is runnable");
+        root.release();
+        shared.done.wait();
+
+        let inner = shared.inner.lock();
+        if let Some((parked, at)) = inner.deadlock {
+            return Err(SimError::Deadlock { parked, at });
+        }
+        match inner.panic_msg.clone() {
+            Some(msg) => Err(SimError::FiberPanic(msg)),
+            None => Ok(SimReport {
+                virtual_ns: inner.now,
+                fibers: inner.completed,
+                switches: inner.switches,
+            }),
+        }
     }
 }
 
@@ -320,8 +351,10 @@ fn spawn_fiber(
                 }
             }
             finish_fiber(&mut inner, id);
+            // Hand the processor on; the last fiber out wakes `Sim::run`.
+            let next = next_fiber(&mut inner).unwrap_or_else(|| Arc::clone(&shared2.done));
             drop(inner);
-            shared2.sched_cell.release();
+            next.release();
         })
         .expect("failed to spawn fiber thread");
     FiberId(id)
@@ -338,16 +371,12 @@ fn panic_message(payload: &Box<dyn std::any::Any + Send>) -> String {
 }
 
 fn finish_fiber(inner: &mut Inner, id: u64) {
-    let waiters = {
-        let slot = inner.fibers.get_mut(&id).expect("finishing unknown fiber");
-        slot.state = FiberState::Done;
-        if !slot.daemon {
-            inner.live_non_daemon -= 1;
-        }
-        std::mem::take(&mut slot.join_waiters)
-    };
+    let slot = inner.fibers.remove(&id).expect("finishing unknown fiber");
+    if !slot.daemon {
+        inner.live_non_daemon -= 1;
+    }
     inner.completed += 1;
-    for w in waiters {
+    for w in slot.join_waiters {
         wake_fiber(inner, w.0, WakeReason::Signal);
     }
 }
@@ -363,108 +392,21 @@ fn wake_fiber(inner: &mut Inner, id: u64, reason: WakeReason) {
     }
 }
 
-fn scheduler_loop(shared: &Arc<Shared>) -> Result<SimReport, SimError> {
+/// The scheduling decision: marks the fiber that runs next `Running` and
+/// returns its baton, advancing virtual time to the next valid timer when the
+/// run queue is empty. Called under the `inner` lock by whichever thread is
+/// giving up the processor; the caller releases the baton only after
+/// dropping the lock, so the woken fiber never runs into it.
+///
+/// `None` means every fiber has finished. A fiber that is itself parked or
+/// runnable never sees `None`: at the latest the shutdown transition wakes it.
+fn next_fiber(inner: &mut Inner) -> Option<Arc<ParkCell>> {
     loop {
-        let next: Option<u64> = {
-            let mut inner = shared.inner.lock();
-
-            if inner.panic_msg.is_some() && !inner.shutting_down {
-                inner.shutting_down = true;
-            }
-            if inner.live_non_daemon == 0 && !inner.shutting_down {
-                inner.shutting_down = true;
-            }
-
-            if inner.shutting_down {
-                // Wake every remaining fiber so it can unwind via ShutdownSignal.
-                let parked: Vec<u64> = inner
-                    .fibers
-                    .iter()
-                    .filter(|(_, s)| s.state == FiberState::Parked)
-                    .map(|(id, _)| *id)
-                    .collect();
-                for id in parked {
-                    wake_fiber(&mut inner, id, WakeReason::Signal);
-                }
-            }
-
-            if let Some(FiberId(id)) = inner.run_queue.pop_front() {
-                let slot = inner.fibers.get_mut(&id).expect("runnable fiber missing");
-                debug_assert_eq!(slot.state, FiberState::Runnable);
-                slot.state = FiberState::Running;
-                inner.switches += 1;
-                Some(id)
-            } else {
-                // Advance virtual time to the next valid timer.
-                let mut fired = None;
-                while let Some(Reverse((t, _seq, fid, generation))) = inner.timers.pop() {
-                    let valid = inner
-                        .fibers
-                        .get(&fid)
-                        .map(|s| s.state == FiberState::Parked && s.generation == generation)
-                        .unwrap_or(false);
-                    if valid {
-                        fired = Some((t, fid));
-                        break;
-                    }
-                }
-                match fired {
-                    Some((t, fid)) => {
-                        debug_assert!(t >= inner.now, "timer in the past");
-                        inner.now = t;
-                        wake_fiber(&mut inner, fid, WakeReason::Timeout);
-                        continue;
-                    }
-                    None => {
-                        let parked = inner
-                            .fibers
-                            .values()
-                            .filter(|s| !s.daemon && s.state == FiberState::Parked)
-                            .count();
-                        if parked > 0 && !inner.shutting_down {
-                            inner.shutting_down = true;
-                            // Record deadlock, then keep looping to unwind.
-                            if inner.panic_msg.is_none() {
-                                let at = inner.now;
-                                drop(inner);
-                                // Unwind all fibers before reporting.
-                                unwind_all(shared);
-                                return Err(SimError::Deadlock { parked, at });
-                            }
-                            continue;
-                        }
-                        // Finished (or fully shut down).
-                        let report = SimReport {
-                            virtual_ns: inner.now,
-                            fibers: inner.completed,
-                            switches: inner.switches,
-                        };
-                        let panic_msg = inner.panic_msg.clone();
-                        drop(inner);
-                        return match panic_msg {
-                            Some(msg) => Err(SimError::FiberPanic(msg)),
-                            None => Ok(report),
-                        };
-                    }
-                }
-            }
-        };
-
-        if let Some(id) = next {
-            let cell = {
-                let inner = shared.inner.lock();
-                Arc::clone(&inner.fibers[&id].cell)
-            };
-            cell.release();
-            shared.sched_cell.wait();
+        if inner.panic_msg.is_some() || inner.live_non_daemon == 0 {
+            inner.shutting_down = true;
         }
-    }
-}
-
-fn unwind_all(shared: &Arc<Shared>) {
-    loop {
-        let next = {
-            let mut inner = shared.inner.lock();
+        if inner.shutting_down {
+            // Wake every remaining fiber so it can unwind via ShutdownSignal.
             let parked: Vec<u64> = inner
                 .fibers
                 .iter()
@@ -472,28 +414,49 @@ fn unwind_all(shared: &Arc<Shared>) {
                 .map(|(id, _)| *id)
                 .collect();
             for id in parked {
-                wake_fiber(&mut inner, id, WakeReason::Signal);
+                wake_fiber(inner, id, WakeReason::Signal);
             }
-            match inner.run_queue.pop_front() {
-                Some(FiberId(id)) => {
-                    let slot = inner.fibers.get_mut(&id).unwrap();
-                    slot.state = FiberState::Running;
-                    Some(id)
-                }
-                None => None,
-            }
-        };
-        match next {
-            Some(id) => {
-                let cell = {
-                    let inner = shared.inner.lock();
-                    Arc::clone(&inner.fibers[&id].cell)
-                };
-                cell.release();
-                shared.sched_cell.wait();
-            }
-            None => return,
         }
+
+        if let Some(FiberId(id)) = inner.run_queue.pop_front() {
+            let slot = inner.fibers.get_mut(&id).expect("runnable fiber missing");
+            debug_assert_eq!(slot.state, FiberState::Runnable);
+            slot.state = FiberState::Running;
+            inner.switches += 1;
+            return Some(Arc::clone(&slot.cell));
+        }
+
+        // Advance virtual time to the next valid timer.
+        let mut fired = false;
+        while let Some(Reverse((t, _seq, fid, generation))) = inner.timers.pop() {
+            let valid = inner
+                .fibers
+                .get(&fid)
+                .is_some_and(|s| s.state == FiberState::Parked && s.generation == generation);
+            if valid {
+                debug_assert!(t >= inner.now, "timer in the past");
+                inner.now = t;
+                wake_fiber(inner, fid, WakeReason::Timeout);
+                fired = true;
+                break;
+            }
+        }
+        if fired {
+            continue;
+        }
+
+        let parked = inner
+            .fibers
+            .values()
+            .filter(|s| !s.daemon && s.state == FiberState::Parked)
+            .count();
+        if parked == 0 || inner.shutting_down {
+            return None;
+        }
+        // Deadlock. Record it and go round again: the parked fibers unwind
+        // through the shutdown path before `Sim::run` reports it.
+        inner.deadlock = Some((parked, inner.now));
+        inner.shutting_down = true;
     }
 }
 
@@ -507,20 +470,29 @@ fn with_current<R>(f: impl FnOnce(&Arc<Shared>, u64) -> R) -> R {
     })
 }
 
-/// Hands control back to the scheduler. Must be called with the fiber's state
-/// already updated (Parked or re-queued Runnable).
-fn switch_out(shared: &Arc<Shared>, id: u64) {
-    let cell = {
-        let inner = shared.inner.lock();
-        Arc::clone(&inner.fibers[&id].cell)
-    };
-    shared.sched_cell.release();
-    cell.wait();
+/// Gives up the processor: picks the next fiber, wakes it and waits to be
+/// picked in turn. Called with the `inner` guard under which the caller
+/// updated its own state (Parked, or re-queued Runnable). Returns why the
+/// fiber resumed.
+fn switch_out<'a>(shared: &'a Shared, mut inner: MutexGuard<'a, Inner>, id: u64) -> WakeReason {
+    let mine = Arc::clone(&inner.fibers[&id].cell);
+    let next = next_fiber(&mut inner).expect("a fiber giving up the processor is still live");
+    // Picked itself (a lone sleeper, a yield into an empty queue): no
+    // hand-off, the fiber just keeps the processor.
+    if !Arc::ptr_eq(&next, &mine) {
+        drop(inner);
+        // If `next` hands straight back before we wait, the cell's flag
+        // holds the release.
+        next.release();
+        mine.wait();
+        inner = shared.inner.lock();
+    }
     // On resume: if the sim is shutting down, unwind this fiber.
-    let shutting_down = shared.inner.lock().shutting_down;
-    if shutting_down {
+    if inner.shutting_down {
+        drop(inner);
         std::panic::panic_any(ShutdownSignal);
     }
+    inner.fibers[&id].wake_reason
 }
 
 /// Tags the current fiber for diagnostics (shown by the stall watchdog).
@@ -705,13 +677,11 @@ pub fn sleep(ns: Nanos) {
 /// Panics when called outside a fiber.
 pub fn park() {
     with_current(|shared, id| {
-        {
-            let mut inner = shared.inner.lock();
-            let slot = inner.fibers.get_mut(&id).unwrap();
-            slot.state = FiberState::Parked;
-            slot.generation += 1;
-        }
-        switch_out(shared, id);
+        let mut inner = shared.inner.lock();
+        let slot = inner.fibers.get_mut(&id).unwrap();
+        slot.state = FiberState::Parked;
+        slot.generation += 1;
+        switch_out(shared, inner, id);
     });
 }
 
@@ -723,20 +693,16 @@ pub fn park() {
 /// Panics when called outside a fiber.
 pub fn park_timeout(ns: Nanos) -> WakeReason {
     with_current(|shared, id| {
-        {
-            let mut inner = shared.inner.lock();
-            let deadline = inner.now.saturating_add(ns);
-            let seq = inner.next_seq;
-            inner.next_seq += 1;
-            let slot = inner.fibers.get_mut(&id).unwrap();
-            slot.state = FiberState::Parked;
-            slot.generation += 1;
-            let generation = slot.generation;
-            inner.timers.push(Reverse((deadline, seq, id, generation)));
-        }
-        switch_out(shared, id);
-        let inner = shared.inner.lock();
-        inner.fibers[&id].wake_reason
+        let mut inner = shared.inner.lock();
+        let deadline = inner.now.saturating_add(ns);
+        let seq = inner.next_seq;
+        inner.next_seq += 1;
+        let slot = inner.fibers.get_mut(&id).unwrap();
+        slot.state = FiberState::Parked;
+        slot.generation += 1;
+        let generation = slot.generation;
+        inner.timers.push(Reverse((deadline, seq, id, generation)));
+        switch_out(shared, inner, id)
     })
 }
 
@@ -773,13 +739,11 @@ pub fn unpark(target: FiberId) -> bool {
 /// Panics when called outside a fiber.
 pub fn yield_now() {
     with_current(|shared, id| {
-        {
-            let mut inner = shared.inner.lock();
-            let slot = inner.fibers.get_mut(&id).unwrap();
-            slot.state = FiberState::Runnable;
-            inner.run_queue.push_back(FiberId(id));
-        }
-        switch_out(shared, id);
+        let mut inner = shared.inner.lock();
+        let slot = inner.fibers.get_mut(&id).unwrap();
+        slot.state = FiberState::Runnable;
+        inner.run_queue.push_back(FiberId(id));
+        switch_out(shared, inner, id);
     });
 }
 
@@ -793,18 +757,10 @@ pub fn join(target: FiberId) {
     let done = with_current(|shared, id| {
         let mut inner = shared.inner.lock();
         match inner.fibers.get_mut(&target.0) {
-            None
-            | Some(FiberSlot {
-                state: FiberState::Done,
-                ..
-            }) => true,
-            Some(_) => {
-                inner
-                    .fibers
-                    .get_mut(&target.0)
-                    .unwrap()
-                    .join_waiters
-                    .push(FiberId(id));
+            // A finished fiber has left the table.
+            None => true,
+            Some(slot) => {
+                slot.join_waiters.push(FiberId(id));
                 false
             }
         }
@@ -1029,4 +985,213 @@ mod tests {
             .unwrap();
         assert_eq!(*order.lock(), vec![0, 1, 2, 3, 4]);
     }
+
+    /// Counts its own drop: a fiber holding one has unwound once it fires.
+    struct DropCount(Arc<AtomicU64>);
+
+    impl Drop for DropCount {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// Spawns a fiber and a daemon that park forever, each holding a
+    /// [`DropCount`], and returns a third for the caller to hold.
+    fn park_sibling_and_daemon(drops: &Arc<AtomicU64>) -> DropCount {
+        let (sibling, daemon) = (DropCount(drops.clone()), DropCount(drops.clone()));
+        spawn(move || {
+            let _held = sibling;
+            park();
+        });
+        spawn_daemon(move || {
+            let _held = daemon;
+            park();
+        });
+        DropCount(drops.clone())
+    }
+
+    #[test]
+    fn deadlock_is_reported_after_every_fiber_unwound() {
+        let drops = Arc::new(AtomicU64::new(0));
+        let d = Arc::clone(&drops);
+        let err = Sim::new()
+            .run(move || {
+                let _held = park_sibling_and_daemon(&d);
+                sleep(9);
+                park();
+            })
+            .unwrap_err();
+        assert!(
+            matches!(err, SimError::Deadlock { parked: 2, at: 9 }),
+            "{err:?}"
+        );
+        assert_eq!(drops.load(Ordering::SeqCst), 3);
+    }
+
+    #[test]
+    fn panic_is_reported_after_siblings_and_daemons_unwound() {
+        let drops = Arc::new(AtomicU64::new(0));
+        let d = Arc::clone(&drops);
+        let err = Sim::new()
+            .run(move || {
+                let _held = park_sibling_and_daemon(&d);
+                spawn(|| {
+                    sleep(3);
+                    panic!("boom beside parked fibers");
+                });
+                park();
+            })
+            .unwrap_err();
+        match err {
+            SimError::FiberPanic(msg) => assert!(msg.contains("boom beside parked fibers")),
+            other => panic!("unexpected error: {other:?}"),
+        }
+        assert_eq!(drops.load(Ordering::SeqCst), 3);
+    }
+
+    #[test]
+    fn lone_fiber_is_handed_back_to_itself() {
+        let report = Sim::new()
+            .run(|| {
+                sleep(7);
+                yield_now();
+                sleep(5);
+                assert_eq!(now(), 12);
+            })
+            .unwrap();
+        assert_eq!(report.virtual_ns, 12);
+        // The start, and one pick per sleep/yield — each of them of itself.
+        assert_eq!(report.switches, 4);
+        assert_eq!(report.fibers, 1);
+    }
+
+    #[test]
+    fn finished_fiber_is_gone_for_join_and_unpark() {
+        Sim::new()
+            .run(|| {
+                let f = spawn(|| sleep(3));
+                sleep(10);
+                let before = now();
+                assert!(!unpark(f), "a finished fiber is not parked");
+                join(f);
+                assert_eq!(now(), before, "join on a finished fiber must not block");
+            })
+            .unwrap();
+    }
+
+    /// The schedule is a function of the run queue and the timer heap: a
+    /// seeded mix of every primitive resumes the same fibers at the same
+    /// virtual instants, whoever performs the switch. A change that moves
+    /// the constants moves every virtual-time number in the repository.
+    #[test]
+    fn seeded_schedule_is_pinned() {
+        const FIBERS: u64 = 96;
+        // (fiber, now, what resumed it) at every resume, in resume order.
+        let trace = Arc::new(Mutex::new(Vec::<(u64, Nanos, u8)>::new()));
+        // Fibers currently inside `park_timeout`: the only legal `unpark`
+        // targets (`sleep` and `join` must not be woken early).
+        let parkers = Arc::new(Mutex::new(Vec::<FiberId>::new()));
+        let (t, p) = (Arc::clone(&trace), Arc::clone(&parkers));
+
+        fn step(rng: &mut u64) -> u64 {
+            // splitmix64
+            *rng = rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = *rng;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn body(
+            seed: u64,
+            depth: u32,
+            older: Vec<FiberId>,
+            trace: Arc<Mutex<Vec<(u64, Nanos, u8)>>>,
+            parkers: Arc<Mutex<Vec<FiberId>>>,
+        ) {
+            let mut rng = seed;
+            let me = current();
+            let resumed = |why: u8| trace.lock().push((me.0, now(), why));
+            resumed(0);
+            for _ in 0..12 {
+                let r = step(&mut rng);
+                match r % 6 {
+                    0 => {
+                        sleep((r >> 8) % 40);
+                        resumed(1);
+                    }
+                    1 => {
+                        yield_now();
+                        resumed(2);
+                    }
+                    2 => {
+                        parkers.lock().push(me);
+                        let why = park_timeout(1 + (r >> 8) % 90);
+                        parkers.lock().retain(|f| *f != me);
+                        resumed(3 + (why == WakeReason::Signal) as u8);
+                    }
+                    3 => {
+                        let target = {
+                            let p = parkers.lock();
+                            (!p.is_empty()).then(|| p[(r >> 8) as usize % p.len()])
+                        };
+                        // `false` when the target's timer fired first and
+                        // it has yet to run: part of the schedule too.
+                        if let Some(target) = target {
+                            resumed(7 + unpark(target) as u8);
+                        }
+                    }
+                    4 if depth < 2 => {
+                        let (t, p) = (Arc::clone(&trace), Arc::clone(&parkers));
+                        let child = spawn(move || body(r, depth + 1, Vec::new(), t, p));
+                        if r & 0x100 != 0 {
+                            join(child);
+                            resumed(5);
+                        }
+                    }
+                    _ => {
+                        if !older.is_empty() {
+                            join(older[(r >> 8) as usize % older.len()]);
+                            resumed(6);
+                        }
+                    }
+                }
+            }
+        }
+
+        let report = Sim::new()
+            .run(move || {
+                let mut spawned = Vec::new();
+                for i in 0..FIBERS {
+                    let (t, p, older) = (Arc::clone(&t), Arc::clone(&p), spawned.clone());
+                    spawned.push(spawn(move || body(42 + i, 0, older, t, p)));
+                }
+                for f in spawned {
+                    join(f);
+                }
+            })
+            .unwrap();
+
+        let trace = trace.lock();
+        let hash = trace.iter().fold(0xCBF2_9CE4_8422_2325u64, |h, e| {
+            [e.0, e.1, e.2 as u64]
+                .iter()
+                .fold(h, |h, v| (h ^ v).wrapping_mul(0x0000_0100_0000_01B3))
+        });
+        assert!(report.fibers > FIBERS, "the mix must spawn from fibers too");
+        assert_eq!(
+            (
+                trace.len(),
+                hash,
+                report.virtual_ns,
+                report.switches,
+                report.fibers
+            ),
+            PINNED_SCHEDULE
+        );
+    }
+
+    /// `(resumes, FNV-1a of the resume trace, virtual_ns, switches, fibers)`.
+    const PINNED_SCHEDULE: (usize, u64, Nanos, u64, u64) =
+        (6389, 5515602897661239833, 2018, 5071, 662);
 }

@@ -17,6 +17,7 @@
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::ops::Bound;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -99,25 +100,19 @@ pub(crate) struct PreparedState {
     pub stable: bool,
 }
 
-/// Stripe count for [`PreparedTable`]. Prepared transactions are few but
-/// the table sits on every 2PC prepare/decide, so striping keeps writer
-/// threads from serializing on one mutex.
-pub(crate) const PREPARED_STRIPES: usize = 64;
-
-/// The 2PC prepared-transaction table, hash-striped by transaction id so
-/// concurrent prepares and decisions for unrelated transactions never
-/// contend on the same mutex.
+/// The 2PC prepared-transaction table. One fiber runs at a time, so each
+/// map sits behind a single mutex that is never contended; both are ordered,
+/// so the span queries are range reads and the listings come out sorted.
 pub(crate) struct PreparedTable {
-    stripes: Vec<Mutex<HashMap<GlobalTxId, PreparedState>>>,
-    /// Striped index of in-doubt keys → how many prepared transactions
-    /// write them, maintained on insert/remove so `overlaps` — called per
-    /// key on the lock-free snapshot read and validate paths — is one
-    /// hash lookup under one stripe mutex instead of a scan of every
-    /// prepared write set under all 64.
-    key_index: Vec<Mutex<HashMap<UserKey, usize>>>,
+    txns: Mutex<BTreeMap<GlobalTxId, PreparedState>>,
+    /// In-doubt keys → how many prepared transactions write them, maintained
+    /// on insert/remove so `overlaps` — called per key on the lock-free
+    /// snapshot read and validate paths — is one lookup instead of a scan of
+    /// every prepared write set, and a span query is one range read.
+    key_index: Mutex<BTreeMap<UserKey, usize>>,
     /// In-doubt range deletes `(owner, start, end)`. Prepared range
-    /// deletes are rare, so a flat read-mostly list beats striping; every
-    /// snapshot read consults it (usually an empty-slice scan).
+    /// deletes are rare, so a flat read-mostly list does; every snapshot
+    /// read consults it (usually an empty-slice scan).
     ranges: RwLock<Vec<(GlobalTxId, UserKey, UserKey)>>,
 }
 
@@ -130,73 +125,47 @@ pub(crate) struct PreparedDecision {
 }
 
 impl PreparedTable {
-    pub fn new(stripes: usize) -> Self {
-        assert!(stripes > 0);
+    pub fn new() -> Self {
         PreparedTable {
-            stripes: (0..stripes).map(|_| Mutex::new(HashMap::new())).collect(),
-            key_index: (0..stripes).map(|_| Mutex::new(HashMap::new())).collect(),
+            txns: Mutex::new(BTreeMap::new()),
+            key_index: Mutex::new(BTreeMap::new()),
             ranges: RwLock::new(Vec::new()),
         }
     }
 
-    pub fn from_map(stripes: usize, map: HashMap<GlobalTxId, PreparedState>) -> Self {
-        let table = Self::new(stripes);
+    pub fn from_map(map: HashMap<GlobalTxId, PreparedState>) -> Self {
+        let table = Self::new();
         for (gtx, st) in map {
             table.insert(gtx, st);
         }
         table
     }
 
-    pub fn stripe_index(&self, gtx: &GlobalTxId) -> usize {
-        // Fibonacci-style mixing of both id halves; coordinator sequence
-        // numbers are consecutive, so the multiply spreads them.
-        let h = gtx
-            .node
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(gtx.seq)
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (h % self.stripes.len() as u64) as usize
-    }
-
-    fn stripe(&self, gtx: &GlobalTxId) -> &Mutex<HashMap<GlobalTxId, PreparedState>> {
-        &self.stripes[self.stripe_index(gtx)]
-    }
-
-    fn key_stripe(&self, key: &[u8]) -> &Mutex<HashMap<UserKey, usize>> {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        &self.key_index[(h.finish() % self.key_index.len() as u64) as usize]
-    }
-
     /// Counts `writes`' keys into the in-doubt index. Runs *before* the
     /// entry is published so the index over-approximates: a key is never
-    /// missing from it while its transaction is visible in a stripe.
+    /// missing from it while its transaction is visible in the table.
     fn index_add(&self, writes: &[WriteOp]) {
+        let mut index = self.key_index.lock();
         for w in writes {
-            *self
-                .key_stripe(&w.key)
-                .lock()
-                .entry(w.key.clone())
-                .or_insert(0) += 1;
+            *index.entry(w.key.clone()).or_insert(0) += 1;
         }
     }
 
-    /// Uncounts `writes`' keys; runs *after* the entry left its stripe.
+    /// Uncounts `writes`' keys; runs *after* the entry left the table.
     fn index_remove(&self, writes: &[WriteOp]) {
+        let mut index = self.key_index.lock();
         for w in writes {
-            let mut m = self.key_stripe(&w.key).lock();
-            if let Some(c) = m.get_mut(&w.key) {
+            if let Some(c) = index.get_mut(&w.key) {
                 *c -= 1;
                 if *c == 0 {
-                    m.remove(&w.key);
+                    index.remove(&w.key);
                 }
             }
         }
     }
 
     /// Puts `st`'s keys and ranges in doubt; runs before the entry shows
-    /// as stable in its stripe (see [`PreparedTable::index_add`]).
+    /// as stable in the table (see [`PreparedTable::index_add`]).
     fn index_entry(&self, gtx: GlobalTxId, st: &PreparedState) {
         self.index_add(&st.writes);
         let mut ranges = self.ranges.write();
@@ -213,7 +182,7 @@ impl PreparedTable {
         if st.stable {
             self.index_entry(gtx, &st);
         }
-        if let Some(old) = self.stripe(&gtx).lock().insert(gtx, st) {
+        if let Some(old) = self.txns.lock().insert(gtx, st) {
             if old.stable {
                 self.index_remove(&old.writes);
             }
@@ -221,7 +190,7 @@ impl PreparedTable {
     }
 
     pub fn remove(&self, gtx: &GlobalTxId) -> Option<PreparedState> {
-        let st = self.stripe(gtx).lock().remove(gtx);
+        let st = self.txns.lock().remove(gtx);
         if let Some(st) = st.as_ref().filter(|st| st.stable) {
             self.index_remove(&st.writes);
             if !st.ranges.is_empty() {
@@ -238,8 +207,8 @@ impl PreparedTable {
     /// Returns `None` if the transaction is unknown or already claimed —
     /// decisions are idempotent, so callers treat that as "nothing to do".
     pub fn begin_decide(&self, gtx: &GlobalTxId) -> Option<PreparedDecision> {
-        let mut stripe = self.stripe(gtx).lock();
-        let st = stripe.get_mut(gtx)?;
+        let mut txns = self.txns.lock();
+        let st = txns.get_mut(gtx)?;
         if st.deciding {
             return None;
         }
@@ -256,7 +225,7 @@ impl PreparedTable {
     /// error), so recovery can retry the decision later. `false` when the
     /// entry is gone: the `Decide` was logged and took effect after all.
     pub fn cancel_decide(&self, gtx: &GlobalTxId) -> bool {
-        self.stripe(gtx)
+        self.txns
             .lock()
             .get_mut(gtx)
             .map(|st| st.deciding = false)
@@ -268,8 +237,8 @@ impl PreparedTable {
     /// In place, so a rotation's re-log cannot miss it. `false` when an
     /// abort that raced the counter round has claimed or retired the entry.
     pub fn mark_stable(&self, gtx: &GlobalTxId) -> bool {
-        let mut stripe = self.stripe(gtx).lock();
-        let Some(st) = stripe.get_mut(gtx).filter(|st| !st.deciding) else {
+        let mut txns = self.txns.lock();
+        let Some(st) = txns.get_mut(gtx).filter(|st| !st.deciding) else {
             return false;
         };
         self.index_entry(*gtx, st);
@@ -278,45 +247,28 @@ impl PreparedTable {
     }
 
     /// Every transaction whose `Prepare` record is stable, sorted by id:
-    /// recovery resolves them (sends, seq allocations) in this order, so
-    /// it must not be hash order.
+    /// recovery resolves them (sends, seq allocations) in this order.
     pub fn ids(&self) -> Vec<GlobalTxId> {
-        let mut ids: Vec<GlobalTxId> = self
-            .stripes
-            .iter()
-            .flat_map(|stripe| {
-                let stripe = stripe.lock();
-                let stable = stripe.iter().filter(|(_, st)| st.stable);
-                stable.map(|(g, _)| *g).collect::<Vec<_>>()
-            })
-            .collect();
-        ids.sort_unstable();
-        ids
+        let txns = self.txns.lock();
+        let stable = txns.iter().filter(|(_, st)| st.stable);
+        stable.map(|(g, _)| *g).collect()
     }
 
     /// Every entry's writes, stable or not, sorted by id: a WAL rotation
     /// re-logs them in this order.
     pub fn snapshot_writes(&self) -> Vec<(GlobalTxId, Vec<WriteOp>, Vec<(UserKey, UserKey)>)> {
-        let mut all: Vec<_> = self
-            .stripes
+        self.txns
+            .lock()
             .iter()
-            .flat_map(|stripe| {
-                stripe
-                    .lock()
-                    .iter()
-                    .map(|(g, st)| (*g, st.writes.clone(), st.ranges.clone()))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        all.sort_unstable_by_key(|(g, _, _)| *g);
-        all
+            .map(|(g, st)| (*g, st.writes.clone(), st.ranges.clone()))
+            .collect()
     }
 
     /// Whether any prepared (in-doubt) transaction writes `key` — one
-    /// striped hash lookup against the maintained key index, plus a scan
-    /// of the (rare) in-doubt range deletes.
+    /// lookup against the maintained key index, plus a scan of the (rare)
+    /// in-doubt range deletes.
     pub fn overlaps(&self, key: &[u8]) -> bool {
-        if self.key_stripe(key).lock().contains_key(key) {
+        if self.key_index.lock().contains_key(key) {
             return true;
         }
         self.ranges
@@ -338,43 +290,33 @@ impl PreparedTable {
         {
             return true;
         }
-        self.key_index.iter().any(|stripe| {
-            stripe
+        span_bounds(start, end).is_some_and(|span| {
+            self.key_index
                 .lock()
-                .keys()
-                .any(|k| k.as_slice() >= start && k.as_slice() < end)
+                .range::<[u8], _>(span)
+                .next()
+                .is_some()
         })
     }
 
     /// The in-doubt point-write keys inside `[start, end)`, sorted — the
     /// keys a span fence cannot see in the store yet and must wait on.
     pub fn keys_in_span(&self, start: &[u8], end: &[u8]) -> Vec<UserKey> {
-        let mut keys: Vec<UserKey> = self
-            .key_index
-            .iter()
-            .flat_map(|stripe| {
-                let in_span = |k: &&UserKey| k.as_slice() >= start && k.as_slice() < end;
-                stripe
-                    .lock()
-                    .keys()
-                    .filter(in_span)
-                    .cloned()
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        keys.sort_unstable();
-        keys
+        let Some(span) = span_bounds(start, end) else {
+            return Vec::new();
+        };
+        let index = self.key_index.lock();
+        index
+            .range::<[u8], _>(span)
+            .map(|(k, _)| k.clone())
+            .collect()
     }
+}
 
-    #[cfg(test)]
-    pub fn stripe_count(&self) -> usize {
-        self.stripes.len()
-    }
-
-    #[cfg(test)]
-    pub fn stripe_len(&self, idx: usize) -> usize {
-        self.stripes[idx].lock().len()
-    }
+/// `[start, end)` as `BTreeMap::range` bounds over borrowed keys; `None` for
+/// an empty or inverted span (`range` panics on the latter).
+fn span_bounds<'a>(start: &'a [u8], end: &'a [u8]) -> Option<(Bound<&'a [u8]>, Bound<&'a [u8]>)> {
+    (start < end).then_some((Bound::Included(start), Bound::Excluded(end)))
 }
 
 /// The node's **stable read timestamp** (§V, read-only transactions): the
@@ -674,7 +616,7 @@ impl TreatyStore {
                 next_file_id: AtomicU64::new(1),
                 next_txid: AtomicU64::new(1),
                 locks: LockTable::new(env.config.lock_shards, env.config.lock_timeout),
-                prepared: PreparedTable::new(PREPARED_STRIPES),
+                prepared: PreparedTable::new(),
                 frontier: StableFrontier::new(0),
                 snapshot_floor: AtomicU64::new(0),
                 commit_lock: FiberMutex::new(),
@@ -2052,7 +1994,7 @@ impl TreatyStore {
         // and the next flush retires the recovered generations one MANIFEST
         // edit at a time. After `NewWal`, so a crash in between leaves an
         // empty generation, not an unlisted file to append to from zero.
-        let prepared = PreparedTable::from_map(PREPARED_STRIPES, prepared);
+        let prepared = PreparedTable::from_map(prepared);
         relog_prepared(&prepared, &wal)?;
 
         let inner = StoreInner {
@@ -2295,30 +2237,8 @@ mod frontier_tests {
     }
 
     #[test]
-    fn prepared_table_striping_distributes() {
-        let t = PreparedTable::new(PREPARED_STRIPES);
-        // One coordinator, consecutive sequence numbers — the worst case
-        // for a naive modulo. The mixer must still spread them.
-        for seq in 0..1024u64 {
-            t.insert(GlobalTxId { node: 1, seq }, prepared(Vec::new(), seq));
-        }
-        let sizes: Vec<usize> = (0..t.stripe_count()).map(|i| t.stripe_len(i)).collect();
-        assert_eq!(sizes.iter().sum::<usize>(), 1024);
-        let occupied = sizes.iter().filter(|s| **s > 0).count();
-        assert!(
-            occupied > PREPARED_STRIPES / 2,
-            "striping should occupy most stripes, got {occupied}"
-        );
-        let max = sizes.iter().max().copied().unwrap_or(0);
-        assert!(
-            max < 1024 / 8,
-            "no stripe should dominate: max stripe holds {max}"
-        );
-    }
-
-    #[test]
     fn prepared_table_roundtrip_and_overlap() {
-        let t = PreparedTable::new(8);
+        let t = PreparedTable::new();
         let gtx = GlobalTxId { node: 2, seq: 7 };
         t.insert(
             gtx,
@@ -2341,7 +2261,7 @@ mod frontier_tests {
 
     #[test]
     fn overlaps_counts_shared_keys_across_transactions() {
-        let t = PreparedTable::new(8);
+        let t = PreparedTable::new();
         let w = |k: &[u8]| {
             vec![WriteOp {
                 key: k.to_vec(),
@@ -2361,7 +2281,7 @@ mod frontier_tests {
 
     #[test]
     fn decide_claim_keeps_keys_in_doubt_until_finished() {
-        let t = PreparedTable::new(8);
+        let t = PreparedTable::new();
         let gtx = GlobalTxId { node: 3, seq: 1 };
         t.insert(
             gtx,
@@ -2391,7 +2311,7 @@ mod frontier_tests {
 
     #[test]
     fn entry_is_relogged_from_insert_and_in_doubt_from_mark_stable() {
-        let t = PreparedTable::new(8);
+        let t = PreparedTable::new();
         let w = vec![WriteOp {
             key: b"k".to_vec(),
             value: Some(b"v".to_vec()),

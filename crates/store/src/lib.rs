@@ -41,7 +41,7 @@ pub use engine::{EngineIntrospection, EngineStats, TreatyStore};
 pub use env::{EngineConfig, Env};
 pub use locks::{LockMode, LockTable, EOF_SENTINEL};
 pub use txn::{
-    CommitInfo, EngineTxn, GlobalTxId, NullEngine, SharedNullEngine, Txn, TxnEngine, TxnMode,
+    CommitInfo, EngineTxn, GlobalTxId, NullEngine, Txn, TxnEngine, TxnMode,
     TxnOptions,
 };
 

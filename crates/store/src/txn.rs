@@ -979,8 +979,13 @@ impl TxnEngine for TreatyStore {
 
 /// An engine with no persistent storage: used to evaluate the 2PC protocol
 /// in isolation (§VIII-B / Fig. 4). Locking semantics are preserved;
-/// durability is not.
+/// durability is not. Clones share one state.
+#[derive(Clone)]
 pub struct NullEngine {
+    state: Arc<NullState>,
+}
+
+struct NullState {
     data: Mutex<HashMap<UserKey, Vec<u8>>>,
     locks: LockTable,
     prepared: Mutex<HashMap<GlobalTxId, (u64, Vec<WriteOp>)>>,
@@ -1003,72 +1008,36 @@ impl NullEngine {
     /// Creates the engine.
     pub fn new() -> Self {
         NullEngine {
-            data: Mutex::new(HashMap::new()),
-            locks: LockTable::new(1024, 50 * treaty_sim::MILLIS),
-            prepared: Mutex::new(HashMap::new()),
-            next_txid: std::sync::atomic::AtomicU64::new(1),
-        }
-    }
-
-    /// Direct load (test introspection).
-    pub fn peek(&self, key: &[u8]) -> Option<Vec<u8>> {
-        self.data.lock().get(key).cloned()
-    }
-}
-
-// The trait requires 'static boxes; NullEngine hands out transactions tied
-// to an Arc instead.
-struct NullTxnOwned {
-    engine: Arc<NullEngineShared>,
-    id: u64,
-    buffer: TxBuffer,
-    locked: Vec<UserKey>,
-    done: bool,
-}
-
-struct NullEngineShared {
-    inner: NullEngine,
-}
-
-/// Arc-wrapped [`NullEngine`] implementing [`TxnEngine`].
-#[derive(Clone)]
-pub struct SharedNullEngine {
-    shared: Arc<NullEngineShared>,
-}
-
-impl Default for SharedNullEngine {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl std::fmt::Debug for SharedNullEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SharedNullEngine").finish_non_exhaustive()
-    }
-}
-
-impl SharedNullEngine {
-    /// Creates the engine.
-    pub fn new() -> Self {
-        SharedNullEngine {
-            shared: Arc::new(NullEngineShared {
-                inner: NullEngine::new(),
+            state: Arc::new(NullState {
+                data: Mutex::new(HashMap::new()),
+                locks: LockTable::new(1024, 50 * treaty_sim::MILLIS),
+                prepared: Mutex::new(HashMap::new()),
+                next_txid: std::sync::atomic::AtomicU64::new(1),
             }),
         }
     }
 
     /// Direct load (test introspection).
     pub fn peek(&self, key: &[u8]) -> Option<Vec<u8>> {
-        self.shared.inner.peek(key)
+        self.state.data.lock().get(key).cloned()
     }
 }
 
-impl TxnEngine for SharedNullEngine {
+// The trait requires 'static boxes; NullEngine hands out transactions tied
+// to its shared state instead.
+struct NullTxnOwned {
+    engine: Arc<NullState>,
+    id: u64,
+    buffer: TxBuffer,
+    locked: Vec<UserKey>,
+    done: bool,
+}
+
+impl TxnEngine for NullEngine {
     fn begin_txn(&self, _mode: TxnMode) -> Box<dyn EngineTxn> {
-        let id = self.shared.inner.next_txid.fetch_add(1, Ordering::SeqCst);
+        let id = self.state.next_txid.fetch_add(1, Ordering::SeqCst);
         Box::new(NullTxnOwned {
-            engine: Arc::clone(&self.shared),
+            engine: Arc::clone(&self.state),
             id,
             buffer: TxBuffer::new(),
             locked: Vec::new(),
@@ -1077,7 +1046,7 @@ impl TxnEngine for SharedNullEngine {
     }
 
     fn commit_prepared(&self, gtx: GlobalTxId) -> Result<()> {
-        let e = &self.shared.inner;
+        let e = &self.state;
         if let Some((owner, writes)) = e.prepared.lock().remove(&gtx) {
             let mut data = e.data.lock();
             for w in &writes {
@@ -1097,7 +1066,7 @@ impl TxnEngine for SharedNullEngine {
     }
 
     fn abort_prepared(&self, gtx: GlobalTxId) -> Result<()> {
-        let e = &self.shared.inner;
+        let e = &self.state;
         if let Some((owner, writes)) = e.prepared.lock().remove(&gtx) {
             e.locks.release(owner, writes.into_iter().map(|w| w.key));
         }
@@ -1105,7 +1074,7 @@ impl TxnEngine for SharedNullEngine {
     }
 
     fn prepared_txns(&self) -> Vec<GlobalTxId> {
-        let mut ids: Vec<GlobalTxId> = self.shared.inner.prepared.lock().keys().copied().collect();
+        let mut ids: Vec<GlobalTxId> = self.state.prepared.lock().keys().copied().collect();
         ids.sort_unstable();
         ids
     }
@@ -1116,7 +1085,7 @@ impl TxnEngine for SharedNullEngine {
     }
 
     fn snapshot_get(&self, key: &[u8], _ts: SeqNum) -> Result<Option<Vec<u8>>> {
-        let e = &self.shared.inner;
+        let e = &self.state;
         let in_doubt = e
             .prepared
             .lock()
@@ -1135,7 +1104,7 @@ impl TxnEngine for SharedNullEngine {
         _ts: SeqNum,
         limit: usize,
     ) -> Result<Vec<(UserKey, Vec<u8>)>> {
-        let e = &self.shared.inner;
+        let e = &self.state;
         let in_doubt = e.prepared.lock().values().any(|(_, writes)| {
             writes
                 .iter()
@@ -1158,7 +1127,7 @@ impl TxnEngine for SharedNullEngine {
     }
 
     fn snapshot_validate(&self, key: &[u8], _ts: SeqNum) -> Result<bool> {
-        let e = &self.shared.inner;
+        let e = &self.state;
         Ok(!e
             .prepared
             .lock()
@@ -1169,7 +1138,7 @@ impl TxnEngine for SharedNullEngine {
     fn snapshot_validate_span(&self, start: &[u8], end: &[u8], _ts: SeqNum) -> Result<bool> {
         // No versioning: a span is current unless an in-doubt prepare
         // touches it.
-        let e = &self.shared.inner;
+        let e = &self.state;
         Ok(!e.prepared.lock().values().any(|(_, writes)| {
             writes
                 .iter()
@@ -1186,7 +1155,7 @@ impl EngineTxn for NullTxnOwned {
         if let Some(own) = self.buffer.get(key) {
             return Ok(own);
         }
-        let e = &self.engine.inner;
+        let e = &self.engine;
         e.locks.lock(self.id, key, LockMode::Shared)?;
         self.locked.push(key.to_vec());
         Ok(e.data.lock().get(key).cloned())
@@ -1196,7 +1165,7 @@ impl EngineTxn for NullTxnOwned {
         if self.done {
             return Err(StoreError::Finished);
         }
-        let e = &self.engine.inner;
+        let e = &self.engine;
         e.locks.lock(self.id, key, LockMode::Exclusive)?;
         self.locked.push(key.to_vec());
         self.buffer.put(key, value);
@@ -1207,7 +1176,7 @@ impl EngineTxn for NullTxnOwned {
         if self.done {
             return Err(StoreError::Finished);
         }
-        let e = &self.engine.inner;
+        let e = &self.engine;
         e.locks.lock(self.id, key, LockMode::Exclusive)?;
         self.locked.push(key.to_vec());
         self.buffer.delete(key);
@@ -1220,7 +1189,7 @@ impl EngineTxn for NullTxnOwned {
         }
         // Protocol-evaluation engine: S-lock the result set plus the gap
         // bound so concurrent writers conflict, overlay own writes.
-        let e = &self.engine.inner;
+        let e = &self.engine;
         let mut view: std::collections::BTreeMap<UserKey, Vec<u8>> = {
             let data = e.data.lock();
             data.iter()
@@ -1261,7 +1230,7 @@ impl EngineTxn for NullTxnOwned {
         // No versioning here: a range delete is the point deletes of every
         // currently present covered key, under X-locks (plus the EOF
         // sentinel standing in for the gap bound).
-        let e = &self.engine.inner;
+        let e = &self.engine;
         let covered: Vec<UserKey> = {
             let data = e.data.lock();
             data.keys()
@@ -1283,7 +1252,7 @@ impl EngineTxn for NullTxnOwned {
         if self.done {
             return Err(StoreError::Finished);
         }
-        let e = &self.engine.inner;
+        let e = &self.engine;
         let writes = self.buffer.to_ops();
         let write_keys: std::collections::HashSet<&UserKey> =
             writes.iter().map(|w| &w.key).collect();
@@ -1304,7 +1273,7 @@ impl EngineTxn for NullTxnOwned {
         if self.done {
             return Err(StoreError::Finished);
         }
-        let e = &self.engine.inner;
+        let e = &self.engine;
         {
             let mut data = e.data.lock();
             for w in self.buffer.to_ops() {
@@ -1330,7 +1299,7 @@ impl EngineTxn for NullTxnOwned {
         if self.done {
             return Ok(());
         }
-        let e = &self.engine.inner;
+        let e = &self.engine;
         e.locks.release(self.id, std::mem::take(&mut self.locked));
         self.done = true;
         Ok(())
