@@ -82,25 +82,14 @@ impl Clog {
             for (_, payload) in &replay.records {
                 let rec: ClogRecord = serde_json::from_slice(payload)
                     .map_err(|_| StoreError::Integrity("clog record does not parse".into()))?;
+                let (ClogRecord::Start { gtx, .. } | ClogRecord::Decision { gtx, .. }) = &rec;
+                let st = state.entry(*gtx).or_insert(TxProtocolState {
+                    participants: vec![],
+                    decision: None,
+                });
                 match rec {
-                    ClogRecord::Start { gtx, participants } => {
-                        state
-                            .entry(gtx)
-                            .or_insert(TxProtocolState {
-                                participants: vec![],
-                                decision: None,
-                            })
-                            .participants = participants;
-                    }
-                    ClogRecord::Decision { gtx, commit } => {
-                        state
-                            .entry(gtx)
-                            .or_insert(TxProtocolState {
-                                participants: vec![],
-                                decision: None,
-                            })
-                            .decision = Some(commit);
-                    }
+                    ClogRecord::Start { participants, .. } => st.participants = participants,
+                    ClogRecord::Decision { commit, .. } => st.decision = Some(commit),
                 }
             }
             replay.last_counter
@@ -137,6 +126,13 @@ impl Clog {
         })
     }
 
+    /// One record onto the writer's queue: on disk with whatever else
+    /// queued while the previous write was in flight.
+    fn append(&self, rec: &ClogRecord) -> Result<u64> {
+        self.writer
+            .append(&log::serialize_record("clog record", rec)?)
+    }
+
     /// Logs the start of 2PC for `gtx`. Returns the record's counter.
     ///
     /// # Errors
@@ -151,7 +147,7 @@ impl Clog {
             gtx,
             participants: participants.clone(),
         };
-        let counter = self.writer.append(&encode_clog_record(&rec)?)?;
+        let counter = self.append(&rec)?;
         self.state.lock().insert(
             gtx,
             TxProtocolState {
@@ -173,7 +169,7 @@ impl Clog {
         let _span =
             treaty_sim::obs::span_with("clog.log_decision", &[("commit", u64::from(commit))]);
         let rec = ClogRecord::Decision { gtx, commit };
-        let counter = self.writer.append(&encode_clog_record(&rec)?)?;
+        let counter = self.append(&rec)?;
         treaty_sim::crashpoint::hit("clog.decision_appended");
         Ok(counter)
     }
@@ -186,11 +182,16 @@ impl Clog {
     }
 
     /// Starts making the record at `counter` stable without waiting for
-    /// it: a helper fiber leads (or rides) the counter round, and a later
+    /// it: a helper fiber leads the counter round, and a later
     /// [`Clog::stabilize`] joins it. Does nothing when there is no round to
-    /// run, or outside the runtime.
+    /// run, when a launched round covers the record already (the Starts
+    /// that shared a flush share the first one's round; if it fails, the
+    /// join leads afresh), or outside the runtime.
     pub fn kick_stabilize(&self, counter: u64) {
-        if self.is_stable(counter) || !treaty_sim::runtime::in_fiber() {
+        if self.is_stable(counter)
+            || self.writer.counter().covered() >= counter
+            || !treaty_sim::runtime::in_fiber()
+        {
             return;
         }
         let writer = Arc::clone(&self.writer);
@@ -283,13 +284,6 @@ impl Clog {
     pub fn protocol_state(&self, gtx: GlobalTxId) -> Option<TxProtocolState> {
         self.state.lock().get(&gtx).cloned()
     }
-}
-
-/// Serializes a Clog record; a typed error instead of a panic, because the
-/// coordinator's commit path must never unwind mid-2PC (L002).
-fn encode_clog_record(rec: &ClogRecord) -> Result<Vec<u8>> {
-    serde_json::to_vec(rec)
-        .map_err(|e| StoreError::Io(format!("clog record does not serialize: {e}")))
 }
 
 #[cfg(test)]
@@ -403,6 +397,55 @@ mod tests {
         assert_eq!(clog.decision(gtx), Some(true));
         assert_eq!(e.backend.latest(&id), counter);
         Ok(())
+    }
+
+    /// Concurrent Starts share a flush: the first finds the writer idle and
+    /// goes alone, the fifteen queued behind its write ride the next one.
+    /// Each still gets the counter its record has in the file.
+    #[test]
+    fn concurrent_starts_share_a_flush() -> Result<()> {
+        use treaty_sim::runtime;
+        let dir = tempfile::tempdir()?;
+        let e = Env::for_testing(SecurityProfile::native_treaty(), dir.path());
+        let one_flush = e.costs.ssd_append_ns(e.profile.tee, 0);
+        let path = dir.path().join(CLOG_FILE);
+        treaty_sched::block_on(move || {
+            let clog = Arc::new(Clog::open(Arc::clone(&e))?);
+            let handed = Arc::new(Mutex::new(Vec::new()));
+            let fibers: Vec<_> = (1..=16u64)
+                .map(|seq| {
+                    let (clog, handed) = (Arc::clone(&clog), Arc::clone(&handed));
+                    runtime::spawn(move || {
+                        let gtx = GlobalTxId { node: 1, seq };
+                        let counter = clog.log_start(gtx, vec![1, 2]);
+                        handed.lock().push((counter, gtx));
+                    })
+                })
+                .collect();
+            fibers.into_iter().for_each(runtime::join);
+            assert!(
+                runtime::now() <= 3 * one_flush,
+                "16 starts took {} ns, one flush is {one_flush} ns",
+                runtime::now()
+            );
+            let mut handed = std::mem::take(&mut *handed.lock());
+            handed.sort_by_key(|(_, gtx)| gtx.seq);
+            let on_disk = log::replay(&e, CLOG_NAME, &path, 0)?.records;
+            assert_eq!(on_disk.len(), 16);
+            for ((counter, gtx), (seq, (at, payload))) in
+                handed.into_iter().zip((1..=16u64).zip(on_disk))
+            {
+                assert_eq!(
+                    (counter?, at),
+                    (seq, seq),
+                    "counters are 1..=16 without gap"
+                );
+                let rec: ClogRecord = serde_json::from_slice(&payload)
+                    .map_err(|_| StoreError::Integrity("clog record does not parse".into()))?;
+                assert!(matches!(rec, ClogRecord::Start { gtx: g, .. } if g == gtx));
+            }
+            Ok(())
+        })
     }
 
     #[test]

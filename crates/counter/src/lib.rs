@@ -254,6 +254,12 @@ impl TrustedCounter {
         self.state.lock().stable
     }
 
+    /// Highest value a launched round that has not failed will publish: a
+    /// waiter at or below it rides, and needs nobody to lead for it.
+    pub fn covered(&self) -> u64 {
+        self.state.lock().covered
+    }
+
     /// Blocks until `value` — whose record the caller has written — is
     /// rollback-protected.
     ///

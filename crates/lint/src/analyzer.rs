@@ -1087,18 +1087,18 @@ mod tests {
 
         // Acquiring a fiber-class lock parks: a yield point for any
         // plain guard already held.
-        let src = "fn f(&self) {\n    let q = self.commit_queue.lock();\n    let g = self.commit_lock.lock();\n    drop(g);\n}\n";
+        let src = "fn f(&self) {\n    let q = self.pending_gc.lock();\n    let g = self.commits.lock();\n    drop(g);\n}\n";
         let fa = check(ENGINE, src);
         assert_eq!(fa.violations.len(), 1, "{:?}", fa.violations);
         assert_eq!(fa.violations[0].rule, "L007");
-        assert_eq!(fa.violations[0].lock.as_deref(), Some("store.commit_queue"));
-        assert!(fa.violations[0].detail.contains("commit_lock.lock()"));
+        assert_eq!(fa.violations[0].lock.as_deref(), Some("store.pending_gc"));
+        assert!(fa.violations[0].detail.contains("commits.lock()"));
     }
 
     #[test]
     fn l007_fiber_guard_may_cross_yields() {
         // FiberMutex guards are exempt: held across charges by design.
-        let src = "fn f(&self) {\n    let g = self.commit_lock.lock();\n    self.env.charge_crypto(64);\n    runtime::sleep(5);\n}\n";
+        let src = "fn f(&self) {\n    let g = self.commits.lock();\n    self.env.charge_crypto(64);\n    runtime::sleep(5);\n}\n";
         let fa = check(ENGINE, src);
         assert!(fa.violations.is_empty(), "{:?}", fa.violations);
     }
@@ -1148,7 +1148,7 @@ mod tests {
 
         // Unpacking the clone is not a call into it.
         let adapter =
-            "fn f(&self) -> Vec<u8> {\n    self.manifest.lock().clone().unwrap_or_default()\n}\n";
+            "fn f(&self) -> Vec<u8> {\n    self.pending_gc.lock().clone().unwrap_or_default()\n}\n";
         assert!(check(ENGINE, adapter).violations.is_empty());
     }
 
@@ -1259,7 +1259,7 @@ mod tests {
         assert_eq!(check(NODE, src).violations.len(), 1);
 
         // Even a fiber guard is a crash hazard: unwinding poisons it too.
-        let src = "fn f(&self) {\n    let g = self.commit_lock.lock();\n    treaty_sim::crashpoint::hit(\"store.x\");\n}\n";
+        let src = "fn f(&self) {\n    let g = self.commits.lock();\n    treaty_sim::crashpoint::hit(\"store.x\");\n}\n";
         let fa = check(ENGINE, src);
         assert_eq!(fa.violations.len(), 1, "{:?}", fa.violations);
         assert_eq!(fa.violations[0].rule, "L008");
@@ -1382,7 +1382,7 @@ mod tests {
         assert!(fa.violations.is_empty(), "{:?}", fa.violations);
 
         // try_lock() resolves through the same table and is not a yield.
-        let src = "fn f(&self) {\n    let q = self.commit_queue.lock();\n    if let Some(g) = self.maintenance_lock.try_lock() {\n        drop(g);\n    }\n}\n";
+        let src = "fn f(&self) {\n    let q = self.pending_gc.lock();\n    if let Some(g) = self.maintenance_lock.try_lock() {\n        drop(g);\n    }\n}\n";
         let fa = check(ENGINE, src);
         assert!(fa.violations.is_empty(), "{:?}", fa.violations);
     }
@@ -1391,11 +1391,11 @@ mod tests {
 
     #[test]
     fn edges_are_extracted_with_witnesses() {
-        let src = "fn f(&self) {\n    let q = self.commit_queue.lock();\n    let d = self.done.lock();\n}\n";
+        let src = "fn f(&self) {\n    let q = self.pending_gc.lock();\n    let d = self.live_wal_gens.lock();\n}\n";
         let fa = check(ENGINE, src);
         assert_eq!(fa.edges.len(), 1, "{:?}", fa.edges);
-        assert_eq!(fa.edges[0].from, "store.commit_queue");
-        assert_eq!(fa.edges[0].to, "store.commit_done");
+        assert_eq!(fa.edges[0].from, "store.pending_gc");
+        assert_eq!(fa.edges[0].to, "store.live_wal_gens");
         assert_eq!(fa.edges[0].line, 3);
     }
 

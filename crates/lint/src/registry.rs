@@ -76,11 +76,9 @@ pub const LOCK_CLASSES: &[LockClass] = &[
     LockClass { name: "sim.sched.park_cell", fiber: true, ordered: false },
     LockClass { name: "sim.sched.inner", fiber: false, ordered: false },
     LockClass { name: "store.cache", fiber: false, ordered: false },
-    LockClass { name: "store.commit_done", fiber: false, ordered: false },
-    // Group-commit leader lock: the critical section spans WAL I/O and
-    // flush hand-off by design (that is why it is a FiberMutex).
+    // Group-commit leader lock (`GroupCommit::lock`): the critical section
+    // spans WAL I/O and flush hand-off by design (a FiberMutex inside).
     LockClass { name: "store.commit_lock", fiber: true, ordered: false },
-    LockClass { name: "store.commit_queue", fiber: false, ordered: false },
     LockClass { name: "store.frontier", fiber: false, ordered: false },
     LockClass { name: "store.frozen", fiber: false, ordered: false },
     LockClass { name: "store.levels", fiber: false, ordered: false },
@@ -89,7 +87,6 @@ pub const LOCK_CLASSES: &[LockClass] = &[
     LockClass { name: "store.lock_table_shard", fiber: false, ordered: true },
     // Maintenance daemon lock: held across flush/compaction I/O by design.
     LockClass { name: "store.maintenance_lock", fiber: true, ordered: false },
-    LockClass { name: "store.manifest", fiber: false, ordered: false },
     LockClass { name: "store.mem", fiber: false, ordered: false },
     LockClass { name: "store.memtable_index", fiber: false, ordered: false },
     LockClass { name: "store.memtable_tombstones", fiber: false, ordered: false },
@@ -100,8 +97,8 @@ pub const LOCK_CLASSES: &[LockClass] = &[
     LockClass { name: "store.prepared_ranges", fiber: false, ordered: false },
     LockClass { name: "store.prepared_txns", fiber: false, ordered: false },
     LockClass { name: "store.flush_backlog", fiber: false, ordered: false },
-    // WAL append lock: spans encrypt + counter-assign + SSD charge (that
-    // is why it is a FiberMutex, per the log.rs doc comment).
+    // Log write lock (`GroupCommit::lock`): spans encrypt + counter-assign
+    // + SSD charge (a FiberMutex inside, per the log.rs doc comment).
     LockClass { name: "store.wal", fiber: false, ordered: false },
     LockClass { name: "store.wal_write", fiber: true, ordered: false },
     LockClass { name: "store.wal_file", fiber: false, ordered: false },
@@ -137,11 +134,8 @@ pub const LOCK_REGISTRY: &[LockSpec] = &[
     LockSpec { file: "crates/core/src/node.rs", receiver: "recently_aborted", class: "core.node.recently_aborted" },
     LockSpec { file: "crates/core/src/clog.rs", receiver: "state", class: "core.clog.state" },
     // -- crates/store -------------------------------------------------
-    LockSpec { file: "crates/store/src/engine.rs", receiver: "commit_lock", class: "store.commit_lock" },
+    LockSpec { file: "crates/store/src/engine.rs", receiver: "commits", class: "store.commit_lock" },
     LockSpec { file: "crates/store/src/engine.rs", receiver: "maintenance_lock", class: "store.maintenance_lock" },
-    LockSpec { file: "crates/store/src/engine.rs", receiver: "commit_queue", class: "store.commit_queue" },
-    LockSpec { file: "crates/store/src/engine.rs", receiver: "done", class: "store.commit_done" },
-    LockSpec { file: "crates/store/src/engine.rs", receiver: "manifest", class: "store.manifest" },
     LockSpec { file: "crates/store/src/engine.rs", receiver: "pending_gc", class: "store.pending_gc" },
     LockSpec { file: "crates/store/src/engine.rs", receiver: "live_wal_gens", class: "store.live_wal_gens" },
     LockSpec { file: "crates/store/src/engine.rs", receiver: "flush_backlog", class: "store.flush_backlog" },
@@ -156,7 +150,7 @@ pub const LOCK_REGISTRY: &[LockSpec] = &[
     LockSpec { file: "crates/store/src/memtable.rs", receiver: "index", class: "store.memtable_index" },
     LockSpec { file: "crates/store/src/memtable.rs", receiver: "range_tombstones", class: "store.memtable_tombstones" },
     LockSpec { file: "crates/store/src/locks.rs", receiver: "locks", class: "store.lock_table_shard" },
-    LockSpec { file: "crates/store/src/log.rs", receiver: "write_lock", class: "store.wal_write" },
+    LockSpec { file: "crates/store/src/log.rs", receiver: "writes", class: "store.wal_write" },
     LockSpec { file: "crates/store/src/log.rs", receiver: "file", class: "store.wal_file" },
     LockSpec { file: "crates/store/src/cache.rs", receiver: "inner", class: "store.cache" },
     LockSpec { file: "crates/store/src/txn.rs", receiver: "data", class: "store.null_engine_data" },

@@ -11,7 +11,9 @@
 //! * [`CorePool`] — models a node's limited CPU cores: fibers *charge*
 //!   virtual CPU time and queue when all cores are busy, which is what
 //!   produces realistic saturation curves in the benchmarks,
-//! * [`FiberMutex`] — a mutex that may be held across yield points.
+//! * [`FiberMutex`] — a mutex that may be held across yield points,
+//! * [`GroupCommit`] — the group-commit leader election every log's
+//!   writers share.
 //!
 //! All primitives rely on the runtime's cooperative atomicity: between two
 //! yield points no other fiber runs, so check-then-park sequences are
@@ -503,6 +505,83 @@ impl Drop for FiberMutexGuard<'_> {
     }
 }
 
+/// Where a [`GroupCommit`] request stands.
+enum Slot<R> {
+    /// On the queue: whoever holds the lock next carries it.
+    Queued,
+    /// Drained by a leader that has not handed out its results (yet, or
+    /// ever: it unwound).
+    Taken,
+    /// Carried; the result waits for its owner.
+    Done(R),
+}
+
+type Pending<Q, R> = (Q, Arc<Mutex<Slot<R>>>);
+
+/// The group-commit leader election (§VII-B): requests queue, the first
+/// fiber through a FIFO lock carries the whole queue in one go — its own
+/// request plus everything queued behind it — and every fiber it carried
+/// finds its result when its own turn at the lock comes.
+///
+/// What "carrying" means is the caller's: the leader body passed to
+/// [`GroupCommit::submit`] runs under the lock and owes one result per
+/// request, in queue order.
+pub struct GroupCommit<Q, R> {
+    lock: FiberMutex,
+    queue: Mutex<Vec<Pending<Q, R>>>,
+}
+
+impl<Q, R> Default for GroupCommit<Q, R> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<Q, R> GroupCommit<Q, R> {
+    /// Creates an idle group with an empty queue.
+    pub fn new() -> Self {
+        GroupCommit {
+            lock: FiberMutex::new(),
+            queue: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Takes the leader's lock without a request: for work that must
+    /// exclude every leader body (and queues FIFO with them).
+    pub fn lock(&self) -> FiberMutexGuard<'_> {
+        self.lock.lock()
+    }
+
+    /// Queues `req` and returns its result once a leader has carried it.
+    /// If that leader is the caller, `lead` runs under the lock with every
+    /// queued request, `req` first, and returns their results in the same
+    /// order.
+    ///
+    /// `None`: the leader that drained `req` unwound before handing out
+    /// results (its node crashed), or `lead` returned too few.
+    pub fn submit(&self, req: Q, lead: impl FnOnce(Vec<Q>) -> Vec<R>) -> Option<R> {
+        let mine = Arc::new(Mutex::new(Slot::Queued));
+        self.queue.lock().push((req, Arc::clone(&mine)));
+        let _turn = self.lock.lock();
+        // Still queued: no earlier leader carried us, so we lead.
+        if matches!(*mine.lock(), Slot::Queued) {
+            let (reqs, slots): (Vec<Q>, Vec<_>) =
+                std::mem::take(&mut *self.queue.lock()).into_iter().unzip();
+            for slot in &slots {
+                *slot.lock() = Slot::Taken;
+            }
+            for (slot, result) in slots.iter().zip(lead(reqs)) {
+                *slot.lock() = Slot::Done(result);
+            }
+        }
+        let carried = std::mem::replace(&mut *mine.lock(), Slot::Taken);
+        match carried {
+            Slot::Done(result) => Some(result),
+            Slot::Queued | Slot::Taken => None,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -667,6 +746,58 @@ mod tests {
             }
         });
         assert_eq!(max_inside.load(Ordering::SeqCst), 1);
+    }
+
+    /// While a leader is busy the fibers behind it queue; the next one
+    /// through the lock carries them all, they never run a leader body,
+    /// and what the leader returns — an error included — reaches each.
+    #[test]
+    fn group_commit_followers_never_lead_and_share_the_leaders_result() {
+        block_on(|| {
+            let group: Arc<GroupCommit<u64, Result<u64, String>>> = Arc::new(GroupCommit::new());
+            let leads = Arc::new(Mutex::new(Vec::new()));
+            let results = Arc::new(Mutex::new(Vec::new()));
+            let handles: Vec<_> = (0..6u64)
+                .map(|i| {
+                    let group = Arc::clone(&group);
+                    let leads = Arc::clone(&leads);
+                    let results = Arc::clone(&results);
+                    spawn(move || {
+                        let got = group.submit(i, |batch| {
+                            leads.lock().push(batch.clone());
+                            sleep(10); // the write: later submitters queue
+                            let n = batch.len();
+                            let fail = batch.contains(&1);
+                            batch
+                                .into_iter()
+                                .map(|r| {
+                                    if fail {
+                                        Err(format!("batch of {n}"))
+                                    } else {
+                                        Ok(r * 10)
+                                    }
+                                })
+                                .collect()
+                        });
+                        results.lock().push((i, got));
+                    })
+                })
+                .collect();
+            for h in handles {
+                join(h);
+            }
+            let results = results.lock().clone();
+            // Fiber 0 found the lock free and led alone; 1..=5 queued
+            // behind its write and fiber 1 carried all five.
+            assert_eq!(*leads.lock(), vec![vec![0], vec![1, 2, 3, 4, 5]]);
+            assert_eq!(results[0], (0, Some(Ok(0))));
+            for (i, got) in &results[1..] {
+                assert_eq!(*got, Some(Err("batch of 5".to_string())), "fiber {i}");
+            }
+            assert_eq!(now(), 20);
+            // A leader that owes a request a result and returns none.
+            assert_eq!(group.submit(9, |_| Vec::new()), None);
+        });
     }
 
     #[test]

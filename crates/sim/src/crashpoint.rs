@@ -44,7 +44,8 @@ use crate::Nanos;
 /// Coordinator points fire on the node coordinating the transaction,
 /// participant points on the remote shard, `clog.*` on the coordinator's
 /// commit-log path, `store.*` inside the storage engine of whichever node
-/// is writing and `counter.*` on whichever node leads a counter round.
+/// is writing, `log.*` on whichever node's group-commit leader wrote and
+/// `counter.*` on whichever node leads a counter round.
 /// Lint rule L006 checks call sites against this list.
 pub const ALL_POINTS: &[&str] = &[
     // Coordinator (treaty-core node.rs, Fig. 2 steps 2-13).
@@ -76,6 +77,9 @@ pub const ALL_POINTS: &[&str] = &[
     "store.commit_logged",
     "store.bg_flush_start",
     "store.bg_compact_start",
+    // Log writer (treaty-store log.rs): a batch of queued appends (Clog,
+    // MANIFEST) is on disk, no follower has learnt its counter.
+    "log.batch_written",
     // Trusted counter (treaty-counter lib.rs): the group acknowledged a
     // round, its leader has not yet published the value as stable.
     "counter.round_acked",
@@ -339,6 +343,17 @@ pub fn hit(point: &'static str) {
             if let Some(handler) = handler {
                 handler();
             }
+            std::panic::panic_any(CrashUnwind);
+        }
+    }
+}
+
+/// Unwinds the calling fiber if its node is down, like a [`hit`] there
+/// would — without being a point a schedule can arm. For the step a
+/// crashed node must not take even once: a write to its disk.
+pub fn stop_if_down() {
+    if let Some((plan, node, _)) = runtime::crash_ctx() {
+        if plan.is_down(node) {
             std::panic::panic_any(CrashUnwind);
         }
     }

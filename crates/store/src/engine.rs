@@ -22,7 +22,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use treaty_sched::FiberMutex;
+use treaty_sched::{FiberMutex, GroupCommit};
 
 use crate::env::Env;
 use crate::locks::{LockTable, TxId};
@@ -466,8 +466,11 @@ pub(crate) enum Effect {
 struct CommitReq {
     record: Vec<u8>,
     effect: Effect,
-    done: Arc<Mutex<Option<Result<(u64, Arc<LogWriter>)>>>>,
 }
+
+/// What a carried request learns: its record's counter and the WAL
+/// generation it landed in.
+type Logged = Result<(u64, Arc<LogWriter>)>;
 
 /// Inserts a transaction's versions. Same-seq point writes win over the
 /// transaction's own range deletes (tombstones shadow strictly-older seqs
@@ -512,7 +515,7 @@ pub(crate) struct StoreInner {
     levels: RwLock<Arc<Vec<Vec<Arc<SsTable>>>>>,
     wal: RwLock<Arc<LogWriter>>,
     wal_gen: AtomicU64,
-    manifest: Mutex<Arc<LogWriter>>,
+    manifest: Arc<LogWriter>,
     pub seq: AtomicU64,
     next_file_id: AtomicU64,
     pub next_txid: AtomicU64,
@@ -525,8 +528,10 @@ pub(crate) struct StoreInner {
     /// miss the version it should see. Raised to the newest seq a
     /// compaction merged *before* its outputs are published.
     snapshot_floor: AtomicU64,
-    commit_lock: FiberMutex,
-    commit_queue: Mutex<Vec<CommitReq>>,
+    /// The commit lock — whoever holds it owns the live WAL, the MemTable
+    /// swap and the `PreparedTable`'s membership — and the records queued
+    /// for its next holder.
+    commits: GroupCommit<CommitReq, Logged>,
     /// (manifest counter that must stabilize, path) — deferred deletions.
     pending_gc: Mutex<Vec<(u64, PathBuf)>>,
     /// WAL generations whose contents are still only in the MemTable.
@@ -604,14 +609,13 @@ impl TreatyStore {
                 &env.dir.join(wal_name(gen)),
                 0,
             )?);
-            let edit = serde_json::to_vec(&ManifestEdit::NewWal { gen }).unwrap();
-            manifest.append(&edit)?;
+            manifest.append(&encode_edit(&ManifestEdit::NewWal { gen })?)?;
             let inner = StoreInner {
                 mem: RwLock::new(Arc::new(MemTable::new(Arc::clone(&env)))),
                 levels: RwLock::new(Arc::new(vec![Vec::new(); 7])),
                 wal: RwLock::new(wal),
                 wal_gen: AtomicU64::new(gen),
-                manifest: Mutex::new(manifest),
+                manifest,
                 seq: AtomicU64::new(0),
                 next_file_id: AtomicU64::new(1),
                 next_txid: AtomicU64::new(1),
@@ -619,8 +623,7 @@ impl TreatyStore {
                 prepared: PreparedTable::new(),
                 frontier: StableFrontier::new(0),
                 snapshot_floor: AtomicU64::new(0),
-                commit_lock: FiberMutex::new(),
-                commit_queue: Mutex::new(Vec::new()),
+                commits: GroupCommit::new(),
                 pending_gc: Mutex::new(Vec::new()),
                 live_wal_gens: Mutex::new(vec![gen]),
                 frozen: RwLock::new(Vec::new()),
@@ -1190,56 +1193,46 @@ impl TreatyStore {
     /// counter and the WAL generation it landed in (for stabilization).
     /// An `Err` to the leader may be its rotation's, with the record
     /// logged and its effect run.
-    pub(crate) fn group_commit(
-        &self,
-        rec: &WalRecord,
-        effect: Effect,
-    ) -> Result<(u64, Arc<LogWriter>)> {
+    pub(crate) fn group_commit(&self, rec: &WalRecord, effect: Effect) -> Logged {
         if treaty_sim::runtime::in_fiber() {
             treaty_sim::runtime::set_tag("e:group_commit");
         }
         let _span = treaty_sim::obs::span("store.commit");
-        let done = Arc::new(Mutex::new(None));
-        self.inner.commit_queue.lock().push(CommitReq {
-            record: serde_json::to_vec(rec).expect("wal record serializes"),
+        let req = CommitReq {
+            record: encode_wal(rec)?,
             effect,
-            done: Arc::clone(&done),
-        });
-
-        // FIFO leader election: first committer through the lock writes the
-        // whole queue (its own entry plus everything queued behind it).
-        let guard = self.inner.commit_lock.lock();
-        if let Some(result) = done.lock().take() {
-            // An earlier leader already carried us.
-            drop(guard);
-            return result;
-        }
-        let wal = self.inner.wal.read().clone();
-        let batch: Vec<CommitReq> = std::mem::take(&mut *self.inner.commit_queue.lock());
-        debug_assert!(!batch.is_empty());
-        // Borrow the records straight out of the queue entries — the WAL
-        // writer only needs slices, so no payload is copied for batching.
-        let payloads: Vec<&[u8]> = batch.iter().map(|r| r.record.as_slice()).collect();
-        let append = wal.append_batch(&payloads);
-        self.inner
-            .stats
-            .group_commits
-            .fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .stats
-            .grouped_txns
-            .fetch_add(batch.len() as u64, Ordering::Relaxed);
-
-        let mem = self.inner.mem.read().clone();
-        let apply = |versions: &Versions| {
-            apply_versions(&mem, versions);
-            // Only what reached the MemTable moves the epoch: a `Prepare`
-            // bumping it would send every scan fence into its re-pass.
-            self.inner.apply_epoch.fetch_add(1, Ordering::SeqCst);
         };
-        for (i, req) in batch.into_iter().enumerate() {
-            let result = match &append {
-                Ok((first, _last)) => {
+        let mut rotation = Ok(());
+        let logged = self.inner.commits.submit(req, |batch| {
+            // The generation is chosen here, under the commit lock: a
+            // rotation swaps the writer, so the queue cannot be the
+            // writer's own.
+            let wal = self.inner.wal.read().clone();
+            // Borrow the records straight out of the queue entries — the WAL
+            // writer only needs slices, so no payload is copied for batching.
+            let payloads: Vec<&[u8]> = batch.iter().map(|r| r.record.as_slice()).collect();
+            let append = wal.append_batch(&payloads);
+            self.inner
+                .stats
+                .group_commits
+                .fetch_add(1, Ordering::Relaxed);
+            self.inner
+                .stats
+                .grouped_txns
+                .fetch_add(batch.len() as u64, Ordering::Relaxed);
+
+            let mem = self.inner.mem.read().clone();
+            let apply = |versions: &Versions| {
+                apply_versions(&mem, versions);
+                // Only what reached the MemTable moves the epoch: a `Prepare`
+                // bumping it would send every scan fence into its re-pass.
+                self.inner.apply_epoch.fetch_add(1, Ordering::SeqCst);
+            };
+            let results = batch
+                .into_iter()
+                .enumerate()
+                .map(|(i, req)| {
+                    let (first, _last) = append.clone()?;
                     match req.effect {
                         Effect::Apply(versions) => apply(&versions),
                         Effect::Prepare(gtx, state) => self.inner.prepared.insert(gtx, state),
@@ -1251,20 +1244,18 @@ impl TreatyStore {
                         }
                     }
                     Ok((first + i as u64, Arc::clone(&wal)))
-                }
-                Err(e) => Err(e.clone()),
-            };
-            *req.done.lock() = Some(result);
-        }
+                })
+                .collect();
 
-        // Rotate / flush if the MemTable outgrew its budget. Done by the
-        // leader while holding the commit lock, so no writes race the swap.
-        let full = mem.approx_bytes() >= self.inner.env.config.memtable_bytes;
-        let flush_result = if full { self.flush_locked() } else { Ok(()) };
-        drop(guard);
-        flush_result?;
-        let mine = done.lock().take();
-        mine.unwrap_or(Err(StoreError::Io("commit result lost".into())))
+            // Rotate / flush if the MemTable outgrew its budget. Done by the
+            // leader while holding the commit lock, so no writes race the swap.
+            if mem.approx_bytes() >= self.inner.env.config.memtable_bytes {
+                rotation = self.flush_locked();
+            }
+            results
+        });
+        rotation?;
+        logged.unwrap_or_else(|| Err(log::leader_lost("wal")))
     }
 
     // ---- flush & compaction -------------------------------------------------
@@ -1277,7 +1268,7 @@ impl TreatyStore {
     ///
     /// Propagates I/O and integrity errors.
     pub fn flush(&self) -> Result<()> {
-        let guard = self.inner.commit_lock.lock();
+        let guard = self.inner.commits.lock();
         let r = self.flush_locked();
         drop(guard);
         r?;
@@ -1573,9 +1564,7 @@ impl TreatyStore {
     }
 
     fn manifest_append(&self, edit: &ManifestEdit) -> Result<u64> {
-        let bytes = serde_json::to_vec(edit).expect("manifest edit serializes");
-        let manifest = self.inner.manifest.lock().clone();
-        manifest.append(&bytes)
+        self.inner.manifest.append(&encode_edit(edit)?)
     }
 
     fn level_bytes(&self, tables: &[Arc<SsTable>]) -> u64 {
@@ -1780,7 +1769,7 @@ impl TreatyStore {
     /// edits are not yet rollback-protected simply survive one more cycle.
     pub fn gc(&self) {
         let stable = {
-            let manifest = self.inner.manifest.lock().clone();
+            let manifest = Arc::clone(&self.inner.manifest);
             if self.inner.env.profile.stabilization {
                 let last = manifest.written_counter();
                 let stable = manifest.stable_counter();
@@ -1987,8 +1976,7 @@ impl TreatyStore {
             &env.dir.join(wal_name(new_gen)),
             0,
         )?);
-        let edit = serde_json::to_vec(&ManifestEdit::NewWal { gen: new_gen }).unwrap();
-        manifest.append(&edit)?;
+        manifest.append(&encode_edit(&ManifestEdit::NewWal { gen: new_gen })?)?;
         live_gens.push(new_gen);
         // Re-log as a rotation does: the in-doubt `Decide`s will land here,
         // and the next flush retires the recovered generations one MANIFEST
@@ -2002,7 +1990,7 @@ impl TreatyStore {
             levels: RwLock::new(Arc::new(levels)),
             wal: RwLock::new(wal),
             wal_gen: AtomicU64::new(new_gen),
-            manifest: Mutex::new(manifest),
+            manifest,
             seq: AtomicU64::new(max_seq),
             next_file_id: AtomicU64::new(max_file_id + 1),
             next_txid: AtomicU64::new(next_txid),
@@ -2014,8 +2002,7 @@ impl TreatyStore {
             // Tables on disk may already have been compacted: nothing
             // below the recovered history is served.
             snapshot_floor: AtomicU64::new(max_seq),
-            commit_lock: FiberMutex::new(),
-            commit_queue: Mutex::new(Vec::new()),
+            commits: GroupCommit::new(),
             pending_gc: Mutex::new(Vec::new()),
             live_wal_gens: Mutex::new(live_gens),
             frozen: RwLock::new(Vec::new()),
@@ -2034,6 +2021,14 @@ impl TreatyStore {
     }
 }
 
+fn encode_wal(rec: &WalRecord) -> Result<Vec<u8>> {
+    log::serialize_record("wal record", rec)
+}
+
+fn encode_edit(edit: &ManifestEdit) -> Result<Vec<u8>> {
+    log::serialize_record("manifest edit", edit)
+}
+
 /// Re-logs every in-doubt transaction into `wal` — a generation not yet
 /// taking writes — in one batch, one fsync.
 fn relog_prepared(prepared: &PreparedTable, wal: &LogWriter) -> Result<()> {
@@ -2046,9 +2041,9 @@ fn relog_prepared(prepared: &PreparedTable, wal: &LogWriter) -> Result<()> {
                 writes,
                 ranges,
             };
-            serde_json::to_vec(&rec).expect("wal record serializes")
+            encode_wal(&rec)
         })
-        .collect();
+        .collect::<Result<_>>()?;
     if !relog.is_empty() {
         wal.append_batch(&relog)?;
     }

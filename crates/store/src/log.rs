@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use treaty_counter::TrustedCounter;
 use treaty_crypto::{aead_open, aead_seal, hash, CryptoError, Digest32};
-use treaty_sched::FiberMutex;
+use treaty_sched::GroupCommit;
 use treaty_tee::HostBytes;
 
 use crate::env::Env;
@@ -94,15 +94,42 @@ fn encode_record(env: &Env, name: &str, counter: u64, plain: &[u8]) -> HostBytes
     out
 }
 
-/// A writer for one log file. Appends are serialized through a fiber-aware
-/// mutex so counter order always equals file order.
+/// Serializes a log record. A typed error instead of a panic: Prepare,
+/// Decide, Start and Decision records are written mid-2PC, and the commit
+/// path must never unwind there (L002).
+///
+/// # Errors
+///
+/// Returns [`StoreError::Io`] naming `what` if the record does not
+/// serialize.
+pub fn serialize_record<T: serde::Serialize>(what: &str, rec: &T) -> Result<Vec<u8>> {
+    serde_json::to_vec(rec).map_err(|e| StoreError::Io(format!("{what} does not serialize: {e}")))
+}
+
+/// What a queued record learns when the leader that took it unwound before
+/// handing out results. Only a crash does that — at `log.batch_written`,
+/// be it the leader's own or a MANIFEST append's under the store's commit
+/// lock — so this node is down and the caller stops with it, before it can
+/// act on a record it believes unwritten.
+pub(crate) fn leader_lost(what: &str) -> StoreError {
+    treaty_sim::crashpoint::stop_if_down();
+    StoreError::Io(format!("{what}: the group-commit leader was lost"))
+}
+
+/// A writer for one log file. Every write runs under one fiber-aware lock,
+/// so counter order always equals file order; concurrent
+/// [`LogWriter::append`]s share a flush (group commit, §VII-B).
 pub struct LogWriter {
     env: Arc<Env>,
     name: String,
     path: PathBuf,
     counter: Arc<TrustedCounter>,
     file: Mutex<File>,
-    write_lock: FiberMutex,
+    /// The write lock, and the queue of single appends waiting for it.
+    writes: GroupCommit<Vec<u8>, Result<u64>>,
+    /// `log.<kind>.flushes` / `log.<kind>.records`, kind = `wal`,
+    /// `manifest` or `clog`: records per flush is their ratio.
+    flush_metrics: [String; 2],
 }
 
 impl std::fmt::Debug for LogWriter {
@@ -128,6 +155,8 @@ impl LogWriter {
         recovered_counter: u64,
     ) -> Result<Self> {
         let name = name.into();
+        let kind = name.split('-').next().unwrap_or(&name);
+        let flush_metrics = ["flushes", "records"].map(|m| format!("log.{kind}.{m}"));
         let file = OpenOptions::new().create(true).append(true).open(path)?;
         let counter = TrustedCounter::new(
             counter_id(&env, &name),
@@ -140,7 +169,8 @@ impl LogWriter {
             path: path.to_path_buf(),
             counter,
             file: Mutex::new(file),
-            write_lock: FiberMutex::new(),
+            writes: GroupCommit::new(),
+            flush_metrics,
         })
     }
 
@@ -159,24 +189,49 @@ impl LogWriter {
         &self.counter
     }
 
-    /// Appends one record and flushes. Returns its counter value.
+    /// Appends one record and returns its counter value once it is on
+    /// disk. Appends that queue while a write is in flight ride the next
+    /// one: whoever gets the write lock first writes the whole queue with
+    /// one flush, and a record's counter is its position in that write.
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Io`] on write failure.
+    /// Returns [`StoreError::Io`] on write failure — to every record of
+    /// the failed batch, none of which is published.
     pub fn append(&self, plain: &[u8]) -> Result<u64> {
-        Ok(self.append_batch(std::slice::from_ref(&plain))?.1)
+        let carried = self.writes.submit(plain.to_vec(), |batch| {
+            let written = self.write_batch(&batch);
+            if written.is_ok() {
+                // On disk, and no follower has learnt its counter.
+                treaty_sim::crashpoint::hit("log.batch_written");
+            }
+            (0..batch.len() as u64)
+                .map(|i| written.clone().map(|(first, _)| first + i))
+                .collect()
+        });
+        carried.unwrap_or_else(|| Err(leader_lost(&self.name)))
     }
 
-    /// Appends a batch of records with a single flush (group commit).
-    /// Returns the (first, last) counter values.
+    /// Appends a batch of records with a single flush, queueing FIFO with
+    /// the [`LogWriter::append`] leaders. Returns the (first, last)
+    /// counter values.
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Io`] on write failure.
+    /// Returns [`StoreError::Io`] on write failure or an empty batch.
     pub fn append_batch<B: AsRef<[u8]>>(&self, plains: &[B]) -> Result<(u64, u64)> {
-        assert!(!plains.is_empty(), "empty batch");
-        let guard = self.write_lock.lock();
+        let _guard = self.writes.lock();
+        self.write_batch(plains)
+    }
+
+    /// One write + one fsync. The caller holds the write lock.
+    fn write_batch<B: AsRef<[u8]>>(&self, plains: &[B]) -> Result<(u64, u64)> {
+        if plains.is_empty() {
+            return Err(StoreError::Io(format!("log {}: empty batch", self.name)));
+        }
+        // A fiber that outlived its node's crash — queued behind the
+        // writer that died, say — must not add to the file recovery reads.
+        treaty_sim::crashpoint::stop_if_down();
         let mut buf = HostBytes::empty();
         let mut first = 0;
         let mut last = 0;
@@ -202,7 +257,8 @@ impl LogWriter {
         // the write was in flight must not hand the group a value the
         // file cannot show after a crash.
         self.counter.mark_written(last);
-        drop(guard);
+        treaty_sim::obs::counter_add(&self.flush_metrics[0], 1);
+        treaty_sim::obs::counter_add(&self.flush_metrics[1], plains.len() as u64);
         Ok((first, last))
     }
 
@@ -487,7 +543,9 @@ mod tests {
 
     /// A round led while a later record is still being written covers the
     /// written records only: the group never holds a value the file
-    /// cannot show, which recovery would refuse as a rollback.
+    /// cannot show, which recovery would refuse as a rollback. The same
+    /// holds with appends sharing a flush around a direct `append_batch`:
+    /// every caller's counter is its record's place in the file.
     #[test]
     fn round_never_covers_a_record_not_on_disk() -> Result<()> {
         use treaty_sim::runtime;
@@ -512,6 +570,50 @@ mod tests {
             );
             verify_freshness(&env, "wal-1", on_disk)?;
             runtime::join(second);
+
+            // Six single appends and a two-record batch in the middle, all
+            // arriving while the first of them writes.
+            let began = runtime::now();
+            let handed = Arc::new(Mutex::new(Vec::new()));
+            let mut writers = Vec::new();
+            for i in 0..7u8 {
+                let (w, handed) = (Arc::clone(&w), Arc::clone(&handed));
+                writers.push(runtime::spawn(move || {
+                    let got = if i == 3 {
+                        w.append_batch(&[[i, 0], [i, 1]]).map(|(first, _)| first)
+                    } else {
+                        w.append(&[i, 0])
+                    };
+                    handed.lock().push((i, got));
+                }));
+            }
+            // Whenever this fiber runs — between any two steps of theirs —
+            // the counter claims no more than the file shows.
+            loop {
+                let claimed = w.written_counter();
+                assert!(claimed <= replay(&env, "wal-1", &path, 0)?.last_counter);
+                if claimed == first + 9 {
+                    break;
+                }
+                runtime::sleep(5_000);
+            }
+            writers.into_iter().for_each(runtime::join);
+            let records = replay(&env, "wal-1", &path, 0)?.records;
+            assert_eq!(records.len() as u64, first + 9);
+            for (i, got) in std::mem::take(&mut *handed.lock()) {
+                let at = (got? - 1) as usize;
+                assert_eq!(records[at], (at as u64 + 1, vec![i, 0]), "writer {i}");
+                if i == 3 {
+                    assert_eq!(records[at + 1].1, vec![i, 1]);
+                }
+            }
+            // The five queued behind the first write shared two flushes
+            // (before the batch, after it): four in all, not seven.
+            let flush = env.costs.ssd_append_ns(env.profile.tee, 0);
+            assert!(
+                runtime::now() - began < 6 * flush,
+                "seven flushes, not four"
+            );
             Ok(())
         })
     }

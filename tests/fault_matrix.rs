@@ -28,7 +28,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use treaty::core::client::client_net;
-use treaty::core::clog::{CLOG_FILE, CLOG_NAME};
+use treaty::core::clog::{ClogRecord, CLOG_FILE, CLOG_NAME};
 use treaty::core::cluster::{wire_crypto, COUNTER_BASE, COUNTER_CLIENT_BASE};
 use treaty::core::messages::{decode, encode, req, PeerMsg, PeerReply};
 use treaty::core::{check_list_append, Cluster, ClusterOptions, TreatyError, TxnObservation};
@@ -38,7 +38,7 @@ use treaty::sched::block_on;
 use treaty::sim::crashpoint::{self, FaultSchedule};
 use treaty::sim::runtime::{join, now, sleep, spawn};
 use treaty::sim::{SecurityProfile, MICROS, MILLIS, SECONDS};
-use treaty::store::log::counter_id;
+use treaty::store::log::{counter_id, replay};
 use treaty::store::{EngineConfig, GlobalTxId, TxnEngine as _};
 
 /// Endpoint of the coordinator every transaction uses.
@@ -156,18 +156,29 @@ fn options(dir: &std::path::Path) -> ClusterOptions {
     o
 }
 
-/// One key per node, ordered by owner endpoint for determinism.
-fn key_per_node(cluster: &Cluster) -> BTreeMap<u32, Vec<u8>> {
-    let mut found: BTreeMap<u32, Vec<u8>> = BTreeMap::new();
+/// `n` keys per node, ordered by owner endpoint for determinism.
+fn keys_per_node(cluster: &Cluster, n: usize) -> BTreeMap<u32, Vec<Vec<u8>>> {
+    let nodes = cluster.node_endpoints().len();
+    let mut found: BTreeMap<u32, Vec<Vec<u8>>> = BTreeMap::new();
     for i in 0..10_000u32 {
         let k = format!("spread-{i}").into_bytes();
-        let owner = cluster.shard_map().owner(&k);
-        found.entry(owner).or_insert(k);
-        if found.len() == cluster.node_endpoints().len() {
+        let owned = found.entry(cluster.shard_map().owner(&k)).or_default();
+        if owned.len() < n {
+            owned.push(k);
+        }
+        if found.len() == nodes && found.values().all(|v| v.len() == n) {
             break;
         }
     }
     found
+}
+
+/// One key per node.
+fn key_per_node(cluster: &Cluster) -> BTreeMap<u32, Vec<u8>> {
+    keys_per_node(cluster, 1)
+        .into_iter()
+        .map(|(node, mut keys)| (node, keys.remove(0)))
+        .collect()
 }
 
 /// Runs one matrix cell; panics on any oracle violation and returns the
@@ -1217,10 +1228,215 @@ fn run_round_acked_cell() -> String {
     })
 }
 
+/// What the coordinator's Clog holds on disk, in file order.
+fn clog_on_disk(cluster: &Cluster) -> Vec<ClogRecord> {
+    let env = cluster.env((COORD - 1) as usize).expect("durable cluster");
+    replay(env, CLOG_NAME, &env.dir.join(CLOG_FILE), 0)
+        .expect("the Clog replays")
+        .records
+        .iter()
+        .map(|(_, payload)| serde_json::from_slice(payload).expect("a Clog record"))
+        .collect()
+}
+
+/// Four clients commit through `COORD` at once, on keys of their own, so
+/// their Clog records queue behind one another's writes and share flushes;
+/// the coordinator dies at its `hit`-th `log.batch_written` — a batch on
+/// disk, none of its callers told. `starts`: the batch holds `Start`
+/// records (callers that never sent a prepare), else `Decision`s (callers
+/// that never answered their clients). Whatever the file shows is what
+/// recovery acts on: every `Start` without a `Decision` is re-driven, every
+/// `Decision{commit}` delivered, every ack honoured.
+fn run_clog_batch_cell(hit: u64, starts: bool) -> String {
+    const CLIENTS: usize = 4;
+    let dir = tempfile::tempdir().unwrap();
+    let path = dir.path().to_path_buf();
+    block_on(move || {
+        let plan = crashpoint::install();
+        let cluster = Cluster::start(options(&path)).unwrap();
+        let cell = format!("log.batch_written hit={hit}");
+        // Client c writes the c-th key of each node.
+        let per_node = keys_per_node(&cluster, CLIENTS);
+        let keys_of =
+            |c: usize| -> Vec<Vec<u8>> { per_node.values().map(|v| v[c].clone()).collect() };
+        let all_keys: Vec<Vec<u8>> = (0..CLIENTS).flat_map(keys_of).collect();
+
+        // A list-append transaction over `keys`; `(gtx, what it saw)`
+        // whether or not its commit was acknowledged.
+        let append = |cluster: &Cluster, keys: &[Vec<u8>]| {
+            let client = cluster.client();
+            let mut tx = client.begin(COORD);
+            let gtx = tx.gtx();
+            let mut obs = TxnObservation {
+                id: gtx,
+                reads: Vec::new(),
+                appends: keys.to_vec(),
+            };
+            for k in keys {
+                let mut list: Vec<GlobalTxId> = tx
+                    .get(k)
+                    .expect("read")
+                    .map(|b| serde_json::from_slice(&b).unwrap())
+                    .unwrap_or_default();
+                obs.reads.push((k.clone(), list.clone()));
+                list.push(gtx);
+                tx.put(k, &serde_json::to_vec(&list).unwrap())
+                    .expect("write");
+            }
+            let acked = match tx.commit() {
+                Ok(()) => 'C',
+                Err(TreatyError::Aborted(..)) => 'A',
+                Err(_) => 'U',
+            };
+            (obs, acked)
+        };
+        let (seed_obs, seeded) = append(&cluster, &all_keys);
+        assert_eq!(seeded, 'C', "{cell}: seed");
+        sleep(50 * MILLIS);
+
+        plan.arm(FaultSchedule::new().crash_at("log.batch_written", COORD, hit));
+        let doomed = std::sync::Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let cluster = std::sync::Arc::new(cluster);
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|c| {
+                let (cluster, doomed, keys) = (
+                    std::sync::Arc::clone(&cluster),
+                    std::sync::Arc::clone(&doomed),
+                    keys_of(c),
+                );
+                spawn(move || {
+                    let outcome = append(&cluster, &keys);
+                    doomed.lock().push(outcome);
+                })
+            })
+            .collect();
+        clients.into_iter().for_each(join);
+        sleep(4 * SECONDS);
+        let mut cluster = std::sync::Arc::try_unwrap(cluster)
+            .unwrap_or_else(|_| panic!("{cell}: a client still holds the cluster"));
+        let mut doomed = std::mem::take(&mut *doomed.lock());
+        doomed.sort_by_key(|(obs, _)| obs.id);
+        let acks: String = doomed.iter().map(|(_, acked)| *acked).collect();
+
+        let fired = plan.fired();
+        assert_eq!(fired.len(), 1, "{cell}: expected one crash, got {fired:?}");
+        assert_eq!(fired[0].node, COORD);
+
+        // The file at the crash, and how many of its records nobody was
+        // told about: the batch that was written last.
+        let on_disk = clog_on_disk(&cluster);
+        let is_doomed = |g: &GlobalTxId| doomed.iter().any(|(obs, _)| obs.id == *g);
+        let started: Vec<GlobalTxId> = on_disk
+            .iter()
+            .filter_map(|r| match r {
+                ClogRecord::Start { gtx, .. } if is_doomed(gtx) => Some(*gtx),
+                _ => None,
+            })
+            .collect();
+        let committed: Vec<GlobalTxId> = on_disk
+            .iter()
+            .filter_map(|r| match r {
+                ClogRecord::Decision { gtx, commit: true } if is_doomed(gtx) => Some(*gtx),
+                _ => None,
+            })
+            .collect();
+        let untold = if starts {
+            assert!(committed.is_empty(), "{cell}: past the Starts: {on_disk:?}");
+            started.len() - store(&cluster, PART).prepared_txns().len()
+        } else {
+            committed.len() - acks.matches('C').count()
+        };
+        assert!(
+            untold >= 2,
+            "{cell}: the crashed batch must hold two records or more, acks {acks}: {on_disk:?}"
+        );
+
+        cluster.crash_node((COORD - 1) as usize);
+        cluster.restart_node((COORD - 1) as usize).unwrap();
+        let rec = cluster.resolve_recovered();
+        assert_eq!(rec.failed, 0, "{cell}: {rec:?}");
+
+        let clog = cluster.node((COORD - 1) as usize).clog().expect("durable");
+        for gtx in &started {
+            assert!(
+                clog.decision(*gtx).is_some(),
+                "{cell}: {gtx:?} not re-driven"
+            );
+        }
+        let mut finals: HashMap<Vec<u8>, Vec<GlobalTxId>> = HashMap::new();
+        let reader = cluster.client();
+        let mut tx = reader.begin(SPARE);
+        for k in &all_keys {
+            let list = tx.get(k).expect("post-recovery read").expect("seeded");
+            finals.insert(k.clone(), serde_json::from_slice(&list).unwrap());
+        }
+        tx.commit().expect("verify commit");
+        let mut history = vec![seed_obs];
+        let mut outcomes = String::new();
+        for (obs, acked) in doomed {
+            let present: Vec<bool> = obs
+                .appends
+                .iter()
+                .map(|k| finals[k].contains(&obs.id))
+                .collect();
+            let all = present.iter().all(|&p| p);
+            assert!(
+                all || !present.contains(&true),
+                "{cell}: {:?} half-committed",
+                obs.id
+            );
+            assert!(
+                acked != 'C' || all,
+                "{cell}: {:?} acknowledged and lost",
+                obs.id
+            );
+            assert!(
+                acked != 'A' || !all,
+                "{cell}: {:?} aborted and applied",
+                obs.id
+            );
+            if committed.contains(&obs.id) {
+                assert!(
+                    all,
+                    "{cell}: {:?} has a commit record nobody delivered",
+                    obs.id
+                );
+            }
+            assert_eq!(
+                clog.decision(obs.id).unwrap_or(false),
+                all,
+                "{cell}: {:?}",
+                obs.id
+            );
+            outcomes.push(if all { '1' } else { '0' });
+            if all {
+                history.push(obs);
+            }
+        }
+        for n in [COORD, PART, SPARE] {
+            let left = store(&cluster, n).prepared_txns();
+            assert!(left.is_empty(), "{cell}: n{n} still holds {left:?}");
+        }
+        if let Err(e) = check_list_append(&history, &finals) {
+            panic!("{cell}: {e}");
+        }
+
+        format!(
+            "{cell} fired@{} starts={} commits={} untold={untold} acked={acks} applied={outcomes} rec={}/{}/{}",
+            fired[0].at,
+            started.len(),
+            committed.len(),
+            rec.re_decided,
+            rec.resolved,
+            rec.failed,
+        )
+    })
+}
+
 fn run_twice(run: impl Fn() -> String) {
     let t1 = run();
     println!("{t1}");
-    assert_eq!(t1, run(), "commit-point fault cell must be deterministic");
+    assert_eq!(t1, run(), "fault cell must be deterministic");
 }
 
 /// A participant crash between a counter round's ack quorum and its
@@ -1228,6 +1444,18 @@ fn run_twice(run: impl Fn() -> String) {
 #[test]
 fn round_acked_crash_leaves_the_prepare_in_doubt() {
     run_twice(run_round_acked_cell);
+}
+
+/// The coordinator dies with a batch of Clog records written and nobody
+/// told. Its second flush holds three `Start`s (the first found the
+/// writer idle and went alone): no prepare ever left for them, recovery
+/// aborts all three and commits the one that was in its vote phase. Its
+/// fifth holds two `Decision{commit}`s whose clients never heard: recovery
+/// delivers both.
+#[test]
+fn clog_batch_crash_recovers_from_what_the_file_shows() {
+    run_twice(|| run_clog_batch_cell(2, true));
+    run_twice(|| run_clog_batch_cell(5, false));
 }
 
 /// A coordinator crash between the commit point and the first decision
