@@ -3,9 +3,10 @@
 //! Every node runs a transactional engine (the secure LSM store, or the
 //! storage-less [`treaty_store::NullEngine`] for the isolated 2PC
 //! benchmarks), serves client sessions as their transaction coordinator,
-//! and serves peer sessions as a participant. One fiber per session
-//! (§VII-C) keeps a transaction's operations ordered while unrelated
-//! transactions proceed concurrently.
+//! and serves peer sessions as a participant. A session's requests run in
+//! arrival order, one at a time (§VII-C; the session rule in
+//! `treaty_net::rpc`), which keeps a transaction's operations ordered while
+//! unrelated transactions proceed concurrently.
 
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet, VecDeque};

@@ -20,7 +20,7 @@ use std::sync::Arc;
 use treaty_core::client::client_net;
 use treaty_core::cluster::{wire_crypto, COUNTER_BASE, COUNTER_CLIENT_BASE};
 use treaty_core::messages::{
-    decode, encode, req, ClientCommitReq, CommitResult, Op, OpResult, WriteCmd,
+    decode, encode, req, ClientCommitReq, CommitResult, Op, OpResult, PeerMsg, PeerReply, WriteCmd,
 };
 use treaty_core::{Cluster, ClusterOptions};
 use treaty_crypto::{MsgKind, TxMeta};
@@ -332,6 +332,82 @@ fn failed_redrive_is_surfaced_and_retryable() {
             cluster.node(0).clog().unwrap().decision(gtx),
             Some(false),
             "the undecided transaction must end with a durable abort decision"
+        );
+    });
+}
+
+/// A participant's `PEER_OPS` handler holds the transaction's engine state
+/// *out* of `active_part` while it waits for a lock. The coordinator's
+/// `PEER_ABORT` advisory for the same transaction arrives meanwhile: it must
+/// wait its turn behind the op (one session, served in order). Had it run
+/// beside the op it would have found nothing to roll back, and the op would
+/// then have re-inserted a transaction nobody finishes, lock held.
+#[test]
+fn abort_advisory_waits_for_its_transactions_running_op() {
+    let dir = tempfile::tempdir().unwrap();
+    let path = dir.path().to_path_buf();
+    block_on(move || {
+        let cluster = Cluster::start(options(&path)).unwrap();
+        let key = key_per_node(&cluster).get(&2).unwrap().clone();
+        let part = cluster.store(1).unwrap();
+        // A raw endpoint plays the coordinator of two transactions.
+        let raw = raw_client(&cluster, 9905, treaty_net::DEFAULT_RPC_TIMEOUT);
+        let gtx = |seq| GlobalTxId { node: 9905, seq };
+        let (blocker, victim) = (gtx(1), gtx(2));
+        let put = |gtx| {
+            encode(&PeerMsg::Ops {
+                gtx,
+                ops: vec![Op::Write(WriteCmd::put(&key, b"x"))],
+            })
+        };
+        let peer_reply = |bytes: Vec<u8>| decode::<PeerReply>(&bytes).unwrap();
+
+        // The blocker takes the key's X-lock and keeps it.
+        let meta = raw_meta(9905, blocker.seq, 1, MsgKind::TxnPut);
+        let (_, bytes) = raw.call(2, req::PEER_OPS, &meta, &put(blocker)).unwrap();
+        assert!(matches!(
+            peer_reply(bytes),
+            PeerReply::OpsDone(OpResult::Ok { .. })
+        ));
+        assert_eq!(part.locked_keys(), 1);
+
+        // The victim's op blocks on it; its abort advisory follows.
+        let meta = raw_meta(9905, victim.seq, 1, MsgKind::TxnPut);
+        let op = raw.enqueue_request(2, req::PEER_OPS, &meta, &put(victim));
+        raw.tx_burst();
+        treaty_sim::runtime::sleep(MILLIS);
+        let meta = raw_meta(9905, victim.seq, 2, MsgKind::TxnAbort);
+        let abort = encode(&PeerMsg::Abort { gtx: victim });
+        raw.send_oneway(2, req::PEER_ABORT, &meta, &abort);
+        treaty_sim::runtime::sleep(MILLIS);
+
+        // The lock is freed: the op gets it, then the advisory runs.
+        let meta = raw_meta(9905, blocker.seq, 2, MsgKind::TxnAbort);
+        let abort = encode(&PeerMsg::Abort { gtx: blocker });
+        raw.call(2, req::PEER_ABORT, &meta, &abort).unwrap();
+        let (_, bytes) = op.wait().unwrap();
+        assert!(
+            matches!(peer_reply(bytes), PeerReply::OpsDone(OpResult::Ok { .. })),
+            "the op must have run to its end before the advisory"
+        );
+        treaty_sim::runtime::sleep(MILLIS);
+        assert_eq!(
+            part.locked_keys(),
+            0,
+            "the aborted transaction kept its lock"
+        );
+        // A read-only prepare votes yes only for a slice the node holds.
+        let meta = raw_meta(9905, victim.seq, 3, MsgKind::TxnPrepare);
+        let prepare = encode(&PeerMsg::Prepare {
+            gtx: victim,
+            batch: Vec::new(),
+            read_only: true,
+        });
+        let (_, bytes) = raw.call(2, req::PEER_PREPARE, &meta, &prepare).unwrap();
+        assert_eq!(
+            peer_reply(bytes),
+            PeerReply::Vote { yes: false },
+            "the participant still holds the aborted transaction"
         );
     });
 }

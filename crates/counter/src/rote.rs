@@ -342,9 +342,8 @@ impl RoteGroup {
 }
 
 /// The RPC session of counter `id`. One session per counter id: a replica
-/// serves a counter's requests in order on one worker fiber, and different
-/// counters of one client side by side — instead of a fresh session, and
-/// with it a fresh worker fiber, per broadcast.
+/// serves a counter's requests in arrival order, one at a time, and
+/// different counters of one client side by side.
 fn session_of(id: &str) -> u64 {
     let digest = treaty_crypto::hash::sha256(id.as_bytes());
     u64::from_le_bytes(digest.0[..8].try_into().expect("a digest is 32 bytes"))

@@ -68,7 +68,7 @@ pub const LOCK_CLASSES: &[LockClass] = &[
     LockClass { name: "net.rpc.outbox", fiber: false, ordered: false },
     LockClass { name: "net.rpc.pending", fiber: false, ordered: false },
     LockClass { name: "net.rpc.replay", fiber: false, ordered: false },
-    LockClass { name: "net.rpc.workers", fiber: false, ordered: false },
+    LockClass { name: "net.rpc.sessions", fiber: false, ordered: false },
     LockClass { name: "sim.crash.handlers", fiber: false, ordered: false },
     LockClass { name: "sim.crash.state", fiber: false, ordered: false },
     // The park-cell baton: a condvar wait *releases* the mutex, so a
@@ -123,7 +123,7 @@ pub const LOCK_REGISTRY: &[LockSpec] = &[
     LockSpec { file: "crates/net/src/fabric.rs", receiver: "nic", class: "net.fabric.nic" },
     LockSpec { file: "crates/net/src/rpc.rs", receiver: "pending", class: "net.rpc.pending" },
     LockSpec { file: "crates/net/src/rpc.rs", receiver: "handlers", class: "net.rpc.handlers" },
-    LockSpec { file: "crates/net/src/rpc.rs", receiver: "workers", class: "net.rpc.workers" },
+    LockSpec { file: "crates/net/src/rpc.rs", receiver: "sessions", class: "net.rpc.sessions" },
     LockSpec { file: "crates/net/src/rpc.rs", receiver: "replay", class: "net.rpc.replay" },
     LockSpec { file: "crates/net/src/rpc.rs", receiver: "outbox", class: "net.rpc.outbox" },
     LockSpec { file: "crates/net/src/rpc.rs", receiver: "nonce", class: "net.rpc.nonce" },
@@ -181,7 +181,7 @@ pub const FREE_YIELDS: &[&str] = &[
 ];
 
 /// Methods that yield the calling fiber: scheduler primitives
-/// (`WaitQueue`, `Channel`, `CorePool`), the RPC
+/// (`WaitQueue`, `CorePool`), the RPC
 /// send/recv entry points in `crates/net`, CPU/I-O charges, and log
 /// stabilization. Matched as `.name(`.
 pub const METHOD_YIELDS: &[&str] = &[
@@ -189,7 +189,6 @@ pub const METHOD_YIELDS: &[&str] = &[
     "wait",
     "wait_timeout",
     "recv",
-    "recv_timeout",
     "charge",
     // CPU / storage charges (pool.charge or runtime::sleep underneath)
     "charge_enclave_op",

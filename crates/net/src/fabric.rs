@@ -55,8 +55,9 @@ pub struct Datagram {
     /// Correlates a response to its request.
     pub rpc_id: u64,
     /// Session routing hint (plaintext, like an eRPC session id): requests
-    /// with the same `(src, session)` execute in order on one server fiber;
-    /// different sessions run concurrently. Carries no payload data.
+    /// with the same `(src, session)` execute in arrival order, one at a
+    /// time; different sessions run concurrently (the session rule in
+    /// [`crate::rpc`]'s header). Carries no payload data.
     pub session: u64,
     /// True for responses.
     pub is_response: bool,
@@ -523,7 +524,7 @@ mod tests {
     }
 
     #[test]
-    fn recv_timeout_when_silent() {
+    fn recv_times_out_when_silent() {
         block_on(|| {
             let f = fabric_with(EndpointConfig::default(), EndpointConfig::default());
             let r = f.recv(2, 1_000);

@@ -10,8 +10,9 @@
 //!   able to drop, delay, duplicate and tamper with traffic — the §III
 //!   threat model,
 //! * [`Rpc`] is the eRPC-flavoured endpoint: request handlers keyed by a
-//!   request type, one server fiber per connected peer (the paper's
-//!   fiber-per-client design), asynchronous `enqueue_request`/`tx_burst`
+//!   request type, one queue per `(peer, session)` served in order by at
+//!   most one fiber (the paper's fiber-per-client design; the session rule
+//!   is in [`rpc`]'s header), asynchronous `enqueue_request`/`tx_burst`
 //!   and a blocking [`Rpc::call`] convenience built on them,
 //! * every message is sealed with [`treaty_crypto::SecureEnvelope`] and
 //!   replayed `(node, tx, op)` tuples are suppressed with a memoized

@@ -3,17 +3,38 @@
 //! Mirrors the programming model of §V-A / §VII-A: requests are *enqueued*
 //! ([`Rpc::enqueue_request`]) and only hit the wire on [`Rpc::tx_burst`];
 //! the caller then polls/blocks on a [`PendingReply`] — the continuation.
-//! On the server side a dispatcher fiber demultiplexes the NIC and hands
-//! each peer's requests to that peer's dedicated worker fiber (the paper's
-//! fiber-per-client design, §VII-C).
+//! On the server side a dispatcher fiber demultiplexes the NIC into
+//! sessions.
+//!
+//! # The session rule
+//!
+//! A session is a queue, not a fiber: one queue per `(src, session)`, at
+//! most one fiber serving it, none while it is empty. The dispatcher pushes
+//! a request onto its session's queue and spawns a server fiber only when
+//! the push created the queue; the server pops until the queue is empty,
+//! then removes it and ends. Enqueue and retire are decided under the one
+//! mutex that guards the map, so a request is never left behind a server
+//! that has gone. Requests of one session are therefore handled strictly in
+//! arrival order, different sessions side by side (the paper's
+//! fiber-per-client design, §VII-C, over eRPC sessions that are connection
+//! state and not threads, §VII-A).
+//!
+//! Why not a fiber per request: the order inside a session is load-bearing
+//! on the failure path. A participant's `PEER_OPS` handler and the
+//! coordinator's `CLIENT_OPS` handler take the transaction's state *out* of
+//! the node's table while they block (a lock wait, a nested RPC) and put it
+//! back afterwards. A `PEER_ABORT` advisory or `CLIENT_ROLLBACK` that
+//! overtook its own transaction's still-running op would find nothing to
+//! roll back, and the op would then re-insert a transaction nobody
+//! finishes, locks held.
 
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use treaty_crypto::{Key, MsgKind, NonceSeq, SecureEnvelope, TxMeta, WireCrypto};
-use treaty_sched::{Channel, CorePool, Receiver, Sender};
+use treaty_sched::CorePool;
 use treaty_sim::runtime::{self, FiberId};
 use treaty_sim::{Nanos, TeeMode};
 use treaty_tee::HostBytes;
@@ -24,8 +45,9 @@ use crate::{NetError, DEFAULT_RPC_TIMEOUT};
 /// A request handler: `(src_endpoint, meta, payload) -> Option<(reply_meta,
 /// reply_payload)>`. Returning `None` sends no reply (one-way traffic).
 ///
-/// Handlers run on the per-peer worker fiber and may block (acquire locks,
-/// wait for stabilization, issue nested RPCs).
+/// Handlers run on the fiber serving the request's session and may block
+/// (acquire locks, wait for stabilization, issue nested RPCs); the session's
+/// later requests wait behind them.
 pub type ReqHandler =
     Arc<dyn Fn(EndpointId, TxMeta, Vec<u8>) -> Option<(TxMeta, Vec<u8>)> + Send + Sync>;
 
@@ -69,6 +91,9 @@ impl std::fmt::Debug for RpcConfig {
     }
 }
 
+/// What routes a request: the sender and its plaintext session hint.
+type SessionKey = (EndpointId, u64);
+
 struct PendingSlot {
     /// Set only while the requesting fiber is actually parked in
     /// [`Rpc::wait_reply`]; unparking a fiber that is sleeping elsewhere
@@ -100,13 +125,17 @@ pub struct Rpc {
     next_rpc_id: AtomicU64,
     pending: Mutex<HashMap<u64, PendingSlot>>,
     handlers: Mutex<HashMap<u8, Arc<HandlerEntry>>>,
-    workers: Mutex<HashMap<(EndpointId, u64), Sender<(Nanos, Datagram)>>>,
+    /// Requests waiting per `(src, session)`, each with its arrival time.
+    /// An entry exists exactly while a server fiber is serving it (the
+    /// module header's session rule).
+    sessions: Mutex<HashMap<SessionKey, VecDeque<(Nanos, Datagram)>>>,
     /// Memoized responses for at-most-once execution. `None` marks a
     /// request still executing; payloads are `Arc`-shared so duplicate
     /// hits resend without copying the buffer.
-    replay: Mutex<HashMap<(u64, u64, u64), Option<(u64, TxMeta, Arc<Vec<u8>>)>>>,
+    replay: Mutex<HashMap<(u64, u64, u64), Option<(TxMeta, Arc<Vec<u8>>)>>>,
     outbox: Mutex<Vec<Datagram>>,
-    stopped: Arc<AtomicBool>,
+    started: AtomicBool,
+    stopped: AtomicBool,
     counters: RpcCounters,
 }
 
@@ -154,10 +183,11 @@ impl Rpc {
             next_rpc_id: AtomicU64::new(1),
             pending: Mutex::new(HashMap::new()),
             handlers: Mutex::new(HashMap::new()),
-            workers: Mutex::new(HashMap::new()),
+            sessions: Mutex::new(HashMap::new()),
             replay: Mutex::new(HashMap::new()),
             outbox: Mutex::new(Vec::new()),
-            stopped: Arc::new(AtomicBool::new(false)),
+            started: AtomicBool::new(false),
+            stopped: AtomicBool::new(false),
             counters: RpcCounters::default(),
             cfg,
         })
@@ -184,12 +214,17 @@ impl Rpc {
 
     /// Spawns the dispatcher fiber. Idempotent per endpoint lifetime.
     pub fn start(self: &Arc<Self>) {
+        if self.started.swap(true, Ordering::SeqCst) {
+            return;
+        }
         let me = Arc::clone(self);
         runtime::spawn_daemon(move || me.dispatch_loop());
     }
 
     /// Stops the endpoint: deregisters from the fabric (in-flight messages
-    /// to it vanish) and wakes all pending callers with [`NetError::Closed`].
+    /// to it vanish), wakes all pending callers with [`NetError::Closed`]
+    /// and drops every queued request — a server fiber that comes back from
+    /// its handler finds its session gone and ends.
     pub fn stop(&self) {
         self.stopped.store(true, Ordering::SeqCst);
         self.fabric.deregister(self.id);
@@ -200,10 +235,7 @@ impl Rpc {
                 runtime::unpark(w);
             }
         }
-        let workers = std::mem::take(&mut *self.workers.lock());
-        for (_, tx) in workers {
-            tx.close();
-        }
+        self.sessions.lock().clear();
     }
 
     /// Whether [`Rpc::stop`] ran: the endpoint's node has crashed.
@@ -226,6 +258,12 @@ impl Rpc {
         self.counters.requests_handled.load(Ordering::Relaxed)
     }
 
+    /// Number of sessions with a request queued or executing — and so the
+    /// number of server fibers alive. For tests.
+    pub fn open_sessions(&self) -> usize {
+        self.sessions.lock().len()
+    }
+
     // ---- client side -----------------------------------------------------
 
     /// Seals and enqueues a request; transmission happens on
@@ -243,9 +281,9 @@ impl Rpc {
     }
 
     /// Like [`Rpc::enqueue_request`] with an explicit session id. Requests
-    /// sharing `(src, session)` are handled in order by one server fiber;
-    /// distinct sessions are served concurrently (one fiber per session,
-    /// §VII-C).
+    /// sharing `(src, session)` are handled in order, one at a time;
+    /// distinct sessions are served concurrently (the module header's
+    /// session rule).
     pub fn enqueue_request_on(
         self: &Arc<Self>,
         dst: EndpointId,
@@ -286,13 +324,7 @@ impl Rpc {
     pub fn tx_burst(&self) {
         let msgs = std::mem::take(&mut *self.outbox.lock());
         for dg in msgs {
-            let charge = self.fabric.costs().net_send(
-                self.cfg.endpoint.transport,
-                self.cfg.endpoint.tee,
-                dg.wire.len() + crate::fabric::FRAME_HEADER_BYTES,
-            );
-            self.charge(charge.sender_cpu);
-            self.fabric.send(dg);
+            self.transmit(dg);
         }
     }
 
@@ -309,13 +341,7 @@ impl Rpc {
             wire,
             receiver_cpu: 0,
         };
-        let charge = self.fabric.costs().net_send(
-            self.cfg.endpoint.transport,
-            self.cfg.endpoint.tee,
-            dg.wire.len() + crate::fabric::FRAME_HEADER_BYTES,
-        );
-        self.charge(charge.sender_cpu);
-        self.fabric.send(dg);
+        self.transmit(dg);
     }
 
     /// Blocking request/response with the default timeout:
@@ -405,61 +431,47 @@ impl Rpc {
 
     fn route_request(self: &Arc<Self>, dg: Datagram) {
         let key = (dg.src, dg.session);
-        // Arrival stamp: the span the worker later opens reports the time
+        // Arrival stamp: the span the server later opens reports the time
         // the request sat in this queue as `queue_ns` — the attribution
         // walker's queueing category.
         let arrived = runtime::now();
-        let mut workers = self.workers.lock();
-        let tx = workers.entry(key).or_insert_with(|| {
-            let (tx, rx) = Channel::pair();
+        let mut sessions = self.sessions.lock();
+        let queue = sessions.entry(key).or_insert_with(|| {
             let me = Arc::clone(self);
-            // One worker fiber per session (§VII-C).
-            runtime::spawn_daemon(move || me.worker_loop(key, rx));
-            tx
+            runtime::spawn_daemon(move || me.serve_session(key));
+            VecDeque::new()
         });
-        if let Err((arrived, dg)) = tx.send((arrived, dg)) {
-            // The worker retired between our lookup and the send; replace.
-            let (tx, rx) = Channel::pair();
-            let me = Arc::clone(self);
-            runtime::spawn_daemon(move || me.worker_loop(key, rx));
-            let _ = tx.send((arrived, dg));
-            workers.insert(key, tx);
-        }
+        queue.push_back((arrived, dg));
     }
 
-    fn worker_loop(self: Arc<Self>, key: (EndpointId, u64), rx: Receiver<(Nanos, Datagram)>) {
-        runtime::set_tag("rpc-worker");
-        treaty_sim::obs::set_node(self.id);
-        loop {
-            match rx.recv_timeout(treaty_sim::SECONDS) {
-                treaty_sched::RecvTimeout::Ok((arrived, dg)) => {
-                    if self.stopped.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    self.handle_request(dg, arrived);
-                }
-                treaty_sched::RecvTimeout::Closed => return,
-                treaty_sched::RecvTimeout::TimedOut => {
-                    // Retire this idle session's fiber so long runs do not
-                    // accumulate one parked fiber per past transaction. The
-                    // map lock serializes against route_request; a message
-                    // that raced the timeout is handled before retiring.
-                    let racing = {
-                        let mut workers = self.workers.lock();
-                        match rx.try_recv() {
-                            Some(dg) => Some(dg),
-                            None => {
-                                workers.remove(&key);
-                                None
-                            }
-                        }
-                    };
-                    match racing {
-                        Some((arrived, dg)) => self.handle_request(dg, arrived),
-                        None => return,
-                    }
+    /// The session's next request; with none left the session is removed,
+    /// under the same lock, and its server ends.
+    fn next_request(&self, key: SessionKey) -> Option<(Nanos, Datagram)> {
+        let mut sessions = self.sessions.lock();
+        let next = sessions.get_mut(&key).and_then(VecDeque::pop_front);
+        if next.is_none() {
+            sessions.remove(&key);
+        }
+        next
+    }
+
+    fn serve_session(self: Arc<Self>, key: SessionKey) {
+        /// A handler that unwinds (an injected crash, a panic) takes the
+        /// server with it: the session must go too, or its later requests
+        /// would queue behind nobody.
+        struct RemoveOnUnwind<'a>(&'a Rpc, SessionKey);
+        impl Drop for RemoveOnUnwind<'_> {
+            fn drop(&mut self) {
+                if std::thread::panicking() {
+                    self.0.sessions.lock().remove(&self.1);
                 }
             }
+        }
+        runtime::set_tag("rpc-worker");
+        treaty_sim::obs::set_node(self.id);
+        let _session = RemoveOnUnwind(&self, key);
+        while let Some((arrived, dg)) = self.next_request(key) {
+            self.handle_request(dg, arrived);
         }
     }
 
@@ -491,7 +503,7 @@ impl Rpc {
             let key = meta.replay_key();
             let mut replay = self.replay.lock();
             match replay.get(&key) {
-                Some(Some((cached_rpc_id, cached_meta, cached_payload))) => {
+                Some(Some((cached_meta, cached_payload))) => {
                     // Duplicate of a completed request: resend the memoized
                     // response without re-executing (at-most-once). Cloning
                     // the Arc shares the payload buffer instead of copying.
@@ -500,7 +512,6 @@ impl Rpc {
                         .fetch_add(1, Ordering::Relaxed);
                     let resp_meta = *cached_meta;
                     let resp_payload = Arc::clone(cached_payload);
-                    let _ = cached_rpc_id;
                     drop(replay);
                     self.send_response(dg.src, dg.req_type, dg.rpc_id, &resp_meta, &resp_payload);
                     return;
@@ -546,7 +557,7 @@ impl Rpc {
                 if entry.guarded {
                     self.replay
                         .lock()
-                        .insert(meta.replay_key(), Some((dg.rpc_id, m, Arc::clone(&p))));
+                        .insert(meta.replay_key(), Some((m, Arc::clone(&p))));
                 }
                 self.send_response(dg.src, dg.req_type, dg.rpc_id, &m, &p);
             }
@@ -577,6 +588,14 @@ impl Rpc {
             wire,
             receiver_cpu: 0,
         };
+        self.transmit(dg);
+    }
+
+    // ---- shared helpers ----------------------------------------------------
+
+    /// Puts a sealed datagram on the wire: per-message sender CPU, then the
+    /// NIC.
+    fn transmit(&self, dg: Datagram) {
         let charge = self.fabric.costs().net_send(
             self.cfg.endpoint.transport,
             self.cfg.endpoint.tee,
@@ -585,8 +604,6 @@ impl Rpc {
         self.charge(charge.sender_cpu);
         self.fabric.send(dg);
     }
-
-    // ---- shared helpers ----------------------------------------------------
 
     fn charge(&self, ns: Nanos) {
         if ns == 0 {
@@ -878,5 +895,170 @@ mod tests {
             runtime::sleep(treaty_sim::MILLIS);
             assert_eq!(counter.load(Ordering::Relaxed), 1000);
         });
+    }
+
+    /// A server (no core contention) whose `ECHO` handler sleeps 1 ms and
+    /// logs when it started, plus a started client.
+    fn slow_server(guarded: bool) -> (Arc<Fabric>, Arc<Rpc>, Arc<Rpc>, Arc<Mutex<Vec<Nanos>>>) {
+        let fabric = Fabric::new(CostModel::default(), 7);
+        let key = KeyHierarchy::for_testing().network;
+        let starts = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&starts);
+        let server = Rpc::new(&fabric, 1, RpcConfig::client(WireCrypto::Full, key));
+        server.register_handler(
+            ECHO,
+            guarded,
+            Arc::new(move |_, meta, payload| {
+                log.lock().push(runtime::now());
+                runtime::sleep(treaty_sim::MILLIS);
+                guarded.then_some((meta, payload))
+            }),
+        );
+        server.start();
+        let client = Rpc::new(&fabric, 100, RpcConfig::client(WireCrypto::Full, key));
+        client.start();
+        (fabric, server, client, starts)
+    }
+
+    /// Fails at the parent: every one of the 256 sessions kept a worker
+    /// parked for a virtual second after its only request.
+    #[test]
+    fn an_idle_session_holds_no_fiber() {
+        block_on(|| {
+            let (_f, server, client) = setup(WireCrypto::Full);
+            for tx in 1..=256 {
+                client.call(1, ECHO, &meta(tx, 1), b"x").unwrap();
+            }
+            assert_eq!(server.open_sessions(), 0);
+            assert_eq!(client.call(1, ECHO, &meta(257, 1), b"ab").unwrap().1, b"ba");
+            assert_eq!(server.requests_handled(), 257);
+        });
+    }
+
+    /// The session rule: one session's requests run one after the other in
+    /// arrival order, two sessions' requests side by side.
+    #[test]
+    fn a_session_serializes_and_sessions_overlap() {
+        block_on(|| {
+            let (_f, server, client, starts) = slow_server(false);
+            client.send_oneway(1, ECHO, &meta(1, 0), b"first");
+            client.send_oneway(1, ECHO, &meta(1, 1), b"second");
+            runtime::sleep(treaty_sim::MILLIS / 2);
+            assert_eq!(server.open_sessions(), 1);
+            runtime::sleep(5 * treaty_sim::MILLIS);
+            let same: Vec<Nanos> = std::mem::take(&mut *starts.lock());
+            assert_eq!(same.len(), 2);
+            assert!(
+                same[1] - same[0] >= treaty_sim::MILLIS,
+                "the second request started while the first was running: {same:?}"
+            );
+
+            client.send_oneway(1, ECHO, &meta(2, 0), b"first");
+            client.send_oneway(1, ECHO, &meta(3, 0), b"second");
+            runtime::sleep(treaty_sim::MILLIS / 2);
+            assert_eq!(server.open_sessions(), 2);
+            runtime::sleep(5 * treaty_sim::MILLIS);
+            let other = starts.lock().clone();
+            assert_eq!(other.len(), 2);
+            assert!(
+                other[1] - other[0] < treaty_sim::MILLIS,
+                "two sessions queued behind each other: {other:?}"
+            );
+            assert_eq!(server.open_sessions(), 0);
+        });
+    }
+
+    /// At-most-once against a copy that meets its original mid-execution.
+    /// The adversary's duplicate carries the original's session, waits its
+    /// turn behind it and is answered from the memo. The session hint is
+    /// plaintext, so a copy can also be steered onto another session: that
+    /// one runs beside the original, finds the in-flight marker and is
+    /// dropped without an answer. Neither executes.
+    #[test]
+    fn duplicate_of_an_executing_request_is_suppressed() {
+        block_on(|| {
+            let (fabric, server, client, starts) = slow_server(true);
+            fabric.with_adversary(|a| a.dup_next = 1);
+            fabric.start_capture();
+            let reply = client.enqueue_request(1, ECHO, &meta(4, 1), b"once");
+            client.tx_burst();
+            let mut copy = fabric
+                .captured()
+                .into_iter()
+                .find(|d| !d.is_response)
+                .unwrap();
+            copy.session += 1;
+            fabric.inject(copy);
+            runtime::sleep(treaty_sim::MILLIS / 2);
+            // The original is asleep in its handler: the same-session copy
+            // is still queued, the other-session copy already turned away.
+            assert_eq!(starts.lock().len(), 1);
+            assert_eq!(server.replays_suppressed(), 1);
+            assert_eq!(server.open_sessions(), 1);
+            assert_eq!(reply.wait().unwrap().1, b"once");
+            runtime::sleep(treaty_sim::MILLIS);
+            assert_eq!(server.replays_suppressed(), 2);
+            assert_eq!(server.requests_handled(), 1);
+            assert_eq!(starts.lock().len(), 1);
+            assert_eq!(server.open_sessions(), 0);
+        });
+    }
+
+    /// A handler that unwinds takes its server fiber with it, not its
+    /// session: the next request of that session gets a fresh server — on
+    /// the same endpoint, and on one registered under the same id later.
+    #[test]
+    fn unwinding_handler_leaves_no_session_behind() {
+        use treaty_sim::crashpoint::{self, FaultSchedule};
+        block_on(|| {
+            let plan = crashpoint::install();
+            let (fabric, server, client) = setup(WireCrypto::Full);
+            const CRASHY: u8 = 8;
+            let handler: ReqHandler = Arc::new(|_, meta, payload| {
+                crashpoint::hit("part.before_prepare");
+                Some((meta, payload))
+            });
+            server.register_handler(CRASHY, false, Arc::clone(&handler));
+            // No crash handler registered for node 1: the endpoint stays
+            // up, only the fiber that hit the point unwinds.
+            plan.arm(FaultSchedule::new().crash_at("part.before_prepare", 1, 1));
+            let err = client.call(1, CRASHY, &meta(6, 1), b"x").unwrap_err();
+            assert_eq!(err, NetError::Timeout);
+            assert_eq!(plan.fired().len(), 1);
+            assert_eq!(server.open_sessions(), 0);
+            plan.revive(1);
+            assert_eq!(client.call(1, CRASHY, &meta(6, 2), b"up").unwrap().1, b"up");
+
+            // `stop` drops what is queued with the map.
+            client.send_oneway(1, CRASHY, &meta(6, 3), b"queued");
+            server.stop();
+            assert_eq!(server.open_sessions(), 0);
+            let key = KeyHierarchy::for_testing().network;
+            let fresh = Rpc::new(&fabric, 1, RpcConfig::client(WireCrypto::Full, key));
+            fresh.register_handler(CRASHY, false, handler);
+            fresh.start();
+            assert_eq!(
+                client.call(1, CRASHY, &meta(6, 4), b"new").unwrap().1,
+                b"new"
+            );
+            assert_eq!(fresh.open_sessions(), 0);
+        });
+    }
+
+    /// `start` twice is `start` once: a second dispatcher on the same inbox
+    /// would show as one more fiber in the run's report.
+    #[test]
+    fn start_is_idempotent() {
+        fn fibers(starts: usize) -> u64 {
+            let report = treaty_sim::runtime::Sim::new().run(move || {
+                let (_f, server, client) = setup(WireCrypto::Full);
+                for _ in 1..starts {
+                    server.start();
+                }
+                client.call(1, ECHO, &meta(1, 1), b"x").unwrap();
+            });
+            report.unwrap().fibers
+        }
+        assert_eq!(fibers(3), fibers(1));
     }
 }

@@ -7,7 +7,6 @@
 //! runtime in [`treaty_sim`]:
 //!
 //! * [`WaitQueue`] — condition-variable-style FIFO sleeping queue,
-//! * [`Channel`] — blocking MPMC queue used for RPC plumbing,
 //! * [`CorePool`] — models a node's limited CPU cores: fibers *charge*
 //!   virtual CPU time and queue when all cores are busy, which is what
 //!   produces realistic saturation curves in the benchmarks,
@@ -103,202 +102,6 @@ impl WaitQueue {
             runtime::unpark(f);
         }
     }
-
-    /// Number of fibers currently parked on the queue.
-    pub fn len(&self) -> usize {
-        self.waiters.lock().len()
-    }
-
-    /// True if no fiber is waiting.
-    pub fn is_empty(&self) -> bool {
-        self.waiters.lock().is_empty()
-    }
-}
-
-/// Error returned by [`Receiver::recv`] when the channel is closed and empty.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, thiserror::Error)]
-#[error("channel closed")]
-pub struct RecvError;
-
-/// Outcome of [`Receiver::recv_timeout`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecvTimeout<T> {
-    /// A message arrived.
-    Ok(T),
-    /// The timeout elapsed first.
-    TimedOut,
-    /// The channel is closed and drained.
-    Closed,
-}
-
-struct ChanInner<T> {
-    queue: VecDeque<T>,
-    closed: bool,
-}
-
-/// An unbounded blocking MPMC channel for fibers.
-pub struct Channel<T> {
-    inner: Mutex<ChanInner<T>>,
-    recv_q: WaitQueue,
-}
-
-impl<T> Default for Channel<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> Channel<T> {
-    /// Creates an empty open channel.
-    pub fn new() -> Self {
-        Channel {
-            inner: Mutex::new(ChanInner {
-                queue: VecDeque::new(),
-                closed: false,
-            }),
-            recv_q: WaitQueue::new(),
-        }
-    }
-
-    /// Creates a connected `(Sender, Receiver)` pair sharing one channel.
-    pub fn pair() -> (Sender<T>, Receiver<T>) {
-        let ch = Arc::new(Channel::new());
-        (
-            Sender {
-                ch: Arc::clone(&ch),
-            },
-            Receiver { ch },
-        )
-    }
-
-    /// Enqueues a message, waking one receiver. Returns `Err` with the
-    /// message if the channel is closed.
-    pub fn send(&self, msg: T) -> Result<(), T> {
-        {
-            let mut inner = self.inner.lock();
-            if inner.closed {
-                return Err(msg);
-            }
-            inner.queue.push_back(msg);
-        }
-        self.recv_q.notify_one();
-        Ok(())
-    }
-
-    /// Blocks until a message is available.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RecvError`] if the channel is closed and empty.
-    pub fn recv(&self) -> Result<T, RecvError> {
-        loop {
-            {
-                let mut inner = self.inner.lock();
-                if let Some(v) = inner.queue.pop_front() {
-                    return Ok(v);
-                }
-                if inner.closed {
-                    return Err(RecvError);
-                }
-            }
-            self.recv_q.wait();
-        }
-    }
-
-    /// Blocks until a message is available or `ns` elapses.
-    pub fn recv_timeout(&self, ns: Nanos) -> RecvTimeout<T> {
-        let deadline = runtime::now().saturating_add(ns);
-        loop {
-            {
-                let mut inner = self.inner.lock();
-                if let Some(v) = inner.queue.pop_front() {
-                    return RecvTimeout::Ok(v);
-                }
-                if inner.closed {
-                    return RecvTimeout::Closed;
-                }
-            }
-            let now = runtime::now();
-            if now >= deadline {
-                return RecvTimeout::TimedOut;
-            }
-            self.recv_q.wait_timeout(deadline - now);
-        }
-    }
-
-    /// Non-blocking receive.
-    pub fn try_recv(&self) -> Option<T> {
-        self.inner.lock().queue.pop_front()
-    }
-
-    /// Closes the channel: senders fail, receivers drain then get
-    /// [`RecvError`].
-    pub fn close(&self) {
-        self.inner.lock().closed = true;
-        self.recv_q.notify_all();
-    }
-
-    /// Messages currently queued.
-    pub fn len(&self) -> usize {
-        self.inner.lock().queue.len()
-    }
-
-    /// True if no message is queued.
-    pub fn is_empty(&self) -> bool {
-        self.inner.lock().queue.is_empty()
-    }
-}
-
-/// Sending half of [`Channel::pair`].
-pub struct Sender<T> {
-    ch: Arc<Channel<T>>,
-}
-
-impl<T> Clone for Sender<T> {
-    fn clone(&self) -> Self {
-        Sender {
-            ch: Arc::clone(&self.ch),
-        }
-    }
-}
-
-impl<T> Sender<T> {
-    /// See [`Channel::send`].
-    pub fn send(&self, msg: T) -> Result<(), T> {
-        self.ch.send(msg)
-    }
-    /// See [`Channel::close`].
-    pub fn close(&self) {
-        self.ch.close()
-    }
-}
-
-/// Receiving half of [`Channel::pair`].
-pub struct Receiver<T> {
-    ch: Arc<Channel<T>>,
-}
-
-impl<T> Clone for Receiver<T> {
-    fn clone(&self) -> Self {
-        Receiver {
-            ch: Arc::clone(&self.ch),
-        }
-    }
-}
-
-impl<T> Receiver<T> {
-    /// See [`Channel::recv`].
-    pub fn recv(&self) -> Result<T, RecvError> {
-        self.ch.recv()
-    }
-    /// See [`Channel::recv_timeout`].
-    pub fn recv_timeout(&self, ns: Nanos) -> RecvTimeout<T> {
-        self.ch.recv_timeout(ns)
-    }
-    /// See [`Channel::try_recv`].
-    pub fn try_recv(&self) -> Option<T> {
-        self.ch.try_recv()
-    }
 }
 
 #[derive(Debug)]
@@ -317,7 +120,6 @@ struct CoreInner {
 #[derive(Debug)]
 pub struct CorePool {
     inner: Mutex<CoreInner>,
-    capacity: u32,
 }
 
 impl CorePool {
@@ -333,13 +135,7 @@ impl CorePool {
                 free: cores,
                 waiters: VecDeque::new(),
             }),
-            capacity: cores,
         }
-    }
-
-    /// Total number of cores.
-    pub fn capacity(&self) -> u32 {
-        self.capacity
     }
 
     /// Occupies one core for `ns` of virtual time, queueing if necessary.
@@ -455,18 +251,6 @@ impl FiberMutex {
             runtime::park(); // ownership is transferred by unlock
         }
         FiberMutexGuard { mutex: self }
-    }
-
-    /// Attempts to acquire without blocking.
-    pub fn try_lock(&self) -> Option<FiberMutexGuard<'_>> {
-        let mut inner = self.inner.lock();
-        if inner.locked {
-            None
-        } else {
-            inner.locked = true;
-            drop(inner);
-            Some(FiberMutexGuard { mutex: self })
-        }
     }
 
     fn unlock(&self) {
@@ -609,7 +393,7 @@ mod tests {
                 }));
             }
             sleep(10); // let all three park
-            assert_eq!(q.len(), 3);
+            assert_eq!(q.waiters.lock().len(), 3);
             q.notify_one();
             sleep(1);
             q.notify_all();
@@ -627,51 +411,10 @@ mod tests {
             let signaled = q.wait_timeout(100);
             assert!(!signaled);
             assert_eq!(now(), 100);
-            assert!(q.is_empty(), "timed-out waiter must deregister");
-        });
-    }
-
-    #[test]
-    fn channel_send_recv_across_fibers() {
-        block_on(|| {
-            let (tx, rx) = Channel::pair();
-            let producer = spawn(move || {
-                for i in 0..10 {
-                    sleep(5);
-                    tx.send(i).unwrap();
-                }
-            });
-            let mut got = Vec::new();
-            for _ in 0..10 {
-                got.push(rx.recv().unwrap());
-            }
-            join(producer);
-            assert_eq!(got, (0..10).collect::<Vec<_>>());
-        });
-    }
-
-    #[test]
-    fn channel_recv_timeout() {
-        block_on(|| {
-            let (tx, rx) = Channel::<u32>::pair();
-            assert!(matches!(rx.recv_timeout(50), RecvTimeout::TimedOut));
-            assert_eq!(now(), 50);
-            tx.send(7).unwrap();
-            assert!(matches!(rx.recv_timeout(50), RecvTimeout::Ok(7)));
-            tx.close();
-            assert!(matches!(rx.recv_timeout(50), RecvTimeout::Closed));
-        });
-    }
-
-    #[test]
-    fn channel_close_fails_send_and_drains() {
-        block_on(|| {
-            let ch = Channel::new();
-            ch.send(1u8).unwrap();
-            ch.close();
-            assert_eq!(ch.send(2), Err(2));
-            assert_eq!(ch.recv(), Ok(1));
-            assert_eq!(ch.recv(), Err(RecvError));
+            assert!(
+                q.waiters.lock().is_empty(),
+                "timed-out waiter must deregister"
+            );
         });
     }
 
@@ -797,17 +540,6 @@ mod tests {
             assert_eq!(now(), 20);
             // A leader that owes a request a result and returns none.
             assert_eq!(group.submit(9, |_| Vec::new()), None);
-        });
-    }
-
-    #[test]
-    fn fiber_mutex_try_lock() {
-        block_on(|| {
-            let mutex = FiberMutex::new();
-            let g = mutex.try_lock().unwrap();
-            assert!(mutex.try_lock().is_none());
-            drop(g);
-            assert!(mutex.try_lock().is_some());
         });
     }
 }

@@ -198,11 +198,13 @@ impl Sim {
     where
         F: FnOnce() + Send + 'static,
     {
-        // Shutdown and injected-crash unwinds are control flow, not
-        // failures: silence their default panic-hook output (once,
-        // process-wide, delegating everything else to the previous hook).
-        static HOOK: std::sync::Once = std::sync::Once::new();
-        HOOK.call_once(|| {
+        // Once, process-wide: one malloc arena, and a panic hook that
+        // stays silent for shutdown and injected-crash unwinds — control
+        // flow, not failures — and hands everything else to the previous
+        // hook.
+        static PROCESS_SETUP: std::sync::Once = std::sync::Once::new();
+        PROCESS_SETUP.call_once(|| {
+            single_malloc_arena();
             let prev = std::panic::take_hook();
             std::panic::set_hook(Box::new(move |info| {
                 let payload = info.payload();
@@ -287,6 +289,29 @@ impl Sim {
                 switches: inner.switches,
             }),
         }
+    }
+}
+
+/// Keeps every fiber's allocations in one malloc arena.
+///
+/// glibc attaches each new thread to one of up to eight arenas per core, in
+/// the order the threads happen to reach their first `malloc`. One fiber
+/// runs at a time, so the arenas buy no parallelism here; what they do is
+/// spread the process's long-lived data over heaps drawn by OS timing, and
+/// peak RSS then differs by a fifth between two runs of one seed once
+/// fibers are short-lived (EXPERIMENTS.md, "A session is a queue"). With
+/// one arena the heap's layout follows the allocation order, which the
+/// schedule fixes.
+fn single_malloc_arena() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        extern "C" {
+            fn mallopt(param: std::ffi::c_int, value: std::ffi::c_int) -> std::ffi::c_int;
+        }
+        const M_ARENA_MAX: std::ffi::c_int = -8;
+        // SAFETY: `mallopt` is thread-safe and takes two integers; a
+        // refusal (0) leaves the default in place.
+        unsafe { mallopt(M_ARENA_MAX, 1) };
     }
 }
 
