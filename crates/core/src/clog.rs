@@ -7,17 +7,17 @@
 //! before anyone but the client learns the outcome (§VI).
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use treaty_crypto::codec::{CodecError, Decode, Encode, Reader, Record, Writer};
 use treaty_store::env::Env;
 use treaty_store::log::{self, LogWriter};
 use treaty_store::{GlobalTxId, Result, StoreError};
 
 /// One Clog record.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ClogRecord {
     /// The coordinator started 2PC for `gtx` with these participants.
     Start {
@@ -33,6 +33,43 @@ pub enum ClogRecord {
         /// True = commit.
         commit: bool,
     },
+}
+
+impl Encode for ClogRecord {
+    fn encode(&self, w: &mut Writer) {
+        match self {
+            ClogRecord::Start { gtx, participants } => {
+                w.u8(0);
+                gtx.encode(w);
+                participants.encode(w);
+            }
+            ClogRecord::Decision { gtx, commit } => {
+                w.u8(1);
+                gtx.encode(w);
+                commit.encode(w);
+            }
+        }
+    }
+}
+
+impl Decode for ClogRecord {
+    fn decode(r: &mut Reader<'_>) -> std::result::Result<Self, CodecError> {
+        Ok(match r.u8()? {
+            0 => ClogRecord::Start {
+                gtx: Decode::decode(r)?,
+                participants: Decode::decode(r)?,
+            },
+            1 => ClogRecord::Decision {
+                gtx: Decode::decode(r)?,
+                commit: Decode::decode(r)?,
+            },
+            _ => return Err(CodecError::Invalid("clog record tag")),
+        })
+    }
+}
+
+impl Record for ClogRecord {
+    const MAGIC: u8 = 0x21;
 }
 
 /// 2PC state for one transaction, rebuilt at recovery.
@@ -80,8 +117,8 @@ impl Clog {
             let replay = log::replay(&env, CLOG_NAME, &path, 0)?;
             log::verify_freshness(&env, CLOG_NAME, replay.last_counter)?;
             for (_, payload) in &replay.records {
-                let rec: ClogRecord = serde_json::from_slice(payload)
-                    .map_err(|_| StoreError::Integrity("clog record does not parse".into()))?;
+                let rec = ClogRecord::from_bytes(payload)
+                    .map_err(|e| StoreError::Integrity(format!("clog record: {e}")))?;
                 let (ClogRecord::Start { gtx, .. } | ClogRecord::Decision { gtx, .. }) = &rec;
                 let st = state.entry(*gtx).or_insert(TxProtocolState {
                     participants: vec![],
@@ -129,8 +166,7 @@ impl Clog {
     /// One record onto the writer's queue: on disk with whatever else
     /// queued while the previous write was in flight.
     fn append(&self, rec: &ClogRecord) -> Result<u64> {
-        self.writer
-            .append(&log::serialize_record("clog record", rec)?)
+        self.writer.append(&rec.to_bytes())
     }
 
     /// Logs the start of 2PC for `gtx`. Returns the record's counter.
@@ -440,8 +476,8 @@ mod tests {
                     (seq, seq),
                     "counters are 1..=16 without gap"
                 );
-                let rec: ClogRecord = serde_json::from_slice(&payload)
-                    .map_err(|_| StoreError::Integrity("clog record does not parse".into()))?;
+                let rec = ClogRecord::from_bytes(&payload)
+                    .map_err(|e| StoreError::Integrity(format!("clog record: {e}")))?;
                 assert!(matches!(rec, ClogRecord::Start { gtx: g, .. } if g == gtx));
             }
             Ok(())

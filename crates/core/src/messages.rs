@@ -1,8 +1,9 @@
 //! Wire payloads of the transaction protocol (carried inside the secure
-//! message envelope of §VII-A).
+//! message envelope of §VII-A), in the binary codec of
+//! [`treaty_crypto::codec`]: one magic+version byte for the class, then the
+//! payload type the request code names.
 
-use serde::{Deserialize, Serialize};
-
+use treaty_crypto::codec::{self, CodecError, Decode, Encode, Reader, Writer};
 use treaty_store::GlobalTxId;
 
 /// Request types on the fabric.
@@ -39,7 +40,7 @@ pub mod req {
 }
 
 /// One transactional operation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Op {
     /// Blind point write (put or delete).
     Write(WriteCmd),
@@ -90,7 +91,7 @@ impl Op {
 /// network) and ship them wholesale — ahead of the first read that could
 /// observe them ([`req::CLIENT_OPS`]) or with the commit itself
 /// ([`req::CLIENT_COMMIT`] payload).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WriteCmd {
     /// Key written.
     pub key: Vec<u8>,
@@ -118,7 +119,7 @@ impl WriteCmd {
 
 /// Client → coordinator payload of [`req::CLIENT_COMMIT`]: the writes still
 /// buffered at commit, in issue order.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ClientCommitReq {
     /// Buffered writes in the order the client issued them.
     pub writes: Vec<WriteCmd>,
@@ -126,7 +127,7 @@ pub struct ClientCommitReq {
 
 /// Why one operation of a list failed — typed, so a reply can say *which*
 /// op failed and *how* instead of first-error-wins prose.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailCode {
     /// Lock acquisition timed out (contention / deadlock avoidance).
     LockTimeout,
@@ -155,7 +156,7 @@ impl From<&treaty_store::StoreError> for FailCode {
 
 /// The failing operation of a list: its position, a typed code, and the
 /// engine's reason.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpFailure {
     /// Index of the failing op within the list the reporting node received
     /// (a shard's slice, or the client's list at the coordinator); `0` when
@@ -180,7 +181,7 @@ impl OpFailure {
 }
 
 /// Result of an operation list: that of its last [`Op`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OpResult {
     /// Success; `value` set for gets.
     Ok {
@@ -199,7 +200,7 @@ pub enum OpResult {
 }
 
 /// Coordinator → participant messages.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PeerMsg {
     /// Apply this shard's slice of an operation list inside `gtx`.
     Ops {
@@ -238,7 +239,7 @@ pub enum PeerMsg {
 }
 
 /// Participant → coordinator replies.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PeerReply {
     /// Result of a [`PeerMsg::Ops`] slice: its last operation's result, or
     /// the first failing operation (the participant rolled the whole slice
@@ -260,7 +261,7 @@ pub enum PeerReply {
 }
 
 /// Client → coordinator commit/rollback result.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CommitResult {
     /// Committed and (under the stabilization profile) rollback-protected.
     Committed,
@@ -275,7 +276,7 @@ pub enum CommitResult {
 /// reads and span scans served lock-free at one timestamp. Keys are
 /// hash-partitioned, so the client groups `keys` by owner but fans every
 /// span out to every shard and merges the sorted slices.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapshotReadReq {
     /// Snapshot timestamp pinned at this shard; `None` asks the shard to
     /// pin its current stable read timestamp and report it back. (An
@@ -292,7 +293,7 @@ pub struct SnapshotReadReq {
 }
 
 /// Shard → client snapshot-read reply.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapshotReadReply {
     /// The reads, served lock-free at `ts`.
     Values {
@@ -321,7 +322,7 @@ pub enum SnapshotReadReply {
 
 /// Client → shard end-of-transaction validation for multi-shard read-only
 /// transactions: "are these reads at `ts` still the latest word?"
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapshotValidateReq {
     /// The timestamp the keys were read at on this shard.
     pub ts: u64,
@@ -336,7 +337,7 @@ pub struct SnapshotValidateReq {
 }
 
 /// Shard → client validation reply.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapshotValidateReply {
     /// All reads still current — the snapshot is consistent.
     Ok,
@@ -351,7 +352,7 @@ pub enum SnapshotValidateReply {
 /// Node → caller live introspection snapshot ([`req::OBS_SNAPSHOT`]).
 /// Every field is read from the node's live structures at serve time —
 /// this is the `treaty-top` data source, not a post-run artifact.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ObsSnapshotReply {
     /// The answering node's endpoint.
     pub node: u32,
@@ -382,14 +383,434 @@ pub struct ObsSnapshotReply {
     pub block_cache_misses: u64,
 }
 
+/// Magic+version byte of a protocol payload.
+pub const MAGIC: u8 = 0x11;
+
 /// Encodes any of the protocol payloads.
-pub fn encode<T: Serialize>(v: &T) -> Vec<u8> {
-    serde_json::to_vec(v).expect("protocol message serializes")
+pub fn encode<T: Encode + ?Sized>(v: &T) -> Vec<u8> {
+    codec::to_bytes(MAGIC, v)
 }
 
 /// Decodes a protocol payload.
-pub fn decode<T: for<'de> Deserialize<'de>>(bytes: &[u8]) -> Option<T> {
-    serde_json::from_slice(bytes).ok()
+pub fn decode<T: Decode>(bytes: &[u8]) -> Option<T> {
+    codec::from_bytes(MAGIC, bytes).ok()
+}
+
+// ---- the codec, type by type: enum variants are tagged in declaration
+// order, fields follow in declaration order ----
+
+impl Encode for Op {
+    fn encode(&self, w: &mut Writer) {
+        match self {
+            Op::Write(cmd) => {
+                w.u8(0);
+                cmd.encode(w);
+            }
+            Op::Get { key } => {
+                w.u8(1);
+                key.encode(w);
+            }
+            Op::Scan { start, end, limit } => {
+                w.u8(2);
+                start.encode(w);
+                end.encode(w);
+                limit.encode(w);
+            }
+            Op::RangeDelete { start, end } => {
+                w.u8(3);
+                start.encode(w);
+                end.encode(w);
+            }
+        }
+    }
+}
+
+impl Decode for Op {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(match r.u8()? {
+            0 => Op::Write(Decode::decode(r)?),
+            1 => Op::Get {
+                key: Decode::decode(r)?,
+            },
+            2 => Op::Scan {
+                start: Decode::decode(r)?,
+                end: Decode::decode(r)?,
+                limit: Decode::decode(r)?,
+            },
+            3 => Op::RangeDelete {
+                start: Decode::decode(r)?,
+                end: Decode::decode(r)?,
+            },
+            _ => return Err(CodecError::Invalid("op tag")),
+        })
+    }
+}
+
+impl Encode for WriteCmd {
+    fn encode(&self, w: &mut Writer) {
+        self.key.encode(w);
+        self.value.encode(w);
+    }
+}
+
+impl Decode for WriteCmd {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(WriteCmd {
+            key: Decode::decode(r)?,
+            value: Decode::decode(r)?,
+        })
+    }
+}
+
+impl Encode for ClientCommitReq {
+    fn encode(&self, w: &mut Writer) {
+        self.writes.encode(w);
+    }
+}
+
+impl Decode for ClientCommitReq {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(ClientCommitReq {
+            writes: Decode::decode(r)?,
+        })
+    }
+}
+
+impl Encode for FailCode {
+    fn encode(&self, w: &mut Writer) {
+        w.u8(match self {
+            FailCode::LockTimeout => 0,
+            FailCode::Conflict => 1,
+            FailCode::Integrity => 2,
+            FailCode::Finished => 3,
+            FailCode::Other => 4,
+        });
+    }
+}
+
+impl Decode for FailCode {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(match r.u8()? {
+            0 => FailCode::LockTimeout,
+            1 => FailCode::Conflict,
+            2 => FailCode::Integrity,
+            3 => FailCode::Finished,
+            4 => FailCode::Other,
+            _ => return Err(CodecError::Invalid("fail code")),
+        })
+    }
+}
+
+impl Encode for OpFailure {
+    fn encode(&self, w: &mut Writer) {
+        self.index.encode(w);
+        self.code.encode(w);
+        self.reason.encode(w);
+    }
+}
+
+impl Decode for OpFailure {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(OpFailure {
+            index: Decode::decode(r)?,
+            code: Decode::decode(r)?,
+            reason: Decode::decode(r)?,
+        })
+    }
+}
+
+impl Encode for OpResult {
+    fn encode(&self, w: &mut Writer) {
+        match self {
+            OpResult::Ok { value } => {
+                w.u8(0);
+                value.encode(w);
+            }
+            OpResult::Entries { entries } => {
+                w.u8(1);
+                entries.encode(w);
+            }
+            OpResult::Failed(failure) => {
+                w.u8(2);
+                failure.encode(w);
+            }
+        }
+    }
+}
+
+impl Decode for OpResult {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(match r.u8()? {
+            0 => OpResult::Ok {
+                value: Decode::decode(r)?,
+            },
+            1 => OpResult::Entries {
+                entries: Decode::decode(r)?,
+            },
+            2 => OpResult::Failed(Decode::decode(r)?),
+            _ => return Err(CodecError::Invalid("op result tag")),
+        })
+    }
+}
+
+impl Encode for PeerMsg {
+    fn encode(&self, w: &mut Writer) {
+        match self {
+            PeerMsg::Ops { gtx, ops } => {
+                w.u8(0);
+                gtx.encode(w);
+                ops.encode(w);
+            }
+            PeerMsg::Prepare {
+                gtx,
+                batch,
+                read_only,
+            } => {
+                w.u8(1);
+                gtx.encode(w);
+                batch.encode(w);
+                read_only.encode(w);
+            }
+            PeerMsg::Commit { gtx } => {
+                w.u8(2);
+                gtx.encode(w);
+            }
+            PeerMsg::Abort { gtx } => {
+                w.u8(3);
+                gtx.encode(w);
+            }
+            PeerMsg::QueryDecision { gtx } => {
+                w.u8(4);
+                gtx.encode(w);
+            }
+        }
+    }
+}
+
+impl Decode for PeerMsg {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(match r.u8()? {
+            0 => PeerMsg::Ops {
+                gtx: Decode::decode(r)?,
+                ops: Decode::decode(r)?,
+            },
+            1 => PeerMsg::Prepare {
+                gtx: Decode::decode(r)?,
+                batch: Decode::decode(r)?,
+                read_only: Decode::decode(r)?,
+            },
+            2 => PeerMsg::Commit {
+                gtx: Decode::decode(r)?,
+            },
+            3 => PeerMsg::Abort {
+                gtx: Decode::decode(r)?,
+            },
+            4 => PeerMsg::QueryDecision {
+                gtx: Decode::decode(r)?,
+            },
+            _ => return Err(CodecError::Invalid("peer message tag")),
+        })
+    }
+}
+
+impl Encode for PeerReply {
+    fn encode(&self, w: &mut Writer) {
+        match self {
+            PeerReply::OpsDone(result) => {
+                w.u8(0);
+                result.encode(w);
+            }
+            PeerReply::Vote { yes } => {
+                w.u8(1);
+                yes.encode(w);
+            }
+            PeerReply::Ack => w.u8(2),
+            PeerReply::Decision { commit } => {
+                w.u8(3);
+                commit.encode(w);
+            }
+        }
+    }
+}
+
+impl Decode for PeerReply {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(match r.u8()? {
+            0 => PeerReply::OpsDone(Decode::decode(r)?),
+            1 => PeerReply::Vote {
+                yes: Decode::decode(r)?,
+            },
+            2 => PeerReply::Ack,
+            3 => PeerReply::Decision {
+                commit: Decode::decode(r)?,
+            },
+            _ => return Err(CodecError::Invalid("peer reply tag")),
+        })
+    }
+}
+
+impl Encode for CommitResult {
+    fn encode(&self, w: &mut Writer) {
+        match self {
+            CommitResult::Committed => w.u8(0),
+            CommitResult::Aborted { reason } => {
+                w.u8(1);
+                reason.encode(w);
+            }
+        }
+    }
+}
+
+impl Decode for CommitResult {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(match r.u8()? {
+            0 => CommitResult::Committed,
+            1 => CommitResult::Aborted {
+                reason: Decode::decode(r)?,
+            },
+            _ => return Err(CodecError::Invalid("commit result tag")),
+        })
+    }
+}
+
+impl Encode for SnapshotReadReq {
+    fn encode(&self, w: &mut Writer) {
+        self.ts.encode(w);
+        self.keys.encode(w);
+        self.spans.encode(w);
+        self.limit.encode(w);
+    }
+}
+
+impl Decode for SnapshotReadReq {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(SnapshotReadReq {
+            ts: Decode::decode(r)?,
+            keys: Decode::decode(r)?,
+            spans: Decode::decode(r)?,
+            limit: Decode::decode(r)?,
+        })
+    }
+}
+
+impl Encode for SnapshotReadReply {
+    fn encode(&self, w: &mut Writer) {
+        match self {
+            SnapshotReadReply::Values { ts, values, rows } => {
+                w.u8(0);
+                ts.encode(w);
+                values.encode(w);
+                rows.encode(w);
+            }
+            SnapshotReadReply::Stale { stable_ts } => {
+                w.u8(1);
+                stable_ts.encode(w);
+            }
+            SnapshotReadReply::InDoubt { key } => {
+                w.u8(2);
+                key.encode(w);
+            }
+        }
+    }
+}
+
+impl Decode for SnapshotReadReply {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(match r.u8()? {
+            0 => SnapshotReadReply::Values {
+                ts: Decode::decode(r)?,
+                values: Decode::decode(r)?,
+                rows: Decode::decode(r)?,
+            },
+            1 => SnapshotReadReply::Stale {
+                stable_ts: Decode::decode(r)?,
+            },
+            2 => SnapshotReadReply::InDoubt {
+                key: Decode::decode(r)?,
+            },
+            _ => return Err(CodecError::Invalid("snapshot read reply tag")),
+        })
+    }
+}
+
+impl Encode for SnapshotValidateReq {
+    fn encode(&self, w: &mut Writer) {
+        self.ts.encode(w);
+        self.keys.encode(w);
+        self.spans.encode(w);
+    }
+}
+
+impl Decode for SnapshotValidateReq {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(SnapshotValidateReq {
+            ts: Decode::decode(r)?,
+            keys: Decode::decode(r)?,
+            spans: Decode::decode(r)?,
+        })
+    }
+}
+
+impl Encode for SnapshotValidateReply {
+    fn encode(&self, w: &mut Writer) {
+        match self {
+            SnapshotValidateReply::Ok => w.u8(0),
+            SnapshotValidateReply::Fail { key } => {
+                w.u8(1);
+                key.encode(w);
+            }
+        }
+    }
+}
+
+impl Decode for SnapshotValidateReply {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(match r.u8()? {
+            0 => SnapshotValidateReply::Ok,
+            1 => SnapshotValidateReply::Fail {
+                key: Decode::decode(r)?,
+            },
+            _ => return Err(CodecError::Invalid("snapshot validate reply tag")),
+        })
+    }
+}
+
+impl Encode for ObsSnapshotReply {
+    fn encode(&self, w: &mut Writer) {
+        self.node.encode(w);
+        self.ts.encode(w);
+        self.stable_ts.encode(w);
+        self.finishes_inflight.encode(w);
+        self.flush_backlog.encode(w);
+        w.u8(self.backpressure);
+        self.prepared_txns.encode(w);
+        self.committed.encode(w);
+        self.aborted.encode(w);
+        self.participant_ops.encode(w);
+        self.decision_retries.encode(w);
+        self.block_cache_hits.encode(w);
+        self.block_cache_misses.encode(w);
+    }
+}
+
+impl Decode for ObsSnapshotReply {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(ObsSnapshotReply {
+            node: Decode::decode(r)?,
+            ts: Decode::decode(r)?,
+            stable_ts: Decode::decode(r)?,
+            finishes_inflight: Decode::decode(r)?,
+            flush_backlog: Decode::decode(r)?,
+            backpressure: r.u8()?,
+            prepared_txns: Decode::decode(r)?,
+            committed: Decode::decode(r)?,
+            aborted: Decode::decode(r)?,
+            participant_ops: Decode::decode(r)?,
+            decision_retries: Decode::decode(r)?,
+            block_cache_hits: Decode::decode(r)?,
+            block_cache_misses: Decode::decode(r)?,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -493,23 +914,6 @@ mod tests {
         assert_eq!(
             FailCode::from(&StoreError::Io("disk".into())),
             FailCode::Other
-        );
-    }
-
-    #[test]
-    fn garbage_decodes_to_none() {
-        assert_eq!(decode::<PeerMsg>(b"not json"), None);
-        // A payload missing a field is malformed like any other: no peer
-        // older than this tree exists, so nothing is defaulted.
-        assert_eq!(
-            decode::<PeerMsg>(br#"{"Prepare":{"gtx":{"node":1,"seq":2}}}"#),
-            None
-        );
-        assert_eq!(decode::<ClientCommitReq>(b"{}"), None);
-        assert_eq!(decode::<ClientCommitReq>(b""), None);
-        assert_eq!(
-            decode::<SnapshotValidateReq>(br#"{"ts":7,"keys":[[97]]}"#),
-            None
         );
     }
 

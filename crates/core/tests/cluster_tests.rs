@@ -6,6 +6,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use treaty_core::messages::{decode, encode};
 use treaty_core::{
     check_list_append, Cluster, ClusterOptions, HistoryError, TreatyError, TxnObservation,
 };
@@ -210,12 +211,11 @@ fn run_list_append(
                                 continue;
                             }
                             let cur = tx.get(k)?;
-                            let mut list: Vec<GlobalTxId> = cur
-                                .map(|b| serde_json::from_slice(&b).unwrap())
-                                .unwrap_or_default();
+                            let mut list: Vec<GlobalTxId> =
+                                cur.map(|b| decode(&b).unwrap()).unwrap_or_default();
                             obs.reads.push((k.clone(), list.clone()));
                             list.push(gtx);
-                            tx.put(k, &serde_json::to_vec(&list).unwrap())?;
+                            tx.put(k, &encode(&list))?;
                             obs.appends.push(k.clone());
                         }
                         Ok(())
@@ -241,7 +241,7 @@ fn run_list_append(
             for k in &keyspace {
                 match tx.get(k) {
                     Ok(Some(bytes)) => {
-                        let list: Vec<GlobalTxId> = serde_json::from_slice(&bytes).unwrap();
+                        let list: Vec<GlobalTxId> = decode(&bytes).unwrap();
                         finals.insert(k.clone(), list);
                     }
                     Ok(None) => {}
@@ -326,18 +326,11 @@ fn wire_confidentiality_end_to_end() {
         tx.commit().unwrap();
         let sniffed = cluster.fabric().captured_bytes();
         assert!(!sniffed.is_empty());
-        // Payloads are JSON, so the plaintext appears as a JSON byte array
-        // when unprotected; check both renderings.
-        let json_rendering = serde_json::to_vec(&secret.to_vec()).unwrap();
+        // Payloads carry a value as its raw bytes: unprotected, the
+        // plaintext itself would be on the wire.
         assert!(
             !sniffed.windows(secret.len()).any(|w| w == secret),
             "value plaintext visible on the wire"
-        );
-        assert!(
-            !sniffed
-                .windows(json_rendering.len())
-                .any(|w| w == json_rendering.as_slice()),
-            "value plaintext (JSON rendering) visible on the wire"
         );
     });
 }
@@ -355,11 +348,8 @@ fn baseline_leaks_on_the_wire() {
         tx.put(b"account", secret).unwrap();
         tx.commit().unwrap();
         let sniffed = cluster.fabric().captured_bytes();
-        let json_rendering = serde_json::to_vec(&secret.to_vec()).unwrap();
         assert!(
-            sniffed
-                .windows(json_rendering.len())
-                .any(|w| w == json_rendering.as_slice()),
+            sniffed.windows(secret.len()).any(|w| w == secret),
             "baseline was expected to leak (it has no encryption)"
         );
     });
@@ -1219,13 +1209,13 @@ fn read_only_scanners_serialize_with_cross_shard_writers() {
             Arc::new(Cluster::start(options(SecurityProfile::treaty_full(), &path)).unwrap());
         let observations = Arc::new(Mutex::new(Vec::new()));
         let keyspace: Vec<Vec<u8>> = (0..6).map(|i| format!("list-{i}").into_bytes()).collect();
-        let decode = |b: &[u8]| -> Vec<GlobalTxId> { serde_json::from_slice(b).unwrap() };
+        let decode_list = |b: &[u8]| -> Vec<GlobalTxId> { decode(b).unwrap() };
         // Every list exists (empty) up front, so each append overwrites a
         // present key and meets the scanners on that key's own lock.
         let seeder = cluster.client();
         let mut tx = seeder.begin(1);
         for k in &keyspace {
-            tx.put(k, b"[]").unwrap();
+            tx.put(k, &encode(&Vec::<GlobalTxId>::new())).unwrap();
         }
         tx.commit().unwrap();
 
@@ -1252,7 +1242,7 @@ fn read_only_scanners_serialize_with_cross_shard_writers() {
                                 let seen = rows.iter().find(|(rk, _)| rk == k);
                                 obs.reads.push((
                                     k.clone(),
-                                    seen.map(|(_, v)| decode(v)).unwrap_or_default(),
+                                    seen.map(|(_, v)| decode_list(v)).unwrap_or_default(),
                                 ));
                             }
                         } else {
@@ -1260,10 +1250,11 @@ fn read_only_scanners_serialize_with_cross_shard_writers() {
                                 if obs.appends.contains(k) {
                                     continue;
                                 }
-                                let mut list = tx.get(k)?.map(|b| decode(&b)).unwrap_or_default();
+                                let mut list =
+                                    tx.get(k)?.map(|b| decode_list(&b)).unwrap_or_default();
                                 obs.reads.push((k.clone(), list.clone()));
                                 list.push(obs.id);
-                                tx.put(k, &serde_json::to_vec(&list).unwrap())?;
+                                tx.put(k, &encode(&list))?;
                                 obs.appends.push(k.clone());
                             }
                         }
@@ -1286,7 +1277,7 @@ fn read_only_scanners_serialize_with_cross_shard_writers() {
             .scan(b"list-", b"list-~", 0)
             .unwrap()
             .into_iter()
-            .map(|(k, v)| (k, decode(&v)))
+            .map(|(k, v)| (k, decode_list(&v)))
             .collect();
         tx.commit().unwrap();
 

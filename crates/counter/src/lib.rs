@@ -37,7 +37,7 @@ use treaty_sched::WaitQueue;
 use treaty_sim::{crashpoint, obs, runtime, CostModel, Nanos};
 use treaty_tee::HwCounter;
 
-pub use rote::{RoteGroup, RoteReplica};
+pub use rote::{RoteGroup, RoteMsg, RoteReplica, SealedState};
 
 /// Identifies one logical counter (one per log file: WAL, MANIFEST, Clog).
 pub type CounterId = String;

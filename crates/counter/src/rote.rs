@@ -15,12 +15,12 @@
 //! service (availability, which is outside the guarantees, §VI).
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use treaty_crypto::codec::{CodecError, Decode, Encode, Reader, Record, Writer};
 use treaty_crypto::{Key, MsgKind, TxMeta, WireCrypto};
 use treaty_net::{EndpointId, Fabric, Rpc, RpcConfig};
 use treaty_sched::FiberMutex;
@@ -32,23 +32,90 @@ use crate::{CounterBackend, CounterError};
 /// Request type for counter traffic on the fabric.
 pub const ROTE_REQ: u8 = 0xC0;
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
-enum RoteMsg {
+/// One message of the counter protocol, on the wire as a [`Record`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RoteMsg {
+    /// Round one: store `value` for `id` as pending.
     Update { id: String, value: u64 },
+    /// A replica's answer to `Update`.
     Echo { value: u64 },
+    /// Round two: make the pending `value` stable (and sealed).
     Confirm { id: String, value: u64 },
+    /// A replica's answer to `Confirm`.
     Ack,
+    /// Refused: `rollback` when the value is below the stable one.
     Nack { rollback: bool },
+    /// Ask a replica for `id`'s stable value.
     Query { id: String },
+    /// A replica's answer to `Query`.
     Value { value: u64 },
 }
 
-fn encode(m: &RoteMsg) -> Vec<u8> {
-    serde_json::to_vec(m).expect("rote message serializes")
+impl Encode for RoteMsg {
+    fn encode(&self, w: &mut Writer) {
+        match self {
+            RoteMsg::Update { id, value } => {
+                w.u8(0);
+                id.encode(w);
+                value.encode(w);
+            }
+            RoteMsg::Echo { value } => {
+                w.u8(1);
+                value.encode(w);
+            }
+            RoteMsg::Confirm { id, value } => {
+                w.u8(2);
+                id.encode(w);
+                value.encode(w);
+            }
+            RoteMsg::Ack => w.u8(3),
+            RoteMsg::Nack { rollback } => {
+                w.u8(4);
+                rollback.encode(w);
+            }
+            RoteMsg::Query { id } => {
+                w.u8(5);
+                id.encode(w);
+            }
+            RoteMsg::Value { value } => {
+                w.u8(6);
+                value.encode(w);
+            }
+        }
+    }
 }
 
-fn decode(b: &[u8]) -> Option<RoteMsg> {
-    serde_json::from_slice(b).ok()
+impl Decode for RoteMsg {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(match r.u8()? {
+            0 => RoteMsg::Update {
+                id: Decode::decode(r)?,
+                value: Decode::decode(r)?,
+            },
+            1 => RoteMsg::Echo {
+                value: Decode::decode(r)?,
+            },
+            2 => RoteMsg::Confirm {
+                id: Decode::decode(r)?,
+                value: Decode::decode(r)?,
+            },
+            3 => RoteMsg::Ack,
+            4 => RoteMsg::Nack {
+                rollback: Decode::decode(r)?,
+            },
+            5 => RoteMsg::Query {
+                id: Decode::decode(r)?,
+            },
+            6 => RoteMsg::Value {
+                value: Decode::decode(r)?,
+            },
+            _ => return Err(CodecError::Invalid("counter message tag")),
+        })
+    }
+}
+
+impl Record for RoteMsg {
+    const MAGIC: u8 = 0x61;
 }
 
 #[derive(Debug, Default)]
@@ -61,9 +128,28 @@ struct ReplicaState {
 
 /// What a replica seals: the stable map as key-sorted pairs, so the sealed
 /// bytes (and the write they are priced by) never depend on hash order.
-#[derive(Serialize, Deserialize)]
-struct SealedState {
-    stable: Vec<(String, u64)>,
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SealedState {
+    /// `(counter id, stable value)` in key order.
+    pub stable: Vec<(String, u64)>,
+}
+
+impl Encode for SealedState {
+    fn encode(&self, w: &mut Writer) {
+        self.stable.encode(w);
+    }
+}
+
+impl Decode for SealedState {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(SealedState {
+            stable: Decode::decode(r)?,
+        })
+    }
+}
+
+impl Record for SealedState {
+    const MAGIC: u8 = 0x71;
 }
 
 /// What a replica restarting from `seal_path` knows: the sealed stable
@@ -78,9 +164,9 @@ fn recover(seal_path: &Path, sealing_key: &Key, measurement: &Measurement) -> Re
     }
     let recovered: Option<SealedState> = std::fs::read(seal_path)
         .ok()
-        .and_then(|raw| serde_json::from_slice::<SealedBlob>(&raw).ok())
+        .and_then(|raw| SealedBlob::from_bytes(&raw).ok())
         .and_then(|blob| unseal(sealing_key, measurement, &blob).ok())
-        .and_then(|plain| serde_json::from_slice(&plain).ok());
+        .and_then(|plain| SealedState::from_bytes(&plain).ok());
     let sealed = recovered
         .expect("replica sealed state is corrupt or was tampered with — refusing to restart");
     ReplicaState {
@@ -165,7 +251,7 @@ impl RoteReplica {
     }
 
     fn handle(&self, meta: TxMeta, payload: Vec<u8>) -> Option<(TxMeta, Vec<u8>)> {
-        let msg = decode(&payload)?;
+        let msg = RoteMsg::from_bytes(&payload).ok()?;
         let reply_meta = TxMeta {
             kind: MsgKind::Counter,
             ..meta
@@ -200,7 +286,7 @@ impl RoteReplica {
                             kind: MsgKind::Nack,
                             ..meta
                         };
-                        return Some((m, encode(&RoteMsg::Nack { rollback: false })));
+                        return Some((m, RoteMsg::Nack { rollback: false }.to_bytes()));
                     }
                 };
                 if let Some(version) = applied {
@@ -216,7 +302,7 @@ impl RoteReplica {
             }
             _ => return None,
         };
-        Some((reply_meta, encode(&reply)))
+        Some((reply_meta, reply.to_bytes()))
     }
 
     /// Returns once a seal containing the update applied as `version` is
@@ -233,17 +319,14 @@ impl RoteReplica {
             let sealed = SealedState {
                 stable: st.stable.iter().map(|(k, v)| (k.clone(), *v)).collect(),
             };
-            (
-                st.version,
-                serde_json::to_vec(&sealed).expect("state serializes"),
-            )
+            (st.version, sealed.to_bytes())
         };
         let seq = self.seal_seq.fetch_add(1, Ordering::Relaxed);
         let mut nonce = [0u8; 12];
         nonce[..4].copy_from_slice(&self.endpoint.to_be_bytes());
         nonce[4..].copy_from_slice(&seq.to_be_bytes());
         let blob = seal(&self.sealing_key, &self.measurement, nonce, &state_bytes);
-        let raw = serde_json::to_vec(&blob).expect("blob serializes");
+        let raw = blob.to_bytes();
         // Charge the sealing write before making it visible.
         let costs = self.rpc.fabric().costs();
         runtime::sleep(costs.ssd_append_ns(treaty_sim::TeeMode::Scone, raw.len()));
@@ -313,7 +396,7 @@ impl RoteGroup {
     /// Sends `msg` to every replica on RPC session `session` and collects
     /// the replies.
     fn broadcast(&self, session: u64, msg: &RoteMsg) -> Vec<RoteMsg> {
-        let payload = encode(msg);
+        let payload = msg.to_bytes();
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let mut pending = Vec::new();
         for (i, &r) in self.replicas.iter().enumerate() {
@@ -332,7 +415,7 @@ impl RoteGroup {
         let mut replies = Vec::new();
         for p in pending {
             if let Ok((_, bytes)) = p.wait() {
-                if let Some(m) = decode(&bytes) {
+                if let Ok(m) = RoteMsg::from_bytes(&bytes) {
                     replies.push(m);
                 }
             }
@@ -760,8 +843,8 @@ mod tests {
                 kind: MsgKind::Counter,
             };
             let send = move |r: &RoteReplica, msg: RoteMsg| {
-                let (_, reply) = r.handle(meta, encode(&msg)).expect("replica answers");
-                decode(&reply).expect("reply decodes")
+                let (_, reply) = r.handle(meta, msg.to_bytes()).expect("replica answers");
+                RoteMsg::from_bytes(&reply).expect("reply decodes")
             };
             let confirms: Vec<_> = (0..8u64)
                 .map(|i| {

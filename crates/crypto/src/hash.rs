@@ -1,14 +1,13 @@
 //! Hashing and MACs for the authenticated LSM structures.
 
 use hmac::{Hmac, Mac};
-use serde::{Deserialize, Serialize};
 use sha2::{Digest, Sha256};
 
 use crate::keys::Key;
 use crate::CryptoError;
 
 /// A 256-bit digest (SHA-256 or HMAC-SHA-256 output).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Digest32(pub [u8; 32]);
 
 impl Digest32 {

@@ -1,13 +1,12 @@
 //! Keys, the key hierarchy distributed by the CAS, and nonce sequences.
 
 use hmac::{Hmac, Mac};
-use serde::{Deserialize, Serialize};
 use sha2::Sha256;
 
 /// A 256-bit symmetric key.
 ///
 /// `Debug` deliberately redacts the key material.
-#[derive(Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct Key([u8; 32]);
 
 impl std::fmt::Debug for Key {
@@ -53,7 +52,7 @@ impl Key {
 ///
 /// All keys derive deterministically from one master secret, so the CAS
 /// only ships 32 bytes to each verified enclave.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KeyHierarchy {
     /// Protects node-to-node and client-to-node messages.
     pub network: Key,
@@ -87,7 +86,7 @@ impl KeyHierarchy {
 /// AES-GCM requires unique nonces per key; Treaty derives them from the
 /// sender identity and a monotonic counter, which is also what makes the
 /// simulation reproducible (no random nonces).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NonceSeq {
     sender: u32,
     counter: u64,

@@ -9,7 +9,12 @@
 //! uses the pure-Rust RustCrypto implementations, which keeps the security
 //! code real (everything is actually encrypted and verified) without any
 //! system dependency.
+//!
+//! [`codec`] is the one binary format every byte that crosses the trust
+//! boundary is written in; every crate that writes such a byte already
+//! depends on this one.
 
+pub mod codec;
 pub mod hash;
 pub mod keys;
 pub mod message;

@@ -16,8 +16,6 @@
 //! the unique `(node, tx, op)` tuple that gives Treaty at-most-once
 //! execution over an adversarial network.
 
-use serde::{Deserialize, Serialize};
-
 use crate::hash::hmac_sign;
 use crate::keys::Key;
 use crate::{aead_open, aead_seal, CryptoError};
@@ -34,7 +32,7 @@ pub const MAC_LEN: usize = 16;
 pub const MESSAGE_OVERHEAD: usize = IV_LEN + PAD_LEN + META_LEN + MAC_LEN;
 
 /// Message kinds used by the transaction and stabilization protocols.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum MsgKind {
     /// Read a key inside a transaction.
@@ -81,7 +79,7 @@ impl MsgKind {
 }
 
 /// The 80-byte transaction metadata block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TxMeta {
     /// Coordinator node id (8 B on the wire).
     pub node_id: u64,
@@ -125,7 +123,7 @@ impl TxMeta {
 }
 
 /// Protection level applied to a message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WireCrypto {
     /// No protection (native baselines).
     Plain,

@@ -13,8 +13,10 @@
 //! * **L002 — no panics on the 2PC commit/recovery path.** A coordinator
 //!   or participant that unwinds mid-commit leaves the protocol state
 //!   machine wedged; `unwrap()`, `expect()` and `panic!` are banned in
-//!   `core::{node,clog}` and `store::{log,sstable}`. (`unwrap_err`/
-//!   `expect_err` are fine — they assert on the *error* arm in tests.)
+//!   `core::{node,clog}` and `store::{log,sstable}`, and in
+//!   `crypto::codec`, which decodes every byte recovery reads.
+//!   (`unwrap_err`/`expect_err` are fine — they assert on the *error* arm
+//!   in tests.)
 //! * **L003 — deterministic time and randomness.** Simulated components
 //!   must take time from the virtual clock; `std::time::{Instant,
 //!   SystemTime}` and `thread_rng` are allowed only in the measurement
@@ -350,12 +352,13 @@ const L001_ALLOW_FILES: [&str; 3] = [
     "crates/store/src/sstable.rs",
 ];
 
-/// L002 scope: the 2PC commit/recovery path.
-const L002_SCOPE: [&str; 4] = [
+/// L002 scope: the 2PC commit/recovery path, and the decoder under it.
+const L002_SCOPE: [&str; 5] = [
     "crates/core/src/node.rs",
     "crates/core/src/clog.rs",
     "crates/store/src/log.rs",
     "crates/store/src/sstable.rs",
+    "crates/crypto/src/codec.rs",
 ];
 
 /// L003: nondeterminism sources banned outside the allowlist.

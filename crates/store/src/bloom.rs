@@ -12,16 +12,19 @@
 //! in-enclave performance structure, not a cryptographic commitment; its
 //! integrity comes from the sealed footer, not from the hash function.
 
-use serde::{Deserialize, Serialize};
+use treaty_crypto::codec::{CodecError, Decode, Encode, Reader, Writer};
 
-/// A serializable Bloom filter over byte-string keys.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// A Bloom filter over byte-string keys.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BloomFilter {
     /// The bit array, little-endian within each byte.
     bits: Vec<u8>,
     /// Number of probes per key.
     k: u32,
 }
+
+/// Probe counts [`BloomFilter::new`] can choose.
+const PROBES: std::ops::RangeInclusive<u32> = 1..=30;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -50,7 +53,7 @@ impl BloomFilter {
         let nbits = (expected_keys.max(1) * bits_per_key.max(1)).max(64);
         let nbytes = nbits.div_ceil(8);
         // Optimal probe count is bits_per_key * ln 2 ≈ 0.69 * bits_per_key.
-        let k = ((bits_per_key as f64 * 0.69) as u32).clamp(1, 30);
+        let k = ((bits_per_key as f64 * 0.69) as u32).clamp(*PROBES.start(), *PROBES.end());
         BloomFilter {
             bits: vec![0u8; nbytes],
             k,
@@ -88,6 +91,26 @@ impl BloomFilter {
     /// Approximate in-enclave footprint in bytes (bit array + header).
     pub fn approx_bytes(&self) -> usize {
         self.bits.len() + 8
+    }
+}
+
+impl Encode for BloomFilter {
+    fn encode(&self, w: &mut Writer) {
+        self.bits.encode(w);
+        self.k.encode(w);
+    }
+}
+
+/// Refuses what [`BloomFilter::new`] never builds: an empty bit array
+/// (every probe would divide by zero) or a probe count out of range.
+impl Decode for BloomFilter {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let bits: Vec<u8> = Decode::decode(r)?;
+        let k = Decode::decode(r)?;
+        if bits.is_empty() || !PROBES.contains(&k) {
+            return Err(CodecError::Invalid("bloom filter shape"));
+        }
+        Ok(BloomFilter { bits, k })
     }
 }
 
@@ -130,16 +153,29 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip_preserves_answers() {
+    fn codec_roundtrip_preserves_answers() {
+        use treaty_crypto::codec::{from_bytes, to_bytes};
         let mut f = BloomFilter::new(100, 10);
         for k in keys(100, "in") {
             f.insert(&k);
         }
-        let json = serde_json::to_vec(&f).unwrap();
-        let g: BloomFilter = serde_json::from_slice(&json).unwrap();
+        let g: BloomFilter = from_bytes(0, &to_bytes(0, &f)).unwrap();
         assert_eq!(f, g);
         for k in keys(100, "in") {
             assert!(g.may_contain(&k));
+        }
+    }
+
+    #[test]
+    fn a_filter_no_build_produces_does_not_decode() {
+        use treaty_crypto::codec::{from_bytes, to_bytes};
+        for (bits, k) in [
+            (Vec::<u8>::new(), 7u32),
+            (vec![0xFF; 8], 0),
+            (vec![0xFF; 8], 31),
+        ] {
+            let forged = to_bytes(0, &(bits, k));
+            assert!(from_bytes::<BloomFilter>(0, &forged).is_err(), "k = {k}");
         }
     }
 

@@ -15,13 +15,13 @@
 //! restores the pre-pipelining inline behaviour for ablations.
 
 use parking_lot::{Mutex, RwLock};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::ops::Bound;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
+use treaty_crypto::codec::{CodecError, Decode, Encode, Reader, Record, Writer};
 use treaty_sched::{FiberMutex, GroupCommit};
 
 use crate::env::Env;
@@ -33,8 +33,8 @@ use crate::txn::{GlobalTxId, Txn, TxnMode, TxnOptions, WriteOp};
 use crate::{Result, StoreError};
 
 /// MANIFEST edits: every change to the persistent-storage state.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub(crate) enum ManifestEdit {
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ManifestEdit {
     /// A new WAL generation began.
     NewWal { gen: u64 },
     /// A WAL generation's effects are fully in SSTables; file deletable
@@ -47,18 +47,76 @@ pub(crate) enum ManifestEdit {
     RemoveTable { level: usize, file_id: u64 },
 }
 
+/// Level numbers are written as `u64`.
+fn encode_level(level: usize, w: &mut Writer) {
+    (level as u64).encode(w);
+}
+
+fn decode_level(r: &mut Reader<'_>) -> std::result::Result<usize, CodecError> {
+    usize::try_from(u64::decode(r)?).map_err(|_| CodecError::Invalid("level"))
+}
+
+impl Encode for ManifestEdit {
+    fn encode(&self, w: &mut Writer) {
+        match self {
+            ManifestEdit::NewWal { gen } => {
+                w.u8(0);
+                gen.encode(w);
+            }
+            ManifestEdit::WalObsolete { gen } => {
+                w.u8(1);
+                gen.encode(w);
+            }
+            ManifestEdit::AddTable { level, file_id } => {
+                w.u8(2);
+                encode_level(*level, w);
+                file_id.encode(w);
+            }
+            ManifestEdit::RemoveTable { level, file_id } => {
+                w.u8(3);
+                encode_level(*level, w);
+                file_id.encode(w);
+            }
+        }
+    }
+}
+
+impl Decode for ManifestEdit {
+    fn decode(r: &mut Reader<'_>) -> std::result::Result<Self, CodecError> {
+        Ok(match r.u8()? {
+            0 => ManifestEdit::NewWal {
+                gen: Decode::decode(r)?,
+            },
+            1 => ManifestEdit::WalObsolete {
+                gen: Decode::decode(r)?,
+            },
+            2 => ManifestEdit::AddTable {
+                level: decode_level(r)?,
+                file_id: Decode::decode(r)?,
+            },
+            3 => ManifestEdit::RemoveTable {
+                level: decode_level(r)?,
+                file_id: Decode::decode(r)?,
+            },
+            _ => return Err(CodecError::Invalid("manifest edit tag")),
+        })
+    }
+}
+
+impl Record for ManifestEdit {
+    const MAGIC: u8 = 0x41;
+}
+
 /// WAL records.
 ///
 /// `ranges` rides commits and prepares as `[start, end)` pairs — a range
 /// delete is one record-sized entry no matter how many keys it covers.
-/// `serde(default)` keeps WALs written before range deletes replayable.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub(crate) enum WalRecord {
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum WalRecord {
     /// A committed transaction's writes.
     Commit {
         seq: SeqNum,
         writes: Vec<WriteOp>,
-        #[serde(default)]
         ranges: Vec<(UserKey, UserKey)>,
     },
     /// A 2PC participant prepared this transaction (locks implied by the
@@ -66,7 +124,6 @@ pub(crate) enum WalRecord {
     Prepare {
         gtx: GlobalTxId,
         writes: Vec<WriteOp>,
-        #[serde(default)]
         ranges: Vec<(UserKey, UserKey)>,
     },
     /// Decision for a previously prepared transaction.
@@ -75,6 +132,66 @@ pub(crate) enum WalRecord {
         commit: bool,
         seq: SeqNum,
     },
+}
+
+impl Encode for WalRecord {
+    fn encode(&self, w: &mut Writer) {
+        match self {
+            WalRecord::Commit {
+                seq,
+                writes,
+                ranges,
+            } => {
+                w.u8(0);
+                seq.encode(w);
+                writes.encode(w);
+                ranges.encode(w);
+            }
+            WalRecord::Prepare {
+                gtx,
+                writes,
+                ranges,
+            } => {
+                w.u8(1);
+                gtx.encode(w);
+                writes.encode(w);
+                ranges.encode(w);
+            }
+            WalRecord::Decide { gtx, commit, seq } => {
+                w.u8(2);
+                gtx.encode(w);
+                commit.encode(w);
+                seq.encode(w);
+            }
+        }
+    }
+}
+
+impl Decode for WalRecord {
+    fn decode(r: &mut Reader<'_>) -> std::result::Result<Self, CodecError> {
+        Ok(match r.u8()? {
+            0 => WalRecord::Commit {
+                seq: Decode::decode(r)?,
+                writes: Decode::decode(r)?,
+                ranges: Decode::decode(r)?,
+            },
+            1 => WalRecord::Prepare {
+                gtx: Decode::decode(r)?,
+                writes: Decode::decode(r)?,
+                ranges: Decode::decode(r)?,
+            },
+            2 => WalRecord::Decide {
+                gtx: Decode::decode(r)?,
+                commit: Decode::decode(r)?,
+                seq: Decode::decode(r)?,
+            },
+            _ => return Err(CodecError::Invalid("wal record tag")),
+        })
+    }
+}
+
+impl Record for WalRecord {
+    const MAGIC: u8 = 0x31;
 }
 
 pub(crate) struct PreparedState {
@@ -609,7 +726,7 @@ impl TreatyStore {
                 &env.dir.join(wal_name(gen)),
                 0,
             )?);
-            manifest.append(&encode_edit(&ManifestEdit::NewWal { gen })?)?;
+            manifest.append(&ManifestEdit::NewWal { gen }.to_bytes())?;
             let inner = StoreInner {
                 mem: RwLock::new(Arc::new(MemTable::new(Arc::clone(&env)))),
                 levels: RwLock::new(Arc::new(vec![Vec::new(); 7])),
@@ -1199,7 +1316,7 @@ impl TreatyStore {
         }
         let _span = treaty_sim::obs::span("store.commit");
         let req = CommitReq {
-            record: encode_wal(rec)?,
+            record: rec.to_bytes(),
             effect,
         };
         let mut rotation = Ok(());
@@ -1564,7 +1681,7 @@ impl TreatyStore {
     }
 
     fn manifest_append(&self, edit: &ManifestEdit) -> Result<u64> {
-        self.inner.manifest.append(&encode_edit(edit)?)
+        self.inner.manifest.append(&edit.to_bytes())
     }
 
     fn level_bytes(&self, tables: &[Arc<SsTable>]) -> u64 {
@@ -1825,8 +1942,8 @@ impl TreatyStore {
         let mut live_gens: Vec<u64> = Vec::new();
         let mut max_gen = 0;
         for (_, payload) in &replayed.records {
-            let edit: ManifestEdit = serde_json::from_slice(payload)
-                .map_err(|_| StoreError::Integrity("manifest edit does not parse".into()))?;
+            let edit = ManifestEdit::from_bytes(payload)
+                .map_err(|e| StoreError::Integrity(format!("manifest edit: {e}")))?;
             match edit {
                 ManifestEdit::NewWal { gen } => {
                     live_gens.push(gen);
@@ -1855,7 +1972,16 @@ impl TreatyStore {
             if *level == 0 {
                 l0_order.push((*file_id, table));
             } else {
-                levels[*level].push(table);
+                // The level is whatever the decoded edit says: a profile
+                // without log authentication reads it as the disk wrote it.
+                levels
+                    .get_mut(*level)
+                    .ok_or_else(|| {
+                        StoreError::Integrity(format!(
+                            "manifest puts table {file_id} on level {level}, which does not exist"
+                        ))
+                    })?
+                    .push(table);
             }
         }
         // L0 newest (highest file id) first; deeper levels by key range.
@@ -1883,8 +2009,8 @@ impl TreatyStore {
             let wal_replay = log::replay(&env, &name, &path, 0)?;
             log::verify_freshness(&env, &name, wal_replay.last_counter)?;
             for (_, payload) in &wal_replay.records {
-                let rec: WalRecord = serde_json::from_slice(payload)
-                    .map_err(|_| StoreError::Integrity("wal record does not parse".into()))?;
+                let rec = WalRecord::from_bytes(payload)
+                    .map_err(|e| StoreError::Integrity(format!("wal record: {e}")))?;
                 match rec {
                     WalRecord::Commit {
                         seq,
@@ -1976,7 +2102,7 @@ impl TreatyStore {
             &env.dir.join(wal_name(new_gen)),
             0,
         )?);
-        manifest.append(&encode_edit(&ManifestEdit::NewWal { gen: new_gen })?)?;
+        manifest.append(&ManifestEdit::NewWal { gen: new_gen }.to_bytes())?;
         live_gens.push(new_gen);
         // Re-log as a rotation does: the in-doubt `Decide`s will land here,
         // and the next flush retires the recovered generations one MANIFEST
@@ -2021,14 +2147,6 @@ impl TreatyStore {
     }
 }
 
-fn encode_wal(rec: &WalRecord) -> Result<Vec<u8>> {
-    log::serialize_record("wal record", rec)
-}
-
-fn encode_edit(edit: &ManifestEdit) -> Result<Vec<u8>> {
-    log::serialize_record("manifest edit", edit)
-}
-
 /// Re-logs every in-doubt transaction into `wal` — a generation not yet
 /// taking writes — in one batch, one fsync.
 fn relog_prepared(prepared: &PreparedTable, wal: &LogWriter) -> Result<()> {
@@ -2036,14 +2154,14 @@ fn relog_prepared(prepared: &PreparedTable, wal: &LogWriter) -> Result<()> {
         .snapshot_writes()
         .into_iter()
         .map(|(gtx, writes, ranges)| {
-            let rec = WalRecord::Prepare {
+            WalRecord::Prepare {
                 gtx,
                 writes,
                 ranges,
-            };
-            encode_wal(&rec)
+            }
+            .to_bytes()
         })
-        .collect::<Result<_>>()?;
+        .collect();
     if !relog.is_empty() {
         wal.append_batch(&relog)?;
     }

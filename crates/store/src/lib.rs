@@ -37,7 +37,7 @@ pub mod txn;
 
 pub use bloom::BloomFilter;
 pub use cache::{BlockCache, ReadAccelStats};
-pub use engine::{EngineIntrospection, EngineStats, TreatyStore};
+pub use engine::{EngineIntrospection, EngineStats, ManifestEdit, TreatyStore, WalRecord};
 pub use env::{EngineConfig, Env};
 pub use locks::{LockMode, LockTable, EOF_SENTINEL};
 pub use txn::{

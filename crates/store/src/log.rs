@@ -94,18 +94,6 @@ fn encode_record(env: &Env, name: &str, counter: u64, plain: &[u8]) -> HostBytes
     out
 }
 
-/// Serializes a log record. A typed error instead of a panic: Prepare,
-/// Decide, Start and Decision records are written mid-2PC, and the commit
-/// path must never unwind there (L002).
-///
-/// # Errors
-///
-/// Returns [`StoreError::Io`] naming `what` if the record does not
-/// serialize.
-pub fn serialize_record<T: serde::Serialize>(what: &str, rec: &T) -> Result<Vec<u8>> {
-    serde_json::to_vec(rec).map_err(|e| StoreError::Io(format!("{what} does not serialize: {e}")))
-}
-
 /// What a queued record learns when the leader that took it unwound before
 /// handing out results. Only a crash does that — at `log.batch_written`,
 /// be it the leader's own or a MANIFEST append's under the store's commit

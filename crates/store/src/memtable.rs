@@ -12,10 +12,10 @@
 //! would buy no parallelism — only a merge under every ordered read.
 
 use parking_lot::RwLock;
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use treaty_crypto::codec::{CodecError, Decode, Encode, Reader, Writer};
 use treaty_crypto::{aead_open, aead_seal, hash, Digest32, Key};
 use treaty_tee::{HostBytes, HostHandle};
 
@@ -32,7 +32,7 @@ pub type SeqNum = u64;
 /// `[start, end)` is deleted. Older point versions stay readable below
 /// `seq` (snapshots before the delete still see them); compaction GC
 /// physically reclaims covered versions once no snapshot can need them.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RangeTombstone {
     /// Inclusive start of the deleted range.
     pub start: UserKey,
@@ -40,6 +40,24 @@ pub struct RangeTombstone {
     pub end: UserKey,
     /// The version at which the delete happened.
     pub seq: SeqNum,
+}
+
+impl Encode for RangeTombstone {
+    fn encode(&self, w: &mut Writer) {
+        self.start.encode(w);
+        self.end.encode(w);
+        self.seq.encode(w);
+    }
+}
+
+impl Decode for RangeTombstone {
+    fn decode(r: &mut Reader<'_>) -> std::result::Result<Self, CodecError> {
+        Ok(RangeTombstone {
+            start: Decode::decode(r)?,
+            end: Decode::decode(r)?,
+            seq: Decode::decode(r)?,
+        })
+    }
 }
 
 impl RangeTombstone {

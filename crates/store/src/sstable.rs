@@ -16,13 +16,13 @@
 //! digests are loaded *into the enclave* at open so every subsequent block
 //! read can be verified against trusted state.
 
-use serde::{Deserialize, Serialize};
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+use treaty_crypto::codec::{CodecError, Decode, Encode, Reader, Record, Writer};
 use treaty_crypto::{aead_open, aead_seal, hash};
 use treaty_tee::HostBytes;
 
@@ -36,7 +36,7 @@ const MAGIC: u64 = 0x5452_4541_5459_5354; // "TREATYST"
 const META_BLOCK_NO: u32 = u32::MAX;
 
 /// Metadata for one block.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockMeta {
     /// Byte offset of the stored (possibly sealed) block.
     pub offset: u64,
@@ -53,7 +53,7 @@ pub struct BlockMeta {
 }
 
 /// Footer metadata of an SSTable, held in the enclave after open.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SsTableMeta {
     /// Unique file id (drives block nonces; never reused per key).
     pub file_id: u64,
@@ -70,16 +70,67 @@ pub struct SsTableMeta {
     /// Bloom filter over the table's distinct user keys. Serialized inside
     /// the sealed footer, so it is covered by the same integrity protection
     /// as the block digests: tampered filter bits are detected at open.
-    /// `None` for tables built with filters disabled (and for pre-filter
-    /// tables, via serde default).
-    #[serde(default)]
+    /// `None` for tables built with filters disabled.
     pub filter: Option<BloomFilter>,
     /// Multi-version range tombstones carried by this table, in `(start,
     /// seq)` order. They live in the sealed footer — the same integrity
     /// envelope as the block digests — so untrusted storage cannot drop a
     /// range delete without failing footer verification at open.
-    #[serde(default)]
     pub range_tombstones: Vec<RangeTombstone>,
+}
+
+impl Encode for BlockMeta {
+    fn encode(&self, w: &mut Writer) {
+        self.offset.encode(w);
+        self.len.encode(w);
+        self.first_key.encode(w);
+        self.last_key.encode(w);
+        self.digest.encode(w);
+    }
+}
+
+impl Decode for BlockMeta {
+    fn decode(r: &mut Reader<'_>) -> std::result::Result<Self, CodecError> {
+        Ok(BlockMeta {
+            offset: Decode::decode(r)?,
+            len: Decode::decode(r)?,
+            first_key: Decode::decode(r)?,
+            last_key: Decode::decode(r)?,
+            digest: Decode::decode(r)?,
+        })
+    }
+}
+
+impl Encode for SsTableMeta {
+    fn encode(&self, w: &mut Writer) {
+        self.file_id.encode(w);
+        self.blocks.encode(w);
+        self.min_key.encode(w);
+        self.max_key.encode(w);
+        self.max_seq.encode(w);
+        self.entries.encode(w);
+        self.filter.encode(w);
+        self.range_tombstones.encode(w);
+    }
+}
+
+impl Decode for SsTableMeta {
+    fn decode(r: &mut Reader<'_>) -> std::result::Result<Self, CodecError> {
+        Ok(SsTableMeta {
+            file_id: Decode::decode(r)?,
+            blocks: Decode::decode(r)?,
+            min_key: Decode::decode(r)?,
+            max_key: Decode::decode(r)?,
+            max_seq: Decode::decode(r)?,
+            entries: Decode::decode(r)?,
+            filter: Decode::decode(r)?,
+            range_tombstones: Decode::decode(r)?,
+        })
+    }
+}
+
+impl Record for SsTableMeta {
+    const MAGIC: u8 = 0x51;
 }
 
 fn block_nonce(file_id: u64, block_no: u32) -> [u8; 12] {
@@ -348,10 +399,7 @@ pub fn build(
         range_tombstones: range_tombstones.to_vec(),
     };
 
-    // A typed error instead of a panic: builds run on the commit path's
-    // background maintenance, which must never unwind (L002).
-    let meta_plain = serde_json::to_vec(&meta)
-        .map_err(|e| StoreError::Io(format!("sstable meta does not serialize: {e}")))?;
+    let meta_plain = meta.to_bytes();
     let (meta_stored, meta_digest) = protect_block(env, file_id, META_BLOCK_NO, &meta_plain);
     file.write_all(meta_stored.as_slice())?;
     file.write_all(&meta_digest)?;
@@ -416,14 +464,12 @@ impl SsTable {
         file.read_exact(&mut meta_digest)?;
         env.charge_storage_read(meta_len as usize);
 
-        // We do not know file_id until the meta decodes; the nonce/aad use
-        // it, so it is carried redundantly: try decode via self-describing
-        // plain JSON first is unsafe; instead file_id is recoverable from
-        // the path by convention, but we verify cryptographically below.
+        // The nonce and aad need file_id before the meta decodes: it comes
+        // from the path by convention, and the decoded meta must agree.
         let file_id = file_id_from_path(path)?;
         let meta_plain = open_block(&env, file_id, META_BLOCK_NO, &meta_stored, &meta_digest)?;
-        let meta: SsTableMeta = serde_json::from_slice(&meta_plain)
-            .map_err(|_| StoreError::Integrity("sstable meta does not parse".into()))?;
+        let meta = SsTableMeta::from_bytes(&meta_plain)
+            .map_err(|e| StoreError::Integrity(format!("sstable meta: {e}")))?;
         if meta.file_id != file_id {
             return Err(StoreError::Integrity(
                 "sstable meta/file id mismatch".into(),
@@ -1304,17 +1350,19 @@ mod tests {
         assert_eq!(t.meta().range_tombstones, rts);
         assert_eq!(t.meta().max_seq, 777);
 
-        // Dropping the tombstone from the footer must fail verification
-        // at open: authentication-only mode stores the footer as plain
-        // JSON pinned by an HMAC, so we can surgically erase it.
+        // Moving the tombstone in the footer must fail verification at
+        // open: authentication-only mode stores the footer in clear,
+        // pinned by an HMAC, so its encoding is findable on disk.
         let raw = std::fs::read(&path)?;
-        let needle = b"\"range_tombstones\"";
+        let mut w = Writer::new();
+        rts[0].encode(&mut w);
+        let needle = w.into_vec();
         let pos = raw
             .windows(needle.len())
             .position(|w| w == needle)
             .ok_or_else(|| StoreError::Integrity("footer must hold the tombstones".into()))?;
         let mut tampered = raw.clone();
-        tampered[pos + needle.len() + 3] ^= 0x01; // inside the tombstone array
+        tampered[pos + needle.len() - 8] ^= 0x01; // the tombstone's seq
         std::fs::write(&path, &tampered)?;
         let err = SsTable::open(env, &path).unwrap_err();
         assert!(matches!(err, StoreError::Integrity(_)));
@@ -1356,19 +1404,20 @@ mod tests {
 
     #[test]
     fn tampered_filter_bytes_detected() -> Result<()> {
-        // Authentication-only mode stores the footer as plaintext JSON
-        // pinned by an HMAC, so the serialized filter is findable on disk.
-        // Flipping one of its bits must fail verification at open: the
-        // filter is integrity-covered exactly like the block digests.
+        // Authentication-only mode stores the footer in clear, pinned by
+        // an HMAC, so the encoded filter is findable on disk. Flipping one
+        // of its bits must fail verification at open: the filter is
+        // integrity-covered exactly like the block digests.
         let (_d, env, t) = build_one(SecurityProfile::treaty_no_enc(), 100)?;
         let mut raw = std::fs::read(t.path())?;
+        let mut w = Writer::new();
+        t.meta().filter.encode(&mut w);
+        let needle = w.into_vec();
         let pos = raw
-            .windows(6)
-            .position(|w| w == b"\"bits\"")
-            .ok_or_else(|| {
-                StoreError::Integrity("footer must hold the serialized filter".into())
-            })?;
-        raw[pos + 10] ^= 0x01; // inside the filter's bit array
+            .windows(needle.len())
+            .position(|w| w == needle)
+            .ok_or_else(|| StoreError::Integrity("footer must hold the encoded filter".into()))?;
+        raw[pos + needle.len() / 2] ^= 0x01; // inside the filter's bit array
         std::fs::write(t.path(), &raw)?;
         let err = SsTable::open(env, t.path()).unwrap_err();
         assert!(matches!(err, StoreError::Integrity(_)));

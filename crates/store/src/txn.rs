@@ -13,10 +13,11 @@
 //!   [`TxnEngine::abort_prepared`] — possibly after a crash and recovery.
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+
+use treaty_crypto::codec::{CodecError, Decode, Encode, Reader, Writer};
 
 use crate::engine::{
     stabilize_traced, Effect, EngineIntrospection, FencedSpan, PreparedDecision, PreparedState,
@@ -27,7 +28,7 @@ use crate::memtable::{SeqNum, UserKey};
 use crate::{Result, StoreError};
 
 /// Concurrency-control flavour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TxnMode {
     /// Two-phase locking.
     Pessimistic,
@@ -51,12 +52,28 @@ impl Default for TxnOptions {
 }
 
 /// Globally unique transaction id: `(coordinator node, per-node sequence)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GlobalTxId {
     /// Coordinator node id.
     pub node: u64,
     /// Monotonic sequence at that coordinator.
     pub seq: u64,
+}
+
+impl Encode for GlobalTxId {
+    fn encode(&self, w: &mut Writer) {
+        self.node.encode(w);
+        self.seq.encode(w);
+    }
+}
+
+impl Decode for GlobalTxId {
+    fn decode(r: &mut Reader<'_>) -> std::result::Result<Self, CodecError> {
+        Ok(GlobalTxId {
+            node: Decode::decode(r)?,
+            seq: Decode::decode(r)?,
+        })
+    }
 }
 
 impl std::fmt::Display for GlobalTxId {
@@ -66,12 +83,28 @@ impl std::fmt::Display for GlobalTxId {
 }
 
 /// One buffered write.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WriteOp {
     /// Target key.
     pub key: UserKey,
     /// `None` deletes the key.
     pub value: Option<Vec<u8>>,
+}
+
+impl Encode for WriteOp {
+    fn encode(&self, w: &mut Writer) {
+        self.key.encode(w);
+        self.value.encode(w);
+    }
+}
+
+impl Decode for WriteOp {
+    fn decode(r: &mut Reader<'_>) -> std::result::Result<Self, CodecError> {
+        Ok(WriteOp {
+            key: Decode::decode(r)?,
+            value: Decode::decode(r)?,
+        })
+    }
 }
 
 /// Commit outcome.

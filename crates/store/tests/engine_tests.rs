@@ -906,9 +906,38 @@ fn write_op_serialization_roundtrip() {
         key: b"k".to_vec(),
         value: Some(b"v".to_vec()),
     };
-    let json = serde_json::to_vec(&op).unwrap();
-    let back: WriteOp = serde_json::from_slice(&json).unwrap();
+    let bytes = treaty_crypto::codec::to_bytes(0, &op);
+    let back: WriteOp = treaty_crypto::codec::from_bytes(0, &bytes).unwrap();
     assert_eq!(op, back);
+}
+
+/// A MANIFEST edit naming a level the engine does not have is refused at
+/// recovery instead of indexing past the level table: the `rocksdb`
+/// profile does not authenticate its logs, so a decoded level is whatever
+/// the disk says.
+#[test]
+fn manifest_naming_a_missing_level_is_refused() {
+    use treaty_crypto::codec::Record as _;
+    use treaty_store::log::{replay, LogWriter};
+    use treaty_store::ManifestEdit;
+
+    let dir = tempfile::tempdir().unwrap();
+    let (env, store) = open(SecurityProfile::rocksdb(), dir.path());
+    put(&store, b"k", b"v");
+    store.flush().unwrap();
+    drop(store);
+    let path = dir.path().join("MANIFEST");
+    let last = replay(&env, "manifest", &path, 0).unwrap().last_counter;
+    let forged = ManifestEdit::AddTable {
+        level: 9,
+        file_id: 1,
+    };
+    LogWriter::open(Arc::clone(&env), "manifest", &path, last)
+        .unwrap()
+        .append(&forged.to_bytes())
+        .unwrap();
+    let err = TreatyStore::open(env).unwrap_err();
+    assert!(matches!(err, StoreError::Integrity(_)), "{err:?}");
 }
 
 #[test]

@@ -6,14 +6,12 @@
 //! (quote generation, verification, the CAS/LAS chain in `treaty-cas`)
 //! follows the paper's protocol.
 
-use serde::{Deserialize, Serialize};
-
 use treaty_crypto::{hash, Digest32, Key};
 
 use crate::TeeError;
 
 /// An enclave measurement (MRENCLAVE): the hash of the code identity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Measurement(pub Digest32);
 
 impl Measurement {
@@ -26,7 +24,7 @@ impl Measurement {
 
 /// A signed attestation quote binding a measurement to caller-chosen
 /// report data (e.g. a public key or nonce).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Quote {
     /// The attested enclave's measurement.
     pub measurement: Measurement,

@@ -1,17 +1,38 @@
 //! SGX-style sealing: binding enclave state to the enclave identity.
 
-use serde::{Deserialize, Serialize};
-
+use treaty_crypto::codec::{CodecError, Decode, Encode, Reader, Record, Writer};
 use treaty_crypto::{aead_open, aead_seal, Key};
 
 use crate::attest::Measurement;
 use crate::TeeError;
 
 /// An encrypted, measurement-bound blob suitable for untrusted storage.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// On disk it is a [`Record`]: the nonce, then the length-prefixed
+/// `ciphertext ‖ tag`.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SealedBlob {
     nonce: [u8; 12],
     ciphertext: Vec<u8>,
+}
+
+impl Encode for SealedBlob {
+    fn encode(&self, w: &mut Writer) {
+        self.nonce.encode(w);
+        self.ciphertext.encode(w);
+    }
+}
+
+impl Decode for SealedBlob {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(SealedBlob {
+            nonce: Decode::decode(r)?,
+            ciphertext: Decode::decode(r)?,
+        })
+    }
+}
+
+impl Record for SealedBlob {
+    const MAGIC: u8 = 0x81;
 }
 
 /// Seals `state` for the enclave identified by `measurement`.

@@ -32,6 +32,7 @@ use treaty::core::clog::{ClogRecord, CLOG_FILE, CLOG_NAME};
 use treaty::core::cluster::{wire_crypto, COUNTER_BASE, COUNTER_CLIENT_BASE};
 use treaty::core::messages::{decode, encode, req, PeerMsg, PeerReply};
 use treaty::core::{check_list_append, Cluster, ClusterOptions, TreatyError, TxnObservation};
+use treaty::crypto::codec::Record as _;
 use treaty::crypto::{MsgKind, TxMeta};
 use treaty::net::{Rpc, RpcConfig};
 use treaty::sched::block_on;
@@ -208,13 +209,10 @@ fn run_cell(c: Cell) -> String {
         };
         for k in &keys {
             let cur = tx.get(k).expect("seed read failed");
-            let mut list: Vec<GlobalTxId> = cur
-                .map(|b| serde_json::from_slice(&b).unwrap())
-                .unwrap_or_default();
+            let mut list: Vec<GlobalTxId> = cur.map(|b| decode(&b).unwrap()).unwrap_or_default();
             seed_obs.reads.push((k.clone(), list.clone()));
             list.push(seed_gtx);
-            tx.put(k, &serde_json::to_vec(&list).unwrap())
-                .expect("seed write failed");
+            tx.put(k, &encode(&list)).expect("seed write failed");
             seed_obs.appends.push(k.clone());
         }
         tx.commit().expect("seed commit failed");
@@ -255,13 +253,10 @@ fn run_cell(c: Cell) -> String {
         };
         for k in &keys {
             let cur = tx.get(k).expect("doomed read failed");
-            let mut list: Vec<GlobalTxId> = cur
-                .map(|b| serde_json::from_slice(&b).unwrap())
-                .unwrap_or_default();
+            let mut list: Vec<GlobalTxId> = cur.map(|b| decode(&b).unwrap()).unwrap_or_default();
             doomed_obs.reads.push((k.clone(), list.clone()));
             list.push(doomed_gtx);
-            tx.put(k, &serde_json::to_vec(&list).unwrap())
-                .expect("doomed write failed");
+            tx.put(k, &encode(&list)).expect("doomed write failed");
             doomed_obs.appends.push(k.clone());
         }
         if let Some(fk) = &filler_key {
@@ -324,7 +319,7 @@ fn run_cell(c: Cell) -> String {
             for k in &keys {
                 match tx.get(k) {
                     Ok(Some(bytes)) => {
-                        let list: Vec<GlobalTxId> = serde_json::from_slice(&bytes).unwrap();
+                        let list: Vec<GlobalTxId> = decode(&bytes).unwrap();
                         finals.insert(k.clone(), list);
                     }
                     Ok(None) => {}
@@ -1235,7 +1230,7 @@ fn clog_on_disk(cluster: &Cluster) -> Vec<ClogRecord> {
         .expect("the Clog replays")
         .records
         .iter()
-        .map(|(_, payload)| serde_json::from_slice(payload).expect("a Clog record"))
+        .map(|(_, payload)| ClogRecord::from_bytes(payload).expect("a Clog record"))
         .collect()
 }
 
@@ -1276,12 +1271,11 @@ fn run_clog_batch_cell(hit: u64, starts: bool) -> String {
                 let mut list: Vec<GlobalTxId> = tx
                     .get(k)
                     .expect("read")
-                    .map(|b| serde_json::from_slice(&b).unwrap())
+                    .map(|b| decode(&b).unwrap())
                     .unwrap_or_default();
                 obs.reads.push((k.clone(), list.clone()));
                 list.push(gtx);
-                tx.put(k, &serde_json::to_vec(&list).unwrap())
-                    .expect("write");
+                tx.put(k, &encode(&list)).expect("write");
             }
             let acked = match tx.commit() {
                 Ok(()) => 'C',
@@ -1368,7 +1362,7 @@ fn run_clog_batch_cell(hit: u64, starts: bool) -> String {
         let mut tx = reader.begin(SPARE);
         for k in &all_keys {
             let list = tx.get(k).expect("post-recovery read").expect("seeded");
-            finals.insert(k.clone(), serde_json::from_slice(&list).unwrap());
+            finals.insert(k.clone(), decode(&list).unwrap());
         }
         tx.commit().expect("verify commit");
         let mut history = vec![seed_obs];

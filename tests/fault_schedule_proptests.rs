@@ -15,6 +15,7 @@ use std::collections::HashMap;
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use treaty::core::messages::{decode, encode};
 use treaty::core::{check_list_append, Cluster, ClusterOptions, TxnObservation};
 use treaty::sched::block_on;
 use treaty::sim::crashpoint::{self, FaultSchedule};
@@ -59,12 +60,11 @@ fn run_case(point: &'static str, node: u32, hit: u64, txns: usize) {
                         continue;
                     }
                     let cur = tx.get(k)?;
-                    let mut list: Vec<GlobalTxId> = cur
-                        .map(|b| serde_json::from_slice(&b).unwrap())
-                        .unwrap_or_default();
+                    let mut list: Vec<GlobalTxId> =
+                        cur.map(|b| decode(&b).unwrap()).unwrap_or_default();
                     obs.reads.push((k.clone(), list.clone()));
                     list.push(gtx);
-                    tx.put(k, &serde_json::to_vec(&list).unwrap())?;
+                    tx.put(k, &encode(&list))?;
                     obs.appends.push(k.clone());
                 }
                 Ok(())
@@ -106,7 +106,7 @@ fn run_case(point: &'static str, node: u32, hit: u64, txns: usize) {
             for k in &keyspace {
                 match tx.get(k) {
                     Ok(Some(bytes)) => {
-                        let list: Vec<GlobalTxId> = serde_json::from_slice(&bytes).unwrap();
+                        let list: Vec<GlobalTxId> = decode(&bytes).unwrap();
                         finals.insert(k.clone(), list);
                     }
                     Ok(None) => {}

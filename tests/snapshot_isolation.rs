@@ -8,6 +8,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use treaty::core::messages::{decode, encode};
 use treaty::core::{Cluster, ClusterOptions};
 use treaty::obs::Obs;
 use treaty::sched::block_on;
@@ -54,8 +55,7 @@ fn snapshot_never_observes_torn_cross_shard_txn() {
         let client = cluster.client();
         let mut tx = client.begin(1);
         for k in &keys {
-            tx.put(k, &serde_json::to_vec(&Vec::<GlobalTxId>::new()).unwrap())
-                .unwrap();
+            tx.put(k, &encode(&Vec::<GlobalTxId>::new())).unwrap();
         }
         tx.commit().unwrap();
         sleep(20 * MILLIS);
@@ -79,11 +79,10 @@ fn snapshot_never_observes_torn_cross_shard_txn() {
                             ok = false;
                             break;
                         };
-                        let mut list: Vec<GlobalTxId> = list
-                            .map(|b| serde_json::from_slice(&b).unwrap())
-                            .unwrap_or_default();
+                        let mut list: Vec<GlobalTxId> =
+                            list.map(|b| decode(&b).unwrap()).unwrap_or_default();
                         list.push(gtx);
-                        if tx.put(k, &serde_json::to_vec(&list).unwrap()).is_err() {
+                        if tx.put(k, &encode(&list)).is_err() {
                             ok = false;
                             break;
                         }
@@ -106,10 +105,8 @@ fn snapshot_never_observes_torn_cross_shard_txn() {
                     let lists: Vec<BTreeSet<GlobalTxId>> = values
                         .iter()
                         .map(|v| {
-                            let l: Vec<GlobalTxId> = v
-                                .as_ref()
-                                .map(|b| serde_json::from_slice(b).unwrap())
-                                .unwrap_or_default();
+                            let l: Vec<GlobalTxId> =
+                                v.as_ref().map(|b| decode(b).unwrap()).unwrap_or_default();
                             l.into_iter().collect()
                         })
                         .collect();
