@@ -684,6 +684,10 @@ fn absorb_cluster_stats(obs: &Obs, cluster: &Cluster, nodes: usize) {
         add("core.nodes.aborted", ns.aborted);
         add("core.nodes.participant_ops", ns.participant_ops);
         add("core.nodes.decision_retries", ns.decision_retries);
+        add(
+            "net.replay_guard_entries",
+            cluster.node(idx).rpc().guard_entries() as u64,
+        );
         if let Some(store) = cluster.store(idx) {
             let es = store.stats();
             add("store.commits", es.commits);

@@ -555,8 +555,11 @@ pub struct SnapshotTxn<'a> {
     validate_set: BTreeMap<EndpointId, Vec<Vec<u8>>>,
     /// Spans scanned per shard, validated wholesale at finish (per-key
     /// validation cannot see keys inserted into a span — the phantom).
-    validate_spans: BTreeMap<EndpointId, Vec<(Vec<u8>, Vec<u8>)>>,
+    validate_spans: BTreeMap<EndpointId, Vec<Span>>,
 }
+
+/// A key span `[start, end)`.
+type Span = (Vec<u8>, Vec<u8>);
 
 impl std::fmt::Debug for SnapshotTxn<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -751,8 +754,7 @@ impl SnapshotTxn<'_> {
         );
         // Ordered by shard, so the validate burst is sealed and numbered
         // in the same order on every run.
-        let mut work: BTreeMap<EndpointId, (Vec<Vec<u8>>, Vec<(Vec<u8>, Vec<u8>)>)> =
-            BTreeMap::new();
+        let mut work: BTreeMap<EndpointId, (Vec<Vec<u8>>, Vec<Span>)> = BTreeMap::new();
         for (owner, keys) in std::mem::take(&mut self.validate_set) {
             work.entry(owner).or_default().0 = keys;
         }

@@ -284,8 +284,12 @@ fn apply_ops(txn: &mut dyn EngineTxn, ops: &[Op]) -> OpResult {
 /// One protocol handler: `(node, source endpoint, metadata, payload)`.
 type Handler = fn(&Arc<TreatyNode>, EndpointId, TxMeta, Vec<u8>) -> Option<(TxMeta, Vec<u8>)>;
 
-/// Every request the node accepts: code, whether the `(node, tx, op)`
-/// replay guard covers it, and its handler (DESIGN.md §16 has the table).
+/// Every request the node accepts: code, whether the RPC layer's replay
+/// guard covers it, and its handler (DESIGN.md §16 has the table). An
+/// abort is not guarded: it is only ever sent for a transaction decided
+/// abort, so running it twice changes nothing, and an advisory queued
+/// behind its transaction's running op must run even after its sender's
+/// floor has passed it.
 const HANDLERS: &[(u8, bool, Handler)] = &[
     (req::CLIENT_OPS, true, TreatyNode::handle_client_ops),
     (req::CLIENT_COMMIT, true, TreatyNode::handle_client_commit),
@@ -304,7 +308,7 @@ const HANDLERS: &[(u8, bool, Handler)] = &[
     (req::PEER_OPS, true, TreatyNode::handle_peer),
     (req::PEER_PREPARE, true, TreatyNode::handle_peer),
     (req::PEER_COMMIT, true, TreatyNode::handle_peer),
-    (req::PEER_ABORT, true, TreatyNode::handle_peer),
+    (req::PEER_ABORT, false, TreatyNode::handle_peer),
     (req::QUERY_DECISION, false, TreatyNode::handle_peer),
 ];
 
@@ -324,8 +328,8 @@ pub(crate) fn merge_sorted_slices(
         slices.into_iter().map(Vec::into_iter).collect();
     // Heap entries order by (key, value, source) — keys are disjoint
     // across sources, so the key alone decides.
-    let mut heap: BinaryHeap<Reverse<(Vec<u8>, Vec<u8>, usize)>> =
-        BinaryHeap::with_capacity(iters.len());
+    type Head = Reverse<(Vec<u8>, Vec<u8>, usize)>;
+    let mut heap: BinaryHeap<Head> = BinaryHeap::with_capacity(iters.len());
     for (i, it) in iters.iter_mut().enumerate() {
         if let Some((k, v)) = it.next() {
             heap.push(Reverse((k, v, i)));
@@ -404,16 +408,6 @@ impl TreatyNode {
                 timeout: options.timeout,
             },
         );
-        // Peer op ids key the participants' at-most-once cache — (node, tx,
-        // op) — so a restarted coordinator must not reuse those of its past
-        // life: a re-driven prepare or decision would be answered with the
-        // memoized reply to an older message and never run. The clock
-        // stands in for a boot epoch.
-        let first_op = if treaty_sim::runtime::in_fiber() {
-            treaty_sim::runtime::now().max(1)
-        } else {
-            1
-        };
         let node = Arc::new(TreatyNode {
             endpoint: options.endpoint,
             rpc: Arc::clone(&rpc),
@@ -424,7 +418,7 @@ impl TreatyNode {
             active_coord: Mutex::new(HashMap::new()),
             active_part: Mutex::new(HashMap::new()),
             recently_aborted: Mutex::new(AbortRing::default()),
-            op_seq: AtomicU64::new(first_op),
+            op_seq: AtomicU64::new(1),
             stats: Mutex::new(NodeStats::default()),
             sync_decisions: options.sync_decisions,
             finishes_inflight: AtomicUsize::new(0),

@@ -312,6 +312,61 @@ fn serializable_under_lossy_network() {
     );
 }
 
+/// The replay guard is bounded by requests in flight, not by history:
+/// after 2 000 sequential transactions, each coordinated in turn by every
+/// node, a node holds one floor per sender plus the few numbers at or
+/// above it — what that sender had in flight when it last spoke. An honest
+/// run suppresses nothing anywhere.
+#[test]
+fn replay_guard_is_bounded_by_requests_in_flight() {
+    let dir = tempfile::tempdir().unwrap();
+    let path = dir.path().to_path_buf();
+    block_on(move || {
+        let cluster = Cluster::start(options(SecurityProfile::treaty_full(), &path)).unwrap();
+        let keys = keys_on_different_nodes(&cluster);
+        let client = cluster.client();
+        let nodes = cluster.node_endpoints();
+        let guard_entries = || -> Vec<usize> {
+            (0..nodes.len())
+                .map(|i| cluster.node(i).rpc().guard_entries())
+                .collect()
+        };
+        let mut readings = Vec::new();
+        for round in 0..2_000 {
+            let mut tx = client.begin(nodes[round % nodes.len()]);
+            for k in &keys {
+                tx.put(k, b"v").unwrap();
+            }
+            tx.commit().unwrap();
+            if round % 500 == 499 {
+                readings.push(guard_entries());
+            }
+        }
+        // Senders of guarded requests to a node: the client and the other
+        // two nodes. A coordinator has at most a prepare and a decision
+        // in flight to each of two participants.
+        let senders = nodes.len();
+        let bound = senders * (1 + 2 * 2);
+        assert_eq!(
+            readings.first(),
+            readings.last(),
+            "the guard grew: {readings:?}"
+        );
+        for (i, reading) in readings.iter().enumerate() {
+            for (node, &entries) in reading.iter().enumerate() {
+                assert!(
+                    entries <= bound,
+                    "node {node} holds {entries} guard entries after {} txns (bound {bound})",
+                    (i + 1) * 500
+                );
+            }
+        }
+        for i in 0..nodes.len() {
+            assert_eq!(cluster.node(i).rpc().replays_suppressed(), 0, "node {i}");
+        }
+    });
+}
+
 #[test]
 fn wire_confidentiality_end_to_end() {
     let dir = tempfile::tempdir().unwrap();

@@ -336,6 +336,58 @@ fn failed_redrive_is_surfaced_and_retryable() {
     });
 }
 
+/// A straggler cannot outlive its abort. The coordinator's `PEER_OPS` is
+/// lost on its way to the participant; the coordinator times out, aborts
+/// and sends the `PEER_ABORT` advisory, which finds nothing to roll back.
+/// Then the adversary delivers the captured `PEER_OPS`. A memo of replies
+/// never saw it, so under one it would run and the participant would
+/// hold the lock of a transaction nobody finishes. The advisory's floor is
+/// above the straggler's number, so it is dropped unanswered.
+#[test]
+fn a_straggler_cannot_outlive_its_abort() {
+    let dir = tempfile::tempdir().unwrap();
+    let path = dir.path().to_path_buf();
+    block_on(move || {
+        let cluster = Cluster::start(options(&path)).unwrap();
+        let key = key_per_node(&cluster).get(&2).unwrap().clone();
+        let part = cluster.store(1).unwrap();
+        let fabric = Arc::clone(cluster.fabric());
+        fabric.start_capture();
+        // Cut the coordinator off from the participant for the op only:
+        // the advisory, sent when the op times out, gets through.
+        fabric.with_adversary(|a| {
+            a.partitions.insert((1, 2));
+        });
+        let heal = Arc::clone(&fabric);
+        let healer = treaty_sim::runtime::spawn(move || {
+            treaty_sim::runtime::sleep(treaty_net::DEFAULT_RPC_TIMEOUT / 2);
+            heal.with_adversary(|a| a.partitions.clear());
+        });
+
+        let client = cluster.client();
+        let mut tx = client.begin(1);
+        tx.put(&key, b"straggler").unwrap();
+        assert!(tx.flush().is_err(), "the op was lost: the flush must fail");
+        treaty_sim::runtime::join(healer);
+        treaty_sim::runtime::sleep(10 * MILLIS);
+        assert_eq!(part.locked_keys(), 0);
+
+        let straggler = fabric
+            .captured()
+            .into_iter()
+            .find(|d| d.src == 1 && d.dst == 2 && d.req_type == req::PEER_OPS)
+            .expect("the coordinator's PEER_OPS was captured");
+        fabric.inject(straggler);
+        treaty_sim::runtime::sleep(10 * MILLIS);
+        assert_eq!(
+            part.locked_keys(),
+            0,
+            "the straggler ran after its abort and holds a lock"
+        );
+        assert_eq!(cluster.node(1).rpc().replays_suppressed(), 1);
+    });
+}
+
 /// A participant's `PEER_OPS` handler holds the transaction's engine state
 /// *out* of `active_part` while it waits for a lock. The coordinator's
 /// `PEER_ABORT` advisory for the same transaction arrives meanwhile: it must

@@ -81,37 +81,25 @@ impl KeyHierarchy {
     }
 }
 
-/// A deterministic 96-bit nonce sequence: `sender_id ‖ counter`.
+/// The deterministic 96-bit nonce of message `counter` from `sender`:
+/// `sender ‖ counter`, both big-endian.
 ///
-/// AES-GCM requires unique nonces per key; Treaty derives them from the
-/// sender identity and a monotonic counter, which is also what makes the
-/// simulation reproducible (no random nonces).
-#[derive(Debug, Clone)]
-pub struct NonceSeq {
-    sender: u32,
-    counter: u64,
+/// AES-GCM requires a nonce never used twice under one key. The sender id
+/// keeps the endpoints that share a key apart; each endpoint must never
+/// repeat a counter, across its restarts included (`treaty_net`'s `Rpc`
+/// draws it from the counter that numbers its requests, which starts at
+/// the endpoint's boot epoch). Deterministic nonces also keep the
+/// simulation reproducible.
+pub fn nonce(sender: u32, counter: u64) -> [u8; 12] {
+    let mut nonce = [0u8; 12];
+    nonce[..4].copy_from_slice(&sender.to_be_bytes());
+    nonce[4..].copy_from_slice(&counter.to_be_bytes());
+    nonce
 }
 
-impl NonceSeq {
-    /// Creates a sequence for `sender`. Each sender id must be unique per
-    /// key to preserve nonce uniqueness.
-    pub fn new(sender: u32) -> Self {
-        NonceSeq { sender, counter: 0 }
-    }
-
-    /// Returns the next nonce. Never repeats for a given sender.
-    pub fn next(&mut self) -> [u8; 12] {
-        let mut nonce = [0u8; 12];
-        nonce[..4].copy_from_slice(&self.sender.to_be_bytes());
-        nonce[4..].copy_from_slice(&self.counter.to_be_bytes());
-        self.counter += 1;
-        nonce
-    }
-
-    /// How many nonces have been issued.
-    pub fn issued(&self) -> u64 {
-        self.counter
-    }
+/// The sender id a [`nonce`] carries.
+pub fn nonce_sender(nonce: &[u8; 12]) -> u32 {
+    u32::from_be_bytes([nonce[0], nonce[1], nonce[2], nonce[3]])
 }
 
 #[cfg(test)]
@@ -140,20 +128,18 @@ mod tests {
 
     #[test]
     fn nonce_sequence_never_repeats() {
-        let mut seq = NonceSeq::new(7);
         let mut seen = HashSet::new();
-        for _ in 0..1000 {
-            assert!(seen.insert(seq.next()));
+        for counter in 0..1000 {
+            let n = nonce(7, counter);
+            assert!(seen.insert(n));
+            assert_eq!(nonce_sender(&n), 7);
         }
-        assert_eq!(seq.issued(), 1000);
     }
 
     #[test]
     fn nonce_sequences_disjoint_across_senders() {
-        let mut a = NonceSeq::new(1);
-        let mut b = NonceSeq::new(2);
-        let sa: HashSet<_> = (0..100).map(|_| a.next()).collect();
-        assert!((0..100).map(|_| b.next()).all(|n| !sa.contains(&n)));
+        let sa: HashSet<_> = (0..100).map(|c| nonce(1, c)).collect();
+        assert!((0..100).map(|c| nonce(2, c)).all(|n| !sa.contains(&n)));
     }
 
     #[test]

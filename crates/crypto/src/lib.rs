@@ -20,9 +20,9 @@ pub mod keys;
 pub mod message;
 
 pub use hash::{hmac_sign, hmac_verify, sha256, Digest32};
-pub use keys::{Key, KeyHierarchy, NonceSeq};
+pub use keys::{nonce, nonce_sender, Key, KeyHierarchy};
 pub use message::{
-    EnvelopedMessage, MsgKind, SecureEnvelope, TxMeta, WireCrypto, MESSAGE_OVERHEAD,
+    EnvelopedMessage, MsgKind, Opened, SecureEnvelope, Stamp, TxMeta, WireCrypto, MESSAGE_OVERHEAD,
 };
 
 use aes_gcm::aead::{Aead, Payload};
@@ -87,6 +87,7 @@ impl AsRef<[u8]> for Ciphertext {
 ///
 /// Returns `ciphertext ‖ tag(16B)` wrapped in the [`Ciphertext`] proof
 /// type. The `aad` is authenticated but not encrypted.
+#[allow(clippy::useless_conversion)] // a `GenericArray` key in RustCrypto proper
 pub fn aead_seal(key: &Key, nonce: &[u8; 12], aad: &[u8], plaintext: &[u8]) -> Ciphertext {
     let cipher = Aes256Gcm::new(key.as_slice().into());
     Ciphertext(
@@ -107,6 +108,7 @@ pub fn aead_seal(key: &Key, nonce: &[u8; 12], aad: &[u8], plaintext: &[u8]) -> C
 /// # Errors
 ///
 /// Returns [`CryptoError::AuthFailed`] if the tag does not verify.
+#[allow(clippy::useless_conversion)] // a `GenericArray` key in RustCrypto proper
 pub fn aead_open(
     key: &Key,
     nonce: &[u8; 12],

@@ -6,18 +6,32 @@
 //! ┌────────┬───────┬────────────────────┬──────────┬─────────┐
 //! │ IV 12B │ pad 4B│ Tx metadata 80B    │ Tx data  │ MAC 16B │
 //! └────────┴───────┴────────────────────┴──────────┴─────────┘
-//!            ▲        (encrypted together with data in Full mode)
-//!            └ 4 bytes keep the body 16-byte aligned; byte 0 carries the
-//!              crypto mode so a downgrade is detected at decode time.
+//!   ▲        ▲        (encrypted together with data in Full mode)
+//!   │        └ 4 bytes keep the body 16-byte aligned; byte 0 carries the
+//!   │          crypto mode so a downgrade is detected at decode time.
+//!   └ sender id 4B ‖ counter 8B ([`crate::keys::nonce`]): names the
+//!     sending endpoint, authenticated with the rest of the header.
 //! ```
 //!
-//! The metadata carries the coordinator node id, the transaction id
-//! (monotonically incremented at the coordinator) and the operation id —
-//! the unique `(node, tx, op)` tuple that gives Treaty at-most-once
-//! execution over an adversarial network.
+//! The metadata block, by byte offset:
+//!
+//! ```text
+//!  0..8   node id       coordinator (or client) the message speaks for
+//!  8..16  tx id         monotonically incremented at the coordinator
+//! 16..24  op id         informational: it keys nothing
+//! 24      kind          [`MsgKind`]
+//! 25..33  stamp.seq     the request's number; a response echoes it
+//! 33..41  stamp.floor   the sender's floor; zero marks a response
+//! 41..80  zero
+//! ```
+//!
+//! The [`Stamp`] is what gives Treaty at-most-once execution over an
+//! adversarial network: every endpoint numbers its requests and a
+//! receiver keeps one floor per sender (`treaty_net`'s `rpc` module header,
+//! "Replay protection").
 
 use crate::hash::hmac_sign;
-use crate::keys::Key;
+use crate::keys::{nonce_sender, Key};
 use crate::{aead_open, aead_seal, CryptoError};
 
 /// Size of the initialization vector.
@@ -78,6 +92,21 @@ impl MsgKind {
     }
 }
 
+/// The replay stamp sealed into every message's metadata block, bytes
+/// 25..41.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Stamp {
+    /// A request's number, drawn from its sender's one counter. A response
+    /// carries the number of the request it answers.
+    pub seq: u64,
+    /// The lowest number the sender still awaits a reply for or has not
+    /// yet put on the wire. Zero in a response: a request's floor is at
+    /// least its sender's boot epoch, which is at least one.
+    pub floor: u64,
+}
+
+const STAMP_AT: usize = 25;
+
 /// The 80-byte transaction metadata block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TxMeta {
@@ -115,11 +144,20 @@ impl TxMeta {
             kind: MsgKind::from_u8(buf[24])?,
         })
     }
+}
 
-    /// The `(node, tx, op)` tuple used for replay suppression.
-    pub fn replay_key(&self) -> (u64, u64, u64) {
-        (self.node_id, self.tx_id, self.op_id)
-    }
+/// An opened message: who sent it, its metadata, its stamp and its data.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Opened {
+    /// The sending endpoint, as its IV names it. Under `Plain` nothing is
+    /// authenticated, this included.
+    pub sender: u32,
+    /// The metadata block.
+    pub meta: TxMeta,
+    /// The replay stamp.
+    pub stamp: Stamp,
+    /// The transaction data.
+    pub payload: Vec<u8>,
 }
 
 /// Protection level applied to a message.
@@ -146,8 +184,8 @@ impl WireCrypto {
 
 /// Encoder/decoder for Treaty's secure messages.
 ///
-/// Stateless; callers supply the key and (for [`WireCrypto::Full`]) a unique
-/// nonce per message, typically from [`crate::keys::NonceSeq`].
+/// Stateless; callers supply the key and a unique nonce per message,
+/// built by [`crate::keys::nonce`].
 #[derive(Debug, Clone, Copy)]
 pub struct SecureEnvelope {
     crypto: WireCrypto,
@@ -169,12 +207,7 @@ impl SecureEnvelope {
         MESSAGE_OVERHEAD + len
     }
 
-    /// Seals `meta` and `payload` into a wire message.
-    ///
-    /// The result carries the protection mode it was produced under, so
-    /// boundary types downstream (`treaty-tee`'s `HostBytes`) can decide
-    /// whether the bytes count as ciphertext or as a deliberate cleartext
-    /// profile choice.
+    /// Seals `meta` and `payload` into a wire message with a zero stamp.
     pub fn seal(
         &self,
         key: &Key,
@@ -182,14 +215,35 @@ impl SecureEnvelope {
         meta: &TxMeta,
         payload: &[u8],
     ) -> EnvelopedMessage {
+        self.seal_stamped(key, iv, meta, Stamp::default(), payload)
+    }
+
+    /// Seals `meta`, `stamp` and `payload` into a wire message.
+    ///
+    /// The result carries the protection mode it was produced under, so
+    /// boundary types downstream (`treaty-tee`'s `HostBytes`) can decide
+    /// whether the bytes count as ciphertext or as a deliberate cleartext
+    /// profile choice.
+    pub fn seal_stamped(
+        &self,
+        key: &Key,
+        iv: [u8; IV_LEN],
+        meta: &TxMeta,
+        stamp: Stamp,
+        payload: &[u8],
+    ) -> EnvelopedMessage {
+        let mut block = meta.encode();
+        block[STAMP_AT..STAMP_AT + 8].copy_from_slice(&stamp.seq.to_le_bytes());
+        block[STAMP_AT + 8..STAMP_AT + 16].copy_from_slice(&stamp.floor.to_le_bytes());
         let mut body = Vec::with_capacity(META_LEN + payload.len());
-        body.extend_from_slice(&meta.encode());
+        body.extend_from_slice(&block);
         body.extend_from_slice(payload);
 
         let mut out = Vec::with_capacity(MESSAGE_OVERHEAD + payload.len());
         match self.crypto {
             WireCrypto::Plain => {
-                out.extend_from_slice(&[0u8; IV_LEN]);
+                // Protects nothing, but still names the sender.
+                out.extend_from_slice(&iv);
                 out.extend_from_slice(&[self.crypto.mode_byte(), 0, 0, 0]);
                 out.extend_from_slice(&body);
                 out.extend_from_slice(&[0u8; MAC_LEN]);
@@ -223,10 +277,20 @@ impl SecureEnvelope {
     ///
     /// # Errors
     ///
+    /// As [`SecureEnvelope::open_stamped`].
+    pub fn open(&self, key: &Key, wire: &[u8]) -> Result<(TxMeta, Vec<u8>), CryptoError> {
+        self.open_stamped(key, wire).map(|m| (m.meta, m.payload))
+    }
+
+    /// Opens a wire message, returning its sender, metadata, stamp and
+    /// payload.
+    ///
+    /// # Errors
+    ///
     /// * [`CryptoError::Malformed`] — too short, or the mode byte does not
     ///   match this codec (downgrade attempt).
     /// * [`CryptoError::AuthFailed`] — MAC/tag verification failed.
-    pub fn open(&self, key: &Key, wire: &[u8]) -> Result<(TxMeta, Vec<u8>), CryptoError> {
+    pub fn open_stamped(&self, key: &Key, wire: &[u8]) -> Result<Opened, CryptoError> {
         if wire.len() < MESSAGE_OVERHEAD {
             return Err(CryptoError::Malformed);
         }
@@ -260,9 +324,17 @@ impl SecureEnvelope {
         if plain_body.len() < META_LEN {
             return Err(CryptoError::Malformed);
         }
-        let meta_buf: [u8; META_LEN] = plain_body[..META_LEN].try_into().unwrap();
-        let meta = TxMeta::decode(&meta_buf)?;
-        Ok((meta, plain_body[META_LEN..].to_vec()))
+        let block: [u8; META_LEN] = plain_body[..META_LEN].try_into().unwrap();
+        let word = |at: usize| u64::from_le_bytes(block[at..at + 8].try_into().unwrap());
+        Ok(Opened {
+            sender: nonce_sender(&iv),
+            meta: TxMeta::decode(&block)?,
+            stamp: Stamp {
+                seq: word(STAMP_AT),
+                floor: word(STAMP_AT + 8),
+            },
+            payload: plain_body[META_LEN..].to_vec(),
+        })
     }
 }
 
@@ -351,6 +423,29 @@ mod tests {
             let (m, payload) = env.open(&key, wire.as_slice()).unwrap();
             assert_eq!(m, meta());
             assert_eq!(payload, b"value-bytes");
+        }
+    }
+
+    /// The stamp and the IV's sender survive every mode; the unstamped
+    /// pair reads and writes a zero stamp.
+    #[test]
+    fn stamp_and_sender_roundtrip_all_modes() {
+        let key = Key::from_bytes([9u8; 32]);
+        let stamp = Stamp {
+            seq: u64::MAX - 1,
+            floor: 7,
+        };
+        for mode in [WireCrypto::Plain, WireCrypto::AuthOnly, WireCrypto::Full] {
+            let env = SecureEnvelope::new(mode);
+            let iv = crate::keys::nonce(0xDEAD_BEEF, 3);
+            let wire = env.seal_stamped(&key, iv, &meta(), stamp, b"data");
+            let opened = env.open_stamped(&key, wire.as_slice()).unwrap();
+            assert_eq!(opened.sender, 0xDEAD_BEEF, "{mode:?}");
+            assert_eq!((opened.meta, opened.stamp), (meta(), stamp), "{mode:?}");
+            assert_eq!(opened.payload, b"data");
+            let plain = env.seal(&key, iv, &meta(), b"data");
+            let opened = env.open_stamped(&key, plain.as_slice()).unwrap();
+            assert_eq!(opened.stamp, Stamp::default(), "{mode:?}");
         }
     }
 

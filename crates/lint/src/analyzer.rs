@@ -788,26 +788,23 @@ fn test_ranges(toks: &[Tok<'_>]) -> Vec<(usize, usize)> {
             let start = i;
             i += if is_cfg_test { 7 } else { 4 };
             // Skip any further attributes, then the item itself.
-            loop {
-                while toks.get(i).map(|t| t.text) == Some("#") {
-                    let mut depth = 0usize;
-                    i += 1;
-                    while i < toks.len() {
-                        match toks[i].text {
-                            "[" => depth += 1,
-                            "]" => {
-                                depth -= 1;
-                                if depth == 0 {
-                                    i += 1;
-                                    break;
-                                }
+            while toks.get(i).map(|t| t.text) == Some("#") {
+                let mut depth = 0usize;
+                i += 1;
+                while i < toks.len() {
+                    match toks[i].text {
+                        "[" => depth += 1,
+                        "]" => {
+                            depth -= 1;
+                            if depth == 0 {
+                                i += 1;
+                                break;
                             }
-                            _ => {}
                         }
-                        i += 1;
+                        _ => {}
                     }
+                    i += 1;
                 }
-                break;
             }
             let mut paren = 0usize;
             while i < toks.len() {

@@ -80,7 +80,9 @@ use std::path::{Path, PathBuf};
 pub mod analyzer;
 pub mod registry;
 
-pub use analyzer::{analyze_file, analyze_file_with, lock_graph_violations, FileAnalysis, LockEdge};
+pub use analyzer::{
+    analyze_file, analyze_file_with, lock_graph_violations, FileAnalysis, LockEdge,
+};
 
 /// One rule violation at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -653,7 +655,11 @@ pub fn lint_concurrency(files: &[(String, String)]) -> Vec<Violation> {
         .filter(|(f, _)| registry::in_scope(f))
         .cloned()
         .collect();
-    lint_concurrency_with(&scoped, registry::LOCK_REGISTRY, &["L007", "L008", "L009", "L010"])
+    lint_concurrency_with(
+        &scoped,
+        registry::LOCK_REGISTRY,
+        &["L007", "L008", "L009", "L010"],
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -759,9 +765,13 @@ pub fn counts_to_baseline(counts: &Counts, old: &Baseline) -> Baseline {
                 .get(rule)
                 .and_then(|m| m.get(file))
                 .and_then(|e| e.justification.clone());
-            out.entry(rule.clone())
-                .or_default()
-                .insert(file.clone(), BaselineEntry { count, justification });
+            out.entry(rule.clone()).or_default().insert(
+                file.clone(),
+                BaselineEntry {
+                    count,
+                    justification,
+                },
+            );
         }
     }
     out
@@ -843,7 +853,12 @@ pub fn ratchet(current: &Counts, baseline: &Baseline) -> Ratchet {
         }
         if JUSTIFICATION_REQUIRED.contains(&rule.as_str()) {
             if let Some(e) = base_entry {
-                if e.justification.as_deref().map(str::trim).unwrap_or("").is_empty() {
+                if e.justification
+                    .as_deref()
+                    .map(str::trim)
+                    .unwrap_or("")
+                    .is_empty()
+                {
                     out.unjustified.push((rule.clone(), file.clone()));
                 }
             }
@@ -949,7 +964,10 @@ pub fn render_diagnostics_json(violations: &[Violation], scanned: usize, r: &Rat
         out.push(']');
         out
     };
-    s.push_str(&format!("  \"regressions\": {},\n", entries(&r.regressions)));
+    s.push_str(&format!(
+        "  \"regressions\": {},\n",
+        entries(&r.regressions)
+    ));
     s.push_str(&format!("  \"stale\": {},\n", entries(&r.stale)));
     s.push_str("  \"unjustified\": [");
     for (i, (rule, file)) in r.unjustified.iter().enumerate() {
@@ -1342,14 +1360,19 @@ mod tests {
 
         // One more violation: a regression.
         let mut more = violations.clone();
-        more.push(Violation::basic("L002", "crates/store/src/log.rs", 3, "z".into()));
+        more.push(Violation::basic(
+            "L002",
+            "crates/store/src/log.rs",
+            3,
+            "z".into(),
+        ));
         let r = ratchet(&to_counts(&more), &parsed);
         assert_eq!(r.regressions.len(), 1);
         assert_eq!(r.regressions[0].current, 3);
         assert_eq!(r.regressions[0].baseline, 2);
 
         // One fewer: stale baseline (the ratchet must be tightened).
-        let r = ratchet(&to_counts(&violations[..1].to_vec()), &parsed);
+        let r = ratchet(&to_counts(&violations[..1]), &parsed);
         assert_eq!(r.stale.len(), 1);
         assert!(r.regressions.is_empty());
     }
@@ -1366,9 +1389,7 @@ mod tests {
             "}\n",
         );
         let parsed = parse_baseline(text).unwrap();
-        assert_eq!(
-            parsed["L007"]["crates/core/src/node.rs"].count, 1
-        );
+        assert_eq!(parsed["L007"]["crates/core/src/node.rs"].count, 1);
         assert_eq!(render_baseline(&parsed), text);
 
         let mut counts = Counts::new();
@@ -1436,7 +1457,10 @@ mod tests {
         assert!(out.contains("\"scanned\": 37"), "{out}");
         assert!(out.contains("\"clean\": false"), "{out}");
         assert!(out.contains("\"rule\": \"L007\""), "{out}");
-        assert!(out.contains("\"file\": \"crates/core/src/node.rs\""), "{out}");
+        assert!(
+            out.contains("\"file\": \"crates/core/src/node.rs\""),
+            "{out}"
+        );
         assert!(out.contains("\"line\": 42"), "{out}");
         assert!(out.contains("\"lock\": \"core.node.stats\""), "{out}");
         assert!(out.contains("crosses \\\"sleep\\\""), "{out}");

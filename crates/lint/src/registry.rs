@@ -63,11 +63,10 @@ pub const LOCK_CLASSES: &[LockClass] = &[
     // sleep — the egress link is a shared resource (fabric.rs).
     LockClass { name: "net.fabric.nic", fiber: true, ordered: false },
     LockClass { name: "net.fabric.rng", fiber: false, ordered: false },
+    LockClass { name: "net.rpc.guard", fiber: false, ordered: false },
     LockClass { name: "net.rpc.handlers", fiber: false, ordered: false },
-    LockClass { name: "net.rpc.nonce", fiber: false, ordered: false },
+    LockClass { name: "net.rpc.numbering", fiber: false, ordered: false },
     LockClass { name: "net.rpc.outbox", fiber: false, ordered: false },
-    LockClass { name: "net.rpc.pending", fiber: false, ordered: false },
-    LockClass { name: "net.rpc.replay", fiber: false, ordered: false },
     LockClass { name: "net.rpc.sessions", fiber: false, ordered: false },
     LockClass { name: "sim.crash.handlers", fiber: false, ordered: false },
     LockClass { name: "sim.crash.state", fiber: false, ordered: false },
@@ -121,12 +120,11 @@ pub const LOCK_REGISTRY: &[LockSpec] = &[
     LockSpec { file: "crates/net/src/fabric.rs", receiver: "queue", class: "net.fabric.inbox_queue" },
     LockSpec { file: "crates/net/src/fabric.rs", receiver: "closed", class: "net.fabric.inbox_closed" },
     LockSpec { file: "crates/net/src/fabric.rs", receiver: "nic", class: "net.fabric.nic" },
-    LockSpec { file: "crates/net/src/rpc.rs", receiver: "pending", class: "net.rpc.pending" },
+    LockSpec { file: "crates/net/src/rpc.rs", receiver: "numbering", class: "net.rpc.numbering" },
     LockSpec { file: "crates/net/src/rpc.rs", receiver: "handlers", class: "net.rpc.handlers" },
     LockSpec { file: "crates/net/src/rpc.rs", receiver: "sessions", class: "net.rpc.sessions" },
-    LockSpec { file: "crates/net/src/rpc.rs", receiver: "replay", class: "net.rpc.replay" },
+    LockSpec { file: "crates/net/src/rpc.rs", receiver: "guard", class: "net.rpc.guard" },
     LockSpec { file: "crates/net/src/rpc.rs", receiver: "outbox", class: "net.rpc.outbox" },
-    LockSpec { file: "crates/net/src/rpc.rs", receiver: "nonce", class: "net.rpc.nonce" },
     // -- crates/core --------------------------------------------------
     LockSpec { file: "crates/core/src/node.rs", receiver: "stats", class: "core.node.stats" },
     LockSpec { file: "crates/core/src/node.rs", receiver: "active_coord", class: "core.node.active_coord" },

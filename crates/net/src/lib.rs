@@ -14,9 +14,12 @@
 //!   most one fiber (the paper's fiber-per-client design; the session rule
 //!   is in [`rpc`]'s header), asynchronous `enqueue_request`/`tx_burst`
 //!   and a blocking [`Rpc::call`] convenience built on them,
-//! * every message is sealed with [`treaty_crypto::SecureEnvelope`] and
-//!   replayed `(node, tx, op)` tuples are suppressed with a memoized
-//!   response — at-most-once execution in the presence of the adversary.
+//! * every message is sealed with [`treaty_crypto::SecureEnvelope`] under
+//!   a number from its endpoint's one counter, and a receiver keeps one
+//!   floor per sender plus the numbers above it that have started, so a
+//!   duplicate, a replay or a straggler never runs — at-most-once
+//!   execution in the presence of the adversary, in memory bounded by
+//!   requests in flight (the replay protection in [`rpc`]'s header).
 
 pub mod fabric;
 pub mod rpc;
@@ -24,7 +27,6 @@ pub mod rpc;
 pub use fabric::{Adversary, EndpointConfig, EndpointId, Fabric, FabricStats};
 pub use rpc::{PendingReply, ReqHandler, Rpc, RpcConfig};
 
-use treaty_crypto::CryptoError;
 use treaty_sim::Nanos;
 
 /// Default RPC timeout: generous, because prepared transactions may wait
@@ -44,7 +46,4 @@ pub enum NetError {
     /// The local endpoint was shut down.
     #[error("endpoint closed")]
     Closed,
-    /// Decryption/authentication of an incoming message failed.
-    #[error("message rejected: {0}")]
-    Crypto(#[from] CryptoError),
 }

@@ -27,13 +27,39 @@
 //! overtook its own transaction's still-running op would find nothing to
 //! roll back, and the op would then re-insert a transaction nobody
 //! finishes, locks held.
+//!
+//! # Replay protection
+//!
+//! Every message an endpoint seals takes the next number from its one
+//! counter, which starts at the endpoint's boot epoch (the clock reading
+//! when it was created). The number is the message's IV counter
+//! ([`treaty_crypto::nonce`]), and a request's number is its `rpc_id`. The
+//! sealed metadata carries a [`Stamp`]: the request's number and its
+//! sender's *floor*, the lowest number the sender still awaits a reply
+//! for or has sealed but not yet handed to the fabric. A response echoes
+//! its request's number, with a zero floor.
+//!
+//! A receiver keeps two things per sending endpoint (the one the
+//! authenticated IV names): the highest floor it has seen, and the numbers
+//! at or above it whose guarded requests it has started. Every request
+//! raises its sender's floor. A guarded request runs only if its number is
+//! at least the floor and not yet started; anything else is dropped
+//! unanswered and counted ([`Rpc::replays_suppressed`]). No honest endpoint
+//! sends one number twice — a retry is a new request with a new number —
+//! so a duplicate is the network's or the adversary's, and nobody waits
+//! for its answer. A request the sender has stopped waiting for (it timed
+//! out) falls below the sender's next floor, so a straggler cannot run
+//! after its sender has moved on. A reply is accepted only if its stamp
+//! echoes the number its slot waits on. A sender's entry is one floor plus
+//! the numbers it had in flight, so the guard is bounded by requests in
+//! flight, not by history ([`Rpc::guard_entries`]).
 
 use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use treaty_crypto::{Key, MsgKind, NonceSeq, SecureEnvelope, TxMeta, WireCrypto};
+use treaty_crypto::{nonce, Key, MsgKind, Opened, SecureEnvelope, Stamp, TxMeta, WireCrypto};
 use treaty_sched::CorePool;
 use treaty_sim::runtime::{self, FiberId};
 use treaty_sim::{Nanos, TeeMode};
@@ -102,9 +128,57 @@ struct PendingSlot {
     response: Option<Result<Datagram, NetError>>,
 }
 
+/// The sending side of the numbering (module header, "Replay
+/// protection").
+struct Numbering {
+    /// The next number to draw.
+    next: u64,
+    /// The slots of the requests awaiting their reply, by number. A slot
+    /// lives as long as its [`PendingReply`].
+    pending: BTreeMap<u64, PendingSlot>,
+    /// Requests and oneways sealed but not yet handed to the fabric.
+    unsent: BTreeSet<u64>,
+}
+
+impl Numbering {
+    /// The floor a request stamps: the lowest number still outstanding, or
+    /// the next one when none is.
+    fn floor(&self) -> u64 {
+        let awaited = self.pending.keys().next().copied().unwrap_or(self.next);
+        let unsent = self.unsent.first().copied().unwrap_or(self.next);
+        awaited.min(unsent)
+    }
+}
+
+/// What a receiver keeps of one sender (module header, "Replay
+/// protection").
+#[derive(Default)]
+struct SenderGuard {
+    /// The highest floor the sender has stamped.
+    floor: u64,
+    /// Numbers at or above `floor` whose guarded requests started here.
+    started: BTreeSet<u64>,
+}
+
+impl SenderGuard {
+    /// Raises the floor, forgetting the numbers that fall below it.
+    fn raise(&mut self, floor: u64) {
+        if floor > self.floor {
+            self.floor = floor;
+            self.started = self.started.split_off(&floor);
+        }
+    }
+
+    /// Whether the guarded request numbered `seq` may start; if so, it is
+    /// recorded as started.
+    fn admit(&mut self, seq: u64) -> bool {
+        seq >= self.floor && self.started.insert(seq)
+    }
+}
+
 struct HandlerEntry {
     handler: ReqHandler,
-    /// Whether `(node, tx, op)` replay suppression applies.
+    /// Whether the replay guard checks the request's number.
     guarded: bool,
 }
 
@@ -121,18 +195,14 @@ pub struct Rpc {
     id: EndpointId,
     cfg: RpcConfig,
     env: SecureEnvelope,
-    nonce: Mutex<NonceSeq>,
-    next_rpc_id: AtomicU64,
-    pending: Mutex<HashMap<u64, PendingSlot>>,
+    numbering: Mutex<Numbering>,
     handlers: Mutex<HashMap<u8, Arc<HandlerEntry>>>,
     /// Requests waiting per `(src, session)`, each with its arrival time.
     /// An entry exists exactly while a server fiber is serving it (the
     /// module header's session rule).
     sessions: Mutex<HashMap<SessionKey, VecDeque<(Nanos, Datagram)>>>,
-    /// Memoized responses for at-most-once execution. `None` marks a
-    /// request still executing; payloads are `Arc`-shared so duplicate
-    /// hits resend without copying the buffer.
-    replay: Mutex<HashMap<(u64, u64, u64), Option<(TxMeta, Arc<Vec<u8>>)>>>,
+    /// The replay guard, per sending endpoint.
+    guard: Mutex<HashMap<EndpointId, SenderGuard>>,
     outbox: Mutex<Vec<Datagram>>,
     started: AtomicBool,
     stopped: AtomicBool,
@@ -162,10 +232,18 @@ impl PendingReply {
     ///
     /// # Errors
     ///
-    /// [`NetError::Timeout`] on timeout, [`NetError::Crypto`] if the reply
-    /// fails authentication.
+    /// [`NetError::Timeout`] on timeout: a reply that fails authentication
+    /// or answers another request is dropped, and the wait goes on.
     pub fn wait(self) -> Result<(TxMeta, Vec<u8>), NetError> {
         self.rpc.wait_reply(self.rpc_id, self.timeout)
+    }
+}
+
+impl Drop for PendingReply {
+    /// The slot goes with its continuation: a request nobody waits for
+    /// must not hold its sender's floor down.
+    fn drop(&mut self) {
+        self.rpc.numbering.lock().pending.remove(&self.rpc_id);
     }
 }
 
@@ -173,18 +251,28 @@ impl Rpc {
     /// Creates and registers an endpoint. Call [`Rpc::start`] to serve
     /// requests; pure clients may skip it only if they never receive
     /// unsolicited traffic (responses still require `start`).
+    ///
+    /// Its counter starts at the boot epoch: the clock reading now
+    /// (`seal_charged` has why a later life never reuses a number).
     pub fn new(fabric: &Arc<Fabric>, id: EndpointId, cfg: RpcConfig) -> Arc<Self> {
         fabric.register(id, cfg.endpoint);
+        let epoch = if runtime::in_fiber() {
+            runtime::now().max(1)
+        } else {
+            1
+        };
         Arc::new(Rpc {
             fabric: Arc::clone(fabric),
             id,
             env: SecureEnvelope::new(cfg.crypto),
-            nonce: Mutex::new(NonceSeq::new(id)),
-            next_rpc_id: AtomicU64::new(1),
-            pending: Mutex::new(HashMap::new()),
+            numbering: Mutex::new(Numbering {
+                next: epoch,
+                pending: BTreeMap::new(),
+                unsent: BTreeSet::new(),
+            }),
             handlers: Mutex::new(HashMap::new()),
             sessions: Mutex::new(HashMap::new()),
-            replay: Mutex::new(HashMap::new()),
+            guard: Mutex::new(HashMap::new()),
             outbox: Mutex::new(Vec::new()),
             started: AtomicBool::new(false),
             stopped: AtomicBool::new(false),
@@ -203,8 +291,8 @@ impl Rpc {
         &self.fabric
     }
 
-    /// Registers a handler for `req_type`. `guarded` enables `(node, tx,
-    /// op)` replay suppression with response memoization — required for all
+    /// Registers a handler for `req_type`. `guarded` has the replay guard
+    /// check each request's number (module header) — required for all
     /// non-idempotent transaction traffic.
     pub fn register_handler(&self, req_type: u8, guarded: bool, handler: ReqHandler) {
         self.handlers
@@ -228,8 +316,8 @@ impl Rpc {
     pub fn stop(&self) {
         self.stopped.store(true, Ordering::SeqCst);
         self.fabric.deregister(self.id);
-        let mut pending = self.pending.lock();
-        for (_, slot) in pending.iter_mut() {
+        let mut numbering = self.numbering.lock();
+        for slot in numbering.pending.values_mut() {
             slot.response = Some(Err(NetError::Closed));
             if let Some(w) = slot.waiter.take() {
                 runtime::unpark(w);
@@ -248,9 +336,20 @@ impl Rpc {
         self.counters.rejected.load(Ordering::Relaxed)
     }
 
-    /// Number of duplicate requests suppressed by the replay guard.
+    /// Number of guarded requests the replay guard dropped: duplicates,
+    /// replays and stragglers.
     pub fn replays_suppressed(&self) -> u64 {
         self.counters.replays_suppressed.load(Ordering::Relaxed)
+    }
+
+    /// Entries the replay guard holds: one floor per sender plus the
+    /// started numbers at or above it.
+    pub fn guard_entries(&self) -> usize {
+        self.guard
+            .lock()
+            .values()
+            .map(|sender| 1 + sender.started.len())
+            .sum()
     }
 
     /// Number of requests executed by handlers.
@@ -292,8 +391,18 @@ impl Rpc {
         payload: &[u8],
         session: u64,
     ) -> PendingReply {
-        let rpc_id = self.next_rpc_id.fetch_add(1, Ordering::Relaxed);
-        let wire = self.seal_charged(meta, payload);
+        let (rpc_id, wire) = self.seal_charged(meta, payload, |numbering, n| {
+            let slot = PendingSlot {
+                waiter: None,
+                response: None,
+            };
+            numbering.pending.insert(n, slot);
+            numbering.unsent.insert(n);
+            Stamp {
+                seq: n,
+                floor: numbering.floor(),
+            }
+        });
         let dg = Datagram {
             src: self.id,
             dst,
@@ -304,13 +413,6 @@ impl Rpc {
             wire,
             receiver_cpu: 0,
         };
-        self.pending.lock().insert(
-            rpc_id,
-            PendingSlot {
-                waiter: None,
-                response: None,
-            },
-        );
         self.outbox.lock().push(dg);
         PendingReply {
             rpc: Arc::clone(self),
@@ -328,14 +430,21 @@ impl Rpc {
         }
     }
 
-    /// Sends a one-way message (no reply expected, no pending slot).
+    /// Sends a one-way message (no reply expected, no pending slot). Its
+    /// number holds the floor down until the fabric has it.
     pub fn send_oneway(&self, dst: EndpointId, req_type: u8, meta: &TxMeta, payload: &[u8]) {
-        let wire = self.seal_charged(meta, payload);
+        let (rpc_id, wire) = self.seal_charged(meta, payload, |numbering, n| {
+            numbering.unsent.insert(n);
+            Stamp {
+                seq: n,
+                floor: numbering.floor(),
+            }
+        });
         let dg = Datagram {
             src: self.id,
             dst,
             req_type,
-            rpc_id: 0,
+            rpc_id,
             session: meta.tx_id,
             is_response: false,
             wire,
@@ -365,34 +474,50 @@ impl Rpc {
     fn wait_reply(&self, rpc_id: u64, timeout: Nanos) -> Result<(TxMeta, Vec<u8>), NetError> {
         let deadline = runtime::now().saturating_add(timeout);
         loop {
-            {
-                let mut pending = self.pending.lock();
-                let slot = pending.get_mut(&rpc_id).ok_or(NetError::Closed)?;
-                if let Some(result) = slot.response.take() {
-                    pending.remove(&rpc_id);
-                    drop(pending);
-                    let dg = result?;
+            let delivered = {
+                let mut numbering = self.numbering.lock();
+                let slot = numbering.pending.get_mut(&rpc_id).ok_or(NetError::Closed)?;
+                match slot.response.take() {
+                    Some(result) => Some(result?),
+                    None if runtime::now() >= deadline => return Err(NetError::Timeout),
+                    None => {
+                        // Arm the waiter only for the duration of the park
+                        // below; cooperative scheduling guarantees nothing
+                        // runs between this assignment and the park.
+                        slot.waiter = Some(runtime::current());
+                        None
+                    }
+                }
+            };
+            match delivered {
+                Some(dg) => {
                     // Receiver-side CPU + decrypt happen on the caller: the
                     // reply was addressed to this fiber's request.
                     self.charge(dg.receiver_cpu);
-                    return self.open_charged(&dg.wire);
+                    let answer = Stamp {
+                        seq: rpc_id,
+                        floor: 0,
+                    };
+                    match self.open_charged(&dg.wire) {
+                        Ok(reply) if reply.stamp == answer => {
+                            return Ok((reply.meta, reply.payload))
+                        }
+                        // Tampered, or a genuine reply to another request:
+                        // dropped, and the slot waits on.
+                        _ => {
+                            self.counters.rejected.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
                 }
-                let now = runtime::now();
-                if now >= deadline {
-                    pending.remove(&rpc_id);
-                    return Err(NetError::Timeout);
+                None => {
+                    runtime::park_timeout(deadline - runtime::now());
+                    // Disarm immediately on wake (timeout path); the
+                    // dispatcher takes the waiter when it delivers, so a
+                    // Some here is ours.
+                    if let Some(slot) = self.numbering.lock().pending.get_mut(&rpc_id) {
+                        slot.waiter = None;
+                    }
                 }
-                // Arm the waiter only for the duration of the park below;
-                // cooperative scheduling guarantees nothing runs between
-                // this assignment and the park.
-                slot.waiter = Some(runtime::current());
-            }
-            let deadline_left = deadline - runtime::now();
-            runtime::park_timeout(deadline_left);
-            // Disarm immediately on wake (timeout path); the dispatcher
-            // takes the waiter when it delivers, so a Some here is ours.
-            if let Some(slot) = self.pending.lock().get_mut(&rpc_id) {
-                slot.waiter = None;
             }
         }
     }
@@ -409,8 +534,8 @@ impl Rpc {
             match self.fabric.recv(self.id, treaty_sim::SECONDS) {
                 Ok(dg) => {
                     if dg.is_response {
-                        let mut pending = self.pending.lock();
-                        if let Some(slot) = pending.get_mut(&dg.rpc_id) {
+                        let mut numbering = self.numbering.lock();
+                        if let Some(slot) = numbering.pending.get_mut(&dg.rpc_id) {
                             // First response wins; duplicates are dropped.
                             if slot.response.is_none() {
                                 slot.response = Some(Ok(dg));
@@ -482,9 +607,16 @@ impl Rpc {
         let queue_ns = started.saturating_sub(arrived);
         self.charge(dg.receiver_cpu);
         runtime::set_tag("w:open");
-        let (meta, payload) = match self.open_charged(&dg.wire) {
-            Ok(x) => x,
-            Err(_) => {
+        let Opened {
+            sender,
+            meta,
+            stamp,
+            payload,
+        } = match self.open_charged(&dg.wire) {
+            // A request's floor is never zero: a zero marks a response
+            // relabelled as a request.
+            Ok(request) if request.stamp.floor > 0 => request,
+            _ => {
                 // Tampered or replay-of-garbage: reject silently; the
                 // sender will time out and retry. Integrity holds.
                 self.counters.rejected.fetch_add(1, Ordering::Relaxed);
@@ -499,41 +631,25 @@ impl Rpc {
             }
         };
 
-        if entry.guarded {
-            let key = meta.replay_key();
-            let mut replay = self.replay.lock();
-            match replay.get(&key) {
-                Some(Some((cached_meta, cached_payload))) => {
-                    // Duplicate of a completed request: resend the memoized
-                    // response without re-executing (at-most-once). Cloning
-                    // the Arc shares the payload buffer instead of copying.
-                    self.counters
-                        .replays_suppressed
-                        .fetch_add(1, Ordering::Relaxed);
-                    let resp_meta = *cached_meta;
-                    let resp_payload = Arc::clone(cached_payload);
-                    drop(replay);
-                    self.send_response(dg.src, dg.req_type, dg.rpc_id, &resp_meta, &resp_payload);
-                    return;
-                }
-                Some(None) => {
-                    // Duplicate while the original is still executing.
-                    self.counters
-                        .replays_suppressed
-                        .fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-                None => {
-                    replay.insert(key, None);
-                }
-            }
+        let admitted = {
+            let mut guard = self.guard.lock();
+            let from = guard.entry(sender).or_default();
+            from.raise(stamp.floor);
+            !entry.guarded || from.admit(stamp.seq)
+        };
+        if !admitted {
+            // A duplicate, a replay or a straggler: nobody waits for it.
+            self.counters
+                .replays_suppressed
+                .fetch_add(1, Ordering::Relaxed);
+            return;
         }
 
         self.counters
             .requests_handled
             .fetch_add(1, Ordering::Relaxed);
         // The handler span: its self time is the shielded-boundary work
-        // this layer did (open/seal crypto, replay bookkeeping); the
+        // this layer did (open/seal crypto, replay guard); the
         // queue wait and boundary time before it opened ride along as
         // args for the critical-path walker to split out. Transaction
         // scope comes from the opened meta, so cross-node forests link.
@@ -548,24 +664,12 @@ impl Rpc {
             ],
         );
         runtime::set_tag("w:handler");
-        let reply = (entry.handler)(dg.src, meta, payload);
+        let reply = (entry.handler)(sender, meta, payload);
         runtime::set_tag("w:post-handler");
-
-        match reply {
-            Some((m, p)) => {
-                let p = Arc::new(p);
-                if entry.guarded {
-                    self.replay
-                        .lock()
-                        .insert(meta.replay_key(), Some((m, Arc::clone(&p))));
-                }
-                self.send_response(dg.src, dg.req_type, dg.rpc_id, &m, &p);
-            }
-            None => {
-                if entry.guarded {
-                    self.replay.lock().remove(&meta.replay_key());
-                }
-            }
+        if let Some((m, p)) = reply {
+            // To the endpoint the authenticated IV names, bound to the
+            // request's sealed number rather than its plaintext `rpc_id`.
+            self.send_response(sender, dg.req_type, stamp.seq, &m, &p);
         }
     }
 
@@ -573,16 +677,16 @@ impl Rpc {
         &self,
         dst: EndpointId,
         req_type: u8,
-        rpc_id: u64,
+        seq: u64,
         meta: &TxMeta,
         payload: &[u8],
     ) {
-        let wire = self.seal_charged(meta, payload);
+        let (_, wire) = self.seal_charged(meta, payload, |_, _| Stamp { seq, floor: 0 });
         let dg = Datagram {
             src: self.id,
             dst,
             req_type,
-            rpc_id,
+            rpc_id: seq,
             session: 0,
             is_response: true,
             wire,
@@ -594,7 +698,8 @@ impl Rpc {
     // ---- shared helpers ----------------------------------------------------
 
     /// Puts a sealed datagram on the wire: per-message sender CPU, then the
-    /// NIC.
+    /// NIC. A request's number stops holding the floor down once the
+    /// fabric has it.
     fn transmit(&self, dg: Datagram) {
         let charge = self.fabric.costs().net_send(
             self.cfg.endpoint.transport,
@@ -602,7 +707,11 @@ impl Rpc {
             dg.wire.len() + crate::fabric::FRAME_HEADER_BYTES,
         );
         self.charge(charge.sender_cpu);
+        let sent = (!dg.is_response).then_some(dg.rpc_id);
         self.fabric.send(dg);
+        if let Some(n) = sent {
+            self.numbering.lock().unsent.remove(&n);
+        }
     }
 
     fn charge(&self, ns: Nanos) {
@@ -631,9 +740,28 @@ impl Rpc {
     }
 
     /// Seals a message and charges crypto + (SCONE) boundary-copy costs.
-    /// The result is boundary-typed: message buffers live in untrusted
-    /// host memory, so they must be [`HostBytes`].
-    fn seal_charged(&self, meta: &TxMeta, payload: &[u8]) -> HostBytes {
+    /// The message's number is drawn after the charge; `stamp` runs with it
+    /// under the numbering lock, so a request joins the outstanding set
+    /// before anything can yield, and returns the stamp to seal. Returns
+    /// the number and the sealed bytes, boundary-typed: message buffers
+    /// live in untrusted host memory, so they must be [`HostBytes`].
+    ///
+    /// *No number twice, across restarts too.* Under `AuthOnly` and `Full`
+    /// every seal charges at least the 120 ns AES/HMAC setup, on one of
+    /// the node's cores or on the calling fiber, before it draws. With
+    /// fewer than 120 cores (or sealing fibers) an endpoint therefore draws
+    /// fewer numbers than nanoseconds pass, and a counter that starts at
+    /// the clock stays below it. A new life of an endpoint starts at a
+    /// later clock reading, above every number of the last life: no IV
+    /// repeats under the network key, and no receiver mistakes a new
+    /// request for an old one. `Plain` protects nothing, but its
+    /// per-message send charge (over 1 µs) keeps the same order.
+    fn seal_charged(
+        &self,
+        meta: &TxMeta,
+        payload: &[u8],
+        stamp: impl FnOnce(&mut Numbering, u64) -> Stamp,
+    ) -> (u64, HostBytes) {
         self.charge(self.crypto_cost(payload.len() + 80));
         // Under SCONE the sealed buffer is written to a message buffer in
         // untrusted host memory (§VII-A): one boundary copy.
@@ -644,13 +772,21 @@ impl Rpc {
                     .boundary_copy_ns(TeeMode::Scone, payload.len()),
             );
         }
-        let iv = self.nonce.lock().next();
-        HostBytes::from_envelope(self.env.seal(&self.cfg.key, iv, meta, payload))
+        let (n, stamp) = {
+            let mut numbering = self.numbering.lock();
+            let n = numbering.next;
+            numbering.next += 1;
+            (n, stamp(&mut numbering, n))
+        };
+        let sealed = self
+            .env
+            .seal_stamped(&self.cfg.key, nonce(self.id, n), meta, stamp, payload);
+        (n, HostBytes::from_envelope(sealed))
     }
 
-    fn open_charged(&self, wire: &HostBytes) -> Result<(TxMeta, Vec<u8>), NetError> {
+    fn open_charged(&self, wire: &HostBytes) -> Result<Opened, treaty_crypto::CryptoError> {
         self.charge(self.crypto_cost(wire.len()));
-        Ok(self.env.open(&self.cfg.key, wire.as_slice())?)
+        self.env.open_stamped(&self.cfg.key, wire.as_slice())
     }
 }
 
@@ -800,6 +936,74 @@ mod tests {
         });
     }
 
+    /// A reply matched to its request by the plaintext `rpc_id` alone lets
+    /// a captured reply, relabelled for a later call, answer it with the
+    /// earlier call's payload. The sealed echo of the request's number
+    /// turns it away.
+    #[test]
+    fn a_reply_is_bound_to_its_request() {
+        block_on(|| {
+            let (fabric, _server, client) = setup(WireCrypto::Full);
+            fabric.start_capture();
+            assert_eq!(
+                client.call(1, ECHO, &meta(1, 1), b"first").unwrap().1,
+                b"tsrif"
+            );
+            fabric.with_adversary(|a| a.drop_next = 1);
+            let second = client.enqueue_request(1, ECHO, &meta(1, 2), b"second");
+            client.tx_burst();
+            let captured = fabric.captured();
+            let dropped = captured.iter().rev().find(|d| !d.is_response).unwrap();
+            let mut forged = captured.iter().find(|d| d.is_response).unwrap().clone();
+            forged.rpc_id = dropped.rpc_id;
+            fabric.inject(forged);
+            assert_eq!(second.wait().unwrap_err(), NetError::Timeout);
+            assert_eq!(client.rejected_count(), 1);
+        });
+    }
+
+    /// The guard keeps a floor per sender, not a history: after a thousand
+    /// calls it holds the client's floor and its last call's number.
+    #[test]
+    fn the_guard_holds_a_floor_not_a_history() {
+        block_on(|| {
+            let (_f, server, client) = setup(WireCrypto::Full);
+            for tx in 1..=1000 {
+                client.call(1, ECHO, &meta(tx, 1), b"x").unwrap();
+            }
+            assert_eq!(server.guard_entries(), 2);
+            assert_eq!(server.replays_suppressed(), 0);
+        });
+    }
+
+    /// A new life of an endpoint numbers above its last: its first request
+    /// runs at a receiver that remembers the last life (a memo keyed by
+    /// op ids would answer it with the last life's reply), and raises the
+    /// floor past everything that life sent.
+    #[test]
+    fn a_restarted_sender_numbers_above_its_last_life() {
+        block_on(|| {
+            let (fabric, server, client) = setup(WireCrypto::Full);
+            fabric.start_capture();
+            client.call(1, ECHO, &meta(1, 1), b"old").unwrap();
+            let old = fabric
+                .captured()
+                .into_iter()
+                .find(|d| !d.is_response)
+                .unwrap();
+            client.stop();
+            let key = KeyHierarchy::for_testing().network;
+            let reborn = Rpc::new(&fabric, 100, RpcConfig::client(WireCrypto::Full, key));
+            reborn.start();
+            assert_eq!(reborn.call(1, ECHO, &meta(1, 1), b"new").unwrap().1, b"wen");
+            fabric.inject(old);
+            runtime::sleep(treaty_sim::MILLIS);
+            assert_eq!(server.requests_handled(), 2);
+            assert_eq!(server.replays_suppressed(), 1);
+            assert_eq!(server.guard_entries(), 2);
+        });
+    }
+
     #[test]
     fn encrypted_wire_hides_payload() {
         block_on(|| {
@@ -890,16 +1094,19 @@ mod tests {
             server.start();
             let client = Rpc::new(&fabric, 2, RpcConfig::client(WireCrypto::Full, key));
             for i in 0..10 {
-                client.send_oneway(1, 9, &meta(i, 0), &vec![0u8; 100]);
+                client.send_oneway(1, 9, &meta(i, 0), &[0u8; 100]);
             }
             runtime::sleep(treaty_sim::MILLIS);
             assert_eq!(counter.load(Ordering::Relaxed), 1000);
         });
     }
 
+    /// When each handler run started.
+    type Starts = Arc<Mutex<Vec<Nanos>>>;
+
     /// A server (no core contention) whose `ECHO` handler sleeps 1 ms and
     /// logs when it started, plus a started client.
-    fn slow_server(guarded: bool) -> (Arc<Fabric>, Arc<Rpc>, Arc<Rpc>, Arc<Mutex<Vec<Nanos>>>) {
+    fn slow_server(guarded: bool) -> (Arc<Fabric>, Arc<Rpc>, Arc<Rpc>, Starts) {
         let fabric = Fabric::new(CostModel::default(), 7);
         let key = KeyHierarchy::for_testing().network;
         let starts = Arc::new(Mutex::new(Vec::new()));
@@ -970,10 +1177,10 @@ mod tests {
 
     /// At-most-once against a copy that meets its original mid-execution.
     /// The adversary's duplicate carries the original's session, waits its
-    /// turn behind it and is answered from the memo. The session hint is
+    /// turn behind it and finds its number started. The session hint is
     /// plaintext, so a copy can also be steered onto another session: that
-    /// one runs beside the original, finds the in-flight marker and is
-    /// dropped without an answer. Neither executes.
+    /// one runs beside the original and finds the same. Neither executes,
+    /// and neither is answered: the original's reply is the only one.
     #[test]
     fn duplicate_of_an_executing_request_is_suppressed() {
         block_on(|| {

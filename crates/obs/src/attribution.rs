@@ -519,8 +519,8 @@ pub fn attribute(events: &[TraceEvent], dropped: u64) -> AttributionReport {
     // Whole-run totals.
     let mut by_category = [0u64; CATEGORY_COUNT];
     for t in &txns {
-        for i in 0..CATEGORY_COUNT {
-            by_category[i] += t.by_category[i];
+        for (total, v) in by_category.iter_mut().zip(t.by_category) {
+            *total += v;
         }
     }
 
@@ -794,6 +794,7 @@ mod tests {
             }
         }
 
+        #[allow(clippy::too_many_arguments)] // one parameter per event field
         fn ev(
             &mut self,
             ts: Nanos,

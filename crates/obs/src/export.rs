@@ -217,7 +217,11 @@ pub fn phase_breakdown_with_drops(events: &[TraceEvent], dropped: u64) -> String
     let mut instants: BTreeMap<&'static str, BTreeMap<u32, u64>> = BTreeMap::new();
     for e in events {
         if e.kind == EventKind::Instant {
-            *instants.entry(e.phase).or_default().entry(e.node).or_insert(0) += 1;
+            *instants
+                .entry(e.phase)
+                .or_default()
+                .entry(e.node)
+                .or_insert(0) += 1;
         }
     }
     if !instants.is_empty() {
@@ -367,7 +371,10 @@ mod tests {
         assert!(table.contains("node2"), "{table}");
         assert!(table.contains("instants:"), "{table}");
         assert!(table.contains("crash.fired"), "{table}");
-        assert!(table.contains("net.send"), "instants include net.send: {table}");
+        assert!(
+            table.contains("net.send"),
+            "instants include net.send: {table}"
+        );
     }
 
     #[test]

@@ -82,7 +82,13 @@ impl Obs {
     /// crash point or breach description. No-op (returns `None`) when the
     /// recorder is unarmed or any I/O fails — this is called from failure
     /// paths and must never add a second failure.
-    pub fn flight_dump(&self, node: u32, ts: Nanos, reason: &str, detail: &str) -> Option<FlightDump> {
+    pub fn flight_dump(
+        &self,
+        node: u32,
+        ts: Nanos,
+        reason: &str,
+        detail: &str,
+    ) -> Option<FlightDump> {
         let (dir, last_k, ordinal) = {
             let mut flight = self.flight.lock().ok()?;
             let state = flight.as_mut()?;
@@ -194,7 +200,15 @@ mod tests {
         let obs = Obs::new(64);
         obs.configure_flight(&dir, 3);
         for i in 0..5 {
-            obs.record(EventKind::Instant, i * 10, 1, 0, 0, "store.flush", &[("n", i)]);
+            obs.record(
+                EventKind::Instant,
+                i * 10,
+                1,
+                0,
+                0,
+                "store.flush",
+                &[("n", i)],
+            );
         }
         obs.record(EventKind::Instant, 99, 2, 0, 0, "other.node", &[]);
         obs.metrics().counter_add("crash.fired", 1);

@@ -132,6 +132,7 @@ impl Obs {
     }
 
     /// Records one event. `args` is copied; keep it short.
+    #[allow(clippy::too_many_arguments)] // one parameter per event field
     pub fn record(
         &self,
         kind: EventKind,

@@ -117,8 +117,8 @@ struct SeriesState {
 impl SeriesState {
     fn cell(&mut self, ts: Nanos) -> &mut WindowCell {
         let idx = ts / self.window_ns;
-        if !self.windows.contains_key(&idx) {
-            self.windows.insert(idx, WindowCell::default());
+        if let std::collections::btree_map::Entry::Vacant(slot) = self.windows.entry(idx) {
+            slot.insert(WindowCell::default());
             while self.windows.len() > self.max_windows {
                 self.windows.pop_first();
                 self.evicted += 1;

@@ -310,8 +310,7 @@ mod tests {
             .unwrap();
         let entries: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
         assert_eq!(entries.len(), 1);
-        let body =
-            std::fs::read_to_string(entries[0].as_ref().unwrap().path()).unwrap();
+        let body = std::fs::read_to_string(entries[0].as_ref().unwrap().path()).unwrap();
         assert!(body.contains("\"reason\": \"slo.breach\""));
         assert!(body.contains("\"node\": 2"));
         let _ = std::fs::remove_dir_all(&dir);

@@ -890,7 +890,7 @@ mod tests {
 
     #[test]
     fn deadlock_detected() {
-        let err = Sim::new().run(|| park()).unwrap_err();
+        let err = Sim::new().run(park).unwrap_err();
         assert!(matches!(err, SimError::Deadlock { parked: 1, .. }));
     }
 

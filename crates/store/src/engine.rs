@@ -27,7 +27,9 @@ use treaty_sched::{FiberMutex, GroupCommit};
 use crate::env::Env;
 use crate::locks::{LockTable, TxId};
 use crate::log::{self, LogWriter};
-use crate::memtable::{MemCursor, MemTable, RangeTombstone, SeqNum, UserKey};
+use crate::memtable::{
+    KeySpan, MemCursor, MemTable, RangeTombstone, SeqNum, UserKey, VersionedEntry,
+};
 use crate::sstable::{self, SsTable, TableCursor};
 use crate::txn::{GlobalTxId, Txn, TxnMode, TxnOptions, WriteOp};
 use crate::{Result, StoreError};
@@ -373,7 +375,7 @@ impl PreparedTable {
 
     /// Every entry's writes, stable or not, sorted by id: a WAL rotation
     /// re-logs them in this order.
-    pub fn snapshot_writes(&self) -> Vec<(GlobalTxId, Vec<WriteOp>, Vec<(UserKey, UserKey)>)> {
+    pub fn snapshot_writes(&self) -> Vec<(GlobalTxId, Vec<WriteOp>, Vec<KeySpan>)> {
         self.txns
             .lock()
             .iter()
@@ -430,9 +432,12 @@ impl PreparedTable {
     }
 }
 
+/// `BTreeMap::range` bounds over borrowed keys.
+type SpanBounds<'a> = (Bound<&'a [u8]>, Bound<&'a [u8]>);
+
 /// `[start, end)` as `BTreeMap::range` bounds over borrowed keys; `None` for
 /// an empty or inverted span (`range` panics on the latter).
-fn span_bounds<'a>(start: &'a [u8], end: &'a [u8]) -> Option<(Bound<&'a [u8]>, Bound<&'a [u8]>)> {
+fn span_bounds<'a>(start: &'a [u8], end: &'a [u8]) -> Option<SpanBounds<'a>> {
     (start < end).then_some((Bound::Included(start), Bound::Excluded(end)))
 }
 
@@ -771,10 +776,7 @@ impl TreatyStore {
 
     /// Begins a transaction in the given mode with default options.
     pub fn begin_mode(&self, mode: TxnMode) -> Txn {
-        self.begin(TxnOptions {
-            mode,
-            ..TxnOptions::default()
-        })
+        self.begin(TxnOptions { mode })
     }
 
     /// Reads the latest committed value of `key` outside any transaction.
@@ -1766,12 +1768,12 @@ impl TreatyStore {
         // over tombstones) stay non-overlapping — the invariant deeper
         // levels' first-covering-table reads rely on.
         let mut outputs = Vec::new();
-        let mut chunk: Vec<(UserKey, SeqNum, Option<Vec<u8>>)> = Vec::new();
+        let mut chunk: Vec<VersionedEntry> = Vec::new();
         let mut chunk_bytes = 0usize;
         // Partition start of the accumulating chunk (`None` = unbounded:
         // the first output also owns everything left of its first key).
         let mut chunk_lo: Option<UserKey> = None;
-        let mut parked: Option<(Vec<(UserKey, SeqNum, Option<Vec<u8>>)>, Option<UserKey>)> = None;
+        let mut parked: Option<(Vec<VersionedEntry>, Option<UserKey>)> = None;
         let target = self.inner.env.config.sstable_bytes;
         let live_tombs: Vec<RangeTombstone> = if bottom { Vec::new() } else { tombs.clone() };
         // The merge keeps the newest version of each key; the earliest
@@ -1868,7 +1870,7 @@ impl TreatyStore {
 
     fn write_table(
         &self,
-        entries: &[(UserKey, SeqNum, Option<Vec<u8>>)],
+        entries: &[VersionedEntry],
         range_tombstones: &[RangeTombstone],
     ) -> Result<Arc<SsTable>> {
         let file_id = self.inner.next_file_id.fetch_add(1, Ordering::SeqCst);
@@ -1985,7 +1987,7 @@ impl TreatyStore {
             }
         }
         // L0 newest (highest file id) first; deeper levels by key range.
-        l0_order.sort_by(|a, b| b.0.cmp(&a.0));
+        l0_order.sort_by_key(|&(file_id, _)| std::cmp::Reverse(file_id));
         levels[0] = l0_order.into_iter().map(|(_, t)| t).collect();
         for level in levels.iter_mut().skip(1) {
             level.sort_by(|a, b| a.meta().min_key.cmp(&b.meta().min_key));
@@ -2213,7 +2215,7 @@ enum ScanSource<'a> {
 }
 
 impl ScanSource<'_> {
-    fn next(&mut self) -> Result<Option<(UserKey, SeqNum, Option<Vec<u8>>)>> {
+    fn next(&mut self) -> Result<Option<VersionedEntry>> {
         match self {
             ScanSource::Mem(c) => c.next(),
             ScanSource::Table(c) => Ok(c.next()?.map(|r| (r.key, r.seq, r.value))),
@@ -2227,7 +2229,7 @@ fn refill(
     src: &mut ScanSource<'_>,
     end: Option<&[u8]>,
     snapshot: SeqNum,
-) -> Result<Option<(UserKey, SeqNum, Option<Vec<u8>>)>> {
+) -> Result<Option<VersionedEntry>> {
     while let Some((key, seq, value)) = src.next()? {
         if let Some(end) = end {
             if key.as_slice() >= end {
@@ -2256,8 +2258,7 @@ fn merge_newest<F>(
 where
     F: FnMut(UserKey, SeqNum, Option<Vec<u8>>, SeqNum) -> Result<bool>,
 {
-    let mut heads: Vec<Option<(UserKey, SeqNum, Option<Vec<u8>>)>> =
-        Vec::with_capacity(sources.len());
+    let mut heads: Vec<Option<VersionedEntry>> = Vec::with_capacity(sources.len());
     for src in sources.iter_mut() {
         heads.push(refill(src, end, snapshot)?);
     }

@@ -27,6 +27,11 @@ use crate::{Result, StoreError};
 pub type UserKey = Vec<u8>;
 /// A version (sequence) number; higher = newer.
 pub type SeqNum = u64;
+/// One version of a key as it moves between MemTable and SSTables: the
+/// key, its sequence number and its value (`None` for a tombstone).
+pub type VersionedEntry = (UserKey, SeqNum, Option<Vec<u8>>);
+/// A key span `[start, end)`.
+pub type KeySpan = (UserKey, UserKey);
 
 /// A multi-version range delete: at version `seq`, every key in
 /// `[start, end)` is deleted. Older point versions stay readable below
@@ -389,7 +394,7 @@ impl MemTable {
     ///
     /// Returns [`StoreError::Integrity`] if any host-resident value was
     /// tampered with.
-    pub fn freeze_entries(&self) -> Result<Vec<(UserKey, SeqNum, Option<Vec<u8>>)>> {
+    pub fn freeze_entries(&self) -> Result<Vec<VersionedEntry>> {
         let all: Vec<(MemKey, ValueEntry)> = {
             let guard = self.index.read();
             guard.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
@@ -494,7 +499,8 @@ impl MemCursor<'_> {
     ///
     /// [`StoreError::Integrity`] if the entry's host-resident value was
     /// tampered with.
-    pub fn next(&mut self) -> Result<Option<(UserKey, SeqNum, Option<Vec<u8>>)>> {
+    #[allow(clippy::should_implement_trait)] // fallible: not an `Iterator`
+    pub fn next(&mut self) -> Result<Option<VersionedEntry>> {
         let Some((k, v)) = self.entries.next() else {
             return Ok(None);
         };

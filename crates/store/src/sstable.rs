@@ -29,7 +29,7 @@ use treaty_tee::HostBytes;
 use crate::bloom::BloomFilter;
 use crate::cache::approx_records_bytes;
 use crate::env::Env;
-use crate::memtable::{RangeTombstone, SeqNum, UserKey};
+use crate::memtable::{RangeTombstone, SeqNum, UserKey, VersionedEntry};
 use crate::{Result, StoreError};
 
 const MAGIC: u64 = 0x5452_4541_5459_5354; // "TREATYST"
@@ -294,7 +294,7 @@ pub fn build(
     env: &Env,
     path: &Path,
     file_id: u64,
-    entries: &[(UserKey, SeqNum, Option<Vec<u8>>)],
+    entries: &[VersionedEntry],
     range_tombstones: &[RangeTombstone],
 ) -> Result<SsTableMeta> {
     assert!(
@@ -842,6 +842,7 @@ impl TableCursor {
     ///
     /// [`StoreError::Integrity`] when verification fails anywhere in the
     /// scanned range; I/O errors from block reads.
+    #[allow(clippy::should_implement_trait)] // fallible: not an `Iterator`
     pub fn next(&mut self) -> Result<Option<SsRecord>> {
         loop {
             if self.records.is_none() && !self.load_next_block()? {
@@ -895,7 +896,7 @@ mod tests {
     use super::*;
     use treaty_sim::SecurityProfile;
 
-    fn entries(n: u64) -> Vec<(UserKey, SeqNum, Option<Vec<u8>>)> {
+    fn entries(n: u64) -> Vec<VersionedEntry> {
         (0..n)
             .map(|i| {
                 let key = format!("key-{i:05}").into_bytes();
@@ -1097,9 +1098,7 @@ mod tests {
     // ---- fence-boundary regression tests (covers / candidate_blocks) ----
 
     /// Builds a table with explicit rows and returns it.
-    fn build_rows(
-        rows: &[(UserKey, SeqNum, Option<Vec<u8>>)],
-    ) -> Result<(tempfile::TempDir, Arc<Env>, Arc<SsTable>)> {
+    fn build_rows(rows: &[VersionedEntry]) -> Result<(tempfile::TempDir, Arc<Env>, Arc<SsTable>)> {
         let dir = tempfile::tempdir()?;
         let env = Env::for_testing(SecurityProfile::treaty_full(), dir.path());
         let path = dir.path().join(file_name(1));

@@ -195,6 +195,9 @@ enum TxnState {
     Finished,
 }
 
+/// A scan an OCC transaction ran: `(start, end, raw_limit, raw results)`.
+type ScannedSpan = (UserKey, UserKey, usize, Vec<(UserKey, Vec<u8>)>);
+
 /// A single-node transaction on a [`TreatyStore`].
 pub struct Txn {
     store: TreatyStore,
@@ -209,9 +212,9 @@ pub struct Txn {
     /// that must survive into the prepared record — releasing them at
     /// prepare would let a phantom slip under an in-doubt predicate.
     range_locked: Vec<UserKey>,
-    /// Scanned spans `(start, end, raw_limit, raw results)`, re-validated
-    /// at OCC commit by re-running the scan and comparing.
-    scan_set: Vec<(UserKey, UserKey, usize, Vec<(UserKey, Vec<u8>)>)>,
+    /// Scanned spans, re-validated at OCC commit by re-running the scan
+    /// and comparing.
+    scan_set: Vec<ScannedSpan>,
     /// Whether this txn bumped the store's `active_scans` gauge.
     scan_registered: bool,
     state: TxnState,

@@ -41,13 +41,11 @@ pub trait KvTxn {
     /// # Errors
     ///
     /// A human-readable reason; any error aborts the workload transaction.
-    fn scan(
-        &mut self,
-        start: &[u8],
-        end: &[u8],
-        limit: usize,
-    ) -> Result<Vec<(Vec<u8>, Vec<u8>)>, String> {
+    fn scan(&mut self, start: &[u8], end: &[u8], limit: usize) -> Result<ScanPairs, String> {
         let _ = (start, end, limit);
         Err("scan unsupported by this transaction adapter".into())
     }
 }
+
+/// What a scan returns: key/value pairs in key order.
+pub type ScanPairs = Vec<(Vec<u8>, Vec<u8>)>;

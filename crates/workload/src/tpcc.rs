@@ -545,7 +545,7 @@ mod tests {
         let mut g = TpccGenerator::new(cfg, 2);
         let mut payments: i64 = 0;
         for _ in 0..1000 {
-            if let TpccTxn::Payment { amount, .. } = g.run_txn(&mut kv).map(|t| t).unwrap() {
+            if let TpccTxn::Payment { amount, .. } = g.run_txn(&mut kv).unwrap() {
                 payments += amount;
             }
         }

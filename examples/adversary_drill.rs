@@ -45,7 +45,8 @@ fn main() {
         println!("== attack 2: tampering with messages in flight ==");
         cluster.fabric().with_adversary(|a| a.tamper_next = 2);
         let mut tx = client.begin(1);
-        let result = tx.put(b"victim", b"value");
+        // A put only buffers; the flush is what puts it on the wire.
+        let result = tx.put(b"victim", b"value").and_then(|()| tx.flush());
         println!("   tampered request outcome: {result:?} (rejected, never executed)");
         let rejected: u64 = (0..3).map(|i| cluster.node(i).rpc().rejected_count()).sum();
         println!("   nodes rejected {rejected} forged message(s)");

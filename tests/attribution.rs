@@ -12,7 +12,6 @@ use treaty::core::{Cluster, ClusterOptions};
 use treaty::obs::{attribute, Obs};
 use treaty::sched::block_on;
 use treaty::sim::SecurityProfile;
-use treaty::store::TxnEngine as _;
 
 const TXNS: u64 = 8;
 
@@ -43,7 +42,8 @@ fn attribution_run(seed: u64) -> RunOut {
             // Keys spread over the shard map, so 2PC reaches remote
             // participants and the critical path crosses nodes.
             for k in 0..6u32 {
-                tx.put(format!("attr-key-{i}-{k}").as_bytes(), b"v").unwrap();
+                tx.put(format!("attr-key-{i}-{k}").as_bytes(), b"v")
+                    .unwrap();
             }
             tx.commit().unwrap();
         }

@@ -324,3 +324,59 @@ fn at_most_once_under_duplication_storm() {
         assert_eq!(v, b"10", "duplication must not double-apply increments");
     });
 }
+
+/// No honest endpoint seals two messages under one IV, or sends one request
+/// number twice: across a lossy phase (timeouts, decision retries, abort
+/// advisories, client retries), a node crash and restart, and a recovery
+/// pass. Every retry is a new request with a new number, so a duplicate
+/// never needs an answer. An IV counter that begins again at zero when a
+/// node restarts fails this: the new life re-seals the old life's IVs
+/// under the same network key.
+#[test]
+fn no_iv_or_request_number_repeats_across_a_restart() {
+    let dir = tempfile::tempdir().unwrap();
+    let path = dir.path().to_path_buf();
+    block_on(move || {
+        let mut cluster = Cluster::start(options(SecurityProfile::treaty_full(), &path)).unwrap();
+        cluster.fabric().start_capture();
+        let commit_all = |cluster: &Cluster, from: usize| {
+            let client = cluster.client();
+            for round in from..from + 5 {
+                let committed = (0..50).any(|_| {
+                    let mut tx = client.begin(1 + (round % 3) as u32);
+                    (0..3).all(|k| tx.put(format!("k{round}-{k}").as_bytes(), b"v").is_ok())
+                        && tx.commit().is_ok()
+                });
+                assert!(committed, "round {round} never committed");
+            }
+        };
+        commit_all(&cluster, 0);
+        cluster.crash_node(1);
+        cluster.restart_node(1).unwrap();
+        cluster.resolve_recovered();
+        commit_all(&cluster, 5);
+        cluster.fabric().with_adversary(|a| a.drop_prob = 0.1);
+        commit_all(&cluster, 10);
+        cluster.fabric().with_adversary(|a| a.drop_prob = 0.0);
+        commit_all(&cluster, 15);
+        let retries: u64 = (0..3)
+            .map(|i| cluster.node(i).stats().decision_retries)
+            .sum();
+        assert!(retries > 0, "the lossy phase retried no decision");
+
+        let mut ivs = std::collections::HashSet::new();
+        let mut numbers = std::collections::HashSet::new();
+        for dg in cluster.fabric().captured() {
+            let iv = dg.wire.as_slice()[..12].to_vec();
+            assert!(ivs.insert(iv), "endpoint {} sealed under a used IV", dg.src);
+            if !dg.is_response {
+                assert!(
+                    numbers.insert((dg.src, dg.rpc_id)),
+                    "endpoint {} sent request number {} twice",
+                    dg.src,
+                    dg.rpc_id
+                );
+            }
+        }
+    });
+}

@@ -206,7 +206,8 @@ fn readonly_snapshot_txns_never_touch_the_lock_table() {
     const READS: usize = 25;
     let dir = tempfile::tempdir().unwrap();
     let path = dir.path().to_path_buf();
-    let out: Arc<Mutex<Option<(u64, u64, u64, u64)>>> = Arc::new(Mutex::new(None));
+    type Readings = (u64, u64, u64, u64);
+    let out: Arc<Mutex<Option<Readings>>> = Arc::new(Mutex::new(None));
     let out2 = Arc::clone(&out);
     block_on(move || {
         let obs = Obs::with_default_cap();

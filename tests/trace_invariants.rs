@@ -13,12 +13,15 @@ use treaty::sim::SecurityProfile;
 
 const TXNS: u64 = 5;
 
+/// A traced run: the recorded events and the exported JSON.
+type Traced = (Vec<TraceEvent>, String);
+
 /// Runs a small multi-shard workload on a 3-node cluster with the tracing
 /// hub installed and returns the recorded events plus the exported JSON.
-fn traced_run(seed: u64) -> (Vec<TraceEvent>, String) {
+fn traced_run(seed: u64) -> Traced {
     let dir = tempfile::tempdir().unwrap();
     let path = dir.path().to_path_buf();
-    let out: Arc<Mutex<Option<(Vec<TraceEvent>, String)>>> = Arc::new(Mutex::new(None));
+    let out: Arc<Mutex<Option<Traced>>> = Arc::new(Mutex::new(None));
     let out2 = Arc::clone(&out);
     block_on(move || {
         let obs = Obs::with_default_cap();
@@ -122,10 +125,10 @@ fn same_seed_runs_export_byte_identical_traces() {
 /// MemTable rotates several times: the trace records phase-2 dispatch,
 /// SSTable builds and compactions from the daemon fibers of the pipelined
 /// commit path.
-fn traced_bulk_run(seed: u64) -> (Vec<TraceEvent>, String) {
+fn traced_bulk_run(seed: u64) -> Traced {
     let dir = tempfile::tempdir().unwrap();
     let path = dir.path().to_path_buf();
-    let out: Arc<Mutex<Option<(Vec<TraceEvent>, String)>>> = Arc::new(Mutex::new(None));
+    let out: Arc<Mutex<Option<Traced>>> = Arc::new(Mutex::new(None));
     let out2 = Arc::clone(&out);
     block_on(move || {
         let obs = Obs::with_default_cap();
