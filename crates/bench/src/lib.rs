@@ -223,9 +223,7 @@ pub struct RunConfig {
     /// The cluster under test: system variant (`profile`), size (`nodes`:
     /// 3 for the distributed experiments, 1 for §VIII-D), concurrency
     /// control (`txn_mode`), `durable` (`false` = storage-less 2PC,
-    /// §VIII-B), determinism `seed`, the `sync_decisions` ablation, and
-    /// `engine_config` (`block_cache_bytes = 0` is the read-acceleration
-    /// ablation, `inline_maintenance` the maintenance one). The driver
+    /// §VIII-B), determinism `seed` and `engine_config`. The driver
     /// overwrites only `base_dir`, with a fresh temporary directory.
     pub cluster: ClusterOptions,
     /// Workload.

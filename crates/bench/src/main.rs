@@ -35,9 +35,6 @@ presets:
 
 flags:
   --clients N --txns N      closed-loop clients and transactions per client
-  --sync-decisions          deliver phase-2 decisions inline before the client ack
-  --inline-maintenance      flush/compact on the group-commit leader
-  --no-block-cache          every point read pays decrypt + verify per block
   --out FILE                every printed table as JSON
   --trace-out FILE          one extra small full-stack run: Chrome trace + sidecars
   --slo-ms N --flight-dir DIR   latency SLO and flight-recorder dumps of that run
@@ -71,9 +68,6 @@ struct Flags {
     messages: Option<u64>,
     entries: Option<usize>,
     slo_ms: Option<u64>,
-    sync_decisions: bool,
-    inline_maintenance: bool,
-    no_block_cache: bool,
     smoke: bool,
     out: Option<PathBuf>,
     trace_out: Option<PathBuf>,
@@ -108,9 +102,6 @@ fn parse_args() -> (Vec<(String, Preset)>, Flags) {
             "--messages" => flags.messages = number(&arg, args.next()),
             "--entries" => flags.entries = number(&arg, args.next()),
             "--slo-ms" => flags.slo_ms = number(&arg, args.next()),
-            "--sync-decisions" => flags.sync_decisions = true,
-            "--inline-maintenance" => flags.inline_maintenance = true,
-            "--no-block-cache" => flags.no_block_cache = true,
             "--smoke" => flags.smoke = true,
             "--out" => flags.out = path(&arg, args.next()),
             "--trace-out" => flags.trace_out = path(&arg, args.next()),
@@ -154,15 +145,9 @@ impl Session {
         self.flags.txns.unwrap_or(default)
     }
 
-    /// Runs `cfg` with the ablation flags applied; it must commit something.
+    /// Runs `cfg`; it must commit something.
     fn run(&self, label: &str, cfg: &RunConfig) -> Report {
-        let mut cfg = cfg.clone();
-        cfg.cluster.sync_decisions |= self.flags.sync_decisions;
-        cfg.cluster.engine_config.inline_maintenance |= self.flags.inline_maintenance;
-        if self.flags.no_block_cache {
-            cfg.cluster.engine_config.block_cache_bytes = 0;
-        }
-        let report = run(&cfg);
+        let report = run(cfg);
         let committed = report.counter("bench.committed");
         assert!(committed > 0, "{label}: the run must commit transactions");
         report
@@ -312,11 +297,6 @@ fn single_node(s: &mut Session, mode: TxnMode) {
         ),
     };
     let (base_clients, txns) = (s.clients(48), s.txns(12));
-    let cache_note = if s.flags.no_block_cache {
-        " [block cache OFF]"
-    } else {
-        ""
-    };
     let workloads = [
         // TPC-C 10W is conflict-bound: the paper saturates it at ~10
         // clients (16 with stabilization).
@@ -355,7 +335,7 @@ fn single_node(s: &mut Session, mode: TxnMode) {
             })
             .collect();
         s.table(
-            format!("{figure} — {name}, {clients} clients x {txns} txns{cache_note}"),
+            format!("{figure} — {name}, {clients} clients x {txns} txns"),
             configs,
             |cfg, row, baseline| {
                 plain_row(cfg, row, baseline);

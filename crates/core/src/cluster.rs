@@ -22,10 +22,14 @@ use crate::{Result, TreatyError};
 pub const NODE_BASE: EndpointId = 1;
 /// First fabric endpoint for trusted counter replicas.
 pub const COUNTER_BASE: EndpointId = 1000;
+/// Trusted counter protection group size.
+pub const COUNTER_REPLICAS: u32 = 3;
 /// First fabric endpoint for per-node counter clients.
 pub const COUNTER_CLIENT_BASE: EndpointId = 2000;
 /// First fabric endpoint for clients.
 pub const CLIENT_BASE: EndpointId = 5000;
+/// CPU cores per node (paper testbed: 8).
+pub const CORES_PER_NODE: u32 = 8;
 
 /// Cluster construction options.
 #[derive(Clone)]
@@ -40,19 +44,12 @@ pub struct ClusterOptions {
     pub txn_mode: TxnMode,
     /// `false` runs the storage-less 2PC of §VIII-B (NullEngine, no Clog).
     pub durable: bool,
-    /// CPU cores per node (paper testbed: 8).
-    pub cores_per_node: u32,
-    /// Trusted counter protection group size.
-    pub counter_replicas: usize,
     /// Engine sizing.
     pub engine_config: EngineConfig,
     /// Directory holding one subdirectory per node.
     pub base_dir: PathBuf,
     /// Master secret / determinism seed.
     pub seed: u64,
-    /// Deliver phase-2 decisions inline before acking clients (the
-    /// `--sync-decisions` ablation). Default `false`: pipelined.
-    pub sync_decisions: bool,
 }
 
 impl ClusterOptions {
@@ -64,14 +61,16 @@ impl ClusterOptions {
             costs: CostModel::default(),
             txn_mode: TxnMode::Pessimistic,
             durable: true,
-            cores_per_node: 8,
-            counter_replicas: 3,
             engine_config: EngineConfig::default(),
             base_dir,
             seed: 42,
-            sync_decisions: false,
         }
     }
+}
+
+/// The trusted counter replicas' endpoints.
+fn counter_endpoints() -> Vec<EndpointId> {
+    (0..COUNTER_REPLICAS).map(|i| COUNTER_BASE + i).collect()
 }
 
 /// Converts a profile to the wire protection level.
@@ -128,9 +127,7 @@ impl Cluster {
     pub fn start(options: ClusterOptions) -> Result<Self> {
         let fabric = Fabric::new(options.costs.clone(), options.seed);
         let node_endpoints: Vec<u32> = (0..options.nodes).map(|i| NODE_BASE + i as u32).collect();
-        let counter_endpoints: Vec<u32> = (0..options.counter_replicas)
-            .map(|i| COUNTER_BASE + i as u32)
-            .collect();
+        let counter_endpoints = counter_endpoints();
 
         // Distributed trust establishment (§VI).
         let master = Key::from_bytes([options.seed as u8; 32]);
@@ -177,7 +174,7 @@ impl Cluster {
         };
 
         for i in 0..cluster.options.nodes {
-            let cores = Arc::new(CorePool::new(cluster.options.cores_per_node));
+            let cores = Arc::new(CorePool::new(CORES_PER_NODE));
             cluster.slots.push(NodeSlot {
                 node: None,
                 store: None,
@@ -196,9 +193,7 @@ impl Cluster {
                 &self.fabric,
                 COUNTER_CLIENT_BASE + idx as u32,
                 self.keys.counter,
-                (0..options.counter_replicas)
-                    .map(|i| COUNTER_BASE + i as u32)
-                    .collect(),
+                counter_endpoints(),
                 options.costs.counter_round_ns,
             )
         } else {
@@ -273,8 +268,6 @@ impl Cluster {
                 cores: Some(Arc::clone(&self.slots[idx].cores)),
                 env,
                 txn_mode: options.txn_mode,
-                timeout: treaty_net::DEFAULT_RPC_TIMEOUT,
-                sync_decisions: options.sync_decisions,
             },
         )
         .map_err(TreatyError::from)?;

@@ -47,14 +47,6 @@ pub struct NodeOptions {
     pub env: Option<Arc<Env>>,
     /// Concurrency control used for transactions on this node.
     pub txn_mode: TxnMode,
-    /// RPC timeout.
-    pub timeout: Nanos,
-    /// Stabilize the decision, deliver phase two and apply the local slice
-    /// inline on the client-session fiber before acking the client (the
-    /// pre-pipelining behaviour; the `--sync-decisions` ablation). With the
-    /// default `false`, a commit is acked at its commit point and that tail
-    /// runs behind the ack (DESIGN.md §11).
-    pub sync_decisions: bool,
 }
 
 impl std::fmt::Debug for NodeOptions {
@@ -361,8 +353,6 @@ pub struct TreatyNode {
     recently_aborted: Mutex<AbortRing>,
     op_seq: AtomicU64,
     stats: Mutex<NodeStats>,
-    /// `--sync-decisions`: keep phase-2 delivery inline (ablation).
-    sync_decisions: bool,
     /// Fibers still working behind a decision: finish continuations and
     /// phase-two deliveries (bounded by [`FINISH_FIBER_CAP`]).
     finishes_inflight: AtomicUsize,
@@ -405,7 +395,7 @@ impl TreatyNode {
                 crypto: options.crypto,
                 key: options.network_key,
                 cores: options.cores.clone(),
-                timeout: options.timeout,
+                timeout: treaty_net::DEFAULT_RPC_TIMEOUT,
             },
         );
         let node = Arc::new(TreatyNode {
@@ -420,7 +410,6 @@ impl TreatyNode {
             recently_aborted: Mutex::new(AbortRing::default()),
             op_seq: AtomicU64::new(1),
             stats: Mutex::new(NodeStats::default()),
-            sync_decisions: options.sync_decisions,
             finishes_inflight: AtomicUsize::new(0),
             finish_done: WaitQueue::new(),
         });
@@ -891,13 +880,9 @@ impl TreatyNode {
         treaty_sim::crashpoint::hit("coord.commit_point");
         // With nothing to wait for — the record already stable, as it
         // always is without stabilization — the finish costs the client no
-        // round and stays on its fiber.
+        // round and stays on its fiber. So does it at the slot cap.
         let behind_ack = match (&self.clog, unstable) {
-            (Some(clog), Some(counter))
-                if !clog.is_stable(counter) && self.pipelined_decisions() =>
-            {
-                FinishSlot::reserve(self)
-            }
+            (Some(clog), Some(counter)) if !clog.is_stable(counter) => FinishSlot::reserve(self),
             _ => None,
         };
         match behind_ack {
@@ -942,10 +927,10 @@ impl TreatyNode {
         // retry train are awaited on a delivery fiber, and even a total
         // delivery failure resolves via recovery (coordinator re-send or
         // participant QueryDecision, §VI).
-        let slot = if self.pipelined_decisions() && !remotes.is_empty() {
-            FinishSlot::reserve(self)
-        } else {
+        let slot = if remotes.is_empty() {
             None
+        } else {
+            FinishSlot::reserve(self)
         };
         match slot {
             Some(slot) => {
@@ -1082,14 +1067,6 @@ impl TreatyNode {
         refused
     }
 
-    /// True when the work behind a decision leaves the client-session
-    /// fiber: an acknowledged commit finishes on a continuation and
-    /// phase-two delivery on a fiber of its own. Outside the runtime
-    /// (plain tests) there is no fiber to run either, so both stay inline.
-    fn pipelined_decisions(&self) -> bool {
-        !self.sync_decisions && treaty_sim::runtime::in_fiber()
-    }
-
     /// Waits out every fiber still working behind a decision — commits
     /// finishing behind their ack, phase-two deliveries with their retry
     /// trains (graceful shutdown: phase two must reach the participants
@@ -1164,28 +1141,18 @@ impl TreatyNode {
         peer: EndpointId,
         mut attempt: impl FnMut(u64, Nanos) -> bool,
     ) -> bool {
-        let deadline = if treaty_sim::runtime::in_fiber() {
-            Some(treaty_sim::runtime::now() + treaty_sim::SECONDS)
-        } else {
-            None
-        };
+        let deadline = treaty_sim::runtime::now() + treaty_sim::SECONDS;
         let mut backoff = treaty_sim::MILLIS / 2;
         for n in 0u64..6 {
             if attempt(n, backoff) {
                 return true;
             }
-            match deadline {
-                Some(d) if treaty_sim::runtime::now() < d => {
-                    let jitter = decision_jitter(gtx, peer, n) % (backoff / 2 + 1);
-                    treaty_sim::runtime::sleep(backoff + jitter);
-                    backoff = (backoff * 2).min(8 * treaty_sim::MILLIS);
-                }
-                // Retry window exhausted.
-                Some(_) => break,
-                // Outside the runtime (plain tests): no virtual time to
-                // sleep in, retry immediately as before.
-                None => {}
+            if treaty_sim::runtime::now() >= deadline {
+                break;
             }
+            let jitter = decision_jitter(gtx, peer, n) % (backoff / 2 + 1);
+            treaty_sim::runtime::sleep(backoff + jitter);
+            backoff = (backoff * 2).min(8 * treaty_sim::MILLIS);
         }
         false
     }

@@ -21,6 +21,15 @@ fn options(profile: SecurityProfile, dir: &std::path::Path) -> ClusterOptions {
     o
 }
 
+/// Waits out every node's work behind its decisions: each commit so far
+/// has finished, sent phase two and had it acknowledged, so counts taken
+/// next hold every 2PC message it will ever send.
+fn settle(cluster: &Cluster) {
+    for i in 0..cluster.node_endpoints().len() {
+        cluster.node(i).drain_decisions();
+    }
+}
+
 /// Keys guaranteed to live on different nodes.
 fn keys_on_different_nodes(cluster: &Cluster) -> Vec<Vec<u8>> {
     // Ordered by owner: which key stands for which shard must not vary
@@ -908,15 +917,12 @@ fn batched_commit_round_trips_scale_with_shards_not_writes() {
     let dir = tempfile::tempdir().unwrap();
     let path = dir.path().to_path_buf();
     block_on(move || {
-        let mut o = options(SecurityProfile::treaty_full(), &path);
-        // Inline decision delivery so every 2PC message is on the wire by
-        // the time commit() returns and the counters are deterministic.
-        o.sync_decisions = true;
-        let cluster = Cluster::start(o).unwrap();
+        let cluster = Cluster::start(options(SecurityProfile::treaty_full(), &path)).unwrap();
         let per_owner = keys_per_owner(&cluster, 2);
         assert_eq!(per_owner.len(), 3);
         let client = cluster.client();
 
+        // Settled, so every 2PC message of the commit is counted.
         let run = |keys: &[Vec<u8>], batched: bool| -> u64 {
             let before = cluster.fabric().stats().sent;
             let mut tx = client.begin(1);
@@ -927,6 +933,7 @@ fn batched_commit_round_trips_scale_with_shards_not_writes() {
                 }
             }
             tx.commit().unwrap();
+            settle(&cluster);
             cluster.fabric().stats().sent - before
         };
 
@@ -957,10 +964,7 @@ fn read_after_buffered_writes_is_one_round_trip() {
     let dir = tempfile::tempdir().unwrap();
     let path = dir.path().to_path_buf();
     block_on(move || {
-        let mut o = options(SecurityProfile::treaty_full(), &path);
-        // Inline decision delivery: no phase-2 traffic outlives a commit.
-        o.sync_decisions = true;
-        let cluster = Cluster::start(o).unwrap();
+        let cluster = Cluster::start(options(SecurityProfile::treaty_full(), &path)).unwrap();
         let per_owner = keys_per_owner(&cluster, 1);
         let client = cluster.client();
         // Coordinator is endpoint 1: the read goes to its own shard, the two
@@ -979,6 +983,7 @@ fn read_after_buffered_writes_is_one_round_trip() {
              the writes ride the read's message instead of a flush of their own"
         );
         tx.commit().unwrap();
+        settle(&cluster);
 
         let mut tx = client.begin(2);
         assert_eq!(tx.get(a).unwrap(), Some(b"va".to_vec()));
@@ -1056,11 +1061,7 @@ fn read_only_dist_txn_commits_in_one_unlogged_round() {
     block_on(move || {
         let obs = treaty_sim::obs::Obs::with_default_cap();
         treaty_sim::obs::install(&obs);
-        let mut o = options(SecurityProfile::treaty_full(), &path);
-        // Inline decision delivery: the seeding 2PC is fully on the wire
-        // (and in every WAL) by the time its commit() returns.
-        o.sync_decisions = true;
-        let cluster = Cluster::start(o).unwrap();
+        let cluster = Cluster::start(options(SecurityProfile::treaty_full(), &path)).unwrap();
         let per_owner = keys_per_owner(&cluster, 2);
         assert_eq!(per_owner.len(), 3);
         let keys: Vec<Vec<u8>> = per_owner.values().flatten().cloned().collect();
@@ -1070,6 +1071,8 @@ fn read_only_dist_txn_commits_in_one_unlogged_round() {
             tx.put(k, b"seeded").unwrap();
         }
         tx.commit().unwrap();
+        // The seeding 2PC fully on the wire and in every WAL.
+        settle(&cluster);
 
         // Gets on every shard plus a fanned-out scan: S = 3 participants.
         let read_everything = |tx: &mut treaty_core::DistTxn<'_>| {
@@ -1135,7 +1138,6 @@ fn read_only_optimistic_txn_with_stale_read_votes_no() {
     block_on(move || {
         let mut o = options(SecurityProfile::treaty_full(), &path);
         o.txn_mode = treaty_store::TxnMode::Optimistic;
-        o.sync_decisions = true;
         let cluster = Cluster::start(o).unwrap();
         let keys = keys_on_different_nodes(&cluster);
         let client = cluster.client();
@@ -1144,6 +1146,7 @@ fn read_only_optimistic_txn_with_stale_read_votes_no() {
             tx.put(k, b"v1").unwrap();
         }
         tx.commit().unwrap();
+        settle(&cluster);
 
         let mut reader = client.begin(1);
         for k in &keys {
@@ -1154,6 +1157,7 @@ fn read_only_optimistic_txn_with_stale_read_votes_no() {
         let mut writer = other.begin(2);
         writer.put(&keys[0], b"v2").unwrap();
         writer.commit().unwrap();
+        settle(&cluster);
 
         match reader.commit() {
             Err(TreatyError::Aborted(_, reason)) => {
@@ -1176,9 +1180,7 @@ fn one_write_keeps_the_logged_two_phase_path() {
     block_on(move || {
         let obs = treaty_sim::obs::Obs::with_default_cap();
         treaty_sim::obs::install(&obs);
-        let mut o = options(SecurityProfile::treaty_full(), &path);
-        o.sync_decisions = true;
-        let cluster = Cluster::start(o).unwrap();
+        let cluster = Cluster::start(options(SecurityProfile::treaty_full(), &path)).unwrap();
         let keys = keys_on_different_nodes(&cluster);
         let client = cluster.client();
         let mut tx = client.begin(1);
@@ -1186,6 +1188,7 @@ fn one_write_keeps_the_logged_two_phase_path() {
             tx.put(k, b"v").unwrap();
         }
         tx.commit().unwrap();
+        settle(&cluster);
 
         // Reads on every shard, one buffered write shipped with the commit.
         let mut tx = client.begin(1);
@@ -1196,6 +1199,7 @@ fn one_write_keeps_the_logged_two_phase_path() {
         tx.put(&keys[0], b"w").unwrap();
         let logs = log_bytes(&cluster);
         tx.commit().unwrap();
+        settle(&cluster);
 
         let state = cluster.node(0).clog().unwrap().protocol_state(gtx).unwrap();
         assert_eq!(state.decision, Some(true), "Start and Decision both logged");
@@ -1213,43 +1217,38 @@ fn one_write_keeps_the_logged_two_phase_path() {
 /// Without stabilization the finish runs inline on the client's fiber —
 /// but phase two does not: its acks are awaited on a delivery fiber, so
 /// the client is answered before any participant has acknowledged.
-/// `sync_decisions` is the contrast: both acks precede the answer.
 #[test]
 fn phase_two_acks_stay_off_an_inline_finish() {
     use treaty_core::messages::req::PEER_COMMIT;
-    for sync_decisions in [false, true] {
-        let dir = tempfile::tempdir().unwrap();
-        let path = dir.path().to_path_buf();
-        block_on(move || {
-            let mut o = options(SecurityProfile::native_treaty(), &path);
-            o.sync_decisions = sync_decisions;
-            let cluster = Cluster::start(o).unwrap();
-            // Remote shards only: with no local slice to apply, nothing but
-            // the acks could stand between the decision and the answer.
-            let keys = keys_on_different_nodes(&cluster);
-            let remote: Vec<_> = keys
-                .iter()
-                .filter(|k| cluster.shard_map().owner(k) != 1)
-                .collect();
-            assert_eq!(remote.len(), 2);
-            let client = cluster.client();
-            let mut tx = client.begin(1);
-            for k in &remote {
-                tx.put(k, b"v").unwrap();
-            }
-            cluster.fabric().start_capture();
-            tx.commit().unwrap();
-            let acks = || {
-                let sent = cluster.fabric().captured();
-                sent.iter()
-                    .filter(|d| d.is_response && d.req_type == PEER_COMMIT)
-                    .count()
-            };
-            assert_eq!(acks(), if sync_decisions { 2 } else { 0 });
-            cluster.node(0).drain_decisions();
-            assert_eq!(acks(), 2);
-        });
-    }
+    let dir = tempfile::tempdir().unwrap();
+    let path = dir.path().to_path_buf();
+    block_on(move || {
+        let cluster = Cluster::start(options(SecurityProfile::native_treaty(), &path)).unwrap();
+        // Remote shards only: with no local slice to apply, nothing but
+        // the acks could stand between the decision and the answer.
+        let keys = keys_on_different_nodes(&cluster);
+        let remote: Vec<_> = keys
+            .iter()
+            .filter(|k| cluster.shard_map().owner(k) != 1)
+            .collect();
+        assert_eq!(remote.len(), 2);
+        let client = cluster.client();
+        let mut tx = client.begin(1);
+        for k in &remote {
+            tx.put(k, b"v").unwrap();
+        }
+        cluster.fabric().start_capture();
+        tx.commit().unwrap();
+        let acks = || {
+            let sent = cluster.fabric().captured();
+            sent.iter()
+                .filter(|d| d.is_response && d.req_type == PEER_COMMIT)
+                .count()
+        };
+        assert_eq!(acks(), 0);
+        cluster.node(0).drain_decisions();
+        assert_eq!(acks(), 2);
+    });
 }
 
 /// Concurrent whole-span scanners (read-only lane) against cross-shard

@@ -336,6 +336,45 @@ fn failed_redrive_is_surfaced_and_retryable() {
     });
 }
 
+/// A participant restarted after a lossy phase opens. Five rounds write
+/// the same three keys, five more do so while the network drops one
+/// message in ten. A participant whose `Prepare` round failed used to
+/// leave that record undecided in its WAL while the next round prepared
+/// the same key, and the restart refused two undecided `Prepare`s on one
+/// key.
+#[test]
+fn a_lossy_phase_leaves_a_restartable_participant() {
+    let dir = tempfile::tempdir().unwrap();
+    let path = dir.path().to_path_buf();
+    block_on(move || {
+        let mut cluster = Cluster::start(options(&path)).unwrap();
+        let keys: Vec<Vec<u8>> = key_per_node(&cluster).into_values().collect();
+        let client = cluster.client();
+        for round in 0..10u32 {
+            if round == 5 {
+                cluster.fabric().with_adversary(|a| a.drop_prob = 0.1);
+            }
+            let value = format!("round-{round}");
+            let committed = (0..50).any(|_| {
+                let mut tx = client.begin(1 + round % 3);
+                keys.iter().all(|k| tx.put(k, value.as_bytes()).is_ok()) && tx.commit().is_ok()
+            });
+            assert!(committed, "round {round} never committed");
+        }
+        cluster.fabric().with_adversary(|a| a.drop_prob = 0.0);
+        cluster.crash_node(1);
+        cluster.restart_node(1).expect("the participant reopens");
+        let outcome = cluster.resolve_recovered();
+        assert_eq!(outcome.failed, 0, "{outcome:?}");
+        let client = cluster.client();
+        let mut tx = client.begin(1);
+        for k in &keys {
+            assert_eq!(tx.get(k).unwrap().as_deref(), Some(&b"round-9"[..]));
+        }
+        tx.commit().unwrap();
+    });
+}
+
 /// A straggler cannot outlive its abort. The coordinator's `PEER_OPS` is
 /// lost on its way to the participant; the coordinator times out, aborts
 /// and sends the `PEER_ABORT` advisory, which finds nothing to roll back.

@@ -11,8 +11,9 @@
 //! SSTable builds and the compaction cascade — runs on a spawn-on-demand
 //! maintenance daemon, with RocksDB-style slowdown/stop backpressure so
 //! writers can outrun maintenance only by a bounded amount (and stall,
-//! never error, at the hard cap). `EngineConfig::inline_maintenance`
-//! restores the pre-pipelining inline behaviour for ablations.
+//! never error, at the hard cap). Outside the simulation runtime (plain
+//! unit tests) there is no daemon, and the rotating leader drains the same
+//! maintenance passes inline.
 
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
@@ -1394,39 +1395,25 @@ impl TreatyStore {
         self.drain_maintenance()
     }
 
-    /// True when SSTable builds and compaction run on the maintenance
-    /// daemon instead of the group-commit leader — the pipelined default
-    /// inside the simulation runtime. `--inline-maintenance` (and plain
-    /// non-fiber unit tests, which have no daemon to run) restore the
-    /// pre-pipelining inline behaviour.
-    fn background_maintenance(&self) -> bool {
-        treaty_sim::runtime::in_fiber() && !self.inner.env.config.inline_maintenance
-    }
-
     /// Rotation + dispatch. The caller holds the commit lock; only the
-    /// cheap rotation happens under it. The build either queues for the
-    /// maintenance daemon or — inline mode — runs right here like the
-    /// pre-pipelined engine did.
+    /// cheap rotation happens under it. The build queues for the
+    /// maintenance daemon — or, outside the runtime, where there is no
+    /// daemon, the queue drains right here.
     fn flush_locked(&self) -> Result<()> {
         let Some(work) = self.rotate_locked()? else {
             return Ok(());
         };
-        if self.background_maintenance() {
-            let depth = {
-                let mut backlog = self.inner.flush_backlog.lock();
-                backlog.push_back(work);
-                backlog.len()
-            };
-            treaty_sim::obs::gauge_set("store.flush_backlog", depth as u64);
-            self.ensure_maintenance();
-            Ok(())
-        } else {
-            let _m = self.inner.maintenance_lock.lock();
-            self.build_flush(&work)?;
-            self.maybe_compact()?;
-            self.gc();
-            Ok(())
+        let depth = {
+            let mut backlog = self.inner.flush_backlog.lock();
+            backlog.push_back(work);
+            backlog.len()
+        };
+        treaty_sim::obs::gauge_set("store.flush_backlog", depth as u64);
+        if !treaty_sim::runtime::in_fiber() {
+            return self.drain_maintenance();
         }
+        self.ensure_maintenance();
+        Ok(())
     }
 
     /// The rotation half of a flush: swaps in a fresh MemTable, parks the
@@ -1534,9 +1521,6 @@ impl TreatyStore {
 
     /// Spawns the maintenance daemon if it is not already running.
     fn ensure_maintenance(&self) {
-        if !self.background_maintenance() {
-            return;
-        }
         if self.inner.maintenance_running.swap(true, Ordering::SeqCst) {
             return;
         }
@@ -1654,9 +1638,10 @@ impl TreatyStore {
     /// stall loop — never an error — at the hard cap until the maintenance
     /// daemon catches up. Pressure is the flush backlog plus the L0 file
     /// count. Paid by commits only: stalling a `Prepare` or a `Decide`
-    /// would lengthen a lock hold, not slow a writer down.
+    /// would lengthen a lock hold, not slow a writer down. Outside the
+    /// runtime every rotation drains its own backlog, so there is none.
     fn commit_backpressure(&self) {
-        if !self.background_maintenance() {
+        if !treaty_sim::runtime::in_fiber() {
             return;
         }
         let cfg = &self.inner.env.config;

@@ -33,16 +33,10 @@ pub struct EngineConfig {
     /// Base size of L1 in bytes.
     pub l1_bytes: usize,
     /// Capacity of the trusted (enclave-resident) block cache in bytes.
-    /// Zero disables the cache (the ablation configuration).
+    /// Zero disables the cache.
     pub block_cache_bytes: usize,
     /// Bits per key for the per-table Bloom filters. Zero disables filters.
     pub bloom_bits_per_key: usize,
-    /// Run SSTable builds and the compaction cascade inline on the
-    /// group-commit leader while it holds the commit lock (the
-    /// pre-pipelining behaviour; the `--inline-maintenance` ablation).
-    /// With the default `false`, flush rotation still happens under the
-    /// commit lock but the expensive I/O moves to a maintenance daemon.
-    pub inline_maintenance: bool,
     /// Soft write backpressure: when the flush backlog plus L0 file count
     /// reaches this, each committer absorbs one bounded stall so
     /// maintenance can catch up.
@@ -67,7 +61,6 @@ impl Default for EngineConfig {
             l1_bytes: 8 << 20,
             block_cache_bytes: 32 << 20,
             bloom_bits_per_key: 10,
-            inline_maintenance: false,
             l0_slowdown_trigger: 8,
             l0_stop_trigger: 20,
             backpressure_stall: 200_000,

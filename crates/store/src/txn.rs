@@ -667,7 +667,10 @@ impl EngineTxn for Txn {
                 false => Err(StoreError::UnknownPrepared),
             });
         if let Err(e) = voted {
-            prepared.remove(&gtx);
+            // The `Prepare` may be on disk: log its abort, so a restart
+            // finds it decided. An abort that already claimed the entry
+            // logs its own `Decide`.
+            let _ = self.store.decide_prepared(gtx, false);
             return Err(self.abort_with(e));
         }
         treaty_sim::crashpoint::hit("store.prepare_logged");

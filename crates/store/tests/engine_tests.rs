@@ -997,49 +997,100 @@ fn backpressure_stalls_writers_but_never_errors() {
 }
 
 #[test]
-fn background_maintenance_matches_inline_ablation() {
-    // The same workload, background (default) vs `inline_maintenance`:
-    // both must surface identical data after drain, and both must flush
-    // and compact.
-    let run = |inline: bool| {
-        let dir = tempfile::tempdir().unwrap();
-        let path = dir.path().to_path_buf();
-        let out = Arc::new(parking_lot::Mutex::new(Vec::new()));
-        let out2 = Arc::clone(&out);
-        block_on(move || {
-            let mut config = treaty_store::env::EngineConfig::tiny();
-            config.inline_maintenance = inline;
-            let env = Env::for_testing_with(SecurityProfile::treaty_full(), &path, config);
-            let store = TreatyStore::open(Arc::clone(&env)).unwrap();
-            for i in 0..60u32 {
-                let mut tx = store.begin_mode(TxnMode::Pessimistic);
-                tx.put(
-                    format!("mm-{i:03}").as_bytes(),
-                    format!("val-{i}-{}", "z".repeat(700)).as_bytes(),
-                )
-                .unwrap();
-                tx.commit().unwrap();
-            }
-            store.drain_maintenance().unwrap();
-            assert!(store.stats().flushes >= 2, "inline={inline}: no flushes");
-            assert!(
-                store.stats().compactions >= 1,
-                "inline={inline}: no compactions"
-            );
-            let mut rows = Vec::new();
-            for i in 0..60u32 {
-                rows.push(
-                    store
-                        .get_committed(format!("mm-{i:03}").as_bytes())
-                        .unwrap(),
-                );
-            }
-            *out2.lock() = rows;
-        });
-        let rows = out.lock().clone();
-        rows
+fn maintenance_inside_and_outside_the_runtime_agree() {
+    // The same workload on the maintenance daemon (inside the runtime) and
+    // drained inline by the rotating leader (outside it): both must
+    // surface identical data after drain, and both must flush and compact.
+    let run = |dir: &std::path::Path| {
+        let env = Env::for_testing(SecurityProfile::treaty_full(), dir);
+        let store = TreatyStore::open(Arc::clone(&env)).unwrap();
+        for i in 0..60u32 {
+            let mut tx = store.begin_mode(TxnMode::Pessimistic);
+            tx.put(
+                format!("mm-{i:03}").as_bytes(),
+                format!("val-{i}-{}", "z".repeat(700)).as_bytes(),
+            )
+            .unwrap();
+            tx.commit().unwrap();
+        }
+        store.drain_maintenance().unwrap();
+        let fiber = treaty_sim::runtime::in_fiber();
+        assert!(store.stats().flushes >= 2, "in_fiber={fiber}: no flushes");
+        assert!(
+            store.stats().compactions >= 1,
+            "in_fiber={fiber}: no compactions"
+        );
+        (0..60u32)
+            .map(|i| {
+                store
+                    .get_committed(format!("mm-{i:03}").as_bytes())
+                    .unwrap()
+            })
+            .collect::<Vec<_>>()
     };
-    assert_eq!(run(false), run(true));
+    let dir = tempfile::tempdir().unwrap();
+    let path = dir.path().join("fiber");
+    let out = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let rows = Arc::clone(&out);
+    block_on(move || *rows.lock() = run(&path));
+    let inside = out.lock().clone();
+    assert_eq!(inside, run(&dir.path().join("plain")));
+}
+
+/// A `Prepare` on disk whose counter round fails is aborted in the WAL too.
+/// Dropping only the in-memory entry left the record undecided: the
+/// coordinator's abort found nothing to log, the next writer of the key
+/// prepared beside it, and reopening refused two undecided `Prepare`s on
+/// one key.
+#[test]
+fn a_failed_prepare_round_logs_its_abort() {
+    use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+    use treaty_counter::{CounterBackend, CounterError, NullBackend};
+
+    /// Fails the next WAL round once armed.
+    struct FailOneRound {
+        rounds: Arc<NullBackend>,
+        armed: AtomicBool,
+    }
+    impl CounterBackend for FailOneRound {
+        fn stabilize(&self, id: &str, value: u64) -> Result<treaty_sim::Nanos, CounterError> {
+            if id.contains("wal-") && self.armed.swap(false, SeqCst) {
+                return Err(CounterError::NoQuorum { acks: 1, needed: 2 });
+            }
+            self.rounds.stabilize(id, value)
+        }
+
+        fn latest(&self, id: &str) -> u64 {
+            self.rounds.latest(id)
+        }
+    }
+
+    let dir = tempfile::tempdir().unwrap();
+    let path = dir.path().to_path_buf();
+    block_on(move || {
+        let backend = Arc::new(FailOneRound {
+            rounds: Default::default(),
+            armed: false.into(),
+        });
+        let env = env_with_backend(&path, Arc::clone(&backend) as _);
+        let g1 = GlobalTxId { node: 1, seq: 11 };
+        let g2 = GlobalTxId { node: 1, seq: 12 };
+        {
+            let store = TreatyStore::open(Arc::clone(&env)).unwrap();
+            let mut tx = store.begin_mode(TxnMode::Pessimistic);
+            tx.put(b"acct", b"lost-round").unwrap();
+            backend.armed.store(true, SeqCst);
+            assert!(tx.prepare(g1).is_err(), "the round failed: no yes vote");
+            store.abort_prepared(g1).unwrap(); // the coordinator's abort
+            let mut tx = store.begin_mode(TxnMode::Pessimistic);
+            tx.put(b"acct", b"next-writer").unwrap();
+            tx.prepare(g2).unwrap();
+            assert_eq!(store.prepared_txns(), vec![g2]);
+            // crash
+        }
+        let store = TreatyStore::open(env).unwrap();
+        assert_eq!(store.prepared_txns(), vec![g2]);
+    });
 }
 
 // ---- authenticated range scans & range deletes (§V-B, DESIGN.md §15) --------
