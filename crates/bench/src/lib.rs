@@ -169,7 +169,20 @@ impl TxnStream {
         };
         let pure_read = !ops.iter().any(|op| matches!(op, Op::Put(..)));
         let committed = if pure_read && cfg.read_snapshot {
-            snapshot_readonly_txn(client, &ops)
+            // Gets and scans in one consistent snapshot, lock-free.
+            client
+                .read_only(|txn| {
+                    for op in &ops {
+                        match op {
+                            Op::Scan(start, limit) => {
+                                drop(txn.scan(start, KEY_SPACE_END, *limit)?)
+                            }
+                            Op::Get(key) | Op::Put(key, _) => drop(txn.get(key)?),
+                        }
+                    }
+                    Ok(())
+                })
+                .is_ok()
         } else {
             two_phase(&mut |kv| {
                 for op in &ops {
@@ -716,36 +729,6 @@ fn absorb_cluster_stats(obs: &Obs, cluster: &Cluster, nodes: usize) {
     for (name, v) in totals {
         obs.metrics().gauge_set(name, v);
     }
-}
-
-/// Runs one pure-read transaction (point gets and range scans) on the
-/// lock-free snapshot path, retrying with a fresh snapshot on
-/// [`treaty_core::TreatyError::SnapshotRetry`] — the same policy as
-/// `TreatyClient::snapshot_read`, but spanning gets *and* scans in one
-/// consistent snapshot.
-fn snapshot_readonly_txn(client: &TreatyClient, ops: &[Op]) -> bool {
-    const ATTEMPTS: u32 = 8;
-    for attempt in 0..ATTEMPTS {
-        let outcome = (|| {
-            let mut txn = client.begin_read_only()?;
-            for op in ops {
-                match op {
-                    Op::Scan(start, limit) => drop(txn.scan(start, KEY_SPACE_END, *limit)?),
-                    Op::Get(key) | Op::Put(key, _) => drop(txn.get(key)?),
-                }
-            }
-            txn.finish()
-        })();
-        match outcome {
-            Ok(()) => return true,
-            Err(treaty_core::TreatyError::SnapshotRetry(_)) => {
-                treaty_sim::obs::counter_add("client.snapshot_retries", 1);
-                runtime::sleep((u64::from(attempt) + 1) * treaty_sim::MILLIS / 4);
-            }
-            Err(_) => return false,
-        }
-    }
-    false
 }
 
 // ---- Fig. 8: network bandwidth -----------------------------------------------

@@ -109,11 +109,7 @@ impl TreatyClient {
             op_seq: 1,
             finished: false,
             pending: Vec::new(),
-            begin_ts: if treaty_sim::runtime::in_fiber() {
-                treaty_sim::runtime::now()
-            } else {
-                0
-            },
+            begin_ts: treaty_sim::runtime::now(),
         }
     }
 
@@ -159,7 +155,7 @@ impl TreatyClient {
     /// Network errors, or [`TreatyError::Rejected`] when the retry budget
     /// is exhausted (a pathologically write-hot key set).
     pub fn snapshot_read(&self, keys: &[Vec<u8>]) -> Result<Vec<Option<Vec<u8>>>> {
-        self.snapshot_retry("read", |txn| txn.get_many(keys))
+        self.read_only(|txn| txn.get_many(keys))
     }
 
     /// One-shot snapshot range scan with the staleness/retry protocol
@@ -179,17 +175,19 @@ impl TreatyClient {
         end: &[u8],
         limit: usize,
     ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        self.snapshot_retry("scan", |txn| txn.scan(start, end, limit))
+        self.read_only(|txn| txn.scan(start, end, limit))
     }
 
     /// Runs `body` in a fresh read-only transaction and finishes it,
     /// starting over on a retryable rejection ([`TreatyError::SnapshotRetry`]:
-    /// refresh the snapshot and try again) until the attempts run out.
-    fn snapshot_retry<T>(
-        &self,
-        what: &str,
-        body: impl Fn(&mut SnapshotTxn<'_>) -> Result<T>,
-    ) -> Result<T> {
+    /// refresh the snapshot and try again) until the attempts run out. Any
+    /// mix of gets and scans in `body` reads one consistent snapshot.
+    ///
+    /// # Errors
+    ///
+    /// `body`'s and the finish round's non-retryable errors, or
+    /// [`TreatyError::Rejected`] when the retry budget is exhausted.
+    pub fn read_only<T>(&self, body: impl Fn(&mut SnapshotTxn<'_>) -> Result<T>) -> Result<T> {
         const ATTEMPTS: u32 = 8;
         let mut last = String::new();
         for attempt in 0..ATTEMPTS {
@@ -200,15 +198,13 @@ impl TreatyClient {
                 Err(e) => return Err(e),
             }
             treaty_sim::obs::counter_add("client.snapshot_retries", 1);
-            if treaty_sim::runtime::in_fiber() {
-                // Linear deterministic backoff: long enough for the
-                // in-doubt prepare to decide, short enough to stay well
-                // under a locking read's round-trip budget.
-                treaty_sim::runtime::sleep((u64::from(attempt) + 1) * treaty_sim::MILLIS / 4);
-            }
+            // Linear deterministic backoff: long enough for the in-doubt
+            // prepare to decide, short enough to stay well under a locking
+            // read's round-trip budget.
+            treaty_sim::runtime::sleep((u64::from(attempt) + 1) * treaty_sim::MILLIS / 4);
         }
         Err(TreatyError::Rejected(format!(
-            "snapshot {what} gave up after {ATTEMPTS} attempts: {last}"
+            "read-only transaction gave up after {ATTEMPTS} attempts: {last}"
         )))
     }
 
@@ -500,11 +496,7 @@ impl<'a> DistTxn<'a> {
                 // Emitted inside the client.commit span: the attribution
                 // walker keys committed transactions (and their measured
                 // begin->ack latency) off this instant.
-                let elapsed = if treaty_sim::runtime::in_fiber() {
-                    treaty_sim::runtime::now().saturating_sub(self.begin_ts)
-                } else {
-                    0
-                };
+                let elapsed = treaty_sim::runtime::now().saturating_sub(self.begin_ts);
                 treaty_sim::obs::instant("client.committed", &[("elapsed_ns", elapsed)]);
                 Ok(())
             }

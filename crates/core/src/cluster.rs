@@ -11,7 +11,7 @@ use treaty_net::{EndpointConfig, EndpointId, Fabric};
 use treaty_sched::CorePool;
 use treaty_sim::{CostModel, SecurityProfile, Transport};
 use treaty_store::env::{EngineConfig, Env};
-use treaty_store::{NullEngine, TreatyStore, TxnEngine, TxnMode};
+use treaty_store::{TreatyStore, TxnMode};
 
 use crate::client::TreatyClient;
 use crate::node::{NodeOptions, RecoveryOutcome, TreatyNode};
@@ -42,7 +42,8 @@ pub struct ClusterOptions {
     pub costs: CostModel,
     /// Concurrency control for node-local transactions.
     pub txn_mode: TxnMode,
-    /// `false` runs the storage-less 2PC of §VIII-B (NullEngine, no Clog).
+    /// `false` runs the storage-less 2PC of §VIII-B (NullEngine, no Clog,
+    /// no snapshot lane).
     pub durable: bool,
     /// Engine sizing.
     pub engine_config: EngineConfig,
@@ -236,7 +237,7 @@ impl Cluster {
         // would round-trip through the CAS (see treaty-cas tests).
         let _ = quote;
 
-        let (engine, env): (Arc<dyn TxnEngine>, Option<Arc<Env>>) = if options.durable {
+        let store = if options.durable {
             let env = match &self.slots[idx].env {
                 Some(env) => Arc::clone(env),
                 None => {
@@ -245,16 +246,15 @@ impl Cluster {
                     env
                 }
             };
-            let store = TreatyStore::open(Arc::clone(&env)).map_err(TreatyError::from)?;
+            let store = TreatyStore::open(env).map_err(TreatyError::from)?;
             self.slots[idx].store = Some(store.clone());
-            (Arc::new(store), Some(env))
+            Some(store)
         } else {
-            (Arc::new(NullEngine::new()), None)
+            None
         };
 
         let node = TreatyNode::start(
             &self.fabric,
-            engine,
             NodeOptions {
                 endpoint,
                 net: EndpointConfig {
@@ -266,7 +266,7 @@ impl Cluster {
                 network_key: self.keys.network,
                 shard_map: self.shard_map.clone(),
                 cores: Some(Arc::clone(&self.slots[idx].cores)),
-                env,
+                store,
                 txn_mode: options.txn_mode,
             },
         )

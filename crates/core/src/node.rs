@@ -1,12 +1,16 @@
 //! A Treaty node: participant and coordinator for the secure 2PC (Fig. 2).
 //!
-//! Every node runs a transactional engine (the secure LSM store, or the
-//! storage-less [`treaty_store::NullEngine`] for the isolated 2PC
-//! benchmarks), serves client sessions as their transaction coordinator,
-//! and serves peer sessions as a participant. A session's requests run in
-//! arrival order, one at a time (§VII-C; the session rule in
-//! `treaty_net::rpc`), which keeps a transaction's operations ordered while
-//! unrelated transactions proceed concurrently.
+//! Every node drives its engine through the 2PC contract ([`TxnEngine`]),
+//! serves client sessions as their transaction coordinator, and serves
+//! peer sessions as a participant. A node is durable iff it has a
+//! [`TreatyStore`], which is then its engine and alone gives it a Clog,
+//! the snapshot lane and the store fields of `OBS_SNAPSHOT`. Without one
+//! (the isolated 2PC benchmarks of §VIII-B) the engine is a
+//! [`NullEngine`], snapshot requests are dropped and those fields read 0.
+//!
+//! A session's requests run in arrival order, one at a time (§VII-C; the
+//! session rule in `treaty_net::rpc`), which keeps a transaction's
+//! operations ordered while unrelated transactions proceed concurrently.
 
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -17,8 +21,9 @@ use treaty_crypto::{Key, MsgKind, TxMeta, WireCrypto};
 use treaty_net::{EndpointConfig, EndpointId, Fabric, PendingReply, Rpc, RpcConfig};
 use treaty_sched::{CorePool, WaitQueue};
 use treaty_sim::Nanos;
-use treaty_store::env::Env;
-use treaty_store::{EngineTxn, GlobalTxId, StoreError, TxnEngine, TxnMode};
+use treaty_store::{
+    EngineTxn, GlobalTxId, NullEngine, StoreError, TreatyStore, TxnEngine, TxnMode,
+};
 
 use crate::clog::Clog;
 use crate::messages::{
@@ -42,9 +47,9 @@ pub struct NodeOptions {
     pub shard_map: ShardMap,
     /// The node's CPU cores.
     pub cores: Option<Arc<CorePool>>,
-    /// Engine environment. `Some` enables the durable protocol state
-    /// (Clog); `None` runs the protocol-only mode of §VIII-B.
-    pub env: Option<Arc<Env>>,
+    /// The node's store, which makes it durable (engine, Clog, snapshot
+    /// lane). `None` runs the protocol-only mode of §VIII-B.
+    pub store: Option<TreatyStore>,
     /// Concurrency control used for transactions on this node.
     pub txn_mode: TxnMode,
 }
@@ -344,7 +349,10 @@ pub(crate) fn merge_sorted_slices(
 pub struct TreatyNode {
     endpoint: EndpointId,
     rpc: Arc<Rpc>,
+    /// The 2PC view of the shard, which both engines provide.
     engine: Arc<dyn TxnEngine>,
+    /// What only a durable node has.
+    store: Option<TreatyStore>,
     clog: Option<Arc<Clog>>,
     shard_map: ShardMap,
     txn_mode: TxnMode,
@@ -369,8 +377,8 @@ impl std::fmt::Debug for TreatyNode {
 }
 
 impl TreatyNode {
-    /// Starts a node: opens the Clog (recovering 2PC state), registers all
-    /// protocol handlers and begins serving.
+    /// Starts a node: opens the Clog beside the store (recovering 2PC
+    /// state), registers all protocol handlers and begins serving.
     ///
     /// Call [`TreatyNode::resolve_recovered`] after every node of the
     /// cluster is up to finish recovery of in-flight transactions.
@@ -378,14 +386,13 @@ impl TreatyNode {
     /// # Errors
     ///
     /// Propagates Clog recovery failures (integrity/rollback detection).
-    pub fn start(
-        fabric: &Arc<Fabric>,
-        engine: Arc<dyn TxnEngine>,
-        options: NodeOptions,
-    ) -> treaty_store::Result<Arc<Self>> {
-        let clog = match &options.env {
-            Some(env) => Some(Arc::new(Clog::open(Arc::clone(env))?)),
-            None => None,
+    pub fn start(fabric: &Arc<Fabric>, options: NodeOptions) -> treaty_store::Result<Arc<Self>> {
+        let (engine, clog): (Arc<dyn TxnEngine>, _) = match &options.store {
+            Some(store) => (
+                Arc::new(store.clone()),
+                Some(Arc::new(Clog::open(Arc::clone(store.env()))?)),
+            ),
+            None => (Arc::new(NullEngine::new()), None),
         };
         let rpc = Rpc::new(
             fabric,
@@ -402,6 +409,7 @@ impl TreatyNode {
             endpoint: options.endpoint,
             rpc: Arc::clone(&rpc),
             engine,
+            store: options.store,
             clog,
             shard_map: options.shard_map,
             txn_mode: options.txn_mode,
@@ -465,7 +473,8 @@ impl TreatyNode {
 
     /// Serves [`req::OBS_SNAPSHOT`]: a live read of this node's backlogs,
     /// MVCC frontier, backpressure and cache counters. Read-only
-    /// and replay-exempt — the `treaty-top` dashboard polls it.
+    /// and replay-exempt — the `treaty-top` dashboard polls it. A
+    /// storage-less node reports the store fields as zero.
     fn handle_obs_snapshot(
         self: &Arc<Self>,
         _src: EndpointId,
@@ -475,22 +484,25 @@ impl TreatyNode {
         treaty_sim::runtime::set_tag("h:obs_snapshot");
         treaty_sim::obs::set_node(self.endpoint);
         let stats = *self.stats.lock();
-        let engine = self.engine.introspect();
-        let reply = ObsSnapshotReply {
+        let mut reply = ObsSnapshotReply {
             node: self.endpoint,
             ts: treaty_sim::runtime::now(),
-            stable_ts: self.engine.stable_ts(),
             finishes_inflight: self.finishes_inflight.load(Ordering::SeqCst) as u64,
-            flush_backlog: engine.flush_backlog,
-            backpressure: engine.backpressure,
             prepared_txns: self.engine.prepared_txns().len() as u64,
             committed: stats.committed,
             aborted: stats.aborted,
             participant_ops: stats.participant_ops,
             decision_retries: stats.decision_retries,
-            block_cache_hits: engine.block_cache_hits,
-            block_cache_misses: engine.block_cache_misses,
+            ..ObsSnapshotReply::default()
         };
+        if let Some(store) = &self.store {
+            let cache = store.stats();
+            reply.stable_ts = store.stable_ts();
+            reply.flush_backlog = store.flush_backlog_len() as u64;
+            reply.backpressure = store.backpressure_level();
+            reply.block_cache_hits = cache.block_cache_hits;
+            reply.block_cache_misses = cache.block_cache_misses;
+        }
         treaty_sim::obs::counter_add("core.obs_snapshots_served", 1);
         Some((
             TxMeta {
@@ -1207,13 +1219,15 @@ impl TreatyNode {
     /// timestamp ahead of the stable frontier is rejected as stale, and a
     /// key or span an undecided prepared transaction is about to write is
     /// rejected as in-doubt — both make the client retry with a refreshed
-    /// snapshot.
+    /// snapshot. A storage-less node has no versions to read and drops
+    /// the request.
     fn handle_snapshot_read(
         self: &Arc<Self>,
         _src: EndpointId,
         meta: TxMeta,
         payload: Vec<u8>,
     ) -> Option<(TxMeta, Vec<u8>)> {
+        let store = self.store.as_ref()?;
         treaty_sim::runtime::set_tag("h:snapshot_read");
         let SnapshotReadReq {
             ts,
@@ -1233,19 +1247,19 @@ impl TreatyNode {
         if !spans.is_empty() {
             treaty_sim::crashpoint::hit("part.snapshot_scan");
         }
-        let stable = self.engine.stable_ts();
+        let stable = store.stable_ts();
         treaty_sim::obs::gauge_set("store.stable_ts", stable);
         let ts = ts.unwrap_or(stable);
         // The first rejected key (or span, named by its start) ends the read.
         let read = || {
             let values = keys
                 .iter()
-                .map(|key| self.engine.snapshot_get(key, ts).map_err(|e| (key, e)))
+                .map(|key| store.snapshot_get(key, ts).map_err(|e| (key, e)))
                 .collect::<Result<Vec<_>, _>>()?;
             let rows = spans
                 .iter()
                 .map(|(start, end)| {
-                    let slice = self.engine.snapshot_scan(start, end, ts, limit as usize);
+                    let slice = store.snapshot_scan(start, end, ts, limit as usize);
                     slice.map_err(|e| (start, e))
                 })
                 .collect::<Result<Vec<_>, _>>()?;
@@ -1284,13 +1298,14 @@ impl TreatyNode {
     /// Because 2PC prepares at *all* participants before any participant
     /// applies, any transaction whose writes became visible on another
     /// shard is at least prepared here — so a torn snapshot always fails
-    /// validation on some shard.
+    /// validation on some shard. A storage-less node drops the request.
     fn handle_snapshot_validate(
         self: &Arc<Self>,
         _src: EndpointId,
         meta: TxMeta,
         payload: Vec<u8>,
     ) -> Option<(TxMeta, Vec<u8>)> {
+        let store = self.store.as_ref()?;
         treaty_sim::runtime::set_tag("h:snapshot_validate");
         let req_msg: SnapshotValidateReq = decode(&payload)?;
         treaty_sim::obs::set_node(self.endpoint);
@@ -1300,7 +1315,7 @@ impl TreatyNode {
             &[("keys", req_msg.keys.len() as u64)],
         );
         for key in &req_msg.keys {
-            match self.engine.snapshot_validate(key, req_msg.ts) {
+            match store.snapshot_validate(key, req_msg.ts) {
                 Ok(true) => {}
                 // Validation failures and integrity errors both answer
                 // "not proven consistent" — the client retries.
@@ -1321,7 +1336,7 @@ impl TreatyNode {
         // engine checks the span's maximum version — point writes, range
         // tombstones and in-doubt prepares alike — against `ts`.
         for (start, end) in &req_msg.spans {
-            match self.engine.snapshot_validate_span(start, end, req_msg.ts) {
+            match store.snapshot_validate_span(start, end, req_msg.ts) {
                 Ok(true) => {}
                 Ok(false) | Err(_) => {
                     treaty_sim::obs::counter_add("core.snapshot_validate_fail", 1);

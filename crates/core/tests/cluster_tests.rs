@@ -599,6 +599,18 @@ fn protocol_only_cluster_runs_without_storage() {
         let mut tx = client.begin(1);
         assert_eq!(tx.get(b"a").unwrap(), Some(b"1".to_vec()));
         tx.commit().unwrap();
+        // The engine contract is 2PC only: the node reports its own
+        // counters and the in-doubt set, the store fields read zero...
+        let snap = client.obs_snapshot(1).unwrap();
+        assert_eq!(snap.committed, 2);
+        assert_eq!(snap.prepared_txns, 0);
+        assert_eq!(snap.stable_ts, 0);
+        // ...and there is no snapshot lane to serve: the request is
+        // dropped and the client times out.
+        assert!(matches!(
+            client.snapshot_read(&[b"a".to_vec()]),
+            Err(TreatyError::Net(_))
+        ));
         // No files were created.
         let entries = std::fs::read_dir(&path).map(|d| d.count()).unwrap_or(0);
         assert_eq!(entries, 0, "protocol-only mode must not persist anything");

@@ -21,8 +21,9 @@
 //! and the timer heap alone, so a run is deterministic.
 //!
 //! Blocking primitives ([`sleep`], [`park`], [`park_timeout`], [`yield_now`])
-//! may only be called from inside a fiber; they panic otherwise. Pure reads
-//! ([`now`], [`in_fiber`], [`current`]) are safe anywhere.
+//! and the reads [`now`] and [`current`] may only be called from inside a
+//! fiber; they panic otherwise. [`in_fiber`] is safe anywhere, and
+//! [`set_tag`] does nothing outside a fiber.
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::cmp::Reverse;
@@ -521,14 +522,13 @@ fn switch_out<'a>(shared: &'a Shared, mut inner: MutexGuard<'a, Inner>, id: u64)
 }
 
 /// Tags the current fiber for diagnostics (shown by the stall watchdog).
-///
-/// # Panics
-///
-/// Panics when called outside a fiber.
+/// Outside a fiber there is nothing to tag, and it does nothing.
 pub fn set_tag(tag: &'static str) {
-    with_current(|shared, id| {
-        if let Some(slot) = shared.inner.lock().fibers.get_mut(&id) {
-            slot.tag = tag;
+    CURRENT.with(|c| {
+        if let Some((shared, id)) = c.borrow().as_ref() {
+            if let Some(slot) = shared.inner.lock().fibers.get_mut(id) {
+                slot.tag = tag;
+            }
         }
     });
 }

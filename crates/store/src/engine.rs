@@ -35,6 +35,13 @@ use crate::sstable::{self, SsTable, TableCursor};
 use crate::txn::{GlobalTxId, Txn, TxnMode, TxnOptions, WriteOp};
 use crate::{Result, StoreError};
 
+/// How long a lock request waits before it gives up: deadlock avoidance
+/// by timeout.
+const LOCK_TIMEOUT: treaty_sim::Nanos = 10 * treaty_sim::MILLIS;
+
+/// Size ratio between consecutive levels of the SSTable hierarchy.
+const LEVEL_SIZE_MULTIPLIER: u64 = 10;
+
 /// MANIFEST edits: every change to the persistent-storage state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ManifestEdit {
@@ -504,21 +511,6 @@ impl StableFrontier {
     }
 }
 
-/// Live engine introspection served over the OBS_SNAPSHOT RPC: the
-/// write-path backlog and backpressure state plus cache hit rates, read
-/// from the live structures at serve time.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EngineIntrospection {
-    /// Memtables sealed and waiting for the flush daemon.
-    pub flush_backlog: u64,
-    /// Commit backpressure: 0 = clear, 1 = throttled, 2 = stalled.
-    pub backpressure: u8,
-    /// Trusted block-cache hits.
-    pub block_cache_hits: u64,
-    /// Trusted block-cache misses.
-    pub block_cache_misses: u64,
-}
-
 /// Engine statistics (monotonic counters).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
@@ -742,7 +734,7 @@ impl TreatyStore {
                 seq: AtomicU64::new(0),
                 next_file_id: AtomicU64::new(1),
                 next_txid: AtomicU64::new(1),
-                locks: LockTable::new(env.config.lock_shards, env.config.lock_timeout),
+                locks: LockTable::new(env.config.lock_shards, LOCK_TIMEOUT),
                 prepared: PreparedTable::new(),
                 frontier: StableFrontier::new(0),
                 snapshot_floor: AtomicU64::new(0),
@@ -823,11 +815,6 @@ impl TreatyStore {
         let mut ids: Vec<u64> = levels.iter().flatten().map(|t| t.meta().file_id).collect();
         ids.sort_unstable();
         ids
-    }
-
-    /// Lock-table timeout count (deadlock-avoidance aborts).
-    pub fn lock_timeouts(&self) -> u64 {
-        self.inner.locks.timeouts()
     }
 
     /// Number of keys currently held in the 2PC lock table, across all
@@ -1314,9 +1301,7 @@ impl TreatyStore {
     /// An `Err` to the leader may be its rotation's, with the record
     /// logged and its effect run.
     pub(crate) fn group_commit(&self, rec: &WalRecord, effect: Effect) -> Logged {
-        if treaty_sim::runtime::in_fiber() {
-            treaty_sim::runtime::set_tag("e:group_commit");
-        }
+        treaty_sim::runtime::set_tag("e:group_commit");
         let _span = treaty_sim::obs::span("store.commit");
         let req = CommitReq {
             record: rec.to_bytes(),
@@ -1421,9 +1406,7 @@ impl TreatyStore {
     /// re-logs undecided prepared transactions. Returns `None` when there
     /// is nothing to flush.
     fn rotate_locked(&self) -> Result<Option<FlushWork>> {
-        if treaty_sim::runtime::in_fiber() {
-            treaty_sim::runtime::set_tag("e:flush-rotate");
-        }
+        treaty_sim::runtime::set_tag("e:flush-rotate");
         let _span = treaty_sim::obs::span("store.flush_rotate");
         // Swap in a fresh MemTable + WAL generation first so concurrent
         // readers keep working against the frozen one.
@@ -1477,9 +1460,7 @@ impl TreatyStore {
     /// the `WalObsolete` edits leaves the old generations live in the
     /// MANIFEST; recovery replays them (re-applied seqs are idempotent).
     fn build_flush(&self, work: &FlushWork) -> Result<()> {
-        if treaty_sim::runtime::in_fiber() {
-            treaty_sim::runtime::set_tag("e:flush");
-        }
+        treaty_sim::runtime::set_tag("e:flush");
         let _span = treaty_sim::obs::span("store.flush");
         let entries = work.frozen.freeze_entries()?;
         let tombstones = work.frozen.range_tombstones();
@@ -1581,8 +1562,7 @@ impl TreatyStore {
             return true;
         }
         for level in 1..6 {
-            let max =
-                cfg.l1_bytes as u64 * (cfg.level_size_multiplier as u64).pow(level as u32 - 1);
+            let max = cfg.l1_bytes as u64 * LEVEL_SIZE_MULTIPLIER.pow(level as u32 - 1);
             if self.level_bytes(&levels[level]) > max {
                 return true;
             }
@@ -1691,8 +1671,8 @@ impl TreatyStore {
         }
         // Cascade size-based compactions down the hierarchy.
         for level in 1..6 {
-            let max = self.inner.env.config.l1_bytes as u64
-                * (self.inner.env.config.level_size_multiplier as u64).pow(level as u32 - 1);
+            let max =
+                self.inner.env.config.l1_bytes as u64 * LEVEL_SIZE_MULTIPLIER.pow(level as u32 - 1);
             let over = {
                 let levels = self.inner.levels.read();
                 self.level_bytes(&levels[level]) > max
@@ -1709,9 +1689,7 @@ impl TreatyStore {
     /// versions are consumed by the merge; tombstones survive until the
     /// bottom level).
     fn compact_level(&self, level: usize) -> Result<()> {
-        if treaty_sim::runtime::in_fiber() {
-            treaty_sim::runtime::set_tag("e:compact");
-        }
+        treaty_sim::runtime::set_tag("e:compact");
         let _span = treaty_sim::obs::span_with("store.compact", &[("level", level as u64)]);
         // Snapshot the inputs but leave them published: the merge below does
         // real (virtual-time-charged) I/O, and concurrent readers must keep
@@ -1979,7 +1957,7 @@ impl TreatyStore {
         }
 
         let mem = Arc::new(MemTable::new(Arc::clone(&env)));
-        let locks = LockTable::new(env.config.lock_shards, env.config.lock_timeout);
+        let locks = LockTable::new(env.config.lock_shards, LOCK_TIMEOUT);
         let mut prepared: HashMap<GlobalTxId, PreparedState> = HashMap::new();
         let mut next_txid = 1u64;
 

@@ -20,16 +20,12 @@ pub struct EngineConfig {
     /// Number of lock-table shards (the paper runs "a big number of
     /// shards" to avoid lock bottlenecks).
     pub lock_shards: usize,
-    /// Lock acquisition timeout.
-    pub lock_timeout: Nanos,
     /// Target uncompressed block size inside SSTables.
     pub block_bytes: usize,
     /// Target SSTable file size produced by flush/compaction.
     pub sstable_bytes: usize,
     /// L0 file count that triggers a compaction into L1.
     pub l0_compaction_trigger: usize,
-    /// Size ratio between consecutive levels.
-    pub level_size_multiplier: usize,
     /// Base size of L1 in bytes.
     pub l1_bytes: usize,
     /// Capacity of the trusted (enclave-resident) block cache in bytes.
@@ -53,11 +49,9 @@ impl Default for EngineConfig {
         EngineConfig {
             memtable_bytes: 4 << 20,
             lock_shards: 1024,
-            lock_timeout: 10 * treaty_sim::MILLIS,
             block_bytes: 4096,
             sstable_bytes: 2 << 20,
             l0_compaction_trigger: 4,
-            level_size_multiplier: 10,
             l1_bytes: 8 << 20,
             block_cache_bytes: 32 << 20,
             bloom_bits_per_key: 10,

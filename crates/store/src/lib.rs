@@ -37,7 +37,7 @@ pub mod txn;
 
 pub use bloom::BloomFilter;
 pub use cache::{BlockCache, ReadAccelStats};
-pub use engine::{EngineIntrospection, EngineStats, ManifestEdit, TreatyStore, WalRecord};
+pub use engine::{EngineStats, ManifestEdit, TreatyStore, WalRecord};
 pub use env::{EngineConfig, Env};
 pub use locks::{LockMode, LockTable, EOF_SENTINEL};
 pub use txn::{CommitInfo, EngineTxn, GlobalTxId, NullEngine, Txn, TxnEngine, TxnMode, TxnOptions};

@@ -20,8 +20,7 @@ use std::sync::Arc;
 use treaty_crypto::codec::{CodecError, Decode, Encode, Reader, Writer};
 
 use crate::engine::{
-    stabilize_traced, Effect, EngineIntrospection, FencedSpan, PreparedDecision, PreparedState,
-    TreatyStore, WalRecord,
+    stabilize_traced, Effect, FencedSpan, PreparedDecision, PreparedState, TreatyStore, WalRecord,
 };
 use crate::locks::{LockMode, LockTable, EOF_SENTINEL};
 use crate::memtable::{SeqNum, UserKey};
@@ -823,7 +822,9 @@ impl Drop for Txn {
     }
 }
 
-/// Engine-level interface the 2PC layer drives.
+/// What the 2PC layer needs from a shard (Fig. 2): run a transaction,
+/// commit or abort a prepared one, and list what is in doubt. The snapshot
+/// lane and the store counters are [`TreatyStore`]'s own.
 pub trait TxnEngine: Send + Sync {
     /// Begins a transaction.
     fn begin_txn(&self, mode: TxnMode) -> Box<dyn EngineTxn>;
@@ -844,59 +845,6 @@ pub trait TxnEngine: Send + Sync {
 
     /// Transactions prepared but undecided (asked during recovery).
     fn prepared_txns(&self) -> Vec<GlobalTxId>;
-
-    /// The engine's stable read timestamp — the newest version lock-free
-    /// snapshot reads may serve (see `TreatyStore::stable_ts`).
-    fn stable_ts(&self) -> SeqNum;
-
-    /// Lock-free snapshot read at `ts` (see `TreatyStore::snapshot_get`).
-    ///
-    /// # Errors
-    ///
-    /// `SnapshotStale` / `SnapshotInDoubt` retry signals, or integrity
-    /// violations.
-    fn snapshot_get(&self, key: &[u8], ts: SeqNum) -> Result<Option<Vec<u8>>>;
-
-    /// Lock-free snapshot scan of `[start, end)` at `ts` (see
-    /// `TreatyStore::snapshot_scan`), up to `limit` pairs (`0` =
-    /// unbounded).
-    ///
-    /// # Errors
-    ///
-    /// `SnapshotStale` / `SnapshotInDoubt` retry signals, or integrity
-    /// violations.
-    fn snapshot_scan(
-        &self,
-        start: &[u8],
-        end: &[u8],
-        ts: SeqNum,
-        limit: usize,
-    ) -> Result<Vec<(UserKey, Vec<u8>)>>;
-
-    /// Whether a snapshot read of `key` at `ts` is still current — no
-    /// newer committed version, no overlapping in-doubt prepare (see
-    /// `TreatyStore::snapshot_validate`).
-    ///
-    /// # Errors
-    ///
-    /// Integrity violations from the version lookup.
-    fn snapshot_validate(&self, key: &[u8], ts: SeqNum) -> Result<bool>;
-
-    /// Whether a snapshot scan of `[start, end)` at `ts` is still current —
-    /// no newer version of any key in the span, no key inserted into it,
-    /// no newer range tombstone over it, no overlapping in-doubt prepare
-    /// (see `TreatyStore::snapshot_validate_span`).
-    ///
-    /// # Errors
-    ///
-    /// Integrity violations from the span walk.
-    fn snapshot_validate_span(&self, start: &[u8], end: &[u8], ts: SeqNum) -> Result<bool>;
-
-    /// Live introspection for the OBS_SNAPSHOT RPC. Defaults to zeroes so
-    /// engines without a write path (test doubles) serve empty snapshots.
-    fn introspect(&self) -> EngineIntrospection {
-        EngineIntrospection::default()
-    }
 }
 
 impl TreatyStore {
@@ -963,9 +911,7 @@ impl TxnEngine for TreatyStore {
     }
 
     fn commit_prepared(&self, gtx: GlobalTxId) -> Result<()> {
-        if treaty_sim::runtime::in_fiber() {
-            treaty_sim::runtime::set_tag("e:commit_prepared");
-        }
+        treaty_sim::runtime::set_tag("e:commit_prepared");
         self.decide_prepared(gtx, true)
     }
 
@@ -976,49 +922,14 @@ impl TxnEngine for TreatyStore {
     fn prepared_txns(&self) -> Vec<GlobalTxId> {
         self.inner.prepared.ids()
     }
-
-    fn stable_ts(&self) -> SeqNum {
-        TreatyStore::stable_ts(self)
-    }
-
-    fn snapshot_get(&self, key: &[u8], ts: SeqNum) -> Result<Option<Vec<u8>>> {
-        TreatyStore::snapshot_get(self, key, ts)
-    }
-
-    fn snapshot_scan(
-        &self,
-        start: &[u8],
-        end: &[u8],
-        ts: SeqNum,
-        limit: usize,
-    ) -> Result<Vec<(UserKey, Vec<u8>)>> {
-        TreatyStore::snapshot_scan(self, start, end, ts, limit)
-    }
-
-    fn snapshot_validate(&self, key: &[u8], ts: SeqNum) -> Result<bool> {
-        TreatyStore::snapshot_validate(self, key, ts)
-    }
-
-    fn snapshot_validate_span(&self, start: &[u8], end: &[u8], ts: SeqNum) -> Result<bool> {
-        TreatyStore::snapshot_validate_span(self, start, end, ts)
-    }
-
-    fn introspect(&self) -> EngineIntrospection {
-        let stats = self.stats();
-        EngineIntrospection {
-            flush_backlog: self.flush_backlog_len() as u64,
-            backpressure: self.backpressure_level(),
-            block_cache_hits: stats.block_cache_hits,
-            block_cache_misses: stats.block_cache_misses,
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
 
 /// An engine with no persistent storage: used to evaluate the 2PC protocol
-/// in isolation (§VIII-B / Fig. 4). Locking semantics are preserved;
-/// durability is not. Clones share one state.
+/// in isolation (§VIII-B / Fig. 4). It implements the 2PC contract and
+/// nothing else — no versions, so no snapshot lane. Locking semantics are
+/// preserved; durability is not. Clones share one state.
 #[derive(Clone)]
 pub struct NullEngine {
     state: Arc<NullState>,
@@ -1054,11 +965,6 @@ impl NullEngine {
                 next_txid: std::sync::atomic::AtomicU64::new(1),
             }),
         }
-    }
-
-    /// Direct load (test introspection).
-    pub fn peek(&self, key: &[u8]) -> Option<Vec<u8>> {
-        self.state.data.lock().get(key).cloned()
     }
 }
 
@@ -1116,73 +1022,6 @@ impl TxnEngine for NullEngine {
         let mut ids: Vec<GlobalTxId> = self.state.prepared.lock().keys().copied().collect();
         ids.sort_unstable();
         ids
-    }
-
-    fn stable_ts(&self) -> SeqNum {
-        // No versioning, no durability: everything committed is readable.
-        SeqNum::MAX
-    }
-
-    fn snapshot_get(&self, key: &[u8], _ts: SeqNum) -> Result<Option<Vec<u8>>> {
-        let e = &self.state;
-        let in_doubt = e
-            .prepared
-            .lock()
-            .values()
-            .any(|(_, writes)| writes.iter().any(|w| w.key == key));
-        if in_doubt {
-            return Err(StoreError::SnapshotInDoubt);
-        }
-        Ok(e.data.lock().get(key).cloned())
-    }
-
-    fn snapshot_scan(
-        &self,
-        start: &[u8],
-        end: &[u8],
-        _ts: SeqNum,
-        limit: usize,
-    ) -> Result<Vec<(UserKey, Vec<u8>)>> {
-        let e = &self.state;
-        let in_doubt = e.prepared.lock().values().any(|(_, writes)| {
-            writes
-                .iter()
-                .any(|w| w.key.as_slice() >= start && w.key.as_slice() < end)
-        });
-        if in_doubt {
-            return Err(StoreError::SnapshotInDoubt);
-        }
-        let data = e.data.lock();
-        let mut out: Vec<(UserKey, Vec<u8>)> = data
-            .iter()
-            .filter(|(k, _)| k.as_slice() >= start && k.as_slice() < end)
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        if limit > 0 {
-            out.truncate(limit);
-        }
-        Ok(out)
-    }
-
-    fn snapshot_validate(&self, key: &[u8], _ts: SeqNum) -> Result<bool> {
-        let e = &self.state;
-        Ok(!e
-            .prepared
-            .lock()
-            .values()
-            .any(|(_, writes)| writes.iter().any(|w| w.key == key)))
-    }
-
-    fn snapshot_validate_span(&self, start: &[u8], end: &[u8], _ts: SeqNum) -> Result<bool> {
-        // No versioning: a span is current unless an in-doubt prepare
-        // touches it.
-        let e = &self.state;
-        Ok(!e.prepared.lock().values().any(|(_, writes)| {
-            writes
-                .iter()
-                .any(|w| w.key.as_slice() >= start && w.key.as_slice() < end)
-        }))
     }
 }
 
