@@ -3,8 +3,9 @@
 //! "Clog is written by Txs coordinators and keeps the 2PC protocol state."
 //! Every entry carries a trusted counter value. A commit is
 //! rollback-protected once the *start* entry and every participant's
-//! prepare are stable (DESIGN.md §11); the *decision* entry is stabilized
-//! before anyone but the client learns the outcome (§VI).
+//! prepare are stable (DESIGN.md §11), and the client hears then; the
+//! *decision* entry is appended behind that ack and stabilized before
+//! anyone else learns the outcome (§VI).
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -194,9 +195,11 @@ impl Clog {
         Ok(counter)
     }
 
-    /// Appends the decision record and returns its counter. Appended is
-    /// not decided: nothing reads the decision until
-    /// [`Clog::publish_decision`], which follows [`Clog::stabilize`].
+    /// Appends the decision record and returns its counter. A commit's is
+    /// appended after the client heard `Committed`, an abort's before
+    /// anyone hears (DESIGN.md §11). Appended is not decided: nothing
+    /// reads the decision until [`Clog::publish_decision`], which follows
+    /// [`Clog::stabilize`].
     ///
     /// # Errors
     ///
@@ -213,7 +216,7 @@ impl Clog {
     /// Whether the record at `counter` is rollback-protected already —
     /// always so under a profile without stabilization, where durability
     /// is the append itself.
-    pub fn is_stable(&self, counter: u64) -> bool {
+    fn is_stable(&self, counter: u64) -> bool {
         !self.env.profile.stabilization || self.writer.stable_counter() >= counter
     }
 

@@ -853,83 +853,64 @@ impl TreatyNode {
         }
         treaty_sim::crashpoint::hit("coord.after_votes");
 
-        // The commit point. Every vote is yes and the Start record and
-        // every Prepare record are stable: whatever suffix of whichever
-        // log is rolled back, the only outcome recovery can reach is
-        // commit. The decision record is appended and the client answered;
-        // stabilizing the record — still required before any participant,
-        // the local slice or `QueryDecision` learns the outcome — runs
-        // behind the ack. An abort is implied by no stable state, so its
-        // record is stable before anyone hears of it.
-        treaty_sim::runtime::set_tag("h:2pc-log-decision");
-        let commit = refused.is_none();
-        let logged = {
-            let _decide = treaty_sim::obs::span("2pc.decide");
-            match &self.clog {
-                Some(clog) if commit => clog.append_decision(gtx, true).map(Some),
-                Some(clog) => clog.log_decision(gtx, false).map(|()| None),
-                None => Ok(None),
-            }
-        };
         let remotes = ctx.remotes;
-        let unstable = match logged {
-            Ok(counter) => counter,
-            Err(e) => {
-                // Cannot log the decision, and nobody was told commit:
-                // abort (participants that miss it learn via QueryDecision
-                // / coordinator recovery).
+        if let Some(reason) = refused {
+            // An abort is implied by no stable state, so its record is
+            // stable before anyone hears of it.
+            treaty_sim::runtime::set_tag("h:2pc-log-decision");
+            let logged = {
+                let _decide = treaty_sim::obs::span("2pc.decide");
+                self.clog
+                    .as_ref()
+                    .map_or(Ok(()), |clog| clog.log_decision(gtx, false))
+            };
+            if let Err(e) = logged {
+                // Nobody was told commit: participants that miss the abort
+                // learn it via QueryDecision / coordinator recovery.
                 self.send_decision(gtx, &remotes, false);
                 self.decide_local(gtx, false);
                 return CommitResult::Aborted {
                     reason: format!("decision log: {e}"),
                 };
             }
-        };
-        if let Some(reason) = refused {
-            self.finish(gtx, remotes, false, None);
+            self.finish(gtx, remotes, false);
             return CommitResult::Aborted { reason };
         }
+        // The commit point. Every vote is yes and the Start record and
+        // every Prepare record are stable: whatever suffix of whichever
+        // log is rolled back, the only outcome recovery can reach is
+        // commit. The client is answered now; the decision record —
+        // appended and stable before any participant, the local slice or
+        // `QueryDecision` learns the outcome — is the finish's, behind the
+        // ack. Inline only at the slot cap, as backpressure.
         treaty_sim::crashpoint::hit("coord.commit_point");
-        // With nothing to wait for — the record already stable, as it
-        // always is without stabilization — the finish costs the client no
-        // round and stays on its fiber. So does it at the slot cap.
-        let behind_ack = match (&self.clog, unstable) {
-            (Some(clog), Some(counter)) if !clog.is_stable(counter) => FinishSlot::reserve(self),
-            _ => None,
-        };
-        match behind_ack {
+        match FinishSlot::reserve(self) {
             Some(slot) => {
                 treaty_sim::obs::counter_add("core.commit_point_acks", 1);
                 treaty_sim::runtime::spawn_daemon(move || {
                     treaty_sim::runtime::set_tag("2pc-finish");
                     let _span = treaty_sim::obs::span("2pc.finish");
-                    slot.node.finish(gtx, remotes, true, unstable);
+                    slot.node.finish(gtx, remotes, true);
                 });
             }
-            None => self.finish(gtx, remotes, true, unstable),
+            None => self.finish(gtx, remotes, true),
         }
         CommitResult::Committed
     }
 
     /// The tail of a decided transaction, the same steps for every
-    /// outcome: wait until the decision record is stable, publish it, send
-    /// phase two, apply the local slice. `unstable` is the counter of a
-    /// commit record appended but not yet published; an abort arrives with
-    /// its record already stable and published. Runs on the committing
-    /// fiber, or for an acknowledged commit on a continuation of its own.
-    fn finish(
-        self: &Arc<Self>,
-        gtx: GlobalTxId,
-        remotes: Vec<EndpointId>,
-        commit: bool,
-        unstable: Option<u64>,
-    ) {
-        if let (Some(clog), Some(counter)) = (&self.clog, unstable) {
-            if !self.stabilize_decision(clog, gtx, counter) {
+    /// outcome: make a commit's decision record stable and publish it,
+    /// send phase two, apply the local slice. An abort arrives with its
+    /// record already stable and published. Runs on the committing fiber
+    /// for an abort and, behind the ack, on a continuation of its own for
+    /// a commit (inline only at the slot cap).
+    fn finish(self: &Arc<Self>, gtx: GlobalTxId, remotes: Vec<EndpointId>, commit: bool) {
+        if let (Some(clog), true) = (&self.clog, commit) {
+            let Some(counter) = self.stabilize_decision(clog, gtx) else {
                 return;
-            }
+            };
             treaty_sim::crashpoint::hit("coord.finish_stable");
-            clog.publish_decision(gtx, commit, counter);
+            clog.publish_decision(gtx, true, counter);
         }
         treaty_sim::crashpoint::hit("coord.after_log_decision");
 
@@ -958,19 +939,26 @@ impl TreatyNode {
         self.decide_local(gtx, commit);
     }
 
-    /// Waits until the commit record at `counter` is stable. Past the
-    /// commit point nothing may abort: a failed round is retried on the
-    /// decision-retry schedule, and after that the transaction is left as
-    /// it stands — prepared everywhere, undecided in the Clog — for
+    /// Appends the commit record and waits until it is stable; returns its
+    /// counter. Past the commit point nothing may abort: a failed append
+    /// is given up at once, a failed round is retried on the
+    /// decision-retry schedule, and after either the transaction is left
+    /// as it stands — prepared everywhere, undecided in the Clog — for
     /// [`TreatyNode::resolve_recovered`], which can only commit it.
-    /// `false` also when the node stopped meanwhile: a crash takes the
+    /// `None` also when the node stopped meanwhile: a crash takes the
     /// continuation with the rest of the volatile state.
-    fn stabilize_decision(&self, clog: &Clog, gtx: GlobalTxId, counter: u64) -> bool {
-        let stable = Self::with_backoff(gtx, self.endpoint, |_, _| clog.stabilize(counter).is_ok());
+    fn stabilize_decision(&self, clog: &Clog, gtx: GlobalTxId) -> Option<u64> {
+        let appended = {
+            let _decide = treaty_sim::obs::span("2pc.decide");
+            clog.append_decision(gtx, true)
+        };
+        let stable = appended.ok().filter(|&counter| {
+            Self::with_backoff(gtx, self.endpoint, |_, _| clog.stabilize(counter).is_ok())
+        });
         if self.rpc.is_stopped() {
-            return false;
+            return None;
         }
-        if !stable {
+        if stable.is_none() {
             treaty_sim::obs::counter_add("core.decision_unstable", 1);
             treaty_sim::obs::instant(
                 "2pc.decision_unstable",
@@ -978,7 +966,7 @@ impl TreatyNode {
             );
             treaty_sim::obs::flight_dump(
                 "2pc.decision_unstable",
-                "an acknowledged commit's decision record could not be stabilized",
+                "an acknowledged commit's decision record could not be appended or stabilized",
             );
         }
         stable

@@ -18,17 +18,20 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use treaty_core::client::client_net;
+use treaty_core::clog::{ClogRecord, CLOG_FILE, CLOG_NAME};
 use treaty_core::cluster::{wire_crypto, COUNTER_BASE, COUNTER_CLIENT_BASE};
 use treaty_core::messages::{
     decode, encode, req, ClientCommitReq, CommitResult, Op, OpResult, PeerMsg, PeerReply, WriteCmd,
 };
 use treaty_core::{Cluster, ClusterOptions};
+use treaty_crypto::codec::Record as _;
 use treaty_crypto::{MsgKind, TxMeta};
 use treaty_net::{Rpc, RpcConfig};
 use treaty_sched::block_on;
 use treaty_sim::runtime::now;
 use treaty_sim::{Nanos, SecurityProfile, MILLIS, SECONDS};
-use treaty_store::GlobalTxId;
+use treaty_store::log::replay;
+use treaty_store::{GlobalTxId, TxnEngine as _};
 
 fn options(dir: &std::path::Path) -> ClusterOptions {
     let mut o = ClusterOptions::new(SecurityProfile::treaty_full(), dir.to_path_buf());
@@ -373,6 +376,73 @@ fn a_lossy_phase_leaves_a_restartable_participant() {
         }
         tx.commit().unwrap();
     });
+}
+
+/// The client hears `Committed` at the commit point, with and without
+/// stabilization. At the instant `commit()` returns, the coordinator's Clog
+/// on disk holds the transaction's `Start` and no `Decision`, the Clog
+/// answers no decision, and the coordinator's own slice is still prepared:
+/// the decision record's append and the local apply run behind the ack.
+/// Once they are drained all three have flipped and the value reads back.
+#[test]
+fn a_commit_is_acknowledged_before_its_decision_is_appended() {
+    let profiles = [
+        ("native_treaty", SecurityProfile::native_treaty()),
+        ("treaty_full", SecurityProfile::treaty_full()),
+    ];
+    for (name, profile) in profiles {
+        let dir = tempfile::tempdir().unwrap();
+        let mut o = ClusterOptions::new(profile, dir.path().to_path_buf());
+        o.engine_config = treaty_store::EngineConfig::tiny();
+        block_on(move || {
+            let cluster = Cluster::start(o).unwrap();
+            let keys: Vec<Vec<u8>> = key_per_node(&cluster).into_values().collect();
+            let coord = cluster.node(0);
+            let clog = coord.clog().expect("durable");
+            let store = cluster.store(0).expect("durable");
+            let env = cluster.env(0).expect("durable");
+            let on_disk = || -> Vec<ClogRecord> {
+                replay(env, CLOG_NAME, &env.dir.join(CLOG_FILE), 0)
+                    .expect("the Clog replays")
+                    .records
+                    .iter()
+                    .map(|(_, payload)| ClogRecord::from_bytes(payload).expect("a Clog record"))
+                    .collect()
+            };
+
+            let client = cluster.client();
+            let mut tx = client.begin(coord.endpoint());
+            let gtx = tx.gtx();
+            for k in &keys {
+                tx.put(k, b"acked").unwrap();
+            }
+            tx.commit().expect("commit");
+            let is_start =
+                |r: &ClogRecord| matches!(r, ClogRecord::Start { gtx: g, .. } if *g == gtx);
+            let is_decision = |r: &ClogRecord| *r == ClogRecord::Decision { gtx, commit: true };
+            assert_eq!(clog.decision(gtx), None, "{name}: decided at the ack");
+            assert!(
+                store.prepared_txns().contains(&gtx),
+                "{name}: the local slice applied before the ack"
+            );
+            let records = on_disk();
+            assert!(records.iter().any(is_start), "{name}: no Start on disk");
+            assert!(
+                !records.iter().any(is_decision),
+                "{name}: the decision was appended before the ack"
+            );
+
+            coord.drain_decisions();
+            assert_eq!(clog.decision(gtx), Some(true), "{name}");
+            assert!(!store.prepared_txns().contains(&gtx), "{name}");
+            assert!(on_disk().iter().any(is_decision), "{name}");
+            let mut tx = client.begin(2);
+            for k in &keys {
+                assert_eq!(tx.get(k).unwrap().as_deref(), Some(&b"acked"[..]), "{name}");
+            }
+            tx.commit().unwrap();
+        });
+    }
 }
 
 /// A straggler cannot outlive its abort. The coordinator's `PEER_OPS` is

@@ -1238,10 +1238,12 @@ fn clog_on_disk(cluster: &Cluster) -> Vec<ClogRecord> {
 /// their Clog records queue behind one another's writes and share flushes;
 /// the coordinator dies at its `hit`-th `log.batch_written` — a batch on
 /// disk, none of its callers told. `starts`: the batch holds `Start`
-/// records (callers that never sent a prepare), else `Decision`s (callers
-/// that never answered their clients). Whatever the file shows is what
-/// recovery acts on: every `Start` without a `Decision` is re-driven, every
-/// `Decision{commit}` delivered, every ack honoured.
+/// records (callers that never sent a prepare), else `Decision{commit}`s
+/// of commits already acknowledged at their commit point, which the
+/// adversary then cuts from the file (the batch never had its round).
+/// Whatever the file shows is what recovery acts on: every `Start` without
+/// a `Decision` is re-driven, every `Decision{commit}` delivered, every ack
+/// honoured.
 fn run_clog_batch_cell(hit: u64, starts: bool) -> String {
     const CLIENTS: usize = 4;
     let dir = tempfile::tempdir().unwrap();
@@ -1316,8 +1318,8 @@ fn run_clog_batch_cell(hit: u64, starts: bool) -> String {
         assert_eq!(fired.len(), 1, "{cell}: expected one crash, got {fired:?}");
         assert_eq!(fired[0].node, COORD);
 
-        // The file at the crash, and how many of its records nobody was
-        // told about: the batch that was written last.
+        // The file at the crash; the batch that was written last is what
+        // the premise counts.
         let on_disk = clog_on_disk(&cluster);
         let is_doomed = |g: &GlobalTxId| doomed.iter().any(|(obs, _)| obs.id == *g);
         let started: Vec<GlobalTxId> = on_disk
@@ -1334,16 +1336,30 @@ fn run_clog_batch_cell(hit: u64, starts: bool) -> String {
                 _ => None,
             })
             .collect();
-        let untold = if starts {
+        let premise = if starts {
             assert!(committed.is_empty(), "{cell}: past the Starts: {on_disk:?}");
-            started.len() - store(&cluster, PART).prepared_txns().len()
+            let untold = started.len() - store(&cluster, PART).prepared_txns().len();
+            assert!(
+                untold >= 2,
+                "{cell}: the crashed batch must hold two records or more, acks {acks}: {on_disk:?}"
+            );
+            format!("untold={untold}")
         } else {
-            committed.len() - acks.matches('C').count()
+            // Every client heard `Committed` before its decision record
+            // was appended. The crashed batch never had its round: cutting
+            // it leaves recovery the Starts and the stable Prepares.
+            assert_eq!(acks, "CCCC", "{cell}: {on_disk:?}");
+            let cut = roll_back_clog(&cluster, (COORD - 1) as usize);
+            let batch = &on_disk[on_disk.len() - cut..];
+            assert!(
+                cut >= 2
+                    && batch.iter().all(|r| {
+                        matches!(r, ClogRecord::Decision { gtx, commit: true } if is_doomed(gtx))
+                    }),
+                "{cell}: the cut must be two commit records or more, cut {cut}: {on_disk:?}"
+            );
+            format!("cut={cut}")
         };
-        assert!(
-            untold >= 2,
-            "{cell}: the crashed batch must hold two records or more, acks {acks}: {on_disk:?}"
-        );
 
         cluster.crash_node((COORD - 1) as usize);
         cluster.restart_node((COORD - 1) as usize).unwrap();
@@ -1416,7 +1432,7 @@ fn run_clog_batch_cell(hit: u64, starts: bool) -> String {
         }
 
         format!(
-            "{cell} fired@{} starts={} commits={} untold={untold} acked={acks} applied={outcomes} rec={}/{}/{}",
+            "{cell} fired@{} starts={} commits={} {premise} acked={acks} applied={outcomes} rec={}/{}/{}",
             fired[0].at,
             started.len(),
             committed.len(),
@@ -1440,12 +1456,13 @@ fn round_acked_crash_leaves_the_prepare_in_doubt() {
     run_twice(run_round_acked_cell);
 }
 
-/// The coordinator dies with a batch of Clog records written and nobody
-/// told. Its second flush holds three `Start`s (the first found the
-/// writer idle and went alone): no prepare ever left for them, recovery
-/// aborts all three and commits the one that was in its vote phase. Its
-/// fifth holds two `Decision{commit}`s whose clients never heard: recovery
-/// delivers both.
+/// The coordinator dies with a batch of Clog records written and none of
+/// its callers told. Its second flush holds three `Start`s (the first
+/// found the writer idle and went alone): no prepare ever left for them,
+/// recovery aborts all three and commits the one that was in its vote
+/// phase. Its fifth holds two `Decision{commit}`s of commits already
+/// acknowledged, whose round never ran: with them cut from the file,
+/// recovery commits both from their Starts and the stable Prepares.
 #[test]
 fn clog_batch_crash_recovers_from_what_the_file_shows() {
     run_twice(|| run_clog_batch_cell(2, true));
@@ -1454,7 +1471,8 @@ fn clog_batch_crash_recovers_from_what_the_file_shows() {
 
 /// A coordinator crash between the commit point and the first decision
 /// message commits on every shard: an unanswered client's transaction at
-/// `coord.commit_point`, an acknowledged one at `coord.finish_stable`.
+/// `coord.commit_point`, before any decision record exists, and an
+/// acknowledged one at `coord.finish_stable`.
 #[test]
 fn commit_point_crash_commits_everywhere() {
     for point in ["coord.commit_point", "coord.finish_stable"] {
@@ -1462,19 +1480,26 @@ fn commit_point_crash_commits_everywhere() {
     }
 }
 
-/// The same crashes with the Clog rolled back to its stabilized prefix —
-/// Start only at `coord.commit_point`, where the appended decision never
-/// had its round — still commit: Start plus the stable Prepares are the
-/// durable record of the outcome.
+/// The same crashes with the Clog rolled back to its stabilized prefix
+/// still commit: Start plus the stable Prepares are the durable record of
+/// the outcome. At `coord.commit_point` nothing is appended yet, so the
+/// rollback cuts nothing; at `clog.decision_appended` the client is
+/// acknowledged and the decision appended but its round never ran, so the
+/// rollback cuts it back to Start; at `coord.finish_stable` the record is
+/// stable and survives.
 #[test]
 fn commit_point_crash_with_clog_rolled_back_still_commits() {
-    for point in ["coord.commit_point", "coord.finish_stable"] {
+    for point in [
+        "coord.commit_point",
+        "clog.decision_appended",
+        "coord.finish_stable",
+    ] {
         run_twice(|| run_commit_point_cell(point, Twist::RollBackClog));
     }
 }
 
-/// The rolled-back `coord.commit_point` crash — undecided at restart, the
-/// client possibly holding an ack — with a participant down during the
+/// The rolled-back `coord.commit_point` crash — undecided at restart, no
+/// decision record ever written — with a participant down during the
 /// first recovery pass: the pass reports the transaction as failed and
 /// aborts nothing; the second pass, with the participant back, commits.
 /// (With the decision record stable, as at `coord.finish_stable`, recovery
