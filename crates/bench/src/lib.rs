@@ -348,9 +348,6 @@ fn preload(cluster: &Cluster, rows: Vec<(Vec<u8>, Vec<u8>)>) {
     }
 }
 
-/// Width of one windowed time-series bucket in a run's metrics registry.
-pub const SERIES_WINDOW: Nanos = 5 * treaty_sim::MILLIS;
-
 /// Outcomes and latencies of one transaction population inside the window.
 #[derive(Default)]
 struct Population {
@@ -393,8 +390,8 @@ struct Tally {
 /// Everything one [`run`] measured. The observability hub is installed
 /// for every run (spans charge no virtual time), so there is no separate
 /// "traced" mode: the Chrome trace, the phase breakdown, the critical-path
-/// attribution, the windowed series and the `treaty-top` dashboard are all
-/// functions of a report.
+/// attribution and the `treaty-top` dashboard are all functions of a
+/// report.
 ///
 /// Everything in here derives from the virtual clock, so two runs of the
 /// same [`RunConfig`] produce equal reports.
@@ -473,13 +470,6 @@ impl Report {
         treaty_obs::export::phase_breakdown_with_drops(&self.obs.events(), self.obs.dropped())
     }
 
-    /// Rendered windowed time series (virtual-time buckets of
-    /// [`SERIES_WINDOW`]).
-    pub fn series(&self) -> String {
-        let series = self.obs.metrics().series_snapshot();
-        series.map(|s| s.render()).unwrap_or_default()
-    }
-
     /// Per-transaction critical-path attribution of every committed
     /// transaction of the run.
     pub fn attribution(&self) -> AttributionReport {
@@ -488,7 +478,7 @@ impl Report {
 
     /// Writes the Chrome trace to `path` and the text reports to sidecar
     /// files: `<path>.breakdown.txt`, `<path>.metrics.txt`,
-    /// `<path>.attribution.json`, `<path>.series.txt`, `<path>.top.txt`.
+    /// `<path>.attribution.json`, `<path>.top.txt`.
     ///
     /// # Errors
     ///
@@ -502,7 +492,6 @@ impl Report {
             (".breakdown.txt", self.phase_breakdown()),
             (".metrics.txt", self.obs.metrics().snapshot().render()),
             (".attribution.json", self.attribution().to_json()),
-            (".series.txt", self.series()),
             (".top.txt", treaty_top(&self.snapshots)),
         ] {
             let mut sidecar = path.as_os_str().to_owned();
@@ -562,7 +551,6 @@ pub fn run(cfg: &RunConfig) -> Report {
         // Install the observability hub first, from the root fiber, so every
         // fiber the cluster spawns inherits it.
         let obs = Obs::with_default_cap();
-        obs.metrics().enable_series(SERIES_WINDOW, 4096);
         treaty_sim::obs::install(&obs);
         let (nodes, seed, durable) = (options.nodes, options.seed, options.durable);
         let label = options.profile.label().to_string();
@@ -682,10 +670,12 @@ pub fn run(cfg: &RunConfig) -> Report {
     })
 }
 
-/// Mirrors the legacy per-subsystem counter structs ([`treaty_core`]'s
-/// `NodeStats`, the engine's `EngineStats`, the fabric's `FabricStats`),
-/// summed over the cluster, into the metrics registry as gauges, so one
-/// snapshot carries every counter the stack exposes.
+/// Copies the counts the stats structs own ([`treaty_core`]'s `NodeStats`,
+/// the engine's `EngineStats`, the fabric's `FabricStats`), summed over the
+/// cluster, into the metrics registry as gauges, so one snapshot carries
+/// every count the stack keeps. This is the one place a struct-owned count
+/// gets a registry name: the program records each count in one owner only
+/// (`treaty_obs::metrics`).
 fn absorb_cluster_stats(obs: &Obs, cluster: &Cluster, nodes: usize) {
     let mut totals: BTreeMap<&str, u64> = BTreeMap::new();
     let mut add = |name, v| *totals.entry(name).or_default() += v;
@@ -943,26 +933,15 @@ pub fn run_counter_ablation() -> [(&'static str, Nanos); 3] {
                     )
                 }
             };
-            let profile = SecurityProfile::treaty_full();
-            let config = EngineConfig::default();
-            let enclave = Arc::new(treaty_tee::Enclave::new(profile.tee));
-            let block_cache = treaty_store::BlockCache::new_shared(
-                Arc::clone(&enclave),
-                config.block_cache_bytes as u64,
-            );
-            let env = Arc::new(Env {
-                profile,
-                costs: CostModel::default(),
-                enclave,
-                vault: treaty_tee::HostVault::new(),
-                cores: None,
+            let env = Env::new(
+                SecurityProfile::treaty_full(),
+                CostModel::default(),
+                None,
                 keys,
                 backend,
-                dir: path.join("node-0"),
-                config,
-                block_cache,
-                read_stats: treaty_store::ReadAccelStats::default(),
-            });
+                path.join("node-0"),
+                EngineConfig::default(),
+            );
             let store = TreatyStore::open(env).expect("store opens");
             let txns = 50u64;
             let t0 = runtime::now();
@@ -1203,10 +1182,6 @@ mod tests {
         );
         assert!(dumps.iter().all(|d| d.exists()));
         assert!(treaty_top(&report.snapshots).contains("treaty-top"));
-        assert!(
-            report.series().contains("window"),
-            "series rendering present"
-        );
         assert!(report.chrome_trace().contains("traceEvents"));
     }
 

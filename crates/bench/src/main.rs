@@ -579,7 +579,7 @@ fn scale(s: &mut Session) {
 /// `--trace-out FILE`: one extra small run of the full durable stack (3
 /// nodes, full Treaty, YCSB 50R/50W — the protocol-only configs have no
 /// storage engine or Clog to trace), written as a Chrome trace plus the
-/// breakdown / metrics / attribution / series / treaty-top sidecars, and
+/// breakdown / metrics / attribution / treaty-top sidecars, and
 /// gated on the observability acceptance bars.
 fn trace(s: &Session, path: &std::path::Path) {
     let (clients, txns) = (s.clients(12), s.txns(10));

@@ -9,7 +9,6 @@
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use treaty_crypto::codec::{CodecError, Decode, Encode, Reader, Record, Writer};
@@ -86,10 +85,6 @@ pub struct TxProtocolState {
 pub struct Clog {
     writer: Arc<LogWriter>,
     state: Mutex<HashMap<GlobalTxId, TxProtocolState>>,
-    /// Highest Clog counter known stabilized against the trusted counter —
-    /// the coordinator-side stable prefix backing lock-free snapshot
-    /// reads. Advanced by [`Clog::publish_decision`].
-    stable_counter: AtomicU64,
     env: Arc<Env>,
 }
 
@@ -157,9 +152,6 @@ impl Clog {
         Ok(Clog {
             writer,
             state: Mutex::new(state),
-            // Everything recovered passed freshness verification, so the
-            // whole replayed prefix is stable.
-            stable_counter: AtomicU64::new(recovered_counter),
             env,
         })
     }
@@ -255,12 +247,9 @@ impl Clog {
         self.writer.stabilize(counter)
     }
 
-    /// Makes the decision at `counter` — stable by now — the transaction's
-    /// outcome: what [`Clog::decision`] answers (and with it
-    /// `QueryDecision`) and what [`Clog::stable_ts`] covers.
-    pub fn publish_decision(&self, gtx: GlobalTxId, commit: bool, counter: u64) {
-        self.stable_counter.fetch_max(counter, Ordering::SeqCst);
-        treaty_sim::obs::gauge_set("clog.stable_ts", counter);
+    /// Makes the decision — stable by now — the transaction's outcome:
+    /// what [`Clog::decision`] answers, and with it `QueryDecision`.
+    pub fn publish_decision(&self, gtx: GlobalTxId, commit: bool) {
         if let Some(st) = self.state.lock().get_mut(&gtx) {
             st.decision = Some(commit);
         }
@@ -275,15 +264,8 @@ impl Clog {
     pub fn log_decision(&self, gtx: GlobalTxId, commit: bool) -> Result<()> {
         let counter = self.append_decision(gtx, commit)?;
         self.stabilize(counter)?;
-        self.publish_decision(gtx, commit, counter);
+        self.publish_decision(gtx, commit);
         Ok(())
-    }
-
-    /// The highest Clog counter whose prefix is stabilized against the
-    /// trusted counter — every decision at or below it is
-    /// rollback-protected.
-    pub fn stable_ts(&self) -> u64 {
-        self.stable_counter.load(Ordering::SeqCst)
     }
 
     /// The logged decision for `gtx`, if any.
@@ -373,23 +355,24 @@ mod tests {
     }
 
     #[test]
-    fn stable_ts_advances_with_decisions_and_survives_recovery() -> Result<()> {
+    fn decisions_are_answered_once_logged_and_survive_recovery() -> Result<()> {
         let dir = tempfile::tempdir()?;
         let gtx = GlobalTxId { node: 1, seq: 1 };
-        let stable_before;
         {
             let clog = Clog::open(env(dir.path()))?;
-            assert_eq!(clog.stable_ts(), 0);
+            assert_eq!(clog.decision(gtx), None);
             clog.log_start(gtx, vec![1])?;
-            // Start records are not stabilized; the frontier waits for a
+            // A Start alone decides nothing; the answer waits for a
             // decision.
-            assert_eq!(clog.stable_ts(), 0);
+            assert_eq!(clog.decision(gtx), None);
+            assert_eq!(clog.undecided(), vec![(gtx, vec![1])]);
             clog.log_decision(gtx, true)?;
-            stable_before = clog.stable_ts();
-            assert!(stable_before > 0);
+            assert_eq!(clog.decision(gtx), Some(true));
+            assert!(clog.undecided().is_empty());
         }
         let clog = Clog::open(env(dir.path()))?;
-        assert!(clog.stable_ts() >= stable_before);
+        assert_eq!(clog.decision(gtx), Some(true));
+        assert!(clog.undecided().is_empty());
         Ok(())
     }
 
@@ -405,15 +388,13 @@ mod tests {
         assert!(!clog.is_stable(counter));
         assert_eq!(clog.decision(gtx), None);
         assert_eq!(clog.undecided().len(), 1);
-        assert_eq!(clog.stable_ts(), 0);
 
         clog.stabilize(counter)?;
         assert!(clog.is_stable(counter));
         assert_eq!(clog.decision(gtx), None, "stable is not yet published");
-        clog.publish_decision(gtx, true, counter);
+        clog.publish_decision(gtx, true);
         assert_eq!(clog.decision(gtx), Some(true));
         assert!(clog.undecided().is_empty());
-        assert_eq!(clog.stable_ts(), counter);
         Ok(())
     }
 

@@ -200,24 +200,15 @@ impl Cluster {
         } else {
             NullBackend::new()
         };
-        let enclave = Arc::new(treaty_tee::Enclave::new(options.profile.tee));
-        let block_cache = treaty_store::BlockCache::new_shared(
-            Arc::clone(&enclave),
-            options.engine_config.block_cache_bytes as u64,
-        );
-        Arc::new(Env {
-            profile: options.profile,
-            costs: options.costs.clone(),
-            enclave,
-            vault: treaty_tee::HostVault::new(),
-            cores: Some(Arc::clone(&self.slots[idx].cores)),
-            keys: self.keys,
+        Env::new(
+            options.profile,
+            options.costs.clone(),
+            Some(Arc::clone(&self.slots[idx].cores)),
+            self.keys,
             backend,
-            dir: options.base_dir.join(format!("node-{idx}")),
-            config: options.engine_config.clone(),
-            block_cache,
-            read_stats: treaty_store::ReadAccelStats::default(),
-        })
+            options.base_dir.join(format!("node-{idx}")),
+            options.engine_config.clone(),
+        )
     }
 
     fn boot_node(&mut self, idx: usize) -> Result<()> {

@@ -711,10 +711,7 @@ impl TreatyNode {
             ctx => self.commit_with_writes(gtx, ctx.unwrap_or_default(), writes),
         };
         match &result {
-            CommitResult::Committed => {
-                self.stats.lock().committed += 1;
-                treaty_sim::obs::counter_add("core.committed", 1);
-            }
+            CommitResult::Committed => self.stats.lock().committed += 1,
             CommitResult::Aborted { .. } => self.note_aborted(gtx),
         }
         treaty_sim::crashpoint::hit("coord.before_client_reply");
@@ -906,11 +903,11 @@ impl TreatyNode {
     /// a commit (inline only at the slot cap).
     fn finish(self: &Arc<Self>, gtx: GlobalTxId, remotes: Vec<EndpointId>, commit: bool) {
         if let (Some(clog), true) = (&self.clog, commit) {
-            let Some(counter) = self.stabilize_decision(clog, gtx) else {
+            if !self.stabilize_decision(clog, gtx) {
                 return;
-            };
+            }
             treaty_sim::crashpoint::hit("coord.finish_stable");
-            clog.publish_decision(gtx, true, counter);
+            clog.publish_decision(gtx, true);
         }
         treaty_sim::crashpoint::hit("coord.after_log_decision");
 
@@ -939,26 +936,26 @@ impl TreatyNode {
         self.decide_local(gtx, commit);
     }
 
-    /// Appends the commit record and waits until it is stable; returns its
-    /// counter. Past the commit point nothing may abort: a failed append
+    /// Appends the commit record and waits until it is stable; returns
+    /// whether it is. Past the commit point nothing may abort: a failed append
     /// is given up at once, a failed round is retried on the
     /// decision-retry schedule, and after either the transaction is left
     /// as it stands — prepared everywhere, undecided in the Clog — for
     /// [`TreatyNode::resolve_recovered`], which can only commit it.
-    /// `None` also when the node stopped meanwhile: a crash takes the
+    /// `false` also when the node stopped meanwhile: a crash takes the
     /// continuation with the rest of the volatile state.
-    fn stabilize_decision(&self, clog: &Clog, gtx: GlobalTxId) -> Option<u64> {
+    fn stabilize_decision(&self, clog: &Clog, gtx: GlobalTxId) -> bool {
         let appended = {
             let _decide = treaty_sim::obs::span("2pc.decide");
             clog.append_decision(gtx, true)
         };
-        let stable = appended.ok().filter(|&counter| {
+        let stable = appended.is_ok_and(|counter| {
             Self::with_backoff(gtx, self.endpoint, |_, _| clog.stabilize(counter).is_ok())
         });
         if self.rpc.is_stopped() {
-            return None;
+            return false;
         }
-        if stable.is_none() {
+        if !stable {
             treaty_sim::obs::counter_add("core.decision_unstable", 1);
             treaty_sim::obs::instant(
                 "2pc.decision_unstable",
@@ -1116,7 +1113,6 @@ impl TreatyNode {
         let (rt, kind, payload) = decision_wire(gtx, commit);
         let resend = |attempt, backoff| {
             self.stats.lock().decision_retries += 1;
-            treaty_sim::obs::counter_add("core.decision_retries", 1);
             treaty_sim::obs::instant(
                 "2pc.decision_retry",
                 &[
@@ -1165,7 +1161,6 @@ impl TreatyNode {
     fn note_aborted(&self, gtx: GlobalTxId) {
         if self.recently_aborted.lock().note(gtx) {
             self.stats.lock().aborted += 1;
-            treaty_sim::obs::counter_add("core.aborted", 1);
         }
     }
 

@@ -282,7 +282,6 @@ impl Fabric {
     /// a crashed machine.
     pub(crate) fn send(&self, mut dg: Datagram) {
         self.counters.sent.fetch_add(1, Ordering::Relaxed);
-        treaty_sim::obs::counter_add("net.sent", 1);
         let src_cfg = match self.endpoint_cfg(dg.src) {
             Some(c) => c,
             None => return, // sender gone: nothing to do
@@ -316,7 +315,6 @@ impl Fabric {
         // MTU behaviour (Fig. 8): oversized UDP messages never arrive.
         if charge.dropped {
             self.counters.dropped_mtu.fetch_add(1, Ordering::Relaxed);
-            treaty_sim::obs::counter_add("net.dropped_mtu", 1);
             return;
         }
 
@@ -359,12 +357,10 @@ impl Fabric {
             self.counters
                 .dropped_adversary
                 .fetch_add(1, Ordering::Relaxed);
-            treaty_sim::obs::counter_add("net.dropped_adversary", 1);
             return;
         }
         if tamper_it {
             self.counters.tampered.fetch_add(1, Ordering::Relaxed);
-            treaty_sim::obs::counter_add("net.tampered", 1);
             if !dg.wire.is_empty() {
                 let idx = {
                     let mut rng = self.rng.lock();
@@ -377,7 +373,6 @@ impl Fabric {
         let arrival = runtime::now() + self.costs.propagation_ns + extra_delay;
         if dup_it {
             self.counters.duplicated.fetch_add(1, Ordering::Relaxed);
-            treaty_sim::obs::counter_add("net.duplicated", 1);
             self.deliver(dg.clone(), arrival + 1);
         }
         self.deliver(dg, arrival);
@@ -396,14 +391,12 @@ impl Fabric {
                 self.counters
                     .dropped_unreachable
                     .fetch_add(1, Ordering::Relaxed);
-                treaty_sim::obs::counter_add("net.dropped_unreachable", 1);
                 return;
             }
         };
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         inbox.queue.lock().push(Queued { arrival, seq, dg });
         self.counters.delivered.fetch_add(1, Ordering::Relaxed);
-        treaty_sim::obs::counter_add("net.delivered", 1);
         inbox.waiters.notify_one();
     }
 

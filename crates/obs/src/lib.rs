@@ -9,7 +9,8 @@
 //! * a per-`Sim` [`Obs`] sink with a ring-buffer cap, cheap enough to be
 //!   always-on;
 //! * a [`MetricsRegistry`] of named counters/gauges/virtual-time histograms
-//!   behind one deterministic snapshot API;
+//!   behind one deterministic snapshot API, and the bucketed [`Histogram`]
+//!   it keeps per name;
 //! * exporters: Chrome `trace_event` JSON (loadable in `chrome://tracing` /
 //!   Perfetto) and a text phase-breakdown table ([`export`]);
 //! * a span-tree builder with invariant checks for tests ([`tree`]).
@@ -36,6 +37,7 @@
 pub mod attribution;
 pub mod export;
 pub mod flight;
+pub mod histogram;
 pub mod metrics;
 pub mod tree;
 
@@ -45,7 +47,8 @@ use std::sync::{Arc, Mutex};
 pub use attribution::{attribute, AttributionReport, Category, TxnAttribution};
 pub use export::{chrome_trace_json, chrome_trace_json_with_meta, phase_breakdown};
 pub use flight::FlightDump;
-pub use metrics::{HistSummary, MetricsRegistry, MetricsSnapshot, SeriesSnapshot, WindowCell};
+pub use histogram::Histogram;
+pub use metrics::{HistSummary, MetricsRegistry, MetricsSnapshot};
 pub use tree::{build_forest, build_forest_lossy, check_invariants, LossyForest, Span};
 
 /// Virtual nanoseconds — mirrors `treaty_sim::Nanos` without the dependency.

@@ -36,7 +36,8 @@ pub mod stats;
 pub use costs::{CostModel, Transport};
 pub use profile::{SecurityProfile, TeeMode};
 pub use runtime::{FiberId, Sim, SimReport};
-pub use stats::{BenchStats, Histogram};
+pub use stats::BenchStats;
+pub use treaty_obs::Histogram;
 
 /// Virtual time in nanoseconds since simulation start.
 pub type Nanos = u64;

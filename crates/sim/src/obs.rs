@@ -117,28 +117,25 @@ pub fn instant(phase: &'static str, args: &[(&'static str, u64)]) {
     }
 }
 
-/// Adds `v` to registry counter `name`, stamped with the virtual clock so
-/// it also lands in the windowed time series when one is enabled. No-op
-/// without a hub.
+/// Adds `v` to registry counter `name`. No-op without a hub.
 pub fn counter_add(name: &str, v: u64) {
-    if let Some((obs, now, ..)) = runtime::obs_ctx() {
-        obs.metrics().counter_add_at(name, now, v);
+    if let Some((obs, ..)) = runtime::obs_ctx() {
+        obs.metrics().counter_add(name, v);
     }
 }
 
-/// Sets registry gauge `name` (virtual-time stamped; see [`counter_add`]).
-/// No-op without a hub.
+/// Sets registry gauge `name`. No-op without a hub.
 pub fn gauge_set(name: &str, v: u64) {
-    if let Some((obs, now, ..)) = runtime::obs_ctx() {
-        obs.metrics().gauge_set_at(name, now, v);
+    if let Some((obs, ..)) = runtime::obs_ctx() {
+        obs.metrics().gauge_set(name, v);
     }
 }
 
-/// Records a virtual-time sample into registry histogram `name`
-/// (virtual-time stamped; see [`counter_add`]). No-op without a hub.
+/// Records a virtual-time sample into registry histogram `name`. No-op
+/// without a hub.
 pub fn hist_record(name: &str, v: u64) {
-    if let Some((obs, now, ..)) = runtime::obs_ctx() {
-        obs.metrics().hist_record_at(name, now, v);
+    if let Some((obs, ..)) = runtime::obs_ctx() {
+        obs.metrics().hist_record(name, v);
     }
 }
 
@@ -262,35 +259,14 @@ mod tests {
         Sim::new()
             .run(move || {
                 install(&obs2);
-                counter_add("store.block_cache.hit", 2);
-                counter_add("store.block_cache.hit", 1);
+                counter_add("store.lock_acquire", 2);
+                counter_add("store.lock_acquire", 1);
                 hist_record("2pc.prepare", 500);
             })
             .unwrap();
         let snap = obs.metrics().snapshot();
-        assert_eq!(snap.counters["store.block_cache.hit"], 3);
+        assert_eq!(snap.counters["store.lock_acquire"], 3);
         assert_eq!(snap.hists["2pc.prepare"].count, 1);
-    }
-
-    #[test]
-    fn glue_metrics_feed_the_time_series() {
-        let obs = Obs::with_default_cap();
-        obs.metrics().enable_series(1_000, 64);
-        let obs2 = Arc::clone(&obs);
-        Sim::new()
-            .run(move || {
-                install(&obs2);
-                counter_add("txn.committed", 1);
-                sleep(1_500);
-                counter_add("txn.committed", 2);
-                gauge_set("queue.depth", 4);
-            })
-            .unwrap();
-        let series = obs.metrics().series_snapshot().expect("series enabled");
-        assert_eq!(series.windows.len(), 2);
-        assert_eq!(series.windows[0].1.counters["txn.committed"], 1);
-        assert_eq!(series.windows[1].1.counters["txn.committed"], 2);
-        assert_eq!(series.windows[1].1.gauges["queue.depth"], 4);
     }
 
     #[test]

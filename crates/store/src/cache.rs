@@ -29,35 +29,6 @@ use treaty_tee::Enclave;
 
 use crate::sstable::SsRecord;
 
-/// Counters for the read-acceleration layer that live outside the cache
-/// proper (Bloom filters work even with the cache disabled).
-#[derive(Debug, Default)]
-pub struct ReadAccelStats {
-    pub(crate) bloom_negatives: AtomicU64,
-    pub(crate) bloom_false_positives: AtomicU64,
-    pub(crate) fence_gap_rejects: AtomicU64,
-}
-
-impl ReadAccelStats {
-    /// Point lookups short-circuited by a Bloom filter (no block I/O).
-    pub fn bloom_negatives(&self) -> u64 {
-        self.bloom_negatives.load(Ordering::Relaxed)
-    }
-
-    /// Lookups a filter let through although the key was absent — counted
-    /// only when a block was actually read and found not to hold the key.
-    pub fn bloom_false_positives(&self) -> u64 {
-        self.bloom_false_positives.load(Ordering::Relaxed)
-    }
-
-    /// Lookups rejected by the fence keys alone (`candidate_blocks`
-    /// returned the empty gap range): zero block I/O, and — unlike a
-    /// Bloom false positive — no statement about the filter at all.
-    pub fn fence_gap_rejects(&self) -> u64 {
-        self.fence_gap_rejects.load(Ordering::Relaxed)
-    }
-}
-
 /// Approximate in-enclave footprint of a decoded block.
 pub(crate) fn approx_records_bytes(records: &[SsRecord]) -> u64 {
     records
@@ -135,12 +106,10 @@ impl BlockCache {
                 inner.lru.remove(&old);
                 inner.lru.insert(stamp, (file_id, block_no));
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                treaty_sim::obs::counter_add("store.block_cache.hit", 1);
                 Some(records)
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                treaty_sim::obs::counter_add("store.block_cache.miss", 1);
                 None
             }
         }

@@ -547,7 +547,10 @@ pub struct EngineStats {
     pub scans: u64,
 }
 
-#[derive(Default)]
+/// The cells behind [`EngineStats`], all but the block cache's two, which
+/// [`crate::BlockCache`] keeps. They live in the node's [`Env`], so a store
+/// reopened on the same environment keeps counting where it left off.
+#[derive(Debug, Default)]
 pub(crate) struct StatsCells {
     pub commits: AtomicU64,
     pub aborts: AtomicU64,
@@ -558,6 +561,9 @@ pub(crate) struct StatsCells {
     pub group_commits: AtomicU64,
     pub grouped_txns: AtomicU64,
     pub scans: AtomicU64,
+    pub bloom_negatives: AtomicU64,
+    pub bloom_false_positives: AtomicU64,
+    pub fence_gap_rejects: AtomicU64,
 }
 
 /// A transaction's versions on their way into a MemTable: its sequence
@@ -673,7 +679,6 @@ pub(crate) struct StoreInner {
     /// A pessimistic scan that reads the same value before its pass and
     /// after its last lock grant knows no version slipped in between.
     apply_epoch: AtomicU64,
-    pub stats: StatsCells,
 }
 
 /// The per-node Treaty storage engine. Cheap to clone (shared interior).
@@ -748,7 +753,6 @@ impl TreatyStore {
                 gc_stabilizing: AtomicBool::new(false),
                 active_scans: AtomicU64::new(0),
                 apply_epoch: AtomicU64::new(0),
-                stats: StatsCells::default(),
                 env,
             };
             Ok(TreatyStore {
@@ -781,10 +785,15 @@ impl TreatyStore {
         self.get_visible(key, SeqNum::MAX)
     }
 
+    /// The counters behind [`TreatyStore::stats`], kept in the [`Env`].
+    pub(crate) fn counters(&self) -> &StatsCells {
+        &self.inner.env.stats
+    }
+
     /// Statistics snapshot.
     pub fn stats(&self) -> EngineStats {
-        let s = &self.inner.stats;
         let env = &self.inner.env;
+        let s = self.counters();
         let (cache_hits, cache_misses) = env
             .block_cache
             .as_ref()
@@ -801,9 +810,9 @@ impl TreatyStore {
             grouped_txns: s.grouped_txns.load(Ordering::Relaxed),
             block_cache_hits: cache_hits,
             block_cache_misses: cache_misses,
-            bloom_negatives: env.read_stats.bloom_negatives(),
-            bloom_false_positives: env.read_stats.bloom_false_positives(),
-            fence_gap_rejects: env.read_stats.fence_gap_rejects(),
+            bloom_negatives: s.bloom_negatives.load(Ordering::Relaxed),
+            bloom_false_positives: s.bloom_false_positives.load(Ordering::Relaxed),
+            fence_gap_rejects: s.fence_gap_rejects.load(Ordering::Relaxed),
             scans: s.scans.load(Ordering::Relaxed),
         }
     }
@@ -851,7 +860,7 @@ impl TreatyStore {
 
     pub(crate) fn get_visible(&self, key: &[u8], snapshot: SeqNum) -> Result<Option<Vec<u8>>> {
         let _span = treaty_sim::obs::span("store.get");
-        self.inner.stats.gets.fetch_add(1, Ordering::Relaxed);
+        self.counters().gets.fetch_add(1, Ordering::Relaxed);
         // Bind the Arc first: as an `if let` scrutinee temporary the read
         // guard would live across the charging `get` and wedge a rotation.
         let mem = self.inner.mem.read().clone();
@@ -1215,7 +1224,7 @@ impl TreatyStore {
         F: FnMut(UserKey, SeqNum, Option<Vec<u8>>, SeqNum) -> bool,
     {
         let _span = treaty_sim::obs::span("store.scan");
-        self.inner.stats.scans.fetch_add(1, Ordering::Relaxed);
+        self.counters().scans.fetch_add(1, Ordering::Relaxed);
         // Pin a consistent view: Arc bumps, no copies. Tables retired by a
         // racing compaction stay alive (and on disk — GC is
         // stabilization-gated) until these references drop.
@@ -1290,7 +1299,7 @@ impl TreatyStore {
         // The commit is in the WAL and the MemTable but not yet acked to
         // the caller — recovery must replay it from the log alone.
         treaty_sim::crashpoint::hit("store.commit_logged");
-        self.inner.stats.commits.fetch_add(1, Ordering::Relaxed);
+        self.counters().commits.fetch_add(1, Ordering::Relaxed);
         Ok((seq, counter, wal))
     }
 
@@ -1317,12 +1326,10 @@ impl TreatyStore {
             // writer only needs slices, so no payload is copied for batching.
             let payloads: Vec<&[u8]> = batch.iter().map(|r| r.record.as_slice()).collect();
             let append = wal.append_batch(&payloads);
-            self.inner
-                .stats
+            self.counters()
                 .group_commits
                 .fetch_add(1, Ordering::Relaxed);
-            self.inner
-                .stats
+            self.counters()
                 .grouped_txns
                 .fetch_add(batch.len() as u64, Ordering::Relaxed);
 
@@ -1482,7 +1489,7 @@ impl TreatyStore {
             .write()
             .retain(|m| !Arc::ptr_eq(m, &work.frozen));
         self.manifest_append(&ManifestEdit::AddTable { level: 0, file_id })?;
-        self.inner.stats.flushes.fetch_add(1, Ordering::Relaxed);
+        self.counters().flushes.fetch_add(1, Ordering::Relaxed);
 
         // The old WAL generations are now fully covered by SSTables.
         let mut obsolete_counter = 0;
@@ -1827,7 +1834,7 @@ impl TreatyStore {
                 gc.push((last_counter, t.path().to_path_buf()));
             }
         }
-        self.inner.stats.compactions.fetch_add(1, Ordering::Relaxed);
+        self.counters().compactions.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -1885,8 +1892,7 @@ impl TreatyStore {
         for (counter, path) in gc.drain(..) {
             if counter <= stable {
                 let _ = std::fs::remove_file(&path);
-                self.inner
-                    .stats
+                self.counters()
                     .files_deleted
                     .fetch_add(1, Ordering::Relaxed);
             } else {
@@ -2103,7 +2109,6 @@ impl TreatyStore {
             gc_stabilizing: AtomicBool::new(false),
             active_scans: AtomicU64::new(0),
             apply_epoch: AtomicU64::new(0),
-            stats: StatsCells::default(),
             env,
         };
         Ok(TreatyStore {

@@ -10,7 +10,8 @@ use treaty_sched::CorePool;
 use treaty_sim::{runtime, CostModel, Nanos, SecurityProfile};
 use treaty_tee::{Enclave, HostVault};
 
-use crate::cache::{BlockCache, ReadAccelStats};
+use crate::cache::BlockCache;
+use crate::engine::StatsCells;
 
 /// Sizing and behaviour knobs for [`crate::TreatyStore`].
 #[derive(Debug, Clone)]
@@ -107,8 +108,8 @@ pub struct Env {
     /// Trusted block cache over decrypted SSTable blocks; `None` when the
     /// cache is disabled (`block_cache_bytes == 0`).
     pub block_cache: Option<Arc<BlockCache>>,
-    /// Bloom-filter counters for the read-acceleration layer.
-    pub read_stats: ReadAccelStats,
+    /// The store's counters behind [`crate::TreatyStore::stats`].
+    pub(crate) stats: StatsCells,
 }
 
 impl std::fmt::Debug for Env {
@@ -121,6 +122,35 @@ impl std::fmt::Debug for Env {
 }
 
 impl Env {
+    /// The one constructor: a fresh enclave, host vault, block cache (sized
+    /// by `config`) and zeroed counters around the given parts.
+    pub fn new(
+        profile: SecurityProfile,
+        costs: CostModel,
+        cores: Option<Arc<CorePool>>,
+        keys: KeyHierarchy,
+        backend: Arc<dyn CounterBackend>,
+        dir: PathBuf,
+        config: EngineConfig,
+    ) -> Arc<Self> {
+        let enclave = Arc::new(Enclave::new(profile.tee));
+        let block_cache =
+            BlockCache::new_shared(Arc::clone(&enclave), config.block_cache_bytes as u64);
+        Arc::new(Env {
+            profile,
+            costs,
+            enclave,
+            vault: HostVault::new(),
+            cores,
+            keys,
+            backend,
+            dir,
+            config,
+            block_cache,
+            stats: StatsCells::default(),
+        })
+    }
+
     /// An environment for tests: given profile, default costs, fresh
     /// enclave/vault, no core contention, test keys, instant stabilization.
     pub fn for_testing(profile: SecurityProfile, dir: &Path) -> Arc<Self> {
@@ -134,22 +164,15 @@ impl Env {
         dir: &Path,
         config: EngineConfig,
     ) -> Arc<Self> {
-        let enclave = Arc::new(Enclave::new(profile.tee));
-        let block_cache =
-            BlockCache::new_shared(Arc::clone(&enclave), config.block_cache_bytes as u64);
-        Arc::new(Env {
+        Self::new(
             profile,
-            costs: CostModel::default(),
-            enclave,
-            vault: HostVault::new(),
-            cores: None,
-            keys: KeyHierarchy::for_testing(),
-            backend: NullBackend::new(),
-            dir: dir.to_path_buf(),
+            CostModel::default(),
+            None,
+            KeyHierarchy::for_testing(),
+            NullBackend::new(),
+            dir.to_path_buf(),
             config,
-            block_cache,
-            read_stats: ReadAccelStats::default(),
-        })
+        )
     }
 
     /// Charges `ns` of CPU to this node (core pool if present, otherwise

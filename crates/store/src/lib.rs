@@ -36,7 +36,7 @@ pub mod sstable;
 pub mod txn;
 
 pub use bloom::BloomFilter;
-pub use cache::{BlockCache, ReadAccelStats};
+pub use cache::BlockCache;
 pub use engine::{EngineStats, ManifestEdit, TreatyStore, WalRecord};
 pub use env::{EngineConfig, Env};
 pub use locks::{LockMode, LockTable, EOF_SENTINEL};

@@ -588,7 +588,7 @@ impl SsTable {
     /// True if `key` falls in this table's range *and* passes its Bloom
     /// filter: the cheap, no-I/O precondition for probing it. A false
     /// return is definitive (no block read needed); filter negatives are
-    /// counted in the environment's read stats.
+    /// counted in the environment's store counters.
     pub fn may_contain(&self, key: &[u8]) -> bool {
         if !self.covers(key) {
             return false;
@@ -601,7 +601,7 @@ impl SsTable {
                     true
                 } else {
                     self.env
-                        .read_stats
+                        .stats
                         .bloom_negatives
                         .fetch_add(1, Ordering::Relaxed);
                     false
@@ -626,7 +626,7 @@ impl SsTable {
             // The fences prove no block can hold the key: no block read
             // happened, so this tells us nothing about the Bloom filter.
             self.env
-                .read_stats
+                .stats
                 .fence_gap_rejects
                 .fetch_add(1, Ordering::Relaxed);
             return Ok(());
@@ -642,7 +642,7 @@ impl SsTable {
         }
         if !seen && self.meta.filter.is_some() {
             self.env
-                .read_stats
+                .stats
                 .bloom_false_positives
                 .fetch_add(1, Ordering::Relaxed);
         }
@@ -1216,8 +1216,8 @@ mod tests {
             0,
             "gap reject must read no blocks"
         );
-        assert_eq!(env.read_stats.fence_gap_rejects(), 1);
-        assert_eq!(env.read_stats.bloom_false_positives(), 0);
+        assert_eq!(env.stats.fence_gap_rejects.load(Ordering::Relaxed), 1);
+        assert_eq!(env.stats.bloom_false_positives.load(Ordering::Relaxed), 0);
         Ok(())
     }
 
@@ -1237,7 +1237,7 @@ mod tests {
             assert_eq!(t.get(&key, SeqNum::MAX)?, None);
         }
         assert_eq!(
-            env.read_stats.bloom_false_positives(),
+            env.stats.bloom_false_positives.load(Ordering::Relaxed),
             0,
             "fence-gap rejects must never be charged as Bloom false positives"
         );
@@ -1437,9 +1437,9 @@ mod tests {
             assert_eq!(t.get(&key, SeqNum::MAX)?, None);
         }
         assert!(
-            env.read_stats.bloom_negatives() >= 40,
+            env.stats.bloom_negatives.load(Ordering::Relaxed) >= 40,
             "most absent-key probes must be filtered: {}",
-            env.read_stats.bloom_negatives()
+            env.stats.bloom_negatives.load(Ordering::Relaxed)
         );
         // Only Bloom false positives reach the block-read path at all.
         let blocks_read = (cache.hits() - h0) + (cache.misses() - m0);

@@ -302,11 +302,7 @@ impl Txn {
     fn abort_with(&mut self, err: StoreError) -> StoreError {
         self.release_locks();
         self.state = TxnState::Finished;
-        self.store
-            .inner
-            .stats
-            .aborts
-            .fetch_add(1, Ordering::Relaxed);
+        self.store.counters().aborts.fetch_add(1, Ordering::Relaxed);
         err
     }
 
@@ -704,8 +700,7 @@ impl EngineTxn for Txn {
                 return Err(self.abort_with(e));
             }
             self.store
-                .inner
-                .stats
+                .counters()
                 .commits
                 .fetch_add(1, Ordering::Relaxed);
             return Ok(CommitInfo {
@@ -748,11 +743,7 @@ impl EngineTxn for Txn {
         }
         self.release_locks();
         self.state = TxnState::Finished;
-        self.store
-            .inner
-            .stats
-            .aborts
-            .fetch_add(1, Ordering::Relaxed);
+        self.store.counters().aborts.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 }
@@ -894,7 +885,7 @@ impl TreatyStore {
             self.inner.frontier.record(seq);
         }
         logged?;
-        let stats = &self.inner.stats;
+        let stats = self.counters();
         let stat = if commit {
             &stats.commits
         } else {

@@ -1607,9 +1607,9 @@ fn commit_point_decision_round_without_quorum_never_aborts() {
 /// holds `Committed` well before the decision record is stable, and in
 /// that window nobody else can learn the outcome: `QueryDecision` answers
 /// `None`, no `PEER_COMMIT` has left the coordinator, every shard still
-/// lists the transaction as prepared, the Clog's stable frontier has not
-/// moved, and a locking read of a written key parks instead of returning
-/// the old value. Once the record is stable all of it flips.
+/// lists the transaction as prepared, the Clog holds no decision for it,
+/// and a locking read of a written key parks instead of returning the old
+/// value. Once the record is stable all of it flips.
 #[test]
 fn commit_point_appended_is_not_externalised() {
     let dir = tempfile::tempdir().unwrap();
@@ -1621,7 +1621,6 @@ fn commit_point_appended_is_not_externalised() {
         let keys: Vec<Vec<u8>> = key_per_node(&cluster).into_values().collect();
         seed(&cluster, &keys);
         let clog = cluster.node((COORD - 1) as usize).clog().expect("durable");
-        let stable_before = clog.stable_ts();
         cluster.fabric().start_capture();
 
         let client = cluster.client();
@@ -1649,7 +1648,7 @@ fn commit_point_appended_is_not_externalised() {
         for n in [COORD, PART, SPARE] {
             assert_eq!(store(&cluster, n).prepared_txns(), [gtx], "n{n}");
         }
-        assert_eq!(clog.stable_ts(), stable_before);
+        assert_eq!(clog.decision(gtx), None);
         sleep(MILLIS);
         assert!(read.lock().is_none(), "the read must park on the lock");
         assert!(now() - acked_at < 5 * MILLIS, "still inside the round");
@@ -1662,8 +1661,7 @@ fn commit_point_appended_is_not_externalised() {
         assert!(read_at - acked_at >= 4 * MILLIS, "read before the round");
         assert_eq!(query_decision(&cluster, gtx), Some(true));
         assert_eq!(captured(&cluster, req::PEER_COMMIT), 2);
-        // Start and Decision: two records past the seed's.
-        assert_eq!(clog.stable_ts(), stable_before + 2);
+        assert_eq!(clog.decision(gtx), Some(true));
         assert_committed_everywhere(&cluster, gtx, &keys, "externalised");
     });
 }

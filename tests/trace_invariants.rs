@@ -45,9 +45,9 @@ fn traced_run(seed: u64) -> Traced {
         // every span closes before the snapshot.
         treaty::sim::runtime::sleep(50 * treaty::sim::MILLIS);
         assert_eq!(
-            obs.metrics().snapshot().counters.get("core.committed"),
-            Some(&TXNS),
-            "registry must count every committed transaction"
+            cluster.totals().0,
+            TXNS,
+            "the cluster must count every committed transaction"
         );
         treaty::sim::obs::uninstall();
         let events = obs.events();
