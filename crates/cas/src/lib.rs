@@ -21,6 +21,10 @@
 //! it is a *setup-time* protocol (the data path never touches it), and the
 //! quotes/verification are real [`treaty_tee`] operations either way.
 
+// A node answers or refuses with a typed error; it never panics (§III).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unreachable))]
+
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -273,6 +277,10 @@ impl Cas {
 /// # Panics
 ///
 /// Panics if bootstrap fails (impossible with an honest hardware root).
+#[allow(
+    clippy::expect_used,
+    reason = "a cluster that cannot attest must not boot; tests and benches call this"
+)]
 pub fn bootstrap_cluster(
     master: Key,
     config: ClusterConfig,

@@ -12,6 +12,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use treaty_crypto::codec::{CodecError, Decode, Encode, Reader, Record, Writer};
+use treaty_sim::crashpoint::CrashPoint;
 use treaty_store::env::Env;
 use treaty_store::log::{self, LogWriter};
 use treaty_store::{GlobalTxId, Result, StoreError};
@@ -201,7 +202,7 @@ impl Clog {
             treaty_sim::obs::span_with("clog.log_decision", &[("commit", u64::from(commit))]);
         let rec = ClogRecord::Decision { gtx, commit };
         let counter = self.append(&rec)?;
-        treaty_sim::crashpoint::hit("clog.decision_appended");
+        treaty_sim::crashpoint::hit(CrashPoint::ClogDecisionAppended);
         Ok(counter)
     }
 

@@ -125,6 +125,10 @@ impl Cluster {
     ///
     /// Panics if attestation fails (impossible with the honest roots used
     /// here) or the base directory is unusable.
+    #[allow(
+        clippy::expect_used,
+        reason = "documented: boot refuses an unattestable node or an unusable base directory"
+    )]
     pub fn start(options: ClusterOptions) -> Result<Self> {
         let fabric = Fabric::new(options.costs.clone(), options.seed);
         let node_endpoints: Vec<u32> = (0..options.nodes).map(|i| NODE_BASE + i as u32).collect();
@@ -288,6 +292,10 @@ impl Cluster {
     /// # Panics
     ///
     /// Panics if the node is crashed.
+    #[allow(
+        clippy::expect_used,
+        reason = "documented: a crashed node has no handle"
+    )]
     pub fn node(&self, idx: usize) -> &Arc<TreatyNode> {
         self.slots[idx].node.as_ref().expect("node is crashed")
     }

@@ -19,6 +19,10 @@
 //! transactions, answers participants' `QueryDecision` requests, and
 //! refuses forked or rolled-back state.
 
+// A node answers or refuses with a typed error; it never panics (§III).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unreachable))]
+
 pub mod client;
 pub mod clog;
 pub mod cluster;

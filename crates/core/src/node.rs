@@ -20,6 +20,7 @@ use std::sync::Arc;
 use treaty_crypto::{Key, MsgKind, TxMeta, WireCrypto};
 use treaty_net::{EndpointConfig, EndpointId, Fabric, PendingReply, Rpc, RpcConfig};
 use treaty_sched::{CorePool, WaitQueue};
+use treaty_sim::crashpoint::CrashPoint;
 use treaty_sim::Nanos;
 use treaty_store::{
     EngineTxn, GlobalTxId, NullEngine, StoreError, TreatyStore, TxnEngine, TxnMode,
@@ -249,17 +250,17 @@ fn apply_ops(txn: &mut dyn EngineTxn, ops: &[Op]) -> OpResult {
                 };
                 // A crash here is mid-apply: some writes landed in the
                 // volatile engine transaction, none are prepared.
-                treaty_sim::crashpoint::hit("part.batch_apply");
+                treaty_sim::crashpoint::hit(CrashPoint::PartBatchApply);
                 r.map(|()| OpResult::Ok { value: None })
             }
             Op::Get { key } => txn.get(key).map(|value| OpResult::Ok { value }),
             Op::Scan { start, end, limit } => {
-                treaty_sim::crashpoint::hit("part.scan");
+                treaty_sim::crashpoint::hit(CrashPoint::PartScan);
                 txn.scan(start, end, *limit as usize)
                     .map(|entries| OpResult::Entries { entries })
             }
             Op::RangeDelete { start, end } => {
-                treaty_sim::crashpoint::hit("part.range_delete");
+                treaty_sim::crashpoint::hit(CrashPoint::PartRangeDelete);
                 txn.delete_range(start, end)
                     .map(|()| OpResult::Ok { value: None })
             }
@@ -627,7 +628,7 @@ impl TreatyNode {
             ));
         }
         self.rpc.tx_burst();
-        treaty_sim::crashpoint::hit("coord.ops_fanout");
+        treaty_sim::crashpoint::hit(CrashPoint::CoordOpsFanout);
 
         let mut results: Vec<OpResult> = Vec::with_capacity(pending.len() + 1);
         if !local_ops.is_empty() {
@@ -714,7 +715,7 @@ impl TreatyNode {
             CommitResult::Committed => self.stats.lock().committed += 1,
             CommitResult::Aborted { .. } => self.note_aborted(gtx),
         }
-        treaty_sim::crashpoint::hit("coord.before_client_reply");
+        treaty_sim::crashpoint::hit(CrashPoint::CoordBeforeClientReply);
         let kind = match result {
             CommitResult::Committed => MsgKind::Ack,
             CommitResult::Aborted { .. } => MsgKind::Nack,
@@ -833,7 +834,7 @@ impl TreatyNode {
             },
             None => None,
         };
-        treaty_sim::crashpoint::hit("coord.after_clog_start");
+        treaty_sim::crashpoint::hit(CrashPoint::CoordAfterClogStart);
 
         treaty_sim::runtime::set_tag("h:2pc-fanout");
         let mut refused = {
@@ -848,7 +849,7 @@ impl TreatyNode {
                 refused.get_or_insert(format!("clog start: {e}"));
             }
         }
-        treaty_sim::crashpoint::hit("coord.after_votes");
+        treaty_sim::crashpoint::hit(CrashPoint::CoordAfterVotes);
 
         let remotes = ctx.remotes;
         if let Some(reason) = refused {
@@ -880,7 +881,7 @@ impl TreatyNode {
         // appended and stable before any participant, the local slice or
         // `QueryDecision` learns the outcome — is the finish's, behind the
         // ack. Inline only at the slot cap, as backpressure.
-        treaty_sim::crashpoint::hit("coord.commit_point");
+        treaty_sim::crashpoint::hit(CrashPoint::CoordCommitPoint);
         match FinishSlot::reserve(self) {
             Some(slot) => {
                 treaty_sim::obs::counter_add("core.commit_point_acks", 1);
@@ -906,10 +907,10 @@ impl TreatyNode {
             if !self.stabilize_decision(clog, gtx) {
                 return;
             }
-            treaty_sim::crashpoint::hit("coord.finish_stable");
+            treaty_sim::crashpoint::hit(CrashPoint::CoordFinishStable);
             clog.publish_decision(gtx, true);
         }
-        treaty_sim::crashpoint::hit("coord.after_log_decision");
+        treaty_sim::crashpoint::hit(CrashPoint::CoordAfterLogDecision);
 
         treaty_sim::runtime::set_tag("h:2pc-phase2");
         // The decision is Clog-durable, so nothing waits for the fan-out —
@@ -931,7 +932,7 @@ impl TreatyNode {
             }
             None => self.send_decision(gtx, &remotes, commit),
         }
-        treaty_sim::crashpoint::hit("coord.after_decision_send");
+        treaty_sim::crashpoint::hit(CrashPoint::CoordAfterDecisionSend);
         treaty_sim::runtime::set_tag("h:2pc-decide-local");
         self.decide_local(gtx, commit);
     }
@@ -1038,7 +1039,7 @@ impl TreatyNode {
             ));
         }
         self.rpc.tx_burst();
-        treaty_sim::crashpoint::hit("coord.after_prepare_fanout");
+        treaty_sim::crashpoint::hit(CrashPoint::CoordAfterPrepareFanout);
 
         treaty_sim::runtime::set_tag("h:2pc-local-prepare");
         let mut refused: Option<String> = None;
@@ -1093,7 +1094,7 @@ impl TreatyNode {
         }
         treaty_sim::runtime::set_tag("sd:wait");
         self.rpc.tx_burst();
-        treaty_sim::crashpoint::hit("coord.mid_decision_fanout");
+        treaty_sim::crashpoint::hit(CrashPoint::CoordMidDecisionFanout);
         for (r, p) in pending {
             if p.wait().is_ok() {
                 continue;
@@ -1225,10 +1226,10 @@ impl TreatyNode {
             &[("keys", keys.len() as u64), ("spans", spans.len() as u64)],
         );
         if !keys.is_empty() {
-            treaty_sim::crashpoint::hit("part.snapshot_read");
+            treaty_sim::crashpoint::hit(CrashPoint::PartSnapshotRead);
         }
         if !spans.is_empty() {
-            treaty_sim::crashpoint::hit("part.snapshot_scan");
+            treaty_sim::crashpoint::hit(CrashPoint::PartSnapshotScan);
         }
         let stable = store.stable_ts();
         treaty_sim::obs::gauge_set("store.stable_ts", stable);
@@ -1391,13 +1392,13 @@ impl TreatyNode {
                 // longer holds (it restarted and shed the locks) cannot
                 // vouch for its reads: vote no.
                 let txn = self.active_part.lock().remove(&gtx);
-                treaty_sim::crashpoint::hit("part.read_only_finish");
+                treaty_sim::crashpoint::hit(CrashPoint::PartReadOnlyFinish);
                 PeerReply::Vote {
                     yes: txn.is_some_and(|mut txn| txn.commit().is_ok()),
                 }
             }
             PeerMsg::Prepare { gtx, batch, .. } => {
-                treaty_sim::crashpoint::hit("part.before_prepare");
+                treaty_sim::crashpoint::hit(CrashPoint::PartBeforePrepare);
                 self.stats.lock().participant_ops += batch.len() as u64;
                 let txn = self.active_part.lock().remove(&gtx);
                 // A piggybacked batch means this shard received writes with
@@ -1418,12 +1419,12 @@ impl TreatyNode {
                     // Recovery re-drive: still prepared from a past life?
                     None => self.engine.prepared_txns().contains(&gtx),
                 };
-                treaty_sim::crashpoint::hit("part.after_prepare");
+                treaty_sim::crashpoint::hit(CrashPoint::PartAfterPrepare);
                 PeerReply::Vote { yes }
             }
             PeerMsg::Commit { gtx } => {
                 let _ = self.engine.commit_prepared(gtx);
-                treaty_sim::crashpoint::hit("part.after_commit_apply");
+                treaty_sim::crashpoint::hit(CrashPoint::PartAfterCommitApply);
                 PeerReply::Ack
             }
             PeerMsg::Abort { gtx } => {
@@ -1431,7 +1432,7 @@ impl TreatyNode {
                     let _ = txn.rollback();
                 }
                 let _ = self.engine.abort_prepared(gtx);
-                treaty_sim::crashpoint::hit("part.after_abort_apply");
+                treaty_sim::crashpoint::hit(CrashPoint::PartAfterAbortApply);
                 PeerReply::Ack
             }
             PeerMsg::QueryDecision { gtx } => PeerReply::Decision {
@@ -1468,7 +1469,7 @@ impl TreatyNode {
             // duplicates as no-ops, §VI).
             for (gtx, st) in clog.decided() {
                 // `decided()` only yields entries with a decision, but the
-                // recovery path must not panic on a malformed state (L002).
+                // recovery path must not panic on a malformed state.
                 let Some(commit) = st.decision else { continue };
                 let remotes: Vec<u32> = st
                     .participants

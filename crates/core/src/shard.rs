@@ -29,7 +29,7 @@ impl ShardMap {
         buf.extend_from_slice(&self.seed.to_le_bytes());
         buf.extend_from_slice(key);
         let h = hash::sha256(&buf);
-        let x = u64::from_le_bytes(h.0[..8].try_into().unwrap());
+        let x = u64::from_le_bytes(std::array::from_fn(|i| h.0[i]));
         self.nodes[(x % self.nodes.len() as u64) as usize]
     }
 

@@ -27,6 +27,10 @@
 //! * [`HwCounterBackend`] — the SGX hardware counter, for the ablation that
 //!   motivates the service.
 
+// A node answers or refuses with a typed error; it never panics (§III).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unreachable))]
+
 pub mod rote;
 
 use parking_lot::Mutex;
@@ -34,7 +38,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use treaty_sched::WaitQueue;
-use treaty_sim::{crashpoint, obs, runtime, CostModel, Nanos};
+use treaty_sim::crashpoint::{self, CrashPoint};
+use treaty_sim::{obs, runtime, CostModel, Nanos};
 use treaty_tee::HwCounter;
 
 pub use rote::{RoteGroup, RoteMsg, RoteReplica, SealedState};
@@ -294,14 +299,15 @@ impl TrustedCounter {
                     let round = st.rounds;
                     st.rounds += 1;
                     let target = st.written;
-                    st.exchanging = Some((round, st.covered));
+                    let fallback = st.covered;
+                    st.exchanging = Some((round, fallback));
                     st.covered = target;
                     let waiters = st.queued + u64::from(!queued);
                     st.queued = 0;
                     drop(st);
                     obs::counter_add("counter.rounds", 1);
                     obs::hist_record("counter.waiters_per_round", waiters);
-                    return self.lead(round, target);
+                    return self.lead(round, target, fallback);
                 }
                 if !queued {
                     queued = true;
@@ -324,14 +330,15 @@ impl TrustedCounter {
     }
 
     /// Leads `round`: the exchange under the slot, then — with the slot
-    /// released — the rest of the service latency, then publication.
-    fn lead(&self, round: u64, target: u64) -> Result<(), CounterError> {
+    /// released — the rest of the service latency, then publication. A
+    /// failed round gives `covered` back to `fallback`.
+    fn lead(&self, round: u64, target: u64, fallback: u64) -> Result<(), CounterError> {
         let started = vnow();
         let result = self.backend.stabilize(&self.id, target);
         obs::hist_record("counter.exchange_ns", vnow() - started);
         {
             let mut st = self.state.lock();
-            let (_, fallback) = st.exchanging.take().expect("the leader holds the slot");
+            st.exchanging = None;
             if let Err(e) = &result {
                 st.covered = fallback;
                 st.failed = Some((round, e.clone()));
@@ -344,7 +351,7 @@ impl TrustedCounter {
         if remaining > 0 {
             runtime::sleep(remaining);
         }
-        crashpoint::hit("counter.round_acked");
+        crashpoint::hit(CrashPoint::CounterRoundAcked);
         {
             let mut st = self.state.lock();
             st.stable = st.stable.max(target);

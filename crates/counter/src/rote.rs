@@ -158,6 +158,10 @@ impl Record for SealedState {
 /// # Panics
 ///
 /// Panics if the file exists but does not unseal.
+#[allow(
+    clippy::expect_used,
+    reason = "tampered replica storage must not restart, and RoteReplica::start's signature is fixed"
+)]
 fn recover(seal_path: &Path, sealing_key: &Key, measurement: &Measurement) -> ReplicaState {
     if !seal_path.exists() {
         return ReplicaState::default();
@@ -256,6 +260,15 @@ impl RoteReplica {
             kind: MsgKind::Counter,
             ..meta
         };
+        // A refusal that is not a rollback: the replica cannot vouch for
+        // the value.
+        let refuse = || {
+            let m = TxMeta {
+                kind: MsgKind::Nack,
+                ..meta
+            };
+            Some((m, RoteMsg::Nack { rollback: false }.to_bytes()))
+        };
         let reply = match msg {
             RoteMsg::Update { id, value } => {
                 let mut st = self.state.lock();
@@ -269,28 +282,28 @@ impl RoteReplica {
                 }
             }
             RoteMsg::Confirm { id, value } => {
-                let applied = {
+                let version = {
                     let mut st = self.state.lock();
                     let stable = *st.stable.get(&id).unwrap_or(&0);
                     let pending_ok = st.pending.get(&id).map(|&p| p >= value).unwrap_or(false);
                     if value <= stable {
-                        // Already durable: idempotent ACK.
-                        None
+                        // Applied already, but maybe not sealed yet (a
+                        // seal in flight, or one that failed): the ACK
+                        // below still waits for a seal covering it.
+                        st.version
                     } else if pending_ok {
                         st.pending.remove(&id);
                         st.stable.insert(id, value);
                         st.version += 1;
-                        Some(st.version)
+                        st.version
                     } else {
-                        let m = TxMeta {
-                            kind: MsgKind::Nack,
-                            ..meta
-                        };
-                        return Some((m, RoteMsg::Nack { rollback: false }.to_bytes()));
+                        return refuse();
                     }
                 };
-                if let Some(version) = applied {
-                    self.persist(version);
+                // An Ack promises a seal on disk: a replica that cannot
+                // write one withholds it.
+                if self.persist(version).is_err() {
+                    return refuse();
                 }
                 RoteMsg::Ack
             }
@@ -309,10 +322,15 @@ impl RoteReplica {
     /// on disk. A group seal: a `Confirm` that queued behind a seal begun
     /// after its update finds itself covered; otherwise one seal of the
     /// *current* map carries every `Confirm` applied before it began.
-    fn persist(&self, version: u64) {
+    ///
+    /// # Errors
+    ///
+    /// The I/O error of a seal that did not reach the disk; the sealed
+    /// version then stays where it was.
+    fn persist(&self, version: u64) -> std::io::Result<()> {
         let guard = self.seal_lock.lock();
         if self.sealed_version.load(Ordering::Relaxed) >= version {
-            return;
+            return Ok(());
         }
         let (covers, state_bytes) = {
             let st = self.state.lock();
@@ -331,10 +349,11 @@ impl RoteReplica {
         let costs = self.rpc.fabric().costs();
         runtime::sleep(costs.ssd_append_ns(treaty_sim::TeeMode::Scone, raw.len()));
         let tmp = self.seal_path.with_extension("tmp");
-        std::fs::write(&tmp, &raw).expect("write sealed state");
-        std::fs::rename(&tmp, &self.seal_path).expect("publish sealed state");
+        std::fs::write(&tmp, &raw)?;
+        std::fs::rename(&tmp, &self.seal_path)?;
         self.sealed_version.store(covers, Ordering::Relaxed);
         drop(guard);
+        Ok(())
     }
 }
 
@@ -429,7 +448,7 @@ impl RoteGroup {
 /// different counters of one client side by side.
 fn session_of(id: &str) -> u64 {
     let digest = treaty_crypto::hash::sha256(id.as_bytes());
-    u64::from_le_bytes(digest.0[..8].try_into().expect("a digest is 32 bytes"))
+    u64::from_le_bytes(std::array::from_fn(|i| digest.0[i]))
 }
 
 impl CounterBackend for RoteGroup {
@@ -636,6 +655,52 @@ mod tests {
             raw[mid] = raw[mid].wrapping_add(1);
             std::fs::write(&seal_file, &raw).unwrap();
             let _ = RoteReplica::start(&fabric, 1000, key.counter, key.sealing, &path);
+        });
+    }
+
+    /// A replica that cannot write its seal withholds its `Ack` instead
+    /// of panicking, so a group without a quorum of sealed replicas fails
+    /// the round — and a retried round does not count it either, though
+    /// the value is applied in its memory.
+    #[test]
+    fn a_replica_that_cannot_seal_withholds_its_ack() {
+        let dir = tempfile::tempdir().unwrap();
+        let path = dir.path().to_path_buf();
+        block_on(move || {
+            let key = treaty_crypto::KeyHierarchy::for_testing();
+            let (fabric, replicas, client) = group(&path);
+            // Replica 1002 writes its seal to `rote-1002.tmp` first.
+            std::fs::create_dir(path.join("rote-1002.tmp")).unwrap();
+            replicas[1].stop();
+            let err = client.stabilize("wal-1", 5).unwrap_err();
+            assert_eq!(err, CounterError::NoQuorum { acks: 1, needed: 2 });
+            assert_eq!(replicas[0].sealed_version.load(Ordering::Relaxed), 1);
+            assert_eq!(replicas[2].sealed_version.load(Ordering::Relaxed), 0);
+
+            let _revived = RoteReplica::start(&fabric, 1001, key.counter, key.sealing, &path);
+            client.stabilize("wal-1", 5).unwrap();
+            assert_eq!(replicas[2].stable_value("wal-1"), 5);
+            assert_eq!(replicas[2].sealed_version.load(Ordering::Relaxed), 0);
+            let meta = TxMeta {
+                node_id: 1,
+                tx_id: 1,
+                op_id: 0,
+                kind: MsgKind::Counter,
+            };
+            let confirm = RoteMsg::Confirm {
+                id: "wal-1".into(),
+                value: 5,
+            };
+            let reply = |r: &RoteReplica| {
+                let (_, bytes) = r.handle(meta, confirm.to_bytes()).unwrap();
+                RoteMsg::from_bytes(&bytes).unwrap()
+            };
+            assert_eq!(reply(&replicas[2]), RoteMsg::Nack { rollback: false });
+
+            // Once the disk lets it seal, the duplicate is acknowledged.
+            std::fs::remove_dir(path.join("rote-1002.tmp")).unwrap();
+            assert_eq!(reply(&replicas[2]), RoteMsg::Ack);
+            assert_eq!(replicas[2].sealed_version.load(Ordering::Relaxed), 1);
         });
     }
 

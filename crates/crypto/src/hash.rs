@@ -39,9 +39,15 @@ pub fn sha256_parts(parts: &[&[u8]]) -> Digest32 {
     Digest32(h.finalize().into())
 }
 
+/// HMAC-SHA-256 keyed with `key`.
+#[allow(clippy::expect_used, reason = "HMAC accepts a key of any length")]
+fn keyed(key: &Key) -> Hmac<Sha256> {
+    <Hmac<Sha256> as Mac>::new_from_slice(key.as_slice()).expect("any key length")
+}
+
 /// HMAC-SHA-256 of `data` under `key`.
 pub fn hmac_sign(key: &Key, data: &[u8]) -> Digest32 {
-    let mut mac = <Hmac<Sha256> as Mac>::new_from_slice(key.as_slice()).expect("any key length");
+    let mut mac = keyed(key);
     mac.update(data);
     Digest32(mac.finalize().into_bytes().into())
 }
@@ -52,7 +58,7 @@ pub fn hmac_sign(key: &Key, data: &[u8]) -> Digest32 {
 ///
 /// Returns [`CryptoError::AuthFailed`] on mismatch.
 pub fn hmac_verify(key: &Key, data: &[u8], tag: &Digest32) -> Result<(), CryptoError> {
-    let mut mac = <Hmac<Sha256> as Mac>::new_from_slice(key.as_slice()).expect("any key length");
+    let mut mac = keyed(key);
     mac.update(data);
     mac.verify_slice(&tag.0)
         .map_err(|_| CryptoError::AuthFailed)

@@ -1,8 +1,5 @@
 //! Keys, the key hierarchy distributed by the CAS, and nonce sequences.
 
-use hmac::{Hmac, Mac};
-use sha2::Sha256;
-
 /// A 256-bit symmetric key.
 ///
 /// `Debug` deliberately redacts the key material.
@@ -33,13 +30,7 @@ impl Key {
     /// This is the HKDF-expand pattern with a single block, sufficient for
     /// 256-bit outputs.
     pub fn derive(&self, label: &str) -> Key {
-        let mut mac =
-            <Hmac<Sha256> as Mac>::new_from_slice(&self.0).expect("HMAC accepts any key length");
-        mac.update(label.as_bytes());
-        let out = mac.finalize().into_bytes();
-        let mut bytes = [0u8; 32];
-        bytes.copy_from_slice(&out);
-        Key(bytes)
+        Key(crate::hash::hmac_sign(self, label.as_bytes()).0)
     }
 
     /// Raw key bytes.

@@ -14,6 +14,10 @@
 //! boundary is written in; every crate that writes such a byte already
 //! depends on this one.
 
+// A node answers or refuses with a typed error; it never panics (§III).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unreachable))]
+
 pub mod codec;
 pub mod hash;
 pub mod keys;
@@ -88,6 +92,10 @@ impl AsRef<[u8]> for Ciphertext {
 /// Returns `ciphertext ‖ tag(16B)` wrapped in the [`Ciphertext`] proof
 /// type. The `aad` is authenticated but not encrypted.
 #[allow(clippy::useless_conversion)] // a `GenericArray` key in RustCrypto proper
+#[allow(
+    clippy::expect_used,
+    reason = "AES-GCM refuses only inputs over 2^36 bytes, and the signature is fixed"
+)]
 pub fn aead_seal(key: &Key, nonce: &[u8; 12], aad: &[u8], plaintext: &[u8]) -> Ciphertext {
     let cipher = Aes256Gcm::new(key.as_slice().into());
     Ciphertext(

@@ -138,12 +138,17 @@ impl TxMeta {
     /// Returns [`CryptoError::Malformed`] for unknown message kinds.
     pub fn decode(buf: &[u8; META_LEN]) -> Result<Self, CryptoError> {
         Ok(TxMeta {
-            node_id: u64::from_le_bytes(buf[0..8].try_into().unwrap()),
-            tx_id: u64::from_le_bytes(buf[8..16].try_into().unwrap()),
-            op_id: u64::from_le_bytes(buf[16..24].try_into().unwrap()),
+            node_id: le_u64(buf, 0),
+            tx_id: le_u64(buf, 8),
+            op_id: le_u64(buf, 16),
             kind: MsgKind::from_u8(buf[24])?,
         })
     }
+}
+
+/// The little-endian `u64` at `at` in a metadata block.
+fn le_u64(block: &[u8; META_LEN], at: usize) -> u64 {
+    u64::from_le_bytes(std::array::from_fn(|i| block[at + i]))
 }
 
 /// An opened message: who sent it, its metadata, its stamp and its data.
@@ -239,29 +244,26 @@ impl SecureEnvelope {
         body.extend_from_slice(&block);
         body.extend_from_slice(payload);
 
+        // IV, then the mode byte and its pad. Even `Plain`, which protects
+        // nothing, names the sender.
+        let mut header = [0u8; IV_LEN + PAD_LEN];
+        header[..IV_LEN].copy_from_slice(&iv);
+        header[IV_LEN] = self.crypto.mode_byte();
         let mut out = Vec::with_capacity(MESSAGE_OVERHEAD + payload.len());
+        out.extend_from_slice(&header);
         match self.crypto {
             WireCrypto::Plain => {
-                // Protects nothing, but still names the sender.
-                out.extend_from_slice(&iv);
-                out.extend_from_slice(&[self.crypto.mode_byte(), 0, 0, 0]);
                 out.extend_from_slice(&body);
                 out.extend_from_slice(&[0u8; MAC_LEN]);
             }
             WireCrypto::AuthOnly => {
-                out.extend_from_slice(&iv);
-                out.extend_from_slice(&[self.crypto.mode_byte(), 0, 0, 0]);
                 out.extend_from_slice(&body);
                 let tag = hmac_sign(key, &out);
                 out.extend_from_slice(&tag.0[..MAC_LEN]);
             }
             WireCrypto::Full => {
-                out.extend_from_slice(&iv);
-                out.extend_from_slice(&[self.crypto.mode_byte(), 0, 0, 0]);
                 // AAD covers IV + pad so flipping either breaks the tag.
-                let aad: [u8; IV_LEN + PAD_LEN] =
-                    out[..IV_LEN + PAD_LEN].try_into().expect("header length");
-                let ct_and_tag = aead_seal(key, &iv, &aad, &body).into_vec();
+                let ct_and_tag = aead_seal(key, &iv, &header, &body).into_vec();
                 let (ct, tag) = ct_and_tag.split_at(ct_and_tag.len() - MAC_LEN);
                 out.extend_from_slice(ct);
                 out.extend_from_slice(tag);
@@ -297,7 +299,9 @@ impl SecureEnvelope {
         if wire[IV_LEN] != self.crypto.mode_byte() {
             return Err(CryptoError::Malformed);
         }
-        let iv: [u8; IV_LEN] = wire[..IV_LEN].try_into().unwrap();
+        let iv: [u8; IV_LEN] = wire[..IV_LEN]
+            .try_into()
+            .map_err(|_| CryptoError::Malformed)?;
         let body_and_mac = &wire[IV_LEN + PAD_LEN..];
         let (body, mac) = body_and_mac.split_at(body_and_mac.len() - MAC_LEN);
 
@@ -321,19 +325,17 @@ impl SecureEnvelope {
             }
         };
 
-        if plain_body.len() < META_LEN {
+        let Some((block, payload)) = plain_body.split_first_chunk::<META_LEN>() else {
             return Err(CryptoError::Malformed);
-        }
-        let block: [u8; META_LEN] = plain_body[..META_LEN].try_into().unwrap();
-        let word = |at: usize| u64::from_le_bytes(block[at..at + 8].try_into().unwrap());
+        };
         Ok(Opened {
             sender: nonce_sender(&iv),
-            meta: TxMeta::decode(&block)?,
+            meta: TxMeta::decode(block)?,
             stamp: Stamp {
-                seq: word(STAMP_AT),
-                floor: word(STAMP_AT + 8),
+                seq: le_u64(block, STAMP_AT),
+                floor: le_u64(block, STAMP_AT + 8),
             },
-            payload: plain_body[META_LEN..].to_vec(),
+            payload: payload.to_vec(),
         })
     }
 }

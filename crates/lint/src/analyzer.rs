@@ -214,7 +214,7 @@ impl<'a> Analysis<'a> {
     }
 
     /// The raw-line window searched for a `LINT-CRASH-SAFE:` marker: the
-    /// crash-point line and the three lines above (mirrors L004).
+    /// crash-point line and the three lines above.
     fn crash_safe_marked(&self, line: usize) -> bool {
         let hi = line.min(self.raw_lines.len());
         let lo = hi.saturating_sub(4);
@@ -1251,7 +1251,7 @@ mod tests {
         let src = "fn f(&self) {\n    let g = self.stats.lock();\n    // LINT-CRASH-SAFE: guard is re-created from the WAL on restart\n    treaty_sim::crashpoint::hit(\"coord.x\");\n}\n";
         assert!(check(NODE, src).violations.is_empty());
 
-        // Four lines away is too far (same window as L004).
+        // Four lines away is too far: the window is three lines.
         let src = "fn f(&self) {\n    let g = self.stats.lock();\n    // LINT-CRASH-SAFE: too far\n    //\n    //\n    //\n    treaty_sim::crashpoint::hit(\"coord.x\");\n}\n";
         assert_eq!(check(NODE, src).violations.len(), 1);
 

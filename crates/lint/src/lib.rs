@@ -1,8 +1,12 @@
-//! treaty-lint: static enforcement of Treaty's enclave-boundary rules.
+//! treaty-lint: the enclave-boundary and fiber-concurrency rules that
+//! neither rustc nor clippy can check.
 //!
 //! The `HostBytes` newtype (crates/tee) makes "plaintext into host memory" a
-//! compile error, but three classes of boundary bugs survive the type
-//! system, so this crate scans the workspace source directly:
+//! compile error, and the compiler checks the rest of what it can: panics
+//! in node crates are clippy denies at each crate root, wall-clock reads
+//! are `disallowed-methods` in `clippy.toml`, and crash points are an enum.
+//! Two boundary rules survive the type system, so this crate scans the
+//! workspace source directly:
 //!
 //! * **L001 — enclave-only crypto.** Raw AEAD/HMAC primitives
 //!   (`aead_open`, `aead_seal`, `hmac_sign`, `hmac_verify`) may only be
@@ -10,22 +14,6 @@
 //!   files that run inside the enclave). Everything else must go through
 //!   the typed wrappers, otherwise key material leaks into code that the
 //!   §III adversary can interpose on.
-//! * **L002 — no panics on the 2PC commit/recovery path.** A coordinator
-//!   or participant that unwinds mid-commit leaves the protocol state
-//!   machine wedged; `unwrap()`, `expect()` and `panic!` are banned in
-//!   `core::{node,clog}` and `store::{log,sstable}`, and in
-//!   `crypto::codec`, which decodes every byte recovery reads.
-//!   (`unwrap_err`/`expect_err` are fine — they assert on the *error* arm
-//!   in tests.)
-//! * **L003 — deterministic time and randomness.** Simulated components
-//!   must take time from the virtual clock; `std::time::{Instant,
-//!   SystemTime}` and `thread_rng` are allowed only in the measurement
-//!   module `crates/sim/src/stats.rs`.
-//! * **L004 — auditable declassification.** Every
-//!   `HostBytes::declassified(...)` call must carry a
-//!   `// LINT-DECLASSIFY: <reason>` comment within the three lines above
-//!   it, so `git grep LINT-DECLASSIFY` is a complete audit of deliberate
-//!   plaintext-to-host flows.
 //! * **L005 — no secrets in observability payloads.** Inside the trusted
 //!   regions (core, store, tee, crypto), no `format!`-family macro and no
 //!   trace-event payload (`span_with`, `instant`, …) may name a secret-ish
@@ -34,12 +22,6 @@
 //!   unaudited declassification side channel. The raw line is searched,
 //!   not the scrubbed one, because interpolations live *inside* string
 //!   literals (`"{plaintext}"`).
-//! * **L006 — crash points unique and registered.** Every
-//!   `crashpoint::hit("...")` call site must name a string literal that
-//!   appears in `ALL_POINTS` (crates/sim/src/crashpoint.rs), and the
-//!   registry itself must have no duplicate names. A typo'd or
-//!   unregistered point would silently never fire, so a fault-matrix cell
-//!   that claims to cover it would test nothing.
 //!
 //! On top of the line rules sits a **function-scope concurrency
 //! analyzer** ([`analyzer`], [`registry`]) with four more rules:
@@ -53,7 +35,7 @@
 //! * **L008 — no guard live across `crashpoint::hit`.** `CrashUnwind`
 //!   unwinds the fiber at the crash site, poisoning any std `Mutex` held
 //!   there and silently breaking crash → heal → restart. Audited
-//!   exceptions carry `// LINT-CRASH-SAFE: <reason>` (the L004 pattern).
+//!   exceptions carry `// LINT-CRASH-SAFE: <reason>`.
 //! * **L009 — no lock-order cycles.** Intra-function "acquire A while
 //!   holding B" edges, keyed by [`registry::LOCK_REGISTRY`] classes, are
 //!   merged into a global graph; any cycle is reported in full with a
@@ -61,19 +43,14 @@
 //! * **L010 — every `.lock()` / `.read()` / `.write()` site resolves
 //!   through the registry** in
 //!   crates/{core,store,sim,net}, so L009's graph can never silently
-//!   miss an edge (the L006 pattern).
+//!   miss an edge.
 //!
-//! Violations are diffed against a committed `lint-baseline.json` ratchet:
-//! new violations fail the build; fixed violations must be removed from
-//! the baseline (`--update-baseline`), so the count only goes down.
-//! Baseline entries for L007–L010 must carry a `justification` string —
-//! the ratchet rejects justification-free debt for the new rules.
+//! Any violation fails the run; there is no stored allowance.
 //!
 //! The crate has no dependencies by design — it is a hand-rolled lexer,
 //! not a parser, which is exactly enough for token-level rules and keeps
 //! the CI gate buildable with a bare toolchain.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -87,7 +64,7 @@ pub use analyzer::{
 /// One rule violation at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// Rule id, e.g. `"L002"`.
+    /// Rule id, e.g. `"L001"`.
     pub rule: &'static str,
     /// Repo-relative path with forward slashes.
     pub file: String,
@@ -130,21 +107,14 @@ impl fmt::Display for Violation {
 }
 
 /// All rule ids, in report order.
-pub const RULES: [(&str, &str); 10] = [
+pub const RULES: [(&str, &str); 6] = [
     ("L001", "enclave-only crypto primitives"),
-    ("L002", "no panics on 2PC commit/recovery path"),
-    ("L003", "deterministic time/randomness"),
-    ("L004", "auditable HostBytes declassification"),
     ("L005", "no secrets in format/trace payloads"),
-    ("L006", "crash points unique and registered"),
     ("L007", "no guard live across a yield point"),
     ("L008", "no guard live across crashpoint::hit"),
     ("L009", "no lock-order cycles"),
     ("L010", "every .lock() resolves through LOCK_REGISTRY"),
 ];
-
-/// Rules whose baseline entries must carry a `justification` string.
-pub const JUSTIFICATION_REQUIRED: [&str; 4] = ["L007", "L008", "L009", "L010"];
 
 // ---------------------------------------------------------------------------
 // Source scrubbing
@@ -354,32 +324,6 @@ const L001_ALLOW_FILES: [&str; 3] = [
     "crates/store/src/sstable.rs",
 ];
 
-/// L002 scope: the 2PC commit/recovery path, and the decoder under it.
-const L002_SCOPE: [&str; 5] = [
-    "crates/core/src/node.rs",
-    "crates/core/src/clog.rs",
-    "crates/store/src/log.rs",
-    "crates/store/src/sstable.rs",
-    "crates/crypto/src/codec.rs",
-];
-
-/// L003: nondeterminism sources banned outside the allowlist.
-const L003_SUBSTRINGS: [&str; 4] = [
-    "std::time::Instant",
-    "std::time::SystemTime",
-    "Instant::now",
-    "SystemTime::now",
-];
-const L003_IDENTS: [&str; 1] = ["thread_rng"];
-/// L003 allowlist: the one module allowed to read the wall clock.
-const L003_ALLOW_FILES: [&str; 1] = ["crates/sim/src/stats.rs"];
-
-/// L004: files exempt from the marker requirement (the constructor's own
-/// definition site).
-const L004_EXEMPT_FILES: [&str; 1] = ["crates/tee/src/hostbytes.rs"];
-/// The audit marker L004 requires near each declassification.
-pub const DECLASSIFY_MARKER: &str = "LINT-DECLASSIFY:";
-
 /// L005 scope: the trusted regions whose observability payloads are
 /// checked.
 const L005_SCOPE_PREFIXES: [&str; 4] = [
@@ -441,40 +385,6 @@ pub fn lint_source(file: &str, source: &str) -> Vec<Violation> {
         }
     }
 
-    // L002 — no panics on the commit/recovery path.
-    if in_list(file, &L002_SCOPE) {
-        for (n, line) in lines.iter().enumerate() {
-            let mut hits = 0;
-            if has_ident_then(line, "unwrap", '(') {
-                hits += 1;
-            }
-            if has_ident_then(line, "expect", '(') {
-                hits += 1;
-            }
-            if has_ident_then(line, "panic", '!') {
-                hits += 1;
-            }
-            for _ in 0..hits {
-                out.push(Violation::basic("L002", file, n + 1, snippet(n)));
-            }
-        }
-    }
-
-    // L003 — deterministic time/randomness. At most one violation per
-    // line: "std::time::Instant::now()" matches two patterns but is one
-    // offence.
-    if !in_list(file, &L003_ALLOW_FILES) {
-        for (n, line) in lines.iter().enumerate() {
-            let hit = L003_SUBSTRINGS.iter().any(|pat| line.contains(pat))
-                || L003_IDENTS
-                    .iter()
-                    .any(|tok| !ident_occurrences(line, tok).is_empty());
-            if hit {
-                out.push(Violation::basic("L003", file, n + 1, snippet(n)));
-            }
-        }
-    }
-
     // L005 — no secret-ish identifier may ride a format string or trace
     // payload in the trusted regions. The sink is matched on the scrubbed
     // line (macros live outside strings); the identifiers are matched on
@@ -496,128 +406,6 @@ pub fn lint_source(file: &str, source: &str) -> Vec<Violation> {
         }
     }
 
-    // L004 — every declassification carries an audit marker within the
-    // three raw lines above the call (markers live in comments, so they
-    // are searched on the raw source).
-    if !in_list(file, &L004_EXEMPT_FILES) {
-        for (n, line) in lines.iter().enumerate() {
-            if has_ident_then(line, "declassified", '(') {
-                let lo = n.saturating_sub(3);
-                let marked = raw_lines[lo..=n.min(raw_lines.len().saturating_sub(1))]
-                    .iter()
-                    .any(|l| l.contains(DECLASSIFY_MARKER));
-                if !marked {
-                    out.push(Violation::basic("L004", file, n + 1, snippet(n)));
-                }
-            }
-        }
-    }
-
-    out
-}
-
-// ---------------------------------------------------------------------------
-// L006 — crash-point registry (cross-file)
-// ---------------------------------------------------------------------------
-
-/// The file that defines the crash-point registry. Its own internals and
-/// unit tests are exempt from the call-site check.
-pub const CRASHPOINT_REGISTRY: &str = "crates/sim/src/crashpoint.rs";
-
-/// The call-site token L006 looks for (qualified, so the registry's own
-/// bare `hit(...)` helpers don't count).
-const L006_CALL: &str = "crashpoint::hit(";
-
-/// Extracts the `ALL_POINTS` names, with their 1-based line numbers, from
-/// the registry source. Empty if the registry marker is missing.
-pub fn crash_point_names(source: &str) -> Vec<(String, usize)> {
-    let mut out = Vec::new();
-    let mut in_registry = false;
-    for (n, raw) in source.lines().enumerate() {
-        if !in_registry {
-            if raw.contains("pub const ALL_POINTS") {
-                in_registry = true;
-            }
-            continue;
-        }
-        if raw.trim_start().starts_with("];") {
-            break;
-        }
-        let mut rest = raw;
-        while let Some(open) = rest.find('"') {
-            let tail = &rest[open + 1..];
-            match tail.find('"') {
-                Some(close) => {
-                    out.push((tail[..close].to_string(), n + 1));
-                    rest = &tail[close + 1..];
-                }
-                None => break,
-            }
-        }
-    }
-    out
-}
-
-/// L006 — the registry has no duplicate names, and every
-/// `crashpoint::hit("...")` call site outside the registry names a
-/// registered point with a string literal on the same line. Cross-file by
-/// nature: takes the whole workspace as `(repo-relative path, source)`
-/// pairs.
-pub fn lint_crash_points(sources: &[(String, String)]) -> Vec<Violation> {
-    let mut out = Vec::new();
-    let registry: Vec<(String, usize)> = sources
-        .iter()
-        .find(|(f, _)| f == CRASHPOINT_REGISTRY)
-        .map(|(_, s)| crash_point_names(s))
-        .unwrap_or_default();
-
-    let mut seen: BTreeMap<&str, usize> = BTreeMap::new();
-    for (name, line) in &registry {
-        if seen.insert(name.as_str(), *line).is_some() {
-            out.push(Violation::basic(
-                "L006",
-                CRASHPOINT_REGISTRY,
-                *line,
-                format!("duplicate crash point {name:?} in ALL_POINTS"),
-            ));
-        }
-    }
-    let names: std::collections::BTreeSet<&str> =
-        registry.iter().map(|(n, _)| n.as_str()).collect();
-
-    for (file, source) in sources {
-        if file == CRASHPOINT_REGISTRY {
-            continue;
-        }
-        let scrubbed = scrub(source);
-        for (n, (line, raw)) in scrubbed.lines().zip(source.lines()).enumerate() {
-            // The sink is detected on the scrubbed line (never inside a
-            // comment or string); the argument is read from the raw line,
-            // where the literal's contents survive.
-            if !line.contains(L006_CALL) {
-                continue;
-            }
-            let mut rest = raw;
-            while let Some(pos) = rest.find(L006_CALL) {
-                let arg = rest[pos + L006_CALL.len()..].trim_start();
-                let registered = arg
-                    .strip_prefix('"')
-                    .and_then(|a| a.find('"').map(|close| &a[..close]))
-                    .is_some_and(|name| names.contains(name));
-                if !registered {
-                    out.push(Violation::basic("L006", file, n + 1, {
-                        let mut s = raw.trim().to_string();
-                        if s.len() > 120 {
-                            s.truncate(117);
-                            s.push_str("...");
-                        }
-                        s
-                    }));
-                }
-                rest = &rest[pos + L006_CALL.len()..];
-            }
-        }
-    }
     out
 }
 
@@ -718,441 +506,8 @@ pub fn run(root: &Path) -> std::io::Result<(Vec<Violation>, usize)> {
     for (rel, source) in &sources {
         all.extend(lint_source(rel, source));
     }
-    all.extend(lint_crash_points(&sources));
     all.extend(lint_concurrency(&sources));
     Ok((all, scanned))
-}
-
-// ---------------------------------------------------------------------------
-// Baseline ratchet
-// ---------------------------------------------------------------------------
-
-/// Violation counts per rule per file, as observed on the working tree.
-pub type Counts = BTreeMap<String, BTreeMap<String, usize>>;
-
-/// One committed baseline entry: an accepted violation count, plus — for
-/// L007–L010 — the mandatory justification for carrying the debt.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct BaselineEntry {
-    /// Accepted violation count.
-    pub count: usize,
-    /// Why this debt is acceptable (required for L007–L010).
-    pub justification: Option<String>,
-}
-
-/// The committed ratchet state: rule → file → entry.
-pub type Baseline = BTreeMap<String, BTreeMap<String, BaselineEntry>>;
-
-/// Aggregates violations into ratchet counts.
-pub fn to_counts(violations: &[Violation]) -> Counts {
-    let mut b: Counts = BTreeMap::new();
-    for v in violations {
-        *b.entry(v.rule.to_string())
-            .or_default()
-            .entry(v.file.clone())
-            .or_insert(0) += 1;
-    }
-    b
-}
-
-/// Builds a baseline from current counts, carrying forward justifications
-/// from `old` where the (rule, file) key persists.
-pub fn counts_to_baseline(counts: &Counts, old: &Baseline) -> Baseline {
-    let mut out: Baseline = BTreeMap::new();
-    for (rule, files) in counts {
-        for (file, &count) in files {
-            let justification = old
-                .get(rule)
-                .and_then(|m| m.get(file))
-                .and_then(|e| e.justification.clone());
-            out.entry(rule.clone()).or_default().insert(
-                file.clone(),
-                BaselineEntry {
-                    count,
-                    justification,
-                },
-            );
-        }
-    }
-    out
-}
-
-/// One ratchet discrepancy.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RatchetEntry {
-    /// Rule id.
-    pub rule: String,
-    /// Repo-relative file.
-    pub file: String,
-    /// Count in the working tree.
-    pub current: usize,
-    /// Count recorded in the baseline.
-    pub baseline: usize,
-}
-
-/// Result of diffing current counts against the committed baseline.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct Ratchet {
-    /// current > baseline: new violations; the build fails.
-    pub regressions: Vec<RatchetEntry>,
-    /// current < baseline: the baseline is stale and must be shrunk.
-    pub stale: Vec<RatchetEntry>,
-    /// (rule, file) baseline entries for L007–L010 that lack the
-    /// mandatory justification string; the build fails.
-    pub unjustified: Vec<(String, String)>,
-}
-
-impl Ratchet {
-    /// True when the working tree matches the baseline exactly and all
-    /// new-rule debt is justified.
-    pub fn is_clean(&self) -> bool {
-        self.regressions.is_empty() && self.stale.is_empty() && self.unjustified.is_empty()
-    }
-}
-
-/// Diffs `current` against `baseline` over the union of (rule, file) keys,
-/// and flags L007–L010 baseline entries that carry no justification.
-pub fn ratchet(current: &Counts, baseline: &Baseline) -> Ratchet {
-    let mut keys: Vec<(String, String)> = Vec::new();
-    for (rule, files) in current {
-        for file in files.keys() {
-            let k = (rule.clone(), file.clone());
-            if !keys.contains(&k) {
-                keys.push(k);
-            }
-        }
-    }
-    for (rule, files) in baseline {
-        for file in files.keys() {
-            let k = (rule.clone(), file.clone());
-            if !keys.contains(&k) {
-                keys.push(k);
-            }
-        }
-    }
-    keys.sort();
-    let mut out = Ratchet::default();
-    for (rule, file) in keys {
-        let cur = current
-            .get(&rule)
-            .and_then(|m| m.get(&file))
-            .copied()
-            .unwrap_or(0);
-        let base_entry = baseline.get(&rule).and_then(|m| m.get(&file));
-        let base = base_entry.map(|e| e.count).unwrap_or(0);
-        let entry = RatchetEntry {
-            rule: rule.clone(),
-            file: file.clone(),
-            current: cur,
-            baseline: base,
-        };
-        if cur > base {
-            out.regressions.push(entry);
-        } else if cur < base {
-            out.stale.push(entry);
-        }
-        if JUSTIFICATION_REQUIRED.contains(&rule.as_str()) {
-            if let Some(e) = base_entry {
-                if e.justification
-                    .as_deref()
-                    .map(str::trim)
-                    .unwrap_or("")
-                    .is_empty()
-                {
-                    out.unjustified.push((rule.clone(), file.clone()));
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Escapes a string for embedding in the baseline JSON.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders the baseline as stable, pretty-printed JSON (sorted keys,
-/// trailing newline), so updates produce minimal diffs. Entries without a
-/// justification render as a bare count; justified entries render as
-/// `{"count": N, "justification": "..."}`.
-pub fn render_baseline(b: &Baseline) -> String {
-    let mut s = String::from("{\n");
-    let mut first_rule = true;
-    for (rule, files) in b {
-        if files.is_empty() {
-            continue;
-        }
-        if !first_rule {
-            s.push_str(",\n");
-        }
-        first_rule = false;
-        s.push_str(&format!("  \"{rule}\": {{\n"));
-        let mut first_file = true;
-        for (file, entry) in files {
-            if !first_file {
-                s.push_str(",\n");
-            }
-            first_file = false;
-            match &entry.justification {
-                Some(j) => s.push_str(&format!(
-                    "    \"{file}\": {{\"count\": {}, \"justification\": \"{}\"}}",
-                    entry.count,
-                    json_escape(j)
-                )),
-                None => s.push_str(&format!("    \"{file}\": {}", entry.count)),
-            }
-        }
-        s.push_str("\n  }");
-    }
-    s.push_str("\n}\n");
-    s
-}
-
-/// Renders violations plus ratchet status as machine-readable JSON for
-/// the CLI's `--format json` (consumed by the CI annotation artifact).
-pub fn render_diagnostics_json(violations: &[Violation], scanned: usize, r: &Ratchet) -> String {
-    let mut s = String::from("{\n");
-    s.push_str(&format!("  \"scanned\": {scanned},\n"));
-    s.push_str(&format!("  \"clean\": {},\n", r.is_clean()));
-    s.push_str("  \"diagnostics\": [");
-    for (i, v) in violations.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str("\n    {");
-        s.push_str(&format!("\"rule\": \"{}\", ", v.rule));
-        s.push_str(&format!("\"file\": \"{}\", ", json_escape(&v.file)));
-        s.push_str(&format!("\"line\": {}, ", v.line));
-        match &v.lock {
-            Some(l) => s.push_str(&format!("\"lock\": \"{}\", ", json_escape(l))),
-            None => s.push_str("\"lock\": null, "),
-        }
-        s.push_str(&format!("\"detail\": \"{}\"}}", json_escape(&v.detail)));
-    }
-    if !violations.is_empty() {
-        s.push_str("\n  ");
-    }
-    s.push_str("],\n");
-    let entries = |list: &[RatchetEntry]| -> String {
-        let mut out = String::from("[");
-        for (i, e) in list.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"rule\": \"{}\", \"file\": \"{}\", \"current\": {}, \"baseline\": {}}}",
-                e.rule,
-                json_escape(&e.file),
-                e.current,
-                e.baseline
-            ));
-        }
-        if !list.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push(']');
-        out
-    };
-    s.push_str(&format!(
-        "  \"regressions\": {},\n",
-        entries(&r.regressions)
-    ));
-    s.push_str(&format!("  \"stale\": {},\n", entries(&r.stale)));
-    s.push_str("  \"unjustified\": [");
-    for (i, (rule, file)) in r.unjustified.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "\n    {{\"rule\": \"{}\", \"file\": \"{}\"}}",
-            rule,
-            json_escape(file)
-        ));
-    }
-    if !r.unjustified.is_empty() {
-        s.push_str("\n  ");
-    }
-    s.push_str("]\n}\n");
-    s
-}
-
-/// Parses the baseline JSON: an object of objects whose values are either
-/// a bare count (`3`) or an entry object
-/// (`{"count": 3, "justification": "..."}`). Hand-rolled so the crate
-/// stays dependency-free; rejects anything outside that shape.
-pub fn parse_baseline(text: &str) -> Result<Baseline, String> {
-    let mut p = JsonParser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let mut out: Baseline = BTreeMap::new();
-    p.expect(b'{')?;
-    p.skip_ws();
-    if p.peek() == Some(b'}') {
-        p.pos += 1;
-    } else {
-        loop {
-            p.skip_ws();
-            let rule = p.string()?;
-            p.skip_ws();
-            p.expect(b':')?;
-            p.skip_ws();
-            p.expect(b'{')?;
-            let mut files = BTreeMap::new();
-            p.skip_ws();
-            if p.peek() == Some(b'}') {
-                p.pos += 1;
-            } else {
-                loop {
-                    p.skip_ws();
-                    let file = p.string()?;
-                    p.skip_ws();
-                    p.expect(b':')?;
-                    p.skip_ws();
-                    let entry = if p.peek() == Some(b'{') {
-                        p.entry_object()?
-                    } else {
-                        BaselineEntry {
-                            count: p.number()?,
-                            justification: None,
-                        }
-                    };
-                    files.insert(file, entry);
-                    p.skip_ws();
-                    match p.next() {
-                        Some(b',') => continue,
-                        Some(b'}') => break,
-                        other => return Err(format!("expected ',' or '}}', got {other:?}")),
-                    }
-                }
-            }
-            out.insert(rule, files);
-            p.skip_ws();
-            match p.next() {
-                Some(b',') => continue,
-                Some(b'}') => break,
-                other => return Err(format!("expected ',' or '}}', got {other:?}")),
-            }
-        }
-    }
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err("trailing garbage after baseline object".to_string());
-    }
-    Ok(out)
-}
-
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl JsonParser<'_> {
-    fn skip_ws(&mut self) {
-        while self
-            .peek()
-            .map(|b| b == b' ' || b == b'\n' || b == b'\r' || b == b'\t')
-            .unwrap_or(false)
-        {
-            self.pos += 1;
-        }
-    }
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-    fn next(&mut self) -> Option<u8> {
-        let b = self.peek();
-        if b.is_some() {
-            self.pos += 1;
-        }
-        b
-    }
-    fn expect(&mut self, want: u8) -> Result<(), String> {
-        match self.next() {
-            Some(b) if b == want => Ok(()),
-            other => Err(format!("expected {:?}, got {other:?}", want as char)),
-        }
-    }
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = Vec::new();
-        loop {
-            match self.next() {
-                Some(b'"') => break,
-                Some(b'\\') => match self.next() {
-                    Some(b'"') => out.push(b'"'),
-                    Some(b'\\') => out.push(b'\\'),
-                    Some(b'/') => out.push(b'/'),
-                    Some(b'n') => out.push(b'\n'),
-                    Some(b't') => out.push(b'\t'),
-                    other => return Err(format!("unsupported escape {other:?}")),
-                },
-                Some(b) => out.push(b),
-                None => return Err("unterminated string".to_string()),
-            }
-        }
-        String::from_utf8(out).map_err(|e| e.to_string())
-    }
-    /// Parses `{"count": N, "justification": "..."}` (either key
-    /// optional order; `count` mandatory).
-    fn entry_object(&mut self) -> Result<BaselineEntry, String> {
-        self.expect(b'{')?;
-        let mut count: Option<usize> = None;
-        let mut justification: Option<String> = None;
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-        } else {
-            loop {
-                self.skip_ws();
-                let key = self.string()?;
-                self.skip_ws();
-                self.expect(b':')?;
-                self.skip_ws();
-                match key.as_str() {
-                    "count" => count = Some(self.number()?),
-                    "justification" => justification = Some(self.string()?),
-                    other => return Err(format!("unknown baseline entry key {other:?}")),
-                }
-                self.skip_ws();
-                match self.next() {
-                    Some(b',') => continue,
-                    Some(b'}') => break,
-                    other => return Err(format!("expected ',' or '}}', got {other:?}")),
-                }
-            }
-        }
-        Ok(BaselineEntry {
-            count: count.ok_or("baseline entry object missing \"count\"")?,
-            justification,
-        })
-    }
-
-    fn number(&mut self) -> Result<usize, String> {
-        let start = self.pos;
-        while self.peek().map(|b| b.is_ascii_digit()).unwrap_or(false) {
-            self.pos += 1;
-        }
-        if start == self.pos {
-            return Err("expected a number".to_string());
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|e| e.to_string())?
-            .parse()
-            .map_err(|e: std::num::ParseIntError| e.to_string())
-    }
 }
 
 #[cfg(test)]
@@ -1210,55 +565,6 @@ mod tests {
     }
 
     #[test]
-    fn l002_catches_deliberate_unwrap_in_node() {
-        // The acceptance check from the issue: a deliberate unwrap() in
-        // core::node must be caught.
-        let v = lint_source(
-            "crates/core/src/node.rs",
-            "fn commit() { let d = decision.unwrap(); }\n",
-        );
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "L002");
-        assert_eq!(v[0].line, 1);
-    }
-
-    #[test]
-    fn l002_catches_expect_and_panic_but_not_err_variants() {
-        let src = "a.expect(\"boom\");\npanic!(\"no\");\nb.unwrap_err();\nc.expect_err(\"ok\");\nd.unwrap ();\n";
-        let v = lint_source("crates/core/src/clog.rs", src);
-        let lines: Vec<usize> = v.iter().map(|v| v.line).collect();
-        assert_eq!(lines, vec![1, 2, 5], "violations: {v:?}");
-        // Outside the 2PC scope the same code is allowed.
-        assert!(lint_source("crates/workload/src/lib.rs", src).is_empty());
-    }
-
-    #[test]
-    fn l003_flags_wall_clock_outside_stats() {
-        let src = "let t = std::time::Instant::now();\nlet r = rand::thread_rng();\n";
-        let v = lint_source("crates/sim/src/runtime.rs", src);
-        assert_eq!(v.len(), 2);
-        assert!(v.iter().all(|v| v.rule == "L003"));
-        assert!(lint_source("crates/sim/src/stats.rs", src).is_empty());
-    }
-
-    #[test]
-    fn l004_requires_audit_marker_within_three_lines() {
-        let bad = "let h = HostBytes::declassified(v, \"reason\");\n";
-        let v = lint_source("crates/net/src/fabric.rs", bad);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "L004");
-
-        let good = "// LINT-DECLASSIFY: test fixture\n//\n//\nlet h = HostBytes::declassified(v, \"reason\");\n";
-        assert!(lint_source("crates/net/src/fabric.rs", good).is_empty());
-
-        let too_far = "// LINT-DECLASSIFY: too far away\n//\n//\n//\nlet h = HostBytes::declassified(v, \"r\");\n";
-        assert_eq!(lint_source("crates/net/src/fabric.rs", too_far).len(), 1);
-
-        // The constructor's definition site is exempt.
-        assert!(lint_source("crates/tee/src/hostbytes.rs", bad).is_empty());
-    }
-
-    #[test]
     fn l005_flags_secret_interpolation_in_trusted_regions() {
         // Canary: a format string interpolating secret material inside a
         // trusted region is a declassification side channel.
@@ -1289,200 +595,9 @@ mod tests {
     }
 
     #[test]
-    fn l006_crash_points_unique_and_registered() {
-        let registry = concat!(
-            "pub const ALL_POINTS: &[&str] = &[\n",
-            "    \"coord.a\",\n",
-            "    \"part.b\",\n",
-            "];\n",
-        );
-        let reg = |src: &str| (CRASHPOINT_REGISTRY.to_string(), src.to_string());
-        let site = |src: &str| ("crates/core/src/node.rs".to_string(), src.to_string());
-
-        // Registered literal call sites are clean.
-        let ok = vec![
-            reg(registry),
-            site("treaty_sim::crashpoint::hit(\"coord.a\");\n"),
-        ];
-        assert!(lint_crash_points(&ok).is_empty());
-
-        // A typo'd point name is a violation.
-        let typo = vec![
-            reg(registry),
-            site("treaty_sim::crashpoint::hit(\"coord.typo\");\n"),
-        ];
-        let v = lint_crash_points(&typo);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "L006");
-        assert_eq!(v[0].file, "crates/core/src/node.rs");
-
-        // A non-literal argument can't be checked, so it is a violation.
-        let dynamic = vec![
-            reg(registry),
-            site("treaty_sim::crashpoint::hit(point_name);\n"),
-        ];
-        assert_eq!(lint_crash_points(&dynamic).len(), 1);
-
-        // A duplicate registry entry is a violation on its own.
-        let dup_registry = concat!(
-            "pub const ALL_POINTS: &[&str] = &[\n",
-            "    \"coord.a\",\n",
-            "    \"coord.a\",\n",
-            "];\n",
-        );
-        let v = lint_crash_points(&[reg(dup_registry)]);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].file, CRASHPOINT_REGISTRY);
-        assert_eq!(v[0].line, 3);
-
-        // Mentions inside comments or strings are not call sites.
-        let commented = vec![
-            reg(registry),
-            site("// treaty_sim::crashpoint::hit(\"coord.typo\")\nlet s = \"crashpoint::hit(\\\"nope\\\")\";\n"),
-        ];
-        assert!(lint_crash_points(&commented).is_empty());
-    }
-
-    #[test]
-    fn baseline_roundtrip_and_ratchet() {
-        let violations = vec![
-            Violation::basic("L002", "crates/store/src/log.rs", 1, "x".into()),
-            Violation::basic("L002", "crates/store/src/log.rs", 2, "y".into()),
-        ];
-        let counts = to_counts(&violations);
-        let baseline = counts_to_baseline(&counts, &Baseline::new());
-        let text = render_baseline(&baseline);
-        let parsed = parse_baseline(&text).unwrap();
-        assert_eq!(parsed, baseline);
-
-        // Identical counts: clean.
-        assert!(ratchet(&counts, &parsed).is_clean());
-
-        // One more violation: a regression.
-        let mut more = violations.clone();
-        more.push(Violation::basic(
-            "L002",
-            "crates/store/src/log.rs",
-            3,
-            "z".into(),
-        ));
-        let r = ratchet(&to_counts(&more), &parsed);
-        assert_eq!(r.regressions.len(), 1);
-        assert_eq!(r.regressions[0].current, 3);
-        assert_eq!(r.regressions[0].baseline, 2);
-
-        // One fewer: stale baseline (the ratchet must be tightened).
-        let r = ratchet(&to_counts(&violations[..1]), &parsed);
-        assert_eq!(r.stale.len(), 1);
-        assert!(r.regressions.is_empty());
-    }
-
-    #[test]
-    fn baseline_justifications_roundtrip_and_ratchet_rejects_missing() {
-        // A justified L007 entry survives render → parse and is clean.
-        let text = concat!(
-            "{\n",
-            "  \"L007\": {\n",
-            "    \"crates/core/src/node.rs\": {\"count\": 1, ",
-            "\"justification\": \"stats guard audited: drained before park\"}\n",
-            "  }\n",
-            "}\n",
-        );
-        let parsed = parse_baseline(text).unwrap();
-        assert_eq!(parsed["L007"]["crates/core/src/node.rs"].count, 1);
-        assert_eq!(render_baseline(&parsed), text);
-
-        let mut counts = Counts::new();
-        counts
-            .entry("L007".into())
-            .or_default()
-            .insert("crates/core/src/node.rs".into(), 1);
-        assert!(ratchet(&counts, &parsed).is_clean());
-
-        // The same entry as a bare count is rejected: L007–L010 debt
-        // must carry a justification.
-        let bare = "{\n  \"L007\": {\n    \"crates/core/src/node.rs\": 1\n  }\n}\n";
-        let parsed = parse_baseline(bare).unwrap();
-        let r = ratchet(&counts, &parsed);
-        assert!(!r.is_clean());
-        assert_eq!(
-            r.unjustified,
-            vec![("L007".to_string(), "crates/core/src/node.rs".to_string())]
-        );
-
-        // Old rules never require a justification.
-        let old = "{\n  \"L002\": {\n    \"crates/store/src/log.rs\": 2\n  }\n}\n";
-        let parsed = parse_baseline(old).unwrap();
-        let mut counts = Counts::new();
-        counts
-            .entry("L002".into())
-            .or_default()
-            .insert("crates/store/src/log.rs".into(), 2);
-        assert!(ratchet(&counts, &parsed).is_clean());
-
-        // counts_to_baseline carries justifications forward.
-        let mut old_b = Baseline::new();
-        old_b.entry("L008".into()).or_default().insert(
-            "crates/store/src/engine.rs".into(),
-            BaselineEntry {
-                count: 3,
-                justification: Some("audited".into()),
-            },
-        );
-        let mut counts = Counts::new();
-        counts
-            .entry("L008".into())
-            .or_default()
-            .insert("crates/store/src/engine.rs".into(), 2);
-        let b = counts_to_baseline(&counts, &old_b);
-        let e = &b["L008"]["crates/store/src/engine.rs"];
-        assert_eq!(e.count, 2);
-        assert_eq!(e.justification.as_deref(), Some("audited"));
-    }
-
-    #[test]
-    fn diagnostics_json_carries_rule_file_line_lock_detail() {
-        let v = vec![Violation {
-            rule: "L007",
-            file: "crates/core/src/node.rs".into(),
-            line: 42,
-            snippet: "runtime::sleep(5);".into(),
-            lock: Some("core.node.stats".into()),
-            detail: "guard `s` crosses \"sleep\"".into(),
-        }];
-        let mut r = Ratchet::default();
-        r.unjustified
-            .push(("L008".to_string(), "crates/store/src/engine.rs".to_string()));
-        let out = render_diagnostics_json(&v, 37, &r);
-        assert!(out.contains("\"scanned\": 37"), "{out}");
-        assert!(out.contains("\"clean\": false"), "{out}");
-        assert!(out.contains("\"rule\": \"L007\""), "{out}");
-        assert!(
-            out.contains("\"file\": \"crates/core/src/node.rs\""),
-            "{out}"
-        );
-        assert!(out.contains("\"line\": 42"), "{out}");
-        assert!(out.contains("\"lock\": \"core.node.stats\""), "{out}");
-        assert!(out.contains("crosses \\\"sleep\\\""), "{out}");
-        assert!(out.contains("\"unjustified\""), "{out}");
-
-        // No lock class renders as JSON null; an empty report is clean.
-        let v = vec![Violation::basic("L002", "a.rs", 1, "x".into())];
-        assert!(render_diagnostics_json(&v, 1, &Ratchet::default()).contains("\"lock\": null"));
-        assert!(render_diagnostics_json(&[], 0, &Ratchet::default()).contains("\"clean\": true"));
-    }
-
-    #[test]
-    fn empty_baseline_parses() {
-        assert!(parse_baseline("{}\n").unwrap().is_empty());
-        assert!(parse_baseline("{ }").unwrap().is_empty());
-    }
-
-    #[test]
-    fn workspace_matches_committed_baseline() {
-        // The CI gate, as a test: lint the real workspace and diff against
-        // the committed ratchet. Fails on new violations AND on a stale
-        // baseline, so the recorded counts can only shrink.
+    fn workspace_is_clean() {
+        // The CI gate, as a test: lint the real workspace; any violation
+        // fails.
         let root = Path::new(env!("CARGO_MANIFEST_DIR"))
             .parent()
             .and_then(|p| p.parent())
@@ -1490,16 +605,14 @@ mod tests {
             .to_path_buf();
         let (violations, scanned) = run(&root).expect("workspace scan");
         assert!(scanned > 0, "no files scanned — wrong root?");
-        let text = std::fs::read_to_string(root.join("lint-baseline.json"))
-            .expect("committed lint-baseline.json");
-        let baseline = parse_baseline(&text).expect("baseline parses");
-        let r = ratchet(&to_counts(&violations), &baseline);
         assert!(
-            r.is_clean(),
-            "lint ratchet violated.\nregressions (fix them): {:#?}\nstale (run treaty-lint --update-baseline): {:#?}\nunjustified L007-L010 baseline entries (add a justification string): {:#?}",
-            r.regressions,
-            r.stale,
-            r.unjustified
+            violations.is_empty(),
+            "treaty-lint violations:\n{}",
+            violations
+                .iter()
+                .map(ToString::to_string)
+                .collect::<Vec<_>>()
+                .join("\n")
         );
     }
 }

@@ -1,36 +1,22 @@
 //! CLI driver for treaty-lint.
 //!
 //! ```text
-//! treaty-lint [--root PATH] [--baseline PATH] [--update-baseline]
-//!             [--format text|json]
+//! treaty-lint [--root PATH]
 //! ```
 //!
-//! Scans the workspace, prints a per-rule summary, and diffs the counts
-//! against the committed `lint-baseline.json` ratchet. With
-//! `--format json` the report is a single machine-readable object
-//! (`{scanned, clean, diagnostics: [{rule, file, line, lock, detail}],
-//! regressions, stale, unjustified}`) for CI annotation; the text output
-//! is unchanged by default. Exit status:
+//! Scans the workspace and prints every violation. Exit status:
 //!
-//! * `0` — counts match the baseline exactly,
-//! * `1` — new violations (fix the code), a stale baseline (re-run with
-//!   `--update-baseline` to tighten it), or an L007–L010 baseline entry
-//!   with no justification string,
+//! * `0` — no violations,
+//! * `1` — one or more violations,
 //! * `2` — usage or I/O error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use treaty_lint::{
-    counts_to_baseline, parse_baseline, ratchet, render_baseline, render_diagnostics_json, run,
-    to_counts, Baseline, JUSTIFICATION_REQUIRED, RULES,
-};
+use treaty_lint::{run, RULES};
 
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut update = false;
-    let mut json = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -38,21 +24,10 @@ fn main() -> ExitCode {
                 Some(p) => root = PathBuf::from(p),
                 None => return usage("--root needs a path"),
             },
-            "--baseline" => match args.next() {
-                Some(p) => baseline_path = Some(PathBuf::from(p)),
-                None => return usage("--baseline needs a path"),
-            },
-            "--update-baseline" => update = true,
-            "--format" => match args.next().as_deref() {
-                Some("text") => json = false,
-                Some("json") => json = true,
-                _ => return usage("--format needs `text` or `json`"),
-            },
             "--help" | "-h" => return usage(""),
             other => return usage(&format!("unknown argument: {other}")),
         }
     }
-    let baseline_path = baseline_path.unwrap_or_else(|| root.join("lint-baseline.json"));
 
     let (violations, scanned) = match run(&root) {
         Ok(r) => r,
@@ -61,115 +36,21 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let current = to_counts(&violations);
-
-    if !json {
-        println!(
-            "treaty-lint: scanned {scanned} files under {}",
-            root.display()
-        );
-        for (rule, desc) in RULES {
-            let total: usize = current.get(rule).map(|m| m.values().sum()).unwrap_or(0);
-            println!("  {rule} ({desc}): {total} violation(s)");
-        }
+    println!(
+        "treaty-lint: scanned {scanned} files under {}",
+        root.display()
+    );
+    for (rule, desc) in RULES {
+        let total = violations.iter().filter(|v| v.rule == rule).count();
+        println!("  {rule} ({desc}): {total} violation(s)");
     }
-
-    if update {
-        // Carry existing justifications forward where the key persists.
-        let old: Baseline = std::fs::read_to_string(&baseline_path)
-            .ok()
-            .and_then(|text| parse_baseline(&text).ok())
-            .unwrap_or_default();
-        let next = counts_to_baseline(&current, &old);
-        if let Err(e) = std::fs::write(&baseline_path, render_baseline(&next)) {
-            eprintln!(
-                "treaty-lint: writing {} failed: {e}",
-                baseline_path.display()
-            );
-            return ExitCode::from(2);
-        }
-        println!("baseline written to {}", baseline_path.display());
-        for (rule, files) in &next {
-            if !JUSTIFICATION_REQUIRED.contains(&rule.as_str()) {
-                continue;
-            }
-            for (file, entry) in files {
-                if entry.justification.is_none() {
-                    println!(
-                        "  NOTE: {rule} {file} needs a \"justification\" string \
-                         (edit {} by hand) or the ratchet will fail",
-                        baseline_path.display()
-                    );
-                }
-            }
-        }
+    if violations.is_empty() {
+        println!("OK: no violations.");
         return ExitCode::SUCCESS;
     }
-
-    let baseline = match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => match parse_baseline(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!(
-                    "treaty-lint: {} does not parse: {e}",
-                    baseline_path.display()
-                );
-                return ExitCode::from(2);
-            }
-        },
-        Err(e) => {
-            eprintln!(
-                "treaty-lint: cannot read {} ({e}); run with --update-baseline to create it",
-                baseline_path.display()
-            );
-            return ExitCode::from(2);
-        }
-    };
-
-    let diff = ratchet(&current, &baseline);
-    if json {
-        print!("{}", render_diagnostics_json(&violations, scanned, &diff));
-        return if diff.is_clean() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::from(1)
-        };
-    }
-    if diff.is_clean() {
-        println!("OK: no new violations; baseline is tight.");
-        return ExitCode::SUCCESS;
-    }
-    if !diff.regressions.is_empty() {
-        eprintln!("\nNEW violations (fix these — the ratchet only goes down):");
-        for e in &diff.regressions {
-            eprintln!(
-                "  {} {}: {} now vs {} in baseline",
-                e.rule, e.file, e.current, e.baseline
-            );
-            for v in violations
-                .iter()
-                .filter(|v| v.rule == e.rule && v.file == e.file)
-            {
-                eprintln!("    {v}");
-            }
-        }
-    }
-    if !diff.stale.is_empty() {
-        eprintln!("\nSTALE baseline entries (violations were fixed — tighten the ratchet");
-        eprintln!("with `cargo run -p treaty-lint -- --update-baseline`):");
-        for e in &diff.stale {
-            eprintln!(
-                "  {} {}: {} now vs {} in baseline",
-                e.rule, e.file, e.current, e.baseline
-            );
-        }
-    }
-    if !diff.unjustified.is_empty() {
-        eprintln!("\nUNJUSTIFIED baseline debt (L007–L010 entries must carry a");
-        eprintln!("\"justification\" string in lint-baseline.json):");
-        for (rule, file) in &diff.unjustified {
-            eprintln!("  {rule} {file}");
-        }
+    eprintln!();
+    for v in &violations {
+        eprintln!("{v}");
     }
     ExitCode::from(1)
 }
@@ -178,9 +59,7 @@ fn usage(err: &str) -> ExitCode {
     if !err.is_empty() {
         eprintln!("treaty-lint: {err}");
     }
-    eprintln!(
-        "usage: treaty-lint [--root PATH] [--baseline PATH] [--update-baseline] [--format text|json]"
-    );
+    eprintln!("usage: treaty-lint [--root PATH]");
     if err.is_empty() {
         ExitCode::SUCCESS
     } else {

@@ -207,8 +207,7 @@ pub const METHOD_YIELDS: &[&str] = &[
     "wait_stable",
 ];
 
-/// The audit marker that documents an L008 exception (mirrors L004's
-/// `LINT-DECLASSIFY:`).
+/// The audit marker that documents an L008 exception.
 pub const CRASH_SAFE_MARKER: &str = "LINT-CRASH-SAFE:";
 
 /// Looks up a lock class by name.

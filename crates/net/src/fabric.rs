@@ -421,10 +421,9 @@ impl Fabric {
             }
             let next = {
                 let mut q = inbox.queue.lock();
-                match q.peek() {
-                    Some(head) if head.arrival <= now => Next::Ready(q.pop().unwrap().dg),
-                    Some(head) => Next::WaitUntil(head.arrival),
-                    None => Next::Empty,
+                match q.peek().map(|head| head.arrival) {
+                    Some(arrival) if arrival > now => Next::WaitUntil(arrival),
+                    _ => q.pop().map_or(Next::Empty, |head| Next::Ready(head.dg)),
                 }
             };
             match next {
@@ -490,8 +489,6 @@ mod tests {
             rpc_id: 0,
             session: 0,
             is_response: false,
-            // LINT-DECLASSIFY: synthetic fabric unit-test frames carry no
-            // secrets — they exercise delivery, not the envelope.
             wire: HostBytes::declassified(vec![0xAB; bytes], "fabric unit-test frame"),
             receiver_cpu: 0,
         }

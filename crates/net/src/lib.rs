@@ -21,6 +21,10 @@
 //!   execution in the presence of the adversary, in memory bounded by
 //!   requests in flight (the replay protection in [`rpc`]'s header).
 
+// A node answers or refuses with a typed error; it never panics (§III).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unreachable))]
+
 pub mod fabric;
 pub mod rpc;
 

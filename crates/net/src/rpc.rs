@@ -1216,19 +1216,19 @@ mod tests {
     /// the same endpoint, and on one registered under the same id later.
     #[test]
     fn unwinding_handler_leaves_no_session_behind() {
-        use treaty_sim::crashpoint::{self, FaultSchedule};
+        use treaty_sim::crashpoint::{self, CrashPoint, FaultSchedule};
         block_on(|| {
             let plan = crashpoint::install();
             let (fabric, server, client) = setup(WireCrypto::Full);
             const CRASHY: u8 = 8;
             let handler: ReqHandler = Arc::new(|_, meta, payload| {
-                crashpoint::hit("part.before_prepare");
+                crashpoint::hit(CrashPoint::PartBeforePrepare);
                 Some((meta, payload))
             });
             server.register_handler(CRASHY, false, Arc::clone(&handler));
             // No crash handler registered for node 1: the endpoint stays
             // up, only the fiber that hit the point unwinds.
-            plan.arm(FaultSchedule::new().crash_at("part.before_prepare", 1, 1));
+            plan.arm(FaultSchedule::new().crash_at(CrashPoint::PartBeforePrepare, 1, 1));
             let err = client.call(1, CRASHY, &meta(6, 1), b"x").unwrap_err();
             assert_eq!(err, NetError::Timeout);
             assert_eq!(plan.fired().len(), 1);

@@ -12,7 +12,7 @@
 //!
 //! Dumping must never make a bad situation worse: every I/O error is
 //! swallowed (`None` returned) and nothing here panics — crash handlers
-//! call this mid-unwind-setup (treaty-lint L002 territory).
+//! call this mid-unwind-setup, where a second panic aborts the process.
 
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;

@@ -1,7 +1,7 @@
 //! Deterministic crash-point fault injection.
 //!
-//! Every step of the distributed commit path registers a **named crash
-//! point** by calling [`hit`] at the instrumented site. A harness installs
+//! Every step of the distributed commit path names a [`CrashPoint`] by
+//! calling [`hit`] at the instrumented site. A harness installs
 //! a [`CrashPlan`] per simulation ([`install`], mirroring `obs::install`)
 //! and arms it with a [`FaultSchedule`]: "crash node N at point P on the
 //! K-th hit". When an armed fault matches, the plan
@@ -28,9 +28,8 @@
 //! fiber) [`hit`] is a no-op, so instrumentation is always-on and free to
 //! sprinkle — the same contract as the observability glue.
 //!
-//! Lint rule L006 keeps the inventory honest: every `crashpoint::hit`
-//! call site must name a point registered in [`ALL_POINTS`], and the
-//! inventory itself must be duplicate-free.
+//! The inventory is the [`CrashPoint`] enum: a call site names a variant,
+//! so a misspelled point fails to compile instead of never firing.
 
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
@@ -39,58 +38,104 @@ use std::sync::Arc;
 use crate::runtime;
 use crate::Nanos;
 
-/// Inventory of every named crash point compiled into the workspace.
-///
-/// Coordinator points fire on the node coordinating the transaction,
-/// participant points on the remote shard, `clog.*` on the coordinator's
-/// commit-log path, `store.*` inside the storage engine of whichever node
-/// is writing, `log.*` on whichever node's group-commit leader wrote and
-/// `counter.*` on whichever node leads a counter round.
-/// Lint rule L006 checks call sites against this list.
-pub const ALL_POINTS: &[&str] = &[
-    // Coordinator (treaty-core node.rs, Fig. 2 steps 2-13).
-    "coord.after_clog_start",
-    "coord.after_prepare_fanout",
-    "coord.after_votes",
-    "coord.commit_point",
-    "coord.finish_stable",
-    "coord.after_log_decision",
-    "coord.mid_decision_fanout",
-    "coord.after_decision_send",
-    "coord.before_client_reply",
-    "coord.ops_fanout",
-    // Participant (treaty-core node.rs, peer handler).
-    "part.before_prepare",
-    "part.batch_apply",
-    "part.after_prepare",
-    "part.read_only_finish",
-    "part.after_commit_apply",
-    "part.after_abort_apply",
-    "part.snapshot_read",
-    "part.snapshot_scan",
-    "part.scan",
-    "part.range_delete",
-    // Commit log (treaty-core clog.rs).
-    "clog.decision_appended",
-    // Storage engine (treaty-store txn.rs / engine.rs).
-    "store.prepare_logged",
-    "store.commit_logged",
-    "store.bg_flush_start",
-    "store.bg_compact_start",
-    // Log writer (treaty-store log.rs): a batch of queued appends (Clog,
-    // MANIFEST) is on disk, no follower has learnt its counter.
-    "log.batch_written",
-    // Trusted counter (treaty-counter lib.rs): the group acknowledged a
-    // round, its leader has not yet published the value as stable.
-    "counter.round_acked",
-];
+/// Declares [`CrashPoint`] from one `Variant => "dotted.name"` list, so
+/// the variants, [`CrashPoint::ALL`] and [`CrashPoint::name`] cannot drift
+/// apart.
+macro_rules! crash_points {
+    ($(#[$attr:meta])* pub enum $ty:ident { $($variant:ident => $name:literal,)* }) => {
+        $(#[$attr])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $ty {
+            $($variant,)*
+        }
+
+        impl $ty {
+            /// Every point, in declaration order: `ALL[i] as usize == i`.
+            pub const ALL: [$ty; [$($name),*].len()] = [$($ty::$variant),*];
+
+            /// The point's dotted name, e.g. `"coord.after_votes"`.
+            pub const fn name(self) -> &'static str {
+                match self {
+                    $($ty::$variant => $name,)*
+                }
+            }
+        }
+    };
+}
+
+crash_points! {
+    /// Every crash point compiled into the workspace, in a fixed order: a
+    /// point's index (`point as u64`) is what the `crash.fired` trace instant
+    /// carries, and [`CrashPoint::name`] is what flight dumps and fault-matrix
+    /// transcripts print.
+    ///
+    /// Coordinator points fire on the node coordinating the transaction,
+    /// participant points on the remote shard, `clog.*` on the coordinator's
+    /// commit-log path, `store.*` inside the storage engine of whichever node
+    /// is writing, `log.*` on whichever node's group-commit leader wrote and
+    /// `counter.*` on whichever node leads a counter round.
+    ///
+    /// A point is a variant, not a string, so a misspelled one does not
+    /// compile:
+    ///
+    /// ```compile_fail
+    /// treaty_sim::crashpoint::hit("coord.typo");
+    /// ```
+    ///
+    /// ```compile_fail
+    /// treaty_sim::crashpoint::hit(treaty_sim::crashpoint::CrashPoint::CoordTypo);
+    /// ```
+    pub enum CrashPoint {
+        // Coordinator (treaty-core node.rs, Fig. 2 steps 2-13).
+        CoordAfterClogStart => "coord.after_clog_start",
+        CoordAfterPrepareFanout => "coord.after_prepare_fanout",
+        CoordAfterVotes => "coord.after_votes",
+        CoordCommitPoint => "coord.commit_point",
+        CoordFinishStable => "coord.finish_stable",
+        CoordAfterLogDecision => "coord.after_log_decision",
+        CoordMidDecisionFanout => "coord.mid_decision_fanout",
+        CoordAfterDecisionSend => "coord.after_decision_send",
+        CoordBeforeClientReply => "coord.before_client_reply",
+        CoordOpsFanout => "coord.ops_fanout",
+        // Participant (treaty-core node.rs, peer handler).
+        PartBeforePrepare => "part.before_prepare",
+        PartBatchApply => "part.batch_apply",
+        PartAfterPrepare => "part.after_prepare",
+        PartReadOnlyFinish => "part.read_only_finish",
+        PartAfterCommitApply => "part.after_commit_apply",
+        PartAfterAbortApply => "part.after_abort_apply",
+        PartSnapshotRead => "part.snapshot_read",
+        PartSnapshotScan => "part.snapshot_scan",
+        PartScan => "part.scan",
+        PartRangeDelete => "part.range_delete",
+        // Commit log (treaty-core clog.rs).
+        ClogDecisionAppended => "clog.decision_appended",
+        // Storage engine (treaty-store txn.rs / engine.rs).
+        StorePrepareLogged => "store.prepare_logged",
+        StoreCommitLogged => "store.commit_logged",
+        StoreBgFlushStart => "store.bg_flush_start",
+        StoreBgCompactStart => "store.bg_compact_start",
+        // Log writer (treaty-store log.rs): a batch of queued appends (Clog,
+        // MANIFEST) is on disk, no follower has learnt its counter.
+        LogBatchWritten => "log.batch_written",
+        // Trusted counter (treaty-counter lib.rs): the group acknowledged a
+        // round, its leader has not yet published the value as stable.
+        CounterRoundAcked => "counter.round_acked",
+    }
+}
+
+impl std::fmt::Display for CrashPoint {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
 
 /// One armed fault: crash `node` the `hit`-th time (1-based, counted from
 /// arming) any of its fibers reaches `point`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CrashFault {
-    /// Crash-point name (must appear in [`ALL_POINTS`]).
-    pub point: String,
+    /// The crash point.
+    pub point: CrashPoint,
     /// Fabric endpoint id of the node to crash.
     pub node: u32,
     /// Fire on this hit count (1 = first hit after arming).
@@ -112,9 +157,9 @@ impl FaultSchedule {
     /// Builder: adds "crash `node` on the `hit`-th hit of `point`".
     /// A `hit` of 0 is treated as 1.
     #[must_use]
-    pub fn crash_at(mut self, point: impl Into<String>, node: u32, hit: u64) -> Self {
+    pub fn crash_at(mut self, point: CrashPoint, node: u32, hit: u64) -> Self {
         self.faults.push(CrashFault {
-            point: point.into(),
+            point,
             node,
             hit: hit.max(1),
         });
@@ -137,7 +182,7 @@ impl FaultSchedule {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FiredCrash {
     /// The crash point that fired.
-    pub point: String,
+    pub point: CrashPoint,
     /// The node that went down.
     pub node: u32,
     /// Virtual time of the crash.
@@ -241,7 +286,7 @@ impl CrashPlan {
         self.state.lock().down.remove(&node);
     }
 
-    fn decide(&self, point: &str, node: u32, at: Nanos) -> Decision {
+    fn decide(&self, point: CrashPoint, node: u32, at: Nanos) -> Decision {
         let mut st = self.state.lock();
         if st.down.contains(&node) {
             return Decision::Unwind;
@@ -262,11 +307,7 @@ impl CrashPlan {
             return Decision::Continue;
         }
         st.down.insert(node);
-        st.fired.push(FiredCrash {
-            point: point.to_string(),
-            node,
-            at,
-        });
+        st.fired.push(FiredCrash { point, node, at });
         drop(st);
         Decision::Fire(self.handlers.lock().get(&node).cloned())
     }
@@ -310,15 +351,15 @@ pub fn revive_node(node: u32) {
     }
 }
 
-/// A named crash point. Instrumented protocol steps call this; with no
-/// plan installed (or outside a fiber) it costs one thread-local read.
+/// A crash point. Instrumented protocol steps call this; with no plan
+/// installed (or outside a fiber) it costs one thread-local read.
 ///
 /// If an armed fault matches, this function **does not return**: it runs
 /// the node's crash handler and unwinds the fiber. It also does not
 /// return on any node already down — in-flight fibers of a crashed node
 /// are frozen at their next crash point so they cannot keep mutating
 /// state the crash should have lost.
-pub fn hit(point: &'static str) {
+pub fn hit(point: CrashPoint) {
     let Some((plan, node, at)) = runtime::crash_ctx() else {
         return;
     };
@@ -329,17 +370,15 @@ pub fn hit(point: &'static str) {
         Decision::Continue => {}
         Decision::Unwind => std::panic::panic_any(CrashUnwind),
         Decision::Fire(handler) => {
-            let idx = ALL_POINTS
-                .iter()
-                .position(|p| *p == point)
-                .map(|i| i as u64)
-                .unwrap_or(u64::MAX);
             crate::obs::counter_add("crash.fired", 1);
-            crate::obs::instant("crash.fired", &[("node", node as u64), ("point", idx)]);
+            crate::obs::instant(
+                "crash.fired",
+                &[("node", node as u64), ("point", point as u64)],
+            );
             // Post-mortem before the handler runs: the flight recorder
             // snapshots the node's last trace window while it still shows
             // the path into the crash.
-            crate::obs::flight_dump("crash.fired", point);
+            crate::obs::flight_dump("crash.fired", point.name());
             if let Some(handler) = handler {
                 handler();
             }
@@ -370,11 +409,11 @@ mod tests {
         Sim::new()
             .run(|| {
                 crate::obs::set_node(3);
-                hit("coord.after_votes");
+                hit(CrashPoint::CoordAfterVotes);
             })
             .unwrap();
         // And outside any fiber too.
-        hit("coord.after_votes");
+        hit(CrashPoint::CoordAfterVotes);
     }
 
     #[test]
@@ -386,14 +425,14 @@ mod tests {
         Sim::new()
             .run(move || {
                 let plan = install();
-                plan.arm(FaultSchedule::new().crash_at("clog.decision_appended", 7, 2));
+                plan.arm(FaultSchedule::new().crash_at(CrashPoint::ClogDecisionAppended, 7, 2));
                 let st2 = Arc::clone(&st1);
                 register_node(7, move || st2.store(true, Ordering::SeqCst));
                 let s2 = Arc::clone(&s1);
                 runtime::spawn_daemon(move || {
                     crate::obs::set_node(7);
                     for _ in 0..5 {
-                        hit("clog.decision_appended");
+                        hit(CrashPoint::ClogDecisionAppended);
                         s2.fetch_add(1, Ordering::SeqCst);
                         runtime::sleep(10);
                     }
@@ -401,7 +440,7 @@ mod tests {
                 runtime::sleep(1_000);
                 let fired = plan.fired();
                 assert_eq!(fired.len(), 1);
-                assert_eq!(fired[0].point, "clog.decision_appended");
+                assert_eq!(fired[0].point, CrashPoint::ClogDecisionAppended);
                 assert_eq!(fired[0].node, 7);
                 assert!(plan.is_down(7));
             })
@@ -421,18 +460,18 @@ mod tests {
         Sim::new()
             .run(move || {
                 let plan = install();
-                plan.arm(FaultSchedule::new().crash_at("part.after_prepare", 9, 1));
+                plan.arm(FaultSchedule::new().crash_at(CrashPoint::PartAfterPrepare, 9, 1));
                 let s2 = Arc::clone(&s1);
                 runtime::spawn_daemon(move || {
                     crate::obs::set_node(9);
-                    hit("part.after_prepare"); // crashes here
+                    hit(CrashPoint::PartAfterPrepare); // crashes here
                     s2.fetch_add(1, Ordering::SeqCst);
                 });
                 let s3 = Arc::clone(&s1);
                 runtime::spawn_daemon(move || {
                     crate::obs::set_node(9);
                     runtime::sleep(100); // let the first fiber crash
-                    hit("part.after_commit_apply"); // node is down: unwind
+                    hit(CrashPoint::PartAfterCommitApply); // node is down: unwind
                     s3.fetch_add(1, Ordering::SeqCst);
                 });
                 runtime::sleep(1_000);
@@ -447,10 +486,10 @@ mod tests {
         Sim::new()
             .run(|| {
                 let plan = install();
-                plan.arm(FaultSchedule::new().crash_at("coord.after_votes", 5, 1));
+                plan.arm(FaultSchedule::new().crash_at(CrashPoint::CoordAfterVotes, 5, 1));
                 runtime::spawn_daemon(|| {
                     crate::obs::set_node(5);
-                    hit("coord.after_votes");
+                    hit(CrashPoint::CoordAfterVotes);
                 });
                 runtime::sleep(100);
                 assert!(plan.is_down(5));
@@ -460,7 +499,7 @@ mod tests {
                 let r2 = Arc::clone(&ran);
                 runtime::spawn_daemon(move || {
                     crate::obs::set_node(5);
-                    hit("coord.after_votes"); // fault spent: no-op now
+                    hit(CrashPoint::CoordAfterVotes); // fault spent: no-op now
                     r2.store(true, Ordering::SeqCst);
                 });
                 runtime::sleep(100);
@@ -477,12 +516,12 @@ mod tests {
         Sim::new()
             .run(move || {
                 let plan = install();
-                plan.arm(FaultSchedule::new().crash_at("part.after_prepare", 2, 1));
+                plan.arm(FaultSchedule::new().crash_at(CrashPoint::PartAfterPrepare, 2, 1));
                 let s2 = Arc::clone(&s1);
                 runtime::spawn_daemon(move || {
                     crate::obs::set_node(3); // different node
-                    hit("part.after_prepare");
-                    hit("part.after_commit_apply"); // different point
+                    hit(CrashPoint::PartAfterPrepare);
+                    hit(CrashPoint::PartAfterCommitApply); // different point
                     s2.fetch_add(1, Ordering::SeqCst);
                 });
                 runtime::sleep(100);
@@ -500,12 +539,12 @@ mod tests {
             Sim::new()
                 .run(move || {
                     let plan = install();
-                    plan.arm(FaultSchedule::new().crash_at("store.commit_logged", 4, 3));
+                    plan.arm(FaultSchedule::new().crash_at(CrashPoint::StoreCommitLogged, 4, 3));
                     runtime::spawn_daemon(|| {
                         crate::obs::set_node(4);
                         loop {
                             runtime::sleep(17);
-                            hit("store.commit_logged");
+                            hit(CrashPoint::StoreCommitLogged);
                         }
                     });
                     runtime::sleep(1_000);
@@ -520,5 +559,18 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.len(), 1);
         assert_eq!(a[0].at, 51, "3rd hit at t=3*17");
+    }
+
+    #[test]
+    fn every_point_has_its_index_and_a_unique_name() {
+        let mut names = HashSet::new();
+        for (i, point) in CrashPoint::ALL.into_iter().enumerate() {
+            assert_eq!(point as usize, i, "{point:?} is out of order in ALL");
+            assert!(
+                names.insert(point.name()),
+                "{} is named twice",
+                point.name()
+            );
+        }
     }
 }

@@ -8,16 +8,21 @@ use crate::Nanos;
 
 /// A wall-clock stopwatch for *measurement only*.
 ///
-/// This module is the single place in the workspace allowed to touch
-/// `std::time` (treaty-lint rule L003): simulated components must take all
-/// time from the virtual clock, or runs stop being deterministic and
-/// replayable. Harness-level checks ("the simulation did not block real
-/// time") go through this helper so the lint allowlist stays at one file.
+/// This module is the single place in the workspace allowed to read the
+/// wall clock: `clippy.toml` bans `Instant::now` and `SystemTime::now`, and
+/// [`wall_clock`] carries the one `#[allow]`. Simulated components must
+/// take all time from the virtual clock, or runs stop being deterministic
+/// and replayable. Harness-level checks ("the simulation did not block
+/// real time") go through this helper.
 #[derive(Debug)]
 pub struct WallTimer(std::time::Instant);
 
 /// Starts a wall-clock stopwatch. See [`WallTimer`] for when this is
 /// legitimate.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the measurement stopwatch is the one wall-clock read"
+)]
 pub fn wall_clock() -> WallTimer {
     WallTimer(std::time::Instant::now())
 }

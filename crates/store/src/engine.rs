@@ -24,6 +24,7 @@ use std::sync::Arc;
 
 use treaty_crypto::codec::{CodecError, Decode, Encode, Reader, Record, Writer};
 use treaty_sched::{FiberMutex, GroupCommit};
+use treaty_sim::crashpoint::CrashPoint;
 
 use crate::env::Env;
 use crate::locks::{LockTable, TxId};
@@ -1298,7 +1299,7 @@ impl TreatyStore {
         let (counter, wal) = self.group_commit(&rec, Effect::Apply(versions))?;
         // The commit is in the WAL and the MemTable but not yet acked to
         // the caller — recovery must replay it from the log alone.
-        treaty_sim::crashpoint::hit("store.commit_logged");
+        treaty_sim::crashpoint::hit(CrashPoint::StoreCommitLogged);
         self.counters().commits.fetch_add(1, Ordering::Relaxed);
         Ok((seq, counter, wal))
     }
@@ -1587,7 +1588,7 @@ impl TreatyStore {
             // live in the MANIFEST, so a crash here loses nothing.
             // LINT-CRASH-SAFE: maintenance_lock is a FiberMutex; its guard
             // unlocks on unwind (no poisoning), so CrashUnwind releases it.
-            treaty_sim::crashpoint::hit("store.bg_flush_start");
+            treaty_sim::crashpoint::hit(CrashPoint::StoreBgFlushStart);
             self.build_flush(&work)?;
             let depth = {
                 let mut backlog = self.inner.flush_backlog.lock();
@@ -1601,7 +1602,7 @@ impl TreatyStore {
         if self.compaction_due() {
             // LINT-CRASH-SAFE: maintenance_lock is a FiberMutex; its guard
             // unlocks on unwind (no poisoning), so CrashUnwind releases it.
-            treaty_sim::crashpoint::hit("store.bg_compact_start");
+            treaty_sim::crashpoint::hit(CrashPoint::StoreBgCompactStart);
             self.maybe_compact()?;
             self.gc();
             return Ok(true);
@@ -2233,27 +2234,17 @@ where
     let mut last_key: Option<UserKey> = None;
     loop {
         // Smallest key wins; seq desc breaks ties so the first record
-        // of each key is its newest visible version.
-        let mut best: Option<usize> = None;
-        for (i, h) in heads.iter().enumerate() {
-            let Some((k, s, _)) = h else { continue };
-            let better = match best {
-                None => true,
-                Some(j) => {
-                    let (bk, bs, _) = heads[j].as_ref().expect("best head present");
-                    match k.cmp(bk) {
-                        std::cmp::Ordering::Less => true,
-                        std::cmp::Ordering::Greater => false,
-                        std::cmp::Ordering::Equal => s > bs,
-                    }
-                }
-            };
-            if better {
-                best = Some(i);
-            }
-        }
-        let Some(i) = best else { return Ok(()) };
-        let (key, seq, value) = heads[i].take().expect("selected head present");
+        // of each key is its newest visible version. The first of equal
+        // heads wins.
+        let best = heads
+            .iter()
+            .enumerate()
+            .filter_map(|(i, h)| h.as_ref().map(|(k, s, _)| (i, k, *s)))
+            .min_by(|(_, ka, sa), (_, kb, sb)| ka.cmp(kb).then(sb.cmp(sa)))
+            .map(|(i, _, _)| i);
+        let Some((i, (key, seq, value))) = best.and_then(|i| Some((i, heads[i].take()?))) else {
+            return Ok(());
+        };
         heads[i] = refill(&mut sources[i], end, snapshot)?;
         if last_key.as_ref() == Some(&key) {
             continue; // older version of a key already decided

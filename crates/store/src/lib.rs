@@ -24,6 +24,10 @@
 //! active, which is how the benchmarks produce the paper's system lineup
 //! (`RocksDB` baseline → `Treaty w/ Enc w/ Stab`).
 
+// A node answers or refuses with a typed error; it never panics (§III).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unreachable))]
+
 pub mod bloom;
 pub mod cache;
 pub mod engine;

@@ -25,6 +25,7 @@ use std::sync::Arc;
 use treaty_counter::TrustedCounter;
 use treaty_crypto::{aead_open, aead_seal, hash, CryptoError, Digest32};
 use treaty_sched::GroupCommit;
+use treaty_sim::crashpoint::CrashPoint;
 use treaty_tee::HostBytes;
 
 use crate::env::Env;
@@ -78,8 +79,8 @@ fn encode_record(env: &Env, name: &str, counter: u64, plain: &[u8]) -> HostBytes
             plain,
         ))
     } else {
-        // LINT-DECLASSIFY: profiles without storage encryption persist log
-        // payloads in clear by design (the "w/o Enc" and native baselines).
+        // Profiles without storage encryption persist log payloads in
+        // clear by design (the "w/o Enc" and native baselines).
         HostBytes::declassified(plain.to_vec(), "log payload under a no-encryption profile")
     };
     let mac = if env.profile.authentication {
@@ -115,9 +116,6 @@ pub struct LogWriter {
     file: Mutex<File>,
     /// The write lock, and the queue of single appends waiting for it.
     writes: GroupCommit<Vec<u8>, Result<u64>>,
-    /// `log.<kind>.flushes` / `log.<kind>.records`, kind = `wal`,
-    /// `manifest` or `clog`: records per flush is their ratio.
-    flush_metrics: [String; 2],
 }
 
 impl std::fmt::Debug for LogWriter {
@@ -143,8 +141,6 @@ impl LogWriter {
         recovered_counter: u64,
     ) -> Result<Self> {
         let name = name.into();
-        let kind = name.split('-').next().unwrap_or(&name);
-        let flush_metrics = ["flushes", "records"].map(|m| format!("log.{kind}.{m}"));
         let file = OpenOptions::new().create(true).append(true).open(path)?;
         let counter = TrustedCounter::new(
             counter_id(&env, &name),
@@ -158,7 +154,6 @@ impl LogWriter {
             counter,
             file: Mutex::new(file),
             writes: GroupCommit::new(),
-            flush_metrics,
         })
     }
 
@@ -191,7 +186,7 @@ impl LogWriter {
             let written = self.write_batch(&batch);
             if written.is_ok() {
                 // On disk, and no follower has learnt its counter.
-                treaty_sim::crashpoint::hit("log.batch_written");
+                treaty_sim::crashpoint::hit(CrashPoint::LogBatchWritten);
             }
             (0..batch.len() as u64)
                 .map(|i| written.clone().map(|(first, _)| first + i))
@@ -245,8 +240,6 @@ impl LogWriter {
         // the write was in flight must not hand the group a value the
         // file cannot show after a crash.
         self.counter.mark_written(last);
-        treaty_sim::obs::counter_add(&self.flush_metrics[0], 1);
-        treaty_sim::obs::counter_add(&self.flush_metrics[1], plains.len() as u64);
         Ok((first, last))
     }
 
@@ -312,7 +305,7 @@ pub fn replay(env: &Env, name: &str, path: &Path, start: u64) -> Result<LogRepla
             break;
         }
         // Bounds were checked above, so the conversions cannot fail; a
-        // typed error keeps the recovery path panic-free regardless (L002).
+        // typed error keeps the recovery path panic-free regardless.
         let counter = u64::from_le_bytes(
             raw[pos..pos + 8]
                 .try_into()

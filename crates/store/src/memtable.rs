@@ -185,11 +185,12 @@ impl MemTable {
             // Treaty w/o Enc: the enclave-held digest pins the plaintext,
             // so host tampering is caught on the read path.
             self.env.enclave.pin_integrity(digest);
+            #[allow(clippy::expect_used, reason = "the digest is pinned on the line above")]
             HostBytes::integrity_pinned(value.to_vec(), &self.env.enclave)
                 .expect("digest pinned immediately above")
         } else {
-            // LINT-DECLASSIFY: baseline profiles (native / DS-RocksDB) store
-            // plaintext values by design — they are the negative controls.
+            // Baseline profiles (native / DS-RocksDB) store plaintext
+            // values by design — they are the negative controls.
             HostBytes::declassified(value.to_vec(), "baseline profile without encryption")
         };
         let handle = self.env.vault.store(stored);
@@ -521,11 +522,10 @@ fn encrypt_with_prefix_nonce(key: &Key, aad: &[u8], nonce: [u8; 12], plain: &[u8
 }
 
 fn decrypt_with_prefix_nonce(key: &Key, aad: &[u8], stored: &[u8]) -> Result<Vec<u8>> {
-    if stored.len() < 12 {
+    let Some((nonce, sealed)) = stored.split_first_chunk::<12>() else {
         return Err(StoreError::Integrity("truncated host value".into()));
-    }
-    let nonce: [u8; 12] = stored[..12].try_into().unwrap();
-    aead_open(key, &nonce, aad, &stored[12..])
+    };
+    aead_open(key, nonce, aad, sealed)
         .map_err(|_| StoreError::Integrity("host value failed decryption".into()))
 }
 

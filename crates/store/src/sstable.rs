@@ -161,9 +161,9 @@ fn protect_block(env: &Env, file_id: u64, block_no: u32, plain: &[u8]) -> (HostB
             plain,
         ))
     } else {
-        // LINT-DECLASSIFY: unencrypted profiles store cleartext blocks by
-        // design; integrity comes from the footer HMAC the enclave pins at
-        // open (the "w/o Enc" ablation) or from nothing (native baseline).
+        // Unencrypted profiles store cleartext blocks by design; integrity
+        // comes from the footer HMAC the enclave pins at open (the "w/o
+        // Enc" ablation) or from nothing (native baseline).
         HostBytes::declassified(
             plain.to_vec(),
             "sstable block under a no-encryption profile",
@@ -1451,7 +1451,7 @@ mod tests {
     }
 
     /// Body of `cache_hit_charges_less_than_miss`, split out so the fiber
-    /// closure can propagate errors instead of panicking (L002).
+    /// closure can propagate errors instead of panicking.
     fn cache_probe(path_buf: &Path) -> Result<()> {
         let env = Env::for_testing(SecurityProfile::treaty_full(), path_buf);
         let path = path_buf.join(file_name(1));

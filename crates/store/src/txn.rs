@@ -13,11 +13,13 @@
 //!   [`TxnEngine::abort_prepared`] — possibly after a crash and recovery.
 
 use parking_lot::Mutex;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use treaty_crypto::codec::{CodecError, Decode, Encode, Reader, Writer};
+use treaty_sim::crashpoint::CrashPoint;
 
 use crate::engine::{
     stabilize_traced, Effect, FencedSpan, PreparedDecision, PreparedState, TreatyStore, WalRecord,
@@ -121,8 +123,10 @@ pub struct CommitInfo {
 #[derive(Debug, Default)]
 pub struct TxBuffer {
     data: Vec<u8>,
-    index: HashMap<UserKey, Option<(usize, usize)>>, // None = delete
-    order: Vec<UserKey>,
+    /// Each key's position in `writes`.
+    index: HashMap<UserKey, usize>,
+    /// `(key, slot in data)` in first-write order; `None` = delete.
+    writes: Vec<(UserKey, Option<(usize, usize)>)>,
 }
 
 impl TxBuffer {
@@ -135,28 +139,32 @@ impl TxBuffer {
     pub fn put(&mut self, key: &[u8], value: &[u8]) {
         let off = self.data.len();
         self.data.extend_from_slice(value);
-        if self
-            .index
-            .insert(key.to_vec(), Some((off, value.len())))
-            .is_none()
-        {
-            self.order.push(key.to_vec());
-        }
+        self.record(key, Some((off, value.len())));
     }
 
     /// Buffers a delete.
     pub fn delete(&mut self, key: &[u8]) {
-        if self.index.insert(key.to_vec(), None).is_none() {
-            self.order.push(key.to_vec());
+        self.record(key, None);
+    }
+
+    fn record(&mut self, key: &[u8], slot: Option<(usize, usize)>) {
+        match self.index.entry(key.to_vec()) {
+            Entry::Occupied(e) => self.writes[*e.get()].1 = slot,
+            Entry::Vacant(e) => {
+                self.writes.push((e.key().clone(), slot));
+                e.insert(self.writes.len() - 1);
+            }
         }
+    }
+
+    fn value(&self, slot: Option<(usize, usize)>) -> Option<Vec<u8>> {
+        slot.map(|(off, len)| self.data[off..off + len].to_vec())
     }
 
     /// Read-my-own-writes: `None` = key untouched; `Some(None)` = deleted;
     /// `Some(Some(v))` = buffered value.
     pub fn get(&self, key: &[u8]) -> Option<Option<Vec<u8>>> {
-        self.index
-            .get(key)
-            .map(|slot| slot.map(|(off, len)| self.data[off..off + len].to_vec()))
+        self.index.get(key).map(|&i| self.value(self.writes[i].1))
     }
 
     /// Buffered bytes (enclave footprint).
@@ -166,22 +174,22 @@ impl TxBuffer {
 
     /// Number of distinct keys written.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.writes.len()
     }
 
     /// True if nothing was written.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.writes.is_empty()
     }
 
     /// Materializes the write set in first-write order (last value per
     /// key wins).
     pub fn to_ops(&self) -> Vec<WriteOp> {
-        self.order
+        self.writes
             .iter()
-            .map(|k| WriteOp {
-                key: k.clone(),
-                value: self.get(k).expect("indexed key"),
+            .map(|(key, slot)| WriteOp {
+                key: key.clone(),
+                value: self.value(*slot),
             })
             .collect()
     }
@@ -668,7 +676,7 @@ impl EngineTxn for Txn {
             let _ = self.store.decide_prepared(gtx, false);
             return Err(self.abort_with(e));
         }
-        treaty_sim::crashpoint::hit("store.prepare_logged");
+        treaty_sim::crashpoint::hit(CrashPoint::StorePrepareLogged);
         self.store.inner.locks.release(self.id, read_only);
         self.locked.clear();
         self.range_locked.clear();

@@ -321,8 +321,6 @@ mod tests {
         assert_eq!(e.resident_bytes(), 0);
     }
 
-    // LINT-DECLASSIFY: vault unit tests exercise storage mechanics on
-    // synthetic non-secret bytes.
     fn test_bytes(data: Vec<u8>) -> HostBytes {
         HostBytes::declassified(data, "vault unit-test buffer")
     }

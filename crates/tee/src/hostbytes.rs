@@ -18,9 +18,10 @@
 //! * framing helpers ([`HostBytes::nonce`], [`HostBytes::tag`],
 //!   [`HostBytes::public_u32`]/[`HostBytes::public_u64`]) for
 //!   self-describing non-secret structure (nonces, lengths, MACs);
-//! * [`HostBytes::declassified`] — the one auditable escape hatch. Every
-//!   call site must carry a `// LINT-DECLASSIFY:` justification comment,
-//!   enforced by `treaty-lint` rule L004.
+//! * [`HostBytes::declassified`] — the one auditable escape hatch. Its
+//!   `reason` argument is a mandatory `&'static str`, so
+//!   `git grep 'declassified('` lists every deliberate plaintext-to-host
+//!   flow together with its justification.
 //!
 //! A deliberate plaintext store no longer typechecks — see the
 //! `compile_fail` doctest on [`crate::HostVault::store`].
@@ -173,9 +174,9 @@ impl HostBytes {
     }
 
     /// The audited escape hatch: plaintext the caller *asserts* is fine to
-    /// expose. `reason` is a mandatory audit string, and `treaty-lint`
-    /// rule L004 requires a `// LINT-DECLASSIFY:` comment at every call
-    /// site.
+    /// expose. `reason` is a mandatory audit string, written at the call
+    /// site and kept with the bytes ([`HostBytes::declass_reason`]), so
+    /// `git grep 'declassified('` is the complete audit.
     pub fn declassified(bytes: Vec<u8>, reason: &'static str) -> Self {
         HostBytes {
             bytes,
@@ -327,8 +328,6 @@ mod tests {
         let record = HostBytes::concat([HostBytes::nonce([0u8; 12]), ct.clone()]);
         assert_eq!(record.provenance(), Provenance::Ciphertext);
         assert_eq!(record.len(), 12 + ct.len());
-
-        // LINT-DECLASSIFY: provenance-ranking unit test needs a declassified part
         let declass = HostBytes::declassified(vec![0xAA], "provenance rank test");
         let mixed = HostBytes::concat([record, declass]);
         assert_eq!(mixed.provenance(), Provenance::Declassified);
@@ -337,7 +336,6 @@ mod tests {
 
     #[test]
     fn tamper_flips_exactly_one_byte() {
-        // LINT-DECLASSIFY: adversary-interface unit test on synthetic bytes
         let mut hb = HostBytes::declassified(vec![0u8; 4], "tamper test");
         hb.tamper(2, 0x55);
         hb.tamper(100, 0xFF); // out of range: ignored
@@ -346,7 +344,6 @@ mod tests {
 
     #[test]
     fn debug_redacts_bytes() {
-        // LINT-DECLASSIFY: Debug-redaction unit test on synthetic bytes
         let hb = HostBytes::declassified(b"do-not-print".to_vec(), "debug test");
         let s = format!("{hb:?}");
         assert!(!s.contains("do-not-print"));

@@ -16,6 +16,10 @@
 //! * [`HwCounter`] models the slow SGX monotonic counter that motivates the
 //!   asynchronous trusted counter service.
 
+// A node answers or refuses with a typed error; it never panics (§III).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unreachable))]
+
 pub mod attest;
 pub mod counter;
 pub mod enclave;

@@ -36,7 +36,7 @@ use treaty::crypto::codec::Record as _;
 use treaty::crypto::{MsgKind, TxMeta};
 use treaty::net::{Rpc, RpcConfig};
 use treaty::sched::block_on;
-use treaty::sim::crashpoint::{self, FaultSchedule};
+use treaty::sim::crashpoint::{self, CrashPoint, FaultSchedule};
 use treaty::sim::runtime::{join, now, sleep, spawn};
 use treaty::sim::{SecurityProfile, MICROS, MILLIS, SECONDS};
 use treaty::store::log::{counter_id, replay};
@@ -60,7 +60,7 @@ enum Cfg {
 
 #[derive(Debug, Clone, Copy)]
 struct Cell {
-    point: &'static str,
+    point: CrashPoint,
     /// Endpoint the armed crash takes down.
     crash: u32,
     cfg: Cfg,
@@ -75,7 +75,7 @@ struct Cell {
     prefill: bool,
 }
 
-const fn cell(point: &'static str, crash: u32, cfg: Cfg) -> Cell {
+const fn cell(point: CrashPoint, crash: u32, cfg: Cfg) -> Cell {
     Cell {
         point,
         crash,
@@ -91,37 +91,37 @@ const fn cell(point: &'static str, crash: u32, cfg: Cfg) -> Cell {
 fn cells() -> Vec<Cell> {
     let mut v = Vec::new();
     for p in [
-        "coord.after_clog_start",
-        "coord.after_prepare_fanout",
-        "coord.after_votes",
-        "coord.after_log_decision",
-        "coord.mid_decision_fanout",
-        "coord.after_decision_send",
-        "coord.before_client_reply",
+        CrashPoint::CoordAfterClogStart,
+        CrashPoint::CoordAfterPrepareFanout,
+        CrashPoint::CoordAfterVotes,
+        CrashPoint::CoordAfterLogDecision,
+        CrashPoint::CoordMidDecisionFanout,
+        CrashPoint::CoordAfterDecisionSend,
+        CrashPoint::CoordBeforeClientReply,
     ] {
         v.push(cell(p, COORD, Cfg::Commit));
         v.push(cell(p, COORD, Cfg::Abort));
     }
     // Past the commit point there is no abort left to crash in.
-    for p in ["coord.commit_point", "coord.finish_stable"] {
+    for p in [CrashPoint::CoordCommitPoint, CrashPoint::CoordFinishStable] {
         v.push(cell(p, COORD, Cfg::Commit));
     }
-    for p in ["part.before_prepare", "part.after_prepare"] {
+    for p in [CrashPoint::PartBeforePrepare, CrashPoint::PartAfterPrepare] {
         v.push(cell(p, PART, Cfg::Commit));
         v.push(cell(p, PART, Cfg::Abort));
     }
     // The decision-application points are only reachable under the
     // matching decision.
-    v.push(cell("part.after_commit_apply", PART, Cfg::Commit));
-    v.push(cell("part.after_abort_apply", PART, Cfg::Abort));
-    v.push(cell("clog.decision_appended", COORD, Cfg::Commit));
-    v.push(cell("clog.decision_appended", COORD, Cfg::Abort));
-    v.push(cell("store.prepare_logged", PART, Cfg::Commit));
-    v.push(cell("store.prepare_logged", PART, Cfg::Abort));
+    v.push(cell(CrashPoint::PartAfterCommitApply, PART, Cfg::Commit));
+    v.push(cell(CrashPoint::PartAfterAbortApply, PART, Cfg::Abort));
+    v.push(cell(CrashPoint::ClogDecisionAppended, COORD, Cfg::Commit));
+    v.push(cell(CrashPoint::ClogDecisionAppended, COORD, Cfg::Abort));
+    v.push(cell(CrashPoint::StorePrepareLogged, PART, Cfg::Commit));
+    v.push(cell(CrashPoint::StorePrepareLogged, PART, Cfg::Abort));
     // The local group-commit point never runs 2PC: a single
     // coordinator-owned key commits through the one-phase path.
     v.push(Cell {
-        point: "store.commit_logged",
+        point: CrashPoint::StoreCommitLogged,
         crash: COORD,
         cfg: Cfg::Commit,
         local_only: true,
@@ -133,7 +133,7 @@ fn cells() -> Vec<Cell> {
     // maintenance daemon, after the doomed writes are WAL-durable but
     // before (flush) or between (compaction) SSTable builds.
     v.push(Cell {
-        point: "store.bg_flush_start",
+        point: CrashPoint::StoreBgFlushStart,
         crash: PART,
         cfg: Cfg::Commit,
         local_only: false,
@@ -141,7 +141,7 @@ fn cells() -> Vec<Cell> {
         prefill: false,
     });
     v.push(Cell {
-        point: "store.bg_compact_start",
+        point: CrashPoint::StoreBgCompactStart,
         crash: PART,
         cfg: Cfg::Commit,
         local_only: false,
@@ -473,7 +473,7 @@ fn run_snapshot_read_cell() -> String {
         sleep(50 * MILLIS);
 
         // Arm: the participant crashes mid read-only transaction.
-        plan.arm(FaultSchedule::new().crash_at("part.snapshot_read", PART, 1));
+        plan.arm(FaultSchedule::new().crash_at(CrashPoint::PartSnapshotRead, PART, 1));
         let acked = match client.snapshot_read(&keys) {
             Ok(_) => 'C', // the burst raced the crash and still answered
             Err(TreatyError::Net(_)) => 'U',
@@ -484,7 +484,7 @@ fn run_snapshot_read_cell() -> String {
         sleep(SECONDS);
         let fired = plan.fired();
         assert_eq!(fired.len(), 1, "expected exactly one crash, got {fired:?}");
-        assert_eq!(fired[0].point, "part.snapshot_read");
+        assert_eq!(fired[0].point, CrashPoint::PartSnapshotRead);
         assert_eq!(fired[0].node, PART);
         let fired_at = fired[0].at;
 
@@ -574,7 +574,7 @@ fn run_read_only_finish_cell() -> String {
         tx.commit().expect("seed commit failed");
         sleep(50 * MILLIS);
 
-        plan.arm(FaultSchedule::new().crash_at("part.read_only_finish", PART, 1));
+        plan.arm(FaultSchedule::new().crash_at(CrashPoint::PartReadOnlyFinish, PART, 1));
         let mut tx = client.begin(COORD);
         let gtx = tx.gtx();
         for k in &keys {
@@ -593,7 +593,7 @@ fn run_read_only_finish_cell() -> String {
         sleep(SECONDS);
         let fired = plan.fired();
         assert_eq!(fired.len(), 1, "expected exactly one crash, got {fired:?}");
-        assert_eq!(fired[0].point, "part.read_only_finish");
+        assert_eq!(fired[0].point, CrashPoint::PartReadOnlyFinish);
         assert_eq!(fired[0].node, PART);
         let fired_at = fired[0].at;
 
@@ -684,7 +684,7 @@ fn run_ops_fanout_cell(scan: bool) -> String {
         tx.commit().expect("seed commit failed");
         sleep(50 * MILLIS);
 
-        plan.arm(FaultSchedule::new().crash_at("coord.ops_fanout", COORD, 1));
+        plan.arm(FaultSchedule::new().crash_at(CrashPoint::CoordOpsFanout, COORD, 1));
 
         // Doomed: buffered writes to all three shards, then a read outside
         // the buffer — the writes ship ahead of it in one list and the
@@ -709,7 +709,7 @@ fn run_ops_fanout_cell(scan: bool) -> String {
         sleep(4 * SECONDS);
         let fired = plan.fired();
         assert_eq!(fired.len(), 1, "expected exactly one crash, got {fired:?}");
-        assert_eq!(fired[0].point, "coord.ops_fanout");
+        assert_eq!(fired[0].point, CrashPoint::CoordOpsFanout);
         assert_eq!(fired[0].node, COORD);
         let fired_at = fired[0].at;
 
@@ -802,7 +802,7 @@ fn run_batch_apply_cell() -> String {
         tx.commit().expect("seed commit failed");
         sleep(50 * MILLIS);
 
-        plan.arm(FaultSchedule::new().crash_at("part.batch_apply", PART, 1));
+        plan.arm(FaultSchedule::new().crash_at(CrashPoint::PartBatchApply, PART, 1));
 
         // Doomed: buffered writes spanning all shards; the flush fans the
         // batch out and PART dies while applying its slice.
@@ -821,7 +821,7 @@ fn run_batch_apply_cell() -> String {
         sleep(4 * SECONDS);
         let fired = plan.fired();
         assert_eq!(fired.len(), 1, "expected exactly one crash, got {fired:?}");
-        assert_eq!(fired[0].point, "part.batch_apply");
+        assert_eq!(fired[0].point, CrashPoint::PartBatchApply);
         assert_eq!(fired[0].node, PART);
         let fired_at = fired[0].at;
 
@@ -912,7 +912,7 @@ fn armed_crash_leaves_a_parseable_flight_dump() {
         tx.commit().expect("seed commit");
         sleep(50 * MILLIS);
 
-        plan.arm(FaultSchedule::new().crash_at("coord.after_votes", COORD, 1));
+        plan.arm(FaultSchedule::new().crash_at(CrashPoint::CoordAfterVotes, COORD, 1));
         let mut tx = client.begin(COORD);
         for k in &keys {
             tx.put(k, b"doomed").unwrap();
@@ -1086,7 +1086,7 @@ fn roll_back_clog(cluster: &Cluster, idx: usize) -> usize {
 /// The coordinator dies at `point` — past the commit point, before any
 /// participant heard a decision — and recovery, whatever the `twist`, can
 /// only commit.
-fn run_commit_point_cell(point: &'static str, twist: Twist) -> String {
+fn run_commit_point_cell(point: CrashPoint, twist: Twist) -> String {
     let dir = tempfile::tempdir().unwrap();
     let path = dir.path().to_path_buf();
     block_on(move || {
@@ -1111,7 +1111,7 @@ fn run_commit_point_cell(point: &'static str, twist: Twist) -> String {
         sleep(SECONDS);
         let fired = plan.fired();
         assert_eq!(fired.len(), 1, "{cell}: expected one crash, got {fired:?}");
-        assert_eq!((fired[0].point.as_str(), fired[0].node), (point, COORD));
+        assert_eq!((fired[0].point, fired[0].node), (point, COORD));
         for n in [PART, SPARE] {
             let prepared = store(&cluster, n).prepared_txns();
             assert_eq!(prepared, [gtx], "{cell}: n{n} heard a decision");
@@ -1162,7 +1162,7 @@ fn run_round_acked_cell() -> String {
         let mut cluster = Cluster::start(options(&path)).unwrap();
         let keys: Vec<Vec<u8>> = key_per_node(&cluster).into_values().collect();
         seed(&cluster, &keys);
-        let cell = "counter.round_acked";
+        let cell = CrashPoint::CounterRoundAcked;
         let part = (PART - 1) as usize;
         let group_holds = |cluster: &Cluster| {
             let env = cluster.env(part).expect("durable cluster");
@@ -1191,7 +1191,7 @@ fn run_round_acked_cell() -> String {
         sleep(SECONDS);
         let fired = plan.fired();
         assert_eq!(fired.len(), 1, "{cell}: expected one crash, got {fired:?}");
-        assert_eq!((fired[0].point.as_str(), fired[0].node), (cell, PART));
+        assert_eq!((fired[0].point, fired[0].node), (cell, PART));
         assert!(
             group_holds(&cluster) > before,
             "{cell}: the group never acknowledged the Prepare"
@@ -1290,7 +1290,7 @@ fn run_clog_batch_cell(hit: u64, starts: bool) -> String {
         assert_eq!(seeded, 'C', "{cell}: seed");
         sleep(50 * MILLIS);
 
-        plan.arm(FaultSchedule::new().crash_at("log.batch_written", COORD, hit));
+        plan.arm(FaultSchedule::new().crash_at(CrashPoint::LogBatchWritten, COORD, hit));
         let doomed = std::sync::Arc::new(parking_lot::Mutex::new(Vec::new()));
         let cluster = std::sync::Arc::new(cluster);
         let clients: Vec<_> = (0..CLIENTS)
@@ -1475,7 +1475,7 @@ fn clog_batch_crash_recovers_from_what_the_file_shows() {
 /// acknowledged one at `coord.finish_stable`.
 #[test]
 fn commit_point_crash_commits_everywhere() {
-    for point in ["coord.commit_point", "coord.finish_stable"] {
+    for point in [CrashPoint::CoordCommitPoint, CrashPoint::CoordFinishStable] {
         run_twice(|| run_commit_point_cell(point, Twist::Plain));
     }
 }
@@ -1490,9 +1490,9 @@ fn commit_point_crash_commits_everywhere() {
 #[test]
 fn commit_point_crash_with_clog_rolled_back_still_commits() {
     for point in [
-        "coord.commit_point",
-        "clog.decision_appended",
-        "coord.finish_stable",
+        CrashPoint::CoordCommitPoint,
+        CrashPoint::ClogDecisionAppended,
+        CrashPoint::CoordFinishStable,
     ] {
         run_twice(|| run_commit_point_cell(point, Twist::RollBackClog));
     }
@@ -1506,7 +1506,7 @@ fn commit_point_crash_with_clog_rolled_back_still_commits() {
 /// re-sends it and a participant that is down asks when it returns.)
 #[test]
 fn commit_point_recovery_with_a_participant_down_stays_undecided() {
-    run_twice(|| run_commit_point_cell("coord.commit_point", Twist::ParticipantDown));
+    run_twice(|| run_commit_point_cell(CrashPoint::CoordCommitPoint, Twist::ParticipantDown));
 }
 
 /// The counter group loses its quorum between the ack and the decision

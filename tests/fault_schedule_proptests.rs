@@ -18,7 +18,7 @@ use rand_chacha::ChaCha8Rng;
 use treaty::core::messages::{decode, encode};
 use treaty::core::{check_list_append, Cluster, ClusterOptions, TxnObservation};
 use treaty::sched::block_on;
-use treaty::sim::crashpoint::{self, FaultSchedule};
+use treaty::sim::crashpoint::{self, CrashPoint, FaultSchedule};
 use treaty::sim::runtime::sleep;
 use treaty::sim::{SecurityProfile, MILLIS, SECONDS};
 use treaty::store::{EngineConfig, GlobalTxId, TxnEngine as _};
@@ -29,7 +29,7 @@ fn options(dir: &std::path::Path) -> ClusterOptions {
     o
 }
 
-fn run_case(point: &'static str, node: u32, hit: u64, txns: usize) {
+fn run_case(point: CrashPoint, node: u32, hit: u64, txns: usize) {
     let dir = tempfile::tempdir().unwrap();
     let path = dir.path().to_path_buf();
     block_on(move || {
@@ -145,13 +145,13 @@ fn run_case(point: &'static str, node: u32, hit: u64, txns: usize) {
     });
 }
 
-/// A crash schedule at every point of `ALL_POINTS` on every node (hit
+/// A crash schedule at every point of `CrashPoint::ALL` on every node (hit
 /// count and workload length seeded per case): the recovery oracle holds
 /// whether the crash fires or not.
 #[test]
 fn crash_schedules_preserve_the_recovery_oracle() {
     let mut rng = ChaCha8Rng::seed_from_u64(0x5eed);
-    for &point in crashpoint::ALL_POINTS {
+    for point in CrashPoint::ALL {
         for node in 1u32..=3 {
             let hit = rng.gen_range(1u64..=3);
             let txns = rng.gen_range(4usize..=8);
