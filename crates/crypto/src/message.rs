@@ -30,7 +30,7 @@
 //! receiver keeps one floor per sender (`treaty_net`'s `rpc` module header,
 //! "Replay protection").
 
-use crate::hash::hmac_sign;
+use crate::hash::{ct_eq, hmac_sign};
 use crate::keys::{nonce_sender, Key};
 use crate::{aead_open, aead_seal, CryptoError};
 
@@ -308,10 +308,10 @@ impl SecureEnvelope {
         let plain_body: Vec<u8> = match self.crypto {
             WireCrypto::Plain => body.to_vec(),
             WireCrypto::AuthOnly => {
+                // The network adversary sees how long a refusal takes, so
+                // the truncated tag is compared in constant time.
                 let tag = hmac_sign(key, &wire[..wire.len() - MAC_LEN]);
-                // Constant-time-ish comparison is unnecessary for the
-                // simulation, but compare the full truncated tag anyway.
-                if tag.0[..MAC_LEN] != *mac {
+                if !ct_eq(&tag.0[..MAC_LEN], mac) {
                     return Err(CryptoError::AuthFailed);
                 }
                 body.to_vec()

@@ -56,12 +56,13 @@ fn record_nonce(name: &str, counter: u64) -> [u8; 12] {
     nonce
 }
 
-fn mac_bytes(env: &Env, name: &str, counter: u64, payload: &[u8]) -> Digest32 {
+/// What a record's MAC covers: the log's name, the counter and the payload.
+fn mac_input(name: &str, counter: u64, payload: &[u8]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(payload.len() + name.len() + 8);
     buf.extend_from_slice(name.as_bytes());
     buf.extend_from_slice(&counter.to_le_bytes());
     buf.extend_from_slice(payload);
-    hash::hmac_sign(&env.keys.storage, &buf)
+    buf
 }
 
 /// Frames one record (encrypting the payload if the profile says so).
@@ -84,7 +85,11 @@ fn encode_record(env: &Env, name: &str, counter: u64, plain: &[u8]) -> HostBytes
         HostBytes::declassified(plain.to_vec(), "log payload under a no-encryption profile")
     };
     let mac = if env.profile.authentication {
-        mac_bytes(env, name, counter, payload.as_slice()).0
+        hash::hmac_sign(
+            &env.keys.storage,
+            &mac_input(name, counter, payload.as_slice()),
+        )
+        .0
     } else {
         [0u8; MAC_LEN]
     };
@@ -338,8 +343,10 @@ pub fn replay(env: &Env, name: &str, path: &Path, start: u64) -> Result<LogRepla
 
         if env.profile.authentication {
             env.charge_hash(len);
-            let want = mac_bytes(env, name, counter, payload);
-            if want.0 != *mac {
+            let mac = Digest32(std::array::from_fn(|i| mac[i]));
+            if hash::hmac_verify(&env.keys.storage, &mac_input(name, counter, payload), &mac)
+                .is_err()
+            {
                 return Err(StoreError::Integrity(format!(
                     "log {name}: record {counter} failed authentication"
                 )));

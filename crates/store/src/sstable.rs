@@ -23,7 +23,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use treaty_crypto::codec::{CodecError, Decode, Encode, Reader, Record, Writer};
-use treaty_crypto::{aead_open, aead_seal, hash};
+use treaty_crypto::{aead_open, aead_seal, hash, Digest32};
 use treaty_tee::HostBytes;
 
 use crate::bloom::BloomFilter;
@@ -204,8 +204,7 @@ fn open_block(
         if env.profile.authentication {
             let mut buf = block_aad(file_id, block_no);
             buf.extend_from_slice(stored);
-            let want = hash::hmac_sign(&env.keys.storage, &buf);
-            if want.0 != *digest {
+            if hash::hmac_verify(&env.keys.storage, &buf, &Digest32(*digest)).is_err() {
                 return Err(StoreError::Integrity(format!(
                     "sstable {file_id} block {block_no} failed authentication"
                 )));
