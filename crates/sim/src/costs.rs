@@ -136,7 +136,9 @@ pub struct CostModel {
     // ---- Engine CPU (charged per logical operation) -------------------------
     /// Skip-list / MemTable point operation (native), including MVCC
     /// bookkeeping, comparator walks and allocator work — calibrated to
-    /// RocksDB-class per-op cost.
+    /// RocksDB-class per-op cost. Every write pays it; a point read pays
+    /// it only when the MemTable's key filter may hold the key, and one
+    /// `bloom_probe_ns` before that either way.
     pub memtable_op_ns: Nanos,
     /// Serializing / framing one KV record.
     pub record_frame_ns: Nanos,

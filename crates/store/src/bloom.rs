@@ -38,8 +38,14 @@ fn fnv1a(seed: u64, data: &[u8]) -> u64 {
     h
 }
 
+/// A key's 64-bit FNV-1a fingerprint: the MemTable's key filter stores
+/// these, and it is also the first of a filter's two probe hashes.
+pub(crate) fn fingerprint(key: &[u8]) -> u64 {
+    fnv1a(FNV_OFFSET, key)
+}
+
 fn probes(key: &[u8]) -> (u64, u64) {
-    let h1 = fnv1a(FNV_OFFSET, key);
+    let h1 = fingerprint(key);
     // Derive the second hash from the first so a single pass over the key
     // suffices; force it odd so it is coprime with any power-of-two range.
     let h2 = fnv1a(FNV_OFFSET ^ h1.rotate_left(31), key) | 1;

@@ -10,8 +10,13 @@
 //! so point reads, range cursors and the flush all walk the same index.
 //! The fiber runtime runs one fiber at a time (§VII-C), so a second list
 //! would buy no parallelism — only a merge under every ordered read.
+//!
+//! Beside the list sits a set of key fingerprints, under the same lock: a
+//! point read whose key is not in the set skips the walk (RocksDB's
+//! memtable whole-key filter).
 
 use parking_lot::RwLock;
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -19,6 +24,7 @@ use treaty_crypto::codec::{CodecError, Decode, Encode, Reader, Writer};
 use treaty_crypto::{aead_open, aead_seal, hash, Digest32, Key};
 use treaty_tee::{HostBytes, HostHandle};
 
+use crate::bloom::fingerprint;
 use crate::env::Env;
 use crate::skiplist::SkipList;
 use crate::{Result, StoreError};
@@ -115,11 +121,49 @@ enum ValueEntry {
 /// Approximate enclave bytes per entry beyond the key: seq + hash + handle.
 const ENTRY_OVERHEAD: usize = 48;
 
+/// Enclave bytes per distinct key in the key filter: one fingerprint.
+const FINGERPRINT_BYTES: u64 = 8;
+
+/// The ordered index and its key filter, behind one lock so a reader sees
+/// a version and its key's fingerprint together or neither.
+#[derive(Default)]
+struct Index {
+    /// `(user key asc, seq desc)`.
+    list: SkipList<MemKey, ValueEntry>,
+    /// The fingerprint of every user key with a point version. Absence
+    /// proves the list holds no version of a key; presence may be a
+    /// collision, so the list is still walked.
+    keys: HashSet<u64>,
+}
+
+impl Index {
+    /// Inserts one version; true if its key's fingerprint is new.
+    fn insert(&mut self, key: MemKey, entry: ValueEntry) -> bool {
+        let fresh = self.keys.insert(fingerprint(&key.user));
+        self.list.insert(key, entry);
+        fresh
+    }
+
+    /// False if the list holds no version of `key`.
+    fn may_hold(&self, key: &[u8]) -> bool {
+        self.keys.contains(&fingerprint(key))
+    }
+
+    /// The newest version of `key` at or below `snapshot`: one list walk.
+    fn newest(&self, key: &[u8], snapshot: SeqNum) -> Option<(SeqNum, &ValueEntry)> {
+        let probe = MemKey::new(key.to_vec(), snapshot);
+        match self.list.range_from(&probe).next() {
+            Some((k, v)) if k.user == key => Some((k.seq(), v)),
+            _ => None,
+        }
+    }
+}
+
 /// A sorted in-memory write buffer.
 pub struct MemTable {
     env: Arc<Env>,
-    /// The one ordered index: `(user key asc, seq desc)`.
-    index: RwLock<SkipList<MemKey, ValueEntry>>,
+    /// The one ordered index and its key filter.
+    index: RwLock<Index>,
     /// Range tombstones buffered in this MemTable, in arrival order.
     /// Always few (one entry per `delete_range` call, not per key), so a
     /// linear scan per read is cheap; they ride the flush into the
@@ -151,7 +195,7 @@ impl MemTable {
         MemTable {
             value_key: env.keys.storage.derive("memtable-values"),
             env,
-            index: RwLock::new(SkipList::new()),
+            index: RwLock::new(Index::default()),
             range_tombstones: RwLock::new(Vec::new()),
             bytes: AtomicUsize::new(0),
             entries: AtomicUsize::new(0),
@@ -202,7 +246,7 @@ impl MemTable {
             .fetch_add(key.len() + ENTRY_OVERHEAD + value.len(), Ordering::Relaxed);
         self.entries.fetch_add(1, Ordering::Relaxed);
 
-        self.index.write().insert(
+        self.insert(
             MemKey::new(key.to_vec(), seq),
             ValueEntry::Put {
                 handle,
@@ -222,9 +266,16 @@ impl MemTable {
         self.bytes
             .fetch_add(key.len() + ENTRY_OVERHEAD, Ordering::Relaxed);
         self.entries.fetch_add(1, Ordering::Relaxed);
-        self.index
-            .write()
-            .insert(MemKey::new(key.to_vec(), seq), ValueEntry::Delete);
+        self.insert(MemKey::new(key.to_vec(), seq), ValueEntry::Delete);
+    }
+
+    /// Indexes one version; a key new to the filter costs its
+    /// fingerprint's enclave bytes.
+    fn insert(&self, key: MemKey, entry: ValueEntry) {
+        let fresh = self.index.write().insert(key, entry);
+        if fresh {
+            self.env.enclave.alloc_trusted(FINGERPRINT_BYTES);
+        }
     }
 
     /// Buffers a range tombstone deleting `[start, end)` at version `seq`.
@@ -266,22 +317,27 @@ impl MemTable {
     ///
     /// Returns `None` if the MemTable holds no version (caller falls
     /// through to SSTables), `Some(None)` for a tombstone, `Some(Some(v))`
-    /// for a value.
+    /// for a value. A key the filter rules out costs one Bloom probe and
+    /// no walk.
     ///
     /// # Errors
     ///
     /// Returns [`StoreError::Integrity`] if the host-resident value fails
     /// its hash or decryption — i.e. untrusted memory was tampered with.
     pub fn get(&self, key: &[u8], snapshot: SeqNum) -> Result<Option<Option<Vec<u8>>>> {
+        self.env.charge_bloom_probe();
+        let may_hold = self.index.read().may_hold(key);
+        if !may_hold {
+            // No point version here: only a range tombstone can answer.
+            return Ok(self.covering_tombstone_seq(key, snapshot).map(|_| None));
+        }
         self.env
             .charge_enclave_op(key.len() + ENTRY_OVERHEAD, self.env.costs.memtable_op_ns);
-        let guard = self.index.read();
-        let probe = MemKey::new(key.to_vec(), snapshot);
-        let point = match guard.range_from(&probe).next() {
-            Some((k, v)) if k.user == key => Some((k.seq(), v.clone())),
-            _ => None,
-        };
-        drop(guard);
+        let point = self
+            .index
+            .read()
+            .newest(key, snapshot)
+            .map(|(seq, v)| (seq, v.clone()));
         // A range tombstone newer than the point version (but visible at
         // the snapshot) deletes it; one with no point version at all still
         // deletes whatever older levels hold.
@@ -334,11 +390,10 @@ impl MemTable {
     /// optimistic validation).
     pub fn latest_seq_of(&self, key: &[u8]) -> Option<SeqNum> {
         let guard = self.index.read();
-        let probe = MemKey::new(key.to_vec(), SeqNum::MAX);
-        match guard.range_from(&probe).next() {
-            Some((k, _)) if k.user == key => Some(k.seq()),
-            _ => None,
+        if !guard.may_hold(key) {
+            return None;
         }
+        guard.newest(key, SeqNum::MAX).map(|(seq, _)| seq)
     }
 
     /// Approximate bytes buffered (keys + values), for flush triggering.
@@ -370,6 +425,7 @@ impl MemTable {
         let entries: Vec<(MemKey, ValueEntry)> = {
             let guard = self.index.read();
             guard
+                .list
                 .range_from(&probe)
                 .take_while(|(k, _)| end.map(|e| k.user.as_slice() < e).unwrap_or(true))
                 .map(|(k, v)| (k.clone(), v.clone()))
@@ -398,7 +454,11 @@ impl MemTable {
     pub fn freeze_entries(&self) -> Result<Vec<VersionedEntry>> {
         let all: Vec<(MemKey, ValueEntry)> = {
             let guard = self.index.read();
-            guard.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
+            guard
+                .list
+                .iter()
+                .map(|(k, v)| (k.clone(), v.clone()))
+                .collect()
         };
         let mut out = Vec::with_capacity(all.len());
         for (k, v) in all {
@@ -449,7 +509,10 @@ impl MemTable {
             self.env.enclave.free_trusted(freed as u64);
         }
         let guard = self.index.read();
-        for (k, v) in guard.iter() {
+        self.env
+            .enclave
+            .free_trusted(FINGERPRINT_BYTES * guard.keys.len() as u64);
+        for (k, v) in guard.list.iter() {
             let freed = k.user.len() + ENTRY_OVERHEAD;
             self.env.enclave.free_trusted(freed as u64);
             if let ValueEntry::Put {
@@ -771,6 +834,112 @@ mod tests {
         let (_d, env, mt) = memtable(SecurityProfile::treaty_full());
         mt.delete_range(b"a", b"z", 1);
         assert!(env.enclave.resident_bytes() > 0);
+        mt.release_flushed();
+        assert_eq!(env.enclave.resident_bytes(), 0);
+    }
+
+    #[test]
+    fn absent_key_under_a_covering_range_tombstone_reads_deleted() {
+        let (_d, _e, mt) = memtable(SecurityProfile::treaty_full());
+        mt.put(b"a", 1, b"va");
+        mt.delete_range(b"b", b"m", 5);
+        // "c" has no point version, so the filter rules it out; the
+        // tombstone still deletes whatever older levels hold.
+        assert_eq!(mt.get(b"c", SeqNum::MAX).unwrap(), Some(None));
+        assert_eq!(mt.get(b"c", 4).unwrap(), None, "tombstone not yet visible");
+        assert_eq!(mt.get(b"z", SeqNum::MAX).unwrap(), None);
+    }
+
+    /// Virtual time one `get` advances inside a fiber.
+    fn timed_get(mt: &MemTable, key: &[u8]) -> (Option<Option<Vec<u8>>>, u64) {
+        let start = treaty_sim::runtime::now();
+        let got = mt.get(key, SeqNum::MAX).unwrap();
+        (got, treaty_sim::runtime::now() - start)
+    }
+
+    /// What a `get` of a present `key` with a `len`-byte value charged
+    /// before the key filter: the walk, the decrypt and the hash check.
+    fn walk_and_resolve_ns(env: &Env, key: &[u8], len: usize) -> u64 {
+        let (costs, tee) = (&env.costs, env.profile.tee);
+        env.enclave
+            .access_cost(costs, key.len() + ENTRY_OVERHEAD, costs.memtable_op_ns)
+            + costs.enclave_cpu(tee, costs.aes_ns(len))
+            + costs.enclave_cpu(tee, costs.sha_ns(len))
+    }
+
+    /// What `Env::charge_bloom_probe` charges.
+    fn bloom_probe_ns(env: &Env) -> u64 {
+        env.enclave
+            .access_cost(&env.costs, 64, env.costs.bloom_probe_ns)
+    }
+
+    #[test]
+    fn an_absent_key_costs_one_bloom_probe_and_a_present_key_adds_the_walk() {
+        let dir = tempfile::tempdir().unwrap();
+        let path = dir.path().to_path_buf();
+        treaty_sched::block_on(move || {
+            let env = Env::for_testing(SecurityProfile::treaty_full(), &path);
+            let mt = MemTable::new(Arc::clone(&env));
+            mt.put(b"present", 1, b"value");
+            let probe = bloom_probe_ns(&env);
+            assert!(probe > 0);
+
+            let (got, spent) = timed_get(&mt, b"absent");
+            assert_eq!(got, None);
+            assert_eq!(spent, probe, "an absent key skips the walk");
+
+            let (got, spent) = timed_get(&mt, b"present");
+            assert_eq!(got, Some(Some(b"value".to_vec())));
+            assert_eq!(spent, probe + walk_and_resolve_ns(&env, b"present", 5));
+        });
+    }
+
+    #[test]
+    fn a_frozen_memtable_answers_through_its_key_filter() {
+        let dir = tempfile::tempdir().unwrap();
+        let path = dir.path().to_path_buf();
+        treaty_sched::block_on(move || {
+            let env = Env::for_testing(SecurityProfile::treaty_full(), &path);
+            let mt = MemTable::new(Arc::clone(&env));
+            for i in 0..32u32 {
+                mt.put(format!("k{i:02}").as_bytes(), u64::from(i) + 1, b"v");
+            }
+            mt.delete(b"gone", 40);
+            // Frozen: its entries are being built into an SSTable, and it
+            // stays on the read path until that table is published.
+            assert_eq!(mt.freeze_entries().unwrap().len(), 33);
+            let probe = bloom_probe_ns(&env);
+
+            for absent in [&b"k32"[..], b"k", b"zz"] {
+                let (got, spent) = timed_get(&mt, absent);
+                assert_eq!(got, None);
+                assert_eq!(spent, probe, "{absent:?} skips the walk");
+                assert_eq!(mt.latest_seq_of(absent), None);
+            }
+            let (got, spent) = timed_get(&mt, b"k07");
+            assert_eq!(got, Some(Some(b"v".to_vec())));
+            assert_eq!(spent, probe + walk_and_resolve_ns(&env, b"k07", 1));
+            assert_eq!(timed_get(&mt, b"gone").0, Some(None));
+            assert_eq!(mt.latest_seq_of(b"gone"), Some(40));
+        });
+    }
+
+    #[test]
+    fn key_filter_holds_eight_enclave_bytes_per_distinct_key() {
+        let (_d, env, mt) = memtable(SecurityProfile::treaty_full());
+        mt.put(b"a", 1, b"v1");
+        mt.put(b"a", 2, b"v2");
+        mt.delete(b"bb", 3);
+        let entries = 2 * (1 + ENTRY_OVERHEAD) + (2 + ENTRY_OVERHEAD);
+        assert_eq!(
+            env.enclave.resident_bytes(),
+            entries as u64 + 2 * FINGERPRINT_BYTES
+        );
+        assert_eq!(
+            mt.approx_bytes(),
+            entries + 4,
+            "flush trigger ignores the filter"
+        );
         mt.release_flushed();
         assert_eq!(env.enclave.resident_bytes(), 0);
     }

@@ -216,3 +216,80 @@ fn engine_matches_model_across_recovery() {
         }
     });
 }
+
+/// One committed write in [`engine_reads_every_key_like_a_model`].
+enum Write {
+    Put(u8, Vec<u8>),
+    Delete(u8),
+    DeleteRange(u8, u8),
+}
+
+/// Random puts, deletes and range deletes, with the odd flush between
+/// them so MemTable entries and range tombstones sit over SSTables: every
+/// key of the space, keys never written included, reads as a `BTreeMap`
+/// model says — from the MemTable, after a flush and after a reopen.
+#[test]
+fn engine_reads_every_key_like_a_model() {
+    /// Point writes touch keys below this.
+    const WRITTEN: u8 = 12;
+    /// Reads cover keys below this; range deletes reach it.
+    const SPACE: u8 = 16;
+    for_each_case(ENGINE_CASES, |case, rng| {
+        let writes: Vec<(Write, bool)> = (0..rng.gen_range(1..60usize))
+            .map(|_| {
+                let write = match rng.gen_range(0..10u8) {
+                    0..=5 => {
+                        let mut v = vec![0u8; rng.gen_range(1..80usize)];
+                        rng.fill_bytes(&mut v);
+                        Write::Put(rng.gen_range(0..WRITTEN), v)
+                    }
+                    6..=7 => Write::Delete(rng.gen_range(0..WRITTEN)),
+                    _ => {
+                        let start = rng.gen_range(0..SPACE);
+                        Write::DeleteRange(start, rng.gen_range(start + 1..=SPACE))
+                    }
+                };
+                (write, rng.gen_bool(0.1))
+            })
+            .collect();
+
+        let check = |store: &TreatyStore, model: &BTreeMap<u8, Vec<u8>>, when: &str| {
+            for k in 0..SPACE {
+                let got = store.get_committed(&[k]).unwrap();
+                assert_eq!(got.as_ref(), model.get(&k), "case {case}, {when}: key {k}");
+            }
+        };
+        let dir = tempfile::tempdir().unwrap();
+        let env = Env::for_testing(SecurityProfile::treaty_full(), dir.path());
+        let mut model = BTreeMap::new();
+        {
+            let store = TreatyStore::open(std::sync::Arc::clone(&env)).unwrap();
+            for (write, flush_after) in &writes {
+                let mut tx = store.begin_mode(TxnMode::Pessimistic);
+                match write {
+                    Write::Put(k, v) => {
+                        tx.put(&[*k], v).unwrap();
+                        model.insert(*k, v.clone());
+                    }
+                    Write::Delete(k) => {
+                        tx.delete(&[*k]).unwrap();
+                        model.remove(k);
+                    }
+                    Write::DeleteRange(start, end) => {
+                        tx.delete_range(&[*start], &[*end]).unwrap();
+                        model.retain(|k, _| !(*start..*end).contains(k));
+                    }
+                }
+                tx.commit().unwrap();
+                if *flush_after {
+                    store.flush().unwrap();
+                }
+            }
+            check(&store, &model, "before flush");
+            store.flush().unwrap();
+            check(&store, &model, "after flush");
+        }
+        let store = TreatyStore::open(env).unwrap();
+        check(&store, &model, "after reopen");
+    });
+}
