@@ -6,8 +6,9 @@
 //! prepared transactions) with integrity and freshness verification at
 //! every step (§VI).
 //!
-//! The commit path is pipelined: the group-commit leader only *rotates*
-//! the MemTable/WAL generation under the commit lock; the expensive work —
+//! The commit path is pipelined: the group-commit leader only logs the
+//! batch and *rotates* the MemTable/WAL generation under the commit lock;
+//! each committer inserts its own versions after it; the expensive work —
 //! SSTable builds and the compaction cascade — runs on a spawn-on-demand
 //! maintenance daemon, with RocksDB-style slowdown/stop backpressure so
 //! writers can outrun maintenance only by a bounded amount (and stall,
@@ -23,7 +24,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use treaty_crypto::codec::{CodecError, Decode, Encode, Reader, Record, Writer};
-use treaty_sched::{FiberMutex, GroupCommit};
+use treaty_sched::{FiberMutex, GroupCommit, WaitQueue};
 use treaty_sim::crashpoint::CrashPoint;
 
 use crate::env::Env;
@@ -330,8 +331,9 @@ impl PreparedTable {
 
     /// Claims a prepared transaction for its 2PC decision: marks it
     /// `deciding` and returns a copy of its state, leaving the entry in
-    /// the table (and its keys in-doubt) until the group-commit leader that
-    /// logged the `Decide` has applied it and [`PreparedTable::remove`]s it.
+    /// the table (and its keys in-doubt) until the `Decide` is logged and
+    /// its writes are in the MemTable; then [`PreparedTable::remove`] —
+    /// the leader's for an abort, the decider's own for a commit.
     /// Returns `None` if the transaction is unknown or already claimed —
     /// decisions are idempotent, so callers treat that as "nothing to do".
     pub fn begin_decide(&self, gtx: &GlobalTxId) -> Option<PreparedDecision> {
@@ -571,28 +573,94 @@ pub(crate) struct StatsCells {
 /// number, point writes and range deletes (`[start, end)`).
 pub(crate) type Versions = (SeqNum, Vec<WriteOp>, Vec<(UserKey, UserKey)>);
 
-/// What the group-commit leader does for a record once its batch is on
-/// disk, still under the commit lock — where rotations run too, so a
-/// rotation sees a record and its effect together or not at all.
+/// What logging a record does. The group-commit leader runs the
+/// `PreparedTable` half under the commit lock, in the turn that wrote the
+/// batch — where rotations run too, so a rotation sees a `Prepare` and its
+/// entry together or not at all. Versions are inserted by their owner, once
+/// the batch is durable and off the lock, into the MemTable that was live
+/// at the append (see [`Insert`]).
 pub(crate) enum Effect {
-    /// `Commit`: the versions enter the MemTable.
+    /// `Commit`: the owner inserts the versions.
     Apply(Versions),
-    /// `Prepare`: the entry joins the [`PreparedTable`].
+    /// `Prepare`: the leader enters the entry in the [`PreparedTable`].
     Prepare(GlobalTxId, PreparedState),
-    /// `Decide`: the claimed entry leaves the [`PreparedTable`] — a commit's
-    /// versions enter the MemTable first, so its keys stay in doubt until
-    /// they are visible.
+    /// `Decide`: a commit's owner inserts the versions, then removes the
+    /// claimed entry — its keys stay in doubt until they are visible; an
+    /// abort's entry is removed by the leader.
     Decide(GlobalTxId, Option<Versions>),
 }
 
-struct CommitReq {
-    record: Vec<u8>,
-    effect: Effect,
+/// A request on the store's commit queue.
+enum CommitReq {
+    /// A WAL record and what logging it does.
+    Log(Vec<u8>, Effect),
+    /// A rotation, run before the batch is written: of this MemTable if it
+    /// is still the live one (its budget was crossed), of whatever is live
+    /// when `None` (a forced flush).
+    Rotate(Option<Arc<MemTable>>),
 }
 
-/// What a carried request learns: its record's counter and the WAL
-/// generation it landed in.
-type Logged = Result<(u64, Arc<LogWriter>)>;
+/// What a carried request learns: a record, its counter, the WAL
+/// generation it landed in and the insert it owes; a rotation (`None`),
+/// whether it ran clean.
+type Carried = Result<Option<Logged>>;
+
+struct Logged {
+    counter: u64,
+    wal: Arc<LogWriter>,
+    insert: Option<Insert>,
+}
+
+/// The versions a `Commit` or commit `Decide` owes once its batch is
+/// durable, and the MemTable they go into. From the leader's hand-out until
+/// it drops — after the insert, or on an unwind — the claim is counted in
+/// `StoreInner::applies_in_flight`, which a rotation waits to see at zero:
+/// a frozen MemTable never gains an entry.
+struct Insert {
+    inner: Arc<StoreInner>,
+    mem: Arc<MemTable>,
+    versions: Versions,
+    /// A `Decide`'s claimed entry, removed once the versions are in.
+    decided: Option<GlobalTxId>,
+}
+
+impl Insert {
+    /// The leader's hand-out, under the commit lock: `mem` is live.
+    fn new(
+        inner: &Arc<StoreInner>,
+        mem: &Arc<MemTable>,
+        versions: Versions,
+        decided: Option<GlobalTxId>,
+    ) -> Self {
+        inner.applies_in_flight.fetch_add(1, Ordering::SeqCst);
+        Insert {
+            inner: Arc::clone(inner),
+            mem: Arc::clone(mem),
+            versions,
+            decided,
+        }
+    }
+
+    /// The owner's half, off the commit lock: the versions go in, the
+    /// epoch moves, and only then does a `Decide`'s entry leave the table.
+    fn apply(self) {
+        apply_versions(&self.mem, &self.versions);
+        // Only what reached the MemTable moves the epoch: a `Prepare`
+        // bumping it would send every scan fence into its re-pass.
+        self.inner.apply_epoch.fetch_add(1, Ordering::SeqCst);
+        if let Some(gtx) = &self.decided {
+            self.inner.prepared.remove(gtx);
+        }
+    }
+}
+
+impl Drop for Insert {
+    fn drop(&mut self) {
+        if self.inner.applies_in_flight.fetch_sub(1, Ordering::SeqCst) == 1 {
+            self.inner.applies_drained.notify_all();
+        }
+    }
+}
 
 /// Inserts a transaction's versions. Same-seq point writes win over the
 /// transaction's own range deletes (tombstones shadow strictly-older seqs
@@ -651,9 +719,13 @@ pub(crate) struct StoreInner {
     /// compaction merged *before* its outputs are published.
     snapshot_floor: AtomicU64,
     /// The commit lock — whoever holds it owns the live WAL, the MemTable
-    /// swap and the `PreparedTable`'s membership — and the records queued
+    /// swap and the `PreparedTable`'s membership — and the requests queued
     /// for its next holder.
-    commits: GroupCommit<CommitReq, Logged>,
+    commits: GroupCommit<CommitReq, Carried>,
+    /// [`Insert`]s handed out by a group-commit leader and not yet dropped.
+    applies_in_flight: AtomicU64,
+    /// Woken when `applies_in_flight` falls to zero.
+    applies_drained: WaitQueue,
     /// (manifest counter that must stabilize, path) — deferred deletions.
     pending_gc: Mutex<Vec<(u64, PathBuf)>>,
     /// WAL generations whose contents are still only in the MemTable.
@@ -745,6 +817,8 @@ impl TreatyStore {
                 frontier: StableFrontier::new(0),
                 snapshot_floor: AtomicU64::new(0),
                 commits: GroupCommit::new(),
+                applies_in_flight: AtomicU64::new(0),
+                applies_drained: WaitQueue::new(),
                 pending_gc: Mutex::new(Vec::new()),
                 live_wal_gens: Mutex::new(vec![gen]),
                 frozen: RwLock::new(Vec::new()),
@@ -1306,69 +1380,115 @@ impl TreatyStore {
 
     /// The one way onto the live WAL: queues `rec`, and whichever queued
     /// fiber gets the commit lock first writes the whole queue in one
-    /// append and runs every record's [`Effect`]. Returns the record's
-    /// counter and the WAL generation it landed in (for stabilization).
-    /// An `Err` to the leader may be its rotation's, with the record
-    /// logged and its effect run.
-    pub(crate) fn group_commit(&self, rec: &WalRecord, effect: Effect) -> Logged {
+    /// append and runs the [`Effect`]s' table halves. Back from the queue,
+    /// the caller inserts its own versions, and rotates the MemTable if its
+    /// insert filled it. Returns the record's counter and the WAL
+    /// generation it landed in (for stabilization). An `Err` after the
+    /// append may be that rotation's, with the record logged and its
+    /// effect run.
+    pub(crate) fn group_commit(
+        &self,
+        rec: &WalRecord,
+        effect: Effect,
+    ) -> Result<(u64, Arc<LogWriter>)> {
         treaty_sim::runtime::set_tag("e:group_commit");
         let _span = treaty_sim::obs::span("store.commit");
-        let req = CommitReq {
-            record: rec.to_bytes(),
-            effect,
+        let Logged {
+            counter,
+            wal,
+            insert,
+        } = self
+            .carry(CommitReq::Log(rec.to_bytes(), effect))?
+            .ok_or_else(|| log::leader_lost("wal"))?;
+        if let Some(insert) = insert {
+            let mem = Arc::clone(&insert.mem);
+            insert.apply();
+            // The leader that carries the rotation re-checks `live`: every
+            // owner finishing over the budget before it runs asks too.
+            let live = Arc::ptr_eq(&self.inner.mem.read(), &mem);
+            if live && mem.approx_bytes() >= self.inner.env.config.memtable_bytes {
+                self.carry(CommitReq::Rotate(Some(mem)))?;
+            }
+        }
+        Ok((counter, wal))
+    }
+
+    /// Queues `req` on the commit lock and returns what its leader — the
+    /// caller or an earlier queued fiber — carried back.
+    fn carry(&self, req: CommitReq) -> Carried {
+        self.inner
+            .commits
+            .submit(req, |batch| self.lead(batch))
+            .unwrap_or_else(|| Err(log::leader_lost("wal")))
+    }
+
+    /// The leader body, under the commit lock. A due rotation runs first:
+    /// every insert it waits for was handed out by an earlier leader, to an
+    /// owner that has passed the lock since. Then the generation is chosen
+    /// — a rotation swaps the writer, so the queue cannot be the writer's
+    /// own — and the records are written with one append.
+    fn lead(&self, batch: Vec<CommitReq>) -> Vec<Carried> {
+        let due = {
+            let live = self.inner.mem.read();
+            batch.iter().any(|req| match req {
+                CommitReq::Rotate(full) => full.as_ref().is_none_or(|m| Arc::ptr_eq(m, &live)),
+                CommitReq::Log(..) => false,
+            })
         };
-        let mut rotation = Ok(());
-        let logged = self.inner.commits.submit(req, |batch| {
-            // The generation is chosen here, under the commit lock: a
-            // rotation swaps the writer, so the queue cannot be the
-            // writer's own.
-            let wal = self.inner.wal.read().clone();
-            // Borrow the records straight out of the queue entries — the WAL
-            // writer only needs slices, so no payload is copied for batching.
-            let payloads: Vec<&[u8]> = batch.iter().map(|r| r.record.as_slice()).collect();
-            let append = wal.append_batch(&payloads);
+        let rotation = if due { self.flush_locked() } else { Ok(()) };
+        let wal = self.inner.wal.read().clone();
+        let mem = self.inner.mem.read().clone();
+        // Borrow the records straight out of the queue entries — the WAL
+        // writer only needs slices, so no payload is copied for batching.
+        let payloads: Vec<&[u8]> = batch
+            .iter()
+            .filter_map(|req| match req {
+                CommitReq::Log(record, _) => Some(record.as_slice()),
+                CommitReq::Rotate(_) => None,
+            })
+            .collect();
+        let append = if payloads.is_empty() {
+            Ok((0, 0))
+        } else {
             self.counters()
                 .group_commits
                 .fetch_add(1, Ordering::Relaxed);
             self.counters()
                 .grouped_txns
-                .fetch_add(batch.len() as u64, Ordering::Relaxed);
-
-            let mem = self.inner.mem.read().clone();
-            let apply = |versions: &Versions| {
-                apply_versions(&mem, versions);
-                // Only what reached the MemTable moves the epoch: a `Prepare`
-                // bumping it would send every scan fence into its re-pass.
-                self.inner.apply_epoch.fetch_add(1, Ordering::SeqCst);
-            };
-            let results = batch
-                .into_iter()
-                .enumerate()
-                .map(|(i, req)| {
-                    let (first, _last) = append.clone()?;
-                    match req.effect {
-                        Effect::Apply(versions) => apply(&versions),
-                        Effect::Prepare(gtx, state) => self.inner.prepared.insert(gtx, state),
-                        Effect::Decide(gtx, versions) => {
-                            if let Some(versions) = &versions {
-                                apply(versions);
-                            }
-                            self.inner.prepared.remove(&gtx);
-                        }
+                .fetch_add(payloads.len() as u64, Ordering::Relaxed);
+            wal.append_batch(&payloads)
+        };
+        let mut logged = 0;
+        batch
+            .into_iter()
+            .map(|req| {
+                let CommitReq::Log(_, effect) = req else {
+                    return rotation.clone().map(|()| None);
+                };
+                let (first, _last) = append.clone()?;
+                let counter = first + logged;
+                logged += 1;
+                let owed =
+                    |versions, decided| Some(Insert::new(&self.inner, &mem, versions, decided));
+                let insert = match effect {
+                    Effect::Apply(versions) => owed(versions, None),
+                    Effect::Prepare(gtx, state) => {
+                        self.inner.prepared.insert(gtx, state);
+                        None
                     }
-                    Ok((first + i as u64, Arc::clone(&wal)))
-                })
-                .collect();
-
-            // Rotate / flush if the MemTable outgrew its budget. Done by the
-            // leader while holding the commit lock, so no writes race the swap.
-            if mem.approx_bytes() >= self.inner.env.config.memtable_bytes {
-                rotation = self.flush_locked();
-            }
-            results
-        });
-        rotation?;
-        logged.unwrap_or_else(|| Err(log::leader_lost("wal")))
+                    Effect::Decide(gtx, Some(versions)) => owed(versions, Some(gtx)),
+                    Effect::Decide(gtx, None) => {
+                        self.inner.prepared.remove(&gtx);
+                        None
+                    }
+                };
+                Ok(Some(Logged {
+                    counter,
+                    wal: Arc::clone(&wal),
+                    insert,
+                }))
+            })
+            .collect()
     }
 
     // ---- flush & compaction -------------------------------------------------
@@ -1381,15 +1501,12 @@ impl TreatyStore {
     ///
     /// Propagates I/O and integrity errors.
     pub fn flush(&self) -> Result<()> {
-        let guard = self.inner.commits.lock();
-        let r = self.flush_locked();
-        drop(guard);
-        r?;
+        self.carry(CommitReq::Rotate(None))?;
         self.drain_maintenance()
     }
 
-    /// Rotation + dispatch. The caller holds the commit lock; only the
-    /// cheap rotation happens under it. The build queues for the
+    /// Rotation + dispatch, from a leader body; only the cheap rotation
+    /// happens under the commit lock. The build queues for the
     /// maintenance daemon — or, outside the runtime, where there is no
     /// daemon, the queue drains right here.
     fn flush_locked(&self) -> Result<()> {
@@ -1416,6 +1533,12 @@ impl TreatyStore {
     fn rotate_locked(&self) -> Result<Option<FlushWork>> {
         treaty_sim::runtime::set_tag("e:flush-rotate");
         let _span = treaty_sim::obs::span("store.flush_rotate");
+        // The commit lock stops new inserts being handed out; the ones
+        // already out finish first, so the MemTable frozen here never gains
+        // an entry and no `Decide` still owes its entry's removal.
+        while self.inner.applies_in_flight.load(Ordering::SeqCst) > 0 {
+            self.inner.applies_drained.wait();
+        }
         // Swap in a fresh MemTable + WAL generation first so concurrent
         // readers keep working against the frozen one.
         let frozen = {
@@ -1449,11 +1572,13 @@ impl TreatyStore {
         // Every transaction with a `Prepare` on the live WAL and no `Decide`
         // must survive the old generations' deletion: re-log them into the
         // new one before it is published. The table holds exactly those —
-        // the leader enters and removes entries under the commit lock this
-        // runs under, in the turn that logged the record — so a rotation
-        // never sees a `Prepare` without its entry or an entry already
-        // decided, and a `Decide` lands in a generation that holds its
-        // `Prepare` (recovery re-logs too) and backs the MemTable it
+        // the leader enters a `Prepare`'s entry and removes an abort's under
+        // the commit lock this runs under, in the turn that logged the
+        // record, and a commit `Decide`'s owner removes its entry before its
+        // insert stops counting, which the wait above outlasts — so a
+        // rotation never sees a `Prepare` without its entry or an entry
+        // already decided, and a `Decide` lands in a generation that holds
+        // its `Prepare` (recovery re-logs too) and backs the MemTable it
         // applied to.
         relog_prepared(&self.inner.prepared, &wal)?;
         *self.inner.wal.write() = wal;
@@ -2101,6 +2226,8 @@ impl TreatyStore {
             // below the recovered history is served.
             snapshot_floor: AtomicU64::new(max_seq),
             commits: GroupCommit::new(),
+            applies_in_flight: AtomicU64::new(0),
+            applies_drained: WaitQueue::new(),
             pending_gc: Mutex::new(Vec::new()),
             live_wal_gens: Mutex::new(live_gens),
             frozen: RwLock::new(Vec::new()),

@@ -849,8 +849,8 @@ pub trait TxnEngine: Send + Sync {
 impl TreatyStore {
     /// Logs and applies a prepared transaction's decision.
     fn decide_prepared(&self, gtx: GlobalTxId, commit: bool) -> Result<()> {
-        // Claim, don't remove: until the leader that logs the `Decide` has
-        // applied its writes, the entry keeps the write set's keys in-doubt
+        // Claim, don't remove: until this fiber has inserted the writes its
+        // `Decide` logged, the entry keeps the write set's keys in-doubt
         // for `overlaps`, so a concurrent snapshot validation cannot pass in
         // the window between this decision and its writes becoming visible
         // (the WAL append and the apply both yield). Without that hold, a
@@ -874,8 +874,10 @@ impl TreatyStore {
         let versions = commit.then_some((seq, writes, ranges));
         let logged = self.group_commit(&rec, Effect::Decide(gtx, versions));
         // Nothing logged: un-claim, keeping the entry and its locks, so
-        // recovery can retry the decision. (An error with the entry gone is
-        // the leader's rotation failing after the decision took effect.)
+        // recovery can retry the decision. An error with the entry gone
+        // came after the decision took effect — an abort's entry leaves in
+        // the leader's turn, a commit's after its insert, and the rotation
+        // that insert may trigger fails after both — so it is not undone.
         let retryable = logged.is_err() && self.inner.prepared.cancel_decide(&gtx);
         if !retryable {
             self.inner.locks.release(lock_owner, lock_keys);

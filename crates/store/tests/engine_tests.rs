@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use treaty_sched::block_on;
-use treaty_sim::runtime::{join, spawn};
+use treaty_sim::runtime::{join, now, spawn};
 use treaty_sim::SecurityProfile;
 use treaty_store::txn::WriteOp;
 use treaty_store::{EngineTxn, Env, GlobalTxId, StoreError, TreatyStore, TxnEngine, TxnMode};
@@ -620,6 +620,210 @@ fn group_commit_batches_concurrent_committers() {
         round(true);
         assert_eq!(store.prepared_txns(), vec![]);
         assert_eq!(store.get_committed(b"p31").unwrap(), Some(b"v".to_vec()));
+    });
+}
+
+/// Each committer inserts its own versions after its batch is durable, so
+/// a rotation must wait for the inserts already handed out: one that swapped
+/// the MemTable under an owner still inserting would freeze it short of
+/// that owner's versions, the flush build would retire the generation
+/// holding their records, and a crash would lose an acknowledged write.
+#[test]
+fn a_rotation_waits_for_inserts_in_flight() {
+    let dir = tempfile::tempdir().unwrap();
+    let path = dir.path().to_path_buf();
+    block_on(move || {
+        let env = Env::for_testing(SecurityProfile::treaty_full(), &path);
+        let acked = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        {
+            let store = TreatyStore::open(Arc::clone(&env)).unwrap();
+            let committers: Vec<_> = (0..6u8)
+                .map(|fiber| {
+                    let store = store.clone();
+                    let acked = Arc::clone(&acked);
+                    spawn(move || {
+                        for round in 0..12u8 {
+                            let rows: Vec<_> = (0..8u8)
+                                .map(|i| (vec![b'k', fiber, round, i], vec![round ^ i; 200]))
+                                .collect();
+                            let mut tx = store.begin_mode(TxnMode::Pessimistic);
+                            for (key, value) in &rows {
+                                tx.put(key, value).unwrap();
+                            }
+                            tx.commit().unwrap();
+                            acked.lock().extend(rows);
+                        }
+                    })
+                })
+                .collect();
+            committers.into_iter().for_each(join);
+            store.drain_maintenance().unwrap();
+            // 6 × 12 commits of 8 × 200 bytes rotate the 16 KiB MemTable
+            // several times, each while other owners' inserts are pending.
+            assert!(store.stats().flushes >= 4, "{:?}", store.stats());
+            // The builds retired the generations the commits were logged in.
+            assert!(!path.join("wal-000001").exists());
+            // crash
+        }
+        let store = TreatyStore::open(env).unwrap();
+        let acked = acked.lock();
+        assert_eq!(acked.len(), 6 * 12 * 8);
+        for (key, value) in acked.iter() {
+            let read = store.get_committed(key).unwrap();
+            assert!(
+                read.as_ref() == Some(value),
+                "acknowledged write {key:?} lost"
+            );
+        }
+    });
+}
+
+/// A `native_treaty` store on a node with `cores` cores, whose WAL append
+/// costs the same whatever the batch holds (no per-byte write or hash
+/// cost), so an append is one fixed charge and an insert `memtable_op_ns`.
+fn native_store_on_cores(dir: &std::path::Path, cores: u32) -> TreatyStore {
+    let costs = treaty_sim::CostModel {
+        ssd_write_ns_per_kib: 0,
+        sha_setup_ns: 0,
+        sha_ns_per_kib: 0,
+        ..Default::default()
+    };
+    let env = Env::new(
+        SecurityProfile::native_treaty(),
+        costs,
+        Some(Arc::new(treaty_sched::CorePool::new(cores))),
+        treaty_crypto::KeyHierarchy::for_testing(),
+        treaty_counter::NullBackend::new(),
+        dir.to_path_buf(),
+        treaty_store::EngineConfig::tiny(),
+    );
+    TreatyStore::open(env).unwrap()
+}
+
+/// A transaction with `keys` staged writes named `tag`-0, `tag`-1, ….
+fn staged(store: &TreatyStore, tag: &str, keys: usize) -> treaty_store::Txn {
+    let mut tx = store.begin_mode(TxnMode::Pessimistic);
+    for i in 0..keys {
+        tx.put(format!("{tag}-{i}").as_bytes(), b"v").unwrap();
+    }
+    tx
+}
+
+/// Group commit writes the batch; each owner inserts its own versions off
+/// the commit lock. So two commits that share a batch finish their inserts
+/// together on two cores, and a `Prepare` queued behind a batch waits for
+/// its append only — not for the inserts of the `Decide` it carried.
+#[test]
+fn inserts_of_one_batch_overlap_in_virtual_time() {
+    const K: usize = 8;
+    let dir = tempfile::tempdir().unwrap();
+    let path = dir.path().to_path_buf();
+    block_on(move || {
+        let store = native_store_on_cores(&path, 2);
+        let insert = store.env().costs.memtable_op_ns * K as u64;
+        let gtx = |seq| GlobalTxId { node: 1, seq };
+        // One append, alone: a `Prepare` inserts nothing.
+        let mut tx = staged(&store, "solo", 1);
+        let start = now();
+        tx.prepare(gtx(1)).unwrap();
+        let append = now() - start;
+
+        // A `Prepare` holds the commit lock through its append while two
+        // K-write commits queue; they share the next batch.
+        let finished = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let mut lead = staged(&store, "lead", 1);
+        let pair: Vec<_> = ["a", "b"].map(|tag| staged(&store, tag, K)).into();
+        let start = now();
+        let mut fibers = vec![spawn(move || lead.prepare(gtx(2)).unwrap())];
+        for mut tx in pair {
+            let finished = Arc::clone(&finished);
+            fibers.push(spawn(move || {
+                tx.commit().unwrap();
+                finished.lock().push(now());
+            }));
+        }
+        fibers.into_iter().for_each(join);
+        assert_eq!(
+            *finished.lock(),
+            vec![start + 2 * append + insert; 2],
+            "both commits' inserts run at once, after the two appends"
+        );
+
+        // A K-write `Decide` leads; a `Prepare` queued behind it pays that
+        // append and its own, and none of the Decide's inserts.
+        let mut decided = staged(&store, "d", K);
+        decided.prepare(gtx(3)).unwrap();
+        let mut queued = staged(&store, "q", 1);
+        let prepared_at = Arc::new(parking_lot::Mutex::new(0));
+        let start = now();
+        let decider = {
+            let store = store.clone();
+            spawn(move || store.commit_prepared(gtx(3)).unwrap())
+        };
+        let preparer = {
+            let prepared_at = Arc::clone(&prepared_at);
+            spawn(move || {
+                queued.prepare(gtx(4)).unwrap();
+                *prepared_at.lock() = now();
+            })
+        };
+        join(decider);
+        join(preparer);
+        assert_eq!(*prepared_at.lock(), start + 2 * append);
+        assert_eq!(store.get_committed(b"d-7").unwrap(), Some(b"v".to_vec()));
+    });
+}
+
+/// The owner of a commit `Decide` inserts its versions after the batch is
+/// durable; until they are readable the claimed entry keeps the keys in
+/// doubt, so a snapshot validation refuses them, and the entry leaves only
+/// once the version is readable. A reader polls through the window.
+#[test]
+fn a_decided_key_stays_in_doubt_until_its_version_is_readable() {
+    let dir = tempfile::tempdir().unwrap();
+    let path = dir.path().to_path_buf();
+    block_on(move || {
+        let (_env, store) = open(SecurityProfile::treaty_full(), &path);
+        put(&store, b"acct-7", b"before");
+        let gtx = GlobalTxId { node: 1, seq: 11 };
+        let mut tx = store.begin_mode(TxnMode::Pessimistic);
+        for i in 0..8 {
+            tx.put(format!("acct-{i}").as_bytes(), b"after").unwrap();
+        }
+        tx.prepare(gtx).unwrap();
+        let ts = store.stable_ts();
+        let wal = newest_wal(&path);
+        let logged = std::fs::metadata(&wal).unwrap().len();
+        let decider = {
+            let store = store.clone();
+            spawn(move || store.commit_prepared(gtx).unwrap())
+        };
+        // (decision appended, version readable, entry listed, validates)
+        let mut seen = Vec::new();
+        loop {
+            let appended = std::fs::metadata(&wal).unwrap().len() > logged;
+            let readable = store.get_committed(b"acct-7").unwrap() == Some(b"after".to_vec());
+            let listed = store.prepared_txns().contains(&gtx);
+            let validates = store.snapshot_validate(b"acct-7", ts).unwrap();
+            seen.push((appended, readable, listed, validates));
+            if readable && !listed {
+                break;
+            }
+            treaty_sim::runtime::sleep(1_000);
+        }
+        join(decider);
+        for &(_, readable, listed, validates) in &seen {
+            assert!(
+                listed || readable,
+                "entry left before the version: {seen:?}"
+            );
+            assert!(!validates, "a snapshot validation passed: {seen:?}");
+        }
+        assert!(
+            seen.iter()
+                .any(|&(appended, readable, listed, _)| appended && !readable && listed),
+            "no poll fell between the Decide's append and its insert: {seen:?}"
+        );
     });
 }
 
