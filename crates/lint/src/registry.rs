@@ -12,9 +12,9 @@
 //!
 //! Two flags qualify a class:
 //!
-//! * `fiber` — the lock is fiber-aware (`treaty_sched::FiberMutex` or a
-//!   condvar baton that releases while waiting): holding it across a
-//!   yield point is the *intended* usage, so L007 exempts its guards.
+//! * `fiber` — the lock is fiber-aware (`treaty_sched::FiberMutex`, or a
+//!   lock deliberately held across a charge): holding it across a yield
+//!   point is the *intended* usage, so L007 exempts its guards.
 //!   Acquiring a fiber lock still *is* a yield point (the acquire can
 //!   park), so doing so while holding a non-fiber guard is flagged.
 //! * `ordered` — a sharded/striped family registered as one class whose
@@ -70,10 +70,6 @@ pub const LOCK_CLASSES: &[LockClass] = &[
     LockClass { name: "net.rpc.sessions", fiber: false, ordered: false },
     LockClass { name: "sim.crash.handlers", fiber: false, ordered: false },
     LockClass { name: "sim.crash.state", fiber: false, ordered: false },
-    // The park-cell baton: a condvar wait *releases* the mutex, so a
-    // guard across `.wait(&mut g)` is the protocol, not a hazard.
-    LockClass { name: "sim.sched.park_cell", fiber: true, ordered: false },
-    LockClass { name: "sim.sched.inner", fiber: false, ordered: false },
     LockClass { name: "store.cache", fiber: false, ordered: false },
     // Group-commit leader lock (`GroupCommit::lock`): the critical section
     // spans WAL I/O and flush hand-off by design (a FiberMutex inside).
@@ -108,8 +104,6 @@ pub const LOCK_CLASSES: &[LockClass] = &[
 #[rustfmt::skip] // a table: one entry per line
 pub const LOCK_REGISTRY: &[LockSpec] = &[
     // -- crates/sim ---------------------------------------------------
-    LockSpec { file: "crates/sim/src/runtime.rs", receiver: "inner", class: "sim.sched.inner" },
-    LockSpec { file: "crates/sim/src/runtime.rs", receiver: "go", class: "sim.sched.park_cell" },
     LockSpec { file: "crates/sim/src/crashpoint.rs", receiver: "state", class: "sim.crash.state" },
     LockSpec { file: "crates/sim/src/crashpoint.rs", receiver: "handlers", class: "sim.crash.handlers" },
     // -- crates/net ---------------------------------------------------

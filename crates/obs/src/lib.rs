@@ -105,8 +105,9 @@ struct TraceSink {
 
 /// Per-`Sim` observability hub: a trace sink plus a metrics registry.
 ///
-/// Thread-safe: fibers are OS threads, so both halves sit behind locks —
-/// uncontended in practice because the simulator is cooperative.
+/// Thread-safe, so both halves sit behind locks: a simulation's fibers
+/// share one OS thread, but tests run several simulations at once and may
+/// read a hub from outside its simulation. Uncontended in practice.
 #[derive(Debug)]
 pub struct Obs {
     sink: Mutex<TraceSink>,

@@ -26,11 +26,16 @@
 //! assert_eq!(report.virtual_ns, 1_000_000);
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod costs;
 pub mod crashpoint;
 pub mod obs;
 pub mod profile;
 pub mod runtime;
+// Fiber stacks and the context switch: the one module allowed unsafe_code.
+#[allow(unsafe_code)]
+mod stack;
 pub mod stats;
 
 pub use costs::{CostModel, Transport};

@@ -1,16 +1,18 @@
 //! Cooperative fiber runtime with a virtual clock.
 //!
-//! Exactly one fiber executes at any instant. A fiber is an OS thread that
-//! waits on its own baton (a mutex/condvar flag); the runtime has no
-//! scheduler thread. Whoever gives up the processor — a fiber that parks,
-//! sleeps, yields or finishes — takes the runtime lock, runs the one
+//! Exactly one fiber executes at any instant, and every fiber of a
+//! simulation runs on the OS thread that called [`Sim::run`]: a fiber is a
+//! stack of its own, and a switch saves one context's registers and resumes
+//! another's without entering the kernel (`stack.rs`). There is no
+//! scheduler context. Whoever gives up the processor — a fiber that parks,
+//! sleeps, yields or finishes — borrows the runtime state, runs the one
 //! scheduling decision ([`next_fiber`]: pop the run queue, else advance the
-//! virtual clock to the next timer), drops the lock, releases the chosen
-//! fiber's baton and waits on its own: one wake-up per switch. A fiber that
-//! picks *itself* (a lone sleeper charging virtual time, a yield into an
-//! empty queue) neither wakes nor waits. The caller of [`Sim::run`] starts
-//! the root fiber the same way and then blocks until the last fiber to
-//! finish wakes it.
+//! virtual clock to the next timer), ends the borrow and switches to the
+//! chosen fiber. A fiber that picks *itself* (a lone sleeper charging
+//! virtual time, a yield into an empty queue) does not switch. [`Sim::run`]
+//! switches to the root fiber and resumes when the last fiber finishes. A
+//! finished fiber cannot free the stack it runs on: the context that runs
+//! next returns it to a small pool that later spawns draw from.
 //!
 //! This gives the key property the rest of the system builds on: **between
 //! two yield points a fiber runs atomically with respect to every other
@@ -23,15 +25,19 @@
 //! Blocking primitives ([`sleep`], [`park`], [`park_timeout`], [`yield_now`])
 //! and the reads [`now`] and [`current`] may only be called from inside a
 //! fiber; they panic otherwise. [`in_fiber`] is safe anywhere, and
-//! [`set_tag`] does nothing outside a fiber.
+//! [`set_tag`] does nothing outside a fiber. A fiber must not reach a yield
+//! point while it unwinds: the process aborts (see [`switch_out`]).
 
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use std::cell::{Cell, RefCell, RefMut};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::rc::Rc;
 use std::sync::Arc;
 
+use crate::stack::{Stack, StackPool, Suspended};
 use crate::Nanos;
 
 /// Identifies a fiber within one [`Sim`].
@@ -79,32 +85,8 @@ pub struct SimReport {
     pub fibers: u64,
     /// Total scheduler switches performed.
     pub switches: u64,
-}
-
-struct ParkCell {
-    go: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl ParkCell {
-    fn new() -> Arc<Self> {
-        Arc::new(ParkCell {
-            go: Mutex::new(false),
-            cv: Condvar::new(),
-        })
-    }
-    fn release(&self) {
-        let mut g = self.go.lock();
-        *g = true;
-        self.cv.notify_one();
-    }
-    fn wait(&self) {
-        let mut g = self.go.lock();
-        while !*g {
-            self.cv.wait(&mut g);
-        }
-        *g = false;
-    }
+    /// Fiber stacks mapped; a finished fiber's stack serves later spawns.
+    pub stacks: u64,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,7 +97,9 @@ enum FiberState {
 }
 
 struct FiberSlot {
-    cell: Arc<ParkCell>,
+    /// Where the fiber resumes; `None` while it runs.
+    resume: Option<Suspended>,
+    stack: Stack,
     tag: &'static str,
     state: FiberState,
     /// Wakeup generation; a pending timer is only valid if its recorded
@@ -131,13 +115,43 @@ struct FiberSlot {
     obs_txn: u64,
 }
 
+/// Hashes a fiber id with one multiply: ids are dense and chosen by the
+/// runtime, so they need no defence against collisions on purpose, and
+/// SipHash was a third of a switch's cost.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a fiber id hashes as one u64")
+    }
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+/// The context that gave up the processor at the last switch, recorded
+/// for the context that resumes to settle ([`resumed`]).
+enum Handoff {
+    /// A fiber that parked, slept or yielded.
+    Fiber(u64),
+    /// The caller of [`Sim::run`], until the last fiber finishes.
+    Main,
+    /// A finished fiber, whose stack goes back to the pool.
+    Exited(Stack),
+}
+
+#[derive(Default)]
 struct Inner {
     now: Nanos,
     next_fiber: u64,
     next_seq: u64,
     run_queue: VecDeque<FiberId>,
     timers: BinaryHeap<Reverse<(Nanos, u64, u64, u64)>>, // (time, seq, fiber, generation)
-    fibers: HashMap<u64, FiberSlot>,
+    fibers: HashMap<u64, FiberSlot, BuildHasherDefault<IdHasher>>,
     live_non_daemon: usize,
     shutting_down: bool,
     panic_msg: Option<String>,
@@ -150,17 +164,28 @@ struct Inner {
     obs: Option<Arc<treaty_obs::Obs>>,
     /// Per-`Sim` crash-injection plan; `None` until a harness installs one.
     crash: Option<Arc<crate::crashpoint::CrashPlan>>,
+    handoff: Option<Handoff>,
+    /// Where [`Sim::run`]'s caller resumes once the last fiber finishes.
+    main: Option<Suspended>,
+    stacks: StackPool,
 }
 
-struct Shared {
-    inner: Mutex<Inner>,
-    /// Released by the last fiber to finish; [`Sim::run`] waits on it.
-    done: Arc<ParkCell>,
+/// A simulation's state. It lives on the simulation's one OS thread, so a
+/// `RefCell` guards it: a borrow held across a switch would fail loudly at
+/// the next fiber's first borrow.
+type Shared = RefCell<Inner>;
+
+/// The simulation this OS thread runs and the fiber running in it. Tests
+/// run several simulations at once, each on its own thread.
+struct Current {
+    sim: RefCell<Option<Rc<Shared>>>,
+    fiber: Cell<u64>,
 }
 
 thread_local! {
-    static CURRENT: std::cell::RefCell<Option<(Arc<Shared>, u64)>> =
-        const { std::cell::RefCell::new(None) };
+    static CURRENT: Current = const {
+        Current { sim: RefCell::new(None), fiber: Cell::new(0) }
+    };
 }
 
 /// Payload used to unwind fibers when the simulation shuts down early
@@ -187,25 +212,28 @@ impl Sim {
         Sim { _priv: () }
     }
 
-    /// Runs `root` as the first fiber and drives the simulation until every
-    /// non-daemon fiber has finished.
+    /// Runs `root` as the first fiber and drives the simulation, on the
+    /// calling thread, until every non-daemon fiber has finished.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::FiberPanic`] if any fiber panics and
     /// [`SimError::Deadlock`] if all remaining fibers are parked with no
     /// pending timer.
+    ///
+    /// # Panics
+    ///
+    /// Panics when called from inside a fiber.
     pub fn run<F>(self, root: F) -> Result<SimReport, SimError>
     where
         F: FnOnce() + Send + 'static,
     {
-        // Once, process-wide: one malloc arena, and a panic hook that
-        // stays silent for shutdown and injected-crash unwinds — control
-        // flow, not failures — and hands everything else to the previous
-        // hook.
-        static PROCESS_SETUP: std::sync::Once = std::sync::Once::new();
-        PROCESS_SETUP.call_once(|| {
-            single_malloc_arena();
+        assert!(!in_fiber(), "a simulation cannot run inside a fiber");
+        // Once, process-wide: a panic hook that stays silent for shutdown
+        // and injected-crash unwinds — control flow, not failures — and
+        // hands everything else to the previous hook.
+        static PANIC_HOOK: std::sync::Once = std::sync::Once::new();
+        PANIC_HOOK.call_once(|| {
             let prev = std::panic::take_hook();
             std::panic::set_hook(Box::new(move |info| {
                 let payload = info.payload();
@@ -218,67 +246,15 @@ impl Sim {
                 }
             }));
         });
-        let shared = Arc::new(Shared {
-            inner: Mutex::new(Inner {
-                now: 0,
-                next_fiber: 0,
-                next_seq: 0,
-                run_queue: VecDeque::new(),
-                timers: BinaryHeap::new(),
-                fibers: HashMap::new(),
-                live_non_daemon: 0,
-                shutting_down: false,
-                panic_msg: None,
-                deadlock: None,
-                switches: 0,
-                completed: 0,
-                obs: None,
-                crash: None,
-            }),
-            done: ParkCell::new(),
-        });
+        let shared = Rc::new(RefCell::new(Inner::default()));
 
-        // Optional stall watchdog (TREATY_SIM_WATCHDOG=1): reports when no
-        // scheduler switch has happened for several wall seconds, which
-        // almost always means a fiber blocked on a real OS primitive.
-        if std::env::var_os("TREATY_SIM_WATCHDOG").is_some() {
-            let shared_w = Arc::downgrade(&shared);
-            std::thread::spawn(move || {
-                let mut last = (0u64, 0u64);
-                loop {
-                    std::thread::sleep(std::time::Duration::from_secs(5));
-                    let shared = match shared_w.upgrade() {
-                        Some(s) => s,
-                        None => return,
-                    };
-                    let inner = shared.inner.lock();
-                    let cur = (inner.switches, inner.now);
-                    if cur == last {
-                        eprintln!(
-                            "[sim-watchdog] STALLED: switches={} vnow={}ns live={} runq={} timers={} running={:?}",
-                            inner.switches,
-                            inner.now,
-                            inner.live_non_daemon,
-                            inner.run_queue.len(),
-                            inner.timers.len(),
-                            inner
-                                .fibers
-                                .iter()
-                                .filter(|(_, s)| s.state == FiberState::Running)
-                                .map(|(id, s)| (*id, s.tag))
-                                .collect::<Vec<_>>(),
-                        );
-                    }
-                    last = cur;
-                }
-            });
-        }
         spawn_fiber(&shared, Box::new(root), false, 0, 0);
-        let root = next_fiber(&mut shared.inner.lock()).expect("the root fiber is runnable");
-        root.release();
-        shared.done.wait();
+        CURRENT.with(|c| c.sim.replace(Some(Rc::clone(&shared))));
+        let mut inner = shared.borrow_mut();
+        let root = next_fiber(&mut inner).expect("the root fiber is runnable");
+        let inner = hand_off(&shared, inner, root, Handoff::Main);
+        CURRENT.with(|c| c.sim.replace(None));
 
-        let inner = shared.inner.lock();
         if let Some((parked, at)) = inner.deadlock {
             return Err(SimError::Deadlock { parked, at });
         }
@@ -288,102 +264,79 @@ impl Sim {
                 virtual_ns: inner.now,
                 fibers: inner.completed,
                 switches: inner.switches,
+                stacks: inner.stacks.mapped,
             }),
         }
     }
 }
 
-/// Keeps every fiber's allocations in one malloc arena.
-///
-/// glibc attaches each new thread to one of up to eight arenas per core, in
-/// the order the threads happen to reach their first `malloc`. One fiber
-/// runs at a time, so the arenas buy no parallelism here; what they do is
-/// spread the process's long-lived data over heaps drawn by OS timing, and
-/// peak RSS then differs by a fifth between two runs of one seed once
-/// fibers are short-lived (EXPERIMENTS.md, "A session is a queue"). With
-/// one arena the heap's layout follows the allocation order, which the
-/// schedule fixes.
-fn single_malloc_arena() {
-    #[cfg(all(target_os = "linux", target_env = "gnu"))]
-    {
-        extern "C" {
-            fn mallopt(param: std::ffi::c_int, value: std::ffi::c_int) -> std::ffi::c_int;
-        }
-        const M_ARENA_MAX: std::ffi::c_int = -8;
-        // SAFETY: `mallopt` is thread-safe and takes two integers; a
-        // refusal (0) leaves the default in place.
-        unsafe { mallopt(M_ARENA_MAX, 1) };
-    }
-}
-
 fn spawn_fiber(
-    shared: &Arc<Shared>,
+    shared: &Rc<Shared>,
     body: Box<dyn FnOnce() + Send>,
     daemon: bool,
     obs_node: u32,
     obs_txn: u64,
 ) -> FiberId {
-    let cell = ParkCell::new();
-    let id;
-    {
-        let mut inner = shared.inner.lock();
-        id = inner.next_fiber;
-        inner.next_fiber += 1;
-        inner.fibers.insert(
-            id,
-            FiberSlot {
-                cell: cell.clone(),
-                tag: "",
-                state: FiberState::Runnable,
-                generation: 0,
-                wake_reason: WakeReason::Signal,
-                daemon,
-                join_waiters: Vec::new(),
-                obs_node,
-                obs_txn,
-            },
-        );
-        if !daemon {
-            inner.live_non_daemon += 1;
-        }
-        inner.run_queue.push_back(FiberId(id));
+    let mut inner = shared.borrow_mut();
+    let id = inner.next_fiber;
+    inner.next_fiber += 1;
+    let stack = inner.stacks.take();
+    let sim = Rc::clone(shared);
+    let resume = stack.prepare(Box::new(move |from| run_fiber(sim, id, from, body)));
+    inner.fibers.insert(
+        id,
+        FiberSlot {
+            resume: Some(resume),
+            stack,
+            tag: "",
+            state: FiberState::Runnable,
+            generation: 0,
+            wake_reason: WakeReason::Signal,
+            daemon,
+            join_waiters: Vec::new(),
+            obs_node,
+            obs_txn,
+        },
+    );
+    if !daemon {
+        inner.live_non_daemon += 1;
     }
-
-    let shared2 = Arc::clone(shared);
-    let cell2 = cell;
-    std::thread::Builder::new()
-        .name(format!("sim-fiber-{id}"))
-        .spawn(move || {
-            cell2.wait();
-            CURRENT.with(|c| *c.borrow_mut() = Some((Arc::clone(&shared2), id)));
-            let result = catch_unwind(AssertUnwindSafe(body));
-            CURRENT.with(|c| *c.borrow_mut() = None);
-            let mut inner = shared2.inner.lock();
-            match result {
-                Ok(()) => {}
-                Err(payload) => {
-                    // Shutdown and injected-crash unwinds terminate the
-                    // fiber without failing the simulation.
-                    if payload.downcast_ref::<ShutdownSignal>().is_none()
-                        && payload
-                            .downcast_ref::<crate::crashpoint::CrashUnwind>()
-                            .is_none()
-                    {
-                        let msg = panic_message(&payload);
-                        if inner.panic_msg.is_none() {
-                            inner.panic_msg = Some(msg);
-                        }
-                    }
-                }
-            }
-            finish_fiber(&mut inner, id);
-            // Hand the processor on; the last fiber out wakes `Sim::run`.
-            let next = next_fiber(&mut inner).unwrap_or_else(|| Arc::clone(&shared2.done));
-            drop(inner);
-            next.release();
-        })
-        .expect("failed to spawn fiber thread");
+    inner.run_queue.push_back(FiberId(id));
     FiberId(id)
+}
+
+/// A fiber's life on its own stack, from the switch that started it to the
+/// context it hands the processor to when it has finished. Everything it
+/// holds is dropped before that last switch.
+fn run_fiber(
+    sim: Rc<Shared>,
+    id: u64,
+    from: Suspended,
+    body: Box<dyn FnOnce() + Send>,
+) -> Suspended {
+    resumed(&mut sim.borrow_mut(), from);
+    CURRENT.with(|c| c.fiber.set(id));
+    let result = catch_unwind(AssertUnwindSafe(body));
+    let mut inner = sim.borrow_mut();
+    if let Err(payload) = result {
+        // Shutdown and injected-crash unwinds terminate the fiber without
+        // failing the simulation.
+        if payload.downcast_ref::<ShutdownSignal>().is_none()
+            && payload
+                .downcast_ref::<crate::crashpoint::CrashUnwind>()
+                .is_none()
+            && inner.panic_msg.is_none()
+        {
+            inner.panic_msg = Some(panic_message(&payload));
+        }
+    }
+    let stack = finish_fiber(&mut inner, id);
+    inner.handoff = Some(Handoff::Exited(stack));
+    // Hand the processor on; the last fiber out resumes `Sim::run`.
+    match next_fiber(&mut inner) {
+        Some(next) => take_resume(&mut inner, next),
+        None => inner.main.take().expect("`Sim::run` waits"),
+    }
 }
 
 fn panic_message(payload: &Box<dyn std::any::Any + Send>) -> String {
@@ -396,7 +349,8 @@ fn panic_message(payload: &Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-fn finish_fiber(inner: &mut Inner, id: u64) {
+/// Removes a finished fiber, wakes its joiners and returns its stack.
+fn finish_fiber(inner: &mut Inner, id: u64) -> Stack {
     let slot = inner.fibers.remove(&id).expect("finishing unknown fiber");
     if !slot.daemon {
         inner.live_non_daemon -= 1;
@@ -405,6 +359,7 @@ fn finish_fiber(inner: &mut Inner, id: u64) {
     for w in slot.join_waiters {
         wake_fiber(inner, w.0, WakeReason::Signal);
     }
+    slot.stack
 }
 
 fn wake_fiber(inner: &mut Inner, id: u64, reason: WakeReason) {
@@ -419,14 +374,13 @@ fn wake_fiber(inner: &mut Inner, id: u64, reason: WakeReason) {
 }
 
 /// The scheduling decision: marks the fiber that runs next `Running` and
-/// returns its baton, advancing virtual time to the next valid timer when the
-/// run queue is empty. Called under the `inner` lock by whichever thread is
-/// giving up the processor; the caller releases the baton only after
-/// dropping the lock, so the woken fiber never runs into it.
+/// returns it, advancing virtual time to the next valid timer when the run
+/// queue is empty. Called by whichever context is giving up the processor,
+/// which switches only after ending its borrow of the state.
 ///
 /// `None` means every fiber has finished. A fiber that is itself parked or
 /// runnable never sees `None`: at the latest the shutdown transition wakes it.
-fn next_fiber(inner: &mut Inner) -> Option<Arc<ParkCell>> {
+fn next_fiber(inner: &mut Inner) -> Option<u64> {
     loop {
         if inner.panic_msg.is_some() || inner.live_non_daemon == 0 {
             inner.shutting_down = true;
@@ -449,7 +403,7 @@ fn next_fiber(inner: &mut Inner) -> Option<Arc<ParkCell>> {
             debug_assert_eq!(slot.state, FiberState::Runnable);
             slot.state = FiberState::Running;
             inner.switches += 1;
-            return Some(Arc::clone(&slot.cell));
+            return Some(id);
         }
 
         // Advance virtual time to the next valid timer.
@@ -486,32 +440,68 @@ fn next_fiber(inner: &mut Inner) -> Option<Arc<ParkCell>> {
     }
 }
 
-fn with_current<R>(f: impl FnOnce(&Arc<Shared>, u64) -> R) -> R {
-    CURRENT.with(|c| {
-        let b = c.borrow();
-        let (shared, id) = b
-            .as_ref()
-            .expect("this operation may only be used inside a treaty-sim fiber");
-        f(shared, *id)
-    })
+fn take_resume(inner: &mut Inner, id: u64) -> Suspended {
+    let slot = inner.fibers.get_mut(&id).expect("picked fiber missing");
+    slot.resume.take().expect("a picked fiber is suspended")
 }
 
-/// Gives up the processor: picks the next fiber, wakes it and waits to be
-/// picked in turn. Called with the `inner` guard under which the caller
-/// updated its own state (Parked, or re-queued Runnable). Returns why the
-/// fiber resumed.
-fn switch_out<'a>(shared: &'a Shared, mut inner: MutexGuard<'a, Inner>, id: u64) -> WakeReason {
-    let mine = Arc::clone(&inner.fibers[&id].cell);
+/// Switches from the running context, which `me` describes, to fiber
+/// `next`, and returns with the state borrowed again once a context
+/// switches back.
+fn hand_off<'a>(
+    shared: &'a Shared,
+    mut inner: RefMut<'a, Inner>,
+    next: u64,
+    me: Handoff,
+) -> RefMut<'a, Inner> {
+    let to = take_resume(&mut inner, next);
+    inner.handoff = Some(me);
+    drop(inner);
+    let from = crate::stack::switch(to);
+    let mut inner = shared.borrow_mut();
+    resumed(&mut inner, from);
+    inner
+}
+
+/// Settles the context that just switched to this one; `from` is where it
+/// stopped.
+fn resumed(inner: &mut Inner, from: Suspended) {
+    match inner.handoff.take().expect("a switch records who made it") {
+        Handoff::Fiber(id) => inner.fibers.get_mut(&id).expect("parked").resume = Some(from),
+        Handoff::Main => inner.main = Some(from),
+        // `from` points into the stack being released and is never resumed.
+        Handoff::Exited(stack) => inner.stacks.give(stack),
+    }
+}
+
+fn with_current<R>(f: impl FnOnce(&Rc<Shared>, u64) -> R) -> R {
+    try_with_current(f).expect("this operation may only be used inside a treaty-sim fiber")
+}
+
+/// Like [`with_current`] but returns `None` outside a fiber instead of
+/// panicking — observability must never abort an un-instrumented context.
+fn try_with_current<R>(f: impl FnOnce(&Rc<Shared>, u64) -> R) -> Option<R> {
+    CURRENT.with(|c| Some(f(c.sim.borrow().as_ref()?, c.fiber.get())))
+}
+
+/// Gives up the processor: picks the next fiber and switches to it, unless
+/// it is this one. Called with the borrow under which the caller updated
+/// its own state (Parked, or re-queued Runnable). Returns why the fiber
+/// resumed.
+///
+/// Every fiber shares the thread's panic count, so a switch while this one
+/// unwinds would make `std::thread::panicking()` true in the next one: the
+/// process aborts instead, naming the fiber.
+fn switch_out<'a>(shared: &'a Shared, mut inner: RefMut<'a, Inner>, id: u64) -> WakeReason {
+    if std::thread::panicking() {
+        let tag = inner.fibers[&id].tag;
+        eprintln!("treaty-sim: fiber#{id} ({tag:?}) reached a yield point while unwinding");
+        std::process::abort();
+    }
     let next = next_fiber(&mut inner).expect("a fiber giving up the processor is still live");
-    // Picked itself (a lone sleeper, a yield into an empty queue): no
-    // hand-off, the fiber just keeps the processor.
-    if !Arc::ptr_eq(&next, &mine) {
-        drop(inner);
-        // If `next` hands straight back before we wait, the cell's flag
-        // holds the release.
-        next.release();
-        mine.wait();
-        inner = shared.inner.lock();
+    if next != id {
+        inner = hand_off(shared, inner, next, Handoff::Fiber(id));
+        CURRENT.with(|c| c.fiber.set(id));
     }
     // On resume: if the sim is shutting down, unwind this fiber.
     if inner.shutting_down {
@@ -521,21 +511,39 @@ fn switch_out<'a>(shared: &'a Shared, mut inner: MutexGuard<'a, Inner>, id: u64)
     inner.fibers[&id].wake_reason
 }
 
-/// Tags the current fiber for diagnostics (shown by the stall watchdog).
-/// Outside a fiber there is nothing to tag, and it does nothing.
+/// Parks the current fiber until [`unpark`] or, given one, until virtual
+/// time `ns` from now.
+fn park_for(ns: Option<Nanos>) -> WakeReason {
+    with_current(|shared, id| {
+        let mut inner = shared.borrow_mut();
+        let deadline = ns.map(|ns| inner.now.saturating_add(ns));
+        let slot = inner.fibers.get_mut(&id).expect("running");
+        slot.state = FiberState::Parked;
+        slot.generation += 1;
+        let generation = slot.generation;
+        if let Some(deadline) = deadline {
+            let seq = inner.next_seq;
+            inner.next_seq += 1;
+            inner.timers.push(Reverse((deadline, seq, id, generation)));
+        }
+        switch_out(shared, inner, id)
+    })
+}
+
+/// Tags the current fiber for diagnostics (named if it aborts the process,
+/// see [`switch_out`]). Outside a fiber there is nothing to tag, and it
+/// does nothing.
 pub fn set_tag(tag: &'static str) {
-    CURRENT.with(|c| {
-        if let Some((shared, id)) = c.borrow().as_ref() {
-            if let Some(slot) = shared.inner.lock().fibers.get_mut(id) {
-                slot.tag = tag;
-            }
+    let _ = try_with_current(|shared, id| {
+        if let Some(slot) = shared.borrow_mut().fibers.get_mut(&id) {
+            slot.tag = tag;
         }
     });
 }
 
-/// Returns `true` if the calling thread is a simulation fiber.
+/// Returns `true` if the caller runs in a simulation fiber.
 pub fn in_fiber() -> bool {
-    CURRENT.with(|c| c.borrow().is_some())
+    try_with_current(|_, _| ()).is_some()
 }
 
 /// The current fiber's id.
@@ -553,7 +561,7 @@ pub fn current() -> FiberId {
 ///
 /// Panics when called outside a fiber.
 pub fn now() -> Nanos {
-    with_current(|shared, _| shared.inner.lock().now)
+    with_current(|shared, _| shared.borrow().now)
 }
 
 /// Spawns a new fiber. The returned [`FiberId`] can be passed to [`unpark`]
@@ -587,10 +595,9 @@ pub fn spawn_daemon<F: FnOnce() + Send + 'static>(f: F) -> FiberId {
         spawn_fiber(shared, Box::new(f), true, node, txn)
     })
 }
-
 /// Observability context a child fiber inherits from its spawner.
-fn inherited_obs_ctx(shared: &Arc<Shared>, id: u64) -> (u32, u64) {
-    let inner = shared.inner.lock();
+fn inherited_obs_ctx(shared: &Rc<Shared>, id: u64) -> (u32, u64) {
+    let inner = shared.borrow();
     inner
         .fibers
         .get(&id)
@@ -602,7 +609,7 @@ fn inherited_obs_ctx(shared: &Arc<Shared>, id: u64) -> (u32, u64) {
 /// Called by `crate::obs::install` from inside the root fiber.
 pub(crate) fn obs_install(obs: Option<Arc<treaty_obs::Obs>>) {
     with_current(|shared, _| {
-        shared.inner.lock().obs = obs;
+        shared.borrow_mut().obs = obs;
     });
 }
 
@@ -610,7 +617,7 @@ pub(crate) fn obs_install(obs: Option<Arc<treaty_obs::Obs>>) {
 /// No-op outside a fiber.
 pub(crate) fn obs_set_node(node: u32) {
     let _ = try_with_current(|shared, id| {
-        if let Some(slot) = shared.inner.lock().fibers.get_mut(&id) {
+        if let Some(slot) = shared.borrow_mut().fibers.get_mut(&id) {
             slot.obs_node = node;
         }
     });
@@ -620,7 +627,7 @@ pub(crate) fn obs_set_node(node: u32) {
 /// previous value so callers can restore it. Returns 0 outside a fiber.
 pub(crate) fn obs_set_txn(txn: u64) -> u64 {
     try_with_current(|shared, id| {
-        let mut inner = shared.inner.lock();
+        let mut inner = shared.borrow_mut();
         match inner.fibers.get_mut(&id) {
             Some(slot) => std::mem::replace(&mut slot.obs_txn, txn),
             None => 0,
@@ -629,12 +636,12 @@ pub(crate) fn obs_set_txn(txn: u64) -> u64 {
     .unwrap_or(0)
 }
 
-/// Everything needed to stamp one trace event, read under a single lock:
+/// Everything needed to stamp one trace event, read in one borrow:
 /// `(hub, virtual now, node, fiber id, txn)`. `None` when called outside a
 /// fiber or when no hub is installed — instrumentation then no-ops.
 pub(crate) fn obs_ctx() -> Option<(Arc<treaty_obs::Obs>, Nanos, u32, u64, u64)> {
     try_with_current(|shared, id| {
-        let inner = shared.inner.lock();
+        let inner = shared.borrow();
         let obs = inner.obs.clone()?;
         let slot = inner.fibers.get(&id)?;
         Some((obs, inner.now, slot.obs_node, id, slot.obs_txn))
@@ -646,21 +653,21 @@ pub(crate) fn obs_ctx() -> Option<(Arc<treaty_obs::Obs>, Nanos, u32, u64, u64)> 
 /// simulation. Called by `crate::crashpoint::install` from the root fiber.
 pub(crate) fn crash_install(plan: Option<Arc<crate::crashpoint::CrashPlan>>) {
     with_current(|shared, _| {
-        shared.inner.lock().crash = plan;
+        shared.borrow_mut().crash = plan;
     });
 }
 
 /// The installed crash plan, if any. `None` outside a fiber.
 pub(crate) fn crash_installed() -> Option<Arc<crate::crashpoint::CrashPlan>> {
-    try_with_current(|shared, _| shared.inner.lock().crash.clone()).flatten()
+    try_with_current(|shared, _| shared.borrow().crash.clone()).flatten()
 }
 
-/// Everything a crash point needs, read under a single lock: `(plan, node
+/// Everything a crash point needs, read in one borrow: `(plan, node
 /// this fiber executes for, virtual now)`. `None` when called outside a
 /// fiber or with no plan installed — crash points then no-op.
 pub(crate) fn crash_ctx() -> Option<(Arc<crate::crashpoint::CrashPlan>, u32, Nanos)> {
     try_with_current(|shared, id| {
-        let inner = shared.inner.lock();
+        let inner = shared.borrow();
         let plan = inner.crash.clone()?;
         let slot = inner.fibers.get(&id)?;
         Some((plan, slot.obs_node, inner.now))
@@ -668,20 +675,11 @@ pub(crate) fn crash_ctx() -> Option<(Arc<crate::crashpoint::CrashPlan>, u32, Nan
     .flatten()
 }
 
-/// Like [`with_current`] but returns `None` outside a fiber instead of
-/// panicking — observability must never abort an un-instrumented context.
-fn try_with_current<R>(f: impl FnOnce(&Arc<Shared>, u64) -> R) -> Option<R> {
-    CURRENT.with(|c| {
-        let b = c.borrow();
-        let (shared, id) = b.as_ref()?;
-        Some(f(shared, *id))
-    })
-}
-
 /// Advances this fiber's virtual time by `ns` nanoseconds.
 ///
 /// Other fibers run during the interval; no wall-clock time passes beyond
-/// scheduling overhead.
+/// scheduling overhead. An [`unpark`] that lands mid-sleep does not cut it
+/// short: the fiber parks again until its deadline.
 ///
 /// # Panics
 ///
@@ -691,8 +689,8 @@ pub fn sleep(ns: Nanos) {
         yield_now();
         return;
     }
-    let reason = park_timeout(ns);
-    debug_assert_eq!(reason, WakeReason::Timeout, "sleep woken early by unpark");
+    let deadline = now().saturating_add(ns);
+    while park_for(Some(deadline - now())) == WakeReason::Signal {}
 }
 
 /// Parks the current fiber until another fiber calls [`unpark`] on it.
@@ -701,13 +699,7 @@ pub fn sleep(ns: Nanos) {
 ///
 /// Panics when called outside a fiber.
 pub fn park() {
-    with_current(|shared, id| {
-        let mut inner = shared.inner.lock();
-        let slot = inner.fibers.get_mut(&id).unwrap();
-        slot.state = FiberState::Parked;
-        slot.generation += 1;
-        switch_out(shared, inner, id);
-    });
+    park_for(None);
 }
 
 /// Parks the current fiber until [`unpark`] or until `ns` virtual nanoseconds
@@ -717,18 +709,7 @@ pub fn park() {
 ///
 /// Panics when called outside a fiber.
 pub fn park_timeout(ns: Nanos) -> WakeReason {
-    with_current(|shared, id| {
-        let mut inner = shared.inner.lock();
-        let deadline = inner.now.saturating_add(ns);
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        let slot = inner.fibers.get_mut(&id).unwrap();
-        slot.state = FiberState::Parked;
-        slot.generation += 1;
-        let generation = slot.generation;
-        inner.timers.push(Reverse((deadline, seq, id, generation)));
-        switch_out(shared, inner, id)
-    })
+    park_for(Some(ns))
 }
 
 /// Makes a parked fiber runnable. Returns `true` if the fiber was parked.
@@ -743,7 +724,7 @@ pub fn park_timeout(ns: Nanos) -> WakeReason {
 /// Panics when called outside a fiber.
 pub fn unpark(target: FiberId) -> bool {
     with_current(|shared, _| {
-        let mut inner = shared.inner.lock();
+        let mut inner = shared.borrow_mut();
         let was_parked = inner
             .fibers
             .get(&target.0)
@@ -764,9 +745,8 @@ pub fn unpark(target: FiberId) -> bool {
 /// Panics when called outside a fiber.
 pub fn yield_now() {
     with_current(|shared, id| {
-        let mut inner = shared.inner.lock();
-        let slot = inner.fibers.get_mut(&id).unwrap();
-        slot.state = FiberState::Runnable;
+        let mut inner = shared.borrow_mut();
+        inner.fibers.get_mut(&id).expect("running").state = FiberState::Runnable;
         inner.run_queue.push_back(FiberId(id));
         switch_out(shared, inner, id);
     });
@@ -780,7 +760,7 @@ pub fn yield_now() {
 /// Panics when called outside a fiber.
 pub fn join(target: FiberId) {
     let done = with_current(|shared, id| {
-        let mut inner = shared.inner.lock();
+        let mut inner = shared.borrow_mut();
         match inner.fibers.get_mut(&target.0) {
             // A finished fiber has left the table.
             None => true,
@@ -798,6 +778,7 @@ pub fn join(target: FiberId) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parking_lot::Mutex;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
@@ -1102,6 +1083,120 @@ mod tests {
                 assert_eq!(now(), before, "join on a finished fiber must not block");
             })
             .unwrap();
+    }
+
+    #[test]
+    fn a_sleep_woken_early_still_ends_at_its_deadline() {
+        let woke_at = Arc::new(AtomicU64::new(0));
+        let w = Arc::clone(&woke_at);
+        Sim::new()
+            .run(move || {
+                let sleeper = spawn(move || {
+                    sleep(100);
+                    w.store(now(), Ordering::SeqCst);
+                });
+                sleep(10);
+                assert!(unpark(sleeper), "the sleeper is parked mid-sleep");
+                join(sleeper);
+            })
+            .unwrap();
+        assert_eq!(woke_at.load(Ordering::SeqCst), 100);
+    }
+
+    /// Pushes its depth to a shared log when it drops.
+    struct Frame(u32, Arc<Mutex<Vec<u32>>>);
+
+    impl Drop for Frame {
+        fn drop(&mut self) {
+            self.1.lock().push(self.0);
+        }
+    }
+
+    fn descend_and_crash(depth: u32, log: &Arc<Mutex<Vec<u32>>>) {
+        let _frame = Frame(depth, Arc::clone(log));
+        if depth == 1_000 {
+            std::panic::panic_any(crate::crashpoint::CrashUnwind);
+        }
+        descend_and_crash(depth + 1, log);
+    }
+
+    #[test]
+    fn a_crash_unwinds_a_thousand_frames_in_reverse_order() {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let siblings_done = Arc::new(AtomicU64::new(0));
+        let (l, done) = (Arc::clone(&log), Arc::clone(&siblings_done));
+        Sim::new()
+            .run(move || {
+                let siblings: Vec<_> = (0..3)
+                    .map(|i| {
+                        let done = Arc::clone(&done);
+                        spawn(move || {
+                            for _ in 0..5 {
+                                sleep(1 + i);
+                                yield_now();
+                            }
+                            done.fetch_add(1, Ordering::SeqCst);
+                        })
+                    })
+                    .collect();
+                let crasher = spawn(move || {
+                    sleep(2);
+                    descend_and_crash(1, &l);
+                });
+                join(crasher);
+                siblings.into_iter().for_each(join);
+            })
+            .unwrap();
+        assert_eq!(*log.lock(), (1..=1_000).rev().collect::<Vec<_>>());
+        assert_eq!(siblings_done.load(Ordering::SeqCst), 3);
+    }
+
+    /// Recurses until it is `bytes` below `base`; returns the frame count.
+    fn descend_through(base: usize, bytes: usize) -> usize {
+        let pad = std::hint::black_box([0u8; 1024]);
+        let here = &pad as *const [u8; 1024] as usize;
+        if base - here >= bytes {
+            return 1;
+        }
+        1 + descend_through(base, bytes) + pad[0] as usize
+    }
+
+    #[test]
+    fn a_fiber_recurses_through_a_mebibyte_of_stack() {
+        let frames = Arc::new(AtomicU64::new(0));
+        let f = Arc::clone(&frames);
+        Sim::new()
+            .run(move || {
+                let base = std::hint::black_box(0u8);
+                let base = &base as *const u8 as usize;
+                let n = descend_through(base, 1 << 20);
+                f.store(n as u64, Ordering::SeqCst);
+            })
+            .unwrap();
+        assert!(frames.load(Ordering::SeqCst) > 100);
+    }
+
+    #[test]
+    fn finished_fibers_hand_their_stacks_on() {
+        // One after another: the root's stack and one that every child reuses.
+        let report = Sim::new()
+            .run(|| {
+                for _ in 0..100_000 {
+                    join(spawn(|| {}));
+                }
+            })
+            .unwrap();
+        assert_eq!((report.fibers, report.stacks), (100_001, 2));
+        // Two bursts of 100: the second maps only what the pool let go.
+        let report = Sim::new()
+            .run(|| {
+                for _ in 0..2 {
+                    let burst: Vec<_> = (0..100).map(|_| spawn(|| sleep(1))).collect();
+                    burst.into_iter().for_each(join);
+                }
+            })
+            .unwrap();
+        assert_eq!(report.stacks, 1 + 100 + (100 - 16));
     }
 
     /// The schedule is a function of the run queue and the timer heap: a
