@@ -74,20 +74,42 @@ pub fn sha256_parts(parts: &[&[u8]]) -> Digest32 {
 
 /// HMAC-SHA-256 under a key of any length: the core of [`hmac_sign`] and
 /// [`hmac_verify`].
-#[allow(clippy::expect_used, reason = "HMAC accepts a key of any length")]
 pub(crate) fn hmac(key: &[u8], data: &[u8]) -> Digest32 {
+    hmac_parts(key, &[data])
+}
+
+/// [`hmac`] over the concatenation of `parts`, fed one after another
+/// without joining them: the core of [`hmac_sign_parts`].
+pub(crate) fn hmac_parts(key: &[u8], parts: &[&[u8]]) -> Digest32 {
     #[cfg(target_arch = "x86_64")]
-    if let Some(tag) = crate::hw::hmac(key, data) {
+    if let Some(tag) = crate::hw::hmac(key, parts) {
         return Digest32(tag);
     }
+    soft_hmac(key, parts)
+}
+
+/// [`hmac_parts`] on the `hmac` crate: the path where the CPU lacks the
+/// SHA extensions.
+#[allow(clippy::expect_used, reason = "HMAC accepts a key of any length")]
+pub(crate) fn soft_hmac(key: &[u8], parts: &[&[u8]]) -> Digest32 {
     let mut mac = <Hmac<Sha256> as Mac>::new_from_slice(key).expect("any key length");
-    mac.update(data);
+    for part in parts {
+        mac.update(part);
+    }
     Digest32(mac.finalize().into_bytes().into())
 }
 
 /// HMAC-SHA-256 of `data` under `key`.
 pub fn hmac_sign(key: &Key, data: &[u8]) -> Digest32 {
     hmac(key.as_slice(), data)
+}
+
+/// HMAC-SHA-256 under `key` of the concatenation of `parts`, without
+/// concatenating them: `hmac_sign_parts(k, &[a, b])` equals
+/// `hmac_sign(k, a ‖ b)`. Unlike [`sha256_parts`] nothing frames the
+/// parts, so the caller's format must fix where each one ends.
+pub fn hmac_sign_parts(key: &Key, parts: &[&[u8]]) -> Digest32 {
+    hmac_parts(key.as_slice(), parts)
 }
 
 /// Verifies an HMAC produced by [`hmac_sign`] in constant time.

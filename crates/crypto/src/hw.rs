@@ -528,9 +528,9 @@ impl Sha256 {
     }
 }
 
-/// HMAC-SHA-256 (RFC 2104) under a key of any length, where the CPU has
-/// the SHA extensions.
-pub(crate) fn hmac(key: &[u8], data: &[u8]) -> Option<[u8; 32]> {
+/// HMAC-SHA-256 (RFC 2104) under a key of any length over the
+/// concatenation of `parts`, where the CPU has the SHA extensions.
+pub(crate) fn hmac(key: &[u8], parts: &[&[u8]]) -> Option<[u8; 32]> {
     let mut block = [0u8; 64];
     if key.len() > 64 {
         let mut h = Sha256::new()?;
@@ -541,7 +541,9 @@ pub(crate) fn hmac(key: &[u8], data: &[u8]) -> Option<[u8; 32]> {
     }
     let mut inner = Sha256::new()?;
     inner.update(&block.map(|b| b ^ 0x36));
-    inner.update(data);
+    for part in parts {
+        inner.update(part);
+    }
     let mut outer = Sha256::new()?;
     outer.update(&block.map(|b| b ^ 0x5c));
     outer.update(&inner.finish());

@@ -8,7 +8,8 @@
 //! The original system uses OpenSSL inside the enclave, where AES-GCM runs
 //! on AES-NI and PCLMULQDQ and SHA-256 on the SHA extensions. Here every
 //! entry point ([`aead_seal`], [`aead_open`], [`sha256`],
-//! [`sha256_parts`](hash::sha256_parts), [`hmac_sign`], [`hmac_verify`])
+//! [`sha256_parts`](hash::sha256_parts), [`hmac_sign`],
+//! [`hmac_sign_parts`](hash::hmac_sign_parts), [`hmac_verify`])
 //! picks one of two paths per call:
 //!
 //! - on an x86_64 CPU with those instructions, `hw`'s implementations of

@@ -16,7 +16,7 @@ use aes_gcm::{Aes256Gcm, KeyInit, Nonce};
 use hmac::{Hmac, Mac};
 use sha2::{Digest, Sha256};
 
-use crate::hash::{hmac, sha256_parts, Hasher};
+use crate::hash::{hmac, hmac_sign_parts, sha256_parts, soft_hmac, Hasher};
 use crate::{aead_open, aead_seal, ct_eq, hmac_sign, hmac_verify, sha256, CryptoError, Key};
 
 /// SplitMix64: seeded inputs without a dependency.
@@ -219,6 +219,51 @@ fn sha256_and_hmac_match_the_oracle() {
                 oracle_sha256(&data),
                 "len {len} split {split}"
             );
+        }
+    }
+}
+
+/// `hmac_sign_parts` equals the oracle's HMAC of the concatenation, on the
+/// path the CPU selects and on the fallback alike: every length 0..=300
+/// cut into up to five parts at random offsets (empty parts included), and
+/// every two-part split of the lengths around one and two 64-byte blocks.
+#[test]
+fn hmac_over_parts_matches_the_oracle_of_the_concatenation() {
+    note_if_no_hardware_path("HMAC");
+    let mut rng = Rng(0x4ac_0001);
+    let check = |key: &Key, data: &[u8], cuts: &[usize]| {
+        let mut parts: Vec<&[u8]> = Vec::new();
+        let mut from = 0;
+        for &c in cuts {
+            parts.push(&data[from..c]);
+            from = c;
+        }
+        parts.push(&data[from..]);
+        let want = oracle_hmac(key.as_slice(), data);
+        assert_eq!(hmac_sign_parts(key, &parts).0, want, "cuts {cuts:?}");
+        assert_eq!(
+            soft_hmac(key.as_slice(), &parts).0,
+            want,
+            "fallback, cuts {cuts:?}"
+        );
+        #[cfg(target_arch = "x86_64")]
+        if let Some(tag) = crate::hw::hmac(key.as_slice(), &parts) {
+            assert_eq!(tag, want, "hardware, cuts {cuts:?}");
+        }
+    };
+    for len in 0..=300usize {
+        let key = Key::from_bytes(rng.array());
+        let data = rng.bytes(len);
+        let mut cuts: Vec<usize> = (0..rng.below(5)).map(|_| rng.below(len + 1)).collect();
+        cuts.sort_unstable();
+        check(&key, &data, &cuts);
+    }
+    for len in [63, 64, 65, 127, 128, 129, 200] {
+        let key = Key::from_bytes(rng.array());
+        let data = rng.bytes(len);
+        for split in 0..=len {
+            check(&key, &data, &[split]);
+            check(&key, &data, &[split, split]);
         }
     }
 }

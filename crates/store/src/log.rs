@@ -23,7 +23,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use treaty_counter::TrustedCounter;
-use treaty_crypto::{aead_open, aead_seal, hash, CryptoError, Digest32};
+use treaty_crypto::{aead_open, aead_seal, ct_eq, hash, CryptoError};
 use treaty_sched::GroupCommit;
 use treaty_sim::crashpoint::CrashPoint;
 use treaty_tee::HostBytes;
@@ -33,6 +33,8 @@ use crate::{Result, StoreError};
 
 const MAC_LEN: usize = 32;
 const HEADER_LEN: usize = 12;
+/// What AES-GCM adds to an encrypted payload.
+const GCM_TAG_LEN: usize = 16;
 
 /// Derives the cluster-unique trusted counter id for a log file from the
 /// node's own directory *name* (`node-0/wal-1`). Never the absolute path:
@@ -56,48 +58,49 @@ fn record_nonce(name: &str, counter: u64) -> [u8; 12] {
     nonce
 }
 
-/// What a record's MAC covers: the log's name, the counter and the payload.
-fn mac_input(name: &str, counter: u64, payload: &[u8]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(payload.len() + name.len() + 8);
-    buf.extend_from_slice(name.as_bytes());
-    buf.extend_from_slice(&counter.to_le_bytes());
-    buf.extend_from_slice(payload);
-    buf
+/// A record's MAC: over the log's name, the counter and the stored
+/// payload, hashed where they lie. The name and the counter are fixed by
+/// the reader before it checks a record, so the parts need no framing.
+fn record_mac(env: &Env, name: &str, counter: u64, payload: &[u8]) -> [u8; MAC_LEN] {
+    hash::hmac_sign_parts(
+        &env.keys.storage,
+        &[name.as_bytes(), &counter.to_le_bytes(), payload],
+    )
+    .0
 }
 
-/// Frames one record (encrypting the payload if the profile says so).
+/// Frames one record onto the end of `out` (encrypting the payload if the
+/// profile says so).
 ///
 /// Record bytes cross the enclave boundary on their way to the (untrusted)
-/// file system, so the frame is assembled as [`HostBytes`]: counter and
-/// length are public framing, the payload is ciphertext or an explicitly
-/// declassified cleartext, the MAC is a tag.
-fn encode_record(env: &Env, name: &str, counter: u64, plain: &[u8]) -> HostBytes {
-    let payload = if env.profile.encryption {
-        HostBytes::from_ciphertext(aead_seal(
+/// file system, so the frame is assembled in the batch's [`HostBytes`]:
+/// counter and length are public framing, the payload is ciphertext or an
+/// explicitly declassified cleartext, the MAC is a tag.
+fn encode_record(env: &Env, name: &str, counter: u64, plain: &[u8], out: &mut HostBytes) {
+    let sealed = env.profile.encryption.then(|| {
+        aead_seal(
             &env.keys.storage,
             &record_nonce(name, counter),
             name.as_bytes(),
             plain,
-        ))
-    } else {
+        )
+    });
+    let payload_len = sealed.as_ref().map_or(plain.len(), |ct| ct.len());
+    out.push_u64(counter);
+    out.push_u32(payload_len as u32);
+    let payload_at = out.len();
+    match sealed {
+        Some(ct) => out.append(HostBytes::from_ciphertext(ct)),
         // Profiles without storage encryption persist log payloads in
         // clear by design (the "w/o Enc" and native baselines).
-        HostBytes::declassified(plain.to_vec(), "log payload under a no-encryption profile")
-    };
+        None => out.append_declassified(plain, "log payload under a no-encryption profile"),
+    }
     let mac = if env.profile.authentication {
-        hash::hmac_sign(
-            &env.keys.storage,
-            &mac_input(name, counter, payload.as_slice()),
-        )
-        .0
+        record_mac(env, name, counter, &out.as_slice()[payload_at..])
     } else {
         [0u8; MAC_LEN]
     };
-    let mut out = HostBytes::public_u64(counter);
-    out.append(HostBytes::public_u32(payload.len() as u32));
-    out.append(payload);
-    out.append(HostBytes::tag(mac));
-    out
+    out.push_tag(mac);
 }
 
 /// What a queued record learns when the leader that took it unwound before
@@ -221,6 +224,13 @@ impl LogWriter {
         // writer that died, say — must not add to the file recovery reads.
         treaty_sim::crashpoint::stop_if_down();
         let mut buf = HostBytes::empty();
+        // Room for every frame, the payload's GCM tag included.
+        buf.reserve(
+            plains
+                .iter()
+                .map(|p| HEADER_LEN + p.as_ref().len() + GCM_TAG_LEN + MAC_LEN)
+                .sum(),
+        );
         let mut first = 0;
         let mut last = 0;
         for (i, plain) in plains.iter().enumerate() {
@@ -232,7 +242,7 @@ impl LogWriter {
             last = c;
             self.env.charge_crypto(plain.len());
             self.env.charge_hash(plain.len());
-            buf.append(encode_record(&self.env, &self.name, c, plain));
+            encode_record(&self.env, &self.name, c, plain, &mut buf);
         }
         self.env.charge_ssd_append(buf.len());
         {
@@ -343,10 +353,7 @@ pub fn replay(env: &Env, name: &str, path: &Path, start: u64) -> Result<LogRepla
 
         if env.profile.authentication {
             env.charge_hash(len);
-            let mac = Digest32(std::array::from_fn(|i| mac[i]));
-            if hash::hmac_verify(&env.keys.storage, &mac_input(name, counter, payload), &mac)
-                .is_err()
-            {
+            if !ct_eq(&record_mac(env, name, counter, payload), mac) {
                 return Err(StoreError::Integrity(format!(
                     "log {name}: record {counter} failed authentication"
                 )));

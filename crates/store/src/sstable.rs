@@ -15,15 +15,23 @@
 //! meta footer. The meta footer itself is sealed the same way, and its
 //! digests are loaded *into the enclave* at open so every subsequent block
 //! read can be verified against trusted state.
+//!
+//! Host I/O: a build writes the whole file through one buffer and syncs it
+//! once; an open table holds the one descriptor it opened, and reads each
+//! block with one positioned read. Holding it weakens no check: every block
+//! is still verified against its AEAD tag (nonce and AAD bound to `file_id`
+//! and `block_no`) or the sealed footer's digest, and file ids are never
+//! reused.
 
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{BufWriter, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use treaty_crypto::codec::{CodecError, Decode, Encode, Reader, Record, Writer};
-use treaty_crypto::{aead_open, aead_seal, hash, Digest32};
+use treaty_crypto::{aead_open, aead_seal, ct_eq, hash};
 use treaty_tee::HostBytes;
 
 use crate::bloom::BloomFilter;
@@ -34,6 +42,9 @@ use crate::{Result, StoreError};
 
 const MAGIC: u64 = 0x5452_4541_5459_5354; // "TREATYST"
 const META_BLOCK_NO: u32 = u32::MAX;
+/// The write buffer of one table build: a flush-sized table in a handful
+/// of `write` calls, without holding a whole compaction output twice.
+const BUILD_BUFFER_BYTES: usize = 256 << 10;
 
 /// Metadata for one block.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -140,17 +151,21 @@ fn block_nonce(file_id: u64, block_no: u32) -> [u8; 12] {
     n
 }
 
-fn block_aad(file_id: u64, block_no: u32) -> Vec<u8> {
-    let mut aad = Vec::with_capacity(12);
-    aad.extend_from_slice(&file_id.to_le_bytes());
-    aad.extend_from_slice(&block_no.to_le_bytes());
-    aad
+/// What binds a block to its place: the same twelve bytes as its nonce.
+fn block_aad(file_id: u64, block_no: u32) -> [u8; 12] {
+    block_nonce(file_id, block_no)
+}
+
+/// The footer digest of a stored block under authentication-only
+/// profiles: an HMAC over its place and its bytes, hashed where they lie.
+fn block_digest(env: &Env, file_id: u64, block_no: u32, stored: &[u8]) -> [u8; 32] {
+    hash::hmac_sign_parts(&env.keys.storage, &[&block_aad(file_id, block_no), stored]).0
 }
 
 /// Protects one block for untrusted storage, returning the stored bytes
 /// (as boundary-typed [`HostBytes`]) plus the footer HMAC digest used in
 /// authentication-only mode.
-fn protect_block(env: &Env, file_id: u64, block_no: u32, plain: &[u8]) -> (HostBytes, [u8; 32]) {
+fn protect_block(env: &Env, file_id: u64, block_no: u32, plain: Vec<u8>) -> (HostBytes, [u8; 32]) {
     env.charge_crypto(plain.len());
     env.charge_hash(plain.len());
     let stored = if env.profile.encryption {
@@ -158,21 +173,16 @@ fn protect_block(env: &Env, file_id: u64, block_no: u32, plain: &[u8]) -> (HostB
             &env.keys.storage,
             &block_nonce(file_id, block_no),
             &block_aad(file_id, block_no),
-            plain,
+            &plain,
         ))
     } else {
         // Unencrypted profiles store cleartext blocks by design; integrity
         // comes from the footer HMAC the enclave pins at open (the "w/o
         // Enc" ablation) or from nothing (native baseline).
-        HostBytes::declassified(
-            plain.to_vec(),
-            "sstable block under a no-encryption profile",
-        )
+        HostBytes::declassified(plain, "sstable block under a no-encryption profile")
     };
     let digest = if env.profile.authentication && !env.profile.encryption {
-        let mut buf = block_aad(file_id, block_no);
-        buf.extend_from_slice(stored.as_slice());
-        hash::hmac_sign(&env.keys.storage, &buf).0
+        block_digest(env, file_id, block_no, stored.as_slice())
     } else {
         [0u8; 32]
     };
@@ -183,7 +193,7 @@ fn open_block(
     env: &Env,
     file_id: u64,
     block_no: u32,
-    stored: &[u8],
+    stored: Vec<u8>,
     digest: &[u8; 32],
 ) -> Result<Vec<u8>> {
     env.charge_crypto(stored.len());
@@ -193,7 +203,7 @@ fn open_block(
             &env.keys.storage,
             &block_nonce(file_id, block_no),
             &block_aad(file_id, block_no),
-            stored,
+            &stored,
         )
         .map_err(|_| {
             StoreError::Integrity(format!(
@@ -201,21 +211,19 @@ fn open_block(
             ))
         })
     } else {
-        if env.profile.authentication {
-            let mut buf = block_aad(file_id, block_no);
-            buf.extend_from_slice(stored);
-            if hash::hmac_verify(&env.keys.storage, &buf, &Digest32(*digest)).is_err() {
-                return Err(StoreError::Integrity(format!(
-                    "sstable {file_id} block {block_no} failed authentication"
-                )));
-            }
+        if env.profile.authentication
+            && !ct_eq(&block_digest(env, file_id, block_no, &stored), digest)
+        {
+            return Err(StoreError::Integrity(format!(
+                "sstable {file_id} block {block_no} failed authentication"
+            )));
         }
-        Ok(stored.to_vec())
+        Ok(stored)
     }
 }
 
 /// One record inside a block.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SsRecord {
     /// User key.
     pub key: UserKey,
@@ -225,13 +233,20 @@ pub struct SsRecord {
     pub value: Option<Vec<u8>>,
 }
 
-fn encode_records(records: &[SsRecord]) -> Vec<u8> {
-    let mut out = Vec::new();
-    for r in records {
-        out.extend_from_slice(&(r.key.len() as u32).to_le_bytes());
-        out.extend_from_slice(&r.key);
-        out.extend_from_slice(&r.seq.to_le_bytes());
-        match &r.value {
+/// Bytes a record adds to its block: the key, the value and 17 bytes of
+/// framing and seq. A block closes once it holds `block_bytes` of these.
+fn record_bytes((key, _, value): &VersionedEntry) -> usize {
+    key.len() + value.as_ref().map(|v| v.len()).unwrap_or(0) + 17
+}
+
+/// One block's plaintext, encoded straight from the build's entries.
+fn encode_block(entries: &[VersionedEntry]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(entries.iter().map(record_bytes).sum());
+    for (key, seq, value) in entries {
+        out.extend_from_slice(&(key.len() as u32).to_le_bytes());
+        out.extend_from_slice(key);
+        out.extend_from_slice(&seq.to_le_bytes());
+        match value {
             Some(v) => {
                 out.push(1);
                 out.extend_from_slice(&(v.len() as u32).to_le_bytes());
@@ -300,53 +315,41 @@ pub fn build(
         !entries.is_empty() || !range_tombstones.is_empty(),
         "cannot build an empty sstable"
     );
-    let mut file = File::create(path)?;
+    let mut file = BufWriter::with_capacity(BUILD_BUFFER_BYTES, File::create(path)?);
     let mut blocks = Vec::new();
     let mut offset = 0u64;
-    let mut pending: Vec<SsRecord> = Vec::new();
-    let mut pending_bytes = 0usize;
     let mut max_seq = 0;
-    let mut total = 0u64;
 
-    let flush_block = |pending: &mut Vec<SsRecord>,
-                       file: &mut File,
-                       offset: &mut u64,
-                       blocks: &mut Vec<BlockMeta>|
-     -> Result<()> {
-        if pending.is_empty() {
+    let mut write_block = |records: &[VersionedEntry]| -> Result<()> {
+        let (Some(first), Some(last)) = (records.first(), records.last()) else {
             return Ok(());
-        }
+        };
         let block_no = blocks.len() as u32;
-        let plain = encode_records(pending);
-        let (stored, digest) = protect_block(env, file_id, block_no, &plain);
+        let (stored, digest) = protect_block(env, file_id, block_no, encode_block(records));
         file.write_all(stored.as_slice())?;
         blocks.push(BlockMeta {
-            offset: *offset,
+            offset,
             len: stored.len() as u32,
-            first_key: pending[0].key.clone(),
-            last_key: pending[pending.len() - 1].key.clone(),
+            first_key: first.0.clone(),
+            last_key: last.0.clone(),
             digest,
         });
-        *offset += stored.len() as u64;
-        pending.clear();
+        offset += stored.len() as u64;
         Ok(())
     };
 
-    for (key, seq, value) in entries {
-        max_seq = max_seq.max(*seq);
-        total += 1;
-        pending_bytes += key.len() + value.as_ref().map(|v| v.len()).unwrap_or(0) + 17;
-        pending.push(SsRecord {
-            key: key.clone(),
-            seq: *seq,
-            value: value.clone(),
-        });
+    let mut block_start = 0;
+    let mut pending_bytes = 0usize;
+    for (i, entry) in entries.iter().enumerate() {
+        max_seq = max_seq.max(entry.1);
+        pending_bytes += record_bytes(entry);
         if pending_bytes >= env.config.block_bytes {
-            flush_block(&mut pending, &mut file, &mut offset, &mut blocks)?;
+            write_block(&entries[block_start..=i])?;
+            block_start = i + 1;
             pending_bytes = 0;
         }
     }
-    flush_block(&mut pending, &mut file, &mut offset, &mut blocks)?;
+    write_block(&entries[block_start..])?;
 
     // Entries arrive sorted by user key, so distinct keys are runs; one
     // filter insertion per run. Sized by distinct-key count, not record
@@ -393,18 +396,17 @@ pub fn build(
         min_key,
         max_key,
         max_seq,
-        entries: total,
+        entries: entries.len() as u64,
         filter,
         range_tombstones: range_tombstones.to_vec(),
     };
 
-    let meta_plain = meta.to_bytes();
-    let (meta_stored, meta_digest) = protect_block(env, file_id, META_BLOCK_NO, &meta_plain);
+    let (meta_stored, meta_digest) = protect_block(env, file_id, META_BLOCK_NO, meta.to_bytes());
     file.write_all(meta_stored.as_slice())?;
     file.write_all(&meta_digest)?;
     file.write_all(&(meta_stored.len() as u64).to_le_bytes())?;
     file.write_all(&MAGIC.to_le_bytes())?;
-    file.sync_data()?;
+    file.into_inner().map_err(|e| e.into_error())?.sync_data()?;
 
     // Writing the table costs one sequential SSD write of its full size.
     env.charge_ssd_append((offset as usize) + meta_stored.len() + 48);
@@ -415,6 +417,11 @@ pub fn build(
 pub struct SsTable {
     env: Arc<Env>,
     path: PathBuf,
+    /// The descriptor opened at [`SsTable::open`], held until the table
+    /// drops: every block read is one positioned read on it. A table that
+    /// garbage collection unlinked stays readable for the cursors that
+    /// still hold it.
+    file: File,
     meta: SsTableMeta,
     /// On-disk size, captured once at open so level-size checks on the
     /// commit path never issue a host `metadata` syscall per table.
@@ -439,34 +446,35 @@ impl SsTable {
     /// [`StoreError::Integrity`] if the footer is malformed or fails
     /// verification; [`StoreError::Io`] on read failure.
     pub fn open(env: Arc<Env>, path: &Path) -> Result<Self> {
-        let mut file = File::open(path)?;
+        let file = File::open(path)?;
         let file_len = file.metadata()?.len();
         if file_len < 48 {
             return Err(StoreError::Integrity("sstable too short".into()));
         }
         let mut tail = [0u8; 16];
-        file.seek(SeekFrom::End(-16))?;
-        file.read_exact(&mut tail)?;
+        file.read_exact_at(&mut tail, file_len - 16)?;
         let footer_err = || StoreError::Integrity("sstable footer malformed".into());
         let meta_len = u64::from_le_bytes(tail[..8].try_into().map_err(|_| footer_err())?);
         let magic = u64::from_le_bytes(tail[8..].try_into().map_err(|_| footer_err())?);
         if magic != MAGIC {
             return Err(StoreError::Integrity("bad sstable magic".into()));
         }
-        if meta_len + 48 > file_len {
+        if meta_len > file_len - 48 {
             return Err(StoreError::Integrity("bad sstable meta length".into()));
         }
-        let mut meta_stored = vec![0u8; meta_len as usize];
-        let mut meta_digest = [0u8; 32];
-        file.seek(SeekFrom::End(-16 - 32 - meta_len as i64))?;
-        file.read_exact(&mut meta_stored)?;
-        file.read_exact(&mut meta_digest)?;
+        // The sealed meta and its digest, in one read.
+        let mut footer = vec![0u8; meta_len as usize + 32];
+        file.read_exact_at(&mut footer, file_len - 48 - meta_len)?;
+        let meta_digest: [u8; 32] = footer[meta_len as usize..]
+            .try_into()
+            .map_err(|_| footer_err())?;
+        footer.truncate(meta_len as usize);
         env.charge_storage_read(meta_len as usize);
 
         // The nonce and aad need file_id before the meta decodes: it comes
         // from the path by convention, and the decoded meta must agree.
         let file_id = file_id_from_path(path)?;
-        let meta_plain = open_block(&env, file_id, META_BLOCK_NO, &meta_stored, &meta_digest)?;
+        let meta_plain = open_block(&env, file_id, META_BLOCK_NO, footer, &meta_digest)?;
         let meta = SsTableMeta::from_bytes(&meta_plain)
             .map_err(|e| StoreError::Integrity(format!("sstable meta: {e}")))?;
         if meta.file_id != file_id {
@@ -479,6 +487,7 @@ impl SsTable {
         Ok(SsTable {
             env,
             path: path.to_path_buf(),
+            file,
             meta,
             disk_bytes: file_len,
         })
@@ -539,25 +548,25 @@ impl SsTable {
     /// failure, not an I/O error: the sealed footer says the block exists.
     fn read_block_uncached(&self, block_no: usize) -> Result<Arc<Vec<SsRecord>>> {
         let bm = &self.meta.blocks[block_no];
-        let mut file = File::open(&self.path)?;
-        file.seek(SeekFrom::Start(bm.offset))?;
         let mut stored = vec![0u8; bm.len as usize];
-        file.read_exact(&mut stored).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                StoreError::Integrity(format!(
-                    "sstable {} block {block_no} truncated by untrusted storage",
-                    self.meta.file_id
-                ))
-            } else {
-                StoreError::from(e)
-            }
-        })?;
+        self.file
+            .read_exact_at(&mut stored, bm.offset)
+            .map_err(|e| {
+                if e.kind() == std::io::ErrorKind::UnexpectedEof {
+                    StoreError::Integrity(format!(
+                        "sstable {} block {block_no} truncated by untrusted storage",
+                        self.meta.file_id
+                    ))
+                } else {
+                    StoreError::from(e)
+                }
+            })?;
         self.env.charge_storage_read(stored.len());
         let plain = open_block(
             &self.env,
             self.meta.file_id,
             block_no as u32,
-            &stored,
+            stored,
             &bm.digest,
         )?;
         Ok(Arc::new(decode_records(&plain)?))
@@ -766,7 +775,8 @@ pub struct TableCursor {
     start: Vec<u8>,
     records: Option<Arc<Vec<SsRecord>>>,
     pos: usize,
-    /// Last `(key, seq)` yielded, for cross-block continuity checks.
+    /// `(key, seq)` of the last record of the last block yielded to its
+    /// end: what the next block must continue strictly after.
     last: Option<(UserKey, SeqNum)>,
 }
 
@@ -847,17 +857,27 @@ impl TableCursor {
             if self.records.is_none() && !self.load_next_block()? {
                 return Ok(None);
             }
-            let Some(records) = self.records.as_ref() else {
+            let Some(records) = self.records.as_mut() else {
                 continue; // load_next_block populated it; retry the guard
             };
             while self.pos < records.len() {
-                let r = &records[self.pos];
+                let at = self.pos;
                 self.pos += 1;
-                if r.key.as_slice() < self.start.as_slice() {
+                if records[at].key.as_slice() < self.start.as_slice() {
                     continue; // before the seek key inside the first block
                 }
-                let out = r.clone();
-                self.last = Some((out.key.clone(), out.seq));
+                // A block read past the cache is this cursor's alone: its
+                // records move out instead of being copied.
+                let out = match Arc::get_mut(records) {
+                    Some(owned) => std::mem::take(&mut owned[at]),
+                    None => records[at].clone(),
+                };
+                // Records skipped for the seek key all precede the ones
+                // yielded, so a block read to its end last yields its last
+                // record: the only one the continuity check needs.
+                if self.pos == records.len() {
+                    self.last = Some((out.key.clone(), out.seq));
+                }
                 return Ok(Some(out));
             }
             self.records = None;

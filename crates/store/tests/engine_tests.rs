@@ -1962,3 +1962,201 @@ fn engine_matches_btreemap_model_under_random_ops() {
         "the workload must crash and recover, got {reopens}"
     );
 }
+
+/// Hex SHA-256 of a file's bytes.
+fn file_digest(path: &std::path::Path) -> String {
+    let raw = std::fs::read(path).unwrap();
+    treaty_crypto::sha256(&raw)
+        .0
+        .iter()
+        .map(|b| format!("{b:02x}"))
+        .collect()
+}
+
+/// The bytes the store leaves on disk are a format, not an accident of how
+/// it writes them: an SSTable (entries, a tombstone, range tombstones, a
+/// block boundary landing exactly on `block_bytes`) and a WAL made of
+/// single and batched appends hash to the digests recorded when the
+/// format was last changed on purpose.
+#[test]
+fn on_disk_bytes_of_a_table_and_a_log_are_pinned() {
+    use treaty_store::log::LogWriter;
+    use treaty_store::memtable::RangeTombstone;
+    use treaty_store::sstable;
+
+    // An 8-byte key and a 103-byte value charge 128 bytes to a block, so
+    // the eighth entry lands exactly on `block_bytes`.
+    let mut entries: Vec<(Vec<u8>, u64, Option<Vec<u8>>)> = (0..20u64)
+        .map(|i| {
+            let key = format!("key-{i:04}").into_bytes();
+            (key, 100 + i, Some(vec![b'a' + (i % 26) as u8; 103]))
+        })
+        .collect();
+    entries.push((b"key-0020".to_vec(), 7, None));
+    entries.push((b"key-0021".to_vec(), 9, Some(b"last".to_vec())));
+    let tombstones = [
+        RangeTombstone {
+            start: b"key-0003".to_vec(),
+            end: b"key-0005".to_vec(),
+            seq: 150,
+        },
+        RangeTombstone {
+            start: b"key-0030".to_vec(),
+            end: b"key-0040".to_vec(),
+            seq: 151,
+        },
+    ];
+    // Sealed blocks under full Treaty; clear blocks pinned by footer HMACs
+    // under the native profile.
+    for (profile, want) in [
+        (
+            SecurityProfile::treaty_full(),
+            "c72cbb3d0946e9a22ca508ff3a7f7e42ca5318e993f8ecc68d36123638af66de",
+        ),
+        (
+            SecurityProfile::native_treaty(),
+            "6bf97cbc08cba9717637823e7a41aea8332a5278460cbc96f113b299562aafef",
+        ),
+    ] {
+        let dir = tempfile::tempdir().unwrap();
+        let env = Env::for_testing(profile, dir.path());
+        assert_eq!(env.config.block_bytes, 1024);
+        let path = dir.path().join(sstable::file_name(42));
+        let meta = sstable::build(&env, &path, 42, &entries, &tombstones).unwrap();
+        assert_eq!(meta.blocks[0].last_key, b"key-0007".to_vec());
+        assert_eq!(meta.blocks[1].first_key, b"key-0008".to_vec());
+        assert_eq!(
+            file_digest(&path),
+            want,
+            "the SSTable format moved under {profile:?}"
+        );
+    }
+
+    for (profile, want) in [
+        (
+            SecurityProfile::treaty_full(),
+            "b9901a05313e97cb8280c89f79b3b48dbe31f94b04726cc40b39baf1b04fde36",
+        ),
+        (
+            SecurityProfile::native_treaty(),
+            "8ecfcd48b0f3c4c200082168e06c9294436c52bdfc39b861b58ffd7a64d64948",
+        ),
+    ] {
+        let dir = tempfile::tempdir().unwrap();
+        let env = Env::for_testing(profile, dir.path());
+        let path = dir.path().join("wal-000001");
+        let w = LogWriter::open(Arc::clone(&env), "wal-000001", &path, 0).unwrap();
+        w.append(b"first record").unwrap();
+        w.append_batch(&[b"a".to_vec(), vec![0x5a; 200], Vec::new()])
+            .unwrap();
+        w.append(&[0xc3; 64]).unwrap();
+        w.append_batch(&[vec![1u8; 1000]]).unwrap();
+        assert_eq!(
+            file_digest(&path),
+            want,
+            "the WAL format moved under {profile:?}"
+        );
+    }
+}
+
+/// The names of the files under `dir` this process holds open, one entry
+/// per descriptor (an unlinked file keeps its name, marked `(deleted)`).
+fn open_files_under(dir: &std::path::Path) -> Vec<String> {
+    let prefix = format!("{}/", dir.display());
+    let mut names: Vec<String> = std::fs::read_dir("/proc/self/fd")
+        .unwrap()
+        .filter_map(|e| std::fs::read_link(e.ok()?.path()).ok())
+        .filter_map(|target| {
+            let target = target.to_string_lossy().into_owned();
+            target.strip_prefix(&prefix).map(str::to_string)
+        })
+        .collect();
+    names.sort();
+    names
+}
+
+/// An open table holds one descriptor for as long as it lives, and no
+/// longer: after flushes, compactions and a collection the store holds
+/// exactly one per live table plus its open logs. A cursor that still
+/// holds a table the store retired and deleted mid-scan reads it to the
+/// end, every block verified, and its descriptor closes with the cursor.
+#[test]
+fn open_tables_hold_one_descriptor_each_and_release_it_on_retirement() {
+    use treaty_store::sstable::{self, SsTable};
+
+    let dir = tempfile::tempdir().unwrap();
+    let root = std::fs::canonicalize(dir.path()).unwrap();
+    let env = Env::for_testing(SecurityProfile::treaty_full(), &root);
+    let store = TreatyStore::open(Arc::clone(&env)).unwrap();
+    let value = |i: u32| format!("value-{i}-{}", "z".repeat(400)).into_bytes();
+    for i in 0..200u32 {
+        put(&store, format!("key-{i:04}").as_bytes(), &value(i));
+    }
+    store.gc();
+    let stats = store.stats();
+    assert!(stats.flushes >= 4, "expected four flushes, got {stats:?}");
+    assert!(
+        stats.compactions >= 1,
+        "expected a compaction, got {stats:?}"
+    );
+    assert!(
+        stats.files_deleted >= 1,
+        "expected a collection, got {stats:?}"
+    );
+
+    let live_names = || -> Vec<String> {
+        store
+            .live_file_ids()
+            .into_iter()
+            .map(sstable::file_name)
+            .collect()
+    };
+    let held = open_files_under(&root);
+    let (tables, logs): (Vec<String>, Vec<String>) =
+        held.into_iter().partition(|n| n.starts_with("sst-"));
+    assert_eq!(tables, live_names(), "one descriptor per live table");
+    let newest = newest_wal(&root);
+    let wal = newest.file_name().unwrap().to_string_lossy();
+    assert_eq!(logs, vec!["MANIFEST".to_string(), wal.into_owned()]);
+
+    // A cursor of its own holds the oldest live table, one record in; the
+    // store then compacts the table away and deletes its file.
+    let victim_id = store.live_file_ids()[0];
+    let victim = sstable::file_name(victim_id);
+    let path = root.join(&victim);
+    let table = Arc::new(SsTable::open(Arc::clone(&env), &path).unwrap());
+    let entries = table.meta().entries;
+    let mut cursor = table.range_cursor(b"", false).unwrap();
+    drop(table);
+    let mut seen = u64::from(cursor.next().unwrap().is_some());
+    let mut i = 200u32;
+    while store.live_file_ids().contains(&victim_id) {
+        assert!(i < 2_000, "table {victim_id} never retired");
+        put(&store, format!("key-{:04}", i % 300).as_bytes(), &value(i));
+        i += 1;
+    }
+    store.gc();
+    assert!(!path.exists(), "the retired table was collected");
+    let held_victim = |names: Vec<String>| names.iter().filter(|n| n.contains(&victim)).count();
+    assert_eq!(
+        held_victim(open_files_under(&root)),
+        1,
+        "the cursor's alone"
+    );
+
+    while let Some(_record) = cursor.next().unwrap() {
+        seen += 1;
+    }
+    assert_eq!(seen, entries, "every record of every block");
+    assert_eq!(held_victim(open_files_under(&root)), 1);
+    drop(cursor);
+    assert_eq!(
+        held_victim(open_files_under(&root)),
+        0,
+        "closed with the cursor"
+    );
+    let (tables, _): (Vec<String>, Vec<String>) = open_files_under(&root)
+        .into_iter()
+        .partition(|n| n.starts_with("sst-"));
+    assert_eq!(tables, live_names());
+}

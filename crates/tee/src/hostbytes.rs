@@ -15,8 +15,8 @@
 //! * [`HostBytes::integrity_pinned`] — plaintext whose SHA-256 digest is
 //!   currently registered with the enclave's integrity map, so tampering
 //!   is detectable on read;
-//! * framing helpers ([`HostBytes::nonce`], [`HostBytes::tag`],
-//!   [`HostBytes::public_u32`]/[`HostBytes::public_u64`]) for
+//! * framing helpers ([`HostBytes::nonce`], and in place
+//!   [`HostBytes::push_tag`], [`HostBytes::push_u32`]/[`HostBytes::push_u64`]) for
 //!   self-describing non-secret structure (nonces, lengths, MACs);
 //! * [`HostBytes::declassified`] — the one auditable escape hatch. Its
 //!   `reason` argument is a mandatory `&'static str`, so
@@ -194,30 +194,35 @@ impl HostBytes {
         }
     }
 
-    /// A 32-byte MAC/digest tag. Tags authenticate, they do not reveal.
-    pub fn tag(tag: [u8; 32]) -> Self {
-        HostBytes {
-            bytes: tag.to_vec(),
-            provenance: Provenance::Framing,
-            reason: None,
-        }
+    /// Reserves room for `additional` more bytes, so a record assembled
+    /// in place grows its buffer once.
+    pub fn reserve(&mut self, additional: usize) {
+        self.bytes.reserve(additional);
     }
 
-    /// A little-endian public `u32` (lengths, block numbers).
-    pub fn public_u32(v: u32) -> Self {
-        HostBytes {
-            bytes: v.to_le_bytes().to_vec(),
-            provenance: Provenance::Framing,
-            reason: None,
-        }
+    /// Appends a little-endian public `u64` (counters, file ids).
+    pub fn push_u64(&mut self, v: u64) {
+        self.bytes.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// A little-endian public `u64` (counters, file ids).
-    pub fn public_u64(v: u64) -> Self {
-        HostBytes {
-            bytes: v.to_le_bytes().to_vec(),
-            provenance: Provenance::Framing,
-            reason: None,
+    /// Appends a little-endian public `u32` (lengths, block numbers).
+    pub fn push_u32(&mut self, v: u32) {
+        self.bytes.extend_from_slice(&v.to_le_bytes());
+    }
+
+    /// Appends a 32-byte MAC/digest tag. Tags authenticate, they do not
+    /// reveal.
+    pub fn push_tag(&mut self, tag: [u8; 32]) {
+        self.bytes.extend_from_slice(&tag);
+    }
+
+    /// Appends [`HostBytes::declassified`] bytes in place, copied once from
+    /// the caller's buffer; the same audit rule applies.
+    pub fn append_declassified(&mut self, bytes: &[u8], reason: &'static str) {
+        self.bytes.extend_from_slice(bytes);
+        self.provenance = Provenance::Declassified;
+        if self.reason.is_none() {
+            self.reason = Some(reason);
         }
     }
 
@@ -332,6 +337,28 @@ mod tests {
         let mixed = HostBytes::concat([record, declass]);
         assert_eq!(mixed.provenance(), Provenance::Declassified);
         assert_eq!(mixed.declass_reason(), Some("provenance rank test"));
+    }
+
+    #[test]
+    fn in_place_appends_frame_and_keep_the_weakest_provenance() {
+        let key = Key::from_bytes([1u8; 32]);
+        let ct = HostBytes::from_ciphertext(aead_seal(&key, &[0u8; 12], b"", b"v"));
+        let mut framed = HostBytes::empty();
+        framed.push_u64(7);
+        framed.push_u32(9);
+        framed.push_tag([3u8; 32]);
+        assert_eq!(framed.provenance(), Provenance::Framing);
+        let mut want = 7u64.to_le_bytes().to_vec();
+        want.extend_from_slice(&9u32.to_le_bytes());
+        want.extend_from_slice(&[3u8; 32]);
+        assert_eq!(framed.as_slice(), want.as_slice());
+        framed.append(ct.clone());
+        assert_eq!(framed.provenance(), Provenance::Ciphertext);
+        assert!(framed.as_slice().ends_with(ct.as_slice()));
+        framed.append_declassified(b"clear", "in-place test");
+        assert_eq!(framed.provenance(), Provenance::Declassified);
+        assert_eq!(framed.declass_reason(), Some("in-place test"));
+        assert!(framed.as_slice().ends_with(b"clear"));
     }
 
     #[test]
