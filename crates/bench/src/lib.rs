@@ -13,12 +13,11 @@
 //! claims under reproduction are the ratios between system variants, not
 //! absolute testbed throughput.
 
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 
-use parking_lot::Mutex;
 use serde::Serialize;
 use treaty_core::messages::ObsSnapshotReply;
 use treaty_core::{Cluster, ClusterOptions, DistTxn, TreatyClient};
@@ -420,7 +419,7 @@ pub struct Report {
     /// over the fabric after the last client finished.
     pub snapshots: Vec<ObsSnapshotReply>,
     /// The run's observability hub: trace events and metrics registry.
-    pub obs: Arc<Obs>,
+    pub obs: Rc<Obs>,
 }
 
 /// The part of a [`Report`] a table prints and `--out` serializes.
@@ -542,7 +541,7 @@ impl Report {
 /// Panics if the cluster fails to boot, a node fails to answer the
 /// introspection RPC, or the simulation errors.
 pub fn run(cfg: &RunConfig) -> Report {
-    let cfg = Arc::new(cfg.clone());
+    let cfg = Rc::new(cfg.clone());
     let dir = tempfile::tempdir().expect("bench tempdir");
     let mut options = cfg.cluster.clone();
     options.base_dir = dir.path().to_path_buf();
@@ -554,7 +553,7 @@ pub fn run(cfg: &RunConfig) -> Report {
         treaty_sim::obs::install(&obs);
         let (nodes, seed, durable) = (options.nodes, options.seed, options.durable);
         let label = options.profile.label().to_string();
-        let cluster = Arc::new(Cluster::start(options).expect("cluster boots"));
+        let cluster = Rc::new(Cluster::start(options).expect("cluster boots"));
 
         // Load phase (unmeasured). Preload commits count too (locks,
         // counter rounds); the report covers what came after.
@@ -566,11 +565,11 @@ pub fn run(cfg: &RunConfig) -> Report {
 
         // Measured window.
         let t0 = runtime::now();
-        let tally = Arc::new(Mutex::new(Tally::default()));
+        let tally = Rc::new(RefCell::new(Tally::default()));
         let client_fiber = |idx: usize, quota: usize, arrival: Option<Nanos>| {
-            let cluster = Arc::clone(&cluster);
-            let tally = Arc::clone(&tally);
-            let cfg = Arc::clone(&cfg);
+            let cluster = Rc::clone(&cluster);
+            let tally = Rc::clone(&tally);
+            let cfg = Rc::clone(&cfg);
             spawn(move || {
                 runtime::set_tag("bench-client");
                 let client = cluster.client();
@@ -578,7 +577,7 @@ pub fn run(cfg: &RunConfig) -> Report {
                 let mut stream = cfg.workload.stream(seed ^ (idx as u64 + 1));
                 let (mut commits, mut failed_in_a_row) = (0, 0);
                 while commits < quota && failed_in_a_row < quota {
-                    if tally.lock().end.is_some() {
+                    if tally.borrow().end.is_some() {
                         return; // the window closed under this straggler
                     }
                     let start = arrival.unwrap_or_else(runtime::now);
@@ -591,7 +590,7 @@ pub fn run(cfg: &RunConfig) -> Report {
                         failed_in_a_row += 1;
                         treaty_sim::obs::counter_add("bench.aborted", 1);
                     }
-                    let mut tally = tally.lock();
+                    let mut tally = tally.borrow_mut();
                     if tally.end.is_some_and(|end| now > end) {
                         return;
                     }
@@ -603,7 +602,7 @@ pub fn run(cfg: &RunConfig) -> Report {
                 if arrival.is_none() && commits == quota {
                     // Closed loop: the first client to commit its quota
                     // ends the window for everyone.
-                    tally.lock().end.get_or_insert(runtime::now());
+                    tally.borrow_mut().end.get_or_insert(runtime::now());
                 }
             })
         };
@@ -637,7 +636,7 @@ pub fn run(cfg: &RunConfig) -> Report {
         for h in handles {
             join(h);
         }
-        let mut tally = std::mem::take(&mut *tally.lock());
+        let mut tally = tally.take();
         let duration = (tally.end.unwrap_or_else(runtime::now) - t0).max(1);
         let messages_sent = cluster.fabric().stats().sent - sent_before;
 
@@ -796,22 +795,22 @@ pub fn run_network(system: NetSystem, msg_bytes: usize, messages: u64) -> f64 {
             timeout: treaty_net::DEFAULT_RPC_TIMEOUT,
         };
 
-        let received_bytes = Arc::new(AtomicU64::new(0));
-        let received_msgs = Arc::new(AtomicU64::new(0));
-        let last_arrival = Arc::new(AtomicU64::new(0));
+        let received_bytes = Rc::new(Cell::new(0));
+        let received_msgs = Rc::new(Cell::new(0));
+        let last_arrival = Rc::new(Cell::new(0));
 
         let server = Rpc::new(&fabric, 1, rpc_config.clone());
         {
-            let received_bytes = Arc::clone(&received_bytes);
-            let received_msgs = Arc::clone(&received_msgs);
-            let last_arrival = Arc::clone(&last_arrival);
+            let received_bytes = Rc::clone(&received_bytes);
+            let received_msgs = Rc::clone(&received_msgs);
+            let last_arrival = Rc::clone(&last_arrival);
             server.register_handler(
                 0x55,
                 false,
-                Arc::new(move |_, _, payload| {
-                    received_bytes.fetch_add(payload.len() as u64, Ordering::Relaxed);
-                    received_msgs.fetch_add(1, Ordering::Relaxed);
-                    last_arrival.store(runtime::now(), Ordering::Relaxed);
+                Rc::new(move |_, _, payload: Vec<u8>| {
+                    received_bytes.update(|n| n + payload.len() as u64);
+                    received_msgs.update(|n| n + 1);
+                    last_arrival.set(runtime::now());
                     None
                 }),
             );
@@ -836,7 +835,7 @@ pub fn run_network(system: NetSystem, msg_bytes: usize, messages: u64) -> f64 {
         let mut last_seen = 0;
         while stable < 5 {
             runtime::sleep(treaty_sim::MILLIS);
-            let seen = received_msgs.load(Ordering::Relaxed);
+            let seen = received_msgs.get();
             if seen == messages {
                 break;
             }
@@ -847,8 +846,8 @@ pub fn run_network(system: NetSystem, msg_bytes: usize, messages: u64) -> f64 {
                 last_seen = seen;
             }
         }
-        let bytes = received_bytes.load(Ordering::Relaxed);
-        let end = last_arrival.load(Ordering::Relaxed).max(t0 + 1);
+        let bytes = received_bytes.get();
+        let end = last_arrival.get().max(t0 + 1);
         bytes as f64 * 8.0 / (end - t0) as f64 // bits per ns == Gbit/s
     })
 }
@@ -867,8 +866,7 @@ pub fn run_recovery(profile: SecurityProfile, entries: usize, entry_bytes: usize
     block_on(move || {
         let env = Env::for_testing(profile, &path);
         let file = path.join("wal-recovery");
-        let writer =
-            log::LogWriter::open(Arc::clone(&env), "wal-recovery", &file, 0).expect("open");
+        let writer = log::LogWriter::open(Rc::clone(&env), "wal-recovery", &file, 0).expect("open");
         // Build phase (unmeasured): batched appends.
         let record = vec![0x42u8; entry_bytes];
         let batch: Vec<Vec<u8>> = (0..1000).map(|_| record.clone()).collect();
@@ -916,7 +914,7 @@ pub fn run_counter_ablation() -> [(&'static str, Nanos); 3] {
             let fabric = treaty_net::Fabric::new(CostModel::default(), 3);
             let keys = KeyHierarchy::for_testing();
             let mut replicas = Vec::new();
-            let backend: Arc<dyn CounterBackend> = match choice {
+            let backend: Rc<dyn CounterBackend> = match choice {
                 Backend::None => NullBackend::new(),
                 Backend::Hardware => HwCounterBackend::new(CostModel::default()),
                 Backend::Rote => {

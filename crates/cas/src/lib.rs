@@ -25,11 +25,10 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unreachable))]
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use treaty_crypto::{Key, KeyHierarchy};
 use treaty_tee::{HardwareRoot, Measurement, Quote};
@@ -82,15 +81,15 @@ pub struct ClientCredentials {
 #[derive(Debug)]
 pub struct Ias {
     hw: HardwareRoot,
-    calls: AtomicU64,
+    calls: Cell<u64>,
 }
 
 impl Ias {
     /// Creates the IAS for a given hardware root.
-    pub fn new(hw: HardwareRoot) -> Arc<Self> {
-        Arc::new(Ias {
+    pub fn new(hw: HardwareRoot) -> Rc<Self> {
+        Rc::new(Ias {
             hw,
-            calls: AtomicU64::new(0),
+            calls: Cell::new(0),
         })
     }
 
@@ -100,7 +99,7 @@ impl Ias {
     ///
     /// Returns [`CasError::Attestation`] on verification failure.
     pub fn verify(&self, quote: &Quote, expected: &Measurement) -> Result<(), CasError> {
-        self.calls.fetch_add(1, Ordering::Relaxed);
+        self.calls.update(|n| n + 1);
         self.hw
             .verify_quote(quote, expected)
             .map_err(|e| CasError::Attestation(e.to_string()))
@@ -108,7 +107,7 @@ impl Ias {
 
     /// How many times the IAS has been consulted.
     pub fn call_count(&self) -> u64 {
-        self.calls.load(Ordering::Relaxed)
+        self.calls.get()
     }
 }
 
@@ -164,11 +163,11 @@ struct CasState {
 
 /// The Configuration and Attestation Service.
 pub struct Cas {
-    ias: Arc<Ias>,
+    ias: Rc<Ias>,
     hw: HardwareRoot,
     master: Key,
     config: ClusterConfig,
-    state: Mutex<CasState>,
+    state: RefCell<CasState>,
 }
 
 impl std::fmt::Debug for Cas {
@@ -188,20 +187,20 @@ impl Cas {
     /// Returns [`CasError::Attestation`] if the CAS enclave's own quote does
     /// not verify.
     pub fn bootstrap(
-        ias: &Arc<Ias>,
+        ias: &Rc<Ias>,
         hw: HardwareRoot,
         master: Key,
         config: ClusterConfig,
-    ) -> Result<Arc<Self>, CasError> {
+    ) -> Result<Rc<Self>, CasError> {
         let cas_measurement = Measurement::of_code("treaty-cas-v1");
         let quote = hw.issue_quote(cas_measurement, b"cas-bootstrap".to_vec());
         ias.verify(&quote, &cas_measurement)?;
-        Ok(Arc::new(Cas {
-            ias: Arc::clone(ias),
+        Ok(Rc::new(Cas {
+            ias: Rc::clone(ias),
             hw,
             master,
             config,
-            state: Mutex::new(CasState {
+            state: RefCell::new(CasState {
                 nodes: HashMap::new(),
                 clients: HashMap::new(),
             }),
@@ -231,7 +230,10 @@ impl Cas {
         self.hw
             .verify_quote(quote, &node_measurement())
             .map_err(|e| CasError::Attestation(e.to_string()))?;
-        self.state.lock().nodes.insert(endpoint, quote.measurement);
+        self.state
+            .borrow_mut()
+            .nodes
+            .insert(endpoint, quote.measurement);
         Ok(NodeCredentials {
             keys: KeyHierarchy::from_master(&self.master),
             config: self.config.clone(),
@@ -243,7 +245,10 @@ impl Cas {
     /// which the paper leaves abstract.)
     pub fn register_client(&self, client_id: u64) -> ClientCredentials {
         let network_key = KeyHierarchy::from_master(&self.master).network;
-        self.state.lock().clients.insert(client_id, network_key);
+        self.state
+            .borrow_mut()
+            .clients
+            .insert(client_id, network_key);
         ClientCredentials { network_key }
     }
 
@@ -253,7 +258,7 @@ impl Cas {
     ///
     /// Returns [`CasError::ClientAuth`] for unknown clients.
     pub fn authenticate_client(&self, client_id: u64) -> Result<(), CasError> {
-        if self.state.lock().clients.contains_key(&client_id) {
+        if self.state.borrow().clients.contains_key(&client_id) {
             Ok(())
         } else {
             Err(CasError::ClientAuth)
@@ -262,7 +267,7 @@ impl Cas {
 
     /// Number of nodes currently registered.
     pub fn registered_nodes(&self) -> usize {
-        self.state.lock().nodes.len()
+        self.state.borrow().nodes.len()
     }
 
     /// The cluster configuration.
@@ -285,7 +290,7 @@ pub fn bootstrap_cluster(
     master: Key,
     config: ClusterConfig,
     machines: &[&str],
-) -> (Arc<Ias>, Arc<Cas>, Vec<Las>) {
+) -> (Rc<Ias>, Rc<Cas>, Vec<Las>) {
     let hw = HardwareRoot::new(master.derive("hw-root-secret"));
     let ias = Ias::new(hw.clone());
     let cas = Cas::bootstrap(&ias, hw, master, config).expect("CAS bootstrap");

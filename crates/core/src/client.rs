@@ -1,9 +1,9 @@
 //! The client library: interactive transactions over a mutually
 //! authenticated channel (§IV-A).
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use treaty_crypto::{Key, MsgKind, TxMeta, WireCrypto};
 use treaty_net::{EndpointConfig, EndpointId, Fabric, PendingReply, Rpc, RpcConfig};
@@ -22,9 +22,9 @@ use crate::{Result, TreatyError};
 /// The paper's clients run on separate machines behind a 1 Gb/s NIC; the
 /// default [`client_net`] reflects that.
 pub struct TreatyClient {
-    rpc: Arc<Rpc>,
+    rpc: Rc<Rpc>,
     client_id: u32,
-    next_seq: AtomicU32,
+    next_seq: Cell<u32>,
     /// Key-space partitioning, needed only by the read-only snapshot path
     /// (which talks to shards directly, skipping the coordinator).
     shards: Option<ShardMap>,
@@ -53,7 +53,7 @@ impl TreatyClient {
     /// endpoint is `client_id` itself), and is assumed already registered
     /// and authenticated with the CAS.
     pub fn connect(
-        fabric: &Arc<Fabric>,
+        fabric: &Rc<Fabric>,
         client_id: u32,
         crypto: WireCrypto,
         network_key: Key,
@@ -74,7 +74,7 @@ impl TreatyClient {
         TreatyClient {
             rpc,
             client_id,
-            next_seq: AtomicU32::new(1),
+            next_seq: Cell::new(1),
             shards: None,
         }
     }
@@ -94,7 +94,7 @@ impl TreatyClient {
 
     /// Begins an interactive transaction coordinated by `coordinator`.
     pub fn begin(&self, coordinator: EndpointId) -> DistTxn<'_> {
-        let local = self.next_seq.fetch_add(1, Ordering::Relaxed);
+        let local = self.next_seq.replace(self.next_seq.get() + 1);
         // Cluster-unique transaction sequence: client id ‖ local counter.
         let seq = ((self.client_id as u64) << 32) | local as u64;
         treaty_sim::obs::set_node(self.client_id);
@@ -126,7 +126,7 @@ impl TreatyClient {
             .shards
             .clone()
             .ok_or_else(|| TreatyError::Rejected("read-only path needs a shard map".into()))?;
-        let local = self.next_seq.fetch_add(1, Ordering::Relaxed);
+        let local = self.next_seq.replace(self.next_seq.get() + 1);
         let seq = ((self.client_id as u64) << 32) | local as u64;
         treaty_sim::obs::set_node(self.client_id);
         {
@@ -216,7 +216,7 @@ impl TreatyClient {
     ///
     /// Network errors, or [`TreatyError::Rejected`] on a malformed reply.
     pub fn obs_snapshot(&self, node: EndpointId) -> Result<ObsSnapshotReply> {
-        let local = self.next_seq.fetch_add(1, Ordering::Relaxed);
+        let local = self.next_seq.replace(self.next_seq.get() + 1);
         let meta = TxMeta {
             node_id: self.client_id as u64,
             tx_id: ((self.client_id as u64) << 32) | local as u64,

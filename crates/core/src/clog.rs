@@ -7,9 +7,9 @@
 //! *decision* entry is appended behind that ack and stabilized before
 //! anyone else learns the outcome (§VI).
 
-use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use treaty_crypto::codec::{CodecError, Decode, Encode, Reader, Record, Writer};
 use treaty_sim::crashpoint::CrashPoint;
@@ -84,9 +84,9 @@ pub struct TxProtocolState {
 
 /// The coordinator log.
 pub struct Clog {
-    writer: Arc<LogWriter>,
-    state: Mutex<HashMap<GlobalTxId, TxProtocolState>>,
-    env: Arc<Env>,
+    writer: Rc<LogWriter>,
+    state: RefCell<HashMap<GlobalTxId, TxProtocolState>>,
+    env: Rc<Env>,
 }
 
 impl std::fmt::Debug for Clog {
@@ -107,7 +107,7 @@ impl Clog {
     /// # Errors
     ///
     /// Propagates integrity/rollback errors from the log replay.
-    pub fn open(env: Arc<Env>) -> Result<Self> {
+    pub fn open(env: Rc<Env>) -> Result<Self> {
         let path = env.dir.join(CLOG_FILE);
         let mut state = HashMap::new();
         let recovered_counter = if path.exists() {
@@ -134,8 +134,8 @@ impl Clog {
             log::verify_freshness(&env, CLOG_NAME, 0)?;
             0
         };
-        let writer = Arc::new(LogWriter::open(
-            Arc::clone(&env),
+        let writer = Rc::new(LogWriter::open(
+            Rc::clone(&env),
             CLOG_NAME,
             &path,
             recovered_counter,
@@ -152,7 +152,7 @@ impl Clog {
         }
         Ok(Clog {
             writer,
-            state: Mutex::new(state),
+            state: RefCell::new(state),
             env,
         })
     }
@@ -178,7 +178,7 @@ impl Clog {
             participants: participants.clone(),
         };
         let counter = self.append(&rec)?;
-        self.state.lock().insert(
+        self.state.borrow_mut().insert(
             gtx,
             TxProtocolState {
                 participants,
@@ -226,7 +226,7 @@ impl Clog {
         {
             return;
         }
-        let writer = Arc::clone(&self.writer);
+        let writer = Rc::clone(&self.writer);
         treaty_sim::runtime::spawn_daemon(move || {
             treaty_sim::runtime::set_tag("clog-kick");
             // A failed round is reported to whoever joins it.
@@ -251,7 +251,7 @@ impl Clog {
     /// Makes the decision — stable by now — the transaction's outcome:
     /// what [`Clog::decision`] answers, and with it `QueryDecision`.
     pub fn publish_decision(&self, gtx: GlobalTxId, commit: bool) {
-        if let Some(st) = self.state.lock().get_mut(&gtx) {
+        if let Some(st) = self.state.borrow_mut().get_mut(&gtx) {
             st.decision = Some(commit);
         }
     }
@@ -271,7 +271,7 @@ impl Clog {
 
     /// The logged decision for `gtx`, if any.
     pub fn decision(&self, gtx: GlobalTxId) -> Option<bool> {
-        self.state.lock().get(&gtx).and_then(|s| s.decision)
+        self.state.borrow().get(&gtx).and_then(|s| s.decision)
     }
 
     /// Transactions started but undecided — what recovery must re-drive —
@@ -279,7 +279,7 @@ impl Clog {
     pub fn undecided(&self) -> Vec<(GlobalTxId, Vec<u32>)> {
         let mut out: Vec<_> = self
             .state
-            .lock()
+            .borrow()
             .iter()
             .filter(|(_, s)| s.decision.is_none())
             .map(|(g, s)| (*g, s.participants.clone()))
@@ -293,7 +293,7 @@ impl Clog {
     pub fn decided(&self) -> Vec<(GlobalTxId, TxProtocolState)> {
         let mut out: Vec<_> = self
             .state
-            .lock()
+            .borrow()
             .iter()
             .filter(|(_, s)| s.decision.is_some())
             .map(|(g, s)| (*g, s.clone()))
@@ -304,7 +304,7 @@ impl Clog {
 
     /// Full protocol state for `gtx` (test introspection).
     pub fn protocol_state(&self, gtx: GlobalTxId) -> Option<TxProtocolState> {
-        self.state.lock().get(&gtx).cloned()
+        self.state.borrow().get(&gtx).cloned()
     }
 }
 
@@ -314,7 +314,7 @@ mod tests {
     use std::path::Path;
     use treaty_sim::SecurityProfile;
 
-    fn env(dir: &Path) -> Arc<Env> {
+    fn env(dir: &Path) -> Rc<Env> {
         Env::for_testing(SecurityProfile::treaty_full(), dir)
     }
 
@@ -407,14 +407,14 @@ mod tests {
         let e = env(dir.path());
         let gtx = GlobalTxId { node: 1, seq: 4 };
         let counter = {
-            let clog = Clog::open(Arc::clone(&e))?;
+            let clog = Clog::open(Rc::clone(&e))?;
             clog.log_start(gtx, vec![1, 2])?;
             clog.append_decision(gtx, true)?
             // crash before the round
         };
         let id = log::counter_id(&e, CLOG_NAME);
         assert_eq!(e.backend.latest(&id), 0);
-        let clog = Clog::open(Arc::clone(&e))?;
+        let clog = Clog::open(Rc::clone(&e))?;
         assert_eq!(clog.decision(gtx), Some(true));
         assert_eq!(e.backend.latest(&id), counter);
         Ok(())
@@ -431,15 +431,15 @@ mod tests {
         let one_flush = e.costs.ssd_append_ns(e.profile.tee, 0);
         let path = dir.path().join(CLOG_FILE);
         treaty_sched::block_on(move || {
-            let clog = Arc::new(Clog::open(Arc::clone(&e))?);
-            let handed = Arc::new(Mutex::new(Vec::new()));
+            let clog = Rc::new(Clog::open(Rc::clone(&e))?);
+            let handed = Rc::new(RefCell::new(Vec::new()));
             let fibers: Vec<_> = (1..=16u64)
                 .map(|seq| {
-                    let (clog, handed) = (Arc::clone(&clog), Arc::clone(&handed));
+                    let (clog, handed) = (Rc::clone(&clog), Rc::clone(&handed));
                     runtime::spawn(move || {
                         let gtx = GlobalTxId { node: 1, seq };
                         let counter = clog.log_start(gtx, vec![1, 2]);
-                        handed.lock().push((counter, gtx));
+                        handed.borrow_mut().push((counter, gtx));
                     })
                 })
                 .collect();
@@ -449,7 +449,7 @@ mod tests {
                 "16 starts took {} ns, one flush is {one_flush} ns",
                 runtime::now()
             );
-            let mut handed = std::mem::take(&mut *handed.lock());
+            let mut handed = handed.take();
             handed.sort_by_key(|(_, gtx)| gtx.seq);
             let on_disk = log::replay(&e, CLOG_NAME, &path, 0)?.records;
             assert_eq!(on_disk.len(), 16);
@@ -474,7 +474,7 @@ mod tests {
         let dir = tempfile::tempdir()?;
         let e = env(dir.path());
         {
-            let clog = Clog::open(Arc::clone(&e))?;
+            let clog = Clog::open(Rc::clone(&e))?;
             clog.log_start(GlobalTxId { node: 1, seq: 1 }, vec![1])?;
         }
         let path = dir.path().join(CLOG_FILE);
@@ -491,7 +491,7 @@ mod tests {
         let dir = tempfile::tempdir()?;
         let e = env(dir.path());
         {
-            let clog = Clog::open(Arc::clone(&e))?;
+            let clog = Clog::open(Rc::clone(&e))?;
             let gtx = GlobalTxId { node: 1, seq: 1 };
             clog.log_start(gtx, vec![1])?;
             clog.log_decision(gtx, true)?; // stabilized

@@ -1,8 +1,9 @@
 //! Cluster assembly: CAS trust bootstrap, trusted counter protection
 //! group, node startup, crash/restart for the failure tests.
 
+use std::cell::Cell;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use treaty_cas::{bootstrap_cluster, ClusterConfig, Las};
 use treaty_counter::{CounterBackend, NullBackend, RoteGroup, RoteReplica};
@@ -86,22 +87,22 @@ pub fn wire_crypto(profile: &SecurityProfile) -> WireCrypto {
 }
 
 struct NodeSlot {
-    node: Option<Arc<TreatyNode>>,
+    node: Option<Rc<TreatyNode>>,
     store: Option<TreatyStore>,
-    env: Option<Arc<Env>>,
-    cores: Arc<CorePool>,
+    env: Option<Rc<Env>>,
+    cores: Rc<CorePool>,
 }
 
 /// A running Treaty cluster (fabric + CAS + counter group + nodes).
 pub struct Cluster {
-    fabric: Arc<Fabric>,
+    fabric: Rc<Fabric>,
     options: ClusterOptions,
     keys: KeyHierarchy,
     shard_map: ShardMap,
     slots: Vec<NodeSlot>,
-    replicas: Vec<Arc<RoteReplica>>,
+    replicas: Vec<Rc<RoteReplica>>,
     lases: Vec<Las>,
-    next_client: std::sync::atomic::AtomicU32,
+    next_client: Cell<u32>,
 }
 
 impl std::fmt::Debug for Cluster {
@@ -154,7 +155,7 @@ impl Cluster {
                 .expect("bootstrap attestation")
                 .keys
         };
-        let replicas: Vec<Arc<RoteReplica>> = if options.durable {
+        let replicas: Vec<Rc<RoteReplica>> = if options.durable {
             std::fs::create_dir_all(&options.base_dir).expect("cluster base dir");
             counter_endpoints
                 .iter()
@@ -174,12 +175,12 @@ impl Cluster {
             slots: Vec::new(),
             replicas,
             lases,
-            next_client: std::sync::atomic::AtomicU32::new(CLIENT_BASE),
+            next_client: Cell::new(CLIENT_BASE),
             options,
         };
 
         for i in 0..cluster.options.nodes {
-            let cores = Arc::new(CorePool::new(CORES_PER_NODE));
+            let cores = Rc::new(CorePool::new(CORES_PER_NODE));
             cluster.slots.push(NodeSlot {
                 node: None,
                 store: None,
@@ -191,9 +192,9 @@ impl Cluster {
         Ok(cluster)
     }
 
-    fn node_env(&self, idx: usize) -> Arc<Env> {
+    fn node_env(&self, idx: usize) -> Rc<Env> {
         let options = &self.options;
-        let backend: Arc<dyn CounterBackend> = if options.profile.stabilization {
+        let backend: Rc<dyn CounterBackend> = if options.profile.stabilization {
             RoteGroup::connect(
                 &self.fabric,
                 COUNTER_CLIENT_BASE + idx as u32,
@@ -207,7 +208,7 @@ impl Cluster {
         Env::new(
             options.profile,
             options.costs.clone(),
-            Some(Arc::clone(&self.slots[idx].cores)),
+            Some(Rc::clone(&self.slots[idx].cores)),
             self.keys,
             backend,
             options.base_dir.join(format!("node-{idx}")),
@@ -234,10 +235,10 @@ impl Cluster {
 
         let store = if options.durable {
             let env = match &self.slots[idx].env {
-                Some(env) => Arc::clone(env),
+                Some(env) => Rc::clone(env),
                 None => {
                     let env = self.node_env(idx);
-                    self.slots[idx].env = Some(Arc::clone(&env));
+                    self.slots[idx].env = Some(Rc::clone(&env));
                     env
                 }
             };
@@ -260,7 +261,7 @@ impl Cluster {
                 crypto: wire_crypto(&options.profile),
                 network_key: self.keys.network,
                 shard_map: self.shard_map.clone(),
-                cores: Some(Arc::clone(&self.slots[idx].cores)),
+                cores: Some(Rc::clone(&self.slots[idx].cores)),
                 store,
                 txn_mode: options.txn_mode,
             },
@@ -271,7 +272,7 @@ impl Cluster {
     }
 
     /// The fabric (adversary control, capture).
-    pub fn fabric(&self) -> &Arc<Fabric> {
+    pub fn fabric(&self) -> &Rc<Fabric> {
         &self.fabric
     }
 
@@ -296,7 +297,7 @@ impl Cluster {
         clippy::expect_used,
         reason = "documented: a crashed node has no handle"
     )]
-    pub fn node(&self, idx: usize) -> &Arc<TreatyNode> {
+    pub fn node(&self, idx: usize) -> &Rc<TreatyNode> {
         self.slots[idx].node.as_ref().expect("node is crashed")
     }
 
@@ -308,7 +309,7 @@ impl Cluster {
     /// The node's environment, if the node has been started with storage.
     /// Exposes the host vault and enclave for adversarial inspection in
     /// security tests (what an attacker with host-memory access sees).
-    pub fn env(&self, idx: usize) -> Option<&Arc<Env>> {
+    pub fn env(&self, idx: usize) -> Option<&Rc<Env>> {
         self.slots[idx].env.as_ref()
     }
 
@@ -320,9 +321,7 @@ impl Cluster {
 
     /// Connects a new client (auto-assigned unique endpoint).
     pub fn client(&self) -> TreatyClient {
-        let id = self
-            .next_client
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let id = self.next_client.replace(self.next_client.get() + 1);
         TreatyClient::connect(
             &self.fabric,
             id,

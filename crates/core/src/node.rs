@@ -12,10 +12,9 @@
 //! session rule in `treaty_net::rpc`), which keeps a transaction's
 //! operations ordered while unrelated transactions proceed concurrently.
 
-use parking_lot::Mutex;
+use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use treaty_crypto::{Key, MsgKind, TxMeta, WireCrypto};
 use treaty_net::{EndpointConfig, EndpointId, Fabric, PendingReply, Rpc, RpcConfig};
@@ -47,7 +46,7 @@ pub struct NodeOptions {
     /// Key-space partitioning.
     pub shard_map: ShardMap,
     /// The node's CPU cores.
-    pub cores: Option<Arc<CorePool>>,
+    pub cores: Option<Rc<CorePool>>,
     /// The node's store, which makes it durable (engine, Clog, snapshot
     /// lane). `None` runs the protocol-only mode of §VIII-B.
     pub store: Option<TreatyStore>,
@@ -76,11 +75,8 @@ pub struct NodeStats {
     pub decision_retries: u64,
 }
 
-// NodeStats updates go through one `Mutex<NodeStats>`: the old design (one
-// atomic per field, each read `Relaxed`) could tear a snapshot mid-update —
-// e.g. `totals()` observing a commit already counted while a concurrent
-// retry loop's counter lagged. A single lock makes every snapshot a
-// consistent point-in-time view.
+// NodeStats lives in one `RefCell<NodeStats>`: a snapshot copies every
+// field at once.
 
 /// Result of [`TreatyNode::resolve_recovered`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -149,28 +145,30 @@ const FINISH_FIBER_CAP: usize = 256;
 /// unwinding at a crash point — so `drain_decisions` never waits on a
 /// fiber that is gone.
 struct FinishSlot {
-    node: Arc<TreatyNode>,
+    node: Rc<TreatyNode>,
 }
 
 impl FinishSlot {
     /// `None` at the cap: the committer then does the work inline.
-    fn reserve(node: &Arc<TreatyNode>) -> Option<Self> {
-        let before = node
-            .finishes_inflight
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
-                (n < FINISH_FIBER_CAP).then_some(n + 1)
-            })
-            .ok()?;
+    fn reserve(node: &Rc<TreatyNode>) -> Option<Self> {
+        let before = node.finishes_inflight.get();
+        if before >= FINISH_FIBER_CAP {
+            return None;
+        }
+        node.finishes_inflight.set(before + 1);
         treaty_sim::obs::gauge_set("core.finishes_inflight", before as u64 + 1);
         Some(FinishSlot {
-            node: Arc::clone(node),
+            node: Rc::clone(node),
         })
     }
 }
 
 impl Drop for FinishSlot {
     fn drop(&mut self) {
-        let before = self.node.finishes_inflight.fetch_sub(1, Ordering::SeqCst);
+        let before = self
+            .node
+            .finishes_inflight
+            .replace(self.node.finishes_inflight.get() - 1);
         treaty_sim::obs::gauge_set("core.finishes_inflight", before as u64 - 1);
         self.node.finish_done.notify_all();
     }
@@ -280,7 +278,7 @@ fn apply_ops(txn: &mut dyn EngineTxn, ops: &[Op]) -> OpResult {
 }
 
 /// One protocol handler: `(node, source endpoint, metadata, payload)`.
-type Handler = fn(&Arc<TreatyNode>, EndpointId, TxMeta, Vec<u8>) -> Option<(TxMeta, Vec<u8>)>;
+type Handler = fn(&Rc<TreatyNode>, EndpointId, TxMeta, Vec<u8>) -> Option<(TxMeta, Vec<u8>)>;
 
 /// Every request the node accepts: code, whether the RPC layer's replay
 /// guard covers it, and its handler (DESIGN.md §16 has the table). An
@@ -349,22 +347,22 @@ pub(crate) fn merge_sorted_slices(
 /// One Treaty node.
 pub struct TreatyNode {
     endpoint: EndpointId,
-    rpc: Arc<Rpc>,
+    rpc: Rc<Rpc>,
     /// The 2PC view of the shard, which both engines provide.
-    engine: Arc<dyn TxnEngine>,
+    engine: Rc<dyn TxnEngine>,
     /// What only a durable node has.
     store: Option<TreatyStore>,
-    clog: Option<Arc<Clog>>,
+    clog: Option<Rc<Clog>>,
     shard_map: ShardMap,
     txn_mode: TxnMode,
-    active_coord: Mutex<HashMap<GlobalTxId, CoordTxn>>,
-    active_part: Mutex<HashMap<GlobalTxId, Box<dyn EngineTxn>>>,
-    recently_aborted: Mutex<AbortRing>,
-    op_seq: AtomicU64,
-    stats: Mutex<NodeStats>,
+    active_coord: RefCell<HashMap<GlobalTxId, CoordTxn>>,
+    active_part: RefCell<HashMap<GlobalTxId, Box<dyn EngineTxn>>>,
+    recently_aborted: RefCell<AbortRing>,
+    op_seq: Cell<u64>,
+    stats: RefCell<NodeStats>,
     /// Fibers still working behind a decision: finish continuations and
     /// phase-two deliveries (bounded by [`FINISH_FIBER_CAP`]).
-    finishes_inflight: AtomicUsize,
+    finishes_inflight: Cell<usize>,
     /// Woken when such a fiber ends; `drain_decisions` waits here.
     finish_done: WaitQueue,
 }
@@ -387,13 +385,13 @@ impl TreatyNode {
     /// # Errors
     ///
     /// Propagates Clog recovery failures (integrity/rollback detection).
-    pub fn start(fabric: &Arc<Fabric>, options: NodeOptions) -> treaty_store::Result<Arc<Self>> {
-        let (engine, clog): (Arc<dyn TxnEngine>, _) = match &options.store {
+    pub fn start(fabric: &Rc<Fabric>, options: NodeOptions) -> treaty_store::Result<Rc<Self>> {
+        let (engine, clog): (Rc<dyn TxnEngine>, _) = match &options.store {
             Some(store) => (
-                Arc::new(store.clone()),
-                Some(Arc::new(Clog::open(Arc::clone(store.env()))?)),
+                Rc::new(store.clone()),
+                Some(Rc::new(Clog::open(Rc::clone(store.env()))?)),
             ),
-            None => (Arc::new(NullEngine::new()), None),
+            None => (Rc::new(NullEngine::new()), None),
         };
         let rpc = Rpc::new(
             fabric,
@@ -406,20 +404,20 @@ impl TreatyNode {
                 timeout: treaty_net::DEFAULT_RPC_TIMEOUT,
             },
         );
-        let node = Arc::new(TreatyNode {
+        let node = Rc::new(TreatyNode {
             endpoint: options.endpoint,
-            rpc: Arc::clone(&rpc),
+            rpc: Rc::clone(&rpc),
             engine,
             store: options.store,
             clog,
             shard_map: options.shard_map,
             txn_mode: options.txn_mode,
-            active_coord: Mutex::new(HashMap::new()),
-            active_part: Mutex::new(HashMap::new()),
-            recently_aborted: Mutex::new(AbortRing::default()),
-            op_seq: AtomicU64::new(1),
-            stats: Mutex::new(NodeStats::default()),
-            finishes_inflight: AtomicUsize::new(0),
+            active_coord: RefCell::new(HashMap::new()),
+            active_part: RefCell::new(HashMap::new()),
+            recently_aborted: RefCell::new(AbortRing::default()),
+            op_seq: Cell::new(1),
+            stats: RefCell::new(NodeStats::default()),
+            finishes_inflight: Cell::new(0),
             finish_done: WaitQueue::new(),
         });
         node.register_handlers();
@@ -427,7 +425,7 @@ impl TreatyNode {
         // When a fault-injection plan is installed, let it crash this node:
         // stopping the endpoint makes the rest of the cluster see it vanish
         // mid-protocol, exactly like a machine failure.
-        let rpc_weak = Arc::downgrade(&rpc);
+        let rpc_weak = Rc::downgrade(&rpc);
         treaty_sim::crashpoint::register_node(options.endpoint, move || {
             if let Some(rpc) = rpc_weak.upgrade() {
                 rpc.stop();
@@ -442,18 +440,18 @@ impl TreatyNode {
     }
 
     /// The node's RPC endpoint (test introspection).
-    pub fn rpc(&self) -> &Arc<Rpc> {
+    pub fn rpc(&self) -> &Rc<Rpc> {
         &self.rpc
     }
 
     /// The node's Clog, when running durably.
-    pub fn clog(&self) -> Option<&Arc<Clog>> {
+    pub fn clog(&self) -> Option<&Rc<Clog>> {
         self.clog.as_ref()
     }
 
     /// Statistics snapshot, consistent under one lock.
     pub fn stats(&self) -> NodeStats {
-        *self.stats.lock()
+        *self.stats.borrow()
     }
 
     /// Stops serving (simulates a node crash; durable state remains).
@@ -461,13 +459,13 @@ impl TreatyNode {
         self.rpc.stop();
     }
 
-    fn register_handlers(self: &Arc<Self>) {
+    fn register_handlers(self: &Rc<Self>) {
         for &(req_type, guarded, handler) in HANDLERS {
-            let me = Arc::clone(self);
+            let me = Rc::clone(self);
             self.rpc.register_handler(
                 req_type,
                 guarded,
-                Arc::new(move |src, meta, payload| handler(&me, src, meta, payload)),
+                Rc::new(move |src, meta, payload| handler(&me, src, meta, payload)),
             );
         }
     }
@@ -477,18 +475,18 @@ impl TreatyNode {
     /// and replay-exempt — the `treaty-top` dashboard polls it. A
     /// storage-less node reports the store fields as zero.
     fn handle_obs_snapshot(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         _src: EndpointId,
         meta: TxMeta,
         _payload: Vec<u8>,
     ) -> Option<(TxMeta, Vec<u8>)> {
         treaty_sim::runtime::set_tag("h:obs_snapshot");
         treaty_sim::obs::set_node(self.endpoint);
-        let stats = *self.stats.lock();
+        let stats = *self.stats.borrow();
         let mut reply = ObsSnapshotReply {
             node: self.endpoint,
             ts: treaty_sim::runtime::now(),
-            finishes_inflight: self.finishes_inflight.load(Ordering::SeqCst) as u64,
+            finishes_inflight: self.finishes_inflight.get() as u64,
             prepared_txns: self.engine.prepared_txns().len() as u64,
             committed: stats.committed,
             aborted: stats.aborted,
@@ -527,7 +525,7 @@ impl TreatyNode {
         TxMeta {
             node_id: self.endpoint as u64,
             tx_id: gtx.seq,
-            op_id: self.op_seq.fetch_add(1, Ordering::Relaxed),
+            op_id: self.op_seq.replace(self.op_seq.get() + 1),
             kind,
         }
     }
@@ -537,7 +535,7 @@ impl TreatyNode {
     /// Serves [`req::CLIENT_OPS`]: the client's buffered writes and the
     /// read or range operation that made it ship them, in one message.
     fn handle_client_ops(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         _src: EndpointId,
         meta: TxMeta,
         payload: Vec<u8>,
@@ -594,10 +592,14 @@ impl TreatyNode {
     /// the last operation's result: the owner's value for a get, every
     /// shard's slice — sorted per shard over disjoint key sets — merged
     /// into one sorted result before the limit applies for a scan.
-    fn coordinate_ops(self: &Arc<Self>, gtx: GlobalTxId, ops: Vec<Op>) -> OpResult {
+    fn coordinate_ops(self: &Rc<Self>, gtx: GlobalTxId, ops: Vec<Op>) -> OpResult {
         treaty_sim::runtime::set_tag("h:coordinate_ops");
         // Take the coordinator state out while we (potentially) block.
-        let mut ctx = self.active_coord.lock().remove(&gtx).unwrap_or_default();
+        let mut ctx = self
+            .active_coord
+            .borrow_mut()
+            .remove(&gtx)
+            .unwrap_or_default();
         // One reply carries one result, so only the last operation may
         // produce one; the client library never builds any other shape.
         let writes = &ops[..ops.len().saturating_sub(1)];
@@ -669,7 +671,7 @@ impl TreatyNode {
                 OpResult::Entries { entries } => slices.push(entries),
             }
         }
-        self.active_coord.lock().insert(gtx, ctx);
+        self.active_coord.borrow_mut().insert(gtx, ctx);
         match scan_limit {
             Some(limit) => OpResult::Entries {
                 entries: merge_sorted_slices(slices, limit),
@@ -679,7 +681,7 @@ impl TreatyNode {
     }
 
     fn handle_client_commit(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         _src: EndpointId,
         meta: TxMeta,
         payload: Vec<u8>,
@@ -700,19 +702,19 @@ impl TreatyNode {
                 }),
             ));
         };
-        let ctx = self.active_coord.lock().remove(&gtx);
+        let ctx = self.active_coord.borrow_mut().remove(&gtx);
         let result = match ctx {
             // No coordinator state: either a transaction we already aborted
             // (op error, client rollback) — its client must not receive a
             // success ack — or a genuinely empty transaction.
-            None if self.recently_aborted.lock().contains(&gtx) => CommitResult::Aborted {
+            None if self.recently_aborted.borrow().contains(&gtx) => CommitResult::Aborted {
                 reason: "transaction was aborted".into(),
             },
             None if writes.is_empty() => CommitResult::Committed, // empty transaction
             ctx => self.commit_with_writes(gtx, ctx.unwrap_or_default(), writes),
         };
         match &result {
-            CommitResult::Committed => self.stats.lock().committed += 1,
+            CommitResult::Committed => self.stats.borrow_mut().committed += 1,
             CommitResult::Aborted { .. } => self.note_aborted(gtx),
         }
         treaty_sim::crashpoint::hit(CrashPoint::CoordBeforeClientReply);
@@ -724,7 +726,7 @@ impl TreatyNode {
     }
 
     fn handle_client_rollback(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         _src: EndpointId,
         meta: TxMeta,
         _payload: Vec<u8>,
@@ -737,7 +739,7 @@ impl TreatyNode {
         // (`abort_everywhere` notes it): a rollback of a transaction already
         // aborted on the op-error path used to be counted a second time
         // here, skewing the fig4/fig6 abort rates.
-        if let Some(ctx) = self.active_coord.lock().remove(&gtx) {
+        if let Some(ctx) = self.active_coord.borrow_mut().remove(&gtx) {
             self.abort_everywhere(gtx, ctx);
         }
         Some((
@@ -758,7 +760,7 @@ impl TreatyNode {
     /// shard that only ever received such writes therefore costs one
     /// sealed message for all of phase one.
     fn commit_with_writes(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         gtx: GlobalTxId,
         mut ctx: CoordTxn,
         writes: Vec<WriteCmd>,
@@ -788,7 +790,7 @@ impl TreatyNode {
     /// to piggyback on the prepare message per remote shard (empty when
     /// everything was shipped before the commit).
     fn run_two_phase_commit(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         gtx: GlobalTxId,
         mut ctx: CoordTxn,
         batches: Vec<(EndpointId, Vec<Op>)>,
@@ -902,7 +904,7 @@ impl TreatyNode {
     /// record already stable and published. Runs on the committing fiber
     /// for an abort and, behind the ack, on a continuation of its own for
     /// a commit (inline only at the slot cap).
-    fn finish(self: &Arc<Self>, gtx: GlobalTxId, remotes: Vec<EndpointId>, commit: bool) {
+    fn finish(self: &Rc<Self>, gtx: GlobalTxId, remotes: Vec<EndpointId>, commit: bool) {
         if let (Some(clog), true) = (&self.clog, commit) {
             if !self.stabilize_decision(clog, gtx) {
                 return;
@@ -988,7 +990,7 @@ impl TreatyNode {
     /// will ever take was granted before the client sent this commit, so
     /// each participant releasing on its own schedule still follows the
     /// transaction's lock point (DESIGN.md §17).
-    fn finish_read_only(self: &Arc<Self>, gtx: GlobalTxId, mut ctx: CoordTxn) -> CommitResult {
+    fn finish_read_only(self: &Rc<Self>, gtx: GlobalTxId, mut ctx: CoordTxn) -> CommitResult {
         treaty_sim::runtime::set_tag("h:2pc-read-only");
         let _span = treaty_sim::obs::span_with(
             "2pc.read_only_finish",
@@ -1014,7 +1016,7 @@ impl TreatyNode {
     /// overlapping the round trip, then every vote collected. `None` means
     /// everyone voted yes; `Some` is the first refusal.
     fn collect_votes(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         gtx: GlobalTxId,
         ctx: &mut CoordTxn,
         mut batches: Vec<(EndpointId, Vec<Op>)>,
@@ -1069,8 +1071,8 @@ impl TreatyNode {
     /// finishing behind their ack, phase-two deliveries with their retry
     /// trains (graceful shutdown: phase two must reach the participants
     /// before the cluster stops serving).
-    pub fn drain_decisions(self: &Arc<Self>) {
-        while self.finishes_inflight.load(Ordering::SeqCst) > 0 {
+    pub fn drain_decisions(self: &Rc<Self>) {
+        while self.finishes_inflight.get() > 0 {
             self.finish_done.wait();
         }
     }
@@ -1078,7 +1080,7 @@ impl TreatyNode {
     /// Phase two, and the only sender of `PEER_COMMIT`/`PEER_ABORT`
     /// requests: one burst to every remote, then each ack awaited and a
     /// missed delivery retried.
-    fn send_decision(self: &Arc<Self>, gtx: GlobalTxId, remotes: &[EndpointId], commit: bool) {
+    fn send_decision(self: &Rc<Self>, gtx: GlobalTxId, remotes: &[EndpointId], commit: bool) {
         let _span = treaty_sim::obs::span_with(
             "2pc.send_decision",
             &[
@@ -1109,11 +1111,11 @@ impl TreatyNode {
     /// exponentially with deterministic jitter instead of an immediate
     /// burst, and cap the total retry window. A participant that is
     /// actually down learns the decision at recovery via QueryDecision.
-    fn retry_decision(self: &Arc<Self>, gtx: GlobalTxId, r: EndpointId, commit: bool) {
+    fn retry_decision(self: &Rc<Self>, gtx: GlobalTxId, r: EndpointId, commit: bool) {
         treaty_sim::runtime::set_tag("sd:retry");
         let (rt, kind, payload) = decision_wire(gtx, commit);
         let resend = |attempt, backoff| {
-            self.stats.lock().decision_retries += 1;
+            self.stats.borrow_mut().decision_retries += 1;
             treaty_sim::obs::instant(
                 "2pc.decision_retry",
                 &[
@@ -1160,8 +1162,8 @@ impl TreatyNode {
     /// the abort counters so the op-error path, 2PC and client rollback
     /// cannot double-count one transaction.
     fn note_aborted(&self, gtx: GlobalTxId) {
-        if self.recently_aborted.lock().note(gtx) {
-            self.stats.lock().aborted += 1;
+        if self.recently_aborted.borrow_mut().note(gtx) {
+            self.stats.borrow_mut().aborted += 1;
         }
     }
 
@@ -1174,7 +1176,7 @@ impl TreatyNode {
     /// a dead peer.
     /// Post-prepare decisions keep their retries in
     /// [`TreatyNode::send_decision`].
-    fn abort_everywhere(self: &Arc<Self>, gtx: GlobalTxId, mut ctx: CoordTxn) {
+    fn abort_everywhere(self: &Rc<Self>, gtx: GlobalTxId, mut ctx: CoordTxn) {
         self.note_aborted(gtx);
         if let Some(mut local) = ctx.local.take() {
             let _ = local.rollback();
@@ -1206,7 +1208,7 @@ impl TreatyNode {
     /// snapshot. A storage-less node has no versions to read and drops
     /// the request.
     fn handle_snapshot_read(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         _src: EndpointId,
         meta: TxMeta,
         payload: Vec<u8>,
@@ -1284,7 +1286,7 @@ impl TreatyNode {
     /// shard is at least prepared here — so a torn snapshot always fails
     /// validation on some shard. A storage-less node drops the request.
     fn handle_snapshot_validate(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         _src: EndpointId,
         meta: TxMeta,
         payload: Vec<u8>,
@@ -1346,7 +1348,7 @@ impl TreatyNode {
     // ---- participant: peer-facing handlers ---------------------------------
 
     fn handle_peer(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         _src: EndpointId,
         meta: TxMeta,
         payload: Vec<u8>,
@@ -1369,15 +1371,15 @@ impl TreatyNode {
                 // all-or-nothing in one sealed message. On the first
                 // failure the whole engine transaction rolls back and the
                 // reply pinpoints the failing op with a typed code.
-                self.stats.lock().participant_ops += ops.len() as u64;
+                self.stats.borrow_mut().participant_ops += ops.len() as u64;
                 let mut txn = self
                     .active_part
-                    .lock()
+                    .borrow_mut()
                     .remove(&gtx)
                     .unwrap_or_else(|| self.engine.begin_txn(self.txn_mode));
                 let result = apply_ops(txn.as_mut(), &ops);
                 if !matches!(result, OpResult::Failed(_)) {
-                    self.active_part.lock().insert(gtx, txn);
+                    self.active_part.borrow_mut().insert(gtx, txn);
                 } // else: txn dropped -> rolled back; coordinator aborts.
                 PeerReply::OpsDone(result)
             }
@@ -1391,7 +1393,7 @@ impl TreatyNode {
                 // is logged, no decision will follow. A slice this node no
                 // longer holds (it restarted and shed the locks) cannot
                 // vouch for its reads: vote no.
-                let txn = self.active_part.lock().remove(&gtx);
+                let txn = self.active_part.borrow_mut().remove(&gtx);
                 treaty_sim::crashpoint::hit(CrashPoint::PartReadOnlyFinish);
                 PeerReply::Vote {
                     yes: txn.is_some_and(|mut txn| txn.commit().is_ok()),
@@ -1399,8 +1401,8 @@ impl TreatyNode {
             }
             PeerMsg::Prepare { gtx, batch, .. } => {
                 treaty_sim::crashpoint::hit(CrashPoint::PartBeforePrepare);
-                self.stats.lock().participant_ops += batch.len() as u64;
-                let txn = self.active_part.lock().remove(&gtx);
+                self.stats.borrow_mut().participant_ops += batch.len() as u64;
+                let txn = self.active_part.borrow_mut().remove(&gtx);
                 // A piggybacked batch means this shard received writes with
                 // the prepare itself (execute+prepare in one round trip) —
                 // begin the engine transaction here if the shard saw
@@ -1428,7 +1430,7 @@ impl TreatyNode {
                 PeerReply::Ack
             }
             PeerMsg::Abort { gtx } => {
-                if let Some(mut txn) = self.active_part.lock().remove(&gtx) {
+                if let Some(mut txn) = self.active_part.borrow_mut().remove(&gtx) {
                     let _ = txn.rollback();
                 }
                 let _ = self.engine.abort_prepared(gtx);
@@ -1461,7 +1463,7 @@ impl TreatyNode {
     /// Returns a [`RecoveryOutcome`]; a non-zero `failed` count means some
     /// transactions are still undecided and the caller should run another
     /// recovery pass once the fault clears.
-    pub fn resolve_recovered(self: &Arc<Self>) -> RecoveryOutcome {
+    pub fn resolve_recovered(self: &Rc<Self>) -> RecoveryOutcome {
         let mut outcome = RecoveryOutcome::default();
         if let Some(clog) = &self.clog {
             // Transactions with a logged decision but possibly undelivered

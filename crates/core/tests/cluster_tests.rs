@@ -3,9 +3,9 @@
 //! 2PC, failures and the §III adversary.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use std::rc::Rc;
 
-use parking_lot::Mutex;
+use std::cell::RefCell;
 use treaty_core::messages::{decode, encode};
 use treaty_core::{
     check_list_append, Cluster, ClusterOptions, HistoryError, TreatyError, TxnObservation,
@@ -121,7 +121,7 @@ fn atomicity_under_write_conflicts() {
     let path = dir.path().to_path_buf();
     block_on(move || {
         let cluster =
-            Arc::new(Cluster::start(options(SecurityProfile::treaty_full(), &path)).unwrap());
+            Rc::new(Cluster::start(options(SecurityProfile::treaty_full(), &path)).unwrap());
         let keys = keys_on_different_nodes(&cluster);
         let (a, b) = (keys[0].clone(), keys[1].clone());
 
@@ -134,7 +134,7 @@ fn atomicity_under_write_conflicts() {
 
         let mut handles = Vec::new();
         for c in 0..4 {
-            let cluster = Arc::clone(&cluster);
+            let cluster = Rc::clone(&cluster);
             let (a, b) = (a.clone(), b.clone());
             handles.push(spawn(move || {
                 let client = cluster.client();
@@ -191,15 +191,15 @@ fn run_list_append(
     adversary: impl FnOnce(&Cluster) + Send + 'static,
 ) {
     block_on(move || {
-        let cluster = Arc::new(Cluster::start(options(profile, &path)).unwrap());
+        let cluster = Rc::new(Cluster::start(options(profile, &path)).unwrap());
         adversary(&cluster);
-        let observations = Arc::new(Mutex::new(Vec::new()));
+        let observations = Rc::new(RefCell::new(Vec::new()));
         let keyspace: Vec<Vec<u8>> = (0..6).map(|i| format!("list-{i}").into_bytes()).collect();
 
         let mut handles = Vec::new();
         for c in 0..clients {
-            let cluster = Arc::clone(&cluster);
-            let observations = Arc::clone(&observations);
+            let cluster = Rc::clone(&cluster);
+            let observations = Rc::clone(&observations);
             let keyspace = keyspace.clone();
             handles.push(spawn(move || {
                 let client = cluster.client();
@@ -230,7 +230,7 @@ fn run_list_append(
                         Ok(())
                     })();
                     if result.is_ok() && tx.commit().is_ok() {
-                        observations.lock().push(obs);
+                        observations.borrow_mut().push(obs);
                     }
                 }
             }));
@@ -267,7 +267,7 @@ fn run_list_append(
             sleep(100 * treaty_sim::MILLIS);
         }
 
-        let txns = observations.lock().clone();
+        let txns = observations.borrow().clone();
         assert!(!txns.is_empty(), "no transaction committed");
         if let Err(e) = check_list_append(&txns, &finals) {
             match e {
@@ -1272,8 +1272,8 @@ fn read_only_scanners_serialize_with_cross_shard_writers() {
     let path = dir.path().to_path_buf();
     block_on(move || {
         let cluster =
-            Arc::new(Cluster::start(options(SecurityProfile::treaty_full(), &path)).unwrap());
-        let observations = Arc::new(Mutex::new(Vec::new()));
+            Rc::new(Cluster::start(options(SecurityProfile::treaty_full(), &path)).unwrap());
+        let observations = Rc::new(RefCell::new(Vec::new()));
         let keyspace: Vec<Vec<u8>> = (0..6).map(|i| format!("list-{i}").into_bytes()).collect();
         let decode_list = |b: &[u8]| -> Vec<GlobalTxId> { decode(b).unwrap() };
         // Every list exists (empty) up front, so each append overwrites a
@@ -1287,8 +1287,8 @@ fn read_only_scanners_serialize_with_cross_shard_writers() {
 
         let mut handles = Vec::new();
         for c in 0..6usize {
-            let cluster = Arc::clone(&cluster);
-            let observations = Arc::clone(&observations);
+            let cluster = Rc::clone(&cluster);
+            let observations = Rc::clone(&observations);
             let keyspace = keyspace.clone();
             handles.push(spawn(move || {
                 let client = cluster.client();
@@ -1327,7 +1327,7 @@ fn read_only_scanners_serialize_with_cross_shard_writers() {
                         Ok(())
                     })();
                     if result.is_ok() && tx.commit().is_ok() {
-                        observations.lock().push(obs);
+                        observations.borrow_mut().push(obs);
                     }
                 }
             }));
@@ -1347,7 +1347,7 @@ fn read_only_scanners_serialize_with_cross_shard_writers() {
             .collect();
         tx.commit().unwrap();
 
-        let txns = observations.lock().clone();
+        let txns = observations.borrow().clone();
         let scans = txns.iter().filter(|t| t.appends.is_empty()).count();
         assert!(
             scans > 0 && scans < txns.len(),
@@ -1370,7 +1370,7 @@ fn scan_heavy_mix_with_inserts_runs_to_completion() {
     let path = dir.path().to_path_buf();
     block_on(move || {
         let cluster =
-            Arc::new(Cluster::start(options(SecurityProfile::treaty_full(), &path)).unwrap());
+            Rc::new(Cluster::start(options(SecurityProfile::treaty_full(), &path)).unwrap());
         let seeder = cluster.client();
         for chunk in (0..200u32).collect::<Vec<_>>().chunks(20) {
             let mut tx = seeder.begin(1);
@@ -1381,11 +1381,11 @@ fn scan_heavy_mix_with_inserts_runs_to_completion() {
             tx.commit().unwrap();
         }
 
-        let committed = Arc::new(Mutex::new(0u32));
+        let committed = Rc::new(RefCell::new(0u32));
         let mut handles = Vec::new();
         for c in 0..16u32 {
-            let cluster = Arc::clone(&cluster);
-            let committed = Arc::clone(&committed);
+            let cluster = Rc::clone(&cluster);
+            let committed = Rc::clone(&committed);
             handles.push(spawn(move || {
                 let client = cluster.client();
                 let mut x = 0x9e37_79b9u32.wrapping_mul(c + 1);
@@ -1415,7 +1415,7 @@ fn scan_heavy_mix_with_inserts_runs_to_completion() {
                             Ok(())
                         })();
                         if result.is_ok() && tx.commit().is_ok() {
-                            *committed.lock() += 1;
+                            *committed.borrow_mut() += 1;
                             break;
                         }
                     }
@@ -1425,7 +1425,7 @@ fn scan_heavy_mix_with_inserts_runs_to_completion() {
         for h in handles {
             join(h);
         }
-        let committed = *committed.lock();
+        let committed = *committed.borrow_mut();
         assert!(
             committed >= 16 * 8 * 9 / 10,
             "only {committed} of 128 committed"

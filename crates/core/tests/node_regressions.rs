@@ -15,7 +15,7 @@
 //! would consider finished.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use treaty_core::client::client_net;
 use treaty_core::clog::{ClogRecord, CLOG_FILE, CLOG_NAME};
@@ -55,7 +55,7 @@ fn key_per_node(cluster: &Cluster) -> BTreeMap<u32, Vec<u8>> {
 
 /// A raw RPC endpoint speaking the client protocol without the client
 /// library's state machine — the "confused client".
-fn raw_client(cluster: &Cluster, id: u32, timeout: Nanos) -> Arc<Rpc> {
+fn raw_client(cluster: &Cluster, id: u32, timeout: Nanos) -> Rc<Rpc> {
     let rpc = Rpc::new(
         cluster.fabric(),
         id,
@@ -460,14 +460,14 @@ fn a_straggler_cannot_outlive_its_abort() {
         let cluster = Cluster::start(options(&path)).unwrap();
         let key = key_per_node(&cluster).get(&2).unwrap().clone();
         let part = cluster.store(1).unwrap();
-        let fabric = Arc::clone(cluster.fabric());
+        let fabric = Rc::clone(cluster.fabric());
         fabric.start_capture();
         // Cut the coordinator off from the participant for the op only:
         // the advisory, sent when the op times out, gets through.
         fabric.with_adversary(|a| {
             a.partitions.insert((1, 2));
         });
-        let heal = Arc::clone(&fabric);
+        let heal = Rc::clone(&fabric);
         let healer = treaty_sim::runtime::spawn(move || {
             treaty_sim::runtime::sleep(treaty_net::DEFAULT_RPC_TIMEOUT / 2);
             heal.with_adversary(|a| a.partitions.clear());

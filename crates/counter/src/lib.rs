@@ -33,9 +33,8 @@
 
 pub mod rote;
 
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 
 use treaty_sched::WaitQueue;
 use treaty_sim::crashpoint::{self, CrashPoint};
@@ -65,7 +64,7 @@ pub enum CounterError {
 }
 
 /// A backend capable of making counter values rollback-protected.
-pub trait CounterBackend: Send + Sync {
+pub trait CounterBackend {
     /// Runs the exchange that makes `value` for `id` rollback-protected
     /// and returns the share of the service's latency still to elapse: the
     /// caller may start the next exchange at once, but must wait that long
@@ -87,26 +86,26 @@ pub trait CounterBackend: Send + Sync {
 /// (`RocksDB`, `Treaty w/ Enc` without `w/ Stab`).
 #[derive(Debug, Default)]
 pub struct NullBackend {
-    latest: Mutex<std::collections::HashMap<String, u64>>,
+    latest: RefCell<std::collections::HashMap<String, u64>>,
 }
 
 impl NullBackend {
     /// Creates the backend.
-    pub fn new() -> Arc<Self> {
-        Arc::new(Self::default())
+    pub fn new() -> Rc<Self> {
+        Rc::new(Self::default())
     }
 }
 
 impl CounterBackend for NullBackend {
     fn stabilize(&self, id: &str, value: u64) -> Result<Nanos, CounterError> {
-        let mut m = self.latest.lock();
+        let mut m = self.latest.borrow_mut();
         let e = m.entry(id.to_string()).or_insert(0);
         *e = (*e).max(value);
         Ok(0)
     }
 
     fn latest(&self, id: &str) -> u64 {
-        *self.latest.lock().get(id).unwrap_or(&0)
+        *self.latest.borrow().get(id).unwrap_or(&0)
     }
 }
 
@@ -116,16 +115,16 @@ impl CounterBackend for NullBackend {
 pub struct HwCounterBackend {
     counter: HwCounter,
     costs: CostModel,
-    latest: Mutex<std::collections::HashMap<String, u64>>,
+    latest: RefCell<std::collections::HashMap<String, u64>>,
 }
 
 impl HwCounterBackend {
     /// Creates the backend with the given cost model.
-    pub fn new(costs: CostModel) -> Arc<Self> {
-        Arc::new(HwCounterBackend {
+    pub fn new(costs: CostModel) -> Rc<Self> {
+        Rc::new(HwCounterBackend {
             counter: HwCounter::new(),
             costs,
-            latest: Mutex::new(std::collections::HashMap::new()),
+            latest: RefCell::new(std::collections::HashMap::new()),
         })
     }
 }
@@ -136,14 +135,14 @@ impl CounterBackend for HwCounterBackend {
         // 60-250 ms of real SGX pain, and the device takes one increment
         // at a time: nothing of it overlaps the next.
         runtime::sleep(cost);
-        let mut m = self.latest.lock();
+        let mut m = self.latest.borrow_mut();
         let e = m.entry(id.to_string()).or_insert(0);
         *e = (*e).max(value);
         Ok(0)
     }
 
     fn latest(&self, id: &str) -> u64 {
-        *self.latest.lock().get(id).unwrap_or(&0)
+        *self.latest.borrow().get(id).unwrap_or(&0)
     }
 }
 
@@ -175,9 +174,9 @@ struct CounterState {
 /// stabilized through the backend with batched, overlapping rounds.
 pub struct TrustedCounter {
     id: CounterId,
-    backend: Arc<dyn CounterBackend>,
-    next: AtomicU64,
-    state: Mutex<CounterState>,
+    backend: Rc<dyn CounterBackend>,
+    next: Cell<u64>,
+    state: RefCell<CounterState>,
     waiters: WaitQueue,
 }
 
@@ -185,7 +184,7 @@ impl std::fmt::Debug for TrustedCounter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TrustedCounter")
             .field("id", &self.id)
-            .field("next", &self.next.load(Ordering::Relaxed))
+            .field("next", &self.next.get())
             .finish_non_exhaustive()
     }
 }
@@ -204,14 +203,14 @@ impl TrustedCounter {
     /// Creates a counter starting after `recovered` (0 for a fresh log).
     pub fn new(
         id: impl Into<CounterId>,
-        backend: Arc<dyn CounterBackend>,
+        backend: Rc<dyn CounterBackend>,
         recovered: u64,
-    ) -> Arc<Self> {
-        Arc::new(TrustedCounter {
+    ) -> Rc<Self> {
+        Rc::new(TrustedCounter {
             id: id.into(),
             backend,
-            next: AtomicU64::new(recovered + 1),
-            state: Mutex::new(CounterState {
+            next: Cell::new(recovered + 1),
+            state: RefCell::new(CounterState {
                 stable: recovered,
                 written: recovered,
                 covered: recovered,
@@ -232,12 +231,12 @@ impl TrustedCounter {
     /// Assigns the next value: deterministic, monotonic, gap-free.
     /// Instant — stabilization is separate and asynchronous.
     pub fn assign(&self) -> u64 {
-        self.next.fetch_add(1, Ordering::SeqCst)
+        self.next.replace(self.next.get() + 1)
     }
 
     /// Highest value assigned so far (0 if none).
     pub fn assigned(&self) -> u64 {
-        self.next.load(Ordering::SeqCst) - 1
+        self.next.get() - 1
     }
 
     /// Reports that every record up to `value` is on disk. A round covers
@@ -245,24 +244,24 @@ impl TrustedCounter {
     /// cannot show after a crash, or recovery refuses the log as rolled
     /// back.
     pub fn mark_written(&self, value: u64) {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         st.written = st.written.max(value);
     }
 
     /// Highest value reported written (or waited for) so far.
     pub fn written(&self) -> u64 {
-        self.state.lock().written
+        self.state.borrow().written
     }
 
     /// Highest rollback-protected value.
     pub fn stable(&self) -> u64 {
-        self.state.lock().stable
+        self.state.borrow().stable
     }
 
     /// Highest value a launched round that has not failed will publish: a
     /// waiter at or below it rides, and needs nobody to lead for it.
     pub fn covered(&self) -> u64 {
-        self.state.lock().covered
+        self.state.borrow().covered
     }
 
     /// Blocks until `value` — whose record the caller has written — is
@@ -283,7 +282,7 @@ impl TrustedCounter {
         let mut queued = false;
         loop {
             let riding = {
-                let mut st = self.state.lock();
+                let mut st = self.state.borrow_mut();
                 if st.stable >= value {
                     return Ok(());
                 }
@@ -321,7 +320,7 @@ impl TrustedCounter {
             // Woken by a slot release or a publication. The failure of the
             // round we rode is ours; otherwise `stable` covers us, a round
             // in flight does, or we lead the next one.
-            if let Some((failed, err)) = &self.state.lock().failed {
+            if let Some((failed, err)) = &self.state.borrow().failed {
                 if Some(*failed) == riding {
                     return Err(err.clone());
                 }
@@ -337,7 +336,7 @@ impl TrustedCounter {
         let result = self.backend.stabilize(&self.id, target);
         obs::hist_record("counter.exchange_ns", vnow() - started);
         {
-            let mut st = self.state.lock();
+            let mut st = self.state.borrow_mut();
             st.exchanging = None;
             if let Err(e) = &result {
                 st.covered = fallback;
@@ -353,7 +352,7 @@ impl TrustedCounter {
         }
         crashpoint::hit(CrashPoint::CounterRoundAcked);
         {
-            let mut st = self.state.lock();
+            let mut st = self.state.borrow_mut();
             st.stable = st.stable.max(target);
         }
         self.waiters.notify_all();
@@ -414,12 +413,12 @@ mod tests {
 
     /// Backend that counts rounds and takes fixed virtual time.
     struct SlowBackend {
-        rounds: AtomicU64,
-        inner: Arc<NullBackend>,
+        rounds: Cell<u64>,
+        inner: Rc<NullBackend>,
     }
     impl CounterBackend for SlowBackend {
         fn stabilize(&self, id: &str, value: u64) -> Result<Nanos, CounterError> {
-            self.rounds.fetch_add(1, Ordering::SeqCst);
+            self.rounds.update(|n| n + 1);
             runtime::sleep(1_000_000);
             self.inner.stabilize(id, value)
         }
@@ -431,14 +430,14 @@ mod tests {
     #[test]
     fn concurrent_waiters_batch_into_few_rounds() {
         block_on(|| {
-            let backend = Arc::new(SlowBackend {
-                rounds: AtomicU64::new(0),
+            let backend = Rc::new(SlowBackend {
+                rounds: Cell::new(0),
                 inner: NullBackend::new(),
             });
-            let c = TrustedCounter::new("clog", Arc::clone(&backend) as Arc<dyn CounterBackend>, 0);
+            let c = TrustedCounter::new("clog", Rc::clone(&backend) as Rc<dyn CounterBackend>, 0);
             let mut handles = Vec::new();
             for _ in 0..16 {
-                let c = Arc::clone(&c);
+                let c = Rc::clone(&c);
                 handles.push(spawn(move || {
                     let v = c.assign();
                     c.wait_stable(v).unwrap();
@@ -447,7 +446,7 @@ mod tests {
             for h in handles {
                 join(h);
             }
-            let rounds = backend.rounds.load(Ordering::SeqCst);
+            let rounds = backend.rounds.get();
             assert!(
                 rounds <= 3,
                 "16 concurrent stabilizations must batch, used {rounds} rounds"

@@ -14,11 +14,10 @@
 //! *network* adversaries cannot roll a counter back — they can only deny
 //! service (availability, which is outside the guarantees, §VI).
 
-use parking_lot::Mutex;
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use treaty_crypto::codec::{CodecError, Decode, Encode, Reader, Record, Writer};
 use treaty_crypto::{Key, MsgKind, TxMeta, WireCrypto};
@@ -181,14 +180,14 @@ fn recover(seal_path: &Path, sealing_key: &Key, measurement: &Measurement) -> Re
 
 /// One replica of the protection group.
 pub struct RoteReplica {
-    rpc: Arc<Rpc>,
-    state: Arc<Mutex<ReplicaState>>,
+    rpc: Rc<Rpc>,
+    state: RefCell<ReplicaState>,
     seal_path: PathBuf,
-    seal_lock: Arc<FiberMutex>,
-    seal_seq: Arc<AtomicU64>,
+    seal_lock: FiberMutex,
+    seal_seq: Cell<u64>,
     /// The state version the last finished seal contains. Read and
     /// written under `seal_lock` only.
-    sealed_version: AtomicU64,
+    sealed_version: Cell<u64>,
     sealing_key: Key,
     measurement: Measurement,
     endpoint: EndpointId,
@@ -211,34 +210,34 @@ impl RoteReplica {
     /// Panics if the sealed state exists but does not unseal (tampered
     /// replica storage must not silently restart empty).
     pub fn start(
-        fabric: &Arc<Fabric>,
+        fabric: &Rc<Fabric>,
         endpoint: EndpointId,
         key: Key,
         sealing_key: Key,
         seal_dir: &Path,
-    ) -> Arc<Self> {
+    ) -> Rc<Self> {
         let measurement = Measurement::of_code("treaty-rote-replica-v1");
         let seal_path = seal_dir.join(format!("rote-{endpoint}.seal"));
         let state = recover(&seal_path, &sealing_key, &measurement);
 
         let rpc = Rpc::new(fabric, endpoint, RpcConfig::client(WireCrypto::Full, key));
-        let replica = Arc::new(RoteReplica {
-            rpc: Arc::clone(&rpc),
-            state: Arc::new(Mutex::new(state)),
+        let replica = Rc::new(RoteReplica {
+            rpc: Rc::clone(&rpc),
+            state: RefCell::new(state),
             seal_path,
-            seal_lock: Arc::new(FiberMutex::new()),
-            seal_seq: Arc::new(AtomicU64::new(0)),
-            sealed_version: AtomicU64::new(0),
+            seal_lock: FiberMutex::new(),
+            seal_seq: Cell::new(0),
+            sealed_version: Cell::new(0),
             sealing_key,
             measurement,
             endpoint,
         });
 
-        let r = Arc::clone(&replica);
+        let r = Rc::clone(&replica);
         rpc.register_handler(
             ROTE_REQ,
             false,
-            Arc::new(move |_src, meta, payload| r.handle(meta, payload)),
+            Rc::new(move |_src, meta, payload| r.handle(meta, payload)),
         );
         rpc.start();
         replica
@@ -251,7 +250,7 @@ impl RoteReplica {
 
     /// The replica's current stable value for `id` (test introspection).
     pub fn stable_value(&self, id: &str) -> u64 {
-        *self.state.lock().stable.get(id).unwrap_or(&0)
+        *self.state.borrow().stable.get(id).unwrap_or(&0)
     }
 
     fn handle(&self, meta: TxMeta, payload: Vec<u8>) -> Option<(TxMeta, Vec<u8>)> {
@@ -271,7 +270,7 @@ impl RoteReplica {
         };
         let reply = match msg {
             RoteMsg::Update { id, value } => {
-                let mut st = self.state.lock();
+                let mut st = self.state.borrow_mut();
                 let stable = *st.stable.get(&id).unwrap_or(&0);
                 if value < stable {
                     RoteMsg::Nack { rollback: true }
@@ -283,7 +282,7 @@ impl RoteReplica {
             }
             RoteMsg::Confirm { id, value } => {
                 let version = {
-                    let mut st = self.state.lock();
+                    let mut st = self.state.borrow_mut();
                     let stable = *st.stable.get(&id).unwrap_or(&0);
                     let pending_ok = st.pending.get(&id).map(|&p| p >= value).unwrap_or(false);
                     if value <= stable {
@@ -308,7 +307,7 @@ impl RoteReplica {
                 RoteMsg::Ack
             }
             RoteMsg::Query { id } => {
-                let st = self.state.lock();
+                let st = self.state.borrow();
                 RoteMsg::Value {
                     value: *st.stable.get(&id).unwrap_or(&0),
                 }
@@ -329,17 +328,17 @@ impl RoteReplica {
     /// version then stays where it was.
     fn persist(&self, version: u64) -> std::io::Result<()> {
         let guard = self.seal_lock.lock();
-        if self.sealed_version.load(Ordering::Relaxed) >= version {
+        if self.sealed_version.get() >= version {
             return Ok(());
         }
         let (covers, state_bytes) = {
-            let st = self.state.lock();
+            let st = self.state.borrow();
             let sealed = SealedState {
                 stable: st.stable.iter().map(|(k, v)| (k.clone(), *v)).collect(),
             };
             (st.version, sealed.to_bytes())
         };
-        let seq = self.seal_seq.fetch_add(1, Ordering::Relaxed);
+        let seq = self.seal_seq.replace(self.seal_seq.get() + 1);
         let mut nonce = [0u8; 12];
         nonce[..4].copy_from_slice(&self.endpoint.to_be_bytes());
         nonce[4..].copy_from_slice(&seq.to_be_bytes());
@@ -351,7 +350,7 @@ impl RoteReplica {
         let tmp = self.seal_path.with_extension("tmp");
         std::fs::write(&tmp, &raw)?;
         std::fs::rename(&tmp, &self.seal_path)?;
-        self.sealed_version.store(covers, Ordering::Relaxed);
+        self.sealed_version.set(covers);
         drop(guard);
         Ok(())
     }
@@ -359,11 +358,11 @@ impl RoteReplica {
 
 /// Client handle to the protection group; implements [`CounterBackend`].
 pub struct RoteGroup {
-    rpc: Arc<Rpc>,
+    rpc: Rc<Rpc>,
     replicas: Vec<EndpointId>,
     quorum: usize,
     round_floor: Nanos,
-    seq: AtomicU64,
+    seq: Cell<u64>,
 }
 
 impl std::fmt::Debug for RoteGroup {
@@ -386,24 +385,24 @@ impl RoteGroup {
     ///
     /// Panics if `replicas` is empty.
     pub fn connect(
-        fabric: &Arc<Fabric>,
+        fabric: &Rc<Fabric>,
         endpoint: EndpointId,
         key: Key,
         replicas: Vec<EndpointId>,
         round_floor: Nanos,
-    ) -> Arc<Self> {
+    ) -> Rc<Self> {
         assert!(!replicas.is_empty(), "protection group needs replicas");
         let quorum = replicas.len() / 2 + 1;
         let mut cfg = RpcConfig::client(WireCrypto::Full, key);
         cfg.timeout = 10 * treaty_sim::MILLIS;
         let rpc = Rpc::new(fabric, endpoint, cfg);
         rpc.start();
-        Arc::new(RoteGroup {
+        Rc::new(RoteGroup {
             rpc,
             replicas,
             quorum,
             round_floor,
-            seq: AtomicU64::new(1),
+            seq: Cell::new(1),
         })
     }
 
@@ -416,7 +415,7 @@ impl RoteGroup {
     /// the replies.
     fn broadcast(&self, session: u64, msg: &RoteMsg) -> Vec<RoteMsg> {
         let payload = msg.to_bytes();
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+        let seq = self.seq.replace(self.seq.get() + 1);
         let mut pending = Vec::new();
         for (i, &r) in self.replicas.iter().enumerate() {
             let meta = TxMeta {
@@ -524,14 +523,14 @@ mod tests {
     use treaty_sched::block_on;
     use treaty_sim::{CostModel, MILLIS};
 
-    fn group(dir: &Path) -> (Arc<Fabric>, Vec<Arc<RoteReplica>>, Arc<RoteGroup>) {
+    fn group(dir: &Path) -> (Rc<Fabric>, Vec<Rc<RoteReplica>>, Rc<RoteGroup>) {
         group_with_floor(dir, 2 * MILLIS)
     }
 
     fn group_with_floor(
         dir: &Path,
         round_floor: Nanos,
-    ) -> (Arc<Fabric>, Vec<Arc<RoteReplica>>, Arc<RoteGroup>) {
+    ) -> (Rc<Fabric>, Vec<Rc<RoteReplica>>, Rc<RoteGroup>) {
         let fabric = Fabric::new(CostModel::default(), 11);
         let key = treaty_crypto::KeyHierarchy::for_testing();
         let replicas: Vec<_> = (0..3)
@@ -548,15 +547,15 @@ mod tests {
     }
 
     /// When a waiter returned, and with what.
-    type Outcome = Arc<Mutex<Option<(Nanos, Result<(), CounterError>)>>>;
+    type Outcome = Rc<RefCell<Option<(Nanos, Result<(), CounterError>)>>>;
 
     /// Spawns a fiber that waits for `value` and stores when it returned.
-    fn waiter(c: &Arc<TrustedCounter>, value: u64) -> (runtime::FiberId, Outcome) {
-        let out = Arc::new(Mutex::new(None));
-        let (c, out2) = (Arc::clone(c), Arc::clone(&out));
+    fn waiter(c: &Rc<TrustedCounter>, value: u64) -> (runtime::FiberId, Outcome) {
+        let out = Rc::new(RefCell::new(None));
+        let (c, out2) = (Rc::clone(c), Rc::clone(&out));
         let fiber = runtime::spawn(move || {
             let result = c.wait_stable(value);
-            *out2.lock() = Some((runtime::now(), result));
+            *out2.borrow_mut() = Some((runtime::now(), result));
         });
         (fiber, out)
     }
@@ -674,13 +673,13 @@ mod tests {
             replicas[1].stop();
             let err = client.stabilize("wal-1", 5).unwrap_err();
             assert_eq!(err, CounterError::NoQuorum { acks: 1, needed: 2 });
-            assert_eq!(replicas[0].sealed_version.load(Ordering::Relaxed), 1);
-            assert_eq!(replicas[2].sealed_version.load(Ordering::Relaxed), 0);
+            assert_eq!(replicas[0].sealed_version.get(), 1);
+            assert_eq!(replicas[2].sealed_version.get(), 0);
 
             let _revived = RoteReplica::start(&fabric, 1001, key.counter, key.sealing, &path);
             client.stabilize("wal-1", 5).unwrap();
             assert_eq!(replicas[2].stable_value("wal-1"), 5);
-            assert_eq!(replicas[2].sealed_version.load(Ordering::Relaxed), 0);
+            assert_eq!(replicas[2].sealed_version.get(), 0);
             let meta = TxMeta {
                 node_id: 1,
                 tx_id: 1,
@@ -700,7 +699,7 @@ mod tests {
             // Once the disk lets it seal, the duplicate is acknowledged.
             std::fs::remove_dir(path.join("rote-1002.tmp")).unwrap();
             assert_eq!(reply(&replicas[2]), RoteMsg::Ack);
-            assert_eq!(replicas[2].sealed_version.load(Ordering::Relaxed), 1);
+            assert_eq!(replicas[2].sealed_version.get(), 1);
         });
     }
 
@@ -710,7 +709,7 @@ mod tests {
         let path = dir.path().to_path_buf();
         block_on(move || {
             let (_f, _r, client) = group(&path);
-            let c = TrustedCounter::new("node1/clog", client as Arc<dyn CounterBackend>, 0);
+            let c = TrustedCounter::new("node1/clog", client as Rc<dyn CounterBackend>, 0);
             let v1 = c.assign();
             let v2 = c.assign();
             c.wait_stable(v2).unwrap();
@@ -729,7 +728,7 @@ mod tests {
         block_on(move || {
             let key = treaty_crypto::KeyHierarchy::for_testing();
             let (fabric, replicas, client) = group(&path);
-            let c = TrustedCounter::new("node1/clog", client as Arc<dyn CounterBackend>, 0);
+            let c = TrustedCounter::new("node1/clog", client as Rc<dyn CounterBackend>, 0);
             let v1 = c.assign();
             c.wait_stable(v1).unwrap();
 
@@ -738,7 +737,7 @@ mod tests {
             let v2 = c.assign();
             // The leader and a waiter parked on its round both see it fail.
             let rider = {
-                let c = Arc::clone(&c);
+                let c = Rc::clone(&c);
                 runtime::spawn(move || {
                     let err = c.wait_stable(v2).unwrap_err();
                     assert!(matches!(err, CounterError::NoQuorum { .. }), "{err:?}");
@@ -766,7 +765,7 @@ mod tests {
         let path = dir.path().to_path_buf();
         block_on(move || {
             let (_f, _r, client) = group(&path);
-            let c = TrustedCounter::new("node1/wal", client as Arc<dyn CounterBackend>, 0);
+            let c = TrustedCounter::new("node1/wal", client as Rc<dyn CounterBackend>, 0);
             let t0 = runtime::now();
             let (first, first_done) = waiter(&c, c.assign());
             runtime::sleep(300 * treaty_sim::MICROS);
@@ -774,7 +773,7 @@ mod tests {
             c.wait_stable(v2).unwrap();
             let second_at = runtime::now();
             runtime::join(first);
-            let (first_at, result) = first_done.lock().take().unwrap();
+            let (first_at, result) = first_done.borrow_mut().take().unwrap();
             result.unwrap();
             assert!(
                 first_at - t0 >= 2 * MILLIS,
@@ -798,11 +797,11 @@ mod tests {
         block_on(move || {
             let (_f, replicas, client) = group(&path);
             let quorum = client.quorum();
-            let c = TrustedCounter::new("node1/wal", client as Arc<dyn CounterBackend>, 0);
+            let c = TrustedCounter::new("node1/wal", client as Rc<dyn CounterBackend>, 0);
             let t0 = runtime::now();
             let (first, _) = waiter(&c, c.assign());
             let watcher = {
-                let c = Arc::clone(&c);
+                let c = Rc::clone(&c);
                 runtime::spawn(move || {
                     // Values 1 and 2 are waited for at t0 and t0 + 300 µs.
                     let began = [t0, t0 + 300 * treaty_sim::MICROS];
@@ -843,7 +842,7 @@ mod tests {
             // to give up, so the failure lands inside round one's wait.
             let floor = 30 * MILLIS;
             let (fabric, replicas, client) = group_with_floor(&path, floor);
-            let c = TrustedCounter::new("node1/clog", client as Arc<dyn CounterBackend>, 0);
+            let c = TrustedCounter::new("node1/clog", client as Rc<dyn CounterBackend>, 0);
             let t0 = runtime::now();
             let v1 = c.assign();
             let (leader1, leader1_done) = waiter(&c, v1);
@@ -859,7 +858,7 @@ mod tests {
             runtime::join(leader2);
             runtime::join(rider2);
             for done in [leader2_done, rider2_done] {
-                let (at, result) = done.lock().take().unwrap();
+                let (at, result) = done.borrow_mut().take().unwrap();
                 assert!(
                     at - t0 < floor,
                     "round two failed only after round one published"
@@ -870,7 +869,7 @@ mod tests {
                 );
             }
             assert_eq!(c.stable(), 0, "round one is still waiting out its floor");
-            assert!(leader1_done.lock().is_none() && rider1_done.lock().is_none());
+            assert!(leader1_done.borrow().is_none() && rider1_done.borrow().is_none());
 
             // `covered` fell back to round one's target: the next caller
             // for `v2` leads a fresh round instead of riding a dead one.
@@ -880,13 +879,13 @@ mod tests {
             runtime::join(leader1);
             runtime::join(rider1);
             for done in [leader1_done, rider1_done] {
-                let (at, result) = done.lock().take().unwrap();
+                let (at, result) = done.borrow_mut().take().unwrap();
                 result.unwrap();
                 assert_eq!(at - t0, floor);
             }
             assert_eq!(c.stable(), v1);
             runtime::join(leader3);
-            leader3_done.lock().take().unwrap().1.unwrap();
+            leader3_done.borrow_mut().take().unwrap().1.unwrap();
             assert_eq!(c.stable(), v2);
             assert_eq!(c.latest_stabilized(), v2);
         });
@@ -900,7 +899,7 @@ mod tests {
         let path = dir.path().to_path_buf();
         block_on(move || {
             let (_f, replicas, _client) = group(&path);
-            let replica = Arc::clone(&replicas[0]);
+            let replica = Rc::clone(&replicas[0]);
             let meta = TxMeta {
                 node_id: 1,
                 tx_id: 1,
@@ -923,7 +922,7 @@ mod tests {
                         },
                     );
                     assert!(matches!(echo, RoteMsg::Echo { .. }));
-                    let replica = Arc::clone(&replica);
+                    let replica = Rc::clone(&replica);
                     runtime::spawn(move || {
                         let ack = send(
                             &replica,
@@ -950,7 +949,7 @@ mod tests {
             for fiber in confirms {
                 runtime::join(fiber);
             }
-            let seals = replica.seal_seq.load(Ordering::Relaxed);
+            let seals = replica.seal_seq.get();
             assert!(
                 (1..8).contains(&seals),
                 "8 concurrent confirms wrote {seals} seals"

@@ -1,10 +1,10 @@
-//! L009 canary fixture, file B: takes `beta` then `alpha` — the
-//! reverse of `cycle_a.rs`, completing the lock-order cycle the L009
-//! canary test asserts on (with file:line witnesses in both files).
+//! L009 canary fixture, file B: takes the maintenance lock, then the
+//! commit lock — the reverse of `cycle_a.rs`, completing the lock-order
+//! cycle the L009 canary test asserts on (witnesses in both files).
 
-fn take_beta_then_alpha(&self) {
-    let b = self.beta.lock();
-    let a = self.alpha.lock();
+fn maintenance_then_commit(&self) {
+    let b = self.maintenance_lock.lock();
+    let a = self.commits.lock();
     drop(a);
     drop(b);
 }

@@ -24,24 +24,20 @@
 //!   literals (`"{plaintext}"`).
 //!
 //! On top of the line rules sits a **function-scope concurrency
-//! analyzer** ([`analyzer`], [`registry`]) with four more rules:
+//! analyzer** ([`analyzer`], [`registry`]) with three more rules:
 //!
-//! * **L007 — no guard live across a yield point.** The cooperative
-//!   fiber runtime runs one fiber at a time; a `Mutex` or `RwLock` guard
-//!   held across `sleep`/`park`/`yield_now`/a charge/an RPC round trip
-//!   deadlocks the node if the next fiber touches the same lock.
-//!   Fiber-aware locks (`FiberMutex`) are exempt — being held across
-//!   yields is their job.
-//! * **L008 — no guard live across `crashpoint::hit`.** `CrashUnwind`
-//!   unwinds the fiber at the crash site, poisoning any std `Mutex` held
-//!   there and silently breaking crash → heal → restart. Audited
-//!   exceptions carry `// LINT-CRASH-SAFE: <reason>`.
+//! * **L007 — no borrow live across a yield point.** A simulation runs
+//!   its fibers one at a time on one OS thread, and its shared state sits
+//!   in `RefCell`s. A borrow held across `sleep`/`park`/`yield_now`/a
+//!   charge/an RPC round trip/a fiber-lock acquire makes the next fiber
+//!   that borrows the same cell panic — but only if one does, so a test
+//!   run can miss it. Fiber locks (`FiberMutex`, `GroupCommit`) are
+//!   exempt — being held across yields is their job.
 //! * **L009 — no lock-order cycles.** Intra-function "acquire A while
-//!   holding B" edges, keyed by [`registry::LOCK_REGISTRY`] classes, are
-//!   merged into a global graph; any cycle is reported in full with a
-//!   file:line witness per edge.
-//! * **L010 — every `.lock()` / `.read()` / `.write()` site resolves
-//!   through the registry** in
+//!   holding B" edges between fiber locks, keyed by
+//!   [`registry::LOCK_REGISTRY`] classes, are merged into a global graph;
+//!   any cycle is reported in full with a file:line witness per edge.
+//! * **L010 — every `.lock()` site resolves through the registry** in
 //!   crates/{core,store,sim,net}, so L009's graph can never silently
 //!   miss an edge.
 //!
@@ -72,7 +68,7 @@ pub struct Violation {
     pub line: usize,
     /// Trimmed source line (raw, pre-scrub) for the report.
     pub snippet: String,
-    /// Lock class involved (L007–L009), if any.
+    /// Lock class (L009) or borrowed receiver (L007) involved, if any.
     pub lock: Option<String>,
     /// Human-readable explanation; empty for the line rules.
     pub detail: String,
@@ -107,11 +103,10 @@ impl fmt::Display for Violation {
 }
 
 /// All rule ids, in report order.
-pub const RULES: [(&str, &str); 6] = [
+pub const RULES: [(&str, &str); 5] = [
     ("L001", "enclave-only crypto primitives"),
     ("L005", "no secrets in format/trace payloads"),
-    ("L007", "no guard live across a yield point"),
-    ("L008", "no guard live across crashpoint::hit"),
+    ("L007", "no borrow live across a yield point"),
     ("L009", "no lock-order cycles"),
     ("L010", "every .lock() resolves through LOCK_REGISTRY"),
 ];
@@ -410,10 +405,10 @@ pub fn lint_source(file: &str, source: &str) -> Vec<Violation> {
 }
 
 // ---------------------------------------------------------------------------
-// L007–L010 — function-scope concurrency analysis (cross-file for L009)
+// L007, L009, L010 — function-scope concurrency analysis (cross-file for L009)
 // ---------------------------------------------------------------------------
 
-/// Runs the concurrency analyzer (L007/L008/L010 per file, L009 over the
+/// Runs the concurrency analyzer (L007/L010 per file, L009 over the
 /// merged lock-order graph) with an explicit registry and rule set.
 /// Only files inside the analyzer scope passed in `files` are examined;
 /// callers filter scope (production: [`registry::in_scope`]).
@@ -435,7 +430,7 @@ pub fn lint_concurrency_with(
     out
 }
 
-/// Production entry point: all four concurrency rules over the files in
+/// Production entry point: all three concurrency rules over the files in
 /// [`registry::ANALYZER_SCOPE_PREFIXES`], using [`registry::LOCK_REGISTRY`].
 pub fn lint_concurrency(files: &[(String, String)]) -> Vec<Violation> {
     let scoped: Vec<(String, String)> = files
@@ -443,11 +438,7 @@ pub fn lint_concurrency(files: &[(String, String)]) -> Vec<Violation> {
         .filter(|(f, _)| registry::in_scope(f))
         .cloned()
         .collect();
-    lint_concurrency_with(
-        &scoped,
-        registry::LOCK_REGISTRY,
-        &["L007", "L008", "L009", "L010"],
-    )
+    lint_concurrency_with(&scoped, registry::LOCK_REGISTRY, &["L007", "L009", "L010"])
 }
 
 // ---------------------------------------------------------------------------

@@ -1,13 +1,12 @@
 //! The simulated network fabric: endpoints, NIC ports, transports and the
 //! adversary.
 
-use parking_lot::Mutex;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::cmp::Ordering as CmpOrdering;
+use std::cell::{Cell, RefCell};
+use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use treaty_sched::{FiberMutex, WaitQueue};
 use treaty_sim::runtime;
@@ -82,37 +81,37 @@ impl PartialEq for Queued {
 }
 impl Eq for Queued {}
 impl PartialOrd for Queued {
-    fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 impl Ord for Queued {
-    fn cmp(&self, other: &Self) -> CmpOrdering {
+    fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: BinaryHeap is a max-heap, we want earliest arrival first.
         (other.arrival, other.seq).cmp(&(self.arrival, self.seq))
     }
 }
 
 struct Inbox {
-    queue: Mutex<BinaryHeap<Queued>>,
+    queue: RefCell<BinaryHeap<Queued>>,
     waiters: WaitQueue,
-    closed: Mutex<bool>,
+    closed: Cell<bool>,
 }
 
 impl Inbox {
-    fn new() -> Arc<Self> {
-        Arc::new(Inbox {
-            queue: Mutex::new(BinaryHeap::new()),
+    fn new() -> Rc<Self> {
+        Rc::new(Inbox {
+            queue: RefCell::new(BinaryHeap::new()),
             waiters: WaitQueue::new(),
-            closed: Mutex::new(false),
+            closed: Cell::new(false),
         })
     }
 }
 
 struct EndpointEntry {
     cfg: EndpointConfig,
-    inbox: Arc<Inbox>,
-    nic: Arc<FiberMutex>,
+    inbox: Rc<Inbox>,
+    nic: Rc<FiberMutex>,
 }
 
 /// Knobs for the network adversary of the §III threat model.
@@ -149,13 +148,13 @@ impl Adversary {
 
 #[derive(Debug, Default)]
 struct Counters {
-    sent: AtomicU64,
-    delivered: AtomicU64,
-    dropped_adversary: AtomicU64,
-    dropped_mtu: AtomicU64,
-    dropped_unreachable: AtomicU64,
-    tampered: AtomicU64,
-    duplicated: AtomicU64,
+    sent: Cell<u64>,
+    delivered: Cell<u64>,
+    dropped_adversary: Cell<u64>,
+    dropped_mtu: Cell<u64>,
+    dropped_unreachable: Cell<u64>,
+    tampered: Cell<u64>,
+    duplicated: Cell<u64>,
 }
 
 /// Snapshot of fabric counters.
@@ -180,25 +179,25 @@ pub struct FabricStats {
 /// The simulated datacenter network.
 pub struct Fabric {
     costs: CostModel,
-    endpoints: Mutex<HashMap<EndpointId, EndpointEntry>>,
-    adversary: Mutex<Adversary>,
-    rng: Mutex<ChaCha8Rng>,
-    seq: AtomicU64,
+    endpoints: RefCell<HashMap<EndpointId, EndpointEntry>>,
+    adversary: RefCell<Adversary>,
+    rng: RefCell<ChaCha8Rng>,
+    seq: Cell<u64>,
     counters: Counters,
-    capture: Mutex<Option<Vec<Datagram>>>,
+    capture: RefCell<Option<Vec<Datagram>>>,
 }
 
 impl Fabric {
     /// Creates a fabric with the given cost model and adversary RNG seed.
-    pub fn new(costs: CostModel, seed: u64) -> Arc<Self> {
-        Arc::new(Fabric {
+    pub fn new(costs: CostModel, seed: u64) -> Rc<Self> {
+        Rc::new(Fabric {
             costs,
-            endpoints: Mutex::new(HashMap::new()),
-            adversary: Mutex::new(Adversary::honest()),
-            rng: Mutex::new(ChaCha8Rng::seed_from_u64(seed)),
-            seq: AtomicU64::new(0),
+            endpoints: RefCell::new(HashMap::new()),
+            adversary: RefCell::new(Adversary::honest()),
+            rng: RefCell::new(ChaCha8Rng::seed_from_u64(seed)),
+            seq: Cell::new(0),
             counters: Counters::default(),
-            capture: Mutex::new(None),
+            capture: RefCell::new(None),
         })
     }
 
@@ -209,23 +208,23 @@ impl Fabric {
 
     /// Replaces the adversary configuration.
     pub fn set_adversary(&self, adv: Adversary) {
-        *self.adversary.lock() = adv;
+        *self.adversary.borrow_mut() = adv;
     }
 
     /// Mutates the adversary configuration in place.
     pub fn with_adversary(&self, f: impl FnOnce(&mut Adversary)) {
-        f(&mut self.adversary.lock());
+        f(&mut self.adversary.borrow_mut());
     }
 
     /// Starts capturing every wire message (for confidentiality tests and
     /// replay attacks). Capturing is off by default.
     pub fn start_capture(&self) {
-        *self.capture.lock() = Some(Vec::new());
+        *self.capture.borrow_mut() = Some(Vec::new());
     }
 
     /// Returns the captured datagrams so far (clones).
     pub fn captured(&self) -> Vec<Datagram> {
-        self.capture.lock().clone().unwrap_or_default()
+        self.capture.borrow().clone().unwrap_or_default()
     }
 
     /// All captured wire bytes concatenated — what a network sniffer sees.
@@ -243,35 +242,38 @@ impl Fabric {
         let entry = EndpointEntry {
             cfg,
             inbox: Inbox::new(),
-            nic: Arc::new(FiberMutex::new()),
+            nic: Rc::new(FiberMutex::new()),
         };
-        self.endpoints.lock().insert(id, entry);
+        self.endpoints.borrow_mut().insert(id, entry);
     }
 
     /// Removes an endpoint; in-flight and future messages to it vanish.
     pub(crate) fn deregister(&self, id: EndpointId) {
-        let entry = self.endpoints.lock().remove(&id);
+        let entry = self.endpoints.borrow_mut().remove(&id);
         if let Some(e) = entry {
-            *e.inbox.closed.lock() = true;
+            e.inbox.closed.set(true);
             e.inbox.waiters.notify_all();
         }
     }
 
     /// Whether an endpoint is currently registered.
     pub fn is_registered(&self, id: EndpointId) -> bool {
-        self.endpoints.lock().contains_key(&id)
+        self.endpoints.borrow().contains_key(&id)
     }
 
     fn endpoint_cfg(&self, id: EndpointId) -> Option<EndpointConfig> {
-        self.endpoints.lock().get(&id).map(|e| e.cfg)
+        self.endpoints.borrow().get(&id).map(|e| e.cfg)
     }
 
-    fn inbox_of(&self, id: EndpointId) -> Option<Arc<Inbox>> {
-        self.endpoints.lock().get(&id).map(|e| Arc::clone(&e.inbox))
+    fn inbox_of(&self, id: EndpointId) -> Option<Rc<Inbox>> {
+        self.endpoints
+            .borrow()
+            .get(&id)
+            .map(|e| Rc::clone(&e.inbox))
     }
 
-    fn nic_of(&self, id: EndpointId) -> Option<Arc<FiberMutex>> {
-        self.endpoints.lock().get(&id).map(|e| Arc::clone(&e.nic))
+    fn nic_of(&self, id: EndpointId) -> Option<Rc<FiberMutex>> {
+        self.endpoints.borrow().get(&id).map(|e| Rc::clone(&e.nic))
     }
 
     /// Sends a datagram. Blocks the calling fiber for the NIC serialization
@@ -281,7 +283,7 @@ impl Fabric {
     /// Messages to unknown endpoints are silently dropped, like packets to
     /// a crashed machine.
     pub(crate) fn send(&self, mut dg: Datagram) {
-        self.counters.sent.fetch_add(1, Ordering::Relaxed);
+        self.counters.sent.update(|n| n + 1);
         let src_cfg = match self.endpoint_cfg(dg.src) {
             Some(c) => c,
             None => return, // sender gone: nothing to do
@@ -308,13 +310,13 @@ impl Fabric {
             None => charge.receiver_cpu,
         };
 
-        if let Some(cap) = self.capture.lock().as_mut() {
+        if let Some(cap) = self.capture.borrow_mut().as_mut() {
             cap.push(dg.clone());
         }
 
         // MTU behaviour (Fig. 8): oversized UDP messages never arrive.
         if charge.dropped {
-            self.counters.dropped_mtu.fetch_add(1, Ordering::Relaxed);
+            self.counters.dropped_mtu.update(|n| n + 1);
             return;
         }
 
@@ -330,8 +332,8 @@ impl Fabric {
 
         // Adversary decisions.
         let (drop_it, tamper_it, dup_it, extra_delay) = {
-            let mut adv = self.adversary.lock();
-            let mut rng = self.rng.lock();
+            let mut adv = self.adversary.borrow_mut();
+            let mut rng = self.rng.borrow_mut();
             let partitioned = adv.partitions.contains(&(dg.src, dg.dst));
             let drop_it = partitioned
                 || adv.drop_next > 0
@@ -354,16 +356,14 @@ impl Fabric {
         };
 
         if drop_it {
-            self.counters
-                .dropped_adversary
-                .fetch_add(1, Ordering::Relaxed);
+            self.counters.dropped_adversary.update(|n| n + 1);
             return;
         }
         if tamper_it {
-            self.counters.tampered.fetch_add(1, Ordering::Relaxed);
+            self.counters.tampered.update(|n| n + 1);
             if !dg.wire.is_empty() {
                 let idx = {
-                    let mut rng = self.rng.lock();
+                    let mut rng = self.rng.borrow_mut();
                     rng.gen_range(0..dg.wire.len())
                 };
                 dg.wire.tamper(idx, 0x55);
@@ -372,7 +372,7 @@ impl Fabric {
 
         let arrival = runtime::now() + self.costs.propagation_ns + extra_delay;
         if dup_it {
-            self.counters.duplicated.fetch_add(1, Ordering::Relaxed);
+            self.counters.duplicated.update(|n| n + 1);
             self.deliver(dg.clone(), arrival + 1);
         }
         self.deliver(dg, arrival);
@@ -388,15 +388,14 @@ impl Fabric {
         let inbox = match self.inbox_of(dg.dst) {
             Some(i) => i,
             None => {
-                self.counters
-                    .dropped_unreachable
-                    .fetch_add(1, Ordering::Relaxed);
+                self.counters.dropped_unreachable.update(|n| n + 1);
                 return;
             }
         };
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        inbox.queue.lock().push(Queued { arrival, seq, dg });
-        self.counters.delivered.fetch_add(1, Ordering::Relaxed);
+        let seq = self.seq.get();
+        self.seq.set(seq + 1);
+        inbox.queue.borrow_mut().push(Queued { arrival, seq, dg });
+        self.counters.delivered.update(|n| n + 1);
         inbox.waiters.notify_one();
     }
 
@@ -410,7 +409,7 @@ impl Fabric {
         let inbox = self.inbox_of(id).ok_or(NetError::Closed)?;
         let deadline = runtime::now().saturating_add(timeout);
         loop {
-            if *inbox.closed.lock() {
+            if inbox.closed.get() {
                 return Err(NetError::Closed);
             }
             let now = runtime::now();
@@ -420,7 +419,7 @@ impl Fabric {
                 Empty,
             }
             let next = {
-                let mut q = inbox.queue.lock();
+                let mut q = inbox.queue.borrow_mut();
                 match q.peek().map(|head| head.arrival) {
                     Some(arrival) if arrival > now => Next::WaitUntil(arrival),
                     _ => q.pop().map_or(Next::Empty, |head| Next::Ready(head.dg)),
@@ -454,7 +453,7 @@ impl Fabric {
                         return Err(NetError::Timeout);
                     }
                     inbox.waiters.wait_timeout(deadline - now);
-                    if runtime::now() >= deadline && inbox.queue.lock().is_empty() {
+                    if runtime::now() >= deadline && inbox.queue.borrow().is_empty() {
                         return Err(NetError::Timeout);
                     }
                 }
@@ -465,13 +464,13 @@ impl Fabric {
     /// Counter snapshot.
     pub fn stats(&self) -> FabricStats {
         FabricStats {
-            sent: self.counters.sent.load(Ordering::Relaxed),
-            delivered: self.counters.delivered.load(Ordering::Relaxed),
-            dropped_adversary: self.counters.dropped_adversary.load(Ordering::Relaxed),
-            dropped_mtu: self.counters.dropped_mtu.load(Ordering::Relaxed),
-            dropped_unreachable: self.counters.dropped_unreachable.load(Ordering::Relaxed),
-            tampered: self.counters.tampered.load(Ordering::Relaxed),
-            duplicated: self.counters.duplicated.load(Ordering::Relaxed),
+            sent: self.counters.sent.get(),
+            delivered: self.counters.delivered.get(),
+            dropped_adversary: self.counters.dropped_adversary.get(),
+            dropped_mtu: self.counters.dropped_mtu.get(),
+            dropped_unreachable: self.counters.dropped_unreachable.get(),
+            tampered: self.counters.tampered.get(),
+            duplicated: self.counters.duplicated.get(),
         }
     }
 }
@@ -494,7 +493,7 @@ mod tests {
         }
     }
 
-    fn fabric_with(a: EndpointConfig, b: EndpointConfig) -> Arc<Fabric> {
+    fn fabric_with(a: EndpointConfig, b: EndpointConfig) -> Rc<Fabric> {
         let f = Fabric::new(CostModel::default(), 1);
         f.register(1, a);
         f.register(2, b);

@@ -12,8 +12,8 @@
 //! most one fiber serving it, none while it is empty. The dispatcher pushes
 //! a request onto its session's queue and spawns a server fiber only when
 //! the push created the queue; the server pops until the queue is empty,
-//! then removes it and ends. Enqueue and retire are decided under the one
-//! mutex that guards the map, so a request is never left behind a server
+//! then removes it and ends. Enqueue and retire are decided in one borrow
+//! of the map, so a request is never left behind a server
 //! that has gone. Requests of one session are therefore handled strictly in
 //! arrival order, different sessions side by side (the paper's
 //! fiber-per-client design, §VII-C, over eRPC sessions that are connection
@@ -54,10 +54,10 @@
 //! the numbers it had in flight, so the guard is bounded by requests in
 //! flight, not by history ([`Rpc::guard_entries`]).
 
-use parking_lot::Mutex;
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::ops::Deref;
+use std::rc::Rc;
 
 use treaty_crypto::{nonce, Key, MsgKind, Opened, SecureEnvelope, Stamp, TxMeta, WireCrypto};
 use treaty_sched::CorePool;
@@ -74,8 +74,7 @@ use crate::{NetError, DEFAULT_RPC_TIMEOUT};
 /// Handlers run on the fiber serving the request's session and may block
 /// (acquire locks, wait for stabilization, issue nested RPCs); the session's
 /// later requests wait behind them.
-pub type ReqHandler =
-    Arc<dyn Fn(EndpointId, TxMeta, Vec<u8>) -> Option<(TxMeta, Vec<u8>)> + Send + Sync>;
+pub type ReqHandler = Rc<dyn Fn(EndpointId, TxMeta, Vec<u8>) -> Option<(TxMeta, Vec<u8>)>>;
 
 /// Endpoint configuration for [`Rpc::new`].
 #[derive(Clone)]
@@ -88,7 +87,7 @@ pub struct RpcConfig {
     pub key: Key,
     /// CPU cores that processing on this endpoint consumes. `None` models
     /// an uncontended client machine.
-    pub cores: Option<Arc<CorePool>>,
+    pub cores: Option<Rc<CorePool>>,
     /// Default timeout for [`Rpc::call`].
     pub timeout: Nanos,
 }
@@ -184,28 +183,28 @@ struct HandlerEntry {
 
 #[derive(Default)]
 struct RpcCounters {
-    rejected: AtomicU64,
-    replays_suppressed: AtomicU64,
-    requests_handled: AtomicU64,
+    rejected: Cell<u64>,
+    replays_suppressed: Cell<u64>,
+    requests_handled: Cell<u64>,
 }
 
 /// An RPC endpoint bound to one fabric id.
 pub struct Rpc {
-    fabric: Arc<Fabric>,
+    fabric: Rc<Fabric>,
     id: EndpointId,
     cfg: RpcConfig,
     env: SecureEnvelope,
-    numbering: Mutex<Numbering>,
-    handlers: Mutex<HashMap<u8, Arc<HandlerEntry>>>,
+    numbering: RefCell<Numbering>,
+    handlers: RefCell<HashMap<u8, Rc<HandlerEntry>>>,
     /// Requests waiting per `(src, session)`, each with its arrival time.
     /// An entry exists exactly while a server fiber is serving it (the
     /// module header's session rule).
-    sessions: Mutex<HashMap<SessionKey, VecDeque<(Nanos, Datagram)>>>,
+    sessions: RefCell<HashMap<SessionKey, VecDeque<(Nanos, Datagram)>>>,
     /// The replay guard, per sending endpoint.
-    guard: Mutex<HashMap<EndpointId, SenderGuard>>,
-    outbox: Mutex<Vec<Datagram>>,
-    started: AtomicBool,
-    stopped: AtomicBool,
+    guard: RefCell<HashMap<EndpointId, SenderGuard>>,
+    outbox: RefCell<Vec<Datagram>>,
+    started: Cell<bool>,
+    stopped: Cell<bool>,
     counters: RpcCounters,
 }
 
@@ -222,7 +221,7 @@ impl std::fmt::Debug for Rpc {
 #[derive(Debug)]
 #[must_use = "a pending reply must be waited on (or explicitly abandoned)"]
 pub struct PendingReply {
-    rpc: Arc<Rpc>,
+    rpc: Rc<Rpc>,
     rpc_id: u64,
     timeout: Nanos,
 }
@@ -243,7 +242,7 @@ impl Drop for PendingReply {
     /// The slot goes with its continuation: a request nobody waits for
     /// must not hold its sender's floor down.
     fn drop(&mut self) {
-        self.rpc.numbering.lock().pending.remove(&self.rpc_id);
+        self.rpc.numbering.borrow_mut().pending.remove(&self.rpc_id);
     }
 }
 
@@ -254,28 +253,28 @@ impl Rpc {
     ///
     /// Its counter starts at the boot epoch: the clock reading now
     /// (`seal_charged` has why a later life never reuses a number).
-    pub fn new(fabric: &Arc<Fabric>, id: EndpointId, cfg: RpcConfig) -> Arc<Self> {
+    pub fn new(fabric: &Rc<Fabric>, id: EndpointId, cfg: RpcConfig) -> Rc<Self> {
         fabric.register(id, cfg.endpoint);
         let epoch = if runtime::in_fiber() {
             runtime::now().max(1)
         } else {
             1
         };
-        Arc::new(Rpc {
-            fabric: Arc::clone(fabric),
+        Rc::new(Rpc {
+            fabric: Rc::clone(fabric),
             id,
             env: SecureEnvelope::new(cfg.crypto),
-            numbering: Mutex::new(Numbering {
+            numbering: RefCell::new(Numbering {
                 next: epoch,
                 pending: BTreeMap::new(),
                 unsent: BTreeSet::new(),
             }),
-            handlers: Mutex::new(HashMap::new()),
-            sessions: Mutex::new(HashMap::new()),
-            guard: Mutex::new(HashMap::new()),
-            outbox: Mutex::new(Vec::new()),
-            started: AtomicBool::new(false),
-            stopped: AtomicBool::new(false),
+            handlers: RefCell::new(HashMap::new()),
+            sessions: RefCell::new(HashMap::new()),
+            guard: RefCell::new(HashMap::new()),
+            outbox: RefCell::new(Vec::new()),
+            started: Cell::new(false),
+            stopped: Cell::new(false),
             counters: RpcCounters::default(),
             cfg,
         })
@@ -287,25 +286,34 @@ impl Rpc {
     }
 
     /// The fabric this endpoint is attached to.
-    pub fn fabric(&self) -> &Arc<Fabric> {
+    pub fn fabric(&self) -> &Rc<Fabric> {
         &self.fabric
     }
 
     /// Registers a handler for `req_type`. `guarded` has the replay guard
     /// check each request's number (module header) — required for all
-    /// non-idempotent transaction traffic.
-    pub fn register_handler(&self, req_type: u8, guarded: bool, handler: ReqHandler) {
+    /// non-idempotent transaction traffic. `handler` is any pointer to one:
+    /// a [`ReqHandler`], an `Rc` or `Arc` of a closure.
+    pub fn register_handler<F>(
+        &self,
+        req_type: u8,
+        guarded: bool,
+        handler: impl Deref<Target = F> + 'static,
+    ) where
+        F: Fn(EndpointId, TxMeta, Vec<u8>) -> Option<(TxMeta, Vec<u8>)> + ?Sized,
+    {
+        let handler: ReqHandler = Rc::new(move |src, meta, payload| (*handler)(src, meta, payload));
         self.handlers
-            .lock()
-            .insert(req_type, Arc::new(HandlerEntry { handler, guarded }));
+            .borrow_mut()
+            .insert(req_type, Rc::new(HandlerEntry { handler, guarded }));
     }
 
     /// Spawns the dispatcher fiber. Idempotent per endpoint lifetime.
-    pub fn start(self: &Arc<Self>) {
-        if self.started.swap(true, Ordering::SeqCst) {
+    pub fn start(self: &Rc<Self>) {
+        if self.started.replace(true) {
             return;
         }
-        let me = Arc::clone(self);
+        let me = Rc::clone(self);
         runtime::spawn_daemon(move || me.dispatch_loop());
     }
 
@@ -314,39 +322,39 @@ impl Rpc {
     /// and drops every queued request — a server fiber that comes back from
     /// its handler finds its session gone and ends.
     pub fn stop(&self) {
-        self.stopped.store(true, Ordering::SeqCst);
+        self.stopped.set(true);
         self.fabric.deregister(self.id);
-        let mut numbering = self.numbering.lock();
+        let mut numbering = self.numbering.borrow_mut();
         for slot in numbering.pending.values_mut() {
             slot.response = Some(Err(NetError::Closed));
             if let Some(w) = slot.waiter.take() {
                 runtime::unpark(w);
             }
         }
-        self.sessions.lock().clear();
+        self.sessions.borrow_mut().clear();
     }
 
     /// Whether [`Rpc::stop`] ran: the endpoint's node has crashed.
     pub fn is_stopped(&self) -> bool {
-        self.stopped.load(Ordering::SeqCst)
+        self.stopped.get()
     }
 
     /// Number of messages rejected for failed authentication.
     pub fn rejected_count(&self) -> u64 {
-        self.counters.rejected.load(Ordering::Relaxed)
+        self.counters.rejected.get()
     }
 
     /// Number of guarded requests the replay guard dropped: duplicates,
     /// replays and stragglers.
     pub fn replays_suppressed(&self) -> u64 {
-        self.counters.replays_suppressed.load(Ordering::Relaxed)
+        self.counters.replays_suppressed.get()
     }
 
     /// Entries the replay guard holds: one floor per sender plus the
     /// started numbers at or above it.
     pub fn guard_entries(&self) -> usize {
         self.guard
-            .lock()
+            .borrow()
             .values()
             .map(|sender| 1 + sender.started.len())
             .sum()
@@ -354,13 +362,13 @@ impl Rpc {
 
     /// Number of requests executed by handlers.
     pub fn requests_handled(&self) -> u64 {
-        self.counters.requests_handled.load(Ordering::Relaxed)
+        self.counters.requests_handled.get()
     }
 
     /// Number of sessions with a request queued or executing — and so the
     /// number of server fibers alive. For tests.
     pub fn open_sessions(&self) -> usize {
-        self.sessions.lock().len()
+        self.sessions.borrow().len()
     }
 
     // ---- client side -----------------------------------------------------
@@ -370,7 +378,7 @@ impl Rpc {
     /// here (it happens in the enclave before the buffer reaches host
     /// memory).
     pub fn enqueue_request(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         dst: EndpointId,
         req_type: u8,
         meta: &TxMeta,
@@ -384,7 +392,7 @@ impl Rpc {
     /// distinct sessions are served concurrently (the module header's
     /// session rule).
     pub fn enqueue_request_on(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         dst: EndpointId,
         req_type: u8,
         meta: &TxMeta,
@@ -413,9 +421,9 @@ impl Rpc {
             wire,
             receiver_cpu: 0,
         };
-        self.outbox.lock().push(dg);
+        self.outbox.borrow_mut().push(dg);
         PendingReply {
-            rpc: Arc::clone(self),
+            rpc: Rc::clone(self),
             rpc_id,
             timeout: self.cfg.timeout,
         }
@@ -424,7 +432,7 @@ impl Rpc {
     /// Transmits everything enqueued so far, charging per-message sender
     /// CPU and occupying the NIC for serialization.
     pub fn tx_burst(&self) {
-        let msgs = std::mem::take(&mut *self.outbox.lock());
+        let msgs = self.outbox.take();
         for dg in msgs {
             self.transmit(dg);
         }
@@ -460,7 +468,7 @@ impl Rpc {
     ///
     /// See [`PendingReply::wait`].
     pub fn call(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         dst: EndpointId,
         req_type: u8,
         meta: &TxMeta,
@@ -475,7 +483,7 @@ impl Rpc {
         let deadline = runtime::now().saturating_add(timeout);
         loop {
             let delivered = {
-                let mut numbering = self.numbering.lock();
+                let mut numbering = self.numbering.borrow_mut();
                 let slot = numbering.pending.get_mut(&rpc_id).ok_or(NetError::Closed)?;
                 match slot.response.take() {
                     Some(result) => Some(result?),
@@ -505,7 +513,7 @@ impl Rpc {
                         // Tampered, or a genuine reply to another request:
                         // dropped, and the slot waits on.
                         _ => {
-                            self.counters.rejected.fetch_add(1, Ordering::Relaxed);
+                            self.counters.rejected.update(|n| n + 1);
                         }
                     }
                 }
@@ -514,7 +522,7 @@ impl Rpc {
                     // Disarm immediately on wake (timeout path); the
                     // dispatcher takes the waiter when it delivers, so a
                     // Some here is ours.
-                    if let Some(slot) = self.numbering.lock().pending.get_mut(&rpc_id) {
+                    if let Some(slot) = self.numbering.borrow_mut().pending.get_mut(&rpc_id) {
                         slot.waiter = None;
                     }
                 }
@@ -524,17 +532,17 @@ impl Rpc {
 
     // ---- server side -----------------------------------------------------
 
-    fn dispatch_loop(self: Arc<Self>) {
+    fn dispatch_loop(self: Rc<Self>) {
         runtime::set_tag("rpc-dispatcher");
         treaty_sim::obs::set_node(self.id);
         loop {
-            if self.stopped.load(Ordering::SeqCst) {
+            if self.stopped.get() {
                 return;
             }
             match self.fabric.recv(self.id, treaty_sim::SECONDS) {
                 Ok(dg) => {
                     if dg.is_response {
-                        let mut numbering = self.numbering.lock();
+                        let mut numbering = self.numbering.borrow_mut();
                         if let Some(slot) = numbering.pending.get_mut(&dg.rpc_id) {
                             // First response wins; duplicates are dropped.
                             if slot.response.is_none() {
@@ -554,15 +562,15 @@ impl Rpc {
         }
     }
 
-    fn route_request(self: &Arc<Self>, dg: Datagram) {
+    fn route_request(self: &Rc<Self>, dg: Datagram) {
         let key = (dg.src, dg.session);
         // Arrival stamp: the span the server later opens reports the time
         // the request sat in this queue as `queue_ns` — the attribution
         // walker's queueing category.
         let arrived = runtime::now();
-        let mut sessions = self.sessions.lock();
+        let mut sessions = self.sessions.borrow_mut();
         let queue = sessions.entry(key).or_insert_with(|| {
-            let me = Arc::clone(self);
+            let me = Rc::clone(self);
             runtime::spawn_daemon(move || me.serve_session(key));
             VecDeque::new()
         });
@@ -570,9 +578,9 @@ impl Rpc {
     }
 
     /// The session's next request; with none left the session is removed,
-    /// under the same lock, and its server ends.
+    /// in the same borrow, and its server ends.
     fn next_request(&self, key: SessionKey) -> Option<(Nanos, Datagram)> {
-        let mut sessions = self.sessions.lock();
+        let mut sessions = self.sessions.borrow_mut();
         let next = sessions.get_mut(&key).and_then(VecDeque::pop_front);
         if next.is_none() {
             sessions.remove(&key);
@@ -580,7 +588,7 @@ impl Rpc {
         next
     }
 
-    fn serve_session(self: Arc<Self>, key: SessionKey) {
+    fn serve_session(self: Rc<Self>, key: SessionKey) {
         /// A handler that unwinds (an injected crash, a panic) takes the
         /// server with it: the session must go too, or its later requests
         /// would queue behind nobody.
@@ -588,7 +596,7 @@ impl Rpc {
         impl Drop for RemoveOnUnwind<'_> {
             fn drop(&mut self) {
                 if std::thread::panicking() {
-                    self.0.sessions.lock().remove(&self.1);
+                    self.0.sessions.borrow_mut().remove(&self.1);
                 }
             }
         }
@@ -600,7 +608,7 @@ impl Rpc {
         }
     }
 
-    fn handle_request(self: &Arc<Self>, dg: Datagram, arrived: Nanos) {
+    fn handle_request(self: &Rc<Self>, dg: Datagram, arrived: Nanos) {
         // Receiver CPU for taking delivery.
         runtime::set_tag("w:recv-charge");
         let started = runtime::now();
@@ -619,35 +627,31 @@ impl Rpc {
             _ => {
                 // Tampered or replay-of-garbage: reject silently; the
                 // sender will time out and retry. Integrity holds.
-                self.counters.rejected.fetch_add(1, Ordering::Relaxed);
+                self.counters.rejected.update(|n| n + 1);
                 return;
             }
         };
-        let entry = match self.handlers.lock().get(&dg.req_type) {
-            Some(e) => Arc::clone(e),
+        let entry = match self.handlers.borrow().get(&dg.req_type) {
+            Some(e) => Rc::clone(e),
             None => {
-                self.counters.rejected.fetch_add(1, Ordering::Relaxed);
+                self.counters.rejected.update(|n| n + 1);
                 return;
             }
         };
 
         let admitted = {
-            let mut guard = self.guard.lock();
+            let mut guard = self.guard.borrow_mut();
             let from = guard.entry(sender).or_default();
             from.raise(stamp.floor);
             !entry.guarded || from.admit(stamp.seq)
         };
         if !admitted {
             // A duplicate, a replay or a straggler: nobody waits for it.
-            self.counters
-                .replays_suppressed
-                .fetch_add(1, Ordering::Relaxed);
+            self.counters.replays_suppressed.update(|n| n + 1);
             return;
         }
 
-        self.counters
-            .requests_handled
-            .fetch_add(1, Ordering::Relaxed);
+        self.counters.requests_handled.update(|n| n + 1);
         // The handler span: its self time is the shielded-boundary work
         // this layer did (open/seal crypto, replay guard); the
         // queue wait and boundary time before it opened ride along as
@@ -710,7 +714,7 @@ impl Rpc {
         let sent = (!dg.is_response).then_some(dg.rpc_id);
         self.fabric.send(dg);
         if let Some(n) = sent {
-            self.numbering.lock().unsent.remove(&n);
+            self.numbering.borrow_mut().unsent.remove(&n);
         }
     }
 
@@ -741,7 +745,7 @@ impl Rpc {
 
     /// Seals a message and charges crypto + (SCONE) boundary-copy costs.
     /// The message's number is drawn after the charge; `stamp` runs with it
-    /// under the numbering lock, so a request joins the outstanding set
+    /// in the numbering borrow, so a request joins the outstanding set
     /// before anything can yield, and returns the stamp to seal. Returns
     /// the number and the sealed bytes, boundary-typed: message buffers
     /// live in untrusted host memory, so they must be [`HostBytes`].
@@ -773,7 +777,7 @@ impl Rpc {
             );
         }
         let (n, stamp) = {
-            let mut numbering = self.numbering.lock();
+            let mut numbering = self.numbering.borrow_mut();
             let n = numbering.next;
             numbering.next += 1;
             (n, stamp(&mut numbering, n))
@@ -810,14 +814,14 @@ mod tests {
 
     const ECHO: u8 = 7;
 
-    fn setup(crypto: WireCrypto) -> (Arc<Fabric>, Arc<Rpc>, Arc<Rpc>) {
+    fn setup(crypto: WireCrypto) -> (Rc<Fabric>, Rc<Rpc>, Rc<Rpc>) {
         let fabric = Fabric::new(CostModel::default(), 42);
         let key = KeyHierarchy::for_testing().network;
         let server_cfg = RpcConfig {
             endpoint: EndpointConfig::default(),
             crypto,
             key,
-            cores: Some(Arc::new(CorePool::new(8))),
+            cores: Some(Rc::new(CorePool::new(8))),
             timeout: DEFAULT_RPC_TIMEOUT,
         };
         let client_cfg = RpcConfig::client(crypto, key);
@@ -825,7 +829,7 @@ mod tests {
         server.register_handler(
             ECHO,
             true,
-            Arc::new(|_src, meta, payload| {
+            Rc::new(|_src, meta, payload: Vec<u8>| {
                 let mut out = payload;
                 out.reverse();
                 Some((
@@ -1047,11 +1051,11 @@ mod tests {
     fn concurrent_clients_all_served() {
         block_on(|| {
             let (_f, server, _c) = setup(WireCrypto::Full);
-            let fabric = Arc::clone(server.fabric());
+            let fabric = Rc::clone(server.fabric());
             let key = KeyHierarchy::for_testing().network;
             let mut handles = Vec::new();
             for cid in 200..232u32 {
-                let fabric = Arc::clone(&fabric);
+                let fabric = Rc::clone(&fabric);
                 let cfg = RpcConfig::client(WireCrypto::Full, key);
                 handles.push(runtime::spawn(move || {
                     let client = Rpc::new(&fabric, cid, cfg);
@@ -1080,14 +1084,14 @@ mod tests {
         block_on(|| {
             let fabric = Fabric::new(CostModel::default(), 7);
             let key = KeyHierarchy::for_testing().network;
-            let counter = Arc::new(AtomicU64::new(0));
-            let c2 = Arc::clone(&counter);
+            let counter = Rc::new(Cell::new(0));
+            let c2 = Rc::clone(&counter);
             let server = Rpc::new(&fabric, 1, RpcConfig::client(WireCrypto::Full, key));
             server.register_handler(
                 9,
                 false,
-                Arc::new(move |_, _, payload| {
-                    c2.fetch_add(payload.len() as u64, Ordering::Relaxed);
+                Rc::new(move |_, _, payload: Vec<u8>| {
+                    c2.update(|n| n + payload.len() as u64);
                     None
                 }),
             );
@@ -1097,26 +1101,26 @@ mod tests {
                 client.send_oneway(1, 9, &meta(i, 0), &[0u8; 100]);
             }
             runtime::sleep(treaty_sim::MILLIS);
-            assert_eq!(counter.load(Ordering::Relaxed), 1000);
+            assert_eq!(counter.get(), 1000);
         });
     }
 
     /// When each handler run started.
-    type Starts = Arc<Mutex<Vec<Nanos>>>;
+    type Starts = Rc<RefCell<Vec<Nanos>>>;
 
     /// A server (no core contention) whose `ECHO` handler sleeps 1 ms and
     /// logs when it started, plus a started client.
-    fn slow_server(guarded: bool) -> (Arc<Fabric>, Arc<Rpc>, Arc<Rpc>, Starts) {
+    fn slow_server(guarded: bool) -> (Rc<Fabric>, Rc<Rpc>, Rc<Rpc>, Starts) {
         let fabric = Fabric::new(CostModel::default(), 7);
         let key = KeyHierarchy::for_testing().network;
-        let starts = Arc::new(Mutex::new(Vec::new()));
-        let log = Arc::clone(&starts);
+        let starts = Rc::new(RefCell::new(Vec::new()));
+        let log = Rc::clone(&starts);
         let server = Rpc::new(&fabric, 1, RpcConfig::client(WireCrypto::Full, key));
         server.register_handler(
             ECHO,
             guarded,
-            Arc::new(move |_, meta, payload| {
-                log.lock().push(runtime::now());
+            Rc::new(move |_, meta, payload| {
+                log.borrow_mut().push(runtime::now());
                 runtime::sleep(treaty_sim::MILLIS);
                 guarded.then_some((meta, payload))
             }),
@@ -1153,7 +1157,7 @@ mod tests {
             runtime::sleep(treaty_sim::MILLIS / 2);
             assert_eq!(server.open_sessions(), 1);
             runtime::sleep(5 * treaty_sim::MILLIS);
-            let same: Vec<Nanos> = std::mem::take(&mut *starts.lock());
+            let same: Vec<Nanos> = starts.take();
             assert_eq!(same.len(), 2);
             assert!(
                 same[1] - same[0] >= treaty_sim::MILLIS,
@@ -1165,7 +1169,7 @@ mod tests {
             runtime::sleep(treaty_sim::MILLIS / 2);
             assert_eq!(server.open_sessions(), 2);
             runtime::sleep(5 * treaty_sim::MILLIS);
-            let other = starts.lock().clone();
+            let other = starts.borrow().clone();
             assert_eq!(other.len(), 2);
             assert!(
                 other[1] - other[0] < treaty_sim::MILLIS,
@@ -1199,14 +1203,14 @@ mod tests {
             runtime::sleep(treaty_sim::MILLIS / 2);
             // The original is asleep in its handler: the same-session copy
             // is still queued, the other-session copy already turned away.
-            assert_eq!(starts.lock().len(), 1);
+            assert_eq!(starts.borrow().len(), 1);
             assert_eq!(server.replays_suppressed(), 1);
             assert_eq!(server.open_sessions(), 1);
             assert_eq!(reply.wait().unwrap().1, b"once");
             runtime::sleep(treaty_sim::MILLIS);
             assert_eq!(server.replays_suppressed(), 2);
             assert_eq!(server.requests_handled(), 1);
-            assert_eq!(starts.lock().len(), 1);
+            assert_eq!(starts.borrow().len(), 1);
             assert_eq!(server.open_sessions(), 0);
         });
     }
@@ -1221,11 +1225,11 @@ mod tests {
             let plan = crashpoint::install();
             let (fabric, server, client) = setup(WireCrypto::Full);
             const CRASHY: u8 = 8;
-            let handler: ReqHandler = Arc::new(|_, meta, payload| {
+            let handler: ReqHandler = Rc::new(|_, meta, payload| {
                 crashpoint::hit(CrashPoint::PartBeforePrepare);
                 Some((meta, payload))
             });
-            server.register_handler(CRASHY, false, Arc::clone(&handler));
+            server.register_handler(CRASHY, false, Rc::clone(&handler));
             // No crash handler registered for node 1: the endpoint stays
             // up, only the fiber that hit the point unwinds.
             plan.arm(FaultSchedule::new().crash_at(CrashPoint::PartBeforePrepare, 1, 1));

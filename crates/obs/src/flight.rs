@@ -15,7 +15,6 @@
 //! call this mid-unwind-setup, where a second panic aborts the process.
 
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
 use crate::{EventKind, Nanos, Obs};
 
@@ -63,8 +62,7 @@ impl Obs {
     /// Arms the flight recorder: dumps go to `dir` (created on demand),
     /// each carrying the affected node's `last_k` most recent events.
     pub fn configure_flight(&self, dir: impl AsRef<Path>, last_k: usize) {
-        let mut flight = self.flight.lock().expect("flight state poisoned");
-        *flight = Some(FlightState {
+        *self.flight.borrow_mut() = Some(FlightState {
             dir: dir.as_ref().to_path_buf(),
             last_k: last_k.max(1),
             dumps: 0,
@@ -73,7 +71,7 @@ impl Obs {
 
     /// True when [`Obs::configure_flight`] was called.
     pub fn flight_armed(&self) -> bool {
-        self.flight.lock().map(|f| f.is_some()).unwrap_or(false)
+        self.flight.borrow().is_some()
     }
 
     /// Writes one post-mortem dump for `node` at virtual time `ts`:
@@ -90,7 +88,7 @@ impl Obs {
         detail: &str,
     ) -> Option<FlightDump> {
         let (dir, last_k, ordinal) = {
-            let mut flight = self.flight.lock().ok()?;
+            let mut flight = self.flight.try_borrow_mut().ok()?;
             let state = flight.as_mut()?;
             let ordinal = state.dumps;
             state.dumps += 1;
@@ -170,10 +168,6 @@ impl Obs {
             events: tail.len(),
         })
     }
-}
-
-pub(crate) fn new_state() -> Mutex<Option<FlightState>> {
-    Mutex::new(None)
 }
 
 #[cfg(test)]

@@ -41,8 +41,9 @@ pub mod histogram;
 pub mod metrics;
 pub mod tree;
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 pub use attribution::{attribute, AttributionReport, Category, TxnAttribution};
 pub use export::{chrome_trace_json, chrome_trace_json_with_meta, phase_breakdown};
@@ -70,7 +71,7 @@ pub enum EventKind {
 }
 
 /// One trace record. Events are totally ordered by `seq` (assignment order
-/// under the sink lock — deterministic because the simulator runs exactly
+/// in the sink's borrow — deterministic because the simulator runs exactly
 /// one fiber at a time).
 #[derive(Debug, Clone)]
 pub struct TraceEvent {
@@ -105,33 +106,32 @@ struct TraceSink {
 
 /// Per-`Sim` observability hub: a trace sink plus a metrics registry.
 ///
-/// Thread-safe, so both halves sit behind locks: a simulation's fibers
-/// share one OS thread, but tests run several simulations at once and may
-/// read a hub from outside its simulation. Uncontended in practice.
+/// A simulation's fibers share one OS thread, and so does the hub: each
+/// half is a `RefCell`, borrowed only for the length of one call.
 #[derive(Debug)]
 pub struct Obs {
-    sink: Mutex<TraceSink>,
+    sink: RefCell<TraceSink>,
     metrics: MetricsRegistry,
-    pub(crate) flight: Mutex<Option<flight::FlightState>>,
+    pub(crate) flight: RefCell<Option<flight::FlightState>>,
 }
 
 impl Obs {
     /// Creates a hub with the given ring-buffer capacity (events).
-    pub fn new(cap: usize) -> Arc<Obs> {
-        Arc::new(Obs {
-            sink: Mutex::new(TraceSink {
+    pub fn new(cap: usize) -> Rc<Obs> {
+        Rc::new(Obs {
+            sink: RefCell::new(TraceSink {
                 events: VecDeque::new(),
                 cap: cap.max(1),
                 dropped: 0,
                 next_seq: 0,
             }),
             metrics: MetricsRegistry::new(),
-            flight: flight::new_state(),
+            flight: RefCell::new(None),
         })
     }
 
     /// Creates a hub with [`DEFAULT_CAP`].
-    pub fn with_default_cap() -> Arc<Obs> {
+    pub fn with_default_cap() -> Rc<Obs> {
         Self::new(DEFAULT_CAP)
     }
 
@@ -147,7 +147,7 @@ impl Obs {
         phase: &'static str,
         args: &[(&'static str, u64)],
     ) {
-        let mut sink = self.sink.lock().expect("trace sink poisoned");
+        let mut sink = self.sink.borrow_mut();
         let seq = sink.next_seq;
         sink.next_seq += 1;
         if sink.events.len() == sink.cap {
@@ -168,18 +168,18 @@ impl Obs {
 
     /// Snapshot of all retained events, in `seq` order.
     pub fn events(&self) -> Vec<TraceEvent> {
-        let sink = self.sink.lock().expect("trace sink poisoned");
+        let sink = self.sink.borrow();
         sink.events.iter().cloned().collect()
     }
 
     /// Events dropped because the ring buffer was full.
     pub fn dropped(&self) -> u64 {
-        self.sink.lock().expect("trace sink poisoned").dropped
+        self.sink.borrow().dropped
     }
 
     /// Total events ever recorded (including dropped ones).
     pub fn recorded(&self) -> u64 {
-        self.sink.lock().expect("trace sink poisoned").next_seq
+        self.sink.borrow().next_seq
     }
 
     /// The metrics registry.

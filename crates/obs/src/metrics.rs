@@ -17,8 +17,8 @@
 //! `BTreeMap`-backed so snapshots and renders iterate in key order —
 //! deterministic across runs.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 
 use crate::{Histogram, Nanos};
 
@@ -55,13 +55,13 @@ impl HistSummary {
     }
 }
 
-/// Named counters, gauges and histograms. All methods take `&self`; storage
-/// sits behind locks that are uncontended under the cooperative scheduler.
+/// Named counters, gauges and histograms. All methods take `&self`; each map
+/// is a `RefCell` borrowed only for the length of one call.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    counters: Mutex<BTreeMap<String, u64>>,
-    gauges: Mutex<BTreeMap<String, u64>>,
-    hists: Mutex<BTreeMap<String, Histogram>>,
+    counters: RefCell<BTreeMap<String, u64>>,
+    gauges: RefCell<BTreeMap<String, u64>>,
+    hists: RefCell<BTreeMap<String, Histogram>>,
 }
 
 impl MetricsRegistry {
@@ -72,7 +72,7 @@ impl MetricsRegistry {
 
     /// Adds `v` to counter `name`, creating it at zero.
     pub fn counter_add(&self, name: &str, v: u64) {
-        let mut counters = self.counters.lock().expect("counter map poisoned");
+        let mut counters = self.counters.borrow_mut();
         match counters.get_mut(name) {
             Some(c) => *c = c.saturating_add(v),
             None => {
@@ -83,37 +83,28 @@ impl MetricsRegistry {
 
     /// Current value of counter `name` (0 if never touched).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters
-            .lock()
-            .expect("counter map poisoned")
-            .get(name)
-            .copied()
-            .unwrap_or(0)
+        self.counters.borrow().get(name).copied().unwrap_or(0)
     }
 
     /// Sets gauge `name` to `v` (last write wins).
     pub fn gauge_set(&self, name: &str, v: u64) {
-        self.gauges
-            .lock()
-            .expect("gauge map poisoned")
-            .insert(name.to_string(), v);
+        self.gauges.borrow_mut().insert(name.to_string(), v);
     }
 
     /// Records one virtual-time sample into histogram `name`.
     pub fn hist_record(&self, name: &str, v: Nanos) {
-        let mut hists = self.hists.lock().expect("hist map poisoned");
+        let mut hists = self.hists.borrow_mut();
         hists.entry(name.to_string()).or_default().record(v);
     }
 
     /// Deterministic point-in-time snapshot of everything.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            counters: self.counters.lock().expect("counter map poisoned").clone(),
-            gauges: self.gauges.lock().expect("gauge map poisoned").clone(),
+            counters: self.counters.borrow().clone(),
+            gauges: self.gauges.borrow().clone(),
             hists: self
                 .hists
-                .lock()
-                .expect("hist map poisoned")
+                .borrow()
                 .iter()
                 .map(|(k, h)| (k.clone(), HistSummary::of(h)))
                 .collect(),

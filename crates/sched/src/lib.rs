@@ -18,9 +18,9 @@
 //! yield points no other fiber runs, so check-then-park sequences are
 //! race-free by construction.
 
-use parking_lot::Mutex;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use treaty_sim::runtime::{self, FiberId, Sim, WakeReason};
 use treaty_sim::Nanos;
@@ -32,17 +32,13 @@ use treaty_sim::Nanos;
 /// # Panics
 ///
 /// Panics if the simulation fails (fiber panic or deadlock).
-pub fn block_on<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
-    let out = Arc::new(Mutex::new(None));
-    let out2 = Arc::clone(&out);
+pub fn block_on<T: 'static>(f: impl FnOnce() -> T + 'static) -> T {
+    let out = Rc::new(Cell::new(None));
+    let out2 = Rc::clone(&out);
     Sim::new()
-        .run(move || {
-            let v = f();
-            *out2.lock() = Some(v);
-        })
+        .run(move || out2.set(Some(f())))
         .expect("simulation failed");
-    let mut guard = out.lock();
-    guard.take().expect("root fiber did not produce a value")
+    out.take().expect("root fiber did not produce a value")
 }
 
 /// A FIFO wait queue (condition-variable flavour).
@@ -52,7 +48,7 @@ pub fn block_on<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T 
 /// must re-check their predicate in a loop, as with any condition variable.
 #[derive(Debug, Default)]
 pub struct WaitQueue {
-    waiters: Mutex<VecDeque<FiberId>>,
+    waiters: RefCell<VecDeque<FiberId>>,
 }
 
 impl WaitQueue {
@@ -64,7 +60,7 @@ impl WaitQueue {
     /// Parks the calling fiber until notified.
     pub fn wait(&self) {
         let me = runtime::current();
-        self.waiters.lock().push_back(me);
+        self.waiters.borrow_mut().push_back(me);
         runtime::park();
     }
 
@@ -72,12 +68,12 @@ impl WaitQueue {
     /// Returns `true` if notified, `false` on timeout.
     pub fn wait_timeout(&self, ns: Nanos) -> bool {
         let me = runtime::current();
-        self.waiters.lock().push_back(me);
+        self.waiters.borrow_mut().push_back(me);
         match runtime::park_timeout(ns) {
             WakeReason::Signal => true,
             WakeReason::Timeout => {
                 // Remove ourselves; we were not notified.
-                self.waiters.lock().retain(|&f| f != me);
+                self.waiters.borrow_mut().retain(|&f| f != me);
                 false
             }
         }
@@ -85,7 +81,7 @@ impl WaitQueue {
 
     /// Wakes the oldest waiter, if any. Returns whether one was woken.
     pub fn notify_one(&self) -> bool {
-        let next = self.waiters.lock().pop_front();
+        let next = self.waiters.borrow_mut().pop_front();
         match next {
             Some(f) => {
                 runtime::unpark(f);
@@ -97,7 +93,7 @@ impl WaitQueue {
 
     /// Wakes every waiter.
     pub fn notify_all(&self) {
-        let all: Vec<FiberId> = self.waiters.lock().drain(..).collect();
+        let all: Vec<FiberId> = self.waiters.borrow_mut().drain(..).collect();
         for f in all {
             runtime::unpark(f);
         }
@@ -119,7 +115,7 @@ struct CoreInner {
 /// the paper's throughput/latency plots show.
 #[derive(Debug)]
 pub struct CorePool {
-    inner: Mutex<CoreInner>,
+    inner: RefCell<CoreInner>,
 }
 
 impl CorePool {
@@ -131,7 +127,7 @@ impl CorePool {
     pub fn new(cores: u32) -> Self {
         assert!(cores > 0, "a node needs at least one core");
         CorePool {
-            inner: Mutex::new(CoreInner {
+            inner: RefCell::new(CoreInner {
                 free: cores,
                 waiters: VecDeque::new(),
             }),
@@ -149,22 +145,14 @@ impl CorePool {
     }
 
     fn acquire(&self) {
-        {
-            let mut inner = self.inner.lock();
-            if inner.free > 0 {
-                inner.free -= 1;
-                return;
-            }
-        }
-        // Contended: requires fiber context.
-        let me = runtime::current();
         let must_wait = {
-            let mut inner = self.inner.lock();
+            let mut inner = self.inner.borrow_mut();
             if inner.free > 0 {
                 inner.free -= 1;
                 false
             } else {
-                inner.waiters.push_back(me);
+                // Contended: requires fiber context.
+                inner.waiters.push_back(runtime::current());
                 true
             }
         };
@@ -176,7 +164,7 @@ impl CorePool {
 
     fn release(&self) {
         let next = {
-            let mut inner = self.inner.lock();
+            let mut inner = self.inner.borrow_mut();
             match inner.waiters.pop_front() {
                 Some(f) => Some(f),
                 None => {
@@ -199,13 +187,13 @@ struct MutexInner {
 
 /// A fiber-aware mutex that may be held across yield points.
 ///
-/// `parking_lot` locks would deadlock the whole simulation if a fiber
-/// parked while holding one; use this type whenever the critical section
-/// sleeps, performs I/O charges, or sends RPCs (e.g. the WAL group-commit
-/// leader).
+/// A `RefCell` borrow held across a yield makes the next fiber that
+/// borrows the same cell panic; use this type whenever the critical
+/// section sleeps, performs I/O charges, or sends RPCs (e.g. the WAL
+/// group-commit leader).
 #[derive(Debug)]
 pub struct FiberMutex {
-    inner: Mutex<MutexInner>,
+    inner: RefCell<MutexInner>,
 }
 
 impl Default for FiberMutex {
@@ -218,7 +206,7 @@ impl FiberMutex {
     /// Creates an unlocked mutex.
     pub fn new() -> Self {
         FiberMutex {
-            inner: Mutex::new(MutexInner {
+            inner: RefCell::new(MutexInner {
                 locked: false,
                 waiters: VecDeque::new(),
             }),
@@ -229,22 +217,14 @@ impl FiberMutex {
     /// uncontended path works outside the simulation runtime too (plain
     /// unit tests); contention requires fiber context.
     pub fn lock(&self) -> FiberMutexGuard<'_> {
-        {
-            let mut inner = self.inner.lock();
-            if !inner.locked {
-                inner.locked = true;
-                return FiberMutexGuard { mutex: self };
-            }
-        }
-        let me = runtime::current();
         let must_wait = {
-            let mut inner = self.inner.lock();
-            if !inner.locked {
+            let mut inner = self.inner.borrow_mut();
+            if inner.locked {
+                inner.waiters.push_back(runtime::current());
+                true
+            } else {
                 inner.locked = true;
                 false
-            } else {
-                inner.waiters.push_back(me);
-                true
             }
         };
         if must_wait {
@@ -255,7 +235,7 @@ impl FiberMutex {
 
     fn unlock(&self) {
         let next = {
-            let mut inner = self.inner.lock();
+            let mut inner = self.inner.borrow_mut();
             match inner.waiters.pop_front() {
                 Some(f) => Some(f), // keep locked: transferred to f
                 None => {
@@ -272,11 +252,8 @@ impl FiberMutex {
 
 /// RAII guard for [`FiberMutex`].
 ///
-/// Unlike a std `MutexGuard`, dropping during an unwind releases the
-/// lock cleanly — there is no poisoning. Crash-point unwinding
-/// (`CrashUnwind`) therefore cannot wedge a `FiberMutex`, which is the
-/// contract the `LINT-CRASH-SAFE` audit markers (lint rule L008) rely
-/// on; do not add poisoning here without revisiting those markers.
+/// Dropping during an unwind releases the lock cleanly, so crash-point
+/// unwinding (`CrashUnwind`) cannot wedge a `FiberMutex`.
 #[must_use = "the lock is released when the guard is dropped"]
 #[derive(Debug)]
 pub struct FiberMutexGuard<'a> {
@@ -300,7 +277,7 @@ enum Slot<R> {
     Done(R),
 }
 
-type Pending<Q, R> = (Q, Arc<Mutex<Slot<R>>>);
+type Pending<Q, R> = (Q, Rc<RefCell<Slot<R>>>);
 
 /// The group-commit leader election (§VII-B): requests queue, the first
 /// fiber through a FIFO lock carries the whole queue in one go — its own
@@ -312,7 +289,7 @@ type Pending<Q, R> = (Q, Arc<Mutex<Slot<R>>>);
 /// request, in queue order.
 pub struct GroupCommit<Q, R> {
     lock: FiberMutex,
-    queue: Mutex<Vec<Pending<Q, R>>>,
+    queue: RefCell<Vec<Pending<Q, R>>>,
 }
 
 impl<Q, R> Default for GroupCommit<Q, R> {
@@ -326,7 +303,7 @@ impl<Q, R> GroupCommit<Q, R> {
     pub fn new() -> Self {
         GroupCommit {
             lock: FiberMutex::new(),
-            queue: Mutex::new(Vec::new()),
+            queue: RefCell::new(Vec::new()),
         }
     }
 
@@ -344,21 +321,20 @@ impl<Q, R> GroupCommit<Q, R> {
     /// `None`: the leader that drained `req` unwound before handing out
     /// results (its node crashed), or `lead` returned too few.
     pub fn submit(&self, req: Q, lead: impl FnOnce(Vec<Q>) -> Vec<R>) -> Option<R> {
-        let mine = Arc::new(Mutex::new(Slot::Queued));
-        self.queue.lock().push((req, Arc::clone(&mine)));
+        let mine = Rc::new(RefCell::new(Slot::Queued));
+        self.queue.borrow_mut().push((req, Rc::clone(&mine)));
         let _turn = self.lock.lock();
         // Still queued: no earlier leader carried us, so we lead.
-        if matches!(*mine.lock(), Slot::Queued) {
-            let (reqs, slots): (Vec<Q>, Vec<_>) =
-                std::mem::take(&mut *self.queue.lock()).into_iter().unzip();
+        if matches!(*mine.borrow(), Slot::Queued) {
+            let (reqs, slots): (Vec<Q>, Vec<_>) = self.queue.take().into_iter().unzip();
             for slot in &slots {
-                *slot.lock() = Slot::Taken;
+                *slot.borrow_mut() = Slot::Taken;
             }
             for (slot, result) in slots.iter().zip(lead(reqs)) {
-                *slot.lock() = Slot::Done(result);
+                *slot.borrow_mut() = Slot::Done(result);
             }
         }
-        let carried = std::mem::replace(&mut *mine.lock(), Slot::Taken);
+        let carried = mine.replace(Slot::Taken);
         match carried {
             Slot::Done(result) => Some(result),
             Slot::Queued | Slot::Taken => None,
@@ -369,7 +345,6 @@ impl<Q, R> GroupCommit<Q, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
     use treaty_sim::runtime::{join, now, sleep, spawn};
 
     #[test]
@@ -379,28 +354,28 @@ mod tests {
 
     #[test]
     fn waitqueue_fifo_notify_one() {
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let o = Arc::clone(&order);
+        let order = Rc::new(RefCell::new(Vec::new()));
+        let o = Rc::clone(&order);
         block_on(move || {
-            let q = Arc::new(WaitQueue::new());
+            let q = Rc::new(WaitQueue::new());
             let mut handles = Vec::new();
             for i in 0..3 {
-                let q = Arc::clone(&q);
-                let o = Arc::clone(&o);
+                let q = Rc::clone(&q);
+                let o = Rc::clone(&o);
                 handles.push(spawn(move || {
                     q.wait();
-                    o.lock().push(i);
+                    o.borrow_mut().push(i);
                 }));
             }
             sleep(10); // let all three park
-            assert_eq!(q.waiters.lock().len(), 3);
+            assert_eq!(q.waiters.borrow().len(), 3);
             q.notify_one();
             sleep(1);
             q.notify_all();
             for h in handles {
                 join(h);
             }
-            assert_eq!(*o.lock(), vec![0, 1, 2]);
+            assert_eq!(*o.borrow(), vec![0, 1, 2]);
         });
     }
 
@@ -412,7 +387,7 @@ mod tests {
             assert!(!signaled);
             assert_eq!(now(), 100);
             assert!(
-                q.waiters.lock().is_empty(),
+                q.waiters.borrow().is_empty(),
                 "timed-out waiter must deregister"
             );
         });
@@ -422,10 +397,10 @@ mod tests {
     fn corepool_serializes_beyond_capacity() {
         // 2 cores, 4 fibers each charging 100ns => finishes at 200ns.
         block_on(|| {
-            let pool = Arc::new(CorePool::new(2));
+            let pool = Rc::new(CorePool::new(2));
             let handles: Vec<_> = (0..4)
                 .map(|_| {
-                    let p = Arc::clone(&pool);
+                    let p = Rc::clone(&pool);
                     spawn(move || p.charge(100))
                 })
                 .collect();
@@ -439,10 +414,10 @@ mod tests {
     #[test]
     fn corepool_parallel_within_capacity() {
         block_on(|| {
-            let pool = Arc::new(CorePool::new(4));
+            let pool = Rc::new(CorePool::new(4));
             let handles: Vec<_> = (0..4)
                 .map(|_| {
-                    let p = Arc::clone(&pool);
+                    let p = Rc::clone(&pool);
                     spawn(move || p.charge(100))
                 })
                 .collect();
@@ -464,23 +439,23 @@ mod tests {
 
     #[test]
     fn fiber_mutex_mutual_exclusion_across_sleeps() {
-        let max_inside = Arc::new(AtomicU64::new(0));
-        let inside = Arc::new(AtomicU64::new(0));
-        let m = Arc::clone(&max_inside);
-        let i = Arc::clone(&inside);
+        let max_inside = Rc::new(Cell::new(0));
+        let inside = Rc::new(Cell::new(0));
+        let m = Rc::clone(&max_inside);
+        let i = Rc::clone(&inside);
         block_on(move || {
-            let mutex = Arc::new(FiberMutex::new());
+            let mutex = Rc::new(FiberMutex::new());
             let handles: Vec<_> = (0..5)
                 .map(|_| {
-                    let mutex = Arc::clone(&mutex);
-                    let inside = Arc::clone(&i);
-                    let max = Arc::clone(&m);
+                    let mutex = Rc::clone(&mutex);
+                    let inside = Rc::clone(&i);
+                    let max = Rc::clone(&m);
                     spawn(move || {
                         let _g = mutex.lock();
-                        let n = inside.fetch_add(1, Ordering::SeqCst) + 1;
-                        max.fetch_max(n, Ordering::SeqCst);
+                        inside.update(|n| n + 1);
+                        max.set(max.get().max(inside.get()));
                         sleep(10); // hold across a yield point
-                        inside.fetch_sub(1, Ordering::SeqCst);
+                        inside.update(|n| n - 1);
                     })
                 })
                 .collect();
@@ -488,7 +463,7 @@ mod tests {
                 join(h);
             }
         });
-        assert_eq!(max_inside.load(Ordering::SeqCst), 1);
+        assert_eq!(max_inside.get(), 1);
     }
 
     /// While a leader is busy the fibers behind it queue; the next one
@@ -497,17 +472,17 @@ mod tests {
     #[test]
     fn group_commit_followers_never_lead_and_share_the_leaders_result() {
         block_on(|| {
-            let group: Arc<GroupCommit<u64, Result<u64, String>>> = Arc::new(GroupCommit::new());
-            let leads = Arc::new(Mutex::new(Vec::new()));
-            let results = Arc::new(Mutex::new(Vec::new()));
+            let group: Rc<GroupCommit<u64, Result<u64, String>>> = Rc::new(GroupCommit::new());
+            let leads = Rc::new(RefCell::new(Vec::new()));
+            let results = Rc::new(RefCell::new(Vec::new()));
             let handles: Vec<_> = (0..6u64)
                 .map(|i| {
-                    let group = Arc::clone(&group);
-                    let leads = Arc::clone(&leads);
-                    let results = Arc::clone(&results);
+                    let group = Rc::clone(&group);
+                    let leads = Rc::clone(&leads);
+                    let results = Rc::clone(&results);
                     spawn(move || {
                         let got = group.submit(i, |batch| {
-                            leads.lock().push(batch.clone());
+                            leads.borrow_mut().push(batch.clone());
                             sleep(10); // the write: later submitters queue
                             let n = batch.len();
                             let fail = batch.contains(&1);
@@ -522,17 +497,17 @@ mod tests {
                                 })
                                 .collect()
                         });
-                        results.lock().push((i, got));
+                        results.borrow_mut().push((i, got));
                     })
                 })
                 .collect();
             for h in handles {
                 join(h);
             }
-            let results = results.lock().clone();
+            let results = results.borrow().clone();
             // Fiber 0 found the lock free and led alone; 1..=5 queued
             // behind its write and fiber 1 carried all five.
-            assert_eq!(*leads.lock(), vec![vec![0], vec![1, 2, 3, 4, 5]]);
+            assert_eq!(*leads.borrow(), vec![vec![0], vec![1, 2, 3, 4, 5]]);
             assert_eq!(results[0], (0, Some(Ok(0))));
             for (i, got) in &results[1..] {
                 assert_eq!(*got, Some(Err("batch of 5".to_string())), "fiber {i}");

@@ -31,9 +31,9 @@
 //! The inventory is the [`CrashPoint`] enum: a call site names a variant,
 //! so a misspelled point fails to compile instead of never firing.
 
-use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use crate::runtime;
 use crate::Nanos;
@@ -207,19 +207,19 @@ struct PlanState {
     fired: Vec<FiredCrash>,
 }
 
-type CrashHandler = Arc<dyn Fn() + Send + Sync>;
+type CrashHandler = Rc<dyn Fn()>;
 
 /// Per-simulation fault-injection state. Create and install with
-/// [`install`]; the harness keeps the returned `Arc` to arm schedules and
+/// [`install`]; the harness keeps the returned `Rc` to arm schedules and
 /// inspect fired crashes.
 pub struct CrashPlan {
-    state: Mutex<PlanState>,
-    handlers: Mutex<HashMap<u32, CrashHandler>>,
+    state: RefCell<PlanState>,
+    handlers: RefCell<HashMap<u32, CrashHandler>>,
 }
 
 impl std::fmt::Debug for CrashPlan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let st = self.state.lock();
+        let st = self.state.borrow();
         f.debug_struct("CrashPlan")
             .field("armed", &st.armed.len())
             .field("down", &st.down)
@@ -235,10 +235,10 @@ enum Decision {
 }
 
 impl CrashPlan {
-    fn new() -> Arc<Self> {
-        Arc::new(CrashPlan {
-            state: Mutex::new(PlanState::default()),
-            handlers: Mutex::new(HashMap::new()),
+    fn new() -> Rc<Self> {
+        Rc::new(CrashPlan {
+            state: RefCell::new(PlanState::default()),
+            handlers: RefCell::new(HashMap::new()),
         })
     }
 
@@ -246,7 +246,7 @@ impl CrashPlan {
     /// resetting their hit counters. Nodes already down stay down; fired
     /// history is kept.
     pub fn arm(&self, schedule: FaultSchedule) {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         st.armed = schedule
             .faults
             .into_iter()
@@ -260,34 +260,34 @@ impl CrashPlan {
 
     /// Clears all armed faults (hits become no-ops for live nodes).
     pub fn disarm(&self) {
-        self.state.lock().armed.clear();
+        self.state.borrow_mut().armed.clear();
     }
 
     /// Registers the crash handler for `node` (replacing any previous
     /// one). Called on node start; the handler must stop the node's
     /// endpoint so the cluster observes the crash.
-    pub fn register(&self, node: u32, f: impl Fn() + Send + Sync + 'static) {
-        self.handlers.lock().insert(node, Arc::new(f));
+    pub fn register(&self, node: u32, f: impl Fn() + 'static) {
+        self.handlers.borrow_mut().insert(node, Rc::new(f));
     }
 
     /// Every crash that fired so far, in firing order.
     pub fn fired(&self) -> Vec<FiredCrash> {
-        self.state.lock().fired.clone()
+        self.state.borrow().fired.clone()
     }
 
     /// True if `node` crashed and has not been revived.
     pub fn is_down(&self, node: u32) -> bool {
-        self.state.lock().down.contains(&node)
+        self.state.borrow().down.contains(&node)
     }
 
     /// Marks `node` alive again (call after restarting it); its fibers
     /// stop unwinding at crash points.
     pub fn revive(&self, node: u32) {
-        self.state.lock().down.remove(&node);
+        self.state.borrow_mut().down.remove(&node);
     }
 
     fn decide(&self, point: CrashPoint, node: u32, at: Nanos) -> Decision {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         if st.down.contains(&node) {
             return Decision::Unwind;
         }
@@ -309,7 +309,7 @@ impl CrashPlan {
         st.down.insert(node);
         st.fired.push(FiredCrash { point, node, at });
         drop(st);
-        Decision::Fire(self.handlers.lock().get(&node).cloned())
+        Decision::Fire(self.handlers.borrow().get(&node).cloned())
     }
 }
 
@@ -319,9 +319,9 @@ impl CrashPlan {
 /// # Panics
 ///
 /// Panics when called outside a fiber.
-pub fn install() -> Arc<CrashPlan> {
+pub fn install() -> Rc<CrashPlan> {
     let plan = CrashPlan::new();
-    runtime::crash_install(Some(Arc::clone(&plan)));
+    runtime::crash_install(Some(Rc::clone(&plan)));
     plan
 }
 
@@ -336,7 +336,7 @@ pub fn uninstall() {
 
 /// Registers `f` as node `node`'s crash handler on the installed plan.
 /// No-op when no plan is installed (production runs) or outside a fiber.
-pub fn register_node(node: u32, f: impl Fn() + Send + Sync + 'static) {
+pub fn register_node(node: u32, f: impl Fn() + 'static) {
     if let Some(plan) = runtime::crash_installed() {
         plan.register(node, f);
     }
@@ -402,7 +402,7 @@ pub fn stop_if_down() {
 mod tests {
     use super::*;
     use crate::runtime::{self, Sim};
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::cell::Cell;
 
     #[test]
     fn hit_is_a_noop_without_a_plan() {
@@ -418,22 +418,22 @@ mod tests {
 
     #[test]
     fn fires_on_kth_hit_runs_handler_and_freezes_the_node() {
-        let survived = Arc::new(AtomicU64::new(0));
-        let stopped = Arc::new(AtomicBool::new(false));
-        let s1 = Arc::clone(&survived);
-        let st1 = Arc::clone(&stopped);
+        let survived = Rc::new(Cell::new(0));
+        let stopped = Rc::new(Cell::new(false));
+        let s1 = Rc::clone(&survived);
+        let st1 = Rc::clone(&stopped);
         Sim::new()
             .run(move || {
                 let plan = install();
                 plan.arm(FaultSchedule::new().crash_at(CrashPoint::ClogDecisionAppended, 7, 2));
-                let st2 = Arc::clone(&st1);
-                register_node(7, move || st2.store(true, Ordering::SeqCst));
-                let s2 = Arc::clone(&s1);
+                let st2 = Rc::clone(&st1);
+                register_node(7, move || st2.set(true));
+                let s2 = Rc::clone(&s1);
                 runtime::spawn_daemon(move || {
                     crate::obs::set_node(7);
                     for _ in 0..5 {
                         hit(CrashPoint::ClogDecisionAppended);
-                        s2.fetch_add(1, Ordering::SeqCst);
+                        s2.update(|n| n + 1);
                         runtime::sleep(10);
                     }
                 });
@@ -445,9 +445,9 @@ mod tests {
                 assert!(plan.is_down(7));
             })
             .unwrap();
-        assert!(stopped.load(Ordering::SeqCst), "crash handler must run");
+        assert!(stopped.get(), "crash handler must run");
         assert_eq!(
-            survived.load(Ordering::SeqCst),
+            survived.get(),
             1,
             "only the first hit survives; the second crashes the fiber"
         );
@@ -455,30 +455,30 @@ mod tests {
 
     #[test]
     fn down_node_unwinds_other_fibers_at_their_next_point() {
-        let survived = Arc::new(AtomicU64::new(0));
-        let s1 = Arc::clone(&survived);
+        let survived = Rc::new(Cell::new(0));
+        let s1 = Rc::clone(&survived);
         Sim::new()
             .run(move || {
                 let plan = install();
                 plan.arm(FaultSchedule::new().crash_at(CrashPoint::PartAfterPrepare, 9, 1));
-                let s2 = Arc::clone(&s1);
+                let s2 = Rc::clone(&s1);
                 runtime::spawn_daemon(move || {
                     crate::obs::set_node(9);
                     hit(CrashPoint::PartAfterPrepare); // crashes here
-                    s2.fetch_add(1, Ordering::SeqCst);
+                    s2.update(|n| n + 1);
                 });
-                let s3 = Arc::clone(&s1);
+                let s3 = Rc::clone(&s1);
                 runtime::spawn_daemon(move || {
                     crate::obs::set_node(9);
                     runtime::sleep(100); // let the first fiber crash
                     hit(CrashPoint::PartAfterCommitApply); // node is down: unwind
-                    s3.fetch_add(1, Ordering::SeqCst);
+                    s3.update(|n| n + 1);
                 });
                 runtime::sleep(1_000);
                 assert!(plan.is_down(9));
             })
             .unwrap();
-        assert_eq!(survived.load(Ordering::SeqCst), 0);
+        assert_eq!(survived.get(), 0);
     }
 
     #[test]
@@ -495,15 +495,15 @@ mod tests {
                 assert!(plan.is_down(5));
                 plan.revive(5);
                 assert!(!plan.is_down(5));
-                let ran = Arc::new(AtomicBool::new(false));
-                let r2 = Arc::clone(&ran);
+                let ran = Rc::new(Cell::new(false));
+                let r2 = Rc::clone(&ran);
                 runtime::spawn_daemon(move || {
                     crate::obs::set_node(5);
                     hit(CrashPoint::CoordAfterVotes); // fault spent: no-op now
-                    r2.store(true, Ordering::SeqCst);
+                    r2.set(true);
                 });
                 runtime::sleep(100);
-                assert!(ran.load(Ordering::SeqCst));
+                assert!(ran.get());
                 assert_eq!(plan.fired().len(), 1);
             })
             .unwrap();
@@ -511,31 +511,31 @@ mod tests {
 
     #[test]
     fn other_nodes_and_other_points_are_unaffected() {
-        let survived = Arc::new(AtomicU64::new(0));
-        let s1 = Arc::clone(&survived);
+        let survived = Rc::new(Cell::new(0));
+        let s1 = Rc::clone(&survived);
         Sim::new()
             .run(move || {
                 let plan = install();
                 plan.arm(FaultSchedule::new().crash_at(CrashPoint::PartAfterPrepare, 2, 1));
-                let s2 = Arc::clone(&s1);
+                let s2 = Rc::clone(&s1);
                 runtime::spawn_daemon(move || {
                     crate::obs::set_node(3); // different node
                     hit(CrashPoint::PartAfterPrepare);
                     hit(CrashPoint::PartAfterCommitApply); // different point
-                    s2.fetch_add(1, Ordering::SeqCst);
+                    s2.update(|n| n + 1);
                 });
                 runtime::sleep(100);
                 assert!(plan.fired().is_empty());
             })
             .unwrap();
-        assert_eq!(survived.load(Ordering::SeqCst), 1);
+        assert_eq!(survived.get(), 1);
     }
 
     #[test]
     fn schedules_are_deterministic_across_runs() {
         let run = || {
-            let fired = Arc::new(Mutex::new(Vec::new()));
-            let f1 = Arc::clone(&fired);
+            let fired = Rc::new(RefCell::new(Vec::new()));
+            let f1 = Rc::clone(&fired);
             Sim::new()
                 .run(move || {
                     let plan = install();
@@ -548,10 +548,10 @@ mod tests {
                         }
                     });
                     runtime::sleep(1_000);
-                    *f1.lock() = plan.fired();
+                    *f1.borrow_mut() = plan.fired();
                 })
                 .unwrap();
-            let v = fired.lock().clone();
+            let v = fired.borrow().clone();
             v
         };
         let a = run();

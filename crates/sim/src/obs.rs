@@ -18,7 +18,7 @@
 //! Secrecy: payloads are `(&'static str, u64)` pairs — numeric only, no
 //! value bytes, no user keys (see treaty-lint rule L005).
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 pub use treaty_obs::{EventKind, Obs};
 
@@ -30,8 +30,8 @@ use crate::runtime;
 /// # Panics
 ///
 /// Panics when called outside a fiber.
-pub fn install(obs: &Arc<Obs>) {
-    runtime::obs_install(Some(Arc::clone(obs)));
+pub fn install(obs: &Rc<Obs>) {
+    runtime::obs_install(Some(Rc::clone(obs)));
 }
 
 /// Removes the installed hub (subsequent calls no-op again).
@@ -157,7 +157,7 @@ mod tests {
     #[test]
     fn spans_balance_and_nest_with_virtual_time() {
         let obs = Obs::with_default_cap();
-        let obs2 = Arc::clone(&obs);
+        let obs2 = Rc::clone(&obs);
         Sim::new()
             .run(move || {
                 install(&obs2);
@@ -189,7 +189,7 @@ mod tests {
     #[test]
     fn context_is_inherited_by_spawned_fibers() {
         let obs = Obs::with_default_cap();
-        let obs2 = Arc::clone(&obs);
+        let obs2 = Rc::clone(&obs);
         Sim::new()
             .run(move || {
                 install(&obs2);
@@ -211,7 +211,7 @@ mod tests {
     #[test]
     fn txn_scope_restores_previous() {
         let obs = Obs::with_default_cap();
-        let obs2 = Arc::clone(&obs);
+        let obs2 = Rc::clone(&obs);
         Sim::new()
             .run(move || {
                 install(&obs2);
@@ -255,7 +255,7 @@ mod tests {
     #[test]
     fn metrics_flow_into_the_registry() {
         let obs = Obs::with_default_cap();
-        let obs2 = Arc::clone(&obs);
+        let obs2 = Rc::clone(&obs);
         Sim::new()
             .run(move || {
                 install(&obs2);
@@ -275,7 +275,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let obs = Obs::with_default_cap();
         obs.configure_flight(&dir, 8);
-        let obs2 = Arc::clone(&obs);
+        let obs2 = Rc::clone(&obs);
         Sim::new()
             .run(move || {
                 install(&obs2);
@@ -295,7 +295,7 @@ mod tests {
     #[test]
     fn shutdown_unwind_still_balances_spans() {
         let obs = Obs::with_default_cap();
-        let obs2 = Arc::clone(&obs);
+        let obs2 = Rc::clone(&obs);
         Sim::new()
             .run(move || {
                 install(&obs2);

@@ -35,7 +35,6 @@ use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
-use std::sync::Arc;
 
 use crate::stack::{Stack, StackPool, Suspended};
 use crate::Nanos;
@@ -62,7 +61,8 @@ pub enum WakeReason {
 /// Error returned by [`Sim::run`].
 #[derive(Debug, thiserror::Error)]
 pub enum SimError {
-    /// A fiber panicked; the message is the panic payload if it was a string.
+    /// A fiber panicked; the message is the panic payload if it was a
+    /// string, followed by the panic's source location.
     #[error("fiber panicked: {0}")]
     FiberPanic(String),
     /// No fiber is runnable and no timer is pending, but non-daemon fibers
@@ -161,9 +161,9 @@ struct Inner {
     switches: u64,
     completed: u64,
     /// Per-`Sim` observability hub; `None` until a root fiber installs one.
-    obs: Option<Arc<treaty_obs::Obs>>,
+    obs: Option<Rc<treaty_obs::Obs>>,
     /// Per-`Sim` crash-injection plan; `None` until a harness installs one.
-    crash: Option<Arc<crate::crashpoint::CrashPlan>>,
+    crash: Option<Rc<crate::crashpoint::CrashPlan>>,
     handoff: Option<Handoff>,
     /// Where [`Sim::run`]'s caller resumes once the last fiber finishes.
     main: Option<Suspended>,
@@ -180,11 +180,14 @@ type Shared = RefCell<Inner>;
 struct Current {
     sim: RefCell<Option<Rc<Shared>>>,
     fiber: Cell<u64>,
+    /// Where the last reported panic on this thread was raised: a nested
+    /// `RefCell` borrow names its call site here.
+    panic_site: Cell<Option<String>>,
 }
 
 thread_local! {
     static CURRENT: Current = const {
-        Current { sim: RefCell::new(None), fiber: Cell::new(0) }
+        Current { sim: RefCell::new(None), fiber: Cell::new(0), panic_site: Cell::new(None) }
     };
 }
 
@@ -226,7 +229,7 @@ impl Sim {
     /// Panics when called from inside a fiber.
     pub fn run<F>(self, root: F) -> Result<SimReport, SimError>
     where
-        F: FnOnce() + Send + 'static,
+        F: FnOnce() + 'static,
     {
         assert!(!in_fiber(), "a simulation cannot run inside a fiber");
         // Once, process-wide: a panic hook that stays silent for shutdown
@@ -242,6 +245,8 @@ impl Sim {
                         .downcast_ref::<crate::crashpoint::CrashUnwind>()
                         .is_none()
                 {
+                    let site = info.location().map(|l| l.to_string());
+                    let _ = CURRENT.try_with(|c| c.panic_site.set(site));
                     prev(info);
                 }
             }));
@@ -272,7 +277,7 @@ impl Sim {
 
 fn spawn_fiber(
     shared: &Rc<Shared>,
-    body: Box<dyn FnOnce() + Send>,
+    body: Box<dyn FnOnce()>,
     daemon: bool,
     obs_node: u32,
     obs_txn: u64,
@@ -308,12 +313,7 @@ fn spawn_fiber(
 /// A fiber's life on its own stack, from the switch that started it to the
 /// context it hands the processor to when it has finished. Everything it
 /// holds is dropped before that last switch.
-fn run_fiber(
-    sim: Rc<Shared>,
-    id: u64,
-    from: Suspended,
-    body: Box<dyn FnOnce() + Send>,
-) -> Suspended {
+fn run_fiber(sim: Rc<Shared>, id: u64, from: Suspended, body: Box<dyn FnOnce()>) -> Suspended {
     resumed(&mut sim.borrow_mut(), from);
     CURRENT.with(|c| c.fiber.set(id));
     let result = catch_unwind(AssertUnwindSafe(body));
@@ -340,12 +340,16 @@ fn run_fiber(
 }
 
 fn panic_message(payload: &Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&'static str>() {
+    let msg = if let Some(s) = payload.downcast_ref::<&'static str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
     } else {
         "<non-string panic payload>".to_string()
+    };
+    match CURRENT.with(|c| c.panic_site.take()) {
+        Some(site) => format!("{msg} at {site}"),
+        None => msg,
     }
 }
 
@@ -576,7 +580,7 @@ pub fn now() -> Nanos {
 /// # Panics
 ///
 /// Panics when called outside a fiber.
-pub fn spawn<F: FnOnce() + Send + 'static>(f: F) -> FiberId {
+pub fn spawn<F: FnOnce() + 'static>(f: F) -> FiberId {
     with_current(|shared, id| {
         let (node, txn) = inherited_obs_ctx(shared, id);
         spawn_fiber(shared, Box::new(f), false, node, txn)
@@ -589,7 +593,7 @@ pub fn spawn<F: FnOnce() + Send + 'static>(f: F) -> FiberId {
 /// # Panics
 ///
 /// Panics when called outside a fiber.
-pub fn spawn_daemon<F: FnOnce() + Send + 'static>(f: F) -> FiberId {
+pub fn spawn_daemon<F: FnOnce() + 'static>(f: F) -> FiberId {
     with_current(|shared, id| {
         let (node, txn) = inherited_obs_ctx(shared, id);
         spawn_fiber(shared, Box::new(f), true, node, txn)
@@ -607,7 +611,7 @@ fn inherited_obs_ctx(shared: &Rc<Shared>, id: u64) -> (u32, u64) {
 
 /// Installs (or clears) the observability hub for the current simulation.
 /// Called by `crate::obs::install` from inside the root fiber.
-pub(crate) fn obs_install(obs: Option<Arc<treaty_obs::Obs>>) {
+pub(crate) fn obs_install(obs: Option<Rc<treaty_obs::Obs>>) {
     with_current(|shared, _| {
         shared.borrow_mut().obs = obs;
     });
@@ -639,7 +643,7 @@ pub(crate) fn obs_set_txn(txn: u64) -> u64 {
 /// Everything needed to stamp one trace event, read in one borrow:
 /// `(hub, virtual now, node, fiber id, txn)`. `None` when called outside a
 /// fiber or when no hub is installed — instrumentation then no-ops.
-pub(crate) fn obs_ctx() -> Option<(Arc<treaty_obs::Obs>, Nanos, u32, u64, u64)> {
+pub(crate) fn obs_ctx() -> Option<(Rc<treaty_obs::Obs>, Nanos, u32, u64, u64)> {
     try_with_current(|shared, id| {
         let inner = shared.borrow();
         let obs = inner.obs.clone()?;
@@ -651,21 +655,21 @@ pub(crate) fn obs_ctx() -> Option<(Arc<treaty_obs::Obs>, Nanos, u32, u64, u64)> 
 
 /// Installs (or clears) the crash-injection plan for the current
 /// simulation. Called by `crate::crashpoint::install` from the root fiber.
-pub(crate) fn crash_install(plan: Option<Arc<crate::crashpoint::CrashPlan>>) {
+pub(crate) fn crash_install(plan: Option<Rc<crate::crashpoint::CrashPlan>>) {
     with_current(|shared, _| {
         shared.borrow_mut().crash = plan;
     });
 }
 
 /// The installed crash plan, if any. `None` outside a fiber.
-pub(crate) fn crash_installed() -> Option<Arc<crate::crashpoint::CrashPlan>> {
+pub(crate) fn crash_installed() -> Option<Rc<crate::crashpoint::CrashPlan>> {
     try_with_current(|shared, _| shared.borrow().crash.clone()).flatten()
 }
 
 /// Everything a crash point needs, read in one borrow: `(plan, node
 /// this fiber executes for, virtual now)`. `None` when called outside a
 /// fiber or with no plan installed — crash points then no-op.
-pub(crate) fn crash_ctx() -> Option<(Arc<crate::crashpoint::CrashPlan>, u32, Nanos)> {
+pub(crate) fn crash_ctx() -> Option<(Rc<crate::crashpoint::CrashPlan>, u32, Nanos)> {
     try_with_current(|shared, id| {
         let inner = shared.borrow();
         let plan = inner.crash.clone()?;
@@ -778,8 +782,6 @@ pub fn join(target: FiberId) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
-    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn empty_root_finishes_at_time_zero() {
@@ -805,27 +807,27 @@ mod tests {
 
     #[test]
     fn fibers_interleave_deterministically() {
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let o1 = Arc::clone(&order);
+        let order = Rc::new(RefCell::new(Vec::new()));
+        let o1 = Rc::clone(&order);
         Sim::new()
             .run(move || {
-                let o2 = Arc::clone(&o1);
-                let o3 = Arc::clone(&o1);
+                let o2 = Rc::clone(&o1);
+                let o3 = Rc::clone(&o1);
                 let a = spawn(move || {
-                    o2.lock().push("a1");
+                    o2.borrow_mut().push("a1");
                     sleep(100);
-                    o2.lock().push("a2");
+                    o2.borrow_mut().push("a2");
                 });
                 let b = spawn(move || {
-                    o3.lock().push("b1");
+                    o3.borrow_mut().push("b1");
                     sleep(50);
-                    o3.lock().push("b2");
+                    o3.borrow_mut().push("b2");
                 });
                 join(a);
                 join(b);
             })
             .unwrap();
-        assert_eq!(*order.lock(), vec!["a1", "b1", "b2", "a2"]);
+        assert_eq!(*order.borrow(), vec!["a1", "b1", "b2", "a2"]);
     }
 
     #[test]
@@ -869,6 +871,36 @@ mod tests {
         }
     }
 
+    /// Contention fails loudly and at once: a fiber that holds a borrow
+    /// across a yield makes the next fiber's borrow of the same cell panic,
+    /// and the error names that borrow's site. Nothing waits.
+    #[test]
+    fn a_borrow_held_across_a_yield_fails_at_once() {
+        let wall = crate::stats::wall_clock();
+        let err = Sim::new()
+            .run(|| {
+                let cell = Rc::new(RefCell::new(0u64));
+                let held = Rc::clone(&cell);
+                let a = spawn(move || {
+                    let mut guard = held.borrow_mut();
+                    yield_now();
+                    *guard += 1;
+                });
+                let b = spawn(move || *cell.borrow_mut() += 1);
+                join(a);
+                join(b);
+            })
+            .unwrap_err();
+        match err {
+            SimError::FiberPanic(msg) => {
+                assert!(msg.contains("borrowed"), "{msg}");
+                assert!(msg.contains(file!()), "the site is named: {msg}");
+            }
+            other => panic!("unexpected error: {other:?}"),
+        }
+        assert_eq!(wall.elapsed_secs(), 0, "a nested borrow must not wait");
+    }
+
     #[test]
     fn deadlock_detected() {
         let err = Sim::new().run(park).unwrap_err();
@@ -902,16 +934,16 @@ mod tests {
 
     #[test]
     fn many_fibers_shared_counter() {
-        let counter = Arc::new(AtomicU64::new(0));
-        let c = Arc::clone(&counter);
+        let counter = Rc::new(Cell::new(0));
+        let c = Rc::clone(&counter);
         Sim::new()
             .run(move || {
                 let handles: Vec<_> = (0..100)
                     .map(|i| {
-                        let c = Arc::clone(&c);
+                        let c = Rc::clone(&c);
                         spawn(move || {
                             sleep(i % 7);
-                            c.fetch_add(1, Ordering::SeqCst);
+                            c.update(|n| n + 1);
                         })
                     })
                     .collect();
@@ -920,26 +952,26 @@ mod tests {
                 }
             })
             .unwrap();
-        assert_eq!(counter.load(Ordering::SeqCst), 100);
+        assert_eq!(counter.get(), 100);
     }
 
     #[test]
     fn yield_now_is_round_robin() {
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let o = Arc::clone(&order);
+        let order = Rc::new(RefCell::new(Vec::new()));
+        let o = Rc::clone(&order);
         Sim::new()
             .run(move || {
-                let o1 = Arc::clone(&o);
-                let o2 = Arc::clone(&o);
+                let o1 = Rc::clone(&o);
+                let o2 = Rc::clone(&o);
                 let a = spawn(move || {
                     for i in 0..3 {
-                        o1.lock().push(format!("a{i}"));
+                        o1.borrow_mut().push(format!("a{i}"));
                         yield_now();
                     }
                 });
                 let b = spawn(move || {
                     for i in 0..3 {
-                        o2.lock().push(format!("b{i}"));
+                        o2.borrow_mut().push(format!("b{i}"));
                         yield_now();
                     }
                 });
@@ -947,41 +979,41 @@ mod tests {
                 join(b);
             })
             .unwrap();
-        assert_eq!(*order.lock(), vec!["a0", "b0", "a1", "b1", "a2", "b2"]);
+        assert_eq!(*order.borrow(), vec!["a0", "b0", "a1", "b1", "a2", "b2"]);
     }
 
     #[test]
     fn nested_spawn_runs() {
-        let flag = Arc::new(AtomicU64::new(0));
-        let f = Arc::clone(&flag);
+        let flag = Rc::new(Cell::new(0));
+        let f = Rc::clone(&flag);
         Sim::new()
             .run(move || {
-                let f2 = Arc::clone(&f);
+                let f2 = Rc::clone(&f);
                 let outer = spawn(move || {
-                    let f3 = Arc::clone(&f2);
+                    let f3 = Rc::clone(&f2);
                     let inner = spawn(move || {
-                        f3.store(42, Ordering::SeqCst);
+                        f3.set(42);
                     });
                     join(inner);
                 });
                 join(outer);
             })
             .unwrap();
-        assert_eq!(flag.load(Ordering::SeqCst), 42);
+        assert_eq!(flag.get(), 42);
     }
 
     #[test]
     fn timers_with_same_deadline_fire_in_creation_order() {
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let o = Arc::clone(&order);
+        let order = Rc::new(RefCell::new(Vec::new()));
+        let o = Rc::clone(&order);
         Sim::new()
             .run(move || {
                 let mut handles = Vec::new();
                 for i in 0..5 {
-                    let o = Arc::clone(&o);
+                    let o = Rc::clone(&o);
                     handles.push(spawn(move || {
                         sleep(100);
-                        o.lock().push(i);
+                        o.borrow_mut().push(i);
                     }));
                 }
                 for h in handles {
@@ -989,21 +1021,21 @@ mod tests {
                 }
             })
             .unwrap();
-        assert_eq!(*order.lock(), vec![0, 1, 2, 3, 4]);
+        assert_eq!(*order.borrow(), vec![0, 1, 2, 3, 4]);
     }
 
     /// Counts its own drop: a fiber holding one has unwound once it fires.
-    struct DropCount(Arc<AtomicU64>);
+    struct DropCount(Rc<Cell<u64>>);
 
     impl Drop for DropCount {
         fn drop(&mut self) {
-            self.0.fetch_add(1, Ordering::SeqCst);
+            self.0.update(|n| n + 1);
         }
     }
 
     /// Spawns a fiber and a daemon that park forever, each holding a
     /// [`DropCount`], and returns a third for the caller to hold.
-    fn park_sibling_and_daemon(drops: &Arc<AtomicU64>) -> DropCount {
+    fn park_sibling_and_daemon(drops: &Rc<Cell<u64>>) -> DropCount {
         let (sibling, daemon) = (DropCount(drops.clone()), DropCount(drops.clone()));
         spawn(move || {
             let _held = sibling;
@@ -1018,8 +1050,8 @@ mod tests {
 
     #[test]
     fn deadlock_is_reported_after_every_fiber_unwound() {
-        let drops = Arc::new(AtomicU64::new(0));
-        let d = Arc::clone(&drops);
+        let drops = Rc::new(Cell::new(0));
+        let d = Rc::clone(&drops);
         let err = Sim::new()
             .run(move || {
                 let _held = park_sibling_and_daemon(&d);
@@ -1031,13 +1063,13 @@ mod tests {
             matches!(err, SimError::Deadlock { parked: 2, at: 9 }),
             "{err:?}"
         );
-        assert_eq!(drops.load(Ordering::SeqCst), 3);
+        assert_eq!(drops.get(), 3);
     }
 
     #[test]
     fn panic_is_reported_after_siblings_and_daemons_unwound() {
-        let drops = Arc::new(AtomicU64::new(0));
-        let d = Arc::clone(&drops);
+        let drops = Rc::new(Cell::new(0));
+        let d = Rc::clone(&drops);
         let err = Sim::new()
             .run(move || {
                 let _held = park_sibling_and_daemon(&d);
@@ -1052,7 +1084,7 @@ mod tests {
             SimError::FiberPanic(msg) => assert!(msg.contains("boom beside parked fibers")),
             other => panic!("unexpected error: {other:?}"),
         }
-        assert_eq!(drops.load(Ordering::SeqCst), 3);
+        assert_eq!(drops.get(), 3);
     }
 
     #[test]
@@ -1087,33 +1119,33 @@ mod tests {
 
     #[test]
     fn a_sleep_woken_early_still_ends_at_its_deadline() {
-        let woke_at = Arc::new(AtomicU64::new(0));
-        let w = Arc::clone(&woke_at);
+        let woke_at = Rc::new(Cell::new(0));
+        let w = Rc::clone(&woke_at);
         Sim::new()
             .run(move || {
                 let sleeper = spawn(move || {
                     sleep(100);
-                    w.store(now(), Ordering::SeqCst);
+                    w.set(now());
                 });
                 sleep(10);
                 assert!(unpark(sleeper), "the sleeper is parked mid-sleep");
                 join(sleeper);
             })
             .unwrap();
-        assert_eq!(woke_at.load(Ordering::SeqCst), 100);
+        assert_eq!(woke_at.get(), 100);
     }
 
     /// Pushes its depth to a shared log when it drops.
-    struct Frame(u32, Arc<Mutex<Vec<u32>>>);
+    struct Frame(u32, Rc<RefCell<Vec<u32>>>);
 
     impl Drop for Frame {
         fn drop(&mut self) {
-            self.1.lock().push(self.0);
+            self.1.borrow_mut().push(self.0);
         }
     }
 
-    fn descend_and_crash(depth: u32, log: &Arc<Mutex<Vec<u32>>>) {
-        let _frame = Frame(depth, Arc::clone(log));
+    fn descend_and_crash(depth: u32, log: &Rc<RefCell<Vec<u32>>>) {
+        let _frame = Frame(depth, Rc::clone(log));
         if depth == 1_000 {
             std::panic::panic_any(crate::crashpoint::CrashUnwind);
         }
@@ -1122,20 +1154,20 @@ mod tests {
 
     #[test]
     fn a_crash_unwinds_a_thousand_frames_in_reverse_order() {
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let siblings_done = Arc::new(AtomicU64::new(0));
-        let (l, done) = (Arc::clone(&log), Arc::clone(&siblings_done));
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let siblings_done = Rc::new(Cell::new(0));
+        let (l, done) = (Rc::clone(&log), Rc::clone(&siblings_done));
         Sim::new()
             .run(move || {
                 let siblings: Vec<_> = (0..3)
                     .map(|i| {
-                        let done = Arc::clone(&done);
+                        let done = Rc::clone(&done);
                         spawn(move || {
                             for _ in 0..5 {
                                 sleep(1 + i);
                                 yield_now();
                             }
-                            done.fetch_add(1, Ordering::SeqCst);
+                            done.update(|n| n + 1);
                         })
                     })
                     .collect();
@@ -1147,8 +1179,8 @@ mod tests {
                 siblings.into_iter().for_each(join);
             })
             .unwrap();
-        assert_eq!(*log.lock(), (1..=1_000).rev().collect::<Vec<_>>());
-        assert_eq!(siblings_done.load(Ordering::SeqCst), 3);
+        assert_eq!(*log.borrow(), (1..=1_000).rev().collect::<Vec<_>>());
+        assert_eq!(siblings_done.get(), 3);
     }
 
     /// Recurses until it is `bytes` below `base`; returns the frame count.
@@ -1163,17 +1195,17 @@ mod tests {
 
     #[test]
     fn a_fiber_recurses_through_a_mebibyte_of_stack() {
-        let frames = Arc::new(AtomicU64::new(0));
-        let f = Arc::clone(&frames);
+        let frames = Rc::new(Cell::new(0));
+        let f = Rc::clone(&frames);
         Sim::new()
             .run(move || {
                 let base = std::hint::black_box(0u8);
                 let base = &base as *const u8 as usize;
                 let n = descend_through(base, 1 << 20);
-                f.store(n as u64, Ordering::SeqCst);
+                f.set(n as u64);
             })
             .unwrap();
-        assert!(frames.load(Ordering::SeqCst) > 100);
+        assert!(frames.get() > 100);
     }
 
     #[test]
@@ -1207,11 +1239,11 @@ mod tests {
     fn seeded_schedule_is_pinned() {
         const FIBERS: u64 = 96;
         // (fiber, now, what resumed it) at every resume, in resume order.
-        let trace = Arc::new(Mutex::new(Vec::<(u64, Nanos, u8)>::new()));
+        let trace = Rc::new(RefCell::new(Vec::<(u64, Nanos, u8)>::new()));
         // Fibers currently inside `park_timeout`: the only legal `unpark`
         // targets (`sleep` and `join` must not be woken early).
-        let parkers = Arc::new(Mutex::new(Vec::<FiberId>::new()));
-        let (t, p) = (Arc::clone(&trace), Arc::clone(&parkers));
+        let parkers = Rc::new(RefCell::new(Vec::<FiberId>::new()));
+        let (t, p) = (Rc::clone(&trace), Rc::clone(&parkers));
 
         fn step(rng: &mut u64) -> u64 {
             // splitmix64
@@ -1226,12 +1258,12 @@ mod tests {
             seed: u64,
             depth: u32,
             older: Vec<FiberId>,
-            trace: Arc<Mutex<Vec<(u64, Nanos, u8)>>>,
-            parkers: Arc<Mutex<Vec<FiberId>>>,
+            trace: Rc<RefCell<Vec<(u64, Nanos, u8)>>>,
+            parkers: Rc<RefCell<Vec<FiberId>>>,
         ) {
             let mut rng = seed;
             let me = current();
-            let resumed = |why: u8| trace.lock().push((me.0, now(), why));
+            let resumed = |why: u8| trace.borrow_mut().push((me.0, now(), why));
             resumed(0);
             for _ in 0..12 {
                 let r = step(&mut rng);
@@ -1245,14 +1277,14 @@ mod tests {
                         resumed(2);
                     }
                     2 => {
-                        parkers.lock().push(me);
+                        parkers.borrow_mut().push(me);
                         let why = park_timeout(1 + (r >> 8) % 90);
-                        parkers.lock().retain(|f| *f != me);
+                        parkers.borrow_mut().retain(|f| *f != me);
                         resumed(3 + (why == WakeReason::Signal) as u8);
                     }
                     3 => {
                         let target = {
-                            let p = parkers.lock();
+                            let p = parkers.borrow();
                             (!p.is_empty()).then(|| p[(r >> 8) as usize % p.len()])
                         };
                         // `false` when the target's timer fired first and
@@ -1262,7 +1294,7 @@ mod tests {
                         }
                     }
                     4 if depth < 2 => {
-                        let (t, p) = (Arc::clone(&trace), Arc::clone(&parkers));
+                        let (t, p) = (Rc::clone(&trace), Rc::clone(&parkers));
                         let child = spawn(move || body(r, depth + 1, Vec::new(), t, p));
                         if r & 0x100 != 0 {
                             join(child);
@@ -1283,7 +1315,7 @@ mod tests {
             .run(move || {
                 let mut spawned = Vec::new();
                 for i in 0..FIBERS {
-                    let (t, p, older) = (Arc::clone(&t), Arc::clone(&p), spawned.clone());
+                    let (t, p, older) = (Rc::clone(&t), Rc::clone(&p), spawned.clone());
                     spawned.push(spawn(move || body(42 + i, 0, older, t, p)));
                 }
                 for f in spawned {
@@ -1292,7 +1324,7 @@ mod tests {
             })
             .unwrap();
 
-        let trace = trace.lock();
+        let trace = trace.borrow();
         let hash = trace.iter().fold(0xCBF2_9CE4_8422_2325u64, |h, e| {
             [e.0, e.1, e.2 as u64]
                 .iter()

@@ -20,10 +20,9 @@
 //! occupying EPC; file ids are never reused, so a stale entry could never
 //! alias a live table's blocks even before invalidation.
 
-use parking_lot::Mutex;
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use treaty_tee::Enclave;
 
@@ -38,7 +37,7 @@ pub(crate) fn approx_records_bytes(records: &[SsRecord]) -> u64 {
 }
 
 struct Entry {
-    records: Arc<Vec<SsRecord>>,
+    records: Rc<Vec<SsRecord>>,
     bytes: u64,
     stamp: u64,
 }
@@ -54,12 +53,12 @@ struct CacheInner {
 
 /// The shared trusted block cache. One per node environment.
 pub struct BlockCache {
-    enclave: Arc<Enclave>,
+    enclave: Rc<Enclave>,
     capacity_bytes: u64,
-    inner: Mutex<CacheInner>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    inner: RefCell<CacheInner>,
+    hits: Cell<u64>,
+    misses: Cell<u64>,
+    evictions: Cell<u64>,
 }
 
 impl std::fmt::Debug for BlockCache {
@@ -72,44 +71,44 @@ impl std::fmt::Debug for BlockCache {
 
 impl BlockCache {
     /// Creates a cache of `capacity_bytes` charging residency to `enclave`.
-    pub fn new(enclave: Arc<Enclave>, capacity_bytes: u64) -> Self {
+    pub fn new(enclave: Rc<Enclave>, capacity_bytes: u64) -> Self {
         BlockCache {
             enclave,
             capacity_bytes,
-            inner: Mutex::new(CacheInner::default()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            inner: RefCell::new(CacheInner::default()),
+            hits: Cell::new(0),
+            misses: Cell::new(0),
+            evictions: Cell::new(0),
         }
     }
 
     /// Creates a shared cache, or `None` when `capacity_bytes` is zero
     /// (the ablation / cache-off configuration).
-    pub fn new_shared(enclave: Arc<Enclave>, capacity_bytes: u64) -> Option<Arc<Self>> {
+    pub fn new_shared(enclave: Rc<Enclave>, capacity_bytes: u64) -> Option<Rc<Self>> {
         if capacity_bytes == 0 {
             None
         } else {
-            Some(Arc::new(Self::new(enclave, capacity_bytes)))
+            Some(Rc::new(Self::new(enclave, capacity_bytes)))
         }
     }
 
     /// Looks up a block, refreshing its LRU position.
-    pub fn get(&self, file_id: u64, block_no: u32) -> Option<Arc<Vec<SsRecord>>> {
-        let mut inner = self.inner.lock();
+    pub fn get(&self, file_id: u64, block_no: u32) -> Option<Rc<Vec<SsRecord>>> {
+        let mut inner = self.inner.borrow_mut();
         inner.clock += 1;
         let stamp = inner.clock;
         match inner.map.get_mut(&(file_id, block_no)) {
             Some(entry) => {
                 let old = entry.stamp;
                 entry.stamp = stamp;
-                let records = Arc::clone(&entry.records);
+                let records = Rc::clone(&entry.records);
                 inner.lru.remove(&old);
                 inner.lru.insert(stamp, (file_id, block_no));
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                self.hits.update(|n| n + 1);
                 Some(records)
             }
             None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
+                self.misses.update(|n| n + 1);
                 None
             }
         }
@@ -117,12 +116,12 @@ impl BlockCache {
 
     /// Inserts a verified, decrypted block. Oversized blocks are not
     /// cached; duplicate inserts (racing readers) are no-ops.
-    pub fn insert(&self, file_id: u64, block_no: u32, records: Arc<Vec<SsRecord>>) {
+    pub fn insert(&self, file_id: u64, block_no: u32, records: Rc<Vec<SsRecord>>) {
         let bytes = approx_records_bytes(&records);
         if bytes > self.capacity_bytes {
             return;
         }
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         if inner.map.contains_key(&(file_id, block_no)) {
             return;
         }
@@ -158,7 +157,7 @@ impl BlockCache {
             if let Some(entry) = inner.map.remove(&key) {
                 inner.bytes -= entry.bytes;
                 self.enclave.free_trusted(entry.bytes);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
+                self.evictions.update(|n| n + 1);
             }
         }
     }
@@ -166,7 +165,7 @@ impl BlockCache {
     /// Drops every cached block of `file_id` (the table was retired by
     /// compaction/GC), releasing its EPC residency.
     pub fn invalidate_file(&self, file_id: u64) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         let dead: Vec<(u64, u32)> = inner
             .map
             .keys()
@@ -184,7 +183,7 @@ impl BlockCache {
 
     /// File ids with at least one resident block (test introspection).
     pub fn resident_file_ids(&self) -> Vec<u64> {
-        let inner = self.inner.lock();
+        let inner = self.inner.borrow();
         let mut ids: Vec<u64> = inner.map.keys().map(|k| k.0).collect();
         ids.sort_unstable();
         ids.dedup();
@@ -193,7 +192,7 @@ impl BlockCache {
 
     /// Bytes currently cached (all charged to the enclave's EPC tracker).
     pub fn resident_bytes(&self) -> u64 {
-        self.inner.lock().bytes
+        self.inner.borrow().bytes
     }
 
     /// Configured LRU capacity in bytes.
@@ -203,17 +202,17 @@ impl BlockCache {
 
     /// Cache hits served from enclave memory.
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.hits.get()
     }
 
     /// Lookups that fell through to storage.
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.misses.get()
     }
 
     /// Entries evicted by capacity or EPC pressure.
     pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
+        self.evictions.get()
     }
 }
 
@@ -222,17 +221,17 @@ mod tests {
     use super::*;
     use treaty_sim::TeeMode;
 
-    fn records(key: &[u8], value_len: usize) -> Arc<Vec<SsRecord>> {
-        Arc::new(vec![SsRecord {
+    fn records(key: &[u8], value_len: usize) -> Rc<Vec<SsRecord>> {
+        Rc::new(vec![SsRecord {
             key: key.to_vec(),
             seq: 1,
             value: Some(vec![0u8; value_len]),
         }])
     }
 
-    fn cache(capacity: u64) -> (Arc<Enclave>, BlockCache) {
-        let enclave = Arc::new(Enclave::new(TeeMode::Scone));
-        (Arc::clone(&enclave), BlockCache::new(enclave, capacity))
+    fn cache(capacity: u64) -> (Rc<Enclave>, BlockCache) {
+        let enclave = Rc::new(Enclave::new(TeeMode::Scone));
+        (Rc::clone(&enclave), BlockCache::new(enclave, capacity))
     }
 
     #[test]
@@ -273,8 +272,8 @@ mod tests {
 
     #[test]
     fn epc_pressure_shrinks_the_cache() {
-        let enclave = Arc::new(Enclave::with_epc(TeeMode::Scone, 4096));
-        let c = BlockCache::new(Arc::clone(&enclave), 1 << 20);
+        let enclave = Rc::new(Enclave::with_epc(TeeMode::Scone, 4096));
+        let c = BlockCache::new(Rc::clone(&enclave), 1 << 20);
         // Something else fills the EPC past its budget...
         enclave.alloc_trusted(8192);
         // ...so an insert is immediately shed again despite LRU headroom.

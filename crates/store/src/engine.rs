@@ -16,12 +16,11 @@
 //! unit tests) there is no daemon, and the rotating leader drains the same
 //! maintenance passes inline.
 
-use parking_lot::{Mutex, RwLock};
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::ops::Bound;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use treaty_crypto::codec::{CodecError, Decode, Encode, Reader, Record, Writer};
 use treaty_sched::{FiberMutex, GroupCommit, WaitQueue};
@@ -230,19 +229,19 @@ pub(crate) struct PreparedState {
 }
 
 /// The 2PC prepared-transaction table. One fiber runs at a time, so each
-/// map sits behind a single mutex that is never contended; both are ordered,
-/// so the span queries are range reads and the listings come out sorted.
+/// map sits in a `RefCell`; both are ordered, so the span queries are
+/// range reads and the listings come out sorted.
 pub(crate) struct PreparedTable {
-    txns: Mutex<BTreeMap<GlobalTxId, PreparedState>>,
+    txns: RefCell<BTreeMap<GlobalTxId, PreparedState>>,
     /// In-doubt keys → how many prepared transactions write them, maintained
     /// on insert/remove so `overlaps` — called per key on the lock-free
     /// snapshot read and validate paths — is one lookup instead of a scan of
     /// every prepared write set, and a span query is one range read.
-    key_index: Mutex<BTreeMap<UserKey, usize>>,
+    key_index: RefCell<BTreeMap<UserKey, usize>>,
     /// In-doubt range deletes `(owner, start, end)`. Prepared range
     /// deletes are rare, so a flat read-mostly list does; every snapshot
     /// read consults it (usually an empty-slice scan).
-    ranges: RwLock<Vec<(GlobalTxId, UserKey, UserKey)>>,
+    ranges: RefCell<Vec<(GlobalTxId, UserKey, UserKey)>>,
 }
 
 /// What a 2PC decision needs from the prepared entry it claims.
@@ -256,9 +255,9 @@ pub(crate) struct PreparedDecision {
 impl PreparedTable {
     pub fn new() -> Self {
         PreparedTable {
-            txns: Mutex::new(BTreeMap::new()),
-            key_index: Mutex::new(BTreeMap::new()),
-            ranges: RwLock::new(Vec::new()),
+            txns: RefCell::new(BTreeMap::new()),
+            key_index: RefCell::new(BTreeMap::new()),
+            ranges: RefCell::new(Vec::new()),
         }
     }
 
@@ -274,7 +273,7 @@ impl PreparedTable {
     /// entry is published so the index over-approximates: a key is never
     /// missing from it while its transaction is visible in the table.
     fn index_add(&self, writes: &[WriteOp]) {
-        let mut index = self.key_index.lock();
+        let mut index = self.key_index.borrow_mut();
         for w in writes {
             *index.entry(w.key.clone()).or_insert(0) += 1;
         }
@@ -282,7 +281,7 @@ impl PreparedTable {
 
     /// Uncounts `writes`' keys; runs *after* the entry left the table.
     fn index_remove(&self, writes: &[WriteOp]) {
-        let mut index = self.key_index.lock();
+        let mut index = self.key_index.borrow_mut();
         for w in writes {
             if let Some(c) = index.get_mut(&w.key) {
                 *c -= 1;
@@ -297,7 +296,7 @@ impl PreparedTable {
     /// as stable in the table (see [`PreparedTable::index_add`]).
     fn index_entry(&self, gtx: GlobalTxId, st: &PreparedState) {
         self.index_add(&st.writes);
-        let mut ranges = self.ranges.write();
+        let mut ranges = self.ranges.borrow_mut();
         ranges.retain(|(g, _, _)| *g != gtx);
         for (s, e) in &st.ranges {
             ranges.push((gtx, s.clone(), e.clone()));
@@ -311,7 +310,7 @@ impl PreparedTable {
         if st.stable {
             self.index_entry(gtx, &st);
         }
-        if let Some(old) = self.txns.lock().insert(gtx, st) {
+        if let Some(old) = self.txns.borrow_mut().insert(gtx, st) {
             if old.stable {
                 self.index_remove(&old.writes);
             }
@@ -319,11 +318,11 @@ impl PreparedTable {
     }
 
     pub fn remove(&self, gtx: &GlobalTxId) -> Option<PreparedState> {
-        let st = self.txns.lock().remove(gtx);
+        let st = self.txns.borrow_mut().remove(gtx);
         if let Some(st) = st.as_ref().filter(|st| st.stable) {
             self.index_remove(&st.writes);
             if !st.ranges.is_empty() {
-                self.ranges.write().retain(|(g, _, _)| g != gtx);
+                self.ranges.borrow_mut().retain(|(g, _, _)| g != gtx);
             }
         }
         st
@@ -337,7 +336,7 @@ impl PreparedTable {
     /// Returns `None` if the transaction is unknown or already claimed —
     /// decisions are idempotent, so callers treat that as "nothing to do".
     pub fn begin_decide(&self, gtx: &GlobalTxId) -> Option<PreparedDecision> {
-        let mut txns = self.txns.lock();
+        let mut txns = self.txns.borrow_mut();
         let st = txns.get_mut(gtx)?;
         if st.deciding {
             return None;
@@ -356,7 +355,7 @@ impl PreparedTable {
     /// entry is gone: the `Decide` was logged and took effect after all.
     pub fn cancel_decide(&self, gtx: &GlobalTxId) -> bool {
         self.txns
-            .lock()
+            .borrow_mut()
             .get_mut(gtx)
             .map(|st| st.deciding = false)
             .is_some()
@@ -367,7 +366,7 @@ impl PreparedTable {
     /// In place, so a rotation's re-log cannot miss it. `false` when an
     /// abort that raced the counter round has claimed or retired the entry.
     pub fn mark_stable(&self, gtx: &GlobalTxId) -> bool {
-        let mut txns = self.txns.lock();
+        let mut txns = self.txns.borrow_mut();
         let Some(st) = txns.get_mut(gtx).filter(|st| !st.deciding) else {
             return false;
         };
@@ -379,7 +378,7 @@ impl PreparedTable {
     /// Every transaction whose `Prepare` record is stable, sorted by id:
     /// recovery resolves them (sends, seq allocations) in this order.
     pub fn ids(&self) -> Vec<GlobalTxId> {
-        let txns = self.txns.lock();
+        let txns = self.txns.borrow();
         let stable = txns.iter().filter(|(_, st)| st.stable);
         stable.map(|(g, _)| *g).collect()
     }
@@ -388,7 +387,7 @@ impl PreparedTable {
     /// re-logs them in this order.
     pub fn snapshot_writes(&self) -> Vec<(GlobalTxId, Vec<WriteOp>, Vec<KeySpan>)> {
         self.txns
-            .lock()
+            .borrow()
             .iter()
             .map(|(g, st)| (*g, st.writes.clone(), st.ranges.clone()))
             .collect()
@@ -398,11 +397,11 @@ impl PreparedTable {
     /// lookup against the maintained key index, plus a scan of the (rare)
     /// in-doubt range deletes.
     pub fn overlaps(&self, key: &[u8]) -> bool {
-        if self.key_index.lock().contains_key(key) {
+        if self.key_index.borrow().contains_key(key) {
             return true;
         }
         self.ranges
-            .read()
+            .borrow()
             .iter()
             .any(|(_, s, e)| s.as_slice() <= key && key < e.as_slice())
     }
@@ -414,7 +413,7 @@ impl PreparedTable {
     pub fn overlaps_span(&self, start: &[u8], end: &[u8]) -> bool {
         if self
             .ranges
-            .read()
+            .borrow()
             .iter()
             .any(|(_, s, e)| s.as_slice() < end && e.as_slice() > start)
         {
@@ -422,7 +421,7 @@ impl PreparedTable {
         }
         span_bounds(start, end).is_some_and(|span| {
             self.key_index
-                .lock()
+                .borrow()
                 .range::<[u8], _>(span)
                 .next()
                 .is_some()
@@ -435,7 +434,7 @@ impl PreparedTable {
         let Some(span) = span_bounds(start, end) else {
             return Vec::new();
         };
-        let index = self.key_index.lock();
+        let index = self.key_index.borrow();
         index
             .range::<[u8], _>(span)
             .map(|(k, _)| k.clone())
@@ -464,9 +463,7 @@ fn span_bounds<'a>(start: &'a [u8], end: &'a [u8]) -> Option<SpanBounds<'a>> {
 /// frontier advances by closing contiguous gaps: out-of-order stabilizers
 /// park in `pending` until the hole before them fills.
 pub(crate) struct StableFrontier {
-    /// Cached frontier for lock-free reads.
-    stable: AtomicU64,
-    state: Mutex<FrontierState>,
+    state: RefCell<FrontierState>,
 }
 
 struct FrontierState {
@@ -477,8 +474,7 @@ struct FrontierState {
 impl StableFrontier {
     pub fn new(start: u64) -> Self {
         StableFrontier {
-            stable: AtomicU64::new(start),
-            state: Mutex::new(FrontierState {
+            state: RefCell::new(FrontierState {
                 frontier: start,
                 pending: BTreeSet::new(),
             }),
@@ -488,7 +484,7 @@ impl StableFrontier {
     /// Marks `seq` applied-and-stable, advancing the contiguous frontier.
     pub fn record(&self, seq: u64) {
         let new_frontier = {
-            let mut st = self.state.lock();
+            let mut st = self.state.borrow_mut();
             let inner = &mut *st;
             if seq <= inner.frontier {
                 return;
@@ -504,13 +500,12 @@ impl StableFrontier {
             }
             inner.frontier
         };
-        self.stable.fetch_max(new_frontier, Ordering::SeqCst);
         treaty_sim::obs::gauge_set("store.stable_ts", new_frontier);
     }
 
     /// The current frontier.
     pub fn get(&self) -> u64 {
-        self.stable.load(Ordering::SeqCst)
+        self.state.borrow().frontier
     }
 }
 
@@ -555,18 +550,18 @@ pub struct EngineStats {
 /// reopened on the same environment keeps counting where it left off.
 #[derive(Debug, Default)]
 pub(crate) struct StatsCells {
-    pub commits: AtomicU64,
-    pub aborts: AtomicU64,
-    pub gets: AtomicU64,
-    pub flushes: AtomicU64,
-    pub compactions: AtomicU64,
-    pub files_deleted: AtomicU64,
-    pub group_commits: AtomicU64,
-    pub grouped_txns: AtomicU64,
-    pub scans: AtomicU64,
-    pub bloom_negatives: AtomicU64,
-    pub bloom_false_positives: AtomicU64,
-    pub fence_gap_rejects: AtomicU64,
+    pub commits: Cell<u64>,
+    pub aborts: Cell<u64>,
+    pub gets: Cell<u64>,
+    pub flushes: Cell<u64>,
+    pub compactions: Cell<u64>,
+    pub files_deleted: Cell<u64>,
+    pub group_commits: Cell<u64>,
+    pub grouped_txns: Cell<u64>,
+    pub scans: Cell<u64>,
+    pub bloom_negatives: Cell<u64>,
+    pub bloom_false_positives: Cell<u64>,
+    pub fence_gap_rejects: Cell<u64>,
 }
 
 /// A transaction's versions on their way into a MemTable: its sequence
@@ -597,7 +592,7 @@ enum CommitReq {
     /// A rotation, run before the batch is written: of this MemTable if it
     /// is still the live one (its budget was crossed), of whatever is live
     /// when `None` (a forced flush).
-    Rotate(Option<Arc<MemTable>>),
+    Rotate(Option<Rc<MemTable>>),
 }
 
 /// What a carried request learns: a record, its counter, the WAL
@@ -607,7 +602,7 @@ type Carried = Result<Option<Logged>>;
 
 struct Logged {
     counter: u64,
-    wal: Arc<LogWriter>,
+    wal: Rc<LogWriter>,
     insert: Option<Insert>,
 }
 
@@ -617,8 +612,8 @@ struct Logged {
 /// `StoreInner::applies_in_flight`, which a rotation waits to see at zero:
 /// a frozen MemTable never gains an entry.
 struct Insert {
-    inner: Arc<StoreInner>,
-    mem: Arc<MemTable>,
+    inner: Rc<StoreInner>,
+    mem: Rc<MemTable>,
     versions: Versions,
     /// A `Decide`'s claimed entry, removed once the versions are in.
     decided: Option<GlobalTxId>,
@@ -627,15 +622,15 @@ struct Insert {
 impl Insert {
     /// The leader's hand-out, under the commit lock: `mem` is live.
     fn new(
-        inner: &Arc<StoreInner>,
-        mem: &Arc<MemTable>,
+        inner: &Rc<StoreInner>,
+        mem: &Rc<MemTable>,
         versions: Versions,
         decided: Option<GlobalTxId>,
     ) -> Self {
-        inner.applies_in_flight.fetch_add(1, Ordering::SeqCst);
+        inner.applies_in_flight.update(|n| n + 1);
         Insert {
-            inner: Arc::clone(inner),
-            mem: Arc::clone(mem),
+            inner: Rc::clone(inner),
+            mem: Rc::clone(mem),
             versions,
             decided,
         }
@@ -647,7 +642,7 @@ impl Insert {
         apply_versions(&self.mem, &self.versions);
         // Only what reached the MemTable moves the epoch: a `Prepare`
         // bumping it would send every scan fence into its re-pass.
-        self.inner.apply_epoch.fetch_add(1, Ordering::SeqCst);
+        self.inner.apply_epoch.update(|n| n + 1);
         if let Some(gtx) = &self.decided {
             self.inner.prepared.remove(gtx);
         }
@@ -656,7 +651,9 @@ impl Insert {
 
 impl Drop for Insert {
     fn drop(&mut self) {
-        if self.inner.applies_in_flight.fetch_sub(1, Ordering::SeqCst) == 1 {
+        let in_flight = self.inner.applies_in_flight.get() - 1;
+        self.inner.applies_in_flight.set(in_flight);
+        if in_flight == 0 {
             self.inner.applies_drained.notify_all();
         }
     }
@@ -681,7 +678,7 @@ fn apply_versions(mem: &MemTable, (seq, writes, ranges): &Versions) {
 /// generations it covers (retired once the L0 table is published).
 #[derive(Clone)]
 struct FlushWork {
-    frozen: Arc<MemTable>,
+    frozen: Rc<MemTable>,
     old_gens: Vec<u64>,
 }
 
@@ -694,21 +691,21 @@ pub(crate) struct FencedSpan {
 }
 
 pub(crate) struct StoreInner {
-    pub env: Arc<Env>,
-    mem: RwLock<Arc<MemTable>>,
+    pub env: Rc<Env>,
+    mem: RefCell<Rc<MemTable>>,
     /// The SSTable hierarchy, published copy-on-write: readers snapshot the
-    /// `Arc` (one refcount bump per read), structural writers (flush
+    /// `Rc` (one refcount bump per read), structural writers (flush
     /// builds, compaction — serialized by the maintenance lock) build a
     /// new vector and swap it in. Readers that raced a compaction keep the old snapshot,
     /// whose tables stay alive (and on disk, GC being stabilization-gated)
     /// until the last reference drops.
-    levels: RwLock<Arc<Vec<Vec<Arc<SsTable>>>>>,
-    wal: RwLock<Arc<LogWriter>>,
-    wal_gen: AtomicU64,
-    manifest: Arc<LogWriter>,
-    pub seq: AtomicU64,
-    next_file_id: AtomicU64,
-    pub next_txid: AtomicU64,
+    levels: RefCell<Rc<Vec<Vec<Rc<SsTable>>>>>,
+    wal: RefCell<Rc<LogWriter>>,
+    wal_gen: Cell<u64>,
+    manifest: Rc<LogWriter>,
+    pub seq: Cell<u64>,
+    next_file_id: Cell<u64>,
+    pub next_txid: Cell<u64>,
     pub locks: LockTable,
     pub prepared: PreparedTable,
     /// The stable read timestamp served to lock-free snapshot readers.
@@ -717,47 +714,47 @@ pub(crate) struct StoreInner {
     /// the newest version of each key, so an older snapshot could quietly
     /// miss the version it should see. Raised to the newest seq a
     /// compaction merged *before* its outputs are published.
-    snapshot_floor: AtomicU64,
+    snapshot_floor: Cell<u64>,
     /// The commit lock — whoever holds it owns the live WAL, the MemTable
     /// swap and the `PreparedTable`'s membership — and the requests queued
     /// for its next holder.
     commits: GroupCommit<CommitReq, Carried>,
     /// [`Insert`]s handed out by a group-commit leader and not yet dropped.
-    applies_in_flight: AtomicU64,
+    applies_in_flight: Cell<u64>,
     /// Woken when `applies_in_flight` falls to zero.
     applies_drained: WaitQueue,
     /// (manifest counter that must stabilize, path) — deferred deletions.
-    pending_gc: Mutex<Vec<(u64, PathBuf)>>,
+    pending_gc: RefCell<Vec<(u64, PathBuf)>>,
     /// WAL generations whose contents are still only in the MemTable.
-    live_wal_gens: Mutex<Vec<u64>>,
+    live_wal_gens: RefCell<Vec<u64>>,
     /// MemTables rotated out of the write path but not yet built into L0
     /// tables, newest first — still part of the read path.
-    frozen: RwLock<Vec<Arc<MemTable>>>,
+    frozen: RefCell<Vec<Rc<MemTable>>>,
     /// Flush builds queued for the maintenance daemon (FIFO). Entries are
     /// popped only after the build succeeds, so a failed build retries.
-    flush_backlog: Mutex<VecDeque<FlushWork>>,
+    flush_backlog: RefCell<VecDeque<FlushWork>>,
     /// Serializes flush builds and compactions between the maintenance
     /// daemon and synchronous drains (forced flush, shutdown, tests).
     maintenance_lock: FiberMutex,
     /// Guards the spawn-on-demand maintenance daemon (one at a time).
-    maintenance_running: AtomicBool,
+    maintenance_running: Cell<bool>,
     /// Guards the background MANIFEST-stabilization fiber (one at a time).
-    gc_stabilizing: AtomicBool,
+    gc_stabilizing: Cell<bool>,
     /// Pessimistic scans currently holding next-key locks. Inserts only pay
     /// the successor-lookup gap lock while this is non-zero, so workloads
     /// that never scan keep their point-write fast path.
-    pub(crate) active_scans: AtomicU64,
+    pub(crate) active_scans: Cell<u64>,
     /// Bumped whenever a transaction's versions became present in the
     /// MemTable — after the insert, before the writer releases its locks.
     /// A pessimistic scan that reads the same value before its pass and
     /// after its last lock grant knows no version slipped in between.
-    apply_epoch: AtomicU64,
+    apply_epoch: Cell<u64>,
 }
 
 /// The per-node Treaty storage engine. Cheap to clone (shared interior).
 #[derive(Clone)]
 pub struct TreatyStore {
-    pub(crate) inner: Arc<StoreInner>,
+    pub(crate) inner: Rc<StoreInner>,
 }
 
 impl std::fmt::Debug for TreatyStore {
@@ -779,7 +776,7 @@ impl TreatyStore {
     ///
     /// Returns integrity/rollback errors if the persistent state fails
     /// verification, and I/O errors if the directory is unusable.
-    pub fn open(env: Arc<Env>) -> Result<Self> {
+    pub fn open(env: Rc<Env>) -> Result<Self> {
         std::fs::create_dir_all(&env.dir)?;
         let manifest_path = env.dir.join("MANIFEST");
         if manifest_path.exists() {
@@ -789,55 +786,55 @@ impl TreatyStore {
             // stabilized here; otherwise the storage was wiped to a stale
             // (empty) state — a rollback attack.
             log::verify_freshness(&env, "manifest", 0)?;
-            let manifest = Arc::new(LogWriter::open(
-                Arc::clone(&env),
+            let manifest = Rc::new(LogWriter::open(
+                Rc::clone(&env),
                 "manifest",
                 &manifest_path,
                 0,
             )?);
             let gen = 1;
-            let wal = Arc::new(LogWriter::open(
-                Arc::clone(&env),
+            let wal = Rc::new(LogWriter::open(
+                Rc::clone(&env),
                 wal_name(gen),
                 &env.dir.join(wal_name(gen)),
                 0,
             )?);
             manifest.append(&ManifestEdit::NewWal { gen }.to_bytes())?;
             let inner = StoreInner {
-                mem: RwLock::new(Arc::new(MemTable::new(Arc::clone(&env)))),
-                levels: RwLock::new(Arc::new(vec![Vec::new(); 7])),
-                wal: RwLock::new(wal),
-                wal_gen: AtomicU64::new(gen),
+                mem: RefCell::new(Rc::new(MemTable::new(Rc::clone(&env)))),
+                levels: RefCell::new(Rc::new(vec![Vec::new(); 7])),
+                wal: RefCell::new(wal),
+                wal_gen: Cell::new(gen),
                 manifest,
-                seq: AtomicU64::new(0),
-                next_file_id: AtomicU64::new(1),
-                next_txid: AtomicU64::new(1),
+                seq: Cell::new(0),
+                next_file_id: Cell::new(1),
+                next_txid: Cell::new(1),
                 locks: LockTable::new(env.config.lock_shards, LOCK_TIMEOUT),
                 prepared: PreparedTable::new(),
                 frontier: StableFrontier::new(0),
-                snapshot_floor: AtomicU64::new(0),
+                snapshot_floor: Cell::new(0),
                 commits: GroupCommit::new(),
-                applies_in_flight: AtomicU64::new(0),
+                applies_in_flight: Cell::new(0),
                 applies_drained: WaitQueue::new(),
-                pending_gc: Mutex::new(Vec::new()),
-                live_wal_gens: Mutex::new(vec![gen]),
-                frozen: RwLock::new(Vec::new()),
-                flush_backlog: Mutex::new(VecDeque::new()),
+                pending_gc: RefCell::new(Vec::new()),
+                live_wal_gens: RefCell::new(vec![gen]),
+                frozen: RefCell::new(Vec::new()),
+                flush_backlog: RefCell::new(VecDeque::new()),
                 maintenance_lock: FiberMutex::new(),
-                maintenance_running: AtomicBool::new(false),
-                gc_stabilizing: AtomicBool::new(false),
-                active_scans: AtomicU64::new(0),
-                apply_epoch: AtomicU64::new(0),
+                maintenance_running: Cell::new(false),
+                gc_stabilizing: Cell::new(false),
+                active_scans: Cell::new(0),
+                apply_epoch: Cell::new(0),
                 env,
             };
             Ok(TreatyStore {
-                inner: Arc::new(inner),
+                inner: Rc::new(inner),
             })
         }
     }
 
     /// The environment this store runs in.
-    pub fn env(&self) -> &Arc<Env> {
+    pub fn env(&self) -> &Rc<Env> {
         &self.inner.env
     }
 
@@ -875,27 +872,27 @@ impl TreatyStore {
             .map(|c| (c.hits(), c.misses()))
             .unwrap_or((0, 0));
         EngineStats {
-            commits: s.commits.load(Ordering::Relaxed),
-            aborts: s.aborts.load(Ordering::Relaxed),
-            gets: s.gets.load(Ordering::Relaxed),
-            flushes: s.flushes.load(Ordering::Relaxed),
-            compactions: s.compactions.load(Ordering::Relaxed),
-            files_deleted: s.files_deleted.load(Ordering::Relaxed),
-            group_commits: s.group_commits.load(Ordering::Relaxed),
-            grouped_txns: s.grouped_txns.load(Ordering::Relaxed),
+            commits: s.commits.get(),
+            aborts: s.aborts.get(),
+            gets: s.gets.get(),
+            flushes: s.flushes.get(),
+            compactions: s.compactions.get(),
+            files_deleted: s.files_deleted.get(),
+            group_commits: s.group_commits.get(),
+            grouped_txns: s.grouped_txns.get(),
             block_cache_hits: cache_hits,
             block_cache_misses: cache_misses,
-            bloom_negatives: s.bloom_negatives.load(Ordering::Relaxed),
-            bloom_false_positives: s.bloom_false_positives.load(Ordering::Relaxed),
-            fence_gap_rejects: s.fence_gap_rejects.load(Ordering::Relaxed),
-            scans: s.scans.load(Ordering::Relaxed),
+            bloom_negatives: s.bloom_negatives.get(),
+            bloom_false_positives: s.bloom_false_positives.get(),
+            fence_gap_rejects: s.fence_gap_rejects.get(),
+            scans: s.scans.get(),
         }
     }
 
     /// File ids of every SSTable currently published in the hierarchy
     /// (test introspection for cache-invalidation coverage).
     pub fn live_file_ids(&self) -> Vec<u64> {
-        let levels = Arc::clone(&*self.inner.levels.read());
+        let levels = Rc::clone(&*self.inner.levels.borrow());
         let mut ids: Vec<u64> = levels.iter().flatten().map(|t| t.meta().file_id).collect();
         ids.sort_unstable();
         ids
@@ -912,7 +909,7 @@ impl TreatyStore {
     /// Memtables sealed and waiting for the flush daemon — the write-path
     /// backlog the OBS_SNAPSHOT introspection RPC reports live.
     pub fn flush_backlog_len(&self) -> usize {
-        self.inner.flush_backlog.lock().len()
+        self.inner.flush_backlog.borrow().len()
     }
 
     /// Current commit-backpressure level without paying the stall:
@@ -921,7 +918,8 @@ impl TreatyStore {
     /// (flush backlog plus L0 file count).
     pub fn backpressure_level(&self) -> u8 {
         let cfg = &self.inner.env.config;
-        let pressure = self.inner.flush_backlog.lock().len() + self.inner.levels.read()[0].len();
+        let pressure =
+            self.inner.flush_backlog.borrow().len() + self.inner.levels.borrow()[0].len();
         if pressure >= cfg.l0_stop_trigger {
             2
         } else if pressure >= cfg.l0_slowdown_trigger {
@@ -935,24 +933,25 @@ impl TreatyStore {
 
     pub(crate) fn get_visible(&self, key: &[u8], snapshot: SeqNum) -> Result<Option<Vec<u8>>> {
         let _span = treaty_sim::obs::span("store.get");
-        self.counters().gets.fetch_add(1, Ordering::Relaxed);
-        // Bind the Arc first: as an `if let` scrutinee temporary the read
-        // guard would live across the charging `get` and wedge a rotation.
-        let mem = self.inner.mem.read().clone();
+        self.counters().gets.update(|n| n + 1);
+        // Bind the Rc first: as an `if let` scrutinee temporary the borrow
+        // would live across the charging `get`, and a rotation's
+        // `borrow_mut` would panic.
+        let mem = self.inner.mem.borrow().clone();
         if let Some(v) = mem.get(key, snapshot)? {
             return Ok(v);
         }
         // Frozen MemTables awaiting their background build, newest first.
-        // Snapshot the list (Arc clones) before reading: `get` charges
-        // virtual time, and guards must not be held across a yield.
-        let frozen: Vec<Arc<MemTable>> = self.inner.frozen.read().clone();
+        // Snapshot the list (Rc clones) before reading: `get` charges
+        // virtual time, and borrows must not be held across a yield.
+        let frozen: Vec<Rc<MemTable>> = self.inner.frozen.borrow().clone();
         for m in &frozen {
             if let Some(v) = m.get(key, snapshot)? {
                 return Ok(v);
             }
         }
         // One refcount bump, not a deep copy of the level vectors.
-        let levels = Arc::clone(&*self.inner.levels.read());
+        let levels = Rc::clone(&*self.inner.levels.borrow());
         // Range tombstones shadow every strictly-older point version below
         // them; `shadow` carries the newest covering tombstone seq seen so
         // far down the descent. (MemTables resolve their own tombstones
@@ -1003,7 +1002,7 @@ impl TreatyStore {
         // A range delete is a version of every key it covers: OCC reads
         // validated against this must conflict with a later covering
         // tombstone, so each source reports max(point seq, tombstone seq).
-        let mem = self.inner.mem.read().clone();
+        let mem = self.inner.mem.borrow().clone();
         let m = mem
             .latest_seq_of(key)
             .into_iter()
@@ -1012,7 +1011,7 @@ impl TreatyStore {
         if let Some(s) = m {
             return Ok(s);
         }
-        let frozen: Vec<Arc<MemTable>> = self.inner.frozen.read().clone();
+        let frozen: Vec<Rc<MemTable>> = self.inner.frozen.borrow().clone();
         for m in &frozen {
             let s = m
                 .latest_seq_of(key)
@@ -1023,7 +1022,7 @@ impl TreatyStore {
                 return Ok(s);
             }
         }
-        let levels = Arc::clone(&*self.inner.levels.read());
+        let levels = Rc::clone(&*self.inner.levels.borrow());
         let mut best = 0;
         for t in &levels[0] {
             if let Some(s) = t.latest_seq_of(key)? {
@@ -1093,7 +1092,7 @@ impl TreatyStore {
     /// it publishes — so the second check sees it.
     fn check_snapshot_ts(&self, ts: SeqNum) -> Result<()> {
         let stable = self.inner.frontier.get();
-        if ts > stable || ts < self.inner.snapshot_floor.load(Ordering::SeqCst) {
+        if ts > stable || ts < self.inner.snapshot_floor.get() {
             return Err(StoreError::SnapshotStale { stable });
         }
         Ok(())
@@ -1230,7 +1229,7 @@ impl TreatyStore {
 
     /// The store's apply epoch (see `StoreInner::apply_epoch`).
     pub(crate) fn apply_epoch(&self) -> u64 {
-        self.inner.apply_epoch.load(Ordering::SeqCst)
+        self.inner.apply_epoch.get()
     }
 
     /// Everything a span fence over `[start, end)` needs, from one merge
@@ -1275,7 +1274,7 @@ impl TreatyStore {
     /// then no longer be rolled back under it (a record still being
     /// written has applied nothing yet). Free on an idle WAL.
     pub(crate) fn stabilize_wal_tail(&self) -> Result<()> {
-        let wal = self.inner.wal.read().clone();
+        let wal = self.inner.wal.borrow().clone();
         let last = wal.written_counter();
         if last <= wal.stable_counter() {
             return Ok(());
@@ -1299,13 +1298,13 @@ impl TreatyStore {
         F: FnMut(UserKey, SeqNum, Option<Vec<u8>>, SeqNum) -> bool,
     {
         let _span = treaty_sim::obs::span("store.scan");
-        self.counters().scans.fetch_add(1, Ordering::Relaxed);
-        // Pin a consistent view: Arc bumps, no copies. Tables retired by a
+        self.counters().scans.update(|n| n + 1);
+        // Pin a consistent view: Rc bumps, no copies. Tables retired by a
         // racing compaction stay alive (and on disk — GC is
         // stabilization-gated) until these references drop.
-        let mem = self.inner.mem.read().clone();
-        let frozen: Vec<Arc<MemTable>> = self.inner.frozen.read().clone();
-        let levels = Arc::clone(&*self.inner.levels.read());
+        let mem = self.inner.mem.borrow().clone();
+        let frozen: Vec<Rc<MemTable>> = self.inner.frozen.borrow().clone();
+        let levels = Rc::clone(&*self.inner.levels.borrow());
 
         // Range tombstones intersecting the span, from every source. Seqs
         // are global, so one flat set shadows correctly across levels.
@@ -1362,7 +1361,7 @@ impl TreatyStore {
         seq: SeqNum,
         writes: &[WriteOp],
         ranges: &[(UserKey, UserKey)],
-    ) -> Result<(SeqNum, u64, Arc<LogWriter>)> {
+    ) -> Result<(SeqNum, u64, Rc<LogWriter>)> {
         let rec = WalRecord::Commit {
             seq,
             writes: writes.to_vec(),
@@ -1374,7 +1373,7 @@ impl TreatyStore {
         // The commit is in the WAL and the MemTable but not yet acked to
         // the caller — recovery must replay it from the log alone.
         treaty_sim::crashpoint::hit(CrashPoint::StoreCommitLogged);
-        self.counters().commits.fetch_add(1, Ordering::Relaxed);
+        self.counters().commits.update(|n| n + 1);
         Ok((seq, counter, wal))
     }
 
@@ -1390,7 +1389,7 @@ impl TreatyStore {
         &self,
         rec: &WalRecord,
         effect: Effect,
-    ) -> Result<(u64, Arc<LogWriter>)> {
+    ) -> Result<(u64, Rc<LogWriter>)> {
         treaty_sim::runtime::set_tag("e:group_commit");
         let _span = treaty_sim::obs::span("store.commit");
         let Logged {
@@ -1401,11 +1400,11 @@ impl TreatyStore {
             .carry(CommitReq::Log(rec.to_bytes(), effect))?
             .ok_or_else(|| log::leader_lost("wal"))?;
         if let Some(insert) = insert {
-            let mem = Arc::clone(&insert.mem);
+            let mem = Rc::clone(&insert.mem);
             insert.apply();
             // The leader that carries the rotation re-checks `live`: every
             // owner finishing over the budget before it runs asks too.
-            let live = Arc::ptr_eq(&self.inner.mem.read(), &mem);
+            let live = Rc::ptr_eq(&self.inner.mem.borrow(), &mem);
             if live && mem.approx_bytes() >= self.inner.env.config.memtable_bytes {
                 self.carry(CommitReq::Rotate(Some(mem)))?;
             }
@@ -1429,15 +1428,15 @@ impl TreatyStore {
     /// own — and the records are written with one append.
     fn lead(&self, batch: Vec<CommitReq>) -> Vec<Carried> {
         let due = {
-            let live = self.inner.mem.read();
+            let live = self.inner.mem.borrow();
             batch.iter().any(|req| match req {
-                CommitReq::Rotate(full) => full.as_ref().is_none_or(|m| Arc::ptr_eq(m, &live)),
+                CommitReq::Rotate(full) => full.as_ref().is_none_or(|m| Rc::ptr_eq(m, &live)),
                 CommitReq::Log(..) => false,
             })
         };
         let rotation = if due { self.flush_locked() } else { Ok(()) };
-        let wal = self.inner.wal.read().clone();
-        let mem = self.inner.mem.read().clone();
+        let wal = self.inner.wal.borrow().clone();
+        let mem = self.inner.mem.borrow().clone();
         // Borrow the records straight out of the queue entries — the WAL
         // writer only needs slices, so no payload is copied for batching.
         let payloads: Vec<&[u8]> = batch
@@ -1450,12 +1449,10 @@ impl TreatyStore {
         let append = if payloads.is_empty() {
             Ok((0, 0))
         } else {
-            self.counters()
-                .group_commits
-                .fetch_add(1, Ordering::Relaxed);
+            self.counters().group_commits.update(|n| n + 1);
             self.counters()
                 .grouped_txns
-                .fetch_add(payloads.len() as u64, Ordering::Relaxed);
+                .update(|n| n + payloads.len() as u64);
             wal.append_batch(&payloads)
         };
         let mut logged = 0;
@@ -1484,7 +1481,7 @@ impl TreatyStore {
                 };
                 Ok(Some(Logged {
                     counter,
-                    wal: Arc::clone(&wal),
+                    wal: Rc::clone(&wal),
                     insert,
                 }))
             })
@@ -1514,7 +1511,7 @@ impl TreatyStore {
             return Ok(());
         };
         let depth = {
-            let mut backlog = self.inner.flush_backlog.lock();
+            let mut backlog = self.inner.flush_backlog.borrow_mut();
             backlog.push_back(work);
             backlog.len()
         };
@@ -1536,15 +1533,15 @@ impl TreatyStore {
         // The commit lock stops new inserts being handed out; the ones
         // already out finish first, so the MemTable frozen here never gains
         // an entry and no `Decide` still owes its entry's removal.
-        while self.inner.applies_in_flight.load(Ordering::SeqCst) > 0 {
+        while self.inner.applies_in_flight.get() > 0 {
             self.inner.applies_drained.wait();
         }
         // Swap in a fresh MemTable + WAL generation first so concurrent
         // readers keep working against the frozen one.
         let frozen = {
-            let mut mem = self.inner.mem.write();
-            let frozen = Arc::clone(&mem);
-            *mem = Arc::new(MemTable::new(Arc::clone(&self.inner.env)));
+            let mut mem = self.inner.mem.borrow_mut();
+            let frozen = Rc::clone(&mem);
+            *mem = Rc::new(MemTable::new(Rc::clone(&self.inner.env)));
             frozen
         };
         if frozen.is_empty() {
@@ -1552,19 +1549,19 @@ impl TreatyStore {
         }
         // The frozen MemTable stays on the read path (newest first) until
         // `build_flush` publishes its L0 table.
-        self.inner.frozen.write().insert(0, Arc::clone(&frozen));
-        // Swap generations under a short lock; all I/O happens after the
-        // guards drop (holding a plain mutex across a virtual-time charge
-        // would wedge the whole simulation).
+        self.inner.frozen.borrow_mut().insert(0, Rc::clone(&frozen));
+        // Swap generations in a short borrow; all I/O happens after it
+        // ends (a borrow held across a virtual-time charge would make the
+        // next fiber's borrow panic).
         let (old_gens, new_gen) = {
-            let mut gens = self.inner.live_wal_gens.lock();
+            let mut gens = self.inner.live_wal_gens.borrow_mut();
             let old = gens.clone();
-            let new_gen = self.inner.wal_gen.fetch_add(1, Ordering::SeqCst) + 1;
+            let new_gen = self.inner.wal_gen.replace(self.inner.wal_gen.get() + 1) + 1;
             *gens = vec![new_gen];
             (old, new_gen)
         };
-        let wal = Arc::new(LogWriter::open(
-            Arc::clone(&self.inner.env),
+        let wal = Rc::new(LogWriter::open(
+            Rc::clone(&self.inner.env),
             wal_name(new_gen),
             &self.inner.env.dir.join(wal_name(new_gen)),
             0,
@@ -1581,7 +1578,7 @@ impl TreatyStore {
         // its `Prepare` (recovery re-logs too) and backs the MemTable it
         // applied to.
         relog_prepared(&self.inner.prepared, &wal)?;
-        *self.inner.wal.write() = wal;
+        *self.inner.wal.borrow_mut() = wal;
         self.manifest_append(&ManifestEdit::NewWal { gen: new_gen })?;
         Ok(Some(FlushWork { frozen, old_gens }))
     }
@@ -1597,25 +1594,28 @@ impl TreatyStore {
         let _span = treaty_sim::obs::span("store.flush");
         let entries = work.frozen.freeze_entries()?;
         let tombstones = work.frozen.range_tombstones();
-        let file_id = self.inner.next_file_id.fetch_add(1, Ordering::SeqCst);
+        let file_id = self
+            .inner
+            .next_file_id
+            .replace(self.inner.next_file_id.get() + 1);
         let path = self.inner.env.dir.join(sstable::file_name(file_id));
         sstable::build(&self.inner.env, &path, file_id, &entries, &tombstones)?;
-        let table = Arc::new(SsTable::open(Arc::clone(&self.inner.env), &path)?);
+        let table = Rc::new(SsTable::open(Rc::clone(&self.inner.env), &path)?);
         {
-            let mut levels = self.inner.levels.write();
+            let mut levels = self.inner.levels.borrow_mut();
             let mut next = (**levels).clone();
             next[0].insert(0, table);
-            *levels = Arc::new(next);
+            *levels = Rc::new(next);
         }
         // The L0 table is visible: drop the frozen MemTable from the read
         // path. Its buffers are reclaimed when the last reference goes
         // (possibly a racing reader's snapshot — MemTable frees on drop).
         self.inner
             .frozen
-            .write()
-            .retain(|m| !Arc::ptr_eq(m, &work.frozen));
+            .borrow_mut()
+            .retain(|m| !Rc::ptr_eq(m, &work.frozen));
         self.manifest_append(&ManifestEdit::AddTable { level: 0, file_id })?;
-        self.counters().flushes.fetch_add(1, Ordering::Relaxed);
+        self.counters().flushes.update(|n| n + 1);
 
         // The old WAL generations are now fully covered by SSTables.
         let mut obsolete_counter = 0;
@@ -1623,7 +1623,7 @@ impl TreatyStore {
             obsolete_counter = self.manifest_append(&ManifestEdit::WalObsolete { gen: *gen })?;
         }
         {
-            let mut gc = self.inner.pending_gc.lock();
+            let mut gc = self.inner.pending_gc.borrow_mut();
             for gen in &work.old_gens {
                 gc.push((obsolete_counter, self.inner.env.dir.join(wal_name(*gen))));
             }
@@ -1635,7 +1635,7 @@ impl TreatyStore {
 
     /// Spawns the maintenance daemon if it is not already running.
     fn ensure_maintenance(&self) {
-        if self.inner.maintenance_running.swap(true, Ordering::SeqCst) {
+        if self.inner.maintenance_running.replace(true) {
             return;
         }
         let me = self.clone();
@@ -1656,14 +1656,12 @@ impl TreatyStore {
             match self.maintenance_pass() {
                 Ok(true) => {}
                 Ok(false) => {
-                    self.inner
-                        .maintenance_running
-                        .store(false, Ordering::SeqCst);
+                    self.inner.maintenance_running.set(false);
                     if !self.maintenance_due() {
                         return;
                     }
                     // Work raced the idle transition; try to re-claim it.
-                    if self.inner.maintenance_running.swap(true, Ordering::SeqCst) {
+                    if self.inner.maintenance_running.replace(true) {
                         return; // a newer daemon owns it
                     }
                 }
@@ -1672,9 +1670,7 @@ impl TreatyStore {
                     // daemon and retries. Surfaced as a metric only (the
                     // error text is not trace-safe).
                     treaty_sim::obs::counter_add("store.maintenance_errors", 1);
-                    self.inner
-                        .maintenance_running
-                        .store(false, Ordering::SeqCst);
+                    self.inner.maintenance_running.set(false);
                     return;
                 }
             }
@@ -1683,14 +1679,14 @@ impl TreatyStore {
 
     /// Anything for the daemon to do?
     fn maintenance_due(&self) -> bool {
-        !self.inner.flush_backlog.lock().is_empty() || self.compaction_due()
+        !self.inner.flush_backlog.borrow().is_empty() || self.compaction_due()
     }
 
     /// Cheap check (no I/O — table sizes are cached at open) for whether
     /// any level is over budget.
     fn compaction_due(&self) -> bool {
         let cfg = &self.inner.env.config;
-        let levels = self.inner.levels.read();
+        let levels = self.inner.levels.borrow();
         if levels[0].len() >= cfg.l0_compaction_trigger {
             return true;
         }
@@ -1707,16 +1703,14 @@ impl TreatyStore {
     /// round — and returns whether it did anything.
     fn maintenance_pass(&self) -> Result<bool> {
         let _guard = self.inner.maintenance_lock.lock();
-        let work = self.inner.flush_backlog.lock().front().cloned();
+        let work = self.inner.flush_backlog.borrow().front().cloned();
         if let Some(work) = work {
             // Rotated but unbuilt: the covered WAL generations are still
             // live in the MANIFEST, so a crash here loses nothing.
-            // LINT-CRASH-SAFE: maintenance_lock is a FiberMutex; its guard
-            // unlocks on unwind (no poisoning), so CrashUnwind releases it.
             treaty_sim::crashpoint::hit(CrashPoint::StoreBgFlushStart);
             self.build_flush(&work)?;
             let depth = {
-                let mut backlog = self.inner.flush_backlog.lock();
+                let mut backlog = self.inner.flush_backlog.borrow_mut();
                 backlog.pop_front();
                 backlog.len()
             };
@@ -1725,8 +1719,6 @@ impl TreatyStore {
             return Ok(true);
         }
         if self.compaction_due() {
-            // LINT-CRASH-SAFE: maintenance_lock is a FiberMutex; its guard
-            // unlocks on unwind (no poisoning), so CrashUnwind releases it.
             treaty_sim::crashpoint::hit(CrashPoint::StoreBgCompactStart);
             self.maybe_compact()?;
             self.gc();
@@ -1762,7 +1754,7 @@ impl TreatyStore {
         let mut slowed = false;
         loop {
             let pressure =
-                self.inner.flush_backlog.lock().len() + self.inner.levels.read()[0].len();
+                self.inner.flush_backlog.borrow().len() + self.inner.levels.borrow()[0].len();
             if pressure >= cfg.l0_stop_trigger {
                 treaty_sim::obs::counter_add("store.backpressure_stops", 1);
                 self.ensure_maintenance();
@@ -1784,7 +1776,7 @@ impl TreatyStore {
         self.inner.manifest.append(&edit.to_bytes())
     }
 
-    fn level_bytes(&self, tables: &[Arc<SsTable>]) -> u64 {
+    fn level_bytes(&self, tables: &[Rc<SsTable>]) -> u64 {
         // Sizes are captured once at open — no per-table metadata syscall
         // on the commit/maintenance path.
         tables.iter().map(|t| t.disk_bytes()).sum()
@@ -1794,7 +1786,7 @@ impl TreatyStore {
         // L0 -> L1 when L0 accumulates too many files.
         loop {
             let trigger = {
-                let levels = self.inner.levels.read();
+                let levels = self.inner.levels.borrow();
                 levels[0].len() >= self.inner.env.config.l0_compaction_trigger
             };
             if !trigger {
@@ -1807,7 +1799,7 @@ impl TreatyStore {
             let max =
                 self.inner.env.config.l1_bytes as u64 * LEVEL_SIZE_MULTIPLIER.pow(level as u32 - 1);
             let over = {
-                let levels = self.inner.levels.read();
+                let levels = self.inner.levels.borrow();
                 self.level_bytes(&levels[level]) > max
             };
             if over {
@@ -1828,7 +1820,7 @@ impl TreatyStore {
         // real (virtual-time-charged) I/O, and concurrent readers must keep
         // seeing the pre-compaction state until the atomic publish swap.
         let (inputs_upper, inputs_lower) = {
-            let levels = self.inner.levels.read();
+            let levels = self.inner.levels.borrow();
             (levels[level].clone(), levels[level + 1].clone())
         };
         if inputs_upper.is_empty() {
@@ -1925,7 +1917,7 @@ impl TreatyStore {
         }
         for t in inputs() {
             last_counter = self.manifest_append(&ManifestEdit::RemoveTable {
-                level: if inputs_upper.iter().any(|u| Arc::ptr_eq(u, t)) {
+                level: if inputs_upper.iter().any(|u| Rc::ptr_eq(u, t)) {
                     level
                 } else {
                     level + 1
@@ -1938,18 +1930,18 @@ impl TreatyStore {
         let merged_seq = inputs().map(|t| t.meta().max_seq).max().unwrap_or(0);
         self.inner
             .snapshot_floor
-            .fetch_max(merged_seq, Ordering::SeqCst);
+            .set(self.inner.snapshot_floor.get().max(merged_seq));
         {
-            let mut levels = self.inner.levels.write();
+            let mut levels = self.inner.levels.borrow_mut();
             let mut next = (**levels).clone();
-            next[level].retain(|t| !inputs_upper.iter().any(|u| Arc::ptr_eq(u, t)));
-            next[level + 1].retain(|t| !inputs_lower.iter().any(|u| Arc::ptr_eq(u, t)));
+            next[level].retain(|t| !inputs_upper.iter().any(|u| Rc::ptr_eq(u, t)));
+            next[level + 1].retain(|t| !inputs_lower.iter().any(|u| Rc::ptr_eq(u, t)));
             next[level + 1].extend(outputs.iter().cloned());
             next[level + 1].sort_by(|a, b| a.meta().min_key.cmp(&b.meta().min_key));
-            *levels = Arc::new(next);
+            *levels = Rc::new(next);
         }
         {
-            let mut gc = self.inner.pending_gc.lock();
+            let mut gc = self.inner.pending_gc.borrow_mut();
             for t in inputs() {
                 t.release();
                 // Retired tables' blocks must stop occupying the trusted
@@ -1960,7 +1952,7 @@ impl TreatyStore {
                 gc.push((last_counter, t.path().to_path_buf()));
             }
         }
-        self.counters().compactions.fetch_add(1, Ordering::Relaxed);
+        self.counters().compactions.update(|n| n + 1);
         Ok(())
     }
 
@@ -1968,11 +1960,14 @@ impl TreatyStore {
         &self,
         entries: &[VersionedEntry],
         range_tombstones: &[RangeTombstone],
-    ) -> Result<Arc<SsTable>> {
-        let file_id = self.inner.next_file_id.fetch_add(1, Ordering::SeqCst);
+    ) -> Result<Rc<SsTable>> {
+        let file_id = self
+            .inner
+            .next_file_id
+            .replace(self.inner.next_file_id.get() + 1);
         let path = self.inner.env.dir.join(sstable::file_name(file_id));
         sstable::build(&self.inner.env, &path, file_id, entries, range_tombstones)?;
-        Ok(Arc::new(SsTable::open(Arc::clone(&self.inner.env), &path)?))
+        Ok(Rc::new(SsTable::open(Rc::clone(&self.inner.env), &path)?))
     }
 
     /// Deletes retired files whose MANIFEST edits have stabilized (§VI:
@@ -1984,18 +1979,18 @@ impl TreatyStore {
     /// edits are not yet rollback-protected simply survive one more cycle.
     pub fn gc(&self) {
         let stable = {
-            let manifest = Arc::clone(&self.inner.manifest);
+            let manifest = Rc::clone(&self.inner.manifest);
             if self.inner.env.profile.stabilization {
                 let last = manifest.written_counter();
                 let stable = manifest.stable_counter();
                 if last > stable {
                     if treaty_sim::runtime::in_fiber() {
-                        if !self.inner.gc_stabilizing.swap(true, Ordering::SeqCst) {
+                        if !self.inner.gc_stabilizing.replace(true) {
                             let me = self.clone();
                             treaty_sim::runtime::spawn_daemon(move || {
                                 treaty_sim::runtime::set_tag("gc-stabilizer");
                                 let _ = manifest.stabilize(last);
-                                me.inner.gc_stabilizing.store(false, Ordering::SeqCst);
+                                me.inner.gc_stabilizing.set(false);
                                 me.gc();
                             });
                         }
@@ -2013,14 +2008,12 @@ impl TreatyStore {
                 u64::MAX
             }
         };
-        let mut gc = self.inner.pending_gc.lock();
+        let mut gc = self.inner.pending_gc.borrow_mut();
         let mut kept = Vec::new();
         for (counter, path) in gc.drain(..) {
             if counter <= stable {
                 let _ = std::fs::remove_file(&path);
-                self.counters()
-                    .files_deleted
-                    .fetch_add(1, Ordering::Relaxed);
+                self.counters().files_deleted.update(|n| n + 1);
             } else {
                 kept.push((counter, path));
             }
@@ -2030,7 +2023,7 @@ impl TreatyStore {
 
     // ---- recovery ------------------------------------------------------------
 
-    fn recover(env: Arc<Env>) -> Result<Self> {
+    fn recover(env: Rc<Env>) -> Result<Self> {
         let manifest_path = env.dir.join("MANIFEST");
         let replayed = log::replay(&env, "manifest", &manifest_path, 0)?;
         log::verify_freshness(&env, "manifest", replayed.last_counter)?;
@@ -2057,13 +2050,13 @@ impl TreatyStore {
         }
 
         // Rebuild the SSTable hierarchy, verifying each footer.
-        let mut levels: Vec<Vec<Arc<SsTable>>> = vec![Vec::new(); 7];
+        let mut levels: Vec<Vec<Rc<SsTable>>> = vec![Vec::new(); 7];
         let mut max_file_id = 0;
         let mut max_seq = 0;
-        let mut l0_order: Vec<(u64, Arc<SsTable>)> = Vec::new();
+        let mut l0_order: Vec<(u64, Rc<SsTable>)> = Vec::new();
         for (file_id, level) in &table_levels {
             let path = env.dir.join(sstable::file_name(*file_id));
-            let table = Arc::new(SsTable::open(Arc::clone(&env), &path)?);
+            let table = Rc::new(SsTable::open(Rc::clone(&env), &path)?);
             max_file_id = max_file_id.max(*file_id);
             max_seq = max_seq.max(table.meta().max_seq);
             if *level == 0 {
@@ -2088,7 +2081,7 @@ impl TreatyStore {
             level.sort_by(|a, b| a.meta().min_key.cmp(&b.meta().min_key));
         }
 
-        let mem = Arc::new(MemTable::new(Arc::clone(&env)));
+        let mem = Rc::new(MemTable::new(Rc::clone(&env)));
         let locks = LockTable::new(env.config.lock_shards, LOCK_TIMEOUT);
         let mut prepared: HashMap<GlobalTxId, PreparedState> = HashMap::new();
         let mut next_txid = 1u64;
@@ -2187,14 +2180,14 @@ impl TreatyStore {
         // Open a fresh WAL generation for new writes; keep the recovered
         // generations live until the next flush covers them.
         let new_gen = max_gen + 1;
-        let manifest = Arc::new(LogWriter::open(
-            Arc::clone(&env),
+        let manifest = Rc::new(LogWriter::open(
+            Rc::clone(&env),
             "manifest",
             &manifest_path,
             replayed.last_counter,
         )?);
-        let wal = Arc::new(LogWriter::open(
-            Arc::clone(&env),
+        let wal = Rc::new(LogWriter::open(
+            Rc::clone(&env),
             wal_name(new_gen),
             &env.dir.join(wal_name(new_gen)),
             0,
@@ -2209,14 +2202,14 @@ impl TreatyStore {
         relog_prepared(&prepared, &wal)?;
 
         let inner = StoreInner {
-            mem: RwLock::new(mem),
-            levels: RwLock::new(Arc::new(levels)),
-            wal: RwLock::new(wal),
-            wal_gen: AtomicU64::new(new_gen),
+            mem: RefCell::new(mem),
+            levels: RefCell::new(Rc::new(levels)),
+            wal: RefCell::new(wal),
+            wal_gen: Cell::new(new_gen),
             manifest,
-            seq: AtomicU64::new(max_seq),
-            next_file_id: AtomicU64::new(max_file_id + 1),
-            next_txid: AtomicU64::new(next_txid),
+            seq: Cell::new(max_seq),
+            next_file_id: Cell::new(max_file_id + 1),
+            next_txid: Cell::new(next_txid),
             locks,
             prepared,
             // Everything recovered was replayed from verified-fresh logs:
@@ -2224,23 +2217,23 @@ impl TreatyStore {
             frontier: StableFrontier::new(max_seq),
             // Tables on disk may already have been compacted: nothing
             // below the recovered history is served.
-            snapshot_floor: AtomicU64::new(max_seq),
+            snapshot_floor: Cell::new(max_seq),
             commits: GroupCommit::new(),
-            applies_in_flight: AtomicU64::new(0),
+            applies_in_flight: Cell::new(0),
             applies_drained: WaitQueue::new(),
-            pending_gc: Mutex::new(Vec::new()),
-            live_wal_gens: Mutex::new(live_gens),
-            frozen: RwLock::new(Vec::new()),
-            flush_backlog: Mutex::new(VecDeque::new()),
+            pending_gc: RefCell::new(Vec::new()),
+            live_wal_gens: RefCell::new(live_gens),
+            frozen: RefCell::new(Vec::new()),
+            flush_backlog: RefCell::new(VecDeque::new()),
             maintenance_lock: FiberMutex::new(),
-            maintenance_running: AtomicBool::new(false),
-            gc_stabilizing: AtomicBool::new(false),
-            active_scans: AtomicU64::new(0),
-            apply_epoch: AtomicU64::new(0),
+            maintenance_running: Cell::new(false),
+            gc_stabilizing: Cell::new(false),
+            active_scans: Cell::new(0),
+            apply_epoch: Cell::new(0),
             env,
         };
         Ok(TreatyStore {
-            inner: Arc::new(inner),
+            inner: Rc::new(inner),
         })
     }
 }

@@ -2,7 +2,7 @@
 //! cores, keys, counter backend and the node's storage directory.
 
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use treaty_counter::{CounterBackend, NullBackend};
 use treaty_crypto::KeyHierarchy;
@@ -89,25 +89,25 @@ pub struct Env {
     /// Virtual-time cost model.
     pub costs: CostModel,
     /// The node's enclave (EPC accounting).
-    pub enclave: Arc<Enclave>,
+    pub enclave: Rc<Enclave>,
     /// Untrusted host memory for encrypted values and buffers. Stores only
     /// accept boundary-typed [`treaty_tee::HostBytes`]: ciphertext,
     /// integrity-pinned plaintext (digest registered with [`Env::enclave`]),
     /// or explicitly declassified baseline data.
-    pub vault: Arc<HostVault>,
+    pub vault: Rc<HostVault>,
     /// The node's CPU cores; `None` means uncontended (unit tests).
-    pub cores: Option<Arc<CorePool>>,
+    pub cores: Option<Rc<CorePool>>,
     /// Key hierarchy from the CAS.
     pub keys: KeyHierarchy,
     /// Trusted counter backend for log stabilization.
-    pub backend: Arc<dyn CounterBackend>,
+    pub backend: Rc<dyn CounterBackend>,
     /// Node-local storage directory (WAL, MANIFEST, Clog, SSTables).
     pub dir: PathBuf,
     /// Engine sizing.
     pub config: EngineConfig,
     /// Trusted block cache over decrypted SSTable blocks; `None` when the
     /// cache is disabled (`block_cache_bytes == 0`).
-    pub block_cache: Option<Arc<BlockCache>>,
+    pub block_cache: Option<Rc<BlockCache>>,
     /// The store's counters behind [`crate::TreatyStore::stats`].
     pub(crate) stats: StatsCells,
 }
@@ -127,16 +127,16 @@ impl Env {
     pub fn new(
         profile: SecurityProfile,
         costs: CostModel,
-        cores: Option<Arc<CorePool>>,
+        cores: Option<Rc<CorePool>>,
         keys: KeyHierarchy,
-        backend: Arc<dyn CounterBackend>,
+        backend: Rc<dyn CounterBackend>,
         dir: PathBuf,
         config: EngineConfig,
-    ) -> Arc<Self> {
-        let enclave = Arc::new(Enclave::new(profile.tee));
+    ) -> Rc<Self> {
+        let enclave = Rc::new(Enclave::new(profile.tee));
         let block_cache =
-            BlockCache::new_shared(Arc::clone(&enclave), config.block_cache_bytes as u64);
-        Arc::new(Env {
+            BlockCache::new_shared(Rc::clone(&enclave), config.block_cache_bytes as u64);
+        Rc::new(Env {
             profile,
             costs,
             enclave,
@@ -153,7 +153,7 @@ impl Env {
 
     /// An environment for tests: given profile, default costs, fresh
     /// enclave/vault, no core contention, test keys, instant stabilization.
-    pub fn for_testing(profile: SecurityProfile, dir: &Path) -> Arc<Self> {
+    pub fn for_testing(profile: SecurityProfile, dir: &Path) -> Rc<Self> {
         Self::for_testing_with(profile, dir, EngineConfig::tiny())
     }
 
@@ -163,7 +163,7 @@ impl Env {
         profile: SecurityProfile,
         dir: &Path,
         config: EngineConfig,
-    ) -> Arc<Self> {
+    ) -> Rc<Self> {
         Self::new(
             profile,
             CostModel::default(),

@@ -8,9 +8,8 @@
 //! Timeouts double as deadlock avoidance: a cycle resolves when one of its
 //! transactions times out and aborts.
 
-use parking_lot::Mutex;
+use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use treaty_sched::WaitQueue;
 use treaty_sim::{runtime, Nanos};
@@ -104,7 +103,7 @@ impl KeyLock {
 }
 
 struct Shard {
-    locks: Mutex<HashMap<UserKey, KeyLock>>,
+    locks: RefCell<HashMap<UserKey, KeyLock>>,
     waiters: WaitQueue,
 }
 
@@ -112,7 +111,7 @@ struct Shard {
 pub struct LockTable {
     shards: Vec<Shard>,
     timeout: Nanos,
-    timeouts_hit: AtomicU64,
+    timeouts_hit: Cell<u64>,
 }
 
 impl std::fmt::Debug for LockTable {
@@ -135,12 +134,12 @@ impl LockTable {
         LockTable {
             shards: (0..shards)
                 .map(|_| Shard {
-                    locks: Mutex::new(HashMap::new()),
+                    locks: RefCell::new(HashMap::new()),
                     waiters: WaitQueue::new(),
                 })
                 .collect(),
             timeout,
-            timeouts_hit: AtomicU64::new(0),
+            timeouts_hit: Cell::new(0),
         }
     }
 
@@ -168,7 +167,7 @@ impl LockTable {
         // Fast path.
         if shard
             .locks
-            .lock()
+            .borrow_mut()
             .entry(key.to_vec())
             .or_default()
             .try_acquire(tx, mode)
@@ -184,13 +183,13 @@ impl LockTable {
         loop {
             let now = runtime::now();
             if now >= deadline {
-                self.timeouts_hit.fetch_add(1, Ordering::Relaxed);
+                self.timeouts_hit.update(|n| n + 1);
                 return Err(StoreError::LockTimeout);
             }
             shard.waiters.wait_timeout(deadline - now);
             if shard
                 .locks
-                .lock()
+                .borrow_mut()
                 .entry(key.to_vec())
                 .or_default()
                 .try_acquire(tx, mode)
@@ -210,7 +209,7 @@ impl LockTable {
         let shard = self.shard_for(key);
         if shard
             .locks
-            .lock()
+            .borrow_mut()
             .entry(key.to_vec())
             .or_default()
             .try_acquire(tx, mode)
@@ -228,7 +227,7 @@ impl LockTable {
         for key in keys {
             let idx = self.shard_idx(&key);
             let shard = &self.shards[idx];
-            let mut locks = shard.locks.lock();
+            let mut locks = shard.locks.borrow_mut();
             if let Some(kl) = locks.get_mut(&key) {
                 kl.release(tx);
                 if kl.is_free() {
@@ -247,24 +246,24 @@ impl LockTable {
     /// Number of lock acquisitions that timed out (deadlock-avoidance
     /// aborts).
     pub fn timeouts(&self) -> u64 {
-        self.timeouts_hit.load(Ordering::Relaxed)
+        self.timeouts_hit.get()
     }
 
     /// Total keys currently locked (test introspection).
     pub fn locked_keys(&self) -> usize {
-        self.shards.iter().map(|s| s.locks.lock().len()).sum()
+        self.shards.iter().map(|s| s.locks.borrow().len()).sum()
     }
 
     /// Locked-key count per shard (striping-distribution introspection).
     pub fn shard_sizes(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.locks.lock().len()).collect()
+        self.shards.iter().map(|s| s.locks.borrow().len()).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use std::rc::Rc;
     use treaty_sched::block_on;
     use treaty_sim::runtime::{join, now, sleep, spawn};
     use treaty_sim::MILLIS;
@@ -314,9 +313,9 @@ mod tests {
     #[test]
     fn contended_lock_acquired_after_release() {
         block_on(|| {
-            let t = Arc::new(table());
+            let t = Rc::new(table());
             t.lock(1, b"k", LockMode::Exclusive).unwrap();
-            let t2 = Arc::clone(&t);
+            let t2 = Rc::clone(&t);
             let waiter = spawn(move || {
                 t2.lock(2, b"k", LockMode::Exclusive).unwrap();
                 assert!(now() >= MILLIS);
@@ -331,9 +330,9 @@ mod tests {
     #[test]
     fn lock_timeout_fires() {
         block_on(|| {
-            let t = Arc::new(table());
+            let t = Rc::new(table());
             t.lock(1, b"k", LockMode::Exclusive).unwrap();
-            let t2 = Arc::clone(&t);
+            let t2 = Rc::clone(&t);
             let waiter = spawn(move || {
                 let t0 = now();
                 let err = t2.lock(2, b"k", LockMode::Exclusive).unwrap_err();
@@ -348,9 +347,9 @@ mod tests {
     #[test]
     fn deadlock_resolved_by_timeout() {
         block_on(|| {
-            let t = Arc::new(table());
-            let t1 = Arc::clone(&t);
-            let t2 = Arc::clone(&t);
+            let t = Rc::new(table());
+            let t1 = Rc::clone(&t);
+            let t2 = Rc::clone(&t);
             let a = spawn(move || {
                 t1.lock(1, b"x", LockMode::Exclusive).unwrap();
                 sleep(MILLIS);

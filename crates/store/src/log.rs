@@ -16,11 +16,11 @@
 //! value. A truncated final record (torn write at crash) is tolerated; a
 //! record that fails its MAC is an integrity attack and is not.
 
-use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use treaty_counter::TrustedCounter;
 use treaty_crypto::{aead_open, aead_seal, ct_eq, hash, CryptoError};
@@ -117,11 +117,11 @@ pub(crate) fn leader_lost(what: &str) -> StoreError {
 /// so counter order always equals file order; concurrent
 /// [`LogWriter::append`]s share a flush (group commit, §VII-B).
 pub struct LogWriter {
-    env: Arc<Env>,
+    env: Rc<Env>,
     name: String,
     path: PathBuf,
-    counter: Arc<TrustedCounter>,
-    file: Mutex<File>,
+    counter: Rc<TrustedCounter>,
+    file: RefCell<File>,
     /// The write lock, and the queue of single appends waiting for it.
     writes: GroupCommit<Vec<u8>, Result<u64>>,
 }
@@ -143,7 +143,7 @@ impl LogWriter {
     ///
     /// Returns [`StoreError::Io`] if the file cannot be opened.
     pub fn open(
-        env: Arc<Env>,
+        env: Rc<Env>,
         name: impl Into<String>,
         path: &Path,
         recovered_counter: u64,
@@ -152,7 +152,7 @@ impl LogWriter {
         let file = OpenOptions::new().create(true).append(true).open(path)?;
         let counter = TrustedCounter::new(
             counter_id(&env, &name),
-            Arc::clone(&env.backend),
+            Rc::clone(&env.backend),
             recovered_counter,
         );
         Ok(LogWriter {
@@ -160,7 +160,7 @@ impl LogWriter {
             name,
             path: path.to_path_buf(),
             counter,
-            file: Mutex::new(file),
+            file: RefCell::new(file),
             writes: GroupCommit::new(),
         })
     }
@@ -176,7 +176,7 @@ impl LogWriter {
     }
 
     /// The log's trusted counter.
-    pub fn counter(&self) -> &Arc<TrustedCounter> {
+    pub fn counter(&self) -> &Rc<TrustedCounter> {
         &self.counter
     }
 
@@ -246,7 +246,7 @@ impl LogWriter {
         }
         self.env.charge_ssd_append(buf.len());
         {
-            let mut f = self.file.lock();
+            let mut f = self.file.borrow_mut();
             f.write_all(buf.as_slice())?;
             f.flush()?;
             f.sync_data()?;
@@ -416,7 +416,7 @@ mod tests {
     use super::*;
     use treaty_sim::SecurityProfile;
 
-    fn env(profile: SecurityProfile) -> Result<(tempfile::TempDir, Arc<Env>)> {
+    fn env(profile: SecurityProfile) -> Result<(tempfile::TempDir, Rc<Env>)> {
         let dir = tempfile::tempdir()?;
         let env = Env::for_testing(profile, dir.path());
         Ok((dir, env))
@@ -427,7 +427,7 @@ mod tests {
         for profile in SecurityProfile::single_node_lineup() {
             let (dir, env) = env(profile)?;
             let path = dir.path().join("wal-1");
-            let w = LogWriter::open(Arc::clone(&env), "wal-1", &path, 0)?;
+            let w = LogWriter::open(Rc::clone(&env), "wal-1", &path, 0)?;
             for i in 0..10u32 {
                 w.append(format!("record-{i}").as_bytes())?;
             }
@@ -444,7 +444,7 @@ mod tests {
     fn batch_appends_are_sequential() -> Result<()> {
         let (dir, env) = env(SecurityProfile::treaty_full())?;
         let path = dir.path().join("wal-1");
-        let w = LogWriter::open(Arc::clone(&env), "wal-1", &path, 0)?;
+        let w = LogWriter::open(Rc::clone(&env), "wal-1", &path, 0)?;
         let (first, last) = w.append_batch(&[b"a".to_vec(), b"b".to_vec(), b"c".to_vec()])?;
         assert_eq!((first, last), (1, 3));
         let replay = replay(&env, "wal-1", &path, 0)?;
@@ -456,7 +456,7 @@ mod tests {
     fn encrypted_log_hides_payload() -> Result<()> {
         let (dir, env) = env(SecurityProfile::treaty_enc())?;
         let path = dir.path().join("wal-1");
-        let w = LogWriter::open(Arc::clone(&env), "wal-1", &path, 0)?;
+        let w = LogWriter::open(Rc::clone(&env), "wal-1", &path, 0)?;
         w.append(b"secret-value-123")?;
         let raw = std::fs::read(&path)?;
         assert!(!raw.windows(16).any(|w| w == b"secret-value-123"));
@@ -467,7 +467,7 @@ mod tests {
     fn unencrypted_log_exposes_payload() -> Result<()> {
         let (dir, env) = env(SecurityProfile::treaty_no_enc())?;
         let path = dir.path().join("wal-1");
-        let w = LogWriter::open(Arc::clone(&env), "wal-1", &path, 0)?;
+        let w = LogWriter::open(Rc::clone(&env), "wal-1", &path, 0)?;
         w.append(b"visible-value-123")?;
         let raw = std::fs::read(&path)?;
         assert!(raw.windows(17).any(|w| w == b"visible-value-123"));
@@ -478,7 +478,7 @@ mod tests {
     fn tampered_record_detected() -> Result<()> {
         let (dir, env) = env(SecurityProfile::treaty_full())?;
         let path = dir.path().join("wal-1");
-        let w = LogWriter::open(Arc::clone(&env), "wal-1", &path, 0)?;
+        let w = LogWriter::open(Rc::clone(&env), "wal-1", &path, 0)?;
         w.append(b"aaaa")?;
         w.append(b"bbbb")?;
         let mut raw = std::fs::read(&path)?;
@@ -493,7 +493,7 @@ mod tests {
     fn deleted_record_detected_as_rollback() -> Result<()> {
         let (dir, env) = env(SecurityProfile::treaty_full())?;
         let path = dir.path().join("wal-1");
-        let w = LogWriter::open(Arc::clone(&env), "wal-1", &path, 0)?;
+        let w = LogWriter::open(Rc::clone(&env), "wal-1", &path, 0)?;
         w.append(b"aaaa")?;
         let first_len = std::fs::read(&path)?.len();
         w.append(b"bbbb")?;
@@ -509,7 +509,7 @@ mod tests {
     fn torn_tail_is_tolerated() -> Result<()> {
         let (dir, env) = env(SecurityProfile::treaty_full())?;
         let path = dir.path().join("wal-1");
-        let w = LogWriter::open(Arc::clone(&env), "wal-1", &path, 0)?;
+        let w = LogWriter::open(Rc::clone(&env), "wal-1", &path, 0)?;
         w.append(b"complete-record")?;
         w.append(b"will-be-torn")?;
         let raw = std::fs::read(&path)?;
@@ -525,7 +525,7 @@ mod tests {
     fn freshness_detects_stale_log() -> Result<()> {
         let (dir, env) = env(SecurityProfile::treaty_full())?;
         let path = dir.path().join("wal-1");
-        let w = LogWriter::open(Arc::clone(&env), "wal-1", &path, 0)?;
+        let w = LogWriter::open(Rc::clone(&env), "wal-1", &path, 0)?;
         let (_, last) = w.append_batch(&[b"a".to_vec(), b"b".to_vec()])?;
         // Force-stabilize via the backend directly (as commit would).
         env.backend.stabilize(&counter_id(&env, "wal-1"), last)?;
@@ -547,9 +547,9 @@ mod tests {
         let (dir, env) = env(SecurityProfile::treaty_full())?;
         let path = dir.path().join("wal-1");
         treaty_sched::block_on(move || {
-            let w = Arc::new(LogWriter::open(Arc::clone(&env), "wal-1", &path, 0)?);
+            let w = Rc::new(LogWriter::open(Rc::clone(&env), "wal-1", &path, 0)?);
             let first = w.append(b"first")?;
-            let w2 = Arc::clone(&w);
+            let w2 = Rc::clone(&w);
             let second = runtime::spawn(move || {
                 assert!(w2.append(&[7u8; 4096]).is_ok());
             });
@@ -569,17 +569,17 @@ mod tests {
             // Six single appends and a two-record batch in the middle, all
             // arriving while the first of them writes.
             let began = runtime::now();
-            let handed = Arc::new(Mutex::new(Vec::new()));
+            let handed = Rc::new(RefCell::new(Vec::new()));
             let mut writers = Vec::new();
             for i in 0..7u8 {
-                let (w, handed) = (Arc::clone(&w), Arc::clone(&handed));
+                let (w, handed) = (Rc::clone(&w), Rc::clone(&handed));
                 writers.push(runtime::spawn(move || {
                     let got = if i == 3 {
                         w.append_batch(&[[i, 0], [i, 1]]).map(|(first, _)| first)
                     } else {
                         w.append(&[i, 0])
                     };
-                    handed.lock().push((i, got));
+                    handed.borrow_mut().push((i, got));
                 }));
             }
             // Whenever this fiber runs — between any two steps of theirs —
@@ -595,7 +595,7 @@ mod tests {
             writers.into_iter().for_each(runtime::join);
             let records = replay(&env, "wal-1", &path, 0)?.records;
             assert_eq!(records.len() as u64, first + 9);
-            for (i, got) in std::mem::take(&mut *handed.lock()) {
+            for (i, got) in handed.take() {
                 let at = (got? - 1) as usize;
                 assert_eq!(records[at], (at as u64 + 1, vec![i, 0]), "writer {i}");
                 if i == 3 {
@@ -618,7 +618,7 @@ mod tests {
         let (dir, env) = env(SecurityProfile::treaty_full())?;
         let path = dir.path().join("wal-2");
         // A second-generation log whose counter continues from 100.
-        let w = LogWriter::open(Arc::clone(&env), "wal-2", &path, 100)?;
+        let w = LogWriter::open(Rc::clone(&env), "wal-2", &path, 100)?;
         w.append(b"x")?;
         let replay = replay(&env, "wal-2", &path, 100)?;
         assert_eq!(replay.records[0].0, 101);
@@ -629,7 +629,7 @@ mod tests {
     fn rocksdb_profile_skips_protection_but_still_replays() -> Result<()> {
         let (dir, env) = env(SecurityProfile::rocksdb())?;
         let path = dir.path().join("wal-1");
-        let w = LogWriter::open(Arc::clone(&env), "wal-1", &path, 0)?;
+        let w = LogWriter::open(Rc::clone(&env), "wal-1", &path, 0)?;
         w.append(b"plain")?;
         // Tampering is NOT detected without authentication — that is the
         // point of the baseline.

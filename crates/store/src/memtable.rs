@@ -11,14 +11,13 @@
 //! The fiber runtime runs one fiber at a time (§VII-C), so a second list
 //! would buy no parallelism — only a merge under every ordered read.
 //!
-//! Beside the list sits a set of key fingerprints, under the same lock: a
+//! Beside the list sits a set of key fingerprints, in the same cell: a
 //! point read whose key is not in the set skips the walk (RocksDB's
 //! memtable whole-key filter).
 
-use parking_lot::RwLock;
+use std::cell::{Cell, RefCell};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use treaty_crypto::codec::{CodecError, Decode, Encode, Reader, Writer};
 use treaty_crypto::{aead_open, aead_seal, hash, Digest32, Key};
@@ -161,53 +160,55 @@ impl Index {
 
 /// A sorted in-memory write buffer.
 pub struct MemTable {
-    env: Arc<Env>,
+    env: Rc<Env>,
     /// The one ordered index and its key filter.
-    index: RwLock<Index>,
+    index: RefCell<Index>,
     /// Range tombstones buffered in this MemTable, in arrival order.
     /// Always few (one entry per `delete_range` call, not per key), so a
     /// linear scan per read is cheap; they ride the flush into the
     /// SSTable's sealed footer.
-    range_tombstones: RwLock<Vec<RangeTombstone>>,
-    bytes: AtomicUsize,
-    entries: AtomicUsize,
+    range_tombstones: RefCell<Vec<RangeTombstone>>,
+    bytes: Cell<usize>,
+    entries: Cell<usize>,
     /// Per-incarnation key for host-resident values. Host memory does not
     /// survive a crash, so no cross-boot nonce discipline is needed.
     value_key: Key,
-    nonce_seq: AtomicU64,
+    nonce_seq: Cell<u64>,
     /// Set once the host/enclave memory behind the entries has been
     /// released; guards against double-free (explicit release + drop).
-    released: AtomicBool,
+    released: Cell<bool>,
 }
 
 impl std::fmt::Debug for MemTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MemTable")
-            .field("entries", &self.entries.load(Ordering::Relaxed))
-            .field("bytes", &self.bytes.load(Ordering::Relaxed))
+            .field("entries", &self.entries.get())
+            .field("bytes", &self.bytes.get())
             .finish_non_exhaustive()
     }
 }
 
 impl MemTable {
     /// Creates an empty MemTable.
-    pub fn new(env: Arc<Env>) -> Self {
+    pub fn new(env: Rc<Env>) -> Self {
         MemTable {
             value_key: env.keys.storage.derive("memtable-values"),
             env,
-            index: RwLock::new(Index::default()),
-            range_tombstones: RwLock::new(Vec::new()),
-            bytes: AtomicUsize::new(0),
-            entries: AtomicUsize::new(0),
-            nonce_seq: AtomicU64::new(0),
-            released: AtomicBool::new(false),
+            index: RefCell::new(Index::default()),
+            range_tombstones: RefCell::new(Vec::new()),
+            bytes: Cell::new(0),
+            entries: Cell::new(0),
+            nonce_seq: Cell::new(0),
+            released: Cell::new(false),
         }
     }
 
     fn next_nonce(&self) -> [u8; 12] {
         let mut nonce = [0u8; 12];
         nonce[..4].copy_from_slice(b"MVAL");
-        nonce[4..].copy_from_slice(&self.nonce_seq.fetch_add(1, Ordering::Relaxed).to_le_bytes());
+        let seq = self.nonce_seq.get();
+        self.nonce_seq.set(seq + 1);
+        nonce[4..].copy_from_slice(&seq.to_le_bytes());
         nonce
     }
 
@@ -243,8 +244,8 @@ impl MemTable {
             .enclave
             .alloc_trusted((key.len() + ENTRY_OVERHEAD) as u64);
         self.bytes
-            .fetch_add(key.len() + ENTRY_OVERHEAD + value.len(), Ordering::Relaxed);
-        self.entries.fetch_add(1, Ordering::Relaxed);
+            .update(|n| n + key.len() + ENTRY_OVERHEAD + value.len());
+        self.entries.update(|n| n + 1);
 
         self.insert(
             MemKey::new(key.to_vec(), seq),
@@ -263,16 +264,15 @@ impl MemTable {
         self.env
             .enclave
             .alloc_trusted((key.len() + ENTRY_OVERHEAD) as u64);
-        self.bytes
-            .fetch_add(key.len() + ENTRY_OVERHEAD, Ordering::Relaxed);
-        self.entries.fetch_add(1, Ordering::Relaxed);
+        self.bytes.update(|n| n + key.len() + ENTRY_OVERHEAD);
+        self.entries.update(|n| n + 1);
         self.insert(MemKey::new(key.to_vec(), seq), ValueEntry::Delete);
     }
 
     /// Indexes one version; a key new to the filter costs its
     /// fingerprint's enclave bytes.
     fn insert(&self, key: MemKey, entry: ValueEntry) {
-        let fresh = self.index.write().insert(key, entry);
+        let fresh = self.index.borrow_mut().insert(key, entry);
         if fresh {
             self.env.enclave.alloc_trusted(FINGERPRINT_BYTES);
         }
@@ -287,8 +287,8 @@ impl MemTable {
         self.env
             .charge_enclave_op(footprint, self.env.costs.memtable_op_ns);
         self.env.enclave.alloc_trusted(footprint as u64);
-        self.bytes.fetch_add(footprint, Ordering::Relaxed);
-        self.range_tombstones.write().push(RangeTombstone {
+        self.bytes.update(|n| n + footprint);
+        self.range_tombstones.borrow_mut().push(RangeTombstone {
             start: start.to_vec(),
             end: end.to_vec(),
             seq,
@@ -299,14 +299,14 @@ impl MemTable {
     /// path seals them into the SSTable footer, and readers merge them
     /// with point entries.
     pub fn range_tombstones(&self) -> Vec<RangeTombstone> {
-        self.range_tombstones.read().clone()
+        self.range_tombstones.borrow().clone()
     }
 
     /// The newest range-tombstone version covering `key` at `snapshot`,
     /// if any.
     pub fn covering_tombstone_seq(&self, key: &[u8], snapshot: SeqNum) -> Option<SeqNum> {
         self.range_tombstones
-            .read()
+            .borrow()
             .iter()
             .filter(|rt| rt.seq <= snapshot && rt.covers(key))
             .map(|rt| rt.seq)
@@ -326,7 +326,7 @@ impl MemTable {
     /// its hash or decryption — i.e. untrusted memory was tampered with.
     pub fn get(&self, key: &[u8], snapshot: SeqNum) -> Result<Option<Option<Vec<u8>>>> {
         self.env.charge_bloom_probe();
-        let may_hold = self.index.read().may_hold(key);
+        let may_hold = self.index.borrow().may_hold(key);
         if !may_hold {
             // No point version here: only a range tombstone can answer.
             return Ok(self.covering_tombstone_seq(key, snapshot).map(|_| None));
@@ -335,7 +335,7 @@ impl MemTable {
             .charge_enclave_op(key.len() + ENTRY_OVERHEAD, self.env.costs.memtable_op_ns);
         let point = self
             .index
-            .read()
+            .borrow()
             .newest(key, snapshot)
             .map(|(seq, v)| (seq, v.clone()));
         // A range tombstone newer than the point version (but visible at
@@ -389,7 +389,7 @@ impl MemTable {
     /// Newest sequence number of `key` in this MemTable, if any (used by
     /// optimistic validation).
     pub fn latest_seq_of(&self, key: &[u8]) -> Option<SeqNum> {
-        let guard = self.index.read();
+        let guard = self.index.borrow();
         if !guard.may_hold(key) {
             return None;
         }
@@ -398,18 +398,18 @@ impl MemTable {
 
     /// Approximate bytes buffered (keys + values), for flush triggering.
     pub fn approx_bytes(&self) -> usize {
-        self.bytes.load(Ordering::Relaxed)
+        self.bytes.get()
     }
 
     /// Number of point entries (versions); range tombstones not included.
     pub fn len(&self) -> usize {
-        self.entries.load(Ordering::Relaxed)
+        self.entries.get()
     }
 
     /// True if there is nothing to flush — no point entries *and* no
     /// range tombstones (a tombstone-only MemTable still must flush).
     pub fn is_empty(&self) -> bool {
-        self.len() == 0 && self.range_tombstones.read().is_empty()
+        self.len() == 0 && self.range_tombstones.borrow().is_empty()
     }
 
     /// Opens a cursor over `[start, end)` (`end = None` scans to the end of
@@ -420,10 +420,10 @@ impl MemTable {
     /// time in enclave memory.
     pub fn range_cursor(&self, start: &[u8], end: Option<&[u8]>) -> MemCursor<'_> {
         let probe = MemKey::new(start.to_vec(), SeqNum::MAX);
-        // Collect under the guard, charge after it drops: the charge
-        // yields, and a parked reader would wedge `put`'s index write.
+        // Collect under the borrow, charge after it ends: the charge
+        // yields, and a parked reader would make `put`'s `borrow_mut` panic.
         let entries: Vec<(MemKey, ValueEntry)> = {
-            let guard = self.index.read();
+            let guard = self.index.borrow();
             guard
                 .list
                 .range_from(&probe)
@@ -453,7 +453,7 @@ impl MemTable {
     /// tampered with.
     pub fn freeze_entries(&self) -> Result<Vec<VersionedEntry>> {
         let all: Vec<(MemKey, ValueEntry)> = {
-            let guard = self.index.read();
+            let guard = self.index.borrow();
             guard
                 .list
                 .iter()
@@ -501,14 +501,14 @@ impl MemTable {
     /// simply stop referencing a frozen MemTable and let the last holder
     /// (possibly a racing reader) reclaim its buffers.
     pub fn release_flushed(&self) {
-        if self.released.swap(true, Ordering::SeqCst) {
+        if self.released.replace(true) {
             return;
         }
-        for rt in self.range_tombstones.read().iter() {
+        for rt in self.range_tombstones.borrow().iter() {
             let freed = rt.start.len() + rt.end.len() + ENTRY_OVERHEAD;
             self.env.enclave.free_trusted(freed as u64);
         }
-        let guard = self.index.read();
+        let guard = self.index.borrow();
         self.env
             .enclave
             .free_trusted(FINGERPRINT_BYTES * guard.keys.len() as u64);
@@ -597,10 +597,10 @@ mod tests {
     use super::*;
     use treaty_sim::SecurityProfile;
 
-    fn memtable(profile: SecurityProfile) -> (tempfile::TempDir, Arc<Env>, MemTable) {
+    fn memtable(profile: SecurityProfile) -> (tempfile::TempDir, Rc<Env>, MemTable) {
         let dir = tempfile::tempdir().unwrap();
         let env = Env::for_testing(profile, dir.path());
-        let mt = MemTable::new(Arc::clone(&env));
+        let mt = MemTable::new(Rc::clone(&env));
         (dir, env, mt)
     }
 
@@ -879,7 +879,7 @@ mod tests {
         let path = dir.path().to_path_buf();
         treaty_sched::block_on(move || {
             let env = Env::for_testing(SecurityProfile::treaty_full(), &path);
-            let mt = MemTable::new(Arc::clone(&env));
+            let mt = MemTable::new(Rc::clone(&env));
             mt.put(b"present", 1, b"value");
             let probe = bloom_probe_ns(&env);
             assert!(probe > 0);
@@ -900,7 +900,7 @@ mod tests {
         let path = dir.path().to_path_buf();
         treaty_sched::block_on(move || {
             let env = Env::for_testing(SecurityProfile::treaty_full(), &path);
-            let mt = MemTable::new(Arc::clone(&env));
+            let mt = MemTable::new(Rc::clone(&env));
             for i in 0..32u32 {
                 mt.put(format!("k{i:02}").as_bytes(), u64::from(i) + 1, b"v");
             }
@@ -944,36 +944,36 @@ mod tests {
         assert_eq!(env.enclave.resident_bytes(), 0);
     }
 
-    // freeze_entries sortedness under randomized interleaved writers:
-    // OS threads hammer the one index with seeded-random keys/versions; the
-    // frozen output must be (user key asc, seq desc) regardless of
-    // interleaving, since range cursors and the flush path rely on it.
+    // freeze_entries sortedness under interleaved writers: four seeded
+    // op streams run interleaved in a seeded order, one whole op at a
+    // time. Nothing yields inside `put`/`delete`, so these are all the
+    // interleavings the one-thread runtime can produce. The frozen output
+    // must be (user key asc, seq desc) regardless of interleaving, since
+    // range cursors and the flush path rely on it.
     #[test]
     fn freeze_entries_globally_sorted_under_interleaved_writers() {
         use rand::{Rng, SeedableRng};
         for seed in 0..16u64 {
             let dir = tempfile::tempdir().unwrap();
             let env = Env::for_testing(SecurityProfile::treaty_full(), dir.path());
-            let mt = MemTable::new(Arc::clone(&env));
-            let next_seq = AtomicU64::new(1);
-            std::thread::scope(|s| {
-                for t in 0..4u64 {
-                    let mt = &mt;
-                    let next_seq = &next_seq;
-                    s.spawn(move || {
-                        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed * 7 + t);
-                        for _ in 0..64 {
-                            let key = format!("key-{:03}", rng.gen_range(0..50));
-                            let seq = next_seq.fetch_add(1, Ordering::Relaxed);
-                            if rng.gen_bool(0.1) {
-                                mt.delete(key.as_bytes(), seq);
-                            } else {
-                                mt.put(key.as_bytes(), seq, format!("v{seq}").as_bytes());
-                            }
-                        }
-                    });
+            let mt = MemTable::new(Rc::clone(&env));
+            // (the writer's op stream, ops it has left)
+            let mut writers: Vec<_> = (0..4u64)
+                .map(|t| (rand_chacha::ChaCha8Rng::seed_from_u64(seed * 7 + t), 64))
+                .collect();
+            let mut order = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            for seq in 1..=4 * 64 {
+                let live: Vec<_> = writers.iter_mut().filter(|(_, left)| *left > 0).collect();
+                let n = live.len();
+                let (rng, left) = live.into_iter().nth(order.gen_range(0..n)).unwrap();
+                *left -= 1;
+                let key = format!("key-{:03}", rng.gen_range(0..50));
+                if rng.gen_bool(0.1) {
+                    mt.delete(key.as_bytes(), seq);
+                } else {
+                    mt.put(key.as_bytes(), seq, format!("v{seq}").as_bytes());
                 }
-            });
+            }
             let frozen = mt.freeze_entries().unwrap();
             assert_eq!(frozen.len(), 4 * 64);
             for w in frozen.windows(2) {

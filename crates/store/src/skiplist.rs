@@ -1,7 +1,7 @@
 //! A probabilistic skip list — the MemTable's ordered index (§VII-B:
 //! "we implement a MemTable skip list that supports parallel updates for
 //! concurrent Tx processing"). [`crate::memtable`] keeps one list behind
-//! one `RwLock`: fibers run one at a time, so updates never overlap.
+//! one `RefCell`: fibers run one at a time, so updates never overlap.
 //!
 //! Arena-based (indices instead of pointers) so it is safe Rust, and
 //! seeded deterministically so simulations reproduce exactly.

@@ -27,8 +27,7 @@ use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use treaty_crypto::codec::{CodecError, Decode, Encode, Reader, Record, Writer};
 use treaty_crypto::{aead_open, aead_seal, ct_eq, hash};
@@ -415,7 +414,7 @@ pub fn build(
 
 /// An open, verifiable SSTable.
 pub struct SsTable {
-    env: Arc<Env>,
+    env: Rc<Env>,
     path: PathBuf,
     /// The descriptor opened at [`SsTable::open`], held until the table
     /// drops: every block read is one positioned read on it. A table that
@@ -445,7 +444,7 @@ impl SsTable {
     ///
     /// [`StoreError::Integrity`] if the footer is malformed or fails
     /// verification; [`StoreError::Io`] on read failure.
-    pub fn open(env: Arc<Env>, path: &Path) -> Result<Self> {
+    pub fn open(env: Rc<Env>, path: &Path) -> Result<Self> {
         let file = File::open(path)?;
         let file_len = file.metadata()?.len();
         if file_len < 48 {
@@ -529,7 +528,7 @@ impl SsTable {
     /// cache when one is configured. A hit returns the already-verified
     /// plaintext records for an in-enclave charge; a miss pays the full
     /// storage-read + decrypt path and populates the cache.
-    fn read_block(&self, block_no: usize) -> Result<Arc<Vec<SsRecord>>> {
+    fn read_block(&self, block_no: usize) -> Result<Rc<Vec<SsRecord>>> {
         let Some(cache) = &self.env.block_cache else {
             return self.read_block_uncached(block_no);
         };
@@ -539,14 +538,14 @@ impl SsTable {
             return Ok(records);
         }
         let records = self.read_block_uncached(block_no)?;
-        cache.insert(self.meta.file_id, block_no as u32, Arc::clone(&records));
+        cache.insert(self.meta.file_id, block_no as u32, Rc::clone(&records));
         Ok(records)
     }
 
     /// Reads and verifies one block directly from untrusted storage. A
     /// short read (the file was truncated under us) is an integrity
     /// failure, not an I/O error: the sealed footer says the block exists.
-    fn read_block_uncached(&self, block_no: usize) -> Result<Arc<Vec<SsRecord>>> {
+    fn read_block_uncached(&self, block_no: usize) -> Result<Rc<Vec<SsRecord>>> {
         let bm = &self.meta.blocks[block_no];
         let mut stored = vec![0u8; bm.len as usize];
         self.file
@@ -569,7 +568,7 @@ impl SsTable {
             stored,
             &bm.digest,
         )?;
-        Ok(Arc::new(decode_records(&plain)?))
+        Ok(Rc::new(decode_records(&plain)?))
     }
 
     /// Index range of blocks whose `[first_key, last_key]` span covers
@@ -608,10 +607,7 @@ impl SsTable {
                 if f.may_contain(key) {
                     true
                 } else {
-                    self.env
-                        .stats
-                        .bloom_negatives
-                        .fetch_add(1, Ordering::Relaxed);
+                    self.env.stats.bloom_negatives.update(|n| n + 1);
                     false
                 }
             }
@@ -633,10 +629,7 @@ impl SsTable {
         if candidates.is_empty() {
             // The fences prove no block can hold the key: no block read
             // happened, so this tells us nothing about the Bloom filter.
-            self.env
-                .stats
-                .fence_gap_rejects
-                .fetch_add(1, Ordering::Relaxed);
+            self.env.stats.fence_gap_rejects.update(|n| n + 1);
             return Ok(());
         }
         let mut seen = false;
@@ -649,10 +642,7 @@ impl SsTable {
             }
         }
         if !seen && self.meta.filter.is_some() {
-            self.env
-                .stats
-                .bloom_false_positives
-                .fetch_add(1, Ordering::Relaxed);
+            self.env.stats.bloom_false_positives.update(|n| n + 1);
         }
         Ok(())
     }
@@ -711,7 +701,7 @@ impl SsTable {
     ///
     /// [`StoreError::Integrity`] when the fence-key index itself is
     /// inconsistent (overlapping or reordered fences).
-    pub fn range_cursor(self: &Arc<Self>, start: &[u8], cached: bool) -> Result<TableCursor> {
+    pub fn range_cursor(self: &Rc<Self>, start: &[u8], cached: bool) -> Result<TableCursor> {
         // Fence monotonicity over the whole index, checked once up front:
         // adjacent blocks must not overlap beyond sharing a straddling
         // version run's key, and each block's own fences must be ordered.
@@ -739,7 +729,7 @@ impl SsTable {
             .blocks
             .partition_point(|b| b.last_key.as_slice() < start);
         Ok(TableCursor {
-            table: Arc::clone(self),
+            table: Rc::clone(self),
             cached,
             next_block: block,
             start: start.to_vec(),
@@ -769,11 +759,11 @@ impl SsTable {
 /// *every* record in the range (completeness, not just per-record
 /// authenticity).
 pub struct TableCursor {
-    table: Arc<SsTable>,
+    table: Rc<SsTable>,
     cached: bool,
     next_block: usize,
     start: Vec<u8>,
-    records: Option<Arc<Vec<SsRecord>>>,
+    records: Option<Rc<Vec<SsRecord>>>,
     pos: usize,
     /// `(key, seq)` of the last record of the last block yielded to its
     /// end: what the next block must continue strictly after.
@@ -868,7 +858,7 @@ impl TableCursor {
                 }
                 // A block read past the cache is this cursor's alone: its
                 // records move out instead of being copied.
-                let out = match Arc::get_mut(records) {
+                let out = match Rc::get_mut(records) {
                     Some(owned) => std::mem::take(&mut owned[at]),
                     None => records[at].clone(),
                 };
@@ -913,6 +903,7 @@ pub fn file_name(file_id: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
     use treaty_sim::SecurityProfile;
 
     fn entries(n: u64) -> Vec<VersionedEntry> {
@@ -935,17 +926,17 @@ mod tests {
     fn build_one(
         profile: SecurityProfile,
         n: u64,
-    ) -> Result<(tempfile::TempDir, Arc<Env>, Arc<SsTable>)> {
+    ) -> Result<(tempfile::TempDir, Rc<Env>, Rc<SsTable>)> {
         let dir = tempfile::tempdir()?;
         let env = Env::for_testing(profile, dir.path());
         let path = dir.path().join(file_name(1));
         build(&env, &path, 1, &entries(n), &[])?;
-        let table = Arc::new(SsTable::open(Arc::clone(&env), &path)?);
+        let table = Rc::new(SsTable::open(Rc::clone(&env), &path)?);
         Ok((dir, env, table))
     }
 
     /// Collects a cursor to exhaustion.
-    fn drain(t: &Arc<SsTable>, start: &[u8], cached: bool) -> Result<Vec<SsRecord>> {
+    fn drain(t: &Rc<SsTable>, start: &[u8], cached: bool) -> Result<Vec<SsRecord>> {
         let mut cur = t.range_cursor(start, cached)?;
         let mut out = Vec::new();
         while let Some(r) = cur.next()? {
@@ -1117,12 +1108,12 @@ mod tests {
     // ---- fence-boundary regression tests (covers / candidate_blocks) ----
 
     /// Builds a table with explicit rows and returns it.
-    fn build_rows(rows: &[VersionedEntry]) -> Result<(tempfile::TempDir, Arc<Env>, Arc<SsTable>)> {
+    fn build_rows(rows: &[VersionedEntry]) -> Result<(tempfile::TempDir, Rc<Env>, Rc<SsTable>)> {
         let dir = tempfile::tempdir()?;
         let env = Env::for_testing(SecurityProfile::treaty_full(), dir.path());
         let path = dir.path().join(file_name(1));
         build(&env, &path, 1, rows, &[])?;
-        let table = Arc::new(SsTable::open(Arc::clone(&env), &path)?);
+        let table = Rc::new(SsTable::open(Rc::clone(&env), &path)?);
         Ok((dir, env, table))
     }
 
@@ -1214,7 +1205,7 @@ mod tests {
         let env = Env::for_testing_with(SecurityProfile::treaty_full(), dir.path(), config);
         let path = dir.path().join(file_name(1));
         build(&env, &path, 1, &entries(200), &[])?;
-        let t = Arc::new(SsTable::open(Arc::clone(&env), &path)?);
+        let t = Rc::new(SsTable::open(Rc::clone(&env), &path)?);
         assert!(t.meta().blocks.len() >= 2);
         // A key strictly between block 0's last key and block 1's first
         // key: append a suffix to the former.
@@ -1235,8 +1226,8 @@ mod tests {
             0,
             "gap reject must read no blocks"
         );
-        assert_eq!(env.stats.fence_gap_rejects.load(Ordering::Relaxed), 1);
-        assert_eq!(env.stats.bloom_false_positives.load(Ordering::Relaxed), 0);
+        assert_eq!(env.stats.fence_gap_rejects.get(), 1);
+        assert_eq!(env.stats.bloom_false_positives.get(), 0);
         Ok(())
     }
 
@@ -1256,7 +1247,7 @@ mod tests {
             assert_eq!(t.get(&key, SeqNum::MAX)?, None);
         }
         assert_eq!(
-            env.stats.bloom_false_positives.load(Ordering::Relaxed),
+            env.stats.bloom_false_positives.get(),
             0,
             "fence-gap rejects must never be charged as Bloom false positives"
         );
@@ -1364,7 +1355,7 @@ mod tests {
             seq: 777,
         }];
         build(&env, &path, 1, &entries(30), &rts)?;
-        let t = SsTable::open(Arc::clone(&env), &path)?;
+        let t = SsTable::open(Rc::clone(&env), &path)?;
         assert_eq!(t.meta().range_tombstones, rts);
         assert_eq!(t.meta().max_seq, 777);
 
@@ -1398,7 +1389,7 @@ mod tests {
             seq: 5,
         }];
         build(&env, &path, 1, &[], &rts)?;
-        let t = Arc::new(SsTable::open(Arc::clone(&env), &path)?);
+        let t = Rc::new(SsTable::open(Rc::clone(&env), &path)?);
         assert_eq!(t.meta().entries, 0);
         assert!(t.covers(b"b"));
         assert!(!t.covers(b"z"));
@@ -1456,9 +1447,9 @@ mod tests {
             assert_eq!(t.get(&key, SeqNum::MAX)?, None);
         }
         assert!(
-            env.stats.bloom_negatives.load(Ordering::Relaxed) >= 40,
+            env.stats.bloom_negatives.get() >= 40,
             "most absent-key probes must be filtered: {}",
-            env.stats.bloom_negatives.load(Ordering::Relaxed)
+            env.stats.bloom_negatives.get()
         );
         // Only Bloom false positives reach the block-read path at all.
         let blocks_read = (cache.hits() - h0) + (cache.misses() - m0);
@@ -1475,7 +1466,7 @@ mod tests {
         let env = Env::for_testing(SecurityProfile::treaty_full(), path_buf);
         let path = path_buf.join(file_name(1));
         build(&env, &path, 1, &entries(100), &[])?;
-        let t = SsTable::open(Arc::clone(&env), &path)?;
+        let t = SsTable::open(Rc::clone(&env), &path)?;
         let t0 = treaty_sim::runtime::now();
         assert!(t.get(b"key-00010", SeqNum::MAX)?.is_some());
         let miss_ns = treaty_sim::runtime::now() - t0;
@@ -1498,12 +1489,12 @@ mod tests {
     fn cache_hit_charges_less_than_miss() -> Result<()> {
         let dir = tempfile::tempdir()?;
         let path_buf = dir.path().to_path_buf();
-        let res = Arc::new(parking_lot::Mutex::new(None));
-        let res2 = Arc::clone(&res);
+        let res = Rc::new(RefCell::new(None));
+        let res2 = Rc::clone(&res);
         treaty_sched::block_on(move || {
-            *res2.lock() = Some(cache_probe(&path_buf));
+            *res2.borrow_mut() = Some(cache_probe(&path_buf));
         });
-        let taken = res.lock().take();
+        let taken = res.borrow_mut().take();
         taken.ok_or_else(|| StoreError::Io("probe never ran".into()))?
     }
 
@@ -1517,7 +1508,7 @@ mod tests {
         assert!(env.block_cache.is_none());
         let path = dir.path().join(file_name(1));
         build(&env, &path, 1, &entries(50), &[])?;
-        let t = SsTable::open(Arc::clone(&env), &path)?;
+        let t = SsTable::open(Rc::clone(&env), &path)?;
         assert!(t.meta().filter.is_none());
         let v = t.get(b"key-00011", SeqNum::MAX)?;
         assert_eq!(

@@ -12,11 +12,10 @@
 //!   and the decision arrives later via [`TxnEngine::commit_prepared`] /
 //!   [`TxnEngine::abort_prepared`] — possibly after a crash and recovery.
 
-use parking_lot::Mutex;
+use std::cell::{Cell, RefCell};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use treaty_crypto::codec::{CodecError, Decode, Encode, Reader, Writer};
 use treaty_sim::crashpoint::CrashPoint;
@@ -239,7 +238,10 @@ impl std::fmt::Debug for Txn {
 
 impl Txn {
     pub(crate) fn new(store: TreatyStore, options: TxnOptions) -> Self {
-        let id = store.inner.next_txid.fetch_add(1, Ordering::SeqCst);
+        let id = store
+            .inner
+            .next_txid
+            .replace(store.inner.next_txid.get() + 1);
         Txn {
             store,
             id,
@@ -289,14 +291,14 @@ impl Txn {
     fn register_scan(&mut self) {
         if !self.scan_registered {
             self.scan_registered = true;
-            self.store.inner.active_scans.fetch_add(1, Ordering::SeqCst);
+            self.store.inner.active_scans.update(|n| n + 1);
         }
     }
 
     fn unregister_scan(&mut self) {
         if self.scan_registered {
             self.scan_registered = false;
-            self.store.inner.active_scans.fetch_sub(1, Ordering::SeqCst);
+            self.store.inner.active_scans.update(|n| n - 1);
         }
     }
 
@@ -310,7 +312,7 @@ impl Txn {
     fn abort_with(&mut self, err: StoreError) -> StoreError {
         self.release_locks();
         self.state = TxnState::Finished;
-        self.store.counters().aborts.fetch_add(1, Ordering::Relaxed);
+        self.store.counters().aborts.update(|n| n + 1);
         err
     }
 
@@ -367,7 +369,7 @@ impl Txn {
     /// is present (an overwrite is fenced by the key's own X-lock) or no
     /// scan is live.
     fn insert_fence(&self, key: &[u8]) -> Result<Option<UserKey>> {
-        if self.store.inner.active_scans.load(Ordering::SeqCst) == 0 {
+        if self.store.inner.active_scans.get() == 0 {
             return Ok(None);
         }
         Ok(match self.store.successor_key(key)? {
@@ -420,7 +422,7 @@ impl Txn {
 }
 
 /// Object-safe transaction interface used by the distributed layer.
-pub trait EngineTxn: Send {
+pub trait EngineTxn {
     /// Reads a key (transactionally: own writes visible).
     ///
     /// # Errors
@@ -707,17 +709,15 @@ impl EngineTxn for Txn {
             if let Err(e) = self.store.stabilize_wal_tail() {
                 return Err(self.abort_with(e));
             }
-            self.store
-                .counters()
-                .commits
-                .fetch_add(1, Ordering::Relaxed);
+            let commits = &self.store.counters().commits;
+            commits.update(|n| n + 1);
             return Ok(CommitInfo {
                 seq: 0,
                 wal_counter: 0,
             });
         }
         let writes = self.buffer.to_ops();
-        let seq = self.store.inner.seq.fetch_add(1, Ordering::SeqCst) + 1;
+        let seq = self.store.inner.seq.replace(self.store.inner.seq.get() + 1) + 1;
         let (seq, counter, wal) = match self.store.commit_writes(seq, &writes, &self.ranges) {
             Ok(x) => x,
             Err(e) => {
@@ -751,7 +751,7 @@ impl EngineTxn for Txn {
         }
         self.release_locks();
         self.state = TxnState::Finished;
-        self.store.counters().aborts.fetch_add(1, Ordering::Relaxed);
+        self.store.counters().aborts.update(|n| n + 1);
         Ok(())
     }
 }
@@ -824,7 +824,7 @@ impl Drop for Txn {
 /// What the 2PC layer needs from a shard (Fig. 2): run a transaction,
 /// commit or abort a prepared one, and list what is in doubt. The snapshot
 /// lane and the store counters are [`TreatyStore`]'s own.
-pub trait TxnEngine: Send + Sync {
+pub trait TxnEngine {
     /// Begins a transaction.
     fn begin_txn(&self, mode: TxnMode) -> Box<dyn EngineTxn>;
 
@@ -866,7 +866,7 @@ impl TreatyStore {
             return Ok(()); // already decided or deciding: ignore (§VI)
         };
         let seq = if commit {
-            self.inner.seq.fetch_add(1, Ordering::SeqCst) + 1
+            self.inner.seq.replace(self.inner.seq.get() + 1) + 1
         } else {
             0
         };
@@ -901,7 +901,7 @@ impl TreatyStore {
         } else {
             &stats.aborts
         };
-        stat.fetch_add(1, Ordering::Relaxed);
+        stat.update(|n| n + 1);
         Ok(())
     }
 }
@@ -933,14 +933,14 @@ impl TxnEngine for TreatyStore {
 /// preserved; durability is not. Clones share one state.
 #[derive(Clone)]
 pub struct NullEngine {
-    state: Arc<NullState>,
+    state: Rc<NullState>,
 }
 
 struct NullState {
-    data: Mutex<HashMap<UserKey, Vec<u8>>>,
+    data: RefCell<HashMap<UserKey, Vec<u8>>>,
     locks: LockTable,
-    prepared: Mutex<HashMap<GlobalTxId, (u64, Vec<WriteOp>)>>,
-    next_txid: std::sync::atomic::AtomicU64,
+    prepared: RefCell<HashMap<GlobalTxId, (u64, Vec<WriteOp>)>>,
+    next_txid: Cell<u64>,
 }
 
 impl Default for NullEngine {
@@ -959,11 +959,11 @@ impl NullEngine {
     /// Creates the engine.
     pub fn new() -> Self {
         NullEngine {
-            state: Arc::new(NullState {
-                data: Mutex::new(HashMap::new()),
+            state: Rc::new(NullState {
+                data: RefCell::new(HashMap::new()),
                 locks: LockTable::new(1024, 50 * treaty_sim::MILLIS),
-                prepared: Mutex::new(HashMap::new()),
-                next_txid: std::sync::atomic::AtomicU64::new(1),
+                prepared: RefCell::new(HashMap::new()),
+                next_txid: Cell::new(1),
             }),
         }
     }
@@ -972,7 +972,7 @@ impl NullEngine {
 // The trait requires 'static boxes; NullEngine hands out transactions tied
 // to its shared state instead.
 struct NullTxnOwned {
-    engine: Arc<NullState>,
+    engine: Rc<NullState>,
     id: u64,
     buffer: TxBuffer,
     locked: Vec<UserKey>,
@@ -981,9 +981,9 @@ struct NullTxnOwned {
 
 impl TxnEngine for NullEngine {
     fn begin_txn(&self, _mode: TxnMode) -> Box<dyn EngineTxn> {
-        let id = self.state.next_txid.fetch_add(1, Ordering::SeqCst);
+        let id = self.state.next_txid.replace(self.state.next_txid.get() + 1);
         Box::new(NullTxnOwned {
-            engine: Arc::clone(&self.state),
+            engine: Rc::clone(&self.state),
             id,
             buffer: TxBuffer::new(),
             locked: Vec::new(),
@@ -993,8 +993,8 @@ impl TxnEngine for NullEngine {
 
     fn commit_prepared(&self, gtx: GlobalTxId) -> Result<()> {
         let e = &self.state;
-        if let Some((owner, writes)) = e.prepared.lock().remove(&gtx) {
-            let mut data = e.data.lock();
+        if let Some((owner, writes)) = e.prepared.borrow_mut().remove(&gtx) {
+            let mut data = e.data.borrow_mut();
             for w in &writes {
                 match &w.value {
                     Some(v) => {
@@ -1013,14 +1013,14 @@ impl TxnEngine for NullEngine {
 
     fn abort_prepared(&self, gtx: GlobalTxId) -> Result<()> {
         let e = &self.state;
-        if let Some((owner, writes)) = e.prepared.lock().remove(&gtx) {
+        if let Some((owner, writes)) = e.prepared.borrow_mut().remove(&gtx) {
             e.locks.release(owner, writes.into_iter().map(|w| w.key));
         }
         Ok(())
     }
 
     fn prepared_txns(&self) -> Vec<GlobalTxId> {
-        let mut ids: Vec<GlobalTxId> = self.state.prepared.lock().keys().copied().collect();
+        let mut ids: Vec<GlobalTxId> = self.state.prepared.borrow().keys().copied().collect();
         ids.sort_unstable();
         ids
     }
@@ -1037,7 +1037,7 @@ impl EngineTxn for NullTxnOwned {
         let e = &self.engine;
         e.locks.lock(self.id, key, LockMode::Shared)?;
         self.locked.push(key.to_vec());
-        Ok(e.data.lock().get(key).cloned())
+        Ok(e.data.borrow().get(key).cloned())
     }
 
     fn put(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
@@ -1070,7 +1070,7 @@ impl EngineTxn for NullTxnOwned {
         // bound so concurrent writers conflict, overlay own writes.
         let e = &self.engine;
         let mut view: std::collections::BTreeMap<UserKey, Vec<u8>> = {
-            let data = e.data.lock();
+            let data = e.data.borrow();
             data.iter()
                 .filter(|(k, _)| k.as_slice() >= start && k.as_slice() < end)
                 .map(|(k, v)| (k.clone(), v.clone()))
@@ -1111,7 +1111,7 @@ impl EngineTxn for NullTxnOwned {
         // sentinel standing in for the gap bound).
         let e = &self.engine;
         let covered: Vec<UserKey> = {
-            let data = e.data.lock();
+            let data = e.data.borrow();
             data.keys()
                 .filter(|k| k.as_slice() >= start && k.as_slice() < end)
                 .cloned()
@@ -1141,7 +1141,7 @@ impl EngineTxn for NullTxnOwned {
             .filter(|k| !write_keys.contains(k))
             .cloned()
             .collect();
-        e.prepared.lock().insert(gtx, (self.id, writes));
+        e.prepared.borrow_mut().insert(gtx, (self.id, writes));
         e.locks.release(self.id, read_only);
         self.locked.clear();
         self.done = true;
@@ -1154,7 +1154,7 @@ impl EngineTxn for NullTxnOwned {
         }
         let e = &self.engine;
         {
-            let mut data = e.data.lock();
+            let mut data = e.data.borrow_mut();
             for w in self.buffer.to_ops() {
                 match w.value {
                     Some(v) => {

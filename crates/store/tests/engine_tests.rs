@@ -1,7 +1,8 @@
 //! End-to-end tests of the storage engine: transactions, flush/compaction,
 //! group commit, crash recovery and the §III attacks.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use treaty_sched::block_on;
 use treaty_sim::runtime::{join, now, spawn};
@@ -9,9 +10,9 @@ use treaty_sim::SecurityProfile;
 use treaty_store::txn::WriteOp;
 use treaty_store::{EngineTxn, Env, GlobalTxId, StoreError, TreatyStore, TxnEngine, TxnMode};
 
-fn open(profile: SecurityProfile, dir: &std::path::Path) -> (Arc<Env>, TreatyStore) {
+fn open(profile: SecurityProfile, dir: &std::path::Path) -> (Rc<Env>, TreatyStore) {
     let env = Env::for_testing(profile, dir);
-    let store = TreatyStore::open(Arc::clone(&env)).unwrap();
+    let store = TreatyStore::open(Rc::clone(&env)).unwrap();
     (env, store)
 }
 
@@ -147,7 +148,7 @@ fn recovery_restores_committed_data() {
     let dir = tempfile::tempdir().unwrap();
     let env = Env::for_testing(SecurityProfile::treaty_full(), dir.path());
     {
-        let store = TreatyStore::open(Arc::clone(&env)).unwrap();
+        let store = TreatyStore::open(Rc::clone(&env)).unwrap();
         for i in 0..120u32 {
             put(
                 &store,
@@ -157,7 +158,7 @@ fn recovery_restores_committed_data() {
         }
         // crash: drop without any shutdown
     }
-    let store = TreatyStore::open(Arc::clone(&env)).unwrap();
+    let store = TreatyStore::open(Rc::clone(&env)).unwrap();
     for i in 0..120u32 {
         assert_eq!(
             store.get_committed(format!("k{i:03}").as_bytes()).unwrap(),
@@ -179,10 +180,10 @@ fn recovery_all_profiles() {
         let dir = tempfile::tempdir().unwrap();
         let env = Env::for_testing(profile, dir.path());
         {
-            let store = TreatyStore::open(Arc::clone(&env)).unwrap();
+            let store = TreatyStore::open(Rc::clone(&env)).unwrap();
             put(&store, b"k", b"v");
         }
-        let store = TreatyStore::open(Arc::clone(&env)).unwrap();
+        let store = TreatyStore::open(Rc::clone(&env)).unwrap();
         assert_eq!(
             store.get_committed(b"k").unwrap(),
             Some(b"v".to_vec()),
@@ -199,13 +200,13 @@ fn prepared_txn_survives_crash_and_commits() {
         let env = Env::for_testing(SecurityProfile::treaty_full(), &path);
         let gtx = GlobalTxId { node: 1, seq: 42 };
         {
-            let store = TreatyStore::open(Arc::clone(&env)).unwrap();
+            let store = TreatyStore::open(Rc::clone(&env)).unwrap();
             let mut tx = store.begin_mode(TxnMode::Pessimistic);
             tx.put(b"acct", b"prepared-value").unwrap();
             tx.prepare(gtx).unwrap();
             // crash before the decision
         }
-        let store = TreatyStore::open(Arc::clone(&env)).unwrap();
+        let store = TreatyStore::open(Rc::clone(&env)).unwrap();
         assert_eq!(store.prepared_txns(), vec![gtx]);
         // Undecided: not visible yet, and the key is still locked.
         assert_eq!(store.get_committed(b"acct").unwrap(), None);
@@ -232,7 +233,7 @@ fn prepared_txn_abort_releases_locks() {
     let dir = tempfile::tempdir().unwrap();
     let env = Env::for_testing(SecurityProfile::treaty_full(), dir.path());
     let gtx = GlobalTxId { node: 2, seq: 7 };
-    let store = TreatyStore::open(Arc::clone(&env)).unwrap();
+    let store = TreatyStore::open(Rc::clone(&env)).unwrap();
     let mut tx = store.begin_mode(TxnMode::Pessimistic);
     tx.put(b"k", b"v").unwrap();
     tx.prepare(gtx).unwrap();
@@ -247,14 +248,14 @@ fn prepared_decision_survives_second_crash() {
     let env = Env::for_testing(SecurityProfile::treaty_full(), dir.path());
     let gtx = GlobalTxId { node: 3, seq: 1 };
     {
-        let store = TreatyStore::open(Arc::clone(&env)).unwrap();
+        let store = TreatyStore::open(Rc::clone(&env)).unwrap();
         let mut tx = store.begin_mode(TxnMode::Pessimistic);
         tx.put(b"x", b"decided").unwrap();
         tx.prepare(gtx).unwrap();
         store.commit_prepared(gtx).unwrap();
         // crash after decision
     }
-    let store = TreatyStore::open(Arc::clone(&env)).unwrap();
+    let store = TreatyStore::open(Rc::clone(&env)).unwrap();
     assert!(store.prepared_txns().is_empty());
     assert_eq!(
         store.get_committed(b"x").unwrap(),
@@ -315,7 +316,7 @@ fn pessimistic_writers_conflict_via_lock_timeout() {
 }
 
 /// Counter rounds that take 2 ms of virtual time, like the ROTE group's.
-struct SlowRounds(Arc<treaty_counter::NullBackend>);
+struct SlowRounds(Rc<treaty_counter::NullBackend>);
 
 impl treaty_counter::CounterBackend for SlowRounds {
     fn stabilize(
@@ -335,11 +336,11 @@ impl treaty_counter::CounterBackend for SlowRounds {
 /// `Env::for_testing` over `dir`, stabilizing through `backend`.
 fn env_with_backend(
     dir: &std::path::Path,
-    backend: Arc<dyn treaty_counter::CounterBackend>,
-) -> Arc<Env> {
-    let mut env = Arc::try_unwrap(Env::for_testing(SecurityProfile::treaty_full(), dir)).unwrap();
+    backend: Rc<dyn treaty_counter::CounterBackend>,
+) -> Rc<Env> {
+    let mut env = Rc::try_unwrap(Env::for_testing(SecurityProfile::treaty_full(), dir)).unwrap();
     env.backend = backend;
-    Arc::new(env)
+    Rc::new(env)
 }
 
 /// Copies the files of `from` into `to` (created if missing, existing
@@ -365,10 +366,10 @@ fn prepare_in_flight_across_a_rotation_survives_a_crash() {
     let dir = tempfile::tempdir().unwrap();
     let path = dir.path().to_path_buf();
     block_on(move || {
-        let env = env_with_backend(&path, Arc::new(SlowRounds(Default::default())));
+        let env = env_with_backend(&path, Rc::new(SlowRounds(Default::default())));
         let gtx = GlobalTxId { node: 1, seq: 7 };
         {
-            let store = TreatyStore::open(Arc::clone(&env)).unwrap();
+            let store = TreatyStore::open(Rc::clone(&env)).unwrap();
             let store2 = store.clone();
             let preparer = spawn(move || {
                 let mut tx = store2.begin_mode(TxnMode::Pessimistic);
@@ -405,7 +406,7 @@ fn crash_between_rotation_and_flush_build_recovers_a_prepared_txn() {
         let copy = path.join("b/node");
         let env = Env::for_testing(SecurityProfile::treaty_full(), &node);
         let gtx = GlobalTxId { node: 1, seq: 8 };
-        let store = TreatyStore::open(Arc::clone(&env)).unwrap();
+        let store = TreatyStore::open(Rc::clone(&env)).unwrap();
         let mut tx = store.begin_mode(TxnMode::Pessimistic);
         tx.put(b"acct", b"voted-for").unwrap();
         tx.prepare(gtx).unwrap();
@@ -416,7 +417,7 @@ fn crash_between_rotation_and_flush_build_recovers_a_prepared_txn() {
         copy_dir(&node, &copy);
         assert!(copy.join("wal-000001").exists() && copy.join("wal-000002").exists());
 
-        let env = env_with_backend(&copy, Arc::clone(&env.backend));
+        let env = env_with_backend(&copy, Rc::clone(&env.backend));
         let store = TreatyStore::open(env).unwrap();
         assert_eq!(store.prepared_txns(), vec![gtx]);
         store.commit_prepared(gtx).unwrap();
@@ -442,16 +443,16 @@ fn decide_after_restart_survives_a_crash_between_wal_obsolete_edits() {
         // Slow rounds keep the GC stabilizer parked while the image is
         // taken: the MANIFEST tail is not rollback-protected yet and the
         // retired generations are still on disk.
-        let env = env_with_backend(&node, Arc::new(SlowRounds(Default::default())));
+        let env = env_with_backend(&node, Rc::new(SlowRounds(Default::default())));
         let gtx = GlobalTxId { node: 1, seq: 9 };
         {
-            let store = TreatyStore::open(Arc::clone(&env)).unwrap();
+            let store = TreatyStore::open(Rc::clone(&env)).unwrap();
             let mut tx = store.begin_mode(TxnMode::Pessimistic);
             tx.put(b"acct", b"voted-for").unwrap();
             tx.prepare(gtx).unwrap();
             // crash in doubt: the `Prepare` is in generation 1
         }
-        let store = TreatyStore::open(Arc::clone(&env)).unwrap();
+        let store = TreatyStore::open(Rc::clone(&env)).unwrap();
         store.commit_prepared(gtx).unwrap(); // the `Decide` is in generation 2
         store.flush().unwrap(); // retires 1, then 2
         assert_eq!(store.stats().flushes, 1);
@@ -462,7 +463,7 @@ fn decide_after_restart_survives_a_crash_between_wal_obsolete_edits() {
         let manifest = std::fs::read(copy.join("MANIFEST")).unwrap();
         std::fs::write(copy.join("MANIFEST"), &manifest[..manifest.len() - 1]).unwrap();
 
-        let env = env_with_backend(&copy, Arc::clone(&env.backend));
+        let env = env_with_backend(&copy, Rc::clone(&env.backend));
         let store = TreatyStore::open(env).unwrap();
         assert_eq!(store.prepared_txns(), vec![]);
         assert_eq!(
@@ -481,10 +482,10 @@ fn abort_racing_the_prepare_round_fails_the_prepare() {
     let dir = tempfile::tempdir().unwrap();
     let path = dir.path().to_path_buf();
     block_on(move || {
-        let env = env_with_backend(&path, Arc::new(SlowRounds(Default::default())));
+        let env = env_with_backend(&path, Rc::new(SlowRounds(Default::default())));
         let gtx = GlobalTxId { node: 1, seq: 10 };
         {
-            let store = TreatyStore::open(Arc::clone(&env)).unwrap();
+            let store = TreatyStore::open(Rc::clone(&env)).unwrap();
             let store2 = store.clone();
             let preparer = spawn(move || {
                 let mut tx = store2.begin_mode(TxnMode::Pessimistic);
@@ -634,13 +635,13 @@ fn a_rotation_waits_for_inserts_in_flight() {
     let path = dir.path().to_path_buf();
     block_on(move || {
         let env = Env::for_testing(SecurityProfile::treaty_full(), &path);
-        let acked = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let acked = Rc::new(RefCell::new(Vec::new()));
         {
-            let store = TreatyStore::open(Arc::clone(&env)).unwrap();
+            let store = TreatyStore::open(Rc::clone(&env)).unwrap();
             let committers: Vec<_> = (0..6u8)
                 .map(|fiber| {
                     let store = store.clone();
-                    let acked = Arc::clone(&acked);
+                    let acked = Rc::clone(&acked);
                     spawn(move || {
                         for round in 0..12u8 {
                             let rows: Vec<_> = (0..8u8)
@@ -651,7 +652,7 @@ fn a_rotation_waits_for_inserts_in_flight() {
                                 tx.put(key, value).unwrap();
                             }
                             tx.commit().unwrap();
-                            acked.lock().extend(rows);
+                            acked.borrow_mut().extend(rows);
                         }
                     })
                 })
@@ -666,7 +667,7 @@ fn a_rotation_waits_for_inserts_in_flight() {
             // crash
         }
         let store = TreatyStore::open(env).unwrap();
-        let acked = acked.lock();
+        let acked = acked.borrow_mut();
         assert_eq!(acked.len(), 6 * 12 * 8);
         for (key, value) in acked.iter() {
             let read = store.get_committed(key).unwrap();
@@ -691,7 +692,7 @@ fn native_store_on_cores(dir: &std::path::Path, cores: u32) -> TreatyStore {
     let env = Env::new(
         SecurityProfile::native_treaty(),
         costs,
-        Some(Arc::new(treaty_sched::CorePool::new(cores))),
+        Some(Rc::new(treaty_sched::CorePool::new(cores))),
         treaty_crypto::KeyHierarchy::for_testing(),
         treaty_counter::NullBackend::new(),
         dir.to_path_buf(),
@@ -730,21 +731,21 @@ fn inserts_of_one_batch_overlap_in_virtual_time() {
 
         // A `Prepare` holds the commit lock through its append while two
         // K-write commits queue; they share the next batch.
-        let finished = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let finished = Rc::new(RefCell::new(Vec::new()));
         let mut lead = staged(&store, "lead", 1);
         let pair: Vec<_> = ["a", "b"].map(|tag| staged(&store, tag, K)).into();
         let start = now();
         let mut fibers = vec![spawn(move || lead.prepare(gtx(2)).unwrap())];
         for mut tx in pair {
-            let finished = Arc::clone(&finished);
+            let finished = Rc::clone(&finished);
             fibers.push(spawn(move || {
                 tx.commit().unwrap();
-                finished.lock().push(now());
+                finished.borrow_mut().push(now());
             }));
         }
         fibers.into_iter().for_each(join);
         assert_eq!(
-            *finished.lock(),
+            *finished.borrow_mut(),
             vec![start + 2 * append + insert; 2],
             "both commits' inserts run at once, after the two appends"
         );
@@ -754,22 +755,22 @@ fn inserts_of_one_batch_overlap_in_virtual_time() {
         let mut decided = staged(&store, "d", K);
         decided.prepare(gtx(3)).unwrap();
         let mut queued = staged(&store, "q", 1);
-        let prepared_at = Arc::new(parking_lot::Mutex::new(0));
+        let prepared_at = Rc::new(RefCell::new(0));
         let start = now();
         let decider = {
             let store = store.clone();
             spawn(move || store.commit_prepared(gtx(3)).unwrap())
         };
         let preparer = {
-            let prepared_at = Arc::clone(&prepared_at);
+            let prepared_at = Rc::clone(&prepared_at);
             spawn(move || {
                 queued.prepare(gtx(4)).unwrap();
-                *prepared_at.lock() = now();
+                *prepared_at.borrow_mut() = now();
             })
         };
         join(decider);
         join(preparer);
-        assert_eq!(*prepared_at.lock(), start + 2 * append);
+        assert_eq!(*prepared_at.borrow_mut(), start + 2 * append);
         assert_eq!(store.get_committed(b"d-7").unwrap(), Some(b"v".to_vec()));
     });
 }
@@ -832,7 +833,7 @@ fn wal_truncation_rollback_detected_at_recovery() {
     let dir = tempfile::tempdir().unwrap();
     let env = Env::for_testing(SecurityProfile::treaty_full(), dir.path());
     {
-        let store = TreatyStore::open(Arc::clone(&env)).unwrap();
+        let store = TreatyStore::open(Rc::clone(&env)).unwrap();
         put(&store, b"a", b"1");
         put(&store, b"b", b"2");
         put(&store, b"c", b"3");
@@ -850,7 +851,7 @@ fn wal_truncation_rollback_detected_at_recovery() {
     let raw = std::fs::read(&newest).unwrap();
     std::fs::write(&newest, &raw[..raw.len() / 2]).unwrap();
 
-    let err = TreatyStore::open(Arc::clone(&env)).unwrap_err();
+    let err = TreatyStore::open(Rc::clone(&env)).unwrap_err();
     assert!(
         matches!(err, StoreError::Rollback(_) | StoreError::Integrity(_)),
         "rollback attack must be detected, got {err:?}"
@@ -863,7 +864,7 @@ fn wal_full_replacement_with_stale_log_detected() {
     let env = Env::for_testing(SecurityProfile::treaty_full(), dir.path());
     let stale_snapshot;
     {
-        let store = TreatyStore::open(Arc::clone(&env)).unwrap();
+        let store = TreatyStore::open(Rc::clone(&env)).unwrap();
         put(&store, b"balance", b"100");
         // Adversary snapshots the storage now...
         let wal = newest_wal(dir.path());
@@ -874,7 +875,7 @@ fn wal_full_replacement_with_stale_log_detected() {
     // Roll the WAL back to the stale-but-internally-consistent snapshot.
     let wal = newest_wal(dir.path());
     std::fs::write(&wal, &stale_snapshot).unwrap();
-    let err = TreatyStore::open(Arc::clone(&env)).unwrap_err();
+    let err = TreatyStore::open(Rc::clone(&env)).unwrap_err();
     assert!(matches!(err, StoreError::Rollback(_)), "got {err:?}");
 }
 
@@ -894,7 +895,7 @@ fn sstable_tampering_detected_on_read_after_recovery() {
     let dir = tempfile::tempdir().unwrap();
     let env = Env::for_testing(SecurityProfile::treaty_full(), dir.path());
     {
-        let store = TreatyStore::open(Arc::clone(&env)).unwrap();
+        let store = TreatyStore::open(Rc::clone(&env)).unwrap();
         for i in 0..60u32 {
             put(&store, format!("k{i:02}").as_bytes(), &vec![b'x'; 500]);
         }
@@ -911,7 +912,7 @@ fn sstable_tampering_detected_on_read_after_recovery() {
     raw[5] ^= 0xFF;
     std::fs::write(&sst, &raw).unwrap();
 
-    let store = TreatyStore::open(Arc::clone(&env)).unwrap();
+    let store = TreatyStore::open(Rc::clone(&env)).unwrap();
     let mut saw_integrity_error = false;
     for i in 0..60u32 {
         if matches!(
@@ -935,14 +936,14 @@ fn baseline_profile_does_not_detect_wal_rollback() {
     let dir = tempfile::tempdir().unwrap();
     let env = Env::for_testing(SecurityProfile::rocksdb(), dir.path());
     {
-        let store = TreatyStore::open(Arc::clone(&env)).unwrap();
+        let store = TreatyStore::open(Rc::clone(&env)).unwrap();
         put(&store, b"balance", b"100");
         let wal = newest_wal(dir.path());
         let snapshot = std::fs::read(&wal).unwrap();
         put(&store, b"balance", b"0");
         std::fs::write(&wal, &snapshot).unwrap();
     }
-    let store = TreatyStore::open(Arc::clone(&env)).unwrap();
+    let store = TreatyStore::open(Rc::clone(&env)).unwrap();
     assert_eq!(
         store.get_committed(b"balance").unwrap(),
         Some(b"100".to_vec()),
@@ -958,7 +959,7 @@ fn write_sets_serialize_via_wal_order() {
     let path = dir.path().to_path_buf();
     block_on(move || {
         let env = Env::for_testing(SecurityProfile::treaty_full(), &path);
-        let store = TreatyStore::open(Arc::clone(&env)).unwrap();
+        let store = TreatyStore::open(Rc::clone(&env)).unwrap();
         let mut handles = Vec::new();
         for i in 0..8u32 {
             let store = store.clone();
@@ -994,7 +995,7 @@ fn multi_write_txn_is_atomic_across_crash() {
     let dir = tempfile::tempdir().unwrap();
     let env = Env::for_testing(SecurityProfile::treaty_full(), dir.path());
     {
-        let store = TreatyStore::open(Arc::clone(&env)).unwrap();
+        let store = TreatyStore::open(Rc::clone(&env)).unwrap();
         let mut tx = store.begin_mode(TxnMode::Pessimistic);
         tx.put(b"from", b"50").unwrap();
         tx.put(b"to", b"150").unwrap();
@@ -1009,7 +1010,7 @@ fn multi_write_txn_is_atomic_across_crash() {
 fn block_cache_invalidated_across_flush_compaction_and_gc() {
     let dir = tempfile::tempdir().unwrap();
     let (env, store) = open(SecurityProfile::treaty_full(), dir.path());
-    let cache = Arc::clone(
+    let cache = Rc::clone(
         env.block_cache
             .as_ref()
             .expect("tiny config enables the cache"),
@@ -1083,7 +1084,7 @@ fn recovery_parity_with_cache_on_and_off() {
     let with_cache = {
         let env = Env::for_testing(profile, dir.path());
         assert!(env.block_cache.is_some());
-        let store = TreatyStore::open(Arc::clone(&env)).unwrap();
+        let store = TreatyStore::open(Rc::clone(&env)).unwrap();
         read_all(&store)
     };
     let without_cache = {
@@ -1091,7 +1092,7 @@ fn recovery_parity_with_cache_on_and_off() {
         config.block_cache_bytes = 0;
         let env = Env::for_testing_with(profile, dir.path(), config);
         assert!(env.block_cache.is_none());
-        let store = TreatyStore::open(Arc::clone(&env)).unwrap();
+        let store = TreatyStore::open(Rc::clone(&env)).unwrap();
         read_all(&store)
     };
     assert_eq!(with_cache, without_cache);
@@ -1136,7 +1137,7 @@ fn manifest_naming_a_missing_level_is_refused() {
         level: 9,
         file_id: 1,
     };
-    LogWriter::open(Arc::clone(&env), "manifest", &path, last)
+    LogWriter::open(Rc::clone(&env), "manifest", &path, last)
         .unwrap()
         .append(&forged.to_bytes())
         .unwrap();
@@ -1160,7 +1161,7 @@ fn backpressure_stalls_writers_but_never_errors() {
         config.backpressure_stall = 10 * treaty_sim::MILLIS;
         let stall = config.backpressure_stall;
         let env = Env::for_testing_with(SecurityProfile::treaty_full(), &path, config);
-        let store = TreatyStore::open(Arc::clone(&env)).unwrap();
+        let store = TreatyStore::open(Rc::clone(&env)).unwrap();
 
         let t0 = treaty_sim::runtime::now();
         let mut handles = Vec::new();
@@ -1207,7 +1208,7 @@ fn maintenance_inside_and_outside_the_runtime_agree() {
     // surface identical data after drain, and both must flush and compact.
     let run = |dir: &std::path::Path| {
         let env = Env::for_testing(SecurityProfile::treaty_full(), dir);
-        let store = TreatyStore::open(Arc::clone(&env)).unwrap();
+        let store = TreatyStore::open(Rc::clone(&env)).unwrap();
         for i in 0..60u32 {
             let mut tx = store.begin_mode(TxnMode::Pessimistic);
             tx.put(
@@ -1234,10 +1235,10 @@ fn maintenance_inside_and_outside_the_runtime_agree() {
     };
     let dir = tempfile::tempdir().unwrap();
     let path = dir.path().join("fiber");
-    let out = Arc::new(parking_lot::Mutex::new(Vec::new()));
-    let rows = Arc::clone(&out);
-    block_on(move || *rows.lock() = run(&path));
-    let inside = out.lock().clone();
+    let out = Rc::new(RefCell::new(Vec::new()));
+    let rows = Rc::clone(&out);
+    block_on(move || *rows.borrow_mut() = run(&path));
+    let inside = out.borrow().clone();
     assert_eq!(inside, run(&dir.path().join("plain")));
 }
 
@@ -1248,17 +1249,17 @@ fn maintenance_inside_and_outside_the_runtime_agree() {
 /// one key.
 #[test]
 fn a_failed_prepare_round_logs_its_abort() {
-    use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+    use std::cell::Cell;
     use treaty_counter::{CounterBackend, CounterError, NullBackend};
 
     /// Fails the next WAL round once armed.
     struct FailOneRound {
-        rounds: Arc<NullBackend>,
-        armed: AtomicBool,
+        rounds: Rc<NullBackend>,
+        armed: Cell<bool>,
     }
     impl CounterBackend for FailOneRound {
         fn stabilize(&self, id: &str, value: u64) -> Result<treaty_sim::Nanos, CounterError> {
-            if id.contains("wal-") && self.armed.swap(false, SeqCst) {
+            if id.contains("wal-") && self.armed.replace(false) {
                 return Err(CounterError::NoQuorum { acks: 1, needed: 2 });
             }
             self.rounds.stabilize(id, value)
@@ -1272,18 +1273,18 @@ fn a_failed_prepare_round_logs_its_abort() {
     let dir = tempfile::tempdir().unwrap();
     let path = dir.path().to_path_buf();
     block_on(move || {
-        let backend = Arc::new(FailOneRound {
+        let backend = Rc::new(FailOneRound {
             rounds: Default::default(),
             armed: false.into(),
         });
-        let env = env_with_backend(&path, Arc::clone(&backend) as _);
+        let env = env_with_backend(&path, Rc::clone(&backend) as _);
         let g1 = GlobalTxId { node: 1, seq: 11 };
         let g2 = GlobalTxId { node: 1, seq: 12 };
         {
-            let store = TreatyStore::open(Arc::clone(&env)).unwrap();
+            let store = TreatyStore::open(Rc::clone(&env)).unwrap();
             let mut tx = store.begin_mode(TxnMode::Pessimistic);
             tx.put(b"acct", b"lost-round").unwrap();
-            backend.armed.store(true, SeqCst);
+            backend.armed.set(true);
             assert!(tx.prepare(g1).is_err(), "the round failed: no yes vote");
             store.abort_prepared(g1).unwrap(); // the coordinator's abort
             let mut tx = store.begin_mode(TxnMode::Pessimistic);
@@ -1351,7 +1352,7 @@ fn range_delete_shadows_survive_flush_compaction_and_recovery() {
     let dir = tempfile::tempdir().unwrap();
     let env = Env::for_testing(SecurityProfile::treaty_full(), dir.path());
     {
-        let store = TreatyStore::open(Arc::clone(&env)).unwrap();
+        let store = TreatyStore::open(Rc::clone(&env)).unwrap();
         for i in 0..60u32 {
             put(
                 &store,
@@ -1384,7 +1385,7 @@ fn range_delete_shadows_survive_flush_compaction_and_recovery() {
         // crash without shutdown
     }
     // Recovery must replay the range-tombstone WAL record.
-    let store = TreatyStore::open(Arc::clone(&env)).unwrap();
+    let store = TreatyStore::open(Rc::clone(&env)).unwrap();
     let live = scan_committed(&store, b"r000", b"r999");
     assert_eq!(live.len(), 41, "range delete lost across recovery");
     assert_eq!(store.get_committed(b"r030").unwrap(), None);
@@ -1478,14 +1479,14 @@ fn apply_between_pass_and_lock_grant_forces_a_second_pass() {
             let before = store.stats().scans;
 
             let store2 = store.clone();
-            let rows = Arc::new(parking_lot::Mutex::new(Vec::new()));
-            let rows2 = Arc::clone(&rows);
+            let rows = Rc::new(RefCell::new(Vec::new()));
+            let rows2 = Rc::clone(&rows);
             let fencer = spawn(move || {
                 let mut t = store2.begin_mode(TxnMode::Pessimistic);
                 if range_delete {
                     t.delete_range(b"p00", b"p99").unwrap();
                 } else {
-                    *rows2.lock() = t.scan(b"p00", b"p99", 0).unwrap();
+                    *rows2.borrow_mut() = t.scan(b"p00", b"p99", 0).unwrap();
                 }
                 t.commit().unwrap();
             });
@@ -1502,7 +1503,7 @@ fn apply_between_pass_and_lock_grant_forces_a_second_pass() {
                 assert_eq!(scan_committed(&store, b"p00", b"p99"), vec![]);
             } else {
                 // ... which saw the new row.
-                let rows = rows.lock().clone();
+                let rows = rows.borrow().clone();
                 assert_eq!(rows.len(), 3);
                 assert_eq!(rows[1], (b"p30".to_vec(), b"new".to_vec()));
             }
@@ -1529,27 +1530,27 @@ fn span_fence_waits_for_a_prepared_insert_in_its_span() {
             writer.prepare(gtx).unwrap();
 
             let store2 = store.clone();
-            let rows = Arc::new(parking_lot::Mutex::new(None));
-            let rows2 = Arc::clone(&rows);
+            let rows = Rc::new(RefCell::new(None));
+            let rows2 = Rc::clone(&rows);
             let fencer = spawn(move || {
                 let mut t = store2.begin_mode(TxnMode::Pessimistic);
                 if range_delete {
                     t.delete_range(b"p00", b"p99").unwrap();
-                    *rows2.lock() = Some(Vec::new());
+                    *rows2.borrow_mut() = Some(Vec::new());
                 } else {
-                    *rows2.lock() = Some(t.scan(b"p00", b"p99", 0).unwrap());
+                    *rows2.borrow_mut() = Some(t.scan(b"p00", b"p99", 0).unwrap());
                 }
                 t.commit().unwrap();
             });
             treaty_sim::runtime::sleep(treaty_sim::MILLIS);
-            assert!(rows.lock().is_none(), "the fence must park on p30");
+            assert!(rows.borrow().is_none(), "the fence must park on p30");
             store.commit_prepared(gtx).unwrap();
             join(fencer);
 
             if range_delete {
                 assert_eq!(scan_committed(&store, b"p00", b"p99"), vec![]);
             } else {
-                let rows = rows.lock().clone().unwrap();
+                let rows = rows.borrow().clone().unwrap();
                 assert_eq!(rows.len(), 3);
                 assert_eq!(rows[1], (b"p30".to_vec(), b"in-doubt".to_vec()));
             }
@@ -1762,7 +1763,7 @@ fn scan_detects_spliced_truncated_and_reordered_blocks() {
         let dir = tempfile::tempdir().unwrap();
         let env = Env::for_testing(SecurityProfile::treaty_full(), dir.path());
         {
-            let store = TreatyStore::open(Arc::clone(&env)).unwrap();
+            let store = TreatyStore::open(Rc::clone(&env)).unwrap();
             for i in 0..60u32 {
                 put(&store, format!("t{i:02}").as_bytes(), &vec![b'x'; 500]);
             }
@@ -1778,8 +1779,8 @@ fn scan_detects_spliced_truncated_and_reordered_blocks() {
         assert!(!ssts.is_empty(), "an sstable exists");
         (dir, env, ssts)
     };
-    let expect_integrity = |env: &Arc<Env>, what: &str| {
-        let outcome = TreatyStore::open(Arc::clone(env))
+    let expect_integrity = |env: &Rc<Env>, what: &str| {
+        let outcome = TreatyStore::open(Rc::clone(env))
             .and_then(|store| store.scan(b"t00", b"t99", u64::MAX, 0));
         assert!(
             matches!(outcome, Err(StoreError::Integrity(_))),
@@ -1822,7 +1823,7 @@ fn dropped_range_tombstone_detected_via_sealed_footer() {
     let dir = tempfile::tempdir().unwrap();
     let env = Env::for_testing(SecurityProfile::treaty_full(), dir.path());
     {
-        let store = TreatyStore::open(Arc::clone(&env)).unwrap();
+        let store = TreatyStore::open(Rc::clone(&env)).unwrap();
         for i in 0..40u32 {
             put(&store, format!("f{i:02}").as_bytes(), &vec![b'x'; 400]);
         }
@@ -1848,7 +1849,7 @@ fn dropped_range_tombstone_detected_via_sealed_footer() {
         tampered = true;
     }
     assert!(tampered);
-    let outcome = TreatyStore::open(Arc::clone(&env))
+    let outcome = TreatyStore::open(Rc::clone(&env))
         .and_then(|store| store.scan(b"f00", b"f99", u64::MAX, 0));
     assert!(
         matches!(outcome, Err(StoreError::Integrity(_))),
@@ -1869,7 +1870,7 @@ fn engine_matches_btreemap_model_under_random_ops() {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
         let dir = tempfile::tempdir().unwrap();
         let env = Env::for_testing(SecurityProfile::treaty_full(), dir.path());
-        let mut store = TreatyStore::open(Arc::clone(&env)).unwrap();
+        let mut store = TreatyStore::open(Rc::clone(&env)).unwrap();
         let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
         for step in 0..600u32 {
             let mode = if rng.gen_bool(0.5) {
@@ -1922,7 +1923,7 @@ fn engine_matches_btreemap_model_under_random_ops() {
                     compactions += st.compactions;
                     reopens += 1;
                     drop(store);
-                    store = TreatyStore::open(Arc::clone(&env)).unwrap();
+                    store = TreatyStore::open(Rc::clone(&env)).unwrap();
                 }
             }
             let probe = key(rng.gen_range(0..62u32));
@@ -2045,7 +2046,7 @@ fn on_disk_bytes_of_a_table_and_a_log_are_pinned() {
         let dir = tempfile::tempdir().unwrap();
         let env = Env::for_testing(profile, dir.path());
         let path = dir.path().join("wal-000001");
-        let w = LogWriter::open(Arc::clone(&env), "wal-000001", &path, 0).unwrap();
+        let w = LogWriter::open(Rc::clone(&env), "wal-000001", &path, 0).unwrap();
         w.append(b"first record").unwrap();
         w.append_batch(&[b"a".to_vec(), vec![0x5a; 200], Vec::new()])
             .unwrap();
@@ -2087,7 +2088,7 @@ fn open_tables_hold_one_descriptor_each_and_release_it_on_retirement() {
     let dir = tempfile::tempdir().unwrap();
     let root = std::fs::canonicalize(dir.path()).unwrap();
     let env = Env::for_testing(SecurityProfile::treaty_full(), &root);
-    let store = TreatyStore::open(Arc::clone(&env)).unwrap();
+    let store = TreatyStore::open(Rc::clone(&env)).unwrap();
     let value = |i: u32| format!("value-{i}-{}", "z".repeat(400)).into_bytes();
     for i in 0..200u32 {
         put(&store, format!("key-{i:04}").as_bytes(), &value(i));
@@ -2124,7 +2125,7 @@ fn open_tables_hold_one_descriptor_each_and_release_it_on_retirement() {
     let victim_id = store.live_file_ids()[0];
     let victim = sstable::file_name(victim_id);
     let path = root.join(&victim);
-    let table = Arc::new(SsTable::open(Arc::clone(&env), &path).unwrap());
+    let table = Rc::new(SsTable::open(Rc::clone(&env), &path).unwrap());
     let entries = table.meta().entries;
     let mut cursor = table.range_cursor(b"", false).unwrap();
     drop(table);

@@ -6,15 +6,15 @@
 //! benchmarks can show the cliff that motivates the asynchronous trusted
 //! counter service in `treaty-counter`.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use treaty_sim::{CostModel, Nanos};
 
 /// A slow, wear-limited hardware monotonic counter.
 #[derive(Debug, Default)]
 pub struct HwCounter {
-    value: AtomicU64,
-    writes: AtomicU64,
+    value: Cell<u64>,
+    writes: Cell<u64>,
 }
 
 /// Writes after which real SGX counters begin to wear out (order of
@@ -30,19 +30,20 @@ impl HwCounter {
     /// Increments and returns the new value plus the virtual-time cost the
     /// caller must charge.
     pub fn increment(&self, costs: &CostModel) -> (u64, Nanos) {
-        self.writes.fetch_add(1, Ordering::Relaxed);
-        let v = self.value.fetch_add(1, Ordering::Relaxed) + 1;
+        self.writes.update(|n| n + 1);
+        let v = self.value.get() + 1;
+        self.value.set(v);
         (v, costs.hw_counter_ns)
     }
 
     /// Reads the current value (fast).
     pub fn read(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
+        self.value.get()
     }
 
     /// Whether the counter has exceeded its wear budget.
     pub fn worn_out(&self) -> bool {
-        self.writes.load(Ordering::Relaxed) > WEAR_LIMIT_WRITES
+        self.writes.get() > WEAR_LIMIT_WRITES
     }
 }
 

@@ -1,9 +1,8 @@
 //! Enclave memory accounting and the untrusted host memory vault.
 
-use parking_lot::Mutex;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use treaty_crypto::Digest32;
 use treaty_sim::{CostModel, Nanos, TeeMode};
@@ -27,13 +26,13 @@ pub const EPC_V2_BYTES: u64 = 256 * 1024 * 1024;
 pub struct Enclave {
     mode: TeeMode,
     epc_capacity: u64,
-    resident: AtomicU64,
-    faults: AtomicU64,
+    resident: Cell<u64>,
+    faults: Cell<u64>,
     /// Digests of plaintext buffers the enclave vouches for in untrusted
     /// memory (the "w/o Enc" profiles): refcounted so identical values
     /// stored twice stay pinned until both are freed. This map is what
     /// [`HostBytes::integrity_pinned`] checks.
-    integrity: Mutex<HashMap<Digest32, u64>>,
+    integrity: RefCell<HashMap<Digest32, u64>>,
 }
 
 impl Enclave {
@@ -48,9 +47,9 @@ impl Enclave {
         Enclave {
             mode,
             epc_capacity,
-            resident: AtomicU64::new(0),
-            faults: AtomicU64::new(0),
-            integrity: Mutex::new(HashMap::new()),
+            resident: Cell::new(0),
+            faults: Cell::new(0),
+            integrity: RefCell::new(HashMap::new()),
         }
     }
 
@@ -62,30 +61,18 @@ impl Enclave {
     /// Registers `bytes` of trusted allocation (MemTable keys, lock table,
     /// transaction buffers).
     pub fn alloc_trusted(&self, bytes: u64) {
-        self.resident.fetch_add(bytes, Ordering::Relaxed);
+        self.resident.update(|n| n + bytes);
     }
 
     /// Releases `bytes` of trusted allocation.
     pub fn free_trusted(&self, bytes: u64) {
         // Saturating: double-frees in tests shouldn't wrap.
-        let mut cur = self.resident.load(Ordering::Relaxed);
-        loop {
-            let next = cur.saturating_sub(bytes);
-            match self.resident.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(v) => cur = v,
-            }
-        }
+        self.resident.set(self.resident.get().saturating_sub(bytes));
     }
 
     /// Bytes currently resident in trusted memory.
     pub fn resident_bytes(&self) -> u64 {
-        self.resident.load(Ordering::Relaxed)
+        self.resident.get()
     }
 
     /// The EPC budget of this enclave in bytes. Resident sets above this
@@ -105,7 +92,7 @@ impl Enclave {
             TeeMode::Native => base_cpu,
             TeeMode::Scone => {
                 let mut ns = costs.enclave_cpu(TeeMode::Scone, base_cpu);
-                let resident = self.resident.load(Ordering::Relaxed);
+                let resident = self.resident.get();
                 if resident > self.epc_capacity {
                     let over = resident - self.epc_capacity;
                     // Probability that this access touches an evicted page.
@@ -113,7 +100,7 @@ impl Enclave {
                     let pages = (bytes as u64).div_ceil(4096).max(1);
                     let paging = (costs.epc_fault_ns as f64 * prob * pages as f64) as Nanos;
                     ns += paging;
-                    self.faults.fetch_add(1, Ordering::Relaxed);
+                    self.faults.update(|n| n + 1);
                     treaty_sim::obs::counter_add("tee.epc_fault", 1);
                     treaty_sim::obs::counter_add("tee.paging_ns", paging);
                 }
@@ -124,7 +111,7 @@ impl Enclave {
 
     /// Number of accesses that incurred (expected) paging cost.
     pub fn fault_count(&self) -> u64 {
-        self.faults.load(Ordering::Relaxed)
+        self.faults.get()
     }
 
     // ---- integrity map (the trusted side of `HostBytes::integrity_pinned`) ----
@@ -132,13 +119,13 @@ impl Enclave {
     /// Registers `digest` as vouched-for plaintext in untrusted memory.
     /// Refcounted: pin twice, unpin twice.
     pub fn pin_integrity(&self, digest: Digest32) {
-        *self.integrity.lock().entry(digest).or_insert(0) += 1;
+        *self.integrity.borrow_mut().entry(digest).or_insert(0) += 1;
     }
 
     /// Releases one pin on `digest`; the entry disappears when the
     /// refcount reaches zero.
     pub fn unpin_integrity(&self, digest: &Digest32) {
-        let mut map = self.integrity.lock();
+        let mut map = self.integrity.borrow_mut();
         if let Some(count) = map.get_mut(digest) {
             *count -= 1;
             if *count == 0 {
@@ -149,13 +136,13 @@ impl Enclave {
 
     /// True iff `digest` is currently pinned.
     pub fn is_pinned(&self, digest: &Digest32) -> bool {
-        self.integrity.lock().contains_key(digest)
+        self.integrity.borrow().contains_key(digest)
     }
 
     /// Number of distinct pinned digests (enclave-resident state the
     /// integrity map costs — useful for EPC accounting tests).
     pub fn pinned_digests(&self) -> usize {
-        self.integrity.lock().len()
+        self.integrity.borrow().len()
     }
 }
 
@@ -178,13 +165,13 @@ struct VaultInner {
 /// the test suite can mount the §III attacks.
 #[derive(Debug, Default)]
 pub struct HostVault {
-    inner: Mutex<VaultInner>,
+    inner: RefCell<VaultInner>,
 }
 
 impl HostVault {
     /// Creates an empty vault.
-    pub fn new() -> Arc<Self> {
-        Arc::new(HostVault::default())
+    pub fn new() -> Rc<Self> {
+        Rc::new(HostVault::default())
     }
 
     /// Stores a buffer, returning its handle.
@@ -200,7 +187,7 @@ impl HostVault {
     /// ```
     pub fn store(&self, data: HostBytes) -> HostHandle {
         let data = data.into_vec();
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         let id = inner.next;
         inner.next += 1;
         inner.bytes += data.len() as u64;
@@ -216,7 +203,7 @@ impl HostVault {
     /// already freed.
     pub fn load(&self, h: HostHandle) -> Result<Vec<u8>, TeeError> {
         self.inner
-            .lock()
+            .borrow()
             .slots
             .get(&h.0)
             .cloned()
@@ -229,7 +216,7 @@ impl HostVault {
     ///
     /// Returns [`TeeError::BadHandle`] if the handle is not live.
     pub fn free(&self, h: HostHandle) -> Result<(), TeeError> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         match inner.slots.remove(&h.0) {
             Some(buf) => {
                 inner.bytes -= buf.len() as u64;
@@ -241,12 +228,12 @@ impl HostVault {
 
     /// Total bytes currently stored.
     pub fn resident_bytes(&self) -> u64 {
-        self.inner.lock().bytes
+        self.inner.borrow().bytes
     }
 
     /// Number of live buffers.
     pub fn live_buffers(&self) -> usize {
-        self.inner.lock().slots.len()
+        self.inner.borrow().slots.len()
     }
 
     // ---- adversary interface (used by the security test suite) ----
@@ -257,7 +244,7 @@ impl HostVault {
     ///
     /// Returns [`TeeError::BadHandle`] if the handle is not live.
     pub fn corrupt(&self, h: HostHandle, offset: usize) -> Result<(), TeeError> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         let buf = inner.slots.get_mut(&h.0).ok_or(TeeError::BadHandle(h.0))?;
         if let Some(b) = buf.get_mut(offset) {
             *b ^= 0xFF;
@@ -269,7 +256,7 @@ impl HostVault {
     /// privileged attacker reading host memory would see. Confidentiality
     /// tests scan this for plaintext.
     pub fn dump(&self) -> Vec<u8> {
-        let inner = self.inner.lock();
+        let inner = self.inner.borrow();
         let mut ids: Vec<_> = inner.slots.keys().copied().collect();
         ids.sort_unstable();
         let mut out = Vec::new();

@@ -9,9 +9,9 @@
 //! cargo run --release --example banking
 //! ```
 
-use std::sync::Arc;
+use std::rc::Rc;
 
-use parking_lot::Mutex;
+use std::cell::RefCell;
 use treaty::core::{Cluster, ClusterOptions};
 use treaty::sched::block_on;
 use treaty::sim::runtime::{join, spawn};
@@ -32,14 +32,14 @@ fn main() {
     let dir = tempfile::tempdir().expect("tempdir");
     let path = dir.path().to_path_buf();
     block_on(move || {
-        let cluster = Arc::new(Mutex::new(
+        let cluster = Rc::new(RefCell::new(
             Cluster::start(ClusterOptions::new(SecurityProfile::treaty_full(), path))
                 .expect("cluster boots"),
         ));
 
         println!("== seeding {ACCOUNTS} accounts with {INITIAL} each ==");
         {
-            let teller = cluster.lock().client();
+            let teller = cluster.borrow_mut().client();
             let mut tx = teller.begin(1);
             for i in 0..ACCOUNTS {
                 tx.put(&account(i), INITIAL.to_string().as_bytes())
@@ -51,9 +51,9 @@ fn main() {
         println!("== 8 tellers x 8 transfers, concurrently ==");
         let mut handles = Vec::new();
         for teller_id in 0..8u32 {
-            let cluster = Arc::clone(&cluster);
+            let cluster = Rc::clone(&cluster);
             handles.push(spawn(move || {
-                let client = cluster.lock().client();
+                let client = cluster.borrow_mut().client();
                 let coordinator = 1 + (teller_id % 3);
                 let mut committed = 0;
                 for t in 0..8u32 {
@@ -84,7 +84,7 @@ fn main() {
 
         println!("== crashing node 2 and restarting it ==");
         {
-            let mut c = cluster.lock();
+            let mut c = cluster.borrow_mut();
             c.crash_node(1);
             c.restart_node(1)
                 .expect("recovery succeeds (state verified fresh)");
@@ -95,7 +95,7 @@ fn main() {
             "== auditing: total balance must still be {} ==",
             ACCOUNTS as i64 * INITIAL
         );
-        let auditor = cluster.lock().client();
+        let auditor = cluster.borrow_mut().client();
         let mut tx = auditor.begin(3);
         let mut total = 0;
         for i in 0..ACCOUNTS {

@@ -8,8 +8,8 @@
 //! cargo run --release --example tpcc_showdown
 //! ```
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 
 use treaty::core::{Cluster, ClusterOptions, DistTxn};
 use treaty::sched::block_on;
@@ -34,10 +34,10 @@ const TXNS: usize = 10;
 fn run_variant(profile: SecurityProfile) -> (f64, f64) {
     let dir = tempfile::tempdir().expect("tempdir");
     let path = dir.path().to_path_buf();
-    let out = Arc::new(parking_lot::Mutex::new((0.0, 0.0)));
-    let out2 = Arc::clone(&out);
+    let out = Rc::new(RefCell::new((0.0, 0.0)));
+    let out2 = Rc::clone(&out);
     block_on(move || {
-        let cluster = Arc::new(Cluster::start(ClusterOptions::new(profile, path)).expect("boot"));
+        let cluster = Rc::new(Cluster::start(ClusterOptions::new(profile, path)).expect("boot"));
         let tpcc = TpccConfig::paper_10w();
 
         // Load the initial database straight into the owning stores.
@@ -51,11 +51,11 @@ fn run_variant(profile: SecurityProfile) -> (f64, f64) {
         }
 
         let t0 = runtime::now();
-        let committed = Arc::new(AtomicU64::new(0));
+        let committed = Rc::new(Cell::new(0));
         let mut handles = Vec::new();
         for c in 0..CLIENTS {
-            let cluster = Arc::clone(&cluster);
-            let committed = Arc::clone(&committed);
+            let cluster = Rc::clone(&cluster);
+            let committed = Rc::clone(&committed);
             handles.push(spawn(move || {
                 let client = cluster.client();
                 let mut gen = TpccGenerator::new(TpccConfig::paper_10w(), c as u64 + 1);
@@ -63,7 +63,7 @@ fn run_variant(profile: SecurityProfile) -> (f64, f64) {
                     let mut tx = client.begin(1 + (c % 3) as u32);
                     let ok = gen.run_txn(&mut Kv(&mut tx)).is_ok() && tx.commit().is_ok();
                     if ok {
-                        committed.fetch_add(1, Ordering::Relaxed);
+                        committed.update(|n| n + 1);
                     }
                 }
             }));
@@ -72,10 +72,10 @@ fn run_variant(profile: SecurityProfile) -> (f64, f64) {
             join(h);
         }
         let secs = (runtime::now() - t0) as f64 / 1e9;
-        let tps = committed.load(Ordering::Relaxed) as f64 / secs;
-        *out2.lock() = (tps, secs * 1000.0 / TXNS as f64);
+        let tps = committed.get() as f64 / secs;
+        *out2.borrow_mut() = (tps, secs * 1000.0 / TXNS as f64);
     });
-    let r = *out.lock();
+    let r = *out.borrow_mut();
     r
 }
 

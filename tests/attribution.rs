@@ -5,9 +5,9 @@
 //! with live fields that match the node's own structures and the metrics
 //! registry.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
-use parking_lot::Mutex;
+use std::cell::RefCell;
 use treaty::core::{Cluster, ClusterOptions};
 use treaty::obs::{attribute, Obs};
 use treaty::sched::block_on;
@@ -27,8 +27,8 @@ struct RunOut {
 fn attribution_run(seed: u64) -> RunOut {
     let dir = tempfile::tempdir().unwrap();
     let path = dir.path().to_path_buf();
-    let out: Arc<Mutex<Option<RunOut>>> = Arc::new(Mutex::new(None));
-    let out2 = Arc::clone(&out);
+    let out: Rc<RefCell<Option<RunOut>>> = Rc::new(RefCell::new(None));
+    let out2 = Rc::clone(&out);
     block_on(move || {
         let obs = Obs::with_default_cap();
         treaty::sim::obs::install(&obs);
@@ -53,14 +53,14 @@ fn attribution_run(seed: u64) -> RunOut {
         treaty::sim::obs::uninstall();
         let events = obs.events();
         let report = attribute(&events, obs.dropped());
-        *out2.lock() = Some(RunOut {
+        *out2.borrow_mut() = Some(RunOut {
             json: report.to_json(),
             txns: report.txns.len(),
             min_coverage_bp: report.min_coverage_bp(),
             p99_dominant: report.p99_dominant().map(|c| c.name()),
         });
     });
-    let r = out.lock().take().unwrap();
+    let r = out.borrow_mut().take().unwrap();
     r
 }
 

@@ -1292,11 +1292,11 @@ fn run_clog_batch_cell(hit: u64, starts: bool) -> String {
 
         plan.arm(FaultSchedule::new().crash_at(CrashPoint::LogBatchWritten, COORD, hit));
         let doomed = std::sync::Arc::new(parking_lot::Mutex::new(Vec::new()));
-        let cluster = std::sync::Arc::new(cluster);
+        let cluster = std::rc::Rc::new(cluster);
         let clients: Vec<_> = (0..CLIENTS)
             .map(|c| {
                 let (cluster, doomed, keys) = (
-                    std::sync::Arc::clone(&cluster),
+                    std::rc::Rc::clone(&cluster),
                     std::sync::Arc::clone(&doomed),
                     keys_of(c),
                 );
@@ -1308,7 +1308,7 @@ fn run_clog_batch_cell(hit: u64, starts: bool) -> String {
             .collect();
         clients.into_iter().for_each(join);
         sleep(4 * SECONDS);
-        let mut cluster = std::sync::Arc::try_unwrap(cluster)
+        let mut cluster = std::rc::Rc::try_unwrap(cluster)
             .unwrap_or_else(|_| panic!("{cell}: a client still holds the cluster"));
         let mut doomed = std::mem::take(&mut *doomed.lock());
         doomed.sort_by_key(|(obs, _)| obs.id);
@@ -1540,7 +1540,7 @@ fn run_commit_point_no_quorum_cell() -> String {
             .iter()
             .map(|&n| store(&cluster, n).clone())
             .collect();
-        let fabric = std::sync::Arc::clone(cluster.fabric());
+        let fabric = std::rc::Rc::clone(cluster.fabric());
         let cutter = spawn(move || {
             while !stores.iter().all(|s| s.prepared_txns().contains(&gtx)) {
                 sleep(10 * MICROS);

@@ -197,7 +197,7 @@ fn engine_matches_model_across_recovery() {
         let env = Env::for_testing(SecurityProfile::treaty_full(), dir.path());
         let mut model: HashMap<u8, Option<Vec<u8>>> = HashMap::new();
         {
-            let store = TreatyStore::open(std::sync::Arc::clone(&env)).unwrap();
+            let store = TreatyStore::open(std::rc::Rc::clone(&env)).unwrap();
             for (k, v) in &ops {
                 let mut tx = store.begin_mode(TxnMode::Pessimistic);
                 match v {
@@ -263,7 +263,7 @@ fn engine_reads_every_key_like_a_model() {
         let env = Env::for_testing(SecurityProfile::treaty_full(), dir.path());
         let mut model = BTreeMap::new();
         {
-            let store = TreatyStore::open(std::sync::Arc::clone(&env)).unwrap();
+            let store = TreatyStore::open(std::rc::Rc::clone(&env)).unwrap();
             for (write, flush_after) in &writes {
                 let mut tx = store.begin_mode(TxnMode::Pessimistic);
                 match write {

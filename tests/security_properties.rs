@@ -2,7 +2,7 @@
 //! confidentiality, integrity and freshness at every layer the §III
 //! adversary can reach — host memory, disk, and wire.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use treaty::core::{Cluster, ClusterOptions};
 use treaty::sched::block_on;
@@ -76,7 +76,7 @@ fn confidentiality_everywhere_under_full_profile() {
 fn host_memory_confidentiality_single_node() {
     let dir = tempfile::tempdir().unwrap();
     let env = Env::for_testing(SecurityProfile::treaty_full(), dir.path());
-    let store = TreatyStore::open(Arc::clone(&env)).unwrap();
+    let store = TreatyStore::open(Rc::clone(&env)).unwrap();
     let mut tx = store.begin_mode(TxnMode::Pessimistic);
     tx.put(b"k", SECRET).unwrap();
     tx.commit().unwrap();

@@ -5,9 +5,9 @@
 //! asserted through the metrics registry, not by inspection.
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::rc::Rc;
 
-use parking_lot::Mutex;
+use std::cell::RefCell;
 use treaty::core::messages::{decode, encode};
 use treaty::core::{Cluster, ClusterOptions};
 use treaty::obs::Obs;
@@ -47,7 +47,7 @@ fn snapshot_never_observes_torn_cross_shard_txn() {
     let dir = tempfile::tempdir().unwrap();
     let path = dir.path().to_path_buf();
     block_on(move || {
-        let cluster = Arc::new(Cluster::start(options(&path)).unwrap());
+        let cluster = Rc::new(Cluster::start(options(&path)).unwrap());
         let keys = key_per_node(&cluster);
         assert_eq!(keys.len(), 3, "want one key per shard");
 
@@ -62,7 +62,7 @@ fn snapshot_never_observes_torn_cross_shard_txn() {
 
         let mut handles = Vec::new();
         for w in 0..WRITERS {
-            let cluster = Arc::clone(&cluster);
+            let cluster = Rc::clone(&cluster);
             let keys = keys.clone();
             handles.push(spawn(move || {
                 let client = cluster.client();
@@ -207,8 +207,8 @@ fn readonly_snapshot_txns_never_touch_the_lock_table() {
     let dir = tempfile::tempdir().unwrap();
     let path = dir.path().to_path_buf();
     type Readings = (u64, u64, u64, u64);
-    let out: Arc<Mutex<Option<Readings>>> = Arc::new(Mutex::new(None));
-    let out2 = Arc::clone(&out);
+    let out: Rc<RefCell<Option<Readings>>> = Rc::new(RefCell::new(None));
+    let out2 = Rc::clone(&out);
     block_on(move || {
         let obs = Obs::with_default_cap();
         treaty::sim::obs::install(&obs);
@@ -245,14 +245,14 @@ fn readonly_snapshot_txns_never_touch_the_lock_table() {
         tx.commit().unwrap();
         let lock_after_locked = m.counter("store.lock_acquire");
         treaty::sim::obs::uninstall();
-        *out2.lock() = Some((
+        *out2.borrow_mut() = Some((
             lock_after_snapshots - lock_baseline,
             snaps_served,
             lock_after_locked - lock_after_snapshots,
             READS as u64,
         ));
     });
-    let (snapshot_locks, snaps_served, locked_locks, reads) = out.lock().take().unwrap();
+    let (snapshot_locks, snaps_served, locked_locks, reads) = out.borrow_mut().take().unwrap();
     assert_eq!(
         snapshot_locks, 0,
         "read-only snapshot transactions acquired {snapshot_locks} locks"
@@ -275,8 +275,8 @@ fn readonly_snapshot_txns_never_touch_the_lock_table() {
 fn indoubt_snapshot_reads_retry_until_the_decision_lands() {
     let dir = tempfile::tempdir().unwrap();
     let path = dir.path().to_path_buf();
-    let out: Arc<Mutex<Option<(u64, u64)>>> = Arc::new(Mutex::new(None));
-    let out2 = Arc::clone(&out);
+    let out: Rc<RefCell<Option<(u64, u64)>>> = Rc::new(RefCell::new(None));
+    let out2 = Rc::clone(&out);
     block_on(move || {
         let obs = Obs::with_default_cap();
         treaty::sim::obs::install(&obs);
@@ -327,9 +327,9 @@ fn indoubt_snapshot_reads_retry_until_the_decision_lands() {
         let rejects = m.counter("core.snapshot_indoubt_reject");
         let retries = m.counter("client.snapshot_retries");
         treaty::sim::obs::uninstall();
-        *out2.lock() = Some((rejects, retries));
+        *out2.borrow_mut() = Some((rejects, retries));
     });
-    let (rejects, retries) = out.lock().take().unwrap();
+    let (rejects, retries) = out.borrow_mut().take().unwrap();
     assert!(
         rejects >= 1,
         "the prepared overlap must reject at least once"

@@ -3,9 +3,9 @@
 //! the spans cover every layer of the stack, and same-seed runs export
 //! byte-identical Chrome traces.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
-use parking_lot::Mutex;
+use std::cell::RefCell;
 use treaty::core::{Cluster, ClusterOptions};
 use treaty::obs::{check_invariants, chrome_trace_json, EventKind, Obs, TraceEvent};
 use treaty::sched::block_on;
@@ -21,8 +21,8 @@ type Traced = (Vec<TraceEvent>, String);
 fn traced_run(seed: u64) -> Traced {
     let dir = tempfile::tempdir().unwrap();
     let path = dir.path().to_path_buf();
-    let out: Arc<Mutex<Option<Traced>>> = Arc::new(Mutex::new(None));
-    let out2 = Arc::clone(&out);
+    let out: Rc<RefCell<Option<Traced>>> = Rc::new(RefCell::new(None));
+    let out2 = Rc::clone(&out);
     block_on(move || {
         let obs = Obs::with_default_cap();
         treaty::sim::obs::install(&obs);
@@ -53,9 +53,9 @@ fn traced_run(seed: u64) -> Traced {
         let events = obs.events();
         assert_eq!(obs.dropped(), 0, "smoke run must fit the ring buffer");
         let json = chrome_trace_json(&events);
-        *out2.lock() = Some((events, json));
+        *out2.borrow_mut() = Some((events, json));
     });
-    let r = out.lock().take().unwrap();
+    let r = out.borrow_mut().take().unwrap();
     r
 }
 
@@ -128,8 +128,8 @@ fn same_seed_runs_export_byte_identical_traces() {
 fn traced_bulk_run(seed: u64) -> Traced {
     let dir = tempfile::tempdir().unwrap();
     let path = dir.path().to_path_buf();
-    let out: Arc<Mutex<Option<Traced>>> = Arc::new(Mutex::new(None));
-    let out2 = Arc::clone(&out);
+    let out: Rc<RefCell<Option<Traced>>> = Rc::new(RefCell::new(None));
+    let out2 = Rc::clone(&out);
     block_on(move || {
         let obs = Obs::with_default_cap();
         treaty::sim::obs::install(&obs);
@@ -152,9 +152,9 @@ fn traced_bulk_run(seed: u64) -> Traced {
         treaty::sim::obs::uninstall();
         let events = obs.events();
         let json = chrome_trace_json(&events);
-        *out2.lock() = Some((events, json));
+        *out2.borrow_mut() = Some((events, json));
     });
-    let r = out.lock().take().unwrap();
+    let r = out.borrow_mut().take().unwrap();
     r
 }
 
