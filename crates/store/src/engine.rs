@@ -520,8 +520,15 @@ pub struct EngineStats {
     pub gets: u64,
     /// MemTable flushes.
     pub flushes: u64,
-    /// Compactions run.
+    /// Compaction rounds run, whether they moved tables, merged them or
+    /// both.
     pub compactions: u64,
+    /// Tables compaction moved a level down with one MANIFEST edit,
+    /// rewriting no byte.
+    pub tables_moved: u64,
+    /// Bytes of the tables compaction merges wrote: its write
+    /// amplification, which moves do not add to.
+    pub compaction_bytes_written: u64,
     /// Files deleted by stabilization-gated GC.
     pub files_deleted: u64,
     /// Group-commit batches written.
@@ -555,6 +562,8 @@ pub(crate) struct StatsCells {
     pub gets: Cell<u64>,
     pub flushes: Cell<u64>,
     pub compactions: Cell<u64>,
+    pub tables_moved: Cell<u64>,
+    pub compaction_bytes_written: Cell<u64>,
     pub files_deleted: Cell<u64>,
     pub group_commits: Cell<u64>,
     pub grouped_txns: Cell<u64>,
@@ -877,6 +886,8 @@ impl TreatyStore {
             gets: s.gets.get(),
             flushes: s.flushes.get(),
             compactions: s.compactions.get(),
+            tables_moved: s.tables_moved.get(),
+            compaction_bytes_written: s.compaction_bytes_written.get(),
             files_deleted: s.files_deleted.get(),
             group_commits: s.group_commits.get(),
             grouped_txns: s.grouped_txns.get(),
@@ -892,10 +903,20 @@ impl TreatyStore {
     /// File ids of every SSTable currently published in the hierarchy
     /// (test introspection for cache-invalidation coverage).
     pub fn live_file_ids(&self) -> Vec<u64> {
-        let levels = Rc::clone(&*self.inner.levels.borrow());
-        let mut ids: Vec<u64> = levels.iter().flatten().map(|t| t.meta().file_id).collect();
+        let mut ids: Vec<u64> = self
+            .level_tables()
+            .iter()
+            .flatten()
+            .map(|t| t.meta().file_id)
+            .collect();
         ids.sort_unstable();
         ids
+    }
+
+    /// The published SSTable hierarchy: each level's tables in the order
+    /// reads visit them (test introspection for the level invariants).
+    pub fn level_tables(&self) -> Rc<Vec<Vec<Rc<SsTable>>>> {
+        Rc::clone(&*self.inner.levels.borrow())
     }
 
     /// Number of keys currently held in the 2PC lock table, across all
@@ -1809,41 +1830,127 @@ impl TreatyStore {
         Ok(())
     }
 
-    /// Merges every table of `level` with every overlapping table of
-    /// `level + 1`, keeping only the newest version of each key (older
-    /// versions are consumed by the merge; tombstones survive until the
-    /// bottom level).
+    /// Compacts `level` into `level + 1`. The inputs are every table of
+    /// `level` and each table of `level + 1` whose span overlaps one of
+    /// them ([`SsTable::overlaps`]); they fall into groups of transitively
+    /// overlapping spans, and each group compacts on its own. A group that
+    /// is one table of `level` *moves*: one `AddTable` edit re-levels it,
+    /// and not a byte is read or rewritten, nor is the table released,
+    /// collected or evicted from the block cache. Every other group merges
+    /// into new tables of `level + 1`, keeping only the newest version of
+    /// each key (older versions are consumed by the merge; tombstones
+    /// survive until the bottom level). Nothing moves into the bottom
+    /// level: only a merge discards tombstones there.
     fn compact_level(&self, level: usize) -> Result<()> {
         treaty_sim::runtime::set_tag("e:compact");
         let _span = treaty_sim::obs::span_with("store.compact", &[("level", level as u64)]);
-        // Snapshot the inputs but leave them published: the merge below does
-        // real (virtual-time-charged) I/O, and concurrent readers must keep
+        // Snapshot the inputs but leave them published: a merge does real
+        // (virtual-time-charged) I/O, and concurrent readers must keep
         // seeing the pre-compaction state until the atomic publish swap.
-        let (inputs_upper, inputs_lower) = {
+        let (upper, inputs) = {
             let levels = self.inner.levels.borrow();
-            (levels[level].clone(), levels[level + 1].clone())
+            let upper = levels[level].clone();
+            let lower = levels[level + 1]
+                .iter()
+                .filter(|l| upper.iter().any(|u| u.overlaps(l)))
+                .cloned();
+            let inputs: Vec<Rc<SsTable>> = upper.iter().cloned().chain(lower).collect();
+            (upper, inputs)
         };
-        if inputs_upper.is_empty() {
+        if upper.is_empty() {
             return Ok(());
         }
-
-        // Merge: newest-first precedence is upper level tables in order,
-        // then lower level. Every input is already sorted (user key asc,
-        // seq desc), so the shared k-way merge streams them through the
-        // same verified cursors a scan uses — fence continuity included;
-        // inputs come back from untrusted storage too — with no
-        // materialized map and no output sort: the footprint is one block
-        // per input, not the level. The cursors bypass the block cache.
         let bottom = level + 1 >= 5;
-        let inputs = || inputs_upper.iter().chain(inputs_lower.iter());
+        let (mut moved, mut merged, mut outputs) = (Vec::new(), Vec::new(), Vec::new());
+        for group in overlap_groups(&inputs) {
+            // A table of `level + 1` is an input only if it overlaps a
+            // table of `level`, so a group of one is a table of `level`.
+            if group.len() == 1 && !bottom {
+                moved.extend(group);
+            } else {
+                outputs.extend(self.merge_tables(&group, bottom)?);
+                merged.extend(group);
+            }
+        }
+
+        // Publish: a moved table's one edit re-levels it (replay keeps the
+        // level an id was last added at); merge outputs go into level+1
+        // and the merged inputs are retired.
+        for t in &moved {
+            self.manifest_append(&ManifestEdit::AddTable {
+                level: level + 1,
+                file_id: t.meta().file_id,
+            })?;
+        }
+        let mut last_counter = 0;
+        for t in &outputs {
+            last_counter = self.manifest_append(&ManifestEdit::AddTable {
+                level: level + 1,
+                file_id: t.meta().file_id,
+            })?;
+        }
+        let is_upper = |t: &Rc<SsTable>| upper.iter().any(|u| Rc::ptr_eq(u, t));
+        for t in &merged {
+            last_counter = self.manifest_append(&ManifestEdit::RemoveTable {
+                level: if is_upper(t) { level } else { level + 1 },
+                file_id: t.meta().file_id,
+            })?;
+        }
+        // Older versions of the merged keys are gone once the outputs are
+        // visible: raise the snapshot floor first (see `check_snapshot_ts`).
+        // A move drops no version and leaves the floor where it is.
+        let merged_seq = merged.iter().map(|t| t.meta().max_seq).max().unwrap_or(0);
+        self.inner
+            .snapshot_floor
+            .set(self.inner.snapshot_floor.get().max(merged_seq));
+        {
+            let mut levels = self.inner.levels.borrow_mut();
+            let mut next = (**levels).clone();
+            next[level].retain(|t| !is_upper(t));
+            next[level + 1].retain(|t| !merged.iter().any(|m| Rc::ptr_eq(m, t)));
+            next[level + 1].extend(outputs.iter().chain(&moved).cloned());
+            next[level + 1].sort_by(|a, b| a.meta().min_key.cmp(&b.meta().min_key));
+            *levels = Rc::new(next);
+        }
+        {
+            let mut gc = self.inner.pending_gc.borrow_mut();
+            for t in &merged {
+                t.release();
+                // Retired tables' blocks must stop occupying the trusted
+                // cache (and its EPC budget) immediately.
+                if let Some(cache) = &self.inner.env.block_cache {
+                    cache.invalidate_file(t.meta().file_id);
+                }
+                gc.push((last_counter, t.path().to_path_buf()));
+            }
+        }
+        let s = self.counters();
+        s.compactions.update(|n| n + 1);
+        s.tables_moved.update(|n| n + moved.len() as u64);
+        let written: u64 = outputs.iter().map(|t| t.disk_bytes()).sum();
+        s.compaction_bytes_written.update(|n| n + written);
+        Ok(())
+    }
+
+    /// Merges one group of overlapping tables into new tables, keeping
+    /// the newest version of each key. `inputs` are in precedence order:
+    /// newest first.
+    fn merge_tables(&self, inputs: &[Rc<SsTable>], bottom: bool) -> Result<Vec<Rc<SsTable>>> {
+        // Every input is already sorted (user key asc, seq desc), so the
+        // shared k-way merge streams them through the same verified cursors
+        // a scan uses — fence continuity included; inputs come back from
+        // untrusted storage too — with no materialized map and no output
+        // sort: the footprint is one block per input, not the level. The
+        // cursors bypass the block cache.
         let mut sources = Vec::new();
-        for t in inputs() {
+        for t in inputs {
             sources.push(ScanSource::Table(t.range_cursor(b"", false)?));
         }
         // Range tombstones from every input ride the outputs (partitioned
         // below) until the bottom level, where they — and the versions
         // they shadow — are garbage-collected for good.
-        let mut tombs: Vec<RangeTombstone> = inputs()
+        let mut tombs: Vec<RangeTombstone> = inputs
+            .iter()
             .flat_map(|t| t.meta().range_tombstones.clone())
             .collect();
         tombs.sort_by(|a, b| (&a.start, &a.end, a.seq).cmp(&(&b.start, &b.end, b.seq)));
@@ -1907,53 +2014,7 @@ impl TreatyStore {
             outputs.push(self.write_table(&[], &live_tombs)?);
         }
 
-        // Publish: outputs into level+1, record edits, retire inputs.
-        let mut last_counter = 0;
-        for t in &outputs {
-            last_counter = self.manifest_append(&ManifestEdit::AddTable {
-                level: level + 1,
-                file_id: t.meta().file_id,
-            })?;
-        }
-        for t in inputs() {
-            last_counter = self.manifest_append(&ManifestEdit::RemoveTable {
-                level: if inputs_upper.iter().any(|u| Rc::ptr_eq(u, t)) {
-                    level
-                } else {
-                    level + 1
-                },
-                file_id: t.meta().file_id,
-            })?;
-        }
-        // Older versions of the merged keys are gone once the outputs are
-        // visible: raise the snapshot floor first (see `check_snapshot_ts`).
-        let merged_seq = inputs().map(|t| t.meta().max_seq).max().unwrap_or(0);
-        self.inner
-            .snapshot_floor
-            .set(self.inner.snapshot_floor.get().max(merged_seq));
-        {
-            let mut levels = self.inner.levels.borrow_mut();
-            let mut next = (**levels).clone();
-            next[level].retain(|t| !inputs_upper.iter().any(|u| Rc::ptr_eq(u, t)));
-            next[level + 1].retain(|t| !inputs_lower.iter().any(|u| Rc::ptr_eq(u, t)));
-            next[level + 1].extend(outputs.iter().cloned());
-            next[level + 1].sort_by(|a, b| a.meta().min_key.cmp(&b.meta().min_key));
-            *levels = Rc::new(next);
-        }
-        {
-            let mut gc = self.inner.pending_gc.borrow_mut();
-            for t in inputs() {
-                t.release();
-                // Retired tables' blocks must stop occupying the trusted
-                // cache (and its EPC budget) immediately.
-                if let Some(cache) = &self.inner.env.block_cache {
-                    cache.invalidate_file(t.meta().file_id);
-                }
-                gc.push((last_counter, t.path().to_path_buf()));
-            }
-        }
-        self.counters().compactions.update(|n| n + 1);
-        Ok(())
+        Ok(outputs)
     }
 
     fn write_table(
@@ -2264,6 +2325,33 @@ fn relog_prepared(prepared: &PreparedTable, wal: &LogWriter) -> Result<()> {
 pub(crate) fn stabilize_traced(wal: &LogWriter, counter: u64) -> Result<()> {
     let _span = treaty_sim::obs::span("wal.stabilize");
     wal.stabilize(counter)
+}
+
+/// Splits compaction inputs into groups of transitively overlapping key
+/// ranges ([`SsTable::overlaps`]), in key order. No table of one group
+/// overlaps a table of another, so the groups compact independently, and
+/// a group's merge writes nothing outside its own tables' ranges. Each
+/// group keeps the order it had in `inputs`: merge precedence, newest
+/// first.
+fn overlap_groups(inputs: &[Rc<SsTable>]) -> Vec<Vec<Rc<SsTable>>> {
+    let mut by_start: Vec<usize> = (0..inputs.len()).collect();
+    by_start.sort_by(|&a, &b| inputs[a].meta().min_key.cmp(&inputs[b].meta().min_key));
+    // Sorted by first key, a table that overlaps no table of the open
+    // group overlaps no table of an earlier one either.
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for i in by_start {
+        match groups.last_mut() {
+            Some(group) if group.iter().any(|&j| inputs[j].overlaps(&inputs[i])) => group.push(i),
+            _ => groups.push(vec![i]),
+        }
+    }
+    groups
+        .into_iter()
+        .map(|mut group| {
+            group.sort_unstable();
+            group.into_iter().map(|i| Rc::clone(&inputs[i])).collect()
+        })
+        .collect()
 }
 
 /// Clips `tombs` to the partition `[lo, hi)` (`None` = unbounded on that

@@ -63,32 +63,33 @@ impl KeyLock {
         self.exclusive.is_none() && self.shared.is_empty()
     }
 
-    /// Attempts the acquisition; true on success.
-    fn try_acquire(&mut self, tx: TxId, mode: LockMode) -> bool {
+    /// Attempts the acquisition: `None` when it conflicts, otherwise
+    /// whether `tx` is a new holder of the key (`false` when it already
+    /// held it, in either mode — an upgrade included).
+    fn try_acquire(&mut self, tx: TxId, mode: LockMode) -> Option<bool> {
         match mode {
             LockMode::Shared => {
                 if self.exclusive == Some(tx) {
-                    true // X already implies S
+                    Some(false) // X already implies S
                 } else if self.exclusive.is_none() {
-                    self.shared.insert(tx);
-                    true
+                    Some(self.shared.insert(tx))
                 } else {
-                    false
+                    None
                 }
             }
             LockMode::Exclusive => {
                 if self.exclusive == Some(tx) {
-                    true
+                    Some(false)
                 } else if self.exclusive.is_none()
                     && (self.shared.is_empty()
                         || (self.shared.len() == 1 && self.shared.contains(&tx)))
                 {
                     // Free, or an upgrade by the sole shared holder.
-                    self.shared.remove(&tx);
+                    let upgrade = self.shared.remove(&tx);
                     self.exclusive = Some(tx);
-                    true
+                    Some(!upgrade)
                 } else {
-                    false
+                    None
                 }
             }
         }
@@ -151,28 +152,38 @@ impl LockTable {
         &self.shards[self.shard_idx(key)]
     }
 
+    /// One acquisition attempt on `shard` ([`KeyLock::try_acquire`]). The
+    /// key is looked up by reference; it is copied only when it becomes a
+    /// new entry of the table.
+    fn try_acquire(shard: &Shard, tx: TxId, key: &[u8], mode: LockMode) -> Option<bool> {
+        let mut locks = shard.locks.borrow_mut();
+        if let Some(kl) = locks.get_mut(key) {
+            return kl.try_acquire(tx, mode);
+        }
+        let mut kl = KeyLock::default();
+        let acquired = kl.try_acquire(tx, mode);
+        locks.insert(key.to_vec(), kl);
+        acquired
+    }
+
     /// Acquires `mode` on `key` for `tx`, waiting up to the configured
     /// timeout. Re-entrant: a transaction already holding a stronger or
     /// equal lock succeeds immediately; the sole shared holder may upgrade.
+    /// Returns whether `tx` is a new holder of `key`: `false` when it held
+    /// the key already, in either mode.
     ///
     /// # Errors
     ///
     /// Returns [`StoreError::LockTimeout`] when the lock cannot be acquired
     /// in time.
-    pub fn lock(&self, tx: TxId, key: &[u8], mode: LockMode) -> Result<()> {
+    pub fn lock(&self, tx: TxId, key: &[u8], mode: LockMode) -> Result<bool> {
         // Every lock-table entry point counts: the snapshot-read tests
         // assert read-only transactions leave this at zero.
         treaty_sim::obs::counter_add("store.lock_acquire", 1);
         let shard = self.shard_for(key);
         // Fast path.
-        if shard
-            .locks
-            .borrow_mut()
-            .entry(key.to_vec())
-            .or_default()
-            .try_acquire(tx, mode)
-        {
-            return Ok(());
+        if let Some(new) = Self::try_acquire(shard, tx, key, mode) {
+            return Ok(new);
         }
         // Contended: wait with a deadline (fiber context required). The
         // span makes blocked time first-class in the trace — the
@@ -187,37 +198,21 @@ impl LockTable {
                 return Err(StoreError::LockTimeout);
             }
             shard.waiters.wait_timeout(deadline - now);
-            if shard
-                .locks
-                .borrow_mut()
-                .entry(key.to_vec())
-                .or_default()
-                .try_acquire(tx, mode)
-            {
-                return Ok(());
+            if let Some(new) = Self::try_acquire(shard, tx, key, mode) {
+                return Ok(new);
             }
         }
     }
 
-    /// Attempts the acquisition without waiting.
+    /// Attempts the acquisition without waiting. Returns whether `tx` is a
+    /// new holder of `key`, as [`LockTable::lock`] does.
     ///
     /// # Errors
     ///
     /// Returns [`StoreError::LockTimeout`] immediately when contended.
-    pub fn try_lock(&self, tx: TxId, key: &[u8], mode: LockMode) -> Result<()> {
+    pub fn try_lock(&self, tx: TxId, key: &[u8], mode: LockMode) -> Result<bool> {
         treaty_sim::obs::counter_add("store.lock_acquire", 1);
-        let shard = self.shard_for(key);
-        if shard
-            .locks
-            .borrow_mut()
-            .entry(key.to_vec())
-            .or_default()
-            .try_acquire(tx, mode)
-        {
-            Ok(())
-        } else {
-            Err(StoreError::LockTimeout)
-        }
+        Self::try_acquire(self.shard_for(key), tx, key, mode).ok_or(StoreError::LockTimeout)
     }
 
     /// Releases every lock `tx` holds among `keys` and wakes waiters.
@@ -280,6 +275,29 @@ mod tests {
         assert_eq!(t.locked_keys(), 1);
         t.release(1, [b"k".to_vec()]);
         t.release(2, [b"k".to_vec()]);
+        assert_eq!(t.locked_keys(), 0);
+    }
+
+    #[test]
+    fn only_a_first_acquisition_reports_a_new_holder() {
+        let t = table();
+        assert!(t.lock(1, b"k", LockMode::Shared).unwrap());
+        assert!(!t.lock(1, b"k", LockMode::Shared).unwrap());
+        assert!(!t.lock(1, b"k", LockMode::Exclusive).unwrap(), "an upgrade");
+        assert!(
+            !t.try_lock(1, b"k", LockMode::Shared).unwrap(),
+            "X implies S"
+        );
+        assert!(t.try_lock(2, b"j", LockMode::Exclusive).unwrap());
+        assert!(t.try_lock(2, b"k", LockMode::Shared).is_err());
+        t.release(1, [b"k".to_vec()]);
+        assert!(t.try_lock(2, b"k", LockMode::Shared).unwrap());
+        assert!(
+            t.lock(3, b"k", LockMode::Shared).unwrap(),
+            "a second holder"
+        );
+        t.release(2, [b"j".to_vec(), b"k".to_vec()]);
+        t.release(3, [b"k".to_vec()]);
         assert_eq!(t.locked_keys(), 0);
     }
 

@@ -507,9 +507,33 @@ impl SsTable {
         self.disk_bytes
     }
 
-    /// True if `key` falls inside this table's key range.
+    /// True if `key` falls inside this table's key range: from `min_key`
+    /// up to `max_key`, which is in range when it is an entry's key and
+    /// out of it when it is the (exclusive) end of a range tombstone
+    /// reaching past every entry. Compaction cuts its outputs between two
+    /// keys, and an output's tombstone fragments end at the next output's
+    /// first key, so only the exact bound keeps the outputs disjoint.
     pub fn covers(&self, key: &[u8]) -> bool {
-        self.meta.min_key.as_slice() <= key && key <= self.meta.max_key.as_slice()
+        self.meta.min_key.as_slice() <= key && self.ends_after(key)
+    }
+
+    /// True if this table's key range and `other`'s share a key, each
+    /// range read as [`SsTable::covers`] reads it.
+    pub fn overlaps(&self, other: &SsTable) -> bool {
+        self.ends_after(&other.meta.min_key) && other.ends_after(&self.meta.min_key)
+    }
+
+    /// True if `key` is at or below this table's upper bound.
+    fn ends_after(&self, key: &[u8]) -> bool {
+        match key.cmp(&self.meta.max_key) {
+            std::cmp::Ordering::Less => true,
+            std::cmp::Ordering::Equal => self
+                .meta
+                .blocks
+                .last()
+                .is_some_and(|b| b.last_key == self.meta.max_key),
+            std::cmp::Ordering::Greater => false,
+        }
     }
 
     /// The newest range tombstone in this table's sealed footer covering

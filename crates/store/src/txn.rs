@@ -265,19 +265,21 @@ impl Txn {
         }
     }
 
-    fn lock(&mut self, key: &[u8], mode: LockMode) -> Result<()> {
-        self.store.inner.locks.lock(self.id, key, mode)?;
-        if !self.locked.iter().any(|k| k == key) {
+    /// Takes `mode` on `key` and records the key in `locked` the first
+    /// time this transaction holds it. Returns whether it was the first.
+    fn lock(&mut self, key: &[u8], mode: LockMode) -> Result<bool> {
+        let new = self.store.inner.locks.lock(self.id, key, mode)?;
+        if new {
             self.locked.push(key.to_vec());
         }
-        Ok(())
+        Ok(new)
     }
 
     /// Takes a next-key / gap lock: tracked in `range_locked` so it is
-    /// held through prepare until the 2PC decision.
+    /// held through prepare until the 2PC decision. Only a key this
+    /// transaction held already can be there.
     fn lock_gap(&mut self, key: &[u8], mode: LockMode) -> Result<()> {
-        self.lock(key, mode)?;
-        if !self.range_locked.iter().any(|k| k == key) {
+        if self.lock(key, mode)? || !self.range_locked.iter().any(|k| k == key) {
             self.range_locked.push(key.to_vec());
         }
         Ok(())
@@ -759,12 +761,15 @@ impl EngineTxn for Txn {
 impl Txn {
     /// X-locks `key` without waiting; held until the txn finishes.
     fn try_lock_exclusive(&mut self, key: UserKey) -> Result<()> {
-        self.store
+        if self
+            .store
             .inner
             .locks
             .try_lock(self.id, &key, LockMode::Exclusive)
-            .map_err(|_| StoreError::Conflict)?;
-        self.locked.push(key);
+            .map_err(|_| StoreError::Conflict)?
+        {
+            self.locked.push(key);
+        }
         Ok(())
     }
 
@@ -1188,5 +1193,35 @@ impl EngineTxn for NullTxnOwned {
 impl Drop for NullTxnOwned {
     fn drop(&mut self) {
         let _ = self.rollback();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Env;
+    use treaty_sim::SecurityProfile;
+
+    /// A key read, then upgraded, then fenced as a gap is one entry of
+    /// `locked` (and of `range_locked`): the lock table reports a new
+    /// holder once, and only then does the transaction record the key.
+    #[test]
+    fn a_key_read_upgraded_and_gap_locked_is_recorded_once() {
+        let dir = tempfile::tempdir().unwrap();
+        let env = Env::for_testing(SecurityProfile::treaty_full(), dir.path());
+        let store = TreatyStore::open(env).unwrap();
+        let mut tx = store.begin_mode(TxnMode::Pessimistic);
+        assert_eq!(tx.get(b"k").unwrap(), None);
+        tx.put(b"k", b"v").unwrap();
+        assert!(!tx.lock(b"k", LockMode::Exclusive).unwrap(), "held already");
+        tx.lock_gap(b"k", LockMode::Shared).unwrap();
+        tx.lock_gap(b"k", LockMode::Exclusive).unwrap();
+        tx.lock_gap(b"n", LockMode::Shared).unwrap();
+        assert_eq!(tx.locked, vec![b"k".to_vec(), b"n".to_vec()]);
+        assert_eq!(tx.range_locked, vec![b"k".to_vec(), b"n".to_vec()]);
+        assert_eq!(store.locked_keys(), 2);
+        tx.commit().unwrap();
+        assert_eq!(store.locked_keys(), 0);
+        assert_eq!(store.get_committed(b"k").unwrap(), Some(b"v".to_vec()));
     }
 }

@@ -2161,3 +2161,346 @@ fn open_tables_hold_one_descriptor_each_and_release_it_on_retirement() {
         .partition(|n| n.starts_with("sst-"));
     assert_eq!(tables, live_names());
 }
+
+// ---- compaction moves what overlaps nothing ----------------------------------
+
+/// Keys in ascending order, with the value `put` stores for them.
+fn ascending(store: &TreatyStore, keys: std::ops::Range<u32>) {
+    for i in keys {
+        put(
+            store,
+            format!("key-{i:04}").as_bytes(),
+            format!("value-{i}-{}", "z".repeat(400)).as_bytes(),
+        );
+    }
+}
+
+/// The names of the SSTable files in `dir`, sorted.
+fn table_files(dir: &std::path::Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|n| n.starts_with("sst-"))
+        .collect();
+    names.sort();
+    names
+}
+
+/// A load in ascending key order flushes tables that overlap nothing, so
+/// every compaction moves them a level down with one MANIFEST edit: no
+/// byte is rewritten, no table is collected, and a reopen rebuilds the
+/// same levels from the edits.
+#[test]
+fn a_sequential_load_compacts_by_moving_tables() {
+    let dir = tempfile::tempdir().unwrap();
+    let (env, store) = open(SecurityProfile::treaty_full(), dir.path());
+    ascending(&store, 0..200);
+    let stats = store.stats();
+    assert!(stats.flushes >= 4, "expected flushes, got {stats:?}");
+    assert!(
+        stats.compactions >= 2,
+        "expected compactions, got {stats:?}"
+    );
+    assert!(stats.tables_moved >= stats.flushes, "{stats:?}");
+    assert_eq!(stats.compaction_bytes_written, 0, "{stats:?}");
+    let levels = level_ids(&store);
+    assert!(levels[0].len() < 2, "L0 compacted: {levels:?}");
+    assert!(
+        levels[2..].iter().any(|l| !l.is_empty()),
+        "a level-1 compaction moved tables on: {levels:?}"
+    );
+    for i in 0..200u32 {
+        assert_eq!(
+            store
+                .get_committed(format!("key-{i:04}").as_bytes())
+                .unwrap(),
+            Some(format!("value-{i}-{}", "z".repeat(400)).into_bytes()),
+            "key {i}"
+        );
+    }
+
+    // The garbage collector never sees a moved table: every table file
+    // ever written is still live and on disk.
+    store.gc();
+    let live: Vec<String> = store
+        .live_file_ids()
+        .into_iter()
+        .map(treaty_store::sstable::file_name)
+        .collect();
+    assert_eq!(table_files(dir.path()), live);
+    assert_eq!(live.len() as u64, stats.flushes);
+
+    drop(store);
+    let store = TreatyStore::open(env).unwrap();
+    assert_eq!(level_ids(&store), levels, "replay re-levels moved tables");
+    for i in (0..200u32).step_by(7) {
+        assert_eq!(
+            store
+                .get_committed(format!("key-{i:04}").as_bytes())
+                .unwrap(),
+            Some(format!("value-{i}-{}", "z".repeat(400)).into_bytes()),
+            "key {i} after the reopen"
+        );
+    }
+}
+
+/// A move drops no version, so it leaves the snapshot floor alone: a
+/// snapshot pinned before a compaction that only moved tables still reads
+/// what it saw, where a merge of the same tables would refuse it.
+#[test]
+fn a_snapshot_pinned_before_a_move_only_compaction_still_reads() {
+    let dir = tempfile::tempdir().unwrap();
+    let (_env, store) = open(SecurityProfile::treaty_full(), dir.path());
+    ascending(&store, 0..10);
+    let ts = store.stable_ts();
+    store.flush().unwrap();
+    ascending(&store, 10..20);
+    // Tiny config compacts at two L0 tables; these two share no key.
+    store.flush().unwrap();
+    let stats = store.stats();
+    assert!(stats.compactions >= 1, "{stats:?}");
+    assert_eq!(stats.tables_moved, 2, "{stats:?}");
+    assert_eq!(stats.compaction_bytes_written, 0, "{stats:?}");
+
+    let value = |i: u32| format!("value-{i}-{}", "z".repeat(400)).into_bytes();
+    assert_eq!(store.snapshot_get(b"key-0003", ts).unwrap(), Some(value(3)));
+    assert_eq!(store.snapshot_get(b"key-0013", ts).unwrap(), None);
+    let seen = store.snapshot_scan(b"key-", b"key-9", ts, 0).unwrap();
+    assert_eq!(seen.len(), 10);
+    assert_eq!(seen[9], (b"key-0009".to_vec(), value(9)));
+    let fresh = store.stable_ts();
+    assert_eq!(
+        store
+            .snapshot_scan(b"key-", b"key-9", fresh, 0)
+            .unwrap()
+            .len(),
+        20
+    );
+}
+
+/// Only a merge discards tombstones at the bottom level, so what a
+/// compaction sends there merges even when it overlaps nothing: with
+/// levels 64 bytes deep, an ascending load moves down to level 4 and is
+/// rewritten into level 5, without the point tombstones it carried.
+#[test]
+fn nothing_moves_into_the_bottom_level() {
+    let dir = tempfile::tempdir().unwrap();
+    let config = treaty_store::EngineConfig {
+        l1_bytes: 64,
+        ..treaty_store::EngineConfig::tiny()
+    };
+    let env = Env::for_testing_with(SecurityProfile::treaty_full(), dir.path(), config);
+    let store = TreatyStore::open(env).unwrap();
+    for i in 0..200u32 {
+        ascending(&store, i..i + 1);
+        if i % 10 == 0 {
+            let mut tx = store.begin_mode(TxnMode::Pessimistic);
+            tx.delete(format!("key-{i:04}").as_bytes()).unwrap();
+            tx.commit().unwrap();
+        }
+    }
+    let stats = store.stats();
+    assert!(stats.tables_moved > 0, "{stats:?}");
+    assert!(stats.compaction_bytes_written > 0, "{stats:?}");
+    let levels = store.level_tables();
+    assert!(!levels[5].is_empty(), "the load reached the bottom");
+    for table in &levels[5] {
+        let mut cursor = table.range_cursor(b"", false).unwrap();
+        while let Some(record) = cursor.next().unwrap() {
+            assert!(record.value.is_some(), "a tombstone reached the bottom");
+        }
+    }
+    for i in 0..200u32 {
+        let want = (i % 10 != 0).then(|| format!("value-{i}-{}", "z".repeat(400)).into_bytes());
+        assert_eq!(
+            store
+                .get_committed(format!("key-{i:04}").as_bytes())
+                .unwrap(),
+            want,
+            "key {i}"
+        );
+    }
+}
+
+/// Every level below L0 is a run of tables whose key ranges are pairwise
+/// disjoint — what the read path's first-covering-table rule needs.
+fn assert_levels_disjoint(store: &TreatyStore, what: &str) {
+    for (n, level) in store.level_tables().iter().enumerate().skip(1) {
+        for (i, a) in level.iter().enumerate() {
+            for b in &level[i + 1..] {
+                assert!(
+                    !a.overlaps(b),
+                    "{what}: level {n} tables {} and {} overlap",
+                    a.meta().file_id,
+                    b.meta().file_id
+                );
+            }
+        }
+    }
+}
+
+/// Each level's file ids, in the order reads visit them.
+fn level_ids(store: &TreatyStore) -> Vec<Vec<u64>> {
+    store
+        .level_tables()
+        .iter()
+        .map(|level| level.iter().map(|t| t.meta().file_id).collect())
+        .collect()
+}
+
+/// Every key up to `fresh` reads as `model` says, one scan returns the
+/// model, and every level below L0 is pairwise disjoint.
+fn check_against_model(
+    store: &TreatyStore,
+    model: &std::collections::BTreeMap<Vec<u8>, Vec<u8>>,
+    fresh: u32,
+    what: &str,
+) {
+    for n in 0..fresh + 2 {
+        let k = model_key(n);
+        assert_eq!(
+            store.get_committed(&k).unwrap(),
+            model.get(&k).cloned(),
+            "{what}: key {n}"
+        );
+    }
+    let all: Vec<_> = model.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+    assert_eq!(
+        store.scan(b"m", b"n", u64::MAX, 0).unwrap(),
+        all,
+        "{what}: scan"
+    );
+    assert_levels_disjoint(store, what);
+}
+
+fn model_key(n: u32) -> Vec<u8> {
+    format!("m{n:05}").into_bytes()
+}
+
+/// A differential test of compaction: ascending runs of fresh keys (whose
+/// tables move), random updates, deletes and range deletes over the keys
+/// written so far (whose tables merge), and crashes. After every
+/// maintenance pass and every reopen each key reads as a `BTreeMap` says,
+/// a full scan returns the model, and every level below L0 is pairwise
+/// disjoint. Across the seeds, tables both move and merge.
+#[test]
+fn compaction_moves_and_merges_like_a_model() {
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeMap;
+
+    let (mut moved, mut merged_bytes) = (0, 0);
+    for seed in 0..4u64 {
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let dir = tempfile::tempdir().unwrap();
+        let env = Env::for_testing(SecurityProfile::treaty_full(), dir.path());
+        let mut store = TreatyStore::open(Rc::clone(&env)).unwrap();
+        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+        let mut fresh = 0u32;
+        let mut passes = 0;
+        for step in 0..60u32 {
+            let what = format!("seed {seed} step {step}");
+            let (run, mixed) = match rng.gen_range(0..100u32) {
+                0..=54 => (rng.gen_range(10..60u32), 0),
+                55..=94 if fresh > 0 => (0, rng.gen_range(5..30u32)),
+                95..=96 => {
+                    store.flush().unwrap();
+                    (0, 0)
+                }
+                _ => {
+                    // Crash: drop without shutdown, recover from WAL + tables.
+                    drop(store);
+                    store = TreatyStore::open(Rc::clone(&env)).unwrap();
+                    check_against_model(&store, &model, fresh, &format!("{what}, reopened"));
+                    (0, 0)
+                }
+            };
+            // An ascending run of fresh keys, then random updates, deletes
+            // and range deletes; one transaction each.
+            for t in 0..run + mixed {
+                let mut tx = store.begin_mode(TxnMode::Pessimistic);
+                if t < run {
+                    let v = format!("a{seed}-{step}-{}", "v".repeat(rng.gen_range(100..400)));
+                    tx.put(&model_key(fresh), v.as_bytes()).unwrap();
+                    model.insert(model_key(fresh), v.into_bytes());
+                    fresh += 1;
+                } else {
+                    let n = rng.gen_range(0..fresh);
+                    match rng.gen_range(0..10u32) {
+                        0..=5 => {
+                            let v = format!("u{seed}-{step}-{}", "w".repeat(rng.gen_range(0..300)));
+                            tx.put(&model_key(n), v.as_bytes()).unwrap();
+                            model.insert(model_key(n), v.into_bytes());
+                        }
+                        6..=7 => {
+                            tx.delete(&model_key(n)).unwrap();
+                            model.remove(&model_key(n));
+                        }
+                        _ => {
+                            let (lo, hi) = (model_key(n), model_key(n + rng.gen_range(1..20u32)));
+                            tx.delete_range(&lo, &hi).unwrap();
+                            let doomed: Vec<_> =
+                                model.range(lo..hi).map(|(k, _)| k.clone()).collect();
+                            for d in doomed {
+                                model.remove(&d);
+                            }
+                        }
+                    }
+                }
+                tx.commit().unwrap();
+                // Outside the runtime each rotation drains its own
+                // maintenance: a new flush or compaction count means a
+                // pass just ran.
+                let st = store.stats();
+                if st.flushes + st.compactions != passes {
+                    passes = st.flushes + st.compactions;
+                    check_against_model(&store, &model, fresh, &what);
+                }
+            }
+        }
+        drop(store);
+        let store = TreatyStore::open(Rc::clone(&env)).unwrap();
+        check_against_model(&store, &model, fresh, &format!("seed {seed}, final reopen"));
+        let st = store.stats();
+        moved += st.tables_moved;
+        merged_bytes += st.compaction_bytes_written;
+    }
+    assert!(moved > 0, "no compaction moved a table");
+    assert!(merged_bytes > 0, "no compaction merged a table");
+}
+
+/// A merge cuts its output between two keys, and a range tombstone that
+/// spans the cut is split there: the left output's fragment ends at the
+/// right output's first key. That key is the left output's upper bound
+/// but not in its range, so a read of it must go on to the right output.
+#[test]
+fn a_key_on_a_compaction_cut_under_a_range_tombstone_reads() {
+    let dir = tempfile::tempdir().unwrap();
+    let (_env, store) = open(SecurityProfile::treaty_full(), dir.path());
+    let key = |i: u32| format!("k{i:03}").into_bytes();
+    let value = |i: u32, round: u32| format!("v{round}-{i}-{}", "z".repeat(400)).into_bytes();
+    for i in 0..100 {
+        put(&store, &key(i), &value(i, 0));
+    }
+    let mut tx = store.begin_mode(TxnMode::Pessimistic);
+    tx.delete_range(&key(0), &key(100)).unwrap();
+    tx.commit().unwrap();
+    for i in 0..100 {
+        put(&store, &key(i), &value(i, 1));
+    }
+    store.flush().unwrap();
+    let levels = store.level_tables();
+    assert!(levels[1].len() >= 2, "the merge cut its output");
+    for pair in levels[1].windows(2) {
+        let (left, right) = (pair[0].meta(), pair[1].meta());
+        assert_eq!(left.max_key, right.min_key, "the tombstone spans the cut");
+        assert!(!pair[0].covers(&right.min_key));
+        assert!(!pair[0].overlaps(&pair[1]));
+    }
+    for i in 0..100 {
+        assert_eq!(
+            store.get_committed(&key(i)).unwrap(),
+            Some(value(i, 1)),
+            "key {i}"
+        );
+    }
+}
