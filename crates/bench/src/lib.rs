@@ -880,7 +880,7 @@ pub fn run_recovery(profile: SecurityProfile, entries: usize, entry_bytes: usize
 
         // Measured: replay + verification (what recovery does).
         let t0 = runtime::now();
-        let replay = log::replay(&env, "wal-recovery", &file, 0).expect("replay");
+        let replay = log::replay(&env, "wal-recovery", &file).expect("replay");
         assert_eq!(replay.records.len(), entries);
         (runtime::now() - t0, log_bytes)
     })

@@ -101,49 +101,37 @@ pub const CLOG_FILE: &str = "CLOG";
 pub const CLOG_NAME: &str = "clog";
 
 impl Clog {
-    /// Opens (or recovers) the Clog in `env.dir`, verifying integrity and
-    /// freshness of any existing records.
+    /// Opens the Clog in `env.dir` through [`LogWriter::resume`]: its
+    /// records verified and held to the trusted counter — a missing Clog
+    /// is an empty one, refused if anything was ever stabilized under
+    /// this name (the adversary deleted it to forget decided
+    /// transactions).
     ///
     /// # Errors
     ///
     /// Propagates integrity/rollback errors from the log replay.
     pub fn open(env: Rc<Env>) -> Result<Self> {
-        let path = env.dir.join(CLOG_FILE);
+        let (writer, records) =
+            LogWriter::resume(Rc::clone(&env), CLOG_NAME, &env.dir.join(CLOG_FILE))?;
         let mut state = HashMap::new();
-        let recovered_counter = if path.exists() {
-            let replay = log::replay(&env, CLOG_NAME, &path, 0)?;
-            log::verify_freshness(&env, CLOG_NAME, replay.last_counter)?;
-            for (_, payload) in &replay.records {
-                let rec = ClogRecord::from_bytes(payload)
-                    .map_err(|e| StoreError::Integrity(format!("clog record: {e}")))?;
-                let (ClogRecord::Start { gtx, .. } | ClogRecord::Decision { gtx, .. }) = &rec;
-                let st = state.entry(*gtx).or_insert(TxProtocolState {
-                    participants: vec![],
-                    decision: None,
-                });
-                match rec {
-                    ClogRecord::Start { participants, .. } => st.participants = participants,
-                    ClogRecord::Decision { commit, .. } => st.decision = Some(commit),
-                }
+        for (_, payload) in &records {
+            let rec = ClogRecord::from_bytes(payload)
+                .map_err(|e| StoreError::Integrity(format!("clog record: {e}")))?;
+            let (ClogRecord::Start { gtx, .. } | ClogRecord::Decision { gtx, .. }) = &rec;
+            let st = state.entry(*gtx).or_insert(TxProtocolState {
+                participants: vec![],
+                decision: None,
+            });
+            match rec {
+                ClogRecord::Start { participants, .. } => st.participants = participants,
+                ClogRecord::Decision { commit, .. } => st.decision = Some(commit),
             }
-            replay.last_counter
-        } else {
-            // A missing Clog is only acceptable if nothing was ever
-            // stabilized under this name — otherwise the adversary deleted
-            // it to forget decided transactions.
-            log::verify_freshness(&env, CLOG_NAME, 0)?;
-            0
-        };
-        let writer = Rc::new(LogWriter::open(
-            Rc::clone(&env),
-            CLOG_NAME,
-            &path,
-            recovered_counter,
-        )?);
+        }
         // A tail past the group's stabilized value was appended but the
         // crash came before its round: make it stable now, so recovery
         // never sends or applies a decision an adversary could still roll
         // back (the rule `publish_decision` keeps on the live path).
+        let recovered_counter = writer.written_counter();
         if env.profile.stabilization {
             let id = log::counter_id(&env, CLOG_NAME);
             if env.backend.latest(&id) < recovered_counter {
@@ -151,7 +139,7 @@ impl Clog {
             }
         }
         Ok(Clog {
-            writer,
+            writer: Rc::new(writer),
             state: RefCell::new(state),
             env,
         })
@@ -451,7 +439,7 @@ mod tests {
             );
             let mut handed = handed.take();
             handed.sort_by_key(|(_, gtx)| gtx.seq);
-            let on_disk = log::replay(&e, CLOG_NAME, &path, 0)?.records;
+            let on_disk = log::replay(&e, CLOG_NAME, &path)?.records;
             assert_eq!(on_disk.len(), 16);
             for ((counter, gtx), (seq, (at, payload))) in
                 handed.into_iter().zip((1..=16u64).zip(on_disk))
@@ -467,6 +455,43 @@ mod tests {
             }
             Ok(())
         })
+    }
+
+    /// A torn frame at the Clog's tail is cut when the Clog reopens: what
+    /// is appended after that is read back by the next open, not taken
+    /// for the torn frame's body.
+    #[test]
+    fn a_torn_clog_tail_reopens_after_more_appends() -> Result<()> {
+        use std::io::Write as _;
+        let dir = tempfile::tempdir()?;
+        let e = env(dir.path());
+        let first = GlobalTxId { node: 1, seq: 1 };
+        {
+            let clog = Clog::open(Rc::clone(&e))?;
+            clog.log_start(first, vec![1, 2])?;
+            clog.log_decision(first, true)?;
+        }
+        // A crash tore record 3: its header is on disk, its body is not.
+        let mut header = 3u64.to_le_bytes().to_vec();
+        header.extend_from_slice(&100u32.to_le_bytes());
+        std::fs::OpenOptions::new()
+            .append(true)
+            .open(dir.path().join(CLOG_FILE))?
+            .write_all(&header)?;
+        let later: Vec<GlobalTxId> = (2..5).map(|seq| GlobalTxId { node: 1, seq }).collect();
+        {
+            let clog = Clog::open(Rc::clone(&e))?;
+            for gtx in &later {
+                clog.log_start(*gtx, vec![1])?;
+                clog.log_decision(*gtx, false)?;
+            }
+        }
+        let clog = Clog::open(e)?;
+        assert_eq!(clog.decision(first), Some(true));
+        for gtx in later {
+            assert_eq!(clog.decision(gtx), Some(false), "{gtx}");
+        }
+        Ok(())
     }
 
     #[test]

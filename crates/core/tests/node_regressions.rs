@@ -402,7 +402,7 @@ fn a_commit_is_acknowledged_before_its_decision_is_appended() {
             let store = cluster.store(0).expect("durable");
             let env = cluster.env(0).expect("durable");
             let on_disk = || -> Vec<ClogRecord> {
-                replay(env, CLOG_NAME, &env.dir.join(CLOG_FILE), 0)
+                replay(env, CLOG_NAME, &env.dir.join(CLOG_FILE))
                     .expect("the Clog replays")
                     .records
                     .iter()

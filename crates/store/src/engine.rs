@@ -17,7 +17,7 @@
 //! maintenance passes inline.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::ops::Bound;
 use std::path::PathBuf;
 use std::rc::Rc;
@@ -259,14 +259,6 @@ impl PreparedTable {
             key_index: RefCell::new(BTreeMap::new()),
             ranges: RefCell::new(Vec::new()),
         }
-    }
-
-    pub fn from_map(map: HashMap<GlobalTxId, PreparedState>) -> Self {
-        let table = Self::new();
-        for (gtx, st) in map {
-            table.insert(gtx, st);
-        }
-        table
     }
 
     /// Counts `writes`' keys into the in-doubt index. Runs *before* the
@@ -779,7 +771,8 @@ fn wal_name(gen: u64) -> String {
 }
 
 impl TreatyStore {
-    /// Opens (creating or recovering) the store in `env.dir`.
+    /// Opens the store in `env.dir`: a fresh store is the recovery of an
+    /// absent MANIFEST, with the same files, edits and charges.
     ///
     /// # Errors
     ///
@@ -787,59 +780,7 @@ impl TreatyStore {
     /// verification, and I/O errors if the directory is unusable.
     pub fn open(env: Rc<Env>) -> Result<Self> {
         std::fs::create_dir_all(&env.dir)?;
-        let manifest_path = env.dir.join("MANIFEST");
-        if manifest_path.exists() {
-            Self::recover(env)
-        } else {
-            // A missing MANIFEST is only a fresh store if nothing was ever
-            // stabilized here; otherwise the storage was wiped to a stale
-            // (empty) state — a rollback attack.
-            log::verify_freshness(&env, "manifest", 0)?;
-            let manifest = Rc::new(LogWriter::open(
-                Rc::clone(&env),
-                "manifest",
-                &manifest_path,
-                0,
-            )?);
-            let gen = 1;
-            let wal = Rc::new(LogWriter::open(
-                Rc::clone(&env),
-                wal_name(gen),
-                &env.dir.join(wal_name(gen)),
-                0,
-            )?);
-            manifest.append(&ManifestEdit::NewWal { gen }.to_bytes())?;
-            let inner = StoreInner {
-                mem: RefCell::new(Rc::new(MemTable::new(Rc::clone(&env)))),
-                levels: RefCell::new(Rc::new(vec![Vec::new(); 7])),
-                wal: RefCell::new(wal),
-                wal_gen: Cell::new(gen),
-                manifest,
-                seq: Cell::new(0),
-                next_file_id: Cell::new(1),
-                next_txid: Cell::new(1),
-                locks: LockTable::new(env.config.lock_shards, LOCK_TIMEOUT),
-                prepared: PreparedTable::new(),
-                frontier: StableFrontier::new(0),
-                snapshot_floor: Cell::new(0),
-                commits: GroupCommit::new(),
-                applies_in_flight: Cell::new(0),
-                applies_drained: WaitQueue::new(),
-                pending_gc: RefCell::new(Vec::new()),
-                live_wal_gens: RefCell::new(vec![gen]),
-                frozen: RefCell::new(Vec::new()),
-                flush_backlog: RefCell::new(VecDeque::new()),
-                maintenance_lock: FiberMutex::new(),
-                maintenance_running: Cell::new(false),
-                gc_stabilizing: Cell::new(false),
-                active_scans: Cell::new(0),
-                apply_epoch: Cell::new(0),
-                env,
-            };
-            Ok(TreatyStore {
-                inner: Rc::new(inner),
-            })
-        }
+        Self::recover(env)
     }
 
     /// The environment this store runs in.
@@ -1599,8 +1540,12 @@ impl TreatyStore {
         // its `Prepare` (recovery re-logs too) and backs the MemTable it
         // applied to.
         relog_prepared(&self.inner.prepared, &wal)?;
+        // A generation takes commits only once the edit that lists it is
+        // stable: a MANIFEST cut back to its stable prefix must still name
+        // every WAL holding an acknowledged write.
+        let listed = self.manifest_append(&ManifestEdit::NewWal { gen: new_gen })?;
+        self.inner.manifest.stabilize(listed)?;
         *self.inner.wal.borrow_mut() = wal;
-        self.manifest_append(&ManifestEdit::NewWal { gen: new_gen })?;
         Ok(Some(FlushWork { frozen, old_gens }))
     }
 
@@ -2084,15 +2029,18 @@ impl TreatyStore {
 
     // ---- recovery ------------------------------------------------------------
 
+    /// MANIFEST → SSTable hierarchy → live WALs (MemTable + prepared
+    /// transactions), each log recovered and held to its counter. A
+    /// missing MANIFEST is an empty one: a fresh store if nothing was ever
+    /// stabilized under it, a rollback otherwise.
     fn recover(env: Rc<Env>) -> Result<Self> {
-        let manifest_path = env.dir.join("MANIFEST");
-        let replayed = log::replay(&env, "manifest", &manifest_path, 0)?;
-        log::verify_freshness(&env, "manifest", replayed.last_counter)?;
+        let (manifest, edits) =
+            LogWriter::resume(Rc::clone(&env), "manifest", &env.dir.join("MANIFEST"))?;
 
         let mut table_levels: BTreeMap<u64, usize> = BTreeMap::new();
         let mut live_gens: Vec<u64> = Vec::new();
         let mut max_gen = 0;
-        for (_, payload) in &replayed.records {
+        for (_, payload) in &edits {
             let edit = ManifestEdit::from_bytes(payload)
                 .map_err(|e| StoreError::Integrity(format!("manifest edit: {e}")))?;
             match edit {
@@ -2144,7 +2092,7 @@ impl TreatyStore {
 
         let mem = Rc::new(MemTable::new(Rc::clone(&env)));
         let locks = LockTable::new(env.config.lock_shards, LOCK_TIMEOUT);
-        let mut prepared: HashMap<GlobalTxId, PreparedState> = HashMap::new();
+        let prepared = PreparedTable::new();
         let mut next_txid = 1u64;
 
         // Replay live WALs in generation order.
@@ -2157,10 +2105,8 @@ impl TreatyStore {
                     "live WAL {name} missing — storage rolled back"
                 )));
             }
-            let wal_replay = log::replay(&env, &name, &path, 0)?;
-            log::verify_freshness(&env, &name, wal_replay.last_counter)?;
-            for (_, payload) in &wal_replay.records {
-                let rec = WalRecord::from_bytes(payload)
+            for (_, payload) in log::recover(&env, &name, &path)?.records {
+                let rec = WalRecord::from_bytes(&payload)
                     .map_err(|e| StoreError::Integrity(format!("wal record: {e}")))?;
                 match rec {
                     WalRecord::Commit {
@@ -2180,7 +2126,7 @@ impl TreatyStore {
                         // until the flush build retires the older
                         // generation one `Prepare` is live twice: the first
                         // keeps its entry and its locks.
-                        if let Some(first) = prepared.get(&gtx) {
+                        if let Some(first) = prepared.txns.borrow().get(&gtx) {
                             if first.writes == writes && first.ranges == ranges {
                                 continue;
                             }
@@ -2241,33 +2187,29 @@ impl TreatyStore {
         // Open a fresh WAL generation for new writes; keep the recovered
         // generations live until the next flush covers them.
         let new_gen = max_gen + 1;
-        let manifest = Rc::new(LogWriter::open(
-            Rc::clone(&env),
-            "manifest",
-            &manifest_path,
-            replayed.last_counter,
-        )?);
         let wal = Rc::new(LogWriter::open(
             Rc::clone(&env),
             wal_name(new_gen),
             &env.dir.join(wal_name(new_gen)),
             0,
         )?);
-        manifest.append(&ManifestEdit::NewWal { gen: new_gen }.to_bytes())?;
+        let listed = manifest.append(&ManifestEdit::NewWal { gen: new_gen }.to_bytes())?;
         live_gens.push(new_gen);
         // Re-log as a rotation does: the in-doubt `Decide`s will land here,
         // and the next flush retires the recovered generations one MANIFEST
         // edit at a time. After `NewWal`, so a crash in between leaves an
         // empty generation, not an unlisted file to append to from zero.
-        let prepared = PreparedTable::from_map(prepared);
         relog_prepared(&prepared, &wal)?;
+        // As in a rotation, the generation takes commits only once the
+        // edit that lists it is stable.
+        manifest.stabilize(listed)?;
 
         let inner = StoreInner {
             mem: RefCell::new(mem),
             levels: RefCell::new(Rc::new(levels)),
             wal: RefCell::new(wal),
             wal_gen: Cell::new(new_gen),
-            manifest,
+            manifest: Rc::new(manifest),
             seq: Cell::new(max_seq),
             next_file_id: Cell::new(max_file_id + 1),
             next_txid: Cell::new(next_txid),

@@ -15,10 +15,15 @@
 //! (3) the last counter matches the trusted counter service's stabilized
 //! value. A truncated final record (torn write at crash) is tolerated; a
 //! record that fails its MAC is an integrity attack and is not.
+//!
+//! Every log is read back one way: [`replay`] reads and verifies the
+//! frames (a missing file is an empty log), [`recover`] adds the
+//! freshness check, and [`LogWriter::resume`] reopens a recovered log for
+//! append with its torn tail cut.
 
 use std::cell::RefCell;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
@@ -165,6 +170,33 @@ impl LogWriter {
         })
     }
 
+    /// Reopens the log `name` at `path` for append, the one way a log
+    /// that may already hold records is opened: [`recover`]s it, cuts a
+    /// torn tail back to the last verified frame (so the next append is
+    /// not written behind bytes a later replay would stop at), and opens
+    /// it at the last verified counter. Returns the writer and the
+    /// verified records, `(counter, plaintext)` in order.
+    ///
+    /// # Errors
+    ///
+    /// Whatever [`recover`] refuses, and [`StoreError::Io`] if the file
+    /// cannot be cut or opened.
+    pub fn resume(
+        env: Rc<Env>,
+        name: impl Into<String>,
+        path: &Path,
+    ) -> Result<(Self, LogRecords)> {
+        let name = name.into();
+        let recovered = recover(&env, &name, path)?;
+        if recovered.torn_tail {
+            let file = OpenOptions::new().write(true).open(path)?;
+            file.set_len(recovered.verified_len)?;
+            file.sync_all()?;
+        }
+        let writer = Self::open(env, name, path, recovered.last_counter)?;
+        Ok((writer, recovered.records))
+    }
+
     /// The log's name (e.g. `wal-000001`).
     pub fn name(&self) -> &str {
         &self.name
@@ -285,32 +317,43 @@ impl LogWriter {
     }
 }
 
+/// Verified records in order: `(counter, plaintext payload)`.
+pub type LogRecords = Vec<(u64, Vec<u8>)>;
+
 /// Outcome of replaying a log file.
 #[derive(Debug, Clone)]
 pub struct LogReplay {
     /// Verified records in order: `(counter, plaintext payload)`.
-    pub records: Vec<(u64, Vec<u8>)>,
-    /// Last verified counter value (== `start` when the log is empty).
+    pub records: LogRecords,
+    /// Last verified counter value (0 when the log is empty).
     pub last_counter: u64,
     /// True if a torn (truncated) final record was discarded.
     pub torn_tail: bool,
+    /// Byte length of the verified frames: where a torn tail begins.
+    pub verified_len: u64,
 }
 
 /// Replays the log `name` from `path`, verifying counters and integrity.
-/// `start` is the counter value *before* the first expected record.
+/// A missing file is an empty log, read for free; whether an empty log
+/// may stand is [`recover`]'s question.
 ///
 /// # Errors
 ///
 /// * [`StoreError::Integrity`] — a record fails its MAC or decryption,
 /// * [`StoreError::Rollback`] — counter values are missing or reordered,
 /// * [`StoreError::Io`] — the file cannot be read.
-pub fn replay(env: &Env, name: &str, path: &Path, start: u64) -> Result<LogReplay> {
-    let mut raw = Vec::new();
-    File::open(path)?.read_to_end(&mut raw)?;
-    env.charge_storage_read(raw.len());
+pub fn replay(env: &Env, name: &str, path: &Path) -> Result<LogReplay> {
+    let raw = match std::fs::read(path) {
+        Ok(raw) => {
+            env.charge_storage_read(raw.len());
+            raw
+        }
+        Err(e) if e.kind() == ErrorKind::NotFound => Vec::new(),
+        Err(e) => return Err(e.into()),
+    };
 
     let mut records = Vec::new();
-    let mut expected = start + 1;
+    let mut expected = 1;
     let mut pos = 0usize;
     let mut torn_tail = false;
 
@@ -387,17 +430,27 @@ pub fn replay(env: &Env, name: &str, path: &Path, start: u64) -> Result<LogRepla
         last_counter: expected - 1,
         records,
         torn_tail,
+        verified_len: pos as u64,
     })
 }
 
-/// Verifies the §VI freshness criterion for a replayed log: the last
-/// verified counter must not be behind the trusted counter service's
-/// stabilized value.
+/// Replays the log `name` from `path` ([`replay`]) and holds it to its
+/// trusted counter (§VI): a log — a missing one included — whose last
+/// verified counter is behind the stabilized value was rolled back.
 ///
 /// # Errors
 ///
-/// Returns [`StoreError::Rollback`] if the log is stale.
-pub fn verify_freshness(env: &Env, name: &str, last_counter: u64) -> Result<()> {
+/// Whatever [`replay`] refuses, and [`StoreError::Rollback`] if the log is
+/// stale.
+pub fn recover(env: &Env, name: &str, path: &Path) -> Result<LogReplay> {
+    let replayed = replay(env, name, path)?;
+    verify_freshness(env, name, replayed.last_counter)?;
+    Ok(replayed)
+}
+
+/// The §VI freshness criterion: the last verified counter must not be
+/// behind the trusted counter service's stabilized value.
+fn verify_freshness(env: &Env, name: &str, last_counter: u64) -> Result<()> {
     if !env.profile.stabilization {
         return Ok(());
     }
@@ -431,7 +484,7 @@ mod tests {
             for i in 0..10u32 {
                 w.append(format!("record-{i}").as_bytes())?;
             }
-            let replay = replay(&env, "wal-1", &path, 0)?;
+            let replay = replay(&env, "wal-1", &path)?;
             assert_eq!(replay.records.len(), 10, "{profile:?}");
             assert_eq!(replay.last_counter, 10);
             assert!(!replay.torn_tail);
@@ -447,7 +500,7 @@ mod tests {
         let w = LogWriter::open(Rc::clone(&env), "wal-1", &path, 0)?;
         let (first, last) = w.append_batch(&[b"a".to_vec(), b"b".to_vec(), b"c".to_vec()])?;
         assert_eq!((first, last), (1, 3));
-        let replay = replay(&env, "wal-1", &path, 0)?;
+        let replay = replay(&env, "wal-1", &path)?;
         assert_eq!(replay.records.len(), 3);
         Ok(())
     }
@@ -484,7 +537,7 @@ mod tests {
         let mut raw = std::fs::read(&path)?;
         raw[HEADER_LEN + 1] ^= 0x01; // first record's payload
         std::fs::write(&path, &raw)?;
-        let err = replay(&env, "wal-1", &path, 0).unwrap_err();
+        let err = replay(&env, "wal-1", &path).unwrap_err();
         assert!(matches!(err, StoreError::Integrity(_)), "{err:?}");
         Ok(())
     }
@@ -500,7 +553,7 @@ mod tests {
         let raw = std::fs::read(&path)?;
         // Remove the first record: the second now claims counter 2 first.
         std::fs::write(&path, &raw[first_len..])?;
-        let err = replay(&env, "wal-1", &path, 0).unwrap_err();
+        let err = replay(&env, "wal-1", &path).unwrap_err();
         assert!(matches!(err, StoreError::Rollback(_)), "{err:?}");
         Ok(())
     }
@@ -514,7 +567,7 @@ mod tests {
         w.append(b"will-be-torn")?;
         let raw = std::fs::read(&path)?;
         std::fs::write(&path, &raw[..raw.len() - 7])?;
-        let replay = replay(&env, "wal-1", &path, 0)?;
+        let replay = replay(&env, "wal-1", &path)?;
         assert_eq!(replay.records.len(), 1);
         assert!(replay.torn_tail);
         assert_eq!(replay.last_counter, 1);
@@ -558,7 +611,7 @@ mod tests {
             assert_eq!(w.counter().assigned(), first + 1);
             w.stabilize(first)?;
             let stabilized = env.backend.latest(&counter_id(&env, "wal-1"));
-            let on_disk = replay(&env, "wal-1", &path, 0)?.last_counter;
+            let on_disk = replay(&env, "wal-1", &path)?.last_counter;
             assert!(
                 stabilized <= on_disk,
                 "group stabilized {stabilized}, disk holds {on_disk}"
@@ -586,14 +639,14 @@ mod tests {
             // the counter claims no more than the file shows.
             loop {
                 let claimed = w.written_counter();
-                assert!(claimed <= replay(&env, "wal-1", &path, 0)?.last_counter);
+                assert!(claimed <= replay(&env, "wal-1", &path)?.last_counter);
                 if claimed == first + 9 {
                     break;
                 }
                 runtime::sleep(5_000);
             }
             writers.into_iter().for_each(runtime::join);
-            let records = replay(&env, "wal-1", &path, 0)?.records;
+            let records = replay(&env, "wal-1", &path)?.records;
             assert_eq!(records.len() as u64, first + 9);
             for (i, got) in handed.take() {
                 let at = (got? - 1) as usize;
@@ -613,15 +666,45 @@ mod tests {
         })
     }
 
+    /// A torn tail is cut before the next append: the record written
+    /// after a resume is read back, not lost behind the torn frame.
     #[test]
-    fn replay_from_recovered_counter_offset() -> Result<()> {
+    fn resume_cuts_a_torn_tail_before_appending() -> Result<()> {
         let (dir, env) = env(SecurityProfile::treaty_full())?;
-        let path = dir.path().join("wal-2");
-        // A second-generation log whose counter continues from 100.
-        let w = LogWriter::open(Rc::clone(&env), "wal-2", &path, 100)?;
-        w.append(b"x")?;
-        let replay = replay(&env, "wal-2", &path, 100)?;
-        assert_eq!(replay.records[0].0, 101);
+        let path = dir.path().join("wal-1");
+        let w = LogWriter::open(Rc::clone(&env), "wal-1", &path, 0)?;
+        w.append(b"complete-record")?;
+        w.append(b"will-be-torn")?;
+        drop(w);
+        let raw = std::fs::read(&path)?;
+        std::fs::write(&path, &raw[..raw.len() - 7])?;
+        let (w, records) = LogWriter::resume(Rc::clone(&env), "wal-1", &path)?;
+        assert_eq!(records, vec![(1, b"complete-record".to_vec())]);
+        assert_eq!(w.append(b"after-the-cut")?, 2);
+        let replayed = replay(&env, "wal-1", &path)?;
+        assert!(!replayed.torn_tail);
+        assert_eq!(replayed.verified_len, std::fs::metadata(&path)?.len());
+        assert_eq!(replayed.records[1], (2, b"after-the-cut".to_vec()));
+        Ok(())
+    }
+
+    /// A missing log is an empty log: free to read, and held to its
+    /// counter like any other, so a deleted log with a stabilized record
+    /// is a rollback.
+    #[test]
+    fn a_missing_log_is_an_empty_log_held_to_its_counter() -> Result<()> {
+        let (dir, env) = env(SecurityProfile::treaty_full())?;
+        let path = dir.path().join("wal-1");
+        let replayed = recover(&env, "wal-1", &path)?;
+        assert_eq!((replayed.records.len(), replayed.last_counter), (0, 0));
+        assert_eq!(replayed.verified_len, 0);
+        let w = LogWriter::open(Rc::clone(&env), "wal-1", &path, 0)?;
+        let counter = w.append(b"a")?;
+        w.stabilize(counter)?;
+        drop(w);
+        std::fs::remove_file(&path)?;
+        let err = recover(&env, "wal-1", &path).unwrap_err();
+        assert!(matches!(err, StoreError::Rollback(_)), "{err:?}");
         Ok(())
     }
 
@@ -636,7 +719,7 @@ mod tests {
         let mut raw = std::fs::read(&path)?;
         raw[HEADER_LEN] ^= 0x01;
         std::fs::write(&path, &raw)?;
-        let replay = replay(&env, "wal-1", &path, 0)?;
+        let replay = replay(&env, "wal-1", &path)?;
         assert_eq!(replay.records.len(), 1);
         assert_ne!(replay.records[0].1, b"plain");
         Ok(())

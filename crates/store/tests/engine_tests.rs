@@ -890,6 +890,119 @@ fn newest_wal(dir: &std::path::Path) -> std::path::PathBuf {
     wals.pop().expect("a WAL exists")
 }
 
+/// Cuts the log at `path` after its record `last`: the file as it would
+/// read had only that prefix reached the disk.
+fn cut_log_after(path: &std::path::Path, last: u64) {
+    let raw = std::fs::read(path).unwrap();
+    let mut pos = 0;
+    while pos < raw.len() {
+        let counter = u64::from_le_bytes(raw[pos..pos + 8].try_into().unwrap());
+        if counter > last {
+            break;
+        }
+        let len = u32::from_le_bytes(raw[pos + 8..pos + 12].try_into().unwrap()) as usize;
+        pos += 12 + len + 32;
+    }
+    std::fs::write(path, &raw[..pos]).unwrap();
+}
+
+/// A torn MANIFEST tail is cut when the store reopens, so the `NewWal`
+/// edit written then is not hidden behind it: at the next restart the
+/// generation it names — and the commit in it — is still live.
+#[test]
+fn a_torn_manifest_tail_loses_nothing_across_two_restarts() {
+    use std::io::Write as _;
+    let dir = tempfile::tempdir().unwrap();
+    let env = Env::for_testing(SecurityProfile::treaty_full(), dir.path());
+    put(&TreatyStore::open(Rc::clone(&env)).unwrap(), b"a", b"1");
+    // A crash tore the MANIFEST's next frame: ten bytes of its header.
+    let path = dir.path().join("MANIFEST");
+    let last = treaty_store::log::replay(&env, "manifest", &path)
+        .unwrap()
+        .last_counter;
+    let mut header = (last + 1).to_le_bytes().to_vec();
+    header.extend_from_slice(&100u32.to_le_bytes());
+    std::fs::OpenOptions::new()
+        .append(true)
+        .open(&path)
+        .unwrap()
+        .write_all(&header[..10])
+        .unwrap();
+    put(&TreatyStore::open(Rc::clone(&env)).unwrap(), b"b", b"2");
+    let store = TreatyStore::open(env).unwrap();
+    assert_eq!(store.get_committed(b"a").unwrap(), Some(b"1".to_vec()));
+    assert_eq!(
+        store.get_committed(b"b").unwrap(),
+        Some(b"2".to_vec()),
+        "the NewWal edit of b's generation was written behind the torn frame"
+    );
+}
+
+/// The first `NewWal` edit is stable before its generation takes a
+/// commit, so deleting the MANIFEST afterwards is a rollback, not a fresh
+/// store.
+#[test]
+fn a_wiped_manifest_is_refused_after_an_acknowledged_write() {
+    let dir = tempfile::tempdir().unwrap();
+    let (env, store) = open(SecurityProfile::treaty_full(), dir.path());
+    put(&store, b"balance", b"100");
+    drop(store);
+    std::fs::remove_file(dir.path().join("MANIFEST")).unwrap();
+    let err = TreatyStore::open(env).unwrap_err();
+    assert!(matches!(err, StoreError::Rollback(_)), "got {err:?}");
+}
+
+/// Every `NewWal` edit — the open's and a rotation's — is stable before
+/// its generation takes a commit: a MANIFEST cut back to the prefix the
+/// trusted counter vouches for still lists every WAL holding an
+/// acknowledged write.
+#[test]
+fn a_manifest_cut_to_its_stable_prefix_keeps_every_acknowledged_write() {
+    let dir = tempfile::tempdir().unwrap();
+    let path = dir.path().to_path_buf();
+    block_on(move || {
+        let node = path.join("a/node");
+        let copy = path.join("b/node");
+        let env = Env::for_testing(SecurityProfile::treaty_full(), &node);
+        assert_eq!(env.config.memtable_bytes, 16 << 10, "EngineConfig::tiny()");
+        let store = TreatyStore::open(Rc::clone(&env)).unwrap();
+        put(&store, b"k1", b"1");
+        rotating_filler(&store);
+        put(&store, b"k2", b"2");
+        copy_dir(&node, &copy);
+        let stable = env
+            .backend
+            .latest(&treaty_store::log::counter_id(&env, "manifest"));
+        cut_log_after(&copy.join("MANIFEST"), stable);
+
+        let store = TreatyStore::open(env_with_backend(&copy, Rc::clone(&env.backend))).unwrap();
+        assert_eq!(store.get_committed(b"k1").unwrap(), Some(b"1".to_vec()));
+        assert_eq!(store.get_committed(b"k2").unwrap(), Some(b"2".to_vec()));
+    });
+}
+
+/// A live WAL generation deleted after acknowledged commits is refused.
+/// Under `rocksdb()` nothing is stabilized, so the freshness check cannot
+/// see the deletion: only the MANIFEST's list of live generations does.
+#[test]
+fn a_deleted_live_wal_generation_is_refused() {
+    for profile in [SecurityProfile::treaty_full(), SecurityProfile::rocksdb()] {
+        let dir = tempfile::tempdir().unwrap();
+        let (env, store) = open(profile, dir.path());
+        put(&store, b"a", b"1");
+        drop(store);
+        let store = TreatyStore::open(Rc::clone(&env)).unwrap();
+        put(&store, b"b", b"2");
+        drop(store);
+        std::fs::remove_file(newest_wal(dir.path())).unwrap();
+        let err = TreatyStore::open(env).unwrap_err();
+        assert!(
+            matches!(&err, StoreError::Rollback(m) if m.contains("missing")),
+            "{profile:?}: {err:?}"
+        );
+    }
+}
+
 #[test]
 fn sstable_tampering_detected_on_read_after_recovery() {
     let dir = tempfile::tempdir().unwrap();
@@ -1132,7 +1245,7 @@ fn manifest_naming_a_missing_level_is_refused() {
     store.flush().unwrap();
     drop(store);
     let path = dir.path().join("MANIFEST");
-    let last = replay(&env, "manifest", &path, 0).unwrap().last_counter;
+    let last = replay(&env, "manifest", &path).unwrap().last_counter;
     let forged = ManifestEdit::AddTable {
         level: 9,
         file_id: 1,

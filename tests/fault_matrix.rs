@@ -1226,7 +1226,7 @@ fn run_round_acked_cell() -> String {
 /// What the coordinator's Clog holds on disk, in file order.
 fn clog_on_disk(cluster: &Cluster) -> Vec<ClogRecord> {
     let env = cluster.env((COORD - 1) as usize).expect("durable cluster");
-    replay(env, CLOG_NAME, &env.dir.join(CLOG_FILE), 0)
+    replay(env, CLOG_NAME, &env.dir.join(CLOG_FILE))
         .expect("the Clog replays")
         .records
         .iter()
