@@ -39,7 +39,6 @@ use std::rc::Rc;
 use treaty_sched::WaitQueue;
 use treaty_sim::crashpoint::{self, CrashPoint};
 use treaty_sim::{obs, runtime, CostModel, Nanos};
-use treaty_tee::HwCounter;
 
 pub use rote::{RoteGroup, RoteMsg, RoteReplica, SealedState};
 
@@ -110,10 +109,12 @@ impl CounterBackend for NullBackend {
 }
 
 /// The SGX hardware monotonic counter as a stabilization backend — the
-/// painful baseline of §IV-B, kept for the ablation benchmark.
+/// painful baseline of §IV-B, kept for the ablation benchmark. The paper
+/// rejects these counters because an increment takes up to ~250 ms, they
+/// wear out, and they are per-CPU; only the first matters to a cost
+/// baseline, so the backend models an increment as its price.
 #[derive(Debug)]
 pub struct HwCounterBackend {
-    counter: HwCounter,
     costs: CostModel,
     latest: RefCell<std::collections::HashMap<String, u64>>,
 }
@@ -122,7 +123,6 @@ impl HwCounterBackend {
     /// Creates the backend with the given cost model.
     pub fn new(costs: CostModel) -> Rc<Self> {
         Rc::new(HwCounterBackend {
-            counter: HwCounter::new(),
             costs,
             latest: RefCell::new(std::collections::HashMap::new()),
         })
@@ -131,10 +131,9 @@ impl HwCounterBackend {
 
 impl CounterBackend for HwCounterBackend {
     fn stabilize(&self, id: &str, value: u64) -> Result<Nanos, CounterError> {
-        let (_, cost) = self.counter.increment(&self.costs);
         // 60-250 ms of real SGX pain, and the device takes one increment
         // at a time: nothing of it overlaps the next.
-        runtime::sleep(cost);
+        runtime::sleep(self.costs.hw_counter_ns);
         let mut m = self.latest.borrow_mut();
         let e = m.entry(id.to_string()).or_insert(0);
         *e = (*e).max(value);
@@ -404,6 +403,7 @@ mod tests {
         block_on(|| {
             let costs = CostModel::default();
             let hw = costs.hw_counter_ns;
+            assert!(hw >= 50_000_000, "hardware counters must be painfully slow");
             let c = TrustedCounter::new("wal", HwCounterBackend::new(costs), 0);
             let v = c.assign();
             c.wait_stable(v).unwrap();

@@ -30,7 +30,7 @@ use crate::env::Env;
 use crate::locks::{LockTable, TxId};
 use crate::log::{self, LogWriter};
 use crate::memtable::{
-    KeySpan, MemCursor, MemTable, RangeTombstone, SeqNum, UserKey, VersionedEntry,
+    KeySpan, MemCursor, MemTable, RangeTombstone, SeqNum, UserKey, ValueEntry, VersionedEntry,
 };
 use crate::sstable::{self, SsTable, TableCursor};
 use crate::txn::{GlobalTxId, Txn, TxnMode, TxnOptions, WriteOp};
@@ -39,6 +39,14 @@ use crate::{Result, StoreError};
 /// How long a lock request waits before it gives up: deadlock avoidance
 /// by timeout.
 const LOCK_TIMEOUT: treaty_sim::Nanos = 10 * treaty_sim::MILLIS;
+
+/// Where the point descent found a key's newest version: a MemTable entry
+/// whose value is still in host memory, or an SSTable's value, already
+/// read with its block (`None` = tombstone).
+enum Found {
+    Mem(Rc<MemTable>, ValueEntry),
+    Table(Option<Vec<u8>>),
+}
 
 /// Size ratio between consecutive levels of the SSTable hierarchy.
 const LEVEL_SIZE_MULTIPLIER: u64 = 10;
@@ -876,12 +884,10 @@ impl TreatyStore {
 
     /// Current commit-backpressure level without paying the stall:
     /// 0 = clear, 1 = past the slowdown trigger, 2 = past the stop
-    /// trigger. Uses the same pressure definition as `commit_backpressure`
-    /// (flush backlog plus L0 file count).
+    /// trigger, as `commit_backpressure` reads the pressure.
     pub fn backpressure_level(&self) -> u8 {
         let cfg = &self.inner.env.config;
-        let pressure =
-            self.inner.flush_backlog.borrow().len() + self.inner.levels.borrow()[0].len();
+        let pressure = self.pressure();
         if pressure >= cfg.l0_stop_trigger {
             2
         } else if pressure >= cfg.l0_slowdown_trigger {
@@ -891,127 +897,95 @@ impl TreatyStore {
         }
     }
 
+    /// Write pressure: the flush backlog plus the L0 file count.
+    fn pressure(&self) -> usize {
+        self.inner.flush_backlog.borrow().len() + self.inner.levels.borrow()[0].len()
+    }
+
     // ---- read path ---------------------------------------------------------
 
-    pub(crate) fn get_visible(&self, key: &[u8], snapshot: SeqNum) -> Result<Option<Vec<u8>>> {
-        let _span = treaty_sim::obs::span("store.get");
-        self.counters().gets.update(|n| n + 1);
+    /// The one point descent: the newest version of `key` visible at
+    /// `snapshot` and its seq, or `None` if no source holds one. A range
+    /// delete is a version of every key it covers, so a covering tombstone
+    /// newer than the point version reads as a delete at its own seq —
+    /// what OCC validation must see change. Pin order: the live MemTable
+    /// is looked up before the frozen list is cloned, and the levels are
+    /// cloned after both.
+    fn newest(&self, key: &[u8], snapshot: SeqNum) -> Result<Option<(SeqNum, Found)>> {
         // Bind the Rc first: as an `if let` scrutinee temporary the borrow
-        // would live across the charging `get`, and a rotation's
+        // would live across the charging lookup, and a rotation's
         // `borrow_mut` would panic.
         let mem = self.inner.mem.borrow().clone();
-        if let Some(v) = mem.get(key, snapshot)? {
-            return Ok(v);
+        if let Some((seq, entry)) = mem.newest(key, snapshot) {
+            return Ok(Some((seq, Found::Mem(mem, entry))));
         }
         // Frozen MemTables awaiting their background build, newest first.
-        // Snapshot the list (Rc clones) before reading: `get` charges
+        // Snapshot the list (Rc clones) before reading: a lookup charges
         // virtual time, and borrows must not be held across a yield.
         let frozen: Vec<Rc<MemTable>> = self.inner.frozen.borrow().clone();
-        for m in &frozen {
-            if let Some(v) = m.get(key, snapshot)? {
-                return Ok(v);
+        for m in frozen {
+            if let Some((seq, entry)) = m.newest(key, snapshot) {
+                return Ok(Some((seq, Found::Mem(m, entry))));
             }
         }
         // One refcount bump, not a deep copy of the level vectors.
         let levels = Rc::clone(&*self.inner.levels.borrow());
-        // Range tombstones shadow every strictly-older point version below
-        // them; `shadow` carries the newest covering tombstone seq seen so
-        // far down the descent. (MemTables resolve their own tombstones
-        // internally above — a covered key already returned `Some(None)`.)
+        // `shadow` carries the newest covering range tombstone seen so far
+        // down the descent. L0's tables overlap, so each is probed and the
+        // newest version wins; below L0 the first table covering the key
+        // decides its level. The first level that answers ends the descent.
         let mut shadow: SeqNum = 0;
-        // L0: newest first, tables overlap.
         let mut best: Option<(SeqNum, Option<Vec<u8>>)> = None;
-        for t in &levels[0] {
-            if let Some(s) = t.covering_tombstone_seq(key, snapshot) {
-                shadow = shadow.max(s);
-            }
-            if let Some((s, v)) = t.get_with_seq(key, snapshot)? {
-                if best.as_ref().map(|(bs, _)| s > *bs).unwrap_or(true) {
-                    best = Some((s, v));
-                }
-            }
-        }
-        if let Some((s, v)) = best {
-            // Same-seq point writes beat the transaction's own range delete.
-            return Ok(if s >= shadow { v } else { None });
-        }
-        if shadow > 0 {
-            return Ok(None); // deleted: nothing older can outrank the tombstone
-        }
-        // Deeper levels: non-overlapping; first covering table decides.
-        for level in &levels[1..] {
+        for (depth, level) in levels.iter().enumerate() {
             for t in level {
-                if t.covers(key) {
-                    if let Some(s) = t.covering_tombstone_seq(key, snapshot) {
-                        shadow = shadow.max(s);
+                if depth > 0 && !t.covers(key) {
+                    continue;
+                }
+                if let Some(s) = t.covering_tombstone_seq(key, snapshot) {
+                    shadow = shadow.max(s);
+                }
+                if let Some((s, v)) = t.newest(key, snapshot)? {
+                    if best.as_ref().is_none_or(|(bs, _)| s > *bs) {
+                        best = Some((s, v));
                     }
-                    if let Some((s, v)) = t.get_with_seq(key, snapshot)? {
-                        return Ok(if s >= shadow { v } else { None });
-                    }
+                }
+                if depth > 0 {
                     break;
                 }
             }
-            if shadow > 0 {
-                return Ok(None);
+            if best.is_some() || shadow > 0 {
+                break;
             }
         }
-        Ok(None)
+        // A tombstone shadows every strictly older point version; a
+        // same-seq point write beats its own transaction's range delete.
+        Ok(match best {
+            Some((s, v)) if s >= shadow => Some((s, Found::Table(v))),
+            _ => (shadow > 0).then_some((shadow, Found::Table(None))),
+        })
+    }
+
+    /// Reads `key` at `snapshot`: the newest version's seq (0 if the key
+    /// has none) and its value (`None` if absent or deleted).
+    pub(crate) fn read(&self, key: &[u8], snapshot: SeqNum) -> Result<(SeqNum, Option<Vec<u8>>)> {
+        let _span = treaty_sim::obs::span("store.get");
+        self.counters().gets.update(|n| n + 1);
+        Ok(match self.newest(key, snapshot)? {
+            None => (0, None),
+            Some((seq, Found::Mem(mem, entry))) => (seq, mem.resolve_value(key, &entry)?),
+            Some((seq, Found::Table(value))) => (seq, value),
+        })
+    }
+
+    pub(crate) fn get_visible(&self, key: &[u8], snapshot: SeqNum) -> Result<Option<Vec<u8>>> {
+        Ok(self.read(key, snapshot)?.1)
     }
 
     /// The newest committed sequence for `key` (0 if the key has never been
-    /// written) — the version OCC validation compares against.
+    /// written) — the version OCC validation compares against. No value is
+    /// read.
     pub(crate) fn latest_seq(&self, key: &[u8]) -> Result<SeqNum> {
-        // A range delete is a version of every key it covers: OCC reads
-        // validated against this must conflict with a later covering
-        // tombstone, so each source reports max(point seq, tombstone seq).
-        let mem = self.inner.mem.borrow().clone();
-        let m = mem
-            .latest_seq_of(key)
-            .into_iter()
-            .chain(mem.covering_tombstone_seq(key, SeqNum::MAX))
-            .max();
-        if let Some(s) = m {
-            return Ok(s);
-        }
-        let frozen: Vec<Rc<MemTable>> = self.inner.frozen.borrow().clone();
-        for m in &frozen {
-            let s = m
-                .latest_seq_of(key)
-                .into_iter()
-                .chain(m.covering_tombstone_seq(key, SeqNum::MAX))
-                .max();
-            if let Some(s) = s {
-                return Ok(s);
-            }
-        }
-        let levels = Rc::clone(&*self.inner.levels.borrow());
-        let mut best = 0;
-        for t in &levels[0] {
-            if let Some(s) = t.latest_seq_of(key)? {
-                best = best.max(s);
-            }
-            if let Some(s) = t.covering_tombstone_seq(key, SeqNum::MAX) {
-                best = best.max(s);
-            }
-        }
-        if best > 0 {
-            return Ok(best);
-        }
-        for level in &levels[1..] {
-            for t in level {
-                if t.covers(key) {
-                    let mut found = t.latest_seq_of(key)?.unwrap_or(0);
-                    if let Some(s) = t.covering_tombstone_seq(key, SeqNum::MAX) {
-                        found = found.max(s);
-                    }
-                    if found > 0 {
-                        return Ok(found);
-                    }
-                    break;
-                }
-            }
-        }
-        Ok(0)
+        Ok(self.newest(key, SeqNum::MAX)?.map_or(0, |(seq, _)| seq))
     }
 
     // ---- snapshot reads (lock-free MVCC, read-only transactions) -----------
@@ -1648,21 +1622,23 @@ impl TreatyStore {
         !self.inner.flush_backlog.borrow().is_empty() || self.compaction_due()
     }
 
-    /// Cheap check (no I/O — table sizes are cached at open) for whether
-    /// any level is over budget.
+    /// Whether any level is over budget.
     fn compaction_due(&self) -> bool {
+        (0..6).any(|level| self.over_budget(level))
+    }
+
+    /// The one budget rule: L0 by its file count, level `n` ≥ 1 by its
+    /// bytes against `l1_bytes × LEVEL_SIZE_MULTIPLIER^(n−1)`. A cheap
+    /// check: table sizes are captured once at open, so no metadata
+    /// syscall lands on the commit or maintenance path.
+    fn over_budget(&self, level: usize) -> bool {
         let cfg = &self.inner.env.config;
         let levels = self.inner.levels.borrow();
-        if levels[0].len() >= cfg.l0_compaction_trigger {
-            return true;
+        if level == 0 {
+            return levels[0].len() >= cfg.l0_compaction_trigger;
         }
-        for level in 1..6 {
-            let max = cfg.l1_bytes as u64 * LEVEL_SIZE_MULTIPLIER.pow(level as u32 - 1);
-            if self.level_bytes(&levels[level]) > max {
-                return true;
-            }
-        }
-        false
+        let max = cfg.l1_bytes as u64 * LEVEL_SIZE_MULTIPLIER.pow(level as u32 - 1);
+        levels[level].iter().map(|t| t.disk_bytes()).sum::<u64>() > max
     }
 
     /// Runs one unit of maintenance — one flush build, or one compaction
@@ -1719,8 +1695,7 @@ impl TreatyStore {
         let stall = cfg.backpressure_stall.max(1);
         let mut slowed = false;
         loop {
-            let pressure =
-                self.inner.flush_backlog.borrow().len() + self.inner.levels.borrow()[0].len();
+            let pressure = self.pressure();
             if pressure >= cfg.l0_stop_trigger {
                 treaty_sim::obs::counter_add("store.backpressure_stops", 1);
                 self.ensure_maintenance();
@@ -1742,33 +1717,14 @@ impl TreatyStore {
         self.inner.manifest.append(&edit.to_bytes())
     }
 
-    fn level_bytes(&self, tables: &[Rc<SsTable>]) -> u64 {
-        // Sizes are captured once at open — no per-table metadata syscall
-        // on the commit/maintenance path.
-        tables.iter().map(|t| t.disk_bytes()).sum()
-    }
-
     fn maybe_compact(&self) -> Result<()> {
-        // L0 -> L1 when L0 accumulates too many files.
-        loop {
-            let trigger = {
-                let levels = self.inner.levels.borrow();
-                levels[0].len() >= self.inner.env.config.l0_compaction_trigger
-            };
-            if !trigger {
-                break;
-            }
+        // L0 -> L1 until L0 is back under its file count.
+        while self.over_budget(0) {
             self.compact_level(0)?;
         }
         // Cascade size-based compactions down the hierarchy.
         for level in 1..6 {
-            let max =
-                self.inner.env.config.l1_bytes as u64 * LEVEL_SIZE_MULTIPLIER.pow(level as u32 - 1);
-            let over = {
-                let levels = self.inner.levels.borrow();
-                self.level_bytes(&levels[level]) > max
-            };
-            if over {
+            if self.over_budget(level) {
                 self.compact_level(level)?;
             }
         }

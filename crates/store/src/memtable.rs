@@ -108,7 +108,7 @@ impl MemKey {
 /// What the enclave keeps per version: a pointer into host memory plus the
 /// integrity hash — or a tombstone.
 #[derive(Debug, Clone)]
-enum ValueEntry {
+pub(crate) enum ValueEntry {
     Put {
         handle: HostHandle,
         len: u32,
@@ -317,45 +317,51 @@ impl MemTable {
     ///
     /// Returns `None` if the MemTable holds no version (caller falls
     /// through to SSTables), `Some(None)` for a tombstone, `Some(Some(v))`
-    /// for a value. A key the filter rules out costs one Bloom probe and
-    /// no walk.
+    /// for a value.
     ///
     /// # Errors
     ///
     /// Returns [`StoreError::Integrity`] if the host-resident value fails
     /// its hash or decryption — i.e. untrusted memory was tampered with.
     pub fn get(&self, key: &[u8], snapshot: SeqNum) -> Result<Option<Option<Vec<u8>>>> {
+        self.newest(key, snapshot)
+            .map(|(_, entry)| self.resolve_value(key, &entry))
+            .transpose()
+    }
+
+    /// The one point lookup: the newest version of `key` visible at
+    /// `snapshot` and its seq, or `None` if nothing here answers (the
+    /// caller falls through to older sources). A covering range tombstone
+    /// newer than the point version reads as `Delete` at the tombstone's
+    /// seq. A key the filter rules out costs one Bloom probe and no walk.
+    /// The value stays in host memory until [`MemTable::resolve_value`]
+    /// reads it, so a caller that needs only the seq never decrypts.
+    pub(crate) fn newest(&self, key: &[u8], snapshot: SeqNum) -> Option<(SeqNum, ValueEntry)> {
         self.env.charge_bloom_probe();
         let may_hold = self.index.borrow().may_hold(key);
-        if !may_hold {
-            // No point version here: only a range tombstone can answer.
-            return Ok(self.covering_tombstone_seq(key, snapshot).map(|_| None));
-        }
-        self.env
-            .charge_enclave_op(key.len() + ENTRY_OVERHEAD, self.env.costs.memtable_op_ns);
-        let point = self
-            .index
-            .borrow()
-            .newest(key, snapshot)
-            .map(|(seq, v)| (seq, v.clone()));
-        // A range tombstone newer than the point version (but visible at
-        // the snapshot) deletes it; one with no point version at all still
-        // deletes whatever older levels hold.
-        let rt_seq = self.covering_tombstone_seq(key, snapshot);
-        match (point, rt_seq) {
-            (None, None) => Ok(None),
-            (None, Some(_)) => Ok(Some(None)),
-            (Some((pseq, _)), Some(ts)) if ts > pseq => Ok(Some(None)),
-            (Some((_, entry)), _) => match entry {
-                ValueEntry::Delete => Ok(Some(None)),
-                put => Ok(Some(self.resolve_value(key, &put)?)),
-            },
-        }
+        let point = if may_hold {
+            self.env
+                .charge_enclave_op(key.len() + ENTRY_OVERHEAD, self.env.costs.memtable_op_ns);
+            self.index
+                .borrow()
+                .newest(key, snapshot)
+                .map(|(seq, v)| (seq, v.clone()))
+        } else {
+            None // no point version here: only a range tombstone can answer
+        };
+        // A tombstone with no point version at all still deletes whatever
+        // older sources hold. Of two equal seqs the later (the point
+        // write) wins: it beats its own transaction's range delete.
+        self.covering_tombstone_seq(key, snapshot)
+            .map(|ts| (ts, ValueEntry::Delete))
+            .into_iter()
+            .chain(point)
+            .max_by_key(|(seq, _)| *seq)
     }
 
     /// Decrypts and integrity-checks one entry's host-resident value.
     /// `Delete` resolves to `None`.
-    fn resolve_value(&self, key: &[u8], entry: &ValueEntry) -> Result<Option<Vec<u8>>> {
+    pub(crate) fn resolve_value(&self, key: &[u8], entry: &ValueEntry) -> Result<Option<Vec<u8>>> {
         let ValueEntry::Put {
             handle,
             len,
@@ -384,16 +390,6 @@ impl MemTable {
             ));
         }
         Ok(Some(plain))
-    }
-
-    /// Newest sequence number of `key` in this MemTable, if any (used by
-    /// optimistic validation).
-    pub fn latest_seq_of(&self, key: &[u8]) -> Option<SeqNum> {
-        let guard = self.index.borrow();
-        if !guard.may_hold(key) {
-            return None;
-        }
-        guard.newest(key, SeqNum::MAX).map(|(seq, _)| seq)
     }
 
     /// Approximate bytes buffered (keys + values), for flush triggering.
@@ -753,13 +749,22 @@ mod tests {
         assert_eq!(mt.len(), 1);
     }
 
+    /// The seq of the newest version of `key`, as OCC validation asks.
+    fn newest_seq(mt: &MemTable, key: &[u8]) -> Option<SeqNum> {
+        mt.newest(key, SeqNum::MAX).map(|(seq, _)| seq)
+    }
+
     #[test]
-    fn latest_seq_of_reports_newest() {
+    fn newest_reports_the_newest_seq() {
         let (_d, _e, mt) = memtable(SecurityProfile::treaty_full());
-        assert_eq!(mt.latest_seq_of(b"k"), None);
+        assert_eq!(newest_seq(&mt, b"k"), None);
         mt.put(b"k", 3, b"x");
         mt.put(b"k", 9, b"y");
-        assert_eq!(mt.latest_seq_of(b"k"), Some(9));
+        assert_eq!(newest_seq(&mt, b"k"), Some(9));
+        // A newer covering range tombstone is the newest version.
+        mt.delete_range(b"a", b"z", 12);
+        assert_eq!(newest_seq(&mt, b"k"), Some(12));
+        assert_eq!(newest_seq(&mt, b"q"), Some(12));
     }
 
     #[test]
@@ -914,13 +919,13 @@ mod tests {
                 let (got, spent) = timed_get(&mt, absent);
                 assert_eq!(got, None);
                 assert_eq!(spent, probe, "{absent:?} skips the walk");
-                assert_eq!(mt.latest_seq_of(absent), None);
+                assert_eq!(newest_seq(&mt, absent), None);
             }
             let (got, spent) = timed_get(&mt, b"k07");
             assert_eq!(got, Some(Some(b"v".to_vec())));
             assert_eq!(spent, probe + walk_and_resolve_ns(&env, b"k07", 1));
             assert_eq!(timed_get(&mt, b"gone").0, Some(None));
-            assert_eq!(mt.latest_seq_of(b"gone"), Some(40));
+            assert_eq!(newest_seq(&mt, b"gone"), Some(40));
         });
     }
 

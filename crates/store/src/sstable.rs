@@ -673,42 +673,21 @@ impl SsTable {
 
     /// The one point lookup: the newest version of `key` visible at
     /// `snapshot` with its seq (`None` value = tombstone), which the
-    /// engine's descent weighs against range tombstones.
-    pub(crate) fn get_with_seq(
+    /// engine's descent weighs against range tombstones. `None` = this
+    /// table holds no visible version.
+    ///
+    /// # Errors
+    ///
+    /// Propagates integrity/IO failures from block reads.
+    pub fn newest(
         &self,
         key: &[u8],
         snapshot: SeqNum,
     ) -> Result<Option<(SeqNum, Option<Vec<u8>>)>> {
         let mut best: Option<(SeqNum, Option<Vec<u8>>)> = None;
         self.probe_key(key, |r| {
-            if r.seq <= snapshot && best.as_ref().map(|(s, _)| r.seq > *s).unwrap_or(true) {
+            if r.seq <= snapshot && best.as_ref().is_none_or(|(s, _)| r.seq > *s) {
                 best = Some((r.seq, r.value.clone()));
-            }
-        })?;
-        Ok(best)
-    }
-
-    /// Looks up the newest version of `key` visible at `snapshot`.
-    /// `None` = this table holds no visible version; `Some(None)` =
-    /// tombstone.
-    ///
-    /// # Errors
-    ///
-    /// Propagates integrity/IO failures from block reads.
-    pub fn get(&self, key: &[u8], snapshot: SeqNum) -> Result<Option<Option<Vec<u8>>>> {
-        Ok(self.get_with_seq(key, snapshot)?.map(|(_, v)| v))
-    }
-
-    /// The newest sequence number for `key` in this table, if any.
-    ///
-    /// # Errors
-    ///
-    /// Propagates integrity/IO failures from block reads.
-    pub fn latest_seq_of(&self, key: &[u8]) -> Result<Option<SeqNum>> {
-        let mut best: Option<SeqNum> = None;
-        self.probe_key(key, |r| {
-            if best.map(|b| r.seq > b).unwrap_or(true) {
-                best = Some(r.seq);
             }
         })?;
         Ok(best)
@@ -959,6 +938,17 @@ mod tests {
         Ok((dir, env, table))
     }
 
+    /// The visible value of `key` at `snapshot`: `None` = no version,
+    /// `Some(None)` = tombstone.
+    fn get(t: &SsTable, key: &[u8], snapshot: SeqNum) -> Result<Option<Option<Vec<u8>>>> {
+        Ok(t.newest(key, snapshot)?.map(|(_, v)| v))
+    }
+
+    /// The seq of the newest version of `key`.
+    fn newest_seq(t: &SsTable, key: &[u8]) -> Result<Option<SeqNum>> {
+        Ok(t.newest(key, SeqNum::MAX)?.map(|(seq, _)| seq))
+    }
+
     /// Collects a cursor to exhaustion.
     fn drain(t: &Rc<SsTable>, start: &[u8], cached: bool) -> Result<Vec<SsRecord>> {
         let mut cur = t.range_cursor(start, cached)?;
@@ -978,16 +968,16 @@ mod tests {
                 t.meta().blocks.len() > 1,
                 "{profile:?}: want multiple blocks"
             );
-            let v = t.get(b"key-00011", SeqNum::MAX)?;
+            let v = get(&t, b"key-00011", SeqNum::MAX)?;
             assert_eq!(
                 v,
                 Some(Some(format!("value-11-{}", "x".repeat(50)).into_bytes()))
             );
             // Tombstone.
-            assert_eq!(t.get(b"key-00003", SeqNum::MAX)?, Some(None));
+            assert_eq!(get(&t, b"key-00003", SeqNum::MAX)?, Some(None));
             // Missing.
-            assert_eq!(t.get(b"key-99999", SeqNum::MAX)?, None);
-            assert_eq!(t.get(b"aaaa", SeqNum::MAX)?, None);
+            assert_eq!(get(&t, b"key-99999", SeqNum::MAX)?, None);
+            assert_eq!(get(&t, b"aaaa", SeqNum::MAX)?, None);
         }
         Ok(())
     }
@@ -1004,11 +994,11 @@ mod tests {
         ];
         build(&env, &path, 2, &rows, &[])?;
         let t = SsTable::open(env, &path)?;
-        assert_eq!(t.get(b"k", SeqNum::MAX)?, Some(Some(b"v9".to_vec())));
-        assert_eq!(t.get(b"k", 6)?, Some(Some(b"v5".to_vec())));
-        assert_eq!(t.get(b"k", 4)?, Some(Some(b"v1".to_vec())));
-        assert_eq!(t.get(b"k", 0)?, None);
-        assert_eq!(t.latest_seq_of(b"k")?, Some(9));
+        assert_eq!(get(&t, b"k", SeqNum::MAX)?, Some(Some(b"v9".to_vec())));
+        assert_eq!(get(&t, b"k", 6)?, Some(Some(b"v5".to_vec())));
+        assert_eq!(get(&t, b"k", 4)?, Some(Some(b"v1".to_vec())));
+        assert_eq!(get(&t, b"k", 0)?, None);
+        assert_eq!(newest_seq(&t, b"k")?, Some(9));
         Ok(())
     }
 
@@ -1031,7 +1021,7 @@ mod tests {
             let mut raw = std::fs::read(t.path())?;
             raw[10] ^= 0x01; // inside block 0
             std::fs::write(t.path(), &raw)?;
-            let err = t.get(b"key-00000", SeqNum::MAX).unwrap_err();
+            let err = get(&t, b"key-00000", SeqNum::MAX).unwrap_err();
             assert!(matches!(err, StoreError::Integrity(_)), "{profile:?}");
         }
         Ok(())
@@ -1057,7 +1047,7 @@ mod tests {
         std::fs::write(t.path(), &raw)?;
         // No authentication: the corrupted data is served or misparsed,
         // but no *detection* happens. (Exactly the baseline's weakness.)
-        let _ = t.get(b"key-00000", SeqNum::MAX);
+        let _ = get(&t, b"key-00000", SeqNum::MAX);
         Ok(())
     }
 
@@ -1150,7 +1140,7 @@ mod tests {
             // resolve through candidate_blocks to a real hit.
             for key in [&bm.first_key, &bm.last_key] {
                 assert!(
-                    t.get(key, SeqNum::MAX)?.is_some(),
+                    get(&t, key, SeqNum::MAX)?.is_some(),
                     "fence key {:?} must be found",
                     String::from_utf8_lossy(key)
                 );
@@ -1189,14 +1179,14 @@ mod tests {
         );
         // Newest version wins at snapshot MAX; oldest at its own seq.
         assert_eq!(
-            t.get(b"hot", SeqNum::MAX)?,
+            get(&t, b"hot", SeqNum::MAX)?,
             Some(Some(format!("{pad}1000").into_bytes()))
         );
         assert_eq!(
-            t.get(b"hot", 1000 - versions + 1)?,
+            get(&t, b"hot", 1000 - versions + 1)?,
             Some(Some(format!("{pad}{}", 1000 - versions + 1).into_bytes()))
         );
-        assert_eq!(t.latest_seq_of(b"hot")?, Some(1000));
+        assert_eq!(newest_seq(&t, b"hot")?, Some(1000));
         Ok(())
     }
 
@@ -1208,12 +1198,12 @@ mod tests {
         ];
         let (_d, _e, t) = build_rows(&rows)?;
         assert_eq!(t.meta().blocks.len(), 1);
-        assert_eq!(t.get(b"b", SeqNum::MAX)?, Some(Some(b"vb".to_vec())));
-        assert_eq!(t.get(b"d", SeqNum::MAX)?, Some(Some(b"vd".to_vec())));
+        assert_eq!(get(&t, b"b", SeqNum::MAX)?, Some(Some(b"vb".to_vec())));
+        assert_eq!(get(&t, b"d", SeqNum::MAX)?, Some(Some(b"vd".to_vec())));
         // In-range gap key and out-of-range keys.
-        assert_eq!(t.get(b"c", SeqNum::MAX)?, None);
-        assert_eq!(t.get(b"a", SeqNum::MAX)?, None);
-        assert_eq!(t.get(b"e", SeqNum::MAX)?, None);
+        assert_eq!(get(&t, b"c", SeqNum::MAX)?, None);
+        assert_eq!(get(&t, b"a", SeqNum::MAX)?, None);
+        assert_eq!(get(&t, b"e", SeqNum::MAX)?, None);
         Ok(())
     }
 
@@ -1244,7 +1234,7 @@ mod tests {
             .as_ref()
             .ok_or_else(|| StoreError::Io("tiny config enables the cache".into()))?;
         let (h0, m0) = (cache.hits(), cache.misses());
-        assert_eq!(t.get(&gap_key, SeqNum::MAX)?, None);
+        assert_eq!(get(&t, &gap_key, SeqNum::MAX)?, None);
         assert_eq!(
             cache.hits() - h0 + cache.misses() - m0,
             0,
@@ -1268,7 +1258,7 @@ mod tests {
             if key >= t.meta().blocks[1].first_key {
                 continue;
             }
-            assert_eq!(t.get(&key, SeqNum::MAX)?, None);
+            assert_eq!(get(&t, &key, SeqNum::MAX)?, None);
         }
         assert_eq!(
             env.stats.bloom_false_positives.get(),
@@ -1468,7 +1458,7 @@ mod tests {
         for i in 0..50 {
             // In the table's key range but never inserted.
             let key = format!("key-00{i:03}x").into_bytes();
-            assert_eq!(t.get(&key, SeqNum::MAX)?, None);
+            assert_eq!(get(&t, &key, SeqNum::MAX)?, None);
         }
         assert!(
             env.stats.bloom_negatives.get() >= 40,
@@ -1492,10 +1482,10 @@ mod tests {
         build(&env, &path, 1, &entries(100), &[])?;
         let t = SsTable::open(Rc::clone(&env), &path)?;
         let t0 = treaty_sim::runtime::now();
-        assert!(t.get(b"key-00010", SeqNum::MAX)?.is_some());
+        assert!(get(&t, b"key-00010", SeqNum::MAX)?.is_some());
         let miss_ns = treaty_sim::runtime::now() - t0;
         let t1 = treaty_sim::runtime::now();
-        assert!(t.get(b"key-00010", SeqNum::MAX)?.is_some());
+        assert!(get(&t, b"key-00010", SeqNum::MAX)?.is_some());
         let hit_ns = treaty_sim::runtime::now() - t1;
         let cache = env
             .block_cache
@@ -1534,7 +1524,7 @@ mod tests {
         build(&env, &path, 1, &entries(50), &[])?;
         let t = SsTable::open(Rc::clone(&env), &path)?;
         assert!(t.meta().filter.is_none());
-        let v = t.get(b"key-00011", SeqNum::MAX)?;
+        let v = get(&t, b"key-00011", SeqNum::MAX)?;
         assert_eq!(
             v,
             Some(Some(format!("value-11-{}", "x".repeat(50)).into_bytes()))

@@ -517,8 +517,7 @@ impl EngineTxn for Txn {
                 self.store.get_visible(key, SeqNum::MAX)
             }
             TxnMode::Optimistic => {
-                let seq = self.store.latest_seq(key)?;
-                let v = self.store.get_visible(key, SeqNum::MAX)?;
+                let (seq, v) = self.store.read(key, SeqNum::MAX)?;
                 self.read_set.push((key.to_vec(), seq));
                 Ok(v)
             }
@@ -759,13 +758,14 @@ impl EngineTxn for Txn {
 }
 
 impl Txn {
-    /// X-locks `key` without waiting; held until the txn finishes.
-    fn try_lock_exclusive(&mut self, key: UserKey) -> Result<()> {
+    /// Locks `key` in `mode` without waiting; a refusal is a conflict.
+    /// Held until the txn finishes (a plain read lock: until it prepares).
+    fn try_lock(&mut self, key: UserKey, mode: LockMode) -> Result<()> {
         if self
             .store
             .inner
             .locks
-            .try_lock(self.id, &key, LockMode::Exclusive)
+            .try_lock(self.id, &key, mode)
             .map_err(|_| StoreError::Conflict)?
         {
             self.locked.push(key);
@@ -773,12 +773,13 @@ impl Txn {
         Ok(())
     }
 
-    /// OCC validation: write set lockable, read versions unchanged,
-    /// scanned spans unchanged, range-delete spans lockable.
+    /// OCC validation: write set lockable, read keys S-lockable with their
+    /// versions unchanged, scanned spans unchanged, range-delete spans
+    /// lockable.
     fn validate_optimistic(&mut self) -> Result<()> {
         let write_keys: Vec<UserKey> = self.buffer.to_ops().into_iter().map(|w| w.key).collect();
         for key in &write_keys {
-            self.try_lock_exclusive(key.clone())?;
+            self.try_lock(key.clone(), LockMode::Exclusive)?;
         }
         // Range deletes: X-lock every present covered key plus the gap
         // bound — the pessimistic fence's pass, taken without waiting.
@@ -786,19 +787,27 @@ impl Txn {
         for (s, e) in &ranges {
             let span = self.store.fenced_pass(s, e, 0)?;
             for k in span.present.into_iter().chain(std::iter::once(span.bound)) {
-                self.try_lock_exclusive(k)?;
+                self.try_lock(k, LockMode::Exclusive)?;
             }
         }
         // Inserts of brand-new keys while some scan is live conflict on
         // the successor's fence lock.
         for key in &write_keys {
             if let Some(bound) = self.insert_fence(key)? {
-                self.try_lock_exclusive(bound)?;
+                self.try_lock(bound, LockMode::Exclusive)?;
             }
+        }
+        // Silo's rule: a read key another committer holds X-locked may be
+        // overwritten before its seq changes, so the S lock refuses it, and
+        // holds off a writer that validates later. Without it, two txns
+        // that each read what the other writes both commit (write skew).
+        let read_keys: Vec<UserKey> = self.read_set.iter().map(|(k, _)| k.clone()).collect();
+        for key in read_keys {
+            self.try_lock(key, LockMode::Shared)?;
         }
         // A version a prepared transaction is about to replace is no
         // longer the latest word, whatever its seq: that writer may be
-        // acknowledged already, and OCC takes no lock to wait on.
+        // acknowledged already.
         let prepared = &self.store.inner.prepared;
         for (key, seen) in &self.read_set {
             if prepared.overlaps(key) || self.store.latest_seq(key)? != *seen {

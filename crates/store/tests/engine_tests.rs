@@ -294,6 +294,67 @@ fn optimistic_blind_writes_do_not_conflict_with_disjoint_keys() {
     assert_eq!(store.get_committed(b"b").unwrap(), Some(b"2".to_vec()));
 }
 
+/// T1 reads x and writes y, T2 reads y and writes x: one of them must
+/// abort. Validation S-locks each read key (Silo's rule), so a committer
+/// holding X on a key between its validation and its apply refuses the
+/// other's check on it.
+#[test]
+fn optimistic_write_skew_is_refused() {
+    let dir = tempfile::tempdir().unwrap();
+    let path = dir.path().to_path_buf();
+    block_on(move || {
+        let env = Env::for_testing(SecurityProfile::treaty_full(), &path);
+        let store = TreatyStore::open(env).unwrap();
+        put(&store, b"x", b"0");
+        put(&store, b"y", b"0");
+        let mut t1 = store.begin_mode(TxnMode::Optimistic);
+        let mut t2 = store.begin_mode(TxnMode::Optimistic);
+        t1.get(b"x").unwrap();
+        t1.put(b"y", b"1").unwrap();
+        t2.get(b"y").unwrap();
+        t2.put(b"x", b"2").unwrap();
+        let outcomes = Rc::new(RefCell::new(Vec::new()));
+        let fibers: Vec<_> = [t1, t2]
+            .into_iter()
+            .map(|mut t| {
+                let outcomes = Rc::clone(&outcomes);
+                spawn(move || {
+                    let committed = t.commit().is_ok();
+                    outcomes.borrow_mut().push(committed);
+                })
+            })
+            .collect();
+        for f in fibers {
+            join(f);
+        }
+        assert!(
+            outcomes.borrow().contains(&false),
+            "both committed: x={:?} y={:?}",
+            store.get_committed(b"x").unwrap(),
+            store.get_committed(b"y").unwrap()
+        );
+    });
+}
+
+/// An OCC read takes its value and the version it validates against from
+/// one descent: one block fetch for a key that lives in an SSTable.
+#[test]
+fn an_optimistic_read_looks_a_key_up_once() {
+    let dir = tempfile::tempdir().unwrap();
+    let (_env, store) = open(SecurityProfile::treaty_full(), dir.path());
+    put(&store, b"k", b"v");
+    store.flush().unwrap();
+    let blocks = |s: &TreatyStore| {
+        let stats = s.stats();
+        stats.block_cache_hits + stats.block_cache_misses
+    };
+    let before = blocks(&store);
+    let mut tx = store.begin_mode(TxnMode::Optimistic);
+    assert_eq!(tx.get(b"k").unwrap(), Some(b"v".to_vec()));
+    assert_eq!(blocks(&store) - before, 1);
+    tx.commit().unwrap();
+}
+
 #[test]
 fn pessimistic_writers_conflict_via_lock_timeout() {
     let dir = tempfile::tempdir().unwrap();

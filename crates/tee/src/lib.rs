@@ -12,22 +12,18 @@
 //! * [`seal`]/[`unseal`] bind enclave state to a measurement, standing in
 //!   for SGX sealing,
 //! * [`Measurement`]/[`Quote`] provide the attestation primitives that the
-//!   CAS chains into collective trust (§VI),
-//! * [`HwCounter`] models the slow SGX monotonic counter that motivates the
-//!   asynchronous trusted counter service.
+//!   CAS chains into collective trust (§VI).
 
 // A node answers or refuses with a typed error; it never panics (§III).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unreachable))]
 
 pub mod attest;
-pub mod counter;
 pub mod enclave;
 pub mod hostbytes;
 pub mod seal;
 
 pub use attest::{HardwareRoot, Measurement, Quote};
-pub use counter::HwCounter;
 pub use enclave::{Enclave, HostHandle, HostVault, EPC_V1_BYTES, EPC_V2_BYTES};
 pub use hostbytes::{HostBytes, Provenance};
 pub use seal::{seal, unseal, SealedBlob};
