@@ -1276,15 +1276,6 @@ fn read_only_scanners_serialize_with_cross_shard_writers() {
         let observations = Rc::new(RefCell::new(Vec::new()));
         let keyspace: Vec<Vec<u8>> = (0..6).map(|i| format!("list-{i}").into_bytes()).collect();
         let decode_list = |b: &[u8]| -> Vec<GlobalTxId> { decode(b).unwrap() };
-        // Every list exists (empty) up front, so each append overwrites a
-        // present key and meets the scanners on that key's own lock.
-        let seeder = cluster.client();
-        let mut tx = seeder.begin(1);
-        for k in &keyspace {
-            tx.put(k, &encode(&Vec::<GlobalTxId>::new())).unwrap();
-        }
-        tx.commit().unwrap();
-
         let mut handles = Vec::new();
         for c in 0..6usize {
             let cluster = Rc::clone(&cluster);

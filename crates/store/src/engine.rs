@@ -427,19 +427,6 @@ impl PreparedTable {
                 .is_some()
         })
     }
-
-    /// The in-doubt point-write keys inside `[start, end)`, sorted — the
-    /// keys a span fence cannot see in the store yet and must wait on.
-    pub fn keys_in_span(&self, start: &[u8], end: &[u8]) -> Vec<UserKey> {
-        let Some(span) = span_bounds(start, end) else {
-            return Vec::new();
-        };
-        let index = self.key_index.borrow();
-        index
-            .range::<[u8], _>(span)
-            .map(|(k, _)| k.clone())
-            .collect()
-    }
 }
 
 /// `BTreeMap::range` bounds over borrowed keys.

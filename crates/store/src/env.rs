@@ -18,8 +18,10 @@ use crate::engine::StatsCells;
 pub struct EngineConfig {
     /// MemTable flush threshold in bytes (values + keys).
     pub memtable_bytes: usize,
-    /// Number of lock-table shards (the paper runs "a big number of
-    /// shards" to avoid lock bottlenecks).
+    /// Number of lock-table wait stripes: a release wakes the waiters of
+    /// its key's stripe only. The held keys are one ordered map; the
+    /// paper's "big number of shards" avoids lock bottlenecks between
+    /// threads, and here one thread runs the store.
     pub lock_shards: usize,
     /// Target uncompressed block size inside SSTables.
     pub block_bytes: usize,

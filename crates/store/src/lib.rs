@@ -13,7 +13,8 @@
 //! * [`bloom`] / [`cache`] — the read-acceleration layer: Bloom filters
 //!   sealed into table footers and an EPC-aware trusted block cache over
 //!   decrypted blocks,
-//! * [`locks`] — the sharded lock table for two-phase locking,
+//! * [`locks`] — the lock table for two-phase locking: one ordered map of
+//!   held keys, so a span fence can list what other transactions hold,
 //! * [`txn`] — pessimistic (2PL) and optimistic (OCC) transactions, group
 //!   commit, and the participant half of 2PC (prepare / commit-prepared),
 //! * [`engine`] — [`TreatyStore`]: flush, leveled compaction with
@@ -35,7 +36,6 @@ pub mod env;
 pub mod locks;
 pub mod log;
 pub mod memtable;
-pub mod skiplist;
 pub mod sstable;
 pub mod txn;
 

@@ -1,15 +1,22 @@
-//! The sharded key lock table for two-phase locking (§V-B).
+//! The key lock table for two-phase locking (§V-B).
 //!
 //! "Nodes store a table of locks for their keys that is divided across
 //! shards, each protected with a lock, by splitting the key space. Treaty
 //! runs with a big number of shards to avoid locking bottlenecks. Txs that
 //! fail to acquire a lock within a timeframe return with a timeout error."
 //!
+//! One thread runs the store, so there is no bottleneck for shards to
+//! avoid: the held keys are one ordered map, which also lets a span fence
+//! list the keys other transactions hold X inside its span
+//! ([`LockTable::exclusive_in_span`]). What stays striped by key is the
+//! waiting: a release wakes only the waiters of its key's stripe.
+//!
 //! Timeouts double as deadlock avoidance: a cycle resolves when one of its
 //! transactions times out and aborts.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
+use std::ops::Bound;
 
 use treaty_sched::WaitQueue;
 use treaty_sim::{runtime, Nanos};
@@ -22,11 +29,9 @@ pub type TxId = u64;
 
 /// Cheap deterministic stripe hash: FNV-1a over the key bytes with a
 /// Fibonacci final mix (golden-ratio multiply) so sequential key suffixes
-/// still disperse across stripes. Stripe dispatch needs uniformity, not
-/// collision resistance — the previous implementation paid a full SHA-256
-/// per acquire *and* re-hashed every key again on release, pure waste on
-/// the hottest store lock path. Not dependent on the shard map's keyed
-/// hash: lock striping is node-local and needs no cross-node agreement.
+/// still disperse across wait stripes. Stripe dispatch needs uniformity,
+/// not collision resistance. Not dependent on the shard map's keyed hash:
+/// lock striping is node-local and needs no cross-node agreement.
 fn stripe_hash(key: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in key {
@@ -103,14 +108,12 @@ impl KeyLock {
     }
 }
 
-struct Shard {
-    locks: RefCell<HashMap<UserKey, KeyLock>>,
-    waiters: WaitQueue,
-}
-
-/// The sharded lock table.
+/// The lock table.
 pub struct LockTable {
-    shards: Vec<Shard>,
+    /// Every key some transaction holds, in key order.
+    locks: RefCell<BTreeMap<UserKey, KeyLock>>,
+    /// Wait queues, one per stripe of the key space.
+    waiters: Vec<WaitQueue>,
     timeout: Nanos,
     timeouts_hit: Cell<u64>,
 }
@@ -118,14 +121,14 @@ pub struct LockTable {
 impl std::fmt::Debug for LockTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LockTable")
-            .field("shards", &self.shards.len())
+            .field("stripes", &self.waiters.len())
             .finish_non_exhaustive()
     }
 }
 
 impl LockTable {
-    /// Creates a table with `shards` shards and the given acquisition
-    /// timeout.
+    /// Creates a table with `shards` wait stripes and the given
+    /// acquisition timeout.
     ///
     /// # Panics
     ///
@@ -133,30 +136,22 @@ impl LockTable {
     pub fn new(shards: usize, timeout: Nanos) -> Self {
         assert!(shards > 0);
         LockTable {
-            shards: (0..shards)
-                .map(|_| Shard {
-                    locks: RefCell::new(HashMap::new()),
-                    waiters: WaitQueue::new(),
-                })
-                .collect(),
+            locks: RefCell::new(BTreeMap::new()),
+            waiters: (0..shards).map(|_| WaitQueue::new()).collect(),
             timeout,
             timeouts_hit: Cell::new(0),
         }
     }
 
-    fn shard_idx(&self, key: &[u8]) -> usize {
-        (stripe_hash(key) % self.shards.len() as u64) as usize
+    fn stripe(&self, key: &[u8]) -> usize {
+        (stripe_hash(key) % self.waiters.len() as u64) as usize
     }
 
-    fn shard_for(&self, key: &[u8]) -> &Shard {
-        &self.shards[self.shard_idx(key)]
-    }
-
-    /// One acquisition attempt on `shard` ([`KeyLock::try_acquire`]). The
-    /// key is looked up by reference; it is copied only when it becomes a
-    /// new entry of the table.
-    fn try_acquire(shard: &Shard, tx: TxId, key: &[u8], mode: LockMode) -> Option<bool> {
-        let mut locks = shard.locks.borrow_mut();
+    /// One acquisition attempt ([`KeyLock::try_acquire`]). The key is
+    /// looked up by reference; it is copied only when it becomes a new
+    /// entry of the table.
+    fn try_acquire(&self, tx: TxId, key: &[u8], mode: LockMode) -> Option<bool> {
+        let mut locks = self.locks.borrow_mut();
         if let Some(kl) = locks.get_mut(key) {
             return kl.try_acquire(tx, mode);
         }
@@ -180,9 +175,8 @@ impl LockTable {
         // Every lock-table entry point counts: the snapshot-read tests
         // assert read-only transactions leave this at zero.
         treaty_sim::obs::counter_add("store.lock_acquire", 1);
-        let shard = self.shard_for(key);
         // Fast path.
-        if let Some(new) = Self::try_acquire(shard, tx, key, mode) {
+        if let Some(new) = self.try_acquire(tx, key, mode) {
             return Ok(new);
         }
         // Contended: wait with a deadline (fiber context required). The
@@ -191,14 +185,15 @@ impl LockTable {
         let _span = treaty_sim::obs::span("store.lock_wait");
         treaty_sim::obs::counter_add("store.lock_contended", 1);
         let deadline = runtime::now().saturating_add(self.timeout);
+        let waiters = &self.waiters[self.stripe(key)];
         loop {
             let now = runtime::now();
             if now >= deadline {
                 self.timeouts_hit.update(|n| n + 1);
                 return Err(StoreError::LockTimeout);
             }
-            shard.waiters.wait_timeout(deadline - now);
-            if let Some(new) = Self::try_acquire(shard, tx, key, mode) {
+            waiters.wait_timeout(deadline - now);
+            if let Some(new) = self.try_acquire(tx, key, mode) {
                 return Ok(new);
             }
         }
@@ -212,30 +207,50 @@ impl LockTable {
     /// Returns [`StoreError::LockTimeout`] immediately when contended.
     pub fn try_lock(&self, tx: TxId, key: &[u8], mode: LockMode) -> Result<bool> {
         treaty_sim::obs::counter_add("store.lock_acquire", 1);
-        Self::try_acquire(self.shard_for(key), tx, key, mode).ok_or(StoreError::LockTimeout)
+        self.try_acquire(tx, key, mode)
+            .ok_or(StoreError::LockTimeout)
     }
 
     /// Releases every lock `tx` holds among `keys` and wakes waiters.
     pub fn release(&self, tx: TxId, keys: impl IntoIterator<Item = UserKey>) {
-        // Group by shard to wake each shard once.
+        // Wake each touched stripe once.
         let mut touched: Vec<usize> = Vec::new();
-        for key in keys {
-            let idx = self.shard_idx(&key);
-            let shard = &self.shards[idx];
-            let mut locks = shard.locks.borrow_mut();
-            if let Some(kl) = locks.get_mut(&key) {
-                kl.release(tx);
-                if kl.is_free() {
-                    locks.remove(&key);
+        {
+            let mut locks = self.locks.borrow_mut();
+            for key in keys {
+                if let Some(kl) = locks.get_mut(&key) {
+                    kl.release(tx);
+                    if kl.is_free() {
+                        locks.remove(&key);
+                    }
                 }
-            }
-            if !touched.contains(&idx) {
-                touched.push(idx);
+                let idx = self.stripe(&key);
+                if !touched.contains(&idx) {
+                    touched.push(idx);
+                }
             }
         }
         for idx in touched {
-            self.shards[idx].waiters.notify_all();
+            self.waiters[idx].notify_all();
         }
+    }
+
+    /// The keys in `[start, end)` that a transaction other than `tx` holds
+    /// X, in key order. A span fence waits on them: a key written but not
+    /// yet in the store — an insert in flight or a prepared write — is
+    /// invisible to its pass, yet X-held by its writer until the write is
+    /// applied or dropped.
+    pub fn exclusive_in_span(&self, tx: TxId, start: &[u8], end: &[u8]) -> Vec<UserKey> {
+        if start >= end {
+            return Vec::new();
+        }
+        let span = (Bound::Included(start), Bound::Excluded(end));
+        self.locks
+            .borrow()
+            .range::<[u8], _>(span)
+            .filter(|(_, kl)| kl.exclusive.is_some_and(|owner| owner != tx))
+            .map(|(k, _)| k.clone())
+            .collect()
     }
 
     /// Number of lock acquisitions that timed out (deadlock-avoidance
@@ -246,12 +261,17 @@ impl LockTable {
 
     /// Total keys currently locked (test introspection).
     pub fn locked_keys(&self) -> usize {
-        self.shards.iter().map(|s| s.locks.borrow().len()).sum()
+        self.locks.borrow().len()
     }
 
-    /// Locked-key count per shard (striping-distribution introspection).
+    /// Locked-key count per wait stripe (striping-distribution
+    /// introspection).
     pub fn shard_sizes(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.locks.borrow().len()).collect()
+        let mut sizes = vec![0; self.waiters.len()];
+        for key in self.locks.borrow().keys() {
+            sizes[self.stripe(key)] += 1;
+        }
+        sizes
     }
 }
 
@@ -388,6 +408,33 @@ mod tests {
             assert!(t.timeouts() >= 1, "deadlock must resolve via timeout");
             assert_eq!(t.locked_keys(), 0);
         });
+    }
+
+    #[test]
+    fn exclusive_in_span_lists_what_others_hold_x() {
+        let t = table();
+        for (tx, key, mode) in [
+            (1, &b"a"[..], LockMode::Exclusive),
+            (2, b"b", LockMode::Shared),
+            (3, b"c", LockMode::Exclusive),
+            (1, b"d", LockMode::Exclusive),
+            (3, b"e", LockMode::Exclusive),
+        ] {
+            t.lock(tx, key, mode).unwrap();
+        }
+        // S-held "b", the caller's own "a" and "d", and "e" at `end` stay out.
+        assert_eq!(t.exclusive_in_span(1, b"a", b"e"), vec![b"c".to_vec()]);
+        assert_eq!(
+            t.exclusive_in_span(2, b"a", b"f"),
+            [&b"a"[..], b"c", b"d", b"e"].map(<[u8]>::to_vec)
+        );
+        assert!(t.exclusive_in_span(2, b"c", b"c").is_empty(), "empty span");
+        assert!(
+            t.exclusive_in_span(2, b"e", b"a").is_empty(),
+            "inverted span"
+        );
+        t.release(3, [b"c".to_vec()]);
+        assert!(t.exclusive_in_span(1, b"a", b"e").is_empty(), "released");
     }
 
     #[test]

@@ -6,17 +6,18 @@
 //! This keeps the EPC footprint proportional to key count, not data size —
 //! the central trick that lets an LSM engine live in a 94 MiB enclave.
 //!
-//! One skip list holds every version in `(user key asc, seq desc)` order,
-//! so point reads, range cursors and the flush all walk the same index.
-//! The fiber runtime runs one fiber at a time (§VII-C), so a second list
-//! would buy no parallelism — only a merge under every ordered read.
+//! One ordered map holds every version in `(user key asc, seq desc)`
+//! order, so point reads, range cursors and the flush all walk the same
+//! index. §VII-B builds a skip list "that supports parallel updates"; the
+//! fiber runtime runs one fiber at a time (§VII-C), so nothing updates in
+//! parallel here, and the cost model prices each lookup instead.
 //!
-//! Beside the list sits a set of key fingerprints, in the same cell: a
+//! Beside the map sits a set of key fingerprints, in the same cell: a
 //! point read whose key is not in the set skips the walk (RocksDB's
 //! memtable whole-key filter).
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use std::rc::Rc;
 
 use treaty_crypto::codec::{CodecError, Decode, Encode, Reader, Writer};
@@ -25,7 +26,6 @@ use treaty_tee::{HostBytes, HostHandle};
 
 use crate::bloom::fingerprint;
 use crate::env::Env;
-use crate::skiplist::SkipList;
 use crate::{Result, StoreError};
 
 /// A user-visible key.
@@ -123,15 +123,15 @@ const ENTRY_OVERHEAD: usize = 48;
 /// Enclave bytes per distinct key in the key filter: one fingerprint.
 const FINGERPRINT_BYTES: u64 = 8;
 
-/// The ordered index and its key filter, behind one lock so a reader sees
-/// a version and its key's fingerprint together or neither.
+/// The ordered index and its key filter, in one cell so a reader sees a
+/// version and its key's fingerprint together or neither.
 #[derive(Default)]
 struct Index {
     /// `(user key asc, seq desc)`.
-    list: SkipList<MemKey, ValueEntry>,
+    map: BTreeMap<MemKey, ValueEntry>,
     /// The fingerprint of every user key with a point version. Absence
-    /// proves the list holds no version of a key; presence may be a
-    /// collision, so the list is still walked.
+    /// proves the map holds no version of a key; presence may be a
+    /// collision, so the map is still walked.
     keys: HashSet<u64>,
 }
 
@@ -139,19 +139,19 @@ impl Index {
     /// Inserts one version; true if its key's fingerprint is new.
     fn insert(&mut self, key: MemKey, entry: ValueEntry) -> bool {
         let fresh = self.keys.insert(fingerprint(&key.user));
-        self.list.insert(key, entry);
+        self.map.insert(key, entry);
         fresh
     }
 
-    /// False if the list holds no version of `key`.
+    /// False if the map holds no version of `key`.
     fn may_hold(&self, key: &[u8]) -> bool {
         self.keys.contains(&fingerprint(key))
     }
 
-    /// The newest version of `key` at or below `snapshot`: one list walk.
+    /// The newest version of `key` at or below `snapshot`: one seek.
     fn newest(&self, key: &[u8], snapshot: SeqNum) -> Option<(SeqNum, &ValueEntry)> {
         let probe = MemKey::new(key.to_vec(), snapshot);
-        match self.list.range_from(&probe).next() {
+        match self.map.range(probe..).next() {
             Some((k, v)) if k.user == key => Some((k.seq(), v)),
             _ => None,
         }
@@ -370,16 +370,31 @@ impl MemTable {
         else {
             return Ok(None);
         };
+        let len = *len as usize;
+        self.unseal(key, *handle, digest, || {
+            self.env.charge_crypto(len);
+            self.env.charge_hash(len);
+        })
+        .map(Some)
+    }
+
+    /// Loads one host-resident value, runs the caller's `charge`, then
+    /// decrypts it and checks it against the enclave-held digest.
+    fn unseal(
+        &self,
+        key: &[u8],
+        handle: HostHandle,
+        digest: &Digest32,
+        charge: impl FnOnce(),
+    ) -> Result<Vec<u8>> {
         let stored = self
             .env
             .vault
-            .load(*handle)
+            .load(handle)
             .map_err(|e| StoreError::Integrity(e.to_string()))?;
-        self.env.charge_crypto(*len as usize);
-        self.env.charge_hash(*len as usize);
+        charge();
         let plain = if self.env.profile.encryption {
-            // We cannot know which nonce without storing it; GCM nonce is
-            // prepended to the stored buffer.
+            // The GCM nonce is prepended to the stored buffer.
             decrypt_with_prefix_nonce(&self.value_key, key, &stored)?
         } else {
             stored
@@ -389,7 +404,7 @@ impl MemTable {
                 "memtable value hash mismatch — host memory tampered".into(),
             ));
         }
-        Ok(Some(plain))
+        Ok(plain)
     }
 
     /// Approximate bytes buffered (keys + values), for flush triggering.
@@ -409,8 +424,8 @@ impl MemTable {
     }
 
     /// Opens a cursor over `[start, end)` (`end = None` scans to the end of
-    /// the key space) in `(user key asc, seq desc)` order: one skip-list
-    /// seek. Only the enclave-resident `(key, seq, handle)` entries are
+    /// the key space) in `(user key asc, seq desc)` order: one map seek.
+    /// Only the enclave-resident `(key, seq, handle)` entries are
     /// snapshotted up front; values stay in host memory until the cursor
     /// yields them, so a scan never materializes more than one value at a
     /// time in enclave memory.
@@ -421,8 +436,8 @@ impl MemTable {
         let entries: Vec<(MemKey, ValueEntry)> = {
             let guard = self.index.borrow();
             guard
-                .list
-                .range_from(&probe)
+                .map
+                .range(probe..)
                 .take_while(|(k, _)| end.map(|e| k.user.as_slice() < e).unwrap_or(true))
                 .map(|(k, v)| (k.clone(), v.clone()))
                 .collect()
@@ -451,45 +466,26 @@ impl MemTable {
         let all: Vec<(MemKey, ValueEntry)> = {
             let guard = self.index.borrow();
             guard
-                .list
+                .map
                 .iter()
                 .map(|(k, v)| (k.clone(), v.clone()))
                 .collect()
         };
-        let mut out = Vec::with_capacity(all.len());
-        for (k, v) in all {
-            match v {
-                ValueEntry::Delete => {
-                    let seq = k.seq();
-                    out.push((k.user, seq, None));
-                }
-                ValueEntry::Put {
-                    handle,
-                    len,
-                    hash: digest,
-                } => {
-                    let stored = self
-                        .env
-                        .vault
-                        .load(handle)
-                        .map_err(|e| StoreError::Integrity(e.to_string()))?;
-                    self.env.charge_crypto(len as usize);
-                    let plain = if self.env.profile.encryption {
-                        decrypt_with_prefix_nonce(&self.value_key, &k.user, &stored)?
-                    } else {
-                        stored
-                    };
-                    if self.env.profile.authentication && hash::sha256(&plain) != digest {
-                        return Err(StoreError::Integrity(
-                            "memtable value hash mismatch during flush".into(),
-                        ));
+        // The flush charges the decrypt but no hash check.
+        all.into_iter()
+            .map(|(k, v)| {
+                let value = match v {
+                    ValueEntry::Delete => None,
+                    ValueEntry::Put { handle, len, hash } => {
+                        Some(self.unseal(&k.user, handle, &hash, || {
+                            self.env.charge_crypto(len as usize)
+                        })?)
                     }
-                    let seq = k.seq();
-                    out.push((k.user, seq, Some(plain)));
-                }
-            }
-        }
-        Ok(out)
+                };
+                let seq = k.seq();
+                Ok((k.user, seq, value))
+            })
+            .collect()
     }
 
     /// Releases host/enclave memory after a flushed MemTable's SSTable is
@@ -508,7 +504,7 @@ impl MemTable {
         self.env
             .enclave
             .free_trusted(FINGERPRINT_BYTES * guard.keys.len() as u64);
-        for (k, v) in guard.list.iter() {
+        for (k, v) in guard.map.iter() {
             let freed = k.user.len() + ENTRY_OVERHEAD;
             self.env.enclave.free_trusted(freed as u64);
             if let ValueEntry::Put {

@@ -321,16 +321,17 @@ impl Txn {
     /// The one span fence, under scans (S), range deletes (X) and — as its
     /// pass alone, with `try_lock` — OCC validation. Pass, then fence: lock
     /// every key *present* in the span (deleted versions still fence gaps)
-    /// plus the next key beyond it, plus every key a *prepared* transaction
-    /// is about to write there — the pass cannot see a key that exists only
-    /// in a prepared write set, yet that transaction may already be
-    /// acknowledged, so the grant waits for its decision. An apply epoch
-    /// unmoved since before the pass proves no version slipped in ahead of
-    /// the last lock grant. A moved one — any commit on this store, the
-    /// awaited apply included — goes round again: a pass that reads back
-    /// exactly what is already fenced is the same proof. Rounds only ever
-    /// add locks (2PL never releases mid-txn), so the loop converges or
-    /// conflicts out.
+    /// plus the next key beyond it, plus every key another transaction
+    /// holds X there. The pass cannot see a key written but not yet in the
+    /// store — an insert whose writer has not committed, or a prepared
+    /// write that may already be acknowledged — and its writer holds it X
+    /// until the write is applied or dropped, so the grant waits for that.
+    /// An apply epoch unmoved since before the pass proves no version
+    /// slipped in ahead of the last lock grant. A moved one — any commit
+    /// on this store, the awaited apply included — goes round again: a
+    /// pass that reads back exactly what is already fenced is the same
+    /// proof. Rounds only ever add locks (2PL never releases mid-txn), so
+    /// the loop converges or conflicts out.
     fn fence_span(
         &mut self,
         start: &[u8],
@@ -349,10 +350,10 @@ impl Txn {
             for k in span.present.iter().chain(std::iter::once(&span.bound)) {
                 self.lock_gap(k, mode)?;
             }
-            // Free: the in-enclave index snapshot reads consult per key.
             // The bound lies short of `end` only when `limit` cut the pass.
             let upper = end.min(&span.bound);
-            for k in self.store.inner.prepared.keys_in_span(start, upper) {
+            let locks = &self.store.inner.locks;
+            for k in locks.exclusive_in_span(self.id, start, upper) {
                 self.lock_gap(&k, mode)?;
             }
             if self.store.apply_epoch() == epoch {

@@ -1607,6 +1607,47 @@ fn next_key_locking_blocks_phantom_inserts() {
     });
 }
 
+/// An insert whose `put` ran while no scan was live holds only its own
+/// key's X-lock, and its key is in no store pass until it commits. A scan
+/// that starts later still waits for it: the fence locks every key in its
+/// span that another transaction holds X. Were it not so, the scan would
+/// miss b, then overwrite x, which b's inserter read, and both would
+/// commit: a cycle.
+#[test]
+fn an_insert_that_predates_a_scan_is_fenced() {
+    let dir = tempfile::tempdir().unwrap();
+    let path = dir.path().to_path_buf();
+    block_on(move || {
+        let env = Env::for_testing(SecurityProfile::treaty_full(), &path);
+        let store = TreatyStore::open(env).unwrap();
+        for k in [b"a", b"c", b"x"] {
+            put(&store, k, b"0");
+        }
+        let mut inserter = store.begin_mode(TxnMode::Pessimistic);
+        inserter.put(b"b", b"1").unwrap();
+        inserter.get(b"x").unwrap();
+        let outcome = Rc::new(RefCell::new(None));
+        let (store2, outcome2) = (store.clone(), Rc::clone(&outcome));
+        let scanner = spawn(move || {
+            let mut tx = store2.begin_mode(TxnMode::Pessimistic);
+            let Ok(rows) = tx.scan(b"a", b"d", 0) else {
+                return;
+            };
+            let missed_b = rows.iter().all(|(k, _)| k != b"b");
+            let committed = tx.put(b"x", b"2").is_ok() && tx.commit().is_ok();
+            *outcome2.borrow_mut() = Some((committed, missed_b));
+        });
+        treaty_sim::runtime::sleep(treaty_sim::MILLIS);
+        let inserted = inserter.commit().is_ok();
+        join(scanner);
+        let (scanned, missed_b) = outcome.borrow().unwrap_or((false, false));
+        assert!(
+            !(inserted && scanned && missed_b),
+            "cycle: the scan missed b, then overwrote x that b's inserter read"
+        );
+    });
+}
+
 #[test]
 fn quiescent_scan_fences_in_exactly_one_store_pass() {
     let dir = tempfile::tempdir().unwrap();

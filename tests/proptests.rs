@@ -2,6 +2,7 @@
 //! seeded loops: every case draws its inputs from a `ChaCha8Rng` seeded
 //! with the case number, so a failure names the case that reproduces it.
 
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashMap};
 
 use rand::{Rng, RngCore, SeedableRng};
@@ -10,8 +11,7 @@ use treaty::crypto::{Key, SecureEnvelope, TxMeta, WireCrypto};
 use treaty::sim::{Histogram, SecurityProfile};
 use treaty::store::engine::TreatyStore;
 use treaty::store::env::Env;
-use treaty::store::memtable::{MemTable, SeqNum};
-use treaty::store::skiplist::SkipList;
+use treaty::store::memtable::{MemTable, RangeTombstone, SeqNum, UserKey, VersionedEntry};
 use treaty::store::txn::TxBuffer;
 use treaty::store::{EngineTxn as _, TxnMode};
 
@@ -27,26 +27,75 @@ fn for_each_case(cases: u64, mut body: impl FnMut(u64, &mut ChaCha8Rng)) {
     }
 }
 
-/// The skip list behaves exactly like an ordered map.
+/// A key of up to `max_len` bytes over a six-letter alphabet, so spans
+/// drawn the same way often hold keys, and are often empty or inverted.
+fn small_key(rng: &mut ChaCha8Rng, min_len: usize, max_len: usize) -> UserKey {
+    (0..rng.gen_range(min_len..=max_len))
+        .map(|_| b'a' + rng.gen_range(0..6u8))
+        .collect()
+}
+
+/// A MemTable's range cursor and its freeze yield every point version in
+/// `(key asc, seq desc)` order, as an ordered map of the same writes does;
+/// range deletes ride beside the versions, never inside the cursor.
 #[test]
-fn skiplist_models_btreemap() {
+fn memtable_cursor_models_btreemap() {
     for_each_case(CASES, |case, rng| {
-        let mut list = SkipList::new();
-        let mut model = BTreeMap::new();
-        for _ in 0..rng.gen_range(0..400usize) {
-            let (k, v) = (rng.gen_range(0..=u16::MAX), rng.gen::<u32>());
-            assert_eq!(list.insert(k, v), model.insert(k, v), "case {case}");
+        let dir = tempfile::tempdir().unwrap();
+        let env = Env::for_testing(SecurityProfile::treaty_full(), dir.path());
+        let mt = MemTable::new(env);
+        // `None` is a point delete.
+        let mut model: BTreeMap<(UserKey, Reverse<SeqNum>), Option<Vec<u8>>> = BTreeMap::new();
+        let mut tombstones = Vec::new();
+        for seq in 1..=rng.gen_range(0..200u64) {
+            let key = small_key(rng, 1, 2);
+            match rng.gen_range(0..10u8) {
+                0..=5 => {
+                    let value = seq.to_le_bytes().to_vec();
+                    mt.put(&key, seq, &value);
+                    model.insert((key, Reverse(seq)), Some(value));
+                }
+                6..=8 => {
+                    mt.delete(&key, seq);
+                    model.insert((key, Reverse(seq)), None);
+                }
+                _ => {
+                    let end = small_key(rng, 1, 2);
+                    if key < end {
+                        mt.delete_range(&key, &end, seq);
+                        tombstones.push(RangeTombstone {
+                            start: key,
+                            end,
+                            seq,
+                        });
+                    }
+                }
+            }
         }
-        assert_eq!(list.len(), model.len(), "case {case}");
-        let got: Vec<_> = list.iter().map(|(k, v)| (*k, *v)).collect();
-        let want: Vec<_> = model.iter().map(|(k, v)| (*k, *v)).collect();
-        assert_eq!(got, want, "case {case}");
-        // range_from agrees with the model's range.
-        if let Some((&mid, _)) = model.iter().nth(model.len() / 2) {
-            let got: Vec<_> = list.range_from(&mid).map(|(k, _)| *k).collect();
-            let want: Vec<_> = model.range(mid..).map(|(k, _)| *k).collect();
-            assert_eq!(got, want, "case {case}");
+        let versions = |start: &[u8], end: Option<&[u8]>| -> Vec<VersionedEntry> {
+            model
+                .iter()
+                .filter(|((k, _), _)| start <= k.as_slice() && end.is_none_or(|e| k.as_slice() < e))
+                .map(|((k, Reverse(seq)), v)| (k.clone(), *seq, v.clone()))
+                .collect()
+        };
+        for _ in 0..16 {
+            let start = small_key(rng, 0, 2);
+            let end = rng.gen_bool(0.8).then(|| small_key(rng, 0, 2));
+            let mut cursor = mt.range_cursor(&start, end.as_deref());
+            let mut got = Vec::new();
+            while let Some(entry) = cursor.next().unwrap() {
+                got.push(entry);
+            }
+            let want = versions(&start, end.as_deref());
+            assert_eq!(got, want, "case {case}: span {start:?}..{end:?}");
         }
+        assert_eq!(
+            mt.freeze_entries().unwrap(),
+            versions(b"", None),
+            "case {case}"
+        );
+        assert_eq!(mt.range_tombstones(), tombstones, "case {case}");
     });
 }
 
