@@ -26,11 +26,12 @@
 #![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unreachable))]
 
 use serde::{Deserialize, Serialize};
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
 use treaty_crypto::{Key, KeyHierarchy};
+use treaty_sim::FiberCell;
 use treaty_tee::{HardwareRoot, Measurement, Quote};
 
 /// Errors from the attestation chain.
@@ -167,7 +168,7 @@ pub struct Cas {
     hw: HardwareRoot,
     master: Key,
     config: ClusterConfig,
-    state: RefCell<CasState>,
+    state: FiberCell<CasState>,
 }
 
 impl std::fmt::Debug for Cas {
@@ -200,7 +201,7 @@ impl Cas {
             hw,
             master,
             config,
-            state: RefCell::new(CasState {
+            state: FiberCell::new(CasState {
                 nodes: HashMap::new(),
                 clients: HashMap::new(),
             }),

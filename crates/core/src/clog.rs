@@ -7,12 +7,12 @@
 //! *decision* entry is appended behind that ack and stabilized before
 //! anyone else learns the outcome (§VI).
 
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
 use treaty_crypto::codec::{CodecError, Decode, Encode, Reader, Record, Writer};
 use treaty_sim::crashpoint::CrashPoint;
+use treaty_sim::FiberCell;
 use treaty_store::env::Env;
 use treaty_store::log::{self, LogWriter};
 use treaty_store::{GlobalTxId, Result, StoreError};
@@ -85,7 +85,7 @@ pub struct TxProtocolState {
 /// The coordinator log.
 pub struct Clog {
     writer: Rc<LogWriter>,
-    state: RefCell<HashMap<GlobalTxId, TxProtocolState>>,
+    state: FiberCell<HashMap<GlobalTxId, TxProtocolState>>,
     env: Rc<Env>,
 }
 
@@ -140,7 +140,7 @@ impl Clog {
         }
         Ok(Clog {
             writer: Rc::new(writer),
-            state: RefCell::new(state),
+            state: FiberCell::new(state),
             env,
         })
     }
@@ -420,7 +420,7 @@ mod tests {
         let path = dir.path().join(CLOG_FILE);
         treaty_sched::block_on(move || {
             let clog = Rc::new(Clog::open(Rc::clone(&e))?);
-            let handed = Rc::new(RefCell::new(Vec::new()));
+            let handed = Rc::new(FiberCell::new(Vec::new()));
             let fibers: Vec<_> = (1..=16u64)
                 .map(|seq| {
                     let (clog, handed) = (Rc::clone(&clog), Rc::clone(&handed));

@@ -12,7 +12,7 @@
 //! session rule in `treaty_net::rpc`), which keeps a transaction's
 //! operations ordered while unrelated transactions proceed concurrently.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::rc::Rc;
 
@@ -20,7 +20,7 @@ use treaty_crypto::{Key, MsgKind, TxMeta, WireCrypto};
 use treaty_net::{EndpointConfig, EndpointId, Fabric, PendingReply, Rpc, RpcConfig};
 use treaty_sched::{CorePool, WaitQueue};
 use treaty_sim::crashpoint::CrashPoint;
-use treaty_sim::Nanos;
+use treaty_sim::{FiberCell, Nanos};
 use treaty_store::{
     EngineTxn, GlobalTxId, NullEngine, StoreError, TreatyStore, TxnEngine, TxnMode,
 };
@@ -75,7 +75,7 @@ pub struct NodeStats {
     pub decision_retries: u64,
 }
 
-// NodeStats lives in one `RefCell<NodeStats>`: a snapshot copies every
+// NodeStats lives in one `FiberCell<NodeStats>`: a snapshot copies every
 // field at once.
 
 /// Result of [`TreatyNode::resolve_recovered`].
@@ -355,11 +355,11 @@ pub struct TreatyNode {
     clog: Option<Rc<Clog>>,
     shard_map: ShardMap,
     txn_mode: TxnMode,
-    active_coord: RefCell<HashMap<GlobalTxId, CoordTxn>>,
-    active_part: RefCell<HashMap<GlobalTxId, Box<dyn EngineTxn>>>,
-    recently_aborted: RefCell<AbortRing>,
+    active_coord: FiberCell<HashMap<GlobalTxId, CoordTxn>>,
+    active_part: FiberCell<HashMap<GlobalTxId, Box<dyn EngineTxn>>>,
+    recently_aborted: FiberCell<AbortRing>,
     op_seq: Cell<u64>,
-    stats: RefCell<NodeStats>,
+    stats: FiberCell<NodeStats>,
     /// Fibers still working behind a decision: finish continuations and
     /// phase-two deliveries (bounded by [`FINISH_FIBER_CAP`]).
     finishes_inflight: Cell<usize>,
@@ -412,11 +412,11 @@ impl TreatyNode {
             clog,
             shard_map: options.shard_map,
             txn_mode: options.txn_mode,
-            active_coord: RefCell::new(HashMap::new()),
-            active_part: RefCell::new(HashMap::new()),
-            recently_aborted: RefCell::new(AbortRing::default()),
+            active_coord: FiberCell::new(HashMap::new()),
+            active_part: FiberCell::new(HashMap::new()),
+            recently_aborted: FiberCell::new(AbortRing::default()),
             op_seq: Cell::new(1),
-            stats: RefCell::new(NodeStats::default()),
+            stats: FiberCell::new(NodeStats::default()),
             finishes_inflight: Cell::new(0),
             finish_done: WaitQueue::new(),
         });
@@ -739,7 +739,8 @@ impl TreatyNode {
         // (`abort_everywhere` notes it): a rollback of a transaction already
         // aborted on the op-error path used to be counted a second time
         // here, skewing the fig4/fig6 abort rates.
-        if let Some(ctx) = self.active_coord.borrow_mut().remove(&gtx) {
+        let ctx = self.active_coord.borrow_mut().remove(&gtx);
+        if let Some(ctx) = ctx {
             self.abort_everywhere(gtx, ctx);
         }
         Some((

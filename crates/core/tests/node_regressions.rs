@@ -41,9 +41,14 @@ fn options(dir: &std::path::Path) -> ClusterOptions {
 
 /// One key per node, keyed by owner endpoint (ordered for determinism).
 fn key_per_node(cluster: &Cluster) -> BTreeMap<u32, Vec<u8>> {
+    keys_per_node_named(cluster, "spread")
+}
+
+/// One key per node whose name starts with `prefix`.
+fn keys_per_node_named(cluster: &Cluster, prefix: &str) -> BTreeMap<u32, Vec<u8>> {
     let mut found: BTreeMap<u32, Vec<u8>> = BTreeMap::new();
     for i in 0..10_000u32 {
-        let k = format!("spread-{i}").into_bytes();
+        let k = format!("{prefix}-{i}").into_bytes();
         let owner = cluster.shard_map().owner(&k);
         found.entry(owner).or_insert(k);
         if found.len() == cluster.node_endpoints().len() {
@@ -570,5 +575,38 @@ fn abort_advisory_waits_for_its_transactions_running_op() {
             PeerReply::Vote { yes: false },
             "the participant still holds the aborted transaction"
         );
+    });
+}
+
+/// Rollbacks on one coordinator overlap: each one's abort advisory yields
+/// (it seals and sends to every participant), so the coordinator table
+/// must not stay borrowed across it. Holding it as an `if let` scrutinee
+/// made the next rollback's `borrow_mut` panic.
+#[test]
+fn concurrent_rollbacks_share_the_coordinator_table() {
+    const CLIENTS: u64 = 4;
+    const TXNS: u64 = 10;
+    let dir = tempfile::tempdir().unwrap();
+    let path = dir.path().to_path_buf();
+    block_on(move || {
+        let cluster = Rc::new(Cluster::start(options(&path)).unwrap());
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|c| {
+                let cluster = Rc::clone(&cluster);
+                treaty_sim::runtime::spawn(move || {
+                    let client = cluster.client();
+                    for t in 0..TXNS {
+                        let mut tx = client.begin(1);
+                        for k in keys_per_node_named(&cluster, &format!("rb-{c}-{t}")).values() {
+                            tx.put(k, b"doomed").unwrap();
+                        }
+                        tx.flush().unwrap();
+                        tx.rollback().unwrap();
+                    }
+                })
+            })
+            .collect();
+        clients.into_iter().for_each(treaty_sim::runtime::join);
+        assert_eq!(cluster.totals(), (0, CLIENTS * TXNS));
     });
 }

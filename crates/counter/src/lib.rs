@@ -33,12 +33,12 @@
 
 pub mod rote;
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::rc::Rc;
 
 use treaty_sched::WaitQueue;
 use treaty_sim::crashpoint::{self, CrashPoint};
-use treaty_sim::{obs, runtime, CostModel, Nanos};
+use treaty_sim::{obs, runtime, CostModel, FiberCell, Nanos};
 
 pub use rote::{RoteGroup, RoteMsg, RoteReplica, SealedState};
 
@@ -85,7 +85,7 @@ pub trait CounterBackend {
 /// (`RocksDB`, `Treaty w/ Enc` without `w/ Stab`).
 #[derive(Debug, Default)]
 pub struct NullBackend {
-    latest: RefCell<std::collections::HashMap<String, u64>>,
+    latest: FiberCell<std::collections::HashMap<String, u64>>,
 }
 
 impl NullBackend {
@@ -116,7 +116,7 @@ impl CounterBackend for NullBackend {
 #[derive(Debug)]
 pub struct HwCounterBackend {
     costs: CostModel,
-    latest: RefCell<std::collections::HashMap<String, u64>>,
+    latest: FiberCell<std::collections::HashMap<String, u64>>,
 }
 
 impl HwCounterBackend {
@@ -124,7 +124,7 @@ impl HwCounterBackend {
     pub fn new(costs: CostModel) -> Rc<Self> {
         Rc::new(HwCounterBackend {
             costs,
-            latest: RefCell::new(std::collections::HashMap::new()),
+            latest: FiberCell::new(std::collections::HashMap::new()),
         })
     }
 }
@@ -175,7 +175,7 @@ pub struct TrustedCounter {
     id: CounterId,
     backend: Rc<dyn CounterBackend>,
     next: Cell<u64>,
-    state: RefCell<CounterState>,
+    state: FiberCell<CounterState>,
     waiters: WaitQueue,
 }
 
@@ -209,7 +209,7 @@ impl TrustedCounter {
             id: id.into(),
             backend,
             next: Cell::new(recovered + 1),
-            state: RefCell::new(CounterState {
+            state: FiberCell::new(CounterState {
                 stable: recovered,
                 written: recovered,
                 covered: recovered,

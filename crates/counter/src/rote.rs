@@ -14,7 +14,7 @@
 //! *network* adversaries cannot roll a counter back — they can only deny
 //! service (availability, which is outside the guarantees, §VI).
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
@@ -23,7 +23,7 @@ use treaty_crypto::codec::{CodecError, Decode, Encode, Reader, Record, Writer};
 use treaty_crypto::{Key, MsgKind, TxMeta, WireCrypto};
 use treaty_net::{EndpointId, Fabric, Rpc, RpcConfig};
 use treaty_sched::FiberMutex;
-use treaty_sim::{runtime, Nanos};
+use treaty_sim::{runtime, FiberCell, Nanos};
 use treaty_tee::{seal, unseal, Measurement, SealedBlob};
 
 use crate::{CounterBackend, CounterError};
@@ -181,7 +181,7 @@ fn recover(seal_path: &Path, sealing_key: &Key, measurement: &Measurement) -> Re
 /// One replica of the protection group.
 pub struct RoteReplica {
     rpc: Rc<Rpc>,
-    state: RefCell<ReplicaState>,
+    state: FiberCell<ReplicaState>,
     seal_path: PathBuf,
     seal_lock: FiberMutex,
     seal_seq: Cell<u64>,
@@ -223,9 +223,9 @@ impl RoteReplica {
         let rpc = Rpc::new(fabric, endpoint, RpcConfig::client(WireCrypto::Full, key));
         let replica = Rc::new(RoteReplica {
             rpc: Rc::clone(&rpc),
-            state: RefCell::new(state),
+            state: FiberCell::new(state),
             seal_path,
-            seal_lock: FiberMutex::new(),
+            seal_lock: FiberMutex::new("counter.rote_seal"),
             seal_seq: Cell::new(0),
             sealed_version: Cell::new(0),
             sealing_key,
@@ -547,11 +547,11 @@ mod tests {
     }
 
     /// When a waiter returned, and with what.
-    type Outcome = Rc<RefCell<Option<(Nanos, Result<(), CounterError>)>>>;
+    type Outcome = Rc<FiberCell<Option<(Nanos, Result<(), CounterError>)>>>;
 
     /// Spawns a fiber that waits for `value` and stores when it returned.
     fn waiter(c: &Rc<TrustedCounter>, value: u64) -> (runtime::FiberId, Outcome) {
-        let out = Rc::new(RefCell::new(None));
+        let out = Rc::new(FiberCell::new(None));
         let (c, out2) = (Rc::clone(c), Rc::clone(&out));
         let fiber = runtime::spawn(move || {
             let result = c.wait_stable(value);

@@ -1,5 +1,5 @@
-//! treaty-lint: the enclave-boundary and fiber-concurrency rules that
-//! neither rustc nor clippy can check.
+//! treaty-lint: the enclave-boundary rules that neither rustc nor clippy
+//! can check.
 //!
 //! The `HostBytes` newtype (crates/tee) makes "plaintext into host memory" a
 //! compile error, and the compiler checks the rest of what it can: panics
@@ -23,23 +23,11 @@
 //!   not the scrubbed one, because interpolations live *inside* string
 //!   literals (`"{plaintext}"`).
 //!
-//! On top of the line rules sits a **function-scope concurrency
-//! analyzer** ([`analyzer`], [`registry`]) with three more rules:
-//!
-//! * **L007 — no borrow live across a yield point.** A simulation runs
-//!   its fibers one at a time on one OS thread, and its shared state sits
-//!   in `RefCell`s. A borrow held across `sleep`/`park`/`yield_now`/a
-//!   charge/an RPC round trip/a fiber-lock acquire makes the next fiber
-//!   that borrows the same cell panic — but only if one does, so a test
-//!   run can miss it. Fiber locks (`FiberMutex`, `GroupCommit`) are
-//!   exempt — being held across yields is their job.
-//! * **L009 — no lock-order cycles.** Intra-function "acquire A while
-//!   holding B" edges between fiber locks, keyed by
-//!   [`registry::LOCK_REGISTRY`] classes, are merged into a global graph;
-//!   any cycle is reported in full with a file:line witness per edge.
-//! * **L010 — every `.lock()` site resolves through the registry** in
-//!   crates/{core,store,sim,net}, so L009's graph can never silently
-//!   miss an edge.
+//! The fiber rules — no `FiberCell` borrow open across a yield, no two
+//! fiber-lock classes taken in opposite orders — are not here: the fiber
+//! runtime checks them on every path that runs (`treaty_sim::cell`,
+//! `treaty_sim::runtime::lock_acquire`), which a lexer reading one
+//! function at a time cannot.
 //!
 //! Any violation fails the run; there is no stored allowance.
 //!
@@ -49,13 +37,6 @@
 
 use std::fmt;
 use std::path::{Path, PathBuf};
-
-pub mod analyzer;
-pub mod registry;
-
-pub use analyzer::{
-    analyze_file, analyze_file_with, lock_graph_violations, FileAnalysis, LockEdge,
-};
 
 /// One rule violation at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,22 +49,15 @@ pub struct Violation {
     pub line: usize,
     /// Trimmed source line (raw, pre-scrub) for the report.
     pub snippet: String,
-    /// Lock class (L009) or borrowed receiver (L007) involved, if any.
-    pub lock: Option<String>,
-    /// Human-readable explanation; empty for the line rules.
-    pub detail: String,
 }
 
 impl Violation {
-    /// Constructor for the line rules (no lock class, no detail).
-    fn basic(rule: &'static str, file: &str, line: usize, snippet: String) -> Self {
+    fn new(rule: &'static str, file: &str, line: usize, snippet: String) -> Self {
         Violation {
             rule,
             file: file.to_string(),
             line,
             snippet,
-            lock: None,
-            detail: String::new(),
         }
     }
 }
@@ -94,21 +68,14 @@ impl fmt::Display for Violation {
             f,
             "{} {}:{}: {}",
             self.rule, self.file, self.line, self.snippet
-        )?;
-        if !self.detail.is_empty() {
-            write!(f, " [{}]", self.detail)?;
-        }
-        Ok(())
+        )
     }
 }
 
 /// All rule ids, in report order.
-pub const RULES: [(&str, &str); 5] = [
+pub const RULES: [(&str, &str); 2] = [
     ("L001", "enclave-only crypto primitives"),
     ("L005", "no secrets in format/trace payloads"),
-    ("L007", "no borrow live across a yield point"),
-    ("L009", "no lock-order cycles"),
-    ("L010", "every .lock() resolves through LOCK_REGISTRY"),
 ];
 
 // ---------------------------------------------------------------------------
@@ -374,7 +341,7 @@ pub fn lint_source(file: &str, source: &str) -> Vec<Violation> {
         for (n, line) in lines.iter().enumerate() {
             for tok in L001_TOKENS {
                 for _ in ident_occurrences(line, tok) {
-                    out.push(Violation::basic("L001", file, n + 1, snippet(n)));
+                    out.push(Violation::new("L001", file, n + 1, snippet(n)));
                 }
             }
         }
@@ -396,7 +363,7 @@ pub fn lint_source(file: &str, source: &str) -> Vec<Violation> {
                 .iter()
                 .any(|t| !ident_occurrences(raw, t).is_empty())
             {
-                out.push(Violation::basic("L005", file, n + 1, snippet(n)));
+                out.push(Violation::new("L005", file, n + 1, snippet(n)));
             }
         }
     }
@@ -405,49 +372,12 @@ pub fn lint_source(file: &str, source: &str) -> Vec<Violation> {
 }
 
 // ---------------------------------------------------------------------------
-// L007, L009, L010 — function-scope concurrency analysis (cross-file for L009)
-// ---------------------------------------------------------------------------
-
-/// Runs the concurrency analyzer (L007/L010 per file, L009 over the
-/// merged lock-order graph) with an explicit registry and rule set.
-/// Only files inside the analyzer scope passed in `files` are examined;
-/// callers filter scope (production: [`registry::in_scope`]).
-pub fn lint_concurrency_with(
-    files: &[(String, String)],
-    specs: &[registry::LockSpec],
-    rules: &[&str],
-) -> Vec<Violation> {
-    let mut out = Vec::new();
-    let mut edges = Vec::new();
-    for (file, source) in files {
-        let fa = analyzer::analyze_file_with(file, source, specs, rules);
-        out.extend(fa.violations);
-        edges.extend(fa.edges);
-    }
-    if rules.contains(&"L009") {
-        out.extend(analyzer::lock_graph_violations(&edges));
-    }
-    out
-}
-
-/// Production entry point: all three concurrency rules over the files in
-/// [`registry::ANALYZER_SCOPE_PREFIXES`], using [`registry::LOCK_REGISTRY`].
-pub fn lint_concurrency(files: &[(String, String)]) -> Vec<Violation> {
-    let scoped: Vec<(String, String)> = files
-        .iter()
-        .filter(|(f, _)| registry::in_scope(f))
-        .cloned()
-        .collect();
-    lint_concurrency_with(&scoped, registry::LOCK_REGISTRY, &["L007", "L009", "L010"])
-}
-
-// ---------------------------------------------------------------------------
 // Workspace walking
 // ---------------------------------------------------------------------------
 
 /// Collects the `.rs` files the lint covers: everything under `crates/`
-/// and `tests/`, minus build output and this crate itself (its test
-/// fixtures deliberately contain violations).
+/// and `tests/`, minus build output and this crate itself (its tests
+/// deliberately contain violations).
 pub fn collect_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut files = Vec::new();
     for top in ["crates", "tests", "benches"] {
@@ -481,7 +411,7 @@ fn walk(dir: &Path, files: &mut Vec<PathBuf>) -> std::io::Result<()> {
 pub fn run(root: &Path) -> std::io::Result<(Vec<Violation>, usize)> {
     let files = collect_files(root)?;
     let scanned = files.len();
-    let mut sources = Vec::new();
+    let mut all = Vec::new();
     for path in files {
         let rel = path
             .strip_prefix(root)
@@ -490,14 +420,8 @@ pub fn run(root: &Path) -> std::io::Result<(Vec<Violation>, usize)> {
             .map(|c| c.as_os_str().to_string_lossy())
             .collect::<Vec<_>>()
             .join("/");
-        let source = std::fs::read_to_string(&path)?;
-        sources.push((rel, source));
+        all.extend(lint_source(&rel, &std::fs::read_to_string(&path)?));
     }
-    let mut all = Vec::new();
-    for (rel, source) in &sources {
-        all.extend(lint_source(rel, source));
-    }
-    all.extend(lint_concurrency(&sources));
     Ok((all, scanned))
 }
 

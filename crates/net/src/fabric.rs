@@ -3,14 +3,14 @@
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::rc::Rc;
 
 use treaty_sched::{FiberMutex, WaitQueue};
 use treaty_sim::runtime;
-use treaty_sim::{CostModel, Nanos, TeeMode, Transport};
+use treaty_sim::{CostModel, FiberCell, Nanos, TeeMode, Transport};
 use treaty_tee::HostBytes;
 
 use crate::NetError;
@@ -93,7 +93,7 @@ impl Ord for Queued {
 }
 
 struct Inbox {
-    queue: RefCell<BinaryHeap<Queued>>,
+    queue: FiberCell<BinaryHeap<Queued>>,
     waiters: WaitQueue,
     closed: Cell<bool>,
 }
@@ -101,7 +101,7 @@ struct Inbox {
 impl Inbox {
     fn new() -> Rc<Self> {
         Rc::new(Inbox {
-            queue: RefCell::new(BinaryHeap::new()),
+            queue: FiberCell::new(BinaryHeap::new()),
             waiters: WaitQueue::new(),
             closed: Cell::new(false),
         })
@@ -179,12 +179,12 @@ pub struct FabricStats {
 /// The simulated datacenter network.
 pub struct Fabric {
     costs: CostModel,
-    endpoints: RefCell<HashMap<EndpointId, EndpointEntry>>,
-    adversary: RefCell<Adversary>,
-    rng: RefCell<ChaCha8Rng>,
+    endpoints: FiberCell<HashMap<EndpointId, EndpointEntry>>,
+    adversary: FiberCell<Adversary>,
+    rng: FiberCell<ChaCha8Rng>,
     seq: Cell<u64>,
     counters: Counters,
-    capture: RefCell<Option<Vec<Datagram>>>,
+    capture: FiberCell<Option<Vec<Datagram>>>,
 }
 
 impl Fabric {
@@ -192,12 +192,12 @@ impl Fabric {
     pub fn new(costs: CostModel, seed: u64) -> Rc<Self> {
         Rc::new(Fabric {
             costs,
-            endpoints: RefCell::new(HashMap::new()),
-            adversary: RefCell::new(Adversary::honest()),
-            rng: RefCell::new(ChaCha8Rng::seed_from_u64(seed)),
+            endpoints: FiberCell::new(HashMap::new()),
+            adversary: FiberCell::new(Adversary::honest()),
+            rng: FiberCell::new(ChaCha8Rng::seed_from_u64(seed)),
             seq: Cell::new(0),
             counters: Counters::default(),
-            capture: RefCell::new(None),
+            capture: FiberCell::new(None),
         })
     }
 
@@ -242,7 +242,7 @@ impl Fabric {
         let entry = EndpointEntry {
             cfg,
             inbox: Inbox::new(),
-            nic: Rc::new(FiberMutex::new()),
+            nic: Rc::new(FiberMutex::new("net.fabric.nic")),
         };
         self.endpoints.borrow_mut().insert(id, entry);
     }

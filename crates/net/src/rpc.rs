@@ -54,7 +54,7 @@
 //! the numbers it had in flight, so the guard is bounded by requests in
 //! flight, not by history ([`Rpc::guard_entries`]).
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::ops::Deref;
 use std::rc::Rc;
@@ -62,7 +62,7 @@ use std::rc::Rc;
 use treaty_crypto::{nonce, Key, MsgKind, Opened, SecureEnvelope, Stamp, TxMeta, WireCrypto};
 use treaty_sched::CorePool;
 use treaty_sim::runtime::{self, FiberId};
-use treaty_sim::{Nanos, TeeMode};
+use treaty_sim::{FiberCell, Nanos, TeeMode};
 use treaty_tee::HostBytes;
 
 use crate::fabric::{Datagram, EndpointConfig, EndpointId, Fabric};
@@ -194,15 +194,15 @@ pub struct Rpc {
     id: EndpointId,
     cfg: RpcConfig,
     env: SecureEnvelope,
-    numbering: RefCell<Numbering>,
-    handlers: RefCell<HashMap<u8, Rc<HandlerEntry>>>,
+    numbering: FiberCell<Numbering>,
+    handlers: FiberCell<HashMap<u8, Rc<HandlerEntry>>>,
     /// Requests waiting per `(src, session)`, each with its arrival time.
     /// An entry exists exactly while a server fiber is serving it (the
     /// module header's session rule).
-    sessions: RefCell<HashMap<SessionKey, VecDeque<(Nanos, Datagram)>>>,
+    sessions: FiberCell<HashMap<SessionKey, VecDeque<(Nanos, Datagram)>>>,
     /// The replay guard, per sending endpoint.
-    guard: RefCell<HashMap<EndpointId, SenderGuard>>,
-    outbox: RefCell<Vec<Datagram>>,
+    guard: FiberCell<HashMap<EndpointId, SenderGuard>>,
+    outbox: FiberCell<Vec<Datagram>>,
     started: Cell<bool>,
     stopped: Cell<bool>,
     counters: RpcCounters,
@@ -264,15 +264,15 @@ impl Rpc {
             fabric: Rc::clone(fabric),
             id,
             env: SecureEnvelope::new(cfg.crypto),
-            numbering: RefCell::new(Numbering {
+            numbering: FiberCell::new(Numbering {
                 next: epoch,
                 pending: BTreeMap::new(),
                 unsent: BTreeSet::new(),
             }),
-            handlers: RefCell::new(HashMap::new()),
-            sessions: RefCell::new(HashMap::new()),
-            guard: RefCell::new(HashMap::new()),
-            outbox: RefCell::new(Vec::new()),
+            handlers: FiberCell::new(HashMap::new()),
+            sessions: FiberCell::new(HashMap::new()),
+            guard: FiberCell::new(HashMap::new()),
+            outbox: FiberCell::new(Vec::new()),
             started: Cell::new(false),
             stopped: Cell::new(false),
             counters: RpcCounters::default(),
@@ -1106,14 +1106,14 @@ mod tests {
     }
 
     /// When each handler run started.
-    type Starts = Rc<RefCell<Vec<Nanos>>>;
+    type Starts = Rc<FiberCell<Vec<Nanos>>>;
 
     /// A server (no core contention) whose `ECHO` handler sleeps 1 ms and
     /// logs when it started, plus a started client.
     fn slow_server(guarded: bool) -> (Rc<Fabric>, Rc<Rpc>, Rc<Rpc>, Starts) {
         let fabric = Fabric::new(CostModel::default(), 7);
         let key = KeyHierarchy::for_testing().network;
-        let starts = Rc::new(RefCell::new(Vec::new()));
+        let starts = Rc::new(FiberCell::new(Vec::new()));
         let log = Rc::clone(&starts);
         let server = Rpc::new(&fabric, 1, RpcConfig::client(WireCrypto::Full, key));
         server.register_handler(

@@ -16,12 +16,17 @@
 //!
 //! All primitives rely on the runtime's cooperative atomicity: between two
 //! yield points no other fiber runs, so check-then-park sequences are
-//! race-free by construction.
+//! race-free by construction. Their own state therefore sits in plain
+//! `RefCell`s, borrowed only between yields. The code above them keeps
+//! its state in [`FiberCell`](treaty_sim::FiberCell)s, and
+//! [`CorePool::charge`] and [`FiberMutex::lock`] fail while one of those
+//! is borrowed, even when they would not yield this time.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
 
+use treaty_sim::cell::assert_no_borrow;
 use treaty_sim::runtime::{self, FiberId, Sim, WakeReason};
 use treaty_sim::Nanos;
 
@@ -135,7 +140,14 @@ impl CorePool {
     }
 
     /// Occupies one core for `ns` of virtual time, queueing if necessary.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a `FiberCell` borrow is open, even for a zero `ns`: the
+    /// same call yields when it charges time.
+    #[track_caller]
     pub fn charge(&self, ns: Nanos) {
+        assert_no_borrow();
         if ns == 0 {
             return;
         }
@@ -187,25 +199,27 @@ struct MutexInner {
 
 /// A fiber-aware mutex that may be held across yield points.
 ///
-/// A `RefCell` borrow held across a yield makes the next fiber that
-/// borrows the same cell panic; use this type whenever the critical
-/// section sleeps, performs I/O charges, or sends RPCs (e.g. the WAL
-/// group-commit leader).
+/// A `FiberCell` borrow may not be held across a yield; use this type
+/// whenever the critical section sleeps, performs I/O charges, or sends
+/// RPCs (e.g. the WAL group-commit leader).
+///
+/// Every mutex belongs to a lock *class*, a name shared by every mutex
+/// that plays the same part (each store's commit lock is one class). The
+/// runtime orders classes the way Linux's lockdep does
+/// ([`runtime::lock_acquire`]): a fiber that takes a class it holds, or
+/// two classes in the opposite order to one some fiber took before,
+/// panics naming both sites, even if this schedule would not deadlock.
 #[derive(Debug)]
 pub struct FiberMutex {
+    class: &'static str,
     inner: RefCell<MutexInner>,
 }
 
-impl Default for FiberMutex {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl FiberMutex {
-    /// Creates an unlocked mutex.
-    pub fn new() -> Self {
+    /// Creates an unlocked mutex of lock class `class`.
+    pub fn new(class: &'static str) -> Self {
         FiberMutex {
+            class,
             inner: RefCell::new(MutexInner {
                 locked: false,
                 waiters: VecDeque::new(),
@@ -216,7 +230,15 @@ impl FiberMutex {
     /// Acquires the lock, parking FIFO behind other fibers. The
     /// uncontended path works outside the simulation runtime too (plain
     /// unit tests); contention requires fiber context.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a `FiberCell` borrow is open, even when the lock is free,
+    /// and on a lock-order violation.
+    #[track_caller]
     pub fn lock(&self) -> FiberMutexGuard<'_> {
+        assert_no_borrow();
+        runtime::lock_acquire(self.class, std::panic::Location::caller());
         let must_wait = {
             let mut inner = self.inner.borrow_mut();
             if inner.locked {
@@ -262,6 +284,7 @@ pub struct FiberMutexGuard<'a> {
 
 impl Drop for FiberMutexGuard<'_> {
     fn drop(&mut self) {
+        runtime::lock_release(self.mutex.class);
         self.mutex.unlock();
     }
 }
@@ -292,23 +315,19 @@ pub struct GroupCommit<Q, R> {
     queue: RefCell<Vec<Pending<Q, R>>>,
 }
 
-impl<Q, R> Default for GroupCommit<Q, R> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl<Q, R> GroupCommit<Q, R> {
-    /// Creates an idle group with an empty queue.
-    pub fn new() -> Self {
+    /// Creates an idle group with an empty queue; its lock is of lock
+    /// class `class`.
+    pub fn new(class: &'static str) -> Self {
         GroupCommit {
-            lock: FiberMutex::new(),
+            lock: FiberMutex::new(class),
             queue: RefCell::new(Vec::new()),
         }
     }
 
     /// Takes the leader's lock without a request: for work that must
     /// exclude every leader body (and queues FIFO with them).
+    #[track_caller]
     pub fn lock(&self) -> FiberMutexGuard<'_> {
         self.lock.lock()
     }
@@ -320,6 +339,7 @@ impl<Q, R> GroupCommit<Q, R> {
     ///
     /// `None`: the leader that drained `req` unwound before handing out
     /// results (its node crashed), or `lead` returned too few.
+    #[track_caller]
     pub fn submit(&self, req: Q, lead: impl FnOnce(Vec<Q>) -> Vec<R>) -> Option<R> {
         let mine = Rc::new(RefCell::new(Slot::Queued));
         self.queue.borrow_mut().push((req, Rc::clone(&mine)));
@@ -444,7 +464,7 @@ mod tests {
         let m = Rc::clone(&max_inside);
         let i = Rc::clone(&inside);
         block_on(move || {
-            let mutex = Rc::new(FiberMutex::new());
+            let mutex = Rc::new(FiberMutex::new("test.mutex"));
             let handles: Vec<_> = (0..5)
                 .map(|_| {
                     let mutex = Rc::clone(&mutex);
@@ -472,7 +492,8 @@ mod tests {
     #[test]
     fn group_commit_followers_never_lead_and_share_the_leaders_result() {
         block_on(|| {
-            let group: Rc<GroupCommit<u64, Result<u64, String>>> = Rc::new(GroupCommit::new());
+            let group: Rc<GroupCommit<u64, Result<u64, String>>> =
+                Rc::new(GroupCommit::new("test.group"));
             let leads = Rc::new(RefCell::new(Vec::new()));
             let results = Rc::new(RefCell::new(Vec::new()));
             let handles: Vec<_> = (0..6u64)

@@ -28,6 +28,7 @@
 
 #![deny(unsafe_code)]
 
+pub mod cell;
 pub mod costs;
 pub mod crashpoint;
 pub mod obs;
@@ -38,6 +39,7 @@ pub mod runtime;
 mod stack;
 pub mod stats;
 
+pub use cell::FiberCell;
 pub use costs::{CostModel, Transport};
 pub use profile::{SecurityProfile, TeeMode};
 pub use runtime::{FiberId, Sim, SimReport};

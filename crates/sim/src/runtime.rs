@@ -30,12 +30,13 @@
 
 use std::cell::{Cell, RefCell, RefMut};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe, Location};
 use std::rc::Rc;
 
+use crate::cell::assert_no_borrow;
 use crate::stack::{Stack, StackPool, Suspended};
 use crate::Nanos;
 
@@ -113,7 +114,13 @@ struct FiberSlot {
     obs_node: u32,
     /// Distributed transaction in scope; inherited by spawned fibers.
     obs_txn: u64,
+    /// The fiber-lock classes this fiber holds or is acquiring, with the
+    /// site of each acquire, oldest first.
+    held: Vec<(&'static str, Site)>,
 }
+
+/// A source location, as `#[track_caller]` reports it.
+type Site = &'static Location<'static>;
 
 /// Hashes a fiber id with one multiply: ids are dense and chosen by the
 /// runtime, so they need no defence against collisions on purpose, and
@@ -168,6 +175,9 @@ struct Inner {
     /// Where [`Sim::run`]'s caller resumes once the last fiber finishes.
     main: Option<Suspended>,
     stacks: StackPool,
+    /// The lock-order graph: `(held, taken)` class pairs some fiber has
+    /// acquired in that order, each with the site of its first acquire.
+    lock_order: BTreeMap<(&'static str, &'static str), Site>,
 }
 
 /// A simulation's state. It lives on the simulation's one OS thread, so a
@@ -301,6 +311,7 @@ fn spawn_fiber(
             join_waiters: Vec::new(),
             obs_node,
             obs_txn,
+            held: Vec::new(),
         },
     );
     if !daemon {
@@ -517,7 +528,14 @@ fn switch_out<'a>(shared: &'a Shared, mut inner: RefMut<'a, Inner>, id: u64) -> 
 
 /// Parks the current fiber until [`unpark`] or, given one, until virtual
 /// time `ns` from now.
+///
+/// Every way to give up the processor passes here or through
+/// [`yield_now`], and both fail while a [`FiberCell`] borrow is open.
+///
+/// [`FiberCell`]: crate::FiberCell
+#[track_caller]
 fn park_for(ns: Option<Nanos>) -> WakeReason {
+    assert_no_borrow();
     with_current(|shared, id| {
         let mut inner = shared.borrow_mut();
         let deadline = ns.map(|ns| inner.now.saturating_add(ns));
@@ -572,10 +590,10 @@ pub fn now() -> Nanos {
 /// and [`join`].
 ///
 /// Spawning does **not** yield: the caller keeps running and the new
-/// fiber starts at the next scheduling point. The concurrency lint's
-/// yield-point vocabulary (rule L007) depends on this — if spawning ever
-/// starts parking the caller, add it to `FREE_YIELDS` in
-/// `crates/lint/src/registry.rs`.
+/// fiber starts at the next scheduling point, so a [`FiberCell`] borrow
+/// may stay open across it.
+///
+/// [`FiberCell`]: crate::FiberCell
 ///
 /// # Panics
 ///
@@ -687,7 +705,11 @@ pub(crate) fn crash_ctx() -> Option<(Rc<crate::crashpoint::CrashPlan>, u32, Nano
 ///
 /// # Panics
 ///
-/// Panics when called outside a fiber.
+/// Panics when called outside a fiber, and when a [`FiberCell`] borrow is
+/// open.
+///
+/// [`FiberCell`]: crate::FiberCell
+#[track_caller]
 pub fn sleep(ns: Nanos) {
     if ns == 0 {
         yield_now();
@@ -702,6 +724,7 @@ pub fn sleep(ns: Nanos) {
 /// # Panics
 ///
 /// Panics when called outside a fiber.
+#[track_caller]
 pub fn park() {
     park_for(None);
 }
@@ -712,6 +735,7 @@ pub fn park() {
 /// # Panics
 ///
 /// Panics when called outside a fiber.
+#[track_caller]
 pub fn park_timeout(ns: Nanos) -> WakeReason {
     park_for(Some(ns))
 }
@@ -746,8 +770,13 @@ pub fn unpark(target: FiberId) -> bool {
 ///
 /// # Panics
 ///
-/// Panics when called outside a fiber.
+/// Panics when called outside a fiber, and when a [`FiberCell`] borrow is
+/// open.
+///
+/// [`FiberCell`]: crate::FiberCell
+#[track_caller]
 pub fn yield_now() {
+    assert_no_borrow();
     with_current(|shared, id| {
         let mut inner = shared.borrow_mut();
         inner.fibers.get_mut(&id).expect("running").state = FiberState::Runnable;
@@ -762,6 +791,7 @@ pub fn yield_now() {
 /// # Panics
 ///
 /// Panics when called outside a fiber.
+#[track_caller]
 pub fn join(target: FiberId) {
     let done = with_current(|shared, id| {
         let mut inner = shared.borrow_mut();
@@ -777,6 +807,85 @@ pub fn join(target: FiberId) {
     if !done {
         park();
     }
+}
+
+/// Records that the current fiber starts to acquire a fiber lock of
+/// `class` at `site`, before it can park — the way Linux's lockdep does.
+/// Each class the fiber already holds adds an edge `held → class` to the
+/// simulation's lock-order graph. Outside a fiber it does nothing.
+///
+/// # Panics
+///
+/// Panics, naming both sites, if the fiber already holds `class`, or if a
+/// new edge closes a cycle: some fiber took the same classes in the
+/// opposite order, and the two could deadlock under another schedule.
+#[track_caller]
+pub fn lock_acquire(class: &'static str, site: Site) {
+    let conflict = try_with_current(|shared, id| {
+        let mut inner = shared.borrow_mut();
+        let Inner {
+            fibers, lock_order, ..
+        } = &mut *inner;
+        let held = &mut fibers.get_mut(&id).expect("running").held;
+        for &(h, h_site) in held.iter() {
+            if h == class {
+                return Some(format!(
+                    "fiber lock `{class}` taken at {site} while this fiber holds it, \
+                     taken at {h_site}"
+                ));
+            }
+            if lock_order.contains_key(&(h, class)) {
+                continue;
+            }
+            if let Some(path) = order_path(lock_order, class, h) {
+                return Some(format!(
+                    "fiber lock order cycle: `{class}` taken at {site} while holding `{h}`, \
+                     taken at {h_site}; the opposite order was taken: {path}"
+                ));
+            }
+            lock_order.insert((h, class), site);
+        }
+        held.push((class, site));
+        None
+    })
+    .flatten();
+    if let Some(msg) = conflict {
+        panic!("{msg}");
+    }
+}
+
+/// Records that the current fiber released a fiber lock of `class`.
+/// Outside a fiber it does nothing.
+pub fn lock_release(class: &'static str) {
+    let _ = try_with_current(|shared, id| {
+        if let Some(slot) = shared.borrow_mut().fibers.get_mut(&id) {
+            if let Some(i) = slot.held.iter().rposition(|&(c, _)| c == class) {
+                slot.held.remove(i);
+            }
+        }
+    });
+}
+
+/// A path `from → … → to` in the lock-order graph, each edge named with
+/// its witness site; `None` if there is none. The graph never holds a
+/// cycle ([`lock_acquire`] refuses the edge that would close one), so the
+/// search ends.
+fn order_path(
+    edges: &BTreeMap<(&'static str, &'static str), Site>,
+    from: &str,
+    to: &str,
+) -> Option<String> {
+    edges
+        .iter()
+        .filter(|((a, _), _)| *a == from)
+        .find_map(|(&(_, b), site)| {
+            let hop = format!("`{from}` → `{b}` at {site}");
+            if b == to {
+                Some(hop)
+            } else {
+                order_path(edges, b, to).map(|rest| format!("{hop}, {rest}"))
+            }
+        })
 }
 
 #[cfg(test)]

@@ -20,10 +20,11 @@
 //! occupying EPC; file ids are never reused, so a stale entry could never
 //! alias a live table's blocks even before invalidation.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
+use treaty_sim::FiberCell;
 use treaty_tee::Enclave;
 
 use crate::sstable::SsRecord;
@@ -55,7 +56,7 @@ struct CacheInner {
 pub struct BlockCache {
     enclave: Rc<Enclave>,
     capacity_bytes: u64,
-    inner: RefCell<CacheInner>,
+    inner: FiberCell<CacheInner>,
     hits: Cell<u64>,
     misses: Cell<u64>,
     evictions: Cell<u64>,
@@ -75,7 +76,7 @@ impl BlockCache {
         BlockCache {
             enclave,
             capacity_bytes,
-            inner: RefCell::new(CacheInner::default()),
+            inner: FiberCell::new(CacheInner::default()),
             hits: Cell::new(0),
             misses: Cell::new(0),
             evictions: Cell::new(0),

@@ -16,7 +16,7 @@
 //! unit tests) there is no daemon, and the rotating leader drains the same
 //! maintenance passes inline.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::ops::Bound;
 use std::path::PathBuf;
@@ -25,6 +25,7 @@ use std::rc::Rc;
 use treaty_crypto::codec::{CodecError, Decode, Encode, Reader, Record, Writer};
 use treaty_sched::{FiberMutex, GroupCommit, WaitQueue};
 use treaty_sim::crashpoint::CrashPoint;
+use treaty_sim::FiberCell;
 
 use crate::env::Env;
 use crate::locks::{LockTable, TxId};
@@ -237,19 +238,19 @@ pub(crate) struct PreparedState {
 }
 
 /// The 2PC prepared-transaction table. One fiber runs at a time, so each
-/// map sits in a `RefCell`; both are ordered, so the span queries are
+/// map sits in a `FiberCell`; both are ordered, so the span queries are
 /// range reads and the listings come out sorted.
 pub(crate) struct PreparedTable {
-    txns: RefCell<BTreeMap<GlobalTxId, PreparedState>>,
+    txns: FiberCell<BTreeMap<GlobalTxId, PreparedState>>,
     /// In-doubt keys → how many prepared transactions write them, maintained
     /// on insert/remove so `overlaps` — called per key on the lock-free
     /// snapshot read and validate paths — is one lookup instead of a scan of
     /// every prepared write set, and a span query is one range read.
-    key_index: RefCell<BTreeMap<UserKey, usize>>,
+    key_index: FiberCell<BTreeMap<UserKey, usize>>,
     /// In-doubt range deletes `(owner, start, end)`. Prepared range
     /// deletes are rare, so a flat read-mostly list does; every snapshot
     /// read consults it (usually an empty-slice scan).
-    ranges: RefCell<Vec<(GlobalTxId, UserKey, UserKey)>>,
+    ranges: FiberCell<Vec<(GlobalTxId, UserKey, UserKey)>>,
 }
 
 /// What a 2PC decision needs from the prepared entry it claims.
@@ -263,9 +264,9 @@ pub(crate) struct PreparedDecision {
 impl PreparedTable {
     pub fn new() -> Self {
         PreparedTable {
-            txns: RefCell::new(BTreeMap::new()),
-            key_index: RefCell::new(BTreeMap::new()),
-            ranges: RefCell::new(Vec::new()),
+            txns: FiberCell::new(BTreeMap::new()),
+            key_index: FiberCell::new(BTreeMap::new()),
+            ranges: FiberCell::new(Vec::new()),
         }
     }
 
@@ -450,7 +451,7 @@ fn span_bounds<'a>(start: &'a [u8], end: &'a [u8]) -> Option<SpanBounds<'a>> {
 /// frontier advances by closing contiguous gaps: out-of-order stabilizers
 /// park in `pending` until the hole before them fills.
 pub(crate) struct StableFrontier {
-    state: RefCell<FrontierState>,
+    state: FiberCell<FrontierState>,
 }
 
 struct FrontierState {
@@ -461,7 +462,7 @@ struct FrontierState {
 impl StableFrontier {
     pub fn new(start: u64) -> Self {
         StableFrontier {
-            state: RefCell::new(FrontierState {
+            state: FiberCell::new(FrontierState {
                 frontier: start,
                 pending: BTreeSet::new(),
             }),
@@ -688,15 +689,15 @@ pub(crate) struct FencedSpan {
 
 pub(crate) struct StoreInner {
     pub env: Rc<Env>,
-    mem: RefCell<Rc<MemTable>>,
+    mem: FiberCell<Rc<MemTable>>,
     /// The SSTable hierarchy, published copy-on-write: readers snapshot the
     /// `Rc` (one refcount bump per read), structural writers (flush
     /// builds, compaction — serialized by the maintenance lock) build a
     /// new vector and swap it in. Readers that raced a compaction keep the old snapshot,
     /// whose tables stay alive (and on disk, GC being stabilization-gated)
     /// until the last reference drops.
-    levels: RefCell<Rc<Vec<Vec<Rc<SsTable>>>>>,
-    wal: RefCell<Rc<LogWriter>>,
+    levels: FiberCell<Rc<Vec<Vec<Rc<SsTable>>>>>,
+    wal: FiberCell<Rc<LogWriter>>,
     wal_gen: Cell<u64>,
     manifest: Rc<LogWriter>,
     pub seq: Cell<u64>,
@@ -720,15 +721,15 @@ pub(crate) struct StoreInner {
     /// Woken when `applies_in_flight` falls to zero.
     applies_drained: WaitQueue,
     /// (manifest counter that must stabilize, path) — deferred deletions.
-    pending_gc: RefCell<Vec<(u64, PathBuf)>>,
+    pending_gc: FiberCell<Vec<(u64, PathBuf)>>,
     /// WAL generations whose contents are still only in the MemTable.
-    live_wal_gens: RefCell<Vec<u64>>,
+    live_wal_gens: FiberCell<Vec<u64>>,
     /// MemTables rotated out of the write path but not yet built into L0
     /// tables, newest first — still part of the read path.
-    frozen: RefCell<Vec<Rc<MemTable>>>,
+    frozen: FiberCell<Vec<Rc<MemTable>>>,
     /// Flush builds queued for the maintenance daemon (FIFO). Entries are
     /// popped only after the build succeeds, so a failed build retries.
-    flush_backlog: RefCell<VecDeque<FlushWork>>,
+    flush_backlog: FiberCell<VecDeque<FlushWork>>,
     /// Serializes flush builds and compactions between the maintenance
     /// daemon and synchronous drains (forced flush, shutdown, tests).
     maintenance_lock: FiberMutex,
@@ -900,8 +901,7 @@ impl TreatyStore {
     /// cloned after both.
     fn newest(&self, key: &[u8], snapshot: SeqNum) -> Result<Option<(SeqNum, Found)>> {
         // Bind the Rc first: as an `if let` scrutinee temporary the borrow
-        // would live across the charging lookup, and a rotation's
-        // `borrow_mut` would panic.
+        // would live across the charging lookup, which panics.
         let mem = self.inner.mem.borrow().clone();
         if let Some((seq, entry)) = mem.newest(key, snapshot) {
             return Ok(Some((seq, Found::Mem(mem, entry))));
@@ -1474,8 +1474,7 @@ impl TreatyStore {
         // `build_flush` publishes its L0 table.
         self.inner.frozen.borrow_mut().insert(0, Rc::clone(&frozen));
         // Swap generations in a short borrow; all I/O happens after it
-        // ends (a borrow held across a virtual-time charge would make the
-        // next fiber's borrow panic).
+        // ends (a borrow held across a virtual-time charge panics there).
         let (old_gens, new_gen) = {
             let mut gens = self.inner.live_wal_gens.borrow_mut();
             let old = gens.clone();
@@ -2148,9 +2147,9 @@ impl TreatyStore {
         manifest.stabilize(listed)?;
 
         let inner = StoreInner {
-            mem: RefCell::new(mem),
-            levels: RefCell::new(Rc::new(levels)),
-            wal: RefCell::new(wal),
+            mem: FiberCell::new(mem),
+            levels: FiberCell::new(Rc::new(levels)),
+            wal: FiberCell::new(wal),
             wal_gen: Cell::new(new_gen),
             manifest: Rc::new(manifest),
             seq: Cell::new(max_seq),
@@ -2164,14 +2163,14 @@ impl TreatyStore {
             // Tables on disk may already have been compacted: nothing
             // below the recovered history is served.
             snapshot_floor: Cell::new(max_seq),
-            commits: GroupCommit::new(),
+            commits: GroupCommit::new("store.commit_lock"),
             applies_in_flight: Cell::new(0),
             applies_drained: WaitQueue::new(),
-            pending_gc: RefCell::new(Vec::new()),
-            live_wal_gens: RefCell::new(live_gens),
-            frozen: RefCell::new(Vec::new()),
-            flush_backlog: RefCell::new(VecDeque::new()),
-            maintenance_lock: FiberMutex::new(),
+            pending_gc: FiberCell::new(Vec::new()),
+            live_wal_gens: FiberCell::new(live_gens),
+            frozen: FiberCell::new(Vec::new()),
+            flush_backlog: FiberCell::new(VecDeque::new()),
+            maintenance_lock: FiberMutex::new("store.maintenance_lock"),
             maintenance_running: Cell::new(false),
             gc_stabilizing: Cell::new(false),
             active_scans: Cell::new(0),

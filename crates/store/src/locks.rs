@@ -14,12 +14,12 @@
 //! Timeouts double as deadlock avoidance: a cycle resolves when one of its
 //! transactions times out and aborts.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::collections::{BTreeMap, HashSet};
 use std::ops::Bound;
 
 use treaty_sched::WaitQueue;
-use treaty_sim::{runtime, Nanos};
+use treaty_sim::{runtime, FiberCell, Nanos};
 
 use crate::memtable::UserKey;
 use crate::{Result, StoreError};
@@ -111,7 +111,7 @@ impl KeyLock {
 /// The lock table.
 pub struct LockTable {
     /// Every key some transaction holds, in key order.
-    locks: RefCell<BTreeMap<UserKey, KeyLock>>,
+    locks: FiberCell<BTreeMap<UserKey, KeyLock>>,
     /// Wait queues, one per stripe of the key space.
     waiters: Vec<WaitQueue>,
     timeout: Nanos,
@@ -136,7 +136,7 @@ impl LockTable {
     pub fn new(shards: usize, timeout: Nanos) -> Self {
         assert!(shards > 0);
         LockTable {
-            locks: RefCell::new(BTreeMap::new()),
+            locks: FiberCell::new(BTreeMap::new()),
             waiters: (0..shards).map(|_| WaitQueue::new()).collect(),
             timeout,
             timeouts_hit: Cell::new(0),

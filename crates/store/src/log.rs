@@ -21,7 +21,6 @@
 //! freshness check, and [`LogWriter::resume`] reopens a recovered log for
 //! append with its torn tail cut.
 
-use std::cell::RefCell;
 use std::fs::{File, OpenOptions};
 use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};
@@ -31,6 +30,7 @@ use treaty_counter::TrustedCounter;
 use treaty_crypto::{aead_open, aead_seal, ct_eq, hash, CryptoError};
 use treaty_sched::GroupCommit;
 use treaty_sim::crashpoint::CrashPoint;
+use treaty_sim::FiberCell;
 use treaty_tee::HostBytes;
 
 use crate::env::Env;
@@ -126,7 +126,7 @@ pub struct LogWriter {
     name: String,
     path: PathBuf,
     counter: Rc<TrustedCounter>,
-    file: RefCell<File>,
+    file: FiberCell<File>,
     /// The write lock, and the queue of single appends waiting for it.
     writes: GroupCommit<Vec<u8>, Result<u64>>,
 }
@@ -165,8 +165,8 @@ impl LogWriter {
             name,
             path: path.to_path_buf(),
             counter,
-            file: RefCell::new(file),
-            writes: GroupCommit::new(),
+            file: FiberCell::new(file),
+            writes: GroupCommit::new("store.wal_write"),
         })
     }
 
@@ -622,7 +622,7 @@ mod tests {
             // Six single appends and a two-record batch in the middle, all
             // arriving while the first of them writes.
             let began = runtime::now();
-            let handed = Rc::new(RefCell::new(Vec::new()));
+            let handed = Rc::new(FiberCell::new(Vec::new()));
             let mut writers = Vec::new();
             for i in 0..7u8 {
                 let (w, handed) = (Rc::clone(&w), Rc::clone(&handed));

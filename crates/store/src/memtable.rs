@@ -16,12 +16,13 @@
 //! point read whose key is not in the set skips the walk (RocksDB's
 //! memtable whole-key filter).
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::collections::{BTreeMap, HashSet};
 use std::rc::Rc;
 
 use treaty_crypto::codec::{CodecError, Decode, Encode, Reader, Writer};
 use treaty_crypto::{aead_open, aead_seal, hash, Digest32, Key};
+use treaty_sim::FiberCell;
 use treaty_tee::{HostBytes, HostHandle};
 
 use crate::bloom::fingerprint;
@@ -162,12 +163,12 @@ impl Index {
 pub struct MemTable {
     env: Rc<Env>,
     /// The one ordered index and its key filter.
-    index: RefCell<Index>,
+    index: FiberCell<Index>,
     /// Range tombstones buffered in this MemTable, in arrival order.
     /// Always few (one entry per `delete_range` call, not per key), so a
     /// linear scan per read is cheap; they ride the flush into the
     /// SSTable's sealed footer.
-    range_tombstones: RefCell<Vec<RangeTombstone>>,
+    range_tombstones: FiberCell<Vec<RangeTombstone>>,
     bytes: Cell<usize>,
     entries: Cell<usize>,
     /// Per-incarnation key for host-resident values. Host memory does not
@@ -194,8 +195,8 @@ impl MemTable {
         MemTable {
             value_key: env.keys.storage.derive("memtable-values"),
             env,
-            index: RefCell::new(Index::default()),
-            range_tombstones: RefCell::new(Vec::new()),
+            index: FiberCell::new(Index::default()),
+            range_tombstones: FiberCell::new(Vec::new()),
             bytes: Cell::new(0),
             entries: Cell::new(0),
             nonce_seq: Cell::new(0),
@@ -431,8 +432,8 @@ impl MemTable {
     /// time in enclave memory.
     pub fn range_cursor(&self, start: &[u8], end: Option<&[u8]>) -> MemCursor<'_> {
         let probe = MemKey::new(start.to_vec(), SeqNum::MAX);
-        // Collect under the borrow, charge after it ends: the charge
-        // yields, and a parked reader would make `put`'s `borrow_mut` panic.
+        // Collect under the borrow, charge after it ends: a charge with a
+        // borrow open panics.
         let entries: Vec<(MemKey, ValueEntry)> = {
             let guard = self.index.borrow();
             guard

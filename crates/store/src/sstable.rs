@@ -906,7 +906,7 @@ pub fn file_name(file_id: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
+    use treaty_sim::FiberCell;
     use treaty_sim::SecurityProfile;
 
     fn entries(n: u64) -> Vec<VersionedEntry> {
@@ -1503,7 +1503,7 @@ mod tests {
     fn cache_hit_charges_less_than_miss() -> Result<()> {
         let dir = tempfile::tempdir()?;
         let path_buf = dir.path().to_path_buf();
-        let res = Rc::new(RefCell::new(None));
+        let res = Rc::new(FiberCell::new(None));
         let res2 = Rc::clone(&res);
         treaty_sched::block_on(move || {
             *res2.borrow_mut() = Some(cache_probe(&path_buf));

@@ -12,13 +12,14 @@
 //!   and the decision arrives later via [`TxnEngine::commit_prepared`] /
 //!   [`TxnEngine::abort_prepared`] — possibly after a crash and recovery.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::rc::Rc;
 
 use treaty_crypto::codec::{CodecError, Decode, Encode, Reader, Writer};
 use treaty_sim::crashpoint::CrashPoint;
+use treaty_sim::FiberCell;
 
 use crate::engine::{
     stabilize_traced, Effect, FencedSpan, PreparedDecision, PreparedState, TreatyStore, WalRecord,
@@ -952,9 +953,9 @@ pub struct NullEngine {
 }
 
 struct NullState {
-    data: RefCell<HashMap<UserKey, Vec<u8>>>,
+    data: FiberCell<HashMap<UserKey, Vec<u8>>>,
     locks: LockTable,
-    prepared: RefCell<HashMap<GlobalTxId, (u64, Vec<WriteOp>)>>,
+    prepared: FiberCell<HashMap<GlobalTxId, (u64, Vec<WriteOp>)>>,
     next_txid: Cell<u64>,
 }
 
@@ -975,9 +976,9 @@ impl NullEngine {
     pub fn new() -> Self {
         NullEngine {
             state: Rc::new(NullState {
-                data: RefCell::new(HashMap::new()),
+                data: FiberCell::new(HashMap::new()),
                 locks: LockTable::new(1024, 50 * treaty_sim::MILLIS),
-                prepared: RefCell::new(HashMap::new()),
+                prepared: FiberCell::new(HashMap::new()),
                 next_txid: Cell::new(1),
             }),
         }

@@ -1,11 +1,11 @@
 //! Enclave memory accounting and the untrusted host memory vault.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
 use treaty_crypto::Digest32;
-use treaty_sim::{CostModel, Nanos, TeeMode};
+use treaty_sim::{CostModel, FiberCell, Nanos, TeeMode};
 
 use crate::hostbytes::HostBytes;
 use crate::TeeError;
@@ -32,7 +32,7 @@ pub struct Enclave {
     /// memory (the "w/o Enc" profiles): refcounted so identical values
     /// stored twice stay pinned until both are freed. This map is what
     /// [`HostBytes::integrity_pinned`] checks.
-    integrity: RefCell<HashMap<Digest32, u64>>,
+    integrity: FiberCell<HashMap<Digest32, u64>>,
 }
 
 impl Enclave {
@@ -49,7 +49,7 @@ impl Enclave {
             epc_capacity,
             resident: Cell::new(0),
             faults: Cell::new(0),
-            integrity: RefCell::new(HashMap::new()),
+            integrity: FiberCell::new(HashMap::new()),
         }
     }
 
@@ -165,7 +165,7 @@ struct VaultInner {
 /// the test suite can mount the §III attacks.
 #[derive(Debug, Default)]
 pub struct HostVault {
-    inner: RefCell<VaultInner>,
+    inner: FiberCell<VaultInner>,
 }
 
 impl HostVault {
