@@ -10,7 +10,8 @@
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use treaty_crypto::codec::{CodecError, Decode, Encode, Reader, Record, Writer};
+use treaty_crypto::codec;
+use treaty_crypto::codec::Record;
 use treaty_sim::crashpoint::CrashPoint;
 use treaty_sim::FiberCell;
 use treaty_store::env::Env;
@@ -36,38 +37,10 @@ pub enum ClogRecord {
     },
 }
 
-impl Encode for ClogRecord {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            ClogRecord::Start { gtx, participants } => {
-                w.u8(0);
-                gtx.encode(w);
-                participants.encode(w);
-            }
-            ClogRecord::Decision { gtx, commit } => {
-                w.u8(1);
-                gtx.encode(w);
-                commit.encode(w);
-            }
-        }
-    }
-}
-
-impl Decode for ClogRecord {
-    fn decode(r: &mut Reader<'_>) -> std::result::Result<Self, CodecError> {
-        Ok(match r.u8()? {
-            0 => ClogRecord::Start {
-                gtx: Decode::decode(r)?,
-                participants: Decode::decode(r)?,
-            },
-            1 => ClogRecord::Decision {
-                gtx: Decode::decode(r)?,
-                commit: Decode::decode(r)?,
-            },
-            _ => return Err(CodecError::Invalid("clog record tag")),
-        })
-    }
-}
+codec!(enum ClogRecord {
+    0 => Start { gtx, participants },
+    1 => Decision { gtx, commit },
+});
 
 impl Record for ClogRecord {
     const MAGIC: u8 = 0x21;

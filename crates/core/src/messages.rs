@@ -3,7 +3,8 @@
 //! [`treaty_crypto::codec`]: one magic+version byte for the class, then the
 //! payload type the request code names.
 
-use treaty_crypto::codec::{self, CodecError, Decode, Encode, Reader, Writer};
+use treaty_crypto::codec;
+use treaty_crypto::codec::{CodecError, Decode, Encode, Reader, Writer};
 use treaty_store::GlobalTxId;
 
 /// Request types on the fabric.
@@ -69,6 +70,13 @@ pub enum Op {
     },
 }
 
+codec!(enum Op {
+    0 => Write(cmd),
+    1 => Get { key },
+    2 => Scan { start, end, limit },
+    3 => RangeDelete { start, end },
+});
+
 impl Op {
     /// The key a point operation is routed by; `None` for range operations,
     /// which span the whole key space and fan out to every shard.
@@ -99,6 +107,8 @@ pub struct WriteCmd {
     pub value: Option<Vec<u8>>,
 }
 
+codec!(struct WriteCmd { key, value });
+
 impl WriteCmd {
     /// A buffered put.
     pub fn put(key: &[u8], value: &[u8]) -> Self {
@@ -125,6 +135,8 @@ pub struct ClientCommitReq {
     pub writes: Vec<WriteCmd>,
 }
 
+codec!(struct ClientCommitReq { writes });
+
 /// Why one operation of a list failed — typed, so a reply can say *which*
 /// op failed and *how* instead of first-error-wins prose.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -140,6 +152,14 @@ pub enum FailCode {
     /// Anything else (I/O, stabilization, …) — see the reason string.
     Other,
 }
+
+codec!(enum FailCode {
+    0 => LockTimeout,
+    1 => Conflict,
+    2 => Integrity,
+    3 => Finished,
+    4 => Other,
+});
 
 impl From<&treaty_store::StoreError> for FailCode {
     fn from(e: &treaty_store::StoreError) -> Self {
@@ -167,6 +187,8 @@ pub struct OpFailure {
     /// Human-readable engine error.
     pub reason: String,
 }
+
+codec!(struct OpFailure { index, code, reason });
 
 impl OpFailure {
     /// A failure of the list as a whole (routing, transport, malformed
@@ -198,6 +220,12 @@ pub enum OpResult {
     /// rolled back with it (all-or-nothing).
     Failed(OpFailure),
 }
+
+codec!(enum OpResult {
+    0 => Ok { value },
+    1 => Entries { entries },
+    2 => Failed(failure),
+});
 
 /// Coordinator → participant messages.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -238,6 +266,14 @@ pub enum PeerMsg {
     },
 }
 
+codec!(enum PeerMsg {
+    0 => Ops { gtx, ops },
+    1 => Prepare { gtx, batch, read_only },
+    2 => Commit { gtx },
+    3 => Abort { gtx },
+    4 => QueryDecision { gtx },
+});
+
 /// Participant → coordinator replies.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PeerReply {
@@ -260,6 +296,13 @@ pub enum PeerReply {
     },
 }
 
+codec!(enum PeerReply {
+    0 => OpsDone(result),
+    1 => Vote { yes },
+    2 => Ack,
+    3 => Decision { commit },
+});
+
 /// Client → coordinator commit/rollback result.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CommitResult {
@@ -271,6 +314,8 @@ pub enum CommitResult {
         reason: String,
     },
 }
+
+codec!(enum CommitResult { 0 => Committed, 1 => Aborted { reason } });
 
 /// Client → shard snapshot-read request (read-only transactions): point
 /// reads and span scans served lock-free at one timestamp. Keys are
@@ -291,6 +336,8 @@ pub struct SnapshotReadReq {
     /// Maximum pairs this shard should return per span (`0` = unbounded).
     pub limit: u64,
 }
+
+codec!(struct SnapshotReadReq { ts, keys, spans, limit });
 
 /// Shard → client snapshot-read reply.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -320,6 +367,12 @@ pub enum SnapshotReadReply {
     },
 }
 
+codec!(enum SnapshotReadReply {
+    0 => Values { ts, values, rows },
+    1 => Stale { stable_ts },
+    2 => InDoubt { key },
+});
+
 /// Client → shard end-of-transaction validation for multi-shard read-only
 /// transactions: "are these reads at `ts` still the latest word?"
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -336,6 +389,8 @@ pub struct SnapshotValidateReq {
     pub spans: Vec<(Vec<u8>, Vec<u8>)>,
 }
 
+codec!(struct SnapshotValidateReq { ts, keys, spans });
+
 /// Shard → client validation reply.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapshotValidateReply {
@@ -348,6 +403,8 @@ pub enum SnapshotValidateReply {
         key: Vec<u8>,
     },
 }
+
+codec!(enum SnapshotValidateReply { 0 => Ok, 1 => Fail { key } });
 
 /// Node → caller live introspection snapshot ([`req::OBS_SNAPSHOT`]).
 /// Every field is read from the node's live structures at serve time —
@@ -396,385 +453,6 @@ pub fn decode<T: Decode>(bytes: &[u8]) -> Option<T> {
     codec::from_bytes(MAGIC, bytes).ok()
 }
 
-// ---- the codec, type by type: enum variants are tagged in declaration
-// order, fields follow in declaration order ----
-
-impl Encode for Op {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            Op::Write(cmd) => {
-                w.u8(0);
-                cmd.encode(w);
-            }
-            Op::Get { key } => {
-                w.u8(1);
-                key.encode(w);
-            }
-            Op::Scan { start, end, limit } => {
-                w.u8(2);
-                start.encode(w);
-                end.encode(w);
-                limit.encode(w);
-            }
-            Op::RangeDelete { start, end } => {
-                w.u8(3);
-                start.encode(w);
-                end.encode(w);
-            }
-        }
-    }
-}
-
-impl Decode for Op {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(match r.u8()? {
-            0 => Op::Write(Decode::decode(r)?),
-            1 => Op::Get {
-                key: Decode::decode(r)?,
-            },
-            2 => Op::Scan {
-                start: Decode::decode(r)?,
-                end: Decode::decode(r)?,
-                limit: Decode::decode(r)?,
-            },
-            3 => Op::RangeDelete {
-                start: Decode::decode(r)?,
-                end: Decode::decode(r)?,
-            },
-            _ => return Err(CodecError::Invalid("op tag")),
-        })
-    }
-}
-
-impl Encode for WriteCmd {
-    fn encode(&self, w: &mut Writer) {
-        self.key.encode(w);
-        self.value.encode(w);
-    }
-}
-
-impl Decode for WriteCmd {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(WriteCmd {
-            key: Decode::decode(r)?,
-            value: Decode::decode(r)?,
-        })
-    }
-}
-
-impl Encode for ClientCommitReq {
-    fn encode(&self, w: &mut Writer) {
-        self.writes.encode(w);
-    }
-}
-
-impl Decode for ClientCommitReq {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(ClientCommitReq {
-            writes: Decode::decode(r)?,
-        })
-    }
-}
-
-impl Encode for FailCode {
-    fn encode(&self, w: &mut Writer) {
-        w.u8(match self {
-            FailCode::LockTimeout => 0,
-            FailCode::Conflict => 1,
-            FailCode::Integrity => 2,
-            FailCode::Finished => 3,
-            FailCode::Other => 4,
-        });
-    }
-}
-
-impl Decode for FailCode {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(match r.u8()? {
-            0 => FailCode::LockTimeout,
-            1 => FailCode::Conflict,
-            2 => FailCode::Integrity,
-            3 => FailCode::Finished,
-            4 => FailCode::Other,
-            _ => return Err(CodecError::Invalid("fail code")),
-        })
-    }
-}
-
-impl Encode for OpFailure {
-    fn encode(&self, w: &mut Writer) {
-        self.index.encode(w);
-        self.code.encode(w);
-        self.reason.encode(w);
-    }
-}
-
-impl Decode for OpFailure {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(OpFailure {
-            index: Decode::decode(r)?,
-            code: Decode::decode(r)?,
-            reason: Decode::decode(r)?,
-        })
-    }
-}
-
-impl Encode for OpResult {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            OpResult::Ok { value } => {
-                w.u8(0);
-                value.encode(w);
-            }
-            OpResult::Entries { entries } => {
-                w.u8(1);
-                entries.encode(w);
-            }
-            OpResult::Failed(failure) => {
-                w.u8(2);
-                failure.encode(w);
-            }
-        }
-    }
-}
-
-impl Decode for OpResult {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(match r.u8()? {
-            0 => OpResult::Ok {
-                value: Decode::decode(r)?,
-            },
-            1 => OpResult::Entries {
-                entries: Decode::decode(r)?,
-            },
-            2 => OpResult::Failed(Decode::decode(r)?),
-            _ => return Err(CodecError::Invalid("op result tag")),
-        })
-    }
-}
-
-impl Encode for PeerMsg {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            PeerMsg::Ops { gtx, ops } => {
-                w.u8(0);
-                gtx.encode(w);
-                ops.encode(w);
-            }
-            PeerMsg::Prepare {
-                gtx,
-                batch,
-                read_only,
-            } => {
-                w.u8(1);
-                gtx.encode(w);
-                batch.encode(w);
-                read_only.encode(w);
-            }
-            PeerMsg::Commit { gtx } => {
-                w.u8(2);
-                gtx.encode(w);
-            }
-            PeerMsg::Abort { gtx } => {
-                w.u8(3);
-                gtx.encode(w);
-            }
-            PeerMsg::QueryDecision { gtx } => {
-                w.u8(4);
-                gtx.encode(w);
-            }
-        }
-    }
-}
-
-impl Decode for PeerMsg {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(match r.u8()? {
-            0 => PeerMsg::Ops {
-                gtx: Decode::decode(r)?,
-                ops: Decode::decode(r)?,
-            },
-            1 => PeerMsg::Prepare {
-                gtx: Decode::decode(r)?,
-                batch: Decode::decode(r)?,
-                read_only: Decode::decode(r)?,
-            },
-            2 => PeerMsg::Commit {
-                gtx: Decode::decode(r)?,
-            },
-            3 => PeerMsg::Abort {
-                gtx: Decode::decode(r)?,
-            },
-            4 => PeerMsg::QueryDecision {
-                gtx: Decode::decode(r)?,
-            },
-            _ => return Err(CodecError::Invalid("peer message tag")),
-        })
-    }
-}
-
-impl Encode for PeerReply {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            PeerReply::OpsDone(result) => {
-                w.u8(0);
-                result.encode(w);
-            }
-            PeerReply::Vote { yes } => {
-                w.u8(1);
-                yes.encode(w);
-            }
-            PeerReply::Ack => w.u8(2),
-            PeerReply::Decision { commit } => {
-                w.u8(3);
-                commit.encode(w);
-            }
-        }
-    }
-}
-
-impl Decode for PeerReply {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(match r.u8()? {
-            0 => PeerReply::OpsDone(Decode::decode(r)?),
-            1 => PeerReply::Vote {
-                yes: Decode::decode(r)?,
-            },
-            2 => PeerReply::Ack,
-            3 => PeerReply::Decision {
-                commit: Decode::decode(r)?,
-            },
-            _ => return Err(CodecError::Invalid("peer reply tag")),
-        })
-    }
-}
-
-impl Encode for CommitResult {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            CommitResult::Committed => w.u8(0),
-            CommitResult::Aborted { reason } => {
-                w.u8(1);
-                reason.encode(w);
-            }
-        }
-    }
-}
-
-impl Decode for CommitResult {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(match r.u8()? {
-            0 => CommitResult::Committed,
-            1 => CommitResult::Aborted {
-                reason: Decode::decode(r)?,
-            },
-            _ => return Err(CodecError::Invalid("commit result tag")),
-        })
-    }
-}
-
-impl Encode for SnapshotReadReq {
-    fn encode(&self, w: &mut Writer) {
-        self.ts.encode(w);
-        self.keys.encode(w);
-        self.spans.encode(w);
-        self.limit.encode(w);
-    }
-}
-
-impl Decode for SnapshotReadReq {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(SnapshotReadReq {
-            ts: Decode::decode(r)?,
-            keys: Decode::decode(r)?,
-            spans: Decode::decode(r)?,
-            limit: Decode::decode(r)?,
-        })
-    }
-}
-
-impl Encode for SnapshotReadReply {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            SnapshotReadReply::Values { ts, values, rows } => {
-                w.u8(0);
-                ts.encode(w);
-                values.encode(w);
-                rows.encode(w);
-            }
-            SnapshotReadReply::Stale { stable_ts } => {
-                w.u8(1);
-                stable_ts.encode(w);
-            }
-            SnapshotReadReply::InDoubt { key } => {
-                w.u8(2);
-                key.encode(w);
-            }
-        }
-    }
-}
-
-impl Decode for SnapshotReadReply {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(match r.u8()? {
-            0 => SnapshotReadReply::Values {
-                ts: Decode::decode(r)?,
-                values: Decode::decode(r)?,
-                rows: Decode::decode(r)?,
-            },
-            1 => SnapshotReadReply::Stale {
-                stable_ts: Decode::decode(r)?,
-            },
-            2 => SnapshotReadReply::InDoubt {
-                key: Decode::decode(r)?,
-            },
-            _ => return Err(CodecError::Invalid("snapshot read reply tag")),
-        })
-    }
-}
-
-impl Encode for SnapshotValidateReq {
-    fn encode(&self, w: &mut Writer) {
-        self.ts.encode(w);
-        self.keys.encode(w);
-        self.spans.encode(w);
-    }
-}
-
-impl Decode for SnapshotValidateReq {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(SnapshotValidateReq {
-            ts: Decode::decode(r)?,
-            keys: Decode::decode(r)?,
-            spans: Decode::decode(r)?,
-        })
-    }
-}
-
-impl Encode for SnapshotValidateReply {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            SnapshotValidateReply::Ok => w.u8(0),
-            SnapshotValidateReply::Fail { key } => {
-                w.u8(1);
-                key.encode(w);
-            }
-        }
-    }
-}
-
-impl Decode for SnapshotValidateReply {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(match r.u8()? {
-            0 => SnapshotValidateReply::Ok,
-            1 => SnapshotValidateReply::Fail {
-                key: Decode::decode(r)?,
-            },
-            _ => return Err(CodecError::Invalid("snapshot validate reply tag")),
-        })
-    }
-}
-
 impl Encode for ObsSnapshotReply {
     fn encode(&self, w: &mut Writer) {
         self.node.encode(w);
@@ -793,6 +471,9 @@ impl Encode for ObsSnapshotReply {
     }
 }
 
+/// Written by hand because `backpressure` is a bare byte: `u8` has no
+/// [`Encode`] of its own, so that a `Vec<u8>` stays a byte string. A level
+/// above 2 is one no node reports, and is refused.
 impl Decode for ObsSnapshotReply {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(ObsSnapshotReply {
@@ -801,7 +482,10 @@ impl Decode for ObsSnapshotReply {
             stable_ts: Decode::decode(r)?,
             finishes_inflight: Decode::decode(r)?,
             flush_backlog: Decode::decode(r)?,
-            backpressure: r.u8()?,
+            backpressure: match r.u8()? {
+                level @ 0..=2 => level,
+                _ => return Err(CodecError::Invalid("backpressure")),
+            },
             prepared_txns: Decode::decode(r)?,
             committed: Decode::decode(r)?,
             aborted: Decode::decode(r)?,
@@ -892,6 +576,24 @@ mod tests {
             };
             assert_eq!(decode::<PeerMsg>(&encode(&m)), Some(m));
         }
+    }
+
+    #[test]
+    fn a_backpressure_level_no_node_reports_is_refused() {
+        let reply = ObsSnapshotReply {
+            backpressure: 2,
+            ..ObsSnapshotReply::default()
+        };
+        let mut bytes = encode(&reply);
+        assert_eq!(decode::<ObsSnapshotReply>(&bytes), Some(reply));
+        // MAGIC, node u32, then four u64 counters.
+        let at = 1 + 4 + 4 * 8;
+        assert_eq!(bytes[at], 2);
+        bytes[at] = 3;
+        assert_eq!(
+            codec::from_bytes::<ObsSnapshotReply>(MAGIC, &bytes),
+            Err(CodecError::Invalid("backpressure"))
+        );
     }
 
     #[test]

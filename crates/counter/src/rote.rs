@@ -19,7 +19,8 @@ use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
-use treaty_crypto::codec::{CodecError, Decode, Encode, Reader, Record, Writer};
+use treaty_crypto::codec;
+use treaty_crypto::codec::Record;
 use treaty_crypto::{Key, MsgKind, TxMeta, WireCrypto};
 use treaty_net::{EndpointId, Fabric, Rpc, RpcConfig};
 use treaty_sched::FiberMutex;
@@ -50,68 +51,15 @@ pub enum RoteMsg {
     Value { value: u64 },
 }
 
-impl Encode for RoteMsg {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            RoteMsg::Update { id, value } => {
-                w.u8(0);
-                id.encode(w);
-                value.encode(w);
-            }
-            RoteMsg::Echo { value } => {
-                w.u8(1);
-                value.encode(w);
-            }
-            RoteMsg::Confirm { id, value } => {
-                w.u8(2);
-                id.encode(w);
-                value.encode(w);
-            }
-            RoteMsg::Ack => w.u8(3),
-            RoteMsg::Nack { rollback } => {
-                w.u8(4);
-                rollback.encode(w);
-            }
-            RoteMsg::Query { id } => {
-                w.u8(5);
-                id.encode(w);
-            }
-            RoteMsg::Value { value } => {
-                w.u8(6);
-                value.encode(w);
-            }
-        }
-    }
-}
-
-impl Decode for RoteMsg {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(match r.u8()? {
-            0 => RoteMsg::Update {
-                id: Decode::decode(r)?,
-                value: Decode::decode(r)?,
-            },
-            1 => RoteMsg::Echo {
-                value: Decode::decode(r)?,
-            },
-            2 => RoteMsg::Confirm {
-                id: Decode::decode(r)?,
-                value: Decode::decode(r)?,
-            },
-            3 => RoteMsg::Ack,
-            4 => RoteMsg::Nack {
-                rollback: Decode::decode(r)?,
-            },
-            5 => RoteMsg::Query {
-                id: Decode::decode(r)?,
-            },
-            6 => RoteMsg::Value {
-                value: Decode::decode(r)?,
-            },
-            _ => return Err(CodecError::Invalid("counter message tag")),
-        })
-    }
-}
+codec!(enum RoteMsg {
+    0 => Update { id, value },
+    1 => Echo { value },
+    2 => Confirm { id, value },
+    3 => Ack,
+    4 => Nack { rollback },
+    5 => Query { id },
+    6 => Value { value },
+});
 
 impl Record for RoteMsg {
     const MAGIC: u8 = 0x61;
@@ -133,19 +81,7 @@ pub struct SealedState {
     pub stable: Vec<(String, u64)>,
 }
 
-impl Encode for SealedState {
-    fn encode(&self, w: &mut Writer) {
-        self.stable.encode(w);
-    }
-}
-
-impl Decode for SealedState {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(SealedState {
-            stable: Decode::decode(r)?,
-        })
-    }
-}
+codec!(struct SealedState { stable });
 
 impl Record for SealedState {
     const MAGIC: u8 = 0x71;

@@ -5,10 +5,15 @@
 //! Integers are fixed-width little-endian; a byte string, a string or a
 //! sequence is a `u32` length (a count, for sequences) followed by its
 //! contents; an enum is a `u8` variant tag followed by the variant's fields
-//! in declaration order; `Option` and `bool` are a `0`/`1` byte. Every type
-//! writes its own [`Encode`]/[`Decode`] by hand — no derive — so the wire
-//! format is what the code says, field by field (DESIGN.md, "The wire and
-//! log format").
+//! in declaration order; `Option` and `bool` are a `0`/`1` byte. A `usize`
+//! is a `u64` on the wire. Every type declares its format once, next to the
+//! type, with [`codec!`](crate::codec!): its fields in wire order, or each
+//! variant's tag and fields, from which both [`Encode`] and [`Decode`] are
+//! generated, so the wire format is what that line says (DESIGN.md, "The
+//! wire and log format"). Two types keep a hand-written pair because their
+//! decoders check more than the shape: `BloomFilter` refuses a filter
+//! `BloomFilter::new` never builds, and `ObsSnapshotReply` refuses a
+//! `backpressure` byte above 2.
 //!
 //! Decoding never panics and never trusts a length: a prefix is checked
 //! against the bytes that are actually left *before* anything is allocated,
@@ -288,6 +293,18 @@ impl Decode for u64 {
     }
 }
 
+impl Encode for usize {
+    fn encode(&self, w: &mut Writer) {
+        (*self as u64).encode(w);
+    }
+}
+
+impl Decode for usize {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        usize::try_from(u64::decode(r)?).map_err(|_| CodecError::Invalid("usize"))
+    }
+}
+
 impl<const N: usize> Encode for [u8; N] {
     fn encode(&self, w: &mut Writer) {
         w.raw(self);
@@ -380,6 +397,107 @@ impl<A: Decode, B: Decode> Decode for (A, B) {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok((A::decode(r)?, B::decode(r)?))
     }
+}
+
+/// Implements [`Encode`] and [`Decode`] for a type from one list of its
+/// fields in wire order, or of its variants with their tags:
+///
+/// ```
+/// use treaty_crypto::codec;
+/// use treaty_crypto::codec::{CodecError, Decode, Reader};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct WriteOp { key: Vec<u8>, value: Option<Vec<u8>> }
+/// codec!(struct WriteOp { key, value });
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Reply { Done(u64), Vote { yes: bool }, Ack }
+/// codec!(enum Reply { 0 => Done(result), 1 => Vote { yes }, 2 => Ack });
+///
+/// let op = WriteOp { key: b"k".to_vec(), value: None };
+/// assert_eq!(codec::to_bytes(0x10, &op), [0x10, 1, 0, 0, 0, b'k', 0]);
+/// assert_eq!(codec::to_bytes(0x10, &Reply::Vote { yes: true }), [0x10, 1, 1]);
+/// assert_eq!(
+///     Reply::decode(&mut Reader::new(&[3])),
+///     Err(CodecError::Invalid("Reply tag"))
+/// );
+/// ```
+///
+/// A struct is its fields in the order listed. An enum variant is its
+/// `u8` tag, then its fields in the order listed; a variant is a unit, a
+/// one-field tuple (named by any identifier) or a named-field variant. A
+/// tag no variant lists is `CodecError::Invalid("<Type> tag")`.
+///
+/// The compiler holds the list to the type: a field or variant left out
+/// does not compile, and neither does a tag listed twice.
+///
+/// ```compile_fail,E0063
+/// # use treaty_crypto::codec;
+/// struct OpFailure { index: u32, reason: String }
+/// codec!(struct OpFailure { index });
+/// ```
+///
+/// ```compile_fail
+/// # use treaty_crypto::codec;
+/// enum PeerReply { Ack, Vote { yes: bool } }
+/// codec!(enum PeerReply { 0 => Ack, 0 => Vote { yes } });
+/// ```
+#[macro_export]
+macro_rules! codec {
+    (struct $ty:ident { $($field:ident),* $(,)? }) => {
+        impl $crate::codec::Encode for $ty {
+            fn encode(&self, w: &mut $crate::codec::Writer) {
+                $($crate::codec::Encode::encode(&self.$field, w);)*
+            }
+        }
+
+        impl $crate::codec::Decode for $ty {
+            fn decode(
+                r: &mut $crate::codec::Reader<'_>,
+            ) -> ::core::result::Result<Self, $crate::codec::CodecError> {
+                $(let $field = $crate::codec::Decode::decode(r)?;)*
+                ::core::result::Result::Ok($ty { $($field),* })
+            }
+        }
+    };
+    (enum $ty:ident {
+        $($tag:literal => $variant:ident
+            $(($inner:ident))?
+            $({ $($field:ident),* $(,)? })?
+        ),* $(,)?
+    }) => {
+        impl $crate::codec::Encode for $ty {
+            fn encode(&self, w: &mut $crate::codec::Writer) {
+                match self {
+                    $($ty::$variant $(($inner))? $({ $($field),* })? => {
+                        w.u8($tag);
+                        $($crate::codec::Encode::encode($inner, w);)?
+                        $($($crate::codec::Encode::encode($field, w);)*)?
+                    })*
+                }
+            }
+        }
+
+        impl $crate::codec::Decode for $ty {
+            #[deny(unreachable_patterns)]
+            fn decode(
+                r: &mut $crate::codec::Reader<'_>,
+            ) -> ::core::result::Result<Self, $crate::codec::CodecError> {
+                ::core::result::Result::Ok(match r.u8()? {
+                    $($tag => {
+                        $(let $inner = $crate::codec::Decode::decode(r)?;)?
+                        $($(let $field = $crate::codec::Decode::decode(r)?;)*)?
+                        $ty::$variant $(($inner))? $({ $($field),* })?
+                    })*
+                    _ => {
+                        return ::core::result::Result::Err($crate::codec::CodecError::Invalid(
+                            ::core::concat!(::core::stringify!($ty), " tag"),
+                        ))
+                    }
+                })
+            }
+        }
+    };
 }
 
 #[cfg(test)]

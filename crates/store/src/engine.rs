@@ -22,7 +22,8 @@ use std::ops::Bound;
 use std::path::PathBuf;
 use std::rc::Rc;
 
-use treaty_crypto::codec::{CodecError, Decode, Encode, Reader, Record, Writer};
+use treaty_crypto::codec;
+use treaty_crypto::codec::Record;
 use treaty_sched::{FiberMutex, GroupCommit, WaitQueue};
 use treaty_sim::crashpoint::CrashPoint;
 use treaty_sim::FiberCell;
@@ -67,61 +68,12 @@ pub enum ManifestEdit {
     RemoveTable { level: usize, file_id: u64 },
 }
 
-/// Level numbers are written as `u64`.
-fn encode_level(level: usize, w: &mut Writer) {
-    (level as u64).encode(w);
-}
-
-fn decode_level(r: &mut Reader<'_>) -> std::result::Result<usize, CodecError> {
-    usize::try_from(u64::decode(r)?).map_err(|_| CodecError::Invalid("level"))
-}
-
-impl Encode for ManifestEdit {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            ManifestEdit::NewWal { gen } => {
-                w.u8(0);
-                gen.encode(w);
-            }
-            ManifestEdit::WalObsolete { gen } => {
-                w.u8(1);
-                gen.encode(w);
-            }
-            ManifestEdit::AddTable { level, file_id } => {
-                w.u8(2);
-                encode_level(*level, w);
-                file_id.encode(w);
-            }
-            ManifestEdit::RemoveTable { level, file_id } => {
-                w.u8(3);
-                encode_level(*level, w);
-                file_id.encode(w);
-            }
-        }
-    }
-}
-
-impl Decode for ManifestEdit {
-    fn decode(r: &mut Reader<'_>) -> std::result::Result<Self, CodecError> {
-        Ok(match r.u8()? {
-            0 => ManifestEdit::NewWal {
-                gen: Decode::decode(r)?,
-            },
-            1 => ManifestEdit::WalObsolete {
-                gen: Decode::decode(r)?,
-            },
-            2 => ManifestEdit::AddTable {
-                level: decode_level(r)?,
-                file_id: Decode::decode(r)?,
-            },
-            3 => ManifestEdit::RemoveTable {
-                level: decode_level(r)?,
-                file_id: Decode::decode(r)?,
-            },
-            _ => return Err(CodecError::Invalid("manifest edit tag")),
-        })
-    }
-}
+codec!(enum ManifestEdit {
+    0 => NewWal { gen },
+    1 => WalObsolete { gen },
+    2 => AddTable { level, file_id },
+    3 => RemoveTable { level, file_id },
+});
 
 impl Record for ManifestEdit {
     const MAGIC: u8 = 0x41;
@@ -154,61 +106,11 @@ pub enum WalRecord {
     },
 }
 
-impl Encode for WalRecord {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            WalRecord::Commit {
-                seq,
-                writes,
-                ranges,
-            } => {
-                w.u8(0);
-                seq.encode(w);
-                writes.encode(w);
-                ranges.encode(w);
-            }
-            WalRecord::Prepare {
-                gtx,
-                writes,
-                ranges,
-            } => {
-                w.u8(1);
-                gtx.encode(w);
-                writes.encode(w);
-                ranges.encode(w);
-            }
-            WalRecord::Decide { gtx, commit, seq } => {
-                w.u8(2);
-                gtx.encode(w);
-                commit.encode(w);
-                seq.encode(w);
-            }
-        }
-    }
-}
-
-impl Decode for WalRecord {
-    fn decode(r: &mut Reader<'_>) -> std::result::Result<Self, CodecError> {
-        Ok(match r.u8()? {
-            0 => WalRecord::Commit {
-                seq: Decode::decode(r)?,
-                writes: Decode::decode(r)?,
-                ranges: Decode::decode(r)?,
-            },
-            1 => WalRecord::Prepare {
-                gtx: Decode::decode(r)?,
-                writes: Decode::decode(r)?,
-                ranges: Decode::decode(r)?,
-            },
-            2 => WalRecord::Decide {
-                gtx: Decode::decode(r)?,
-                commit: Decode::decode(r)?,
-                seq: Decode::decode(r)?,
-            },
-            _ => return Err(CodecError::Invalid("wal record tag")),
-        })
-    }
-}
+codec!(enum WalRecord {
+    0 => Commit { seq, writes, ranges },
+    1 => Prepare { gtx, writes, ranges },
+    2 => Decide { gtx, commit, seq },
+});
 
 impl Record for WalRecord {
     const MAGIC: u8 = 0x31;

@@ -20,7 +20,7 @@ use std::cell::Cell;
 use std::collections::{BTreeMap, HashSet};
 use std::rc::Rc;
 
-use treaty_crypto::codec::{CodecError, Decode, Encode, Reader, Writer};
+use treaty_crypto::codec;
 use treaty_crypto::{aead_open, aead_seal, hash, Digest32, Key};
 use treaty_sim::FiberCell;
 use treaty_tee::{HostBytes, HostHandle};
@@ -53,23 +53,7 @@ pub struct RangeTombstone {
     pub seq: SeqNum,
 }
 
-impl Encode for RangeTombstone {
-    fn encode(&self, w: &mut Writer) {
-        self.start.encode(w);
-        self.end.encode(w);
-        self.seq.encode(w);
-    }
-}
-
-impl Decode for RangeTombstone {
-    fn decode(r: &mut Reader<'_>) -> std::result::Result<Self, CodecError> {
-        Ok(RangeTombstone {
-            start: Decode::decode(r)?,
-            end: Decode::decode(r)?,
-            seq: Decode::decode(r)?,
-        })
-    }
-}
+codec!(struct RangeTombstone { start, end, seq });
 
 impl RangeTombstone {
     /// True if this tombstone deletes `key` as of version `seq` — i.e. it

@@ -29,7 +29,8 @@ use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
-use treaty_crypto::codec::{CodecError, Decode, Encode, Reader, Record, Writer};
+use treaty_crypto::codec;
+use treaty_crypto::codec::Record;
 use treaty_crypto::{aead_open, aead_seal, ct_eq, hash};
 use treaty_tee::HostBytes;
 
@@ -62,6 +63,8 @@ pub struct BlockMeta {
     pub digest: [u8; 32],
 }
 
+codec!(struct BlockMeta { offset, len, first_key, last_key, digest });
+
 /// Footer metadata of an SSTable, held in the enclave after open.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SsTableMeta {
@@ -89,55 +92,16 @@ pub struct SsTableMeta {
     pub range_tombstones: Vec<RangeTombstone>,
 }
 
-impl Encode for BlockMeta {
-    fn encode(&self, w: &mut Writer) {
-        self.offset.encode(w);
-        self.len.encode(w);
-        self.first_key.encode(w);
-        self.last_key.encode(w);
-        self.digest.encode(w);
-    }
-}
-
-impl Decode for BlockMeta {
-    fn decode(r: &mut Reader<'_>) -> std::result::Result<Self, CodecError> {
-        Ok(BlockMeta {
-            offset: Decode::decode(r)?,
-            len: Decode::decode(r)?,
-            first_key: Decode::decode(r)?,
-            last_key: Decode::decode(r)?,
-            digest: Decode::decode(r)?,
-        })
-    }
-}
-
-impl Encode for SsTableMeta {
-    fn encode(&self, w: &mut Writer) {
-        self.file_id.encode(w);
-        self.blocks.encode(w);
-        self.min_key.encode(w);
-        self.max_key.encode(w);
-        self.max_seq.encode(w);
-        self.entries.encode(w);
-        self.filter.encode(w);
-        self.range_tombstones.encode(w);
-    }
-}
-
-impl Decode for SsTableMeta {
-    fn decode(r: &mut Reader<'_>) -> std::result::Result<Self, CodecError> {
-        Ok(SsTableMeta {
-            file_id: Decode::decode(r)?,
-            blocks: Decode::decode(r)?,
-            min_key: Decode::decode(r)?,
-            max_key: Decode::decode(r)?,
-            max_seq: Decode::decode(r)?,
-            entries: Decode::decode(r)?,
-            filter: Decode::decode(r)?,
-            range_tombstones: Decode::decode(r)?,
-        })
-    }
-}
+codec!(struct SsTableMeta {
+    file_id,
+    blocks,
+    min_key,
+    max_key,
+    max_seq,
+    entries,
+    filter,
+    range_tombstones,
+});
 
 impl Record for SsTableMeta {
     const MAGIC: u8 = 0x51;
@@ -906,6 +870,7 @@ pub fn file_name(file_id: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use treaty_crypto::codec::{Encode, Writer};
     use treaty_sim::FiberCell;
     use treaty_sim::SecurityProfile;
 

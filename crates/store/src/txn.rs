@@ -17,7 +17,7 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use treaty_crypto::codec::{CodecError, Decode, Encode, Reader, Writer};
+use treaty_crypto::codec;
 use treaty_sim::crashpoint::CrashPoint;
 use treaty_sim::FiberCell;
 
@@ -61,21 +61,7 @@ pub struct GlobalTxId {
     pub seq: u64,
 }
 
-impl Encode for GlobalTxId {
-    fn encode(&self, w: &mut Writer) {
-        self.node.encode(w);
-        self.seq.encode(w);
-    }
-}
-
-impl Decode for GlobalTxId {
-    fn decode(r: &mut Reader<'_>) -> std::result::Result<Self, CodecError> {
-        Ok(GlobalTxId {
-            node: Decode::decode(r)?,
-            seq: Decode::decode(r)?,
-        })
-    }
-}
+codec!(struct GlobalTxId { node, seq });
 
 impl std::fmt::Display for GlobalTxId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -92,21 +78,7 @@ pub struct WriteOp {
     pub value: Option<Vec<u8>>,
 }
 
-impl Encode for WriteOp {
-    fn encode(&self, w: &mut Writer) {
-        self.key.encode(w);
-        self.value.encode(w);
-    }
-}
-
-impl Decode for WriteOp {
-    fn decode(r: &mut Reader<'_>) -> std::result::Result<Self, CodecError> {
-        Ok(WriteOp {
-            key: Decode::decode(r)?,
-            value: Decode::decode(r)?,
-        })
-    }
-}
+codec!(struct WriteOp { key, value });
 
 /// Commit outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

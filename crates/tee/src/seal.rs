@@ -1,6 +1,7 @@
 //! SGX-style sealing: binding enclave state to the enclave identity.
 
-use treaty_crypto::codec::{CodecError, Decode, Encode, Reader, Record, Writer};
+use treaty_crypto::codec;
+use treaty_crypto::codec::Record;
 use treaty_crypto::{aead_open, aead_seal, Key};
 
 use crate::attest::Measurement;
@@ -15,21 +16,7 @@ pub struct SealedBlob {
     ciphertext: Vec<u8>,
 }
 
-impl Encode for SealedBlob {
-    fn encode(&self, w: &mut Writer) {
-        self.nonce.encode(w);
-        self.ciphertext.encode(w);
-    }
-}
-
-impl Decode for SealedBlob {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(SealedBlob {
-            nonce: Decode::decode(r)?,
-            ciphertext: Decode::decode(r)?,
-        })
-    }
-}
+codec!(struct SealedBlob { nonce, ciphertext });
 
 impl Record for SealedBlob {
     const MAGIC: u8 = 0x81;
