@@ -206,11 +206,6 @@ impl Fabric {
         &self.costs
     }
 
-    /// Replaces the adversary configuration.
-    pub fn set_adversary(&self, adv: Adversary) {
-        *self.adversary.borrow_mut() = adv;
-    }
-
     /// Mutates the adversary configuration in place.
     pub fn with_adversary(&self, f: impl FnOnce(&mut Adversary)) {
         f(&mut self.adversary.borrow_mut());
@@ -254,11 +249,6 @@ impl Fabric {
             e.inbox.closed.set(true);
             e.inbox.waiters.notify_all();
         }
-    }
-
-    /// Whether an endpoint is currently registered.
-    pub fn is_registered(&self, id: EndpointId) -> bool {
-        self.endpoints.borrow().contains_key(&id)
     }
 
     fn endpoint_cfg(&self, id: EndpointId) -> Option<EndpointConfig> {

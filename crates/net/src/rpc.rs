@@ -59,7 +59,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::ops::Deref;
 use std::rc::Rc;
 
-use treaty_crypto::{nonce, Key, MsgKind, Opened, SecureEnvelope, Stamp, TxMeta, WireCrypto};
+use treaty_crypto::{nonce, Key, Opened, SecureEnvelope, Stamp, TxMeta, WireCrypto};
 use treaty_sched::CorePool;
 use treaty_sim::runtime::{self, FiberId};
 use treaty_sim::{FiberCell, Nanos, TeeMode};
@@ -794,21 +794,10 @@ impl Rpc {
     }
 }
 
-/// Builds a [`TxMeta`] for RPC-level traffic that is not part of a
-/// transaction (benchmarks, control messages).
-pub fn control_meta(node_id: u64, seq: u64, kind: MsgKind) -> TxMeta {
-    TxMeta {
-        node_id,
-        tx_id: seq,
-        op_id: 0,
-        kind,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use treaty_crypto::KeyHierarchy;
+    use treaty_crypto::{KeyHierarchy, MsgKind};
     use treaty_sched::block_on;
     use treaty_sim::CostModel;
 

@@ -38,13 +38,6 @@ pub struct NetCharge {
     pub dropped: bool,
 }
 
-impl NetCharge {
-    /// Total one-way latency if the message is delivered.
-    pub fn one_way(&self) -> Nanos {
-        self.sender_cpu + self.wire + self.receiver_cpu
-    }
-}
-
 /// The full cost model. Construct via [`CostModel::default`] and override
 /// individual fields for ablations.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -1,8 +1,10 @@
-//! The crash-point fault matrix: one cell per (crash point × role ×
-//! intended outcome), each cell a full crash/restart/recover episode
-//! checked against the recovery oracle.
+//! The crash-point fault matrix. [`script`] gives every [`CrashPoint`] its
+//! scenario in one `match` with no wildcard arm, so a point added without
+//! one does not compile, and [`cells`] walks `CrashPoint::ALL` through it.
+//! A cell is one crash/restart/recover episode on a fresh 3-node cluster,
+//! checked against the recovery oracle of `common`.
 //!
-//! Every cell runs the same script on a fresh 3-node cluster:
+//! A list-append cell ([`Script::ListAppend`]):
 //!
 //! 1. a seed list-append transaction commits on every key (acked — it
 //!    must survive everything that follows),
@@ -22,16 +24,33 @@
 //! volatile by design — a real deployment sheds them with a session
 //! timeout, the simulation sheds them with a restart.
 //!
-//! The transcript of the whole matrix (virtual crash times included) is
-//! asserted byte-identical across runs: the harness is deterministic.
+//! A volatile cell ([`Script::Volatile`]) crashes a step that leaves
+//! nothing durable in flight: recovery re-drives nothing, the
+//! coordinator's Clog holds nothing but the seed, every lock table and
+//! prepared table drains, and the seed reads back on the snapshot and the
+//! locking path and takes writes again.
+//!
+//! The points a table cannot express ([`Script::ByHand`]) and the commit
+//! point's own guarantees have tests of their own below.
+//!
+//! Every cell's transcript line (virtual crash time included) is asserted
+//! byte-identical across runs: the harness is deterministic.
 
+mod common;
+
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::rc::Rc;
 
+use common::{
+    ack, all_or_nothing, append, assert_drained, assert_nothing_prepared, assert_serializable,
+    boot, fired_once, options, read_lists,
+};
 use treaty::core::client::client_net;
 use treaty::core::clog::{ClogRecord, CLOG_FILE, CLOG_NAME};
 use treaty::core::cluster::{wire_crypto, COUNTER_BASE, COUNTER_CLIENT_BASE};
 use treaty::core::messages::{decode, encode, req, PeerMsg, PeerReply};
-use treaty::core::{check_list_append, Cluster, ClusterOptions, TreatyError, TxnObservation};
+use treaty::core::{Cluster, DistTxn, TreatyError};
 use treaty::crypto::codec::Record as _;
 use treaty::crypto::{MsgKind, TxMeta};
 use treaty::net::{Rpc, RpcConfig};
@@ -40,7 +59,7 @@ use treaty::sim::crashpoint::{self, CrashPoint, FaultSchedule};
 use treaty::sim::runtime::{join, now, sleep, spawn};
 use treaty::sim::{SecurityProfile, MICROS, MILLIS, SECONDS};
 use treaty::store::log::{counter_id, replay};
-use treaty::store::{EngineConfig, GlobalTxId, TxnEngine as _};
+use treaty::store::{GlobalTxId, TxnEngine as _};
 
 /// Endpoint of the coordinator every transaction uses.
 const COORD: u32 = 1;
@@ -58,103 +77,212 @@ enum Cfg {
     Abort,
 }
 
+/// What a volatile cell does while its crash is armed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Step {
+    /// Buffered writes on every shard, then a locking op outside the
+    /// buffer, which ships them ahead of itself in one list: a point
+    /// read, or with `scan` a scan of every shard.
+    Ship { scan: bool },
+    /// Buffered writes on every shard, then a range delete of every shard.
+    DeleteRange,
+    /// A locking read of every key, then the commit: the read-only lane.
+    ReadOnly,
+    /// A snapshot read of every key.
+    SnapshotRead,
+    /// A snapshot scan of every shard.
+    SnapshotScan,
+}
+
+impl Step {
+    /// What the client may hear: a read-only lane whose participant never
+    /// voted cannot commit, and a snapshot read has nothing to abort.
+    fn acks(self) -> &'static str {
+        match self {
+            Step::Ship { .. } | Step::DeleteRange => "CAUR",
+            Step::ReadOnly => "AU",
+            Step::SnapshotRead | Step::SnapshotScan => "CUR",
+        }
+    }
+}
+
+/// A crash point's scenario.
+#[derive(Debug, Clone, Copy)]
+enum Script {
+    /// One list-append cell per entry of `outcomes`, the armed crash
+    /// taking down endpoint `crash`.
+    ListAppend {
+        crash: u32,
+        outcomes: &'static [Cfg],
+        /// Single coordinator-local key: exercises the 1PC fast path.
+        local_only: bool,
+        /// The doomed transaction also writes a ~20 KiB value to a
+        /// `PART`-owned key: its commit apply overflows the tiny MemTable,
+        /// so the background maintenance daemon runs (and can crash) on
+        /// `PART`.
+        filler: bool,
+        /// Commit one unarmed filler transaction first so the doomed flush
+        /// produces the second L0 table and makes compaction due.
+        prefill: bool,
+    },
+    /// One volatile cell per entry of `steps`, the armed crash taking down
+    /// endpoint `crash`. The endpoints in `bounce` restart with it: the
+    /// crash left their locks volatile, which a restart (= session
+    /// timeout) sheds.
+    Volatile {
+        crash: u32,
+        bounce: &'static [u32],
+        steps: &'static [Step],
+    },
+    /// The point is crashed by the named test.
+    ByHand(&'static str),
+}
+
+const BOTH: &[Cfg] = &[Cfg::Commit, Cfg::Abort];
+const COMMIT: &[Cfg] = &[Cfg::Commit];
+
+const fn list_append(crash: u32, outcomes: &'static [Cfg]) -> Script {
+    Script::ListAppend {
+        crash,
+        outcomes,
+        local_only: false,
+        filler: false,
+        prefill: false,
+    }
+}
+
+const fn volatile(crash: u32, steps: &'static [Step]) -> Script {
+    Script::Volatile {
+        crash,
+        bounce: &[],
+        steps,
+    }
+}
+
+/// Every crash point's scenario: coordinator and participant roles, commit
+/// and abort outcomes where reachable. There is no wildcard arm, so a new
+/// point without a scenario does not compile.
+fn script(point: CrashPoint) -> Script {
+    use CrashPoint as P;
+    match point {
+        P::CoordAfterClogStart
+        | P::CoordAfterPrepareFanout
+        | P::CoordAfterVotes
+        | P::CoordAfterLogDecision
+        | P::CoordMidDecisionFanout
+        | P::CoordAfterDecisionSend
+        | P::CoordBeforeClientReply
+        | P::ClogDecisionAppended => list_append(COORD, BOTH),
+        // Past the commit point there is no abort left to crash in.
+        P::CoordCommitPoint | P::CoordFinishStable => list_append(COORD, COMMIT),
+        P::PartBeforePrepare | P::PartAfterPrepare | P::StorePrepareLogged => {
+            list_append(PART, BOTH)
+        }
+        // The decision-application points are only reachable under the
+        // matching decision.
+        P::PartAfterCommitApply => list_append(PART, COMMIT),
+        P::PartAfterAbortApply => list_append(PART, &[Cfg::Abort]),
+        // The local group-commit point never runs 2PC: a single
+        // coordinator-owned key commits through the one-phase path.
+        P::StoreCommitLogged => Script::ListAppend {
+            crash: COORD,
+            outcomes: COMMIT,
+            local_only: true,
+            filler: false,
+            prefill: false,
+        },
+        // Background maintenance points: only a committed apply flushes, so
+        // these are commit-only. The crash lands on the participant's
+        // maintenance daemon, after the doomed writes are WAL-durable but
+        // before (flush) or between (compaction) SSTable builds.
+        P::StoreBgFlushStart => Script::ListAppend {
+            crash: PART,
+            outcomes: COMMIT,
+            local_only: false,
+            filler: true,
+            prefill: false,
+        },
+        P::StoreBgCompactStart => Script::ListAppend {
+            crash: PART,
+            outcomes: COMMIT,
+            local_only: false,
+            filler: true,
+            prefill: true,
+        },
+        // The coordinator dies after the ops burst left, before a reply was
+        // drained or a prepare sent: the participants' speculative applies
+        // hold only volatile locks.
+        P::CoordOpsFanout => Script::Volatile {
+            crash: COORD,
+            bounce: &[PART, SPARE],
+            steps: &[Step::Ship { scan: false }, Step::Ship { scan: true }],
+        },
+        // A participant dies mid-way through applying a shipped slice; the
+        // coordinator's reply drain fails and it aborts everywhere.
+        P::PartBatchApply => volatile(PART, &[Step::Ship { scan: false }]),
+        P::PartScan => volatile(PART, &[Step::Ship { scan: true }]),
+        P::PartRangeDelete => volatile(PART, &[Step::DeleteRange]),
+        // The participant has taken the slice out of its table, neither
+        // validated nor voted; the lane logs nothing anywhere.
+        P::PartReadOnlyFinish => volatile(PART, &[Step::ReadOnly]),
+        P::PartSnapshotRead => volatile(PART, &[Step::SnapshotRead]),
+        P::PartSnapshotScan => volatile(PART, &[Step::SnapshotScan]),
+        P::LogBatchWritten => Script::ByHand("clog_batch_crash_recovers_from_what_the_file_shows"),
+        P::CounterRoundAcked => Script::ByHand("round_acked_crash_leaves_the_prepare_in_doubt"),
+    }
+}
+
+/// One generated cell: a point, its script, and which of the script's
+/// outcomes or steps the cell runs.
 #[derive(Debug, Clone, Copy)]
 struct Cell {
     point: CrashPoint,
-    /// Endpoint the armed crash takes down.
-    crash: u32,
-    cfg: Cfg,
-    /// Single coordinator-local key: exercises the 1PC fast path.
-    local_only: bool,
-    /// Doomed transaction also writes a ~20 KiB value to a `PART`-owned
-    /// key: its commit apply overflows the tiny MemTable, so the
-    /// background maintenance daemon runs (and can crash) on `PART`.
-    filler: bool,
-    /// Commit one unarmed filler transaction first so the doomed flush
-    /// produces the second L0 table and makes compaction due.
-    prefill: bool,
+    script: Script,
+    nth: usize,
 }
 
-const fn cell(point: CrashPoint, crash: u32, cfg: Cfg) -> Cell {
-    Cell {
-        point,
-        crash,
-        cfg,
-        local_only: false,
-        filler: false,
-        prefill: false,
-    }
-}
-
-/// The full matrix: every registered crash point, coordinator and
-/// participant roles, commit and abort outcomes where reachable.
+/// The matrix: every cell of every point's script, in `CrashPoint::ALL`
+/// order.
 fn cells() -> Vec<Cell> {
-    let mut v = Vec::new();
-    for p in [
-        CrashPoint::CoordAfterClogStart,
-        CrashPoint::CoordAfterPrepareFanout,
-        CrashPoint::CoordAfterVotes,
-        CrashPoint::CoordAfterLogDecision,
-        CrashPoint::CoordMidDecisionFanout,
-        CrashPoint::CoordAfterDecisionSend,
-        CrashPoint::CoordBeforeClientReply,
-    ] {
-        v.push(cell(p, COORD, Cfg::Commit));
-        v.push(cell(p, COORD, Cfg::Abort));
-    }
-    // Past the commit point there is no abort left to crash in.
-    for p in [CrashPoint::CoordCommitPoint, CrashPoint::CoordFinishStable] {
-        v.push(cell(p, COORD, Cfg::Commit));
-    }
-    for p in [CrashPoint::PartBeforePrepare, CrashPoint::PartAfterPrepare] {
-        v.push(cell(p, PART, Cfg::Commit));
-        v.push(cell(p, PART, Cfg::Abort));
-    }
-    // The decision-application points are only reachable under the
-    // matching decision.
-    v.push(cell(CrashPoint::PartAfterCommitApply, PART, Cfg::Commit));
-    v.push(cell(CrashPoint::PartAfterAbortApply, PART, Cfg::Abort));
-    v.push(cell(CrashPoint::ClogDecisionAppended, COORD, Cfg::Commit));
-    v.push(cell(CrashPoint::ClogDecisionAppended, COORD, Cfg::Abort));
-    v.push(cell(CrashPoint::StorePrepareLogged, PART, Cfg::Commit));
-    v.push(cell(CrashPoint::StorePrepareLogged, PART, Cfg::Abort));
-    // The local group-commit point never runs 2PC: a single
-    // coordinator-owned key commits through the one-phase path.
-    v.push(Cell {
-        point: CrashPoint::StoreCommitLogged,
-        crash: COORD,
-        cfg: Cfg::Commit,
-        local_only: true,
-        filler: false,
-        prefill: false,
-    });
-    // Background maintenance points: only a committed apply flushes, so
-    // these are commit-only. The crash lands on the participant's
-    // maintenance daemon, after the doomed writes are WAL-durable but
-    // before (flush) or between (compaction) SSTable builds.
-    v.push(Cell {
-        point: CrashPoint::StoreBgFlushStart,
-        crash: PART,
-        cfg: Cfg::Commit,
-        local_only: false,
-        filler: true,
-        prefill: false,
-    });
-    v.push(Cell {
-        point: CrashPoint::StoreBgCompactStart,
-        crash: PART,
-        cfg: Cfg::Commit,
-        local_only: false,
-        filler: true,
-        prefill: true,
-    });
-    v
+    CrashPoint::ALL
+        .into_iter()
+        .flat_map(|point| {
+            let script = script(point);
+            let n = match script {
+                Script::ListAppend { outcomes, .. } => outcomes.len(),
+                Script::Volatile { steps, .. } => steps.len(),
+                Script::ByHand(_) => 0,
+            };
+            (0..n).map(move |nth| Cell { point, script, nth })
+        })
+        .collect()
 }
 
-fn options(dir: &std::path::Path) -> ClusterOptions {
-    let mut o = ClusterOptions::new(SecurityProfile::treaty_full(), dir.to_path_buf());
-    o.engine_config = EngineConfig::tiny();
-    o
+/// Runs one cell; panics on any oracle violation and returns the cell's
+/// transcript line.
+fn run(c: Cell) -> String {
+    match c.script {
+        Script::ListAppend {
+            crash,
+            outcomes,
+            local_only,
+            filler,
+            prefill,
+        } => run_list_append(c.point, crash, outcomes[c.nth], local_only, filler, prefill),
+        Script::Volatile {
+            crash,
+            bounce,
+            steps,
+        } => {
+            // A point with several steps names the step in its lines.
+            let tag = match steps[c.nth] {
+                Step::Ship { scan } if steps.len() > 1 => format!(" scan={scan}"),
+                _ => String::new(),
+            };
+            run_volatile(c.point, tag, crash, bounce, steps[c.nth])
+        }
+        Script::ByHand(test) => unreachable!("{} is crashed by {test}", c.point),
+    }
 }
 
 /// `n` keys per node, ordered by owner endpoint for determinism.
@@ -182,17 +310,54 @@ fn key_per_node(cluster: &Cluster) -> BTreeMap<u32, Vec<u8>> {
         .collect()
 }
 
-/// Runs one matrix cell; panics on any oracle violation and returns the
-/// cell's transcript line.
-fn run_cell(c: Cell) -> String {
+/// Crashes endpoint `node` and restarts it through the recovery path.
+fn bounce(cluster: &mut Cluster, node: u32) {
+    cluster.crash_node((node - 1) as usize);
+    cluster.restart_node((node - 1) as usize).unwrap();
+}
+
+/// Seeds one acked value per shard, lets the pipelined tail drain, and
+/// returns the seed's transaction.
+fn seed(cluster: &Cluster, keys: &[Vec<u8>]) -> GlobalTxId {
+    let client = cluster.client();
+    let mut tx = client.begin(COORD);
+    let gtx = tx.gtx();
+    for k in keys {
+        tx.put(k, b"seed").expect("seed write failed");
+    }
+    tx.commit().expect("seed commit failed");
+    sleep(50 * MILLIS);
+    gtx
+}
+
+/// What the coordinator's Clog holds on disk, in file order.
+fn clog_on_disk(cluster: &Cluster) -> Vec<ClogRecord> {
+    let env = cluster.env((COORD - 1) as usize).expect("durable cluster");
+    replay(env, CLOG_NAME, &env.dir.join(CLOG_FILE))
+        .expect("the Clog replays")
+        .records
+        .iter()
+        .map(|(_, payload)| ClogRecord::from_bytes(payload).expect("a Clog record"))
+        .collect()
+}
+
+fn run_list_append(
+    point: CrashPoint,
+    crash: u32,
+    cfg: Cfg,
+    local_only: bool,
+    filler: bool,
+    prefill: bool,
+) -> String {
     let dir = tempfile::tempdir().unwrap();
     let path = dir.path().to_path_buf();
     block_on(move || {
+        let cell = format!("cell {point} n{crash} {cfg:?}");
         // Install before the cluster boots so the nodes register their
         // crash handlers (the handler stops the node's RPC endpoint).
         let plan = crashpoint::install();
-        let mut cluster = Cluster::start(options(&path)).unwrap();
-        let keys: Vec<Vec<u8>> = if c.local_only {
+        let mut cluster = boot(&path);
+        let keys: Vec<Vec<u8>> = if local_only {
             vec![key_per_node(&cluster).remove(&COORD).unwrap()]
         } else {
             key_per_node(&cluster).into_values().collect()
@@ -201,20 +366,7 @@ fn run_cell(c: Cell) -> String {
         // 1. Seed transaction: acked before any fault is armed.
         let client = cluster.client();
         let mut tx = client.begin(COORD);
-        let seed_gtx = tx.gtx();
-        let mut seed_obs = TxnObservation {
-            id: seed_gtx,
-            reads: Vec::new(),
-            appends: Vec::new(),
-        };
-        for k in &keys {
-            let cur = tx.get(k).expect("seed read failed");
-            let mut list: Vec<GlobalTxId> = cur.map(|b| decode(&b).unwrap()).unwrap_or_default();
-            seed_obs.reads.push((k.clone(), list.clone()));
-            list.push(seed_gtx);
-            tx.put(k, &encode(&list)).expect("seed write failed");
-            seed_obs.appends.push(k.clone());
-        }
+        let seed = append(&mut tx, &keys).expect("seed append failed");
         tx.commit().expect("seed commit failed");
 
         // The commit path is pipelined: the seed's ack can race its
@@ -223,14 +375,14 @@ fn run_cell(c: Cell) -> String {
         // doomed transaction alone.
         sleep(50 * MILLIS);
 
-        let filler_key: Option<Vec<u8>> = c.filler.then(|| {
+        let filler_key: Option<Vec<u8>> = filler.then(|| {
             (0..10_000u32)
                 .map(|i| format!("filler-{i}").into_bytes())
                 .find(|k| cluster.shard_map().owner(k) == PART)
                 .expect("no PART-owned filler key in 10k probes")
         });
         let filler_val = vec![0x66u8; 20 << 10];
-        if c.prefill {
+        if prefill {
             // First L0 table, built before the fault is armed: the doomed
             // flush then makes `l0_compaction_trigger` (2) due.
             let mut tx = client.begin(COORD);
@@ -241,648 +393,183 @@ fn run_cell(c: Cell) -> String {
         }
 
         // 2. Arm the crash.
-        plan.arm(FaultSchedule::new().crash_at(c.point, c.crash, 1));
+        plan.arm(FaultSchedule::new().crash_at(point, crash, 1));
 
         // 3. The doomed transaction.
         let mut tx = client.begin(COORD);
-        let doomed_gtx = tx.gtx();
-        let mut doomed_obs = TxnObservation {
-            id: doomed_gtx,
-            reads: Vec::new(),
-            appends: Vec::new(),
-        };
-        for k in &keys {
-            let cur = tx.get(k).expect("doomed read failed");
-            let mut list: Vec<GlobalTxId> = cur.map(|b| decode(&b).unwrap()).unwrap_or_default();
-            doomed_obs.reads.push((k.clone(), list.clone()));
-            list.push(doomed_gtx);
-            tx.put(k, &encode(&list)).expect("doomed write failed");
-            doomed_obs.appends.push(k.clone());
-        }
+        let doomed = append(&mut tx, &keys).expect("doomed append failed");
         if let Some(fk) = &filler_key {
             tx.put(fk, &filler_val).expect("filler write failed");
         }
-        if c.cfg == Cfg::Abort {
+        if cfg == Cfg::Abort {
             // Cut coordinator → SPARE *after* the ops: the prepare (and any
             // decision) to that shard is lost, so the vote phase fails.
             cluster.fabric().with_adversary(|a| {
                 a.partitions.insert((COORD, SPARE));
             });
         }
-        let acked = match tx.commit() {
-            Ok(()) => 'C',
-            Err(TreatyError::Aborted(..)) => 'A',
-            Err(_) => 'U', // unacked: timeout / coordinator down
-        };
+        let acked = ack(tx.commit());
 
         // 4. Drain the retry trains, then heal.
         sleep(4 * SECONDS);
         cluster.fabric().with_adversary(|a| a.partitions.clear());
-
-        let fired = plan.fired();
-        assert_eq!(
-            fired.len(),
-            1,
-            "cell {} n{} {:?}: expected exactly one crash, got {fired:?}",
-            c.point,
-            c.crash,
-            c.cfg
-        );
-        assert_eq!(fired[0].point, c.point);
-        assert_eq!(fired[0].node, c.crash);
-        let fired_at = fired[0].at;
+        let fired_at = fired_once(&plan, point, crash, &cell);
 
         // 5. Restart and recover. Abort cells also bounce the partitioned
         // shard: its never-prepared participant transaction holds only
         // volatile locks, which a restart (= session timeout) sheds.
-        cluster.crash_node((c.crash - 1) as usize);
-        cluster.restart_node((c.crash - 1) as usize).unwrap();
-        if c.cfg == Cfg::Abort {
-            cluster.crash_node((SPARE - 1) as usize);
-            cluster.restart_node((SPARE - 1) as usize).unwrap();
+        bounce(&mut cluster, crash);
+        if cfg == Cfg::Abort {
+            bounce(&mut cluster, SPARE);
         }
         let rec = cluster.resolve_recovered();
-        assert_eq!(
-            rec.failed, 0,
-            "cell {} n{} {:?}: recovery re-drive failed: {rec:?}",
-            c.point, c.crash, c.cfg
-        );
+        assert_eq!(rec.failed, 0, "{cell}: recovery re-drive failed: {rec:?}");
 
-        // 6. The oracle. Final reads retry: residual lock releases from
-        // recovery may be a few virtual milliseconds behind.
-        let reader = cluster.client();
-        let mut finals: HashMap<Vec<u8>, Vec<GlobalTxId>> = HashMap::new();
-        'read: for attempt in 0..10 {
-            finals.clear();
-            let mut tx = reader.begin(COORD);
-            let mut ok = true;
+        // 6. The oracle: the acked seed survives, the doomed transaction is
+        // all-or-nothing and honours its ack, nothing stays prepared, and
+        // the surviving history is serializable.
+        let finals = read_lists(&cluster, COORD, &keys, &cell);
+        all_or_nothing(&finals, &seed, 'C', &cell);
+        let applied = all_or_nothing(&finals, &doomed, acked, &cell);
+        assert_nothing_prepared(&cluster, &cell);
+        let mut history = vec![seed];
+        if applied {
+            history.push(doomed);
+        }
+        assert_serializable(&history, &finals, &cell);
+
+        let mask = (if applied { "1" } else { "0" }).repeat(keys.len());
+        format!("{point} crash=n{crash} cfg={cfg:?} fired@{fired_at} acked={acked} doomed={mask}")
+    })
+}
+
+fn run_volatile(
+    point: CrashPoint,
+    tag: String,
+    crash: u32,
+    bounced: &'static [u32],
+    step: Step,
+) -> String {
+    let dir = tempfile::tempdir().unwrap();
+    let path = dir.path().to_path_buf();
+    block_on(move || {
+        let cell = format!("{point}{tag} n{crash}");
+        let plan = crashpoint::install();
+        let mut cluster = boot(&path);
+        let keys: Vec<Vec<u8>> = key_per_node(&cluster).into_values().collect();
+        let seed_gtx = seed(&cluster, &keys);
+
+        plan.arm(FaultSchedule::new().crash_at(point, crash, 1));
+        let client = cluster.client();
+        let doomed_writes = |tx: &mut DistTxn<'_>| {
             for k in &keys {
-                match tx.get(k) {
-                    Ok(Some(bytes)) => {
-                        let list: Vec<GlobalTxId> = decode(&bytes).unwrap();
-                        finals.insert(k.clone(), list);
-                    }
-                    Ok(None) => {}
-                    Err(_) => {
-                        ok = false;
-                        break;
-                    }
+                tx.put(k, b"doomed")
+                    .expect("a buffered put never hits the wire");
+            }
+        };
+        let outcome = match step {
+            Step::Ship { scan } => {
+                let mut tx = client.begin(COORD);
+                doomed_writes(&mut tx);
+                if scan {
+                    tx.scan(b"", b"\xff", 0).map(drop)
+                } else {
+                    tx.get(b"batch-fanout-flush-trigger").map(drop)
                 }
             }
-            if ok && tx.commit().is_ok() {
-                break 'read;
+            Step::DeleteRange => {
+                let mut tx = client.begin(COORD);
+                doomed_writes(&mut tx);
+                tx.delete_range(b"", b"\xff")
             }
-            assert!(
-                attempt < 9,
-                "cell {} n{} {:?}: final read never succeeded",
-                c.point,
-                c.crash,
-                c.cfg
-            );
-            sleep(100 * MILLIS);
-        }
-
-        // Acked commits survive...
-        for k in &keys {
-            assert!(
-                finals.get(k).is_some_and(|l| l.contains(&seed_gtx)),
-                "cell {} n{} {:?}: acked seed append lost on key {:?}",
-                c.point,
-                c.crash,
-                c.cfg,
-                String::from_utf8_lossy(k)
-            );
-        }
-        // ...and the doomed transaction is all-or-nothing.
-        let present: Vec<bool> = keys
-            .iter()
-            .map(|k| finals.get(k).is_some_and(|l| l.contains(&doomed_gtx)))
-            .collect();
-        let all = present.iter().all(|&p| p);
-        let none = present.iter().all(|&p| !p);
-        assert!(
-            all || none,
-            "cell {} n{} {:?}: half-committed across shards: {present:?}",
-            c.point,
-            c.crash,
-            c.cfg
-        );
-        match acked {
-            'C' => assert!(
-                all,
-                "cell {} n{} {:?}: acked Committed but appends missing",
-                c.point, c.crash, c.cfg
-            ),
-            'A' => assert!(
-                none,
-                "cell {} n{} {:?}: acked Aborted but appends survived",
-                c.point, c.crash, c.cfg
-            ),
-            _ => {}
-        }
-
-        // No prepared transaction outlives recovery.
-        for i in 0..cluster.node_endpoints().len() {
-            if let Some(store) = cluster.store(i) {
-                let prepared = store.prepared_txns();
-                assert!(
-                    prepared.is_empty(),
-                    "cell {} n{} {:?}: prepared locks leaked on node {}: {prepared:?}",
-                    c.point,
-                    c.crash,
-                    c.cfg,
-                    i + 1
-                );
+            Step::ReadOnly => {
+                let mut tx = client.begin(COORD);
+                for k in &keys {
+                    let got = tx.get(k).expect("locking read");
+                    assert_eq!(got.as_deref(), Some(&b"seed"[..]), "{cell}");
+                }
+                tx.commit()
             }
-        }
-
-        // The surviving history is serializable.
-        let mut observations = vec![seed_obs];
-        if all {
-            observations.push(doomed_obs);
-        }
-        if let Err(e) = check_list_append(&observations, &finals) {
-            panic!("cell {} n{} {:?}: {e}", c.point, c.crash, c.cfg);
-        }
-
-        let mask: String = present.iter().map(|&p| if p { '1' } else { '0' }).collect();
-        format!(
-            "{point} crash=n{node} cfg={cfg:?} fired@{at} acked={acked} doomed={mask}",
-            point = c.point,
-            node = c.crash,
-            cfg = c.cfg,
-            at = fired_at,
-        )
-    })
-}
-
-fn run_matrix() -> String {
-    let mut lines = Vec::new();
-    for c in cells() {
-        lines.push(run_cell(c));
-    }
-    lines.join("\n")
-}
-
-/// Every cell fires its crash and the recovery oracle holds.
-#[test]
-fn fault_matrix_holds_recovery_oracle() {
-    let transcript = run_matrix();
-    println!("{transcript}");
-    assert_eq!(transcript.lines().count(), cells().len());
-    let points: BTreeSet<&str> = transcript
-        .lines()
-        .map(|l| l.split_whitespace().next().unwrap())
-        .collect();
-    assert!(
-        points.len() >= 10,
-        "matrix must cover at least 10 distinct crash points, got {points:?}"
-    );
-    assert!(points.iter().any(|p| p.starts_with("coord.")));
-    assert!(points.iter().any(|p| p.starts_with("part.")));
-}
-
-/// The matrix transcript — including virtual crash times — is
-/// byte-identical across runs for a fixed seed.
-#[test]
-fn fault_matrix_is_deterministic() {
-    assert_eq!(run_matrix(), run_matrix());
-}
-
-/// The read-only fault cell: a participant dies *inside* the snapshot-read
-/// handler (`part.snapshot_read`). Snapshot reads hold no 2PC state — no
-/// prepares, no coordinator entry, and zero lock-table traffic — so the
-/// crash must leak nothing: recovery re-drives zero transactions, every
-/// lock table drains to empty, and the seeded data reads back intact on
-/// both the snapshot and the locking path.
-fn run_snapshot_read_cell() -> String {
-    let dir = tempfile::tempdir().unwrap();
-    let path = dir.path().to_path_buf();
-    block_on(move || {
-        let plan = crashpoint::install();
-        let mut cluster = Cluster::start(options(&path)).unwrap();
-        let keys: Vec<Vec<u8>> = key_per_node(&cluster).into_values().collect();
-
-        // Seed every shard; acked, so it must survive the episode.
-        let client = cluster.client();
-        let mut tx = client.begin(COORD);
-        for k in &keys {
-            tx.put(k, b"stable-value").expect("seed write failed");
-        }
-        tx.commit().expect("seed commit failed");
-        sleep(50 * MILLIS);
-
-        // Arm: the participant crashes mid read-only transaction.
-        plan.arm(FaultSchedule::new().crash_at(CrashPoint::PartSnapshotRead, PART, 1));
-        let acked = match client.snapshot_read(&keys) {
-            Ok(_) => 'C', // the burst raced the crash and still answered
-            Err(TreatyError::Net(_)) => 'U',
-            Err(TreatyError::Rejected(_)) => 'R',
-            Err(e) => panic!("unexpected snapshot failure mode: {e}"),
+            Step::SnapshotRead => client.snapshot_read(&keys).map(drop),
+            Step::SnapshotScan => client.snapshot_scan(b"", b"\xff", 0).map(drop),
         };
-
-        sleep(SECONDS);
-        let fired = plan.fired();
-        assert_eq!(fired.len(), 1, "expected exactly one crash, got {fired:?}");
-        assert_eq!(fired[0].point, CrashPoint::PartSnapshotRead);
-        assert_eq!(fired[0].node, PART);
-        let fired_at = fired[0].at;
-
-        cluster.crash_node((PART - 1) as usize);
-        cluster.restart_node((PART - 1) as usize).unwrap();
-        let rec = cluster.resolve_recovered();
-        assert_eq!(rec.failed, 0, "recovery re-drive failed: {rec:?}");
-        assert_eq!(
-            (rec.re_decided, rec.resolved),
-            (0, 0),
-            "a crash mid read-only txn must leave nothing in flight: {rec:?}"
-        );
-
-        // Nothing leaked: every lock table is empty, no prepared txns.
-        for i in 0..cluster.node_endpoints().len() {
-            if let Some(store) = cluster.store(i) {
-                assert_eq!(
-                    store.locked_keys(),
-                    0,
-                    "node {}: snapshot-read crash leaked locks",
-                    i + 1
-                );
-                assert!(
-                    store.prepared_txns().is_empty(),
-                    "node {}: snapshot-read crash leaked prepared state",
-                    i + 1
-                );
-            }
-        }
-
-        // The acked seed reads back on both paths after recovery.
-        let reader = cluster.client();
-        let snap = reader.snapshot_read(&keys).expect("post-recovery snapshot");
+        let acked = ack(outcome);
         assert!(
-            snap.iter()
-                .all(|v| v.as_deref() == Some(&b"stable-value"[..])),
-            "seeded data lost across the read-only crash: {snap:?}"
+            step.acks().contains(acked),
+            "{cell}: the client heard {acked}"
         );
-        let mut tx = reader.begin(COORD);
-        for (k, sv) in keys.iter().zip(&snap) {
-            assert_eq!(tx.get(k).expect("locked read"), *sv);
+
+        sleep(4 * SECONDS);
+        let fired_at = fired_once(&plan, point, crash, &cell);
+        bounce(&mut cluster, crash);
+        for &n in bounced {
+            bounce(&mut cluster, n);
         }
-        tx.commit().expect("locked verify commit");
-
-        format!(
-            "part.snapshot_read crash=n{PART} fired@{fired_at} acked={acked} \
-             rec={}/{}/{}",
-            rec.re_decided, rec.resolved, rec.failed,
-        )
-    })
-}
-
-/// A node crash mid read-only snapshot transaction leaks no locks, leaves
-/// recovery with nothing to re-drive, and produces a byte-identical
-/// transcript across runs — the read path is invisible to recovery.
-#[test]
-fn snapshot_read_crash_leaks_no_locks_and_recovery_is_unchanged() {
-    let t1 = run_snapshot_read_cell();
-    println!("{t1}");
-    assert_eq!(
-        t1,
-        run_snapshot_read_cell(),
-        "snapshot-read fault cell must be deterministic"
-    );
-}
-
-/// The read-only-lane fault cell: a participant dies *inside* the
-/// read-only finish (`part.read_only_finish`) — it has taken the engine
-/// transaction out of its table but neither validated nor voted. The lane
-/// logs nothing anywhere, so the crash must leave nothing behind: no Clog
-/// record for recovery to re-drive, no prepared entry, no lock on any node
-/// (the survivors released at their own finish, the victim's were volatile),
-/// and the client is told `Aborted`, never `Committed`.
-fn run_read_only_finish_cell() -> String {
-    let dir = tempfile::tempdir().unwrap();
-    let path = dir.path().to_path_buf();
-    block_on(move || {
-        let plan = crashpoint::install();
-        let mut cluster = Cluster::start(options(&path)).unwrap();
-        let keys: Vec<Vec<u8>> = key_per_node(&cluster).into_values().collect();
-
-        let client = cluster.client();
-        let mut tx = client.begin(COORD);
-        for k in &keys {
-            tx.put(k, b"stable-value").expect("seed write failed");
-        }
-        tx.commit().expect("seed commit failed");
-        sleep(50 * MILLIS);
-
-        plan.arm(FaultSchedule::new().crash_at(CrashPoint::PartReadOnlyFinish, PART, 1));
-        let mut tx = client.begin(COORD);
-        let gtx = tx.gtx();
-        for k in &keys {
-            assert_eq!(
-                tx.get(k).expect("locked read"),
-                Some(b"stable-value".to_vec())
-            );
-        }
-        let acked = match tx.commit() {
-            Ok(()) => panic!("a participant that never voted cannot commit the lane"),
-            Err(TreatyError::Aborted(..)) => 'A',
-            Err(TreatyError::Net(_)) => 'U',
-            Err(e) => panic!("unexpected read-only commit failure mode: {e}"),
-        };
-
-        sleep(SECONDS);
-        let fired = plan.fired();
-        assert_eq!(fired.len(), 1, "expected exactly one crash, got {fired:?}");
-        assert_eq!(fired[0].point, CrashPoint::PartReadOnlyFinish);
-        assert_eq!(fired[0].node, PART);
-        let fired_at = fired[0].at;
-
-        cluster.crash_node((PART - 1) as usize);
-        cluster.restart_node((PART - 1) as usize).unwrap();
         let rec = cluster.resolve_recovered();
         assert_eq!(
             (rec.re_decided, rec.resolved, rec.failed),
             (0, 0, 0),
-            "the read-only lane must give recovery nothing to re-drive: {rec:?}"
+            "{cell}: nothing was in flight for recovery to re-drive: {rec:?}"
         );
-        let clog = cluster.node((COORD - 1) as usize).clog().expect("durable");
-        assert_eq!(
-            clog.protocol_state(gtx),
-            None,
-            "the lane wrote a Clog record"
+        let logged = clog_on_disk(&cluster);
+        assert!(
+            logged.iter().all(|r| match r {
+                ClogRecord::Start { gtx, .. } | ClogRecord::Decision { gtx, .. } =>
+                    *gtx == seed_gtx,
+            }),
+            "{cell}: the coordinator logged more than the seed: {logged:?}"
         );
+        assert_drained(&cluster, &cell);
 
-        for i in 0..cluster.node_endpoints().len() {
-            let store = cluster.store(i).expect("durable cluster");
-            assert_eq!(
-                store.locked_keys(),
-                0,
-                "node {}: read-only finish crash leaked locks",
-                i + 1
-            );
-            assert!(
-                store.prepared_txns().is_empty(),
-                "node {}: read-only finish crash left a prepared entry",
-                i + 1
-            );
-        }
-
-        // The data is untouched and writable again.
-        let writer = cluster.client();
-        let mut tx = writer.begin(COORD);
+        // The seed reads back on both paths, and its keys take writes.
+        let reader = cluster.client();
+        let snap = reader.snapshot_read(&keys).expect("post-recovery snapshot");
+        assert!(
+            snap.iter().all(|v| v.as_deref() == Some(&b"seed"[..])),
+            "{cell}: the seed is lost or a doomed write surfaced: {snap:?}"
+        );
+        let mut tx = reader.begin(COORD);
         for k in &keys {
-            assert_eq!(tx.get(k).unwrap(), Some(b"stable-value".to_vec()));
-            tx.put(k, b"after").unwrap();
+            assert_eq!(
+                tx.get(k).expect("locking read").as_deref(),
+                Some(&b"seed"[..])
+            );
+            tx.put(k, b"after").expect("buffered put");
         }
         tx.commit().expect("post-recovery write commit");
 
         format!(
-            "part.read_only_finish crash=n{PART} fired@{fired_at} acked={acked} \
-             rec={}/{}/{}",
+            "{point}{tag} crash=n{crash} fired@{fired_at} acked={acked} rec={}/{}/{}",
             rec.re_decided, rec.resolved, rec.failed,
         )
     })
 }
 
-/// A participant crash inside the read-only finish leaves no locks and no
-/// prepared entries, gives recovery nothing to re-drive, and is
-/// transcript-identical across runs.
+/// Every cell fires its crash, the recovery oracle holds, and the cells
+/// fire every point that is not crashed by hand.
 #[test]
-fn read_only_finish_crash_leaves_nothing_behind() {
-    let t1 = run_read_only_finish_cell();
-    println!("{t1}");
-    assert_eq!(
-        t1,
-        run_read_only_finish_cell(),
-        "read-only finish fault cell must be deterministic"
-    );
+fn fault_matrix_holds_recovery_oracle() {
+    let transcript: Vec<String> = cells().into_iter().map(run).collect();
+    println!("{}", transcript.join("\n"));
+    let fired: BTreeSet<&str> = transcript
+        .iter()
+        .map(|l| l.split_whitespace().next().unwrap())
+        .collect();
+    let scripted: BTreeSet<&str> = CrashPoint::ALL
+        .into_iter()
+        .filter(|&p| !matches!(script(p), Script::ByHand(_)))
+        .map(CrashPoint::name)
+        .collect();
+    assert_eq!(fired, scripted);
 }
 
-/// The coalesced-fan-out fault cell: the coordinator dies at
-/// `coord.ops_fanout` — after the per-shard `PEER_OPS` burst left its
-/// endpoint, before any reply was drained or a prepare was sent. The
-/// shipped list never reached the commit protocol (no Clog start, no
-/// prepares), so the participants' speculative applies hold only volatile
-/// locks: bouncing them (= session timeout) must shed everything, and the
-/// doomed writes must be visible nowhere. The op that ships the buffered
-/// writes is a point read, or with `scan` a range scan fanned out to every
-/// shard behind them.
-fn run_ops_fanout_cell(scan: bool) -> String {
-    let dir = tempfile::tempdir().unwrap();
-    let path = dir.path().to_path_buf();
-    block_on(move || {
-        let plan = crashpoint::install();
-        let mut cluster = Cluster::start(options(&path)).unwrap();
-        let keys: Vec<Vec<u8>> = key_per_node(&cluster).into_values().collect();
-
-        // Acked seed on every shard; must survive the episode.
-        let client = cluster.client();
-        let mut tx = client.begin(COORD);
-        for k in &keys {
-            tx.put(k, b"stable-value").expect("seed write failed");
-        }
-        tx.commit().expect("seed commit failed");
-        sleep(50 * MILLIS);
-
-        plan.arm(FaultSchedule::new().crash_at(CrashPoint::CoordOpsFanout, COORD, 1));
-
-        // Doomed: buffered writes to all three shards, then a read outside
-        // the buffer — the writes ship ahead of it in one list and the
-        // coordinator dies mid fan-out.
-        let mut tx = client.begin(COORD);
-        for k in &keys {
-            tx.put(k, b"doomed")
-                .expect("buffered put never hits the wire");
-        }
-        let shipped = if scan {
-            tx.scan(b"", b"\xff", 0).map(|_| ())
-        } else {
-            tx.get(b"batch-fanout-flush-trigger").map(|_| ())
-        };
-        let acked = match shipped {
-            Ok(()) => 'C',
-            Err(TreatyError::Aborted(..)) => 'A',
-            Err(TreatyError::Net(_)) => 'U',
-            Err(_) => 'R',
-        };
-
-        sleep(4 * SECONDS);
-        let fired = plan.fired();
-        assert_eq!(fired.len(), 1, "expected exactly one crash, got {fired:?}");
-        assert_eq!(fired[0].point, CrashPoint::CoordOpsFanout);
-        assert_eq!(fired[0].node, COORD);
-        let fired_at = fired[0].at;
-
-        // Restart the coordinator; bounce both participants too — their
-        // speculative batch applies never prepared, so their locks are
-        // volatile by design and a restart sheds them.
-        cluster.crash_node((COORD - 1) as usize);
-        cluster.restart_node((COORD - 1) as usize).unwrap();
-        for n in [PART, SPARE] {
-            cluster.crash_node((n - 1) as usize);
-            cluster.restart_node((n - 1) as usize).unwrap();
-        }
-        let rec = cluster.resolve_recovered();
-        assert_eq!(rec.failed, 0, "recovery re-drive failed: {rec:?}");
-        assert_eq!(
-            (rec.re_decided, rec.resolved),
-            (0, 0),
-            "a batch that never reached prepare must be invisible to recovery: {rec:?}"
-        );
-
-        // Nothing leaked and nothing is visible.
-        for i in 0..cluster.node_endpoints().len() {
-            if let Some(store) = cluster.store(i) {
-                assert_eq!(
-                    store.locked_keys(),
-                    0,
-                    "node {}: batch fan-out crash leaked locks",
-                    i + 1
-                );
-                assert!(
-                    store.prepared_txns().is_empty(),
-                    "node {}: batch fan-out crash leaked prepared state",
-                    i + 1
-                );
-            }
-        }
-        let reader = cluster.client();
-        let mut tx = reader.begin(SPARE);
-        for k in &keys {
-            assert_eq!(
-                tx.get(k).expect("post-recovery read"),
-                Some(b"stable-value".to_vec()),
-                "all-or-nothing violated: doomed batch write surfaced"
-            );
-        }
-        tx.commit().expect("verify commit");
-
-        format!(
-            "coord.ops_fanout scan={scan} crash=n{COORD} fired@{fired_at} acked={acked} \
-             rec={}/{}/{}",
-            rec.re_decided, rec.resolved, rec.failed,
-        )
-    })
-}
-
-/// A coordinator crash between the batch fan-out and the prepare phase
-/// leaves no prepared locks, nothing for recovery to re-drive, no doomed
-/// write visible anywhere — and the episode is byte-deterministic.
+/// Every cell's transcript line — including its virtual crash time — is
+/// byte-identical across runs.
 #[test]
-fn batch_fanout_crash_is_invisible_after_recovery() {
-    for scan in [false, true] {
-        let t1 = run_ops_fanout_cell(scan);
-        println!("{t1}");
-        assert_eq!(
-            t1,
-            run_ops_fanout_cell(scan),
-            "ops fan-out fault cell must be deterministic"
-        );
+fn fault_matrix_is_deterministic() {
+    for c in cells() {
+        assert_eq!(run(c), run(c), "{c:?} must be deterministic");
     }
-}
-
-/// The participant-side batching fault cell: `PART` dies at
-/// `part.batch_apply`, mid-way through applying a shipped `PEER_OPS` slice.
-/// The coordinator's reply drain fails, it aborts everywhere (freeing the
-/// other participant's speculative locks), and the client sees a clean
-/// abort: the batch is all-or-nothing — in this cell, "nothing".
-fn run_batch_apply_cell() -> String {
-    let dir = tempfile::tempdir().unwrap();
-    let path = dir.path().to_path_buf();
-    block_on(move || {
-        let plan = crashpoint::install();
-        let mut cluster = Cluster::start(options(&path)).unwrap();
-        let keys: Vec<Vec<u8>> = key_per_node(&cluster).into_values().collect();
-
-        let client = cluster.client();
-        let mut tx = client.begin(COORD);
-        for k in &keys {
-            tx.put(k, b"stable-value").expect("seed write failed");
-        }
-        tx.commit().expect("seed commit failed");
-        sleep(50 * MILLIS);
-
-        plan.arm(FaultSchedule::new().crash_at(CrashPoint::PartBatchApply, PART, 1));
-
-        // Doomed: buffered writes spanning all shards; the flush fans the
-        // batch out and PART dies while applying its slice.
-        let mut tx = client.begin(COORD);
-        for k in &keys {
-            tx.put(k, b"doomed")
-                .expect("buffered put never hits the wire");
-        }
-        let acked = match tx.get(b"batch-apply-flush-trigger") {
-            Ok(_) => 'C',
-            Err(TreatyError::Aborted(..)) => 'A',
-            Err(TreatyError::Net(_)) => 'U',
-            Err(_) => 'R',
-        };
-
-        sleep(4 * SECONDS);
-        let fired = plan.fired();
-        assert_eq!(fired.len(), 1, "expected exactly one crash, got {fired:?}");
-        assert_eq!(fired[0].point, CrashPoint::PartBatchApply);
-        assert_eq!(fired[0].node, PART);
-        let fired_at = fired[0].at;
-
-        cluster.crash_node((PART - 1) as usize);
-        cluster.restart_node((PART - 1) as usize).unwrap();
-        let rec = cluster.resolve_recovered();
-        assert_eq!(rec.failed, 0, "recovery re-drive failed: {rec:?}");
-        assert_eq!(
-            (rec.re_decided, rec.resolved),
-            (0, 0),
-            "a batch that never prepared must be invisible to recovery: {rec:?}"
-        );
-
-        // The coordinator's abort freed every speculative lock on the
-        // surviving nodes; the bounced participant shed its own.
-        for i in 0..cluster.node_endpoints().len() {
-            if let Some(store) = cluster.store(i) {
-                assert_eq!(
-                    store.locked_keys(),
-                    0,
-                    "node {}: mid-batch-apply crash leaked locks",
-                    i + 1
-                );
-                assert!(
-                    store.prepared_txns().is_empty(),
-                    "node {}: mid-batch-apply crash leaked prepared state",
-                    i + 1
-                );
-            }
-        }
-        let reader = cluster.client();
-        let mut tx = reader.begin(SPARE);
-        for k in &keys {
-            assert_eq!(
-                tx.get(k).expect("post-recovery read"),
-                Some(b"stable-value".to_vec()),
-                "all-or-nothing violated: doomed batch write surfaced"
-            );
-        }
-        tx.commit().expect("verify commit");
-
-        format!(
-            "part.batch_apply crash=n{PART} fired@{fired_at} acked={acked} \
-             rec={}/{}/{}",
-            rec.re_decided, rec.resolved, rec.failed,
-        )
-    })
-}
-
-/// A participant crash mid batch apply aborts the transaction cleanly:
-/// no lock or prepared-state leak on any node, the doomed writes are
-/// visible nowhere, and the episode is byte-deterministic.
-#[test]
-fn batch_apply_crash_aborts_cleanly_everywhere() {
-    let t1 = run_batch_apply_cell();
-    println!("{t1}");
-    assert_eq!(
-        t1,
-        run_batch_apply_cell(),
-        "batch apply fault cell must be deterministic"
-    );
 }
 
 /// The flight recorder rides the fault matrix: an armed crash leaves one
@@ -900,26 +587,20 @@ fn armed_crash_leaves_a_parseable_flight_dump() {
         obs.configure_flight(&flight2, 128);
         treaty::sim::obs::install(&obs);
         let plan = crashpoint::install();
-        let cluster = Cluster::start(options(&path)).unwrap();
+        let cluster = boot(&path);
         let keys: Vec<Vec<u8>> = key_per_node(&cluster).into_values().collect();
+        seed(&cluster, &keys);
+
+        let point = CrashPoint::CoordAfterVotes;
+        plan.arm(FaultSchedule::new().crash_at(point, COORD, 1));
         let client = cluster.client();
-
-        // Unarmed seed commit, then let the pipelined tail drain.
-        let mut tx = client.begin(COORD);
-        for k in &keys {
-            tx.put(k, b"seed").unwrap();
-        }
-        tx.commit().expect("seed commit");
-        sleep(50 * MILLIS);
-
-        plan.arm(FaultSchedule::new().crash_at(CrashPoint::CoordAfterVotes, COORD, 1));
         let mut tx = client.begin(COORD);
         for k in &keys {
             tx.put(k, b"doomed").unwrap();
         }
         let _ = tx.commit(); // the coordinator crashes mid-2PC
         sleep(100 * MILLIS);
-        assert_eq!(plan.fired().len(), 1, "armed crash must fire");
+        fired_once(&plan, point, COORD, "flight dump");
         treaty::sim::obs::uninstall();
     });
 
@@ -974,17 +655,6 @@ fn armed_crash_leaves_a_parseable_flight_dump() {
 // stabilized, published, sent and applied behind the ack. The cells below
 // crash or starve the coordinator inside that window and hold the
 // acknowledged outcome to it.
-
-/// Seeds one acked value per shard and lets the pipelined tail drain.
-fn seed(cluster: &Cluster, keys: &[Vec<u8>]) {
-    let client = cluster.client();
-    let mut tx = client.begin(COORD);
-    for k in keys {
-        tx.put(k, b"seed").expect("seed write failed");
-    }
-    tx.commit().expect("seed commit failed");
-    sleep(50 * MILLIS);
-}
 
 fn store(cluster: &Cluster, node: u32) -> &treaty::store::TreatyStore {
     cluster.store((node - 1) as usize).expect("durable cluster")
@@ -1042,10 +712,7 @@ fn assert_committed_everywhere(cluster: &Cluster, gtx: GlobalTxId, keys: &[Vec<u
         assert_eq!(got.as_deref(), Some(&b"acked"[..]), "{cell}: value lost");
     }
     tx.commit().expect("verify commit");
-    for n in [COORD, PART, SPARE] {
-        let left = store(cluster, n).prepared_txns();
-        assert!(left.is_empty(), "{cell}: n{n} still holds {left:?}");
-    }
+    assert_nothing_prepared(cluster, cell);
 }
 
 /// What a commit-point cell adds to the coordinator crash.
@@ -1091,7 +758,7 @@ fn run_commit_point_cell(point: CrashPoint, twist: Twist) -> String {
     let path = dir.path().to_path_buf();
     block_on(move || {
         let plan = crashpoint::install();
-        let mut cluster = Cluster::start(options(&path)).unwrap();
+        let mut cluster = boot(&path);
         let keys: Vec<Vec<u8>> = key_per_node(&cluster).into_values().collect();
         seed(&cluster, &keys);
         let cell = format!("{point} {twist:?}");
@@ -1109,9 +776,7 @@ fn run_commit_point_cell(point: CrashPoint, twist: Twist) -> String {
             Err(_) => 'U', // the crash came before the reply
         };
         sleep(SECONDS);
-        let fired = plan.fired();
-        assert_eq!(fired.len(), 1, "{cell}: expected one crash, got {fired:?}");
-        assert_eq!((fired[0].point, fired[0].node), (point, COORD));
+        let fired_at = fired_once(&plan, point, COORD, &cell);
         for n in [PART, SPARE] {
             let prepared = store(&cluster, n).prepared_txns();
             assert_eq!(prepared, [gtx], "{cell}: n{n} heard a decision");
@@ -1143,8 +808,8 @@ fn run_commit_point_cell(point: CrashPoint, twist: Twist) -> String {
         assert_committed_everywhere(&cluster, gtx, &keys, &cell);
 
         format!(
-            "{cell} fired@{} acked={acked} cut={cut} rec={}/{}/{}",
-            fired[0].at, rec.re_decided, rec.resolved, rec.failed,
+            "{cell} fired@{fired_at} acked={acked} cut={cut} rec={}/{}/{}",
+            rec.re_decided, rec.resolved, rec.failed,
         )
     })
 }
@@ -1159,7 +824,7 @@ fn run_round_acked_cell() -> String {
     let path = dir.path().to_path_buf();
     block_on(move || {
         let plan = crashpoint::install();
-        let mut cluster = Cluster::start(options(&path)).unwrap();
+        let mut cluster = boot(&path);
         let keys: Vec<Vec<u8>> = key_per_node(&cluster).into_values().collect();
         seed(&cluster, &keys);
         let cell = CrashPoint::CounterRoundAcked;
@@ -1189,9 +854,7 @@ fn run_round_acked_cell() -> String {
             Err(_) => 'U',
         };
         sleep(SECONDS);
-        let fired = plan.fired();
-        assert_eq!(fired.len(), 1, "{cell}: expected one crash, got {fired:?}");
-        assert_eq!((fired[0].point, fired[0].node), (cell, PART));
+        let fired_at = fired_once(&plan, cell, PART, &cell.to_string());
         assert!(
             group_holds(&cluster) > before,
             "{cell}: the group never acknowledged the Prepare"
@@ -1211,27 +874,13 @@ fn run_round_acked_cell() -> String {
             assert_eq!(got.as_deref(), Some(&b"seed"[..]), "{cell}: half-applied");
         }
         tx.commit().expect("verify commit");
-        for n in [COORD, PART, SPARE] {
-            let left = store(&cluster, n).prepared_txns();
-            assert!(left.is_empty(), "{cell}: n{n} still holds {left:?}");
-        }
+        assert_nothing_prepared(&cluster, &cell.to_string());
 
         format!(
-            "{cell} fired@{} acked={acked} rec={}/{}/{}",
-            fired[0].at, rec.re_decided, rec.resolved, rec.failed,
+            "{cell} fired@{fired_at} acked={acked} rec={}/{}/{}",
+            rec.re_decided, rec.resolved, rec.failed,
         )
     })
-}
-
-/// What the coordinator's Clog holds on disk, in file order.
-fn clog_on_disk(cluster: &Cluster) -> Vec<ClogRecord> {
-    let env = cluster.env((COORD - 1) as usize).expect("durable cluster");
-    replay(env, CLOG_NAME, &env.dir.join(CLOG_FILE))
-        .expect("the Clog replays")
-        .records
-        .iter()
-        .map(|(_, payload)| ClogRecord::from_bytes(payload).expect("a Clog record"))
-        .collect()
 }
 
 /// Four clients commit through `COORD` at once, on keys of their own, so
@@ -1250,7 +899,7 @@ fn run_clog_batch_cell(hit: u64, starts: bool) -> String {
     let path = dir.path().to_path_buf();
     block_on(move || {
         let plan = crashpoint::install();
-        let cluster = Cluster::start(options(&path)).unwrap();
+        let cluster = boot(&path);
         let cell = format!("log.batch_written hit={hit}");
         // Client c writes the c-th key of each node.
         let per_node = keys_per_node(&cluster, CLIENTS);
@@ -1258,65 +907,39 @@ fn run_clog_batch_cell(hit: u64, starts: bool) -> String {
             |c: usize| -> Vec<Vec<u8>> { per_node.values().map(|v| v[c].clone()).collect() };
         let all_keys: Vec<Vec<u8>> = (0..CLIENTS).flat_map(keys_of).collect();
 
-        // A list-append transaction over `keys`; `(gtx, what it saw)`
-        // whether or not its commit was acknowledged.
-        let append = |cluster: &Cluster, keys: &[Vec<u8>]| {
+        // A list-append transaction over `keys`: what it saw and what its
+        // client heard.
+        let list_append = |cluster: &Cluster, keys: &[Vec<u8>]| {
             let client = cluster.client();
             let mut tx = client.begin(COORD);
-            let gtx = tx.gtx();
-            let mut obs = TxnObservation {
-                id: gtx,
-                reads: Vec::new(),
-                appends: keys.to_vec(),
-            };
-            for k in keys {
-                let mut list: Vec<GlobalTxId> = tx
-                    .get(k)
-                    .expect("read")
-                    .map(|b| decode(&b).unwrap())
-                    .unwrap_or_default();
-                obs.reads.push((k.clone(), list.clone()));
-                list.push(gtx);
-                tx.put(k, &encode(&list)).expect("write");
-            }
-            let acked = match tx.commit() {
-                Ok(()) => 'C',
-                Err(TreatyError::Aborted(..)) => 'A',
-                Err(_) => 'U',
-            };
-            (obs, acked)
+            let obs = append(&mut tx, keys).expect("list append");
+            (obs, ack(tx.commit()))
         };
-        let (seed_obs, seeded) = append(&cluster, &all_keys);
+        let (seed_obs, seeded) = list_append(&cluster, &all_keys);
         assert_eq!(seeded, 'C', "{cell}: seed");
         sleep(50 * MILLIS);
 
         plan.arm(FaultSchedule::new().crash_at(CrashPoint::LogBatchWritten, COORD, hit));
-        let doomed = std::sync::Arc::new(parking_lot::Mutex::new(Vec::new()));
-        let cluster = std::rc::Rc::new(cluster);
+        let doomed = Rc::new(RefCell::new(Vec::new()));
+        let cluster = Rc::new(cluster);
         let clients: Vec<_> = (0..CLIENTS)
             .map(|c| {
-                let (cluster, doomed, keys) = (
-                    std::rc::Rc::clone(&cluster),
-                    std::sync::Arc::clone(&doomed),
-                    keys_of(c),
-                );
+                let (cluster, doomed, keys) = (Rc::clone(&cluster), Rc::clone(&doomed), keys_of(c));
                 spawn(move || {
-                    let outcome = append(&cluster, &keys);
-                    doomed.lock().push(outcome);
+                    let outcome = list_append(&cluster, &keys);
+                    doomed.borrow_mut().push(outcome);
                 })
             })
             .collect();
         clients.into_iter().for_each(join);
         sleep(4 * SECONDS);
-        let mut cluster = std::rc::Rc::try_unwrap(cluster)
+        let mut cluster = Rc::try_unwrap(cluster)
             .unwrap_or_else(|_| panic!("{cell}: a client still holds the cluster"));
-        let mut doomed = std::mem::take(&mut *doomed.lock());
+        let mut doomed = doomed.take();
         doomed.sort_by_key(|(obs, _)| obs.id);
         let acks: String = doomed.iter().map(|(_, acked)| *acked).collect();
 
-        let fired = plan.fired();
-        assert_eq!(fired.len(), 1, "{cell}: expected one crash, got {fired:?}");
-        assert_eq!(fired[0].node, COORD);
+        let fired_at = fired_once(&plan, CrashPoint::LogBatchWritten, COORD, &cell);
 
         // The file at the crash; the batch that was written last is what
         // the premise counts.
@@ -1373,38 +996,12 @@ fn run_clog_batch_cell(hit: u64, starts: bool) -> String {
                 "{cell}: {gtx:?} not re-driven"
             );
         }
-        let mut finals: HashMap<Vec<u8>, Vec<GlobalTxId>> = HashMap::new();
-        let reader = cluster.client();
-        let mut tx = reader.begin(SPARE);
-        for k in &all_keys {
-            let list = tx.get(k).expect("post-recovery read").expect("seeded");
-            finals.insert(k.clone(), decode(&list).unwrap());
-        }
-        tx.commit().expect("verify commit");
+        let finals = read_lists(&cluster, SPARE, &all_keys, &cell);
+        all_or_nothing(&finals, &seed_obs, seeded, &cell);
         let mut history = vec![seed_obs];
         let mut outcomes = String::new();
         for (obs, acked) in doomed {
-            let present: Vec<bool> = obs
-                .appends
-                .iter()
-                .map(|k| finals[k].contains(&obs.id))
-                .collect();
-            let all = present.iter().all(|&p| p);
-            assert!(
-                all || !present.contains(&true),
-                "{cell}: {:?} half-committed",
-                obs.id
-            );
-            assert!(
-                acked != 'C' || all,
-                "{cell}: {:?} acknowledged and lost",
-                obs.id
-            );
-            assert!(
-                acked != 'A' || !all,
-                "{cell}: {:?} aborted and applied",
-                obs.id
-            );
+            let all = all_or_nothing(&finals, &obs, acked, &cell);
             if committed.contains(&obs.id) {
                 assert!(
                     all,
@@ -1423,17 +1020,11 @@ fn run_clog_batch_cell(hit: u64, starts: bool) -> String {
                 history.push(obs);
             }
         }
-        for n in [COORD, PART, SPARE] {
-            let left = store(&cluster, n).prepared_txns();
-            assert!(left.is_empty(), "{cell}: n{n} still holds {left:?}");
-        }
-        if let Err(e) = check_list_append(&history, &finals) {
-            panic!("{cell}: {e}");
-        }
+        assert_nothing_prepared(&cluster, &cell);
+        assert_serializable(&history, &finals, &cell);
 
         format!(
-            "{cell} fired@{} starts={} commits={} {premise} acked={acks} applied={outcomes} rec={}/{}/{}",
-            fired[0].at,
+            "{cell} fired@{fired_at} starts={} commits={} {premise} acked={acks} applied={outcomes} rec={}/{}/{}",
             started.len(),
             committed.len(),
             rec.re_decided,
@@ -1443,10 +1034,10 @@ fn run_clog_batch_cell(hit: u64, starts: bool) -> String {
     })
 }
 
-fn run_twice(run: impl Fn() -> String) {
-    let t1 = run();
+fn run_twice(cell: impl Fn() -> String) {
+    let t1 = cell();
     println!("{t1}");
-    assert_eq!(t1, run(), "fault cell must be deterministic");
+    assert_eq!(t1, cell(), "fault cell must be deterministic");
 }
 
 /// A participant crash between a counter round's ack quorum and its
@@ -1524,7 +1115,7 @@ fn run_commit_point_no_quorum_cell() -> String {
         let obs = treaty::obs::Obs::with_default_cap();
         obs.configure_flight(&flight2, 128);
         treaty::sim::obs::install(&obs);
-        let cluster = Cluster::start(options(&path)).unwrap();
+        let cluster = boot(&path);
         let keys: Vec<Vec<u8>> = key_per_node(&cluster).into_values().collect();
         seed(&cluster, &keys);
         cluster.fabric().start_capture();
@@ -1633,13 +1224,14 @@ fn commit_point_appended_is_not_externalised() {
         let acked_at = now();
 
         // Between the ack and the stable decision record.
-        let read = std::sync::Arc::new(parking_lot::Mutex::new(None));
+        let read = Rc::new(RefCell::new(None));
         let reader = {
-            let (read, key) = (std::sync::Arc::clone(&read), keys[1].clone());
+            let (read, key) = (Rc::clone(&read), keys[1].clone());
             let client = cluster.client();
             spawn(move || {
                 let mut tx = client.begin(SPARE);
-                *read.lock() = Some((tx.get(&key).expect("locking read"), now()));
+                let got = tx.get(&key).expect("locking read");
+                *read.borrow_mut() = Some((got, now()));
                 tx.commit().expect("reader commit");
             })
         };
@@ -1650,13 +1242,13 @@ fn commit_point_appended_is_not_externalised() {
         }
         assert_eq!(clog.decision(gtx), None);
         sleep(MILLIS);
-        assert!(read.lock().is_none(), "the read must park on the lock");
+        assert!(read.borrow().is_none(), "the read must park on the lock");
         assert!(now() - acked_at < 5 * MILLIS, "still inside the round");
 
         // Afterwards.
         join(reader);
         sleep(50 * MILLIS);
-        let (value, read_at) = read.lock().take().expect("reader finished");
+        let (value, read_at) = read.take().expect("reader finished");
         assert_eq!(value.as_deref(), Some(&b"acked"[..]));
         assert!(read_at - acked_at >= 4 * MILLIS, "read before the round");
         assert_eq!(query_decision(&cluster, gtx), Some(true));

@@ -11,30 +11,23 @@
 //! outlives recovery, and the committed history is serializable against
 //! the final state.
 
-use std::collections::HashMap;
+mod common;
 
+use common::{append, assert_nothing_prepared, assert_serializable, boot, fired, read_lists};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use treaty::core::messages::{decode, encode};
-use treaty::core::{check_list_append, Cluster, ClusterOptions, TxnObservation};
 use treaty::sched::block_on;
 use treaty::sim::crashpoint::{self, CrashPoint, FaultSchedule};
 use treaty::sim::runtime::sleep;
-use treaty::sim::{SecurityProfile, MILLIS, SECONDS};
-use treaty::store::{EngineConfig, GlobalTxId, TxnEngine as _};
-
-fn options(dir: &std::path::Path) -> ClusterOptions {
-    let mut o = ClusterOptions::new(SecurityProfile::treaty_full(), dir.to_path_buf());
-    o.engine_config = EngineConfig::tiny();
-    o
-}
+use treaty::sim::SECONDS;
 
 fn run_case(point: CrashPoint, node: u32, hit: u64, txns: usize) {
     let dir = tempfile::tempdir().unwrap();
     let path = dir.path().to_path_buf();
     block_on(move || {
+        let case = format!("point={point}, node={node}, hit={hit}");
         let plan = crashpoint::install();
-        let mut cluster = Cluster::start(options(&path)).unwrap();
+        let mut cluster = boot(&path);
         let keyspace: Vec<Vec<u8>> = (0..4).map(|i| format!("pk-{i}").into_bytes()).collect();
         plan.arm(FaultSchedule::new().crash_at(point, node, hit));
 
@@ -42,35 +35,17 @@ fn run_case(point: CrashPoint, node: u32, hit: u64, txns: usize) {
         // that hit the crash (op error, timeout, abort) are simply not
         // recorded — only acked commits join the history.
         let client = cluster.client();
-        let mut observations: Vec<TxnObservation> = Vec::new();
+        let mut observations = Vec::new();
         for t in 0..txns {
-            let coordinator = 1 + (t % 3) as u32;
-            let mut tx = client.begin(coordinator);
-            let gtx = tx.gtx();
-            let k1 = keyspace[t % keyspace.len()].clone();
-            let k2 = keyspace[(t * 3 + 1) % keyspace.len()].clone();
-            let mut obs = TxnObservation {
-                id: gtx,
-                reads: Vec::new(),
-                appends: Vec::new(),
-            };
-            let result = (|| -> Result<(), treaty::core::TreatyError> {
-                for k in [&k1, &k2] {
-                    if obs.appends.contains(k) {
-                        continue;
-                    }
-                    let cur = tx.get(k)?;
-                    let mut list: Vec<GlobalTxId> =
-                        cur.map(|b| decode(&b).unwrap()).unwrap_or_default();
-                    obs.reads.push((k.clone(), list.clone()));
-                    list.push(gtx);
-                    tx.put(k, &encode(&list))?;
-                    obs.appends.push(k.clone());
+            let mut tx = client.begin(1 + (t % 3) as u32);
+            let keys = [
+                keyspace[t % keyspace.len()].clone(),
+                keyspace[(t * 3 + 1) % keyspace.len()].clone(),
+            ];
+            if let Ok(obs) = append(&mut tx, &keys) {
+                if tx.commit().is_ok() {
+                    observations.push(obs);
                 }
-                Ok(())
-            })();
-            if result.is_ok() && tx.commit().is_ok() {
-                observations.push(obs);
             }
         }
 
@@ -82,11 +57,10 @@ fn run_case(point: CrashPoint, node: u32, hit: u64, txns: usize) {
         // the read path would crash the node under the verification read
         // below, which nothing restarts.
         plan.disarm();
-        let fired = plan.fired();
-        for f in &fired {
-            assert_eq!(f.point, point);
-            assert_eq!(f.node, node);
-        }
+        let case = format!(
+            "{case}, fired={}",
+            fired(&plan, point, node, &case).is_some()
+        );
         for idx in 0..3 {
             cluster.crash_node(idx);
         }
@@ -94,54 +68,13 @@ fn run_case(point: CrashPoint, node: u32, hit: u64, txns: usize) {
             cluster.restart_node(idx).unwrap();
         }
         let rec = cluster.resolve_recovered();
-        assert_eq!(rec.failed, 0, "recovery re-drive failed: {rec:?}");
+        assert_eq!(rec.failed, 0, "{case}: recovery re-drive failed: {rec:?}");
 
-        // Final state, with retries while recovery lock releases settle.
-        let reader = cluster.client();
-        let mut finals: HashMap<Vec<u8>, Vec<GlobalTxId>> = HashMap::new();
-        'read: for attempt in 0..10 {
-            finals.clear();
-            let mut tx = reader.begin(1);
-            let mut ok = true;
-            for k in &keyspace {
-                match tx.get(k) {
-                    Ok(Some(bytes)) => {
-                        let list: Vec<GlobalTxId> = decode(&bytes).unwrap();
-                        finals.insert(k.clone(), list);
-                    }
-                    Ok(None) => {}
-                    Err(_) => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if ok && tx.commit().is_ok() {
-                break 'read;
-            }
-            assert!(attempt < 9, "final read never succeeded");
-            sleep(100 * MILLIS);
-        }
-
-        // No prepared transaction outlives recovery.
-        for i in 0..3 {
-            if let Some(store) = cluster.store(i) {
-                let prepared = store.prepared_txns();
-                assert!(
-                    prepared.is_empty(),
-                    "prepared locks leaked on node {}: {prepared:?}",
-                    i + 1
-                );
-            }
-        }
-
-        // Acked commits survive and the history is serializable.
-        if let Err(e) = check_list_append(&observations, &finals) {
-            panic!(
-                "oracle violated (point={point}, node={node}, hit={hit}, fired={}): {e}",
-                fired.len()
-            );
-        }
+        // Acked commits survive, nothing stays prepared, and the history
+        // is serializable.
+        let finals = read_lists(&cluster, 1, &keyspace, &case);
+        assert_nothing_prepared(&cluster, &case);
+        assert_serializable(&observations, &finals, &case);
     });
 }
 
