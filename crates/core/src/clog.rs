@@ -6,6 +6,15 @@
 //! prepare are stable (DESIGN.md §11), and the client hears then; the
 //! *decision* entry is appended behind that ack and stabilized before
 //! anyone else learns the outcome (§VI).
+//!
+//! The Start's write is not on the commit path: [`Clog::start`] registers
+//! the transaction in memory and hands its append and counter round to a
+//! helper fiber, so the prepares leave beside it, and the commit point
+//! joins the helper ([`PendingStart::wait_stable`]). The price is that a
+//! participant may hold a prepare whose Start never reached the disk. The
+//! Clog answers for that with presumed abort (R*): a transaction this
+//! coordinator does not know can never have reached its commit point, so
+//! [`Clog::outcome`] answers abort for it.
 
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -13,7 +22,7 @@ use std::rc::Rc;
 use treaty_crypto::codec;
 use treaty_crypto::codec::Record;
 use treaty_sim::crashpoint::CrashPoint;
-use treaty_sim::FiberCell;
+use treaty_sim::{FiberCell, FiberId};
 use treaty_store::env::Env;
 use treaty_store::log::{self, LogWriter};
 use treaty_store::{GlobalTxId, Result, StoreError};
@@ -65,6 +74,29 @@ pub struct Clog {
 impl std::fmt::Debug for Clog {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Clog").finish_non_exhaustive()
+    }
+}
+
+/// A Start record on its way to stable, written by [`Clog::start`]'s
+/// helper fiber.
+#[must_use = "the commit point waits for the Start"]
+pub struct PendingStart {
+    fiber: FiberId,
+    result: Rc<FiberCell<Option<Result<()>>>>,
+}
+
+impl PendingStart {
+    /// Waits until the Start is on disk and rollback-protected.
+    ///
+    /// # Errors
+    ///
+    /// The append's or the counter round's failure, or an I/O error when
+    /// the helper unwound (its node crashed) before it finished.
+    pub fn wait_stable(self) -> Result<()> {
+        treaty_sim::runtime::join(self.fiber);
+        self.result
+            .take()
+            .unwrap_or_else(|| Err(StoreError::Io("the Start's writer unwound".into())))
     }
 }
 
@@ -124,28 +156,56 @@ impl Clog {
         self.writer.append(&rec.to_bytes())
     }
 
-    /// Logs the start of 2PC for `gtx`. Returns the record's counter.
+    /// Logs the start of 2PC for `gtx` and returns the record's counter.
+    /// The transaction is registered before the write, so from here on
+    /// [`Clog::outcome`] answers "undecided" for it, not abort. The
+    /// protocol calls [`Clog::start`], which runs this write beside the
+    /// prepares; this is the same write on the caller's fiber.
     ///
     /// # Errors
     ///
     /// Propagates log I/O failures.
     pub fn log_start(&self, gtx: GlobalTxId, participants: Vec<u32>) -> Result<u64> {
+        self.register(gtx, &participants);
+        self.append_start(gtx, participants)
+    }
+
+    /// Starts 2PC for `gtx` without waiting for its record: registers the
+    /// transaction at once, then a helper fiber appends the Start and
+    /// makes it stable while the caller sends its prepares. Starts queued
+    /// behind one write share the next flush, and a counter round already
+    /// launched over a record carries it.
+    pub fn start(self: &Rc<Self>, gtx: GlobalTxId, participants: Vec<u32>) -> PendingStart {
+        self.register(gtx, &participants);
+        let result = Rc::new(FiberCell::new(None));
+        let (clog, out) = (Rc::clone(self), Rc::clone(&result));
+        let fiber = treaty_sim::runtime::spawn_daemon(move || {
+            treaty_sim::runtime::set_tag("clog-start");
+            let stable = clog
+                .append_start(gtx, participants)
+                .and_then(|counter| clog.stabilize(counter));
+            out.replace(Some(stable));
+        });
+        PendingStart { fiber, result }
+    }
+
+    fn register(&self, gtx: GlobalTxId, participants: &[u32]) {
+        self.state.borrow_mut().insert(
+            gtx,
+            TxProtocolState {
+                participants: participants.to_vec(),
+                decision: None,
+            },
+        );
+    }
+
+    fn append_start(&self, gtx: GlobalTxId, participants: Vec<u32>) -> Result<u64> {
         let _span = treaty_sim::obs::span_with(
             "clog.log_start",
             &[("participants", participants.len() as u64)],
         );
-        let rec = ClogRecord::Start {
-            gtx,
-            participants: participants.clone(),
-        };
-        let counter = self.append(&rec)?;
-        self.state.borrow_mut().insert(
-            gtx,
-            TxProtocolState {
-                participants,
-                decision: None,
-            },
-        );
+        let counter = self.append(&ClogRecord::Start { gtx, participants })?;
+        treaty_sim::crashpoint::hit(CrashPoint::CoordAfterClogStart);
         Ok(counter)
     }
 
@@ -172,27 +232,6 @@ impl Clog {
     /// is the append itself.
     fn is_stable(&self, counter: u64) -> bool {
         !self.env.profile.stabilization || self.writer.stable_counter() >= counter
-    }
-
-    /// Starts making the record at `counter` stable without waiting for
-    /// it: a helper fiber leads the counter round, and a later
-    /// [`Clog::stabilize`] joins it. Does nothing when there is no round to
-    /// run, when a launched round covers the record already (the Starts
-    /// that shared a flush share the first one's round; if it fails, the
-    /// join leads afresh), or outside the runtime.
-    pub fn kick_stabilize(&self, counter: u64) {
-        if self.is_stable(counter)
-            || self.writer.counter().covered() >= counter
-            || !treaty_sim::runtime::in_fiber()
-        {
-            return;
-        }
-        let writer = Rc::clone(&self.writer);
-        treaty_sim::runtime::spawn_daemon(move || {
-            treaty_sim::runtime::set_tag("clog-kick");
-            // A failed round is reported to whoever joins it.
-            let _ = writer.stabilize(counter);
-        });
     }
 
     /// Blocks until the record at `counter` is rollback-protected (§V-A
@@ -233,6 +272,21 @@ impl Clog {
     /// The logged decision for `gtx`, if any.
     pub fn decision(&self, gtx: GlobalTxId) -> Option<bool> {
         self.state.borrow().get(&gtx).and_then(|s| s.decision)
+    }
+
+    /// The outcome of a transaction this Clog's node coordinates — what
+    /// `QueryDecision` answers: its published decision, `None` while it is
+    /// undecided, and abort for a transaction the Clog does not know
+    /// (presumed abort). Every transaction is registered before its Start
+    /// is written and before any prepare leaves, so an unknown one either
+    /// never started or belongs to a past life whose Start never reached
+    /// the disk, or reached it unstable and was rolled back. Either way its
+    /// commit point, which needs the Start stable, was never reached.
+    pub fn outcome(&self, gtx: GlobalTxId) -> Option<bool> {
+        self.state
+            .borrow()
+            .get(&gtx)
+            .map_or(Some(false), |s| s.decision)
     }
 
     /// Transactions started but undecided — what recovery must re-drive —
@@ -358,6 +412,30 @@ mod tests {
         assert_eq!(clog.decision(gtx), Some(true));
         assert!(clog.undecided().is_empty());
         Ok(())
+    }
+
+    /// Presumed abort: a transaction the Clog does not know is answered
+    /// abort. One that [`Clog::start`] registered is undecided from the
+    /// moment of the call, before its Start is written, and after a
+    /// reopen that finds the Start on disk.
+    #[test]
+    fn an_unknown_transaction_is_presumed_aborted() -> Result<()> {
+        let dir = tempfile::tempdir()?;
+        let e = env(dir.path());
+        let gtx = GlobalTxId { node: 1, seq: 5 };
+        treaty_sched::block_on(move || {
+            let clog = Rc::new(Clog::open(Rc::clone(&e))?);
+            assert_eq!(clog.outcome(gtx), Some(false));
+            let start = clog.start(gtx, vec![1, 2]);
+            assert_eq!(clog.outcome(gtx), None, "registered before the write");
+            start.wait_stable()?;
+            drop(clog);
+            let clog = Clog::open(e)?;
+            assert_eq!(clog.outcome(gtx), None);
+            clog.log_decision(gtx, true)?;
+            assert_eq!(clog.outcome(gtx), Some(true));
+            Ok(())
+        })
     }
 
     /// A decision record that was appended but never had its round is made

@@ -264,6 +264,16 @@ pub enum PeerMsg {
         /// Transaction id.
         gtx: GlobalTxId,
     },
+    /// Prepare `gtx` on the slice this participant holds: it served the
+    /// transaction's operations before the commit. A participant that
+    /// holds no slice restarted since and lost its locks, and votes no
+    /// instead of beginning a fresh slice for `batch`.
+    PrepareHeld {
+        /// Transaction id.
+        gtx: GlobalTxId,
+        /// Writes to apply before preparing.
+        batch: Vec<Op>,
+    },
 }
 
 codec!(enum PeerMsg {
@@ -272,6 +282,7 @@ codec!(enum PeerMsg {
     2 => Commit { gtx },
     3 => Abort { gtx },
     4 => QueryDecision { gtx },
+    5 => PrepareHeld { gtx, batch },
 });
 
 /// Participant → coordinator replies.
@@ -568,7 +579,11 @@ mod tests {
             ops: ops.clone(),
         };
         assert_eq!(decode::<PeerMsg>(&encode(&slice)), Some(slice));
-        for (batch, read_only) in [(Vec::new(), false), (Vec::new(), true), (ops, false)] {
+        for (batch, read_only) in [
+            (Vec::new(), false),
+            (Vec::new(), true),
+            (ops.clone(), false),
+        ] {
             let m = PeerMsg::Prepare {
                 gtx,
                 batch,
@@ -576,6 +591,8 @@ mod tests {
             };
             assert_eq!(decode::<PeerMsg>(&encode(&m)), Some(m));
         }
+        let held = PeerMsg::PrepareHeld { gtx, batch: ops };
+        assert_eq!(decode::<PeerMsg>(&encode(&held)), Some(held));
     }
 
     #[test]

@@ -203,6 +203,17 @@ fn decision_wire(gtx: GlobalTxId, commit: bool) -> (u8, MsgKind, Vec<u8>) {
     }
 }
 
+/// What phase one asks of the remote participants.
+#[derive(Clone, Copy)]
+enum Lane<'a> {
+    /// Nothing was written anywhere: validate, release and vote.
+    ReadOnly,
+    /// Apply the piggybacked writes and prepare. The remotes in `held`
+    /// served the transaction's operations, so each must still hold its
+    /// slice.
+    Write { held: &'a [EndpointId] },
+}
+
 #[derive(Default)]
 struct CoordTxn {
     /// Remote participant endpoints (self excluded).
@@ -779,22 +790,27 @@ impl TreatyNode {
                 };
             }
         }
+        // The remotes so far served the transaction's operations and hold
+        // a slice of it; a batch owner added here begins one at prepare.
+        let held = ctx.remotes.clone();
         for (owner, _) in &batches {
             if !ctx.remotes.contains(owner) {
                 ctx.remotes.push(*owner);
             }
         }
-        self.run_two_phase_commit(gtx, ctx, batches)
+        self.run_two_phase_commit(gtx, ctx, batches, &held)
     }
 
     /// The secure two-phase commit of Fig. 2. `batches` carries the writes
     /// to piggyback on the prepare message per remote shard (empty when
-    /// everything was shipped before the commit).
+    /// everything was shipped before the commit); the remotes in `held`
+    /// served the transaction's operations before the commit.
     fn run_two_phase_commit(
         self: &Rc<Self>,
         gtx: GlobalTxId,
         mut ctx: CoordTxn,
         batches: Vec<(EndpointId, Vec<Op>)>,
+        held: &[EndpointId],
     ) -> CommitResult {
         treaty_sim::runtime::set_tag("h:2pc");
         // Fast path: single-participant transaction, local only (1PC).
@@ -815,40 +831,27 @@ impl TreatyNode {
         }
 
         // (5) Log the transaction to the Clog with a trusted counter value.
-        // Nothing in phase one depends on the record being stable, so its
-        // counter round starts now and runs alongside the prepares.
+        // Nothing in phase one depends on the record: its append and its
+        // counter round run on a helper fiber beside the prepares, and a
+        // participant prepared under a Start that never reached the disk
+        // learns presumed abort (`Clog::outcome`).
         let mut participants: Vec<u32> = ctx.remotes.clone();
         if ctx.local.is_some() {
             participants.push(self.endpoint);
         }
-        treaty_sim::runtime::set_tag("h:2pc-clog-start");
-        let start = match &self.clog {
-            Some(clog) => match clog.log_start(gtx, participants) {
-                Ok(counter) => {
-                    clog.kick_stabilize(counter);
-                    Some((clog, counter))
-                }
-                Err(e) => {
-                    self.abort_everywhere(gtx, ctx);
-                    return CommitResult::Aborted {
-                        reason: format!("clog: {e}"),
-                    };
-                }
-            },
-            None => None,
-        };
-        treaty_sim::crashpoint::hit(CrashPoint::CoordAfterClogStart);
+        let start = self.clog.as_ref().map(|clog| clog.start(gtx, participants));
 
         treaty_sim::runtime::set_tag("h:2pc-fanout");
         let mut refused = {
             let _prepare =
                 treaty_sim::obs::span_with("2pc.prepare", &[("remotes", ctx.remotes.len() as u64)]);
-            self.collect_votes(gtx, &mut ctx, batches, false)
+            self.collect_votes(gtx, &mut ctx, batches, Lane::Write { held })
         };
-        if let Some((clog, counter)) = start {
-            // The votes' other half: joins the round kicked above.
+        if let Some(start) = start {
+            // The votes' other half. The prepares are out, so a Start that
+            // failed aborts through the decision below.
             let _join = treaty_sim::obs::span("2pc.start_stable");
-            if let Err(e) = clog.stabilize(counter) {
+            if let Err(e) = start.wait_stable() {
                 refused.get_or_insert(format!("clog start: {e}"));
             }
         }
@@ -997,7 +1000,7 @@ impl TreatyNode {
             "2pc.read_only_finish",
             &[("remotes", ctx.remotes.len() as u64)],
         );
-        match self.collect_votes(gtx, &mut ctx, Vec::new(), true) {
+        match self.collect_votes(gtx, &mut ctx, Vec::new(), Lane::ReadOnly) {
             None => {
                 treaty_sim::obs::counter_add("core.read_only_commits", 1);
                 CommitResult::Committed
@@ -1021,7 +1024,7 @@ impl TreatyNode {
         gtx: GlobalTxId,
         ctx: &mut CoordTxn,
         mut batches: Vec<(EndpointId, Vec<Op>)>,
-        read_only: bool,
+        lane: Lane<'_>,
     ) -> Option<String> {
         let mut pending: Vec<(EndpointId, PendingReply)> = Vec::with_capacity(ctx.remotes.len());
         for &r in &ctx.remotes {
@@ -1031,10 +1034,18 @@ impl TreatyNode {
                 .map(|(_, b)| std::mem::take(b))
                 .unwrap_or_default();
             let meta = self.peer_meta(gtx, MsgKind::TxnPrepare);
-            let msg = encode(&PeerMsg::Prepare {
-                gtx,
-                batch,
-                read_only,
+            let msg = encode(&match lane {
+                Lane::ReadOnly => PeerMsg::Prepare {
+                    gtx,
+                    batch,
+                    read_only: true,
+                },
+                Lane::Write { held } if held.contains(&r) => PeerMsg::PrepareHeld { gtx, batch },
+                Lane::Write { .. } => PeerMsg::Prepare {
+                    gtx,
+                    batch,
+                    read_only: false,
+                },
             });
             pending.push((
                 r,
@@ -1049,7 +1060,7 @@ impl TreatyNode {
         // Either way the local transaction is consumed: prepared state
         // lives in the engine from here (or was rolled back).
         if let Some(mut local) = ctx.local.take() {
-            let (step, done) = if read_only {
+            let (step, done) = if matches!(lane, Lane::ReadOnly) {
                 ("read-only finish", local.commit().map(|_| ()))
             } else {
                 ("prepare", local.prepare(gtx))
@@ -1359,7 +1370,9 @@ impl TreatyNode {
         treaty_sim::obs::set_node(self.endpoint);
         let (phase, gtx) = match &msg {
             PeerMsg::Ops { gtx, .. } => ("2pc.participant.op", *gtx),
-            PeerMsg::Prepare { gtx, .. } => ("2pc.participant.prepare", *gtx),
+            PeerMsg::Prepare { gtx, .. } | PeerMsg::PrepareHeld { gtx, .. } => {
+                ("2pc.participant.prepare", *gtx)
+            }
             PeerMsg::Commit { gtx } => ("2pc.participant.commit", *gtx),
             PeerMsg::Abort { gtx } => ("2pc.participant.abort", *gtx),
             PeerMsg::QueryDecision { gtx } => ("2pc.participant.query", *gtx),
@@ -1400,31 +1413,8 @@ impl TreatyNode {
                     yes: txn.is_some_and(|mut txn| txn.commit().is_ok()),
                 }
             }
-            PeerMsg::Prepare { gtx, batch, .. } => {
-                treaty_sim::crashpoint::hit(CrashPoint::PartBeforePrepare);
-                self.stats.borrow_mut().participant_ops += batch.len() as u64;
-                let txn = self.active_part.borrow_mut().remove(&gtx);
-                // A piggybacked batch means this shard received writes with
-                // the prepare itself (execute+prepare in one round trip) —
-                // begin the engine transaction here if the shard saw
-                // nothing earlier.
-                let txn = match txn {
-                    Some(t) => Some(t),
-                    None if batch.is_empty() => None,
-                    None => Some(self.engine.begin_txn(self.txn_mode)),
-                };
-                let yes = match txn {
-                    // A failed batch drops the txn -> rolled back; vote no.
-                    Some(mut txn) => {
-                        !matches!(apply_ops(txn.as_mut(), &batch), OpResult::Failed(_))
-                            && txn.prepare(gtx).is_ok()
-                    }
-                    // Recovery re-drive: still prepared from a past life?
-                    None => self.engine.prepared_txns().contains(&gtx),
-                };
-                treaty_sim::crashpoint::hit(CrashPoint::PartAfterPrepare);
-                PeerReply::Vote { yes }
-            }
+            PeerMsg::Prepare { gtx, batch, .. } => self.prepare_slice(gtx, batch, false),
+            PeerMsg::PrepareHeld { gtx, batch } => self.prepare_slice(gtx, batch, true),
             PeerMsg::Commit { gtx } => {
                 let _ = self.engine.commit_prepared(gtx);
                 treaty_sim::crashpoint::hit(CrashPoint::PartAfterCommitApply);
@@ -1439,7 +1429,7 @@ impl TreatyNode {
                 PeerReply::Ack
             }
             PeerMsg::QueryDecision { gtx } => PeerReply::Decision {
-                commit: self.clog.as_ref().and_then(|c| c.decision(gtx)),
+                commit: self.outcome_as_coordinator(gtx),
             },
         };
         Some((
@@ -1449,6 +1439,47 @@ impl TreatyNode {
             },
             encode(&reply),
         ))
+    }
+
+    /// A participant's write-lane prepare: apply `batch` to this shard's
+    /// slice of `gtx`, prepare it, and vote. A shard that received nothing
+    /// before the commit begins its slice here (execute+prepare in one
+    /// round trip). One that `held` a slice and holds none now restarted
+    /// since and lost the locks that slice's reads took, so it votes no
+    /// rather than begin a fresh one: a fresh slice would vouch for reads
+    /// nothing protects any more.
+    fn prepare_slice(&self, gtx: GlobalTxId, batch: Vec<Op>, held: bool) -> PeerReply {
+        treaty_sim::crashpoint::hit(CrashPoint::PartBeforePrepare);
+        self.stats.borrow_mut().participant_ops += batch.len() as u64;
+        let txn = self.active_part.borrow_mut().remove(&gtx);
+        let txn = match txn {
+            Some(t) => Some(t),
+            None if held || batch.is_empty() => None,
+            None => Some(self.engine.begin_txn(self.txn_mode)),
+        };
+        let yes = match txn {
+            // A failed batch drops the txn -> rolled back; vote no.
+            Some(mut txn) => {
+                !matches!(apply_ops(txn.as_mut(), &batch), OpResult::Failed(_))
+                    && txn.prepare(gtx).is_ok()
+            }
+            // Recovery re-drive: still prepared from a past life?
+            None => !held && self.engine.prepared_txns().contains(&gtx),
+        };
+        treaty_sim::crashpoint::hit(CrashPoint::PartAfterPrepare);
+        PeerReply::Vote { yes }
+    }
+
+    /// What this node, as `gtx`'s coordinator, answers for it: the Clog's
+    /// outcome, presumed abort included (`Clog::outcome`). `None` for a
+    /// transaction another node coordinates, and on a node without a Clog.
+    fn outcome_as_coordinator(&self, gtx: GlobalTxId) -> Option<bool> {
+        let clog = self.clog.as_ref()?;
+        if gtx.node == u64::from(self.endpoint) {
+            clog.outcome(gtx)
+        } else {
+            None
+        }
     }
 
     // ---- recovery ------------------------------------------------------------
@@ -1539,33 +1570,30 @@ impl TreatyNode {
             }
         }
 
-        // Participant side: resolve prepared transactions coordinated
-        // elsewhere.
+        // Participant side: resolve every prepared transaction the
+        // re-drive above left by asking its coordinator. This node answers
+        // for its own from its Clog: one the Clog does not know is
+        // presumed aborted, as its Start never reached the disk.
         for gtx in self.engine.prepared_txns() {
-            if gtx.node == self.endpoint as u64 {
-                continue; // our own coordination handled above
-            }
-            let meta = self.peer_meta(gtx, MsgKind::QueryDecision);
-            let msg = encode(&PeerMsg::QueryDecision { gtx });
-            if let Ok((_, bytes)) = self
-                .rpc
-                .call(gtx.node as u32, req::QUERY_DECISION, &meta, &msg)
-            {
-                match decode::<PeerReply>(&bytes) {
-                    Some(PeerReply::Decision { commit: Some(true) }) => {
-                        let _ = self.engine.commit_prepared(gtx);
-                        outcome.resolved += 1;
-                        treaty_sim::obs::counter_add("core.recovery_resolved", 1);
-                    }
-                    Some(PeerReply::Decision {
-                        commit: Some(false),
-                    }) => {
-                        let _ = self.engine.abort_prepared(gtx);
-                        outcome.resolved += 1;
-                        treaty_sim::obs::counter_add("core.recovery_resolved", 1);
-                    }
-                    _ => {} // undecided: the coordinator re-drives
-                }
+            let commit = if gtx.node == u64::from(self.endpoint) {
+                self.outcome_as_coordinator(gtx)
+            } else {
+                let meta = self.peer_meta(gtx, MsgKind::QueryDecision);
+                let msg = encode(&PeerMsg::QueryDecision { gtx });
+                self.rpc
+                    .call(gtx.node as u32, req::QUERY_DECISION, &meta, &msg)
+                    .ok()
+                    .and_then(|(_, bytes)| match decode::<PeerReply>(&bytes) {
+                        Some(PeerReply::Decision { commit }) => commit,
+                        _ => None,
+                    })
+            };
+            // `None`: undecided, or the coordinator is out of reach. Its
+            // re-drive decides it.
+            if let Some(commit) = commit {
+                self.decide_local(gtx, commit);
+                outcome.resolved += 1;
+                treaty_sim::obs::counter_add("core.recovery_resolved", 1);
             }
         }
         outcome

@@ -610,3 +610,58 @@ fn concurrent_rollbacks_share_the_coordinator_table() {
         assert_eq!(cluster.totals(), (0, CLIENTS * TXNS));
     });
 }
+
+/// A participant that served a transaction's reads and lost them in a
+/// restart votes no on that transaction's prepare, writes piggybacked on
+/// it or not. T1 reads `a` and T2 reads `b` on node 2, and each writes the
+/// key the other read; node 2 restarts between T1's read and its commit.
+/// If node 2 began a fresh slice for T1's write, both would commit having
+/// read the initial values: a write-skew cycle.
+#[test]
+fn a_participant_that_lost_its_slice_votes_no() {
+    let dir = tempfile::tempdir().unwrap();
+    let path = dir.path().to_path_buf();
+    block_on(move || {
+        let mut cluster = Cluster::start(options(&path)).unwrap();
+        let on_node_2: Vec<Vec<u8>> = (0..10_000u32)
+            .map(|i| format!("skew-{i}").into_bytes())
+            .filter(|k| cluster.shard_map().owner(k) == 2)
+            .take(2)
+            .collect();
+        let (a, b) = (&on_node_2[0], &on_node_2[1]);
+        let client = cluster.client();
+        let mut seed = client.begin(1);
+        seed.put(a, b"a0").unwrap();
+        seed.put(b, b"b0").unwrap();
+        seed.commit().unwrap();
+
+        let mut t1 = client.begin(1);
+        let t1_read = t1.get(a).unwrap();
+        cluster.crash_node(1);
+        cluster.restart_node(1).expect("node 2 reopens");
+        assert_eq!(cluster.resolve_recovered().failed, 0);
+
+        let other = cluster.client();
+        let mut t2 = other.begin(1);
+        let t2_read = t2.get(b).unwrap();
+        t2.put(a, b"a2").unwrap();
+        let t2_committed = t2.commit().is_ok();
+        t1.put(b, b"b1").unwrap();
+        let t1_committed = t1.commit().is_ok();
+
+        let show = |v: &Option<Vec<u8>>| {
+            String::from_utf8_lossy(v.as_deref().unwrap_or_default()).into_owned()
+        };
+        let history = format!(
+            "T1 read a={} then committed {t1_committed}; T2 read b={} then committed {t2_committed}",
+            show(&t1_read),
+            show(&t2_read),
+        );
+        assert!(t2_committed, "{history}");
+        assert!(!t1_committed, "{history}");
+        let mut check = client.begin(1);
+        assert_eq!(check.get(a).unwrap().as_deref(), Some(&b"a2"[..]));
+        assert_eq!(check.get(b).unwrap().as_deref(), Some(&b"b0"[..]));
+        check.commit().unwrap();
+    });
+}

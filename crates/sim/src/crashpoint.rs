@@ -86,7 +86,8 @@ crash_points! {
     /// treaty_sim::crashpoint::hit(treaty_sim::crashpoint::CrashPoint::CoordTypo);
     /// ```
     pub enum CrashPoint {
-        // Coordinator (treaty-core node.rs, Fig. 2 steps 2-13).
+        // Coordinator (treaty-core node.rs, Fig. 2 steps 2-13; the first
+        // fires on the Start's writer in clog.rs, the Start on disk).
         CoordAfterClogStart => "coord.after_clog_start",
         CoordAfterPrepareFanout => "coord.after_prepare_fanout",
         CoordAfterVotes => "coord.after_votes",

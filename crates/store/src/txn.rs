@@ -187,10 +187,6 @@ pub struct Txn {
     read_set: Vec<(UserKey, SeqNum)>,
     /// Buffered range deletes, in buffer order.
     ranges: Vec<(UserKey, UserKey)>,
-    /// Next-key / gap locks (scans, range deletes): the subset of `locked`
-    /// that must survive into the prepared record — releasing them at
-    /// prepare would let a phantom slip under an in-doubt predicate.
-    range_locked: Vec<UserKey>,
     /// Scanned spans, re-validated at OCC commit by re-running the scan
     /// and comparing.
     scan_set: Vec<ScannedSpan>,
@@ -223,7 +219,6 @@ impl Txn {
             locked: Vec::new(),
             read_set: Vec::new(),
             ranges: Vec::new(),
-            range_locked: Vec::new(),
             scan_set: Vec::new(),
             scan_registered: false,
             state: TxnState::Active,
@@ -248,16 +243,6 @@ impl Txn {
         Ok(new)
     }
 
-    /// Takes a next-key / gap lock: tracked in `range_locked` so it is
-    /// held through prepare until the 2PC decision. Only a key this
-    /// transaction held already can be there.
-    fn lock_gap(&mut self, key: &[u8], mode: LockMode) -> Result<()> {
-        if self.lock(key, mode)? || !self.range_locked.iter().any(|k| k == key) {
-            self.range_locked.push(key.to_vec());
-        }
-        Ok(())
-    }
-
     /// Registers this txn on the store's `active_scans` gauge (once).
     /// While the gauge is non-zero, point inserts pay the successor gap
     /// lock that makes next-key locking airtight; the gauge drops when
@@ -279,7 +264,6 @@ impl Txn {
 
     fn release_locks(&mut self) {
         let keys = std::mem::take(&mut self.locked);
-        self.range_locked.clear();
         self.store.inner.locks.release(self.id, keys);
         self.unregister_scan();
     }
@@ -321,13 +305,13 @@ impl Txn {
                 return Ok(span);
             }
             for k in span.present.iter().chain(std::iter::once(&span.bound)) {
-                self.lock_gap(k, mode)?;
+                self.lock(k, mode)?;
             }
             // The bound lies short of `end` only when `limit` cut the pass.
             let upper = end.min(&span.bound);
             let locks = &self.store.inner.locks;
             for k in locks.exclusive_in_span(self.id, start, upper) {
-                self.lock_gap(&k, mode)?;
+                self.lock(&k, mode)?;
             }
             if self.store.apply_epoch() == epoch {
                 return Ok(span);
@@ -509,7 +493,7 @@ impl EngineTxn for Txn {
                 Err(e) => return Err(self.abort_with(e)),
             };
             if let Some(bound) = fence {
-                if let Err(e) = self.lock_gap(&bound, LockMode::Exclusive) {
+                if let Err(e) = self.lock(&bound, LockMode::Exclusive) {
                     return Err(self.abort_with(e));
                 }
             }
@@ -601,26 +585,13 @@ impl EngineTxn for Txn {
         }
         let writes = self.buffer.to_ops();
         let ranges = self.ranges.clone();
-        // Write locks AND the next-key/gap locks of scans and range
-        // deletes move to the prepared record (same owner id) and are held
-        // until the decision — releasing a predicate fence here would let
-        // a phantom commit under an in-doubt scan. Plain read locks may
-        // release once prepared: the growing phase is over and this
-        // transaction will never read again, so any later writer
-        // serializes after it.
-        let mut lock_keys: Vec<UserKey> = writes.iter().map(|w| w.key.clone()).collect();
-        for k in &self.range_locked {
-            if !lock_keys.iter().any(|l| l == k) {
-                lock_keys.push(k.clone());
-            }
-        }
-        let retained: std::collections::HashSet<&UserKey> = lock_keys.iter().collect();
-        let read_only: Vec<UserKey> = self
-            .locked
-            .iter()
-            .filter(|k| !retained.contains(k))
-            .cloned()
-            .collect();
+        // Every lock moves to the prepared record (same owner id) and is
+        // held until the decision: write locks, the next-key/gap locks of
+        // scans and range deletes, and plain read locks. A read lock
+        // released here would let a writer commit over the read while
+        // this transaction's writes on another shard are still in doubt:
+        // T1 = r(x)@A w(y)@B and T2 = w(x)@A r(y)@B would both commit.
+        let lock_keys = self.locked.clone();
         let rec = WalRecord::Prepare {
             gtx,
             writes: writes.clone(),
@@ -654,9 +625,7 @@ impl EngineTxn for Txn {
             return Err(self.abort_with(e));
         }
         treaty_sim::crashpoint::hit(CrashPoint::StorePrepareLogged);
-        self.store.inner.locks.release(self.id, read_only);
         self.locked.clear();
-        self.range_locked.clear();
         // A prepared txn never reads again, so later inserts serialize
         // after its lock point even without the gauge; the retained gap
         // locks still physically block them until the decision.
@@ -733,7 +702,7 @@ impl EngineTxn for Txn {
 
 impl Txn {
     /// Locks `key` in `mode` without waiting; a refusal is a conflict.
-    /// Held until the txn finishes (a plain read lock: until it prepares).
+    /// Held until the txn finishes, or if it prepares, until the decision.
     fn try_lock(&mut self, key: UserKey, mode: LockMode) -> Result<()> {
         if self
             .store
@@ -1186,8 +1155,8 @@ mod tests {
     use treaty_sim::SecurityProfile;
 
     /// A key read, then upgraded, then fenced as a gap is one entry of
-    /// `locked` (and of `range_locked`): the lock table reports a new
-    /// holder once, and only then does the transaction record the key.
+    /// `locked`: the lock table reports a new holder once, and only then
+    /// does the transaction record the key.
     #[test]
     fn a_key_read_upgraded_and_gap_locked_is_recorded_once() {
         let dir = tempfile::tempdir().unwrap();
@@ -1197,11 +1166,9 @@ mod tests {
         assert_eq!(tx.get(b"k").unwrap(), None);
         tx.put(b"k", b"v").unwrap();
         assert!(!tx.lock(b"k", LockMode::Exclusive).unwrap(), "held already");
-        tx.lock_gap(b"k", LockMode::Shared).unwrap();
-        tx.lock_gap(b"k", LockMode::Exclusive).unwrap();
-        tx.lock_gap(b"n", LockMode::Shared).unwrap();
+        assert!(!tx.lock(b"k", LockMode::Shared).unwrap(), "held already");
+        assert!(tx.lock(b"n", LockMode::Shared).unwrap(), "a new gap bound");
         assert_eq!(tx.locked, vec![b"k".to_vec(), b"n".to_vec()]);
-        assert_eq!(tx.range_locked, vec![b"k".to_vec(), b"n".to_vec()]);
         assert_eq!(store.locked_keys(), 2);
         tx.commit().unwrap();
         assert_eq!(store.locked_keys(), 0);

@@ -50,7 +50,7 @@ use treaty::core::client::client_net;
 use treaty::core::clog::{ClogRecord, CLOG_FILE, CLOG_NAME};
 use treaty::core::cluster::{wire_crypto, COUNTER_BASE, COUNTER_CLIENT_BASE};
 use treaty::core::messages::{decode, encode, req, PeerMsg, PeerReply};
-use treaty::core::{Cluster, DistTxn, TreatyError};
+use treaty::core::{Cluster, ClusterOptions, DistTxn, TreatyError};
 use treaty::crypto::codec::Record as _;
 use treaty::crypto::{MsgKind, TxMeta};
 use treaty::net::{Rpc, RpcConfig};
@@ -59,7 +59,7 @@ use treaty::sim::crashpoint::{self, CrashPoint, FaultSchedule};
 use treaty::sim::runtime::{join, now, sleep, spawn};
 use treaty::sim::{SecurityProfile, MICROS, MILLIS, SECONDS};
 use treaty::store::log::{counter_id, replay};
-use treaty::store::{GlobalTxId, TxnEngine as _};
+use treaty::store::{EngineConfig, GlobalTxId, TxnEngine as _};
 
 /// Endpoint of the coordinator every transaction uses.
 const COORD: u32 = 1;
@@ -887,7 +887,7 @@ fn run_round_acked_cell() -> String {
 /// their Clog records queue behind one another's writes and share flushes;
 /// the coordinator dies at its `hit`-th `log.batch_written` — a batch on
 /// disk, none of its callers told. `starts`: the batch holds `Start`
-/// records (callers that never sent a prepare), else `Decision{commit}`s
+/// records (their prepares left beside them), else `Decision{commit}`s
 /// of commits already acknowledged at their commit point, which the
 /// adversary then cuts from the file (the batch never had its round).
 /// Whatever the file shows is what recovery acts on: every `Start` without
@@ -961,10 +961,17 @@ fn run_clog_batch_cell(hit: u64, starts: bool) -> String {
             .collect();
         let premise = if starts {
             assert!(committed.is_empty(), "{cell}: past the Starts: {on_disk:?}");
-            let untold = started.len() - store(&cluster, PART).prepared_txns().len();
+            // The first doomed Start found the writer idle and went alone,
+            // so the crashed batch holds every later one. Their prepares
+            // may be out, but no client of theirs can have heard Committed.
+            let untold = started
+                .iter()
+                .skip(1)
+                .filter(|g| doomed.iter().any(|(obs, a)| obs.id == **g && *a != 'C'))
+                .count();
             assert!(
                 untold >= 2,
-                "{cell}: the crashed batch must hold two records or more, acks {acks}: {on_disk:?}"
+                "{cell}: the crashed batch must hold two Starts of unacknowledged clients or more, acks {acks}: {on_disk:?}"
             );
             format!("untold={untold}")
         } else {
@@ -1034,6 +1041,86 @@ fn run_clog_batch_cell(hit: u64, starts: bool) -> String {
     })
 }
 
+/// Cuts `gtx`'s Start, and whatever follows it, from the coordinator's
+/// Clog; returns whether the file held it.
+fn cut_start(cluster: &Cluster, gtx: GlobalTxId) -> bool {
+    let env = cluster.env((COORD - 1) as usize).expect("durable cluster");
+    let path = env.dir.join(CLOG_FILE);
+    let records = replay(env, CLOG_NAME, &path)
+        .expect("the Clog replays")
+        .records;
+    let start = records.iter().find(|(_, payload)| {
+        matches!(ClogRecord::from_bytes(payload), Ok(ClogRecord::Start { gtx: g, .. }) if g == gtx)
+    });
+    let Some(&(at, _)) = start else {
+        return false;
+    };
+    let raw = std::fs::read(&path).unwrap();
+    // Frame: counter 8 B | payload length 4 B | payload | MAC 32 B.
+    let mut pos = 0;
+    while u64::from_le_bytes(raw[pos..pos + 8].try_into().unwrap()) != at {
+        let len = u32::from_le_bytes(raw[pos + 8..pos + 12].try_into().unwrap()) as usize;
+        pos += 12 + len + 32;
+    }
+    std::fs::write(&path, &raw[..pos]).unwrap();
+    true
+}
+
+/// The coordinator dies with its prepares out, and the adversary cuts the
+/// transaction's Start from the Clog if it reached the disk (under
+/// `native_treaty` no counter holds the Clog's length, so the cut is no
+/// freshness error). Every participant prepared; the restarted coordinator
+/// does not know the transaction and answers their `QueryDecision` with
+/// presumed abort.
+fn run_lost_start_cell() -> String {
+    let dir = tempfile::tempdir().unwrap();
+    let path = dir.path().to_path_buf();
+    block_on(move || {
+        let plan = crashpoint::install();
+        let mut options = ClusterOptions::new(SecurityProfile::native_treaty(), path);
+        options.engine_config = EngineConfig::tiny();
+        let mut cluster = Cluster::start(options).expect("the cluster boots");
+        let keys: Vec<Vec<u8>> = key_per_node(&cluster).into_values().collect();
+        seed(&cluster, &keys);
+        let point = CrashPoint::CoordAfterPrepareFanout;
+        let cell = format!("{point} lost start");
+
+        plan.arm(FaultSchedule::new().crash_at(point, COORD, 1));
+        let client = cluster.client();
+        let mut tx = client.begin(COORD);
+        let gtx = tx.gtx();
+        for k in &keys {
+            tx.put(k, b"doomed").expect("buffered put");
+        }
+        let acked = ack(tx.commit());
+        assert_ne!(acked, 'C', "{cell}: committed without the coordinator");
+        sleep(SECONDS);
+        let fired_at = fired_once(&plan, point, COORD, &cell);
+        for n in [PART, SPARE] {
+            let prepared = store(&cluster, n).prepared_txns();
+            assert_eq!(prepared, [gtx], "{cell}: n{n} did not prepare");
+        }
+
+        cluster.crash_node((COORD - 1) as usize);
+        let cut = cut_start(&cluster, gtx);
+        cluster.restart_node((COORD - 1) as usize).unwrap();
+        let rec = cluster.resolve_recovered();
+        assert_eq!(rec.failed, 0, "{cell}: {rec:?}");
+        assert_nothing_prepared(&cluster, &cell);
+        let mut tx = client.begin(SPARE);
+        for k in &keys {
+            let got = tx.get(k).expect("post-recovery read");
+            assert_eq!(got.as_deref(), Some(&b"seed"[..]), "{cell}: applied");
+        }
+        tx.commit().expect("verify commit");
+
+        format!(
+            "{cell} fired@{fired_at} acked={acked} cut={cut} rec={}/{}/{}",
+            rec.re_decided, rec.resolved, rec.failed,
+        )
+    })
+}
+
 fn run_twice(cell: impl Fn() -> String) {
     let t1 = cell();
     println!("{t1}");
@@ -1049,11 +1136,12 @@ fn round_acked_crash_leaves_the_prepare_in_doubt() {
 
 /// The coordinator dies with a batch of Clog records written and none of
 /// its callers told. Its second flush holds three `Start`s (the first
-/// found the writer idle and went alone): no prepare ever left for them,
-/// recovery aborts all three and commits the one that was in its vote
-/// phase. Its fifth holds two `Decision{commit}`s of commits already
-/// acknowledged, whose round never ran: with them cut from the file,
-/// recovery commits both from their Starts and the stable Prepares.
+/// found the writer idle and went alone): their prepares left beside
+/// them, every participant prepared, and recovery commits all four from
+/// the Starts the file shows. Its fifth holds two `Decision{commit}`s of
+/// commits already acknowledged, whose round never ran: with them cut
+/// from the file, recovery commits both from their Starts and the stable
+/// Prepares.
 #[test]
 fn clog_batch_crash_recovers_from_what_the_file_shows() {
     run_twice(|| run_clog_batch_cell(2, true));
@@ -1256,4 +1344,12 @@ fn commit_point_appended_is_not_externalised() {
         assert_eq!(clog.decision(gtx), Some(true));
         assert_committed_everywhere(&cluster, gtx, &keys, "externalised");
     });
+}
+
+/// Presumed abort: a participant prepared under a Start that never
+/// reached the Clog, or was cut from it, aborts at recovery instead of
+/// waiting for a decision nobody can reach.
+#[test]
+fn a_participant_prepared_under_a_lost_start_is_aborted() {
+    run_twice(run_lost_start_cell);
 }

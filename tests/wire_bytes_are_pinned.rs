@@ -296,6 +296,25 @@ fn sealed_blobs() -> Vec<Vec<u8>> {
     )])
 }
 
+/// The prepare to a participant that must still hold its slice. It came
+/// after the classes above were pinned and has a line of its own, so
+/// their digests show that no earlier payload's bytes moved.
+fn held_prepares() -> Vec<Vec<u8>> {
+    [
+        PeerMsg::PrepareHeld {
+            gtx: gtx(2),
+            batch: ops(),
+        },
+        PeerMsg::PrepareHeld {
+            gtx: gtx(6),
+            batch: Vec::new(),
+        },
+    ]
+    .iter()
+    .map(messages::encode)
+    .collect()
+}
+
 /// SHA-256 over each encoding, length-prefixed, in order, as hex.
 fn digest(encodings: &[Vec<u8>]) -> String {
     let mut all = Vec::new();
@@ -308,7 +327,7 @@ fn digest(encodings: &[Vec<u8>]) -> String {
 
 #[test]
 fn every_record_class_encodes_to_its_pinned_bytes() {
-    let classes: [(&str, Vec<Vec<u8>>, &str); 8] = [
+    let classes: [(&str, Vec<Vec<u8>>, &str); 9] = [
         (
             "protocol payload",
             protocol_payloads(),
@@ -348,6 +367,11 @@ fn every_record_class_encodes_to_its_pinned_bytes() {
             "sealed blob",
             sealed_blobs(),
             "e7b7e327ebababade7ff93ce034a652fcd88e9ff920fcc2e840df6ddcd6faef3",
+        ),
+        (
+            "held prepare",
+            held_prepares(),
+            "a617b5af8f13161b955d4850c6d320d36d0add15bef4d91df7a12d385c1808a6",
         ),
     ];
     let moved: Vec<String> = classes
