@@ -274,6 +274,17 @@ pub enum PeerMsg {
         /// Writes to apply before preparing.
         batch: Vec<Op>,
     },
+    /// Apply this shard's slice of an operation list inside `gtx` on the
+    /// slice this participant holds: it served the transaction's earlier
+    /// operations. A participant that holds no slice restarted since and
+    /// lost its locks, and fails the list instead of beginning a fresh
+    /// slice for `ops`.
+    OpsHeld {
+        /// Transaction id.
+        gtx: GlobalTxId,
+        /// The operations, in client issue order.
+        ops: Vec<Op>,
+    },
 }
 
 codec!(enum PeerMsg {
@@ -283,6 +294,7 @@ codec!(enum PeerMsg {
     3 => Abort { gtx },
     4 => QueryDecision { gtx },
     5 => PrepareHeld { gtx, batch },
+    6 => OpsHeld { gtx, ops },
 });
 
 /// Participant → coordinator replies.
@@ -591,6 +603,11 @@ mod tests {
             };
             assert_eq!(decode::<PeerMsg>(&encode(&m)), Some(m));
         }
+        let held = PeerMsg::OpsHeld {
+            gtx,
+            ops: ops.clone(),
+        };
+        assert_eq!(decode::<PeerMsg>(&encode(&held)), Some(held));
         let held = PeerMsg::PrepareHeld { gtx, batch: ops };
         assert_eq!(decode::<PeerMsg>(&encode(&held)), Some(held));
     }

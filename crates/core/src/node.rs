@@ -27,8 +27,8 @@ use treaty_store::{
 
 use crate::clog::Clog;
 use crate::messages::{
-    decode, encode, req, ClientCommitReq, CommitResult, ObsSnapshotReply, Op, OpFailure, OpResult,
-    PeerMsg, PeerReply, SnapshotReadReply, SnapshotReadReq, SnapshotValidateReply,
+    decode, encode, req, ClientCommitReq, CommitResult, FailCode, ObsSnapshotReply, Op, OpFailure,
+    OpResult, PeerMsg, PeerReply, SnapshotReadReply, SnapshotReadReq, SnapshotValidateReply,
     SnapshotValidateReq, WriteCmd,
 };
 use crate::shard::ShardMap;
@@ -629,11 +629,17 @@ impl TreatyNode {
         let (local_ops, remote) = self.route(ops);
         let mut pending: Vec<(EndpointId, PendingReply)> = Vec::with_capacity(remote.len());
         for (owner, slice) in remote {
-            if !ctx.remotes.contains(&owner) {
+            // A remote already in the set holds a slice of `gtx`.
+            let held = ctx.remotes.contains(&owner);
+            if !held {
                 ctx.remotes.push(owner);
             }
             let meta = self.peer_meta(gtx, MsgKind::TxnPut);
-            let payload = encode(&PeerMsg::Ops { gtx, ops: slice });
+            let payload = encode(&if held {
+                PeerMsg::OpsHeld { gtx, ops: slice }
+            } else {
+                PeerMsg::Ops { gtx, ops: slice }
+            });
             pending.push((
                 owner,
                 self.rpc
@@ -1369,7 +1375,7 @@ impl TreatyNode {
         let msg: PeerMsg = decode(&payload)?;
         treaty_sim::obs::set_node(self.endpoint);
         let (phase, gtx) = match &msg {
-            PeerMsg::Ops { gtx, .. } => ("2pc.participant.op", *gtx),
+            PeerMsg::Ops { gtx, .. } | PeerMsg::OpsHeld { gtx, .. } => ("2pc.participant.op", *gtx),
             PeerMsg::Prepare { gtx, .. } | PeerMsg::PrepareHeld { gtx, .. } => {
                 ("2pc.participant.prepare", *gtx)
             }
@@ -1380,23 +1386,8 @@ impl TreatyNode {
         let _txn = treaty_sim::obs::txn_scope(gtx.seq);
         let _span = treaty_sim::obs::span(phase);
         let reply = match msg {
-            PeerMsg::Ops { gtx, ops } => {
-                // This shard's slice of an operation list: applied
-                // all-or-nothing in one sealed message. On the first
-                // failure the whole engine transaction rolls back and the
-                // reply pinpoints the failing op with a typed code.
-                self.stats.borrow_mut().participant_ops += ops.len() as u64;
-                let mut txn = self
-                    .active_part
-                    .borrow_mut()
-                    .remove(&gtx)
-                    .unwrap_or_else(|| self.engine.begin_txn(self.txn_mode));
-                let result = apply_ops(txn.as_mut(), &ops);
-                if !matches!(result, OpResult::Failed(_)) {
-                    self.active_part.borrow_mut().insert(gtx, txn);
-                } // else: txn dropped -> rolled back; coordinator aborts.
-                PeerReply::OpsDone(result)
-            }
+            PeerMsg::Ops { gtx, ops } => PeerReply::OpsDone(self.apply_slice(gtx, ops, false)),
+            PeerMsg::OpsHeld { gtx, ops } => PeerReply::OpsDone(self.apply_slice(gtx, ops, true)),
             PeerMsg::Prepare {
                 gtx,
                 read_only: true,
@@ -1439,6 +1430,32 @@ impl TreatyNode {
             },
             encode(&reply),
         ))
+    }
+
+    /// This shard's slice of an operation list: applied all-or-nothing in
+    /// one sealed message. On the first failure the whole engine
+    /// transaction rolls back and the result pinpoints the failing op with
+    /// a typed code. A shard that `held` a slice and holds none now
+    /// restarted since and lost the locks its earlier operations took, so
+    /// the list fails rather than begin a fresh slice, as at prepare.
+    fn apply_slice(&self, gtx: GlobalTxId, ops: Vec<Op>, held: bool) -> OpResult {
+        self.stats.borrow_mut().participant_ops += ops.len() as u64;
+        let txn = self.active_part.borrow_mut().remove(&gtx);
+        let mut txn = match txn {
+            Some(t) => t,
+            None if held => {
+                return OpResult::Failed(OpFailure {
+                    code: FailCode::Finished,
+                    ..OpFailure::other("slice lost in a restart".into())
+                })
+            }
+            None => self.engine.begin_txn(self.txn_mode),
+        };
+        let result = apply_ops(txn.as_mut(), &ops);
+        if !matches!(result, OpResult::Failed(_)) {
+            self.active_part.borrow_mut().insert(gtx, txn);
+        } // else: txn dropped -> rolled back; coordinator aborts.
+        result
     }
 
     /// A participant's write-lane prepare: apply `batch` to this shard's

@@ -665,3 +665,69 @@ fn a_participant_that_lost_its_slice_votes_no() {
         check.commit().unwrap();
     });
 }
+
+/// The op path's half of the rule above: a participant that lost its
+/// slice in a restart fails the transaction's next operation list instead
+/// of beginning a fresh slice. T1 reads `a` on node 2; node 2 restarts; T1
+/// reads `c` on node 2, then T2 reads `b` on node 3, writes `a` and
+/// commits, and T1 writes `b`. If node 2 began a fresh slice for `c`,
+/// nothing would hold T1's read of `a` and both would commit: a
+/// write-skew cycle.
+#[test]
+fn a_participant_that_lost_its_slice_fails_the_next_op() {
+    let dir = tempfile::tempdir().unwrap();
+    let path = dir.path().to_path_buf();
+    block_on(move || {
+        let mut cluster = Cluster::start(options(&path)).unwrap();
+        let owned_by = |node: u32, n: usize| -> Vec<Vec<u8>> {
+            (0..10_000u32)
+                .map(|i| format!("skew-{i}").into_bytes())
+                .filter(|k| cluster.shard_map().owner(k) == node)
+                .take(n)
+                .collect()
+        };
+        let (on_node_2, on_node_3) = (owned_by(2, 2), owned_by(3, 1));
+        let (a, c, b) = (&on_node_2[0], &on_node_2[1], &on_node_3[0]);
+        let client = cluster.client();
+        let mut seed = client.begin(1);
+        for (k, v) in [(a, b"a0"), (b, b"b0"), (c, b"c0")] {
+            seed.put(k, v).unwrap();
+        }
+        seed.commit().unwrap();
+
+        let mut t1 = client.begin(1);
+        let t1_read_a = t1.get(a).unwrap();
+        cluster.crash_node(1);
+        cluster.restart_node(1).expect("node 2 reopens");
+        assert_eq!(cluster.resolve_recovered().failed, 0);
+        let t1_read_c = t1.get(c);
+
+        let other = cluster.client();
+        let mut t2 = other.begin(1);
+        let t2_read_b = t2.get(b).unwrap();
+        t2.put(a, b"a2").unwrap();
+        let t2_committed = t2.commit().is_ok();
+        let t1_committed = match t1.put(b, b"b1") {
+            Ok(()) => t1.commit().is_ok(),
+            Err(_) => false,
+        };
+
+        let show = |v: &Option<Vec<u8>>| {
+            String::from_utf8_lossy(v.as_deref().unwrap_or_default()).into_owned()
+        };
+        let history = format!(
+            "T1 read a={} and c={:?} then committed {t1_committed}; \
+             T2 read b={} then committed {t2_committed}",
+            show(&t1_read_a),
+            t1_read_c.as_ref().map(show),
+            show(&t2_read_b),
+        );
+        assert!(t2_committed, "{history}");
+        assert!(!t1_committed, "{history}");
+        assert!(t1_read_c.is_err(), "{history}");
+        let mut check = client.begin(1);
+        assert_eq!(check.get(a).unwrap().as_deref(), Some(&b"a2"[..]));
+        assert_eq!(check.get(b).unwrap().as_deref(), Some(&b"b0"[..]));
+        check.commit().unwrap();
+    });
+}

@@ -35,7 +35,7 @@ use crate::memtable::{
     KeySpan, MemCursor, MemTable, RangeTombstone, SeqNum, UserKey, ValueEntry, VersionedEntry,
 };
 use crate::sstable::{self, SsTable, TableCursor};
-use crate::txn::{GlobalTxId, Txn, TxnMode, TxnOptions, WriteOp};
+use crate::txn::{GlobalTxId, Txn, TxnMode, WriteOp};
 use crate::{Result, StoreError};
 
 /// How long a lock request waits before it gives up: deadlock avoidance
@@ -686,14 +686,9 @@ impl TreatyStore {
         &self.inner.env
     }
 
-    /// Begins a transaction.
-    pub fn begin(&self, options: TxnOptions) -> Txn {
-        Txn::new(self.clone(), options)
-    }
-
-    /// Begins a transaction in the given mode with default options.
+    /// Begins a transaction under `mode`'s concurrency control.
     pub fn begin_mode(&self, mode: TxnMode) -> Txn {
-        self.begin(TxnOptions { mode })
+        Txn::new(self.clone(), mode)
     }
 
     /// Reads the latest committed value of `key` outside any transaction.

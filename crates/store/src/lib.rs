@@ -44,7 +44,7 @@ pub use cache::BlockCache;
 pub use engine::{EngineStats, ManifestEdit, TreatyStore, WalRecord};
 pub use env::{EngineConfig, Env};
 pub use locks::{LockMode, LockTable, EOF_SENTINEL};
-pub use txn::{CommitInfo, EngineTxn, GlobalTxId, NullEngine, Txn, TxnEngine, TxnMode, TxnOptions};
+pub use txn::{CommitInfo, EngineTxn, GlobalTxId, NullEngine, Txn, TxnEngine, TxnMode};
 
 /// Errors surfaced by the storage engine.
 #[derive(Debug, Clone, PartialEq, Eq, thiserror::Error)]

@@ -37,21 +37,6 @@ pub enum TxnMode {
     Optimistic,
 }
 
-/// Options for [`TreatyStore::begin`].
-#[derive(Debug, Clone, Copy)]
-pub struct TxnOptions {
-    /// Concurrency-control flavour.
-    pub mode: TxnMode,
-}
-
-impl Default for TxnOptions {
-    fn default() -> Self {
-        TxnOptions {
-            mode: TxnMode::Pessimistic,
-        }
-    }
-}
-
 /// Globally unique transaction id: `(coordinator node, per-node sequence)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GlobalTxId {
@@ -206,7 +191,7 @@ impl std::fmt::Debug for Txn {
 }
 
 impl Txn {
-    pub(crate) fn new(store: TreatyStore, options: TxnOptions) -> Self {
+    pub(crate) fn new(store: TreatyStore, mode: TxnMode) -> Self {
         let id = store
             .inner
             .next_txid
@@ -214,7 +199,7 @@ impl Txn {
         Txn {
             store,
             id,
-            mode: options.mode,
+            mode,
             buffer: TxBuffer::new(),
             locked: Vec::new(),
             read_set: Vec::new(),
@@ -865,7 +850,7 @@ impl TreatyStore {
 
 impl TxnEngine for TreatyStore {
     fn begin_txn(&self, mode: TxnMode) -> Box<dyn EngineTxn> {
-        Box::new(self.begin(TxnOptions { mode }))
+        Box::new(self.begin_mode(mode))
     }
 
     fn commit_prepared(&self, gtx: GlobalTxId) -> Result<()> {

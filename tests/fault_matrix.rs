@@ -50,7 +50,7 @@ use treaty::core::client::client_net;
 use treaty::core::clog::{ClogRecord, CLOG_FILE, CLOG_NAME};
 use treaty::core::cluster::{wire_crypto, COUNTER_BASE, COUNTER_CLIENT_BASE};
 use treaty::core::messages::{decode, encode, req, PeerMsg, PeerReply};
-use treaty::core::{Cluster, ClusterOptions, DistTxn, TreatyError};
+use treaty::core::{Cluster, ClusterOptions, DistTxn, TreatyClient, TreatyError};
 use treaty::crypto::codec::Record as _;
 use treaty::crypto::{MsgKind, TxMeta};
 use treaty::net::{Rpc, RpcConfig};
@@ -1352,4 +1352,71 @@ fn commit_point_appended_is_not_externalised() {
 #[test]
 fn a_participant_prepared_under_a_lost_start_is_aborted() {
     run_twice(run_lost_start_cell);
+}
+
+/// An abort the coordinator refused on a lost vote reply keeps its
+/// decision record. `SPARE` prepares and votes yes, but its reply never
+/// reaches `COORD`, so the client hears `Aborted`. Without the record a
+/// restart of `COORD` before phase two lands would find the Start
+/// undecided and re-drive it; every remote still prepared would vote yes,
+/// and the transaction the client heard aborted would commit. Presumed
+/// abort makes the record redundant only after an explicit no vote
+/// (DESIGN.md §11). Here phase two lands before the bounce, so the file
+/// holding `Decision{abort}` is the rule's witness and the bounce checks
+/// that recovery leaves the abort as the client heard it.
+#[test]
+fn an_abort_on_a_lost_vote_is_logged_before_the_client_hears_it() {
+    let dir = tempfile::tempdir().unwrap();
+    let path = dir.path().to_path_buf();
+    block_on(move || {
+        let mut cluster = boot(&path);
+        let owned = key_per_node(&cluster);
+        let keys = vec![owned[&PART].clone(), owned[&SPARE].clone()];
+        seed(&cluster, &keys);
+
+        cluster.fabric().with_adversary(|a| {
+            a.partitions.insert((SPARE, COORD));
+        });
+        // The client outwaits the coordinator's vote timeout.
+        let client = TreatyClient::connect(
+            cluster.fabric(),
+            9900,
+            wire_crypto(&SecurityProfile::treaty_full()),
+            cluster.keys().network,
+            SECONDS,
+        );
+        let mut tx = client.begin(COORD);
+        let gtx = tx.gtx();
+        for k in &keys {
+            tx.put(k, b"doomed").expect("buffered put");
+        }
+        match tx.commit() {
+            Err(TreatyError::Aborted(_, reason)) => assert!(
+                reason.contains(&format!("participant {SPARE}")) && !reason.contains("voted no"),
+                "refused for another reason: {reason}"
+            ),
+            other => panic!("the client did not hear Aborted: {other:?}"),
+        }
+        assert!(
+            clog_on_disk(&cluster).contains(&ClogRecord::Decision { gtx, commit: false }),
+            "the abort was answered without its decision record"
+        );
+
+        sleep(4 * SECONDS);
+        cluster.fabric().with_adversary(|a| a.partitions.clear());
+        bounce(&mut cluster, COORD);
+        let rec = cluster.resolve_recovered();
+        assert_eq!(rec.failed, 0, "{rec:?}");
+        assert_nothing_prepared(&cluster, "lost vote");
+        let mut tx = client.begin(COORD);
+        for k in &keys {
+            let got = tx.get(k).expect("post-recovery read");
+            assert_eq!(
+                got.as_deref(),
+                Some(&b"seed"[..]),
+                "the aborted write is visible"
+            );
+        }
+        tx.commit().expect("verify commit");
+    });
 }

@@ -315,6 +315,24 @@ fn held_prepares() -> Vec<Vec<u8>> {
     .collect()
 }
 
+/// The operation list to a participant that must still hold its slice,
+/// pinned on a line of its own for the same reason.
+fn held_ops() -> Vec<Vec<u8>> {
+    [
+        PeerMsg::OpsHeld {
+            gtx: gtx(2),
+            ops: ops(),
+        },
+        PeerMsg::OpsHeld {
+            gtx: gtx(6),
+            ops: Vec::new(),
+        },
+    ]
+    .iter()
+    .map(messages::encode)
+    .collect()
+}
+
 /// SHA-256 over each encoding, length-prefixed, in order, as hex.
 fn digest(encodings: &[Vec<u8>]) -> String {
     let mut all = Vec::new();
@@ -327,7 +345,7 @@ fn digest(encodings: &[Vec<u8>]) -> String {
 
 #[test]
 fn every_record_class_encodes_to_its_pinned_bytes() {
-    let classes: [(&str, Vec<Vec<u8>>, &str); 9] = [
+    let classes: [(&str, Vec<Vec<u8>>, &str); 10] = [
         (
             "protocol payload",
             protocol_payloads(),
@@ -372,6 +390,11 @@ fn every_record_class_encodes_to_its_pinned_bytes() {
             "held prepare",
             held_prepares(),
             "a617b5af8f13161b955d4850c6d320d36d0add15bef4d91df7a12d385c1808a6",
+        ),
+        (
+            "held operation list",
+            held_ops(),
+            "b7b396e740b8ae6c1f0754907222b1b953206b83f25b59faf1a298926d45e8f6",
         ),
     ];
     let moved: Vec<String> = classes
