@@ -7,6 +7,7 @@ use std::rc::Rc;
 
 use treaty_crypto::{Key, MsgKind, TxMeta, WireCrypto};
 use treaty_net::{EndpointConfig, EndpointId, Fabric, PendingReply, Rpc, RpcConfig};
+use treaty_sim::obs::Phase;
 use treaty_sim::Nanos;
 use treaty_store::GlobalTxId;
 
@@ -100,7 +101,10 @@ impl TreatyClient {
         treaty_sim::obs::set_node(self.client_id);
         {
             let _txn = treaty_sim::obs::txn_scope(seq);
-            treaty_sim::obs::instant("client.begin", &[("coordinator", u64::from(coordinator))]);
+            treaty_sim::obs::instant(
+                Phase::ClientBegin,
+                &[("coordinator", u64::from(coordinator))],
+            );
         }
         DistTxn {
             client: self,
@@ -131,7 +135,7 @@ impl TreatyClient {
         treaty_sim::obs::set_node(self.client_id);
         {
             let _txn = treaty_sim::obs::txn_scope(seq);
-            treaty_sim::obs::instant("client.begin_read_only", &[]);
+            treaty_sim::obs::instant(Phase::ClientBeginReadOnly, &[]);
         }
         Ok(SnapshotTxn {
             client: self,
@@ -325,7 +329,7 @@ impl<'a> DistTxn<'a> {
             .chain(last)
             .collect();
         let _txn = treaty_sim::obs::txn_scope(self.seq);
-        let _span = treaty_sim::obs::span_with("client.op", &[("ops", ops.len() as u64)]);
+        let _span = treaty_sim::obs::span_with(Phase::ClientOp, &[("ops", ops.len() as u64)]);
         let meta = self.meta(MsgKind::TxnPut);
         let call = self
             .client
@@ -470,7 +474,7 @@ impl<'a> DistTxn<'a> {
         self.ensure_open()?;
         self.finished = true;
         let _txn = treaty_sim::obs::txn_scope(self.seq);
-        let _span = treaty_sim::obs::span("client.commit");
+        let _span = treaty_sim::obs::span(Phase::ClientCommit);
         // Ship the pending writes with the commit itself: the coordinator
         // piggybacks each shard's slice on its prepare message, so a
         // write-only transaction pays one round trip per shard, total.
@@ -497,7 +501,7 @@ impl<'a> DistTxn<'a> {
                 // walker keys committed transactions (and their measured
                 // begin->ack latency) off this instant.
                 let elapsed = treaty_sim::runtime::now().saturating_sub(self.begin_ts);
-                treaty_sim::obs::instant("client.committed", &[("elapsed_ns", elapsed)]);
+                treaty_sim::obs::instant(Phase::ClientCommitted, &[("elapsed_ns", elapsed)]);
                 Ok(())
             }
             Some(CommitResult::Aborted { reason }) => Err(TreatyError::Aborted(self.gtx(), reason)),
@@ -660,7 +664,7 @@ impl SnapshotTxn<'_> {
     ) -> Result<Vec<ShardRead>> {
         let _txn = treaty_sim::obs::txn_scope(self.seq);
         let _span = treaty_sim::obs::span_with(
-            "client.snapshot_read",
+            Phase::ClientSnapshotRead,
             &[("shards", asks.len() as u64), ("spans", spans.len() as u64)],
         );
         let mut pending: Vec<(EndpointId, Vec<Vec<u8>>, PendingReply)> = Vec::new();
@@ -741,7 +745,7 @@ impl SnapshotTxn<'_> {
         }
         let _txn = treaty_sim::obs::txn_scope(self.seq);
         let _span = treaty_sim::obs::span_with(
-            "client.snapshot_validate",
+            Phase::ClientSnapshotValidate,
             &[("shards", self.pinned.len() as u64)],
         );
         // Ordered by shard, so the validate burst is sealed and numbered

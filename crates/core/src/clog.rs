@@ -22,6 +22,7 @@ use std::rc::Rc;
 use treaty_crypto::codec;
 use treaty_crypto::codec::Record;
 use treaty_sim::crashpoint::CrashPoint;
+use treaty_sim::obs::Phase;
 use treaty_sim::{FiberCell, FiberId};
 use treaty_store::env::Env;
 use treaty_store::log::{self, LogWriter};
@@ -201,7 +202,7 @@ impl Clog {
 
     fn append_start(&self, gtx: GlobalTxId, participants: Vec<u32>) -> Result<u64> {
         let _span = treaty_sim::obs::span_with(
-            "clog.log_start",
+            Phase::ClogLogStart,
             &[("participants", participants.len() as u64)],
         );
         let counter = self.append(&ClogRecord::Start { gtx, participants })?;
@@ -220,7 +221,7 @@ impl Clog {
     /// Propagates log I/O failures.
     pub fn append_decision(&self, gtx: GlobalTxId, commit: bool) -> Result<u64> {
         let _span =
-            treaty_sim::obs::span_with("clog.log_decision", &[("commit", u64::from(commit))]);
+            treaty_sim::obs::span_with(Phase::ClogLogDecision, &[("commit", u64::from(commit))]);
         let rec = ClogRecord::Decision { gtx, commit };
         let counter = self.append(&rec)?;
         treaty_sim::crashpoint::hit(CrashPoint::ClogDecisionAppended);
@@ -244,7 +245,7 @@ impl Clog {
         if self.is_stable(counter) {
             return Ok(());
         }
-        let _stab = treaty_sim::obs::span("clog.stabilize");
+        let _stab = treaty_sim::obs::span(Phase::ClogStabilize);
         self.writer.stabilize(counter)
     }
 

@@ -31,6 +31,11 @@ pub const COUNTER_CLIENT_BASE: EndpointId = 2000;
 pub const CLIENT_BASE: EndpointId = 5000;
 /// CPU cores per node (paper testbed: 8).
 pub const CORES_PER_NODE: u32 = 8;
+/// How long [`Cluster::client`] waits for a reply: the coordinator's vote
+/// wait (`DEFAULT_RPC_TIMEOUT`) plus the abort's decision record, a Clog
+/// append and a counter round of 10 ms RPCs, so a commit refused on a lost
+/// vote reaches the client as `Aborted`, not as a timeout of its own.
+pub const CLIENT_RPC_TIMEOUT: treaty_sim::Nanos = 2 * treaty_net::DEFAULT_RPC_TIMEOUT;
 
 /// Cluster construction options.
 #[derive(Clone)]
@@ -327,7 +332,7 @@ impl Cluster {
             id,
             wire_crypto(&self.options.profile),
             self.keys.network,
-            treaty_net::DEFAULT_RPC_TIMEOUT,
+            CLIENT_RPC_TIMEOUT,
         )
         .with_shard_map(self.shard_map.clone())
     }

@@ -20,6 +20,7 @@ use treaty_crypto::{Key, MsgKind, TxMeta, WireCrypto};
 use treaty_net::{EndpointConfig, EndpointId, Fabric, PendingReply, Rpc, RpcConfig};
 use treaty_sched::{CorePool, WaitQueue};
 use treaty_sim::crashpoint::CrashPoint;
+use treaty_sim::obs::Phase;
 use treaty_sim::{FiberCell, Nanos};
 use treaty_store::{
     EngineTxn, GlobalTxId, NullEngine, StoreError, TreatyStore, TxnEngine, TxnMode,
@@ -555,7 +556,7 @@ impl TreatyNode {
         let gtx = self.gtx_for_client(&meta);
         treaty_sim::obs::set_node(self.endpoint);
         let _txn = treaty_sim::obs::txn_scope(gtx.seq);
-        let _span = treaty_sim::obs::span_with("2pc.coordinate_op", &[("ops", ops.len() as u64)]);
+        let _span = treaty_sim::obs::span_with(Phase::CoordOp, &[("ops", ops.len() as u64)]);
         let result = self.coordinate_ops(gtx, ops);
         let kind = match result {
             OpResult::Failed(_) => MsgKind::Nack,
@@ -706,7 +707,7 @@ impl TreatyNode {
         let gtx = self.gtx_for_client(&meta);
         treaty_sim::obs::set_node(self.endpoint);
         let _txn = treaty_sim::obs::txn_scope(gtx.seq);
-        let _span = treaty_sim::obs::span("2pc.commit");
+        let _span = treaty_sim::obs::span(Phase::CoordCommit);
         // The writes still buffered at the client ride the commit itself.
         let Some(ClientCommitReq { writes }) = decode(&payload) else {
             return Some((
@@ -751,7 +752,7 @@ impl TreatyNode {
         let gtx = self.gtx_for_client(&meta);
         treaty_sim::obs::set_node(self.endpoint);
         let _txn = treaty_sim::obs::txn_scope(gtx.seq);
-        let _span = treaty_sim::obs::span("2pc.rollback");
+        let _span = treaty_sim::obs::span(Phase::CoordRollback);
         // Count the abort only when coordinator state was actually removed
         // (`abort_everywhere` notes it): a rollback of a transaction already
         // aborted on the op-error path used to be counted a second time
@@ -849,14 +850,16 @@ impl TreatyNode {
 
         treaty_sim::runtime::set_tag("h:2pc-fanout");
         let mut refused = {
-            let _prepare =
-                treaty_sim::obs::span_with("2pc.prepare", &[("remotes", ctx.remotes.len() as u64)]);
+            let _prepare = treaty_sim::obs::span_with(
+                Phase::CoordPrepare,
+                &[("remotes", ctx.remotes.len() as u64)],
+            );
             self.collect_votes(gtx, &mut ctx, batches, Lane::Write { held })
         };
         if let Some(start) = start {
             // The votes' other half. The prepares are out, so a Start that
             // failed aborts through the decision below.
-            let _join = treaty_sim::obs::span("2pc.start_stable");
+            let _join = treaty_sim::obs::span(Phase::CoordStartStable);
             if let Err(e) = start.wait_stable() {
                 refused.get_or_insert(format!("clog start: {e}"));
             }
@@ -869,7 +872,7 @@ impl TreatyNode {
             // stable before anyone hears of it.
             treaty_sim::runtime::set_tag("h:2pc-log-decision");
             let logged = {
-                let _decide = treaty_sim::obs::span("2pc.decide");
+                let _decide = treaty_sim::obs::span(Phase::CoordDecide);
                 self.clog
                     .as_ref()
                     .map_or(Ok(()), |clog| clog.log_decision(gtx, false))
@@ -899,7 +902,7 @@ impl TreatyNode {
                 treaty_sim::obs::counter_add("core.commit_point_acks", 1);
                 treaty_sim::runtime::spawn_daemon(move || {
                     treaty_sim::runtime::set_tag("2pc-finish");
-                    let _span = treaty_sim::obs::span("2pc.finish");
+                    let _span = treaty_sim::obs::span(Phase::CoordFinish);
                     slot.node.finish(gtx, remotes, true);
                 });
             }
@@ -959,7 +962,7 @@ impl TreatyNode {
     /// continuation with the rest of the volatile state.
     fn stabilize_decision(&self, clog: &Clog, gtx: GlobalTxId) -> bool {
         let appended = {
-            let _decide = treaty_sim::obs::span("2pc.decide");
+            let _decide = treaty_sim::obs::span(Phase::CoordDecide);
             clog.append_decision(gtx, true)
         };
         let stable = appended.is_ok_and(|counter| {
@@ -971,7 +974,7 @@ impl TreatyNode {
         if !stable {
             treaty_sim::obs::counter_add("core.decision_unstable", 1);
             treaty_sim::obs::instant(
-                "2pc.decision_unstable",
+                Phase::CoordDecisionUnstable,
                 &[("coordinator", u64::from(self.endpoint))],
             );
             treaty_sim::obs::flight_dump(
@@ -1003,7 +1006,7 @@ impl TreatyNode {
     fn finish_read_only(self: &Rc<Self>, gtx: GlobalTxId, mut ctx: CoordTxn) -> CommitResult {
         treaty_sim::runtime::set_tag("h:2pc-read-only");
         let _span = treaty_sim::obs::span_with(
-            "2pc.read_only_finish",
+            Phase::CoordReadOnlyFinish,
             &[("remotes", ctx.remotes.len() as u64)],
         );
         match self.collect_votes(gtx, &mut ctx, Vec::new(), Lane::ReadOnly) {
@@ -1100,7 +1103,7 @@ impl TreatyNode {
     /// missed delivery retried.
     fn send_decision(self: &Rc<Self>, gtx: GlobalTxId, remotes: &[EndpointId], commit: bool) {
         let _span = treaty_sim::obs::span_with(
-            "2pc.send_decision",
+            Phase::CoordSendDecision,
             &[
                 ("remotes", remotes.len() as u64),
                 ("commit", u64::from(commit)),
@@ -1135,7 +1138,7 @@ impl TreatyNode {
         let resend = |attempt, backoff| {
             self.stats.borrow_mut().decision_retries += 1;
             treaty_sim::obs::instant(
-                "2pc.decision_retry",
+                Phase::CoordDecisionRetry,
                 &[
                     ("peer", u64::from(r)),
                     ("attempt", attempt),
@@ -1203,7 +1206,7 @@ impl TreatyNode {
             return;
         }
         let _span = treaty_sim::obs::span_with(
-            "2pc.abort_advisory",
+            Phase::CoordAbortAdvisory,
             &[("remotes", ctx.remotes.len() as u64)],
         );
         let payload = encode(&PeerMsg::Abort { gtx });
@@ -1242,7 +1245,7 @@ impl TreatyNode {
         treaty_sim::obs::set_node(self.endpoint);
         let _txn = treaty_sim::obs::txn_scope(meta.tx_id);
         let _span = treaty_sim::obs::span_with(
-            "core.snapshot_read",
+            Phase::SnapshotRead,
             &[("keys", keys.len() as u64), ("spans", spans.len() as u64)],
         );
         if !keys.is_empty() {
@@ -1315,7 +1318,7 @@ impl TreatyNode {
         treaty_sim::obs::set_node(self.endpoint);
         let _txn = treaty_sim::obs::txn_scope(meta.tx_id);
         let _span = treaty_sim::obs::span_with(
-            "core.snapshot_validate",
+            Phase::SnapshotValidate,
             &[("keys", req_msg.keys.len() as u64)],
         );
         for key in &req_msg.keys {
@@ -1375,13 +1378,13 @@ impl TreatyNode {
         let msg: PeerMsg = decode(&payload)?;
         treaty_sim::obs::set_node(self.endpoint);
         let (phase, gtx) = match &msg {
-            PeerMsg::Ops { gtx, .. } | PeerMsg::OpsHeld { gtx, .. } => ("2pc.participant.op", *gtx),
+            PeerMsg::Ops { gtx, .. } | PeerMsg::OpsHeld { gtx, .. } => (Phase::PartOp, *gtx),
             PeerMsg::Prepare { gtx, .. } | PeerMsg::PrepareHeld { gtx, .. } => {
-                ("2pc.participant.prepare", *gtx)
+                (Phase::PartPrepare, *gtx)
             }
-            PeerMsg::Commit { gtx } => ("2pc.participant.commit", *gtx),
-            PeerMsg::Abort { gtx } => ("2pc.participant.abort", *gtx),
-            PeerMsg::QueryDecision { gtx } => ("2pc.participant.query", *gtx),
+            PeerMsg::Commit { gtx } => (Phase::PartCommit, *gtx),
+            PeerMsg::Abort { gtx } => (Phase::PartAbort, *gtx),
+            PeerMsg::QueryDecision { gtx } => (Phase::PartQuery, *gtx),
         };
         let _txn = treaty_sim::obs::txn_scope(gtx.seq);
         let _span = treaty_sim::obs::span(phase);
@@ -1576,7 +1579,7 @@ impl TreatyNode {
                     outcome.failed += 1;
                     treaty_sim::obs::counter_add("core.recovery_redrive_failed", 1);
                     treaty_sim::obs::instant(
-                        "2pc.recovery_redrive_failed",
+                        Phase::CoordRedriveFailed,
                         &[("coordinator", u64::from(self.endpoint))],
                     );
                     treaty_sim::obs::flight_dump(

@@ -11,6 +11,7 @@ use treaty_core::{
     check_list_append, Cluster, ClusterOptions, HistoryError, TreatyError, TxnObservation,
 };
 use treaty_sched::block_on;
+use treaty_sim::obs::Phase;
 use treaty_sim::runtime::{join, sleep, spawn};
 use treaty_sim::{SecurityProfile, MILLIS};
 use treaty_store::{GlobalTxId, TxnEngine as _, TxnMode};
@@ -1131,12 +1132,18 @@ fn read_only_dist_txn_commits_in_one_unlogged_round() {
         let lane_spans = events
             .iter()
             .filter(|e| e.txn == gtx.seq && e.kind == treaty_sim::obs::EventKind::Enter)
-            .filter(|e| e.phase == "2pc.read_only_finish")
+            .filter(|e| e.phase == Phase::CoordReadOnlyFinish)
             .count();
         assert_eq!(lane_spans, 1);
         assert!(
             !events.iter().any(|e| e.txn == gtx.seq
-                && (e.phase.starts_with("clog.") || e.phase.starts_with("wal."))),
+                && matches!(
+                    e.phase,
+                    Phase::ClogLogStart
+                        | Phase::ClogLogDecision
+                        | Phase::ClogStabilize
+                        | Phase::WalStabilize
+                )),
             "the lane touches neither log"
         );
         treaty_sim::obs::uninstall();

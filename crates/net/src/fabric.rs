@@ -9,6 +9,7 @@ use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::rc::Rc;
 
 use treaty_sched::{FiberMutex, WaitQueue};
+use treaty_sim::obs::Phase;
 use treaty_sim::runtime;
 use treaty_sim::{CostModel, FiberCell, Nanos, TeeMode, Transport};
 use treaty_tee::HostBytes;
@@ -282,7 +283,7 @@ impl Fabric {
         // Covers NIC serialization: the span length is the time the egress
         // link (a shared resource) was held by this message.
         let _span = treaty_sim::obs::span_with(
-            "net.send",
+            Phase::NetSend,
             &[("dst", u64::from(dg.dst)), ("bytes", wire_bytes as u64)],
         );
         let charge = self
@@ -418,7 +419,7 @@ impl Fabric {
             match next {
                 Next::Ready(dg) => {
                     treaty_sim::obs::instant(
-                        "net.recv",
+                        Phase::NetRecv,
                         &[("src", u64::from(dg.src)), ("bytes", dg.wire.len() as u64)],
                     );
                     return Ok(dg);

@@ -61,6 +61,7 @@ use std::rc::Rc;
 
 use treaty_crypto::{nonce, Key, Opened, SecureEnvelope, Stamp, TxMeta, WireCrypto};
 use treaty_sched::CorePool;
+use treaty_sim::obs::Phase;
 use treaty_sim::runtime::{self, FiberId};
 use treaty_sim::{FiberCell, Nanos, TeeMode};
 use treaty_tee::HostBytes;
@@ -660,7 +661,7 @@ impl Rpc {
         let open_ns = runtime::now().saturating_sub(started);
         let _txn = treaty_sim::obs::txn_scope(meta.tx_id);
         let _span = treaty_sim::obs::span_with(
-            "rpc.handle",
+            Phase::RpcHandle,
             &[
                 ("req", dg.req_type as u64),
                 ("queue_ns", queue_ns),

@@ -36,12 +36,13 @@
 use std::collections::BTreeMap;
 
 use crate::tree::{build_forest_lossy, Span};
-use crate::{Nanos, TraceEvent};
+use crate::{Nanos, Phase, TraceEvent};
 
 /// Number of attribution categories.
 pub const CATEGORY_COUNT: usize = 8;
 
-/// The closed category set every critical-path nanosecond maps to.
+/// The closed category set every critical-path nanosecond maps to. A
+/// phase's category is its column in the [`Phase`] catalogue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Category {
     /// Blocked in the 2PC lock table (`store.lock_wait`).
@@ -93,59 +94,37 @@ impl Category {
 
     /// Index into a `[u64; CATEGORY_COUNT]` accumulator.
     pub fn index(self) -> usize {
-        Category::ALL
-            .iter()
-            .position(|c| *c == self)
-            .expect("ALL is total")
+        self as usize
     }
 
-    /// Maps a span phase to its category (the span's *self* time).
-    pub fn of_phase(phase: &str) -> Category {
-        if phase == "store.lock_wait" {
-            Category::LockWait
-        } else if phase.starts_with("clog.")
-            || phase.starts_with("wal.")
-            || phase == "2pc.start_stable"
-        {
-            Category::ClogDurability
-        } else if phase.starts_with("net.") {
-            Category::Network
-        } else if matches!(phase, "store.get" | "store.scan") || phase.starts_with("core.snapshot_")
-        {
-            Category::StoreRead
-        } else if phase.starts_with("store.") {
-            Category::StoreWrite
-        } else if phase.starts_with("tee.") || phase == "rpc.handle" {
-            Category::Tee
-        } else {
-            Category::Other
+    /// The category holding the most of `by_category` (fixed-order ties,
+    /// `Other` when all are zero).
+    pub fn dominant(by_category: &[u64; CATEGORY_COUNT]) -> Category {
+        let mut best = (Category::Other, 0);
+        for c in Category::ALL {
+            if by_category[c.index()] > best.1 {
+                best = (c, by_category[c.index()]);
+            }
         }
+        best.0
     }
 }
 
-/// Phases whose self time means "parked waiting for a remote reply": the
-/// uncovered remainder (after projecting remote handler spans) is wire
-/// time, not local work.
-fn is_waiting(phase: &str) -> bool {
+/// The client-side spans a transaction's attribution window is the union
+/// of.
+fn is_client_anchor(phase: Phase) -> bool {
     matches!(
         phase,
-        "client.op"
-            | "client.commit"
-            | "client.snapshot_read"
-            | "client.snapshot_validate"
-            | "2pc.prepare"
-            | "2pc.start_stable"
-            | "2pc.finish"
-            | "2pc.read_only_finish"
-            | "2pc.coordinate_op"
-            | "2pc.send_decision"
-            | "2pc.rollback"
+        Phase::ClientOp
+            | Phase::ClientCommit
+            | Phase::ClientSnapshotRead
+            | Phase::ClientSnapshotValidate
     )
 }
 
 /// Flattened span arena node.
 struct Flat {
-    phase: &'static str,
+    phase: Phase,
     node: u32,
     fiber: u64,
     start: Nanos,
@@ -159,11 +138,13 @@ struct Flat {
     children: Vec<usize>,
 }
 
-fn arg(span: &Span, key: &str) -> u64 {
-    span.args
-        .iter()
-        .find(|(k, _)| *k == key)
-        .map_or(0, |(_, v)| *v)
+/// `part / whole` in basis points; `None` when `whole` is zero.
+fn bp(part: u64, whole: u64) -> Option<u64> {
+    (whole != 0).then(|| (part as u128 * 10_000 / whole as u128) as u64)
+}
+
+fn arg(args: &[(&'static str, u64)], key: &str) -> u64 {
+    args.iter().find(|(k, _)| *k == key).map_or(0, |(_, v)| *v)
 }
 
 fn flatten(
@@ -174,13 +155,13 @@ fn flatten(
 ) {
     let idx = arena.len();
     arena.push(Flat {
-        phase: span.phase,
+        phase: span.variant,
         node: span.node,
         fiber: span.fiber,
         start: span.start,
         end: span.end,
-        queue_ns: arg(span, "queue_ns"),
-        open_ns: arg(span, "open_ns"),
+        queue_ns: arg(&span.args, "queue_ns"),
+        open_ns: arg(&span.args, "open_ns"),
         children: Vec::new(),
     });
     if span.txn != 0 && span.txn != parent_txn && span.end > span.start {
@@ -228,10 +209,9 @@ impl Walker<'_> {
             return;
         }
         path.push(idx);
-        let self_cat = Category::of_phase(s.phase);
         // Does this span overlap remote work for the transaction at all?
         // If not, its uncovered time is local work even for waiting spans.
-        let waiting = is_waiting(s.phase)
+        let waiting = s.phase.is_waiting()
             && self.roots.iter().any(|&r| {
                 let f = &self.arena[r];
                 (f.node, f.fiber) != (s.node, s.fiber)
@@ -247,20 +227,18 @@ impl Walker<'_> {
             }
             let cs = cf.start.max(cursor);
             let ce = cf.end.min(hi);
-            self.gap(idx, self_cat, waiting, cursor, cs, path, acc);
+            self.gap(idx, waiting, cursor, cs, path, acc);
             self.walk(c, cs, ce, path, acc);
             cursor = ce.max(cursor);
         }
-        self.gap(idx, self_cat, waiting, cursor, hi, path, acc);
+        self.gap(idx, waiting, cursor, hi, path, acc);
         path.pop();
     }
 
     /// Attributes one self-time interval `[a, b)` of span `idx`.
-    #[allow(clippy::too_many_arguments)]
     fn gap(
         &self,
         idx: usize,
-        self_cat: Category,
         waiting: bool,
         a: Nanos,
         b: Nanos,
@@ -274,41 +252,29 @@ impl Walker<'_> {
         // The critical remote branch: among the transaction's service
         // roots overlapping this interval on another fiber, the one that
         // ends last — a fan-in waits for its slowest member.
-        let mut best: Option<usize> = None;
-        for &r in self.roots {
-            let f = &self.arena[r];
-            if (f.node, f.fiber) == (s.node, s.fiber) || path.contains(&r) {
-                continue;
-            }
-            if f.start >= b || f.end <= a {
-                continue;
-            }
-            best = Some(match best {
-                None => r,
-                Some(p) => {
-                    let pf = &self.arena[p];
-                    if (f.end, f.start, r) > (pf.end, pf.start, p) {
-                        r
-                    } else {
-                        p
-                    }
-                }
-            });
-        }
+        let best = self
+            .roots
+            .iter()
+            .copied()
+            .filter(|&r| {
+                let f = &self.arena[r];
+                (f.node, f.fiber) != (s.node, s.fiber)
+                    && !path.contains(&r)
+                    && f.start < b
+                    && f.end > a
+            })
+            .max_by_key(|&r| (self.arena[r].end, self.arena[r].start, r));
         let Some(r) = best else {
             if waiting {
                 acc.add(Category::Network, "(remote wait)", b - a);
             } else {
-                acc.add(self_cat, s.phase, b - a);
+                acc.add(s.phase.category(), s.phase.name(), b - a);
             }
             return;
         };
-        let (r_start, r_end, queue_ns, open_ns) = {
-            let f = &self.arena[r];
-            (f.start, f.end, f.queue_ns, f.open_ns)
-        };
-        let seg_lo = r_start.max(a);
-        let seg_hi = r_end.min(b);
+        let f = &self.arena[r];
+        let seg_lo = f.start.max(a);
+        let seg_hi = f.end.min(b);
         if seg_hi < b {
             // After the critical remote finished: the reply in flight.
             acc.add(Category::Network, "(remote wait)", b - seg_hi);
@@ -319,14 +285,14 @@ impl Walker<'_> {
             // wait, then boundary crypto, then (recursively) whatever else
             // precedes — possibly an earlier-finishing remote branch.
             let mut rest = seg_lo - a;
-            let q = queue_ns.min(rest);
+            let q = f.queue_ns.min(rest);
             rest -= q;
             acc.add(Category::Queueing, "(rpc queue)", q);
-            let o = open_ns.min(rest);
+            let o = f.open_ns.min(rest);
             rest -= o;
             acc.add(Category::Tee, "(rpc open)", o);
             if rest > 0 {
-                self.gap(idx, self_cat, waiting, a, a + rest, path, acc);
+                self.gap(idx, waiting, a, a + rest, path, acc);
             }
         }
     }
@@ -350,26 +316,9 @@ pub struct TxnAttribution {
 }
 
 impl TxnAttribution {
-    /// The category holding the most critical-path time (fixed-order ties).
-    pub fn dominant(&self) -> Category {
-        let mut best = Category::Other;
-        let mut best_ns = 0u64;
-        for c in Category::ALL {
-            let ns = self.by_category[c.index()];
-            if ns > best_ns {
-                best = c;
-                best_ns = ns;
-            }
-        }
-        best
-    }
-
     /// Attributed share of the measured latency, in basis points.
     pub fn coverage_bp(&self) -> u64 {
-        if self.measured_ns == 0 {
-            return 10_000;
-        }
-        ((self.attributed_ns as u128 * 10_000) / self.measured_ns as u128) as u64
+        bp(self.attributed_ns, self.measured_ns).unwrap_or(10_000)
     }
 }
 
@@ -386,22 +335,6 @@ pub struct BucketAgg {
     pub attributed_ns: u64,
     /// Per-category sums.
     pub by_category: [u64; CATEGORY_COUNT],
-}
-
-impl BucketAgg {
-    /// The bucket's dominant category.
-    pub fn dominant(&self) -> Category {
-        let mut best = Category::Other;
-        let mut best_ns = 0u64;
-        for c in Category::ALL {
-            let ns = self.by_category[c.index()];
-            if ns > best_ns {
-                best = c;
-                best_ns = ns;
-            }
-        }
-        best
-    }
 }
 
 /// The full attribution report for one traced run.
@@ -445,21 +378,16 @@ pub fn attribute(events: &[TraceEvent], dropped: u64) -> AttributionReport {
     // client-measured latency and identify the client (node, fiber).
     let mut committed: BTreeMap<u64, (u64, (u32, u64))> = BTreeMap::new();
     for e in events {
-        if e.phase == "client.committed" && e.txn != 0 {
-            let elapsed = e
-                .args
-                .iter()
-                .find(|(k, _)| *k == "elapsed_ns")
-                .map_or(0, |(_, v)| *v);
+        if e.phase == Phase::ClientCommitted && e.txn != 0 {
+            let elapsed = arg(&e.args, "elapsed_ns");
             committed.insert(e.txn, (elapsed, (e.node, e.fiber)));
         }
     }
 
     let mut txns: Vec<TxnAttribution> = Vec::new();
     for (&txn, &(measured_ns, client_nf)) in &committed {
-        let roots = match roots_by_txn.get(&txn) {
-            Some(r) => r.as_slice(),
-            None => continue,
+        let Some(roots) = roots_by_txn.get(&txn) else {
+            continue;
         };
         // The client-side anchor spans, in start order.
         let mut client_roots: Vec<usize> = roots
@@ -467,7 +395,7 @@ pub fn attribute(events: &[TraceEvent], dropped: u64) -> AttributionReport {
             .copied()
             .filter(|&i| {
                 let f = &arena[i];
-                (f.node, f.fiber) == client_nf && f.phase.starts_with("client.")
+                (f.node, f.fiber) == client_nf && is_client_anchor(f.phase)
             })
             .collect();
         if client_roots.is_empty() {
@@ -539,18 +467,16 @@ pub fn attribute(events: &[TraceEvent], dropped: u64) -> AttributionReport {
     for (name, (lo, hi)) in names.iter().zip(ranges) {
         let mut agg = BucketAgg {
             name,
-            txns: 0,
+            txns: (hi - lo) as u64,
             measured_ns: 0,
             attributed_ns: 0,
             by_category: [0; CATEGORY_COUNT],
         };
-        for &i in &by_latency[lo..hi] {
-            let t = &txns[i];
-            agg.txns += 1;
+        for t in by_latency[lo..hi].iter().map(|&i| &txns[i]) {
             agg.measured_ns += t.measured_ns;
             agg.attributed_ns += t.attributed_ns;
-            for c in 0..CATEGORY_COUNT {
-                agg.by_category[c] += t.by_category[c];
+            for (total, v) in agg.by_category.iter_mut().zip(t.by_category) {
+                *total += v;
             }
         }
         buckets.push(agg);
@@ -587,11 +513,7 @@ impl AttributionReport {
 
     /// Run-wide coverage in basis points.
     pub fn coverage_bp(&self) -> u64 {
-        let m = self.measured_total();
-        if m == 0 {
-            return 10_000;
-        }
-        ((self.attributed_total() as u128 * 10_000) / m as u128) as u64
+        bp(self.attributed_total(), self.measured_total()).unwrap_or(10_000)
     }
 
     /// The worst per-transaction coverage in basis points (10000 if no
@@ -610,7 +532,7 @@ impl AttributionReport {
         self.buckets
             .iter()
             .find(|b| b.name == "ge_p99" && b.txns > 0)
-            .map(BucketAgg::dominant)
+            .map(|b| Category::dominant(&b.by_category))
     }
 
     /// Deterministic JSON export (integers only — shares are basis points).
@@ -622,16 +544,11 @@ impl AttributionReport {
                     out.push(',');
                 }
                 let ns = by[c.index()];
-                let bp = if total == 0 {
-                    0
-                } else {
-                    (ns as u128 * 10_000 / total as u128) as u64
-                };
                 out.push_str(&format!(
                     "{{\"category\":\"{}\",\"ns\":{},\"share_bp\":{}}}",
                     c.name(),
                     ns,
-                    bp
+                    bp(ns, total).unwrap_or(0)
                 ));
             }
             out.push(']');
@@ -664,7 +581,7 @@ impl AttributionReport {
                 b.txns,
                 b.measured_ns,
                 b.attributed_ns,
-                if b.txns == 0 { "none" } else { b.dominant().name() }
+                if b.txns == 0 { "none" } else { Category::dominant(&b.by_category).name() }
             ));
             cats(&mut out, &b.by_category, b.attributed_ns);
             out.push('}');
@@ -679,7 +596,7 @@ impl AttributionReport {
                 t.txn,
                 t.measured_ns,
                 t.attributed_ns,
-                t.dominant().name()
+                Category::dominant(&t.by_category).name()
             ));
             cats(&mut out, &t.by_category, t.attributed_ns);
             out.push_str(",\"top_segments\":[");
@@ -734,7 +651,7 @@ impl AttributionReport {
                 if b.txns == 0 {
                     "none"
                 } else {
-                    b.dominant().name()
+                    Category::dominant(&b.by_category).name()
                 }
             ));
         }
@@ -742,11 +659,7 @@ impl AttributionReport {
         let total = self.attributed_total();
         for c in Category::ALL {
             let ns = self.by_category[c.index()];
-            let bp = if total == 0 {
-                0
-            } else {
-                (ns as u128 * 10_000 / total as u128) as u64
-            };
+            let bp = bp(ns, total).unwrap_or(0);
             out.push_str(&format!(
                 "  {:<18} {:>16} {:>3}.{:02}%\n",
                 c.name(),
@@ -761,7 +674,7 @@ impl AttributionReport {
                 "  txn {:<12} measured {:>14} dominant {}\n",
                 t.txn,
                 us(t.measured_ns),
-                t.dominant().name()
+                Category::dominant(&t.by_category).name()
             ));
             for (c, phase, ns) in &t.top_segments {
                 out.push_str(&format!(
@@ -802,7 +715,7 @@ mod tests {
             fiber: u64,
             txn: u64,
             kind: EventKind,
-            phase: &'static str,
+            phase: Phase,
             args: &[(&'static str, u64)],
         ) {
             let seq = self.seq;
@@ -827,24 +740,24 @@ mod tests {
     fn single_coordinator_trace() -> Vec<TraceEvent> {
         let mut t = Tracer::new();
         let txn = 7;
-        t.ev(0, 9, 1, txn, EventKind::Enter, "client.commit", &[]);
+        t.ev(0, 9, 1, txn, EventKind::Enter, Phase::ClientCommit, &[]);
         // Coordinator node 1, worker fiber 2.
-        t.ev(20, 1, 2, txn, EventKind::Enter, "2pc.commit", &[]);
-        t.ev(30, 1, 2, txn, EventKind::Enter, "clog.log_decision", &[]);
-        t.ev(50, 1, 2, txn, EventKind::Exit, "clog.log_decision", &[]);
-        t.ev(50, 1, 2, txn, EventKind::Enter, "store.lock_wait", &[]);
-        t.ev(70, 1, 2, txn, EventKind::Exit, "store.lock_wait", &[]);
-        t.ev(80, 1, 2, txn, EventKind::Exit, "2pc.commit", &[]);
+        t.ev(20, 1, 2, txn, EventKind::Enter, Phase::CoordCommit, &[]);
+        t.ev(30, 1, 2, txn, EventKind::Enter, Phase::ClogLogDecision, &[]);
+        t.ev(50, 1, 2, txn, EventKind::Exit, Phase::ClogLogDecision, &[]);
+        t.ev(50, 1, 2, txn, EventKind::Enter, Phase::StoreLockWait, &[]);
+        t.ev(70, 1, 2, txn, EventKind::Exit, Phase::StoreLockWait, &[]);
+        t.ev(80, 1, 2, txn, EventKind::Exit, Phase::CoordCommit, &[]);
         t.ev(
             100,
             9,
             1,
             txn,
             EventKind::Instant,
-            "client.committed",
+            Phase::ClientCommitted,
             &[("elapsed_ns", 100)],
         );
-        t.ev(100, 9, 1, txn, EventKind::Exit, "client.commit", &[]);
+        t.ev(100, 9, 1, txn, EventKind::Exit, Phase::ClientCommit, &[]);
         t.events
     }
 
@@ -859,7 +772,7 @@ mod tests {
         assert_eq!(t.by_category[Category::LockWait.index()], 20);
         assert_eq!(t.by_category[Category::Other.index()], 20);
         assert_eq!(t.by_category[Category::Network.index()], 40);
-        assert_eq!(t.dominant(), Category::Network);
+        assert_eq!(Category::dominant(&t.by_category), Category::Network);
         assert_eq!(t.coverage_bp(), 10_000);
     }
 
@@ -872,57 +785,25 @@ mod tests {
     fn concurrent_branches_pick_latest_end() {
         let mut tr = Tracer::new();
         let txn = 5;
-        tr.ev(0, 9, 1, txn, EventKind::Enter, "client.commit", &[]);
-        tr.ev(10, 1, 2, txn, EventKind::Enter, "2pc.prepare", &[]);
-        tr.ev(
-            20,
-            2,
-            3,
-            txn,
-            EventKind::Enter,
-            "2pc.participant.prepare",
-            &[],
-        );
-        tr.ev(
-            30,
-            3,
-            4,
-            txn,
-            EventKind::Enter,
-            "2pc.participant.prepare",
-            &[],
-        );
-        tr.ev(
-            40,
-            2,
-            3,
-            txn,
-            EventKind::Exit,
-            "2pc.participant.prepare",
-            &[],
-        );
-        tr.ev(40, 3, 4, txn, EventKind::Enter, "store.commit", &[]);
-        tr.ev(80, 3, 4, txn, EventKind::Exit, "store.commit", &[]);
-        tr.ev(
-            90,
-            3,
-            4,
-            txn,
-            EventKind::Exit,
-            "2pc.participant.prepare",
-            &[],
-        );
-        tr.ev(100, 1, 2, txn, EventKind::Exit, "2pc.prepare", &[]);
+        tr.ev(0, 9, 1, txn, EventKind::Enter, Phase::ClientCommit, &[]);
+        tr.ev(10, 1, 2, txn, EventKind::Enter, Phase::CoordPrepare, &[]);
+        tr.ev(20, 2, 3, txn, EventKind::Enter, Phase::PartPrepare, &[]);
+        tr.ev(30, 3, 4, txn, EventKind::Enter, Phase::PartPrepare, &[]);
+        tr.ev(40, 2, 3, txn, EventKind::Exit, Phase::PartPrepare, &[]);
+        tr.ev(40, 3, 4, txn, EventKind::Enter, Phase::StoreCommit, &[]);
+        tr.ev(80, 3, 4, txn, EventKind::Exit, Phase::StoreCommit, &[]);
+        tr.ev(90, 3, 4, txn, EventKind::Exit, Phase::PartPrepare, &[]);
+        tr.ev(100, 1, 2, txn, EventKind::Exit, Phase::CoordPrepare, &[]);
         tr.ev(
             110,
             9,
             1,
             txn,
             EventKind::Instant,
-            "client.committed",
+            Phase::ClientCommitted,
             &[("elapsed_ns", 110)],
         );
-        tr.ev(110, 9, 1, txn, EventKind::Exit, "client.commit", &[]);
+        tr.ev(110, 9, 1, txn, EventKind::Exit, Phase::ClientCommit, &[]);
         let report = attribute(&tr.events, 0);
         assert_eq!(report.txns.len(), 1);
         let t = &report.txns[0];
@@ -944,54 +825,32 @@ mod tests {
     /// stays in `other`.
     #[test]
     fn participant_wal_stabilize_is_durability_not_other() {
-        assert_eq!(
-            Category::of_phase("wal.stabilize"),
-            Category::ClogDurability
-        );
-        assert_eq!(
-            Category::of_phase("clog.stabilize"),
-            Category::ClogDurability
-        );
+        assert_eq!(Phase::WalStabilize.category(), Category::ClogDurability);
+        assert_eq!(Phase::ClogStabilize.category(), Category::ClogDurability);
         // Both store read entry points are reads; the rest of `store.` is
         // the write path.
-        assert_eq!(Category::of_phase("store.get"), Category::StoreRead);
-        assert_eq!(Category::of_phase("store.scan"), Category::StoreRead);
-        assert_eq!(Category::of_phase("store.apply"), Category::StoreWrite);
+        assert_eq!(Phase::StoreGet.category(), Category::StoreRead);
+        assert_eq!(Phase::StoreScan.category(), Category::StoreRead);
+        assert_eq!(Phase::StoreCommit.category(), Category::StoreWrite);
         let mut tr = Tracer::new();
         let txn = 6;
-        tr.ev(0, 9, 1, txn, EventKind::Enter, "client.commit", &[]);
-        tr.ev(10, 1, 2, txn, EventKind::Enter, "2pc.prepare", &[]);
-        tr.ev(
-            30,
-            3,
-            4,
-            txn,
-            EventKind::Enter,
-            "2pc.participant.prepare",
-            &[],
-        );
-        tr.ev(40, 3, 4, txn, EventKind::Enter, "wal.stabilize", &[]);
-        tr.ev(80, 3, 4, txn, EventKind::Exit, "wal.stabilize", &[]);
-        tr.ev(
-            90,
-            3,
-            4,
-            txn,
-            EventKind::Exit,
-            "2pc.participant.prepare",
-            &[],
-        );
-        tr.ev(100, 1, 2, txn, EventKind::Exit, "2pc.prepare", &[]);
+        tr.ev(0, 9, 1, txn, EventKind::Enter, Phase::ClientCommit, &[]);
+        tr.ev(10, 1, 2, txn, EventKind::Enter, Phase::CoordPrepare, &[]);
+        tr.ev(30, 3, 4, txn, EventKind::Enter, Phase::PartPrepare, &[]);
+        tr.ev(40, 3, 4, txn, EventKind::Enter, Phase::WalStabilize, &[]);
+        tr.ev(80, 3, 4, txn, EventKind::Exit, Phase::WalStabilize, &[]);
+        tr.ev(90, 3, 4, txn, EventKind::Exit, Phase::PartPrepare, &[]);
+        tr.ev(100, 1, 2, txn, EventKind::Exit, Phase::CoordPrepare, &[]);
         tr.ev(
             110,
             9,
             1,
             txn,
             EventKind::Instant,
-            "client.committed",
+            Phase::ClientCommitted,
             &[("elapsed_ns", 110)],
         );
-        tr.ev(110, 9, 1, txn, EventKind::Exit, "client.commit", &[]);
+        tr.ev(110, 9, 1, txn, EventKind::Exit, Phase::ClientCommit, &[]);
         let report = attribute(&tr.events, 0);
         let t = &report.txns[0];
         assert_eq!(t.attributed_ns, 110);
@@ -1007,36 +866,41 @@ mod tests {
     /// [100, 200)) is not on the client's path at all.
     #[test]
     fn commit_point_join_is_durability_and_the_finish_is_off_path() {
-        assert_eq!(
-            Category::of_phase("2pc.start_stable"),
-            Category::ClogDurability
-        );
-        assert!(is_waiting("2pc.start_stable") && is_waiting("2pc.finish"));
+        assert_eq!(Phase::CoordStartStable.category(), Category::ClogDurability);
+        assert!(Phase::CoordStartStable.is_waiting() && Phase::CoordFinish.is_waiting());
         let mut tr = Tracer::new();
         let txn = 8;
-        tr.ev(0, 9, 1, txn, EventKind::Enter, "client.commit", &[]);
-        tr.ev(10, 1, 2, txn, EventKind::Enter, "2pc.commit", &[]);
-        tr.ev(20, 1, 2, txn, EventKind::Enter, "2pc.start_stable", &[]);
-        tr.ev(30, 1, 2, txn, EventKind::Enter, "clog.stabilize", &[]);
-        tr.ev(50, 1, 2, txn, EventKind::Exit, "clog.stabilize", &[]);
-        tr.ev(60, 1, 2, txn, EventKind::Exit, "2pc.start_stable", &[]);
-        tr.ev(60, 1, 2, txn, EventKind::Enter, "2pc.decide", &[]);
-        tr.ev(70, 1, 2, txn, EventKind::Exit, "2pc.decide", &[]);
-        tr.ev(70, 1, 2, txn, EventKind::Exit, "2pc.commit", &[]);
+        tr.ev(0, 9, 1, txn, EventKind::Enter, Phase::ClientCommit, &[]);
+        tr.ev(10, 1, 2, txn, EventKind::Enter, Phase::CoordCommit, &[]);
+        tr.ev(
+            20,
+            1,
+            2,
+            txn,
+            EventKind::Enter,
+            Phase::CoordStartStable,
+            &[],
+        );
+        tr.ev(30, 1, 2, txn, EventKind::Enter, Phase::ClogStabilize, &[]);
+        tr.ev(50, 1, 2, txn, EventKind::Exit, Phase::ClogStabilize, &[]);
+        tr.ev(60, 1, 2, txn, EventKind::Exit, Phase::CoordStartStable, &[]);
+        tr.ev(60, 1, 2, txn, EventKind::Enter, Phase::CoordDecide, &[]);
+        tr.ev(70, 1, 2, txn, EventKind::Exit, Phase::CoordDecide, &[]);
+        tr.ev(70, 1, 2, txn, EventKind::Exit, Phase::CoordCommit, &[]);
         tr.ev(
             100,
             9,
             1,
             txn,
             EventKind::Instant,
-            "client.committed",
+            Phase::ClientCommitted,
             &[("elapsed_ns", 100)],
         );
-        tr.ev(100, 9, 1, txn, EventKind::Exit, "client.commit", &[]);
-        tr.ev(100, 1, 5, txn, EventKind::Enter, "2pc.finish", &[]);
-        tr.ev(100, 1, 5, txn, EventKind::Enter, "clog.stabilize", &[]);
-        tr.ev(180, 1, 5, txn, EventKind::Exit, "clog.stabilize", &[]);
-        tr.ev(200, 1, 5, txn, EventKind::Exit, "2pc.finish", &[]);
+        tr.ev(100, 9, 1, txn, EventKind::Exit, Phase::ClientCommit, &[]);
+        tr.ev(100, 1, 5, txn, EventKind::Enter, Phase::CoordFinish, &[]);
+        tr.ev(100, 1, 5, txn, EventKind::Enter, Phase::ClogStabilize, &[]);
+        tr.ev(180, 1, 5, txn, EventKind::Exit, Phase::ClogStabilize, &[]);
+        tr.ev(200, 1, 5, txn, EventKind::Exit, Phase::CoordFinish, &[]);
         let report = attribute(&tr.events, 0);
         let t = &report.txns[0];
         assert_eq!(t.measured_ns, 100);
@@ -1056,7 +920,15 @@ mod tests {
         let txn = 3;
         // Two buffered writes ride the read's message: one waiting span,
         // whatever the list length.
-        tr.ev(0, 9, 1, txn, EventKind::Enter, "client.op", &[("ops", 3)]);
+        tr.ev(
+            0,
+            9,
+            1,
+            txn,
+            EventKind::Enter,
+            Phase::ClientOp,
+            &[("ops", 3)],
+        );
         // Handler opens at 50: 10ns queue wait, 5ns open reported.
         tr.ev(
             50,
@@ -1064,7 +936,7 @@ mod tests {
             2,
             txn,
             EventKind::Enter,
-            "rpc.handle",
+            Phase::RpcHandle,
             &[("queue_ns", 10), ("open_ns", 5)],
         );
         tr.ev(
@@ -1073,23 +945,23 @@ mod tests {
             2,
             txn,
             EventKind::Enter,
-            "2pc.coordinate_op",
+            Phase::CoordOp,
             &[("ops", 3)],
         );
-        tr.ev(70, 1, 2, txn, EventKind::Exit, "2pc.coordinate_op", &[]);
-        tr.ev(75, 1, 2, txn, EventKind::Exit, "rpc.handle", &[]);
-        tr.ev(90, 9, 1, txn, EventKind::Exit, "client.op", &[]);
-        tr.ev(90, 9, 1, txn, EventKind::Enter, "client.commit", &[]);
+        tr.ev(70, 1, 2, txn, EventKind::Exit, Phase::CoordOp, &[]);
+        tr.ev(75, 1, 2, txn, EventKind::Exit, Phase::RpcHandle, &[]);
+        tr.ev(90, 9, 1, txn, EventKind::Exit, Phase::ClientOp, &[]);
+        tr.ev(90, 9, 1, txn, EventKind::Enter, Phase::ClientCommit, &[]);
         tr.ev(
             95,
             9,
             1,
             txn,
             EventKind::Instant,
-            "client.committed",
+            Phase::ClientCommitted,
             &[("elapsed_ns", 95)],
         );
-        tr.ev(95, 9, 1, txn, EventKind::Exit, "client.commit", &[]);
+        tr.ev(95, 9, 1, txn, EventKind::Exit, Phase::ClientCommit, &[]);
         let report = attribute(&tr.events, 0);
         let t = &report.txns[0];
         assert_eq!(t.attributed_ns, 95);
@@ -1135,17 +1007,25 @@ mod tests {
             let txn = i + 1;
             let base = i * 1_000;
             let lat = 100 + i * 10;
-            tr.ev(base, 9, 1, txn, EventKind::Enter, "client.commit", &[]);
+            tr.ev(base, 9, 1, txn, EventKind::Enter, Phase::ClientCommit, &[]);
             tr.ev(
                 base + lat,
                 9,
                 1,
                 txn,
                 EventKind::Instant,
-                "client.committed",
+                Phase::ClientCommitted,
                 &[("elapsed_ns", lat)],
             );
-            tr.ev(base + lat, 9, 1, txn, EventKind::Exit, "client.commit", &[]);
+            tr.ev(
+                base + lat,
+                9,
+                1,
+                txn,
+                EventKind::Exit,
+                Phase::ClientCommit,
+                &[],
+            );
         }
         let report = attribute(&tr.events, 0);
         assert_eq!(report.txns.len(), 20);

@@ -6,27 +6,15 @@
 //! `pid` is the Treaty node (fabric endpoint), `tid` the fiber, and
 //! timestamps are the virtual clock expressed in microseconds.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
+use crate::flight::escape;
 use crate::tree::{build_forest_lossy, Span};
 use crate::{EventKind, Nanos, TraceEvent};
 
 /// Virtual nanoseconds as a Chrome-trace microsecond literal ("12.345").
 fn micros(ns: Nanos) -> String {
     format!("{}.{:03}", ns / 1_000, ns % 1_000)
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Serializes events to Chrome `trace_event` JSON (object format).
@@ -56,7 +44,7 @@ pub fn chrome_trace_json_with_meta(events: &[TraceEvent], dropped: u64) -> Strin
         };
         out.push_str(&format!(
             "{{\"name\":\"{}\",\"cat\":\"treaty\",\"ph\":\"{}\",\"ts\":{},\"pid\":{},\"tid\":{}",
-            escape(e.phase),
+            escape(e.phase.name()),
             ph,
             micros(e.ts),
             e.node,
@@ -66,17 +54,12 @@ pub fn chrome_trace_json_with_meta(events: &[TraceEvent], dropped: u64) -> Strin
             out.push_str(",\"s\":\"t\"");
         }
         out.push_str(",\"args\":{");
-        let mut first = true;
-        if e.txn != 0 {
-            out.push_str(&format!("\"txn\":{}", e.txn));
-            first = false;
-        }
-        for (k, v) in &e.args {
-            if !first {
+        let txn = (e.txn != 0).then_some(("txn", e.txn));
+        for (j, (k, v)) in txn.iter().chain(&e.args).enumerate() {
+            if j > 0 {
                 out.push(',');
             }
             out.push_str(&format!("\"{}\":{}", escape(k), v));
-            first = false;
         }
         out.push_str("}}");
     }
@@ -161,11 +144,8 @@ pub fn phase_breakdown_with_drops(events: &[TraceEvent], dropped: u64) -> String
         "phase", "count", "total", "self", "mean", "max"
     ));
     for (phase, a) in &rows {
-        let mean = if a.count == 0 {
-            0
-        } else {
-            a.total / a.count as u128
-        };
+        // Every row counts at least the span that created it.
+        let mean = a.total / a.count as u128;
         out.push_str(&format!(
             "{:<34} {:>8} {:>16} {:>16} {:>14} {:>14}\n",
             phase,
@@ -178,15 +158,8 @@ pub fn phase_breakdown_with_drops(events: &[TraceEvent], dropped: u64) -> String
     }
 
     // Per-node totals: one column per node id, in node order.
-    let mut nodes: Vec<u32> = Vec::new();
-    for cols in per_node.values() {
-        for &n in cols.keys() {
-            if !nodes.contains(&n) {
-                nodes.push(n);
-            }
-        }
-    }
-    nodes.sort_unstable();
+    let nodes: BTreeSet<u32> = per_node.values().flat_map(|c| c.keys().copied()).collect();
+    let mut nodes: Vec<u32> = nodes.into_iter().collect();
     if !nodes.is_empty() {
         let elided = nodes.len().saturating_sub(MAX_NODE_COLUMNS);
         nodes.truncate(MAX_NODE_COLUMNS);
@@ -218,7 +191,7 @@ pub fn phase_breakdown_with_drops(events: &[TraceEvent], dropped: u64) -> String
     for e in events {
         if e.kind == EventKind::Instant {
             *instants
-                .entry(e.phase)
+                .entry(e.phase.name())
                 .or_default()
                 .entry(e.node)
                 .or_insert(0) += 1;
@@ -242,7 +215,9 @@ pub fn phase_breakdown_with_drops(events: &[TraceEvent], dropped: u64) -> String
 mod tests {
     use super::*;
 
-    fn e(seq: u64, ts: Nanos, kind: EventKind, phase: &'static str) -> TraceEvent {
+    use crate::Phase;
+
+    fn e(seq: u64, ts: Nanos, kind: EventKind, phase: Phase) -> TraceEvent {
         TraceEvent {
             seq,
             ts,
@@ -261,11 +236,11 @@ mod tests {
 
     fn sample() -> Vec<TraceEvent> {
         vec![
-            e(0, 1_000, EventKind::Enter, "2pc.commit"),
-            e(1, 1_500, EventKind::Enter, "clog.log_start"),
-            e(2, 2_500, EventKind::Exit, "clog.log_start"),
-            e(3, 2_600, EventKind::Instant, "net.send"),
-            e(4, 9_000, EventKind::Exit, "2pc.commit"),
+            e(0, 1_000, EventKind::Enter, Phase::CoordCommit),
+            e(1, 1_500, EventKind::Enter, Phase::ClogLogStart),
+            e(2, 2_500, EventKind::Exit, Phase::ClogLogStart),
+            e(3, 2_600, EventKind::Instant, Phase::NetSend),
+            e(4, 9_000, EventKind::Exit, Phase::CoordCommit),
         ]
     }
 
@@ -314,11 +289,14 @@ mod tests {
 
     #[test]
     fn breakdown_survives_unbalanced_trace() {
-        let events = vec![e(0, 10, EventKind::Enter, "a")];
+        let events = vec![e(0, 10, EventKind::Enter, Phase::StoreFlush)];
         let table = phase_breakdown(&events);
         assert!(table.contains("NOTE: trace truncated"), "{table}");
         assert!(table.contains("unclosed=1"), "{table}");
-        assert!(table.contains('a'), "repaired span still reported: {table}");
+        assert!(
+            table.contains("store.flush"),
+            "repaired span still reported: {table}"
+        );
     }
 
     #[test]
@@ -341,7 +319,7 @@ mod tests {
             node: 2,
             fiber: 9,
             txn: 0,
-            phase: "2pc.commit",
+            phase: Phase::CoordCommit,
             kind: EventKind::Enter,
             args: Vec::new(),
         });
@@ -351,7 +329,7 @@ mod tests {
             node: 2,
             fiber: 9,
             txn: 0,
-            phase: "2pc.commit",
+            phase: Phase::CoordCommit,
             kind: EventKind::Exit,
             args: Vec::new(),
         });
@@ -361,7 +339,7 @@ mod tests {
             node: 2,
             fiber: 9,
             txn: 0,
-            phase: "crash.fired",
+            phase: Phase::CrashFired,
             kind: EventKind::Instant,
             args: Vec::new(),
         });
@@ -375,11 +353,5 @@ mod tests {
             table.contains("net.send"),
             "instants include net.send: {table}"
         );
-    }
-
-    #[test]
-    fn escape_handles_quotes_and_controls() {
-        assert_eq!(escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(escape("x\ny"), "x\\u000ay");
     }
 }

@@ -44,7 +44,8 @@ fn sanitize(reason: &str) -> String {
         .collect()
 }
 
-fn escape(s: &str) -> String {
+/// JSON string escaping for names, reasons and details in the exports.
+pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -125,39 +126,28 @@ impl Obs {
                 e.seq, e.ts, e.fiber, e.txn, ph, e.phase
             ));
             if !e.args.is_empty() {
-                out.push_str(", \"args\": {");
-                for (j, (k, v)) in e.args.iter().enumerate() {
-                    if j > 0 {
-                        out.push_str(", ");
-                    }
-                    out.push_str(&format!("\"{k}\": {v}"));
-                }
-                out.push('}');
+                let args: Vec<String> = e
+                    .args
+                    .iter()
+                    .map(|(k, v)| format!("\"{k}\": {v}"))
+                    .collect();
+                out.push_str(&format!(", \"args\": {{{}}}", args.join(", ")));
             }
-            out.push('}');
-            if i + 1 < tail.len() {
-                out.push(',');
-            }
-            out.push('\n');
+            out.push_str(if i + 1 < tail.len() { "},\n" } else { "}\n" });
         }
         out.push_str("  ],\n");
 
         let snap = self.metrics().snapshot();
-        out.push_str("  \"counters\": {");
-        for (j, (k, v)) in snap.counters.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\": {}", escape(k), v));
+        for (name, values, end) in [
+            ("counters", &snap.counters, ","),
+            ("gauges", &snap.gauges, "\n}"),
+        ] {
+            let body: Vec<String> = values
+                .iter()
+                .map(|(k, v)| format!("\"{}\": {v}", escape(k)))
+                .collect();
+            out.push_str(&format!("  \"{name}\": {{{}}}{end}\n", body.join(",")));
         }
-        out.push_str("},\n  \"gauges\": {");
-        for (j, (k, v)) in snap.gauges.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\": {}", escape(k), v));
-        }
-        out.push_str("}\n}\n");
 
         let file = dir.join(format!("flight-{ordinal:04}-{}.json", sanitize(reason)));
         std::fs::create_dir_all(&dir).ok()?;
@@ -173,7 +163,7 @@ impl Obs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::EventKind;
+    use crate::{EventKind, Phase};
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("treaty-flight-{tag}-{}", std::process::id()));
@@ -200,11 +190,11 @@ mod tests {
                 1,
                 0,
                 0,
-                "store.flush",
+                Phase::StoreFlush,
                 &[("n", i)],
             );
         }
-        obs.record(EventKind::Instant, 99, 2, 0, 0, "other.node", &[]);
+        obs.record(EventKind::Instant, 99, 2, 0, 0, Phase::NetRecv, &[]);
         obs.metrics().counter_add("crash.fired", 1);
         let dump = obs
             .flight_dump(1, 100, "crash.fired", "clog.pre_decision_append")
@@ -214,7 +204,7 @@ mod tests {
         assert!(body.contains("\"reason\": \"crash.fired\""));
         assert!(body.contains("clog.pre_decision_append"));
         assert!(body.contains("\"crash.fired\": 1"));
-        assert!(!body.contains("other.node"), "foreign-node events excluded");
+        assert!(!body.contains("net.recv"), "foreign-node events excluded");
         // Oldest two node-1 events were trimmed.
         assert!(!body.contains("\"ts\": 0,"));
         assert!(body.contains("\"ts\": 40"));
@@ -226,7 +216,7 @@ mod tests {
         let dir = temp_dir("order");
         let obs = Obs::new(16);
         obs.configure_flight(&dir, 8);
-        obs.record(EventKind::Instant, 1, 1, 0, 0, "x", &[]);
+        obs.record(EventKind::Instant, 1, 1, 0, 0, Phase::CrashFired, &[]);
         let a = obs.flight_dump(1, 1, "crash.fired", "a").unwrap();
         let b = obs.flight_dump(1, 2, "slo.breach", "b").unwrap();
         assert_eq!(a.ordinal, 0);
@@ -234,5 +224,11 @@ mod tests {
         assert!(a.path.ends_with("flight-0000-crash_fired.json"));
         assert!(b.path.ends_with("flight-0001-slo_breach.json"));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn escape_handles_quotes_and_controls() {
+        assert_eq!(escape("a\"b\\c"), "a\\\"b\\\\c");
+        assert_eq!(escape("x\ny\u{1}"), "x\\ny\\u0001");
     }
 }

@@ -5,7 +5,8 @@
 //! This crate provides the substrate for that attribution:
 //!
 //! * a [`TraceEvent`] span model — balanced enter/exit events keyed by
-//!   `(txn, node, phase)` and stamped with the simulator's *virtual* clock;
+//!   `(txn, node, phase)` and stamped with the simulator's *virtual* clock,
+//!   every phase a variant of the one [`Phase`] catalogue;
 //! * a per-`Sim` [`Obs`] sink with a ring-buffer cap, cheap enough to be
 //!   always-on;
 //! * a [`MetricsRegistry`] of named counters/gauges/virtual-time histograms
@@ -13,7 +14,7 @@
 //!   it keeps per name;
 //! * exporters: Chrome `trace_event` JSON (loadable in `chrome://tracing` /
 //!   Perfetto) and a text phase-breakdown table ([`export`]);
-//! * a span-tree builder with invariant checks for tests ([`tree`]).
+//! * one span-tree builder, whose repairs are the invariant checks ([`tree`]).
 //!
 //! # Determinism
 //!
@@ -25,8 +26,8 @@
 //!
 //! # Secrecy
 //!
-//! Trace payloads are *structurally* numeric: an event carries a static
-//! phase name and `(&'static str, u64)` arguments, so plaintext values, user
+//! Trace payloads are *structurally* numeric: an event carries a phase
+//! variant and `(&'static str, u64)` arguments, so plaintext values, user
 //! keys or key material cannot be interpolated into a trace (treaty-lint
 //! rule L005 enforces the same property for format strings in trusted
 //! regions).
@@ -39,6 +40,7 @@ pub mod export;
 pub mod flight;
 pub mod histogram;
 pub mod metrics;
+pub mod phase;
 pub mod tree;
 
 use std::cell::RefCell;
@@ -50,7 +52,8 @@ pub use export::{chrome_trace_json, chrome_trace_json_with_meta, phase_breakdown
 pub use flight::FlightDump;
 pub use histogram::Histogram;
 pub use metrics::{HistSummary, MetricsRegistry, MetricsSnapshot};
-pub use tree::{build_forest, build_forest_lossy, check_invariants, LossyForest, Span};
+pub use phase::{IntoPhase, Phase};
+pub use tree::{build_forest_lossy, check_invariants, LossyForest, Span};
 
 /// Virtual nanoseconds — mirrors `treaty_sim::Nanos` without the dependency.
 pub type Nanos = u64;
@@ -87,9 +90,8 @@ pub struct TraceEvent {
     pub txn: u64,
     /// Enter, exit or instant.
     pub kind: EventKind,
-    /// Static phase name, e.g. `"2pc.prepare"`. The `"layer."` prefix
-    /// groups phases in the breakdown table.
-    pub phase: &'static str,
+    /// The catalogued phase; exports print its `name()`.
+    pub phase: Phase,
     /// Numeric-only payload — secrets cannot ride along.
     pub args: Vec<(&'static str, u64)>,
 }
@@ -144,7 +146,7 @@ impl Obs {
         node: u32,
         fiber: u64,
         txn: u64,
-        phase: &'static str,
+        phase: Phase,
         args: &[(&'static str, u64)],
     ) {
         let mut sink = self.sink.borrow_mut();
@@ -192,15 +194,15 @@ impl Obs {
 mod tests {
     use super::*;
 
-    fn ev(obs: &Obs, kind: EventKind, ts: Nanos, phase: &'static str) {
-        obs.record(kind, ts, 1, 0, 7, phase, &[]);
+    fn ev(obs: &Obs, kind: EventKind, ts: Nanos) {
+        obs.record(kind, ts, 1, 0, 7, Phase::NetRecv, &[]);
     }
 
     #[test]
     fn ring_buffer_drops_oldest() {
         let obs = Obs::new(3);
         for i in 0..5 {
-            ev(&obs, EventKind::Instant, i, "x");
+            ev(&obs, EventKind::Instant, i);
         }
         let events = obs.events();
         assert_eq!(events.len(), 3);
@@ -219,10 +221,10 @@ mod tests {
             2,
             3,
             99,
-            "2pc.prepare",
+            Phase::CoordPrepare,
             &[("peers", 2)],
         );
-        obs.record(EventKind::Exit, 25, 2, 3, 99, "2pc.prepare", &[]);
+        obs.record(EventKind::Exit, 25, 2, 3, 99, Phase::CoordPrepare, &[]);
         let events = obs.events();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].kind, EventKind::Enter);
@@ -234,7 +236,7 @@ mod tests {
     #[test]
     fn zero_cap_is_clamped() {
         let obs = Obs::new(0);
-        ev(&obs, EventKind::Instant, 1, "x");
+        ev(&obs, EventKind::Instant, 1);
         assert_eq!(obs.events().len(), 1);
     }
 }

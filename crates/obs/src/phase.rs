@@ -1,0 +1,196 @@
+//! The catalogue of phases: every span and instant the workspace records,
+//! each with its attribution [`Category`](crate::Category) on its line.
+
+/// Declares a phase catalogue from one `Variant => "name", Category;` line
+/// per phase, `, waiting` before the `;` marking a phase that parks for a
+/// remote reply. `ALL`, `name()`, `category()`, `is_waiting()` and the
+/// literal mapping `from_name()` all come from the one list.
+///
+/// ```
+/// treaty_obs::phases! {
+///     pub enum Toy {
+///         Work => "toy.work", Other;
+///         Call => "toy.call", Network, waiting;
+///     }
+/// }
+/// assert_eq!(Toy::Call.category(), treaty_obs::Category::Network);
+/// assert!(Toy::Call.is_waiting() && !Toy::Work.is_waiting());
+/// assert_eq!(Toy::from_name("toy.work"), Some(Toy::Work));
+/// ```
+///
+/// A line with no category does not compile:
+///
+/// ```compile_fail
+/// treaty_obs::phases! {
+///     pub enum Toy {
+///         Work => "toy.work";
+///     }
+/// }
+/// ```
+#[macro_export]
+macro_rules! phases {
+    ($(#[$attr:meta])* pub enum $ty:ident {
+        $($variant:ident => $name:literal, $cat:ident $(, $waiting:ident)?;)*
+    }) => {
+        $(#[$attr])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $ty {
+            $($variant,)*
+        }
+
+        impl $ty {
+            /// Every phase, in declaration order: `ALL[i] as usize == i`.
+            pub const ALL: [$ty; [$($name),*].len()] = [$($ty::$variant),*];
+
+            /// The phase's dotted name, what every export prints.
+            pub const fn name(self) -> &'static str {
+                match self {
+                    $($ty::$variant => $name,)*
+                }
+            }
+
+            /// The category the phase's own time is attributed to.
+            pub const fn category(self) -> $crate::Category {
+                match self {
+                    $($ty::$variant => $crate::Category::$cat,)*
+                }
+            }
+
+            /// True for a phase that parks waiting for a remote reply.
+            pub const fn is_waiting(self) -> bool {
+                match self {
+                    $($ty::$variant => $crate::phases!(@waiting $($waiting)?),)*
+                }
+            }
+
+            /// The variant a dotted name spells, if the catalogue has it.
+            pub fn from_name(name: &str) -> Option<$ty> {
+                match name {
+                    $($name => Some($ty::$variant),)*
+                    _ => None,
+                }
+            }
+        }
+    };
+    (@waiting waiting) => { true };
+    (@waiting) => { false };
+}
+
+phases! {
+    /// Every span and instant recorded in the workspace. A call site names
+    /// a variant, so a misspelt one does not compile:
+    ///
+    /// ```compile_fail
+    /// let _ = treaty_obs::Phase::ClientComit;
+    /// ```
+    pub enum Phase {
+        // Client (treaty-core client.rs): the spans attribution anchors on.
+        ClientBegin => "client.begin", Other;
+        ClientBeginReadOnly => "client.begin_read_only", Other;
+        ClientOp => "client.op", Other, waiting;
+        ClientCommit => "client.commit", Other, waiting;
+        ClientCommitted => "client.committed", Other;
+        ClientSnapshotRead => "client.snapshot_read", Other, waiting;
+        ClientSnapshotValidate => "client.snapshot_validate", Other, waiting;
+        // Coordinator (treaty-core node.rs, Fig. 2).
+        CoordOp => "2pc.coordinate_op", Other, waiting;
+        CoordCommit => "2pc.commit", Other;
+        CoordPrepare => "2pc.prepare", Other, waiting;
+        CoordStartStable => "2pc.start_stable", ClogDurability, waiting;
+        CoordDecide => "2pc.decide", Other;
+        CoordFinish => "2pc.finish", Other, waiting;
+        CoordReadOnlyFinish => "2pc.read_only_finish", Other, waiting;
+        CoordSendDecision => "2pc.send_decision", Other, waiting;
+        CoordDecisionRetry => "2pc.decision_retry", Other;
+        CoordDecisionUnstable => "2pc.decision_unstable", Other;
+        CoordRollback => "2pc.rollback", Other, waiting;
+        CoordAbortAdvisory => "2pc.abort_advisory", Other;
+        CoordRedriveFailed => "2pc.recovery_redrive_failed", Other;
+        // Participant (treaty-core node.rs, peer handler).
+        PartOp => "2pc.participant.op", Other;
+        PartPrepare => "2pc.participant.prepare", Other;
+        PartCommit => "2pc.participant.commit", Other;
+        PartAbort => "2pc.participant.abort", Other;
+        PartQuery => "2pc.participant.query", Other;
+        // Snapshot lane (treaty-core node.rs).
+        SnapshotRead => "core.snapshot_read", StoreRead;
+        SnapshotValidate => "core.snapshot_validate", StoreRead;
+        // Log durability: the Clog (treaty-core clog.rs) and the WAL.
+        ClogLogStart => "clog.log_start", ClogDurability;
+        ClogLogDecision => "clog.log_decision", ClogDurability;
+        ClogStabilize => "clog.stabilize", ClogDurability;
+        WalStabilize => "wal.stabilize", ClogDurability;
+        // Storage engine (treaty-store engine.rs, locks.rs).
+        StoreGet => "store.get", StoreRead;
+        StoreScan => "store.scan", StoreRead;
+        StoreLockWait => "store.lock_wait", LockWait;
+        StoreCommit => "store.commit", StoreWrite;
+        StoreFlushRotate => "store.flush_rotate", StoreWrite;
+        StoreFlush => "store.flush", StoreWrite;
+        StoreCompact => "store.compact", StoreWrite;
+        // Network (treaty-net fabric.rs, rpc.rs).
+        NetSend => "net.send", Network;
+        NetRecv => "net.recv", Network;
+        RpcHandle => "rpc.handle", Tee;
+        // Fault injection (treaty-sim crashpoint.rs).
+        CrashFired => "crash.fired", Other;
+        // The benchmark harness's own spans, named by literal there.
+        BenchGet => "bench.get", Other;
+        BenchPut => "bench.put", Other;
+        BenchScan => "bench.scan", Other;
+        BenchCommit => "bench.commit", Other;
+    }
+}
+
+impl std::fmt::Display for Phase {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+/// A phase as a call site names it: a [`Phase`], or a name the catalogue
+/// declares (the benchmark harness spells its `bench.*` spans so).
+pub trait IntoPhase {
+    /// The catalogued variant; panics on a name the catalogue lacks.
+    fn into_phase(self) -> Phase;
+}
+
+impl IntoPhase for Phase {
+    fn into_phase(self) -> Phase {
+        self
+    }
+}
+
+impl IntoPhase for &str {
+    fn into_phase(self) -> Phase {
+        Phase::from_name(self)
+            .unwrap_or_else(|| panic!("unknown phase {self:?}: declare it in treaty_obs::Phase"))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn names_are_unique_and_map_back_to_their_variant() {
+        for (i, phase) in Phase::ALL.into_iter().enumerate() {
+            assert_eq!(phase as usize, i);
+            assert_eq!(Phase::from_name(phase.name()), Some(phase));
+            assert_eq!(phase.name().into_phase(), phase);
+            assert!(
+                Phase::ALL[..i].iter().all(|p| p.name() != phase.name()),
+                "{phase} is declared twice"
+            );
+        }
+        for name in ["bench.get", "bench.put", "bench.scan", "bench.commit"] {
+            assert_eq!(name.into_phase().name(), name);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown phase \"bench.gte\"")]
+    fn an_unknown_literal_fails_loudly() {
+        "bench.gte".into_phase();
+    }
+}

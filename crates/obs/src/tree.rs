@@ -2,19 +2,26 @@
 //!
 //! Enter/exit events recorded by one fiber form a properly-nested bracket
 //! sequence (spans are RAII guards), so per `(node, fiber)` a stack rebuilds
-//! the tree. [`check_invariants`] is the test-suite workhorse: every enter
-//! has a matching exit, children nest inside parents, and virtual
-//! timestamps are monotone per fiber.
+//! the tree. One builder, [`build_forest_lossy`], serves both uses: reports
+//! take its best-effort forest from a trace that lost events to the ring
+//! buffer, and [`check_invariants`], the test-suite workhorse, takes the
+//! same forest only when the builder repaired nothing (every enter has a
+//! matching exit, virtual timestamps are monotone per fiber) and children
+//! nest inside parents.
 
 use std::collections::BTreeMap;
 
-use crate::{EventKind, Nanos, TraceEvent};
+use crate::{EventKind, Nanos, Phase, TraceEvent};
 
 /// One reconstructed span. `start == end` for instants.
 #[derive(Debug, Clone)]
 pub struct Span {
-    /// Phase name (`"layer.phase"`).
+    /// Phase name (`"layer.phase"`), `variant.name()`. Kept as a string
+    /// beside the variant because the benchmark harness keys its per-phase
+    /// sums on it.
     pub phase: &'static str,
+    /// The catalogued phase.
+    pub variant: Phase,
     /// Node the span executed on.
     pub node: u32,
     /// Fiber that recorded it.
@@ -32,6 +39,21 @@ pub struct Span {
 }
 
 impl Span {
+    /// The span an enter or instant event opens.
+    fn of(e: &TraceEvent) -> Span {
+        Span {
+            phase: e.phase.name(),
+            variant: e.phase,
+            node: e.node,
+            fiber: e.fiber,
+            txn: e.txn,
+            start: e.ts,
+            end: e.ts,
+            args: e.args.clone(),
+            children: Vec::new(),
+        }
+    }
+
     /// Duration in virtual nanoseconds.
     pub fn duration(&self) -> Nanos {
         self.end - self.start
@@ -43,105 +65,14 @@ impl Span {
     }
 }
 
-struct Frame {
-    span: Span,
-}
-
-/// Rebuilds the span forest from an event slice (must be in `seq` order).
-///
-/// # Errors
-///
-/// Returns a description of the first violated invariant: an exit without a
-/// matching enter, a phase-mismatched exit, a non-monotone timestamp within
-/// a fiber, or an unclosed span at end of trace.
-pub fn build_forest(events: &[TraceEvent]) -> Result<Vec<Span>, String> {
-    // Per-(node, fiber) open-span stack and last-seen timestamp.
-    let mut stacks: BTreeMap<(u32, u64), Vec<Frame>> = BTreeMap::new();
-    let mut last_ts: BTreeMap<(u32, u64), Nanos> = BTreeMap::new();
-    let mut roots: Vec<Span> = Vec::new();
-
-    for e in events {
-        let key = (e.node, e.fiber);
-        if let Some(&prev) = last_ts.get(&key) {
-            if e.ts < prev {
-                return Err(format!(
-                    "non-monotone timestamp on node {} fiber {}: {} after {} (phase {})",
-                    e.node, e.fiber, e.ts, prev, e.phase
-                ));
-            }
-        }
-        last_ts.insert(key, e.ts);
-        let stack = stacks.entry(key).or_default();
-        match e.kind {
-            EventKind::Enter => stack.push(Frame {
-                span: Span {
-                    phase: e.phase,
-                    node: e.node,
-                    fiber: e.fiber,
-                    txn: e.txn,
-                    start: e.ts,
-                    end: e.ts,
-                    args: e.args.clone(),
-                    children: Vec::new(),
-                },
-            }),
-            EventKind::Exit => {
-                let Some(mut frame) = stack.pop() else {
-                    return Err(format!(
-                        "exit without enter on node {} fiber {}: phase {} at {}",
-                        e.node, e.fiber, e.phase, e.ts
-                    ));
-                };
-                if frame.span.phase != e.phase {
-                    return Err(format!(
-                        "mismatched exit on node {} fiber {}: open span {} closed as {}",
-                        e.node, e.fiber, frame.span.phase, e.phase
-                    ));
-                }
-                frame.span.end = e.ts;
-                match stack.last_mut() {
-                    Some(parent) => parent.span.children.push(frame.span),
-                    None => roots.push(frame.span),
-                }
-            }
-            EventKind::Instant => {
-                let leaf = Span {
-                    phase: e.phase,
-                    node: e.node,
-                    fiber: e.fiber,
-                    txn: e.txn,
-                    start: e.ts,
-                    end: e.ts,
-                    args: e.args.clone(),
-                    children: Vec::new(),
-                };
-                match stack.last_mut() {
-                    Some(parent) => parent.span.children.push(leaf),
-                    None => roots.push(leaf),
-                }
-            }
-        }
-    }
-
-    for ((node, fiber), stack) in &stacks {
-        if let Some(frame) = stack.last() {
-            return Err(format!(
-                "unclosed span on node {node} fiber {fiber}: {}",
-                frame.span.phase
-            ));
-        }
-    }
-    Ok(roots)
-}
-
 /// A span forest rebuilt best-effort from a trace that may have lost its
 /// oldest events to the ring buffer ([`crate::Obs::dropped`]).
 ///
-/// Where [`build_forest`] hard-errors on the first inconsistency, this
-/// builder degrades: exits whose enters were evicted are skipped and
-/// counted, spans still open at the end of the trace are closed at the
-/// fiber's last-seen timestamp, and the whole result carries an explicit
-/// `truncated` marker so downstream reports can say so instead of failing.
+/// The builder degrades instead of failing: exits whose enters were
+/// evicted are skipped and counted, spans still open at the end of the
+/// trace are closed at the fiber's last-seen timestamp, and the whole
+/// result carries an explicit `truncated` marker so downstream reports can
+/// say so instead of failing.
 #[derive(Debug, Clone)]
 pub struct LossyForest {
     /// Partial per-txn span trees, best effort.
@@ -154,84 +85,83 @@ pub struct LossyForest {
     pub unclosed_spans: u64,
     /// Events skipped for non-monotone timestamps within a fiber.
     pub skipped_events: u64,
+    /// The first repair applied, as [`check_invariants`] reports it; `None`
+    /// when the trace needed none.
+    pub first_repair: Option<String>,
 }
 
 /// Rebuilds the span forest tolerantly; never errors. `dropped` is the
 /// ring-buffer drop count from [`crate::Obs::dropped`] — a nonzero value
 /// marks the result truncated even when every retained event still pairs.
 pub fn build_forest_lossy(events: &[TraceEvent], dropped: u64) -> LossyForest {
-    let mut stacks: BTreeMap<(u32, u64), Vec<Frame>> = BTreeMap::new();
-    let mut last_ts: BTreeMap<(u32, u64), Nanos> = BTreeMap::new();
+    // Per (node, fiber): the last-seen timestamp and the open-span stack.
+    let mut fibers: BTreeMap<(u32, u64), (Nanos, Vec<Span>)> = BTreeMap::new();
     let mut roots: Vec<Span> = Vec::new();
     let mut orphan_exits = 0u64;
     let mut skipped_events = 0u64;
+    let mut first_repair: Option<String> = None;
 
     for e in events {
-        let key = (e.node, e.fiber);
-        if last_ts.get(&key).is_some_and(|&prev| e.ts < prev) {
+        let (last_ts, stack) = fibers.entry((e.node, e.fiber)).or_default();
+        if e.ts < *last_ts {
             skipped_events += 1;
+            first_repair.get_or_insert_with(|| {
+                format!(
+                    "non-monotone timestamp on node {} fiber {}: {} after {} (phase {})",
+                    e.node, e.fiber, e.ts, last_ts, e.phase
+                )
+            });
             continue;
         }
-        last_ts.insert(key, e.ts);
-        let stack = stacks.entry(key).or_default();
-        match e.kind {
-            EventKind::Enter => stack.push(Frame {
-                span: Span {
-                    phase: e.phase,
-                    node: e.node,
-                    fiber: e.fiber,
-                    txn: e.txn,
-                    start: e.ts,
-                    end: e.ts,
-                    args: e.args.clone(),
-                    children: Vec::new(),
-                },
-            }),
+        *last_ts = e.ts;
+        let closed = match e.kind {
+            EventKind::Enter => {
+                stack.push(Span::of(e));
+                continue;
+            }
+            EventKind::Instant => Span::of(e),
+            EventKind::Exit if stack.last().is_some_and(|s| s.variant == e.phase) => {
+                let mut span = stack.pop().expect("matched above");
+                span.end = e.ts;
+                span
+            }
             EventKind::Exit => {
-                if stack.last().is_some_and(|f| f.span.phase == e.phase) {
-                    let mut frame = stack.pop().expect("matched above");
-                    frame.span.end = e.ts;
-                    match stack.last_mut() {
-                        Some(parent) => parent.span.children.push(frame.span),
-                        None => roots.push(frame.span),
-                    }
-                } else {
-                    // The matching enter fell out of the ring buffer.
-                    orphan_exits += 1;
-                }
+                // The matching enter fell out of the ring buffer.
+                orphan_exits += 1;
+                first_repair.get_or_insert_with(|| match stack.last() {
+                    None => format!(
+                        "exit without enter on node {} fiber {}: phase {} at {}",
+                        e.node, e.fiber, e.phase, e.ts
+                    ),
+                    Some(open) => format!(
+                        "mismatched exit on node {} fiber {}: open span {} closed as {}",
+                        e.node, e.fiber, open.phase, e.phase
+                    ),
+                });
+                continue;
             }
-            EventKind::Instant => {
-                let leaf = Span {
-                    phase: e.phase,
-                    node: e.node,
-                    fiber: e.fiber,
-                    txn: e.txn,
-                    start: e.ts,
-                    end: e.ts,
-                    args: e.args.clone(),
-                    children: Vec::new(),
-                };
-                match stack.last_mut() {
-                    Some(parent) => parent.span.children.push(leaf),
-                    None => roots.push(leaf),
-                }
-            }
+        };
+        match stack.last_mut() {
+            Some(parent) => parent.children.push(closed),
+            None => roots.push(closed),
         }
     }
 
     // Close anything still open at the fiber's last-seen timestamp so the
     // partial tree stays well-nested (children never escape parents).
     let mut unclosed_spans = 0u64;
-    for ((node, fiber), stack) in stacks {
-        let end = last_ts.get(&(node, fiber)).copied().unwrap_or(0);
+    for ((node, fiber), (end, stack)) in fibers {
         let mut pending: Option<Span> = None;
-        for mut frame in stack.into_iter().rev() {
+        for mut span in stack.into_iter().rev() {
             unclosed_spans += 1;
-            frame.span.end = end;
+            first_repair.get_or_insert_with(|| {
+                format!("unclosed span on node {node} fiber {fiber}: {}", span.phase)
+            });
+            span.end = end;
             if let Some(child) = pending.take() {
-                frame.span.children.push(child);
+                span.children.push(child);
             }
-            pending = Some(frame.span);
+            pending = Some(span);
         }
         if let Some(span) = pending {
             roots.push(span);
@@ -241,10 +171,11 @@ pub fn build_forest_lossy(events: &[TraceEvent], dropped: u64) -> LossyForest {
 
     LossyForest {
         roots,
-        truncated: dropped > 0 || orphan_exits > 0 || unclosed_spans > 0 || skipped_events > 0,
+        truncated: dropped > 0 || first_repair.is_some(),
         orphan_exits,
         unclosed_spans,
         skipped_events,
+        first_repair,
     }
 }
 
@@ -261,26 +192,33 @@ fn check_nesting(span: &Span) -> Result<(), String> {
     Ok(())
 }
 
-/// Checks every trace invariant: balanced enter/exit, per-fiber timestamp
-/// monotonicity (both via [`build_forest`]) and child-inside-parent
-/// intervals. Returns the forest on success so tests can assert structure.
+/// Checks every trace invariant: balanced enter/exit and per-fiber
+/// timestamp monotonicity (the builder needed no repair) and
+/// child-inside-parent intervals. Returns the forest on success so tests
+/// can assert structure.
 ///
 /// # Errors
 ///
 /// The first violated invariant, as text.
 pub fn check_invariants(events: &[TraceEvent]) -> Result<Vec<Span>, String> {
-    let forest = build_forest(events)?;
-    for root in &forest {
+    let forest = build_forest_lossy(events, 0);
+    if let Some(repair) = forest.first_repair {
+        return Err(repair);
+    }
+    for root in &forest.roots {
         check_nesting(root)?;
     }
-    Ok(forest)
+    Ok(forest.roots)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Phase::{
+        ClogLogStart, CoordCommit, CoordDecide, CoordPrepare, NetRecv, NetSend, StoreCommit,
+    };
 
-    fn e(seq: u64, ts: Nanos, fiber: u64, kind: EventKind, phase: &'static str) -> TraceEvent {
+    fn e(seq: u64, ts: Nanos, fiber: u64, kind: EventKind, phase: Phase) -> TraceEvent {
         TraceEvent {
             seq,
             ts,
@@ -296,28 +234,29 @@ mod tests {
     #[test]
     fn builds_nested_forest() {
         let events = vec![
-            e(0, 10, 0, EventKind::Enter, "2pc.commit"),
-            e(1, 12, 0, EventKind::Enter, "2pc.prepare"),
-            e(2, 13, 0, EventKind::Instant, "net.send"),
-            e(3, 20, 0, EventKind::Exit, "2pc.prepare"),
-            e(4, 30, 0, EventKind::Exit, "2pc.commit"),
+            e(0, 10, 0, EventKind::Enter, CoordCommit),
+            e(1, 12, 0, EventKind::Enter, CoordPrepare),
+            e(2, 13, 0, EventKind::Instant, NetSend),
+            e(3, 20, 0, EventKind::Exit, CoordPrepare),
+            e(4, 30, 0, EventKind::Exit, CoordCommit),
         ];
         let forest = check_invariants(&events).unwrap();
         assert_eq!(forest.len(), 1);
         let root = &forest[0];
         assert_eq!(root.phase, "2pc.commit");
+        assert_eq!(root.variant, CoordCommit);
         assert_eq!(root.duration(), 20);
         assert_eq!(root.count(), 3);
-        assert_eq!(root.children[0].children[0].phase, "net.send");
+        assert_eq!(root.children[0].children[0].variant, NetSend);
     }
 
     #[test]
     fn fibers_are_independent_stacks() {
         let events = vec![
-            e(0, 10, 0, EventKind::Enter, "a"),
-            e(1, 11, 1, EventKind::Enter, "b"),
-            e(2, 12, 0, EventKind::Exit, "a"),
-            e(3, 13, 1, EventKind::Exit, "b"),
+            e(0, 10, 0, EventKind::Enter, CoordCommit),
+            e(1, 11, 1, EventKind::Enter, StoreCommit),
+            e(2, 12, 0, EventKind::Exit, CoordCommit),
+            e(3, 13, 1, EventKind::Exit, StoreCommit),
         ];
         let forest = check_invariants(&events).unwrap();
         assert_eq!(forest.len(), 2);
@@ -325,8 +264,8 @@ mod tests {
 
     #[test]
     fn detects_unbalanced_exit() {
-        let events = vec![e(0, 10, 0, EventKind::Exit, "a")];
-        assert!(build_forest(&events)
+        let events = vec![e(0, 10, 0, EventKind::Exit, CoordCommit)];
+        assert!(check_invariants(&events)
             .unwrap_err()
             .contains("exit without enter"));
     }
@@ -334,67 +273,72 @@ mod tests {
     #[test]
     fn detects_mismatched_exit() {
         let events = vec![
-            e(0, 10, 0, EventKind::Enter, "a"),
-            e(1, 12, 0, EventKind::Exit, "b"),
+            e(0, 10, 0, EventKind::Enter, CoordCommit),
+            e(1, 12, 0, EventKind::Exit, CoordPrepare),
         ];
-        assert!(build_forest(&events)
-            .unwrap_err()
-            .contains("mismatched exit"));
+        let err = check_invariants(&events).unwrap_err();
+        assert!(err.contains("mismatched exit"), "{err}");
+        assert!(err.contains("open span 2pc.commit closed as 2pc.prepare"));
     }
 
     #[test]
     fn detects_unclosed_span() {
-        let events = vec![e(0, 10, 0, EventKind::Enter, "a")];
-        assert!(build_forest(&events).unwrap_err().contains("unclosed span"));
+        let events = vec![e(0, 10, 0, EventKind::Enter, CoordCommit)];
+        assert!(check_invariants(&events)
+            .unwrap_err()
+            .contains("unclosed span"));
     }
 
     #[test]
     fn lossy_skips_orphan_exits_and_marks_truncated() {
         // The enter for the first exit fell out of the ring buffer.
         let events = vec![
-            e(0, 10, 0, EventKind::Exit, "evicted"),
-            e(1, 11, 0, EventKind::Enter, "a"),
-            e(2, 12, 0, EventKind::Exit, "a"),
+            e(0, 10, 0, EventKind::Exit, CoordPrepare),
+            e(1, 11, 0, EventKind::Enter, CoordCommit),
+            e(2, 12, 0, EventKind::Exit, CoordCommit),
         ];
         let lossy = build_forest_lossy(&events, 5);
         assert!(lossy.truncated);
         assert_eq!(lossy.orphan_exits, 1);
         assert_eq!(lossy.roots.len(), 1);
-        assert_eq!(lossy.roots[0].phase, "a");
+        assert_eq!(lossy.roots[0].variant, CoordCommit);
     }
 
     #[test]
     fn lossy_closes_unclosed_spans_at_last_seen_ts() {
         let events = vec![
-            e(0, 10, 0, EventKind::Enter, "outer"),
-            e(1, 12, 0, EventKind::Enter, "inner"),
-            e(2, 15, 0, EventKind::Instant, "mark"),
+            e(0, 10, 0, EventKind::Enter, CoordCommit),
+            e(1, 12, 0, EventKind::Enter, ClogLogStart),
+            e(2, 15, 0, EventKind::Instant, NetRecv),
         ];
         let lossy = build_forest_lossy(&events, 0);
         assert!(lossy.truncated);
         assert_eq!(lossy.unclosed_spans, 2);
         assert_eq!(lossy.roots.len(), 1);
         let outer = &lossy.roots[0];
-        assert_eq!(outer.phase, "outer");
+        assert_eq!(outer.variant, CoordCommit);
         assert_eq!(outer.end, 15, "closed at the fiber's last timestamp");
         assert_eq!(outer.children.len(), 1);
-        assert_eq!(outer.children[0].phase, "inner");
-        assert_eq!(outer.children[0].children[0].phase, "mark");
+        assert_eq!(outer.children[0].variant, ClogLogStart);
+        assert_eq!(outer.children[0].children[0].variant, NetRecv);
+        // The innermost open span is the one reported.
+        let repair = lossy.first_repair.as_deref().unwrap();
+        assert_eq!(repair, "unclosed span on node 1 fiber 0: clog.log_start");
     }
 
     #[test]
-    fn lossy_matches_strict_on_clean_traces() {
+    fn a_clean_trace_needs_no_repair() {
         let events = vec![
-            e(0, 10, 0, EventKind::Enter, "2pc.commit"),
-            e(1, 12, 0, EventKind::Enter, "2pc.prepare"),
-            e(2, 20, 0, EventKind::Exit, "2pc.prepare"),
-            e(3, 30, 0, EventKind::Exit, "2pc.commit"),
+            e(0, 10, 0, EventKind::Enter, CoordCommit),
+            e(1, 12, 0, EventKind::Enter, CoordDecide),
+            e(2, 20, 0, EventKind::Exit, CoordDecide),
+            e(3, 30, 0, EventKind::Exit, CoordCommit),
         ];
-        let strict = build_forest(&events).unwrap();
         let lossy = build_forest_lossy(&events, 0);
         assert!(!lossy.truncated);
-        assert_eq!(lossy.roots.len(), strict.len());
-        assert_eq!(lossy.roots[0].count(), strict[0].count());
+        assert_eq!(lossy.first_repair, None);
+        assert_eq!(lossy.roots[0].count(), 2);
+        assert_eq!(check_invariants(&events).unwrap()[0].count(), 2);
         // A reported drop count alone marks the result truncated.
         assert!(build_forest_lossy(&events, 1).truncated);
     }
@@ -402,10 +346,10 @@ mod tests {
     #[test]
     fn detects_non_monotone_timestamps() {
         let events = vec![
-            e(0, 10, 0, EventKind::Instant, "a"),
-            e(1, 5, 0, EventKind::Instant, "b"),
+            e(0, 10, 0, EventKind::Instant, NetSend),
+            e(1, 5, 0, EventKind::Instant, NetRecv),
         ];
-        assert!(build_forest(&events)
+        assert!(check_invariants(&events)
             .unwrap_err()
             .contains("non-monotone timestamp"));
     }

@@ -35,6 +35,7 @@ use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
+use crate::obs::Phase;
 use crate::runtime;
 use crate::Nanos;
 
@@ -373,7 +374,7 @@ pub fn hit(point: CrashPoint) {
         Decision::Fire(handler) => {
             crate::obs::counter_add("crash.fired", 1);
             crate::obs::instant(
-                "crash.fired",
+                Phase::CrashFired,
                 &[("node", node as u64), ("point", point as u64)],
             );
             // Post-mortem before the handler runs: the flight recorder

@@ -9,6 +9,9 @@
 //! fiber. Every call is a no-op when no hub is installed or when made
 //! outside a fiber, so instrumentation is always-on and free to sprinkle.
 //!
+//! A span or instant names a [`Phase`]; a literal (the benchmark harness's
+//! `bench.*`) is looked up only under a hub, and an unknown one panics.
+//!
 //! Context propagation: [`set_node`] tags a fiber (and everything it later
 //! spawns) as executing for a fabric endpoint — the trace `pid`; `set_txn`
 //! (via [`TxnScope`]) puts a distributed transaction id in scope. Both are
@@ -20,7 +23,7 @@
 
 use std::rc::Rc;
 
-pub use treaty_obs::{EventKind, Obs};
+pub use treaty_obs::{EventKind, IntoPhase, Obs, Phase};
 
 use crate::runtime;
 
@@ -72,32 +75,25 @@ impl Drop for TxnScope {
 /// Opens a span: records an enter event now and the matching exit when the
 /// returned guard drops — balanced even when the fiber unwinds at shutdown.
 /// No-op (and allocation-free) when no hub is installed.
-pub fn span(phase: &'static str) -> SpanGuard {
-    match runtime::obs_ctx() {
-        Some((obs, now, node, fiber, txn)) => {
-            obs.record(EventKind::Enter, now, node, fiber, txn, phase, &[]);
-            SpanGuard { phase: Some(phase) }
-        }
-        None => SpanGuard { phase: None },
-    }
+pub fn span(phase: impl IntoPhase) -> SpanGuard {
+    span_with(phase, &[])
 }
 
 /// Like [`span`] with a numeric payload on the enter event.
-pub fn span_with(phase: &'static str, args: &[(&'static str, u64)]) -> SpanGuard {
-    match runtime::obs_ctx() {
-        Some((obs, now, node, fiber, txn)) => {
-            obs.record(EventKind::Enter, now, node, fiber, txn, phase, args);
-            SpanGuard { phase: Some(phase) }
-        }
-        None => SpanGuard { phase: None },
-    }
+pub fn span_with(phase: impl IntoPhase, args: &[(&'static str, u64)]) -> SpanGuard {
+    let phase = runtime::obs_ctx().map(|(obs, now, node, fiber, txn)| {
+        let phase = phase.into_phase();
+        obs.record(EventKind::Enter, now, node, fiber, txn, phase, args);
+        phase
+    });
+    SpanGuard { phase }
 }
 
 /// RAII guard closing a span. See [`span`].
 #[derive(Debug)]
 #[must_use = "dropping the guard immediately produces a zero-length span"]
 pub struct SpanGuard {
-    phase: Option<&'static str>,
+    phase: Option<Phase>,
 }
 
 impl Drop for SpanGuard {
@@ -111,8 +107,9 @@ impl Drop for SpanGuard {
 }
 
 /// Records a point event with a numeric payload. No-op without a hub.
-pub fn instant(phase: &'static str, args: &[(&'static str, u64)]) {
+pub fn instant(phase: impl IntoPhase, args: &[(&'static str, u64)]) {
     if let Some((obs, now, node, fiber, txn)) = runtime::obs_ctx() {
+        let phase = phase.into_phase();
         obs.record(EventKind::Instant, now, node, fiber, txn, phase, args);
     }
 }
@@ -163,13 +160,13 @@ mod tests {
                 install(&obs2);
                 set_node(3);
                 let _txn = txn_scope(42);
-                let outer = span("2pc.commit");
+                let outer = span(Phase::CoordCommit);
                 sleep(100);
                 {
-                    let _inner = span("clog.log_start");
+                    let _inner = span(Phase::ClogLogStart);
                     sleep(50);
                 }
-                instant("net.send", &[("bytes", 128)]);
+                instant(Phase::NetSend, &[("bytes", 128)]);
                 drop(outer);
             })
             .unwrap();
@@ -178,7 +175,7 @@ mod tests {
         let forest = check_invariants(&events).unwrap();
         assert_eq!(forest.len(), 1);
         let root = &forest[0];
-        assert_eq!(root.phase, "2pc.commit");
+        assert_eq!(root.variant, Phase::CoordCommit);
         assert_eq!(root.node, 3);
         assert_eq!(root.txn, 42);
         assert_eq!(root.duration(), 150);
@@ -196,7 +193,7 @@ mod tests {
                 set_node(7);
                 let _txn = txn_scope(9);
                 let child = spawn(|| {
-                    instant("child.mark", &[]);
+                    instant(Phase::NetRecv, &[]);
                 });
                 crate::runtime::join(child);
             })
@@ -218,9 +215,9 @@ mod tests {
                 let _a = txn_scope(1);
                 {
                     let _b = txn_scope(2);
-                    instant("x", &[]);
+                    instant(Phase::NetSend, &[]);
                 }
-                instant("y", &[]);
+                instant(Phase::NetRecv, &[]);
             })
             .unwrap();
         let events = obs.events();
@@ -234,8 +231,8 @@ mod tests {
             .run(|| {
                 set_node(1);
                 let _t = txn_scope(5);
-                let _s = span("phase");
-                instant("i", &[]);
+                let _s = span(Phase::StoreGet);
+                instant(Phase::NetRecv, &[]);
                 counter_add("c", 1);
                 gauge_set("g", 1);
                 hist_record("h", 1);
@@ -247,9 +244,29 @@ mod tests {
     fn noop_outside_fibers_too() {
         // Never panics even though no simulation is running.
         set_node(1);
-        instant("i", &[]);
+        instant(Phase::NetRecv, &[]);
         counter_add("c", 1);
-        let _s = span("phase");
+        let _s = span(Phase::StoreGet);
+    }
+
+    #[test]
+    fn a_literal_is_looked_up_only_under_a_hub() {
+        // The benchmark harness names its spans by literal.
+        let (known, unknown) = ("bench.get", "bench.gte");
+        let _outside = span(unknown);
+        let obs = Obs::with_default_cap();
+        let obs2 = Rc::clone(&obs);
+        Sim::new()
+            .run(move || {
+                let _unhubbed = span(unknown);
+                install(&obs2);
+                let _s = span_with(known, &[("txn", 1)]);
+            })
+            .unwrap();
+        let events = obs.events();
+        assert_eq!(events.len(), 2);
+        assert_eq!(events[0].phase, Phase::BenchGet);
+        assert_eq!(events[0].args, vec![("txn", 1)]);
     }
 
     #[test]
@@ -280,7 +297,7 @@ mod tests {
             .run(move || {
                 install(&obs2);
                 set_node(2);
-                instant("store.flush", &[]);
+                instant(Phase::StoreFlush, &[]);
                 flight_dump("slo.breach", "p99 over budget");
             })
             .unwrap();
@@ -302,7 +319,7 @@ mod tests {
                 // Daemon parks forever inside a span; when the root ends the
                 // sim unwinds it and the guard must still record the exit.
                 crate::runtime::spawn_daemon(|| {
-                    let _s = span("daemon.loop");
+                    let _s = span(Phase::StoreFlush);
                     crate::runtime::park();
                 });
                 sleep(10);

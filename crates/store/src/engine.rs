@@ -26,6 +26,7 @@ use treaty_crypto::codec;
 use treaty_crypto::codec::Record;
 use treaty_sched::{FiberMutex, GroupCommit, WaitQueue};
 use treaty_sim::crashpoint::CrashPoint;
+use treaty_sim::obs::Phase;
 use treaty_sim::FiberCell;
 
 use crate::env::Env;
@@ -852,7 +853,7 @@ impl TreatyStore {
     /// Reads `key` at `snapshot`: the newest version's seq (0 if the key
     /// has none) and its value (`None` if absent or deleted).
     pub(crate) fn read(&self, key: &[u8], snapshot: SeqNum) -> Result<(SeqNum, Option<Vec<u8>>)> {
-        let _span = treaty_sim::obs::span("store.get");
+        let _span = treaty_sim::obs::span(Phase::StoreGet);
         self.counters().gets.update(|n| n + 1);
         Ok(match self.newest(key, snapshot)? {
             None => (0, None),
@@ -1117,7 +1118,7 @@ impl TreatyStore {
     where
         F: FnMut(UserKey, SeqNum, Option<Vec<u8>>, SeqNum) -> bool,
     {
-        let _span = treaty_sim::obs::span("store.scan");
+        let _span = treaty_sim::obs::span(Phase::StoreScan);
         self.counters().scans.update(|n| n + 1);
         // Pin a consistent view: Rc bumps, no copies. Tables retired by a
         // racing compaction stay alive (and on disk — GC is
@@ -1211,7 +1212,7 @@ impl TreatyStore {
         effect: Effect,
     ) -> Result<(u64, Rc<LogWriter>)> {
         treaty_sim::runtime::set_tag("e:group_commit");
-        let _span = treaty_sim::obs::span("store.commit");
+        let _span = treaty_sim::obs::span(Phase::StoreCommit);
         let Logged {
             counter,
             wal,
@@ -1349,7 +1350,7 @@ impl TreatyStore {
     /// is nothing to flush.
     fn rotate_locked(&self) -> Result<Option<FlushWork>> {
         treaty_sim::runtime::set_tag("e:flush-rotate");
-        let _span = treaty_sim::obs::span("store.flush_rotate");
+        let _span = treaty_sim::obs::span(Phase::StoreFlushRotate);
         // The commit lock stops new inserts being handed out; the ones
         // already out finish first, so the MemTable frozen here never gains
         // an entry and no `Decide` still owes its entry's removal.
@@ -1414,7 +1415,7 @@ impl TreatyStore {
     /// MANIFEST; recovery replays them (re-applied seqs are idempotent).
     fn build_flush(&self, work: &FlushWork) -> Result<()> {
         treaty_sim::runtime::set_tag("e:flush");
-        let _span = treaty_sim::obs::span("store.flush");
+        let _span = treaty_sim::obs::span(Phase::StoreFlush);
         let entries = work.frozen.freeze_entries()?;
         let tombstones = work.frozen.range_tombstones();
         let file_id = self
@@ -1627,7 +1628,7 @@ impl TreatyStore {
     /// level: only a merge discards tombstones there.
     fn compact_level(&self, level: usize) -> Result<()> {
         treaty_sim::runtime::set_tag("e:compact");
-        let _span = treaty_sim::obs::span_with("store.compact", &[("level", level as u64)]);
+        let _span = treaty_sim::obs::span_with(Phase::StoreCompact, &[("level", level as u64)]);
         // Snapshot the inputs but leave them published: a merge does real
         // (virtual-time-charged) I/O, and concurrent readers must keep
         // seeing the pre-compaction state until the atomic publish swap.
@@ -2104,7 +2105,7 @@ fn relog_prepared(prepared: &PreparedTable, wal: &LogWriter) -> Result<()> {
 /// Waits for `counter` on `wal` under a `wal.stabilize` span, so a
 /// participant's durability wait is attributable in the trace.
 pub(crate) fn stabilize_traced(wal: &LogWriter, counter: u64) -> Result<()> {
-    let _span = treaty_sim::obs::span("wal.stabilize");
+    let _span = treaty_sim::obs::span(Phase::WalStabilize);
     wal.stabilize(counter)
 }
 

@@ -19,6 +19,7 @@ use std::collections::{BTreeMap, HashSet};
 use std::ops::Bound;
 
 use treaty_sched::WaitQueue;
+use treaty_sim::obs::Phase;
 use treaty_sim::{runtime, FiberCell, Nanos};
 
 use crate::memtable::UserKey;
@@ -182,7 +183,7 @@ impl LockTable {
         // Contended: wait with a deadline (fiber context required). The
         // span makes blocked time first-class in the trace — the
         // critical-path walker's lock-wait category reads it directly.
-        let _span = treaty_sim::obs::span("store.lock_wait");
+        let _span = treaty_sim::obs::span(Phase::StoreLockWait);
         treaty_sim::obs::counter_add("store.lock_contended", 1);
         let deadline = runtime::now().saturating_add(self.timeout);
         let waiters = &self.waiters[self.stripe(key)];

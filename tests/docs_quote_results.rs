@@ -3,7 +3,7 @@
 //! every results file is quoted at least once, so a change that moves a
 //! result and leaves the document stale fails here. Every `crates/…`,
 //! `tests/…`, `examples/…` and `results/….txt` path that DESIGN.md,
-//! EXPERIMENTS.md or README.md names exists. A path written with a glob or
+//! EXPERIMENTS.md, README.md or results/README.md names exists. A path written with a glob or
 //! a brace list is checked up to the first `*` or `{`; an output a command
 //! writes where its caller says (`--trace-out TRACE`) is written as a
 //! placeholder, not as a path.
@@ -11,7 +11,12 @@
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
-const DOCS: [&str; 3] = ["DESIGN.md", "EXPERIMENTS.md", "README.md"];
+const DOCS: [&str; 4] = [
+    "DESIGN.md",
+    "EXPERIMENTS.md",
+    "README.md",
+    "results/README.md",
+];
 const ROOTS: [&str; 4] = ["crates/", "tests/", "examples/", "results/"];
 
 fn root() -> PathBuf {

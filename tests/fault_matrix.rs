@@ -50,7 +50,7 @@ use treaty::core::client::client_net;
 use treaty::core::clog::{ClogRecord, CLOG_FILE, CLOG_NAME};
 use treaty::core::cluster::{wire_crypto, COUNTER_BASE, COUNTER_CLIENT_BASE};
 use treaty::core::messages::{decode, encode, req, PeerMsg, PeerReply};
-use treaty::core::{Cluster, ClusterOptions, DistTxn, TreatyClient, TreatyError};
+use treaty::core::{Cluster, ClusterOptions, DistTxn, TreatyError};
 use treaty::crypto::codec::Record as _;
 use treaty::crypto::{MsgKind, TxMeta};
 use treaty::net::{Rpc, RpcConfig};
@@ -1377,14 +1377,8 @@ fn an_abort_on_a_lost_vote_is_logged_before_the_client_hears_it() {
         cluster.fabric().with_adversary(|a| {
             a.partitions.insert((SPARE, COORD));
         });
-        // The client outwaits the coordinator's vote timeout.
-        let client = TreatyClient::connect(
-            cluster.fabric(),
-            9900,
-            wire_crypto(&SecurityProfile::treaty_full()),
-            cluster.keys().network,
-            SECONDS,
-        );
+        // The cluster's client outwaits the coordinator's vote timeout.
+        let client = cluster.client();
         let mut tx = client.begin(COORD);
         let gtx = tx.gtx();
         for k in &keys {

@@ -7,7 +7,7 @@ use std::rc::Rc;
 
 use std::cell::RefCell;
 use treaty::core::{Cluster, ClusterOptions};
-use treaty::obs::{check_invariants, chrome_trace_json, EventKind, Obs, TraceEvent};
+use treaty::obs::{check_invariants, chrome_trace_json, EventKind, Obs, Phase, TraceEvent};
 use treaty::sched::block_on;
 use treaty::sim::SecurityProfile;
 
@@ -73,7 +73,7 @@ fn committed_txns_produce_balanced_cross_layer_span_trees() {
         assert!(
             events
                 .iter()
-                .any(|e| e.kind == EventKind::Enter && e.phase.starts_with(layer)),
+                .any(|e| e.kind == EventKind::Enter && e.phase.name().starts_with(layer)),
             "no span from layer {layer}"
         );
     }
@@ -81,7 +81,7 @@ fn committed_txns_produce_balanced_cross_layer_span_trees() {
     // 2PC work on at least two distinct nodes (coordinator + participant).
     let mut nodes_with_2pc: Vec<u32> = events
         .iter()
-        .filter(|e| e.kind == EventKind::Enter && e.phase.starts_with("2pc."))
+        .filter(|e| e.kind == EventKind::Enter && e.phase.name().starts_with("2pc."))
         .map(|e| e.node)
         .collect();
     nodes_with_2pc.sort_unstable();
@@ -95,7 +95,7 @@ fn committed_txns_produce_balanced_cross_layer_span_trees() {
     // tagged with its transaction id.
     let mut commit_txns: Vec<u64> = events
         .iter()
-        .filter(|e| e.kind == EventKind::Enter && e.phase == "2pc.commit")
+        .filter(|e| e.kind == EventKind::Enter && e.phase == Phase::CoordCommit)
         .map(|e| e.txn)
         .collect();
     commit_txns.sort_unstable();
@@ -171,13 +171,17 @@ fn pipelined_dispatch_and_maintenance_run_off_commit_fibers() {
     let commit_fibers: std::collections::BTreeSet<(u32, u64)> = events
         .iter()
         .filter(|e| {
-            e.kind == EventKind::Enter && (e.phase == "2pc.commit" || e.phase == "store.commit")
+            e.kind == EventKind::Enter && matches!(e.phase, Phase::CoordCommit | Phase::StoreCommit)
         })
         .map(|e| (e.node, e.fiber))
         .collect();
     assert!(!commit_fibers.is_empty());
 
-    for phase in ["2pc.send_decision", "store.flush", "store.compact"] {
+    for phase in [
+        Phase::CoordSendDecision,
+        Phase::StoreFlush,
+        Phase::StoreCompact,
+    ] {
         let spans: Vec<(u32, u64)> = events
             .iter()
             .filter(|e| e.kind == EventKind::Enter && e.phase == phase)
