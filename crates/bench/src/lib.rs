@@ -21,7 +21,7 @@ use std::rc::Rc;
 use serde::Serialize;
 use treaty_core::messages::ObsSnapshotReply;
 use treaty_core::{Cluster, ClusterOptions, DistTxn, TreatyClient};
-use treaty_obs::{AttributionReport, Obs};
+use treaty_obs::{AttributionReport, Counter, Gauge, Obs};
 use treaty_sched::block_on;
 use treaty_sim::runtime::{self, join, spawn};
 use treaty_sim::{BenchStats, CostModel, Histogram, Nanos, SecurityProfile, TeeMode, Transport};
@@ -436,17 +436,26 @@ pub struct Row {
 }
 
 impl Row {
-    /// One registry counter or gauge of the run (0 if never touched).
-    pub fn counter(&self, name: &str) -> u64 {
+    /// One registry counter of the run (0 if never touched).
+    pub fn counter(&self, c: Counter) -> u64 {
+        self.value(c.name())
+    }
+
+    /// One struct-owned count of the run, as its gauge (0 if never set).
+    pub fn gauge(&self, g: Gauge) -> u64 {
+        self.value(g.name())
+    }
+
+    fn value(&self, name: &str) -> u64 {
         let found = self.counters.iter().find(|(k, _)| k == name);
         found.map_or(0, |(_, v)| *v)
     }
 }
 
 impl Report {
-    /// One registry counter or gauge of the run (0 if never touched).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+    /// One registry counter of the run (0 if never touched).
+    pub fn counter(&self, c: Counter) -> u64 {
+        self.counters.get(c.name()).copied().unwrap_or(0)
     }
 
     /// The serializable summary of this report.
@@ -585,10 +594,10 @@ pub fn run(cfg: &RunConfig) -> Report {
                     let now = runtime::now();
                     if committed {
                         (commits, failed_in_a_row) = (commits + 1, 0);
-                        treaty_sim::obs::counter_add("bench.committed", 1);
+                        treaty_sim::obs::counter_add(Counter::BenchCommitted, 1);
                     } else {
                         failed_in_a_row += 1;
-                        treaty_sim::obs::counter_add("bench.aborted", 1);
+                        treaty_sim::obs::counter_add(Counter::BenchAborted, 1);
                     }
                     let mut tally = tally.borrow_mut();
                     if tally.end.is_some_and(|end| now > end) {
@@ -651,10 +660,14 @@ pub fn run(cfg: &RunConfig) -> Report {
 
         absorb_cluster_stats(&obs, &cluster, nodes);
         let end_of_run = obs.metrics().snapshot();
-        let mut counters = end_of_run.gauges;
-        for (name, v) in end_of_run.counters {
-            let before = counted_before.get(&name).copied().unwrap_or(0);
-            counters.insert(name, v - before);
+        let mut counters: BTreeMap<_, _> = end_of_run
+            .gauges
+            .iter()
+            .map(|(g, v)| (g.to_string(), *v))
+            .collect();
+        for (c, v) in end_of_run.counters {
+            let before = counted_before.get(&c).copied().unwrap_or(0);
+            counters.insert(c.to_string(), v - before);
         }
         Report {
             stats: tally.all.stats(label.clone(), population, duration),
@@ -671,52 +684,51 @@ pub fn run(cfg: &RunConfig) -> Report {
 
 /// Copies the counts the stats structs own ([`treaty_core`]'s `NodeStats`,
 /// the engine's `EngineStats`, the fabric's `FabricStats`), summed over the
-/// cluster, into the metrics registry as gauges, so one snapshot carries
-/// every count the stack keeps. This is the one place a struct-owned count
-/// gets a registry name: the program records each count in one owner only
-/// (`treaty_obs::metrics`).
+/// cluster, into the registry as its [`Gauge`]s, so one snapshot carries
+/// every count the stack keeps. This is the only gauge write: the program
+/// records each count in one owner only (`treaty_obs::metrics`).
 fn absorb_cluster_stats(obs: &Obs, cluster: &Cluster, nodes: usize) {
-    let mut totals: BTreeMap<&str, u64> = BTreeMap::new();
-    let mut add = |name, v| *totals.entry(name).or_default() += v;
+    let mut totals: BTreeMap<Gauge, u64> = BTreeMap::new();
+    let mut add = |g, v| *totals.entry(g).or_default() += v;
     for idx in 0..nodes {
         let ns = cluster.node(idx).stats();
-        add("core.nodes.committed", ns.committed);
-        add("core.nodes.aborted", ns.aborted);
-        add("core.nodes.participant_ops", ns.participant_ops);
-        add("core.nodes.decision_retries", ns.decision_retries);
+        add(Gauge::CoreNodesCommitted, ns.committed);
+        add(Gauge::CoreNodesAborted, ns.aborted);
+        add(Gauge::CoreNodesParticipantOps, ns.participant_ops);
+        add(Gauge::CoreNodesDecisionRetries, ns.decision_retries);
         add(
-            "net.replay_guard_entries",
+            Gauge::NetReplayGuardEntries,
             cluster.node(idx).rpc().guard_entries() as u64,
         );
         if let Some(store) = cluster.store(idx) {
             let es = store.stats();
-            add("store.commits", es.commits);
-            add("store.aborts", es.aborts);
-            add("store.gets", es.gets);
-            add("store.flushes", es.flushes);
-            add("store.compactions", es.compactions);
-            add("store.files_deleted", es.files_deleted);
-            add("store.group_commits", es.group_commits);
-            add("store.grouped_txns", es.grouped_txns);
-            add("store.block_cache.hits", es.block_cache_hits);
-            add("store.block_cache.misses", es.block_cache_misses);
-            add("store.bloom.negatives", es.bloom_negatives);
-            add("store.bloom.false_positives", es.bloom_false_positives);
-            add("store.fence_gap_rejects", es.fence_gap_rejects);
-            add("store.scans", es.scans);
+            add(Gauge::StoreCommits, es.commits);
+            add(Gauge::StoreAborts, es.aborts);
+            add(Gauge::StoreGets, es.gets);
+            add(Gauge::StoreFlushes, es.flushes);
+            add(Gauge::StoreCompactions, es.compactions);
+            add(Gauge::StoreFilesDeleted, es.files_deleted);
+            add(Gauge::StoreGroupCommits, es.group_commits);
+            add(Gauge::StoreGroupedTxns, es.grouped_txns);
+            add(Gauge::StoreBlockCacheHits, es.block_cache_hits);
+            add(Gauge::StoreBlockCacheMisses, es.block_cache_misses);
+            add(Gauge::StoreBloomNegatives, es.bloom_negatives);
+            add(Gauge::StoreBloomFalsePositives, es.bloom_false_positives);
+            add(Gauge::StoreFenceGapRejects, es.fence_gap_rejects);
+            add(Gauge::StoreScans, es.scans);
         }
     }
     let fs = cluster.fabric().stats();
-    add("fabric.sent", fs.sent);
-    add("fabric.delivered", fs.delivered);
-    add("fabric.dropped_adversary", fs.dropped_adversary);
-    add("fabric.dropped_mtu", fs.dropped_mtu);
-    add("fabric.dropped_unreachable", fs.dropped_unreachable);
-    add("fabric.tampered", fs.tampered);
-    add("fabric.duplicated", fs.duplicated);
-    add("obs.dropped_events", obs.dropped());
-    for (name, v) in totals {
-        obs.metrics().gauge_set(name, v);
+    add(Gauge::FabricSent, fs.sent);
+    add(Gauge::FabricDelivered, fs.delivered);
+    add(Gauge::FabricDroppedAdversary, fs.dropped_adversary);
+    add(Gauge::FabricDroppedMtu, fs.dropped_mtu);
+    add(Gauge::FabricDroppedUnreachable, fs.dropped_unreachable);
+    add(Gauge::FabricTampered, fs.tampered);
+    add(Gauge::FabricDuplicated, fs.duplicated);
+    add(Gauge::ObsDroppedEvents, obs.dropped());
+    for (g, v) in totals {
+        obs.metrics().gauge_set(g, v);
     }
 }
 
@@ -1013,17 +1025,17 @@ pub fn treaty_top(snapshots: &[ObsSnapshotReply]) -> String {
 
 /// Prints the read-acceleration line shown under a stats row.
 pub fn print_accel(row: &Row) {
-    let hits = row.counter("store.block_cache.hits");
-    let misses = row.counter("store.block_cache.misses");
+    let hits = row.gauge(Gauge::StoreBlockCacheHits);
+    let misses = row.gauge(Gauge::StoreBlockCacheMisses);
     println!(
         "      block cache {:>7} hits / {:>7} misses ({:>5.1}% hit rate)   bloom {:>7} filtered, {:>5} false positives, {:>5} fence-gap rejects   scans {:>6}",
         hits,
         misses,
         hits as f64 * 100.0 / ((hits + misses).max(1)) as f64,
-        row.counter("store.bloom.negatives"),
-        row.counter("store.bloom.false_positives"),
-        row.counter("store.fence_gap_rejects"),
-        row.counter("store.scans"),
+        row.gauge(Gauge::StoreBloomNegatives),
+        row.gauge(Gauge::StoreBloomFalsePositives),
+        row.gauge(Gauge::StoreFenceGapRejects),
+        row.gauge(Gauge::StoreScans),
     );
 }
 
@@ -1097,7 +1109,7 @@ mod tests {
             report.readonly.committed + report.readonly.aborted > 0,
             "expected some pure-read transactions"
         );
-        assert!(report.counter("core.snapshot_reads") > 0);
+        assert!(report.counter(Counter::CoreSnapshotReads) > 0);
     }
 
     #[test]
@@ -1106,9 +1118,9 @@ mod tests {
         assert!(report.stats.committed > 0);
         // Locking mode: scans go through 2PC with next-key locks, never
         // the lock-free snapshot path.
-        assert_eq!(report.counter("core.snapshot_scans"), 0);
+        assert_eq!(report.counter(Counter::CoreSnapshotScans), 0);
         assert!(
-            report.counter("store.lock_acquire") > 0,
+            report.counter(Counter::StoreLockAcquire) > 0,
             "locking-mode scans must take locks"
         );
     }
@@ -1126,7 +1138,7 @@ mod tests {
             "scan transactions must commit on the snapshot path"
         );
         assert!(
-            report.counter("core.snapshot_scans") > 0,
+            report.counter(Counter::CoreSnapshotScans) > 0,
             "server must serve snapshot scans"
         );
     }
@@ -1149,7 +1161,7 @@ mod tests {
     fn attribution_and_introspection_smoke() {
         let report = run(&small_ycsb(YcsbConfig::balanced(), 200, 4, 3));
         assert!(report.stats.committed > 0);
-        let committed = report.counter("bench.committed");
+        let committed = report.counter(Counter::BenchCommitted);
         assert!(report.stats.committed <= committed);
         let attribution = report.attribution();
         assert_eq!(
@@ -1235,7 +1247,8 @@ mod tests {
     fn closed_window_ends_with_the_first_finisher() {
         let report = run(&small_ycsb(YcsbConfig::write_heavy(), 50, 6, 4));
         let in_window = report.stats.committed + report.stats.aborted;
-        let finished = report.counter("bench.committed") + report.counter("bench.aborted");
+        let finished =
+            report.counter(Counter::BenchCommitted) + report.counter(Counter::BenchAborted);
         assert!(
             (4..6 * 4).contains(&report.stats.committed),
             "the first finisher's four commits are inside, five stragglers' quotas are not"

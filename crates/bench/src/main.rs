@@ -14,6 +14,7 @@ use treaty_bench::{
     print_accel, print_row, run, run_counter_ablation, run_network, run_recovery, treaty_top, Load,
     NetSystem, Report, Row, RunConfig, Workload,
 };
+use treaty_obs::Counter;
 use treaty_sim::{SecurityProfile, MILLIS};
 use treaty_store::TxnMode;
 use treaty_workload::{ScaleConfig, SocialConfig, TpccConfig, YcsbConfig};
@@ -148,7 +149,7 @@ impl Session {
     /// Runs `cfg`; it must commit something.
     fn run(&self, label: &str, cfg: &RunConfig) -> Report {
         let report = run(cfg);
-        let committed = report.counter("bench.committed");
+        let committed = report.counter(Counter::BenchCommitted);
         assert!(committed > 0, "{label}: the run must commit transactions");
         report
     }
@@ -456,28 +457,28 @@ fn snapshot(s: &mut Session) {
                     row.readonly.committed,
                     ms(row.readonly.p50_latency_ns),
                     ms(row.readonly.p99_latency_ns),
-                    row.counter("core.snapshot_reads"),
-                    row.counter("core.snapshot_scans"),
-                    row.counter("core.snapshot_stale_reject"),
-                    row.counter("core.snapshot_indoubt_reject"),
-                    row.counter("client.snapshot_retries"),
-                    row.counter("store.lock_acquire"),
+                    row.counter(Counter::CoreSnapshotReads),
+                    row.counter(Counter::CoreSnapshotScans),
+                    row.counter(Counter::CoreSnapshotStaleReject),
+                    row.counter(Counter::CoreSnapshotIndoubtReject),
+                    row.counter(Counter::ClientSnapshotRetries),
+                    row.counter(Counter::StoreLockAcquire),
                 );
             },
         );
         let (snap, lock) = (&rows[0], &rows[1]);
         assert!(
-            snap.counter("core.snapshot_reads") + snap.counter("core.snapshot_scans") > 0,
+            snap.counter(Counter::CoreSnapshotReads) + snap.counter(Counter::CoreSnapshotScans) > 0,
             "{name}: snapshot mode must actually serve lock-free reads"
         );
         assert!(
-            lock.counter("store.lock_acquire") > 0,
+            lock.counter(Counter::StoreLockAcquire) > 0,
             "{name}: locking mode must take locks"
         );
         // The §12 claim is about point reads (snapshot *scans* are printed,
         // not gated: on YCSB-E they win p50 and lose p99 to in-doubt
         // retries); an empty population has no percentiles to compare.
-        let point_reads = snap.counter("core.snapshot_scans") == 0;
+        let point_reads = snap.counter(Counter::CoreSnapshotScans) == 0;
         if point_reads && snap.readonly.committed > 0 && lock.readonly.committed > 0 {
             assert!(
                 snap.readonly.p50_latency_ns < lock.readonly.p50_latency_ns
@@ -593,7 +594,7 @@ fn trace(s: &Session, path: &std::path::Path) {
     print_row(&report.stats, None);
     report.write_trace(path).expect("write trace artifacts");
     let attribution = report.attribution();
-    let committed = report.counter("bench.committed");
+    let committed = report.counter(Counter::BenchCommitted);
     println!("\n{}", report.phase_breakdown());
     println!("{}", attribution.render());
     println!("{}", treaty_top(&report.snapshots));

@@ -7,7 +7,7 @@ use std::rc::Rc;
 
 use treaty_crypto::{Key, MsgKind, TxMeta, WireCrypto};
 use treaty_net::{EndpointConfig, EndpointId, Fabric, PendingReply, Rpc, RpcConfig};
-use treaty_sim::obs::Phase;
+use treaty_sim::obs::{Counter, Phase};
 use treaty_sim::Nanos;
 use treaty_store::GlobalTxId;
 
@@ -201,7 +201,7 @@ impl TreatyClient {
                 Err(TreatyError::SnapshotRetry(why)) => last = why,
                 Err(e) => return Err(e),
             }
-            treaty_sim::obs::counter_add("client.snapshot_retries", 1);
+            treaty_sim::obs::counter_add(Counter::ClientSnapshotRetries, 1);
             // Linear deterministic backoff: long enough for the in-doubt
             // prepare to decide, short enough to stay well under a locking
             // read's round-trip budget.
@@ -359,7 +359,7 @@ impl<'a> DistTxn<'a> {
     /// Appends a write to the pending list.
     fn buffer(&mut self, write: WriteCmd) -> Result<()> {
         self.ensure_open()?;
-        treaty_sim::obs::counter_add("client.buffered_writes", 1);
+        treaty_sim::obs::counter_add(Counter::ClientBufferedWrites, 1);
         self.pending.push(write);
         Ok(())
     }
@@ -393,7 +393,7 @@ impl<'a> DistTxn<'a> {
         // Last pending write to this key wins — including a pending
         // delete, which reads back as absent.
         if let Some(cmd) = self.pending.iter().rev().find(|c| c.key == key) {
-            treaty_sim::obs::counter_add("client.buffer_read_hits", 1);
+            treaty_sim::obs::counter_add(Counter::ClientBufferReadHits, 1);
             return Ok(cmd.value.clone());
         }
         match self.ship(Some(Op::Get { key: key.to_vec() }))? {
@@ -479,7 +479,7 @@ impl<'a> DistTxn<'a> {
         // piggybacks each shard's slice on its prepare message, so a
         // write-only transaction pays one round trip per shard, total.
         let writes = std::mem::take(&mut self.pending);
-        treaty_sim::obs::counter_add("client.shipped_commit_writes", writes.len() as u64);
+        treaty_sim::obs::counter_add(Counter::ClientShippedCommitWrites, writes.len() as u64);
         let payload = encode(&ClientCommitReq { writes });
         let meta = self.meta(MsgKind::TxnCommit);
         let call = self

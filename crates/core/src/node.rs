@@ -20,7 +20,7 @@ use treaty_crypto::{Key, MsgKind, TxMeta, WireCrypto};
 use treaty_net::{EndpointConfig, EndpointId, Fabric, PendingReply, Rpc, RpcConfig};
 use treaty_sched::{CorePool, WaitQueue};
 use treaty_sim::crashpoint::CrashPoint;
-use treaty_sim::obs::Phase;
+use treaty_sim::obs::{Counter, Phase};
 use treaty_sim::{FiberCell, Nanos};
 use treaty_store::{
     EngineTxn, GlobalTxId, NullEngine, StoreError, TreatyStore, TxnEngine, TxnMode,
@@ -157,7 +157,6 @@ impl FinishSlot {
             return None;
         }
         node.finishes_inflight.set(before + 1);
-        treaty_sim::obs::gauge_set("core.finishes_inflight", before as u64 + 1);
         Some(FinishSlot {
             node: Rc::clone(node),
         })
@@ -166,11 +165,8 @@ impl FinishSlot {
 
 impl Drop for FinishSlot {
     fn drop(&mut self) {
-        let before = self
-            .node
-            .finishes_inflight
-            .replace(self.node.finishes_inflight.get() - 1);
-        treaty_sim::obs::gauge_set("core.finishes_inflight", before as u64 - 1);
+        let inflight = &self.node.finishes_inflight;
+        inflight.set(inflight.get() - 1);
         self.node.finish_done.notify_all();
     }
 }
@@ -514,7 +510,7 @@ impl TreatyNode {
             reply.block_cache_hits = cache.block_cache_hits;
             reply.block_cache_misses = cache.block_cache_misses;
         }
-        treaty_sim::obs::counter_add("core.obs_snapshots_served", 1);
+        treaty_sim::obs::counter_add(Counter::CoreObsSnapshotsServed, 1);
         Some((
             TxMeta {
                 kind: MsgKind::Ack,
@@ -899,7 +895,7 @@ impl TreatyNode {
         treaty_sim::crashpoint::hit(CrashPoint::CoordCommitPoint);
         match FinishSlot::reserve(self) {
             Some(slot) => {
-                treaty_sim::obs::counter_add("core.commit_point_acks", 1);
+                treaty_sim::obs::counter_add(Counter::CoreCommitPointAcks, 1);
                 treaty_sim::runtime::spawn_daemon(move || {
                     treaty_sim::runtime::set_tag("2pc-finish");
                     let _span = treaty_sim::obs::span(Phase::CoordFinish);
@@ -972,7 +968,7 @@ impl TreatyNode {
             return false;
         }
         if !stable {
-            treaty_sim::obs::counter_add("core.decision_unstable", 1);
+            treaty_sim::obs::counter_add(Counter::CoreDecisionUnstable, 1);
             treaty_sim::obs::instant(
                 Phase::CoordDecisionUnstable,
                 &[("coordinator", u64::from(self.endpoint))],
@@ -1011,7 +1007,7 @@ impl TreatyNode {
         );
         match self.collect_votes(gtx, &mut ctx, Vec::new(), Lane::ReadOnly) {
             None => {
-                treaty_sim::obs::counter_add("core.read_only_commits", 1);
+                treaty_sim::obs::counter_add(Counter::CoreReadOnlyCommits, 1);
                 CommitResult::Committed
             }
             Some(reason) => {
@@ -1254,9 +1250,7 @@ impl TreatyNode {
         if !spans.is_empty() {
             treaty_sim::crashpoint::hit(CrashPoint::PartSnapshotScan);
         }
-        let stable = store.stable_ts();
-        treaty_sim::obs::gauge_set("store.stable_ts", stable);
-        let ts = ts.unwrap_or(stable);
+        let ts = ts.unwrap_or_else(|| store.stable_ts());
         // The first rejected key (or span, named by its start) ends the read.
         let read = || {
             let values = keys
@@ -1274,19 +1268,20 @@ impl TreatyNode {
         };
         let (kind, reply) = match read() {
             Ok((values, rows)) => {
-                treaty_sim::obs::counter_add("core.snapshot_reads", u64::from(!keys.is_empty()));
-                treaty_sim::obs::counter_add("core.snapshot_scans", u64::from(!spans.is_empty()));
+                let (read, scanned) = (!keys.is_empty(), !spans.is_empty());
+                treaty_sim::obs::counter_add(Counter::CoreSnapshotReads, u64::from(read));
+                treaty_sim::obs::counter_add(Counter::CoreSnapshotScans, u64::from(scanned));
                 (MsgKind::Ack, SnapshotReadReply::Values { ts, values, rows })
             }
             Err((_, StoreError::SnapshotStale { stable })) => {
-                treaty_sim::obs::counter_add("core.snapshot_stale_reject", 1);
+                treaty_sim::obs::counter_add(Counter::CoreSnapshotStaleReject, 1);
                 (
                     MsgKind::Nack,
                     SnapshotReadReply::Stale { stable_ts: stable },
                 )
             }
             Err((key, StoreError::SnapshotInDoubt)) => {
-                treaty_sim::obs::counter_add("core.snapshot_indoubt_reject", 1);
+                treaty_sim::obs::counter_add(Counter::CoreSnapshotIndoubtReject, 1);
                 (
                     MsgKind::Nack,
                     SnapshotReadReply::InDoubt { key: key.clone() },
@@ -1327,7 +1322,7 @@ impl TreatyNode {
                 // Validation failures and integrity errors both answer
                 // "not proven consistent" — the client retries.
                 Ok(false) | Err(_) => {
-                    treaty_sim::obs::counter_add("core.snapshot_validate_fail", 1);
+                    treaty_sim::obs::counter_add(Counter::CoreSnapshotValidateFail, 1);
                     return Some((
                         TxMeta {
                             kind: MsgKind::Nack,
@@ -1346,7 +1341,7 @@ impl TreatyNode {
             match store.snapshot_validate_span(start, end, req_msg.ts) {
                 Ok(true) => {}
                 Ok(false) | Err(_) => {
-                    treaty_sim::obs::counter_add("core.snapshot_validate_fail", 1);
+                    treaty_sim::obs::counter_add(Counter::CoreSnapshotValidateFail, 1);
                     return Some((
                         TxMeta {
                             kind: MsgKind::Nack,
@@ -1570,14 +1565,14 @@ impl TreatyNode {
                     self.send_decision(gtx, &remotes, commit);
                     self.decide_local(gtx, commit);
                     outcome.re_decided += 1;
-                    treaty_sim::obs::counter_add("core.recovery_redecided", 1);
+                    treaty_sim::obs::counter_add(Counter::CoreRecoveryRedecided, 1);
                 } else {
                     // No durable decision — a participant or the counter
                     // group out of reach — so the transaction stays
                     // undecided. Surface it: the operator needs the signal
                     // that recovery is incomplete.
                     outcome.failed += 1;
-                    treaty_sim::obs::counter_add("core.recovery_redrive_failed", 1);
+                    treaty_sim::obs::counter_add(Counter::CoreRecoveryRedriveFailed, 1);
                     treaty_sim::obs::instant(
                         Phase::CoordRedriveFailed,
                         &[("coordinator", u64::from(self.endpoint))],
@@ -1613,7 +1608,7 @@ impl TreatyNode {
             if let Some(commit) = commit {
                 self.decide_local(gtx, commit);
                 outcome.resolved += 1;
-                treaty_sim::obs::counter_add("core.recovery_resolved", 1);
+                treaty_sim::obs::counter_add(Counter::CoreRecoveryResolved, 1);
             }
         }
         outcome

@@ -11,7 +11,7 @@ use treaty_core::{
     check_list_append, Cluster, ClusterOptions, HistoryError, TreatyError, TxnObservation,
 };
 use treaty_sched::block_on;
-use treaty_sim::obs::Phase;
+use treaty_sim::obs::{Counter, Phase};
 use treaty_sim::runtime::{join, sleep, spawn};
 use treaty_sim::{SecurityProfile, MILLIS};
 use treaty_store::{GlobalTxId, TxnEngine as _, TxnMode};
@@ -1116,7 +1116,7 @@ fn read_only_dist_txn_commits_in_one_unlogged_round() {
         read_everything(&mut tx);
         assert!(locked_keys(&cluster).iter().all(|&n| n > 0));
         let sent = cluster.fabric().stats().sent;
-        let lane_commits = obs.metrics().counter("core.read_only_commits");
+        let lane_commits = obs.metrics().counter(Counter::CoreReadOnlyCommits);
         tx.commit().unwrap();
         // Client→coordinator and coordinator→each of the two remotes, one
         // reply each: 2·S messages. A ROTE round would add twelve more.
@@ -1125,7 +1125,7 @@ fn read_only_dist_txn_commits_in_one_unlogged_round() {
         assert_eq!(cluster.node(0).clog().unwrap().protocol_state(gtx), None);
         assert_eq!(locked_keys(&cluster), vec![0, 0, 0]);
         assert_eq!(
-            obs.metrics().counter("core.read_only_commits"),
+            obs.metrics().counter(Counter::CoreReadOnlyCommits),
             lane_commits + 1
         );
         let events = obs.events();
@@ -1228,7 +1228,7 @@ fn one_write_keeps_the_logged_two_phase_path() {
             after.iter().zip(&logs).all(|(a, b)| a > b),
             "every participant logs its prepare: {logs:?} -> {after:?}"
         );
-        assert_eq!(obs.metrics().counter("core.read_only_commits"), 0);
+        assert_eq!(obs.metrics().counter(Counter::CoreReadOnlyCommits), 0);
         treaty_sim::obs::uninstall();
     });
 }

@@ -290,7 +290,7 @@ impl TrustedCounter {
                 let lead = !covered && st.exchanging.is_none();
                 if covered || lead {
                     if let Some(from) = slot_wait_from.take() {
-                        obs::hist_record("counter.slot_wait_ns", vnow() - from);
+                        obs::hist_record(obs::Hist::CounterSlotWaitNs, vnow() - from);
                     }
                 }
                 if lead {
@@ -303,8 +303,8 @@ impl TrustedCounter {
                     let waiters = st.queued + u64::from(!queued);
                     st.queued = 0;
                     drop(st);
-                    obs::counter_add("counter.rounds", 1);
-                    obs::hist_record("counter.waiters_per_round", waiters);
+                    obs::counter_add(obs::Counter::CounterRounds, 1);
+                    obs::hist_record(obs::Hist::CounterWaitersPerRound, waiters);
                     return self.lead(round, target, fallback);
                 }
                 if !queued {
@@ -333,7 +333,7 @@ impl TrustedCounter {
     fn lead(&self, round: u64, target: u64, fallback: u64) -> Result<(), CounterError> {
         let started = vnow();
         let result = self.backend.stabilize(&self.id, target);
-        obs::hist_record("counter.exchange_ns", vnow() - started);
+        obs::hist_record(obs::Hist::CounterExchangeNs, vnow() - started);
         {
             let mut st = self.state.borrow_mut();
             st.exchanging = None;

@@ -14,6 +14,7 @@
 //! swallowed (`None` returned) and nothing here panics — crash handlers
 //! call this mid-unwind-setup, where a second panic aborts the process.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use crate::{EventKind, Nanos, Obs};
@@ -57,6 +58,15 @@ pub(crate) fn escape(s: &str) -> String {
         }
     }
     out
+}
+
+/// The body of a JSON object of named counts, in map order.
+fn json_object<K: std::fmt::Display>(counts: &BTreeMap<K, u64>) -> String {
+    let fields: Vec<String> = counts
+        .iter()
+        .map(|(k, v)| format!("\"{k}\": {v}"))
+        .collect();
+    fields.join(",")
 }
 
 impl Obs {
@@ -138,16 +148,9 @@ impl Obs {
         out.push_str("  ],\n");
 
         let snap = self.metrics().snapshot();
-        for (name, values, end) in [
-            ("counters", &snap.counters, ","),
-            ("gauges", &snap.gauges, "\n}"),
-        ] {
-            let body: Vec<String> = values
-                .iter()
-                .map(|(k, v)| format!("\"{}\": {v}", escape(k)))
-                .collect();
-            out.push_str(&format!("  \"{name}\": {{{}}}{end}\n", body.join(",")));
-        }
+        let (counters, gauges) = (json_object(&snap.counters), json_object(&snap.gauges));
+        out.push_str(&format!("  \"counters\": {{{counters}}},\n"));
+        out.push_str(&format!("  \"gauges\": {{{gauges}}}\n}}\n"));
 
         let file = dir.join(format!("flight-{ordinal:04}-{}.json", sanitize(reason)));
         std::fs::create_dir_all(&dir).ok()?;
@@ -195,7 +198,7 @@ mod tests {
             );
         }
         obs.record(EventKind::Instant, 99, 2, 0, 0, Phase::NetRecv, &[]);
-        obs.metrics().counter_add("crash.fired", 1);
+        obs.metrics().counter_add(crate::Counter::CrashFired, 1);
         let dump = obs
             .flight_dump(1, 100, "crash.fired", "clog.pre_decision_append")
             .expect("armed recorder dumps");

@@ -9,9 +9,10 @@
 //!   every phase a variant of the one [`Phase`] catalogue;
 //! * a per-`Sim` [`Obs`] sink with a ring-buffer cap, cheap enough to be
 //!   always-on;
-//! * a [`MetricsRegistry`] of named counters/gauges/virtual-time histograms
-//!   behind one deterministic snapshot API, and the bucketed [`Histogram`]
-//!   it keeps per name;
+//! * a [`MetricsRegistry`] of counters, gauges and virtual-time histograms
+//!   behind one deterministic snapshot API, each metric a variant of the
+//!   [`Counter`], [`Gauge`] or [`Hist`] catalogue, and the bucketed
+//!   [`Histogram`] it keeps per histogram;
 //! * exporters: Chrome `trace_event` JSON (loadable in `chrome://tracing` /
 //!   Perfetto) and a text phase-breakdown table ([`export`]);
 //! * one span-tree builder, whose repairs are the invariant checks ([`tree`]).
@@ -20,17 +21,17 @@
 //!
 //! Nothing in this crate reads a clock, an RNG or the environment: every
 //! timestamp is handed in by the caller (the simulator's virtual clock), and
-//! every export iterates `BTreeMap`s or the recorded event order. Two runs
-//! with the same seed therefore serialize to byte-identical artifacts —
-//! which the test suite asserts.
+//! every export iterates `BTreeMap`s, a catalogue's name order or the
+//! recorded event order. Two runs with the same seed therefore serialize
+//! to byte-identical artifacts — which the test suite asserts.
 //!
 //! # Secrecy
 //!
 //! Trace payloads are *structurally* numeric: an event carries a phase
-//! variant and `(&'static str, u64)` arguments, so plaintext values, user
-//! keys or key material cannot be interpolated into a trace (treaty-lint
-//! rule L005 enforces the same property for format strings in trusted
-//! regions).
+//! variant and `(&'static str, u64)` arguments, and a metric is a variant
+//! and a number, so plaintext values, user keys or key material cannot be
+//! interpolated into a trace or a metric name (treaty-lint rule L005
+//! enforces the same property for format strings in trusted regions).
 //!
 //! This crate has **zero dependencies** (std only) so it can sit underneath
 //! `treaty-sim` and keep compiling in registry-less environments.
@@ -51,8 +52,8 @@ pub use attribution::{attribute, AttributionReport, Category, TxnAttribution};
 pub use export::{chrome_trace_json, chrome_trace_json_with_meta, phase_breakdown};
 pub use flight::FlightDump;
 pub use histogram::Histogram;
-pub use metrics::{HistSummary, MetricsRegistry, MetricsSnapshot};
-pub use phase::{IntoPhase, Phase};
+pub use metrics::{Counter, Gauge, Hist, MetricsRegistry, MetricsSnapshot};
+pub use phase::{Named, Phase};
 pub use tree::{build_forest_lossy, check_invariants, LossyForest, Span};
 
 /// Virtual nanoseconds — mirrors `treaty_sim::Nanos` without the dependency.
@@ -127,7 +128,7 @@ impl Obs {
                 dropped: 0,
                 next_seq: 0,
             }),
-            metrics: MetricsRegistry::new(),
+            metrics: MetricsRegistry::default(),
             flight: RefCell::new(None),
         })
     }

@@ -32,23 +32,9 @@ macro_rules! phases {
     ($(#[$attr:meta])* pub enum $ty:ident {
         $($variant:ident => $name:literal, $cat:ident $(, $waiting:ident)?;)*
     }) => {
-        $(#[$attr])*
-        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-        pub enum $ty {
-            $($variant,)*
-        }
+        $crate::phases!(@catalogue "phase", $(#[$attr])* $ty { $($variant => $name;)* });
 
         impl $ty {
-            /// Every phase, in declaration order: `ALL[i] as usize == i`.
-            pub const ALL: [$ty; [$($name),*].len()] = [$($ty::$variant),*];
-
-            /// The phase's dotted name, what every export prints.
-            pub const fn name(self) -> &'static str {
-                match self {
-                    $($ty::$variant => $name,)*
-                }
-            }
-
             /// The category the phase's own time is attributed to.
             pub const fn category(self) -> $crate::Category {
                 match self {
@@ -62,6 +48,29 @@ macro_rules! phases {
                     $($ty::$variant => $crate::phases!(@waiting $($waiting)?),)*
                 }
             }
+        }
+    };
+    (@waiting waiting) => { true };
+    (@waiting) => { false };
+    (@catalogue $noun:literal, $(#[$attr:meta])* $ty:ident {
+        $($variant:ident => $name:literal;)*
+    }) => {
+        $(#[$attr])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+        pub enum $ty {
+            $($variant,)*
+        }
+
+        impl $ty {
+            /// Every variant, in declaration order: `ALL[i] as usize == i`.
+            pub const ALL: [$ty; [$($name),*].len()] = [$($ty::$variant),*];
+
+            /// The variant's dotted name, what every export prints.
+            pub const fn name(self) -> &'static str {
+                match self {
+                    $($ty::$variant => $name,)*
+                }
+            }
 
             /// The variant a dotted name spells, if the catalogue has it.
             pub fn from_name(name: &str) -> Option<$ty> {
@@ -71,9 +80,22 @@ macro_rules! phases {
                 }
             }
         }
+
+        impl std::fmt::Display for $ty {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                f.write_str(self.name())
+            }
+        }
+
+        impl $crate::Named<$ty> for &str {
+            fn resolve(self) -> $ty {
+                $ty::from_name(self).unwrap_or_else(|| {
+                    let ty = stringify!($ty);
+                    panic!("unknown {} {self:?}: declare it in treaty_obs::{ty}", $noun)
+                })
+            }
+        }
     };
-    (@waiting waiting) => { true };
-    (@waiting) => { false };
 }
 
 phases! {
@@ -142,29 +164,17 @@ phases! {
     }
 }
 
-impl std::fmt::Display for Phase {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
+/// A catalogue's variant as a call site names it: the variant, or the name
+/// the catalogue declares for it (the benchmark harness spells its
+/// `bench.*` spans and reads four counters so).
+pub trait Named<T> {
+    /// The variant; panics on a name the catalogue lacks.
+    fn resolve(self) -> T;
 }
 
-/// A phase as a call site names it: a [`Phase`], or a name the catalogue
-/// declares (the benchmark harness spells its `bench.*` spans so).
-pub trait IntoPhase {
-    /// The catalogued variant; panics on a name the catalogue lacks.
-    fn into_phase(self) -> Phase;
-}
-
-impl IntoPhase for Phase {
-    fn into_phase(self) -> Phase {
+impl<T> Named<T> for T {
+    fn resolve(self) -> T {
         self
-    }
-}
-
-impl IntoPhase for &str {
-    fn into_phase(self) -> Phase {
-        Phase::from_name(self)
-            .unwrap_or_else(|| panic!("unknown phase {self:?}: declare it in treaty_obs::Phase"))
     }
 }
 
@@ -177,20 +187,20 @@ mod tests {
         for (i, phase) in Phase::ALL.into_iter().enumerate() {
             assert_eq!(phase as usize, i);
             assert_eq!(Phase::from_name(phase.name()), Some(phase));
-            assert_eq!(phase.name().into_phase(), phase);
+            assert_eq!(Named::<Phase>::resolve(phase.name()), phase);
             assert!(
                 Phase::ALL[..i].iter().all(|p| p.name() != phase.name()),
                 "{phase} is declared twice"
             );
         }
         for name in ["bench.get", "bench.put", "bench.scan", "bench.commit"] {
-            assert_eq!(name.into_phase().name(), name);
+            assert_eq!(Named::<Phase>::resolve(name).name(), name);
         }
     }
 
     #[test]
     #[should_panic(expected = "unknown phase \"bench.gte\"")]
     fn an_unknown_literal_fails_loudly() {
-        "bench.gte".into_phase();
+        Named::<Phase>::resolve("bench.gte");
     }
 }

@@ -372,7 +372,7 @@ pub fn hit(point: CrashPoint) {
         Decision::Continue => {}
         Decision::Unwind => std::panic::panic_any(CrashUnwind),
         Decision::Fire(handler) => {
-            crate::obs::counter_add("crash.fired", 1);
+            crate::obs::counter_add(crate::obs::Counter::CrashFired, 1);
             crate::obs::instant(
                 Phase::CrashFired,
                 &[("node", node as u64), ("point", point as u64)],

@@ -10,7 +10,9 @@
 //! outside a fiber, so instrumentation is always-on and free to sprinkle.
 //!
 //! A span or instant names a [`Phase`]; a literal (the benchmark harness's
-//! `bench.*`) is looked up only under a hub, and an unknown one panics.
+//! `bench.*`) is looked up only under a hub, and an unknown one panics. A
+//! metric names a [`Counter`] or a [`Hist`]; per-node state is not a gauge
+//! here but an `OBS_SNAPSHOT` field.
 //!
 //! Context propagation: [`set_node`] tags a fiber (and everything it later
 //! spawns) as executing for a fabric endpoint — the trace `pid`; `set_txn`
@@ -23,7 +25,7 @@
 
 use std::rc::Rc;
 
-pub use treaty_obs::{EventKind, IntoPhase, Obs, Phase};
+pub use treaty_obs::{Counter, EventKind, Hist, Named, Obs, Phase};
 
 use crate::runtime;
 
@@ -75,14 +77,14 @@ impl Drop for TxnScope {
 /// Opens a span: records an enter event now and the matching exit when the
 /// returned guard drops — balanced even when the fiber unwinds at shutdown.
 /// No-op (and allocation-free) when no hub is installed.
-pub fn span(phase: impl IntoPhase) -> SpanGuard {
+pub fn span(phase: impl Named<Phase>) -> SpanGuard {
     span_with(phase, &[])
 }
 
 /// Like [`span`] with a numeric payload on the enter event.
-pub fn span_with(phase: impl IntoPhase, args: &[(&'static str, u64)]) -> SpanGuard {
+pub fn span_with(phase: impl Named<Phase>, args: &[(&'static str, u64)]) -> SpanGuard {
     let phase = runtime::obs_ctx().map(|(obs, now, node, fiber, txn)| {
-        let phase = phase.into_phase();
+        let phase = phase.resolve();
         obs.record(EventKind::Enter, now, node, fiber, txn, phase, args);
         phase
     });
@@ -107,32 +109,25 @@ impl Drop for SpanGuard {
 }
 
 /// Records a point event with a numeric payload. No-op without a hub.
-pub fn instant(phase: impl IntoPhase, args: &[(&'static str, u64)]) {
+pub fn instant(phase: impl Named<Phase>, args: &[(&'static str, u64)]) {
     if let Some((obs, now, node, fiber, txn)) = runtime::obs_ctx() {
-        let phase = phase.into_phase();
+        let phase = phase.resolve();
         obs.record(EventKind::Instant, now, node, fiber, txn, phase, args);
     }
 }
 
-/// Adds `v` to registry counter `name`. No-op without a hub.
-pub fn counter_add(name: &str, v: u64) {
+/// Adds `v` to registry counter `c`. No-op without a hub.
+pub fn counter_add(c: Counter, v: u64) {
     if let Some((obs, ..)) = runtime::obs_ctx() {
-        obs.metrics().counter_add(name, v);
+        obs.metrics().counter_add(c, v);
     }
 }
 
-/// Sets registry gauge `name`. No-op without a hub.
-pub fn gauge_set(name: &str, v: u64) {
-    if let Some((obs, ..)) = runtime::obs_ctx() {
-        obs.metrics().gauge_set(name, v);
-    }
-}
-
-/// Records a virtual-time sample into registry histogram `name`. No-op
+/// Records a virtual-time sample into registry histogram `h`. No-op
 /// without a hub.
-pub fn hist_record(name: &str, v: u64) {
+pub fn hist_record(h: Hist, v: u64) {
     if let Some((obs, ..)) = runtime::obs_ctx() {
-        obs.metrics().hist_record(name, v);
+        obs.metrics().hist_record(h, v);
     }
 }
 
@@ -233,9 +228,8 @@ mod tests {
                 let _t = txn_scope(5);
                 let _s = span(Phase::StoreGet);
                 instant(Phase::NetRecv, &[]);
-                counter_add("c", 1);
-                gauge_set("g", 1);
-                hist_record("h", 1);
+                counter_add(Counter::CrashFired, 1);
+                hist_record(Hist::CounterExchangeNs, 1);
             })
             .unwrap();
     }
@@ -245,7 +239,7 @@ mod tests {
         // Never panics even though no simulation is running.
         set_node(1);
         instant(Phase::NetRecv, &[]);
-        counter_add("c", 1);
+        counter_add(Counter::CrashFired, 1);
         let _s = span(Phase::StoreGet);
     }
 
@@ -276,14 +270,14 @@ mod tests {
         Sim::new()
             .run(move || {
                 install(&obs2);
-                counter_add("store.lock_acquire", 2);
-                counter_add("store.lock_acquire", 1);
-                hist_record("2pc.prepare", 500);
+                counter_add(Counter::StoreLockAcquire, 2);
+                counter_add(Counter::StoreLockAcquire, 1);
+                hist_record(Hist::CounterExchangeNs, 500);
             })
             .unwrap();
         let snap = obs.metrics().snapshot();
-        assert_eq!(snap.counters["store.lock_acquire"], 3);
-        assert_eq!(snap.hists["2pc.prepare"].count, 1);
+        assert_eq!(snap.counters[&Counter::StoreLockAcquire], 3);
+        assert_eq!(snap.hists[&Hist::CounterExchangeNs].count(), 1);
     }
 
     #[test]

@@ -26,7 +26,7 @@ use treaty_crypto::codec;
 use treaty_crypto::codec::Record;
 use treaty_sched::{FiberMutex, GroupCommit, WaitQueue};
 use treaty_sim::crashpoint::CrashPoint;
-use treaty_sim::obs::Phase;
+use treaty_sim::obs::{Counter, Phase};
 use treaty_sim::FiberCell;
 
 use crate::env::Env;
@@ -374,24 +374,15 @@ impl StableFrontier {
 
     /// Marks `seq` applied-and-stable, advancing the contiguous frontier.
     pub fn record(&self, seq: u64) {
-        let new_frontier = {
-            let mut st = self.state.borrow_mut();
-            let inner = &mut *st;
-            if seq <= inner.frontier {
-                return;
-            }
-            inner.pending.insert(seq);
-            let mut advanced = false;
-            while inner.pending.remove(&(inner.frontier + 1)) {
-                inner.frontier += 1;
-                advanced = true;
-            }
-            if !advanced {
-                return;
-            }
-            inner.frontier
-        };
-        treaty_sim::obs::gauge_set("store.stable_ts", new_frontier);
+        let mut st = self.state.borrow_mut();
+        let inner = &mut *st;
+        if seq <= inner.frontier {
+            return;
+        }
+        inner.pending.insert(seq);
+        while inner.pending.remove(&(inner.frontier + 1)) {
+            inner.frontier += 1;
+        }
     }
 
     /// The current frontier.
@@ -1331,12 +1322,7 @@ impl TreatyStore {
         let Some(work) = self.rotate_locked()? else {
             return Ok(());
         };
-        let depth = {
-            let mut backlog = self.inner.flush_backlog.borrow_mut();
-            backlog.push_back(work);
-            backlog.len()
-        };
-        treaty_sim::obs::gauge_set("store.flush_backlog", depth as u64);
+        self.inner.flush_backlog.borrow_mut().push_back(work);
         if !treaty_sim::runtime::in_fiber() {
             return self.drain_maintenance();
         }
@@ -1493,7 +1479,7 @@ impl TreatyStore {
                     // Leave the work queued: the next commit re-arms the
                     // daemon and retries. Surfaced as a metric only (the
                     // error text is not trace-safe).
-                    treaty_sim::obs::counter_add("store.maintenance_errors", 1);
+                    treaty_sim::obs::counter_add(Counter::StoreMaintenanceErrors, 1);
                     self.inner.maintenance_running.set(false);
                     return;
                 }
@@ -1535,12 +1521,7 @@ impl TreatyStore {
             // live in the MANIFEST, so a crash here loses nothing.
             treaty_sim::crashpoint::hit(CrashPoint::StoreBgFlushStart);
             self.build_flush(&work)?;
-            let depth = {
-                let mut backlog = self.inner.flush_backlog.borrow_mut();
-                backlog.pop_front();
-                backlog.len()
-            };
-            treaty_sim::obs::gauge_set("store.flush_backlog", depth as u64);
+            self.inner.flush_backlog.borrow_mut().pop_front();
             self.gc();
             return Ok(true);
         }
@@ -1581,14 +1562,14 @@ impl TreatyStore {
         loop {
             let pressure = self.pressure();
             if pressure >= cfg.l0_stop_trigger {
-                treaty_sim::obs::counter_add("store.backpressure_stops", 1);
+                treaty_sim::obs::counter_add(Counter::StoreBackpressureStops, 1);
                 self.ensure_maintenance();
                 treaty_sim::runtime::sleep(stall);
                 continue;
             }
             if pressure >= cfg.l0_slowdown_trigger && !slowed {
                 slowed = true;
-                treaty_sim::obs::counter_add("store.backpressure_slowdowns", 1);
+                treaty_sim::obs::counter_add(Counter::StoreBackpressureSlowdowns, 1);
                 self.ensure_maintenance();
                 treaty_sim::runtime::sleep(stall);
                 continue; // re-check: pressure may have crossed the hard cap

@@ -7,6 +7,7 @@ use std::rc::Rc;
 use treaty_counter::{CounterBackend, NullBackend};
 use treaty_crypto::KeyHierarchy;
 use treaty_sched::CorePool;
+use treaty_sim::obs::Counter;
 use treaty_sim::{runtime, CostModel, Nanos, SecurityProfile};
 use treaty_tee::{Enclave, HostVault};
 
@@ -221,7 +222,7 @@ impl Env {
         // Two syscalls (write + fsync), each an enclave↔host boundary
         // crossing under a TEE (world switch or its SCONE async equivalent).
         if self.profile.tee == treaty_sim::TeeMode::Scone {
-            treaty_sim::obs::counter_add("tee.world_switch", 2);
+            treaty_sim::obs::counter_add(Counter::TeeWorldSwitch, 2);
         }
         self.charge(self.costs.ssd_append_ns(self.profile.tee, bytes));
     }
@@ -229,7 +230,7 @@ impl Env {
     /// Charges a (page-cache-resident) storage read of `bytes`.
     pub fn charge_storage_read(&self, bytes: usize) {
         if self.profile.tee == treaty_sim::TeeMode::Scone {
-            treaty_sim::obs::counter_add("tee.world_switch", 1);
+            treaty_sim::obs::counter_add(Counter::TeeWorldSwitch, 1);
         }
         self.charge(self.costs.storage_read_ns(self.profile.tee, bytes));
     }

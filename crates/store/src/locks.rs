@@ -19,7 +19,7 @@ use std::collections::{BTreeMap, HashSet};
 use std::ops::Bound;
 
 use treaty_sched::WaitQueue;
-use treaty_sim::obs::Phase;
+use treaty_sim::obs::{Counter, Phase};
 use treaty_sim::{runtime, FiberCell, Nanos};
 
 use crate::memtable::UserKey;
@@ -175,7 +175,7 @@ impl LockTable {
     pub fn lock(&self, tx: TxId, key: &[u8], mode: LockMode) -> Result<bool> {
         // Every lock-table entry point counts: the snapshot-read tests
         // assert read-only transactions leave this at zero.
-        treaty_sim::obs::counter_add("store.lock_acquire", 1);
+        treaty_sim::obs::counter_add(Counter::StoreLockAcquire, 1);
         // Fast path.
         if let Some(new) = self.try_acquire(tx, key, mode) {
             return Ok(new);
@@ -184,7 +184,7 @@ impl LockTable {
         // span makes blocked time first-class in the trace — the
         // critical-path walker's lock-wait category reads it directly.
         let _span = treaty_sim::obs::span(Phase::StoreLockWait);
-        treaty_sim::obs::counter_add("store.lock_contended", 1);
+        treaty_sim::obs::counter_add(Counter::StoreLockContended, 1);
         let deadline = runtime::now().saturating_add(self.timeout);
         let waiters = &self.waiters[self.stripe(key)];
         loop {
@@ -207,7 +207,7 @@ impl LockTable {
     ///
     /// Returns [`StoreError::LockTimeout`] immediately when contended.
     pub fn try_lock(&self, tx: TxId, key: &[u8], mode: LockMode) -> Result<bool> {
-        treaty_sim::obs::counter_add("store.lock_acquire", 1);
+        treaty_sim::obs::counter_add(Counter::StoreLockAcquire, 1);
         self.try_acquire(tx, key, mode)
             .ok_or(StoreError::LockTimeout)
     }

@@ -5,6 +5,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use treaty_crypto::Digest32;
+use treaty_sim::obs::Counter;
 use treaty_sim::{CostModel, FiberCell, Nanos, TeeMode};
 
 use crate::hostbytes::HostBytes;
@@ -101,8 +102,8 @@ impl Enclave {
                     let paging = (costs.epc_fault_ns as f64 * prob * pages as f64) as Nanos;
                     ns += paging;
                     self.faults.update(|n| n + 1);
-                    treaty_sim::obs::counter_add("tee.epc_fault", 1);
-                    treaty_sim::obs::counter_add("tee.paging_ns", paging);
+                    treaty_sim::obs::counter_add(Counter::TeeEpcFault, 1);
+                    treaty_sim::obs::counter_add(Counter::TeePagingNs, paging);
                 }
                 ns
             }

@@ -9,7 +9,7 @@ use std::rc::Rc;
 
 use std::cell::RefCell;
 use treaty::core::{Cluster, ClusterOptions};
-use treaty::obs::{attribute, Obs};
+use treaty::obs::{attribute, Counter, Obs};
 use treaty::sched::block_on;
 use treaty::sim::SecurityProfile;
 
@@ -148,7 +148,7 @@ fn obs_snapshot_rpc_reports_live_fields_matching_the_registry() {
         assert_eq!(cluster.totals().0, TXNS);
         let counters = obs.metrics().snapshot().counters;
         assert_eq!(
-            counters.get("core.obs_snapshots_served"),
+            counters.get(&Counter::CoreObsSnapshotsServed),
             Some(&(endpoints.len() as u64))
         );
         treaty::sim::obs::uninstall();

@@ -10,7 +10,7 @@ use std::rc::Rc;
 use std::cell::RefCell;
 use treaty::core::messages::{decode, encode};
 use treaty::core::{Cluster, ClusterOptions};
-use treaty::obs::Obs;
+use treaty::obs::{Counter, Obs};
 use treaty::sched::block_on;
 use treaty::sim::runtime::{join, sleep, spawn};
 use treaty::sim::{SecurityProfile, MILLIS};
@@ -226,16 +226,16 @@ fn readonly_snapshot_txns_never_touch_the_lock_table() {
 
         // Baseline after the setup writes (which DO acquire locks).
         let m = obs.metrics();
-        let lock_baseline = m.counter("store.lock_acquire");
-        let snap_baseline = m.counter("core.snapshot_reads");
+        let lock_baseline = m.counter(Counter::StoreLockAcquire);
+        let snap_baseline = m.counter(Counter::CoreSnapshotReads);
         assert!(lock_baseline > 0, "setup writes must exercise the counter");
 
         for _ in 0..READS {
             let values = client.snapshot_read(&keys).unwrap();
             assert!(values.iter().all(Option::is_some));
         }
-        let lock_after_snapshots = m.counter("store.lock_acquire");
-        let snaps_served = m.counter("core.snapshot_reads") - snap_baseline;
+        let lock_after_snapshots = m.counter(Counter::StoreLockAcquire);
+        let snaps_served = m.counter(Counter::CoreSnapshotReads) - snap_baseline;
 
         // Sanity: the counter still moves when a locking read runs.
         let mut tx = client.begin(1);
@@ -243,7 +243,7 @@ fn readonly_snapshot_txns_never_touch_the_lock_table() {
             tx.get(k).unwrap();
         }
         tx.commit().unwrap();
-        let lock_after_locked = m.counter("store.lock_acquire");
+        let lock_after_locked = m.counter(Counter::StoreLockAcquire);
         treaty::sim::obs::uninstall();
         *out2.borrow_mut() = Some((
             lock_after_snapshots - lock_baseline,
@@ -324,8 +324,8 @@ fn indoubt_snapshot_reads_retry_until_the_decision_lands() {
         );
         join(decider);
         let m = obs.metrics();
-        let rejects = m.counter("core.snapshot_indoubt_reject");
-        let retries = m.counter("client.snapshot_retries");
+        let rejects = m.counter(Counter::CoreSnapshotIndoubtReject);
+        let retries = m.counter(Counter::ClientSnapshotRetries);
         treaty::sim::obs::uninstall();
         *out2.borrow_mut() = Some((rejects, retries));
     });
