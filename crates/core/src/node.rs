@@ -316,15 +316,68 @@ const HANDLERS: &[(u8, bool, Handler)] = &[
     (req::QUERY_DECISION, false, TreatyNode::handle_peer),
 ];
 
+/// One shard's scan slice, sorted by key.
+type Rows = Vec<(Vec<u8>, Vec<u8>)>;
+
+/// What a scan of `limit` rows still needs after its first round, in which
+/// each shard returned at most `quota` (DESIGN.md §16). A shard that
+/// returned `quota` rows was cut short. The rows at or below the smallest
+/// last key among those shards are certain, since every shard returned all
+/// of its rows up to there. Empty when they number `limit`; otherwise one
+/// `Op::Scan` per shard cut short, from just past its last key to `end`,
+/// for the rows still missing.
+fn scan_continuations(
+    slices: &[(EndpointId, Rows)],
+    end: &[u8],
+    limit: usize,
+    quota: usize,
+) -> Vec<(EndpointId, Op)> {
+    let cut = |rows: &Rows| quota < limit && rows.len() == quota;
+    let lasts = slices
+        .iter()
+        .filter(|(_, rows)| cut(rows))
+        .filter_map(|(shard, rows)| Some((*shard, &rows.last()?.0)));
+    let Some(boundary) = lasts.clone().map(|(_, last)| last).min() else {
+        return Vec::new();
+    };
+    let certain: usize = slices
+        .iter()
+        .map(|(_, rows)| rows.partition_point(|(k, _)| k <= boundary))
+        .sum();
+    if certain >= limit {
+        return Vec::new();
+    }
+    lasts
+        .map(|(shard, last)| {
+            let op = Op::Scan {
+                start: [last.as_slice(), &[0]].concat(),
+                end: end.to_vec(),
+                limit: (limit - certain) as u64,
+            };
+            (shard, op)
+        })
+        .collect()
+}
+
+/// The rows a scan with `limit` asks of each of `shards` shards: a
+/// shard's expected share of the limit under hash partitioning plus two
+/// standard deviations, ⌈(L + 2·√(L·(n−1)))/n⌉, capped at the limit. An
+/// unbounded scan or a single shard asks for the limit itself.
+fn shard_quota(limit: usize, shards: usize) -> usize {
+    if limit == 0 || shards <= 1 {
+        return limit;
+    }
+    let (l, n) = (limit as f64, shards as f64);
+    let quota = ((l + 2.0 * (l * (n - 1.0)).sqrt()) / n).ceil() as usize;
+    quota.min(limit)
+}
+
 /// True k-way merge of per-shard scan slices. Each slice is sorted and the
 /// shards own disjoint key sets, so a min-heap over the slice heads yields
 /// globally sorted output with no duplicates to resolve — and stops as
 /// soon as `limit` pairs are produced (`0` = unbounded) instead of
 /// materializing the full concatenation and truncating.
-pub(crate) fn merge_sorted_slices(
-    slices: Vec<Vec<(Vec<u8>, Vec<u8>)>>,
-    limit: usize,
-) -> Vec<(Vec<u8>, Vec<u8>)> {
+pub(crate) fn merge_sorted_slices(slices: Vec<Rows>, limit: usize) -> Rows {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
     let total: usize = slices.iter().map(Vec::len).sum();
@@ -593,14 +646,20 @@ impl TreatyNode {
     }
 
     /// Coordinates an operation list mid-transaction: the operations group
-    /// by shard ([`TreatyNode::route`]), one [`req::PEER_OPS`] per remote
-    /// shard leaves in a single burst (one seal per shard instead of per
-    /// op), and the local slice applies while the round trips are in
-    /// flight. Every touched shard joins the participant set. The reply is
-    /// the last operation's result: the owner's value for a get, every
-    /// shard's slice — sorted per shard over disjoint key sets — merged
-    /// into one sorted result before the limit applies for a scan.
-    fn coordinate_ops(self: &Rc<Self>, gtx: GlobalTxId, ops: Vec<Op>) -> OpResult {
+    /// by shard ([`TreatyNode::route`]) and go out in one fan-out
+    /// ([`TreatyNode::fan_out`]). Every touched shard joins the
+    /// participant set. The reply is the last operation's result: the
+    /// owner's value for a get, every shard's slice — sorted per shard over
+    /// disjoint key sets — merged into one sorted result for a scan.
+    ///
+    /// A scan with a limit over several shards asks each for its quota
+    /// ([`shard_quota`]), not the whole limit. The rows at or below the
+    /// smallest last key among the shards that filled their quota are
+    /// certain: every shard has returned all of its rows up to there. If
+    /// fewer than the limit are certain, each shard cut short gets one
+    /// continuation from just past its last key for the rows still
+    /// missing, which always completes the result (DESIGN.md §16).
+    fn coordinate_ops(self: &Rc<Self>, gtx: GlobalTxId, mut ops: Vec<Op>) -> OpResult {
         treaty_sim::runtime::set_tag("h:coordinate_ops");
         // Take the coordinator state out while we (potentially) block.
         let mut ctx = self
@@ -619,11 +678,73 @@ impl TreatyNode {
             });
         }
         ctx.wrote |= ops.iter().any(Op::is_write);
-        let scan_limit = match ops.last() {
-            Some(Op::Scan { limit, .. }) => Some(*limit as usize),
+        // (end of span, the client's limit, each shard's quota)
+        let scan = match ops.last_mut() {
+            Some(Op::Scan { end, limit, .. }) => {
+                let wanted = *limit as usize;
+                let quota = shard_quota(wanted, self.shard_map.len());
+                *limit = quota as u64;
+                Some((end.clone(), wanted, quota))
+            }
             _ => None,
         };
         let (local_ops, remote) = self.route(ops);
+        let mut value: Option<Vec<u8>> = None;
+        let mut slices: Vec<(EndpointId, Rows)> = Vec::new();
+        for (shard, r) in self.fan_out(gtx, &mut ctx, local_ops, remote) {
+            match r {
+                OpResult::Failed(f) => {
+                    // The transaction is dead: abort everywhere, drop state.
+                    self.abort_everywhere(gtx, ctx);
+                    return OpResult::Failed(f);
+                }
+                // Writes answer `None`; only the get's owner has a value.
+                OpResult::Ok { value: v } => value = value.or(v),
+                OpResult::Entries { entries } => slices.push((shard, entries)),
+            }
+        }
+        let Some((end, limit, quota)) = scan else {
+            self.active_coord.borrow_mut().insert(gtx, ctx);
+            return OpResult::Ok { value };
+        };
+        let resume = scan_continuations(&slices, &end, limit, quota);
+        if !resume.is_empty() {
+            treaty_sim::obs::counter_add(Counter::CoreScanResumes, 1);
+            let (local, remote): (Vec<_>, Vec<_>) = resume
+                .into_iter()
+                .partition(|(shard, _)| *shard == self.endpoint);
+            let local_ops = local.into_iter().map(|(_, op)| op).collect();
+            let remote = remote.into_iter().map(|(p, op)| (p, vec![op])).collect();
+            for (shard, r) in self.fan_out(gtx, &mut ctx, local_ops, remote) {
+                match (r, slices.iter_mut().find(|(s, _)| *s == shard)) {
+                    (OpResult::Entries { entries }, Some((_, rows))) => rows.extend(entries),
+                    (OpResult::Failed(f), _) => {
+                        self.abort_everywhere(gtx, ctx);
+                        return OpResult::Failed(f);
+                    }
+                    _ => {}
+                }
+            }
+        }
+        self.active_coord.borrow_mut().insert(gtx, ctx);
+        let slices = slices.into_iter().map(|(_, rows)| rows).collect();
+        OpResult::Entries {
+            entries: merge_sorted_slices(slices, limit),
+        }
+    }
+
+    /// One round of [`TreatyNode::coordinate_ops`]: one [`req::PEER_OPS`]
+    /// per remote slice leaves in a single burst (one seal per shard
+    /// instead of per op), and the local slice applies while the round
+    /// trips are in flight. Returns each shard's result, failures named
+    /// by participant.
+    fn fan_out(
+        self: &Rc<Self>,
+        gtx: GlobalTxId,
+        ctx: &mut CoordTxn,
+        local_ops: Vec<Op>,
+        remote: Vec<(EndpointId, Vec<Op>)>,
+    ) -> Vec<(EndpointId, OpResult)> {
         let mut pending: Vec<(EndpointId, PendingReply)> = Vec::with_capacity(remote.len());
         for (owner, slice) in remote {
             // A remote already in the set holds a slice of `gtx`.
@@ -646,17 +767,17 @@ impl TreatyNode {
         self.rpc.tx_burst();
         treaty_sim::crashpoint::hit(CrashPoint::CoordOpsFanout);
 
-        let mut results: Vec<OpResult> = Vec::with_capacity(pending.len() + 1);
+        let mut results: Vec<(EndpointId, OpResult)> = Vec::with_capacity(pending.len() + 1);
         if !local_ops.is_empty() {
             let local = ctx
                 .local
                 .get_or_insert_with(|| self.engine.begin_txn(self.txn_mode));
-            results.push(apply_ops(local.as_mut(), &local_ops));
+            results.push((self.endpoint, apply_ops(local.as_mut(), &local_ops)));
         }
         // Collect every reply even after a failure: an abandoned
         // `PendingReply` would leave the burst dangling mid-session.
         for (p, pr) in pending {
-            results.push(match pr.wait() {
+            let r = match pr.wait() {
                 Ok((_, bytes)) => match decode::<PeerReply>(&bytes) {
                     Some(PeerReply::OpsDone(OpResult::Failed(f))) => OpResult::Failed(OpFailure {
                         reason: format!("participant {p}: {}", f.reason),
@@ -668,30 +789,10 @@ impl TreatyNode {
                     ))),
                 },
                 Err(e) => OpResult::Failed(OpFailure::other(format!("participant {p}: {e}"))),
-            });
+            };
+            results.push((p, r));
         }
-
-        let mut value: Option<Vec<u8>> = None;
-        let mut slices: Vec<Vec<(Vec<u8>, Vec<u8>)>> = Vec::new();
-        for r in results {
-            match r {
-                OpResult::Failed(f) => {
-                    // The transaction is dead: abort everywhere, drop state.
-                    self.abort_everywhere(gtx, ctx);
-                    return OpResult::Failed(f);
-                }
-                // Writes answer `None`; only the get's owner has a value.
-                OpResult::Ok { value: v } => value = value.or(v),
-                OpResult::Entries { entries } => slices.push(entries),
-            }
-        }
-        self.active_coord.borrow_mut().insert(gtx, ctx);
-        match scan_limit {
-            Some(limit) => OpResult::Entries {
-                entries: merge_sorted_slices(slices, limit),
-            },
-            None => OpResult::Ok { value },
-        }
+        results
     }
 
     fn handle_client_commit(
@@ -1617,7 +1718,8 @@ impl TreatyNode {
 
 #[cfg(test)]
 mod tests {
-    use super::merge_sorted_slices;
+    use super::{merge_sorted_slices, scan_continuations, shard_quota};
+    use crate::messages::Op;
 
     fn e(k: &str) -> (Vec<u8>, Vec<u8>) {
         (k.as_bytes().to_vec(), format!("v-{k}").into_bytes())
@@ -1658,5 +1760,39 @@ mod tests {
     fn merge_single_slice_is_identity() {
         let s = vec![e("a"), e("b"), e("c")];
         assert_eq!(merge_sorted_slices(vec![s.clone()], 0), s);
+    }
+
+    #[test]
+    fn a_shard_is_asked_for_its_share_plus_two_deviations() {
+        assert_eq!(shard_quota(20, 3), 11);
+        assert_eq!(shard_quota(100, 3), 43);
+        // Capped at the limit; one shard or no limit asks for the limit.
+        assert_eq!(shard_quota(1, 3), 1);
+        assert_eq!(shard_quota(20, 1), 20);
+        assert_eq!(shard_quota(0, 3), 0);
+    }
+
+    #[test]
+    fn only_shards_cut_short_below_the_limit_resume() {
+        // Quota 2, limit 4: shard 1 filled its quota at "c", shard 2 did
+        // not. Certain: a, b, c — one row short, so shard 1 resumes after
+        // "c" for the one row still missing.
+        let slices = vec![(1, vec![e("a"), e("c")]), (2, vec![e("b")])];
+        let resume = scan_continuations(&slices, b"z", 4, 2);
+        let after_c = |limit| Op::Scan {
+            start: b"c\0".to_vec(),
+            end: b"z".to_vec(),
+            limit,
+        };
+        assert_eq!(resume, vec![(1, after_c(1))]);
+        // Both cut: the certain prefix ends at the smaller last key, "c",
+        // and holds a, b, c; each shard cut short asks for the fifth row.
+        let slices = vec![(1, vec![e("a"), e("c")]), (2, vec![e("b"), e("d")])];
+        let resume = scan_continuations(&slices, b"z", 5, 2);
+        assert_eq!(resume.len(), 2);
+        assert_eq!(resume[0], (1, after_c(2)));
+        // Enough certain rows, or a quota equal to the limit: no resume.
+        assert!(scan_continuations(&slices, b"z", 3, 2).is_empty());
+        assert!(scan_continuations(&slices, b"z", 2, 2).is_empty());
     }
 }

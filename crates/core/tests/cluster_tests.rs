@@ -1492,3 +1492,122 @@ fn scan_heavy_mix_with_inserts_runs_to_completion() {
         assert_eq!(locked_keys(&cluster), vec![0, 0, 0]);
     });
 }
+
+// ---- per-shard scan quotas (DESIGN.md §16) -----------------------------------
+
+/// A limited locking scan over three shards reads exactly the model's
+/// prefix, whatever the key set, the start, the limit (1–40), the
+/// transaction's own buffered writes and the engine's locking mode.
+/// Each shard is asked for its quota, not the limit, so a key set that
+/// crowds one shard makes the coordinator resume it.
+#[test]
+fn a_limited_scan_over_three_shards_reads_the_model_prefix() {
+    use rand::{Rng, SeedableRng};
+    for mode in [TxnMode::Pessimistic, TxnMode::Optimistic] {
+        let dir = tempfile::tempdir().unwrap();
+        let path = dir.path().to_path_buf();
+        block_on(move || {
+            let obs = treaty_sim::obs::Obs::with_default_cap();
+            treaty_sim::obs::install(&obs);
+            let mut o = options(SecurityProfile::treaty_full(), &path);
+            o.txn_mode = mode;
+            let cluster = Cluster::start(o).unwrap();
+            let client = cluster.client();
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(52);
+            for round in 0..4 {
+                let key = |i: u32| format!("q{round}-{i:03}").into_bytes();
+                let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+                let mut tx = client.begin(1);
+                // A sparse and a dense key set, then two that crowd one
+                // shard: (percent kept on the crowded shard, elsewhere).
+                let (crowded, elsewhere) = [(10, 10), (70, 70), (90, 10), (80, 5)][round];
+                let crowd = cluster.node_endpoints()[round % 3];
+                for i in 0..150 {
+                    let owner = cluster.shard_map().owner(&key(i));
+                    let density = if owner == crowd { crowded } else { elsewhere };
+                    if rng.gen_range(0..100) < density {
+                        tx.put(&key(i), &key(i)).unwrap();
+                        model.insert(key(i), key(i));
+                    }
+                }
+                tx.commit().unwrap();
+                // An optimistic read takes no lock, so it only sees the
+                // commit once every shard has applied it.
+                settle(&cluster);
+                let end = format!("q{round}-~").into_bytes();
+                for case in 0..12u32 {
+                    let start = key(rng.gen_range(0..160));
+                    let limit = rng.gen_range(1..=40usize);
+                    let mut view = model.clone();
+                    let mut tx = client.begin(1 + case % 3);
+                    for _ in 0..rng.gen_range(0..3) {
+                        let k = key(rng.gen_range(0..150));
+                        if rng.gen_bool(0.5) {
+                            tx.put(&k, b"own").unwrap();
+                            view.insert(k, b"own".to_vec());
+                        } else {
+                            tx.delete(&k).unwrap();
+                            view.remove(&k);
+                        }
+                    }
+                    let rows = tx.scan(&start, &end, limit).unwrap();
+                    let want: Vec<(Vec<u8>, Vec<u8>)> = view
+                        .range(start.clone()..end.clone())
+                        .take(limit)
+                        .map(|(k, v)| (k.clone(), v.clone()))
+                        .collect();
+                    assert_eq!(
+                        rows, want,
+                        "{mode:?} round {round} case {case} limit {limit}"
+                    );
+                    tx.rollback().unwrap();
+                }
+            }
+            let resumes = obs.metrics().counter(Counter::CoreScanResumes);
+            assert!(
+                (1..48).contains(&resumes),
+                "{mode:?}: {resumes} of 48 resumed"
+            );
+        });
+    }
+}
+
+/// When the first `limit` keys all live on one shard, its quota falls
+/// short and the certain prefix with it: the coordinator resumes the
+/// shards cut short once, and the result is still the model's.
+#[test]
+fn a_scan_crowded_onto_one_shard_resumes_once() {
+    let dir = tempfile::tempdir().unwrap();
+    let path = dir.path().to_path_buf();
+    block_on(move || {
+        let obs = treaty_sim::obs::Obs::with_default_cap();
+        treaty_sim::obs::install(&obs);
+        let cluster = Cluster::start(options(SecurityProfile::treaty_full(), &path)).unwrap();
+        let crowded = cluster.node_endpoints()[0];
+        let (mut first, mut rest) = (Vec::new(), Vec::new());
+        for i in 0..10_000u32 {
+            let a = format!("crowd-a{i:05}").into_bytes();
+            if first.len() < 20 && cluster.shard_map().owner(&a) == crowded {
+                first.push(a);
+            }
+            let b = format!("crowd-b{i:05}").into_bytes();
+            if rest.len() < 60 && cluster.shard_map().owner(&b) != crowded {
+                rest.push(b);
+            }
+        }
+        let client = cluster.client();
+        let mut tx = client.begin(1);
+        for k in first.iter().chain(&rest) {
+            tx.put(k, b"v").unwrap();
+        }
+        tx.commit().unwrap();
+
+        let mut tx = client.begin(2);
+        let resumes = obs.metrics().counter(Counter::CoreScanResumes);
+        let rows = tx.scan(b"crowd-", b"crowd-~", 20).unwrap();
+        let keys: Vec<Vec<u8>> = rows.into_iter().map(|(k, _)| k).collect();
+        assert_eq!(keys, first);
+        assert_eq!(obs.metrics().counter(Counter::CoreScanResumes), resumes + 1);
+        tx.commit().unwrap();
+    });
+}

@@ -437,7 +437,7 @@ impl<A: Decode, B: Decode> Decode for (A, B) {
 /// codec!(struct OpFailure { index });
 /// ```
 ///
-/// ```compile_fail
+/// ```compile_fail,E0081
 /// # use treaty_crypto::codec;
 /// enum PeerReply { Ack, Vote { yes: bool } }
 /// codec!(enum PeerReply { 0 => Ack, 0 => Vote { yes } });
@@ -466,6 +466,16 @@ macro_rules! codec {
             $({ $($field:ident),* $(,)? })?
         ),* $(,)?
     }) => {
+        // The tags are the discriminants of a throwaway enum, so a tag
+        // listed twice is E0081.
+        const _: () = {
+            #[allow(dead_code)]
+            #[repr(u8)]
+            enum Tags {
+                $($variant = $tag,)*
+            }
+        };
+
         impl $crate::codec::Encode for $ty {
             fn encode(&self, w: &mut $crate::codec::Writer) {
                 match self {
@@ -479,7 +489,6 @@ macro_rules! codec {
         }
 
         impl $crate::codec::Decode for $ty {
-            #[deny(unreachable_patterns)]
             fn decode(
                 r: &mut $crate::codec::Reader<'_>,
             ) -> ::core::result::Result<Self, $crate::codec::CodecError> {

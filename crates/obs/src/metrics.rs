@@ -50,6 +50,7 @@ metrics! {
         CoreRecoveryRedecided => "core.recovery_redecided";
         CoreRecoveryRedriveFailed => "core.recovery_redrive_failed";
         CoreRecoveryResolved => "core.recovery_resolved";
+        CoreScanResumes => "core.scan_resumes";
         CoreSnapshotIndoubtReject => "core.snapshot_indoubt_reject";
         CoreSnapshotReads => "core.snapshot_reads";
         CoreSnapshotScans => "core.snapshot_scans";

@@ -20,7 +20,7 @@
 ///
 /// A line with no category does not compile:
 ///
-/// ```compile_fail
+/// ```compile_fail,E0080
 /// treaty_obs::phases! {
 ///     pub enum Toy {
 ///         Work => "toy.work";
@@ -30,7 +30,7 @@
 #[macro_export]
 macro_rules! phases {
     ($(#[$attr:meta])* pub enum $ty:ident {
-        $($variant:ident => $name:literal, $cat:ident $(, $waiting:ident)?;)*
+        $($variant:ident => $name:literal $(, $cat:ident $(, $waiting:ident)?)?;)*
     }) => {
         $crate::phases!(@catalogue "phase", $(#[$attr])* $ty { $($variant => $name;)* });
 
@@ -38,18 +38,24 @@ macro_rules! phases {
             /// The category the phase's own time is attributed to.
             pub const fn category(self) -> $crate::Category {
                 match self {
-                    $($ty::$variant => $crate::Category::$cat,)*
+                    $($ty::$variant => $crate::phases!(@category $name $($cat)?),)*
                 }
             }
 
             /// True for a phase that parks waiting for a remote reply.
             pub const fn is_waiting(self) -> bool {
                 match self {
-                    $($ty::$variant => $crate::phases!(@waiting $($waiting)?),)*
+                    $($ty::$variant => $crate::phases!(@waiting $($($waiting)?)?),)*
                 }
             }
         }
     };
+    (@category $name:literal $cat:ident) => { $crate::Category::$cat };
+    // A line with no category fails constant evaluation (E0080), naming it.
+    (@category $name:literal) => {{
+        const _: () = panic!(concat!("phase ", $name, " names no category"));
+        $crate::Category::Other
+    }};
     (@waiting waiting) => { true };
     (@waiting) => { false };
     (@catalogue $noun:literal, $(#[$attr:meta])* $ty:ident {
@@ -102,7 +108,7 @@ phases! {
     /// Every span and instant recorded in the workspace. A call site names
     /// a variant, so a misspelt one does not compile:
     ///
-    /// ```compile_fail
+    /// ```compile_fail,E0599
     /// let _ = treaty_obs::Phase::ClientComit;
     /// ```
     pub enum Phase {

@@ -79,11 +79,11 @@ crash_points! {
     /// A point is a variant, not a string, so a misspelled one does not
     /// compile:
     ///
-    /// ```compile_fail
+    /// ```compile_fail,E0308
     /// treaty_sim::crashpoint::hit("coord.typo");
     /// ```
     ///
-    /// ```compile_fail
+    /// ```compile_fail,E0599
     /// treaty_sim::crashpoint::hit(treaty_sim::crashpoint::CrashPoint::CoordTypo);
     /// ```
     pub enum CrashPoint {

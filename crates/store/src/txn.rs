@@ -124,6 +124,14 @@ impl TxBuffer {
         self.index.get(key).map(|&i| self.value(self.writes[i].1))
     }
 
+    /// Number of buffered deletes of keys in `[start, end)`.
+    pub fn deletes_in(&self, start: &[u8], end: &[u8]) -> usize {
+        self.writes
+            .iter()
+            .filter(|(k, slot)| slot.is_none() && start <= k.as_slice() && k.as_slice() < end)
+            .count()
+    }
+
     /// Buffered bytes (enclave footprint).
     pub fn bytes(&self) -> usize {
         self.data.len()
@@ -323,6 +331,29 @@ impl Txn {
         })
     }
 
+    /// One raw pass over `[start, end)` of at most `limit` rows (`0` =
+    /// unbounded): fenced under a pessimistic transaction, recorded for
+    /// validation under an optimistic one.
+    fn scan_page(
+        &mut self,
+        start: &[u8],
+        end: &[u8],
+        limit: usize,
+    ) -> Result<Vec<(UserKey, Vec<u8>)>> {
+        match self.mode {
+            TxnMode::Pessimistic => match self.fence_span(start, end, limit, LockMode::Shared) {
+                Ok(span) => Ok(span.rows),
+                Err(e) => Err(self.abort_with(e)),
+            },
+            TxnMode::Optimistic => {
+                let raw = self.store.scan(start, end, SeqNum::MAX, limit)?;
+                self.scan_set
+                    .push((start.to_vec(), end.to_vec(), limit, raw.clone()));
+                Ok(raw)
+            }
+        }
+    }
+
     /// Overlays this txn's buffered writes and range deletes onto raw
     /// store scan results, returning the merged view of `[start, end)`.
     fn overlay_scan(
@@ -506,27 +537,34 @@ impl EngineTxn for Txn {
         if start >= end {
             return Ok(Vec::new());
         }
-        // Own range deletes / writes can shrink or grow the view, so the
-        // raw fetch may only be limited when there is nothing to overlay.
-        let raw_limit = if limit > 0 && self.buffer.is_empty() && self.ranges.is_empty() {
-            limit
-        } else {
-            0
-        };
-        match self.mode {
-            TxnMode::Pessimistic => {
-                let span = match self.fence_span(start, end, raw_limit, LockMode::Shared) {
-                    Ok(s) => s,
-                    Err(e) => return Err(self.abort_with(e)),
-                };
-                Ok(self.overlay_scan(start, end, &span.rows, limit))
+        if limit == 0 {
+            let raw = self.scan_page(start, end, 0)?;
+            return Ok(self.overlay_scan(start, end, &raw, 0));
+        }
+        // Only an own delete hides a stored row, so a page of `limit` plus
+        // the own deletes in the span yields `limit` rows up to its last
+        // key — unless own range deletes hid more, and then the next page
+        // reads on from just past that key for the rows still missing.
+        let hidden = self.buffer.deletes_in(start, end);
+        let mut raw: Vec<(UserKey, Vec<u8>)> = Vec::new();
+        let mut from = start.to_vec();
+        let mut got = 0;
+        loop {
+            let want = limit - got + hidden;
+            let page = self.scan_page(&from, end, want)?;
+            let cut = page.len() == want;
+            raw.extend(page);
+            // A cut page knows the span only up to its last key.
+            let upper = match raw.last() {
+                Some((last, _)) if cut => [last.as_slice(), &[0]].concat(),
+                _ => end.to_vec(),
+            };
+            let view = self.overlay_scan(start, &upper, &raw, limit);
+            if !cut || view.len() >= limit {
+                return Ok(view);
             }
-            TxnMode::Optimistic => {
-                let raw = self.store.scan(start, end, SeqNum::MAX, raw_limit)?;
-                self.scan_set
-                    .push((start.to_vec(), end.to_vec(), raw_limit, raw.clone()));
-                Ok(self.overlay_scan(start, end, &raw, limit))
-            }
+            got = view.len();
+            from = upper;
         }
     }
 
@@ -1158,5 +1196,67 @@ mod tests {
         tx.commit().unwrap();
         assert_eq!(store.locked_keys(), 0);
         assert_eq!(store.get_committed(b"k").unwrap(), Some(b"v".to_vec()));
+    }
+
+    fn store_of_200_keys(dir: &std::path::Path) -> TreatyStore {
+        let env = Env::for_testing(SecurityProfile::treaty_full(), dir);
+        let store = TreatyStore::open(env).unwrap();
+        let mut tx = store.begin_mode(TxnMode::Pessimistic);
+        for i in 0..200 {
+            tx.put(format!("k{i:03}").as_bytes(), b"v").unwrap();
+        }
+        tx.commit().unwrap();
+        store
+    }
+
+    fn names<'a>(keys: impl IntoIterator<Item = &'a UserKey>) -> Vec<String> {
+        keys.into_iter()
+            .map(|k| String::from_utf8_lossy(k).into_owned())
+            .collect()
+    }
+
+    fn keys(rows: &[(UserKey, Vec<u8>)]) -> Vec<String> {
+        names(rows.iter().map(|(k, _)| k))
+    }
+
+    /// A limited scan after an own write locks its rows and one bound,
+    /// not the whole span: the raw pass stops at the limit plus the own
+    /// deletes in the span (it read and locked every key up to `end`
+    /// whenever the transaction had buffered a write).
+    #[test]
+    fn a_scan_after_an_own_write_locks_only_its_limit() {
+        let dir = tempfile::tempdir().unwrap();
+        let store = store_of_200_keys(dir.path());
+        let mut tx = store.begin_mode(TxnMode::Pessimistic);
+        tx.put(b"k100", b"w").unwrap();
+        let rows = tx.scan(b"k", b"l", 5).unwrap();
+        assert_eq!(keys(&rows), ["k000", "k001", "k002", "k003", "k004"]);
+        // k100, five rows and the bound k005.
+        assert_eq!(tx.locked.len(), 7, "{:?}", names(&tx.locked));
+        tx.rollback().unwrap();
+
+        let mut tx = store.begin_mode(TxnMode::Pessimistic);
+        tx.delete(b"k001").unwrap();
+        let rows = tx.scan(b"k", b"l", 5).unwrap();
+        assert_eq!(keys(&rows), ["k000", "k002", "k003", "k004", "k005"]);
+        // Six raw rows (k001 among them, X already) and the bound k006.
+        assert_eq!(tx.locked.len(), 7, "{:?}", names(&tx.locked));
+    }
+
+    /// Rows an own range delete hides do not count toward the limit: the
+    /// scan pages on past them, in both modes, and own puts inside the
+    /// deleted span read back.
+    #[test]
+    fn a_limited_scan_pages_past_an_own_range_delete() {
+        let dir = tempfile::tempdir().unwrap();
+        let store = store_of_200_keys(dir.path());
+        for mode in [TxnMode::Pessimistic, TxnMode::Optimistic] {
+            let mut tx = store.begin_mode(mode);
+            tx.delete_range(b"k000", b"k050").unwrap();
+            tx.put(b"k020", b"w").unwrap();
+            let rows = tx.scan(b"k", b"l", 4).unwrap();
+            assert_eq!(keys(&rows), ["k020", "k050", "k051", "k052"], "{mode:?}");
+            tx.rollback().unwrap();
+        }
     }
 }

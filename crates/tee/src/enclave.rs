@@ -181,7 +181,7 @@ impl HostVault {
     /// are safe to expose by constructing a [`HostBytes`] first. Handing
     /// over raw plaintext no longer typechecks:
     ///
-    /// ```compile_fail
+    /// ```compile_fail,E0308
     /// let vault = treaty_tee::HostVault::new();
     /// // A raw Vec<u8> is plaintext with no provenance: rejected.
     /// vault.store(vec![1u8, 2, 3]);
