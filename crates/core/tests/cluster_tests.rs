@@ -1275,59 +1275,65 @@ fn phase_two_acks_stay_off_an_inline_finish() {
 /// With a read lock released at prepare both committed, each having read
 /// the initial value the other overwrote: a cycle. Held to the decision,
 /// each write waits on the other's read lock, and at most one commits.
+/// The storage-less engine (`durable: false`) holds them the same way.
 #[test]
 fn a_mixed_transaction_holds_its_read_locks_to_the_decision() {
-    let dir = tempfile::tempdir().unwrap();
-    let path = dir.path().to_path_buf();
-    block_on(move || {
-        let cluster =
-            Rc::new(Cluster::start(options(SecurityProfile::treaty_full(), &path)).unwrap());
-        // Owned by endpoints 1 (A) and 2 (B), in that order.
-        let keys = keys_on_different_nodes(&cluster);
-        let (x, y) = (keys[0].clone(), keys[1].clone());
-        let seeder = cluster.client();
-        let mut seed = seeder.begin(1);
-        seed.put(&x, b"x0").unwrap();
-        seed.put(&y, b"y0").unwrap();
-        seed.commit().unwrap();
-        sleep(10 * MILLIS);
+    for durable in [true, false] {
+        let dir = tempfile::tempdir().unwrap();
+        let path = dir.path().to_path_buf();
+        block_on(move || {
+            let mut o = options(SecurityProfile::treaty_full(), &path);
+            o.durable = durable;
+            let cluster = Rc::new(Cluster::start(o).unwrap());
+            // Owned by endpoints 1 (A) and 2 (B), in that order.
+            let keys = keys_on_different_nodes(&cluster);
+            let (x, y) = (keys[0].clone(), keys[1].clone());
+            let seeder = cluster.client();
+            let mut seed = seeder.begin(1);
+            seed.put(&x, b"x0").unwrap();
+            seed.put(&y, b"y0").unwrap();
+            seed.commit().unwrap();
+            sleep(10 * MILLIS);
 
-        let reads = Rc::new(RefCell::new(0));
-        let outcomes = Rc::new(RefCell::new(Vec::new()));
-        // Each transaction is coordinated where it reads, and writes on
-        // the other shard.
-        let run = |coordinator: u32, read: Vec<u8>, write: Vec<u8>| {
-            let (cluster, reads, outcomes) =
-                (Rc::clone(&cluster), Rc::clone(&reads), Rc::clone(&outcomes));
-            spawn(move || {
-                let client = cluster.client();
-                let mut tx = client.begin(coordinator);
-                let seen = tx.get(&read).unwrap();
-                *reads.borrow_mut() += 1;
-                while *reads.borrow() < 2 {
-                    sleep(10 * treaty_sim::MICROS);
-                }
-                tx.put(&write, b"new").unwrap();
-                let committed = tx.commit().is_ok();
-                let seen = String::from_utf8(seen.unwrap()).unwrap();
-                outcomes.borrow_mut().push((seen, committed));
-            })
-        };
-        for t in [run(1, x.clone(), y.clone()), run(2, y, x)] {
-            join(t);
-        }
-        let outcomes = outcomes.take();
-        assert!(
-            outcomes.iter().all(|(seen, _)| seen.ends_with('0')),
-            "a read saw the other's write: {outcomes:?}"
-        );
-        assert!(
-            outcomes.iter().filter(|(_, committed)| *committed).count() <= 1,
-            "both committed, each over the other's read: {outcomes:?}"
-        );
-        sleep(100 * MILLIS);
-        assert_eq!(locked_keys(&cluster), vec![0, 0, 0]);
-    });
+            let reads = Rc::new(RefCell::new(0));
+            let outcomes = Rc::new(RefCell::new(Vec::new()));
+            // Each transaction is coordinated where it reads, and writes on
+            // the other shard.
+            let run = |coordinator: u32, read: Vec<u8>, write: Vec<u8>| {
+                let (cluster, reads, outcomes) =
+                    (Rc::clone(&cluster), Rc::clone(&reads), Rc::clone(&outcomes));
+                spawn(move || {
+                    let client = cluster.client();
+                    let mut tx = client.begin(coordinator);
+                    let seen = tx.get(&read).unwrap();
+                    *reads.borrow_mut() += 1;
+                    while *reads.borrow() < 2 {
+                        sleep(10 * treaty_sim::MICROS);
+                    }
+                    tx.put(&write, b"new").unwrap();
+                    let committed = tx.commit().is_ok();
+                    let seen = String::from_utf8(seen.unwrap()).unwrap();
+                    outcomes.borrow_mut().push((seen, committed));
+                })
+            };
+            for t in [run(1, x.clone(), y.clone()), run(2, y, x)] {
+                join(t);
+            }
+            let outcomes = outcomes.take();
+            assert!(
+                outcomes.iter().all(|(seen, _)| seen.ends_with('0')),
+                "a read saw the other's write: {outcomes:?}"
+            );
+            assert!(
+                outcomes.iter().filter(|(_, committed)| *committed).count() <= 1,
+                "both committed, each over the other's read: {outcomes:?}"
+            );
+            sleep(100 * MILLIS);
+            if durable {
+                assert_eq!(locked_keys(&cluster), vec![0, 0, 0]);
+            }
+        });
+    }
 }
 
 /// Concurrent whole-span scanners (read-only lane) against cross-shard

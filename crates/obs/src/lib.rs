@@ -30,8 +30,8 @@
 //! Trace payloads are *structurally* numeric: an event carries a phase
 //! variant and `(&'static str, u64)` arguments, and a metric is a variant
 //! and a number, so plaintext values, user keys or key material cannot be
-//! interpolated into a trace or a metric name (treaty-lint rule L005
-//! enforces the same property for format strings in trusted regions).
+//! interpolated into a trace or a metric name (`tests/source_rules.rs`
+//! rule L005 holds the same for format strings in trusted regions).
 //!
 //! This crate has **zero dependencies** (std only) so it can sit underneath
 //! `treaty-sim` and keep compiling in registry-less environments.

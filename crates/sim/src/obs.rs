@@ -21,7 +21,7 @@
 //! their creator's transaction.
 //!
 //! Secrecy: payloads are `(&'static str, u64)` pairs — numeric only, no
-//! value bytes, no user keys (see treaty-lint rule L005).
+//! value bytes, no user keys (see rule L005 in `tests/source_rules.rs`).
 
 use std::rc::Rc;
 

@@ -43,6 +43,12 @@ use crate::{Result, StoreError};
 /// by timeout.
 const LOCK_TIMEOUT: treaty_sim::Nanos = 10 * treaty_sim::MILLIS;
 
+/// Lock-table wait stripes: a release wakes the waiters of its key's
+/// stripe only. The held keys are one ordered map; the paper's "big number
+/// of shards" avoids lock bottlenecks between threads, and here one thread
+/// runs the store.
+pub(crate) const LOCK_SHARDS: usize = 1024;
+
 /// Where the point descent found a key's newest version: a MemTable entry
 /// whose value is still in host memory, or an SSTable's value, already
 /// read with its block (`None` = tombstone).
@@ -1912,7 +1918,7 @@ impl TreatyStore {
         }
 
         let mem = Rc::new(MemTable::new(Rc::clone(&env)));
-        let locks = LockTable::new(env.config.lock_shards, LOCK_TIMEOUT);
+        let locks = LockTable::new(LOCK_SHARDS, LOCK_TIMEOUT);
         let prepared = PreparedTable::new();
         let mut next_txid = 1u64;
 

@@ -19,11 +19,6 @@ use crate::engine::StatsCells;
 pub struct EngineConfig {
     /// MemTable flush threshold in bytes (values + keys).
     pub memtable_bytes: usize,
-    /// Number of lock-table wait stripes: a release wakes the waiters of
-    /// its key's stripe only. The held keys are one ordered map; the
-    /// paper's "big number of shards" avoids lock bottlenecks between
-    /// threads, and here one thread runs the store.
-    pub lock_shards: usize,
     /// Target uncompressed block size inside SSTables.
     pub block_bytes: usize,
     /// Target SSTable file size produced by flush/compaction.
@@ -52,7 +47,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             memtable_bytes: 4 << 20,
-            lock_shards: 1024,
             block_bytes: 4096,
             sstable_bytes: 2 << 20,
             l0_compaction_trigger: 4,
@@ -72,7 +66,6 @@ impl EngineConfig {
     pub fn tiny() -> Self {
         EngineConfig {
             memtable_bytes: 16 << 10,
-            lock_shards: 64,
             block_bytes: 1024,
             sstable_bytes: 16 << 10,
             l0_compaction_trigger: 2,

@@ -1045,7 +1045,7 @@ mod tests {
             .as_ref()
             .ok_or_else(|| StoreError::Io("tiny config enables the cache".into()))?;
         let (h0, m0) = (cache.hits(), cache.misses());
-        // Seek into the last block: only the blocks from the seek point on
+        // A cursor from the last block: only the blocks from there on
         // may be read.
         let start = t
             .meta()

@@ -23,6 +23,7 @@ use treaty_sim::FiberCell;
 
 use crate::engine::{
     stabilize_traced, Effect, FencedSpan, PreparedDecision, PreparedState, TreatyStore, WalRecord,
+    LOCK_SHARDS,
 };
 use crate::locks::{LockMode, LockTable, EOF_SENTINEL};
 use crate::memtable::{SeqNum, UserKey};
@@ -919,9 +920,14 @@ pub struct NullEngine {
 struct NullState {
     data: FiberCell<HashMap<UserKey, Vec<u8>>>,
     locks: LockTable,
-    prepared: FiberCell<HashMap<GlobalTxId, (u64, Vec<WriteOp>)>>,
+    /// A prepared transaction keeps every lock to its decision, read locks
+    /// included, as `Txn::prepare` does.
+    prepared: FiberCell<HashMap<GlobalTxId, NullPrepared>>,
     next_txid: Cell<u64>,
 }
+
+/// A prepared transaction's lock owner, writes and every key it locked.
+type NullPrepared = (u64, Vec<WriteOp>, Vec<UserKey>);
 
 impl Default for NullEngine {
     fn default() -> Self {
@@ -941,7 +947,7 @@ impl NullEngine {
         NullEngine {
             state: Rc::new(NullState {
                 data: FiberCell::new(HashMap::new()),
-                locks: LockTable::new(1024, 50 * treaty_sim::MILLIS),
+                locks: LockTable::new(LOCK_SHARDS, 50 * treaty_sim::MILLIS),
                 prepared: FiberCell::new(HashMap::new()),
                 next_txid: Cell::new(1),
             }),
@@ -973,12 +979,12 @@ impl TxnEngine for NullEngine {
 
     fn commit_prepared(&self, gtx: GlobalTxId) -> Result<()> {
         let e = &self.state;
-        if let Some((owner, writes)) = e.prepared.borrow_mut().remove(&gtx) {
+        if let Some((owner, writes, locked)) = e.prepared.borrow_mut().remove(&gtx) {
             let mut data = e.data.borrow_mut();
-            for w in &writes {
-                match &w.value {
+            for w in writes {
+                match w.value {
                     Some(v) => {
-                        data.insert(w.key.clone(), v.clone());
+                        data.insert(w.key, v);
                     }
                     None => {
                         data.remove(&w.key);
@@ -986,15 +992,15 @@ impl TxnEngine for NullEngine {
                 }
             }
             drop(data);
-            e.locks.release(owner, writes.into_iter().map(|w| w.key));
+            e.locks.release(owner, locked);
         }
         Ok(())
     }
 
     fn abort_prepared(&self, gtx: GlobalTxId) -> Result<()> {
         let e = &self.state;
-        if let Some((owner, writes)) = e.prepared.borrow_mut().remove(&gtx) {
-            e.locks.release(owner, writes.into_iter().map(|w| w.key));
+        if let Some((owner, _, locked)) = e.prepared.borrow_mut().remove(&gtx) {
+            e.locks.release(owner, locked);
         }
         Ok(())
     }
@@ -1111,19 +1117,9 @@ impl EngineTxn for NullTxnOwned {
         if self.done {
             return Err(StoreError::Finished);
         }
-        let e = &self.engine;
-        let writes = self.buffer.to_ops();
-        let write_keys: std::collections::HashSet<&UserKey> =
-            writes.iter().map(|w| &w.key).collect();
-        let read_only: Vec<UserKey> = self
-            .locked
-            .iter()
-            .filter(|k| !write_keys.contains(k))
-            .cloned()
-            .collect();
-        e.prepared.borrow_mut().insert(gtx, (self.id, writes));
-        e.locks.release(self.id, read_only);
-        self.locked.clear();
+        let locked = std::mem::take(&mut self.locked);
+        let entry = (self.id, self.buffer.to_ops(), locked);
+        self.engine.prepared.borrow_mut().insert(gtx, entry);
         self.done = true;
         Ok(())
     }
