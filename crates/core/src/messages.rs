@@ -38,6 +38,9 @@ pub mod req {
     pub const PEER_ABORT: u8 = 13;
     /// Recovering participant → coordinator: what was decided?
     pub const QUERY_DECISION: u8 = 14;
+    /// Coordinator → participant, one-way: the transaction passed its
+    /// commit point; drop its read locks.
+    pub const PEER_COMMIT_POINT: u8 = 15;
 }
 
 /// One transactional operation.
@@ -285,6 +288,13 @@ pub enum PeerMsg {
         /// The operations, in client issue order.
         ops: Vec<Op>,
     },
+    /// `gtx` passed its commit point, its lock point: release the locks
+    /// its prepared entry holds only in S mode and keep the rest to the
+    /// decision. One-way; no reply.
+    CommitPoint {
+        /// Transaction id.
+        gtx: GlobalTxId,
+    },
 }
 
 codec!(enum PeerMsg {
@@ -295,6 +305,7 @@ codec!(enum PeerMsg {
     4 => QueryDecision { gtx },
     5 => PrepareHeld { gtx, batch },
     6 => OpsHeld { gtx, ops },
+    7 => CommitPoint { gtx },
 });
 
 /// Participant → coordinator replies.

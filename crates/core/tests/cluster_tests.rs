@@ -1336,6 +1336,147 @@ fn a_mixed_transaction_holds_its_read_locks_to_the_decision() {
     }
 }
 
+/// A transaction's read locks end at its commit point and its write locks
+/// at the decision. T = r(x)@A w(y)@B commits under 5 ms counter rounds,
+/// coordinated first on A (a local read slice) and then on the third node
+/// (A's read slice is remote). Right after T's ack, inside the decision
+/// record's round: W = w(x)@A takes x's X lock at once, where it parked
+/// until the decision before; a locking reader of y still parks until the
+/// decision; the coordinator still answers `QueryDecision` with `None`;
+/// and both shards still list T as prepared.
+#[test]
+fn read_locks_end_at_the_commit_point_and_write_locks_at_the_decision() {
+    for coordinator in [1, 3] {
+        let dir = tempfile::tempdir().unwrap();
+        let path = dir.path().to_path_buf();
+        block_on(move || {
+            let mut o = options(SecurityProfile::treaty_full(), &path);
+            o.costs.counter_round_ns = 5 * MILLIS;
+            let cluster = Rc::new(Cluster::start(o).unwrap());
+            // Owned by endpoints 1 (A) and 2 (B).
+            let keys = keys_on_different_nodes(&cluster);
+            let (x, y) = (keys[0].clone(), keys[1].clone());
+            let client = cluster.client();
+            let mut seed = client.begin(1);
+            seed.put(&x, b"x0").unwrap();
+            seed.put(&y, b"y0").unwrap();
+            seed.commit().unwrap();
+            settle(&cluster);
+
+            let mut t = client.begin(coordinator);
+            let gtx = t.gtx();
+            assert_eq!(t.get(&x).unwrap().as_deref(), Some(&b"x0"[..]));
+            t.put(&y, b"yT").unwrap();
+            t.commit().unwrap();
+            let acked_at = treaty_sim::runtime::now();
+
+            let locked = Rc::new(RefCell::new(None));
+            let writer = {
+                let (cluster, locked, x) = (Rc::clone(&cluster), Rc::clone(&locked), x.clone());
+                spawn(move || {
+                    let client = cluster.client();
+                    let mut w = client.begin(1);
+                    w.put(&x, b"xW").unwrap();
+                    w.flush().expect("W takes x's write lock");
+                    *locked.borrow_mut() = Some(treaty_sim::runtime::now());
+                    w.commit().expect("W commits");
+                })
+            };
+            let read = Rc::new(RefCell::new(None));
+            let reader = {
+                let (cluster, read, y) = (Rc::clone(&cluster), Rc::clone(&read), y.clone());
+                spawn(move || {
+                    let client = cluster.client();
+                    let mut r = client.begin(3);
+                    let got = r.get(&y).expect("locking read");
+                    *read.borrow_mut() = Some((got, treaty_sim::runtime::now()));
+                    r.commit().expect("reader commit");
+                })
+            };
+            // `QueryDecision` answers the coordinator's Clog outcome.
+            let clog = cluster.node(coordinator as usize - 1).clog().unwrap();
+            let in_doubt = || {
+                assert_eq!(clog.outcome(gtx), None, "coordinator {coordinator}");
+                for store in [0, 1] {
+                    let prepared = cluster.store(store).unwrap().prepared_txns();
+                    assert_eq!(prepared, [gtx], "n{}", store + 1);
+                }
+            };
+            in_doubt();
+            sleep(MILLIS);
+            in_doubt();
+            assert!(read.borrow().is_none(), "the read of y must park");
+            join(writer);
+            let locked_at = locked.take().expect("writer finished");
+            assert!(
+                locked_at - acked_at < MILLIS,
+                "W parked on T's read lock for {} us",
+                (locked_at - acked_at) / treaty_sim::MICROS
+            );
+
+            join(reader);
+            let (value, read_at) = read.take().expect("reader finished");
+            assert_eq!(value.as_deref(), Some(&b"yT"[..]));
+            assert!(read_at - acked_at >= 4 * MILLIS, "read before the round");
+            settle(&cluster);
+            assert_eq!(clog.outcome(gtx), Some(true));
+            assert_eq!(locked_keys(&cluster), vec![0, 0, 0]);
+        });
+    }
+}
+
+/// The interleaving the commit point's release admits: W overwrites x@A
+/// after T = r(x)@A w(y)@B is acknowledged and before T's writes are
+/// applied at B (phase two to B is held back by a partition). W is ordered
+/// after T, so a two-shard snapshot that shows W's x must show T's y: in
+/// the window it is refused, since y is in doubt at B, and once T's
+/// decision lands it shows both.
+#[test]
+fn a_snapshot_never_shows_an_overwritten_read_without_its_writes() {
+    let dir = tempfile::tempdir().unwrap();
+    let path = dir.path().to_path_buf();
+    block_on(move || {
+        let mut o = options(SecurityProfile::treaty_full(), &path);
+        o.costs.counter_round_ns = 5 * MILLIS;
+        let cluster = Cluster::start(o).unwrap();
+        let keys = keys_on_different_nodes(&cluster);
+        let (x, y) = (keys[0].clone(), keys[1].clone());
+        let client = cluster.client();
+        let mut seed = client.begin(1);
+        seed.put(&x, b"x0").unwrap();
+        seed.put(&y, b"y0").unwrap();
+        seed.commit().unwrap();
+        settle(&cluster);
+
+        let mut t = client.begin(3);
+        let gtx = t.gtx();
+        assert_eq!(t.get(&x).unwrap().as_deref(), Some(&b"x0"[..]));
+        t.put(&y, b"yT").unwrap();
+        t.commit().unwrap();
+        cluster.fabric().with_adversary(|a| {
+            a.partitions.insert((3, 2));
+        });
+        let mut w = client.begin(1);
+        w.put(&x, b"xW").unwrap();
+        w.commit().expect("W commits over T's read");
+        assert_eq!(cluster.store(1).unwrap().prepared_txns(), [gtx]);
+
+        let both = |txn: &mut treaty_core::SnapshotTxn<'_>| txn.get_many(&[x.clone(), y.clone()]);
+        let mut once = client.begin_read_only().unwrap();
+        match both(&mut once).and_then(|seen| once.finish().map(|()| seen)) {
+            Err(TreatyError::SnapshotRetry(_)) => {}
+            other => panic!("a snapshot in the window must be refused: {other:?}"),
+        }
+
+        cluster.fabric().with_adversary(|a| a.partitions.clear());
+        while !cluster.store(1).unwrap().prepared_txns().is_empty() {
+            sleep(MILLIS);
+        }
+        let seen = client.read_only(both).expect("snapshot after the decision");
+        assert_eq!(seen, [Some(b"xW".to_vec()), Some(b"yT".to_vec())]);
+    });
+}
+
 /// Concurrent whole-span scanners (read-only lane) against cross-shard
 /// list-append writers (full 2PC): the committed history must be
 /// serializable, with every scan a consistent cut.

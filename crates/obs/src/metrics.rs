@@ -62,6 +62,7 @@ metrics! {
         StoreBackpressureStops => "store.backpressure_stops";
         StoreLockAcquire => "store.lock_acquire";
         StoreLockContended => "store.lock_contended";
+        StoreLockReleasedAtCommitPoint => "store.lock_released_at_commit_point";
         StoreMaintenanceErrors => "store.maintenance_errors";
         TeeEpcFault => "tee.epc_fault";
         TeePagingNs => "tee.paging_ns";

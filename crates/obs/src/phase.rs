@@ -138,6 +138,7 @@ phases! {
         PartOp => "2pc.participant.op", Other;
         PartPrepare => "2pc.participant.prepare", Other;
         PartCommit => "2pc.participant.commit", Other;
+        PartCommitPoint => "2pc.participant.commit_point", Other;
         PartAbort => "2pc.participant.abort", Other;
         PartQuery => "2pc.participant.query", Other;
         // Snapshot lane (treaty-core node.rs).

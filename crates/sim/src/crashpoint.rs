@@ -104,6 +104,7 @@ crash_points! {
         PartBatchApply => "part.batch_apply",
         PartAfterPrepare => "part.after_prepare",
         PartReadOnlyFinish => "part.read_only_finish",
+        PartCommitPoint => "part.commit_point",
         PartAfterCommitApply => "part.after_commit_apply",
         PartAfterAbortApply => "part.after_abort_apply",
         PartSnapshotRead => "part.snapshot_read",

@@ -127,10 +127,12 @@ pub(crate) struct PreparedState {
     pub writes: Vec<WriteOp>,
     /// Buffered range deletes (`[start, end)`), sequenced at decide time.
     pub ranges: Vec<(UserKey, UserKey)>,
-    /// Every key this transaction holds locked through the decision: the
-    /// write set plus the keys a pessimistic range delete locked (covered
-    /// keys and the next-key gap bound). Recovery re-acquires only the
-    /// write-set locks, so there this equals the write keys.
+    /// Every key this transaction holds locked: every key it locked, read
+    /// locks included, until its commit point; from there to the decision
+    /// its X keys alone, the write set plus the keys a pessimistic range
+    /// delete locked (covered keys and the next-key gap bound). Recovery
+    /// re-acquires only the write-set locks, so there this equals the
+    /// write keys.
     pub lock_keys: Vec<UserKey>,
     pub lock_owner: TxId,
     /// A decision (commit or abort) is in flight for this transaction.
@@ -283,6 +285,16 @@ impl PreparedTable {
         self.index_entry(*gtx, st);
         st.stable = true;
         true
+    }
+
+    /// The commit point of `gtx` (`TxnEngine::release_prepared_reads`):
+    /// drops the keys a stable, undeciding entry holds only in S mode, and
+    /// keeps the rest as its `lock_keys` for the decision to release.
+    pub fn release_reads(&self, gtx: &GlobalTxId, locks: &LockTable) {
+        let mut txns = self.txns.borrow_mut();
+        if let Some(st) = txns.get_mut(gtx).filter(|st| st.stable && !st.deciding) {
+            st.lock_keys = locks.release_shared(st.lock_owner, std::mem::take(&mut st.lock_keys));
+        }
     }
 
     /// Every transaction whose `Prepare` record is stable, sorted by id:

@@ -236,6 +236,38 @@ impl LockTable {
         }
     }
 
+    /// Releases the keys among `keys` that `tx` holds only in S mode,
+    /// wakes their waiters, and returns the keys it holds X, in order. A
+    /// key `tx` does not hold is dropped from the list.
+    pub fn release_shared(&self, tx: TxId, keys: Vec<UserKey>) -> Vec<UserKey> {
+        let mut touched: Vec<usize> = Vec::new();
+        let mut kept = Vec::new();
+        {
+            let mut locks = self.locks.borrow_mut();
+            for key in keys {
+                let Some(kl) = locks.get_mut(&key) else {
+                    continue;
+                };
+                if kl.exclusive == Some(tx) {
+                    kept.push(key);
+                } else if kl.shared.remove(&tx) {
+                    if kl.is_free() {
+                        locks.remove(&key);
+                    }
+                    let idx = self.stripe(&key);
+                    if !touched.contains(&idx) {
+                        touched.push(idx);
+                    }
+                    treaty_sim::obs::counter_add(Counter::StoreLockReleasedAtCommitPoint, 1);
+                }
+            }
+        }
+        for idx in touched {
+            self.waiters[idx].notify_all();
+        }
+        kept
+    }
+
     /// The keys in `[start, end)` that a transaction other than `tx` holds
     /// X, in key order. A span fence waits on them: a key written but not
     /// yet in the store — an insert in flight or a prepared write — is
@@ -319,6 +351,34 @@ mod tests {
         );
         t.release(2, [b"j".to_vec(), b"k".to_vec()]);
         t.release(3, [b"k".to_vec()]);
+        assert_eq!(t.locked_keys(), 0);
+    }
+
+    /// A prepared holder's shared-only keys go and its X keys stay, an
+    /// upgraded key among them; another reader's share is left alone, and
+    /// a second pass over the kept list releases nothing.
+    #[test]
+    fn release_shared_keeps_exclusive_keys() {
+        let t = table();
+        t.lock(1, b"r", LockMode::Shared).unwrap();
+        t.lock(2, b"r", LockMode::Shared).unwrap();
+        t.lock(1, b"g", LockMode::Shared).unwrap();
+        t.lock(1, b"u", LockMode::Shared).unwrap();
+        t.lock(1, b"u", LockMode::Exclusive).unwrap();
+        t.lock(1, b"w", LockMode::Exclusive).unwrap();
+        let held = ["r", "g", "u", "w", "absent"].map(|k| k.as_bytes().to_vec());
+        let kept = t.release_shared(1, held.to_vec());
+        assert_eq!(kept, [b"u".to_vec(), b"w".to_vec()]);
+        assert!(t.try_lock(3, b"g", LockMode::Exclusive).is_ok());
+        assert!(
+            t.try_lock(3, b"r", LockMode::Exclusive).is_err(),
+            "2 reads r"
+        );
+        assert!(t.try_lock(3, b"u", LockMode::Shared).is_err());
+        assert_eq!(t.release_shared(1, kept.clone()), kept);
+        t.release(1, kept);
+        t.release(2, [b"r".to_vec()]);
+        t.release(3, [b"g".to_vec()]);
         assert_eq!(t.locked_keys(), 0);
     }
 

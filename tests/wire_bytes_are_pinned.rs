@@ -333,6 +333,12 @@ fn held_ops() -> Vec<Vec<u8>> {
     .collect()
 }
 
+/// The commit point's release of a transaction's read locks, pinned on a
+/// line of its own for the same reason.
+fn commit_points() -> Vec<Vec<u8>> {
+    vec![messages::encode(&PeerMsg::CommitPoint { gtx: gtx(7) })]
+}
+
 /// SHA-256 over each encoding, length-prefixed, in order, as hex.
 fn digest(encodings: &[Vec<u8>]) -> String {
     let mut all = Vec::new();
@@ -345,7 +351,7 @@ fn digest(encodings: &[Vec<u8>]) -> String {
 
 #[test]
 fn every_record_class_encodes_to_its_pinned_bytes() {
-    let classes: [(&str, Vec<Vec<u8>>, &str); 10] = [
+    let classes: [(&str, Vec<Vec<u8>>, &str); 11] = [
         (
             "protocol payload",
             protocol_payloads(),
@@ -395,6 +401,11 @@ fn every_record_class_encodes_to_its_pinned_bytes() {
             "held operation list",
             held_ops(),
             "b7b396e740b8ae6c1f0754907222b1b953206b83f25b59faf1a298926d45e8f6",
+        ),
+        (
+            "commit point",
+            commit_points(),
+            "ce385c05f4e03755c19b6472b927e311b1b2996c4357ea4c506ff11a6b720637",
         ),
     ];
     let moved: Vec<String> = classes
