@@ -14,7 +14,8 @@ use treaty_bench::{
     print_accel, print_row, run, run_counter_ablation, run_network, run_recovery, treaty_top, Load,
     NetSystem, Report, Row, RunConfig, Workload,
 };
-use treaty_obs::Counter;
+use treaty_core::messages::ObsSnapshotReply;
+use treaty_obs::{Counter, Gauge};
 use treaty_sim::{SecurityProfile, MILLIS};
 use treaty_store::TxnMode;
 use treaty_workload::{ScaleConfig, SocialConfig, TpccConfig, YcsbConfig};
@@ -618,11 +619,27 @@ fn trace(s: &Session, path: &std::path::Path) {
         .p99_dominant()
         .expect("tail bucket names a dominant category");
     println!("p99 dominated by: {}", dominant.name());
+    let sum = |f: fn(&ObsSnapshotReply) -> u64| report.snapshots.iter().map(f).sum::<u64>();
     assert_eq!(
-        report.snapshots.iter().map(|r| r.committed).sum::<u64>(),
+        sum(|r| r.committed),
         committed,
         "live OBS_SNAPSHOT coordinator counts must add up to the run total"
     );
+    // Every NodeStats field on the wire adds up to its gauge.
+    let row = report.row();
+    for (gauge, on_wire) in [
+        (Gauge::CoreNodesCommitted, sum(|r| r.committed)),
+        (Gauge::CoreNodesAborted, sum(|r| r.aborted)),
+        (Gauge::CoreNodesParticipantOps, sum(|r| r.participant_ops)),
+        (Gauge::CoreNodesDecisionRetries, sum(|r| r.decision_retries)),
+    ] {
+        assert_eq!(
+            on_wire,
+            row.gauge(gauge),
+            "live OBS_SNAPSHOT counts must add up to {}",
+            gauge.name()
+        );
+    }
     if let Some(dir) = &s.flags.flight_dir {
         let dumps = report.write_flight_dumps(dir, slo_ms * MILLIS);
         assert!(

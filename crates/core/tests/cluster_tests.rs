@@ -600,6 +600,12 @@ fn protocol_only_cluster_runs_without_storage() {
         let mut tx = client.begin(1);
         assert_eq!(tx.get(b"a").unwrap(), Some(b"1".to_vec()));
         tx.commit().unwrap();
+        // The engine carries Fig. 4's gets and puts only: a scan is refused.
+        let mut tx = client.begin(1);
+        assert!(matches!(
+            tx.scan(b"a", b"z", 0),
+            Err(TreatyError::Aborted(..))
+        ));
         // The engine contract is 2PC only: the node reports its own
         // counters and the in-doubt set, the store fields read zero...
         let snap = client.obs_snapshot(1).unwrap();

@@ -147,19 +147,8 @@ impl Adversary {
     }
 }
 
-#[derive(Debug, Default)]
-struct Counters {
-    sent: Cell<u64>,
-    delivered: Cell<u64>,
-    dropped_adversary: Cell<u64>,
-    dropped_mtu: Cell<u64>,
-    dropped_unreachable: Cell<u64>,
-    tampered: Cell<u64>,
-    duplicated: Cell<u64>,
-}
-
-/// Snapshot of fabric counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The fabric's counters; [`Fabric::stats`] returns a copy.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FabricStats {
     /// Messages handed to the fabric.
     pub sent: u64,
@@ -184,7 +173,7 @@ pub struct Fabric {
     adversary: FiberCell<Adversary>,
     rng: FiberCell<ChaCha8Rng>,
     seq: Cell<u64>,
-    counters: Counters,
+    stats: FiberCell<FabricStats>,
     capture: FiberCell<Option<Vec<Datagram>>>,
 }
 
@@ -197,7 +186,7 @@ impl Fabric {
             adversary: FiberCell::new(Adversary::honest()),
             rng: FiberCell::new(ChaCha8Rng::seed_from_u64(seed)),
             seq: Cell::new(0),
-            counters: Counters::default(),
+            stats: FiberCell::default(),
             capture: FiberCell::new(None),
         })
     }
@@ -274,7 +263,7 @@ impl Fabric {
     /// Messages to unknown endpoints are silently dropped, like packets to
     /// a crashed machine.
     pub(crate) fn send(&self, mut dg: Datagram) {
-        self.counters.sent.update(|n| n + 1);
+        self.stats.borrow_mut().sent += 1;
         let src_cfg = match self.endpoint_cfg(dg.src) {
             Some(c) => c,
             None => return, // sender gone: nothing to do
@@ -307,7 +296,7 @@ impl Fabric {
 
         // MTU behaviour (Fig. 8): oversized UDP messages never arrive.
         if charge.dropped {
-            self.counters.dropped_mtu.update(|n| n + 1);
+            self.stats.borrow_mut().dropped_mtu += 1;
             return;
         }
 
@@ -347,11 +336,11 @@ impl Fabric {
         };
 
         if drop_it {
-            self.counters.dropped_adversary.update(|n| n + 1);
+            self.stats.borrow_mut().dropped_adversary += 1;
             return;
         }
         if tamper_it {
-            self.counters.tampered.update(|n| n + 1);
+            self.stats.borrow_mut().tampered += 1;
             if !dg.wire.is_empty() {
                 let idx = {
                     let mut rng = self.rng.borrow_mut();
@@ -363,7 +352,7 @@ impl Fabric {
 
         let arrival = runtime::now() + self.costs.propagation_ns + extra_delay;
         if dup_it {
-            self.counters.duplicated.update(|n| n + 1);
+            self.stats.borrow_mut().duplicated += 1;
             self.deliver(dg.clone(), arrival + 1);
         }
         self.deliver(dg, arrival);
@@ -379,14 +368,14 @@ impl Fabric {
         let inbox = match self.inbox_of(dg.dst) {
             Some(i) => i,
             None => {
-                self.counters.dropped_unreachable.update(|n| n + 1);
+                self.stats.borrow_mut().dropped_unreachable += 1;
                 return;
             }
         };
         let seq = self.seq.get();
         self.seq.set(seq + 1);
         inbox.queue.borrow_mut().push(Queued { arrival, seq, dg });
-        self.counters.delivered.update(|n| n + 1);
+        self.stats.borrow_mut().delivered += 1;
         inbox.waiters.notify_one();
     }
 
@@ -454,15 +443,7 @@ impl Fabric {
 
     /// Counter snapshot.
     pub fn stats(&self) -> FabricStats {
-        FabricStats {
-            sent: self.counters.sent.get(),
-            delivered: self.counters.delivered.get(),
-            dropped_adversary: self.counters.dropped_adversary.get(),
-            dropped_mtu: self.counters.dropped_mtu.get(),
-            dropped_unreachable: self.counters.dropped_unreachable.get(),
-            tampered: self.counters.tampered.get(),
-            duplicated: self.counters.duplicated.get(),
-        }
+        *self.stats.borrow()
     }
 }
 

@@ -1,14 +1,17 @@
 //! The metrics registry: counters, gauges and virtual-time histograms
 //! behind one deterministic snapshot API.
 //!
-//! Each count has one owner. A stats struct owns what the benchmark
-//! harness or the `OBS_SNAPSHOT` wire reads: `NodeStats`, `EngineStats`,
-//! `BlockCache`, `FabricStats` and `SimReport`. Per-node state (the stable
-//! frontier, the flush backlog, the finishes in flight) is `OBS_SNAPSHOT`'s
-//! alone: the registry is one per `Sim`. The registry owns everything else:
-//! protocol events (`core.*`, `client.*`), enclave costs (`tee.*`), lock
-//! traffic (`store.lock_*`) and the counter service's rounds (`counter.*`).
-//! A harness copies the structs in as [`Gauge`]s at the end of a run.
+//! Each count has one owner and is recorded there only. A stats struct
+//! owns what the benchmark harness or the `OBS_SNAPSHOT` wire reads, and
+//! is its own storage: `NodeStats` in the node, `EngineStats` in the
+//! store's `Env`, the `BlockCache`'s hits and misses, `FabricStats` in the
+//! fabric, and `SimReport`. Per-node state (the stable frontier, the flush
+//! backlog, the finishes in flight) is `OBS_SNAPSHOT`'s alone: the registry
+//! is one per `Sim`. The registry owns everything else: protocol events
+//! (`core.*`, `client.*`), enclave costs (`tee.*`, EPC faults included),
+//! lock traffic (`store.lock_*`, lock timeouts included) and the counter
+//! service's rounds (`counter.*`). A harness copies the structs in as
+//! [`Gauge`]s at the end of a run.
 //!
 //! Every name is one `Variant => "layer.metric";` line of the `metrics!`
 //! list below, and [`Counter`], [`Gauge`] and [`Hist`] are each their own
@@ -63,6 +66,7 @@ metrics! {
         StoreLockAcquire => "store.lock_acquire";
         StoreLockContended => "store.lock_contended";
         StoreLockReleasedAtCommitPoint => "store.lock_released_at_commit_point";
+        StoreLockTimeouts => "store.lock_timeouts";
         StoreMaintenanceErrors => "store.maintenance_errors";
         TeeEpcFault => "tee.epc_fault";
         TeePagingNs => "tee.paging_ns";

@@ -41,7 +41,7 @@ use crate::{Result, StoreError};
 
 /// How long a lock request waits before it gives up: deadlock avoidance
 /// by timeout.
-const LOCK_TIMEOUT: treaty_sim::Nanos = 10 * treaty_sim::MILLIS;
+pub(crate) const LOCK_TIMEOUT: treaty_sim::Nanos = 10 * treaty_sim::MILLIS;
 
 /// Lock-table wait stripes: a release wakes the waiters of its key's
 /// stripe only. The held keys are one ordered map; the paper's "big number
@@ -409,7 +409,8 @@ impl StableFrontier {
     }
 }
 
-/// Engine statistics (monotonic counters).
+/// Engine statistics (monotonic counters), kept in the store's [`Env`]; the
+/// block cache's two are copied in from its [`crate::BlockCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Committed transactions.
@@ -450,27 +451,6 @@ pub struct EngineStats {
     pub fence_gap_rejects: u64,
     /// Range scans served (locked and snapshot).
     pub scans: u64,
-}
-
-/// The cells behind [`EngineStats`], all but the block cache's two, which
-/// [`crate::BlockCache`] keeps. They live in the node's [`Env`], so a store
-/// reopened on the same environment keeps counting where it left off.
-#[derive(Debug, Default)]
-pub(crate) struct StatsCells {
-    pub commits: Cell<u64>,
-    pub aborts: Cell<u64>,
-    pub gets: Cell<u64>,
-    pub flushes: Cell<u64>,
-    pub compactions: Cell<u64>,
-    pub tables_moved: Cell<u64>,
-    pub compaction_bytes_written: Cell<u64>,
-    pub files_deleted: Cell<u64>,
-    pub group_commits: Cell<u64>,
-    pub grouped_txns: Cell<u64>,
-    pub scans: Cell<u64>,
-    pub bloom_negatives: Cell<u64>,
-    pub bloom_false_positives: Cell<u64>,
-    pub fence_gap_rejects: Cell<u64>,
 }
 
 /// A transaction's versions on their way into a MemTable: its sequence
@@ -710,37 +690,23 @@ impl TreatyStore {
         self.get_visible(key, SeqNum::MAX)
     }
 
-    /// The counters behind [`TreatyStore::stats`], kept in the [`Env`].
-    pub(crate) fn counters(&self) -> &StatsCells {
-        &self.inner.env.stats
+    /// The counts behind [`TreatyStore::stats`], kept in the [`Env`]. The
+    /// guard must drop before the fiber yields.
+    pub(crate) fn count(&self) -> treaty_sim::cell::FiberRefMut<'_, EngineStats> {
+        self.inner.env.stats.borrow_mut()
     }
 
     /// Statistics snapshot.
     pub fn stats(&self) -> EngineStats {
         let env = &self.inner.env;
-        let s = self.counters();
-        let (cache_hits, cache_misses) = env
+        let (block_cache_hits, block_cache_misses) = env
             .block_cache
             .as_ref()
-            .map(|c| (c.hits(), c.misses()))
-            .unwrap_or((0, 0));
+            .map_or((0, 0), |c| (c.hits(), c.misses()));
         EngineStats {
-            commits: s.commits.get(),
-            aborts: s.aborts.get(),
-            gets: s.gets.get(),
-            flushes: s.flushes.get(),
-            compactions: s.compactions.get(),
-            tables_moved: s.tables_moved.get(),
-            compaction_bytes_written: s.compaction_bytes_written.get(),
-            files_deleted: s.files_deleted.get(),
-            group_commits: s.group_commits.get(),
-            grouped_txns: s.grouped_txns.get(),
-            block_cache_hits: cache_hits,
-            block_cache_misses: cache_misses,
-            bloom_negatives: s.bloom_negatives.get(),
-            bloom_false_positives: s.bloom_false_positives.get(),
-            fence_gap_rejects: s.fence_gap_rejects.get(),
-            scans: s.scans.get(),
+            block_cache_hits,
+            block_cache_misses,
+            ..*env.stats.borrow()
         }
     }
 
@@ -863,7 +829,7 @@ impl TreatyStore {
     /// has none) and its value (`None` if absent or deleted).
     pub(crate) fn read(&self, key: &[u8], snapshot: SeqNum) -> Result<(SeqNum, Option<Vec<u8>>)> {
         let _span = treaty_sim::obs::span(Phase::StoreGet);
-        self.counters().gets.update(|n| n + 1);
+        self.count().gets += 1;
         Ok(match self.newest(key, snapshot)? {
             None => (0, None),
             Some((seq, Found::Mem(mem, entry))) => (seq, mem.resolve_value(key, &entry)?),
@@ -1128,7 +1094,7 @@ impl TreatyStore {
         F: FnMut(UserKey, SeqNum, Option<Vec<u8>>, SeqNum) -> bool,
     {
         let _span = treaty_sim::obs::span(Phase::StoreScan);
-        self.counters().scans.update(|n| n + 1);
+        self.count().scans += 1;
         // Pin a consistent view: Rc bumps, no copies. Tables retired by a
         // racing compaction stay alive (and on disk — GC is
         // stabilization-gated) until these references drop.
@@ -1203,7 +1169,7 @@ impl TreatyStore {
         // The commit is in the WAL and the MemTable but not yet acked to
         // the caller — recovery must replay it from the log alone.
         treaty_sim::crashpoint::hit(CrashPoint::StoreCommitLogged);
-        self.counters().commits.update(|n| n + 1);
+        self.count().commits += 1;
         Ok((seq, counter, wal))
     }
 
@@ -1279,10 +1245,10 @@ impl TreatyStore {
         let append = if payloads.is_empty() {
             Ok((0, 0))
         } else {
-            self.counters().group_commits.update(|n| n + 1);
-            self.counters()
-                .grouped_txns
-                .update(|n| n + payloads.len() as u64);
+            let mut s = self.count();
+            s.group_commits += 1;
+            s.grouped_txns += payloads.len() as u64;
+            drop(s);
             wal.append_batch(&payloads)
         };
         let mut logged = 0;
@@ -1443,7 +1409,7 @@ impl TreatyStore {
             .borrow_mut()
             .retain(|m| !Rc::ptr_eq(m, &work.frozen));
         self.manifest_append(&ManifestEdit::AddTable { level: 0, file_id })?;
-        self.counters().flushes.update(|n| n + 1);
+        self.count().flushes += 1;
 
         // The old WAL generations are now fully covered by SSTables.
         let mut obsolete_counter = 0;
@@ -1708,11 +1674,10 @@ impl TreatyStore {
                 gc.push((last_counter, t.path().to_path_buf()));
             }
         }
-        let s = self.counters();
-        s.compactions.update(|n| n + 1);
-        s.tables_moved.update(|n| n + moved.len() as u64);
-        let written: u64 = outputs.iter().map(|t| t.disk_bytes()).sum();
-        s.compaction_bytes_written.update(|n| n + written);
+        let mut s = self.count();
+        s.compactions += 1;
+        s.tables_moved += moved.len() as u64;
+        s.compaction_bytes_written += outputs.iter().map(|t| t.disk_bytes()).sum::<u64>();
         Ok(())
     }
 
@@ -1858,7 +1823,7 @@ impl TreatyStore {
         for (counter, path) in gc.drain(..) {
             if counter <= stable {
                 let _ = std::fs::remove_file(&path);
-                self.counters().files_deleted.update(|n| n + 1);
+                self.count().files_deleted += 1;
             } else {
                 kept.push((counter, path));
             }

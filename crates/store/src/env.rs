@@ -8,11 +8,11 @@ use treaty_counter::{CounterBackend, NullBackend};
 use treaty_crypto::KeyHierarchy;
 use treaty_sched::CorePool;
 use treaty_sim::obs::Counter;
-use treaty_sim::{runtime, CostModel, Nanos, SecurityProfile};
+use treaty_sim::{runtime, CostModel, FiberCell, Nanos, SecurityProfile};
 use treaty_tee::{Enclave, HostVault};
 
 use crate::cache::BlockCache;
-use crate::engine::StatsCells;
+use crate::engine::EngineStats;
 
 /// Sizing and behaviour knobs for [`crate::TreatyStore`].
 #[derive(Debug, Clone)]
@@ -105,7 +105,7 @@ pub struct Env {
     /// cache is disabled (`block_cache_bytes == 0`).
     pub block_cache: Option<Rc<BlockCache>>,
     /// The store's counters behind [`crate::TreatyStore::stats`].
-    pub(crate) stats: StatsCells,
+    pub(crate) stats: FiberCell<EngineStats>,
 }
 
 impl std::fmt::Debug for Env {
@@ -143,7 +143,7 @@ impl Env {
             dir,
             config,
             block_cache,
-            stats: StatsCells::default(),
+            stats: FiberCell::default(),
         })
     }
 

@@ -85,6 +85,10 @@ pub enum StoreError {
     /// about to write; the outcome is in doubt, so the read must retry.
     #[error("snapshot read overlaps an in-doubt prepared transaction")]
     SnapshotInDoubt,
+    /// The engine does not serve this operation (the storage-less
+    /// [`NullEngine`] refuses scans and range deletes).
+    #[error("operation not supported by this engine")]
+    Unsupported,
 }
 
 impl From<std::io::Error> for StoreError {

@@ -14,7 +14,6 @@
 //! Timeouts double as deadlock avoidance: a cycle resolves when one of its
 //! transactions times out and aborts.
 
-use std::cell::Cell;
 use std::collections::{BTreeMap, HashSet};
 use std::ops::Bound;
 
@@ -116,7 +115,6 @@ pub struct LockTable {
     /// Wait queues, one per stripe of the key space.
     waiters: Vec<WaitQueue>,
     timeout: Nanos,
-    timeouts_hit: Cell<u64>,
 }
 
 impl std::fmt::Debug for LockTable {
@@ -140,7 +138,6 @@ impl LockTable {
             locks: FiberCell::new(BTreeMap::new()),
             waiters: (0..shards).map(|_| WaitQueue::new()).collect(),
             timeout,
-            timeouts_hit: Cell::new(0),
         }
     }
 
@@ -190,7 +187,7 @@ impl LockTable {
         loop {
             let now = runtime::now();
             if now >= deadline {
-                self.timeouts_hit.update(|n| n + 1);
+                treaty_sim::obs::counter_add(Counter::StoreLockTimeouts, 1);
                 return Err(StoreError::LockTimeout);
             }
             waiters.wait_timeout(deadline - now);
@@ -286,12 +283,6 @@ impl LockTable {
             .collect()
     }
 
-    /// Number of lock acquisitions that timed out (deadlock-avoidance
-    /// aborts).
-    pub fn timeouts(&self) -> u64 {
-        self.timeouts_hit.get()
-    }
-
     /// Total keys currently locked (test introspection).
     pub fn locked_keys(&self) -> usize {
         self.locks.borrow().len()
@@ -313,6 +304,7 @@ mod tests {
     use super::*;
     use std::rc::Rc;
     use treaty_sched::block_on;
+    use treaty_sim::obs::Obs;
     use treaty_sim::runtime::{join, now, sleep, spawn};
     use treaty_sim::MILLIS;
 
@@ -429,6 +421,8 @@ mod tests {
     #[test]
     fn lock_timeout_fires() {
         block_on(|| {
+            let obs = Obs::new(0);
+            treaty_sim::obs::install(&obs);
             let t = Rc::new(table());
             t.lock(1, b"k", LockMode::Exclusive).unwrap();
             let t2 = Rc::clone(&t);
@@ -439,13 +433,15 @@ mod tests {
                 assert!(now() - t0 >= 5 * MILLIS);
             });
             join(waiter);
-            assert_eq!(t.timeouts(), 1);
+            assert_eq!(obs.metrics().counter(Counter::StoreLockTimeouts), 1);
         });
     }
 
     #[test]
     fn deadlock_resolved_by_timeout() {
         block_on(|| {
+            let obs = Obs::new(0);
+            treaty_sim::obs::install(&obs);
             let t = Rc::new(table());
             let t1 = Rc::clone(&t);
             let t2 = Rc::clone(&t);
@@ -466,7 +462,10 @@ mod tests {
             });
             join(a);
             join(b);
-            assert!(t.timeouts() >= 1, "deadlock must resolve via timeout");
+            assert!(
+                obs.metrics().counter(Counter::StoreLockTimeouts) >= 1,
+                "deadlock must resolve via timeout"
+            );
             assert_eq!(t.locked_keys(), 0);
         });
     }

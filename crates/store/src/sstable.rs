@@ -595,7 +595,7 @@ impl SsTable {
                 if f.may_contain(key) {
                     true
                 } else {
-                    self.env.stats.bloom_negatives.update(|n| n + 1);
+                    self.env.stats.borrow_mut().bloom_negatives += 1;
                     false
                 }
             }
@@ -617,7 +617,7 @@ impl SsTable {
         if candidates.is_empty() {
             // The fences prove no block can hold the key: no block read
             // happened, so this tells us nothing about the Bloom filter.
-            self.env.stats.fence_gap_rejects.update(|n| n + 1);
+            self.env.stats.borrow_mut().fence_gap_rejects += 1;
             return Ok(());
         }
         let mut seen = false;
@@ -630,7 +630,7 @@ impl SsTable {
             }
         }
         if !seen && self.meta.filter.is_some() {
-            self.env.stats.bloom_false_positives.update(|n| n + 1);
+            self.env.stats.borrow_mut().bloom_false_positives += 1;
         }
         Ok(())
     }
@@ -1205,8 +1205,8 @@ mod tests {
             0,
             "gap reject must read no blocks"
         );
-        assert_eq!(env.stats.fence_gap_rejects.get(), 1);
-        assert_eq!(env.stats.bloom_false_positives.get(), 0);
+        assert_eq!(env.stats.borrow().fence_gap_rejects, 1);
+        assert_eq!(env.stats.borrow().bloom_false_positives, 0);
         Ok(())
     }
 
@@ -1226,7 +1226,7 @@ mod tests {
             assert_eq!(get(&t, &key, SeqNum::MAX)?, None);
         }
         assert_eq!(
-            env.stats.bloom_false_positives.get(),
+            env.stats.borrow().bloom_false_positives,
             0,
             "fence-gap rejects must never be charged as Bloom false positives"
         );
@@ -1426,9 +1426,9 @@ mod tests {
             assert_eq!(get(&t, &key, SeqNum::MAX)?, None);
         }
         assert!(
-            env.stats.bloom_negatives.get() >= 40,
+            env.stats.borrow().bloom_negatives >= 40,
             "most absent-key probes must be filtered: {}",
-            env.stats.bloom_negatives.get()
+            env.stats.borrow().bloom_negatives
         );
         // Only Bloom false positives reach the block-read path at all.
         let blocks_read = (cache.hits() - h0) + (cache.misses() - m0);

@@ -23,7 +23,7 @@ use treaty_sim::FiberCell;
 
 use crate::engine::{
     stabilize_traced, Effect, FencedSpan, PreparedDecision, PreparedState, TreatyStore, WalRecord,
-    LOCK_SHARDS,
+    LOCK_SHARDS, LOCK_TIMEOUT,
 };
 use crate::locks::{LockMode, LockTable, EOF_SENTINEL};
 use crate::memtable::{SeqNum, UserKey};
@@ -265,7 +265,7 @@ impl Txn {
     fn abort_with(&mut self, err: StoreError) -> StoreError {
         self.release_locks();
         self.state = TxnState::Finished;
-        self.store.counters().aborts.update(|n| n + 1);
+        self.store.count().aborts += 1;
         err
     }
 
@@ -679,8 +679,7 @@ impl EngineTxn for Txn {
             if let Err(e) = self.store.stabilize_wal_tail() {
                 return Err(self.abort_with(e));
             }
-            let commits = &self.store.counters().commits;
-            commits.update(|n| n + 1);
+            self.store.count().commits += 1;
             return Ok(CommitInfo {
                 seq: 0,
                 wal_counter: 0,
@@ -721,7 +720,7 @@ impl EngineTxn for Txn {
         }
         self.release_locks();
         self.state = TxnState::Finished;
-        self.store.counters().aborts.update(|n| n + 1);
+        self.store.count().aborts += 1;
         Ok(())
     }
 }
@@ -886,13 +885,12 @@ impl TreatyStore {
             self.inner.frontier.record(seq);
         }
         logged?;
-        let stats = self.counters();
-        let stat = if commit {
-            &stats.commits
+        let mut stats = self.count();
+        if commit {
+            stats.commits += 1;
         } else {
-            &stats.aborts
-        };
-        stat.update(|n| n + 1);
+            stats.aborts += 1;
+        }
         Ok(())
     }
 }
@@ -924,8 +922,10 @@ impl TxnEngine for TreatyStore {
 
 /// An engine with no persistent storage: used to evaluate the 2PC protocol
 /// in isolation (§VIII-B / Fig. 4). It implements the 2PC contract and
-/// nothing else — no versions, so no snapshot lane. Locking semantics are
-/// preserved; durability is not. Clones share one state.
+/// carries only the traffic Fig. 4 sends, point reads and writes: no
+/// versions, so no snapshot lane, and a scan or range delete is refused
+/// with [`StoreError::Unsupported`]. Locking semantics are preserved;
+/// durability is not. Clones share one state.
 #[derive(Clone)]
 pub struct NullEngine {
     state: Rc<NullState>,
@@ -962,7 +962,7 @@ impl NullEngine {
         NullEngine {
             state: Rc::new(NullState {
                 data: FiberCell::new(HashMap::new()),
-                locks: LockTable::new(LOCK_SHARDS, 50 * treaty_sim::MILLIS),
+                locks: LockTable::new(LOCK_SHARDS, LOCK_TIMEOUT),
                 prepared: FiberCell::new(HashMap::new()),
                 next_txid: Cell::new(1),
             }),
@@ -1069,69 +1069,12 @@ impl EngineTxn for NullTxnOwned {
         Ok(())
     }
 
-    fn scan(&mut self, start: &[u8], end: &[u8], limit: usize) -> Result<Vec<(UserKey, Vec<u8>)>> {
-        if self.done {
-            return Err(StoreError::Finished);
-        }
-        // Protocol-evaluation engine: S-lock the result set plus the gap
-        // bound so concurrent writers conflict, overlay own writes.
-        let e = &self.engine;
-        let mut view: std::collections::BTreeMap<UserKey, Vec<u8>> = {
-            let data = e.data.borrow();
-            data.iter()
-                .filter(|(k, _)| k.as_slice() >= start && k.as_slice() < end)
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect()
-        };
-        let mut fence: Vec<UserKey> = view.keys().cloned().collect();
-        fence.push(EOF_SENTINEL.to_vec());
-        for k in fence {
-            e.locks.lock(self.id, &k, LockMode::Shared)?;
-            self.locked.push(k);
-        }
-        for op in self.buffer.to_ops() {
-            if op.key.as_slice() < start || op.key.as_slice() >= end {
-                continue;
-            }
-            match op.value {
-                Some(v) => {
-                    view.insert(op.key, v);
-                }
-                None => {
-                    view.remove(&op.key);
-                }
-            }
-        }
-        let mut out: Vec<(UserKey, Vec<u8>)> = view.into_iter().collect();
-        if limit > 0 {
-            out.truncate(limit);
-        }
-        Ok(out)
+    fn scan(&mut self, _: &[u8], _: &[u8], _: usize) -> Result<Vec<(UserKey, Vec<u8>)>> {
+        Err(StoreError::Unsupported)
     }
 
-    fn delete_range(&mut self, start: &[u8], end: &[u8]) -> Result<()> {
-        if self.done {
-            return Err(StoreError::Finished);
-        }
-        // No versioning here: a range delete is the point deletes of every
-        // currently present covered key, under X-locks (plus the EOF
-        // sentinel standing in for the gap bound).
-        let e = &self.engine;
-        let covered: Vec<UserKey> = {
-            let data = e.data.borrow();
-            data.keys()
-                .filter(|k| k.as_slice() >= start && k.as_slice() < end)
-                .cloned()
-                .collect()
-        };
-        for k in covered {
-            e.locks.lock(self.id, &k, LockMode::Exclusive)?;
-            self.locked.push(k.clone());
-            self.buffer.delete(&k);
-        }
-        e.locks.lock(self.id, EOF_SENTINEL, LockMode::Exclusive)?;
-        self.locked.push(EOF_SENTINEL.to_vec());
-        Ok(())
+    fn delete_range(&mut self, _: &[u8], _: &[u8]) -> Result<()> {
+        Err(StoreError::Unsupported)
     }
 
     fn prepare(&mut self, gtx: GlobalTxId) -> Result<()> {

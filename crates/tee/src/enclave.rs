@@ -28,7 +28,6 @@ pub struct Enclave {
     mode: TeeMode,
     epc_capacity: u64,
     resident: Cell<u64>,
-    faults: Cell<u64>,
     /// Digests of plaintext buffers the enclave vouches for in untrusted
     /// memory (the "w/o Enc" profiles): refcounted so identical values
     /// stored twice stay pinned until both are freed. This map is what
@@ -49,7 +48,6 @@ impl Enclave {
             mode,
             epc_capacity,
             resident: Cell::new(0),
-            faults: Cell::new(0),
             integrity: FiberCell::new(HashMap::new()),
         }
     }
@@ -101,18 +99,12 @@ impl Enclave {
                     let pages = (bytes as u64).div_ceil(4096).max(1);
                     let paging = (costs.epc_fault_ns as f64 * prob * pages as f64) as Nanos;
                     ns += paging;
-                    self.faults.update(|n| n + 1);
                     treaty_sim::obs::counter_add(Counter::TeeEpcFault, 1);
                     treaty_sim::obs::counter_add(Counter::TeePagingNs, paging);
                 }
                 ns
             }
         }
-    }
-
-    /// Number of accesses that incurred (expected) paging cost.
-    pub fn fault_count(&self) -> u64 {
-        self.faults.get()
     }
 
     // ---- integrity map (the trusted side of `HostBytes::integrity_pinned`) ----
@@ -279,22 +271,39 @@ mod tests {
         assert_eq!(e.access_cost(&costs, 4096, 1000), 1000);
     }
 
+    /// Runs `f` in a fiber under a hub; returns its `tee.epc_fault` count.
+    fn epc_faults(f: impl FnOnce() + 'static) -> u64 {
+        let faults = Rc::new(Cell::new(0));
+        let out = Rc::clone(&faults);
+        treaty_sim::Sim::new()
+            .run(move || {
+                let obs = treaty_sim::obs::Obs::new(0);
+                treaty_sim::obs::install(&obs);
+                f();
+                out.set(obs.metrics().counter(Counter::TeeEpcFault));
+            })
+            .unwrap();
+        faults.get()
+    }
+
     #[test]
     fn scone_access_applies_mee_multiplier() {
-        let e = Enclave::new(TeeMode::Scone);
-        let costs = CostModel::default();
-        assert_eq!(e.access_cost(&costs, 4096, 1000), 1900);
-        assert_eq!(e.fault_count(), 0);
+        let faults = epc_faults(|| {
+            let e = Enclave::new(TeeMode::Scone);
+            assert_eq!(e.access_cost(&CostModel::default(), 4096, 1000), 1900);
+        });
+        assert_eq!(faults, 0);
     }
 
     #[test]
     fn epc_overcommit_adds_paging_cost() {
-        let e = Enclave::with_epc(TeeMode::Scone, 1024);
-        let costs = CostModel::default();
-        e.alloc_trusted(4096); // 4x overcommitted
-        let cost = e.access_cost(&costs, 4096, 1000);
-        assert!(cost > 1900, "paging must add cost, got {cost}");
-        assert_eq!(e.fault_count(), 1);
+        let faults = epc_faults(|| {
+            let e = Enclave::with_epc(TeeMode::Scone, 1024);
+            e.alloc_trusted(4096); // 4x overcommitted
+            let cost = e.access_cost(&CostModel::default(), 4096, 1000);
+            assert!(cost > 1900, "paging must add cost, got {cost}");
+        });
+        assert_eq!(faults, 1);
     }
 
     #[test]

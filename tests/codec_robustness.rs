@@ -217,6 +217,15 @@ fn classes() -> Vec<Class> {
                 PeerMsg::Commit { gtx: gtx(3) },
                 PeerMsg::Abort { gtx: gtx(4) },
                 PeerMsg::QueryDecision { gtx: gtx(5) },
+                PeerMsg::PrepareHeld {
+                    gtx: gtx(6),
+                    batch: ops(),
+                },
+                PeerMsg::OpsHeld {
+                    gtx: gtx(7),
+                    ops: ops(),
+                },
+                PeerMsg::CommitPoint { gtx: gtx(8) },
             ],
         ),
         message(
