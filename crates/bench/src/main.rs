@@ -14,7 +14,7 @@ use treaty_bench::{
     print_accel, print_row, run, run_counter_ablation, run_network, run_recovery, treaty_top, Load,
     NetSystem, Report, Row, RunConfig, Workload,
 };
-use treaty_core::messages::ObsSnapshotReply;
+use treaty_core::messages::{AbortCause, ObsSnapshotReply};
 use treaty_obs::{Counter, Gauge};
 use treaty_sim::{SecurityProfile, MILLIS};
 use treaty_store::TxnMode;
@@ -640,6 +640,15 @@ fn trace(s: &Session, path: &std::path::Path) {
             gauge.name()
         );
     }
+    // Every abort is counted once, under its cause.
+    let by_cause = AbortCause::ALL.map(|c| report.counter(c.counter()));
+    let aborted = sum(|r| r.aborted);
+    assert_eq!(
+        by_cause.iter().sum::<u64>(),
+        aborted,
+        "core.abort.* must add up to the OBS_SNAPSHOT aborted sum: {by_cause:?}"
+    );
+    assert!(aborted > 0, "a run with no abort checks no cause");
     if let Some(dir) = &s.flags.flight_dir {
         let dumps = report.write_flight_dumps(dir, slo_ms * MILLIS);
         assert!(

@@ -346,7 +346,7 @@ impl<'a> DistTxn<'a> {
         match decode::<OpResult>(&bytes) {
             Some(OpResult::Failed(f)) => {
                 self.finished = true;
-                Err(TreatyError::Aborted(self.gtx(), f.reason))
+                Err(TreatyError::Aborted(self.gtx(), f.cause.into()))
             }
             Some(result) => Ok(result),
             None => {
@@ -469,7 +469,7 @@ impl<'a> DistTxn<'a> {
     ///
     /// # Errors
     ///
-    /// [`TreatyError::Aborted`] with the abort reason, or network errors.
+    /// [`TreatyError::Aborted`] with the abort's cause, or network errors.
     pub fn commit(mut self) -> Result<()> {
         self.ensure_open()?;
         self.finished = true;
@@ -504,7 +504,7 @@ impl<'a> DistTxn<'a> {
                 treaty_sim::obs::instant(Phase::ClientCommitted, &[("elapsed_ns", elapsed)]);
                 Ok(())
             }
-            Some(CommitResult::Aborted { reason }) => Err(TreatyError::Aborted(self.gtx(), reason)),
+            Some(CommitResult::Aborted(abort)) => Err(TreatyError::Aborted(self.gtx(), abort)),
             None => Err(TreatyError::Rejected("malformed commit reply".into())),
         }
     }

@@ -34,6 +34,7 @@ pub mod shard;
 pub use client::{DistTxn, SnapshotTxn, TreatyClient};
 pub use cluster::{Cluster, ClusterOptions};
 pub use history::{check_list_append, HistoryError, TxnObservation};
+pub use messages::{Abort, AbortCause};
 pub use node::{NodeOptions, RecoveryOutcome, TreatyNode};
 pub use shard::ShardMap;
 
@@ -42,10 +43,10 @@ use treaty_store::GlobalTxId;
 /// Errors surfaced by the distributed layer.
 #[derive(Debug, Clone, PartialEq, Eq, thiserror::Error)]
 pub enum TreatyError {
-    /// The transaction was aborted (conflict, timeout, participant vote,
-    /// or explicit rollback).
+    /// The transaction was aborted: its cause, and the participant that
+    /// refused it where there is one.
     #[error("transaction {0} aborted: {1}")]
-    Aborted(GlobalTxId, String),
+    Aborted(GlobalTxId, Abort),
     /// A network problem prevented completing the request.
     #[error("network: {0}")]
     Net(String),

@@ -5,6 +5,8 @@
 
 use treaty_crypto::codec;
 use treaty_crypto::codec::{CodecError, Decode, Encode, Reader, Writer};
+use treaty_net::EndpointId;
+use treaty_sim::obs::Counter;
 use treaty_store::GlobalTxId;
 
 /// Request types on the fabric.
@@ -140,70 +142,113 @@ pub struct ClientCommitReq {
 
 codec!(struct ClientCommitReq { writes });
 
-/// Why one operation of a list failed — typed, so a reply can say *which*
-/// op failed and *how* instead of first-error-wins prose.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FailCode {
-    /// Lock acquisition timed out (contention / deadlock avoidance).
-    LockTimeout,
-    /// Optimistic validation conflict.
-    Conflict,
-    /// Integrity or freshness verification failed on persistent data.
-    Integrity,
-    /// The transaction was already finished on this participant.
-    Finished,
-    /// Anything else (I/O, stabilization, …) — see the reason string.
-    Other,
+/// Declares [`AbortCause`] from one row per cause: its wire tag, its
+/// variant, the registry counter it is counted under and its text, which
+/// is also its doc. The enum, its codec, `ALL`, `counter()` and `Display`
+/// all come from the rows, so a cause without a counter does not compile.
+macro_rules! abort_causes {
+    ($($tag:literal => $variant:ident, $counter:ident, $text:literal;)*) => {
+        /// Why a transaction ended aborted: one variant per way, one byte
+        /// on the wire. The human text is its `Display`.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum AbortCause {
+            $(#[doc = $text] $variant,)*
+        }
+
+        codec!(enum AbortCause { $($tag => $variant,)* });
+
+        impl AbortCause {
+            /// Every cause, in tag order.
+            pub const ALL: [AbortCause; [$($tag),*].len()] = [$(AbortCause::$variant),*];
+
+            /// The `core.abort.*` counter this cause is counted under.
+            pub fn counter(self) -> Counter {
+                match self {
+                    $(AbortCause::$variant => Counter::$counter,)*
+                }
+            }
+        }
+
+        impl std::fmt::Display for AbortCause {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                f.write_str(match self {
+                    $(AbortCause::$variant => $text,)*
+                })
+            }
+        }
+    };
 }
 
-codec!(enum FailCode {
-    0 => LockTimeout,
-    1 => Conflict,
-    2 => Integrity,
-    3 => Finished,
-    4 => Other,
-});
+abort_causes! {
+    0 => LockTimeout, CoreAbortLockTimeout, "lock wait timed out";
+    1 => Conflict, CoreAbortConflict, "optimistic validation conflict";
+    2 => Integrity, CoreAbortIntegrity, "integrity or freshness check failed";
+    3 => SliceLost, CoreAbortSliceLost, "slice finished or lost in a restart";
+    4 => VotedNo, CoreAbortVotedNo, "voted no";
+    5 => Unreachable, CoreAbortUnreachable, "unreachable or malformed reply";
+    6 => LogFailed, CoreAbortLogFailed, "log append or counter round failed";
+    7 => RolledBack, CoreAbortRolledBack, "rolled back by client";
+    8 => AlreadyAborted, CoreAbortAlreadyAborted, "already aborted";
+    9 => Malformed, CoreAbortMalformed, "malformed request";
+    10 => Unsupported, CoreAbortUnsupported, "operation not supported";
+}
 
-impl From<&treaty_store::StoreError> for FailCode {
+impl From<&treaty_store::StoreError> for AbortCause {
     fn from(e: &treaty_store::StoreError) -> Self {
-        use treaty_store::StoreError;
+        use treaty_store::StoreError as E;
         match e {
-            StoreError::LockTimeout => FailCode::LockTimeout,
-            StoreError::Conflict => FailCode::Conflict,
-            StoreError::Integrity(_) | StoreError::Rollback(_) => FailCode::Integrity,
-            StoreError::Finished => FailCode::Finished,
-            _ => FailCode::Other,
+            E::LockTimeout => AbortCause::LockTimeout,
+            E::Conflict | E::SnapshotStale { .. } | E::SnapshotInDoubt => AbortCause::Conflict,
+            E::Integrity(_) | E::Rollback(_) => AbortCause::Integrity,
+            E::Finished | E::UnknownPrepared => AbortCause::SliceLost,
+            E::Stabilization(_) | E::Io(_) => AbortCause::LogFailed,
+            E::Unsupported => AbortCause::Unsupported,
         }
     }
 }
 
-/// The failing operation of a list: its position, a typed code, and the
-/// engine's reason.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A transaction's abort: its cause, and the participant that refused it
+/// or could not be reached, where there is one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Abort {
+    /// Why.
+    pub cause: AbortCause,
+    /// The failing participant, the coordinator's own slice included.
+    pub participant: Option<EndpointId>,
+}
+
+codec!(struct Abort { cause, participant });
+
+impl From<AbortCause> for Abort {
+    fn from(cause: AbortCause) -> Self {
+        Abort {
+            cause,
+            participant: None,
+        }
+    }
+}
+
+impl std::fmt::Display for Abort {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.participant {
+            Some(p) => write!(f, "participant {p}: {}", self.cause),
+            None => write!(f, "{}", self.cause),
+        }
+    }
+}
+
+/// The failing operation of a list: its position and its cause.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpFailure {
     /// Index of the failing op within the list the reporting node received
     /// (a shard's slice, or the client's list at the coordinator); `0` when
     /// the failure is not one op's (an unreachable shard).
     pub index: u32,
-    /// Typed failure class.
-    pub code: FailCode,
-    /// Human-readable engine error.
-    pub reason: String,
+    /// Why the transaction aborted.
+    pub cause: AbortCause,
 }
 
-codec!(struct OpFailure { index, code, reason });
-
-impl OpFailure {
-    /// A failure of the list as a whole (routing, transport, malformed
-    /// reply) rather than of one operation in it.
-    pub fn other(reason: String) -> Self {
-        OpFailure {
-            index: 0,
-            code: FailCode::Other,
-            reason,
-        }
-    }
-}
+codec!(struct OpFailure { index, cause });
 
 /// Result of an operation list: that of its last [`Op`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -343,13 +388,10 @@ pub enum CommitResult {
     /// Committed and (under the stabilization profile) rollback-protected.
     Committed,
     /// Aborted.
-    Aborted {
-        /// Why.
-        reason: String,
-    },
+    Aborted(Abort),
 }
 
-codec!(enum CommitResult { 0 => Committed, 1 => Aborted { reason } });
+codec!(enum CommitResult { 0 => Committed, 1 => Aborted(abort) });
 
 /// Client → shard snapshot-read request (read-only transactions): point
 /// reads and span scans served lock-free at one timestamp. Keys are
@@ -575,10 +617,12 @@ mod tests {
             },
             OpResult::Failed(OpFailure {
                 index: 3,
-                code: FailCode::LockTimeout,
-                reason: "lock timeout on key".into(),
+                cause: AbortCause::LockTimeout,
             }),
-            OpResult::Failed(OpFailure::other("participant 2: timeout".into())),
+            OpResult::Failed(OpFailure {
+                index: 0,
+                cause: AbortCause::Unreachable,
+            }),
         ] {
             assert_eq!(decode::<OpResult>(&encode(&res)), Some(res.clone()));
             let reply = PeerReply::OpsDone(res);
@@ -642,26 +686,19 @@ mod tests {
     }
 
     #[test]
-    fn fail_code_classifies_store_errors() {
+    fn abort_cause_classifies_store_errors() {
         use treaty_store::StoreError;
-        assert_eq!(
-            FailCode::from(&StoreError::LockTimeout),
-            FailCode::LockTimeout
-        );
-        assert_eq!(FailCode::from(&StoreError::Conflict), FailCode::Conflict);
-        assert_eq!(
-            FailCode::from(&StoreError::Integrity("bad".into())),
-            FailCode::Integrity
-        );
-        assert_eq!(
-            FailCode::from(&StoreError::Rollback("stale".into())),
-            FailCode::Integrity
-        );
-        assert_eq!(FailCode::from(&StoreError::Finished), FailCode::Finished);
-        assert_eq!(
-            FailCode::from(&StoreError::Io("disk".into())),
-            FailCode::Other
-        );
+        for (e, cause) in [
+            (StoreError::LockTimeout, AbortCause::LockTimeout),
+            (StoreError::Conflict, AbortCause::Conflict),
+            (StoreError::Integrity("bad".into()), AbortCause::Integrity),
+            (StoreError::Rollback("stale".into()), AbortCause::Integrity),
+            (StoreError::Finished, AbortCause::SliceLost),
+            (StoreError::Io("disk".into()), AbortCause::LogFailed),
+            (StoreError::Unsupported, AbortCause::Unsupported),
+        ] {
+            assert_eq!(AbortCause::from(&e), cause, "{e}");
+        }
     }
 
     #[test]

@@ -16,6 +16,7 @@ use std::cell::Cell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::rc::Rc;
 
+use treaty_crypto::codec::Encode;
 use treaty_crypto::{Key, MsgKind, TxMeta, WireCrypto};
 use treaty_net::{EndpointConfig, EndpointId, Fabric, PendingReply, Rpc, RpcConfig};
 use treaty_sched::{CorePool, WaitQueue};
@@ -28,9 +29,9 @@ use treaty_store::{
 
 use crate::clog::Clog;
 use crate::messages::{
-    decode, encode, req, ClientCommitReq, CommitResult, FailCode, ObsSnapshotReply, Op, OpFailure,
-    OpResult, PeerMsg, PeerReply, SnapshotReadReply, SnapshotReadReq, SnapshotValidateReply,
-    SnapshotValidateReq, WriteCmd,
+    decode, encode, req, Abort, AbortCause, ClientCommitReq, CommitResult, ObsSnapshotReply, Op,
+    OpFailure, OpResult, PeerMsg, PeerReply, SnapshotReadReply, SnapshotReadReq,
+    SnapshotValidateReply, SnapshotValidateReq, WriteCmd,
 };
 use crate::shard::ShardMap;
 
@@ -232,20 +233,21 @@ struct CoordTxn {
 fn vote_refusal(
     peer: EndpointId,
     reply: std::result::Result<(TxMeta, Vec<u8>), treaty_net::NetError>,
-) -> Option<String> {
-    match reply {
-        Ok((_, bytes)) => match decode::<PeerReply>(&bytes) {
-            Some(PeerReply::Vote { yes: true }) => None,
-            Some(PeerReply::Vote { yes: false }) => Some(format!("participant {peer} voted no")),
-            _ => Some(format!("participant {peer} malformed vote")),
-        },
-        Err(e) => Some(format!("participant {peer}: {e}")),
-    }
+) -> Option<Abort> {
+    let cause = match reply.map(|(_, bytes)| decode::<PeerReply>(&bytes)) {
+        Ok(Some(PeerReply::Vote { yes: true })) => return None,
+        Ok(Some(PeerReply::Vote { yes: false })) => AbortCause::VotedNo,
+        _ => AbortCause::Unreachable,
+    };
+    Some(Abort {
+        cause,
+        participant: Some(peer),
+    })
 }
 
 /// Executes an operation list inside an engine transaction, in order, and
 /// returns the last operation's result — or the first failing operation
-/// with its index and a typed code. The caller decides what to do with the
+/// with its index and its cause. The caller decides what to do with the
 /// transaction on failure (participants drop it — rollback — and vote no /
 /// reply with the failure).
 fn apply_ops(txn: &mut dyn EngineTxn, ops: &[Op]) -> OpResult {
@@ -279,8 +281,7 @@ fn apply_ops(txn: &mut dyn EngineTxn, ops: &[Op]) -> OpResult {
             Err(e) => {
                 return OpResult::Failed(OpFailure {
                     index: i as u32,
-                    code: (&e).into(),
-                    reason: e.to_string(),
+                    cause: (&e).into(),
                 })
             }
         }
@@ -290,6 +291,11 @@ fn apply_ops(txn: &mut dyn EngineTxn, ops: &[Op]) -> OpResult {
 
 /// One protocol handler: `(node, source endpoint, metadata, payload)`.
 type Handler = fn(&Rc<TreatyNode>, EndpointId, TxMeta, Vec<u8>) -> Option<(TxMeta, Vec<u8>)>;
+
+/// A handler's reply: `payload` under the request's `meta`, marked `kind`.
+fn reply(meta: TxMeta, kind: MsgKind, payload: &impl Encode) -> Option<(TxMeta, Vec<u8>)> {
+    Some((TxMeta { kind, ..meta }, encode(payload)))
+}
 
 /// Every request the node accepts: code, whether the RPC layer's replay
 /// guard covers it, and its handler (DESIGN.md §16 has the table). An
@@ -550,7 +556,7 @@ impl TreatyNode {
         treaty_sim::runtime::set_tag("h:obs_snapshot");
         treaty_sim::obs::set_node(self.endpoint);
         let stats = *self.stats.borrow();
-        let mut reply = ObsSnapshotReply {
+        let mut snapshot = ObsSnapshotReply {
             node: self.endpoint,
             ts: treaty_sim::runtime::now(),
             finishes_inflight: self.finishes_inflight.get() as u64,
@@ -563,20 +569,14 @@ impl TreatyNode {
         };
         if let Some(store) = &self.store {
             let cache = store.stats();
-            reply.stable_ts = store.stable_ts();
-            reply.flush_backlog = store.flush_backlog_len() as u64;
-            reply.backpressure = store.backpressure_level();
-            reply.block_cache_hits = cache.block_cache_hits;
-            reply.block_cache_misses = cache.block_cache_misses;
+            snapshot.stable_ts = store.stable_ts();
+            snapshot.flush_backlog = store.flush_backlog_len() as u64;
+            snapshot.backpressure = store.backpressure_level();
+            snapshot.block_cache_hits = cache.block_cache_hits;
+            snapshot.block_cache_misses = cache.block_cache_misses;
         }
         treaty_sim::obs::counter_add(Counter::CoreObsSnapshotsServed, 1);
-        Some((
-            TxMeta {
-                kind: MsgKind::Ack,
-                ..meta
-            },
-            encode(&reply),
-        ))
+        reply(meta, MsgKind::Ack, &snapshot)
     }
 
     fn gtx_for_client(&self, meta: &TxMeta) -> GlobalTxId {
@@ -617,7 +617,7 @@ impl TreatyNode {
             OpResult::Failed(_) => MsgKind::Nack,
             _ => MsgKind::Ack,
         };
-        Some((TxMeta { kind, ..meta }, encode(&result)))
+        reply(meta, kind, &result)
     }
 
     /// Routes an operation list: a point operation goes to its key's
@@ -677,10 +677,10 @@ impl TreatyNode {
         // produce one; the client library never builds any other shape.
         let writes = &ops[..ops.len().saturating_sub(1)];
         if let Some(i) = writes.iter().position(|op| !matches!(op, Op::Write(_))) {
-            self.abort_everywhere(gtx, ctx);
+            self.abort_everywhere(gtx, ctx, AbortCause::Malformed);
             return OpResult::Failed(OpFailure {
                 index: i as u32,
-                ..OpFailure::other("only the last op of a list may be a read or range op".into())
+                cause: AbortCause::Malformed,
             });
         }
         ctx.wrote |= ops.iter().any(Op::is_write);
@@ -701,7 +701,7 @@ impl TreatyNode {
             match r {
                 OpResult::Failed(f) => {
                     // The transaction is dead: abort everywhere, drop state.
-                    self.abort_everywhere(gtx, ctx);
+                    self.abort_everywhere(gtx, ctx, f.cause);
                     return OpResult::Failed(f);
                 }
                 // Writes answer `None`; only the get's owner has a value.
@@ -725,7 +725,7 @@ impl TreatyNode {
                 match (r, slices.iter_mut().find(|(s, _)| *s == shard)) {
                     (OpResult::Entries { entries }, Some((_, rows))) => rows.extend(entries),
                     (OpResult::Failed(f), _) => {
-                        self.abort_everywhere(gtx, ctx);
+                        self.abort_everywhere(gtx, ctx, f.cause);
                         return OpResult::Failed(f);
                     }
                     _ => {}
@@ -742,8 +742,7 @@ impl TreatyNode {
     /// One round of [`TreatyNode::coordinate_ops`]: one [`req::PEER_OPS`]
     /// per remote slice leaves in a single burst (one seal per shard
     /// instead of per op), and the local slice applies while the round
-    /// trips are in flight. Returns each shard's result, failures named
-    /// by participant.
+    /// trips are in flight. Returns each shard's result.
     fn fan_out(
         self: &Rc<Self>,
         gtx: GlobalTxId,
@@ -786,18 +785,12 @@ impl TreatyNode {
         // Collect every reply even after a failure: an abandoned
         // `PendingReply` would leave the burst dangling mid-session.
         for (p, pr) in pending {
-            let r = match pr.wait() {
-                Ok((_, bytes)) => match decode::<PeerReply>(&bytes) {
-                    Some(PeerReply::OpsDone(OpResult::Failed(f))) => OpResult::Failed(OpFailure {
-                        reason: format!("participant {p}: {}", f.reason),
-                        ..f
-                    }),
-                    Some(PeerReply::OpsDone(r)) => r,
-                    _ => OpResult::Failed(OpFailure::other(format!(
-                        "participant {p} malformed reply"
-                    ))),
-                },
-                Err(e) => OpResult::Failed(OpFailure::other(format!("participant {p}: {e}"))),
+            let r = match pr.wait().map(|(_, bytes)| decode::<PeerReply>(&bytes)) {
+                Ok(Some(PeerReply::OpsDone(r))) => r,
+                _ => OpResult::Failed(OpFailure {
+                    index: 0,
+                    cause: AbortCause::Unreachable,
+                }),
             };
             results.push((p, r));
         }
@@ -814,39 +807,32 @@ impl TreatyNode {
         treaty_sim::obs::set_node(self.endpoint);
         let _txn = treaty_sim::obs::txn_scope(gtx.seq);
         let _span = treaty_sim::obs::span(Phase::CoordCommit);
-        // The writes still buffered at the client ride the commit itself.
-        let Some(ClientCommitReq { writes }) = decode(&payload) else {
-            return Some((
-                TxMeta {
-                    kind: MsgKind::Nack,
-                    ..meta
-                },
-                encode(&CommitResult::Aborted {
-                    reason: "malformed commit payload".into(),
-                }),
-            ));
-        };
         let ctx = self.active_coord.borrow_mut().remove(&gtx);
-        let result = match ctx {
+        // The writes still buffered at the client ride the commit itself.
+        let result = match (decode::<ClientCommitReq>(&payload), ctx) {
+            (None, ctx) => {
+                self.abort_everywhere(gtx, ctx.unwrap_or_default(), AbortCause::Malformed);
+                CommitResult::Aborted(AbortCause::Malformed.into())
+            }
             // No coordinator state: either a transaction we already aborted
             // (op error, client rollback) — its client must not receive a
             // success ack — or a genuinely empty transaction.
-            None if self.recently_aborted.borrow().contains(&gtx) => CommitResult::Aborted {
-                reason: "transaction was aborted".into(),
-            },
-            None if writes.is_empty() => CommitResult::Committed, // empty transaction
-            ctx => self.commit_with_writes(gtx, ctx.unwrap_or_default(), writes),
+            (Some(_), None) if self.recently_aborted.borrow().contains(&gtx) => {
+                CommitResult::Aborted(AbortCause::AlreadyAborted.into())
+            }
+            (Some(req), None) if req.writes.is_empty() => CommitResult::Committed,
+            (Some(req), ctx) => self.commit_with_writes(gtx, ctx.unwrap_or_default(), req.writes),
         };
         match &result {
             CommitResult::Committed => self.stats.borrow_mut().committed += 1,
-            CommitResult::Aborted { .. } => self.note_aborted(gtx),
+            CommitResult::Aborted(abort) => self.note_aborted(gtx, abort.cause),
         }
         treaty_sim::crashpoint::hit(CrashPoint::CoordBeforeClientReply);
         let kind = match result {
             CommitResult::Committed => MsgKind::Ack,
-            CommitResult::Aborted { .. } => MsgKind::Nack,
+            CommitResult::Aborted(_) => MsgKind::Nack,
         };
-        Some((TxMeta { kind, ..meta }, encode(&result)))
+        reply(meta, kind, &result)
     }
 
     fn handle_client_rollback(
@@ -859,23 +845,14 @@ impl TreatyNode {
         treaty_sim::obs::set_node(self.endpoint);
         let _txn = treaty_sim::obs::txn_scope(gtx.seq);
         let _span = treaty_sim::obs::span(Phase::CoordRollback);
-        // Count the abort only when coordinator state was actually removed
-        // (`abort_everywhere` notes it): a rollback of a transaction already
-        // aborted on the op-error path used to be counted a second time
-        // here, skewing the fig4/fig6 abort rates.
+        // A transaction with no coordinator state was aborted and counted
+        // before (op error, an earlier rollback).
         let ctx = self.active_coord.borrow_mut().remove(&gtx);
         if let Some(ctx) = ctx {
-            self.abort_everywhere(gtx, ctx);
+            self.abort_everywhere(gtx, ctx, AbortCause::RolledBack);
         }
-        Some((
-            TxMeta {
-                kind: MsgKind::Ack,
-                ..meta
-            },
-            encode(&CommitResult::Aborted {
-                reason: "rolled back by client".into(),
-            }),
-        ))
+        let rolled_back = CommitResult::Aborted(AbortCause::RolledBack.into());
+        reply(meta, MsgKind::Ack, &rolled_back)
     }
 
     /// Commits a transaction, first routing the writes that arrived with
@@ -897,10 +874,8 @@ impl TreatyNode {
                 .local
                 .get_or_insert_with(|| self.engine.begin_txn(self.txn_mode));
             if let OpResult::Failed(f) = apply_ops(local.as_mut(), &local_ops) {
-                self.abort_everywhere(gtx, ctx);
-                return CommitResult::Aborted {
-                    reason: format!("local write {}: {}", f.index, f.reason),
-                };
+                self.abort_everywhere(gtx, ctx, f.cause);
+                return CommitResult::Aborted(self.refusal(f.cause));
             }
         }
         // The remotes so far served the transaction's operations and hold
@@ -932,9 +907,7 @@ impl TreatyNode {
                 None => CommitResult::Committed,
                 Some(mut local) => match local.commit() {
                     Ok(_) => CommitResult::Committed,
-                    Err(e) => CommitResult::Aborted {
-                        reason: e.to_string(),
-                    },
+                    Err(e) => CommitResult::Aborted(self.refusal((&e).into())),
                 },
             };
         }
@@ -966,14 +939,14 @@ impl TreatyNode {
             // The votes' other half. The prepares are out, so a Start that
             // failed aborts through the decision below.
             let _join = treaty_sim::obs::span(Phase::CoordStartStable);
-            if let Err(e) = start.wait_stable() {
-                refused.get_or_insert(format!("clog start: {e}"));
+            if start.wait_stable().is_err() {
+                refused.get_or_insert(AbortCause::LogFailed.into());
             }
         }
         treaty_sim::crashpoint::hit(CrashPoint::CoordAfterVotes);
 
         let (remotes, readers) = (ctx.remotes, ctx.readers);
-        if let Some(reason) = refused {
+        if let Some(abort) = refused {
             // An abort is implied by no stable state, so its record is
             // stable before anyone hears of it.
             treaty_sim::runtime::set_tag("h:2pc-log-decision");
@@ -983,17 +956,15 @@ impl TreatyNode {
                     .as_ref()
                     .map_or(Ok(()), |clog| clog.log_decision(gtx, false))
             };
-            if let Err(e) = logged {
+            if logged.is_err() {
                 // Nobody was told commit: participants that miss the abort
                 // learn it via QueryDecision / coordinator recovery.
                 self.send_decision(gtx, &remotes, false);
                 self.decide_local(gtx, false);
-                return CommitResult::Aborted {
-                    reason: format!("decision log: {e}"),
-                };
+                return CommitResult::Aborted(AbortCause::LogFailed.into());
             }
             self.finish(gtx, remotes, false);
-            return CommitResult::Aborted { reason };
+            return CommitResult::Aborted(abort);
         }
         // The commit point. Every vote is yes and the Start record and
         // every Prepare record are stable: whatever suffix of whichever
@@ -1141,11 +1112,11 @@ impl TreatyNode {
                 treaty_sim::obs::counter_add(Counter::CoreReadOnlyCommits, 1);
                 CommitResult::Committed
             }
-            Some(reason) => {
+            Some(abort) => {
                 // A participant that never answered may still hold the
                 // transaction's volatile locks: advise everyone once.
-                self.abort_everywhere(gtx, ctx);
-                CommitResult::Aborted { reason }
+                self.abort_everywhere(gtx, ctx, abort.cause);
+                CommitResult::Aborted(abort)
             }
         }
     }
@@ -1161,7 +1132,7 @@ impl TreatyNode {
         ctx: &mut CoordTxn,
         mut batches: Vec<(EndpointId, Vec<Op>)>,
         lane: Lane<'_>,
-    ) -> Option<String> {
+    ) -> Option<Abort> {
         let mut pending: Vec<(EndpointId, PendingReply)> = Vec::with_capacity(ctx.remotes.len());
         for &r in &ctx.remotes {
             let batch = batches
@@ -1192,17 +1163,17 @@ impl TreatyNode {
         treaty_sim::crashpoint::hit(CrashPoint::CoordAfterPrepareFanout);
 
         treaty_sim::runtime::set_tag("h:2pc-local-prepare");
-        let mut refused: Option<String> = None;
+        let mut refused: Option<Abort> = None;
         // Either way the local transaction is consumed: prepared state
         // lives in the engine from here (or was rolled back).
         if let Some(mut local) = ctx.local.take() {
-            let (step, done) = if matches!(lane, Lane::ReadOnly) {
-                ("read-only finish", local.commit().map(|_| ()))
+            let done = if matches!(lane, Lane::ReadOnly) {
+                local.commit().map(|_| ())
             } else {
-                ("prepare", local.prepare(gtx))
+                local.prepare(gtx)
             };
             if let Err(e) = done {
-                refused = Some(format!("local {step}: {e}"));
+                refused = Some(self.refusal((&e).into()));
             }
         }
         treaty_sim::runtime::set_tag("h:2pc-collect-votes");
@@ -1307,11 +1278,21 @@ impl TreatyNode {
     /// Records a coordinator-side abort exactly once per transaction: the
     /// ring lets a later commit attempt for the same `gtx` be answered
     /// `Aborted` instead of "unknown → empty → Committed", and it gates
-    /// the abort counters so the op-error path, 2PC and client rollback
-    /// cannot double-count one transaction.
-    fn note_aborted(&self, gtx: GlobalTxId) {
+    /// the abort counters — `aborted` and the cause's `core.abort.*` — so
+    /// the op-error path, 2PC and client rollback cannot double-count one
+    /// transaction.
+    fn note_aborted(&self, gtx: GlobalTxId, cause: AbortCause) {
         if self.recently_aborted.borrow_mut().note(gtx) {
             self.stats.borrow_mut().aborted += 1;
+            treaty_sim::obs::counter_add(cause.counter(), 1);
+        }
+    }
+
+    /// An abort this node's own slice refused.
+    fn refusal(&self, cause: AbortCause) -> Abort {
+        Abort {
+            cause,
+            participant: Some(self.endpoint),
         }
     }
 
@@ -1324,8 +1305,8 @@ impl TreatyNode {
     /// a dead peer.
     /// Post-prepare decisions keep their retries in
     /// [`TreatyNode::send_decision`].
-    fn abort_everywhere(self: &Rc<Self>, gtx: GlobalTxId, mut ctx: CoordTxn) {
-        self.note_aborted(gtx);
+    fn abort_everywhere(self: &Rc<Self>, gtx: GlobalTxId, mut ctx: CoordTxn, cause: AbortCause) {
+        self.note_aborted(gtx, cause);
         if let Some(mut local) = ctx.local.take() {
             let _ = local.rollback();
         }
@@ -1397,7 +1378,7 @@ impl TreatyNode {
                 .collect::<Result<Vec<_>, _>>()?;
             Ok((values, rows))
         };
-        let (kind, reply) = match read() {
+        let (kind, answer) = match read() {
             Ok((values, rows)) => {
                 let (read, scanned) = (!keys.is_empty(), !spans.is_empty());
                 treaty_sim::obs::counter_add(Counter::CoreSnapshotReads, u64::from(read));
@@ -1422,7 +1403,7 @@ impl TreatyNode {
             // signal: drop the request, the client times out.
             Err(_) => return None,
         };
-        Some((TxMeta { kind, ..meta }, encode(&reply)))
+        reply(meta, kind, &answer)
     }
 
     /// End-of-transaction validation for multi-shard snapshot reads: the
@@ -1454,13 +1435,8 @@ impl TreatyNode {
                 // "not proven consistent" — the client retries.
                 Ok(false) | Err(_) => {
                     treaty_sim::obs::counter_add(Counter::CoreSnapshotValidateFail, 1);
-                    return Some((
-                        TxMeta {
-                            kind: MsgKind::Nack,
-                            ..meta
-                        },
-                        encode(&SnapshotValidateReply::Fail { key: key.clone() }),
-                    ));
+                    let key = key.clone();
+                    return reply(meta, MsgKind::Nack, &SnapshotValidateReply::Fail { key });
                 }
             }
         }
@@ -1473,23 +1449,12 @@ impl TreatyNode {
                 Ok(true) => {}
                 Ok(false) | Err(_) => {
                     treaty_sim::obs::counter_add(Counter::CoreSnapshotValidateFail, 1);
-                    return Some((
-                        TxMeta {
-                            kind: MsgKind::Nack,
-                            ..meta
-                        },
-                        encode(&SnapshotValidateReply::Fail { key: start.clone() }),
-                    ));
+                    let key = start.clone();
+                    return reply(meta, MsgKind::Nack, &SnapshotValidateReply::Fail { key });
                 }
             }
         }
-        Some((
-            TxMeta {
-                kind: MsgKind::Ack,
-                ..meta
-            },
-            encode(&SnapshotValidateReply::Ok),
-        ))
+        reply(meta, MsgKind::Ack, &SnapshotValidateReply::Ok)
     }
 
     // ---- participant: peer-facing handlers ---------------------------------
@@ -1515,7 +1480,7 @@ impl TreatyNode {
         };
         let _txn = treaty_sim::obs::txn_scope(gtx.seq);
         let _span = treaty_sim::obs::span(phase);
-        let reply = match msg {
+        let answer = match msg {
             PeerMsg::Ops { gtx, ops } => PeerReply::OpsDone(self.apply_slice(gtx, ops, false)),
             PeerMsg::OpsHeld { gtx, ops } => PeerReply::OpsDone(self.apply_slice(gtx, ops, true)),
             PeerMsg::Prepare {
@@ -1558,19 +1523,13 @@ impl TreatyNode {
                 return None;
             }
         };
-        Some((
-            TxMeta {
-                kind: MsgKind::Ack,
-                ..meta
-            },
-            encode(&reply),
-        ))
+        reply(meta, MsgKind::Ack, &answer)
     }
 
     /// This shard's slice of an operation list: applied all-or-nothing in
     /// one sealed message. On the first failure the whole engine
     /// transaction rolls back and the result pinpoints the failing op with
-    /// a typed code. A shard that `held` a slice and holds none now
+    /// its cause. A shard that `held` a slice and holds none now
     /// restarted since and lost the locks its earlier operations took, so
     /// the list fails rather than begin a fresh slice, as at prepare.
     fn apply_slice(&self, gtx: GlobalTxId, ops: Vec<Op>, held: bool) -> OpResult {
@@ -1580,8 +1539,8 @@ impl TreatyNode {
             Some(t) => t,
             None if held => {
                 return OpResult::Failed(OpFailure {
-                    code: FailCode::Finished,
-                    ..OpFailure::other("slice lost in a restart".into())
+                    index: 0,
+                    cause: AbortCause::SliceLost,
                 })
             }
             None => self.engine.begin_txn(self.txn_mode),

@@ -8,7 +8,8 @@ use std::rc::Rc;
 use std::cell::RefCell;
 use treaty_core::messages::{decode, encode};
 use treaty_core::{
-    check_list_append, Cluster, ClusterOptions, HistoryError, TreatyError, TxnObservation,
+    check_list_append, Abort, AbortCause, Cluster, ClusterOptions, HistoryError, TreatyError,
+    TxnObservation,
 };
 use treaty_sched::block_on;
 use treaty_sim::obs::{Counter, Phase};
@@ -332,6 +333,8 @@ fn replay_guard_is_bounded_by_requests_in_flight() {
     let dir = tempfile::tempdir().unwrap();
     let path = dir.path().to_path_buf();
     block_on(move || {
+        let obs = treaty_sim::obs::Obs::new(1);
+        treaty_sim::obs::install(&obs);
         let cluster = Cluster::start(options(SecurityProfile::treaty_full(), &path)).unwrap();
         let keys = keys_on_different_nodes(&cluster);
         let client = cluster.client();
@@ -371,9 +374,8 @@ fn replay_guard_is_bounded_by_requests_in_flight() {
                 );
             }
         }
-        for i in 0..nodes.len() {
-            assert_eq!(cluster.node(i).rpc().replays_suppressed(), 0, "node {i}");
-        }
+        let suppressed = obs.metrics().counter(Counter::NetRpcReplaysSuppressed);
+        assert_eq!(suppressed, 0, "replays suppressed in an honest run");
     });
 }
 
@@ -1184,13 +1186,22 @@ fn read_only_optimistic_txn_with_stale_read_votes_no() {
         writer.commit().unwrap();
         settle(&cluster);
 
+        // The owner of the overwritten key refuses: by a no vote, or, as
+        // the coordinator's own slice, by its validation.
+        let owner = cluster.shard_map().owner(&keys[0]);
+        let cause = if owner == 1 {
+            AbortCause::Conflict
+        } else {
+            AbortCause::VotedNo
+        };
         match reader.commit() {
-            Err(TreatyError::Aborted(_, reason)) => {
-                assert!(
-                    reason.contains("voted no") || reason.contains("read-only finish"),
-                    "{reason}"
-                )
-            }
+            Err(TreatyError::Aborted(_, abort)) => assert_eq!(
+                abort,
+                Abort {
+                    cause,
+                    participant: Some(owner)
+                }
+            ),
             other => panic!("stale read-only transaction must abort, got {other:?}"),
         }
         assert_eq!(locked_keys(&cluster), vec![0, 0, 0]);

@@ -21,13 +21,15 @@ use treaty_core::client::client_net;
 use treaty_core::clog::{ClogRecord, CLOG_FILE, CLOG_NAME};
 use treaty_core::cluster::{wire_crypto, COUNTER_BASE, COUNTER_CLIENT_BASE};
 use treaty_core::messages::{
-    decode, encode, req, ClientCommitReq, CommitResult, Op, OpResult, PeerMsg, PeerReply, WriteCmd,
+    decode, encode, req, AbortCause, ClientCommitReq, CommitResult, Op, OpResult, PeerMsg,
+    PeerReply, WriteCmd,
 };
 use treaty_core::{Cluster, ClusterOptions};
 use treaty_crypto::codec::Record as _;
 use treaty_crypto::{MsgKind, TxMeta};
 use treaty_net::{Rpc, RpcConfig};
 use treaty_sched::block_on;
+use treaty_sim::obs::{Counter, Obs};
 use treaty_sim::runtime::now;
 use treaty_sim::{Nanos, SecurityProfile, MILLIS, SECONDS};
 use treaty_store::log::replay;
@@ -231,6 +233,43 @@ fn op_list_with_a_read_before_its_end_is_rejected() {
         let result: CommitResult = decode(&bytes).unwrap();
         assert!(matches!(result, CommitResult::Aborted { .. }), "{result:?}");
         assert_eq!(cluster.totals(), (0, 1));
+    });
+}
+
+/// A commit whose payload does not decode aborts its transaction like any
+/// other abort: the coordinator's context, its local slice and its locks
+/// go, and the abort is counted. This test FAILS against the parent, where
+/// the reply came back before the context left `active_coord`.
+#[test]
+fn a_malformed_commit_aborts_its_transaction() {
+    let dir = tempfile::tempdir().unwrap();
+    let path = dir.path().to_path_buf();
+    block_on(move || {
+        let cluster = Cluster::start(options(&path)).unwrap();
+        let key = key_per_node(&cluster)[&1].clone();
+        let raw = raw_client(&cluster, 9905, treaty_net::DEFAULT_RPC_TIMEOUT);
+        let seq = (9905u64 << 32) | 1;
+        let ops = vec![Op::Write(WriteCmd::put(&key, b"x"))];
+        let meta = raw_meta(9905, seq, 1, MsgKind::TxnPut);
+        let (_, bytes) = raw.call(1, req::CLIENT_OPS, &meta, &encode(&ops)).unwrap();
+        assert_eq!(decode(&bytes), Some(OpResult::Ok { value: None }));
+        let owner = cluster.store(0).unwrap();
+        assert_eq!(owner.locked_keys(), 1);
+
+        let meta = raw_meta(9905, seq, 2, MsgKind::TxnCommit);
+        let (_, bytes) = raw.call(1, req::CLIENT_COMMIT, &meta, b"garbage").unwrap();
+        let result: CommitResult = decode(&bytes).unwrap();
+        assert_eq!(
+            result,
+            CommitResult::Aborted(AbortCause::Malformed.into()),
+            "{result:?}"
+        );
+        assert_eq!(
+            owner.locked_keys(),
+            0,
+            "the malformed commit leaked its locks"
+        );
+        assert_eq!(cluster.node(0).stats().aborted, 1);
     });
 }
 
@@ -462,6 +501,8 @@ fn a_straggler_cannot_outlive_its_abort() {
     let dir = tempfile::tempdir().unwrap();
     let path = dir.path().to_path_buf();
     block_on(move || {
+        let obs = Obs::new(1);
+        treaty_sim::obs::install(&obs);
         let cluster = Cluster::start(options(&path)).unwrap();
         let key = key_per_node(&cluster).get(&2).unwrap().clone();
         let part = cluster.store(1).unwrap();
@@ -498,7 +539,7 @@ fn a_straggler_cannot_outlive_its_abort() {
             0,
             "the straggler ran after its abort and holds a lock"
         );
-        assert_eq!(cluster.node(1).rpc().replays_suppressed(), 1);
+        assert_eq!(obs.metrics().counter(Counter::NetRpcReplaysSuppressed), 1);
     });
 }
 

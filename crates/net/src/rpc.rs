@@ -44,7 +44,7 @@
 //! at or above it whose guarded requests it has started. Every request
 //! raises its sender's floor. A guarded request runs only if its number is
 //! at least the floor and not yet started; anything else is dropped
-//! unanswered and counted ([`Rpc::replays_suppressed`]). No honest endpoint
+//! unanswered and counted (`net.rpc_replays_suppressed`). No honest endpoint
 //! sends one number twice — a retry is a new request with a new number —
 //! so a duplicate is the network's or the adversary's, and nobody waits
 //! for its answer. A request the sender has stopped waiting for (it timed
@@ -61,7 +61,7 @@ use std::rc::Rc;
 
 use treaty_crypto::{nonce, Key, Opened, SecureEnvelope, Stamp, TxMeta, WireCrypto};
 use treaty_sched::CorePool;
-use treaty_sim::obs::Phase;
+use treaty_sim::obs::{Counter, Phase};
 use treaty_sim::runtime::{self, FiberId};
 use treaty_sim::{FiberCell, Nanos, TeeMode};
 use treaty_tee::HostBytes;
@@ -182,13 +182,6 @@ struct HandlerEntry {
     guarded: bool,
 }
 
-#[derive(Default)]
-struct RpcCounters {
-    rejected: Cell<u64>,
-    replays_suppressed: Cell<u64>,
-    requests_handled: Cell<u64>,
-}
-
 /// An RPC endpoint bound to one fabric id.
 pub struct Rpc {
     fabric: Rc<Fabric>,
@@ -206,7 +199,6 @@ pub struct Rpc {
     outbox: FiberCell<Vec<Datagram>>,
     started: Cell<bool>,
     stopped: Cell<bool>,
-    counters: RpcCounters,
 }
 
 impl std::fmt::Debug for Rpc {
@@ -276,7 +268,6 @@ impl Rpc {
             outbox: FiberCell::new(Vec::new()),
             started: Cell::new(false),
             stopped: Cell::new(false),
-            counters: RpcCounters::default(),
             cfg,
         })
     }
@@ -340,17 +331,6 @@ impl Rpc {
         self.stopped.get()
     }
 
-    /// Number of messages rejected for failed authentication.
-    pub fn rejected_count(&self) -> u64 {
-        self.counters.rejected.get()
-    }
-
-    /// Number of guarded requests the replay guard dropped: duplicates,
-    /// replays and stragglers.
-    pub fn replays_suppressed(&self) -> u64 {
-        self.counters.replays_suppressed.get()
-    }
-
     /// Entries the replay guard holds: one floor per sender plus the
     /// started numbers at or above it.
     pub fn guard_entries(&self) -> usize {
@@ -359,11 +339,6 @@ impl Rpc {
             .values()
             .map(|sender| 1 + sender.started.len())
             .sum()
-    }
-
-    /// Number of requests executed by handlers.
-    pub fn requests_handled(&self) -> u64 {
-        self.counters.requests_handled.get()
     }
 
     /// Number of sessions with a request queued or executing — and so the
@@ -513,9 +488,7 @@ impl Rpc {
                         }
                         // Tampered, or a genuine reply to another request:
                         // dropped, and the slot waits on.
-                        _ => {
-                            self.counters.rejected.update(|n| n + 1);
-                        }
+                        _ => treaty_sim::obs::counter_add(Counter::NetRpcRejected, 1),
                     }
                 }
                 None => {
@@ -628,14 +601,14 @@ impl Rpc {
             _ => {
                 // Tampered or replay-of-garbage: reject silently; the
                 // sender will time out and retry. Integrity holds.
-                self.counters.rejected.update(|n| n + 1);
+                treaty_sim::obs::counter_add(Counter::NetRpcRejected, 1);
                 return;
             }
         };
         let entry = match self.handlers.borrow().get(&dg.req_type) {
             Some(e) => Rc::clone(e),
             None => {
-                self.counters.rejected.update(|n| n + 1);
+                treaty_sim::obs::counter_add(Counter::NetRpcRejected, 1);
                 return;
             }
         };
@@ -648,11 +621,10 @@ impl Rpc {
         };
         if !admitted {
             // A duplicate, a replay or a straggler: nobody waits for it.
-            self.counters.replays_suppressed.update(|n| n + 1);
+            treaty_sim::obs::counter_add(Counter::NetRpcReplaysSuppressed, 1);
             return;
         }
 
-        self.counters.requests_handled.update(|n| n + 1);
         // The handler span: its self time is the shielded-boundary work
         // this layer did (open/seal crypto, replay guard); the
         // queue wait and boundary time before it opened ride along as
@@ -800,9 +772,22 @@ mod tests {
     use super::*;
     use treaty_crypto::{KeyHierarchy, MsgKind};
     use treaty_sched::block_on;
+    use treaty_sim::obs::Obs;
     use treaty_sim::CostModel;
 
     const ECHO: u8 = 7;
+
+    thread_local! {
+        /// Runs of the `ECHO` handler on this test's thread.
+        static ECHOES: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// Installs a hub; the reader it returns gives one of its counters.
+    fn hub() -> impl Fn(Counter) -> u64 {
+        let obs = Obs::new(1);
+        treaty_sim::obs::install(&obs);
+        move |c| obs.metrics().counter(c)
+    }
 
     fn setup(crypto: WireCrypto) -> (Rc<Fabric>, Rc<Rpc>, Rc<Rpc>) {
         let fabric = Fabric::new(CostModel::default(), 42);
@@ -820,6 +805,7 @@ mod tests {
             ECHO,
             true,
             Rc::new(|_src, meta, payload: Vec<u8>| {
+                ECHOES.with(|n| n.update(|n| n + 1));
                 let mut out = payload;
                 out.reverse();
                 Some((
@@ -893,40 +879,43 @@ mod tests {
     #[test]
     fn tampered_request_rejected_and_times_out() {
         block_on(|| {
-            let (fabric, server, client) = setup(WireCrypto::Full);
+            let count = hub();
+            let (fabric, _server, client) = setup(WireCrypto::Full);
             fabric.with_adversary(|a| a.tamper_next = 1);
             let err = client.call(1, ECHO, &meta(1, 1), b"x").unwrap_err();
             assert_eq!(err, NetError::Timeout);
-            assert_eq!(server.rejected_count(), 1);
+            assert_eq!(count(Counter::NetRpcRejected), 1);
         });
     }
 
     #[test]
     fn duplicated_request_executes_once() {
         block_on(|| {
-            let (fabric, server, client) = setup(WireCrypto::Full);
+            let count = hub();
+            let (fabric, _server, client) = setup(WireCrypto::Full);
             fabric.with_adversary(|a| a.dup_next = 1);
             let (_, p) = client.call(1, ECHO, &meta(9, 1), b"once").unwrap();
             assert_eq!(p, b"ecno");
             // Give the duplicate time to arrive and be suppressed.
             runtime::sleep(treaty_sim::MILLIS);
-            assert_eq!(server.requests_handled(), 1);
-            assert_eq!(server.replays_suppressed(), 1);
+            assert_eq!(ECHOES.get(), 1);
+            assert_eq!(count(Counter::NetRpcReplaysSuppressed), 1);
         });
     }
 
     #[test]
     fn replayed_capture_is_suppressed() {
         block_on(|| {
-            let (fabric, server, client) = setup(WireCrypto::Full);
+            let count = hub();
+            let (fabric, _server, client) = setup(WireCrypto::Full);
             fabric.start_capture();
             let _ = client.call(1, ECHO, &meta(5, 1), b"hello").unwrap();
             let captured = fabric.captured();
             let req = captured.iter().find(|d| !d.is_response).unwrap();
             fabric.inject(req.clone());
             runtime::sleep(treaty_sim::MILLIS);
-            assert_eq!(server.requests_handled(), 1, "replay must not re-execute");
-            assert_eq!(server.replays_suppressed(), 1);
+            assert_eq!(ECHOES.get(), 1, "replay must not re-execute");
+            assert_eq!(count(Counter::NetRpcReplaysSuppressed), 1);
         });
     }
 
@@ -937,6 +926,7 @@ mod tests {
     #[test]
     fn a_reply_is_bound_to_its_request() {
         block_on(|| {
+            let count = hub();
             let (fabric, _server, client) = setup(WireCrypto::Full);
             fabric.start_capture();
             assert_eq!(
@@ -952,7 +942,7 @@ mod tests {
             forged.rpc_id = dropped.rpc_id;
             fabric.inject(forged);
             assert_eq!(second.wait().unwrap_err(), NetError::Timeout);
-            assert_eq!(client.rejected_count(), 1);
+            assert_eq!(count(Counter::NetRpcRejected), 1);
         });
     }
 
@@ -961,12 +951,13 @@ mod tests {
     #[test]
     fn the_guard_holds_a_floor_not_a_history() {
         block_on(|| {
+            let count = hub();
             let (_f, server, client) = setup(WireCrypto::Full);
             for tx in 1..=1000 {
                 client.call(1, ECHO, &meta(tx, 1), b"x").unwrap();
             }
             assert_eq!(server.guard_entries(), 2);
-            assert_eq!(server.replays_suppressed(), 0);
+            assert_eq!(count(Counter::NetRpcReplaysSuppressed), 0);
         });
     }
 
@@ -977,6 +968,7 @@ mod tests {
     #[test]
     fn a_restarted_sender_numbers_above_its_last_life() {
         block_on(|| {
+            let count = hub();
             let (fabric, server, client) = setup(WireCrypto::Full);
             fabric.start_capture();
             client.call(1, ECHO, &meta(1, 1), b"old").unwrap();
@@ -992,8 +984,8 @@ mod tests {
             assert_eq!(reborn.call(1, ECHO, &meta(1, 1), b"new").unwrap().1, b"wen");
             fabric.inject(old);
             runtime::sleep(treaty_sim::MILLIS);
-            assert_eq!(server.requests_handled(), 2);
-            assert_eq!(server.replays_suppressed(), 1);
+            assert_eq!(ECHOES.get(), 2);
+            assert_eq!(count(Counter::NetRpcReplaysSuppressed), 1);
             assert_eq!(server.guard_entries(), 2);
         });
     }
@@ -1065,7 +1057,7 @@ mod tests {
             for h in handles {
                 runtime::join(h);
             }
-            assert_eq!(server.requests_handled(), 32 * 5);
+            assert_eq!(ECHOES.get(), 32 * 5);
         });
     }
 
@@ -1132,7 +1124,7 @@ mod tests {
             }
             assert_eq!(server.open_sessions(), 0);
             assert_eq!(client.call(1, ECHO, &meta(257, 1), b"ab").unwrap().1, b"ba");
-            assert_eq!(server.requests_handled(), 257);
+            assert_eq!(ECHOES.get(), 257);
         });
     }
 
@@ -1178,6 +1170,7 @@ mod tests {
     #[test]
     fn duplicate_of_an_executing_request_is_suppressed() {
         block_on(|| {
+            let count = hub();
             let (fabric, server, client, starts) = slow_server(true);
             fabric.with_adversary(|a| a.dup_next = 1);
             fabric.start_capture();
@@ -1194,12 +1187,11 @@ mod tests {
             // The original is asleep in its handler: the same-session copy
             // is still queued, the other-session copy already turned away.
             assert_eq!(starts.borrow().len(), 1);
-            assert_eq!(server.replays_suppressed(), 1);
+            assert_eq!(count(Counter::NetRpcReplaysSuppressed), 1);
             assert_eq!(server.open_sessions(), 1);
             assert_eq!(reply.wait().unwrap().1, b"once");
             runtime::sleep(treaty_sim::MILLIS);
-            assert_eq!(server.replays_suppressed(), 2);
-            assert_eq!(server.requests_handled(), 1);
+            assert_eq!(count(Counter::NetRpcReplaysSuppressed), 2);
             assert_eq!(starts.borrow().len(), 1);
             assert_eq!(server.open_sessions(), 0);
         });

@@ -8,9 +8,10 @@
 //! fabric, and `SimReport`. Per-node state (the stable frontier, the flush
 //! backlog, the finishes in flight) is `OBS_SNAPSHOT`'s alone: the registry
 //! is one per `Sim`. The registry owns everything else: protocol events
-//! (`core.*`, `client.*`), enclave costs (`tee.*`, EPC faults included),
-//! lock traffic (`store.lock_*`, lock timeouts included) and the counter
-//! service's rounds (`counter.*`). A harness copies the structs in as
+//! (`core.*`, `client.*`, aborts by cause as `core.abort.*`), the RPC
+//! layer's rejects and suppressed replays (`net.rpc_*`), enclave costs
+//! (`tee.*`, EPC faults included), lock traffic (`store.lock_*`, lock
+//! timeouts included) and the counter service's rounds (`counter.*`). A harness copies the structs in as
 //! [`Gauge`]s at the end of a run.
 //!
 //! Every name is one `Variant => "layer.metric";` line of the `metrics!`
@@ -46,6 +47,17 @@ metrics! {
         ClientBufferedWrites => "client.buffered_writes";
         ClientShippedCommitWrites => "client.shipped_commit_writes";
         ClientSnapshotRetries => "client.snapshot_retries";
+        CoreAbortAlreadyAborted => "core.abort.already_aborted";
+        CoreAbortConflict => "core.abort.conflict";
+        CoreAbortIntegrity => "core.abort.integrity";
+        CoreAbortLockTimeout => "core.abort.lock_timeout";
+        CoreAbortLogFailed => "core.abort.log_failed";
+        CoreAbortMalformed => "core.abort.malformed";
+        CoreAbortRolledBack => "core.abort.rolled_back";
+        CoreAbortSliceLost => "core.abort.slice_lost";
+        CoreAbortUnreachable => "core.abort.unreachable";
+        CoreAbortUnsupported => "core.abort.unsupported";
+        CoreAbortVotedNo => "core.abort.voted_no";
         CoreCommitPointAcks => "core.commit_point_acks";
         CoreDecisionUnstable => "core.decision_unstable";
         CoreObsSnapshotsServed => "core.obs_snapshots_served";
@@ -61,6 +73,8 @@ metrics! {
         CoreSnapshotValidateFail => "core.snapshot_validate_fail";
         CounterRounds => "counter.rounds";
         CrashFired => "crash.fired";
+        NetRpcRejected => "net.rpc_rejected";
+        NetRpcReplaysSuppressed => "net.rpc_replays_suppressed";
         StoreBackpressureSlowdowns => "store.backpressure_slowdowns";
         StoreBackpressureStops => "store.backpressure_stops";
         StoreLockAcquire => "store.lock_acquire";

@@ -11,6 +11,7 @@
 //! ```
 
 use treaty::core::{Cluster, ClusterOptions};
+use treaty::obs::{Counter, Obs};
 use treaty::sched::block_on;
 use treaty::sim::runtime::sleep;
 use treaty::sim::SecurityProfile;
@@ -19,6 +20,9 @@ fn main() {
     let dir = tempfile::tempdir().expect("tempdir");
     let path = dir.path().to_path_buf();
     block_on(move || {
+        // The hub counts what the RPC layer rejects.
+        let obs = Obs::new(1);
+        treaty::sim::obs::install(&obs);
         let mut cluster = Cluster::start(ClusterOptions::new(
             SecurityProfile::treaty_full(),
             path.clone(),
@@ -48,8 +52,8 @@ fn main() {
         // A put only buffers; the flush is what puts it on the wire.
         let result = tx.put(b"victim", b"value").and_then(|()| tx.flush());
         println!("   tampered request outcome: {result:?} (rejected, never executed)");
-        let rejected: u64 = (0..3).map(|i| cluster.node(i).rpc().rejected_count()).sum();
-        println!("   nodes rejected {rejected} forged message(s)");
+        let rejected = obs.metrics().counter(Counter::NetRpcRejected);
+        println!("   endpoints rejected {rejected} forged message(s)");
         assert!(rejected > 0);
         let _ = tx.rollback();
 

@@ -10,8 +10,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use treaty::core::clog::ClogRecord;
 use treaty::core::messages::{
-    self, ClientCommitReq, CommitResult, FailCode, ObsSnapshotReply, Op, OpFailure, OpResult,
-    PeerMsg, PeerReply, SnapshotReadReply, SnapshotReadReq, SnapshotValidateReply,
+    self, Abort, AbortCause, ClientCommitReq, CommitResult, ObsSnapshotReply, Op, OpFailure,
+    OpResult, PeerMsg, PeerReply, SnapshotReadReply, SnapshotReadReq, SnapshotValidateReply,
     SnapshotValidateReq, WriteCmd,
 };
 use treaty::counter::{RoteMsg, SealedState};
@@ -173,9 +173,15 @@ fn classes() -> Vec<Class> {
     };
     let failure = OpFailure {
         index: 2,
-        code: FailCode::Conflict,
-        reason: "read set changed".into(),
+        cause: AbortCause::Conflict,
     };
+    // Every cause, by itself and named with a participant.
+    let failed = AbortCause::ALL.into_iter().zip(0..);
+    let failed = failed.map(|(cause, index)| OpResult::Failed(OpFailure { index, cause }));
+    let aborted = AbortCause::ALL.into_iter().flat_map(|cause| {
+        [None, Some(cause as u32 + 1)]
+            .map(|participant| CommitResult::Aborted(Abort { cause, participant }))
+    });
     vec![
         message("CLIENT_OPS", vec![ops(), Vec::new()]),
         message(
@@ -186,7 +192,7 @@ fn classes() -> Vec<Class> {
         ),
         message(
             "OpResult",
-            vec![
+            [
                 OpResult::Ok { value: None },
                 OpResult::Ok {
                     value: Some(b("v")),
@@ -194,8 +200,10 @@ fn classes() -> Vec<Class> {
                 OpResult::Entries {
                     entries: vec![(b("a"), b("1")), (b("b"), Vec::new())],
                 },
-                OpResult::Failed(failure.clone()),
-            ],
+            ]
+            .into_iter()
+            .chain(failed)
+            .collect(),
         ),
         message(
             "PeerMsg",
@@ -242,12 +250,9 @@ fn classes() -> Vec<Class> {
         ),
         message(
             "CommitResult",
-            vec![
-                CommitResult::Committed,
-                CommitResult::Aborted {
-                    reason: "lock timeout".into(),
-                },
-            ],
+            std::iter::once(CommitResult::Committed)
+                .chain(aborted)
+                .collect(),
         ),
         message(
             "SnapshotReadReq",

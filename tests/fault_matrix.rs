@@ -50,7 +50,7 @@ use treaty::core::client::client_net;
 use treaty::core::clog::{ClogRecord, CLOG_FILE, CLOG_NAME};
 use treaty::core::cluster::{wire_crypto, COUNTER_BASE, COUNTER_CLIENT_BASE};
 use treaty::core::messages::{decode, encode, req, PeerMsg, PeerReply};
-use treaty::core::{Cluster, ClusterOptions, DistTxn, TreatyError};
+use treaty::core::{Abort, AbortCause, Cluster, ClusterOptions, DistTxn, TreatyError};
 use treaty::crypto::codec::Record as _;
 use treaty::crypto::{MsgKind, TxMeta};
 use treaty::net::{Rpc, RpcConfig};
@@ -1416,9 +1416,13 @@ fn an_abort_on_a_lost_vote_is_logged_before_the_client_hears_it() {
             tx.put(k, b"doomed").expect("buffered put");
         }
         match tx.commit() {
-            Err(TreatyError::Aborted(_, reason)) => assert!(
-                reason.contains(&format!("participant {SPARE}")) && !reason.contains("voted no"),
-                "refused for another reason: {reason}"
+            Err(TreatyError::Aborted(_, abort)) => assert_eq!(
+                abort,
+                Abort {
+                    cause: AbortCause::Unreachable,
+                    participant: Some(SPARE)
+                },
+                "refused for another reason"
             ),
             other => panic!("the client did not hear Aborted: {other:?}"),
         }
@@ -1476,9 +1480,13 @@ fn a_no_after_a_failed_prepare_round_keeps_its_abort_record() {
         let gtx = tx.gtx();
         tx.put(&written, b"doomed").expect("buffered put");
         match tx.commit() {
-            Err(TreatyError::Aborted(_, reason)) => assert!(
-                reason.contains(&format!("participant {PART} voted no")),
-                "refused for another reason: {reason}"
+            Err(TreatyError::Aborted(_, abort)) => assert_eq!(
+                abort,
+                Abort {
+                    cause: AbortCause::VotedNo,
+                    participant: Some(PART)
+                },
+                "refused for another reason"
             ),
             other => panic!("the client did not hear Aborted: {other:?}"),
         }

@@ -7,8 +7,8 @@
 
 use treaty::core::clog::ClogRecord;
 use treaty::core::messages::{
-    self, ClientCommitReq, CommitResult, FailCode, ObsSnapshotReply, Op, OpFailure, OpResult,
-    PeerMsg, PeerReply, SnapshotReadReply, SnapshotReadReq, SnapshotValidateReply,
+    self, Abort, AbortCause, ClientCommitReq, CommitResult, ObsSnapshotReply, Op, OpFailure,
+    OpResult, PeerMsg, PeerReply, SnapshotReadReply, SnapshotReadReq, SnapshotValidateReply,
     SnapshotValidateReq, WriteCmd,
 };
 use treaty::counter::{RoteMsg, SealedState};
@@ -49,15 +49,9 @@ fn ops() -> Vec<Op> {
     ]
 }
 
-/// Every protocol payload type, every variant, every `FailCode`.
+/// Every protocol payload type, every variant, every `AbortCause`.
 fn protocol_payloads() -> Vec<Vec<u8>> {
-    let failure = |index, code| {
-        OpResult::Failed(OpFailure {
-            index,
-            code,
-            reason: format!("failure {index}"),
-        })
-    };
+    let failure = |index, cause| OpResult::Failed(OpFailure { index, cause });
     let mut out = vec![
         messages::encode(&ops()),
         messages::encode(&Vec::<Op>::new()),
@@ -73,13 +67,13 @@ fn protocol_payloads() -> Vec<Vec<u8>> {
         OpResult::Entries {
             entries: vec![(b("a"), b("1")), (b("b"), Vec::new())],
         },
-        failure(1, FailCode::LockTimeout),
-        failure(2, FailCode::Conflict),
-        failure(3, FailCode::Integrity),
-        failure(4, FailCode::Finished),
-        failure(5, FailCode::Other),
     ];
     out.extend(results.iter().map(messages::encode));
+    let failures = AbortCause::ALL
+        .into_iter()
+        .zip(1..)
+        .map(|(c, i)| failure(i, c));
+    out.extend(failures.map(|f| messages::encode(&f)));
     let peer_msgs = [
         PeerMsg::Ops {
             gtx: gtx(1),
@@ -101,7 +95,7 @@ fn protocol_payloads() -> Vec<Vec<u8>> {
     ];
     out.extend(peer_msgs.iter().map(messages::encode));
     let peer_replies = [
-        PeerReply::OpsDone(failure(6, FailCode::Conflict)),
+        PeerReply::OpsDone(failure(6, AbortCause::Conflict)),
         PeerReply::Vote { yes: true },
         PeerReply::Vote { yes: false },
         PeerReply::Ack,
@@ -114,9 +108,11 @@ fn protocol_payloads() -> Vec<Vec<u8>> {
     out.extend(peer_replies.iter().map(messages::encode));
     let commit_results = [
         CommitResult::Committed,
-        CommitResult::Aborted {
-            reason: "lock timeout".into(),
-        },
+        CommitResult::Aborted(AbortCause::LockTimeout.into()),
+        CommitResult::Aborted(Abort {
+            cause: AbortCause::VotedNo,
+            participant: Some(2),
+        }),
     ];
     out.extend(commit_results.iter().map(messages::encode));
     let read_reqs = [
@@ -355,7 +351,7 @@ fn every_record_class_encodes_to_its_pinned_bytes() {
         (
             "protocol payload",
             protocol_payloads(),
-            "f0cced991da58108d18120338edff2ea3c5be395b8a21275df6cf2bc0d88a6a4",
+            "9d244f4fd444d5520a290cad4f8251e0d6f9aa9e633ef5feeb55af1656e75428",
         ),
         (
             "Clog record",
