@@ -282,6 +282,10 @@ impl<'a> DistTxn<'a> {
         }
     }
 
+    /// The metadata of the transaction's next message. Every message takes
+    /// the next `op_id`, from 1, so the coordinator can tell a commit that
+    /// is the transaction's first message from one that follows state it
+    /// may have lost.
     fn meta(&mut self, kind: MsgKind) -> TxMeta {
         let op_id = self.op_seq;
         self.op_seq += 1;
@@ -344,9 +348,9 @@ impl<'a> DistTxn<'a> {
             }
         };
         match decode::<OpResult>(&bytes) {
-            Some(OpResult::Failed(f)) => {
+            Some(OpResult::Failed(abort)) => {
                 self.finished = true;
-                Err(TreatyError::Aborted(self.gtx(), f.cause.into()))
+                Err(TreatyError::Aborted(self.gtx(), abort))
             }
             Some(result) => Ok(result),
             None => {

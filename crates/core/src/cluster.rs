@@ -7,7 +7,8 @@ use std::rc::Rc;
 
 use treaty_cas::{bootstrap_cluster, ClusterConfig, Las};
 use treaty_counter::{CounterBackend, NullBackend, RoteGroup, RoteReplica};
-use treaty_crypto::{Key, KeyHierarchy, WireCrypto};
+use treaty_crypto::{Key, KeyHierarchy, SecureEnvelope, WireCrypto};
+use treaty_net::fabric::Datagram;
 use treaty_net::{EndpointConfig, EndpointId, Fabric};
 use treaty_sched::CorePool;
 use treaty_sim::{CostModel, SecurityProfile, Transport};
@@ -322,6 +323,22 @@ impl Cluster {
     /// use this to scan untrusted memory for key-material leakage.
     pub fn keys(&self) -> &KeyHierarchy {
         &self.keys
+    }
+
+    /// What the fabric carried under the request code `code` since
+    /// `start_capture`: the requests and the responses that echo it. The
+    /// code is sealed, so each capture is opened with the network key.
+    pub fn captured_with_code(&self, code: u8) -> Vec<Datagram> {
+        let envelope = SecureEnvelope::new(wire_crypto(&self.options.profile));
+        let opens_to = |dg: &Datagram| {
+            let opened = envelope.open_stamped(&self.keys.network, dg.wire.as_slice());
+            opened.is_ok_and(|m| m.stamp.req == code)
+        };
+        self.fabric
+            .captured()
+            .into_iter()
+            .filter(opens_to)
+            .collect()
     }
 
     /// Connects a new client (auto-assigned unique endpoint).

@@ -1,7 +1,9 @@
 //! Wire payloads of the transaction protocol (carried inside the secure
 //! message envelope of §VII-A), in the binary codec of
 //! [`treaty_crypto::codec`]: one magic+version byte for the class, then the
-//! payload type the request code names.
+//! payload type the request code names. The code travels sealed in the
+//! message's stamp, and each code names one payload type, one reply type
+//! and one handler.
 
 use treaty_crypto::codec;
 use treaty_crypto::codec::{CodecError, Decode, Encode, Reader, Writer};
@@ -9,7 +11,7 @@ use treaty_net::EndpointId;
 use treaty_sim::obs::Counter;
 use treaty_store::GlobalTxId;
 
-/// Request types on the fabric.
+/// Request codes on the fabric.
 pub mod req {
     /// Client → coordinator: an ordered `Vec<Op>` — zero or more writes
     /// followed by at most one read or range operation; a single operation
@@ -29,19 +31,26 @@ pub mod req {
     /// frontier, backpressure, cache hit rates). Read-only; serves the
     /// `treaty-top` dashboard.
     pub const OBS_SNAPSHOT: u8 = 6;
-    /// Coordinator → participant: this shard's slice of an operation list,
-    /// applied in one sealed message (one seal/unseal per shard, not per op).
+    /// Coordinator → participant: this shard's slice of an operation list
+    /// ([`super::PeerOps`]), applied in one sealed message (one seal/unseal
+    /// per shard, not per op). The reply is the slice's `OpResult`.
     pub const PEER_OPS: u8 = 10;
-    /// Coordinator → participant: 2PC prepare.
+    /// Coordinator → participant: 2PC prepare ([`super::PeerPrepare`]). The
+    /// reply is the vote, a `bool`.
     pub const PEER_PREPARE: u8 = 11;
-    /// Coordinator → participant: 2PC commit.
+    /// Coordinator → participant: 2PC commit of a `GlobalTxId`. The reply
+    /// is empty.
     pub const PEER_COMMIT: u8 = 12;
-    /// Coordinator → participant: 2PC abort.
+    /// Coordinator → participant: abort of a `GlobalTxId`. The reply, when
+    /// one is asked for, is empty.
     pub const PEER_ABORT: u8 = 13;
-    /// Recovering participant → coordinator: what was decided?
+    /// Recovering participant → coordinator: what was decided for a
+    /// `GlobalTxId`? The reply is an `Option<bool>`: `Some(true)` commit,
+    /// `Some(false)` abort, `None` undecided.
     pub const QUERY_DECISION: u8 = 14;
-    /// Coordinator → participant, one-way: the transaction passed its
-    /// commit point; drop its read locks.
+    /// Coordinator → participant, one-way: the `GlobalTxId` passed its
+    /// commit point, its lock point: release the locks its prepared entry
+    /// holds only in S mode and keep the rest to the decision.
     pub const PEER_COMMIT_POINT: u8 = 15;
 }
 
@@ -237,19 +246,6 @@ impl std::fmt::Display for Abort {
     }
 }
 
-/// The failing operation of a list: its position and its cause.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OpFailure {
-    /// Index of the failing op within the list the reporting node received
-    /// (a shard's slice, or the client's list at the coordinator); `0` when
-    /// the failure is not one op's (an unreachable shard).
-    pub index: u32,
-    /// Why the transaction aborted.
-    pub cause: AbortCause,
-}
-
-codec!(struct OpFailure { index, cause });
-
 /// Result of an operation list: that of its last [`Op`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OpResult {
@@ -265,122 +261,66 @@ pub enum OpResult {
         entries: Vec<(Vec<u8>, Vec<u8>)>,
     },
     /// An operation failed and the transaction aborted; the whole list was
-    /// rolled back with it (all-or-nothing).
-    Failed(OpFailure),
+    /// rolled back with it (all-or-nothing). The abort names the
+    /// participant that refused: the shard whose slice failed, a shard that
+    /// could not be reached, or the coordinator for a malformed list.
+    Failed(Abort),
 }
 
 codec!(enum OpResult {
     0 => Ok { value },
     1 => Entries { entries },
-    2 => Failed(failure),
+    2 => Failed(abort),
 });
 
-/// Coordinator → participant messages.
+/// Coordinator → participant payload of [`req::PEER_OPS`]: this shard's
+/// slice of an operation list inside `gtx`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PeerMsg {
-    /// Apply this shard's slice of an operation list inside `gtx`.
-    Ops {
-        /// Transaction id.
-        gtx: GlobalTxId,
-        /// The operations, in client issue order.
-        ops: Vec<Op>,
-    },
-    /// Prepare `gtx` (phase one). For write-only participants the
-    /// coordinator piggybacks their slice of the commit's writes here,
-    /// collapsing execute+prepare into one round trip per shard.
-    Prepare {
-        /// Transaction id.
-        gtx: GlobalTxId,
-        /// Writes to apply before preparing (empty for a plain prepare).
-        batch: Vec<Op>,
-        /// The whole transaction wrote nothing anywhere: validate, release
-        /// every lock and vote — nothing is logged and no decision follows.
-        read_only: bool,
-    },
-    /// Commit `gtx` (phase two).
-    Commit {
-        /// Transaction id.
-        gtx: GlobalTxId,
-    },
-    /// Abort `gtx`.
-    Abort {
-        /// Transaction id.
-        gtx: GlobalTxId,
-    },
-    /// Ask the coordinator for `gtx`'s outcome (recovery).
-    QueryDecision {
-        /// Transaction id.
-        gtx: GlobalTxId,
-    },
-    /// Prepare `gtx` on the slice this participant holds: it served the
-    /// transaction's operations before the commit. A participant that
-    /// holds no slice restarted since and lost its locks, and votes no
-    /// instead of beginning a fresh slice for `batch`.
-    PrepareHeld {
-        /// Transaction id.
-        gtx: GlobalTxId,
-        /// Writes to apply before preparing.
-        batch: Vec<Op>,
-    },
-    /// Apply this shard's slice of an operation list inside `gtx` on the
-    /// slice this participant holds: it served the transaction's earlier
-    /// operations. A participant that holds no slice restarted since and
-    /// lost its locks, and fails the list instead of beginning a fresh
-    /// slice for `ops`.
-    OpsHeld {
-        /// Transaction id.
-        gtx: GlobalTxId,
-        /// The operations, in client issue order.
-        ops: Vec<Op>,
-    },
-    /// `gtx` passed its commit point, its lock point: release the locks
-    /// its prepared entry holds only in S mode and keep the rest to the
-    /// decision. One-way; no reply.
-    CommitPoint {
-        /// Transaction id.
-        gtx: GlobalTxId,
-    },
+pub struct PeerOps {
+    /// Transaction id.
+    pub gtx: GlobalTxId,
+    /// The participant served the transaction's earlier operations. One
+    /// that holds no slice restarted since and lost its locks, and fails
+    /// the list instead of beginning a fresh slice for `ops`.
+    pub held: bool,
+    /// The operations, in client issue order.
+    pub ops: Vec<Op>,
 }
 
-codec!(enum PeerMsg {
-    0 => Ops { gtx, ops },
-    1 => Prepare { gtx, batch, read_only },
-    2 => Commit { gtx },
-    3 => Abort { gtx },
-    4 => QueryDecision { gtx },
-    5 => PrepareHeld { gtx, batch },
-    6 => OpsHeld { gtx, ops },
-    7 => CommitPoint { gtx },
-});
+codec!(struct PeerOps { gtx, held, ops });
 
-/// Participant → coordinator replies.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PeerReply {
-    /// Result of a [`PeerMsg::Ops`] slice: its last operation's result, or
-    /// the first failing operation (the participant rolled the whole slice
-    /// back — all-or-nothing).
-    OpsDone(OpResult),
-    /// Prepare vote.
-    Vote {
-        /// True = prepared and stabilized (or, for a read-only prepare,
-        /// validated and finished); false = abort.
-        yes: bool,
-    },
-    /// Commit/abort acknowledged.
-    Ack,
-    /// Answer to [`PeerMsg::QueryDecision`]: `None` = still undecided.
-    Decision {
-        /// `Some(true)` commit, `Some(false)` abort, `None` unknown.
-        commit: Option<bool>,
-    },
+/// What phase one asks of a participant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Lane {
+    /// The whole transaction wrote nothing anywhere: validate, release
+    /// every lock and vote. Nothing is logged and no decision follows.
+    ReadOnly,
+    /// Apply the batch and prepare. A participant that received nothing
+    /// before the commit begins its slice here.
+    Write,
+    /// Apply the batch and prepare on the slice this participant holds: it
+    /// served the transaction's operations before the commit. One that
+    /// holds no slice restarted since and lost its locks, and votes no.
+    Held,
 }
 
-codec!(enum PeerReply {
-    0 => OpsDone(result),
-    1 => Vote { yes },
-    2 => Ack,
-    3 => Decision { commit },
-});
+codec!(enum Lane { 0 => ReadOnly, 1 => Write, 2 => Held });
+
+/// Coordinator → participant payload of [`req::PEER_PREPARE`]. For
+/// write-only participants the coordinator piggybacks their slice of the
+/// commit's writes here, collapsing execute+prepare into one round trip
+/// per shard.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PeerPrepare {
+    /// Transaction id.
+    pub gtx: GlobalTxId,
+    /// What the participant is asked to do.
+    pub lane: Lane,
+    /// Writes to apply before preparing (empty for a plain prepare).
+    pub batch: Vec<Op>,
+}
+
+codec!(struct PeerPrepare { gtx, lane, batch });
 
 /// Client → coordinator commit/rollback result.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -615,23 +555,18 @@ mod tests {
                     (b"b".to_vec(), b"2".to_vec()),
                 ],
             },
-            OpResult::Failed(OpFailure {
-                index: 3,
+            OpResult::Failed(Abort {
                 cause: AbortCause::LockTimeout,
+                participant: Some(3),
             }),
-            OpResult::Failed(OpFailure {
-                index: 0,
-                cause: AbortCause::Unreachable,
-            }),
+            OpResult::Failed(AbortCause::Malformed.into()),
         ] {
             assert_eq!(decode::<OpResult>(&encode(&res)), Some(res.clone()));
-            let reply = PeerReply::OpsDone(res);
-            assert_eq!(decode::<PeerReply>(&encode(&reply)), Some(reply.clone()));
         }
     }
 
     #[test]
-    fn peer_msg_roundtrip() {
+    fn peer_payloads_roundtrip() {
         let gtx = GlobalTxId { node: 1, seq: 2 };
         let ops = vec![
             Op::Write(WriteCmd::put(b"a", b"1")),
@@ -641,30 +576,20 @@ mod tests {
             writes: vec![WriteCmd::put(b"a", b"1"), WriteCmd::delete(b"b")],
         };
         assert_eq!(decode::<ClientCommitReq>(&encode(&shipped)), Some(shipped));
-        let slice = PeerMsg::Ops {
-            gtx,
-            ops: ops.clone(),
-        };
-        assert_eq!(decode::<PeerMsg>(&encode(&slice)), Some(slice));
-        for (batch, read_only) in [
-            (Vec::new(), false),
-            (Vec::new(), true),
-            (ops.clone(), false),
-        ] {
-            let m = PeerMsg::Prepare {
-                gtx,
-                batch,
-                read_only,
-            };
-            assert_eq!(decode::<PeerMsg>(&encode(&m)), Some(m));
+        for held in [false, true] {
+            let ops = ops.clone();
+            let slice = PeerOps { gtx, held, ops };
+            assert_eq!(decode::<PeerOps>(&encode(&slice)), Some(slice));
         }
-        let held = PeerMsg::OpsHeld {
-            gtx,
-            ops: ops.clone(),
-        };
-        assert_eq!(decode::<PeerMsg>(&encode(&held)), Some(held));
-        let held = PeerMsg::PrepareHeld { gtx, batch: ops };
-        assert_eq!(decode::<PeerMsg>(&encode(&held)), Some(held));
+        for lane in [Lane::ReadOnly, Lane::Write, Lane::Held] {
+            let batch = ops.clone();
+            let m = PeerPrepare { gtx, lane, batch };
+            assert_eq!(decode::<PeerPrepare>(&encode(&m)), Some(m));
+        }
+        assert_eq!(decode::<GlobalTxId>(&encode(&gtx)), Some(gtx));
+        for decision in [None, Some(true), Some(false)] {
+            assert_eq!(decode::<Option<bool>>(&encode(&decision)), Some(decision));
+        }
     }
 
     #[test]

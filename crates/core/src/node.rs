@@ -29,9 +29,9 @@ use treaty_store::{
 
 use crate::clog::Clog;
 use crate::messages::{
-    decode, encode, req, Abort, AbortCause, ClientCommitReq, CommitResult, ObsSnapshotReply, Op,
-    OpFailure, OpResult, PeerMsg, PeerReply, SnapshotReadReply, SnapshotReadReq,
-    SnapshotValidateReply, SnapshotValidateReq, WriteCmd,
+    decode, encode, req, Abort, AbortCause, ClientCommitReq, CommitResult, Lane, ObsSnapshotReply,
+    Op, OpResult, PeerOps, PeerPrepare, SnapshotReadReply, SnapshotReadReq, SnapshotValidateReply,
+    SnapshotValidateReq, WriteCmd,
 };
 use crate::shard::ShardMap;
 
@@ -183,35 +183,6 @@ fn decision_jitter(gtx: GlobalTxId, peer: EndpointId, attempt: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Wire form of a phase-2 decision: request type, message kind for the
-/// peer-channel metadata, and the encoded payload.
-fn decision_wire(gtx: GlobalTxId, commit: bool) -> (u8, MsgKind, Vec<u8>) {
-    if commit {
-        (
-            req::PEER_COMMIT,
-            MsgKind::TxnCommit,
-            encode(&PeerMsg::Commit { gtx }),
-        )
-    } else {
-        (
-            req::PEER_ABORT,
-            MsgKind::TxnAbort,
-            encode(&PeerMsg::Abort { gtx }),
-        )
-    }
-}
-
-/// What phase one asks of the remote participants.
-#[derive(Clone, Copy)]
-enum Lane<'a> {
-    /// Nothing was written anywhere: validate, release and vote.
-    ReadOnly,
-    /// Apply the piggybacked writes and prepare. The remotes in `held`
-    /// served the transaction's operations, so each must still hold its
-    /// slice.
-    Write { held: &'a [EndpointId] },
-}
-
 #[derive(Default)]
 struct CoordTxn {
     /// Remote participant endpoints (self excluded).
@@ -234,9 +205,9 @@ fn vote_refusal(
     peer: EndpointId,
     reply: std::result::Result<(TxMeta, Vec<u8>), treaty_net::NetError>,
 ) -> Option<Abort> {
-    let cause = match reply.map(|(_, bytes)| decode::<PeerReply>(&bytes)) {
-        Ok(Some(PeerReply::Vote { yes: true })) => return None,
-        Ok(Some(PeerReply::Vote { yes: false })) => AbortCause::VotedNo,
+    let cause = match reply.map(|(_, bytes)| decode::<bool>(&bytes)) {
+        Ok(Some(true)) => return None,
+        Ok(Some(false)) => AbortCause::VotedNo,
         _ => AbortCause::Unreachable,
     };
     Some(Abort {
@@ -246,13 +217,13 @@ fn vote_refusal(
 }
 
 /// Executes an operation list inside an engine transaction, in order, and
-/// returns the last operation's result — or the first failing operation
-/// with its index and its cause. The caller decides what to do with the
-/// transaction on failure (participants drop it — rollback — and vote no /
-/// reply with the failure).
-fn apply_ops(txn: &mut dyn EngineTxn, ops: &[Op]) -> OpResult {
+/// returns the last operation's result — or the cause of the first
+/// failure. The caller decides what to do with the transaction on failure
+/// (participants drop it — rollback — and vote no / reply with the
+/// failure).
+fn apply_ops(txn: &mut dyn EngineTxn, ops: &[Op]) -> Result<OpResult, AbortCause> {
     let mut last = OpResult::Ok { value: None };
-    for (i, op) in ops.iter().enumerate() {
+    for op in ops {
         let done = match op {
             Op::Write(w) => {
                 let r = match &w.value {
@@ -276,30 +247,22 @@ fn apply_ops(txn: &mut dyn EngineTxn, ops: &[Op]) -> OpResult {
                     .map(|()| OpResult::Ok { value: None })
             }
         };
-        match done {
-            Ok(r) => last = r,
-            Err(e) => {
-                return OpResult::Failed(OpFailure {
-                    index: i as u32,
-                    cause: (&e).into(),
-                })
-            }
-        }
+        last = done.map_err(|e| AbortCause::from(&e))?;
     }
-    last
+    Ok(last)
 }
 
 /// One protocol handler: `(node, source endpoint, metadata, payload)`.
 type Handler = fn(&Rc<TreatyNode>, EndpointId, TxMeta, Vec<u8>) -> Option<(TxMeta, Vec<u8>)>;
 
-/// A handler's reply: `payload` under the request's `meta`, marked `kind`.
-fn reply(meta: TxMeta, kind: MsgKind, payload: &impl Encode) -> Option<(TxMeta, Vec<u8>)> {
-    Some((TxMeta { kind, ..meta }, encode(payload)))
+/// A handler's reply: `payload` under its request's own metadata.
+fn reply(meta: TxMeta, payload: &impl Encode) -> Option<(TxMeta, Vec<u8>)> {
+    Some((meta, encode(payload)))
 }
 
-/// Every request the node accepts: code, whether the RPC layer's replay
-/// guard covers it, and its handler (DESIGN.md §16 has the table). An
-/// abort is not guarded: it is only ever sent for a transaction decided
+/// Every request the node accepts: its code, whether the RPC layer's replay
+/// guard covers it, and its handler, which decodes the one payload type the
+/// code names (DESIGN.md §16 has the table). An abort is not guarded: it is only ever sent for a transaction decided
 /// abort, so running it twice changes nothing, and an advisory queued
 /// behind its transaction's running op must run even after its sender's
 /// floor has passed it. Nor is the commit point's release: it only drops
@@ -320,12 +283,20 @@ const HANDLERS: &[(u8, bool, Handler)] = &[
         TreatyNode::handle_snapshot_validate,
     ),
     (req::OBS_SNAPSHOT, false, TreatyNode::handle_obs_snapshot),
-    (req::PEER_OPS, true, TreatyNode::handle_peer),
-    (req::PEER_PREPARE, true, TreatyNode::handle_peer),
-    (req::PEER_COMMIT, true, TreatyNode::handle_peer),
-    (req::PEER_ABORT, false, TreatyNode::handle_peer),
-    (req::QUERY_DECISION, false, TreatyNode::handle_peer),
-    (req::PEER_COMMIT_POINT, false, TreatyNode::handle_peer),
+    (req::PEER_OPS, true, TreatyNode::handle_peer_ops),
+    (req::PEER_PREPARE, true, TreatyNode::handle_peer_prepare),
+    (req::PEER_COMMIT, true, TreatyNode::handle_peer_commit),
+    (req::PEER_ABORT, false, TreatyNode::handle_peer_abort),
+    (
+        req::QUERY_DECISION,
+        false,
+        TreatyNode::handle_query_decision,
+    ),
+    (
+        req::PEER_COMMIT_POINT,
+        false,
+        TreatyNode::handle_commit_point,
+    ),
 ];
 
 /// One shard's scan slice, sorted by key.
@@ -533,10 +504,10 @@ impl TreatyNode {
     }
 
     fn register_handlers(self: &Rc<Self>) {
-        for &(req_type, guarded, handler) in HANDLERS {
+        for &(code, guarded, handler) in HANDLERS {
             let me = Rc::clone(self);
             self.rpc.register_handler(
-                req_type,
+                code,
                 guarded,
                 Rc::new(move |src, meta, payload| handler(&me, src, meta, payload)),
             );
@@ -576,7 +547,7 @@ impl TreatyNode {
             snapshot.block_cache_misses = cache.block_cache_misses;
         }
         treaty_sim::obs::counter_add(Counter::CoreObsSnapshotsServed, 1);
-        reply(meta, MsgKind::Ack, &snapshot)
+        reply(meta, &snapshot)
     }
 
     fn gtx_for_client(&self, meta: &TxMeta) -> GlobalTxId {
@@ -612,12 +583,7 @@ impl TreatyNode {
         treaty_sim::obs::set_node(self.endpoint);
         let _txn = treaty_sim::obs::txn_scope(gtx.seq);
         let _span = treaty_sim::obs::span_with(Phase::CoordOp, &[("ops", ops.len() as u64)]);
-        let result = self.coordinate_ops(gtx, ops);
-        let kind = match result {
-            OpResult::Failed(_) => MsgKind::Nack,
-            _ => MsgKind::Ack,
-        };
-        reply(meta, kind, &result)
+        reply(meta, &self.coordinate_ops(gtx, ops))
     }
 
     /// Routes an operation list: a point operation goes to its key's
@@ -676,12 +642,9 @@ impl TreatyNode {
         // One reply carries one result, so only the last operation may
         // produce one; the client library never builds any other shape.
         let writes = &ops[..ops.len().saturating_sub(1)];
-        if let Some(i) = writes.iter().position(|op| !matches!(op, Op::Write(_))) {
+        if writes.iter().any(|op| !matches!(op, Op::Write(_))) {
             self.abort_everywhere(gtx, ctx, AbortCause::Malformed);
-            return OpResult::Failed(OpFailure {
-                index: i as u32,
-                cause: AbortCause::Malformed,
-            });
+            return OpResult::Failed(self.refusal(AbortCause::Malformed));
         }
         ctx.wrote |= ops.iter().any(Op::is_write);
         // (end of span, the client's limit, each shard's quota)
@@ -699,10 +662,10 @@ impl TreatyNode {
         let mut slices: Vec<(EndpointId, Rows)> = Vec::new();
         for (shard, r) in self.fan_out(gtx, &mut ctx, local_ops, remote) {
             match r {
-                OpResult::Failed(f) => {
+                OpResult::Failed(abort) => {
                     // The transaction is dead: abort everywhere, drop state.
-                    self.abort_everywhere(gtx, ctx, f.cause);
-                    return OpResult::Failed(f);
+                    self.abort_everywhere(gtx, ctx, abort.cause);
+                    return OpResult::Failed(abort);
                 }
                 // Writes answer `None`; only the get's owner has a value.
                 OpResult::Ok { value: v } => value = value.or(v),
@@ -724,9 +687,9 @@ impl TreatyNode {
             for (shard, r) in self.fan_out(gtx, &mut ctx, local_ops, remote) {
                 match (r, slices.iter_mut().find(|(s, _)| *s == shard)) {
                     (OpResult::Entries { entries }, Some((_, rows))) => rows.extend(entries),
-                    (OpResult::Failed(f), _) => {
-                        self.abort_everywhere(gtx, ctx, f.cause);
-                        return OpResult::Failed(f);
+                    (OpResult::Failed(abort), _) => {
+                        self.abort_everywhere(gtx, ctx, abort.cause);
+                        return OpResult::Failed(abort);
                     }
                     _ => {}
                 }
@@ -761,10 +724,10 @@ impl TreatyNode {
                 ctx.readers.push(owner);
             }
             let meta = self.peer_meta(gtx, MsgKind::TxnPut);
-            let payload = encode(&if held {
-                PeerMsg::OpsHeld { gtx, ops: slice }
-            } else {
-                PeerMsg::Ops { gtx, ops: slice }
+            let payload = encode(&PeerOps {
+                gtx,
+                held,
+                ops: slice,
             });
             pending.push((
                 owner,
@@ -780,19 +743,19 @@ impl TreatyNode {
             let local = ctx
                 .local
                 .get_or_insert_with(|| self.engine.begin_txn(self.txn_mode));
-            results.push((self.endpoint, apply_ops(local.as_mut(), &local_ops)));
+            let result = apply_ops(local.as_mut(), &local_ops);
+            let result = result.unwrap_or_else(|cause| OpResult::Failed(self.refusal(cause)));
+            results.push((self.endpoint, result));
         }
         // Collect every reply even after a failure: an abandoned
         // `PendingReply` would leave the burst dangling mid-session.
         for (p, pr) in pending {
-            let r = match pr.wait().map(|(_, bytes)| decode::<PeerReply>(&bytes)) {
-                Ok(Some(PeerReply::OpsDone(r))) => r,
-                _ => OpResult::Failed(OpFailure {
-                    index: 0,
-                    cause: AbortCause::Unreachable,
-                }),
+            let r = pr.wait().ok().and_then(|(_, bytes)| decode(&bytes));
+            let unreachable = Abort {
+                cause: AbortCause::Unreachable,
+                participant: Some(p),
             };
-            results.push((p, r));
+            results.push((p, r.unwrap_or(OpResult::Failed(unreachable))));
         }
         results
     }
@@ -814,13 +777,18 @@ impl TreatyNode {
                 self.abort_everywhere(gtx, ctx.unwrap_or_default(), AbortCause::Malformed);
                 CommitResult::Aborted(AbortCause::Malformed.into())
             }
-            // No coordinator state: either a transaction we already aborted
-            // (op error, client rollback) — its client must not receive a
-            // success ack — or a genuinely empty transaction.
+            // No coordinator state: a transaction we already aborted (op
+            // error, client rollback) — its client must not receive a
+            // success ack — or one whose earlier messages' state this node
+            // lost in a restart: the client numbers every message of a
+            // transaction, so only a commit numbered 1 came first. What is
+            // left is a transaction that begins with its commit.
             (Some(_), None) if self.recently_aborted.borrow().contains(&gtx) => {
                 CommitResult::Aborted(AbortCause::AlreadyAborted.into())
             }
-            (Some(req), None) if req.writes.is_empty() => CommitResult::Committed,
+            (Some(_), None) if meta.op_id > 1 => {
+                CommitResult::Aborted(AbortCause::SliceLost.into())
+            }
             (Some(req), ctx) => self.commit_with_writes(gtx, ctx.unwrap_or_default(), req.writes),
         };
         match &result {
@@ -828,11 +796,7 @@ impl TreatyNode {
             CommitResult::Aborted(abort) => self.note_aborted(gtx, abort.cause),
         }
         treaty_sim::crashpoint::hit(CrashPoint::CoordBeforeClientReply);
-        let kind = match result {
-            CommitResult::Committed => MsgKind::Ack,
-            CommitResult::Aborted(_) => MsgKind::Nack,
-        };
-        reply(meta, kind, &result)
+        reply(meta, &result)
     }
 
     fn handle_client_rollback(
@@ -852,7 +816,7 @@ impl TreatyNode {
             self.abort_everywhere(gtx, ctx, AbortCause::RolledBack);
         }
         let rolled_back = CommitResult::Aborted(AbortCause::RolledBack.into());
-        reply(meta, MsgKind::Ack, &rolled_back)
+        reply(meta, &rolled_back)
     }
 
     /// Commits a transaction, first routing the writes that arrived with
@@ -873,9 +837,9 @@ impl TreatyNode {
             let local = ctx
                 .local
                 .get_or_insert_with(|| self.engine.begin_txn(self.txn_mode));
-            if let OpResult::Failed(f) = apply_ops(local.as_mut(), &local_ops) {
-                self.abort_everywhere(gtx, ctx, f.cause);
-                return CommitResult::Aborted(self.refusal(f.cause));
+            if let Err(cause) = apply_ops(local.as_mut(), &local_ops) {
+                self.abort_everywhere(gtx, ctx, cause);
+                return CommitResult::Aborted(self.refusal(cause));
             }
         }
         // The remotes so far served the transaction's operations and hold
@@ -933,7 +897,7 @@ impl TreatyNode {
                 Phase::CoordPrepare,
                 &[("remotes", ctx.remotes.len() as u64)],
             );
-            self.collect_votes(gtx, &mut ctx, batches, Lane::Write { held })
+            self.collect_votes(gtx, &mut ctx, batches, held)
         };
         if let Some(start) = start {
             // The votes' other half. The prepares are out, so a Start that
@@ -1000,7 +964,7 @@ impl TreatyNode {
         if self.clog.is_none() {
             return;
         }
-        let payload = encode(&PeerMsg::CommitPoint { gtx });
+        let payload = encode(&gtx);
         for &r in readers {
             let meta = self.peer_meta(gtx, MsgKind::TxnCommit);
             self.rpc
@@ -1107,7 +1071,7 @@ impl TreatyNode {
             Phase::CoordReadOnlyFinish,
             &[("remotes", ctx.remotes.len() as u64)],
         );
-        match self.collect_votes(gtx, &mut ctx, Vec::new(), Lane::ReadOnly) {
+        match self.collect_votes(gtx, &mut ctx, Vec::new(), &[]) {
             None => {
                 treaty_sim::obs::counter_add(Counter::CoreReadOnlyCommits, 1);
                 CommitResult::Committed
@@ -1121,17 +1085,19 @@ impl TreatyNode {
         }
     }
 
-    /// Phase one of both commit lanes: one `Prepare` burst to every remote
-    /// (each carrying its slice of `batches`, if any), the local slice's
-    /// prepare — or, on the read-only lane, its validating finish —
-    /// overlapping the round trip, then every vote collected. `None` means
-    /// everyone voted yes; `Some` is the first refusal.
+    /// Phase one of both commit lanes: one `PEER_PREPARE` burst to every
+    /// remote (each carrying its slice of `batches`, if any), the local
+    /// slice's prepare — or, on the read-only lane of a transaction that
+    /// wrote nothing, its validating finish — overlapping the round trip,
+    /// then every vote collected. The remotes in `held` served the
+    /// transaction's operations, so each must still hold its slice. `None`
+    /// means everyone voted yes; `Some` is the first refusal.
     fn collect_votes(
         self: &Rc<Self>,
         gtx: GlobalTxId,
         ctx: &mut CoordTxn,
         mut batches: Vec<(EndpointId, Vec<Op>)>,
-        lane: Lane<'_>,
+        held: &[EndpointId],
     ) -> Option<Abort> {
         let mut pending: Vec<(EndpointId, PendingReply)> = Vec::with_capacity(ctx.remotes.len());
         for &r in &ctx.remotes {
@@ -1140,20 +1106,13 @@ impl TreatyNode {
                 .find(|(p, _)| *p == r)
                 .map(|(_, b)| std::mem::take(b))
                 .unwrap_or_default();
+            let lane = match (ctx.wrote, held.contains(&r)) {
+                (false, _) => Lane::ReadOnly,
+                (true, false) => Lane::Write,
+                (true, true) => Lane::Held,
+            };
             let meta = self.peer_meta(gtx, MsgKind::TxnPrepare);
-            let msg = encode(&match lane {
-                Lane::ReadOnly => PeerMsg::Prepare {
-                    gtx,
-                    batch,
-                    read_only: true,
-                },
-                Lane::Write { held } if held.contains(&r) => PeerMsg::PrepareHeld { gtx, batch },
-                Lane::Write { .. } => PeerMsg::Prepare {
-                    gtx,
-                    batch,
-                    read_only: false,
-                },
-            });
+            let msg = encode(&PeerPrepare { gtx, lane, batch });
             pending.push((
                 r,
                 self.rpc.enqueue_request(r, req::PEER_PREPARE, &meta, &msg),
@@ -1167,10 +1126,10 @@ impl TreatyNode {
         // Either way the local transaction is consumed: prepared state
         // lives in the engine from here (or was rolled back).
         if let Some(mut local) = ctx.local.take() {
-            let done = if matches!(lane, Lane::ReadOnly) {
-                local.commit().map(|_| ())
-            } else {
+            let done = if ctx.wrote {
                 local.prepare(gtx)
+            } else {
+                local.commit().map(|_| ())
             };
             if let Err(e) = done {
                 refused = Some(self.refusal((&e).into()));
@@ -1207,11 +1166,16 @@ impl TreatyNode {
                 ("commit", u64::from(commit)),
             ],
         );
-        let (rt, kind, payload) = decision_wire(gtx, commit);
+        let (code, kind) = if commit {
+            (req::PEER_COMMIT, MsgKind::TxnCommit)
+        } else {
+            (req::PEER_ABORT, MsgKind::TxnAbort)
+        };
+        let payload = encode(&gtx);
         let mut pending: Vec<(EndpointId, PendingReply)> = Vec::new();
         for &r in remotes {
             let meta = self.peer_meta(gtx, kind);
-            pending.push((r, self.rpc.enqueue_request(r, rt, &meta, &payload)));
+            pending.push((r, self.rpc.enqueue_request(r, code, &meta, &payload)));
         }
         treaty_sim::runtime::set_tag("sd:wait");
         self.rpc.tx_burst();
@@ -1220,33 +1184,27 @@ impl TreatyNode {
             if p.wait().is_ok() {
                 continue;
             }
-            self.retry_decision(gtx, r, commit);
+            // The retry train for a peer that missed the first delivery.
+            // Decisions are idempotent: retry so a lossy network cannot
+            // leave a participant holding prepared locks, on the backoff
+            // schedule rather than in a burst. A participant that is
+            // actually down learns the decision at recovery via
+            // `QUERY_DECISION`.
+            treaty_sim::runtime::set_tag("sd:retry");
+            Self::with_backoff(gtx, r, |attempt, backoff| {
+                self.stats.borrow_mut().decision_retries += 1;
+                treaty_sim::obs::instant(
+                    Phase::CoordDecisionRetry,
+                    &[
+                        ("peer", u64::from(r)),
+                        ("attempt", attempt),
+                        ("backoff_ns", backoff),
+                    ],
+                );
+                let meta = self.peer_meta(gtx, kind);
+                self.rpc.call(r, code, &meta, &payload).is_ok()
+            });
         }
-    }
-
-    /// The phase-2 retry train for one peer that missed the initial
-    /// delivery. Decisions are idempotent: retry so a lossy network
-    /// cannot leave a participant holding prepared locks, but back off
-    /// exponentially with deterministic jitter instead of an immediate
-    /// burst, and cap the total retry window. A participant that is
-    /// actually down learns the decision at recovery via QueryDecision.
-    fn retry_decision(self: &Rc<Self>, gtx: GlobalTxId, r: EndpointId, commit: bool) {
-        treaty_sim::runtime::set_tag("sd:retry");
-        let (rt, kind, payload) = decision_wire(gtx, commit);
-        let resend = |attempt, backoff| {
-            self.stats.borrow_mut().decision_retries += 1;
-            treaty_sim::obs::instant(
-                Phase::CoordDecisionRetry,
-                &[
-                    ("peer", u64::from(r)),
-                    ("attempt", attempt),
-                    ("backoff_ns", backoff),
-                ],
-            );
-            let meta = self.peer_meta(gtx, kind);
-            self.rpc.call(r, rt, &meta, &payload).is_ok()
-        };
-        Self::with_backoff(gtx, r, resend);
     }
 
     /// The retry schedule of everything that must eventually happen for a
@@ -1317,7 +1275,7 @@ impl TreatyNode {
             Phase::CoordAbortAdvisory,
             &[("remotes", ctx.remotes.len() as u64)],
         );
-        let payload = encode(&PeerMsg::Abort { gtx });
+        let payload = encode(&gtx);
         for &r in &ctx.remotes {
             let meta = self.peer_meta(gtx, MsgKind::TxnAbort);
             self.rpc.send_oneway(r, req::PEER_ABORT, &meta, &payload);
@@ -1378,32 +1336,26 @@ impl TreatyNode {
                 .collect::<Result<Vec<_>, _>>()?;
             Ok((values, rows))
         };
-        let (kind, answer) = match read() {
+        let answer = match read() {
             Ok((values, rows)) => {
                 let (read, scanned) = (!keys.is_empty(), !spans.is_empty());
                 treaty_sim::obs::counter_add(Counter::CoreSnapshotReads, u64::from(read));
                 treaty_sim::obs::counter_add(Counter::CoreSnapshotScans, u64::from(scanned));
-                (MsgKind::Ack, SnapshotReadReply::Values { ts, values, rows })
+                SnapshotReadReply::Values { ts, values, rows }
             }
             Err((_, StoreError::SnapshotStale { stable })) => {
                 treaty_sim::obs::counter_add(Counter::CoreSnapshotStaleReject, 1);
-                (
-                    MsgKind::Nack,
-                    SnapshotReadReply::Stale { stable_ts: stable },
-                )
+                SnapshotReadReply::Stale { stable_ts: stable }
             }
             Err((key, StoreError::SnapshotInDoubt)) => {
                 treaty_sim::obs::counter_add(Counter::CoreSnapshotIndoubtReject, 1);
-                (
-                    MsgKind::Nack,
-                    SnapshotReadReply::InDoubt { key: key.clone() },
-                )
+                SnapshotReadReply::InDoubt { key: key.clone() }
             }
             // Integrity violations must not be papered over with a retry
             // signal: drop the request, the client times out.
             Err(_) => return None,
         };
-        reply(meta, kind, &answer)
+        reply(meta, &answer)
     }
 
     /// End-of-transaction validation for multi-shard snapshot reads: the
@@ -1436,7 +1388,7 @@ impl TreatyNode {
                 Ok(false) | Err(_) => {
                     treaty_sim::obs::counter_add(Counter::CoreSnapshotValidateFail, 1);
                     let key = key.clone();
-                    return reply(meta, MsgKind::Nack, &SnapshotValidateReply::Fail { key });
+                    return reply(meta, &SnapshotValidateReply::Fail { key });
                 }
             }
         }
@@ -1450,86 +1402,127 @@ impl TreatyNode {
                 Ok(false) | Err(_) => {
                     treaty_sim::obs::counter_add(Counter::CoreSnapshotValidateFail, 1);
                     let key = start.clone();
-                    return reply(meta, MsgKind::Nack, &SnapshotValidateReply::Fail { key });
+                    return reply(meta, &SnapshotValidateReply::Fail { key });
                 }
             }
         }
-        reply(meta, MsgKind::Ack, &SnapshotValidateReply::Ok)
+        reply(meta, &SnapshotValidateReply::Ok)
     }
 
     // ---- participant: peer-facing handlers ---------------------------------
 
-    fn handle_peer(
+    /// Enters a peer request's handler: tags the fiber, names the node and
+    /// opens `phase`'s span in `gtx`'s transaction scope, both closed when
+    /// the returned guard drops.
+    fn enter_peer(&self, gtx: GlobalTxId, phase: Phase) -> impl Sized {
+        treaty_sim::runtime::set_tag("h:peer");
+        treaty_sim::obs::set_node(self.endpoint);
+        let txn = treaty_sim::obs::txn_scope(gtx.seq);
+        // A tuple drops its fields in order: the span closes first.
+        (treaty_sim::obs::span(phase), txn)
+    }
+
+    /// Serves [`req::PEER_OPS`].
+    fn handle_peer_ops(
         self: &Rc<Self>,
         _src: EndpointId,
         meta: TxMeta,
         payload: Vec<u8>,
     ) -> Option<(TxMeta, Vec<u8>)> {
-        treaty_sim::runtime::set_tag("h:peer");
-        let msg: PeerMsg = decode(&payload)?;
-        treaty_sim::obs::set_node(self.endpoint);
-        let (phase, gtx) = match &msg {
-            PeerMsg::Ops { gtx, .. } | PeerMsg::OpsHeld { gtx, .. } => (Phase::PartOp, *gtx),
-            PeerMsg::Prepare { gtx, .. } | PeerMsg::PrepareHeld { gtx, .. } => {
-                (Phase::PartPrepare, *gtx)
-            }
-            PeerMsg::Commit { gtx } => (Phase::PartCommit, *gtx),
-            PeerMsg::Abort { gtx } => (Phase::PartAbort, *gtx),
-            PeerMsg::QueryDecision { gtx } => (Phase::PartQuery, *gtx),
-            PeerMsg::CommitPoint { gtx } => (Phase::PartCommitPoint, *gtx),
-        };
-        let _txn = treaty_sim::obs::txn_scope(gtx.seq);
-        let _span = treaty_sim::obs::span(phase);
-        let answer = match msg {
-            PeerMsg::Ops { gtx, ops } => PeerReply::OpsDone(self.apply_slice(gtx, ops, false)),
-            PeerMsg::OpsHeld { gtx, ops } => PeerReply::OpsDone(self.apply_slice(gtx, ops, true)),
-            PeerMsg::Prepare {
-                gtx,
-                read_only: true,
-                ..
-            } => {
-                // Whole-transaction read-only: validate and finish through
-                // the engine's read-only commit — every lock drops, nothing
-                // is logged, no decision will follow. A slice this node no
-                // longer holds (it restarted and shed the locks) cannot
-                // vouch for its reads: vote no.
+        let PeerOps { gtx, held, ops } = decode(&payload)?;
+        let _scope = self.enter_peer(gtx, Phase::PartOp);
+        reply(meta, &self.apply_slice(gtx, ops, held))
+    }
+
+    /// Serves [`req::PEER_PREPARE`]: the vote.
+    fn handle_peer_prepare(
+        self: &Rc<Self>,
+        _src: EndpointId,
+        meta: TxMeta,
+        payload: Vec<u8>,
+    ) -> Option<(TxMeta, Vec<u8>)> {
+        let PeerPrepare { gtx, lane, batch } = decode(&payload)?;
+        let _scope = self.enter_peer(gtx, Phase::PartPrepare);
+        let yes = match lane {
+            // Whole-transaction read-only: validate and finish through the
+            // engine's read-only commit — every lock drops, nothing is
+            // logged, no decision will follow. A slice this node no longer
+            // holds (it restarted and shed the locks) cannot vouch for its
+            // reads: vote no.
+            Lane::ReadOnly => {
                 let txn = self.active_part.borrow_mut().remove(&gtx);
                 treaty_sim::crashpoint::hit(CrashPoint::PartReadOnlyFinish);
-                PeerReply::Vote {
-                    yes: txn.is_some_and(|mut txn| txn.commit().is_ok()),
-                }
+                txn.is_some_and(|mut txn| txn.commit().is_ok())
             }
-            PeerMsg::Prepare { gtx, batch, .. } => self.prepare_slice(gtx, batch, false),
-            PeerMsg::PrepareHeld { gtx, batch } => self.prepare_slice(gtx, batch, true),
-            PeerMsg::Commit { gtx } => {
-                let _ = self.engine.commit_prepared(gtx);
-                treaty_sim::crashpoint::hit(CrashPoint::PartAfterCommitApply);
-                PeerReply::Ack
-            }
-            PeerMsg::Abort { gtx } => {
-                if let Some(mut txn) = self.active_part.borrow_mut().remove(&gtx) {
-                    let _ = txn.rollback();
-                }
-                let _ = self.engine.abort_prepared(gtx);
-                treaty_sim::crashpoint::hit(CrashPoint::PartAfterAbortApply);
-                PeerReply::Ack
-            }
-            PeerMsg::QueryDecision { gtx } => PeerReply::Decision {
-                commit: self.outcome_as_coordinator(gtx),
-            },
-            PeerMsg::CommitPoint { gtx } => {
-                self.engine.release_prepared_reads(gtx);
-                treaty_sim::crashpoint::hit(CrashPoint::PartCommitPoint);
-                return None;
-            }
+            Lane::Write => self.prepare_slice(gtx, batch, false),
+            Lane::Held => self.prepare_slice(gtx, batch, true),
         };
-        reply(meta, MsgKind::Ack, &answer)
+        reply(meta, &yes)
+    }
+
+    /// Serves [`req::PEER_COMMIT`]; the empty reply is the ack.
+    fn handle_peer_commit(
+        self: &Rc<Self>,
+        _src: EndpointId,
+        meta: TxMeta,
+        payload: Vec<u8>,
+    ) -> Option<(TxMeta, Vec<u8>)> {
+        let gtx: GlobalTxId = decode(&payload)?;
+        let _scope = self.enter_peer(gtx, Phase::PartCommit);
+        let _ = self.engine.commit_prepared(gtx);
+        treaty_sim::crashpoint::hit(CrashPoint::PartAfterCommitApply);
+        Some((meta, Vec::new()))
+    }
+
+    /// Serves [`req::PEER_ABORT`]: drops the slice, prepared or not; the
+    /// empty reply is the ack.
+    fn handle_peer_abort(
+        self: &Rc<Self>,
+        _src: EndpointId,
+        meta: TxMeta,
+        payload: Vec<u8>,
+    ) -> Option<(TxMeta, Vec<u8>)> {
+        let gtx: GlobalTxId = decode(&payload)?;
+        let _scope = self.enter_peer(gtx, Phase::PartAbort);
+        if let Some(mut txn) = self.active_part.borrow_mut().remove(&gtx) {
+            let _ = txn.rollback();
+        }
+        let _ = self.engine.abort_prepared(gtx);
+        treaty_sim::crashpoint::hit(CrashPoint::PartAfterAbortApply);
+        Some((meta, Vec::new()))
+    }
+
+    /// Serves [`req::QUERY_DECISION`] for a transaction this node
+    /// coordinates.
+    fn handle_query_decision(
+        self: &Rc<Self>,
+        _src: EndpointId,
+        meta: TxMeta,
+        payload: Vec<u8>,
+    ) -> Option<(TxMeta, Vec<u8>)> {
+        let gtx: GlobalTxId = decode(&payload)?;
+        let _scope = self.enter_peer(gtx, Phase::PartQuery);
+        reply(meta, &self.outcome_as_coordinator(gtx))
+    }
+
+    /// Serves [`req::PEER_COMMIT_POINT`]: one-way, no reply.
+    fn handle_commit_point(
+        self: &Rc<Self>,
+        _src: EndpointId,
+        _meta: TxMeta,
+        payload: Vec<u8>,
+    ) -> Option<(TxMeta, Vec<u8>)> {
+        let gtx: GlobalTxId = decode(&payload)?;
+        let _scope = self.enter_peer(gtx, Phase::PartCommitPoint);
+        self.engine.release_prepared_reads(gtx);
+        treaty_sim::crashpoint::hit(CrashPoint::PartCommitPoint);
+        None
     }
 
     /// This shard's slice of an operation list: applied all-or-nothing in
     /// one sealed message. On the first failure the whole engine
-    /// transaction rolls back and the result pinpoints the failing op with
-    /// its cause. A shard that `held` a slice and holds none now
+    /// transaction rolls back and the result names this shard and the
+    /// cause. A shard that `held` a slice and holds none now
     /// restarted since and lost the locks its earlier operations took, so
     /// the list fails rather than begin a fresh slice, as at prepare.
     fn apply_slice(&self, gtx: GlobalTxId, ops: Vec<Op>, held: bool) -> OpResult {
@@ -1537,19 +1530,17 @@ impl TreatyNode {
         let txn = self.active_part.borrow_mut().remove(&gtx);
         let mut txn = match txn {
             Some(t) => t,
-            None if held => {
-                return OpResult::Failed(OpFailure {
-                    index: 0,
-                    cause: AbortCause::SliceLost,
-                })
-            }
+            None if held => return OpResult::Failed(self.refusal(AbortCause::SliceLost)),
             None => self.engine.begin_txn(self.txn_mode),
         };
-        let result = apply_ops(txn.as_mut(), &ops);
-        if !matches!(result, OpResult::Failed(_)) {
-            self.active_part.borrow_mut().insert(gtx, txn);
-        } // else: txn dropped -> rolled back; coordinator aborts.
-        result
+        match apply_ops(txn.as_mut(), &ops) {
+            Ok(result) => {
+                self.active_part.borrow_mut().insert(gtx, txn);
+                result
+            }
+            // The txn drops -> rolled back; the coordinator aborts.
+            Err(cause) => OpResult::Failed(self.refusal(cause)),
+        }
     }
 
     /// A participant's write-lane prepare: apply `batch` to this shard's
@@ -1559,7 +1550,7 @@ impl TreatyNode {
     /// since and lost the locks that slice's reads took, so it votes no
     /// rather than begin a fresh one: a fresh slice would vouch for reads
     /// nothing protects any more.
-    fn prepare_slice(&self, gtx: GlobalTxId, batch: Vec<Op>, held: bool) -> PeerReply {
+    fn prepare_slice(&self, gtx: GlobalTxId, batch: Vec<Op>, held: bool) -> bool {
         treaty_sim::crashpoint::hit(CrashPoint::PartBeforePrepare);
         self.stats.borrow_mut().participant_ops += batch.len() as u64;
         let txn = self.active_part.borrow_mut().remove(&gtx);
@@ -1570,15 +1561,12 @@ impl TreatyNode {
         };
         let yes = match txn {
             // A failed batch drops the txn -> rolled back; vote no.
-            Some(mut txn) => {
-                !matches!(apply_ops(txn.as_mut(), &batch), OpResult::Failed(_))
-                    && txn.prepare(gtx).is_ok()
-            }
+            Some(mut txn) => apply_ops(txn.as_mut(), &batch).is_ok() && txn.prepare(gtx).is_ok(),
             // Recovery re-drive: still prepared from a past life?
             None => !held && self.engine.prepared_txns().contains(&gtx),
         };
         treaty_sim::crashpoint::hit(CrashPoint::PartAfterPrepare);
-        PeerReply::Vote { yes }
+        yes
     }
 
     /// What this node, as `gtx`'s coordinator, answers for it: the Clog's
@@ -1645,15 +1633,15 @@ impl TreatyNode {
                     let meta = self.peer_meta(gtx, MsgKind::TxnPrepare);
                     // Re-drives never re-ship deferred writes: a batch that
                     // reached prepare is already in the engine transaction.
-                    let msg = encode(&PeerMsg::Prepare {
+                    let msg = encode(&PeerPrepare {
                         gtx,
+                        lane: Lane::Write,
                         batch: Vec::new(),
-                        read_only: false,
                     });
                     let vote = self.rpc.call(r, req::PEER_PREPARE, &meta, &msg);
-                    match vote.ok().and_then(|(_, bytes)| decode::<PeerReply>(&bytes)) {
-                        Some(PeerReply::Vote { yes }) => refused |= !yes,
-                        _ => unreachable = true,
+                    match vote.ok().and_then(|(_, bytes)| decode::<bool>(&bytes)) {
+                        Some(yes) => refused |= !yes,
+                        None => unreachable = true,
                     }
                 }
                 let commit = !refused;
@@ -1690,14 +1678,12 @@ impl TreatyNode {
                 self.outcome_as_coordinator(gtx)
             } else {
                 let meta = self.peer_meta(gtx, MsgKind::QueryDecision);
-                let msg = encode(&PeerMsg::QueryDecision { gtx });
-                self.rpc
-                    .call(gtx.node as u32, req::QUERY_DECISION, &meta, &msg)
+                let asked =
+                    self.rpc
+                        .call(gtx.node as u32, req::QUERY_DECISION, &meta, &encode(&gtx));
+                asked
                     .ok()
-                    .and_then(|(_, bytes)| match decode::<PeerReply>(&bytes) {
-                        Some(PeerReply::Decision { commit }) => commit,
-                        _ => None,
-                    })
+                    .and_then(|(_, bytes)| decode::<Option<bool>>(&bytes).flatten())
             };
             // `None`: undecided, or the coordinator is out of reach. Its
             // re-drive decides it.

@@ -1276,10 +1276,8 @@ fn phase_two_acks_stay_off_an_inline_finish() {
         cluster.fabric().start_capture();
         tx.commit().unwrap();
         let acks = || {
-            let sent = cluster.fabric().captured();
-            sent.iter()
-                .filter(|d| d.is_response && d.req_type == PEER_COMMIT)
-                .count()
+            let sent = cluster.captured_with_code(PEER_COMMIT);
+            sent.iter().filter(|d| d.is_response).count()
         };
         assert_eq!(acks(), 0);
         cluster.node(0).drain_decisions();

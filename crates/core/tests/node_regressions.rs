@@ -21,10 +21,10 @@ use treaty_core::client::client_net;
 use treaty_core::clog::{ClogRecord, CLOG_FILE, CLOG_NAME};
 use treaty_core::cluster::{wire_crypto, COUNTER_BASE, COUNTER_CLIENT_BASE};
 use treaty_core::messages::{
-    decode, encode, req, AbortCause, ClientCommitReq, CommitResult, Op, OpResult, PeerMsg,
-    PeerReply, WriteCmd,
+    decode, encode, req, Abort, AbortCause, ClientCommitReq, CommitResult, Lane, Op, OpResult,
+    PeerOps, PeerPrepare, WriteCmd,
 };
-use treaty_core::{Cluster, ClusterOptions};
+use treaty_core::{Cluster, ClusterOptions, TreatyError};
 use treaty_crypto::codec::Record as _;
 use treaty_crypto::{MsgKind, TxMeta};
 use treaty_net::{Rpc, RpcConfig};
@@ -203,7 +203,7 @@ fn pre_prepare_abort_does_not_stall_the_session() {
 
 /// An op list is zero or more writes, then at most one read or range op:
 /// the reply carries one result. A raw client that sends any other shape
-/// gets a typed failure naming the offending op, and the transaction is
+/// gets a typed failure naming the coordinator, and the transaction is
 /// aborted like after any other failed op.
 #[test]
 fn op_list_with_a_read_before_its_end_is_rejected() {
@@ -223,7 +223,13 @@ fn op_list_with_a_read_before_its_end_is_rejected() {
         let meta = raw_meta(9904, seq, 1, MsgKind::TxnPut);
         let (_, bytes) = raw.call(1, req::CLIENT_OPS, &meta, &encode(&ops)).unwrap();
         match decode::<OpResult>(&bytes).unwrap() {
-            OpResult::Failed(f) => assert_eq!(f.index, 1, "the read in the middle: {f:?}"),
+            OpResult::Failed(abort) => assert_eq!(
+                abort,
+                Abort {
+                    cause: AbortCause::Malformed,
+                    participant: Some(1),
+                }
+            ),
             other => panic!("malformed list must fail, got {other:?}"),
         }
         let meta = raw_meta(9904, seq, 2, MsgKind::TxnCommit);
@@ -527,10 +533,10 @@ fn a_straggler_cannot_outlive_its_abort() {
         treaty_sim::runtime::sleep(10 * MILLIS);
         assert_eq!(part.locked_keys(), 0);
 
-        let straggler = fabric
-            .captured()
+        let straggler = cluster
+            .captured_with_code(req::PEER_OPS)
             .into_iter()
-            .find(|d| d.src == 1 && d.dst == 2 && d.req_type == req::PEER_OPS)
+            .find(|d| d.src == 1 && d.dst == 2)
             .expect("the coordinator's PEER_OPS was captured");
         fabric.inject(straggler);
         treaty_sim::runtime::sleep(10 * MILLIS);
@@ -540,6 +546,73 @@ fn a_straggler_cannot_outlive_its_abort() {
             "the straggler ran after its abort and holds a lock"
         );
         assert_eq!(obs.metrics().counter(Counter::NetRpcReplaysSuppressed), 1);
+    });
+}
+
+/// The request code is sealed, so a straggler cannot be relabelled, and
+/// what stays plaintext only routes. The straggler of the test above is
+/// injected twice as captured, then twice with each plaintext field
+/// rewritten in turn: `src`, `rpc_id`, `session` and `is_response`. None
+/// of the ten copies runs. While the code was a plaintext byte, the same
+/// straggler relabelled `PEER_ABORT` (unguarded, then served by the same
+/// handler) ran twice and left a lock nobody would release.
+#[test]
+fn a_straggler_runs_under_no_rewrite_of_its_plaintext() {
+    let dir = tempfile::tempdir().unwrap();
+    let path = dir.path().to_path_buf();
+    block_on(move || {
+        let obs = Obs::new(1);
+        treaty_sim::obs::install(&obs);
+        let cluster = Cluster::start(options(&path)).unwrap();
+        let key = key_per_node(&cluster).get(&2).unwrap().clone();
+        let part = cluster.store(1).unwrap();
+        let fabric = Rc::clone(cluster.fabric());
+        fabric.start_capture();
+        fabric.with_adversary(|a| {
+            a.partitions.insert((1, 2));
+        });
+        let heal = Rc::clone(&fabric);
+        let healer = treaty_sim::runtime::spawn(move || {
+            treaty_sim::runtime::sleep(treaty_net::DEFAULT_RPC_TIMEOUT / 2);
+            heal.with_adversary(|a| a.partitions.clear());
+        });
+        let client = cluster.client();
+        let mut tx = client.begin(1);
+        tx.put(&key, b"straggler").unwrap();
+        assert!(tx.flush().is_err(), "the op was lost: the flush must fail");
+        treaty_sim::runtime::join(healer);
+        treaty_sim::runtime::sleep(10 * MILLIS);
+
+        let straggler = cluster
+            .captured_with_code(req::PEER_OPS)
+            .into_iter()
+            .find(|d| d.src == 1 && d.dst == 2)
+            .expect("the coordinator's PEER_OPS was captured");
+        let mut copies = vec![straggler.clone()];
+        let mut rewritten = straggler.clone();
+        rewritten.src = 3;
+        copies.push(rewritten);
+        let mut rewritten = straggler.clone();
+        rewritten.rpc_id += 1;
+        copies.push(rewritten);
+        let mut rewritten = straggler.clone();
+        rewritten.session ^= 1;
+        copies.push(rewritten);
+        let mut rewritten = straggler;
+        rewritten.is_response = true;
+        copies.push(rewritten);
+        for copy in copies {
+            let field = format!("{copy:?}");
+            fabric.inject(copy.clone());
+            fabric.inject(copy);
+            treaty_sim::runtime::sleep(10 * MILLIS);
+            assert_eq!(part.locked_keys(), 0, "the straggler ran: {field}");
+            assert_eq!(cluster.node(1).stats().participant_ops, 0, "{field}");
+        }
+        // The four copies that arrive as requests open, name their sender
+        // and number, and are turned away by the guard; the one relabelled
+        // a response waits on no slot.
+        assert_eq!(obs.metrics().counter(Counter::NetRpcReplaysSuppressed), 8);
     });
 }
 
@@ -562,20 +635,18 @@ fn abort_advisory_waits_for_its_transactions_running_op() {
         let gtx = |seq| GlobalTxId { node: 9905, seq };
         let (blocker, victim) = (gtx(1), gtx(2));
         let put = |gtx| {
-            encode(&PeerMsg::Ops {
+            encode(&PeerOps {
                 gtx,
+                held: false,
                 ops: vec![Op::Write(WriteCmd::put(&key, b"x"))],
             })
         };
-        let peer_reply = |bytes: Vec<u8>| decode::<PeerReply>(&bytes).unwrap();
+        let op_result = |bytes: Vec<u8>| decode::<OpResult>(&bytes).unwrap();
 
         // The blocker takes the key's X-lock and keeps it.
         let meta = raw_meta(9905, blocker.seq, 1, MsgKind::TxnPut);
         let (_, bytes) = raw.call(2, req::PEER_OPS, &meta, &put(blocker)).unwrap();
-        assert!(matches!(
-            peer_reply(bytes),
-            PeerReply::OpsDone(OpResult::Ok { .. })
-        ));
+        assert!(matches!(op_result(bytes), OpResult::Ok { .. }));
         assert_eq!(part.locked_keys(), 1);
 
         // The victim's op blocks on it; its abort advisory follows.
@@ -584,17 +655,16 @@ fn abort_advisory_waits_for_its_transactions_running_op() {
         raw.tx_burst();
         treaty_sim::runtime::sleep(MILLIS);
         let meta = raw_meta(9905, victim.seq, 2, MsgKind::TxnAbort);
-        let abort = encode(&PeerMsg::Abort { gtx: victim });
-        raw.send_oneway(2, req::PEER_ABORT, &meta, &abort);
+        raw.send_oneway(2, req::PEER_ABORT, &meta, &encode(&victim));
         treaty_sim::runtime::sleep(MILLIS);
 
         // The lock is freed: the op gets it, then the advisory runs.
         let meta = raw_meta(9905, blocker.seq, 2, MsgKind::TxnAbort);
-        let abort = encode(&PeerMsg::Abort { gtx: blocker });
-        raw.call(2, req::PEER_ABORT, &meta, &abort).unwrap();
+        raw.call(2, req::PEER_ABORT, &meta, &encode(&blocker))
+            .unwrap();
         let (_, bytes) = op.wait().unwrap();
         assert!(
-            matches!(peer_reply(bytes), PeerReply::OpsDone(OpResult::Ok { .. })),
+            matches!(op_result(bytes), OpResult::Ok { .. }),
             "the op must have run to its end before the advisory"
         );
         treaty_sim::runtime::sleep(MILLIS);
@@ -605,15 +675,15 @@ fn abort_advisory_waits_for_its_transactions_running_op() {
         );
         // A read-only prepare votes yes only for a slice the node holds.
         let meta = raw_meta(9905, victim.seq, 3, MsgKind::TxnPrepare);
-        let prepare = encode(&PeerMsg::Prepare {
+        let prepare = encode(&PeerPrepare {
             gtx: victim,
+            lane: Lane::ReadOnly,
             batch: Vec::new(),
-            read_only: true,
         });
         let (_, bytes) = raw.call(2, req::PEER_PREPARE, &meta, &prepare).unwrap();
         assert_eq!(
-            peer_reply(bytes),
-            PeerReply::Vote { yes: false },
+            decode::<bool>(&bytes),
+            Some(false),
             "the participant still holds the aborted transaction"
         );
     });
@@ -770,5 +840,70 @@ fn a_participant_that_lost_its_slice_fails_the_next_op() {
         assert_eq!(check.get(a).unwrap().as_deref(), Some(&b"a2"[..]));
         assert_eq!(check.get(b).unwrap().as_deref(), Some(&b"b0"[..]));
         check.commit().unwrap();
+    });
+}
+
+/// An operation list's failure names the participant that refused it. T
+/// holds `b`'s X-lock on node 3; a list that puts `a` on node 2 and `b` on
+/// node 3 times out on node 3's lock. While a failure carried an op index
+/// the client heard the cause alone, `participant: None`.
+#[test]
+fn an_op_failure_names_the_participant_that_refused() {
+    let dir = tempfile::tempdir().unwrap();
+    let path = dir.path().to_path_buf();
+    block_on(move || {
+        let cluster = Cluster::start(options(&path)).unwrap();
+        let keys = key_per_node(&cluster);
+        let client = cluster.client();
+        let mut holder = client.begin(1);
+        holder.put(&keys[&3], b"held").unwrap();
+        holder.flush().unwrap();
+
+        let mut tx = client.begin(1);
+        tx.put(&keys[&2], b"x").unwrap();
+        tx.put(&keys[&3], b"x").unwrap();
+        match tx.flush() {
+            Err(TreatyError::Aborted(_, abort)) => assert_eq!(
+                abort,
+                Abort {
+                    cause: AbortCause::LockTimeout,
+                    participant: Some(3),
+                }
+            ),
+            other => panic!("the list must abort on node 3's lock: {other:?}"),
+        }
+        holder.commit().unwrap();
+    });
+}
+
+/// A coordinator that restarted lost a transaction's shipped writes: the
+/// client put `a` on node 1 and `b` on node 2 and flushed them, then node 1
+/// crashed and came back. The commit that follows carries no writes, so
+/// the coordinator took the transaction it no longer knew for an empty one
+/// and acked it `Committed`; neither write ever applied, and node 2 kept
+/// `b`'s X-lock. The client numbers every message of a transaction, and
+/// this commit is its second: it is answered `SliceLost`.
+#[test]
+fn a_commit_after_its_coordinator_restarted_is_aborted() {
+    let dir = tempfile::tempdir().unwrap();
+    let path = dir.path().to_path_buf();
+    block_on(move || {
+        let mut cluster = Cluster::start(options(&path)).unwrap();
+        let keys = key_per_node(&cluster);
+        let client = cluster.client();
+        let mut tx = client.begin(1);
+        tx.put(&keys[&1], b"lost").unwrap();
+        tx.put(&keys[&2], b"lost").unwrap();
+        tx.flush().unwrap();
+        cluster.crash_node(0);
+        cluster.restart_node(0).expect("the coordinator reopens");
+        assert_eq!(cluster.resolve_recovered().failed, 0);
+        match tx.commit() {
+            Err(TreatyError::Aborted(_, abort)) => {
+                assert_eq!(abort, AbortCause::SliceLost.into());
+            }
+            other => panic!("the lost writes were acked: {other:?}"),
+        }
+        assert_eq!(cluster.node(0).stats().aborted, 1);
     });
 }

@@ -433,14 +433,14 @@ impl<A: Decode, B: Decode> Decode for (A, B) {
 ///
 /// ```compile_fail,E0063
 /// # use treaty_crypto::codec;
-/// struct OpFailure { index: u32, reason: String }
-/// codec!(struct OpFailure { index });
+/// struct PeerOps { gtx: u64, held: bool }
+/// codec!(struct PeerOps { gtx });
 /// ```
 ///
 /// ```compile_fail,E0081
 /// # use treaty_crypto::codec;
-/// enum PeerReply { Ack, Vote { yes: bool } }
-/// codec!(enum PeerReply { 0 => Ack, 0 => Vote { yes } });
+/// enum Lane { ReadOnly, Write }
+/// codec!(enum Lane { 0 => ReadOnly, 0 => Write });
 /// ```
 #[macro_export]
 macro_rules! codec {

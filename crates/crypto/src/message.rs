@@ -18,17 +18,20 @@
 //! ```text
 //!  0..8   node id       coordinator (or client) the message speaks for
 //!  8..16  tx id         monotonically incremented at the coordinator
-//! 16..24  op id         informational: it keys nothing
+//! 16..24  op id         the message's number within its transaction
 //! 24      kind          [`MsgKind`]
 //! 25..33  stamp.seq     the request's number; a response echoes it
 //! 33..41  stamp.floor   the sender's floor; zero marks a response
-//! 41..80  zero
+//! 41      stamp.req     the request code; a response echoes it
+//! 42..80  zero
 //! ```
 //!
 //! The [`Stamp`] is what gives Treaty at-most-once execution over an
 //! adversarial network: every endpoint numbers its requests and a
 //! receiver keeps one floor per sender (`treaty_net`'s `rpc` module header,
-//! "Replay protection").
+//! "Replay protection"). Its request code is the only one there is: the
+//! receiver picks the handler and the replay rule by it, so nothing it
+//! acts on lies outside the seal.
 
 use crate::hash::{ct_eq, hmac_sign};
 use crate::keys::{nonce_sender, Key};
@@ -93,7 +96,7 @@ impl MsgKind {
 }
 
 /// The replay stamp sealed into every message's metadata block, bytes
-/// 25..41.
+/// 25..42.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Stamp {
     /// A request's number, drawn from its sender's one counter. A response
@@ -103,6 +106,9 @@ pub struct Stamp {
     /// yet put on the wire. Zero in a response: a request's floor is at
     /// least its sender's boot epoch, which is at least one.
     pub floor: u64,
+    /// The request code, which names the payload type and the handler. A
+    /// response carries the code of the request it answers.
+    pub req: u8,
 }
 
 const STAMP_AT: usize = 25;
@@ -114,7 +120,9 @@ pub struct TxMeta {
     pub node_id: u64,
     /// Transaction id, monotonically incremented at the coordinator.
     pub tx_id: u64,
-    /// Operation id, unique within the transaction.
+    /// The message's number within its transaction, from 1. A coordinator
+    /// reads it on a commit for a transaction it holds no state for: only
+    /// a commit numbered 1 was the transaction's first message.
     pub op_id: u64,
     /// What the message is.
     pub kind: MsgKind,
@@ -240,6 +248,7 @@ impl SecureEnvelope {
         let mut block = meta.encode();
         block[STAMP_AT..STAMP_AT + 8].copy_from_slice(&stamp.seq.to_le_bytes());
         block[STAMP_AT + 8..STAMP_AT + 16].copy_from_slice(&stamp.floor.to_le_bytes());
+        block[STAMP_AT + 16] = stamp.req;
         let mut body = Vec::with_capacity(META_LEN + payload.len());
         body.extend_from_slice(&block);
         body.extend_from_slice(payload);
@@ -334,6 +343,7 @@ impl SecureEnvelope {
             stamp: Stamp {
                 seq: le_u64(block, STAMP_AT),
                 floor: le_u64(block, STAMP_AT + 8),
+                req: block[STAMP_AT + 16],
             },
             payload: payload.to_vec(),
         })
@@ -436,6 +446,7 @@ mod tests {
         let stamp = Stamp {
             seq: u64::MAX - 1,
             floor: 7,
+            req: 0xA5,
         };
         for mode in [WireCrypto::Plain, WireCrypto::AuthOnly, WireCrypto::Full] {
             let env = SecureEnvelope::new(mode);

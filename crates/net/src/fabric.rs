@@ -50,8 +50,6 @@ pub struct Datagram {
     pub src: EndpointId,
     /// Destination endpoint.
     pub dst: EndpointId,
-    /// Request-type for handler dispatch (eRPC `req_type`).
-    pub req_type: u8,
     /// Correlates a response to its request.
     pub rpc_id: u64,
     /// Session routing hint (plaintext, like an eRPC session id): requests
@@ -456,7 +454,6 @@ mod tests {
         Datagram {
             src,
             dst,
-            req_type: 1,
             rpc_id: 0,
             session: 0,
             is_response: false,

@@ -9,11 +9,12 @@
 //!   (link serialization), transport cost models, and an [`Adversary`]
 //!   able to drop, delay, duplicate and tamper with traffic — the §III
 //!   threat model,
-//! * [`Rpc`] is the eRPC-flavoured endpoint: request handlers keyed by a
-//!   request type, one queue per `(peer, session)` served in order by at
-//!   most one fiber (the paper's fiber-per-client design; the session rule
-//!   is in [`rpc`]'s header), asynchronous `enqueue_request`/`tx_burst`
-//!   and a blocking [`Rpc::call`] convenience built on them,
+//! * [`Rpc`] is the eRPC-flavoured endpoint: request handlers keyed by the
+//!   request code sealed in each message, one queue per `(peer, session)`
+//!   served in order by at most one fiber (the paper's fiber-per-client
+//!   design; the session rule is in [`rpc`]'s header), asynchronous
+//!   `enqueue_request`/`tx_burst` and a blocking [`Rpc::call`] convenience
+//!   built on them,
 //! * every message is sealed with [`treaty_crypto::SecureEnvelope`] under
 //!   a number from its endpoint's one counter, and a receiver keeps one
 //!   floor per sender plus the numbers above it that have started, so a

@@ -34,10 +34,19 @@
 //! counter, which starts at the endpoint's boot epoch (the clock reading
 //! when it was created). The number is the message's IV counter
 //! ([`treaty_crypto::nonce`]), and a request's number is its `rpc_id`. The
-//! sealed metadata carries a [`Stamp`]: the request's number and its
-//! sender's *floor*, the lowest number the sender still awaits a reply
+//! sealed metadata carries a [`Stamp`]: the request's code and number and
+//! its sender's *floor*, the lowest number the sender still awaits a reply
 //! for or has sealed but not yet handed to the fabric. A response echoes
-//! its request's number, with a zero floor.
+//! its request's code and number, with a zero floor.
+//!
+//! The sealed code is the only name a request has. The receiver opens the
+//! message first, then picks the handler, and with it whether the guard
+//! checks the number, by the opened code. There is no plaintext code to
+//! relabel, and a sealed one altered on the wire fails to open. What stays
+//! plaintext — `src`, `rpc_id`, `session`, `is_response` — only routes:
+//! the sender is the one the authenticated IV names, a request is numbered
+//! by its stamp, and a response relabelled as a request (or the reverse)
+//! is refused by its floor.
 //!
 //! A receiver keeps two things per sending endpoint (the one the
 //! authenticated IV names): the highest floor it has seen, and the numbers
@@ -50,9 +59,9 @@
 //! for its answer. A request the sender has stopped waiting for (it timed
 //! out) falls below the sender's next floor, so a straggler cannot run
 //! after its sender has moved on. A reply is accepted only if its stamp
-//! echoes the number its slot waits on. A sender's entry is one floor plus
-//! the numbers it had in flight, so the guard is bounded by requests in
-//! flight, not by history ([`Rpc::guard_entries`]).
+//! echoes the code and number its slot waits on. A sender's entry is one
+//! floor plus the numbers it had in flight, so the guard is bounded by
+//! requests in flight, not by history ([`Rpc::guard_entries`]).
 
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
@@ -216,6 +225,7 @@ impl std::fmt::Debug for Rpc {
 pub struct PendingReply {
     rpc: Rc<Rpc>,
     rpc_id: u64,
+    req: u8,
     timeout: Nanos,
 }
 
@@ -227,7 +237,12 @@ impl PendingReply {
     /// [`NetError::Timeout`] on timeout: a reply that fails authentication
     /// or answers another request is dropped, and the wait goes on.
     pub fn wait(self) -> Result<(TxMeta, Vec<u8>), NetError> {
-        self.rpc.wait_reply(self.rpc_id, self.timeout)
+        let answer = Stamp {
+            seq: self.rpc_id,
+            floor: 0,
+            req: self.req,
+        };
+        self.rpc.wait_reply(answer, self.timeout)
     }
 }
 
@@ -282,13 +297,14 @@ impl Rpc {
         &self.fabric
     }
 
-    /// Registers a handler for `req_type`. `guarded` has the replay guard
-    /// check each request's number (module header) — required for all
-    /// non-idempotent transaction traffic. `handler` is any pointer to one:
+    /// Registers a handler for the request code `code`, which a request
+    /// carries sealed. `guarded` has the replay guard check each request's
+    /// number (module header) — required for all non-idempotent
+    /// transaction traffic. `handler` is any pointer to one:
     /// a [`ReqHandler`], an `Rc` or `Arc` of a closure.
     pub fn register_handler<F>(
         &self,
-        req_type: u8,
+        code: u8,
         guarded: bool,
         handler: impl Deref<Target = F> + 'static,
     ) where
@@ -297,7 +313,7 @@ impl Rpc {
         let handler: ReqHandler = Rc::new(move |src, meta, payload| (*handler)(src, meta, payload));
         self.handlers
             .borrow_mut()
-            .insert(req_type, Rc::new(HandlerEntry { handler, guarded }));
+            .insert(code, Rc::new(HandlerEntry { handler, guarded }));
     }
 
     /// Spawns the dispatcher fiber. Idempotent per endpoint lifetime.
@@ -356,11 +372,11 @@ impl Rpc {
     pub fn enqueue_request(
         self: &Rc<Self>,
         dst: EndpointId,
-        req_type: u8,
+        code: u8,
         meta: &TxMeta,
         payload: &[u8],
     ) -> PendingReply {
-        self.enqueue_request_on(dst, req_type, meta, payload, meta.tx_id)
+        self.enqueue_request_on(dst, code, meta, payload, meta.tx_id)
     }
 
     /// Like [`Rpc::enqueue_request`] with an explicit session id. Requests
@@ -370,7 +386,7 @@ impl Rpc {
     pub fn enqueue_request_on(
         self: &Rc<Self>,
         dst: EndpointId,
-        req_type: u8,
+        code: u8,
         meta: &TxMeta,
         payload: &[u8],
         session: u64,
@@ -385,12 +401,12 @@ impl Rpc {
             Stamp {
                 seq: n,
                 floor: numbering.floor(),
+                req: code,
             }
         });
         let dg = Datagram {
             src: self.id,
             dst,
-            req_type,
             rpc_id,
             session,
             is_response: false,
@@ -401,6 +417,7 @@ impl Rpc {
         PendingReply {
             rpc: Rc::clone(self),
             rpc_id,
+            req: code,
             timeout: self.cfg.timeout,
         }
     }
@@ -416,18 +433,18 @@ impl Rpc {
 
     /// Sends a one-way message (no reply expected, no pending slot). Its
     /// number holds the floor down until the fabric has it.
-    pub fn send_oneway(&self, dst: EndpointId, req_type: u8, meta: &TxMeta, payload: &[u8]) {
+    pub fn send_oneway(&self, dst: EndpointId, code: u8, meta: &TxMeta, payload: &[u8]) {
         let (rpc_id, wire) = self.seal_charged(meta, payload, |numbering, n| {
             numbering.unsent.insert(n);
             Stamp {
                 seq: n,
                 floor: numbering.floor(),
+                req: code,
             }
         });
         let dg = Datagram {
             src: self.id,
             dst,
-            req_type,
             rpc_id,
             session: meta.tx_id,
             is_response: false,
@@ -446,21 +463,25 @@ impl Rpc {
     pub fn call(
         self: &Rc<Self>,
         dst: EndpointId,
-        req_type: u8,
+        code: u8,
         meta: &TxMeta,
         payload: &[u8],
     ) -> Result<(TxMeta, Vec<u8>), NetError> {
-        let reply = self.enqueue_request(dst, req_type, meta, payload);
+        let reply = self.enqueue_request(dst, code, meta, payload);
         self.tx_burst();
         reply.wait()
     }
 
-    fn wait_reply(&self, rpc_id: u64, timeout: Nanos) -> Result<(TxMeta, Vec<u8>), NetError> {
+    /// Waits for the reply whose sealed stamp is `answer`.
+    fn wait_reply(&self, answer: Stamp, timeout: Nanos) -> Result<(TxMeta, Vec<u8>), NetError> {
         let deadline = runtime::now().saturating_add(timeout);
         loop {
             let delivered = {
                 let mut numbering = self.numbering.borrow_mut();
-                let slot = numbering.pending.get_mut(&rpc_id).ok_or(NetError::Closed)?;
+                let slot = numbering
+                    .pending
+                    .get_mut(&answer.seq)
+                    .ok_or(NetError::Closed)?;
                 match slot.response.take() {
                     Some(result) => Some(result?),
                     None if runtime::now() >= deadline => return Err(NetError::Timeout),
@@ -478,10 +499,6 @@ impl Rpc {
                     // Receiver-side CPU + decrypt happen on the caller: the
                     // reply was addressed to this fiber's request.
                     self.charge(dg.receiver_cpu);
-                    let answer = Stamp {
-                        seq: rpc_id,
-                        floor: 0,
-                    };
                     match self.open_charged(&dg.wire) {
                         Ok(reply) if reply.stamp == answer => {
                             return Ok((reply.meta, reply.payload))
@@ -496,7 +513,7 @@ impl Rpc {
                     // Disarm immediately on wake (timeout path); the
                     // dispatcher takes the waiter when it delivers, so a
                     // Some here is ours.
-                    if let Some(slot) = self.numbering.borrow_mut().pending.get_mut(&rpc_id) {
+                    if let Some(slot) = self.numbering.borrow_mut().pending.get_mut(&answer.seq) {
                         slot.waiter = None;
                     }
                 }
@@ -605,7 +622,7 @@ impl Rpc {
                 return;
             }
         };
-        let entry = match self.handlers.borrow().get(&dg.req_type) {
+        let entry = match self.handlers.borrow().get(&stamp.req) {
             Some(e) => Rc::clone(e),
             None => {
                 treaty_sim::obs::counter_add(Counter::NetRpcRejected, 1);
@@ -635,7 +652,7 @@ impl Rpc {
         let _span = treaty_sim::obs::span_with(
             Phase::RpcHandle,
             &[
-                ("req", dg.req_type as u64),
+                ("req", u64::from(stamp.req)),
                 ("queue_ns", queue_ns),
                 ("open_ns", open_ns),
             ],
@@ -645,25 +662,19 @@ impl Rpc {
         runtime::set_tag("w:post-handler");
         if let Some((m, p)) = reply {
             // To the endpoint the authenticated IV names, bound to the
-            // request's sealed number rather than its plaintext `rpc_id`.
-            self.send_response(sender, dg.req_type, stamp.seq, &m, &p);
+            // request's sealed code and number rather than its plaintext
+            // `rpc_id`.
+            let answer = Stamp { floor: 0, ..stamp };
+            self.send_response(sender, answer, &m, &p);
         }
     }
 
-    fn send_response(
-        &self,
-        dst: EndpointId,
-        req_type: u8,
-        seq: u64,
-        meta: &TxMeta,
-        payload: &[u8],
-    ) {
-        let (_, wire) = self.seal_charged(meta, payload, |_, _| Stamp { seq, floor: 0 });
+    fn send_response(&self, dst: EndpointId, answer: Stamp, meta: &TxMeta, payload: &[u8]) {
+        let (_, wire) = self.seal_charged(meta, payload, |_, _| answer);
         let dg = Datagram {
             src: self.id,
             dst,
-            req_type,
-            rpc_id: seq,
+            rpc_id: answer.seq,
             session: 0,
             is_response: true,
             wire,

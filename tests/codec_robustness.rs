@@ -10,8 +10,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use treaty::core::clog::ClogRecord;
 use treaty::core::messages::{
-    self, Abort, AbortCause, ClientCommitReq, CommitResult, ObsSnapshotReply, Op, OpFailure,
-    OpResult, PeerMsg, PeerReply, SnapshotReadReply, SnapshotReadReq, SnapshotValidateReply,
+    self, Abort, AbortCause, ClientCommitReq, CommitResult, Lane, ObsSnapshotReply, Op, OpResult,
+    PeerOps, PeerPrepare, SnapshotReadReply, SnapshotReadReq, SnapshotValidateReply,
     SnapshotValidateReq, WriteCmd,
 };
 use treaty::counter::{RoteMsg, SealedState};
@@ -171,17 +171,14 @@ fn classes() -> Vec<Class> {
             seq: 11,
         }],
     };
-    let failure = OpFailure {
-        index: 2,
-        cause: AbortCause::Conflict,
-    };
     // Every cause, by itself and named with a participant.
-    let failed = AbortCause::ALL.into_iter().zip(0..);
-    let failed = failed.map(|(cause, index)| OpResult::Failed(OpFailure { index, cause }));
-    let aborted = AbortCause::ALL.into_iter().flat_map(|cause| {
-        [None, Some(cause as u32 + 1)]
-            .map(|participant| CommitResult::Aborted(Abort { cause, participant }))
-    });
+    let aborts = || {
+        AbortCause::ALL.into_iter().flat_map(|cause| {
+            [None, Some(cause as u32 + 1)].map(|participant| Abort { cause, participant })
+        })
+    };
+    let failed = aborts().map(OpResult::Failed);
+    let aborted = aborts().map(CommitResult::Aborted);
     vec![
         message("CLIENT_OPS", vec![ops(), Vec::new()]),
         message(
@@ -206,48 +203,31 @@ fn classes() -> Vec<Class> {
             .collect(),
         ),
         message(
-            "PeerMsg",
-            vec![
-                PeerMsg::Ops {
+            "PEER_OPS",
+            [false, true]
+                .map(|held| PeerOps {
                     gtx: gtx(1),
+                    held,
                     ops: ops(),
-                },
-                PeerMsg::Prepare {
-                    gtx: gtx(2),
-                    batch: ops(),
-                    read_only: false,
-                },
-                PeerMsg::Prepare {
-                    gtx: gtx(2),
-                    batch: Vec::new(),
-                    read_only: true,
-                },
-                PeerMsg::Commit { gtx: gtx(3) },
-                PeerMsg::Abort { gtx: gtx(4) },
-                PeerMsg::QueryDecision { gtx: gtx(5) },
-                PeerMsg::PrepareHeld {
-                    gtx: gtx(6),
-                    batch: ops(),
-                },
-                PeerMsg::OpsHeld {
-                    gtx: gtx(7),
-                    ops: ops(),
-                },
-                PeerMsg::CommitPoint { gtx: gtx(8) },
-            ],
+                })
+                .into(),
         ),
         message(
-            "PeerReply",
-            vec![
-                PeerReply::OpsDone(OpResult::Failed(failure)),
-                PeerReply::Vote { yes: true },
-                PeerReply::Ack,
-                PeerReply::Decision { commit: None },
-                PeerReply::Decision {
-                    commit: Some(false),
-                },
-            ],
+            "PEER_PREPARE",
+            [Lane::ReadOnly, Lane::Write, Lane::Held]
+                .map(|lane| PeerPrepare {
+                    gtx: gtx(2),
+                    lane,
+                    batch: ops(),
+                })
+                .into(),
         ),
+        message(
+            "PEER_COMMIT, PEER_ABORT, QUERY_DECISION, PEER_COMMIT_POINT",
+            vec![gtx(3)],
+        ),
+        message("vote", vec![true, false]),
+        message("decision", vec![None, Some(true), Some(false)]),
         message(
             "CommitResult",
             std::iter::once(CommitResult::Committed)

@@ -49,7 +49,7 @@ use common::{
 use treaty::core::client::client_net;
 use treaty::core::clog::{ClogRecord, CLOG_FILE, CLOG_NAME};
 use treaty::core::cluster::{wire_crypto, COUNTER_BASE, COUNTER_CLIENT_BASE};
-use treaty::core::messages::{decode, encode, req, PeerMsg, PeerReply};
+use treaty::core::messages::{decode, encode, req};
 use treaty::core::{Abort, AbortCause, Cluster, ClusterOptions, DistTxn, TreatyError};
 use treaty::crypto::codec::Record as _;
 use treaty::crypto::{MsgKind, TxMeta};
@@ -712,22 +712,16 @@ fn query_decision(cluster: &Cluster, gtx: GlobalTxId) -> Option<bool> {
         op_id: 1,
         kind: MsgKind::QueryDecision,
     };
-    let msg = encode(&PeerMsg::QueryDecision { gtx });
-    let reply = rpc.call(COORD, req::QUERY_DECISION, &meta, &msg);
+    let reply = rpc.call(COORD, req::QUERY_DECISION, &meta, &encode(&gtx));
     rpc.stop();
-    match decode(&reply.expect("coordinator answers").1) {
-        Some(PeerReply::Decision { commit }) => commit,
-        other => panic!("not a decision reply: {other:?}"),
-    }
+    decode(&reply.expect("coordinator answers").1).expect("a decision reply")
 }
 
-/// Phase-two requests of type `req_type` the fabric has carried since
+/// Phase-two requests with the code `code` the fabric has carried since
 /// `start_capture`.
-fn captured(cluster: &Cluster, req_type: u8) -> usize {
-    let sent = cluster.fabric().captured();
-    sent.iter()
-        .filter(|d| !d.is_response && d.req_type == req_type)
-        .count()
+fn captured(cluster: &Cluster, code: u8) -> usize {
+    let sent = cluster.captured_with_code(code);
+    sent.iter().filter(|d| !d.is_response).count()
 }
 
 /// The committed end state every commit-point cell must reach: decided

@@ -7,8 +7,8 @@
 
 use treaty::core::clog::ClogRecord;
 use treaty::core::messages::{
-    self, Abort, AbortCause, ClientCommitReq, CommitResult, ObsSnapshotReply, Op, OpFailure,
-    OpResult, PeerMsg, PeerReply, SnapshotReadReply, SnapshotReadReq, SnapshotValidateReply,
+    self, Abort, AbortCause, ClientCommitReq, CommitResult, Lane, ObsSnapshotReply, Op, OpResult,
+    PeerOps, PeerPrepare, SnapshotReadReply, SnapshotReadReq, SnapshotValidateReply,
     SnapshotValidateReq, WriteCmd,
 };
 use treaty::counter::{RoteMsg, SealedState};
@@ -51,7 +51,7 @@ fn ops() -> Vec<Op> {
 
 /// Every protocol payload type, every variant, every `AbortCause`.
 fn protocol_payloads() -> Vec<Vec<u8>> {
-    let failure = |index, cause| OpResult::Failed(OpFailure { index, cause });
+    let failure = |participant, cause| OpResult::Failed(Abort { cause, participant });
     let mut out = vec![
         messages::encode(&ops()),
         messages::encode(&Vec::<Op>::new()),
@@ -72,40 +72,35 @@ fn protocol_payloads() -> Vec<Vec<u8>> {
     let failures = AbortCause::ALL
         .into_iter()
         .zip(1..)
-        .map(|(c, i)| failure(i, c));
+        .map(|(c, i)| failure(Some(i), c));
     out.extend(failures.map(|f| messages::encode(&f)));
-    let peer_msgs = [
-        PeerMsg::Ops {
-            gtx: gtx(1),
-            ops: ops(),
-        },
-        PeerMsg::Prepare {
-            gtx: gtx(2),
-            batch: ops(),
-            read_only: false,
-        },
-        PeerMsg::Prepare {
-            gtx: gtx(2),
-            batch: Vec::new(),
-            read_only: true,
-        },
-        PeerMsg::Commit { gtx: gtx(3) },
-        PeerMsg::Abort { gtx: gtx(4) },
-        PeerMsg::QueryDecision { gtx: gtx(5) },
+    out.push(messages::encode(&failure(None, AbortCause::Malformed)));
+    let peer_ops = [(1, false, ops()), (2, true, ops()), (6, true, Vec::new())];
+    out.extend(peer_ops.into_iter().map(|(seq, held, ops)| {
+        messages::encode(&PeerOps {
+            gtx: gtx(seq),
+            held,
+            ops,
+        })
+    }));
+    let prepares = [
+        (2, Lane::Write, ops()),
+        (2, Lane::ReadOnly, Vec::new()),
+        (2, Lane::Held, ops()),
+        (6, Lane::Held, Vec::new()),
     ];
-    out.extend(peer_msgs.iter().map(messages::encode));
-    let peer_replies = [
-        PeerReply::OpsDone(failure(6, AbortCause::Conflict)),
-        PeerReply::Vote { yes: true },
-        PeerReply::Vote { yes: false },
-        PeerReply::Ack,
-        PeerReply::Decision { commit: None },
-        PeerReply::Decision { commit: Some(true) },
-        PeerReply::Decision {
-            commit: Some(false),
-        },
-    ];
-    out.extend(peer_replies.iter().map(messages::encode));
+    out.extend(prepares.into_iter().map(|(seq, lane, batch)| {
+        messages::encode(&PeerPrepare {
+            gtx: gtx(seq),
+            lane,
+            batch,
+        })
+    }));
+    // PEER_COMMIT, PEER_ABORT, QUERY_DECISION and PEER_COMMIT_POINT carry
+    // the id; a vote is a bool, a decision an `Option<bool>`.
+    out.push(messages::encode(&gtx(3)));
+    out.extend([true, false].iter().map(messages::encode));
+    out.extend([None, Some(true), Some(false)].iter().map(messages::encode));
     let commit_results = [
         CommitResult::Committed,
         CommitResult::Aborted(AbortCause::LockTimeout.into()),
@@ -292,49 +287,6 @@ fn sealed_blobs() -> Vec<Vec<u8>> {
     )])
 }
 
-/// The prepare to a participant that must still hold its slice. It came
-/// after the classes above were pinned and has a line of its own, so
-/// their digests show that no earlier payload's bytes moved.
-fn held_prepares() -> Vec<Vec<u8>> {
-    [
-        PeerMsg::PrepareHeld {
-            gtx: gtx(2),
-            batch: ops(),
-        },
-        PeerMsg::PrepareHeld {
-            gtx: gtx(6),
-            batch: Vec::new(),
-        },
-    ]
-    .iter()
-    .map(messages::encode)
-    .collect()
-}
-
-/// The operation list to a participant that must still hold its slice,
-/// pinned on a line of its own for the same reason.
-fn held_ops() -> Vec<Vec<u8>> {
-    [
-        PeerMsg::OpsHeld {
-            gtx: gtx(2),
-            ops: ops(),
-        },
-        PeerMsg::OpsHeld {
-            gtx: gtx(6),
-            ops: Vec::new(),
-        },
-    ]
-    .iter()
-    .map(messages::encode)
-    .collect()
-}
-
-/// The commit point's release of a transaction's read locks, pinned on a
-/// line of its own for the same reason.
-fn commit_points() -> Vec<Vec<u8>> {
-    vec![messages::encode(&PeerMsg::CommitPoint { gtx: gtx(7) })]
-}
-
 /// SHA-256 over each encoding, length-prefixed, in order, as hex.
 fn digest(encodings: &[Vec<u8>]) -> String {
     let mut all = Vec::new();
@@ -347,11 +299,11 @@ fn digest(encodings: &[Vec<u8>]) -> String {
 
 #[test]
 fn every_record_class_encodes_to_its_pinned_bytes() {
-    let classes: [(&str, Vec<Vec<u8>>, &str); 11] = [
+    let classes: [(&str, Vec<Vec<u8>>, &str); 8] = [
         (
             "protocol payload",
             protocol_payloads(),
-            "9d244f4fd444d5520a290cad4f8251e0d6f9aa9e633ef5feeb55af1656e75428",
+            "5fa42e0a86413a43296f1334b0d2e69fd96d6a4dc0aab4d1396c5462d584106c",
         ),
         (
             "Clog record",
@@ -387,21 +339,6 @@ fn every_record_class_encodes_to_its_pinned_bytes() {
             "sealed blob",
             sealed_blobs(),
             "e7b7e327ebababade7ff93ce034a652fcd88e9ff920fcc2e840df6ddcd6faef3",
-        ),
-        (
-            "held prepare",
-            held_prepares(),
-            "a617b5af8f13161b955d4850c6d320d36d0add15bef4d91df7a12d385c1808a6",
-        ),
-        (
-            "held operation list",
-            held_ops(),
-            "b7b396e740b8ae6c1f0754907222b1b953206b83f25b59faf1a298926d45e8f6",
-        ),
-        (
-            "commit point",
-            commit_points(),
-            "ce385c05f4e03755c19b6472b927e311b1b2996c4357ea4c506ff11a6b720637",
         ),
     ];
     let moved: Vec<String> = classes
