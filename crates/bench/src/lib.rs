@@ -788,7 +788,7 @@ impl NetSystem {
 /// Streams `messages` one-way messages of `msg_bytes` and returns the
 /// goodput in Gbit/s (0.0 when everything is dropped, as for UDP > MTU).
 pub fn run_network(system: NetSystem, msg_bytes: usize, messages: u64) -> f64 {
-    use treaty_crypto::{KeyHierarchy, MsgKind, TxMeta};
+    use treaty_crypto::{KeyHierarchy, TxMeta};
     use treaty_net::{EndpointConfig, Fabric, Rpc, RpcConfig};
 
     let (transport, tee, crypto) = system.params();
@@ -834,12 +834,7 @@ pub fn run_network(system: NetSystem, msg_bytes: usize, messages: u64) -> f64 {
         let t0 = runtime::now();
         let payload = vec![0xA5u8; msg_bytes];
         for i in 0..messages {
-            let meta = TxMeta {
-                node_id: 2,
-                tx_id: 1,
-                op_id: i,
-                kind: MsgKind::Data,
-            };
+            let meta = TxMeta::new(2, 1, i);
             client.send_oneway(1, 0x55, &meta, &payload);
         }
         // Drain: wait until deliveries go quiet.

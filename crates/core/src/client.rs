@@ -5,7 +5,7 @@ use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use treaty_crypto::{Key, MsgKind, TxMeta, WireCrypto};
+use treaty_crypto::{Key, TxMeta, WireCrypto};
 use treaty_net::{EndpointConfig, EndpointId, Fabric, PendingReply, Rpc, RpcConfig};
 use treaty_sim::obs::{Counter, Phase};
 use treaty_sim::Nanos;
@@ -221,12 +221,8 @@ impl TreatyClient {
     /// Network errors, or [`TreatyError::Rejected`] on a malformed reply.
     pub fn obs_snapshot(&self, node: EndpointId) -> Result<ObsSnapshotReply> {
         let local = self.next_seq.replace(self.next_seq.get() + 1);
-        let meta = TxMeta {
-            node_id: self.client_id as u64,
-            tx_id: ((self.client_id as u64) << 32) | local as u64,
-            op_id: 1,
-            kind: MsgKind::TxnGet,
-        };
+        let tx_id = ((self.client_id as u64) << 32) | local as u64;
+        let meta = TxMeta::new(self.client_id as u64, tx_id, 1);
         let (_, bytes) = self
             .rpc
             .call(node, req::OBS_SNAPSHOT, &meta, &[])
@@ -286,15 +282,10 @@ impl<'a> DistTxn<'a> {
     /// the next `op_id`, from 1, so the coordinator can tell a commit that
     /// is the transaction's first message from one that follows state it
     /// may have lost.
-    fn meta(&mut self, kind: MsgKind) -> TxMeta {
+    fn meta(&mut self) -> TxMeta {
         let op_id = self.op_seq;
         self.op_seq += 1;
-        TxMeta {
-            node_id: self.client.client_id as u64,
-            tx_id: self.seq,
-            op_id,
-            kind,
-        }
+        TxMeta::new(self.client.client_id as u64, self.seq, op_id)
     }
 
     /// Tells the coordinator to drop the transaction after a client-side
@@ -303,7 +294,7 @@ impl<'a> DistTxn<'a> {
     /// rolling back an already-finished transaction is a no-op server-side.
     fn best_effort_rollback(&mut self) {
         for _ in 0..3 {
-            let meta = self.meta(MsgKind::TxnAbort);
+            let meta = self.meta();
             if self
                 .client
                 .rpc
@@ -334,7 +325,7 @@ impl<'a> DistTxn<'a> {
             .collect();
         let _txn = treaty_sim::obs::txn_scope(self.seq);
         let _span = treaty_sim::obs::span_with(Phase::ClientOp, &[("ops", ops.len() as u64)]);
-        let meta = self.meta(MsgKind::TxnPut);
+        let meta = self.meta();
         let call = self
             .client
             .rpc
@@ -382,11 +373,11 @@ impl<'a> DistTxn<'a> {
         self.ship(None).map(|_| ())
     }
 
-    /// Transactional read ([`TxnGet`](MsgKind::TxnGet)). A key the
-    /// transaction has a pending write for is answered straight from the
-    /// list (read-your-writes, zero round trips); any other read ships the
-    /// list ahead of itself in the same message, so the cluster-side
-    /// transaction observes every write issued before it.
+    /// Transactional read. A key the transaction has a pending write for
+    /// is answered straight from the list (read-your-writes, zero round
+    /// trips); any other read ships the list ahead of itself in the same
+    /// message, so the cluster-side transaction observes every write
+    /// issued before it.
     ///
     /// # Errors
     ///
@@ -485,7 +476,7 @@ impl<'a> DistTxn<'a> {
         let writes = std::mem::take(&mut self.pending);
         treaty_sim::obs::counter_add(Counter::ClientShippedCommitWrites, writes.len() as u64);
         let payload = encode(&ClientCommitReq { writes });
-        let meta = self.meta(MsgKind::TxnCommit);
+        let meta = self.meta();
         let call = self
             .client
             .rpc
@@ -523,7 +514,7 @@ impl<'a> DistTxn<'a> {
             return Ok(());
         }
         self.finished = true;
-        let meta = self.meta(MsgKind::TxnAbort);
+        let meta = self.meta();
         self.client
             .rpc
             .call(self.coordinator, req::CLIENT_ROLLBACK, &meta, &[])
@@ -578,12 +569,7 @@ impl SnapshotTxn<'_> {
     fn meta(&mut self) -> TxMeta {
         let op_id = self.op_seq;
         self.op_seq += 1;
-        TxMeta {
-            node_id: self.client.client_id as u64,
-            tx_id: self.seq,
-            op_id,
-            kind: MsgKind::TxnGet,
-        }
+        TxMeta::new(self.client.client_id as u64, self.seq, op_id)
     }
 
     /// Reads one key at the snapshot.

@@ -17,7 +17,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::rc::Rc;
 
 use treaty_crypto::codec::Encode;
-use treaty_crypto::{Key, MsgKind, TxMeta, WireCrypto};
+use treaty_crypto::{Key, TxMeta, WireCrypto};
 use treaty_net::{EndpointConfig, EndpointId, Fabric, PendingReply, Rpc, RpcConfig};
 use treaty_sched::{CorePool, WaitQueue};
 use treaty_sim::crashpoint::CrashPoint;
@@ -71,7 +71,8 @@ pub struct NodeStats {
     pub committed: u64,
     /// Distributed transactions aborted with this node as coordinator.
     pub aborted: u64,
-    /// Operations executed as a participant.
+    /// Operations other coordinators shipped here (`PEER_OPS` lists and
+    /// prepare batches); a coordinator's own slice is not counted.
     pub participant_ops: u64,
     /// Decision (phase-2) messages re-sent after a delivery failure.
     pub decision_retries: u64,
@@ -183,12 +184,12 @@ fn decision_jitter(gtx: GlobalTxId, peer: EndpointId, attempt: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// A coordinator's view of a transaction. Its own shard's slice lives in
+/// `active_part`, like every slice on the node.
 #[derive(Default)]
 struct CoordTxn {
     /// Remote participant endpoints (self excluded).
     remotes: Vec<EndpointId>,
-    /// Local engine transaction, if any key landed on this node.
-    local: Option<Box<dyn EngineTxn>>,
     /// Whether this coordinator ever routed a write for the transaction
     /// (point write, range delete, or writes shipped with the commit).
     /// While `false` at commit, no participant has anything to apply and
@@ -559,13 +560,9 @@ impl TreatyNode {
         }
     }
 
-    fn peer_meta(&self, gtx: GlobalTxId, kind: MsgKind) -> TxMeta {
-        TxMeta {
-            node_id: self.endpoint as u64,
-            tx_id: gtx.seq,
-            op_id: self.op_seq.replace(self.op_seq.get() + 1),
-            kind,
-        }
+    fn peer_meta(&self, gtx: GlobalTxId) -> TxMeta {
+        let op_id = self.op_seq.replace(self.op_seq.get() + 1);
+        TxMeta::new(self.endpoint as u64, gtx.seq, op_id)
     }
 
     // ---- coordinator: client-facing handlers ------------------------------
@@ -704,8 +701,9 @@ impl TreatyNode {
 
     /// One round of [`TreatyNode::coordinate_ops`]: one [`req::PEER_OPS`]
     /// per remote slice leaves in a single burst (one seal per shard
-    /// instead of per op), and the local slice applies while the round
-    /// trips are in flight. Returns each shard's result.
+    /// instead of per op), and this node's own slice applies through
+    /// [`TreatyNode::apply_slice`] while the round trips are in flight.
+    /// Returns each shard's result.
     fn fan_out(
         self: &Rc<Self>,
         gtx: GlobalTxId,
@@ -723,7 +721,7 @@ impl TreatyNode {
             if slice.iter().any(|op| !op.is_write()) && !ctx.readers.contains(&owner) {
                 ctx.readers.push(owner);
             }
-            let meta = self.peer_meta(gtx, MsgKind::TxnPut);
+            let meta = self.peer_meta(gtx);
             let payload = encode(&PeerOps {
                 gtx,
                 held,
@@ -740,12 +738,9 @@ impl TreatyNode {
 
         let mut results: Vec<(EndpointId, OpResult)> = Vec::with_capacity(pending.len() + 1);
         if !local_ops.is_empty() {
-            let local = ctx
-                .local
-                .get_or_insert_with(|| self.engine.begin_txn(self.txn_mode));
-            let result = apply_ops(local.as_mut(), &local_ops);
-            let result = result.unwrap_or_else(|cause| OpResult::Failed(self.refusal(cause)));
-            results.push((self.endpoint, result));
+            // This node's slice dies only with its coordinator state, so it
+            // is never held and lost.
+            results.push((self.endpoint, self.apply_slice(gtx, local_ops, false)));
         }
         // Collect every reply even after a failure: an abandoned
         // `PendingReply` would leave the burst dangling mid-session.
@@ -820,7 +815,8 @@ impl TreatyNode {
     }
 
     /// Commits a transaction, first routing the writes that arrived with
-    /// the commit request itself. The local slice applies inline; each
+    /// the commit request itself. This node's slice of them applies inline,
+    /// before the Clog Start and the prepares; each
     /// remote shard's slice piggybacks on its prepare message, collapsing
     /// execute+prepare into one round trip (one seal/unseal) per shard. A
     /// shard that only ever received such writes therefore costs one
@@ -834,12 +830,9 @@ impl TreatyNode {
         ctx.wrote |= !writes.is_empty();
         let (local_ops, batches) = self.route(writes.into_iter().map(Op::Write).collect());
         if !local_ops.is_empty() {
-            let local = ctx
-                .local
-                .get_or_insert_with(|| self.engine.begin_txn(self.txn_mode));
-            if let Err(cause) = apply_ops(local.as_mut(), &local_ops) {
-                self.abort_everywhere(gtx, ctx, cause);
-                return CommitResult::Aborted(self.refusal(cause));
+            if let OpResult::Failed(abort) = self.apply_slice(gtx, local_ops, false) {
+                self.abort_everywhere(gtx, ctx, abort.cause);
+                return CommitResult::Aborted(abort);
             }
         }
         // The remotes so far served the transaction's operations and hold
@@ -860,24 +853,33 @@ impl TreatyNode {
     fn run_two_phase_commit(
         self: &Rc<Self>,
         gtx: GlobalTxId,
-        mut ctx: CoordTxn,
+        ctx: CoordTxn,
         batches: Vec<(EndpointId, Vec<Op>)>,
         held: &[EndpointId],
     ) -> CommitResult {
         treaty_sim::runtime::set_tag("h:2pc");
-        // Fast path: single-participant transaction, local only (1PC).
+        // The remotes, then this node if it holds a slice: the Clog's list.
+        let mut participants = ctx.remotes.clone();
+        if self.active_part.borrow().contains_key(&gtx) {
+            participants.push(self.endpoint);
+        }
+        // Fast path: this node is the only participant, if any (1PC). Its
+        // slice finishes as on the read-only lane, through the engine's
+        // one-phase commit.
         if ctx.remotes.is_empty() {
-            return match ctx.local {
-                None => CommitResult::Committed,
-                Some(mut local) => match local.commit() {
-                    Ok(_) => CommitResult::Committed,
-                    Err(e) => CommitResult::Aborted(self.refusal((&e).into())),
-                },
+            let finished = if participants.is_empty() {
+                Ok(())
+            } else {
+                self.vote(gtx, Lane::ReadOnly, Vec::new())
+            };
+            return match finished {
+                Ok(()) => CommitResult::Committed,
+                Err(cause) => CommitResult::Aborted(self.refusal(cause)),
             };
         }
 
         if !ctx.wrote {
-            return self.finish_read_only(gtx, ctx);
+            return self.finish_read_only(gtx, ctx, &participants);
         }
 
         // (5) Log the transaction to the Clog with a trusted counter value.
@@ -885,11 +887,10 @@ impl TreatyNode {
         // counter round run on a helper fiber beside the prepares, and a
         // participant prepared under a Start that never reached the disk
         // learns presumed abort (`Clog::outcome`).
-        let mut participants: Vec<u32> = ctx.remotes.clone();
-        if ctx.local.is_some() {
-            participants.push(self.endpoint);
-        }
-        let start = self.clog.as_ref().map(|clog| clog.start(gtx, participants));
+        let start = self
+            .clog
+            .as_ref()
+            .map(|clog| clog.start(gtx, participants.clone()));
 
         treaty_sim::runtime::set_tag("h:2pc-fanout");
         let mut refused = {
@@ -897,7 +898,7 @@ impl TreatyNode {
                 Phase::CoordPrepare,
                 &[("remotes", ctx.remotes.len() as u64)],
             );
-            self.collect_votes(gtx, &mut ctx, batches, held)
+            self.collect_votes(gtx, &participants, true, batches, held)
         };
         if let Some(start) = start {
             // The votes' other half. The prepares are out, so a Start that
@@ -923,8 +924,7 @@ impl TreatyNode {
             if logged.is_err() {
                 // Nobody was told commit: participants that miss the abort
                 // learn it via QueryDecision / coordinator recovery.
-                self.send_decision(gtx, &remotes, false);
-                self.decide_local(gtx, false);
+                self.deliver(gtx, &remotes, false);
                 return CommitResult::Aborted(AbortCause::LogFailed.into());
             }
             self.finish(gtx, remotes, false);
@@ -934,7 +934,7 @@ impl TreatyNode {
         // every Prepare record are stable: whatever suffix of whichever
         // log is rolled back, the only outcome recovery can reach is
         // commit. The client is answered now; the decision record —
-        // appended and stable before any participant, the local slice or
+        // appended and stable before any participant, this node's slice or
         // `QueryDecision` learns the outcome — is the finish's, behind the
         // ack. Inline only at the slot cap, as backpressure. It is also the
         // transaction's lock point: its read locks end here.
@@ -954,7 +954,7 @@ impl TreatyNode {
         CommitResult::Committed
     }
 
-    /// The commit point is the lock point (DESIGN.md §17): the local slice
+    /// The commit point is the lock point (DESIGN.md §17): this node's slice
     /// and every remote that served a read drop the locks they hold only
     /// in S mode, and the write locks wait for the decision. One-way: a
     /// lost release leaves the read locks to the decision. A node without
@@ -966,7 +966,7 @@ impl TreatyNode {
         }
         let payload = encode(&gtx);
         for &r in readers {
-            let meta = self.peer_meta(gtx, MsgKind::TxnCommit);
+            let meta = self.peer_meta(gtx);
             self.rpc
                 .send_oneway(r, req::PEER_COMMIT_POINT, &meta, &payload);
         }
@@ -975,7 +975,7 @@ impl TreatyNode {
 
     /// The tail of a decided transaction, the same steps for every
     /// outcome: make a commit's decision record stable and publish it,
-    /// send phase two, apply the local slice. An abort arrives with its
+    /// send phase two, decide this node's slice. An abort arrives with its
     /// record already stable and published. Runs on the committing fiber
     /// for an abort and, behind the ack, on a continuation of its own for
     /// a commit (inline only at the slot cap).
@@ -991,7 +991,7 @@ impl TreatyNode {
 
         treaty_sim::runtime::set_tag("h:2pc-phase2");
         // The decision is Clog-durable, so nothing waits for the fan-out —
-        // not the client, not the local slice's locks: the acks and the
+        // not the client, not this node's slice's locks: the acks and the
         // retry train are awaited on a delivery fiber, and even a total
         // delivery failure resolves via recovery (coordinator re-send or
         // participant QueryDecision, §VI).
@@ -1047,31 +1047,27 @@ impl TreatyNode {
         stable
     }
 
-    /// Applies a decision to the local slice (a no-op without one).
-    fn decide_local(&self, gtx: GlobalTxId, commit: bool) {
-        let _ = if commit {
-            self.engine.commit_prepared(gtx)
-        } else {
-            self.engine.abort_prepared(gtx)
-        };
-    }
-
     /// The read-only commit lane: the coordinator never routed a write, so
     /// no participant has anything to apply and nothing needs a durable
     /// record — no Clog start, no decision, no phase two. One
     /// `Prepare { read_only }` burst asks every remote to validate and
-    /// finish its slice; the local slice finishes through the same engine
-    /// branch while the round trip is in flight. Every lock the transaction
+    /// finish its slice; this node's slice finishes through the same vote
+    /// while the round trip is in flight. Every lock the transaction
     /// will ever take was granted before the client sent this commit, so
     /// each participant releasing on its own schedule still follows the
     /// transaction's lock point (DESIGN.md §17).
-    fn finish_read_only(self: &Rc<Self>, gtx: GlobalTxId, mut ctx: CoordTxn) -> CommitResult {
+    fn finish_read_only(
+        self: &Rc<Self>,
+        gtx: GlobalTxId,
+        ctx: CoordTxn,
+        participants: &[EndpointId],
+    ) -> CommitResult {
         treaty_sim::runtime::set_tag("h:2pc-read-only");
         let _span = treaty_sim::obs::span_with(
             Phase::CoordReadOnlyFinish,
             &[("remotes", ctx.remotes.len() as u64)],
         );
-        match self.collect_votes(gtx, &mut ctx, Vec::new(), &[]) {
+        match self.collect_votes(gtx, participants, false, Vec::new(), &[]) {
             None => {
                 treaty_sim::obs::counter_add(Counter::CoreReadOnlyCommits, 1);
                 CommitResult::Committed
@@ -1085,34 +1081,41 @@ impl TreatyNode {
         }
     }
 
-    /// Phase one of both commit lanes: one `PEER_PREPARE` burst to every
-    /// remote (each carrying its slice of `batches`, if any), the local
-    /// slice's prepare — or, on the read-only lane of a transaction that
-    /// wrote nothing, its validating finish — overlapping the round trip,
-    /// then every vote collected. The remotes in `held` served the
-    /// transaction's operations, so each must still hold its slice. `None`
-    /// means everyone voted yes; `Some` is the first refusal.
+    /// Phase one of both commit lanes and of the recovery re-drive: one
+    /// `PEER_PREPARE` burst to the remotes among `participants` (each with
+    /// its slice of `batches`), this node's own vote, if it is one,
+    /// overlapping the round trip, then every vote collected. A transaction
+    /// that `wrote` nothing takes the read-only lane; the remotes in `held`
+    /// served its operations, so each must still hold its slice. `None` is
+    /// every vote yes; `Some` the first explicit refusal (a no, or this
+    /// node's own) or, failing one, the first participant out of reach.
     fn collect_votes(
         self: &Rc<Self>,
         gtx: GlobalTxId,
-        ctx: &mut CoordTxn,
+        participants: &[EndpointId],
+        wrote: bool,
         mut batches: Vec<(EndpointId, Vec<Op>)>,
         held: &[EndpointId],
     ) -> Option<Abort> {
-        let mut pending: Vec<(EndpointId, PendingReply)> = Vec::with_capacity(ctx.remotes.len());
-        for &r in &ctx.remotes {
+        let lane = |p: EndpointId| match (wrote, held.contains(&p)) {
+            (false, _) => Lane::ReadOnly,
+            (true, false) => Lane::Write,
+            (true, true) => Lane::Held,
+        };
+        let remotes = participants.iter().filter(|&&p| p != self.endpoint);
+        let mut pending: Vec<(EndpointId, PendingReply)> = Vec::with_capacity(participants.len());
+        for &r in remotes {
             let batch = batches
                 .iter_mut()
                 .find(|(p, _)| *p == r)
                 .map(|(_, b)| std::mem::take(b))
                 .unwrap_or_default();
-            let lane = match (ctx.wrote, held.contains(&r)) {
-                (false, _) => Lane::ReadOnly,
-                (true, false) => Lane::Write,
-                (true, true) => Lane::Held,
-            };
-            let meta = self.peer_meta(gtx, MsgKind::TxnPrepare);
-            let msg = encode(&PeerPrepare { gtx, lane, batch });
+            let meta = self.peer_meta(gtx);
+            let msg = encode(&PeerPrepare {
+                gtx,
+                lane: lane(r),
+                batch,
+            });
             pending.push((
                 r,
                 self.rpc.enqueue_request(r, req::PEER_PREPARE, &meta, &msg),
@@ -1122,24 +1125,19 @@ impl TreatyNode {
         treaty_sim::crashpoint::hit(CrashPoint::CoordAfterPrepareFanout);
 
         treaty_sim::runtime::set_tag("h:2pc-local-prepare");
-        let mut refused: Option<Abort> = None;
-        // Either way the local transaction is consumed: prepared state
-        // lives in the engine from here (or was rolled back).
-        if let Some(mut local) = ctx.local.take() {
-            let done = if ctx.wrote {
-                local.prepare(gtx)
-            } else {
-                local.commit().map(|_| ())
-            };
-            if let Err(e) = done {
-                refused = Some(self.refusal((&e).into()));
-            }
-        }
+        let own = participants
+            .contains(&self.endpoint)
+            .then(|| self.vote(gtx, lane(self.endpoint), Vec::new()));
+        let mut refused = own.and_then(Result::err).map(|cause| self.refusal(cause));
         treaty_sim::runtime::set_tag("h:2pc-collect-votes");
         // Every reply is collected even after a refusal.
         for (r, p) in pending {
-            if let Some(why) = vote_refusal(r, p.wait()) {
-                refused.get_or_insert(why);
+            let Some(why) = vote_refusal(r, p.wait()) else {
+                continue;
+            };
+            let explicit = |a: Abort| a.cause != AbortCause::Unreachable;
+            if refused.is_none_or(|first| !explicit(first) && explicit(why)) {
+                refused = Some(why);
             }
         }
         refused
@@ -1166,15 +1164,15 @@ impl TreatyNode {
                 ("commit", u64::from(commit)),
             ],
         );
-        let (code, kind) = if commit {
-            (req::PEER_COMMIT, MsgKind::TxnCommit)
+        let code = if commit {
+            req::PEER_COMMIT
         } else {
-            (req::PEER_ABORT, MsgKind::TxnAbort)
+            req::PEER_ABORT
         };
         let payload = encode(&gtx);
         let mut pending: Vec<(EndpointId, PendingReply)> = Vec::new();
         for &r in remotes {
-            let meta = self.peer_meta(gtx, kind);
+            let meta = self.peer_meta(gtx);
             pending.push((r, self.rpc.enqueue_request(r, code, &meta, &payload)));
         }
         treaty_sim::runtime::set_tag("sd:wait");
@@ -1201,7 +1199,7 @@ impl TreatyNode {
                         ("backoff_ns", backoff),
                     ],
                 );
-                let meta = self.peer_meta(gtx, kind);
+                let meta = self.peer_meta(gtx);
                 self.rpc.call(r, code, &meta, &payload).is_ok()
             });
         }
@@ -1255,19 +1253,16 @@ impl TreatyNode {
     }
 
     /// Coordinator-side abort of a transaction that never reached prepare:
-    /// roll back local work and advise the remotes once, fire-and-forget.
-    /// Pre-prepare participants hold no durable state — if the advisory is
-    /// lost, whatever they hold is volatile and dies with the session — so
-    /// running the phase-2 retry train here (as this path once did) only
-    /// stalled the client-op session fiber for ~1 simulated second against
-    /// a dead peer.
-    /// Post-prepare decisions keep their retries in
+    /// drop this node's slice and advise the remotes once, fire-and-forget.
+    /// Their slices hold only volatile locks, and one that misses the
+    /// advisory keeps them until its node restarts (nothing times a slice
+    /// out). Running the phase-2 retry train here (as this path once did)
+    /// only stalled the client-op session fiber for ~1 simulated second
+    /// against a dead peer. Post-prepare decisions keep their retries in
     /// [`TreatyNode::send_decision`].
-    fn abort_everywhere(self: &Rc<Self>, gtx: GlobalTxId, mut ctx: CoordTxn, cause: AbortCause) {
+    fn abort_everywhere(self: &Rc<Self>, gtx: GlobalTxId, ctx: CoordTxn, cause: AbortCause) {
         self.note_aborted(gtx, cause);
-        if let Some(mut local) = ctx.local.take() {
-            let _ = local.rollback();
-        }
+        self.drop_slice(gtx);
         if ctx.remotes.is_empty() {
             return;
         }
@@ -1277,7 +1272,7 @@ impl TreatyNode {
         );
         let payload = encode(&gtx);
         for &r in &ctx.remotes {
-            let meta = self.peer_meta(gtx, MsgKind::TxnAbort);
+            let meta = self.peer_meta(gtx);
             self.rpc.send_oneway(r, req::PEER_ABORT, &meta, &payload);
         }
     }
@@ -1431,6 +1426,7 @@ impl TreatyNode {
     ) -> Option<(TxMeta, Vec<u8>)> {
         let PeerOps { gtx, held, ops } = decode(&payload)?;
         let _scope = self.enter_peer(gtx, Phase::PartOp);
+        self.stats.borrow_mut().participant_ops += ops.len() as u64;
         reply(meta, &self.apply_slice(gtx, ops, held))
     }
 
@@ -1443,21 +1439,8 @@ impl TreatyNode {
     ) -> Option<(TxMeta, Vec<u8>)> {
         let PeerPrepare { gtx, lane, batch } = decode(&payload)?;
         let _scope = self.enter_peer(gtx, Phase::PartPrepare);
-        let yes = match lane {
-            // Whole-transaction read-only: validate and finish through the
-            // engine's read-only commit — every lock drops, nothing is
-            // logged, no decision will follow. A slice this node no longer
-            // holds (it restarted and shed the locks) cannot vouch for its
-            // reads: vote no.
-            Lane::ReadOnly => {
-                let txn = self.active_part.borrow_mut().remove(&gtx);
-                treaty_sim::crashpoint::hit(CrashPoint::PartReadOnlyFinish);
-                txn.is_some_and(|mut txn| txn.commit().is_ok())
-            }
-            Lane::Write => self.prepare_slice(gtx, batch, false),
-            Lane::Held => self.prepare_slice(gtx, batch, true),
-        };
-        reply(meta, &yes)
+        self.stats.borrow_mut().participant_ops += batch.len() as u64;
+        reply(meta, &self.vote(gtx, lane, batch).is_ok())
     }
 
     /// Serves [`req::PEER_COMMIT`]; the empty reply is the ack.
@@ -1469,8 +1452,7 @@ impl TreatyNode {
     ) -> Option<(TxMeta, Vec<u8>)> {
         let gtx: GlobalTxId = decode(&payload)?;
         let _scope = self.enter_peer(gtx, Phase::PartCommit);
-        let _ = self.engine.commit_prepared(gtx);
-        treaty_sim::crashpoint::hit(CrashPoint::PartAfterCommitApply);
+        self.decide_local(gtx, true);
         Some((meta, Vec::new()))
     }
 
@@ -1484,11 +1466,7 @@ impl TreatyNode {
     ) -> Option<(TxMeta, Vec<u8>)> {
         let gtx: GlobalTxId = decode(&payload)?;
         let _scope = self.enter_peer(gtx, Phase::PartAbort);
-        if let Some(mut txn) = self.active_part.borrow_mut().remove(&gtx) {
-            let _ = txn.rollback();
-        }
-        let _ = self.engine.abort_prepared(gtx);
-        treaty_sim::crashpoint::hit(CrashPoint::PartAfterAbortApply);
+        self.drop_slice(gtx);
         Some((meta, Vec::new()))
     }
 
@@ -1519,14 +1497,15 @@ impl TreatyNode {
         None
     }
 
+    // ---- slice steps: the handlers above, and the coordinator's own slice ---
+
     /// This shard's slice of an operation list: applied all-or-nothing in
-    /// one sealed message. On the first failure the whole engine
-    /// transaction rolls back and the result names this shard and the
-    /// cause. A shard that `held` a slice and holds none now
-    /// restarted since and lost the locks its earlier operations took, so
-    /// the list fails rather than begin a fresh slice, as at prepare.
+    /// one step. On the first failure the whole engine transaction rolls
+    /// back and the result names this shard and the cause. A shard that
+    /// `held` a slice and holds none now restarted since and lost the
+    /// locks its earlier operations took, so the list fails rather than
+    /// begin a fresh slice, as at prepare.
     fn apply_slice(&self, gtx: GlobalTxId, ops: Vec<Op>, held: bool) -> OpResult {
-        self.stats.borrow_mut().participant_ops += ops.len() as u64;
         let txn = self.active_part.borrow_mut().remove(&gtx);
         let mut txn = match txn {
             Some(t) => t,
@@ -1543,30 +1522,61 @@ impl TreatyNode {
         }
     }
 
-    /// A participant's write-lane prepare: apply `batch` to this shard's
-    /// slice of `gtx`, prepare it, and vote. A shard that received nothing
-    /// before the commit begins its slice here (execute+prepare in one
-    /// round trip). One that `held` a slice and holds none now restarted
-    /// since and lost the locks that slice's reads took, so it votes no
-    /// rather than begin a fresh one: a fresh slice would vouch for reads
-    /// nothing protects any more.
-    fn prepare_slice(&self, gtx: GlobalTxId, batch: Vec<Op>, held: bool) -> bool {
+    /// This shard's vote on its slice of `gtx`: `Ok` is yes, `Err` why not.
+    /// The read-only lane finishes the slice through the engine's one-phase
+    /// commit (every lock drops, nothing is logged, no decision follows),
+    /// as the 1PC path does for the coordinator's own. A write lane applies
+    /// `batch` and prepares; a shard that received nothing before the
+    /// commit begins its slice here. A shard with no slice that `held` one,
+    /// or on the read-only lane, restarted and lost the locks its reads
+    /// took: it votes no rather than vouch for them with a fresh slice.
+    /// With no slice and no batch — the recovery re-drive — it votes
+    /// whether the slice is still prepared from a past life.
+    fn vote(&self, gtx: GlobalTxId, lane: Lane, batch: Vec<Op>) -> Result<(), AbortCause> {
+        if lane == Lane::ReadOnly {
+            let txn = self.active_part.borrow_mut().remove(&gtx);
+            treaty_sim::crashpoint::hit(CrashPoint::PartReadOnlyFinish);
+            let mut txn = txn.ok_or(AbortCause::SliceLost)?;
+            return txn.commit().map(drop).map_err(|e| AbortCause::from(&e));
+        }
         treaty_sim::crashpoint::hit(CrashPoint::PartBeforePrepare);
-        self.stats.borrow_mut().participant_ops += batch.len() as u64;
-        let txn = self.active_part.borrow_mut().remove(&gtx);
-        let txn = match txn {
-            Some(t) => Some(t),
-            None if held || batch.is_empty() => None,
-            None => Some(self.engine.begin_txn(self.txn_mode)),
+        let held = lane == Lane::Held;
+        // A failed batch drops the txn -> rolled back; vote no.
+        let prepare = |mut txn: Box<dyn EngineTxn>| {
+            apply_ops(txn.as_mut(), &batch)?;
+            txn.prepare(gtx).map_err(|e| AbortCause::from(&e))
         };
-        let yes = match txn {
-            // A failed batch drops the txn -> rolled back; vote no.
-            Some(mut txn) => apply_ops(txn.as_mut(), &batch).is_ok() && txn.prepare(gtx).is_ok(),
-            // Recovery re-drive: still prepared from a past life?
-            None => !held && self.engine.prepared_txns().contains(&gtx),
+        let txn = self.active_part.borrow_mut().remove(&gtx);
+        let voted = match txn {
+            Some(txn) => prepare(txn),
+            None if !held && !batch.is_empty() => prepare(self.engine.begin_txn(self.txn_mode)),
+            None if !held && self.engine.prepared_txns().contains(&gtx) => Ok(()),
+            None => Err(AbortCause::SliceLost),
         };
         treaty_sim::crashpoint::hit(CrashPoint::PartAfterPrepare);
-        yes
+        voted
+    }
+
+    /// Drops this shard's slice of `gtx`, prepared or not: what an abort
+    /// does to a slice, whether or not it ever reached prepare.
+    fn drop_slice(&self, gtx: GlobalTxId) {
+        let txn = self.active_part.borrow_mut().remove(&gtx);
+        if let Some(mut txn) = txn {
+            let _ = txn.rollback();
+        }
+        self.decide_local(gtx, false);
+    }
+
+    /// Applies a decision to this shard's prepared slice of `gtx` (a no-op
+    /// without one).
+    fn decide_local(&self, gtx: GlobalTxId, commit: bool) {
+        if commit {
+            let _ = self.engine.commit_prepared(gtx);
+            treaty_sim::crashpoint::hit(CrashPoint::PartAfterCommitApply);
+        } else {
+            let _ = self.engine.abort_prepared(gtx);
+            treaty_sim::crashpoint::hit(CrashPoint::PartAfterAbortApply);
+        }
     }
 
     /// What this node, as `gtx`'s coordinator, answers for it: the Clog's
@@ -1604,50 +1614,24 @@ impl TreatyNode {
                 // `decided()` only yields entries with a decision, but the
                 // recovery path must not panic on a malformed state.
                 let Some(commit) = st.decision else { continue };
-                let remotes: Vec<u32> = st
-                    .participants
-                    .iter()
-                    .copied()
-                    .filter(|p| *p != self.endpoint)
-                    .collect();
-                self.send_decision(gtx, &remotes, commit);
-                self.decide_local(gtx, commit);
+                self.deliver(gtx, &st.participants, commit);
             }
-            // Undecided transactions: re-execute the prepare phase. Such a
-            // transaction may be past its commit point — acknowledged, its
-            // decision record lost with an unstable Clog tail — so only an
-            // explicit no vote aborts it: a participant still prepared
-            // votes yes, one that never prepared (and so never let the
-            // commit point be reached) votes no, and one that cannot be
-            // asked leaves the transaction undecided for the next pass.
+            // Undecided transactions: re-execute the prepare phase, the
+            // same vote round as a live commit's, on the write lane with
+            // no batch: a batch that reached prepare is already in the
+            // engine transaction. Such a transaction may be past its commit
+            // point — acknowledged, its decision record lost with an
+            // unstable Clog tail — so only an explicit refusal aborts it:
+            // a participant still prepared votes yes, one that never
+            // prepared (and so never let the commit point be reached)
+            // votes no, and one that cannot be asked leaves the
+            // transaction undecided for the next pass.
             for (gtx, participants) in clog.undecided() {
-                let remotes: Vec<u32> = participants
-                    .iter()
-                    .copied()
-                    .filter(|p| *p != self.endpoint)
-                    .collect();
-                let mut refused = participants.contains(&self.endpoint)
-                    && !self.engine.prepared_txns().contains(&gtx);
-                let mut unreachable = false;
-                for &r in &remotes {
-                    let meta = self.peer_meta(gtx, MsgKind::TxnPrepare);
-                    // Re-drives never re-ship deferred writes: a batch that
-                    // reached prepare is already in the engine transaction.
-                    let msg = encode(&PeerPrepare {
-                        gtx,
-                        lane: Lane::Write,
-                        batch: Vec::new(),
-                    });
-                    let vote = self.rpc.call(r, req::PEER_PREPARE, &meta, &msg);
-                    match vote.ok().and_then(|(_, bytes)| decode::<bool>(&bytes)) {
-                        Some(yes) => refused |= !yes,
-                        None => unreachable = true,
-                    }
-                }
-                let commit = !refused;
-                if (refused || !unreachable) && clog.log_decision(gtx, commit).is_ok() {
-                    self.send_decision(gtx, &remotes, commit);
-                    self.decide_local(gtx, commit);
+                let refused = self.collect_votes(gtx, &participants, true, Vec::new(), &[]);
+                let commit = refused.is_none();
+                let decided = refused.is_none_or(|a| a.cause != AbortCause::Unreachable);
+                if decided && clog.log_decision(gtx, commit).is_ok() {
+                    self.deliver(gtx, &participants, commit);
                     outcome.re_decided += 1;
                     treaty_sim::obs::counter_add(Counter::CoreRecoveryRedecided, 1);
                 } else {
@@ -1677,7 +1661,7 @@ impl TreatyNode {
             let commit = if gtx.node == u64::from(self.endpoint) {
                 self.outcome_as_coordinator(gtx)
             } else {
-                let meta = self.peer_meta(gtx, MsgKind::QueryDecision);
+                let meta = self.peer_meta(gtx);
                 let asked =
                     self.rpc
                         .call(gtx.node as u32, req::QUERY_DECISION, &meta, &encode(&gtx));
@@ -1694,6 +1678,18 @@ impl TreatyNode {
             }
         }
         outcome
+    }
+
+    /// Phase two on the calling fiber: the decision to every other node in
+    /// `participants`, then to this node's slice.
+    fn deliver(self: &Rc<Self>, gtx: GlobalTxId, participants: &[EndpointId], commit: bool) {
+        let remotes: Vec<EndpointId> = participants
+            .iter()
+            .copied()
+            .filter(|p| *p != self.endpoint)
+            .collect();
+        self.send_decision(gtx, &remotes, commit);
+        self.decide_local(gtx, commit);
     }
 }
 

@@ -26,7 +26,7 @@ use treaty_core::messages::{
 };
 use treaty_core::{Cluster, ClusterOptions, TreatyError};
 use treaty_crypto::codec::Record as _;
-use treaty_crypto::{MsgKind, TxMeta};
+use treaty_crypto::TxMeta;
 use treaty_net::{Rpc, RpcConfig};
 use treaty_sched::block_on;
 use treaty_sim::obs::{Counter, Obs};
@@ -78,13 +78,8 @@ fn raw_client(cluster: &Cluster, id: u32, timeout: Nanos) -> Rc<Rpc> {
     rpc
 }
 
-fn raw_meta(client_id: u32, tx_seq: u64, op_id: u64, kind: MsgKind) -> TxMeta {
-    TxMeta {
-        node_id: client_id as u64,
-        tx_id: tx_seq,
-        op_id,
-        kind,
-    }
+fn raw_meta(client_id: u32, tx_seq: u64, op_id: u64) -> TxMeta {
+    TxMeta::new(client_id as u64, tx_seq, op_id)
 }
 
 /// The commit payload of a client with nothing left to ship.
@@ -117,7 +112,7 @@ fn commit_after_rollback_is_acked_aborted() {
 
         // The confused client re-sends the commit for the same transaction.
         let raw = raw_client(&cluster, 9900, treaty_net::DEFAULT_RPC_TIMEOUT);
-        let meta = raw_meta(9900, seq, 1, MsgKind::TxnCommit);
+        let meta = raw_meta(9900, seq, 1);
         let (_, bytes) = raw
             .call(1, req::CLIENT_COMMIT, &meta, &empty_commit())
             .unwrap();
@@ -154,7 +149,7 @@ fn commit_after_op_error_abort_is_acked_aborted() {
         treaty_sim::runtime::sleep(2 * SECONDS);
 
         let raw = raw_client(&cluster, 9901, treaty_net::DEFAULT_RPC_TIMEOUT);
-        let meta = raw_meta(9901, seq, 7, MsgKind::TxnCommit);
+        let meta = raw_meta(9901, seq, 7);
         let (_, bytes) = raw
             .call(1, req::CLIENT_COMMIT, &meta, &empty_commit())
             .unwrap();
@@ -184,7 +179,7 @@ fn pre_prepare_abort_does_not_stall_the_session() {
         // duration (the client library would give up at its own timeout).
         let raw = raw_client(&cluster, 9902, 5 * SECONDS);
         let ops = vec![Op::Write(WriteCmd::put(&dead_key, b"x"))];
-        let meta = raw_meta(9902, (9902u64 << 32) | 1, 1, MsgKind::TxnPut);
+        let meta = raw_meta(9902, (9902u64 << 32) | 1, 1);
         let t0 = now();
         let (_, bytes) = raw.call(1, req::CLIENT_OPS, &meta, &encode(&ops)).unwrap();
         let elapsed = now() - t0;
@@ -220,7 +215,7 @@ fn op_list_with_a_read_before_its_end_is_rejected() {
             },
             Op::Write(WriteCmd::put(b"shape-c", b"x")),
         ];
-        let meta = raw_meta(9904, seq, 1, MsgKind::TxnPut);
+        let meta = raw_meta(9904, seq, 1);
         let (_, bytes) = raw.call(1, req::CLIENT_OPS, &meta, &encode(&ops)).unwrap();
         match decode::<OpResult>(&bytes).unwrap() {
             OpResult::Failed(abort) => assert_eq!(
@@ -232,7 +227,7 @@ fn op_list_with_a_read_before_its_end_is_rejected() {
             ),
             other => panic!("malformed list must fail, got {other:?}"),
         }
-        let meta = raw_meta(9904, seq, 2, MsgKind::TxnCommit);
+        let meta = raw_meta(9904, seq, 2);
         let (_, bytes) = raw
             .call(1, req::CLIENT_COMMIT, &meta, &empty_commit())
             .unwrap();
@@ -256,13 +251,13 @@ fn a_malformed_commit_aborts_its_transaction() {
         let raw = raw_client(&cluster, 9905, treaty_net::DEFAULT_RPC_TIMEOUT);
         let seq = (9905u64 << 32) | 1;
         let ops = vec![Op::Write(WriteCmd::put(&key, b"x"))];
-        let meta = raw_meta(9905, seq, 1, MsgKind::TxnPut);
+        let meta = raw_meta(9905, seq, 1);
         let (_, bytes) = raw.call(1, req::CLIENT_OPS, &meta, &encode(&ops)).unwrap();
         assert_eq!(decode(&bytes), Some(OpResult::Ok { value: None }));
         let owner = cluster.store(0).unwrap();
         assert_eq!(owner.locked_keys(), 1);
 
-        let meta = raw_meta(9905, seq, 2, MsgKind::TxnCommit);
+        let meta = raw_meta(9905, seq, 2);
         let (_, bytes) = raw.call(1, req::CLIENT_COMMIT, &meta, b"garbage").unwrap();
         let result: CommitResult = decode(&bytes).unwrap();
         assert_eq!(
@@ -311,7 +306,7 @@ fn aborts_are_counted_exactly_once() {
 
         // A duplicate rollback (no coordinator state) must not re-count.
         let raw = raw_client(&cluster, 9903, treaty_net::DEFAULT_RPC_TIMEOUT);
-        let meta = raw_meta(9903, seq, 11, MsgKind::TxnAbort);
+        let meta = raw_meta(9903, seq, 11);
         raw.call(1, req::CLIENT_ROLLBACK, &meta, &[]).unwrap();
         assert_eq!(
             cluster.totals(),
@@ -320,7 +315,7 @@ fn aborts_are_counted_exactly_once() {
         );
 
         // Nor must a commit attempt for the same aborted transaction.
-        let meta = raw_meta(9903, seq, 12, MsgKind::TxnCommit);
+        let meta = raw_meta(9903, seq, 12);
         let (_, bytes) = raw
             .call(1, req::CLIENT_COMMIT, &meta, &empty_commit())
             .unwrap();
@@ -644,22 +639,22 @@ fn abort_advisory_waits_for_its_transactions_running_op() {
         let op_result = |bytes: Vec<u8>| decode::<OpResult>(&bytes).unwrap();
 
         // The blocker takes the key's X-lock and keeps it.
-        let meta = raw_meta(9905, blocker.seq, 1, MsgKind::TxnPut);
+        let meta = raw_meta(9905, blocker.seq, 1);
         let (_, bytes) = raw.call(2, req::PEER_OPS, &meta, &put(blocker)).unwrap();
         assert!(matches!(op_result(bytes), OpResult::Ok { .. }));
         assert_eq!(part.locked_keys(), 1);
 
         // The victim's op blocks on it; its abort advisory follows.
-        let meta = raw_meta(9905, victim.seq, 1, MsgKind::TxnPut);
+        let meta = raw_meta(9905, victim.seq, 1);
         let op = raw.enqueue_request(2, req::PEER_OPS, &meta, &put(victim));
         raw.tx_burst();
         treaty_sim::runtime::sleep(MILLIS);
-        let meta = raw_meta(9905, victim.seq, 2, MsgKind::TxnAbort);
+        let meta = raw_meta(9905, victim.seq, 2);
         raw.send_oneway(2, req::PEER_ABORT, &meta, &encode(&victim));
         treaty_sim::runtime::sleep(MILLIS);
 
         // The lock is freed: the op gets it, then the advisory runs.
-        let meta = raw_meta(9905, blocker.seq, 2, MsgKind::TxnAbort);
+        let meta = raw_meta(9905, blocker.seq, 2);
         raw.call(2, req::PEER_ABORT, &meta, &encode(&blocker))
             .unwrap();
         let (_, bytes) = op.wait().unwrap();
@@ -674,7 +669,7 @@ fn abort_advisory_waits_for_its_transactions_running_op() {
             "the aborted transaction kept its lock"
         );
         // A read-only prepare votes yes only for a slice the node holds.
-        let meta = raw_meta(9905, victim.seq, 3, MsgKind::TxnPrepare);
+        let meta = raw_meta(9905, victim.seq, 3);
         let prepare = encode(&PeerPrepare {
             gtx: victim,
             lane: Lane::ReadOnly,

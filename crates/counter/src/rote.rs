@@ -21,7 +21,7 @@ use std::rc::Rc;
 
 use treaty_crypto::codec;
 use treaty_crypto::codec::Record;
-use treaty_crypto::{Key, MsgKind, TxMeta, WireCrypto};
+use treaty_crypto::{Key, TxMeta, WireCrypto};
 use treaty_net::{EndpointId, Fabric, Rpc, RpcConfig};
 use treaty_sched::FiberMutex;
 use treaty_sim::{runtime, FiberCell, Nanos};
@@ -191,19 +191,9 @@ impl RoteReplica {
 
     fn handle(&self, meta: TxMeta, payload: Vec<u8>) -> Option<(TxMeta, Vec<u8>)> {
         let msg = RoteMsg::from_bytes(&payload).ok()?;
-        let reply_meta = TxMeta {
-            kind: MsgKind::Counter,
-            ..meta
-        };
         // A refusal that is not a rollback: the replica cannot vouch for
         // the value.
-        let refuse = || {
-            let m = TxMeta {
-                kind: MsgKind::Nack,
-                ..meta
-            };
-            Some((m, RoteMsg::Nack { rollback: false }.to_bytes()))
-        };
+        let refuse = || Some((meta, RoteMsg::Nack { rollback: false }.to_bytes()));
         let reply = match msg {
             RoteMsg::Update { id, value } => {
                 let mut st = self.state.borrow_mut();
@@ -250,7 +240,7 @@ impl RoteReplica {
             }
             _ => return None,
         };
-        Some((reply_meta, reply.to_bytes()))
+        Some((meta, reply.to_bytes()))
     }
 
     /// Returns once a seal containing the update applied as `version` is
@@ -354,12 +344,7 @@ impl RoteGroup {
         let seq = self.seq.replace(self.seq.get() + 1);
         let mut pending = Vec::new();
         for (i, &r) in self.replicas.iter().enumerate() {
-            let meta = TxMeta {
-                node_id: self.rpc.id() as u64,
-                tx_id: seq,
-                op_id: i as u64,
-                kind: MsgKind::Counter,
-            };
+            let meta = TxMeta::new(self.rpc.id() as u64, seq, i as u64);
             pending.push(
                 self.rpc
                     .enqueue_request_on(r, ROTE_REQ, &meta, &payload, session),
@@ -616,12 +601,7 @@ mod tests {
             client.stabilize("wal-1", 5).unwrap();
             assert_eq!(replicas[2].stable_value("wal-1"), 5);
             assert_eq!(replicas[2].sealed_version.get(), 0);
-            let meta = TxMeta {
-                node_id: 1,
-                tx_id: 1,
-                op_id: 0,
-                kind: MsgKind::Counter,
-            };
+            let meta = TxMeta::new(1, 1, 0);
             let confirm = RoteMsg::Confirm {
                 id: "wal-1".into(),
                 value: 5,
@@ -836,12 +816,7 @@ mod tests {
         block_on(move || {
             let (_f, replicas, _client) = group(&path);
             let replica = Rc::clone(&replicas[0]);
-            let meta = TxMeta {
-                node_id: 1,
-                tx_id: 1,
-                op_id: 0,
-                kind: MsgKind::Counter,
-            };
+            let meta = TxMeta::new(1, 1, 0);
             let send = move |r: &RoteReplica, msg: RoteMsg| {
                 let (_, reply) = r.handle(meta, msg.to_bytes()).expect("replica answers");
                 RoteMsg::from_bytes(&reply).expect("reply decodes")

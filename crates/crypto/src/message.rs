@@ -48,7 +48,9 @@ pub const MAC_LEN: usize = 16;
 /// Total framing overhead added to every payload.
 pub const MESSAGE_OVERHEAD: usize = IV_LEN + PAD_LEN + META_LEN + MAC_LEN;
 
-/// Message kinds used by the transaction and stabilization protocols.
+/// A metadata byte no code reads: a message's one name is the request code
+/// in its [`Stamp`], and every sender writes `Data` ([`TxMeta::new`]). It
+/// stays because the benchmark's probes build metadata blocks by hand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum MsgKind {
@@ -124,11 +126,21 @@ pub struct TxMeta {
     /// reads it on a commit for a transaction it holds no state for: only
     /// a commit numbered 1 was the transaction's first message.
     pub op_id: u64,
-    /// What the message is.
+    /// Read by no code; see [`MsgKind`].
     pub kind: MsgKind,
 }
 
 impl TxMeta {
+    /// A metadata block of kind [`MsgKind::Data`], as every sender writes.
+    pub fn new(node_id: u64, tx_id: u64, op_id: u64) -> Self {
+        TxMeta {
+            node_id,
+            tx_id,
+            op_id,
+            kind: MsgKind::Data,
+        }
+    }
+
     /// Serializes into the fixed 80-byte wire block.
     pub fn encode(&self) -> [u8; META_LEN] {
         let mut buf = [0u8; META_LEN];

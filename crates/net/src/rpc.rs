@@ -835,12 +835,7 @@ mod tests {
     }
 
     fn meta(tx: u64, op: u64) -> TxMeta {
-        TxMeta {
-            node_id: 100,
-            tx_id: tx,
-            op_id: op,
-            kind: MsgKind::Data,
-        }
+        TxMeta::new(100, tx, op)
     }
 
     #[test]
@@ -1054,12 +1049,7 @@ mod tests {
                     let client = Rpc::new(&fabric, cid, cfg);
                     client.start();
                     for op in 0..5 {
-                        let m = TxMeta {
-                            node_id: cid as u64,
-                            tx_id: 1,
-                            op_id: op,
-                            kind: MsgKind::Data,
-                        };
+                        let m = TxMeta::new(cid as u64, 1, op);
                         let (_, p) = client.call(1, ECHO, &m, b"ping").unwrap();
                         assert_eq!(p, b"gnip");
                     }

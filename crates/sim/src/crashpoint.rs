@@ -71,7 +71,8 @@ crash_points! {
     /// transcripts print.
     ///
     /// Coordinator points fire on the node coordinating the transaction,
-    /// participant points on the remote shard, `clog.*` on the coordinator's
+    /// participant points on whichever node holds the slice — a remote
+    /// shard, or the coordinator for its own — `clog.*` on the coordinator's
     /// commit-log path, `store.*` inside the storage engine of whichever node
     /// is writing, `log.*` on whichever node's group-commit leader wrote and
     /// `counter.*` on whichever node leads a counter round.
@@ -99,7 +100,8 @@ crash_points! {
         CoordAfterDecisionSend => "coord.after_decision_send",
         CoordBeforeClientReply => "coord.before_client_reply",
         CoordOpsFanout => "coord.ops_fanout",
-        // Participant (treaty-core node.rs, peer handler).
+        // Participant (treaty-core node.rs, the slice steps every node runs
+        // on its own shard's slice, the coordinator's included).
         PartBeforePrepare => "part.before_prepare",
         PartBatchApply => "part.batch_apply",
         PartAfterPrepare => "part.after_prepare",

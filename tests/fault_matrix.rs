@@ -52,7 +52,7 @@ use treaty::core::cluster::{wire_crypto, COUNTER_BASE, COUNTER_CLIENT_BASE};
 use treaty::core::messages::{decode, encode, req};
 use treaty::core::{Abort, AbortCause, Cluster, ClusterOptions, DistTxn, TreatyError};
 use treaty::crypto::codec::Record as _;
-use treaty::crypto::{MsgKind, TxMeta};
+use treaty::crypto::TxMeta;
 use treaty::net::{Rpc, RpcConfig};
 use treaty::sched::block_on;
 use treaty::sim::crashpoint::{self, CrashPoint, FaultSchedule};
@@ -706,12 +706,7 @@ fn query_decision(cluster: &Cluster, gtx: GlobalTxId) -> Option<bool> {
         },
     );
     rpc.start();
-    let meta = TxMeta {
-        node_id: 9900,
-        tx_id: gtx.seq,
-        op_id: 1,
-        kind: MsgKind::QueryDecision,
-    };
+    let meta = TxMeta::new(9900, gtx.seq, 1);
     let reply = rpc.call(COORD, req::QUERY_DECISION, &meta, &encode(&gtx));
     rpc.stop();
     decode(&reply.expect("coordinator answers").1).expect("a decision reply")
@@ -1211,6 +1206,116 @@ fn commit_point_crash_with_clog_rolled_back_still_commits() {
 #[test]
 fn commit_point_recovery_with_a_participant_down_stays_undecided() {
     run_twice(|| run_commit_point_cell(CrashPoint::CoordCommitPoint, Twist::ParticipantDown));
+}
+
+/// The coordinator dies at `coord.after_votes` with its Start stable and
+/// undecided. `PART` and the coordinator's own slice prepared and voted
+/// yes; a cut link lost `SPARE`'s prepare, so `SPARE` holds no slice. The
+/// coordinator restarts while `PART` is down. The re-drive cannot reach
+/// `PART`, listed first, and `SPARE` votes no: an explicit no decides abort
+/// whatever else is out of reach, and the abort applies at once on the
+/// shards that hear it and on `PART` when it returns.
+fn run_no_beside_a_down_participant_cell() -> String {
+    let dir = tempfile::tempdir().unwrap();
+    let path = dir.path().to_path_buf();
+    block_on(move || {
+        let plan = crashpoint::install();
+        let mut cluster = boot(&path);
+        let owned = key_per_node(&cluster);
+        // In write order the Clog lists PART, SPARE, then COORD itself.
+        let keys = vec![
+            owned[&PART].clone(),
+            owned[&SPARE].clone(),
+            owned[&COORD].clone(),
+        ];
+        seed(&cluster, &keys);
+        let point = CrashPoint::CoordAfterVotes;
+        let cell = format!("{point} no beside a down participant");
+
+        plan.arm(FaultSchedule::new().crash_at(point, COORD, 1));
+        cluster.fabric().with_adversary(|a| {
+            a.partitions.insert((COORD, SPARE));
+        });
+        let client = cluster.client();
+        let mut tx = client.begin(COORD);
+        let gtx = tx.gtx();
+        for k in &keys {
+            tx.put(k, b"doomed").expect("buffered put");
+        }
+        let acked = ack(tx.commit());
+        assert_ne!(acked, 'C', "{cell}: committed without SPARE's vote");
+        sleep(SECONDS);
+        let fired_at = fired_once(&plan, point, COORD, &cell);
+        assert_eq!(store(&cluster, PART).prepared_txns(), [gtx], "{cell}");
+        assert!(store(&cluster, SPARE).prepared_txns().is_empty(), "{cell}");
+
+        cluster.fabric().with_adversary(|a| a.partitions.clear());
+        cluster.crash_node((COORD - 1) as usize);
+        cluster.crash_node((PART - 1) as usize);
+        cluster.restart_node((COORD - 1) as usize).unwrap();
+        let rec = cluster.resolve_recovered();
+        assert_eq!((rec.re_decided, rec.failed), (1, 0), "{cell}: {rec:?}");
+        let clog = cluster.node((COORD - 1) as usize).clog().expect("durable");
+        assert_eq!(clog.decision(gtx), Some(false), "{cell}: not decided abort");
+        for n in [COORD, SPARE] {
+            let (prepared, locked) = (
+                store(&cluster, n).prepared_txns(),
+                store(&cluster, n).locked_keys(),
+            );
+            assert!(
+                prepared.is_empty() && locked == 0,
+                "{cell}: n{n} holds {prepared:?}, {locked} locks"
+            );
+        }
+
+        cluster.restart_node((PART - 1) as usize).unwrap();
+        let back = cluster.resolve_recovered();
+        assert_eq!(back.failed, 0, "{cell}: {back:?}");
+        assert_drained(&cluster, &cell);
+        let mut tx = client.begin(SPARE);
+        for k in &keys {
+            let got = tx.get(k).expect("post-recovery read");
+            assert_eq!(got.as_deref(), Some(&b"seed"[..]), "{cell}: applied");
+        }
+        tx.commit().expect("verify commit");
+
+        format!(
+            "{cell} fired@{fired_at} acked={acked} rec={}/{}/{} back={}/{}/{}",
+            rec.re_decided, rec.resolved, rec.failed, back.re_decided, back.resolved, back.failed,
+        )
+    })
+}
+
+/// A re-drive that meets an unreachable participant and a no vote decides
+/// abort: the no is explicit, and the unreachable participant could only
+/// have voted yes. (With no explicit no the transaction stays undecided:
+/// `commit_point_recovery_with_a_participant_down_stays_undecided`.)
+#[test]
+fn recovery_with_a_participant_down_and_a_no_vote_aborts() {
+    run_twice(run_no_beside_a_down_participant_cell);
+}
+
+/// The coordinator dies at `part.after_prepare` on its own slice: its
+/// `Prepare` is stable, its own vote is cast and no remote vote is
+/// collected yet. Whatever the Clog holds at the restart — a Start the
+/// re-drive decides, or none, and the participants learn presumed abort —
+/// the recovery oracle holds, with no lock left held. The coordinator's
+/// slice votes through the participant path, so the point fires there.
+#[test]
+fn coordinator_crash_after_its_own_prepare_recovers() {
+    for cfg in [Cfg::Commit, Cfg::Abort] {
+        run_twice(|| {
+            run_list_append(
+                CrashPoint::PartAfterPrepare,
+                COORD,
+                cfg,
+                false,
+                false,
+                false,
+                false,
+            )
+        });
+    }
 }
 
 /// The counter group loses its quorum between the ack and the decision

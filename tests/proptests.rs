@@ -111,12 +111,7 @@ fn envelope_roundtrip_and_tamper() {
 
         let key = Key::from_bytes([7u8; 32]);
         let env = SecureEnvelope::new(mode);
-        let meta = TxMeta {
-            node_id: 1,
-            tx_id: 2,
-            op_id: 3,
-            kind: treaty::crypto::MsgKind::Data,
-        };
+        let meta = TxMeta::new(1, 2, 3);
         let wire = env.seal(&key, [9u8; 12], &meta, &payload).into_vec();
         let (m, p) = env.open(&key, &wire).unwrap();
         assert_eq!(m, meta, "case {case}");
