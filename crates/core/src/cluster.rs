@@ -267,7 +267,7 @@ impl Cluster {
                 crypto: wire_crypto(&options.profile),
                 network_key: self.keys.network,
                 shard_map: self.shard_map.clone(),
-                cores: Some(Rc::clone(&self.slots[idx].cores)),
+                cores: Rc::clone(&self.slots[idx].cores),
                 store,
                 txn_mode: options.txn_mode,
             },

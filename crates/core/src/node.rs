@@ -48,7 +48,7 @@ pub struct NodeOptions {
     /// Key-space partitioning.
     pub shard_map: ShardMap,
     /// The node's CPU cores.
-    pub cores: Option<Rc<CorePool>>,
+    pub cores: Rc<CorePool>,
     /// The node's store, which makes it durable (engine, Clog, snapshot
     /// lane). `None` runs the protocol-only mode of §VIII-B.
     pub store: Option<TreatyStore>,
@@ -74,7 +74,8 @@ pub struct NodeStats {
     /// Operations other coordinators shipped here (`PEER_OPS` lists and
     /// prepare batches); a coordinator's own slice is not counted.
     pub participant_ops: u64,
-    /// Decision (phase-2) messages re-sent after a delivery failure.
+    /// Decision (phase-2) messages re-sent after a delivery failure, a
+    /// commit's or any abort's.
     pub decision_retries: u64,
 }
 
@@ -138,9 +139,9 @@ impl AbortRing {
 }
 
 /// Bound on the fibers working behind decisions — commits finishing behind
-/// their ack and phase-two deliveries: past this, the committer finishes
-/// and delivers inline — backpressure instead of unbounded growth. A commit
-/// finishing behind its ack holds two (continuation and delivery): 128 such.
+/// their ack and phase-two deliveries, any abort's included: past this,
+/// the work runs inline — backpressure instead of unbounded growth. A
+/// commit finishing behind its ack holds two (continuation and delivery).
 const FINISH_FIBER_CAP: usize = 256;
 
 /// One fiber working behind a decision: an acknowledged commit's finish,
@@ -263,12 +264,12 @@ fn reply(meta: TxMeta, payload: &impl Encode) -> Option<(TxMeta, Vec<u8>)> {
 
 /// Every request the node accepts: its code, whether the RPC layer's replay
 /// guard covers it, and its handler, which decodes the one payload type the
-/// code names (DESIGN.md §16 has the table). An abort is not guarded: it is only ever sent for a transaction decided
-/// abort, so running it twice changes nothing, and an advisory queued
-/// behind its transaction's running op must run even after its sender's
-/// floor has passed it. Nor is the commit point's release: it only drops
-/// read locks of a transaction past its lock point, so a second run finds
-/// none left.
+/// code names (DESIGN.md §16 has the table). An abort is not guarded: it is
+/// only ever sent for a transaction decided abort, so running it twice
+/// changes nothing, and one queued behind its transaction's running op
+/// must run even after its sender's floor has passed it. Nor is the commit
+/// point's release: it only drops read locks of a transaction past its
+/// lock point, so a second run finds none left.
 const HANDLERS: &[(u8, bool, Handler)] = &[
     (req::CLIENT_OPS, true, TreatyNode::handle_client_ops),
     (req::CLIENT_COMMIT, true, TreatyNode::handle_client_commit),
@@ -445,7 +446,7 @@ impl TreatyNode {
                 endpoint: options.net,
                 crypto: options.crypto,
                 key: options.network_key,
-                cores: options.cores.clone(),
+                cores: Some(options.cores),
                 timeout: treaty_net::DEFAULT_RPC_TIMEOUT,
             },
         );
@@ -567,6 +568,34 @@ impl TreatyNode {
 
     // ---- coordinator: client-facing handlers ------------------------------
 
+    /// Enters a client request's handler as [`TreatyNode::enter_peer`] a
+    /// peer's, and takes the transaction's coordinator state out. Only its
+    /// first message (`op_id` 1) may begin a transaction: `Ok(None)`. A
+    /// later one that finds no state was aborted here (`AlreadyAborted`)
+    /// or follows messages whose state a restart lost (`SliceLost`).
+    fn enter_client(
+        &self,
+        meta: &TxMeta,
+        phase: Phase,
+        args: &[(&'static str, u64)],
+    ) -> (GlobalTxId, Result<Option<CoordTxn>, AbortCause>, impl Sized) {
+        let gtx = self.gtx_for_client(meta);
+        treaty_sim::obs::set_node(self.endpoint);
+        let txn = treaty_sim::obs::txn_scope(gtx.seq);
+        // A tuple drops its fields in order: the span closes first.
+        let scope = (treaty_sim::obs::span_with(phase, args), txn);
+        let ctx = self.active_coord.borrow_mut().remove(&gtx);
+        let state = match ctx {
+            Some(ctx) => Ok(Some(ctx)),
+            None if self.recently_aborted.borrow().contains(&gtx) => {
+                Err(AbortCause::AlreadyAborted)
+            }
+            None if meta.op_id > 1 => Err(AbortCause::SliceLost),
+            None => Ok(None),
+        };
+        (gtx, state, scope)
+    }
+
     /// Serves [`req::CLIENT_OPS`]: the client's buffered writes and the
     /// read or range operation that made it ship them, in one message.
     fn handle_client_ops(
@@ -576,11 +605,16 @@ impl TreatyNode {
         payload: Vec<u8>,
     ) -> Option<(TxMeta, Vec<u8>)> {
         let ops: Vec<Op> = decode(&payload)?;
-        let gtx = self.gtx_for_client(&meta);
-        treaty_sim::obs::set_node(self.endpoint);
-        let _txn = treaty_sim::obs::txn_scope(gtx.seq);
-        let _span = treaty_sim::obs::span_with(Phase::CoordOp, &[("ops", ops.len() as u64)]);
-        reply(meta, &self.coordinate_ops(gtx, ops))
+        let args = [("ops", ops.len() as u64)];
+        let (gtx, state, _scope) = self.enter_client(&meta, Phase::CoordOp, &args);
+        let result = match state {
+            Ok(ctx) => self.coordinate_ops(gtx, ctx.unwrap_or_default(), ops),
+            Err(cause) => {
+                self.note_aborted(gtx, cause);
+                OpResult::Failed(cause.into())
+            }
+        };
+        reply(meta, &result)
     }
 
     /// Routes an operation list: a point operation goes to its key's
@@ -628,14 +662,13 @@ impl TreatyNode {
     /// fewer than the limit are certain, each shard cut short gets one
     /// continuation from just past its last key for the rows still
     /// missing, which always completes the result (DESIGN.md §16).
-    fn coordinate_ops(self: &Rc<Self>, gtx: GlobalTxId, mut ops: Vec<Op>) -> OpResult {
+    fn coordinate_ops(
+        self: &Rc<Self>,
+        gtx: GlobalTxId,
+        mut ctx: CoordTxn,
+        mut ops: Vec<Op>,
+    ) -> OpResult {
         treaty_sim::runtime::set_tag("h:coordinate_ops");
-        // Take the coordinator state out while we (potentially) block.
-        let mut ctx = self
-            .active_coord
-            .borrow_mut()
-            .remove(&gtx)
-            .unwrap_or_default();
         // One reply carries one result, so only the last operation may
         // produce one; the client library never builds any other shape.
         let writes = &ops[..ops.len().saturating_sub(1)];
@@ -761,30 +794,18 @@ impl TreatyNode {
         meta: TxMeta,
         payload: Vec<u8>,
     ) -> Option<(TxMeta, Vec<u8>)> {
-        let gtx = self.gtx_for_client(&meta);
-        treaty_sim::obs::set_node(self.endpoint);
-        let _txn = treaty_sim::obs::txn_scope(gtx.seq);
-        let _span = treaty_sim::obs::span(Phase::CoordCommit);
-        let ctx = self.active_coord.borrow_mut().remove(&gtx);
+        let (gtx, state, _scope) = self.enter_client(&meta, Phase::CoordCommit, &[]);
         // The writes still buffered at the client ride the commit itself.
-        let result = match (decode::<ClientCommitReq>(&payload), ctx) {
-            (None, ctx) => {
+        let result = match (state, decode::<ClientCommitReq>(&payload)) {
+            // Its client must not receive a success ack.
+            (Err(cause), _) => CommitResult::Aborted(cause.into()),
+            (Ok(ctx), None) => {
                 self.abort_everywhere(gtx, ctx.unwrap_or_default(), AbortCause::Malformed);
                 CommitResult::Aborted(AbortCause::Malformed.into())
             }
-            // No coordinator state: a transaction we already aborted (op
-            // error, client rollback) — its client must not receive a
-            // success ack — or one whose earlier messages' state this node
-            // lost in a restart: the client numbers every message of a
-            // transaction, so only a commit numbered 1 came first. What is
-            // left is a transaction that begins with its commit.
-            (Some(_), None) if self.recently_aborted.borrow().contains(&gtx) => {
-                CommitResult::Aborted(AbortCause::AlreadyAborted.into())
+            (Ok(ctx), Some(req)) => {
+                self.commit_with_writes(gtx, ctx.unwrap_or_default(), req.writes)
             }
-            (Some(_), None) if meta.op_id > 1 => {
-                CommitResult::Aborted(AbortCause::SliceLost.into())
-            }
-            (Some(req), ctx) => self.commit_with_writes(gtx, ctx.unwrap_or_default(), req.writes),
         };
         match &result {
             CommitResult::Committed => self.stats.borrow_mut().committed += 1,
@@ -800,14 +821,9 @@ impl TreatyNode {
         meta: TxMeta,
         _payload: Vec<u8>,
     ) -> Option<(TxMeta, Vec<u8>)> {
-        let gtx = self.gtx_for_client(&meta);
-        treaty_sim::obs::set_node(self.endpoint);
-        let _txn = treaty_sim::obs::txn_scope(gtx.seq);
-        let _span = treaty_sim::obs::span(Phase::CoordRollback);
-        // A transaction with no coordinator state was aborted and counted
-        // before (op error, an earlier rollback).
-        let ctx = self.active_coord.borrow_mut().remove(&gtx);
-        if let Some(ctx) = ctx {
+        let (gtx, state, _scope) = self.enter_client(&meta, Phase::CoordRollback, &[]);
+        // No state: nothing began, or the abort was counted before.
+        if let Ok(Some(ctx)) = state {
             self.abort_everywhere(gtx, ctx, AbortCause::RolledBack);
         }
         let rolled_back = CommitResult::Aborted(AbortCause::RolledBack.into());
@@ -921,14 +937,10 @@ impl TreatyNode {
                     .as_ref()
                     .map_or(Ok(()), |clog| clog.log_decision(gtx, false))
             };
-            if logged.is_err() {
-                // Nobody was told commit: participants that miss the abort
-                // learn it via QueryDecision / coordinator recovery.
-                self.deliver(gtx, &remotes, false);
-                return CommitResult::Aborted(AbortCause::LogFailed.into());
-            }
+            // Nobody was told commit, so a failed record aborts all the
+            // same; a participant that misses it asks QueryDecision.
             self.finish(gtx, remotes, false);
-            return CommitResult::Aborted(abort);
+            return CommitResult::Aborted(logged.map_or(AbortCause::LogFailed.into(), |()| abort));
         }
         // The commit point. Every vote is yes and the Start record and
         // every Prepare record are stable: whatever suffix of whichever
@@ -973,12 +985,12 @@ impl TreatyNode {
         self.engine.release_prepared_reads(gtx);
     }
 
-    /// The tail of a decided transaction, the same steps for every
-    /// outcome: make a commit's decision record stable and publish it,
-    /// send phase two, decide this node's slice. An abort arrives with its
-    /// record already stable and published. Runs on the committing fiber
-    /// for an abort and, behind the ack, on a continuation of its own for
-    /// a commit (inline only at the slot cap).
+    /// The tail of a decided transaction, the one way a live one ends:
+    /// make a commit's decision record stable and publish it, send phase
+    /// two, decide this node's slice. An abort arrives with its record
+    /// already logged, or with none before its vote round. Runs on the
+    /// aborting fiber for an abort and, behind the ack, on a continuation
+    /// of its own for a commit (inline only at the slot cap).
     fn finish(self: &Rc<Self>, gtx: GlobalTxId, remotes: Vec<EndpointId>, commit: bool) {
         if let (Some(clog), true) = (&self.clog, commit) {
             if !self.stabilize_decision(clog, gtx) {
@@ -990,11 +1002,10 @@ impl TreatyNode {
         treaty_sim::crashpoint::hit(CrashPoint::CoordAfterLogDecision);
 
         treaty_sim::runtime::set_tag("h:2pc-phase2");
-        // The decision is Clog-durable, so nothing waits for the fan-out —
-        // not the client, not this node's slice's locks: the acks and the
-        // retry train are awaited on a delivery fiber, and even a total
-        // delivery failure resolves via recovery (coordinator re-send or
-        // participant QueryDecision, §VI).
+        // The decision is Clog-durable or presumed, so nothing waits for
+        // the fan-out — not the client, not this node's slice's locks: the
+        // acks and the retry train are awaited on a delivery fiber, and a
+        // prepared participant it misses resolves via recovery (§VI).
         let slot = if remotes.is_empty() {
             None
         } else {
@@ -1153,9 +1164,9 @@ impl TreatyNode {
         }
     }
 
-    /// Phase two, and the only sender of `PEER_COMMIT`/`PEER_ABORT`
-    /// requests: one burst to every remote, then each ack awaited and a
-    /// missed delivery retried.
+    /// Phase two, and the only sender of `PEER_COMMIT` and `PEER_ABORT`
+    /// (every abort, live or recovered): one burst of requests to every
+    /// remote, then each ack awaited and a missed one retried.
     fn send_decision(self: &Rc<Self>, gtx: GlobalTxId, remotes: &[EndpointId], commit: bool) {
         let _span = treaty_sim::obs::span_with(
             Phase::CoordSendDecision,
@@ -1252,29 +1263,13 @@ impl TreatyNode {
         }
     }
 
-    /// Coordinator-side abort of a transaction that never reached prepare:
-    /// drop this node's slice and advise the remotes once, fire-and-forget.
-    /// Their slices hold only volatile locks, and one that misses the
-    /// advisory keeps them until its node restarts (nothing times a slice
-    /// out). Running the phase-2 retry train here (as this path once did)
-    /// only stalled the client-op session fiber for ~1 simulated second
-    /// against a dead peer. Post-prepare decisions keep their retries in
-    /// [`TreatyNode::send_decision`].
+    /// Coordinator-side abort before a vote round (op error, rollback,
+    /// malformed request) or of a refused read-only lane: counted once and
+    /// ended through [`TreatyNode::finish`], so phase two's retry train
+    /// carries it to every remote off the client's session.
     fn abort_everywhere(self: &Rc<Self>, gtx: GlobalTxId, ctx: CoordTxn, cause: AbortCause) {
         self.note_aborted(gtx, cause);
-        self.drop_slice(gtx);
-        if ctx.remotes.is_empty() {
-            return;
-        }
-        let _span = treaty_sim::obs::span_with(
-            Phase::CoordAbortAdvisory,
-            &[("remotes", ctx.remotes.len() as u64)],
-        );
-        let payload = encode(&gtx);
-        for &r in &ctx.remotes {
-            let meta = self.peer_meta(gtx);
-            self.rpc.send_oneway(r, req::PEER_ABORT, &meta, &payload);
-        }
+        self.finish(gtx, ctx.remotes, false);
     }
 
     // ---- snapshot reads (lock-free read-only transactions) -----------------
@@ -1466,7 +1461,7 @@ impl TreatyNode {
     ) -> Option<(TxMeta, Vec<u8>)> {
         let gtx: GlobalTxId = decode(&payload)?;
         let _scope = self.enter_peer(gtx, Phase::PartAbort);
-        self.drop_slice(gtx);
+        self.decide_local(gtx, false);
         Some((meta, Vec::new()))
     }
 
@@ -1557,23 +1552,17 @@ impl TreatyNode {
         voted
     }
 
-    /// Drops this shard's slice of `gtx`, prepared or not: what an abort
-    /// does to a slice, whether or not it ever reached prepare.
-    fn drop_slice(&self, gtx: GlobalTxId) {
-        let txn = self.active_part.borrow_mut().remove(&gtx);
-        if let Some(mut txn) = txn {
-            let _ = txn.rollback();
-        }
-        self.decide_local(gtx, false);
-    }
-
-    /// Applies a decision to this shard's prepared slice of `gtx` (a no-op
-    /// without one).
+    /// Applies a decision to this shard's slice of `gtx` (a no-op without
+    /// one); an abort also rolls back a slice that never prepared.
     fn decide_local(&self, gtx: GlobalTxId, commit: bool) {
         if commit {
             let _ = self.engine.commit_prepared(gtx);
             treaty_sim::crashpoint::hit(CrashPoint::PartAfterCommitApply);
         } else {
+            let txn = self.active_part.borrow_mut().remove(&gtx);
+            if let Some(mut txn) = txn {
+                let _ = txn.rollback();
+            }
             let _ = self.engine.abort_prepared(gtx);
             treaty_sim::crashpoint::hit(CrashPoint::PartAfterAbortApply);
         }
@@ -1680,8 +1669,9 @@ impl TreatyNode {
         outcome
     }
 
-    /// Phase two on the calling fiber: the decision to every other node in
-    /// `participants`, then to this node's slice.
+    /// Recovery's phase two, on the calling fiber so that a pass ends
+    /// delivered: the decision to every other node in `participants`, then
+    /// to this node's slice.
     fn deliver(self: &Rc<Self>, gtx: GlobalTxId, participants: &[EndpointId], commit: bool) {
         let remotes: Vec<EndpointId> = participants
             .iter()

@@ -902,3 +902,84 @@ fn a_commit_after_its_coordinator_restarted_is_aborted() {
         assert_eq!(cluster.node(0).stats().aborted, 1);
     });
 }
+
+/// A coordinator that restarted lost what a transaction's earlier messages
+/// did: the client put `x` on node 2 and flushed it, then node 1 crashed
+/// and came back. The transaction's next op list, a read of `y` on node 3,
+/// began a fresh coordinator state, so the commit that followed was acked
+/// without `x`'s write. The read is the transaction's second message, and
+/// only a first may begin a transaction: it is answered `SliceLost`.
+#[test]
+fn an_op_after_its_coordinator_restarted_is_aborted() {
+    let dir = tempfile::tempdir().unwrap();
+    let path = dir.path().to_path_buf();
+    block_on(move || {
+        let mut cluster = Cluster::start(options(&path)).unwrap();
+        let keys = key_per_node(&cluster);
+        let (x, y) = (keys[&2].clone(), keys[&3].clone());
+        let client = cluster.client();
+        let mut seed = client.begin(1);
+        seed.put(&x, b"old").unwrap();
+        seed.commit().unwrap();
+
+        let mut tx = client.begin(1);
+        tx.put(&x, b"lost").unwrap();
+        tx.flush().unwrap();
+        cluster.crash_node(0);
+        cluster.restart_node(0).expect("the coordinator reopens");
+        assert_eq!(cluster.resolve_recovered().failed, 0);
+        match tx.get(&y) {
+            Err(TreatyError::Aborted(_, abort)) => {
+                assert_eq!(abort.cause, AbortCause::SliceLost);
+            }
+            other => {
+                let commit = tx.commit();
+                panic!("the read began a fresh transaction: read={other:?}, commit={commit:?}");
+            }
+        }
+        assert_eq!(cluster.node(0).stats().aborted, 1);
+        assert_eq!(
+            client.snapshot_read(&[x]).unwrap(),
+            vec![Some(b"old".to_vec())]
+        );
+    });
+}
+
+/// A rollback's abort reaches a participant across a lossy link. The client
+/// put a key on node 2 and flushed it; the link from node 1 to node 2 is
+/// cut across the rollback and heals 300 ms later, inside phase two's
+/// one-second retry window. While the abort was a one-way advisory it was
+/// lost, and node 2 kept the key X-locked for good.
+#[test]
+fn a_lost_abort_advisory_is_retried() {
+    let dir = tempfile::tempdir().unwrap();
+    let path = dir.path().to_path_buf();
+    block_on(move || {
+        let cluster = Cluster::start(options(&path)).unwrap();
+        let key = key_per_node(&cluster)[&2].clone();
+        let part = cluster.store(1).unwrap();
+        let fabric = Rc::clone(cluster.fabric());
+        let client = cluster.client();
+        let mut tx = client.begin(1);
+        tx.put(&key, b"doomed").unwrap();
+        tx.flush().unwrap();
+        assert_eq!(part.locked_keys(), 1);
+
+        fabric.with_adversary(|a| {
+            a.partitions.insert((1, 2));
+        });
+        tx.rollback().unwrap();
+        treaty_sim::runtime::sleep(300 * MILLIS);
+        fabric.with_adversary(|a| a.partitions.clear());
+        treaty_sim::runtime::sleep(5 * SECONDS);
+        assert_eq!(
+            part.locked_keys(),
+            0,
+            "the lost abort left its slice locked"
+        );
+        let mut next = client.begin(1);
+        next.put(&key, b"next").unwrap();
+        next.commit().unwrap();
+        assert!(cluster.node(0).stats().decision_retries > 0);
+    });
+}

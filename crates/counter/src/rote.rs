@@ -288,7 +288,6 @@ pub struct RoteGroup {
     replicas: Vec<EndpointId>,
     quorum: usize,
     round_floor: Nanos,
-    seq: Cell<u64>,
 }
 
 impl std::fmt::Debug for RoteGroup {
@@ -328,7 +327,6 @@ impl RoteGroup {
             replicas,
             quorum,
             round_floor,
-            seq: Cell::new(1),
         })
     }
 
@@ -338,17 +336,13 @@ impl RoteGroup {
     }
 
     /// Sends `msg` to every replica on RPC session `session` and collects
-    /// the replies.
+    /// the replies. A request's session is its metadata's `tx_id`.
     fn broadcast(&self, session: u64, msg: &RoteMsg) -> Vec<RoteMsg> {
         let payload = msg.to_bytes();
-        let seq = self.seq.replace(self.seq.get() + 1);
         let mut pending = Vec::new();
         for (i, &r) in self.replicas.iter().enumerate() {
-            let meta = TxMeta::new(self.rpc.id() as u64, seq, i as u64);
-            pending.push(
-                self.rpc
-                    .enqueue_request_on(r, ROTE_REQ, &meta, &payload, session),
-            );
+            let meta = TxMeta::new(self.rpc.id() as u64, session, i as u64);
+            pending.push(self.rpc.enqueue_request(r, ROTE_REQ, &meta, &payload));
         }
         self.rpc.tx_burst();
         let mut replies = Vec::new();

@@ -365,31 +365,18 @@ impl Rpc {
 
     // ---- client side -----------------------------------------------------
 
-    /// Seals and enqueues a request; transmission happens on
-    /// [`Rpc::tx_burst`]. The crypto work is charged to the calling fiber
-    /// here (it happens in the enclave before the buffer reaches host
-    /// memory).
+    /// Seals and enqueues a request on session `meta.tx_id`; transmission
+    /// happens on [`Rpc::tx_burst`]. Requests sharing `(src, session)` are
+    /// handled in order, one at a time; distinct sessions are served
+    /// concurrently (the module header's session rule). The crypto work is
+    /// charged to the calling fiber here (it happens in the enclave before
+    /// the buffer reaches host memory).
     pub fn enqueue_request(
         self: &Rc<Self>,
         dst: EndpointId,
         code: u8,
         meta: &TxMeta,
         payload: &[u8],
-    ) -> PendingReply {
-        self.enqueue_request_on(dst, code, meta, payload, meta.tx_id)
-    }
-
-    /// Like [`Rpc::enqueue_request`] with an explicit session id. Requests
-    /// sharing `(src, session)` are handled in order, one at a time;
-    /// distinct sessions are served concurrently (the module header's
-    /// session rule).
-    pub fn enqueue_request_on(
-        self: &Rc<Self>,
-        dst: EndpointId,
-        code: u8,
-        meta: &TxMeta,
-        payload: &[u8],
-        session: u64,
     ) -> PendingReply {
         let (rpc_id, wire) = self.seal_charged(meta, payload, |numbering, n| {
             let slot = PendingSlot {
@@ -408,7 +395,7 @@ impl Rpc {
             src: self.id,
             dst,
             rpc_id,
-            session,
+            session: meta.tx_id,
             is_response: false,
             wire,
             receiver_cpu: 0,

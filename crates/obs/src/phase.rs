@@ -132,7 +132,6 @@ phases! {
         CoordDecisionRetry => "2pc.decision_retry", Other;
         CoordDecisionUnstable => "2pc.decision_unstable", Other;
         CoordRollback => "2pc.rollback", Other, waiting;
-        CoordAbortAdvisory => "2pc.abort_advisory", Other;
         CoordRedriveFailed => "2pc.recovery_redrive_failed", Other;
         // Participant (treaty-core node.rs, peer handler).
         PartOp => "2pc.participant.op", Other;
