@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use treaty_crypto::{Key, TxMeta, WireCrypto};
-use treaty_net::{EndpointConfig, EndpointId, Fabric, PendingReply, Rpc, RpcConfig};
+use treaty_net::{EndpointConfig, EndpointId, Fabric, Rpc, RpcConfig};
 use treaty_sim::obs::{Counter, Phase};
 use treaty_sim::Nanos;
 use treaty_store::GlobalTxId;
@@ -657,7 +657,8 @@ impl SnapshotTxn<'_> {
             Phase::ClientSnapshotRead,
             &[("shards", asks.len() as u64), ("spans", spans.len() as u64)],
         );
-        let mut pending: Vec<(EndpointId, Vec<Vec<u8>>, PendingReply)> = Vec::new();
+        let mut asked = Vec::with_capacity(asks.len());
+        let mut requests = Vec::with_capacity(asks.len());
         for (owner, keys) in asks {
             // `None` until this shard pins: an explicit option rather than
             // a `0` sentinel, so a shard whose stable frontier is 0 pins
@@ -669,54 +670,49 @@ impl SnapshotTxn<'_> {
                 spans: spans.to_vec(),
                 limit: limit as u64,
             };
-            let meta = self.meta();
-            let payload = encode(&req_msg);
-            let rpc = &self.client.rpc;
-            let reply = rpc.enqueue_request(owner, req::SNAPSHOT_READ, &meta, &payload);
-            pending.push((owner, req_msg.keys, reply));
+            requests.push((owner, req::SNAPSHOT_READ, self.meta(), encode(&req_msg)));
+            asked.push(req_msg.keys);
         }
-        self.client.rpc.tx_burst();
-        let mut out = Vec::with_capacity(pending.len());
-        let mut reject: Option<TreatyError> = None;
-        for (owner, keys, p) in pending {
-            let (_, bytes) = match p.wait() {
-                Ok(x) => x,
-                Err(e) => return Err(TreatyError::Net(e.to_string())),
-            };
-            match decode::<SnapshotReadReply>(&bytes) {
-                Some(SnapshotReadReply::Values { ts, values, rows }) => {
-                    if values.len() != keys.len() || rows.len() != spans.len() {
-                        return Err(TreatyError::Rejected(
-                            "malformed snapshot reply: wrong arity".into(),
-                        ));
-                    }
+        let replies = self.client.rpc.burst(requests);
+        let mut out = Vec::with_capacity(asked.len());
+        // A failure outranks a retryable rejection, and either surfaces
+        // only once every reply is drained.
+        let (mut failed, mut reject) = (None, None);
+        for ((owner, reply), keys) in replies.zip(asked) {
+            match reply.map(|(_, bytes)| decode::<SnapshotReadReply>(&bytes)) {
+                Ok(Some(SnapshotReadReply::Values { ts, values, rows }))
+                    if values.len() == keys.len() && rows.len() == spans.len() =>
+                {
                     self.pinned.insert(owner, ts);
                     self.validate_set.entry(owner).or_default().extend(keys);
                     let scanned = self.validate_spans.entry(owner).or_default();
                     scanned.extend_from_slice(spans);
                     out.push((values, rows));
                 }
-                Some(SnapshotReadReply::Stale { stable_ts }) => {
+                Ok(Some(SnapshotReadReply::Values { .. })) => {
+                    failed.get_or_insert(TreatyError::Rejected(
+                        "malformed snapshot reply: wrong arity".into(),
+                    ));
+                }
+                Ok(Some(SnapshotReadReply::Stale { stable_ts })) => {
                     reject.get_or_insert(TreatyError::SnapshotRetry(format!(
                         "stale at shard {owner} (stable {stable_ts})"
                     )));
                 }
-                Some(SnapshotReadReply::InDoubt { .. }) => {
+                Ok(Some(SnapshotReadReply::InDoubt { .. })) => {
                     reject.get_or_insert(TreatyError::SnapshotRetry(format!(
                         "in doubt at shard {owner}"
                     )));
                 }
-                None => {
-                    return Err(TreatyError::Rejected("malformed snapshot reply".into()));
+                Ok(None) => {
+                    failed.get_or_insert(TreatyError::Rejected("malformed snapshot reply".into()));
+                }
+                Err(e) => {
+                    failed.get_or_insert(TreatyError::from(e));
                 }
             }
         }
-        // Every reply is drained before a rejection surfaces, so no
-        // pending RPC is orphaned mid-burst.
-        match reject {
-            None => Ok(out),
-            Some(e) => Err(e),
-        }
+        failed.or(reject).map_or(Ok(out), Err)
     }
 
     /// Finishes the transaction. Single-shard snapshots are consistent by
@@ -747,47 +743,34 @@ impl SnapshotTxn<'_> {
         for (owner, spans) in std::mem::take(&mut self.validate_spans) {
             work.entry(owner).or_default().1 = spans;
         }
-        let mut pending: Vec<(EndpointId, PendingReply)> = Vec::new();
+        let mut requests = Vec::with_capacity(work.len());
         for (owner, (keys, spans)) in work {
             let Some(&ts) = self.pinned.get(&owner) else {
                 continue;
             };
             let req_msg = SnapshotValidateReq { ts, keys, spans };
-            let meta = self.meta();
-            pending.push((
-                owner,
-                self.client.rpc.enqueue_request(
-                    owner,
-                    req::SNAPSHOT_VALIDATE,
-                    &meta,
-                    &encode(&req_msg),
-                ),
-            ));
+            requests.push((owner, req::SNAPSHOT_VALIDATE, self.meta(), encode(&req_msg)));
         }
-        self.client.rpc.tx_burst();
-        let mut reject: Option<TreatyError> = None;
-        for (owner, p) in pending {
-            let (_, bytes) = match p.wait() {
-                Ok(x) => x,
-                Err(e) => return Err(TreatyError::Net(e.to_string())),
-            };
-            match decode::<SnapshotValidateReply>(&bytes) {
-                Some(SnapshotValidateReply::Ok) => {}
-                Some(SnapshotValidateReply::Fail { .. }) => {
+        // As in `read`: every reply drained, a failure before a rejection.
+        let (mut failed, mut reject) = (None, None);
+        for (owner, reply) in self.client.rpc.burst(requests) {
+            match reply.map(|(_, bytes)| decode::<SnapshotValidateReply>(&bytes)) {
+                Ok(Some(SnapshotValidateReply::Ok)) => {}
+                Ok(Some(SnapshotValidateReply::Fail { .. })) => {
                     reject.get_or_insert(TreatyError::SnapshotRetry(format!(
                         "validation failed at shard {owner}"
                     )));
                 }
-                None => {
-                    return Err(TreatyError::Rejected(
+                Ok(None) => {
+                    failed.get_or_insert(TreatyError::Rejected(
                         "malformed snapshot validate reply".into(),
                     ));
                 }
+                Err(e) => {
+                    failed.get_or_insert(TreatyError::from(e));
+                }
             }
         }
-        match reject {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
+        failed.or(reject).map_or(Ok(()), Err)
     }
 }

@@ -5,7 +5,7 @@ use std::cell::Cell;
 use std::path::PathBuf;
 use std::rc::Rc;
 
-use treaty_cas::{bootstrap_cluster, ClusterConfig, Las};
+use treaty_cas::{bootstrap_cluster, Cas, ClusterConfig, Las};
 use treaty_counter::{CounterBackend, NullBackend, RoteGroup, RoteReplica};
 use treaty_crypto::{Key, KeyHierarchy, SecureEnvelope, WireCrypto};
 use treaty_net::fabric::Datagram;
@@ -107,6 +107,7 @@ pub struct Cluster {
     shard_map: ShardMap,
     slots: Vec<NodeSlot>,
     replicas: Vec<Rc<RoteReplica>>,
+    cas: Rc<Cas>,
     lases: Vec<Las>,
     next_client: Cell<u32>,
 }
@@ -126,12 +127,13 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// Propagates store/Clog recovery failures.
+    /// Propagates store/Clog recovery failures and a node quote the CAS
+    /// refuses.
     ///
     /// # Panics
     ///
-    /// Panics if attestation fails (impossible with the honest roots used
-    /// here) or the base directory is unusable.
+    /// Panics if the bootstrap attestation fails (impossible with the
+    /// honest roots used here) or the base directory is unusable.
     #[allow(
         clippy::expect_used,
         reason = "documented: boot refuses an unattestable node or an unusable base directory"
@@ -180,6 +182,7 @@ impl Cluster {
             shard_map,
             slots: Vec::new(),
             replicas,
+            cas,
             lases,
             next_client: Cell::new(CLIENT_BASE),
             options,
@@ -198,13 +201,13 @@ impl Cluster {
         Ok(cluster)
     }
 
-    fn node_env(&self, idx: usize) -> Rc<Env> {
+    fn node_env(&self, idx: usize, keys: KeyHierarchy) -> Rc<Env> {
         let options = &self.options;
         let backend: Rc<dyn CounterBackend> = if options.profile.stabilization {
             RoteGroup::connect(
                 &self.fabric,
                 COUNTER_CLIENT_BASE + idx as u32,
-                self.keys.counter,
+                keys.counter,
                 counter_endpoints(),
                 options.costs.counter_round_ns,
             )
@@ -215,7 +218,7 @@ impl Cluster {
             options.profile,
             options.costs.clone(),
             Some(Rc::clone(&self.slots[idx].cores)),
-            self.keys,
+            keys,
             backend,
             options.base_dir.join(format!("node-{idx}")),
             options.engine_config.clone(),
@@ -229,21 +232,25 @@ impl Cluster {
         // before recovery runs, or its fibers would keep unwinding.
         treaty_sim::crashpoint::revive_node(endpoint);
 
-        // Re-attestation through the LAS (no IAS round, §VI).
+        // Every boot, a restart too, attests through the LAS (no IAS
+        // round, §VI) and takes its keys from the CAS; a refused quote
+        // refuses the boot.
         let machine = idx % self.lases.len();
         let quote = self.lases[machine].quote_instance(
             &treaty_cas::node_measurement(),
             endpoint.to_le_bytes().to_vec(),
         );
-        // The quote is validated by construction here; a production rollout
-        // would round-trip through the CAS (see treaty-cas tests).
-        let _ = quote;
+        let keys = self
+            .cas
+            .register_node(endpoint, &quote)
+            .map_err(|e| TreatyError::Rejected(e.to_string()))?
+            .keys;
 
         let store = if options.durable {
             let env = match &self.slots[idx].env {
                 Some(env) => Rc::clone(env),
                 None => {
-                    let env = self.node_env(idx);
+                    let env = self.node_env(idx, keys);
                     self.slots[idx].env = Some(Rc::clone(&env));
                     env
                 }
@@ -265,7 +272,7 @@ impl Cluster {
                     link_gbps: 40,
                 },
                 crypto: wire_crypto(&options.profile),
-                network_key: self.keys.network,
+                network_key: keys.network,
                 shard_map: self.shard_map.clone(),
                 cores: Rc::clone(&self.slots[idx].cores),
                 store,
@@ -275,6 +282,11 @@ impl Cluster {
         .map_err(TreatyError::from)?;
         self.slots[idx].node = Some(node);
         Ok(())
+    }
+
+    /// The CAS that attests every node boot.
+    pub fn cas(&self) -> &Cas {
+        &self.cas
     }
 
     /// The fabric (adversary control, capture).

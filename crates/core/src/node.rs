@@ -18,7 +18,7 @@ use std::rc::Rc;
 
 use treaty_crypto::codec::Encode;
 use treaty_crypto::{Key, TxMeta, WireCrypto};
-use treaty_net::{EndpointConfig, EndpointId, Fabric, PendingReply, Rpc, RpcConfig};
+use treaty_net::{EndpointConfig, EndpointId, Fabric, Rpc, RpcConfig};
 use treaty_sched::{CorePool, WaitQueue};
 use treaty_sim::crashpoint::CrashPoint;
 use treaty_sim::obs::{Counter, Phase};
@@ -744,8 +744,8 @@ impl TreatyNode {
         local_ops: Vec<Op>,
         remote: Vec<(EndpointId, Vec<Op>)>,
     ) -> Vec<(EndpointId, OpResult)> {
-        let mut pending: Vec<(EndpointId, PendingReply)> = Vec::with_capacity(remote.len());
-        for (owner, slice) in remote {
+        let mut results: Vec<(EndpointId, OpResult)> = Vec::with_capacity(remote.len() + 1);
+        let replies = self.rpc.burst(remote.into_iter().map(|(owner, slice)| {
             // A remote already in the set holds a slice of `gtx`.
             let held = ctx.remotes.contains(&owner);
             if !held {
@@ -760,25 +760,19 @@ impl TreatyNode {
                 held,
                 ops: slice,
             });
-            pending.push((
-                owner,
-                self.rpc
-                    .enqueue_request(owner, req::PEER_OPS, &meta, &payload),
-            ));
-        }
-        self.rpc.tx_burst();
+            (owner, req::PEER_OPS, meta, payload)
+        }));
         treaty_sim::crashpoint::hit(CrashPoint::CoordOpsFanout);
 
-        let mut results: Vec<(EndpointId, OpResult)> = Vec::with_capacity(pending.len() + 1);
         if !local_ops.is_empty() {
             // This node's slice dies only with its coordinator state, so it
             // is never held and lost.
             results.push((self.endpoint, self.apply_slice(gtx, local_ops, false)));
         }
-        // Collect every reply even after a failure: an abandoned
-        // `PendingReply` would leave the burst dangling mid-session.
-        for (p, pr) in pending {
-            let r = pr.wait().ok().and_then(|(_, bytes)| decode(&bytes));
+        // Every reply is collected, even after a failure: each shard's
+        // result goes back to the caller.
+        for (p, reply) in replies {
+            let r = reply.ok().and_then(|(_, bytes)| decode(&bytes));
             let unreachable = Abort {
                 cause: AbortCause::Unreachable,
                 participant: Some(p),
@@ -1114,8 +1108,7 @@ impl TreatyNode {
             (true, true) => Lane::Held,
         };
         let remotes = participants.iter().filter(|&&p| p != self.endpoint);
-        let mut pending: Vec<(EndpointId, PendingReply)> = Vec::with_capacity(participants.len());
-        for &r in remotes {
+        let votes = self.rpc.burst(remotes.map(|&r| {
             let batch = batches
                 .iter_mut()
                 .find(|(p, _)| *p == r)
@@ -1127,12 +1120,8 @@ impl TreatyNode {
                 lane: lane(r),
                 batch,
             });
-            pending.push((
-                r,
-                self.rpc.enqueue_request(r, req::PEER_PREPARE, &meta, &msg),
-            ));
-        }
-        self.rpc.tx_burst();
+            (r, req::PEER_PREPARE, meta, msg)
+        }));
         treaty_sim::crashpoint::hit(CrashPoint::CoordAfterPrepareFanout);
 
         treaty_sim::runtime::set_tag("h:2pc-local-prepare");
@@ -1142,8 +1131,8 @@ impl TreatyNode {
         let mut refused = own.and_then(Result::err).map(|cause| self.refusal(cause));
         treaty_sim::runtime::set_tag("h:2pc-collect-votes");
         // Every reply is collected even after a refusal.
-        for (r, p) in pending {
-            let Some(why) = vote_refusal(r, p.wait()) else {
+        for (r, vote) in votes {
+            let Some(why) = vote_refusal(r, vote) else {
                 continue;
             };
             let explicit = |a: Abort| a.cause != AbortCause::Unreachable;
@@ -1181,16 +1170,15 @@ impl TreatyNode {
             req::PEER_ABORT
         };
         let payload = encode(&gtx);
-        let mut pending: Vec<(EndpointId, PendingReply)> = Vec::new();
-        for &r in remotes {
-            let meta = self.peer_meta(gtx);
-            pending.push((r, self.rpc.enqueue_request(r, code, &meta, &payload)));
-        }
+        let acks = self.rpc.burst(
+            remotes
+                .iter()
+                .map(|&r| (r, code, self.peer_meta(gtx), &payload)),
+        );
         treaty_sim::runtime::set_tag("sd:wait");
-        self.rpc.tx_burst();
         treaty_sim::crashpoint::hit(CrashPoint::CoordMidDecisionFanout);
-        for (r, p) in pending {
-            if p.wait().is_ok() {
+        for (r, ack) in acks {
+            if ack.is_ok() {
                 continue;
             }
             // The retry train for a peer that missed the first delivery.

@@ -422,6 +422,29 @@ fn baseline_leaks_on_the_wire() {
     });
 }
 
+/// Every node boot attests through the CAS, a restart too: the CAS holds
+/// every node, and a restarted node serves with the keys it handed out.
+#[test]
+fn every_node_boot_registers_with_the_cas() {
+    let dir = tempfile::tempdir().unwrap();
+    let path = dir.path().to_path_buf();
+    block_on(move || {
+        let mut cluster = Cluster::start(options(SecurityProfile::treaty_full(), &path)).unwrap();
+        assert_eq!(cluster.cas().registered_nodes(), 3);
+        cluster.crash_node(2);
+        cluster.restart_node(2).unwrap();
+        cluster.resolve_recovered();
+        assert_eq!(cluster.cas().registered_nodes(), 3);
+        let keys = keys_on_different_nodes(&cluster);
+        let client = cluster.client();
+        let mut tx = client.begin(1);
+        for k in &keys {
+            tx.put(k, b"after-restart").unwrap();
+        }
+        tx.commit().unwrap();
+    });
+}
+
 #[test]
 fn participant_crash_after_prepare_commits_after_restart() {
     let dir = tempfile::tempdir().unwrap();

@@ -646,8 +646,7 @@ fn abort_advisory_waits_for_its_transactions_running_op() {
 
         // The victim's op blocks on it; its abort advisory follows.
         let meta = raw_meta(9905, victim.seq, 1);
-        let op = raw.enqueue_request(2, req::PEER_OPS, &meta, &put(victim));
-        raw.tx_burst();
+        let mut op = raw.burst([(2, req::PEER_OPS, meta, put(victim))]);
         treaty_sim::runtime::sleep(MILLIS);
         let meta = raw_meta(9905, victim.seq, 2);
         raw.send_oneway(2, req::PEER_ABORT, &meta, &encode(&victim));
@@ -657,7 +656,7 @@ fn abort_advisory_waits_for_its_transactions_running_op() {
         let meta = raw_meta(9905, blocker.seq, 2);
         raw.call(2, req::PEER_ABORT, &meta, &encode(&blocker))
             .unwrap();
-        let (_, bytes) = op.wait().unwrap();
+        let (_, bytes) = op.next().unwrap().1.unwrap();
         assert!(
             matches!(op_result(bytes), OpResult::Ok { .. }),
             "the op must have run to its end before the advisory"

@@ -339,21 +339,14 @@ impl RoteGroup {
     /// the replies. A request's session is its metadata's `tx_id`.
     fn broadcast(&self, session: u64, msg: &RoteMsg) -> Vec<RoteMsg> {
         let payload = msg.to_bytes();
-        let mut pending = Vec::new();
-        for (i, &r) in self.replicas.iter().enumerate() {
+        let requests = self.replicas.iter().enumerate().map(|(i, &r)| {
             let meta = TxMeta::new(self.rpc.id() as u64, session, i as u64);
-            pending.push(self.rpc.enqueue_request(r, ROTE_REQ, &meta, &payload));
-        }
-        self.rpc.tx_burst();
-        let mut replies = Vec::new();
-        for p in pending {
-            if let Ok((_, bytes)) = p.wait() {
-                if let Ok(m) = RoteMsg::from_bytes(&bytes) {
-                    replies.push(m);
-                }
-            }
-        }
-        replies
+            (r, ROTE_REQ, meta, &payload)
+        });
+        self.rpc
+            .burst(requests)
+            .filter_map(|(_, reply)| RoteMsg::from_bytes(&reply.ok()?.1).ok())
+            .collect()
     }
 }
 

@@ -12,9 +12,9 @@
 //! * [`Rpc`] is the eRPC-flavoured endpoint: request handlers keyed by the
 //!   request code sealed in each message, one queue per `(peer, session)`
 //!   served in order by at most one fiber (the paper's fiber-per-client
-//!   design; the session rule is in [`rpc`]'s header), asynchronous
-//!   `enqueue_request`/`tx_burst` and a blocking [`Rpc::call`] convenience
-//!   built on them,
+//!   design; the session rule is in [`rpc`]'s header), the asynchronous
+//!   [`Rpc::burst`] — a caller's requests sealed, sent together and
+//!   awaited in order — and a blocking [`Rpc::call`], a burst of one,
 //! * every message is sealed with [`treaty_crypto::SecureEnvelope`] under
 //!   a number from its endpoint's one counter, and a receiver keeps one
 //!   floor per sender plus the numbers above it that have started, so a
@@ -30,7 +30,7 @@ pub mod fabric;
 pub mod rpc;
 
 pub use fabric::{Adversary, EndpointConfig, EndpointId, Fabric, FabricStats};
-pub use rpc::{PendingReply, ReqHandler, Rpc, RpcConfig};
+pub use rpc::{Burst, ReqHandler, Rpc, RpcConfig};
 
 use treaty_sim::Nanos;
 

@@ -1,10 +1,11 @@
 //! The eRPC-flavoured endpoint: handlers, sessions, continuations.
 //!
-//! Mirrors the programming model of §V-A / §VII-A: requests are *enqueued*
-//! ([`Rpc::enqueue_request`]) and only hit the wire on [`Rpc::tx_burst`];
-//! the caller then polls/blocks on a [`PendingReply`] — the continuation.
-//! On the server side a dispatcher fiber demultiplexes the NIC into
-//! sessions.
+//! Mirrors the programming model of §V-A / §VII-A: a caller hands its
+//! requests to [`Rpc::burst`], which seals them and then puts them on the
+//! wire together, and blocks on the returned [`Burst`] — the continuation
+//! that yields each reply in request order. A burst carries its caller's
+//! requests only. On the server side a dispatcher fiber demultiplexes the
+//! NIC into sessions.
 //!
 //! # The session rule
 //!
@@ -129,6 +130,7 @@ impl std::fmt::Debug for RpcConfig {
 /// What routes a request: the sender and its plaintext session hint.
 type SessionKey = (EndpointId, u64);
 
+#[derive(Default)]
 struct PendingSlot {
     /// Set only while the requesting fiber is actually parked in
     /// [`Rpc::wait_reply`]; unparking a fiber that is sleeping elsewhere
@@ -143,7 +145,7 @@ struct Numbering {
     /// The next number to draw.
     next: u64,
     /// The slots of the requests awaiting their reply, by number. A slot
-    /// lives as long as its [`PendingReply`].
+    /// lives as long as its [`Burst`] awaits it.
     pending: BTreeMap<u64, PendingSlot>,
     /// Requests and oneways sealed but not yet handed to the fabric.
     unsent: BTreeSet<u64>,
@@ -205,7 +207,6 @@ pub struct Rpc {
     sessions: FiberCell<HashMap<SessionKey, VecDeque<(Nanos, Datagram)>>>,
     /// The replay guard, per sending endpoint.
     guard: FiberCell<HashMap<EndpointId, SenderGuard>>,
-    outbox: FiberCell<Vec<Datagram>>,
     started: Cell<bool>,
     stopped: Cell<bool>,
 }
@@ -218,39 +219,43 @@ impl std::fmt::Debug for Rpc {
     }
 }
 
-/// The continuation for an in-flight request. Obtain from
-/// [`Rpc::enqueue_request`]; redeem with [`PendingReply::wait`].
+/// The continuation of an [`Rpc::burst`]: it yields each request's
+/// destination and reply in request order, waiting for a reply only when
+/// it is asked for, with the endpoint's timeout from then. A reply that
+/// fails authentication or answers another request is dropped and the
+/// wait goes on; none in time is [`NetError::Timeout`].
+///
+/// Dropping it releases every slot and unsent number it still holds: a
+/// request nobody waits for, or one its fiber never sent because it
+/// unwound mid-burst, must not hold its sender's floor down.
 #[derive(Debug)]
-#[must_use = "a pending reply must be waited on (or explicitly abandoned)"]
-pub struct PendingReply {
+#[must_use = "a burst's replies must be waited on (or explicitly abandoned)"]
+pub struct Burst {
     rpc: Rc<Rpc>,
-    rpc_id: u64,
-    req: u8,
-    timeout: Nanos,
+    /// The requests not yet answered, in order: each one's destination and
+    /// the stamp its reply must echo.
+    awaited: VecDeque<(EndpointId, Stamp)>,
 }
 
-impl PendingReply {
-    /// Blocks until the reply arrives or the timeout elapses.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Timeout`] on timeout: a reply that fails authentication
-    /// or answers another request is dropped, and the wait goes on.
-    pub fn wait(self) -> Result<(TxMeta, Vec<u8>), NetError> {
-        let answer = Stamp {
-            seq: self.rpc_id,
-            floor: 0,
-            req: self.req,
-        };
-        self.rpc.wait_reply(answer, self.timeout)
+impl Iterator for Burst {
+    type Item = (EndpointId, Result<(TxMeta, Vec<u8>), NetError>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let &(dst, answer) = self.awaited.front()?;
+        let reply = self.rpc.wait_reply(answer, self.rpc.cfg.timeout);
+        self.awaited.pop_front();
+        self.rpc.numbering.borrow_mut().pending.remove(&answer.seq);
+        Some((dst, reply))
     }
 }
 
-impl Drop for PendingReply {
-    /// The slot goes with its continuation: a request nobody waits for
-    /// must not hold its sender's floor down.
+impl Drop for Burst {
     fn drop(&mut self) {
-        self.rpc.numbering.borrow_mut().pending.remove(&self.rpc_id);
+        let mut numbering = self.rpc.numbering.borrow_mut();
+        for (_, answer) in &self.awaited {
+            numbering.pending.remove(&answer.seq);
+            numbering.unsent.remove(&answer.seq);
+        }
     }
 }
 
@@ -280,7 +285,6 @@ impl Rpc {
             handlers: FiberCell::new(HashMap::new()),
             sessions: FiberCell::new(HashMap::new()),
             guard: FiberCell::new(HashMap::new()),
-            outbox: FiberCell::new(Vec::new()),
             started: Cell::new(false),
             stopped: Cell::new(false),
             cfg,
@@ -365,88 +369,49 @@ impl Rpc {
 
     // ---- client side -----------------------------------------------------
 
-    /// Seals and enqueues a request on session `meta.tx_id`; transmission
-    /// happens on [`Rpc::tx_burst`]. Requests sharing `(src, session)` are
-    /// handled in order, one at a time; distinct sessions are served
-    /// concurrently (the module header's session rule). The crypto work is
-    /// charged to the calling fiber here (it happens in the enclave before
-    /// the buffer reaches host memory).
-    pub fn enqueue_request(
+    /// Seals `requests`, each `(dst, code, meta, payload)` on session
+    /// `meta.tx_id`, in order, then puts exactly those on the wire: a burst
+    /// carries its caller's requests only, and one with none does nothing.
+    /// Requests sharing `(src, session)` are handled in order, one at a
+    /// time; distinct sessions are served concurrently (the module header's
+    /// session rule). The crypto work and the send are charged to the
+    /// calling fiber (sealing happens in the enclave before the buffer
+    /// reaches host memory).
+    pub fn burst<P: AsRef<[u8]>>(
         self: &Rc<Self>,
-        dst: EndpointId,
-        code: u8,
-        meta: &TxMeta,
-        payload: &[u8],
-    ) -> PendingReply {
-        let (rpc_id, wire) = self.seal_charged(meta, payload, |numbering, n| {
-            let slot = PendingSlot {
-                waiter: None,
-                response: None,
-            };
-            numbering.pending.insert(n, slot);
-            numbering.unsent.insert(n);
-            Stamp {
-                seq: n,
-                floor: numbering.floor(),
-                req: code,
-            }
-        });
-        let dg = Datagram {
-            src: self.id,
-            dst,
-            rpc_id,
-            session: meta.tx_id,
-            is_response: false,
-            wire,
-            receiver_cpu: 0,
-        };
-        self.outbox.borrow_mut().push(dg);
-        PendingReply {
+        requests: impl IntoIterator<Item = (EndpointId, u8, TxMeta, P)>,
+    ) -> Burst {
+        let mut burst = Burst {
             rpc: Rc::clone(self),
-            rpc_id,
-            req: code,
-            timeout: self.cfg.timeout,
+            awaited: VecDeque::new(),
+        };
+        let mut sealed = Vec::new();
+        for (dst, code, meta, payload) in requests {
+            let dg = self.seal_request(dst, code, &meta, payload.as_ref(), true);
+            let answer = Stamp {
+                seq: dg.rpc_id,
+                floor: 0,
+                req: code,
+            };
+            burst.awaited.push_back((dst, answer));
+            sealed.push(dg);
         }
-    }
-
-    /// Transmits everything enqueued so far, charging per-message sender
-    /// CPU and occupying the NIC for serialization.
-    pub fn tx_burst(&self) {
-        let msgs = self.outbox.take();
-        for dg in msgs {
+        for dg in sealed {
             self.transmit(dg);
         }
+        burst
     }
 
-    /// Sends a one-way message (no reply expected, no pending slot). Its
-    /// number holds the floor down until the fabric has it.
+    /// Sends a one-way message (no reply expected, no pending slot).
     pub fn send_oneway(&self, dst: EndpointId, code: u8, meta: &TxMeta, payload: &[u8]) {
-        let (rpc_id, wire) = self.seal_charged(meta, payload, |numbering, n| {
-            numbering.unsent.insert(n);
-            Stamp {
-                seq: n,
-                floor: numbering.floor(),
-                req: code,
-            }
-        });
-        let dg = Datagram {
-            src: self.id,
-            dst,
-            rpc_id,
-            session: meta.tx_id,
-            is_response: false,
-            wire,
-            receiver_cpu: 0,
-        };
-        self.transmit(dg);
+        self.transmit(self.seal_request(dst, code, meta, payload, false));
     }
 
-    /// Blocking request/response with the default timeout:
-    /// enqueue + burst + wait.
+    /// Blocking request/response with the default timeout: a burst of one.
     ///
     /// # Errors
     ///
-    /// See [`PendingReply::wait`].
+    /// See [`Burst`].
     pub fn call(
         self: &Rc<Self>,
         dst: EndpointId,
@@ -454,9 +419,9 @@ impl Rpc {
         meta: &TxMeta,
         payload: &[u8],
     ) -> Result<(TxMeta, Vec<u8>), NetError> {
-        let reply = self.enqueue_request(dst, code, meta, payload);
-        self.tx_burst();
-        reply.wait()
+        // A burst of one yields one reply.
+        let reply = self.burst([(dst, code, *meta, payload)]).next();
+        reply.map_or(Err(NetError::Closed), |(_, reply)| reply)
     }
 
     /// Waits for the reply whose sealed stamp is `answer`.
@@ -656,6 +621,39 @@ impl Rpc {
         }
     }
 
+    /// Seals a request for `dst` on session `meta.tx_id`. Its number holds
+    /// the floor down until the fabric has it; an `awaited` one also takes
+    /// a slot for its reply.
+    fn seal_request(
+        &self,
+        dst: EndpointId,
+        code: u8,
+        meta: &TxMeta,
+        payload: &[u8],
+        awaited: bool,
+    ) -> Datagram {
+        let (rpc_id, wire) = self.seal_charged(meta, payload, |numbering, n| {
+            if awaited {
+                numbering.pending.insert(n, PendingSlot::default());
+            }
+            numbering.unsent.insert(n);
+            Stamp {
+                seq: n,
+                floor: numbering.floor(),
+                req: code,
+            }
+        });
+        Datagram {
+            src: self.id,
+            dst,
+            rpc_id,
+            session: meta.tx_id,
+            is_response: false,
+            wire,
+            receiver_cpu: 0,
+        }
+    }
+
     fn send_response(&self, dst: EndpointId, answer: Stamp, meta: &TxMeta, payload: &[u8]) {
         let (_, wire) = self.seal_charged(meta, payload, |_, _| answer);
         let dg = Datagram {
@@ -850,12 +848,47 @@ mod tests {
     fn enqueue_then_burst_batches() {
         block_on(|| {
             let (_f, _s, client) = setup(WireCrypto::Full);
-            let r1 = client.enqueue_request(1, ECHO, &meta(1, 1), b"a1");
-            let r2 = client.enqueue_request(1, ECHO, &meta(1, 2), b"b2");
-            // Nothing on the wire until the burst.
-            client.tx_burst();
-            assert_eq!(r1.wait().unwrap().1, b"1a");
-            assert_eq!(r2.wait().unwrap().1, b"2b");
+            let mut replies =
+                client.burst([(1, ECHO, meta(1, 1), b"a1"), (1, ECHO, meta(1, 2), b"b2")]);
+            assert_eq!(replies.next().unwrap().1.unwrap().1, b"1a");
+            assert_eq!(replies.next().unwrap().1.unwrap().1, b"2b");
+        });
+    }
+
+    /// A burst puts its caller's requests on the wire and no one else's.
+    /// On one core every seal yields, so B's one-request burst runs while
+    /// A is still sealing its three: B's burst sends one message, and A's
+    /// three go out with A's burst.
+    #[test]
+    fn a_burst_sends_only_its_own_requests() {
+        block_on(|| {
+            let (fabric, _s, _c) = setup(WireCrypto::Full);
+            let key = KeyHierarchy::for_testing().network;
+            let cfg = RpcConfig {
+                cores: Some(Rc::new(CorePool::new(1))),
+                ..RpcConfig::client(WireCrypto::Full, key)
+            };
+            let client = Rpc::new(&fabric, 101, cfg);
+            client.start();
+            let a = {
+                let client = Rc::clone(&client);
+                runtime::spawn(move || {
+                    let requests = (1..=3).map(|op| (1, ECHO, meta(1, op), [op as u8]));
+                    let replies: Vec<Vec<u8>> =
+                        client.burst(requests).map(|(_, r)| r.unwrap().1).collect();
+                    assert_eq!(replies, [[1], [2], [3]]);
+                })
+            };
+            runtime::sleep(1);
+            let before = fabric.stats().sent;
+            let mut b = client.burst([(1, ECHO, meta(2, 1), b"b")]);
+            assert_eq!(
+                fabric.stats().sent - before,
+                1,
+                "B's burst sent A's requests"
+            );
+            assert_eq!(b.next().unwrap().1.unwrap().1, b"b");
+            runtime::join(a);
         });
     }
 
@@ -927,14 +960,13 @@ mod tests {
                 b"tsrif"
             );
             fabric.with_adversary(|a| a.drop_next = 1);
-            let second = client.enqueue_request(1, ECHO, &meta(1, 2), b"second");
-            client.tx_burst();
+            let mut second = client.burst([(1, ECHO, meta(1, 2), b"second")]);
             let captured = fabric.captured();
             let dropped = captured.iter().rev().find(|d| !d.is_response).unwrap();
             let mut forged = captured.iter().find(|d| d.is_response).unwrap().clone();
             forged.rpc_id = dropped.rpc_id;
             fabric.inject(forged);
-            assert_eq!(second.wait().unwrap_err(), NetError::Timeout);
+            assert_eq!(second.next().unwrap().1.unwrap_err(), NetError::Timeout);
             assert_eq!(count(Counter::NetRpcRejected), 1);
         });
     }
@@ -1162,8 +1194,7 @@ mod tests {
             let (fabric, server, client, starts) = slow_server(true);
             fabric.with_adversary(|a| a.dup_next = 1);
             fabric.start_capture();
-            let reply = client.enqueue_request(1, ECHO, &meta(4, 1), b"once");
-            client.tx_burst();
+            let mut reply = client.burst([(1, ECHO, meta(4, 1), b"once")]);
             let mut copy = fabric
                 .captured()
                 .into_iter()
@@ -1177,7 +1208,7 @@ mod tests {
             assert_eq!(starts.borrow().len(), 1);
             assert_eq!(count(Counter::NetRpcReplaysSuppressed), 1);
             assert_eq!(server.open_sessions(), 1);
-            assert_eq!(reply.wait().unwrap().1, b"once");
+            assert_eq!(reply.next().unwrap().1.unwrap().1, b"once");
             runtime::sleep(treaty_sim::MILLIS);
             assert_eq!(count(Counter::NetRpcReplaysSuppressed), 2);
             assert_eq!(starts.borrow().len(), 1);
