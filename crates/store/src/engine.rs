@@ -451,6 +451,8 @@ pub struct EngineStats {
     pub fence_gap_rejects: u64,
     /// Range scans served (locked and snapshot).
     pub scans: u64,
+    /// MemTable seeks by span passes: one per MemTable a pass reached.
+    pub memtable_seeks: u64,
 }
 
 /// A transaction's versions on their way into a MemTable: its sequence
@@ -1079,10 +1081,11 @@ impl TreatyStore {
     }
 
     /// The authenticated merge under every span read: pins the active
-    /// MemTable, the frozen backlog and the COW level snapshot, opens one
-    /// verified cursor per source overlapping `[start, end)` and runs
-    /// [`merge_newest`] over them with the range tombstones in the span.
-    /// Returns the newest of those tombstones' seqs (0 = none).
+    /// MemTable, the frozen backlog and the COW level snapshot, gives one
+    /// verified cursor to each source overlapping `[start, end)` — none
+    /// reads until the lazy [`merge_newest`] reaches it — and runs the
+    /// merge over them with the range tombstones in the span. Returns the
+    /// newest of those tombstones' seqs (0 = none).
     fn merge_scan<F>(
         &self,
         start: &[u8],
@@ -1133,7 +1136,7 @@ impl TreatyStore {
                     .filter(|rt| in_span(rt))
                     .cloned(),
             );
-            sources.push(ScanSource::Table(t.range_cursor(start, true)?));
+            sources.push(ScanSource::Table(t.range_cursor(start, true)));
         }
         merge_newest(
             &mut sources,
@@ -1693,7 +1696,7 @@ impl TreatyStore {
         // cursors bypass the block cache.
         let mut sources = Vec::new();
         for t in inputs {
-            sources.push(ScanSource::Table(t.range_cursor(b"", false)?));
+            sources.push(ScanSource::Table(t.range_cursor(b"", false)));
         }
         // Range tombstones from every input ride the outputs (partitioned
         // below) until the bottom level, where they — and the versions
@@ -2131,7 +2134,7 @@ fn tomb_fragments(
 }
 
 /// One input of the authenticated merge: a MemTable cursor or a verified
-/// SSTable block cursor, unified behind one `next`.
+/// SSTable block cursor, unified behind one `next` and one `bound`.
 enum ScanSource<'a> {
     Mem(MemCursor<'a>),
     Table(TableCursor),
@@ -2142,6 +2145,15 @@ impl ScanSource<'_> {
         match self {
             ScanSource::Mem(c) => c.next(),
             ScanSource::Table(c) => Ok(c.next()?.map(|r| (r.key, r.seq, r.value))),
+        }
+    }
+
+    /// A lower bound on the next key `next` yields, known with no I/O and
+    /// no charge; `None` once the source is exhausted.
+    fn bound(&self) -> Option<&[u8]> {
+        match self {
+            ScanSource::Mem(c) => c.bound(),
+            ScanSource::Table(c) => c.bound(),
         }
     }
 }
@@ -2171,6 +2183,13 @@ fn refill(
 /// `sources` in key order, together with the newest seq among the `tombs`
 /// covering it (0 = none), until `visit` returns `Ok(false)` or every
 /// source is exhausted.
+///
+/// The merge is lazy: a source is read only once the merge frontier — the
+/// smallest head in hand — reaches its [`ScanSource::bound`], so a block or
+/// a MemTable no answer reaches is never opened. A source whose bound ties
+/// the frontier is read, since it may hold a newer version of that key;
+/// every source that could hold the smallest key is therefore in hand when
+/// it is picked, and the pick is the one an eager merge makes.
 fn merge_newest<F>(
     sources: &mut [ScanSource<'_>],
     tombs: &[RangeTombstone],
@@ -2181,12 +2200,23 @@ fn merge_newest<F>(
 where
     F: FnMut(UserKey, SeqNum, Option<Vec<u8>>, SeqNum) -> Result<bool>,
 {
-    let mut heads: Vec<Option<VersionedEntry>> = Vec::with_capacity(sources.len());
-    for src in sources.iter_mut() {
-        heads.push(refill(src, end, snapshot)?);
-    }
+    // A source's head is in hand (`Some`) or still behind its bound.
+    let mut heads: Vec<Option<VersionedEntry>> = vec![None; sources.len()];
     let mut last_key: Option<UserKey> = None;
     loop {
+        // Read, smallest bound first, every source whose bound is at or
+        // below the frontier; with no head in hand, the smallest bound.
+        loop {
+            let frontier = heads.iter().flatten().map(|(k, _, _)| k.as_slice()).min();
+            let due = (0..sources.len())
+                .filter(|&i| heads[i].is_none())
+                .filter_map(|i| Some((i, sources[i].bound()?)))
+                .filter(|(_, b)| frontier.is_none_or(|f| *b <= f) && end.is_none_or(|e| *b < e))
+                .min_by_key(|(_, b)| *b)
+                .map(|(i, _)| i);
+            let Some(i) = due else { break };
+            heads[i] = refill(&mut sources[i], end, snapshot)?;
+        }
         // Smallest key wins; seq desc breaks ties so the first record
         // of each key is its newest visible version. The first of equal
         // heads wins.
@@ -2196,10 +2226,9 @@ where
             .filter_map(|(i, h)| h.as_ref().map(|(k, s, _)| (i, k, *s)))
             .min_by(|(_, ka, sa), (_, kb, sb)| ka.cmp(kb).then(sb.cmp(sa)))
             .map(|(i, _, _)| i);
-        let Some((i, (key, seq, value))) = best.and_then(|i| Some((i, heads[i].take()?))) else {
+        let Some((key, seq, value)) = best.and_then(|i| heads[i].take()) else {
             return Ok(());
         };
-        heads[i] = refill(&mut sources[i], end, snapshot)?;
         if last_key.as_ref() == Some(&key) {
             continue; // older version of a key already decided
         }

@@ -18,6 +18,7 @@
 
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashSet};
+use std::ops::Bound;
 use std::rc::Rc;
 
 use treaty_crypto::codec;
@@ -409,32 +410,35 @@ impl MemTable {
     }
 
     /// Opens a cursor over `[start, end)` (`end = None` scans to the end of
-    /// the key space) in `(user key asc, seq desc)` order: one map seek.
-    /// Only the enclave-resident `(key, seq, handle)` entries are
-    /// snapshotted up front; values stay in host memory until the cursor
-    /// yields them, so a scan never materializes more than one value at a
-    /// time in enclave memory.
+    /// the key space) in `(user key asc, seq desc)` order. Opening is free:
+    /// it reads the smallest key, which fixes where the cursor will seek —
+    /// `max(start, smallest key)` — and its [`MemCursor::bound`] until then.
+    /// The first [`MemCursor::next`] pays the one charged seek; each later
+    /// one steps the map from the last entry yielded. Values stay in host
+    /// memory until the cursor yields them, so a scan never materializes
+    /// more than one value at a time in enclave memory.
     pub fn range_cursor(&self, start: &[u8], end: Option<&[u8]>) -> MemCursor<'_> {
-        let probe = MemKey::new(start.to_vec(), SeqNum::MAX);
-        // Collect under the borrow, charge after it ends: a charge with a
-        // borrow open panics.
-        let entries: Vec<(MemKey, ValueEntry)> = {
-            let guard = self.index.borrow();
-            guard
-                .map
-                .range(probe..)
-                .take_while(|(k, _)| end.map(|e| k.user.as_slice() < e).unwrap_or(true))
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect()
-        };
-        self.env.charge_enclave_op(
-            entries.len() * ENTRY_OVERHEAD + ENTRY_OVERHEAD,
-            self.env.costs.memtable_op_ns,
-        );
+        let smallest = self
+            .index
+            .borrow()
+            .map
+            .first_key_value()
+            .map(|(k, _)| k.user.clone());
+        let from = smallest
+            .map(|k| k.max(start.to_vec()))
+            .filter(|k| end.is_none_or(|e| k.as_slice() < e));
         MemCursor {
             mt: self,
-            entries: entries.into_iter(),
+            end: end.map(<[u8]>::to_vec),
+            at: from.map_or(At::End, At::Unsought),
         }
+    }
+
+    /// The first entry from `from` on, copied out under a short borrow.
+    fn first_from(&self, from: Bound<&MemKey>) -> Option<(MemKey, ValueEntry)> {
+        let guard = self.index.borrow();
+        let (k, v) = guard.map.range((from, Bound::Unbounded)).next()?;
+        Some((k.clone(), v.clone()))
     }
 
     /// Collects every entry in index order (user key asc, seq desc)
@@ -516,24 +520,50 @@ impl Drop for MemTable {
     }
 }
 
-/// A range cursor over a MemTable ([`MemTable::range_cursor`]). The
-/// in-range entries are snapshotted (keys/handles only) at open, already
-/// in `(user key asc, seq desc)` order; `next` resolves one value at a
-/// time from host memory.
+/// A range cursor over a MemTable ([`MemTable::range_cursor`]). It holds
+/// no entry: each `next` finds the one after the last yielded under a
+/// short borrow and resolves its value from host memory once the borrow
+/// has ended, so no borrow is held across a charge. Every entry in range
+/// when the cursor opened is yielded; an entry inserted later is yielded
+/// too if it sorts after the last one yielded.
 pub struct MemCursor<'a> {
     mt: &'a MemTable,
-    entries: std::vec::IntoIter<(MemKey, ValueEntry)>,
+    end: Option<UserKey>,
+    at: At,
+}
+
+/// Where a [`MemCursor`] resumes.
+#[derive(Debug)]
+enum At {
+    /// Not yet sought: the first `next` seeks to this key.
+    Unsought(UserKey),
+    /// Past this entry, the last yielded.
+    After(MemKey),
+    /// Nothing left in range.
+    End,
 }
 
 impl std::fmt::Debug for MemCursor<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MemCursor")
-            .field("remaining", &self.entries.len())
+            .field("at", &self.at)
             .finish_non_exhaustive()
     }
 }
 
 impl MemCursor<'_> {
+    /// A lower bound on the key of the next entry [`MemCursor::next`]
+    /// yields, at no charge: the key the cursor will seek to, else the
+    /// last key yielded (a later entry may be an older version of it).
+    /// `None` once the cursor is exhausted.
+    pub fn bound(&self) -> Option<&[u8]> {
+        match &self.at {
+            At::Unsought(key) => Some(key),
+            At::After(mk) => Some(&mk.user),
+            At::End => None,
+        }
+    }
+
     /// The next entry in index order, or `None` when exhausted.
     ///
     /// # Errors
@@ -542,9 +572,24 @@ impl MemCursor<'_> {
     /// tampered with.
     #[allow(clippy::should_implement_trait)] // fallible: not an `Iterator`
     pub fn next(&mut self) -> Result<Option<VersionedEntry>> {
-        let Some((k, v)) = self.entries.next() else {
+        let env = &self.mt.env;
+        let found = match &self.at {
+            At::End => return Ok(None),
+            At::Unsought(key) => {
+                env.charge_enclave_op(ENTRY_OVERHEAD, env.costs.memtable_op_ns);
+                env.stats.borrow_mut().memtable_seeks += 1;
+                let probe = MemKey::new(key.clone(), SeqNum::MAX);
+                self.mt.first_from(Bound::Included(&probe))
+            }
+            At::After(last) => self.mt.first_from(Bound::Excluded(last)),
+        };
+        let Some((k, v)) =
+            found.filter(|(k, _)| self.end.as_deref().is_none_or(|e| k.user.as_slice() < e))
+        else {
+            self.at = At::End;
             return Ok(None);
         };
+        self.at = At::After(k.clone());
         let value = self.mt.resolve_value(&k.user, &v)?;
         let seq = k.seq();
         Ok(Some((k.user, seq, value)))

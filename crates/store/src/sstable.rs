@@ -445,6 +445,27 @@ impl SsTable {
                 "sstable meta/file id mismatch".into(),
             ));
         }
+        // Fence monotonicity over the whole index, checked once with the
+        // seal: adjacent blocks must not overlap beyond sharing a
+        // straddling version run's key, and each block's own fences must be
+        // ordered. The fences are sealed in the footer, so a failure here
+        // means the enclave's own view is corrupt — fail loudly. Cursors
+        // and point reads then trust the fences as lower bounds.
+        for (i, bm) in meta.blocks.iter().enumerate() {
+            if bm.first_key > bm.last_key {
+                return Err(StoreError::Integrity(format!(
+                    "sstable {} block {i} fence keys inverted",
+                    meta.file_id
+                )));
+            }
+            if i > 0 && meta.blocks[i - 1].last_key > bm.first_key {
+                return Err(StoreError::Integrity(format!(
+                    "sstable {} blocks {}..{i} fence keys overlap — index reordered",
+                    meta.file_id,
+                    i - 1
+                )));
+            }
+        }
         // Footer digests and the Bloom filter now live in trusted memory.
         env.enclave.alloc_trusted(trusted_footprint(&meta));
         Ok(SsTable {
@@ -657,45 +678,21 @@ impl SsTable {
         Ok(best)
     }
 
-    /// Opens an authenticated streaming cursor over `[start, ..)`, seeking
-    /// via the sealed fence keys — no block before the first candidate is
-    /// read, and only one block is enclave-resident at a time. `cached`
-    /// routes block reads through the trusted block cache; compaction
-    /// passes `false` because its inputs are about to be retired and would
-    /// only evict hot entries.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Integrity`] when the fence-key index itself is
-    /// inconsistent (overlapping or reordered fences).
-    pub fn range_cursor(self: &Rc<Self>, start: &[u8], cached: bool) -> Result<TableCursor> {
-        // Fence monotonicity over the whole index, checked once up front:
-        // adjacent blocks must not overlap beyond sharing a straddling
-        // version run's key, and each block's own fences must be ordered.
-        // The fences are sealed in the footer, so a failure here means the
-        // enclave's own view is corrupt — fail loudly.
-        for (i, bm) in self.meta.blocks.iter().enumerate() {
-            if bm.first_key > bm.last_key {
-                return Err(StoreError::Integrity(format!(
-                    "sstable {} block {i} fence keys inverted",
-                    self.meta.file_id
-                )));
-            }
-            if i > 0 && self.meta.blocks[i - 1].last_key > bm.first_key {
-                return Err(StoreError::Integrity(format!(
-                    "sstable {} blocks {}..{i} fence keys overlap — index reordered",
-                    self.meta.file_id,
-                    i - 1
-                )));
-            }
-        }
+    /// Opens an authenticated streaming cursor over `[start, ..)`. Opening
+    /// reads nothing: the cursor seeks by the sealed fence keys (checked
+    /// at [`SsTable::open`]) when it first reads, no block before the
+    /// first candidate is read, and only one block is enclave-resident at a
+    /// time. `cached` routes block reads through the trusted block cache;
+    /// compaction passes `false` because its inputs are about to be
+    /// retired and would only evict hot entries.
+    pub fn range_cursor(self: &Rc<Self>, start: &[u8], cached: bool) -> TableCursor {
         // First block whose last_key >= start: earlier blocks end strictly
         // before the range and can be skipped without reading them.
         let block = self
             .meta
             .blocks
             .partition_point(|b| b.last_key.as_slice() < start);
-        Ok(TableCursor {
+        TableCursor {
             table: Rc::clone(self),
             cached,
             next_block: block,
@@ -703,7 +700,7 @@ impl SsTable {
             records: None,
             pos: 0,
             last: None,
-        })
+        }
     }
 
     /// Releases the enclave accounting for the footer (call when the table
@@ -724,7 +721,8 @@ impl SsTable {
 /// reordering any part of a scanned range surfaces as
 /// [`StoreError::Integrity`], and the fence chain proves the scan saw
 /// *every* record in the range (completeness, not just per-record
-/// authenticity).
+/// authenticity). A block is read only when [`TableCursor::next`] needs
+/// it; until then [`TableCursor::bound`] answers from the sealed fences.
 pub struct TableCursor {
     table: Rc<SsTable>,
     cached: bool,
@@ -751,6 +749,19 @@ impl TableCursor {
     /// sealed footer).
     pub fn range_tombstones(&self) -> &[RangeTombstone] {
         &self.table.meta.range_tombstones
+    }
+
+    /// A lower bound on the key of the next record [`TableCursor::next`]
+    /// yields, with no I/O: the next record of the block in hand, else the
+    /// sealed `first_key` of the next unread block (which the block must
+    /// match when it is read), clamped to the seek key. `None` when no
+    /// record is left.
+    pub fn bound(&self) -> Option<&[u8]> {
+        let next = match &self.records {
+            Some(records) if self.pos < records.len() => &records[self.pos].key,
+            _ => &self.table.meta.blocks.get(self.next_block)?.first_key,
+        };
+        Some(next.as_slice().max(self.start.as_slice()))
     }
 
     /// Loads and verifies the next block, returning `false` at the end of
@@ -916,7 +927,7 @@ mod tests {
 
     /// Collects a cursor to exhaustion.
     fn drain(t: &Rc<SsTable>, start: &[u8], cached: bool) -> Result<Vec<SsRecord>> {
-        let mut cur = t.range_cursor(start, cached)?;
+        let mut cur = t.range_cursor(start, cached);
         let mut out = Vec::new();
         while let Some(r) = cur.next()? {
             out.push(r);
@@ -1244,7 +1255,7 @@ mod tests {
         let cut = t.meta().blocks[1].offset as usize;
         let raw = std::fs::read(t.path())?;
         std::fs::write(t.path(), &raw[..cut])?;
-        let mut cur = t.range_cursor(b"", true)?;
+        let mut cur = t.range_cursor(b"", true);
         let err = loop {
             match cur.next() {
                 Ok(Some(_)) => continue,
@@ -1285,7 +1296,7 @@ mod tests {
                 .collect();
             tampered[s0].copy_from_slice(&graft);
             std::fs::write(t.path(), &tampered)?;
-            let mut cur = t.range_cursor(b"", true)?;
+            let mut cur = t.range_cursor(b"", true);
             let err = loop {
                 match cur.next() {
                     Ok(Some(_)) => continue,
@@ -1308,7 +1319,7 @@ mod tests {
         let mut raw = std::fs::read(t.path())?;
         raw[b1.offset as usize + 4] ^= 0x01;
         std::fs::write(t.path(), &raw)?;
-        let mut cur = t.range_cursor(b"", true)?;
+        let mut cur = t.range_cursor(b"", true);
         let err = loop {
             match cur.next() {
                 Ok(Some(_)) => continue,
@@ -1373,10 +1384,7 @@ mod tests {
         assert!(t.covers(b"b"));
         assert!(!t.covers(b"z"));
         assert!(drain(&t, b"", true)?.is_empty());
-        assert_eq!(
-            t.range_cursor(b"", true)?.range_tombstones(),
-            rts.as_slice()
-        );
+        assert_eq!(t.range_cursor(b"", true).range_tombstones(), rts.as_slice());
         Ok(())
     }
 

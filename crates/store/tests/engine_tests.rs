@@ -1844,6 +1844,164 @@ fn memtable_scan_pays_one_seek() {
     });
 }
 
+/// `EngineConfig::tiny()` with compaction held off, so every flush stays
+/// an L0 table of its own.
+fn uncompacted(profile: SecurityProfile, dir: &std::path::Path) -> TreatyStore {
+    let config = treaty_store::EngineConfig {
+        l0_compaction_trigger: 64,
+        l0_slowdown_trigger: 64,
+        l0_stop_trigger: 128,
+        ..treaty_store::EngineConfig::tiny()
+    };
+    TreatyStore::open(Env::for_testing_with(profile, dir, config)).unwrap()
+}
+
+/// Blocks read so far, from the trusted cache or from storage.
+fn block_reads(store: &TreatyStore) -> u64 {
+    let stats = store.stats();
+    stats.block_cache_hits + stats.block_cache_misses
+}
+
+#[test]
+fn a_limited_scan_reads_only_the_table_it_returns_from() {
+    let dir = tempfile::tempdir().unwrap();
+    let store = uncompacted(SecurityProfile::treaty_full(), dir.path());
+    // Five tables with disjoint key ranges, several blocks each.
+    for t in 0..5u32 {
+        for k in 0..40u32 {
+            put(&store, format!("d{t}-{k:02}").as_bytes(), &[b'v'; 100]);
+        }
+        store.flush().unwrap();
+    }
+    let tables = store.level_tables();
+    assert_eq!(tables[0].len(), 5, "one L0 table per flush");
+    assert!(tables[0].iter().all(|t| t.meta().blocks.len() > 2));
+
+    // Three rows from the first block of the first table: that block is
+    // the only one read, whatever lies to its right.
+    let before = block_reads(&store);
+    let rows = store.scan(b"d", b"e", u64::MAX, 3).unwrap();
+    assert_eq!(rows.len(), 3);
+    assert_eq!(rows[2].0, b"d0-02".to_vec());
+    assert_eq!(block_reads(&store) - before, 1, "a scan read past its rows");
+
+    // The same through the locking pass, whose span runs to the end of
+    // the key space: the gap bound is the fourth key, in the same block.
+    let before = block_reads(&store);
+    let mut scanner = store.begin_mode(TxnMode::Pessimistic);
+    assert_eq!(scanner.scan(b"d", b"e", 3).unwrap(), rows);
+    scanner.commit().unwrap();
+    assert_eq!(
+        block_reads(&store) - before,
+        1,
+        "a fenced pass read past its bound"
+    );
+}
+
+#[test]
+fn a_scan_that_stops_below_the_memtable_charges_no_seek() {
+    let dir = tempfile::tempdir().unwrap();
+    let path = dir.path().to_path_buf();
+    block_on(move || {
+        let store = uncompacted(SecurityProfile::treaty_full(), &path);
+        for k in 0..40u32 {
+            put(&store, format!("b{k:02}").as_bytes(), &[b'v'; 100]);
+        }
+        store.flush().unwrap();
+        let timed_scan = || {
+            let (t0, seeks) = (now(), store.stats().memtable_seeks);
+            assert_eq!(store.scan(b"b", b"z", u64::MAX, 3).unwrap().len(), 3);
+            (now() - t0, store.stats().memtable_seeks - seeks)
+        };
+        timed_scan(); // warms the block cache
+        let (empty_memtable, _) = timed_scan();
+        // The MemTable's smallest key lies past the third row: the scan
+        // ends before the merge reaches it, so it costs nothing.
+        put(&store, b"m", b"v");
+        assert_eq!(timed_scan(), (empty_memtable, 0));
+        // A scan that does reach it seeks it once.
+        let seeks = store.stats().memtable_seeks;
+        assert_eq!(scan_committed(&store, b"b", b"z").len(), 41);
+        assert_eq!(store.stats().memtable_seeks - seeks, 1);
+    });
+}
+
+#[test]
+fn a_tampered_block_past_a_scans_stop_is_never_read() {
+    let dir = tempfile::tempdir().unwrap();
+    {
+        let store = uncompacted(SecurityProfile::treaty_full(), dir.path());
+        for k in 0..60u32 {
+            put(&store, format!("t{k:02}").as_bytes(), &[b'x'; 500]);
+        }
+        store.flush().unwrap();
+        // Flip a byte inside the table's last block.
+        let tables = store.level_tables();
+        let table = &tables[0][0];
+        let last = table.meta().blocks.last().unwrap();
+        let mut raw = std::fs::read(table.path()).unwrap();
+        raw[last.offset as usize + 4] ^= 0xFF;
+        std::fs::write(table.path(), &raw).unwrap();
+    }
+    // A fresh environment: no block of the table is cached.
+    let store = uncompacted(SecurityProfile::treaty_full(), dir.path());
+    let want: Vec<_> = (0..5u32)
+        .map(|k| (format!("t{k:02}").into_bytes(), vec![b'x'; 500]))
+        .collect();
+    assert_eq!(store.scan(b"t00", b"t99", u64::MAX, 5).unwrap(), want);
+    let outcome = store.scan(b"t00", b"t99", u64::MAX, 0);
+    assert!(
+        matches!(outcome, Err(StoreError::Integrity(_))),
+        "a scan reaching the tampered block: {outcome:?}"
+    );
+}
+
+/// A commit applied after a fenced pass began but before the pass reached
+/// the MemTable is seen by that pass; the apply moved the epoch, so the
+/// fence runs one more pass, and returns the committed row.
+#[test]
+fn a_commit_applied_before_a_pass_opens_the_memtable_forces_another_pass() {
+    let dir = tempfile::tempdir().unwrap();
+    let path = dir.path().to_path_buf();
+    block_on(move || {
+        let store = uncompacted(SecurityProfile::treaty_full(), &path);
+        // A long table the pass reads first, and a MemTable past it.
+        for k in 0..150u32 {
+            put(&store, format!("p{k:03}").as_bytes(), &[b'v'; 200]);
+        }
+        store.flush().unwrap();
+        put(&store, b"q0", b"mem");
+        // X-locked before any scan is live: no gap fence, no lookup.
+        let mut writer = store.begin_mode(TxnMode::Pessimistic);
+        writer.put(b"q1", b"new").unwrap();
+        let (scans, seeks) = (store.stats().scans, store.stats().memtable_seeks);
+
+        let store2 = store.clone();
+        let rows = Rc::new(RefCell::new(Vec::new()));
+        let rows2 = Rc::clone(&rows);
+        let fencer = spawn(move || {
+            let mut t = store2.begin_mode(TxnMode::Pessimistic);
+            *rows2.borrow_mut() = t.scan(b"p", b"r", 0).unwrap();
+            t.commit().unwrap();
+        });
+        treaty_sim::runtime::sleep(1_000);
+        writer.commit().unwrap();
+        // Applied inside the first pass, before it reached the MemTable.
+        assert_eq!(store.stats().scans, scans + 1);
+        assert_eq!(store.stats().memtable_seeks, seeks);
+        join(fencer);
+
+        assert_eq!(
+            store.stats().scans,
+            scans + 2,
+            "the moved epoch forced one more pass"
+        );
+        let rows = rows.borrow().clone();
+        assert_eq!(rows.len(), 152);
+        assert_eq!(rows[151], (b"q1".to_vec(), b"new".to_vec()));
+    });
+}
+
 #[test]
 fn range_delete_locks_out_concurrent_writers_in_span() {
     let dir = tempfile::tempdir().unwrap();
@@ -2388,7 +2546,7 @@ fn open_tables_hold_one_descriptor_each_and_release_it_on_retirement() {
     let path = root.join(&victim);
     let table = Rc::new(SsTable::open(Rc::clone(&env), &path).unwrap());
     let entries = table.meta().entries;
-    let mut cursor = table.range_cursor(b"", false).unwrap();
+    let mut cursor = table.range_cursor(b"", false);
     drop(table);
     let mut seen = u64::from(cursor.next().unwrap().is_some());
     let mut i = 200u32;
@@ -2566,7 +2724,7 @@ fn nothing_moves_into_the_bottom_level() {
     let levels = store.level_tables();
     assert!(!levels[5].is_empty(), "the load reached the bottom");
     for table in &levels[5] {
-        let mut cursor = table.range_cursor(b"", false).unwrap();
+        let mut cursor = table.range_cursor(b"", false);
         while let Some(record) = cursor.next().unwrap() {
             assert!(record.value.is_some(), "a tombstone reached the bottom");
         }
