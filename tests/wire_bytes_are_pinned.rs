@@ -3,7 +3,10 @@
 //! behind each class of DESIGN.md §18, encoded and hashed, must match the
 //! digest recorded here. A reordered field keeps every length the same, so
 //! neither a round trip nor a virtual-time figure would notice it; this
-//! test does.
+//! test does. The same holds for what storage seals: one MemTable value,
+//! one SSTable data block, the meta block with its footer digest and one
+//! record frame of each log, under a sealing, a tag-only and a clear
+//! profile, are pinned the same way.
 
 use treaty::core::clog::ClogRecord;
 use treaty::core::messages::{
@@ -14,9 +17,14 @@ use treaty::core::messages::{
 use treaty::counter::{RoteMsg, SealedState};
 use treaty::crypto::codec::Record;
 use treaty::crypto::{sha256, Key};
+use treaty::sim::SecurityProfile;
+use treaty::store::log::LogWriter;
+use treaty::store::memtable::MemTable;
 use treaty::store::memtable::RangeTombstone;
+use treaty::store::sstable;
 use treaty::store::sstable::{BlockMeta, SsTableMeta};
 use treaty::store::txn::WriteOp;
+use treaty::store::Env;
 use treaty::store::{BloomFilter, GlobalTxId, ManifestEdit, WalRecord};
 use treaty::tee::{seal, Measurement, SealedBlob};
 
@@ -287,6 +295,63 @@ fn sealed_blobs() -> Vec<Vec<u8>> {
     )])
 }
 
+/// The three ways storage protects a byte: sealed (`treaty_full`), tagged
+/// only (`native_treaty`) and in clear (`rocksdb`).
+const STORAGE_PROFILES: [fn() -> SecurityProfile; 3] = [
+    SecurityProfile::treaty_full,
+    SecurityProfile::native_treaty,
+    SecurityProfile::rocksdb,
+];
+
+/// One MemTable value as it lies in host memory.
+fn memtable_value(profile: SecurityProfile) -> Vec<u8> {
+    let dir = tempfile::tempdir().unwrap();
+    let env = Env::for_testing(profile, dir.path());
+    let mt = MemTable::new(std::rc::Rc::clone(&env));
+    mt.put(b"k1", 4, b"value-1");
+    env.vault.dump()
+}
+
+/// A two-block SSTable with a range tombstone, as `(first data block,
+/// everything after the last data block)`: the sealed meta block, its
+/// footer digest, its length and the magic.
+fn sstable_bytes(profile: SecurityProfile) -> (Vec<u8>, Vec<u8>) {
+    let dir = tempfile::tempdir().unwrap();
+    let env = Env::for_testing(profile, dir.path());
+    let path = dir.path().join("sst-000007.sst");
+    let entries: Vec<_> = (0..12u64)
+        .map(|i| {
+            let value = (i % 5 != 0).then(|| vec![b'a' + i as u8; 150]);
+            (format!("k{i:02}").into_bytes(), 20 - i, value)
+        })
+        .collect();
+    let tombs = [RangeTombstone {
+        start: b("k03"),
+        end: b("k05"),
+        seq: 30,
+    }];
+    let meta = sstable::build(&env, &path, 7, &entries, &tombs).unwrap();
+    assert!(meta.blocks.len() >= 2, "{} blocks", meta.blocks.len());
+    let raw = std::fs::read(&path).unwrap();
+    let first = &meta.blocks[0];
+    let last = meta.blocks.last().unwrap();
+    let block = raw[first.offset as usize..][..first.len as usize].to_vec();
+    (
+        block,
+        raw[(last.offset + u64::from(last.len)) as usize..].to_vec(),
+    )
+}
+
+/// The file of log `name` after one append of `record`.
+fn log_frame(profile: SecurityProfile, name: &str, record: &[u8]) -> Vec<u8> {
+    let dir = tempfile::tempdir().unwrap();
+    let env = Env::for_testing(profile, dir.path());
+    let path = dir.path().join(name);
+    let log = LogWriter::open(env, name, &path, 0).unwrap();
+    assert_eq!(log.append(record).unwrap(), 1);
+    std::fs::read(&path).unwrap()
+}
+
 /// SHA-256 over each encoding, length-prefixed, in order, as hex.
 fn digest(encodings: &[Vec<u8>]) -> String {
     let mut all = Vec::new();
@@ -295,6 +360,18 @@ fn digest(encodings: &[Vec<u8>]) -> String {
         all.extend_from_slice(e);
     }
     sha256(&all).0.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// Fails naming every class whose digest is not the one pinned.
+fn assert_pinned(what: &str, classes: &[(&str, Vec<Vec<u8>>, &str)]) {
+    let moved: Vec<String> = classes
+        .iter()
+        .filter_map(|(name, encodings, want)| {
+            let got = digest(encodings);
+            (got != *want).then(|| format!("{name}: {got}, pinned {want}"))
+        })
+        .collect();
+    assert!(moved.is_empty(), "{what} moved:\n{}", moved.join("\n"));
 }
 
 #[test]
@@ -341,12 +418,46 @@ fn every_record_class_encodes_to_its_pinned_bytes() {
             "e7b7e327ebababade7ff93ce034a652fcd88e9ff920fcc2e840df6ddcd6faef3",
         ),
     ];
-    let moved: Vec<String> = classes
-        .iter()
-        .filter_map(|(name, encodings, want)| {
-            let got = digest(encodings);
-            (got != *want).then(|| format!("{name}: {got}, pinned {want}"))
-        })
-        .collect();
-    assert!(moved.is_empty(), "the format moved:\n{}", moved.join("\n"));
+    assert_pinned("the format", &classes);
+}
+
+#[test]
+fn every_sealed_storage_unit_is_pinned() {
+    let profiles = STORAGE_PROFILES.map(|p| p());
+    let per_profile = |unit: &dyn Fn(SecurityProfile) -> Vec<u8>| -> Vec<Vec<u8>> {
+        profiles.iter().map(|&p| unit(p)).collect()
+    };
+    let classes: [(&str, Vec<Vec<u8>>, &str); 6] = [
+        (
+            "MemTable value",
+            per_profile(&memtable_value),
+            "86a30bf054646216645b0540d6186a9b1c127a18694edfbea8c45fe4647d1396",
+        ),
+        (
+            "SSTable data block",
+            per_profile(&|p| sstable_bytes(p).0),
+            "3387991ae9822e855d8c887c55c96b3e16136dc6ff67f576a176997cfcaf338d",
+        ),
+        (
+            "SSTable meta block and footer",
+            per_profile(&|p| sstable_bytes(p).1),
+            "0fef284be60978c6e9d36005e3367a77a4b1839e2ab4633601fdba524318c886",
+        ),
+        (
+            "WAL record frame",
+            per_profile(&|p| log_frame(p, "wal-000001", &wal_records()[0])),
+            "a74a6b27b4a186faa71356b8459a7feefc0d8ab774be30b5d48b94c3e2a6a19c",
+        ),
+        (
+            "MANIFEST record frame",
+            per_profile(&|p| log_frame(p, "manifest", &manifest_edits()[2])),
+            "6c5a6b81150a0367a02f650a7f69d5d50577a65c5a1bc6a8dbb3d71ca0d01a83",
+        ),
+        (
+            "Clog record frame",
+            per_profile(&|p| log_frame(p, "clog", &clog_records()[0])),
+            "d4030c98056a3612af6e5be809a0121b99fac1aafa1abdb297755d863d27c953",
+        ),
+    ];
+    assert_pinned("the sealed bytes", &classes);
 }
