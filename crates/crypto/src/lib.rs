@@ -42,12 +42,14 @@ pub mod hash;
 mod hw;
 pub mod keys;
 pub mod message;
+pub mod sealer;
 
 pub use hash::{ct_eq, hmac_sign, hmac_verify, sha256, Digest32};
 pub use keys::{nonce, nonce_sender, Key, KeyHierarchy};
 pub use message::{
     EnvelopedMessage, MsgKind, Opened, SecureEnvelope, Stamp, TxMeta, WireCrypto, MESSAGE_OVERHEAD,
 };
+pub use sealer::{Protection, Sealer};
 
 use aes_gcm::aead::{Aead, Payload};
 use aes_gcm::{Aes256Gcm, KeyInit, Nonce};
@@ -66,15 +68,20 @@ pub enum CryptoError {
     /// The buffer is too short or structurally malformed.
     #[error("malformed cryptographic envelope")]
     Malformed,
+    /// A [`Sealer`] refused an index at or below one it already sealed, or
+    /// too wide for its nonce: sealing it would reuse a nonce.
+    #[error("refused to reuse a nonce")]
+    NonceReuse,
 }
 
-/// The output of authenticated encryption: `ciphertext ‖ tag(16B)`.
+/// The output of authenticated encryption: `ciphertext ‖ tag(16B)`, with
+/// the public nonce in front where [`Sealer::seal_framed`] puts it there.
 ///
 /// This newtype is the root of Treaty's boundary taint discipline: the only
-/// way to obtain one is to run [`aead_seal`], so a value of this type is a
-/// *proof of encryption*. `treaty-tee`'s `HostBytes` accepts it as evidence
-/// that bytes are safe to place in untrusted host memory (§III placement
-/// invariant). Use [`Ciphertext::into_vec`] where a raw buffer is needed —
+/// way to obtain one is to run [`aead_seal`], which storage reaches through
+/// a [`Sealer`], so a value of this type is a *proof of encryption*.
+/// `treaty-tee`'s `HostBytes` accepts it as evidence that bytes are safe to
+/// place in untrusted host memory (§III placement invariant). Use [`Ciphertext::into_vec`] where a raw buffer is needed —
 /// e.g. for wire framing or deliberate tampering in adversary tests.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Ciphertext(Vec<u8>);

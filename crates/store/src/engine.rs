@@ -2156,6 +2156,15 @@ impl ScanSource<'_> {
             ScanSource::Table(c) => c.bound(),
         }
     }
+
+    /// Called once the merge has decided `key`: a MemTable steps past the
+    /// versions of it it has not yielded without opening them. A table's
+    /// are already open in the block in hand.
+    fn skip_rest_of(&mut self, key: &[u8]) {
+        if let ScanSource::Mem(c) = self {
+            c.skip_rest_of(key);
+        }
+    }
 }
 
 /// Pulls the next record ≤ `snapshot` and < `end` out of `src`; a record
@@ -2226,9 +2235,12 @@ where
             .filter_map(|(i, h)| h.as_ref().map(|(k, s, _)| (i, k, *s)))
             .min_by(|(_, ka, sa), (_, kb, sb)| ka.cmp(kb).then(sb.cmp(sa)))
             .map(|(i, _, _)| i);
-        let Some((key, seq, value)) = best.and_then(|i| heads[i].take()) else {
+        let Some((i, (key, seq, value))) = best.and_then(|i| Some((i, heads[i].take()?))) else {
             return Ok(());
         };
+        // The key is decided now or was already: what else this source
+        // holds of it is older, and never read.
+        sources[i].skip_rest_of(&key);
         if last_key.as_ref() == Some(&key) {
             continue; // older version of a key already decided
         }

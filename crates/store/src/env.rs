@@ -5,7 +5,7 @@ use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
 use treaty_counter::{CounterBackend, NullBackend};
-use treaty_crypto::KeyHierarchy;
+use treaty_crypto::{Key, KeyHierarchy, Protection, Sealer};
 use treaty_sched::CorePool;
 use treaty_sim::obs::Counter;
 use treaty_sim::{runtime, CostModel, FiberCell, Nanos, SecurityProfile};
@@ -189,6 +189,18 @@ impl Env {
     pub fn charge_enclave_op(&self, bytes: usize, base: Nanos) {
         let ns = self.enclave.access_cost(&self.costs, bytes, base);
         self.charge(ns);
+    }
+
+    /// A [`Sealer`] under `key` whose nonces begin with `prefix`, its mode
+    /// fixed by the profile: it seals under encryption, tags under
+    /// authentication alone and stores in clear otherwise.
+    pub(crate) fn sealer<const N: usize>(&self, key: Key, prefix: [u8; N]) -> Sealer {
+        let mode = match (self.profile.encryption, self.profile.authentication) {
+            (true, _) => Protection::Seal,
+            (false, true) => Protection::Tag,
+            (false, false) => Protection::Clear,
+        };
+        Sealer::new(key, prefix, mode)
     }
 
     /// Charges pure CPU work, applying the enclave multiplier under SCONE.

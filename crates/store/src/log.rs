@@ -27,7 +27,7 @@ use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
 use treaty_counter::TrustedCounter;
-use treaty_crypto::{aead_open, aead_seal, ct_eq, hash, CryptoError};
+use treaty_crypto::{hash, Sealer};
 use treaty_sched::GroupCommit;
 use treaty_sim::crashpoint::CrashPoint;
 use treaty_sim::FiberCell;
@@ -55,41 +55,33 @@ pub fn counter_id(env: &Env, name: &str) -> String {
     format!("{node}/{name}")
 }
 
-fn record_nonce(name: &str, counter: u64) -> [u8; 12] {
+/// The log `name`'s [`Sealer`]: the storage key, and nonces
+/// `sha256(name)[..4] ‖ counter`. Each record is sealed as its counter
+/// value, with the name as AAD.
+fn log_sealer(env: &Env, name: &str) -> Sealer {
     let h = hash::sha256(name.as_bytes());
-    let mut nonce = [0u8; 12];
-    nonce[..4].copy_from_slice(&h.0[..4]);
-    nonce[4..].copy_from_slice(&counter.to_le_bytes());
-    nonce
+    env.sealer(env.keys.storage, [h.0[0], h.0[1], h.0[2], h.0[3]])
 }
 
-/// A record's MAC: over the log's name, the counter and the stored
-/// payload, hashed where they lie. The name and the counter are fixed by
-/// the reader before it checks a record, so the parts need no framing.
-fn record_mac(env: &Env, name: &str, counter: u64, payload: &[u8]) -> [u8; MAC_LEN] {
-    hash::hmac_sign_parts(
-        &env.keys.storage,
-        &[name.as_bytes(), &counter.to_le_bytes(), payload],
-    )
-    .0
-}
-
-/// Frames one record onto the end of `out` (encrypting the payload if the
-/// profile says so).
+/// Frames one record onto the end of `out`, sealed as its counter value.
+/// Its MAC is the [`Sealer`]'s tag over the log's name, the counter and the
+/// stored payload, hashed where they lie; the reader fixes the name and
+/// the counter before it checks a record, so the parts need no framing.
 ///
 /// Record bytes cross the enclave boundary on their way to the (untrusted)
 /// file system, so the frame is assembled in the batch's [`HostBytes`]:
 /// counter and length are public framing, the payload is ciphertext or an
 /// explicitly declassified cleartext, the MAC is a tag.
-fn encode_record(env: &Env, name: &str, counter: u64, plain: &[u8], out: &mut HostBytes) {
-    let sealed = env.profile.encryption.then(|| {
-        aead_seal(
-            &env.keys.storage,
-            &record_nonce(name, counter),
-            name.as_bytes(),
-            plain,
-        )
-    });
+fn encode_record(
+    sealer: &Sealer,
+    name: &str,
+    counter: u64,
+    plain: &[u8],
+    out: &mut HostBytes,
+) -> Result<()> {
+    let sealed = sealer
+        .seal(counter, name.as_bytes(), plain)
+        .map_err(|e| StoreError::Integrity(format!("log {name}: record {counter}: {e}")))?;
     let payload_len = sealed.as_ref().map_or(plain.len(), |ct| ct.len());
     out.push_u64(counter);
     out.push_u32(payload_len as u32);
@@ -100,12 +92,10 @@ fn encode_record(env: &Env, name: &str, counter: u64, plain: &[u8], out: &mut Ho
         // clear by design (the "w/o Enc" and native baselines).
         None => out.append_declassified(plain, "log payload under a no-encryption profile"),
     }
-    let mac = if env.profile.authentication {
-        record_mac(env, name, counter, &out.as_slice()[payload_at..])
-    } else {
-        [0u8; MAC_LEN]
-    };
+    let payload = &out.as_slice()[payload_at..];
+    let mac = sealer.tag(&[name.as_bytes(), &counter.to_le_bytes(), payload]);
     out.push_tag(mac);
+    Ok(())
 }
 
 /// What a queued record learns when the leader that took it unwound before
@@ -126,6 +116,7 @@ pub struct LogWriter {
     name: String,
     path: PathBuf,
     counter: Rc<TrustedCounter>,
+    sealer: Sealer,
     file: FiberCell<File>,
     /// The write lock, and the queue of single appends waiting for it.
     writes: GroupCommit<Vec<u8>, Result<u64>>,
@@ -161,6 +152,7 @@ impl LogWriter {
             recovered_counter,
         );
         Ok(LogWriter {
+            sealer: log_sealer(&env, &name),
             env,
             name,
             path: path.to_path_buf(),
@@ -274,7 +266,7 @@ impl LogWriter {
             last = c;
             self.env.charge_crypto(plain.len());
             self.env.charge_hash(plain.len());
-            encode_record(&self.env, &self.name, c, plain, &mut buf);
+            encode_record(&self.sealer, &self.name, c, plain, &mut buf)?;
         }
         self.env.charge_ssd_append(buf.len());
         {
@@ -352,6 +344,7 @@ pub fn replay(env: &Env, name: &str, path: &Path) -> Result<LogReplay> {
         Err(e) => return Err(e.into()),
     };
 
+    let sealer = log_sealer(env, name);
     let mut records = Vec::new();
     let mut expected = 1;
     let mut pos = 0usize;
@@ -394,33 +387,20 @@ pub fn replay(env: &Env, name: &str, path: &Path) -> Result<LogReplay> {
             )));
         }
 
-        if env.profile.authentication {
-            env.charge_hash(len);
-            if !ct_eq(&record_mac(env, name, counter, payload), mac) {
-                return Err(StoreError::Integrity(format!(
+        env.charge_hash(len);
+        sealer
+            .check(&[name.as_bytes(), &counter.to_le_bytes(), payload], mac)
+            .map_err(|_| {
+                StoreError::Integrity(format!(
                     "log {name}: record {counter} failed authentication"
-                )));
-            }
-        }
-
-        let plain = if env.profile.encryption {
-            env.charge_crypto(len);
-            match aead_open(
-                &env.keys.storage,
-                &record_nonce(name, counter),
-                name.as_bytes(),
-                payload,
-            ) {
-                Ok(p) => p,
-                Err(CryptoError::AuthFailed) | Err(CryptoError::Malformed) => {
-                    return Err(StoreError::Integrity(format!(
-                        "log {name}: record {counter} failed decryption"
-                    )))
-                }
-            }
-        } else {
-            payload.to_vec()
-        };
+                ))
+            })?;
+        env.charge_crypto(len);
+        let plain = sealer
+            .open(counter, name.as_bytes(), payload.to_vec())
+            .map_err(|_| {
+                StoreError::Integrity(format!("log {name}: record {counter} failed decryption"))
+            })?;
 
         records.push((counter, plain));
         expected += 1;

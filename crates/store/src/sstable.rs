@@ -9,12 +9,13 @@
 //! └─────────┴─────────┴───┴──────────────┴────────────┴─────────┘
 //! ```
 //!
-//! Each block holds sorted `(key, seq, value?)` records. Under encryption
-//! a block is AES-GCM sealed with a nonce derived from `(file_id,
-//! block_no)`; under authentication-only each block's HMAC lives in the
-//! meta footer. The meta footer itself is sealed the same way, and its
-//! digests are loaded *into the enclave* at open so every subsequent block
-//! read can be verified against trusted state.
+//! Each block holds sorted `(key, seq, value?)` records. A table's
+//! [`Sealer`] has the nonces `file_id ‖ block_no`, and seals each block as
+//! its block number with its nonce as AAD: under encryption a block is
+//! AES-GCM sealed; under authentication-only its HMAC lives in the meta
+//! footer. The meta footer itself is sealed the same way, as block
+//! `u32::MAX`, and its digests are loaded *into the enclave* at open so
+//! every subsequent block read can be verified against trusted state.
 //!
 //! Host I/O: a build writes the whole file through one buffer and syncs it
 //! once; an open table holds the one descriptor it opened, and reads each
@@ -31,7 +32,7 @@ use std::rc::Rc;
 
 use treaty_crypto::codec;
 use treaty_crypto::codec::Record;
-use treaty_crypto::{aead_open, aead_seal, ct_eq, hash};
+use treaty_crypto::{Protection, Sealer};
 use treaty_tee::HostBytes;
 
 use crate::bloom::BloomFilter;
@@ -107,53 +108,47 @@ impl Record for SsTableMeta {
     const MAGIC: u8 = 0x51;
 }
 
-fn block_nonce(file_id: u64, block_no: u32) -> [u8; 12] {
-    let mut n = [0u8; 12];
-    n[..8].copy_from_slice(&file_id.to_le_bytes());
-    n[8..].copy_from_slice(&block_no.to_le_bytes());
-    n
-}
-
-/// What binds a block to its place: the same twelve bytes as its nonce.
-fn block_aad(file_id: u64, block_no: u32) -> [u8; 12] {
-    block_nonce(file_id, block_no)
-}
-
-/// The footer digest of a stored block under authentication-only
-/// profiles: an HMAC over its place and its bytes, hashed where they lie.
-fn block_digest(env: &Env, file_id: u64, block_no: u32, stored: &[u8]) -> [u8; 32] {
-    hash::hmac_sign_parts(&env.keys.storage, &[&block_aad(file_id, block_no), stored]).0
+/// Table `file_id`'s [`Sealer`]: the storage key, and nonces
+/// `file_id ‖ block_no`.
+fn table_sealer(env: &Env, file_id: u64) -> Sealer {
+    env.sealer(env.keys.storage, file_id.to_le_bytes())
 }
 
 /// Protects one block for untrusted storage, returning the stored bytes
-/// (as boundary-typed [`HostBytes`]) plus the footer HMAC digest used in
-/// authentication-only mode.
-fn protect_block(env: &Env, file_id: u64, block_no: u32, plain: Vec<u8>) -> (HostBytes, [u8; 32]) {
+/// (as boundary-typed [`HostBytes`]) plus its footer digest: zeros where
+/// the GCM tag covers the block, else its tag over its place and its bytes.
+fn protect_block(
+    env: &Env,
+    sealer: &Sealer,
+    file_id: u64,
+    block_no: u32,
+    plain: Vec<u8>,
+) -> Result<(HostBytes, [u8; 32])> {
     env.charge_crypto(plain.len());
     env.charge_hash(plain.len());
-    let stored = if env.profile.encryption {
-        HostBytes::from_ciphertext(aead_seal(
-            &env.keys.storage,
-            &block_nonce(file_id, block_no),
-            &block_aad(file_id, block_no),
-            &plain,
-        ))
-    } else {
+    // A block's nonce binds it to its place: it is also the block's AAD,
+    // and the first part of its tag where it is not sealed.
+    let place = sealer.nonce(block_no.into());
+    let sealed = sealer
+        .seal(block_no.into(), &place, &plain)
+        .map_err(|e| StoreError::Integrity(format!("sstable {file_id} block {block_no}: {e}")))?;
+    Ok(match sealed {
+        Some(ct) => (HostBytes::from_ciphertext(ct), [0u8; 32]),
         // Unencrypted profiles store cleartext blocks by design; integrity
         // comes from the footer HMAC the enclave pins at open (the "w/o
         // Enc" ablation) or from nothing (native baseline).
-        HostBytes::declassified(plain, "sstable block under a no-encryption profile")
-    };
-    let digest = if env.profile.authentication && !env.profile.encryption {
-        block_digest(env, file_id, block_no, stored.as_slice())
-    } else {
-        [0u8; 32]
-    };
-    (stored, digest)
+        None => {
+            let digest = sealer.tag(&[&place, &plain]);
+            let stored =
+                HostBytes::declassified(plain, "sstable block under a no-encryption profile");
+            (stored, digest)
+        }
+    })
 }
 
 fn open_block(
     env: &Env,
+    sealer: &Sealer,
     file_id: u64,
     block_no: u32,
     stored: Vec<u8>,
@@ -161,28 +156,17 @@ fn open_block(
 ) -> Result<Vec<u8>> {
     env.charge_crypto(stored.len());
     env.charge_hash(stored.len());
-    if env.profile.encryption {
-        aead_open(
-            &env.keys.storage,
-            &block_nonce(file_id, block_no),
-            &block_aad(file_id, block_no),
-            &stored,
-        )
-        .map_err(|_| {
-            StoreError::Integrity(format!(
-                "sstable {file_id} block {block_no} failed decryption — storage tampered"
-            ))
-        })
-    } else {
-        if env.profile.authentication
-            && !ct_eq(&block_digest(env, file_id, block_no, &stored), digest)
-        {
-            return Err(StoreError::Integrity(format!(
-                "sstable {file_id} block {block_no} failed authentication"
-            )));
-        }
-        Ok(stored)
+    let failed = |what| StoreError::Integrity(format!("sstable {file_id} block {block_no} {what}"));
+    let place = sealer.nonce(block_no.into());
+    // A block the Sealer does not seal carries its tag in the footer.
+    if sealer.mode() != Protection::Seal {
+        sealer
+            .check(&[&place, &stored], digest)
+            .map_err(|_| failed("failed authentication"))?;
     }
+    sealer
+        .open(block_no.into(), &place, stored)
+        .map_err(|_| failed("failed decryption — storage tampered"))
 }
 
 /// One record inside a block.
@@ -279,6 +263,7 @@ pub fn build(
         "cannot build an empty sstable"
     );
     let mut file = BufWriter::with_capacity(BUILD_BUFFER_BYTES, File::create(path)?);
+    let sealer = table_sealer(env, file_id);
     let mut blocks = Vec::new();
     let mut offset = 0u64;
     let mut max_seq = 0;
@@ -288,7 +273,8 @@ pub fn build(
             return Ok(());
         };
         let block_no = blocks.len() as u32;
-        let (stored, digest) = protect_block(env, file_id, block_no, encode_block(records));
+        let (stored, digest) =
+            protect_block(env, &sealer, file_id, block_no, encode_block(records))?;
         file.write_all(stored.as_slice())?;
         blocks.push(BlockMeta {
             offset,
@@ -364,7 +350,8 @@ pub fn build(
         range_tombstones: range_tombstones.to_vec(),
     };
 
-    let (meta_stored, meta_digest) = protect_block(env, file_id, META_BLOCK_NO, meta.to_bytes());
+    let (meta_stored, meta_digest) =
+        protect_block(env, &sealer, file_id, META_BLOCK_NO, meta.to_bytes())?;
     file.write_all(meta_stored.as_slice())?;
     file.write_all(&meta_digest)?;
     file.write_all(&(meta_stored.len() as u64).to_le_bytes())?;
@@ -386,6 +373,8 @@ pub struct SsTable {
     /// still hold it.
     file: File,
     meta: SsTableMeta,
+    /// Opens the table's blocks; it seals none.
+    sealer: Sealer,
     /// On-disk size, captured once at open so level-size checks on the
     /// commit path never issue a host `metadata` syscall per table.
     disk_bytes: u64,
@@ -437,7 +426,8 @@ impl SsTable {
         // The nonce and aad need file_id before the meta decodes: it comes
         // from the path by convention, and the decoded meta must agree.
         let file_id = file_id_from_path(path)?;
-        let meta_plain = open_block(&env, file_id, META_BLOCK_NO, footer, &meta_digest)?;
+        let sealer = table_sealer(&env, file_id);
+        let meta_plain = open_block(&env, &sealer, file_id, META_BLOCK_NO, footer, &meta_digest)?;
         let meta = SsTableMeta::from_bytes(&meta_plain)
             .map_err(|e| StoreError::Integrity(format!("sstable meta: {e}")))?;
         if meta.file_id != file_id {
@@ -473,6 +463,7 @@ impl SsTable {
             path: path.to_path_buf(),
             file,
             meta,
+            sealer,
             disk_bytes: file_len,
         })
     }
@@ -572,6 +563,7 @@ impl SsTable {
         self.env.charge_storage_read(stored.len());
         let plain = open_block(
             &self.env,
+            &self.sealer,
             self.meta.file_id,
             block_no as u32,
             stored,

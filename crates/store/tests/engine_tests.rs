@@ -1926,6 +1926,34 @@ fn a_scan_that_stops_below_the_memtable_charges_no_seek() {
     });
 }
 
+/// Once the merge has decided a key, a MemTable source steps past that
+/// key's older versions without opening them: a one-row locking scan, whose
+/// fence reads on to the next key, costs the same virtual time whether its
+/// row has one MemTable version or a hundred.
+#[test]
+fn a_scan_opens_no_older_version_of_a_key_it_decided() {
+    let cost = |versions: u32| {
+        let dir = tempfile::tempdir().unwrap();
+        let path = dir.path().to_path_buf();
+        block_on(move || {
+            let (_env, store) = open(SecurityProfile::treaty_full(), &path);
+            for v in 0..versions {
+                put(&store, b"k", format!("v{v:03}").as_bytes());
+            }
+            let mut tx = store.begin_mode(TxnMode::Pessimistic);
+            let t0 = now();
+            let rows = tx.scan(b"a", b"z", 1).unwrap();
+            let cost = now() - t0;
+            let newest = format!("v{:03}", versions - 1).into_bytes();
+            assert_eq!(rows, vec![(b"k".to_vec(), newest)]);
+            tx.commit().unwrap();
+            cost
+        })
+    };
+    let costs = [1, 10, 100].map(cost);
+    assert_eq!(costs, [costs[0]; 3], "vt_ns over 1, 10 and 100 versions");
+}
+
 #[test]
 fn a_tampered_block_past_a_scans_stop_is_never_read() {
     let dir = tempfile::tempdir().unwrap();

@@ -8,16 +8,17 @@
 //! are safe to expose:
 //!
 //! * [`HostBytes::from_ciphertext`] — a [`treaty_crypto::Ciphertext`],
-//!   which only [`treaty_crypto::aead_seal`] can mint;
+//!   which only [`treaty_crypto::aead_seal`] can mint (storage reaches it
+//!   through a [`treaty_crypto::Sealer`]);
 //! * [`HostBytes::from_envelope`] — a sealed wire message (cleartext wire
 //!   modes are recorded as declassified-by-profile);
 //! * [`HostBytes::from_sealed`] — an enclave-sealed blob;
 //! * [`HostBytes::integrity_pinned`] — plaintext whose SHA-256 digest is
 //!   currently registered with the enclave's integrity map, so tampering
 //!   is detectable on read;
-//! * framing helpers ([`HostBytes::nonce`], and in place
-//!   [`HostBytes::push_tag`], [`HostBytes::push_u32`]/[`HostBytes::push_u64`]) for
-//!   self-describing non-secret structure (nonces, lengths, MACs);
+//! * framing helpers, in place ([`HostBytes::push_tag`],
+//!   [`HostBytes::push_u32`]/[`HostBytes::push_u64`]), for self-describing
+//!   non-secret structure (counters, lengths, MACs);
 //! * [`HostBytes::declassified`] — the one auditable escape hatch. Its
 //!   `reason` argument is a mandatory `&'static str`, so
 //!   `git grep 'declassified('` lists every deliberate plaintext-to-host
@@ -185,15 +186,6 @@ impl HostBytes {
         }
     }
 
-    /// A 12-byte AEAD nonce. Nonces are public by construction.
-    pub fn nonce(nonce: [u8; 12]) -> Self {
-        HostBytes {
-            bytes: nonce.to_vec(),
-            provenance: Provenance::Framing,
-            reason: None,
-        }
-    }
-
     /// Reserves room for `additional` more bytes, so a record assembled
     /// in place grows its buffer once.
     pub fn reserve(&mut self, additional: usize) {
@@ -330,7 +322,10 @@ mod tests {
     fn concat_keeps_weakest_provenance() {
         let key = Key::from_bytes([1u8; 32]);
         let ct = HostBytes::from_ciphertext(aead_seal(&key, &[0u8; 12], b"", b"v"));
-        let record = HostBytes::concat([HostBytes::nonce([0u8; 12]), ct.clone()]);
+        let mut header = HostBytes::empty();
+        header.push_u64(0);
+        header.push_u32(0);
+        let record = HostBytes::concat([header, ct.clone()]);
         assert_eq!(record.provenance(), Provenance::Ciphertext);
         assert_eq!(record.len(), 12 + ct.len());
         let declass = HostBytes::declassified(vec![0xAA], "provenance rank test");

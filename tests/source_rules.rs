@@ -41,11 +41,11 @@ const ROOTS: &str = "crates|tests|examples|src";
 #[rustfmt::skip]
 const RULES: &[Rule] = &[
     // Keys and plaintext stay in the enclave (paper §III): the raw AEAD and
-    // MAC primitives are named only where the enclave runs.
+    // MAC primitives are named only in the crypto crate and the TEE; the
+    // store seals through a `Sealer`.
     Rule { name: "L001 enclave-only crypto",
         tokens: "aead_open|aead_seal|hmac_sign|hmac_verify", within: ROOTS,
-        allowed: "crates/crypto|crates/tee|crates/store/src/memtable.rs|crates/store/src/log.rs\
-                  |crates/store/src/sstable.rs", ..BLANK },
+        allowed: "crates/crypto|crates/tee", ..BLANK },
     // Log strings and trace payloads leave the enclave: inside the trusted
     // crates none of them names secret material.
     Rule { name: "L005 no secret in a format string or trace payload",
@@ -254,12 +254,15 @@ fn l001_flags_crypto_outside_trusted_modules() {
         call.trim()
     );
     assert_eq!(found, [want]);
-    // The same token inside the crypto crate is fine, and inside the
-    // enclave-resident store files.
+    // The same token inside the crypto crate is fine; the store seals
+    // through a `Sealer`, so a raw seal in a store file is a breach.
     let open = "aead_open(&k, &n, aad, ct);\n";
     assert!(breaches(l001, "crates/crypto/src/lib.rs", open).is_empty());
     let seal = "aead_seal(&k, &n, aad, plain);\n";
-    assert!(breaches(l001, "crates/store/src/memtable.rs", seal).is_empty());
+    assert_eq!(
+        breaches(l001, "crates/store/src/memtable.rs", seal).len(),
+        1
+    );
 }
 
 #[test]
