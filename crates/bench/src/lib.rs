@@ -774,13 +774,13 @@ impl NetSystem {
         ]
     }
 
-    fn params(&self) -> (Transport, TeeMode, treaty_crypto::WireCrypto) {
-        use treaty_crypto::WireCrypto;
+    fn params(&self) -> (Transport, TeeMode, treaty_crypto::Protection) {
+        use treaty_crypto::Protection;
         match self {
-            NetSystem::IperfUdp(t) => (Transport::KernelUdp, *t, WireCrypto::Plain),
-            NetSystem::IperfTcp(t) => (Transport::KernelTcp, *t, WireCrypto::Plain),
-            NetSystem::Erpc(t) => (Transport::Dpdk, *t, WireCrypto::Plain),
-            NetSystem::TreatyNetworking => (Transport::Dpdk, TeeMode::Scone, WireCrypto::Full),
+            NetSystem::IperfUdp(t) => (Transport::KernelUdp, *t, Protection::Plain),
+            NetSystem::IperfTcp(t) => (Transport::KernelTcp, *t, Protection::Plain),
+            NetSystem::Erpc(t) => (Transport::Dpdk, *t, Protection::Plain),
+            NetSystem::TreatyNetworking => (Transport::Dpdk, TeeMode::Scone, Protection::Full),
         }
     }
 }

@@ -5,7 +5,7 @@ use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use treaty_crypto::{Key, TxMeta, WireCrypto};
+use treaty_crypto::{Key, Protection, TxMeta};
 use treaty_net::{EndpointConfig, EndpointId, Fabric, Rpc, RpcConfig};
 use treaty_sim::obs::{Counter, Phase};
 use treaty_sim::Nanos;
@@ -56,7 +56,7 @@ impl TreatyClient {
     pub fn connect(
         fabric: &Rc<Fabric>,
         client_id: u32,
-        crypto: WireCrypto,
+        crypto: Protection,
         network_key: Key,
         timeout: Nanos,
     ) -> Self {

@@ -7,12 +7,12 @@ use std::rc::Rc;
 
 use treaty_cas::{bootstrap_cluster, Cas, ClusterConfig, Las};
 use treaty_counter::{CounterBackend, NullBackend, RoteGroup, RoteReplica};
-use treaty_crypto::{Key, KeyHierarchy, SecureEnvelope, WireCrypto};
+use treaty_crypto::{Key, KeyHierarchy, SecureEnvelope};
 use treaty_net::fabric::Datagram;
 use treaty_net::{EndpointConfig, EndpointId, Fabric};
 use treaty_sched::CorePool;
 use treaty_sim::{CostModel, SecurityProfile, Transport};
-use treaty_store::env::{EngineConfig, Env};
+use treaty_store::env::{protection, EngineConfig, Env};
 use treaty_store::{TreatyStore, TxnMode};
 
 use crate::client::TreatyClient;
@@ -79,17 +79,6 @@ impl ClusterOptions {
 /// The trusted counter replicas' endpoints.
 fn counter_endpoints() -> Vec<EndpointId> {
     (0..COUNTER_REPLICAS).map(|i| COUNTER_BASE + i).collect()
-}
-
-/// Converts a profile to the wire protection level.
-pub fn wire_crypto(profile: &SecurityProfile) -> WireCrypto {
-    if profile.encryption {
-        WireCrypto::Full
-    } else if profile.authentication {
-        WireCrypto::AuthOnly
-    } else {
-        WireCrypto::Plain
-    }
 }
 
 struct NodeSlot {
@@ -271,7 +260,7 @@ impl Cluster {
                     tee: options.profile.tee,
                     link_gbps: 40,
                 },
-                crypto: wire_crypto(&options.profile),
+                crypto: protection(&options.profile),
                 network_key: keys.network,
                 shard_map: self.shard_map.clone(),
                 cores: Rc::clone(&self.slots[idx].cores),
@@ -341,7 +330,7 @@ impl Cluster {
     /// `start_capture`: the requests and the responses that echo it. The
     /// code is sealed, so each capture is opened with the network key.
     pub fn captured_with_code(&self, code: u8) -> Vec<Datagram> {
-        let envelope = SecureEnvelope::new(wire_crypto(&self.options.profile));
+        let envelope = SecureEnvelope::new(protection(&self.options.profile));
         let opens_to = |dg: &Datagram| {
             let opened = envelope.open_stamped(&self.keys.network, dg.wire.as_slice());
             opened.is_ok_and(|m| m.stamp.req == code)
@@ -359,7 +348,7 @@ impl Cluster {
         TreatyClient::connect(
             &self.fabric,
             id,
-            wire_crypto(&self.options.profile),
+            protection(&self.options.profile),
             self.keys.network,
             CLIENT_RPC_TIMEOUT,
         )

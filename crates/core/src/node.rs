@@ -17,7 +17,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::rc::Rc;
 
 use treaty_crypto::codec::Encode;
-use treaty_crypto::{Key, TxMeta, WireCrypto};
+use treaty_crypto::{Key, Protection, TxMeta};
 use treaty_net::{EndpointConfig, EndpointId, Fabric, Rpc, RpcConfig};
 use treaty_sched::{CorePool, WaitQueue};
 use treaty_sim::crashpoint::CrashPoint;
@@ -42,7 +42,7 @@ pub struct NodeOptions {
     /// Network/fabric parameters.
     pub net: EndpointConfig,
     /// Message protection level (derived from the security profile).
-    pub crypto: WireCrypto,
+    pub crypto: Protection,
     /// Network key from the CAS.
     pub network_key: Key,
     /// Key-space partitioning.

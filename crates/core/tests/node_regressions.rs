@@ -19,7 +19,7 @@ use std::rc::Rc;
 
 use treaty_core::client::client_net;
 use treaty_core::clog::{ClogRecord, CLOG_FILE, CLOG_NAME};
-use treaty_core::cluster::{wire_crypto, COUNTER_BASE, COUNTER_CLIENT_BASE};
+use treaty_core::cluster::{COUNTER_BASE, COUNTER_CLIENT_BASE};
 use treaty_core::messages::{
     decode, encode, req, Abort, AbortCause, ClientCommitReq, CommitResult, Lane, Op, OpResult,
     PeerOps, PeerPrepare, WriteCmd,
@@ -32,6 +32,7 @@ use treaty_sched::block_on;
 use treaty_sim::obs::{Counter, Obs};
 use treaty_sim::runtime::now;
 use treaty_sim::{Nanos, SecurityProfile, MILLIS, SECONDS};
+use treaty_store::env::protection;
 use treaty_store::log::replay;
 use treaty_store::{GlobalTxId, TxnEngine as _};
 
@@ -68,7 +69,7 @@ fn raw_client(cluster: &Cluster, id: u32, timeout: Nanos) -> Rc<Rpc> {
         id,
         RpcConfig {
             endpoint: client_net(),
-            crypto: wire_crypto(&SecurityProfile::treaty_full()),
+            crypto: protection(&SecurityProfile::treaty_full()),
             key: cluster.keys().network,
             cores: None,
             timeout,

@@ -21,7 +21,7 @@ use std::rc::Rc;
 
 use treaty_crypto::codec;
 use treaty_crypto::codec::Record;
-use treaty_crypto::{Key, TxMeta, WireCrypto};
+use treaty_crypto::{Key, Protection, TxMeta};
 use treaty_net::{EndpointId, Fabric, Rpc, RpcConfig};
 use treaty_sched::FiberMutex;
 use treaty_sim::{runtime, FiberCell, Nanos};
@@ -156,7 +156,7 @@ impl RoteReplica {
         let seal_path = seal_dir.join(format!("rote-{endpoint}.seal"));
         let state = recover(&seal_path, &sealing_key, &measurement);
 
-        let rpc = Rpc::new(fabric, endpoint, RpcConfig::client(WireCrypto::Full, key));
+        let rpc = Rpc::new(fabric, endpoint, RpcConfig::client(Protection::Full, key));
         let replica = Rc::new(RoteReplica {
             rpc: Rc::clone(&rpc),
             state: FiberCell::new(state),
@@ -318,7 +318,7 @@ impl RoteGroup {
     ) -> Rc<Self> {
         assert!(!replicas.is_empty(), "protection group needs replicas");
         let quorum = replicas.len() / 2 + 1;
-        let mut cfg = RpcConfig::client(WireCrypto::Full, key);
+        let mut cfg = RpcConfig::client(Protection::Full, key);
         cfg.timeout = 10 * treaty_sim::MILLIS;
         let rpc = Rpc::new(fabric, endpoint, cfg);
         rpc.start();

@@ -47,9 +47,29 @@ pub mod sealer;
 pub use hash::{ct_eq, hmac_sign, hmac_verify, sha256, Digest32};
 pub use keys::{nonce, nonce_sender, Key, KeyHierarchy};
 pub use message::{
-    EnvelopedMessage, MsgKind, Opened, SecureEnvelope, Stamp, TxMeta, WireCrypto, MESSAGE_OVERHEAD,
+    EnvelopedMessage, MsgKind, Opened, SecureEnvelope, Stamp, TxMeta, MESSAGE_OVERHEAD,
 };
-pub use sealer::{Protection, Sealer};
+pub use sealer::Sealer;
+
+/// The wire's old name for [`Protection`]. No code in this workspace names
+/// it: it stays because the benchmark's probes do (ROADMAP item 7).
+pub use Protection as WireCrypto;
+
+/// How much a profile protects, on the wire and in storage alike; one
+/// mapping from the profile picks it (`treaty_store::env::protection`).
+/// The discriminant is a message's mode byte.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(u8)]
+pub enum Protection {
+    /// AES-256-GCM, confidentiality and integrity: a message's metadata
+    /// and data with the GCM tag as its trailing MAC; a stored unit sealed.
+    Full = 2,
+    /// Integrity only, the "w/o Enc" variants: in clear, authenticated by
+    /// HMAC-SHA-256 (a message's tag truncated to 16 B).
+    AuthOnly = 1,
+    /// No protection and no tag: the native baselines.
+    Plain = 0,
+}
 
 use aes_gcm::aead::{Aead, Payload};
 use aes_gcm::{Aes256Gcm, KeyInit, Nonce};

@@ -35,7 +35,7 @@
 
 use crate::hash::{ct_eq, hmac_sign};
 use crate::keys::{nonce_sender, Key};
-use crate::{aead_open, aead_seal, CryptoError};
+use crate::{aead_open, aead_seal, CryptoError, Protection};
 
 /// Size of the initialization vector.
 pub const IV_LEN: usize = 12;
@@ -185,45 +185,23 @@ pub struct Opened {
     pub payload: Vec<u8>,
 }
 
-/// Protection level applied to a message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum WireCrypto {
-    /// No protection (native baselines).
-    Plain,
-    /// Integrity only: body in clear, HMAC-SHA-256 truncated to 16 B
-    /// (the "w/o Enc" variants).
-    AuthOnly,
-    /// AES-256-GCM over metadata + data; the GCM tag is the trailing MAC.
-    Full,
-}
-
-impl WireCrypto {
-    fn mode_byte(self) -> u8 {
-        match self {
-            WireCrypto::Plain => 0,
-            WireCrypto::AuthOnly => 1,
-            WireCrypto::Full => 2,
-        }
-    }
-}
-
 /// Encoder/decoder for Treaty's secure messages.
 ///
 /// Stateless; callers supply the key and a unique nonce per message,
 /// built by [`crate::keys::nonce`].
 #[derive(Debug, Clone, Copy)]
 pub struct SecureEnvelope {
-    crypto: WireCrypto,
+    crypto: Protection,
 }
 
 impl SecureEnvelope {
     /// Creates an envelope codec for the given protection level.
-    pub fn new(crypto: WireCrypto) -> Self {
+    pub fn new(crypto: Protection) -> Self {
         SecureEnvelope { crypto }
     }
 
     /// The protection level this codec applies.
-    pub fn crypto(&self) -> WireCrypto {
+    pub fn crypto(&self) -> Protection {
         self.crypto
     }
 
@@ -269,20 +247,20 @@ impl SecureEnvelope {
         // nothing, names the sender.
         let mut header = [0u8; IV_LEN + PAD_LEN];
         header[..IV_LEN].copy_from_slice(&iv);
-        header[IV_LEN] = self.crypto.mode_byte();
+        header[IV_LEN] = self.crypto as u8;
         let mut out = Vec::with_capacity(MESSAGE_OVERHEAD + payload.len());
         out.extend_from_slice(&header);
         match self.crypto {
-            WireCrypto::Plain => {
+            Protection::Plain => {
                 out.extend_from_slice(&body);
                 out.extend_from_slice(&[0u8; MAC_LEN]);
             }
-            WireCrypto::AuthOnly => {
+            Protection::AuthOnly => {
                 out.extend_from_slice(&body);
                 let tag = hmac_sign(key, &out);
                 out.extend_from_slice(&tag.0[..MAC_LEN]);
             }
-            WireCrypto::Full => {
+            Protection::Full => {
                 // AAD covers IV + pad so flipping either breaks the tag.
                 let ct_and_tag = aead_seal(key, &iv, &header, &body).into_vec();
                 let (ct, tag) = ct_and_tag.split_at(ct_and_tag.len() - MAC_LEN);
@@ -317,7 +295,7 @@ impl SecureEnvelope {
         if wire.len() < MESSAGE_OVERHEAD {
             return Err(CryptoError::Malformed);
         }
-        if wire[IV_LEN] != self.crypto.mode_byte() {
+        if wire[IV_LEN] != self.crypto as u8 {
             return Err(CryptoError::Malformed);
         }
         let iv: [u8; IV_LEN] = wire[..IV_LEN]
@@ -327,8 +305,8 @@ impl SecureEnvelope {
         let (body, mac) = body_and_mac.split_at(body_and_mac.len() - MAC_LEN);
 
         let plain_body: Vec<u8> = match self.crypto {
-            WireCrypto::Plain => body.to_vec(),
-            WireCrypto::AuthOnly => {
+            Protection::Plain => body.to_vec(),
+            Protection::AuthOnly => {
                 // The network adversary sees how long a refusal takes, so
                 // the truncated tag is compared in constant time.
                 let tag = hmac_sign(key, &wire[..wire.len() - MAC_LEN]);
@@ -337,7 +315,7 @@ impl SecureEnvelope {
                 }
                 body.to_vec()
             }
-            WireCrypto::Full => {
+            Protection::Full => {
                 let aad = &wire[..IV_LEN + PAD_LEN];
                 let mut ct_and_tag = Vec::with_capacity(body.len() + MAC_LEN);
                 ct_and_tag.extend_from_slice(body);
@@ -362,24 +340,24 @@ impl SecureEnvelope {
     }
 }
 
-/// A sealed wire message: the framed bytes plus the [`WireCrypto`] mode
+/// A sealed wire message: the framed bytes plus the [`Protection`] mode
 /// that produced them.
 ///
 /// Like [`crate::Ciphertext`], this is a provenance-carrying type: the only
 /// constructor is [`SecureEnvelope::seal`], so holding one proves the bytes
-/// went through the §VII-A message format. Under [`WireCrypto::Full`] the
+/// went through the §VII-A message format. Under [`Protection::Full`] the
 /// body is AEAD ciphertext; under `Plain`/`AuthOnly` the body is cleartext
 /// *by configured profile choice* — consumers (e.g. `HostBytes`) record
 /// that distinction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EnvelopedMessage {
     bytes: Vec<u8>,
-    crypto: WireCrypto,
+    crypto: Protection,
 }
 
 impl EnvelopedMessage {
     /// The protection mode this message was sealed under.
-    pub fn crypto(&self) -> WireCrypto {
+    pub fn crypto(&self) -> Protection {
         self.crypto
     }
 
@@ -439,7 +417,7 @@ mod tests {
     #[test]
     fn full_roundtrip_all_modes() {
         let key = Key::from_bytes([9u8; 32]);
-        for mode in [WireCrypto::Plain, WireCrypto::AuthOnly, WireCrypto::Full] {
+        for mode in [Protection::Plain, Protection::AuthOnly, Protection::Full] {
             let env = SecureEnvelope::new(mode);
             let wire = env.seal(&key, [4u8; 12], &meta(), b"value-bytes");
             assert_eq!(wire.len(), env.wire_len(11));
@@ -460,7 +438,7 @@ mod tests {
             floor: 7,
             req: 0xA5,
         };
-        for mode in [WireCrypto::Plain, WireCrypto::AuthOnly, WireCrypto::Full] {
+        for mode in [Protection::Plain, Protection::AuthOnly, Protection::Full] {
             let env = SecureEnvelope::new(mode);
             let iv = crate::keys::nonce(0xDEAD_BEEF, 3);
             let wire = env.seal_stamped(&key, iv, &meta(), stamp, b"data");
@@ -477,7 +455,7 @@ mod tests {
     #[test]
     fn full_mode_hides_payload() {
         let key = Key::from_bytes([9u8; 32]);
-        let env = SecureEnvelope::new(WireCrypto::Full);
+        let env = SecureEnvelope::new(Protection::Full);
         let wire = env.seal(&key, [4u8; 12], &meta(), b"super-secret-payload");
         let needle = b"super-secret-payload";
         assert!(!wire.as_slice().windows(needle.len()).any(|w| w == needle));
@@ -486,7 +464,7 @@ mod tests {
     #[test]
     fn plain_mode_exposes_payload() {
         let key = Key::from_bytes([9u8; 32]);
-        let env = SecureEnvelope::new(WireCrypto::Plain);
+        let env = SecureEnvelope::new(Protection::Plain);
         let wire = env.seal(&key, [4u8; 12], &meta(), b"visible");
         assert!(wire.as_slice().windows(7).any(|w| w == b"visible"));
     }
@@ -494,7 +472,7 @@ mod tests {
     #[test]
     fn tampering_detected_in_secure_modes() {
         let key = Key::from_bytes([9u8; 32]);
-        for mode in [WireCrypto::AuthOnly, WireCrypto::Full] {
+        for mode in [Protection::AuthOnly, Protection::Full] {
             let env = SecureEnvelope::new(mode);
             let mut wire = env.seal(&key, [4u8; 12], &meta(), b"payload!!").into_vec();
             // Flip a body byte.
@@ -511,7 +489,7 @@ mod tests {
     #[test]
     fn iv_tampering_detected_in_full_mode() {
         let key = Key::from_bytes([9u8; 32]);
-        let env = SecureEnvelope::new(WireCrypto::Full);
+        let env = SecureEnvelope::new(Protection::Full);
         let mut wire = env.seal(&key, [4u8; 12], &meta(), b"payload!!").into_vec();
         wire[0] ^= 0x01;
         assert_eq!(env.open(&key, &wire), Err(CryptoError::AuthFailed));
@@ -520,8 +498,8 @@ mod tests {
     #[test]
     fn downgrade_is_rejected() {
         let key = Key::from_bytes([9u8; 32]);
-        let plain = SecureEnvelope::new(WireCrypto::Plain);
-        let full = SecureEnvelope::new(WireCrypto::Full);
+        let plain = SecureEnvelope::new(Protection::Plain);
+        let full = SecureEnvelope::new(Protection::Full);
         let wire = plain.seal(&key, [0u8; 12], &meta(), b"x");
         assert_eq!(
             full.open(&key, wire.as_slice()),
@@ -532,7 +510,7 @@ mod tests {
     #[test]
     fn truncated_message_is_malformed() {
         let key = Key::from_bytes([9u8; 32]);
-        let env = SecureEnvelope::new(WireCrypto::Full);
+        let env = SecureEnvelope::new(Protection::Full);
         let wire = env.seal(&key, [4u8; 12], &meta(), b"");
         assert_eq!(
             env.open(&key, &wire.as_slice()[..MESSAGE_OVERHEAD - 1]),
@@ -542,7 +520,7 @@ mod tests {
 
     #[test]
     fn wrong_key_fails_auth() {
-        let env = SecureEnvelope::new(WireCrypto::Full);
+        let env = SecureEnvelope::new(Protection::Full);
         let wire = env.seal(&Key::from_bytes([1u8; 32]), [4u8; 12], &meta(), b"p");
         assert_eq!(
             env.open(&Key::from_bytes([2u8; 32]), wire.as_slice()),

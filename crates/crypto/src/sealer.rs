@@ -3,18 +3,7 @@
 use std::cell::Cell;
 
 use crate::hash::{ct_eq, hmac_sign_parts};
-use crate::{aead_open, aead_seal, Ciphertext, CryptoError, Key};
-
-/// How a [`Sealer`] protects what it is handed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Protection {
-    /// AES-256-GCM: confidentiality and integrity.
-    Seal,
-    /// Stored as it is, authenticated by HMAC-SHA-256 tags.
-    Tag,
-    /// Stored as it is, with no tag: the unprotected baselines.
-    Clear,
-}
+use crate::{aead_open, aead_seal, Ciphertext, CryptoError, Key, Protection};
 
 /// A key, a nonce prefix and a [`Protection`], fixed when it is made. Every
 /// nonce is `prefix ‖ index`, the index little-endian in the bytes the
@@ -78,7 +67,7 @@ impl Sealer {
     }
 
     /// Seals `plain` as `index`, with `aad`: its ciphertext under
-    /// [`Protection::Seal`], `None` where `plain` is stored as it is, and
+    /// [`Protection::Full`], `None` where `plain` is stored as it is, and
     /// [`CryptoError::NonceReuse`] for an index at or below one already
     /// sealed or too wide for the nonce.
     pub fn seal(
@@ -88,7 +77,7 @@ impl Sealer {
         plain: &[u8],
     ) -> Result<Option<Ciphertext>, CryptoError> {
         let nonce = self.claim(index)?;
-        Ok((self.mode == Protection::Seal).then(|| aead_seal(&self.key, &nonce, aad, plain)))
+        Ok((self.mode == Protection::Full).then(|| aead_seal(&self.key, &nonce, aad, plain)))
     }
 
     /// [`Sealer::seal`] at the index after the last one sealed (0 first),
@@ -101,18 +90,18 @@ impl Sealer {
     }
 
     /// Opens what [`Sealer::seal`] stored as `index` with `aad`: decrypted
-    /// under [`Protection::Seal`], as it is otherwise.
+    /// under [`Protection::Full`], as it is otherwise.
     pub fn open(&self, index: u64, aad: &[u8], stored: Vec<u8>) -> Result<Vec<u8>, CryptoError> {
         match self.mode {
-            Protection::Seal => aead_open(&self.key, &self.nonce(index), aad, &stored),
-            Protection::Tag | Protection::Clear => Ok(stored),
+            Protection::Full => aead_open(&self.key, &self.nonce(index), aad, &stored),
+            Protection::AuthOnly | Protection::Plain => Ok(stored),
         }
     }
 
     /// Opens what [`Sealer::seal_framed`] stored with `aad`. The nonce in
     /// front must begin with this sealer's prefix.
     pub fn open_framed(&self, aad: &[u8], stored: Vec<u8>) -> Result<Vec<u8>, CryptoError> {
-        if self.mode != Protection::Seal {
+        if self.mode != Protection::Full {
             return Ok(stored);
         }
         let (nonce, sealed) = stored
@@ -125,17 +114,17 @@ impl Sealer {
     }
 
     /// An HMAC-SHA-256 over `parts`, concatenated; zeros under
-    /// [`Protection::Clear`], which authenticates nothing.
+    /// [`Protection::Plain`], which authenticates nothing.
     pub fn tag(&self, parts: &[&[u8]]) -> [u8; 32] {
         match self.mode {
-            Protection::Seal | Protection::Tag => hmac_sign_parts(&self.key, parts).0,
-            Protection::Clear => [0u8; 32],
+            Protection::Full | Protection::AuthOnly => hmac_sign_parts(&self.key, parts).0,
+            Protection::Plain => [0u8; 32],
         }
     }
 
     /// Checks `tag` against [`Sealer::tag`] of `parts` in constant time.
     pub fn check(&self, parts: &[&[u8]], tag: &[u8]) -> Result<(), CryptoError> {
-        let valid = self.mode == Protection::Clear || ct_eq(&self.tag(parts), tag);
+        let valid = self.mode == Protection::Plain || ct_eq(&self.tag(parts), tag);
         valid.then_some(()).ok_or(CryptoError::AuthFailed)
     }
 }
@@ -145,7 +134,7 @@ mod tests {
     use super::*;
 
     fn sealer(prefix: [u8; 4]) -> Sealer {
-        Sealer::new(Key::from_bytes([7; 32]), prefix, Protection::Seal)
+        Sealer::new(Key::from_bytes([7; 32]), prefix, Protection::Full)
     }
 
     #[test]
@@ -159,7 +148,7 @@ mod tests {
         let table = Sealer::new(
             Key::from_bytes([7; 32]),
             9u64.to_le_bytes(),
-            Protection::Seal,
+            Protection::Full,
         );
         let mut meta = [0xFF; 12];
         meta[..8].copy_from_slice(&9u64.to_le_bytes());
@@ -169,14 +158,14 @@ mod tests {
         let fresh = Sealer::new(
             Key::from_bytes([7; 32]),
             9u64.to_le_bytes(),
-            Protection::Seal,
+            Protection::Full,
         );
         assert_eq!(fresh.seal(past, b"", b"x"), Err(CryptoError::NonceReuse));
     }
 
     #[test]
     fn an_index_at_or_below_the_last_one_sealed_is_refused() {
-        for mode in [Protection::Seal, Protection::Tag, Protection::Clear] {
+        for mode in [Protection::Full, Protection::AuthOnly, Protection::Plain] {
             let s = Sealer::new(Key::from_bytes([7; 32]), *b"TEST", mode);
             assert!(s.seal(3, b"", b"a").is_ok(), "{mode:?}");
             assert_eq!(s.seal(3, b"", b"b"), Err(CryptoError::NonceReuse));
@@ -231,8 +220,8 @@ mod tests {
     #[test]
     fn tag_and_clear_store_the_bytes_and_only_tag_authenticates() {
         let key = Key::from_bytes([7; 32]);
-        let tagged = Sealer::new(key, *b"TTTT", Protection::Tag);
-        let clear = Sealer::new(key, *b"TTTT", Protection::Clear);
+        let tagged = Sealer::new(key, *b"TTTT", Protection::AuthOnly);
+        let clear = Sealer::new(key, *b"TTTT", Protection::Plain);
         for s in [&tagged, &clear] {
             assert_eq!(s.seal(0, b"", b"plain"), Ok(None));
             assert_eq!(s.seal_framed(b"", b"plain"), Ok(None));

@@ -69,7 +69,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::ops::Deref;
 use std::rc::Rc;
 
-use treaty_crypto::{nonce, Key, Opened, SecureEnvelope, Stamp, TxMeta, WireCrypto};
+use treaty_crypto::{nonce, Key, Opened, Protection, SecureEnvelope, Stamp, TxMeta};
 use treaty_sched::CorePool;
 use treaty_sim::obs::{Counter, Phase};
 use treaty_sim::runtime::{self, FiberId};
@@ -93,7 +93,7 @@ pub struct RpcConfig {
     /// Fabric-level endpoint parameters (transport, TEE, link rate).
     pub endpoint: EndpointConfig,
     /// Message protection level.
-    pub crypto: WireCrypto,
+    pub crypto: Protection,
     /// Network key (distributed by the CAS).
     pub key: Key,
     /// CPU cores that processing on this endpoint consumes. `None` models
@@ -106,7 +106,7 @@ pub struct RpcConfig {
 impl RpcConfig {
     /// A client configuration: plain transport parameters, given protection
     /// level, no core contention.
-    pub fn client(crypto: WireCrypto, key: Key) -> Self {
+    pub fn client(crypto: Protection, key: Key) -> Self {
         RpcConfig {
             endpoint: EndpointConfig::default(),
             crypto,
@@ -706,9 +706,9 @@ impl Rpc {
     fn crypto_cost(&self, bytes: usize) -> Nanos {
         let costs = self.fabric.costs();
         match self.cfg.crypto {
-            WireCrypto::Plain => 0,
-            WireCrypto::AuthOnly => costs.sha_ns(bytes),
-            WireCrypto::Full => costs.aes_ns(bytes),
+            Protection::Plain => 0,
+            Protection::AuthOnly => costs.sha_ns(bytes),
+            Protection::Full => costs.aes_ns(bytes),
         }
     }
 
@@ -785,7 +785,7 @@ mod tests {
         move |c| obs.metrics().counter(c)
     }
 
-    fn setup(crypto: WireCrypto) -> (Rc<Fabric>, Rc<Rpc>, Rc<Rpc>) {
+    fn setup(crypto: Protection) -> (Rc<Fabric>, Rc<Rpc>, Rc<Rpc>) {
         let fabric = Fabric::new(CostModel::default(), 42);
         let key = KeyHierarchy::for_testing().network;
         let server_cfg = RpcConfig {
@@ -826,7 +826,7 @@ mod tests {
     #[test]
     fn call_roundtrip_encrypted() {
         block_on(|| {
-            let (_f, _s, client) = setup(WireCrypto::Full);
+            let (_f, _s, client) = setup(Protection::Full);
             let (m, p) = client.call(1, ECHO, &meta(1, 1), b"abc").unwrap();
             assert_eq!(m.kind, MsgKind::Ack);
             assert_eq!(p, b"cba");
@@ -835,7 +835,7 @@ mod tests {
 
     #[test]
     fn call_roundtrip_all_crypto_modes() {
-        for crypto in [WireCrypto::Plain, WireCrypto::AuthOnly, WireCrypto::Full] {
+        for crypto in [Protection::Plain, Protection::AuthOnly, Protection::Full] {
             block_on(move || {
                 let (_f, _s, client) = setup(crypto);
                 let (_, p) = client.call(1, ECHO, &meta(1, 1), b"xyz").unwrap();
@@ -847,7 +847,7 @@ mod tests {
     #[test]
     fn enqueue_then_burst_batches() {
         block_on(|| {
-            let (_f, _s, client) = setup(WireCrypto::Full);
+            let (_f, _s, client) = setup(Protection::Full);
             let mut replies =
                 client.burst([(1, ECHO, meta(1, 1), b"a1"), (1, ECHO, meta(1, 2), b"b2")]);
             assert_eq!(replies.next().unwrap().1.unwrap().1, b"1a");
@@ -862,11 +862,11 @@ mod tests {
     #[test]
     fn a_burst_sends_only_its_own_requests() {
         block_on(|| {
-            let (fabric, _s, _c) = setup(WireCrypto::Full);
+            let (fabric, _s, _c) = setup(Protection::Full);
             let key = KeyHierarchy::for_testing().network;
             let cfg = RpcConfig {
                 cores: Some(Rc::new(CorePool::new(1))),
-                ..RpcConfig::client(WireCrypto::Full, key)
+                ..RpcConfig::client(Protection::Full, key)
             };
             let client = Rpc::new(&fabric, 101, cfg);
             client.start();
@@ -895,7 +895,7 @@ mod tests {
     #[test]
     fn timeout_on_dead_server() {
         block_on(|| {
-            let (_f, server, client) = setup(WireCrypto::Full);
+            let (_f, server, client) = setup(Protection::Full);
             server.stop();
             let err = client.call(1, ECHO, &meta(1, 1), b"x").unwrap_err();
             assert_eq!(err, NetError::Timeout);
@@ -906,7 +906,7 @@ mod tests {
     fn tampered_request_rejected_and_times_out() {
         block_on(|| {
             let count = hub();
-            let (fabric, _server, client) = setup(WireCrypto::Full);
+            let (fabric, _server, client) = setup(Protection::Full);
             fabric.with_adversary(|a| a.tamper_next = 1);
             let err = client.call(1, ECHO, &meta(1, 1), b"x").unwrap_err();
             assert_eq!(err, NetError::Timeout);
@@ -918,7 +918,7 @@ mod tests {
     fn duplicated_request_executes_once() {
         block_on(|| {
             let count = hub();
-            let (fabric, _server, client) = setup(WireCrypto::Full);
+            let (fabric, _server, client) = setup(Protection::Full);
             fabric.with_adversary(|a| a.dup_next = 1);
             let (_, p) = client.call(1, ECHO, &meta(9, 1), b"once").unwrap();
             assert_eq!(p, b"ecno");
@@ -933,7 +933,7 @@ mod tests {
     fn replayed_capture_is_suppressed() {
         block_on(|| {
             let count = hub();
-            let (fabric, _server, client) = setup(WireCrypto::Full);
+            let (fabric, _server, client) = setup(Protection::Full);
             fabric.start_capture();
             let _ = client.call(1, ECHO, &meta(5, 1), b"hello").unwrap();
             let captured = fabric.captured();
@@ -953,7 +953,7 @@ mod tests {
     fn a_reply_is_bound_to_its_request() {
         block_on(|| {
             let count = hub();
-            let (fabric, _server, client) = setup(WireCrypto::Full);
+            let (fabric, _server, client) = setup(Protection::Full);
             fabric.start_capture();
             assert_eq!(
                 client.call(1, ECHO, &meta(1, 1), b"first").unwrap().1,
@@ -977,7 +977,7 @@ mod tests {
     fn the_guard_holds_a_floor_not_a_history() {
         block_on(|| {
             let count = hub();
-            let (_f, server, client) = setup(WireCrypto::Full);
+            let (_f, server, client) = setup(Protection::Full);
             for tx in 1..=1000 {
                 client.call(1, ECHO, &meta(tx, 1), b"x").unwrap();
             }
@@ -994,7 +994,7 @@ mod tests {
     fn a_restarted_sender_numbers_above_its_last_life() {
         block_on(|| {
             let count = hub();
-            let (fabric, server, client) = setup(WireCrypto::Full);
+            let (fabric, server, client) = setup(Protection::Full);
             fabric.start_capture();
             client.call(1, ECHO, &meta(1, 1), b"old").unwrap();
             let old = fabric
@@ -1004,7 +1004,7 @@ mod tests {
                 .unwrap();
             client.stop();
             let key = KeyHierarchy::for_testing().network;
-            let reborn = Rpc::new(&fabric, 100, RpcConfig::client(WireCrypto::Full, key));
+            let reborn = Rpc::new(&fabric, 100, RpcConfig::client(Protection::Full, key));
             reborn.start();
             assert_eq!(reborn.call(1, ECHO, &meta(1, 1), b"new").unwrap().1, b"wen");
             fabric.inject(old);
@@ -1018,7 +1018,7 @@ mod tests {
     #[test]
     fn encrypted_wire_hides_payload() {
         block_on(|| {
-            let (fabric, _s, client) = setup(WireCrypto::Full);
+            let (fabric, _s, client) = setup(Protection::Full);
             fabric.start_capture();
             let secret = b"super-secret-kv-value";
             let _ = client.call(1, ECHO, &meta(2, 1), secret).unwrap();
@@ -1033,7 +1033,7 @@ mod tests {
     #[test]
     fn plain_wire_exposes_payload() {
         block_on(|| {
-            let (fabric, _s, client) = setup(WireCrypto::Plain);
+            let (fabric, _s, client) = setup(Protection::Plain);
             fabric.start_capture();
             let secret = b"super-secret-kv-value";
             let _ = client.call(1, ECHO, &meta(2, 1), secret).unwrap();
@@ -1045,7 +1045,7 @@ mod tests {
     #[test]
     fn dropped_request_times_out_not_hangs() {
         block_on(|| {
-            let (fabric, _s, client) = setup(WireCrypto::Full);
+            let (fabric, _s, client) = setup(Protection::Full);
             fabric.with_adversary(|a| a.drop_next = 1);
             let t0 = runtime::now();
             let err = client.call(1, ECHO, &meta(3, 1), b"x").unwrap_err();
@@ -1057,13 +1057,13 @@ mod tests {
     #[test]
     fn concurrent_clients_all_served() {
         block_on(|| {
-            let (_f, server, _c) = setup(WireCrypto::Full);
+            let (_f, server, _c) = setup(Protection::Full);
             let fabric = Rc::clone(server.fabric());
             let key = KeyHierarchy::for_testing().network;
             let mut handles = Vec::new();
             for cid in 200..232u32 {
                 let fabric = Rc::clone(&fabric);
-                let cfg = RpcConfig::client(WireCrypto::Full, key);
+                let cfg = RpcConfig::client(Protection::Full, key);
                 handles.push(runtime::spawn(move || {
                     let client = Rpc::new(&fabric, cid, cfg);
                     client.start();
@@ -1088,7 +1088,7 @@ mod tests {
             let key = KeyHierarchy::for_testing().network;
             let counter = Rc::new(Cell::new(0));
             let c2 = Rc::clone(&counter);
-            let server = Rpc::new(&fabric, 1, RpcConfig::client(WireCrypto::Full, key));
+            let server = Rpc::new(&fabric, 1, RpcConfig::client(Protection::Full, key));
             server.register_handler(
                 9,
                 false,
@@ -1098,7 +1098,7 @@ mod tests {
                 }),
             );
             server.start();
-            let client = Rpc::new(&fabric, 2, RpcConfig::client(WireCrypto::Full, key));
+            let client = Rpc::new(&fabric, 2, RpcConfig::client(Protection::Full, key));
             for i in 0..10 {
                 client.send_oneway(1, 9, &meta(i, 0), &[0u8; 100]);
             }
@@ -1117,7 +1117,7 @@ mod tests {
         let key = KeyHierarchy::for_testing().network;
         let starts = Rc::new(FiberCell::new(Vec::new()));
         let log = Rc::clone(&starts);
-        let server = Rpc::new(&fabric, 1, RpcConfig::client(WireCrypto::Full, key));
+        let server = Rpc::new(&fabric, 1, RpcConfig::client(Protection::Full, key));
         server.register_handler(
             ECHO,
             guarded,
@@ -1128,7 +1128,7 @@ mod tests {
             }),
         );
         server.start();
-        let client = Rpc::new(&fabric, 100, RpcConfig::client(WireCrypto::Full, key));
+        let client = Rpc::new(&fabric, 100, RpcConfig::client(Protection::Full, key));
         client.start();
         (fabric, server, client, starts)
     }
@@ -1138,7 +1138,7 @@ mod tests {
     #[test]
     fn an_idle_session_holds_no_fiber() {
         block_on(|| {
-            let (_f, server, client) = setup(WireCrypto::Full);
+            let (_f, server, client) = setup(Protection::Full);
             for tx in 1..=256 {
                 client.call(1, ECHO, &meta(tx, 1), b"x").unwrap();
             }
@@ -1224,7 +1224,7 @@ mod tests {
         use treaty_sim::crashpoint::{self, CrashPoint, FaultSchedule};
         block_on(|| {
             let plan = crashpoint::install();
-            let (fabric, server, client) = setup(WireCrypto::Full);
+            let (fabric, server, client) = setup(Protection::Full);
             const CRASHY: u8 = 8;
             let handler: ReqHandler = Rc::new(|_, meta, payload| {
                 crashpoint::hit(CrashPoint::PartBeforePrepare);
@@ -1246,7 +1246,7 @@ mod tests {
             server.stop();
             assert_eq!(server.open_sessions(), 0);
             let key = KeyHierarchy::for_testing().network;
-            let fresh = Rpc::new(&fabric, 1, RpcConfig::client(WireCrypto::Full, key));
+            let fresh = Rpc::new(&fabric, 1, RpcConfig::client(Protection::Full, key));
             fresh.register_handler(CRASHY, false, handler);
             fresh.start();
             assert_eq!(
@@ -1263,7 +1263,7 @@ mod tests {
     fn start_is_idempotent() {
         fn fibers(starts: usize) -> u64 {
             let report = treaty_sim::runtime::Sim::new().run(move || {
-                let (_f, server, client) = setup(WireCrypto::Full);
+                let (_f, server, client) = setup(Protection::Full);
                 for _ in 1..starts {
                     server.start();
                 }

@@ -49,12 +49,26 @@ pub(crate) const LOCK_TIMEOUT: treaty_sim::Nanos = 10 * treaty_sim::MILLIS;
 /// runs the store.
 pub(crate) const LOCK_SHARDS: usize = 1024;
 
-/// Where the point descent found a key's newest version: a MemTable entry
-/// whose value is still in host memory, or an SSTable's value, already
-/// read with its block (`None` = tombstone).
+/// A version's value as a read carries it: a MemTable entry whose value is
+/// still sealed in host memory, or an SSTable's value, already opened with
+/// its verified block (`None` = tombstone). The point descent and the merge
+/// decide on keys and seqs, which the enclave holds, and open only what
+/// they return.
 enum Found {
     Mem(Rc<MemTable>, ValueEntry),
     Table(Option<Vec<u8>>),
+}
+
+impl Found {
+    /// The value (`None` = tombstone). A MemTable value is decrypted and
+    /// checked against its enclave-held digest here: the only place a read
+    /// opens one. A table value is free.
+    fn open(self, key: &[u8]) -> Result<Option<Vec<u8>>> {
+        match self {
+            Found::Mem(mem, entry) => mem.open(key, &entry),
+            Found::Table(value) => Ok(value),
+        }
+    }
 }
 
 /// Size ratio between consecutive levels of the SSTable hierarchy.
@@ -689,7 +703,7 @@ impl TreatyStore {
     ///
     /// Propagates integrity violations from storage verification.
     pub fn get_committed(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.get_visible(key, SeqNum::MAX)
+        Ok(self.read(key, SeqNum::MAX)?.1)
     }
 
     /// The counts behind [`TreatyStore::stats`], kept in the [`Env`]. The
@@ -834,13 +848,8 @@ impl TreatyStore {
         self.count().gets += 1;
         Ok(match self.newest(key, snapshot)? {
             None => (0, None),
-            Some((seq, Found::Mem(mem, entry))) => (seq, mem.resolve_value(key, &entry)?),
-            Some((seq, Found::Table(value))) => (seq, value),
+            Some((seq, found)) => (seq, found.open(key)?),
         })
-    }
-
-    pub(crate) fn get_visible(&self, key: &[u8], snapshot: SeqNum) -> Result<Option<Vec<u8>>> {
-        Ok(self.read(key, snapshot)?.1)
     }
 
     /// The newest committed sequence for `key` (0 if the key has never been
@@ -878,7 +887,7 @@ impl TreatyStore {
         if self.inner.prepared.overlaps(key) {
             return Err(StoreError::SnapshotInDoubt);
         }
-        let value = self.get_visible(key, ts)?;
+        let value = self.read(key, ts)?.1;
         self.check_snapshot_ts(ts)?;
         Ok(value)
     }
@@ -934,7 +943,7 @@ impl TreatyStore {
             SeqNum::MAX,
             |_key, seq, _value, shadow| {
                 max_seq = max_seq.max(seq.max(shadow));
-                max_seq <= ts // the first newer version already decides
+                Ok(max_seq <= ts) // the first newer version already decides
             },
         )?;
         // A range tombstone over a currently-empty part of the span is a
@@ -968,11 +977,11 @@ impl TreatyStore {
         self.merge_scan(start, Some(end), snapshot, |key, seq, value, shadow| {
             // Same-seq point writes beat their transaction's range delete.
             if seq >= shadow {
-                if let Some(v) = value {
+                if let Some(v) = value.open(&key)? {
                     out.push((key, v));
                 }
             }
-            limit == 0 || out.len() < limit
+            Ok(limit == 0 || out.len() < limit)
         })?;
         Ok(out)
     }
@@ -1020,7 +1029,7 @@ impl TreatyStore {
         let mut found = None;
         self.merge_scan(from, None, SeqNum::MAX, |key, _seq, _value, _shadow| {
             found = Some(key);
-            false
+            Ok(false)
         })?;
         Ok(found)
     }
@@ -1052,17 +1061,17 @@ impl TreatyStore {
         self.merge_scan(start, None, SeqNum::MAX, |key, seq, value, shadow| {
             if full || key.as_slice() >= end {
                 span.bound = key;
-                return false;
+                return Ok(false);
             }
             span.present.push(key.clone());
             // Same-seq point writes beat their transaction's range delete.
             if seq >= shadow {
-                if let Some(v) = value {
+                if let Some(v) = value.open(&key)? {
                     span.rows.push((key, v));
                     full = limit > 0 && span.rows.len() == limit;
                 }
             }
-            true
+            Ok(true)
         })?;
         Ok(span)
     }
@@ -1084,17 +1093,18 @@ impl TreatyStore {
     /// MemTable, the frozen backlog and the COW level snapshot, gives one
     /// verified cursor to each source overlapping `[start, end)` — none
     /// reads until the lazy [`merge_newest`] reaches it — and runs the
-    /// merge over them with the range tombstones in the span. Returns the
-    /// newest of those tombstones' seqs (0 = none).
+    /// merge over them with the range tombstones in the span. `visit` gets
+    /// each value sealed and opens those it returns. Returns the newest of
+    /// those tombstones' seqs (0 = none).
     fn merge_scan<F>(
         &self,
         start: &[u8],
         end: Option<&[u8]>,
         snapshot: SeqNum,
-        mut visit: F,
+        visit: F,
     ) -> Result<SeqNum>
     where
-        F: FnMut(UserKey, SeqNum, Option<Vec<u8>>, SeqNum) -> bool,
+        F: FnMut(UserKey, SeqNum, Found, SeqNum) -> Result<bool>,
     {
         let _span = treaty_sim::obs::span(Phase::StoreScan);
         self.count().scans += 1;
@@ -1118,7 +1128,7 @@ impl TreatyStore {
             tombs.extend(m.range_tombstones().into_iter().filter(in_span));
         }
 
-        let mut sources: Vec<ScanSource<'_>> = Vec::new();
+        let mut sources: Vec<ScanSource> = Vec::new();
         sources.push(ScanSource::Mem(mem.range_cursor(start, end)));
         for m in &frozen {
             sources.push(ScanSource::Mem(m.range_cursor(start, end)));
@@ -1138,13 +1148,7 @@ impl TreatyStore {
             );
             sources.push(ScanSource::Table(t.range_cursor(start, true)));
         }
-        merge_newest(
-            &mut sources,
-            &tombs,
-            end,
-            snapshot,
-            |key, seq, value, shadow| Ok(visit(key, seq, value, shadow)),
-        )?;
+        merge_newest(&mut sources, &tombs, end, snapshot, visit)?;
         Ok(tombs.iter().map(|rt| rt.seq).max().unwrap_or(0))
     }
 
@@ -1731,6 +1735,7 @@ impl TreatyStore {
             None,
             SeqNum::MAX,
             |key, seq, value, shadow| {
+                let value = value.open(&key)?; // a table value: already open
                 if let Some((entries, lo)) = parked.take() {
                     // This key opens a new partition; the parked chunk's span
                     // ends right before it.
@@ -2135,16 +2140,24 @@ fn tomb_fragments(
 
 /// One input of the authenticated merge: a MemTable cursor or a verified
 /// SSTable block cursor, unified behind one `next` and one `bound`.
-enum ScanSource<'a> {
-    Mem(MemCursor<'a>),
+enum ScanSource {
+    Mem(MemCursor),
     Table(TableCursor),
 }
 
-impl ScanSource<'_> {
-    fn next(&mut self) -> Result<Option<VersionedEntry>> {
+/// One version as the merge carries it: key, seq and the value unopened.
+type Version = (UserKey, SeqNum, Found);
+
+impl ScanSource {
+    /// The next version, its value sealed if it lies in a MemTable.
+    fn next(&mut self) -> Result<Option<Version>> {
         match self {
-            ScanSource::Mem(c) => c.next(),
-            ScanSource::Table(c) => Ok(c.next()?.map(|r| (r.key, r.seq, r.value))),
+            ScanSource::Mem(c) => {
+                let mem = Rc::clone(c.table());
+                Ok(c.next()
+                    .map(|(key, seq, entry)| (key, seq, Found::Mem(mem, entry))))
+            }
+            ScanSource::Table(c) => Ok(c.next()?.map(|r| (r.key, r.seq, Found::Table(r.value)))),
         }
     }
 
@@ -2156,24 +2169,12 @@ impl ScanSource<'_> {
             ScanSource::Table(c) => c.bound(),
         }
     }
-
-    /// Called once the merge has decided `key`: a MemTable steps past the
-    /// versions of it it has not yielded without opening them. A table's
-    /// are already open in the block in hand.
-    fn skip_rest_of(&mut self, key: &[u8]) {
-        if let ScanSource::Mem(c) = self {
-            c.skip_rest_of(key);
-        }
-    }
 }
 
 /// Pulls the next record ≤ `snapshot` and < `end` out of `src`; a record
-/// at or past `end` exhausts the source (cursors yield keys in order).
-fn refill(
-    src: &mut ScanSource<'_>,
-    end: Option<&[u8]>,
-    snapshot: SeqNum,
-) -> Result<Option<VersionedEntry>> {
+/// at or past `end` exhausts the source (cursors yield keys in order). A
+/// MemTable version above the snapshot is passed unopened.
+fn refill(src: &mut ScanSource, end: Option<&[u8]>, snapshot: SeqNum) -> Result<Option<Version>> {
     while let Some((key, seq, value)) = src.next()? {
         if let Some(end) = end {
             if key.as_slice() >= end {
@@ -2198,19 +2199,22 @@ fn refill(
 /// a MemTable no answer reaches is never opened. A source whose bound ties
 /// the frontier is read, since it may hold a newer version of that key;
 /// every source that could hold the smallest key is therefore in hand when
-/// it is picked, and the pick is the one an eager merge makes.
+/// it is picked, and the pick is the one an eager merge makes. The merge
+/// decides on keys and seqs alone: a MemTable value reaches `visit` still
+/// sealed, and one the merge steps past — an older version, or one above
+/// the snapshot — is never opened.
 fn merge_newest<F>(
-    sources: &mut [ScanSource<'_>],
+    sources: &mut [ScanSource],
     tombs: &[RangeTombstone],
     end: Option<&[u8]>,
     snapshot: SeqNum,
     mut visit: F,
 ) -> Result<()>
 where
-    F: FnMut(UserKey, SeqNum, Option<Vec<u8>>, SeqNum) -> Result<bool>,
+    F: FnMut(UserKey, SeqNum, Found, SeqNum) -> Result<bool>,
 {
     // A source's head is in hand (`Some`) or still behind its bound.
-    let mut heads: Vec<Option<VersionedEntry>> = vec![None; sources.len()];
+    let mut heads: Vec<Option<Version>> = sources.iter().map(|_| None).collect();
     let mut last_key: Option<UserKey> = None;
     loop {
         // Read, smallest bound first, every source whose bound is at or
@@ -2235,12 +2239,9 @@ where
             .filter_map(|(i, h)| h.as_ref().map(|(k, s, _)| (i, k, *s)))
             .min_by(|(_, ka, sa), (_, kb, sb)| ka.cmp(kb).then(sb.cmp(sa)))
             .map(|(i, _, _)| i);
-        let Some((i, (key, seq, value))) = best.and_then(|i| Some((i, heads[i].take()?))) else {
+        let Some((key, seq, value)) = best.and_then(|i| heads[i].take()) else {
             return Ok(());
         };
-        // The key is decided now or was already: what else this source
-        // holds of it is older, and never read.
-        sources[i].skip_rest_of(&key);
         if last_key.as_ref() == Some(&key) {
             continue; // older version of a key already decided
         }

@@ -14,6 +14,17 @@ use treaty_tee::{Enclave, HostVault};
 use crate::cache::BlockCache;
 use crate::engine::EngineStats;
 
+/// The one mapping from a profile to what the wire and storage apply: full
+/// protection under encryption, tags under authentication alone, none
+/// otherwise.
+pub fn protection(profile: &SecurityProfile) -> Protection {
+    match (profile.encryption, profile.authentication) {
+        (true, _) => Protection::Full,
+        (false, true) => Protection::AuthOnly,
+        (false, false) => Protection::Plain,
+    }
+}
+
 /// Sizing and behaviour knobs for [`crate::TreatyStore`].
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -192,15 +203,9 @@ impl Env {
     }
 
     /// A [`Sealer`] under `key` whose nonces begin with `prefix`, its mode
-    /// fixed by the profile: it seals under encryption, tags under
-    /// authentication alone and stores in clear otherwise.
+    /// fixed by the profile ([`protection`]).
     pub(crate) fn sealer<const N: usize>(&self, key: Key, prefix: [u8; N]) -> Sealer {
-        let mode = match (self.profile.encryption, self.profile.authentication) {
-            (true, _) => Protection::Seal,
-            (false, true) => Protection::Tag,
-            (false, false) => Protection::Clear,
-        };
-        Sealer::new(key, prefix, mode)
+        Sealer::new(key, prefix, protection(&self.profile))
     }
 
     /// Charges pure CPU work, applying the enclave multiplier under SCONE.

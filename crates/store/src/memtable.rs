@@ -92,14 +92,19 @@ impl MemKey {
 }
 
 /// What the enclave keeps per version: a pointer into host memory plus the
-/// integrity hash — or a tombstone.
+/// integrity hash — or a tombstone. [`MemTable::open`] reads the value.
 #[derive(Debug, Clone)]
-pub(crate) enum ValueEntry {
+pub enum ValueEntry {
+    /// A value sealed in host memory.
     Put {
+        /// Where the sealed value lies in host memory.
         handle: HostHandle,
+        /// The plaintext length.
         len: u32,
+        /// The plaintext's SHA-256, held in the enclave.
         hash: Digest32,
     },
+    /// A point delete.
     Delete,
 }
 
@@ -213,7 +218,7 @@ impl MemTable {
             Some(sealed) => HostBytes::from_ciphertext(sealed),
             // Treaty w/o Enc: the enclave-held digest pins the plaintext,
             // so host tampering is caught on the read path.
-            None if self.sealer.mode() == Protection::Tag => {
+            None if self.sealer.mode() == Protection::AuthOnly => {
                 self.env.enclave.pin_integrity(digest);
                 HostBytes::integrity_pinned(value.to_vec(), &self.env.enclave)
                     .expect("digest pinned on the line above")
@@ -309,7 +314,7 @@ impl MemTable {
     /// its hash or decryption — i.e. untrusted memory was tampered with.
     pub fn get(&self, key: &[u8], snapshot: SeqNum) -> Result<Option<Option<Vec<u8>>>> {
         self.newest(key, snapshot)
-            .map(|(_, entry)| self.resolve_value(key, &entry))
+            .map(|(_, entry)| self.open(key, &entry))
             .transpose()
     }
 
@@ -318,8 +323,8 @@ impl MemTable {
     /// caller falls through to older sources). A covering range tombstone
     /// newer than the point version reads as `Delete` at the tombstone's
     /// seq. A key the filter rules out costs one Bloom probe and no walk.
-    /// The value stays in host memory until [`MemTable::resolve_value`]
-    /// reads it, so a caller that needs only the seq never decrypts.
+    /// The value stays in host memory until [`MemTable::open`] reads it,
+    /// so a caller that needs only the seq never decrypts.
     pub(crate) fn newest(&self, key: &[u8], snapshot: SeqNum) -> Option<(SeqNum, ValueEntry)> {
         self.env.charge_bloom_probe();
         let may_hold = self.index.borrow().may_hold(key);
@@ -343,9 +348,15 @@ impl MemTable {
             .max_by_key(|(seq, _)| *seq)
     }
 
-    /// Decrypts and integrity-checks one entry's host-resident value.
-    /// `Delete` resolves to `None`.
-    pub(crate) fn resolve_value(&self, key: &[u8], entry: &ValueEntry) -> Result<Option<Vec<u8>>> {
+    /// Decrypts and integrity-checks one entry's host-resident value; a
+    /// read that returns a MemTable value opens it here and nowhere else
+    /// (the flush unseals on its own). `Delete` opens to `None`.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Integrity`] if the host-resident value was tampered
+    /// with.
+    pub fn open(&self, key: &[u8], entry: &ValueEntry) -> Result<Option<Vec<u8>>> {
         let ValueEntry::Put {
             handle,
             len,
@@ -409,11 +420,9 @@ impl MemTable {
     /// the key space) in `(user key asc, seq desc)` order. Opening is free:
     /// it reads the smallest key, which fixes where the cursor will seek —
     /// `max(start, smallest key)` — and its [`MemCursor::bound`] until then.
-    /// The first [`MemCursor::next`] pays the one charged seek; each later
-    /// one steps the map from the last entry yielded. Values stay in host
-    /// memory until the cursor yields them, so a scan never materializes
-    /// more than one value at a time in enclave memory.
-    pub fn range_cursor(&self, start: &[u8], end: Option<&[u8]>) -> MemCursor<'_> {
+    /// The first `next` pays the one charged seek; each later one steps the
+    /// map from the last entry yielded, at no charge.
+    pub fn range_cursor(self: &Rc<Self>, start: &[u8], end: Option<&[u8]>) -> MemCursor {
         let smallest = self
             .index
             .borrow()
@@ -424,7 +433,7 @@ impl MemTable {
             .map(|k| k.max(start.to_vec()))
             .filter(|k| end.is_none_or(|e| k.as_slice() < e));
         MemCursor {
-            mt: self,
+            mt: Rc::clone(self),
             end: end.map(<[u8]>::to_vec),
             at: from.map_or(At::End, At::Unsought),
         }
@@ -499,7 +508,7 @@ impl MemTable {
             } = v
             {
                 let _ = self.env.vault.free(*handle);
-                if self.sealer.mode() == Protection::Tag {
+                if self.sealer.mode() == Protection::AuthOnly {
                     // Release the integrity pin taken at put time.
                     self.env.enclave.unpin_integrity(digest);
                 }
@@ -518,12 +527,13 @@ impl Drop for MemTable {
 
 /// A range cursor over a MemTable ([`MemTable::range_cursor`]). It holds
 /// no entry: each `next` finds the one after the last yielded under a
-/// short borrow and resolves its value from host memory once the borrow
-/// has ended, so no borrow is held across a charge. Every entry in range
-/// when the cursor opened is yielded; an entry inserted later is yielded
-/// too if it sorts after the last one yielded.
-pub struct MemCursor<'a> {
-    mt: &'a MemTable,
+/// short borrow. It yields what the enclave holds — the key, the seq and
+/// the [`ValueEntry`] — and opens no value: a reader decides on keys and
+/// seqs and opens only what it returns ([`MemTable::open`]). Every entry
+/// in range when the cursor opened is yielded; an entry inserted later is
+/// yielded too if it sorts after the last one yielded.
+pub struct MemCursor {
+    mt: Rc<MemTable>,
     end: Option<UserKey>,
     at: At,
 }
@@ -539,7 +549,7 @@ enum At {
     End,
 }
 
-impl std::fmt::Debug for MemCursor<'_> {
+impl std::fmt::Debug for MemCursor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MemCursor")
             .field("at", &self.at)
@@ -547,11 +557,10 @@ impl std::fmt::Debug for MemCursor<'_> {
     }
 }
 
-impl MemCursor<'_> {
-    /// A lower bound on the key of the next entry [`MemCursor::next`]
-    /// yields, at no charge: the key the cursor will seek to, else the
-    /// last key yielded (a later entry may be an older version of it).
-    /// `None` once the cursor is exhausted.
+impl MemCursor {
+    /// A lower bound on the key of the next entry the cursor yields, at no
+    /// charge: the key it will seek to, else the last key yielded (a later
+    /// entry may be an older version of it). `None` once it is exhausted.
     pub fn bound(&self) -> Option<&[u8]> {
         match &self.at {
             At::Unsought(key) => Some(key),
@@ -560,29 +569,19 @@ impl MemCursor<'_> {
         }
     }
 
-    /// Steps past every version of `key` not yet yielded, opening none of
-    /// them: once the last entry yielded is a version of `key`, the next
-    /// [`MemCursor::next`] yields the first entry of a later key.
-    pub(crate) fn skip_rest_of(&mut self, key: &[u8]) {
-        if let At::After(last) = &mut self.at {
-            if last.user == key {
-                // The oldest version a key can have sorts last among its own.
-                last.seq_rev = u64::MAX;
-            }
-        }
+    /// The MemTable the cursor walks.
+    pub(crate) fn table(&self) -> &Rc<MemTable> {
+        &self.mt
     }
+}
 
-    /// The next entry in index order, or `None` when exhausted.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Integrity`] if the entry's host-resident value was
-    /// tampered with.
-    #[allow(clippy::should_implement_trait)] // fallible: not an `Iterator`
-    pub fn next(&mut self) -> Result<Option<VersionedEntry>> {
+impl Iterator for MemCursor {
+    type Item = (UserKey, SeqNum, ValueEntry);
+
+    fn next(&mut self) -> Option<Self::Item> {
         let env = &self.mt.env;
         let found = match &self.at {
-            At::End => return Ok(None),
+            At::End => return None,
             At::Unsought(key) => {
                 env.charge_enclave_op(ENTRY_OVERHEAD, env.costs.memtable_op_ns);
                 env.stats.borrow_mut().memtable_seeks += 1;
@@ -595,12 +594,11 @@ impl MemCursor<'_> {
             found.filter(|(k, _)| self.end.as_deref().is_none_or(|e| k.user.as_slice() < e))
         else {
             self.at = At::End;
-            return Ok(None);
+            return None;
         };
         self.at = At::After(k.clone());
-        let value = self.mt.resolve_value(&k.user, &v)?;
         let seq = k.seq();
-        Ok(Some((k.user, seq, value)))
+        Some((k.user, seq, v))
     }
 }
 
@@ -828,11 +826,8 @@ mod tests {
             mt.put(&key, i + 1, format!("v{i}").as_bytes());
         }
         mt.delete(b"k005", 100);
-        let mut cur = mt.range_cursor(b"k003", Some(b"k015"));
-        let mut got = Vec::new();
-        while let Some(e) = cur.next().unwrap() {
-            got.push(e);
-        }
+        let mt = Rc::new(mt);
+        let got: Vec<_> = mt.range_cursor(b"k003", Some(b"k015")).collect();
         assert!(!got.is_empty());
         for e in &got {
             assert!(e.0.as_slice() >= b"k003".as_slice() && e.0.as_slice() < b"k015".as_slice());
@@ -841,10 +836,10 @@ mod tests {
             let ordered = w[0].0 < w[1].0 || (w[0].0 == w[1].0 && w[0].1 > w[1].1);
             assert!(ordered, "cursor must yield (key asc, seq desc)");
         }
-        // The tombstone rides the cursor as a None value.
+        // The tombstone rides the cursor as a `Delete` entry.
         assert!(got
             .iter()
-            .any(|e| e.0 == b"k005" && e.1 == 100 && e.2.is_none()));
+            .any(|e| e.0 == b"k005" && e.1 == 100 && matches!(e.2, ValueEntry::Delete)));
         // Exactly the in-range versions: keys k003..k014, two each, plus
         // the delete.
         assert_eq!(got.len(), 12 * 2 + 1);

@@ -159,7 +159,7 @@ fn open_block(
     let failed = |what| StoreError::Integrity(format!("sstable {file_id} block {block_no} {what}"));
     let place = sealer.nonce(block_no.into());
     // A block the Sealer does not seal carries its tag in the footer.
-    if sealer.mode() != Protection::Seal {
+    if sealer.mode() != Protection::Full {
         sealer
             .check(&[&place, &stored], digest)
             .map_err(|_| failed("failed authentication"))?;

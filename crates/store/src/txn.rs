@@ -489,7 +489,7 @@ impl EngineTxn for Txn {
                 if let Err(e) = self.lock(key, LockMode::Shared) {
                     return Err(self.abort_with(e));
                 }
-                self.store.get_visible(key, SeqNum::MAX)
+                Ok(self.store.read(key, SeqNum::MAX)?.1)
             }
             TxnMode::Optimistic => {
                 let (seq, v) = self.store.read(key, SeqNum::MAX)?;

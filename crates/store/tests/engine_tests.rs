@@ -1927,9 +1927,11 @@ fn a_scan_that_stops_below_the_memtable_charges_no_seek() {
 }
 
 /// Once the merge has decided a key, a MemTable source steps past that
-/// key's older versions without opening them: a one-row locking scan, whose
-/// fence reads on to the next key, costs the same virtual time whether its
-/// row has one MemTable version or a hundred.
+/// key's older versions without opening them, and past its versions above
+/// the snapshot too: a one-row locking scan, whose fence reads on to the
+/// next key, costs the same virtual time whether its row has one MemTable
+/// version or a hundred, and so does a one-row scan at the seq of the
+/// row's first commit.
 #[test]
 fn a_scan_opens_no_older_version_of_a_key_it_decided() {
     let cost = |versions: u32| {
@@ -1937,8 +1939,11 @@ fn a_scan_opens_no_older_version_of_a_key_it_decided() {
         let path = dir.path().to_path_buf();
         block_on(move || {
             let (_env, store) = open(SecurityProfile::treaty_full(), &path);
+            let mut first = None;
             for v in 0..versions {
-                put(&store, b"k", format!("v{v:03}").as_bytes());
+                let mut tx = store.begin_mode(TxnMode::Pessimistic);
+                tx.put(b"k", format!("v{v:03}").as_bytes()).unwrap();
+                first = first.or(Some(tx.commit().unwrap().seq));
             }
             let mut tx = store.begin_mode(TxnMode::Pessimistic);
             let t0 = now();
@@ -1947,11 +1952,57 @@ fn a_scan_opens_no_older_version_of_a_key_it_decided() {
             let newest = format!("v{:03}", versions - 1).into_bytes();
             assert_eq!(rows, vec![(b"k".to_vec(), newest)]);
             tx.commit().unwrap();
-            cost
+
+            let t0 = now();
+            let rows = store.scan(b"a", b"z", first.unwrap(), 1).unwrap();
+            let snapshot_cost = now() - t0;
+            assert_eq!(rows, vec![(b"k".to_vec(), b"v000".to_vec())]);
+            (cost, snapshot_cost)
         })
     };
     let costs = [1, 10, 100].map(cost);
-    assert_eq!(costs, [costs[0]; 3], "vt_ns over 1, 10 and 100 versions");
+    let locking = costs.map(|(locking, _)| locking);
+    assert_eq!(
+        locking, [locking[0]; 3],
+        "vt_ns over 1, 10 and 100 versions"
+    );
+    let snapshot = costs.map(|(_, snapshot)| snapshot);
+    assert_eq!(
+        snapshot, [snapshot[0]; 3],
+        "vt_ns at the first commit, under 0, 9 and 99 newer versions"
+    );
+}
+
+/// A MemTable value that no read returns is never opened: with `d`'s host
+/// bytes tampered, a three-row locking scan, whose fence bound is `d`, and
+/// a snapshot validation over every key both answer. A scan that returns
+/// `d` opens it and fails.
+#[test]
+fn a_tampered_memtable_value_no_read_returns_is_never_opened() {
+    let dir = tempfile::tempdir().unwrap();
+    let (env, store) = open(SecurityProfile::treaty_full(), dir.path());
+    for key in [b"a", b"b", b"c", b"d", b"e"] {
+        put(&store, key, b"value");
+    }
+    // The vault holds the MemTable's values only, numbered in put order.
+    assert_eq!(env.vault.live_buffers(), 5);
+    env.vault.corrupt(treaty_tee::HostHandle(3), 20).unwrap();
+
+    let mut tx = store.begin_mode(TxnMode::Pessimistic);
+    let rows = tx.scan(b"a", b"z", 3).unwrap();
+    let want: Vec<_> = [b"a", b"b", b"c"]
+        .map(|k| (k.to_vec(), b"value".to_vec()))
+        .into();
+    assert_eq!(rows, want);
+    tx.commit().unwrap();
+    assert!(store
+        .snapshot_validate_span(b"a", b"z", store.stable_ts())
+        .unwrap());
+    let outcome = store.scan(b"a", b"z", u64::MAX, 4);
+    assert!(
+        matches!(outcome, Err(StoreError::Integrity(_))),
+        "a scan returning the tampered value: {outcome:?}"
+    );
 }
 
 #[test]

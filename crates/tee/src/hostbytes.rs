@@ -29,7 +29,7 @@
 
 use std::fmt;
 
-use treaty_crypto::{sha256, Ciphertext, EnvelopedMessage, WireCrypto};
+use treaty_crypto::{sha256, Ciphertext, EnvelopedMessage, Protection};
 
 use crate::enclave::Enclave;
 use crate::seal::SealedBlob;
@@ -119,14 +119,14 @@ impl HostBytes {
 
     /// Wraps a sealed wire message for host-resident message buffers.
     ///
-    /// [`WireCrypto::Full`] bodies are AEAD ciphertext. `Plain` and
+    /// [`Protection::Full`] bodies are AEAD ciphertext. `Plain` and
     /// `AuthOnly` bodies are cleartext *because the configured security
     /// profile says so* — those are recorded as declassified-by-profile,
     /// which keeps the baseline/"w/o Enc" ablations honest in vault dumps.
     pub fn from_envelope(msg: EnvelopedMessage) -> Self {
         let provenance = match msg.crypto() {
-            WireCrypto::Full => Provenance::Ciphertext,
-            WireCrypto::Plain | WireCrypto::AuthOnly => Provenance::Declassified,
+            Protection::Full => Provenance::Ciphertext,
+            Protection::Plain | Protection::AuthOnly => Provenance::Declassified,
         };
         let reason = match provenance {
             Provenance::Declassified => {

@@ -48,7 +48,7 @@ use common::{
 };
 use treaty::core::client::client_net;
 use treaty::core::clog::{ClogRecord, CLOG_FILE, CLOG_NAME};
-use treaty::core::cluster::{wire_crypto, COUNTER_BASE, COUNTER_CLIENT_BASE};
+use treaty::core::cluster::{COUNTER_BASE, COUNTER_CLIENT_BASE};
 use treaty::core::messages::{decode, encode, req};
 use treaty::core::{Abort, AbortCause, Cluster, ClusterOptions, DistTxn, TreatyError};
 use treaty::crypto::codec::Record as _;
@@ -58,6 +58,7 @@ use treaty::sched::block_on;
 use treaty::sim::crashpoint::{self, CrashPoint, FaultSchedule};
 use treaty::sim::runtime::{join, now, sleep, spawn};
 use treaty::sim::{SecurityProfile, MICROS, MILLIS, SECONDS};
+use treaty::store::env::protection;
 use treaty::store::log::{counter_id, replay};
 use treaty::store::{EngineConfig, GlobalTxId, TxnEngine as _, WalRecord};
 
@@ -699,7 +700,7 @@ fn query_decision(cluster: &Cluster, gtx: GlobalTxId) -> Option<bool> {
         9900,
         RpcConfig {
             endpoint: client_net(),
-            crypto: wire_crypto(&SecurityProfile::treaty_full()),
+            crypto: protection(&SecurityProfile::treaty_full()),
             key: cluster.keys().network,
             cores: None,
             timeout: treaty::net::DEFAULT_RPC_TIMEOUT,

@@ -7,7 +7,7 @@ use std::collections::{BTreeMap, HashMap};
 
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use treaty::crypto::{Key, SecureEnvelope, TxMeta, WireCrypto};
+use treaty::crypto::{Key, Protection, SecureEnvelope, TxMeta};
 use treaty::sim::{Histogram, SecurityProfile};
 use treaty::store::engine::TreatyStore;
 use treaty::store::env::Env;
@@ -36,14 +36,15 @@ fn small_key(rng: &mut ChaCha8Rng, min_len: usize, max_len: usize) -> UserKey {
 }
 
 /// A MemTable's range cursor and its freeze yield every point version in
-/// `(key asc, seq desc)` order, as an ordered map of the same writes does;
-/// range deletes ride beside the versions, never inside the cursor.
+/// `(key asc, seq desc)` order, as an ordered map of the same writes does,
+/// and each version the cursor yields opens to the value written; range
+/// deletes ride beside the versions, never inside the cursor.
 #[test]
 fn memtable_cursor_models_btreemap() {
     for_each_case(CASES, |case, rng| {
         let dir = tempfile::tempdir().unwrap();
         let env = Env::for_testing(SecurityProfile::treaty_full(), dir.path());
-        let mt = MemTable::new(env);
+        let mt = std::rc::Rc::new(MemTable::new(env));
         // `None` is a point delete.
         let mut model: BTreeMap<(UserKey, Reverse<SeqNum>), Option<Vec<u8>>> = BTreeMap::new();
         let mut tombstones = Vec::new();
@@ -82,10 +83,10 @@ fn memtable_cursor_models_btreemap() {
         for _ in 0..16 {
             let start = small_key(rng, 0, 2);
             let end = rng.gen_bool(0.8).then(|| small_key(rng, 0, 2));
-            let mut cursor = mt.range_cursor(&start, end.as_deref());
             let mut got = Vec::new();
-            while let Some(entry) = cursor.next().unwrap() {
-                got.push(entry);
+            for (key, seq, entry) in mt.range_cursor(&start, end.as_deref()) {
+                let value = mt.open(&key, &entry).unwrap();
+                got.push((key, seq, value));
             }
             let want = versions(&start, end.as_deref());
             assert_eq!(got, want, "case {case}: span {start:?}..{end:?}");
@@ -107,7 +108,7 @@ fn envelope_roundtrip_and_tamper() {
         let mut payload = vec![0u8; rng.gen_range(0..512usize)];
         rng.fill_bytes(&mut payload);
         let flip = rng.gen_range(0..=u16::MAX);
-        let mode = [WireCrypto::AuthOnly, WireCrypto::Full][rng.gen_range(0..2usize)];
+        let mode = [Protection::AuthOnly, Protection::Full][rng.gen_range(0..2usize)];
 
         let key = Key::from_bytes([7u8; 32]);
         let env = SecureEnvelope::new(mode);
