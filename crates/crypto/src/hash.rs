@@ -8,6 +8,7 @@ use hmac::{Hmac, Mac};
 use sha2::{Digest, Sha256};
 
 use crate::keys::Key;
+use crate::ledger::{self, Primitive};
 use crate::CryptoError;
 
 /// A 256-bit digest (SHA-256 or HMAC-SHA-256 output).
@@ -56,6 +57,7 @@ impl Hasher {
 
 /// SHA-256 of `data`.
 pub fn sha256(data: &[u8]) -> Digest32 {
+    ledger::ran(Primitive::Sha, data.len());
     let mut h = Hasher::new();
     h.update(data);
     h.finish()
@@ -63,6 +65,7 @@ pub fn sha256(data: &[u8]) -> Digest32 {
 
 /// SHA-256 over multiple segments without concatenating them first.
 pub fn sha256_parts(parts: &[&[u8]]) -> Digest32 {
+    ledger::ran(Primitive::Sha, parts.iter().map(|p| 8 + p.len()).sum());
     let mut h = Hasher::new();
     for p in parts {
         // Length-prefix each part so ("ab","c") != ("a","bc").
@@ -81,6 +84,7 @@ pub(crate) fn hmac(key: &[u8], data: &[u8]) -> Digest32 {
 /// [`hmac`] over the concatenation of `parts`, fed one after another
 /// without joining them: the core of [`hmac_sign_parts`].
 pub(crate) fn hmac_parts(key: &[u8], parts: &[&[u8]]) -> Digest32 {
+    ledger::ran(Primitive::Sha, parts.iter().map(|p| p.len()).sum());
     #[cfg(target_arch = "x86_64")]
     if let Some(tag) = crate::hw::hmac(key, parts) {
         return Digest32(tag);

@@ -24,6 +24,10 @@
 //! Everything is really encrypted and verified, and every tag comparison
 //! takes constant time ([`ct_eq`]).
 //!
+//! Every entry point counts its calls and bytes in [`ledger`], beside
+//! what each [`Sealer`] prices, so a test can hold virtual time to the
+//! crypto that runs.
+//!
 //! [`codec`] is the one binary format every byte that crosses the trust
 //! boundary is written in; every crate that writes such a byte already
 //! depends on this one.
@@ -41,15 +45,17 @@ pub mod hash;
 #[allow(unsafe_code)]
 mod hw;
 pub mod keys;
+pub mod ledger;
 pub mod message;
 pub mod sealer;
 
 pub use hash::{ct_eq, hmac_sign, hmac_verify, sha256, Digest32};
 pub use keys::{nonce, nonce_sender, Key, KeyHierarchy};
+pub use ledger::Primitive;
 pub use message::{
     EnvelopedMessage, MsgKind, Opened, SecureEnvelope, Stamp, TxMeta, MESSAGE_OVERHEAD,
 };
-pub use sealer::Sealer;
+pub use sealer::{Meter, Sealer};
 
 /// The wire's old name for [`Protection`]. No code in this workspace names
 /// it: it stays because the benchmark's probes do (ROADMAP item 7).
@@ -144,6 +150,7 @@ impl AsRef<[u8]> for Ciphertext {
     reason = "AES-GCM refuses only inputs over 2^36 bytes, and the signature is fixed"
 )]
 pub fn aead_seal(key: &Key, nonce: &[u8; 12], aad: &[u8], plaintext: &[u8]) -> Ciphertext {
+    ledger::ran(Primitive::Aes, aad.len() + plaintext.len());
     #[cfg(target_arch = "x86_64")]
     if let Some(gcm) = hw::AesGcm::detect() {
         return Ciphertext(gcm.seal(key.as_slice(), nonce, aad, plaintext));
@@ -175,6 +182,7 @@ pub fn aead_open(
     aad: &[u8],
     ciphertext: &[u8],
 ) -> Result<Vec<u8>, CryptoError> {
+    ledger::ran(Primitive::Aes, aad.len() + ciphertext.len());
     #[cfg(target_arch = "x86_64")]
     if let Some(gcm) = hw::AesGcm::detect() {
         return gcm.open(key.as_slice(), nonce, aad, ciphertext);

@@ -5,7 +5,7 @@ use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
 use treaty_counter::{CounterBackend, NullBackend};
-use treaty_crypto::{Key, KeyHierarchy, Protection, Sealer};
+use treaty_crypto::{Key, KeyHierarchy, Meter, Primitive, Protection, Sealer};
 use treaty_sched::CorePool;
 use treaty_sim::obs::Counter;
 use treaty_sim::{runtime, CostModel, FiberCell, Nanos, SecurityProfile};
@@ -203,28 +203,15 @@ impl Env {
     }
 
     /// A [`Sealer`] under `key` whose nonces begin with `prefix`, its mode
-    /// fixed by the profile ([`protection`]).
-    pub(crate) fn sealer<const N: usize>(&self, key: Key, prefix: [u8; N]) -> Sealer {
-        Sealer::new(key, prefix, protection(&self.profile))
+    /// fixed by the profile ([`protection`]) and its work charged to this
+    /// node (the [`Meter`] below): the only maker of a `Sealer`.
+    pub(crate) fn sealer<const N: usize>(self: &Rc<Self>, key: Key, prefix: [u8; N]) -> Sealer {
+        Sealer::new(key, prefix, protection(&self.profile), Rc::clone(self) as _)
     }
 
     /// Charges pure CPU work, applying the enclave multiplier under SCONE.
     pub fn charge_cpu(&self, ns: Nanos) {
         self.charge(self.costs.enclave_cpu(self.profile.tee, ns));
-    }
-
-    /// Charges encryption/decryption of `bytes` if the profile encrypts.
-    pub fn charge_crypto(&self, bytes: usize) {
-        if self.profile.encryption {
-            self.charge_cpu(self.costs.aes_ns(bytes));
-        }
-    }
-
-    /// Charges hashing of `bytes` if the profile authenticates.
-    pub fn charge_hash(&self, bytes: usize) {
-        if self.profile.authentication {
-            self.charge_cpu(self.costs.sha_ns(bytes));
-        }
     }
 
     /// Charges an SSD log append + flush of `bytes`.
@@ -262,6 +249,17 @@ impl Env {
     }
 }
 
+/// Storage crypto is enclave CPU work: a [`Sealer`] made by
+/// [`Env::sealer`] charges what it runs here.
+impl Meter for Env {
+    fn price(&self, primitive: Primitive, bytes: usize) {
+        self.charge_cpu(match primitive {
+            Primitive::Aes => self.costs.aes_ns(bytes),
+            Primitive::Sha => self.costs.sha_ns(bytes),
+        });
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,20 +281,6 @@ mod tests {
             let env = Env::for_testing(SecurityProfile::treaty_full(), &path);
             env.charge(5_000);
             assert_eq!(now(), 5_000);
-        });
-    }
-
-    #[test]
-    fn crypto_charge_respects_profile() {
-        let dir = tempfile::tempdir().unwrap();
-        let path = dir.path().to_path_buf();
-        block_on(move || {
-            let plain = Env::for_testing(SecurityProfile::rocksdb(), &path);
-            plain.charge_crypto(4096);
-            assert_eq!(now(), 0, "no encryption => no charge");
-            let enc = Env::for_testing(SecurityProfile::treaty_enc(), &path);
-            enc.charge_crypto(4096);
-            assert!(now() > 0);
         });
     }
 

@@ -58,7 +58,7 @@ pub fn counter_id(env: &Env, name: &str) -> String {
 /// The log `name`'s [`Sealer`]: the storage key, and nonces
 /// `sha256(name)[..4] ‖ counter`. Each record is sealed as its counter
 /// value, with the name as AAD.
-fn log_sealer(env: &Env, name: &str) -> Sealer {
+fn log_sealer(env: &Rc<Env>, name: &str) -> Sealer {
     let h = hash::sha256(name.as_bytes());
     env.sealer(env.keys.storage, [h.0[0], h.0[1], h.0[2], h.0[3]])
 }
@@ -264,8 +264,6 @@ impl LogWriter {
                 first = c;
             }
             last = c;
-            self.env.charge_crypto(plain.len());
-            self.env.charge_hash(plain.len());
             encode_record(&self.sealer, &self.name, c, plain, &mut buf)?;
         }
         self.env.charge_ssd_append(buf.len());
@@ -334,7 +332,7 @@ pub struct LogReplay {
 /// * [`StoreError::Integrity`] — a record fails its MAC or decryption,
 /// * [`StoreError::Rollback`] — counter values are missing or reordered,
 /// * [`StoreError::Io`] — the file cannot be read.
-pub fn replay(env: &Env, name: &str, path: &Path) -> Result<LogReplay> {
+pub fn replay(env: &Rc<Env>, name: &str, path: &Path) -> Result<LogReplay> {
     let raw = match std::fs::read(path) {
         Ok(raw) => {
             env.charge_storage_read(raw.len());
@@ -387,7 +385,6 @@ pub fn replay(env: &Env, name: &str, path: &Path) -> Result<LogReplay> {
             )));
         }
 
-        env.charge_hash(len);
         sealer
             .check(&[name.as_bytes(), &counter.to_le_bytes(), payload], mac)
             .map_err(|_| {
@@ -395,7 +392,6 @@ pub fn replay(env: &Env, name: &str, path: &Path) -> Result<LogReplay> {
                     "log {name}: record {counter} failed authentication"
                 ))
             })?;
-        env.charge_crypto(len);
         let plain = sealer
             .open(counter, name.as_bytes(), payload.to_vec())
             .map_err(|_| {
@@ -422,7 +418,7 @@ pub fn replay(env: &Env, name: &str, path: &Path) -> Result<LogReplay> {
 ///
 /// Whatever [`replay`] refuses, and [`StoreError::Rollback`] if the log is
 /// stale.
-pub fn recover(env: &Env, name: &str, path: &Path) -> Result<LogReplay> {
+pub fn recover(env: &Rc<Env>, name: &str, path: &Path) -> Result<LogReplay> {
     let replayed = replay(env, name, path)?;
     verify_freshness(env, name, replayed.last_counter)?;
     Ok(replayed)

@@ -22,7 +22,7 @@ use std::ops::Bound;
 use std::rc::Rc;
 
 use treaty_crypto::codec;
-use treaty_crypto::{hash, Digest32, Protection, Sealer};
+use treaty_crypto::{Digest32, Protection, Sealer};
 use treaty_sim::FiberCell;
 use treaty_tee::{HostBytes, HostHandle};
 
@@ -198,23 +198,13 @@ impl MemTable {
     pub fn put(&self, key: &[u8], seq: SeqNum, value: &[u8]) {
         self.env
             .charge_enclave_op(key.len() + ENTRY_OVERHEAD, self.env.costs.memtable_op_ns);
-        self.env.charge_crypto(value.len());
-        self.env.charge_hash(value.len());
-
-        let digest = if self.env.profile.authentication {
-            hash::sha256(value)
-        } else {
-            Digest32::default()
-        };
+        let sealed = self.sealer.seal_framed(key, value);
+        let digest = self.sealer.digest(value);
         #[allow(
             clippy::expect_used,
             reason = "a MemTable seals fewer than 2^64 values, and the digest is pinned before it is checked"
         )]
-        let stored = match self
-            .sealer
-            .seal_framed(key, value)
-            .expect("an index is left")
-        {
+        let stored = match sealed.expect("an index is left") {
             Some(sealed) => HostBytes::from_ciphertext(sealed),
             // Treaty w/o Enc: the enclave-held digest pins the plaintext,
             // so host tampering is caught on the read path.
@@ -348,9 +338,9 @@ impl MemTable {
             .max_by_key(|(seq, _)| *seq)
     }
 
-    /// Decrypts and integrity-checks one entry's host-resident value; a
-    /// read that returns a MemTable value opens it here and nowhere else
-    /// (the flush unseals on its own). `Delete` opens to `None`.
+    /// Decrypts and integrity-checks one entry's host-resident value: a
+    /// read that returns a MemTable value, and the flush, open it here and
+    /// nowhere else. `Delete` opens to `None`.
     ///
     /// # Errors
     ///
@@ -359,45 +349,27 @@ impl MemTable {
     pub fn open(&self, key: &[u8], entry: &ValueEntry) -> Result<Option<Vec<u8>>> {
         let ValueEntry::Put {
             handle,
-            len,
             hash: digest,
+            ..
         } = entry
         else {
             return Ok(None);
         };
-        let len = *len as usize;
-        self.unseal(key, *handle, digest, || {
-            self.env.charge_crypto(len);
-            self.env.charge_hash(len);
-        })
-        .map(Some)
-    }
-
-    /// Loads one host-resident value, runs the caller's `charge`, then
-    /// decrypts it and checks it against the enclave-held digest.
-    fn unseal(
-        &self,
-        key: &[u8],
-        handle: HostHandle,
-        digest: &Digest32,
-        charge: impl FnOnce(),
-    ) -> Result<Vec<u8>> {
         let stored = self
             .env
             .vault
-            .load(handle)
+            .load(*handle)
             .map_err(|e| StoreError::Integrity(e.to_string()))?;
-        charge();
         let plain = self
             .sealer
             .open_framed(key, stored)
             .map_err(|_| StoreError::Integrity("host value failed decryption".into()))?;
-        if self.env.profile.authentication && hash::sha256(&plain) != *digest {
+        if self.sealer.digest(&plain) != *digest {
             return Err(StoreError::Integrity(
                 "memtable value hash mismatch — host memory tampered".into(),
             ));
         }
-        Ok(plain)
+        Ok(Some(plain))
     }
 
     /// Approximate bytes buffered (keys + values), for flush triggering.
@@ -465,17 +437,9 @@ impl MemTable {
                 .map(|(k, v)| (k.clone(), v.clone()))
                 .collect()
         };
-        // The flush charges the decrypt but no hash check.
         all.into_iter()
             .map(|(k, v)| {
-                let value = match v {
-                    ValueEntry::Delete => None,
-                    ValueEntry::Put { handle, len, hash } => {
-                        Some(self.unseal(&k.user, handle, &hash, || {
-                            self.env.charge_crypto(len as usize)
-                        })?)
-                    }
-                };
+                let value = self.open(&k.user, &v)?;
                 let seq = k.seq();
                 Ok((k.user, seq, value))
             })

@@ -110,7 +110,7 @@ impl Record for SsTableMeta {
 
 /// Table `file_id`'s [`Sealer`]: the storage key, and nonces
 /// `file_id ‖ block_no`.
-fn table_sealer(env: &Env, file_id: u64) -> Sealer {
+fn table_sealer(env: &Rc<Env>, file_id: u64) -> Sealer {
     env.sealer(env.keys.storage, file_id.to_le_bytes())
 }
 
@@ -118,14 +118,11 @@ fn table_sealer(env: &Env, file_id: u64) -> Sealer {
 /// (as boundary-typed [`HostBytes`]) plus its footer digest: zeros where
 /// the GCM tag covers the block, else its tag over its place and its bytes.
 fn protect_block(
-    env: &Env,
     sealer: &Sealer,
     file_id: u64,
     block_no: u32,
     plain: Vec<u8>,
 ) -> Result<(HostBytes, [u8; 32])> {
-    env.charge_crypto(plain.len());
-    env.charge_hash(plain.len());
     // A block's nonce binds it to its place: it is also the block's AAD,
     // and the first part of its tag where it is not sealed.
     let place = sealer.nonce(block_no.into());
@@ -147,15 +144,12 @@ fn protect_block(
 }
 
 fn open_block(
-    env: &Env,
     sealer: &Sealer,
     file_id: u64,
     block_no: u32,
     stored: Vec<u8>,
     digest: &[u8; 32],
 ) -> Result<Vec<u8>> {
-    env.charge_crypto(stored.len());
-    env.charge_hash(stored.len());
     let failed = |what| StoreError::Integrity(format!("sstable {file_id} block {block_no} {what}"));
     let place = sealer.nonce(block_no.into());
     // A block the Sealer does not seal carries its tag in the footer.
@@ -252,7 +246,7 @@ fn decode_records(mut buf: &[u8]) -> Result<Vec<SsRecord>> {
 /// Panics if both `entries` and `range_tombstones` are empty — flushing
 /// nothing is an engine bug.
 pub fn build(
-    env: &Env,
+    env: &Rc<Env>,
     path: &Path,
     file_id: u64,
     entries: &[VersionedEntry],
@@ -273,8 +267,7 @@ pub fn build(
             return Ok(());
         };
         let block_no = blocks.len() as u32;
-        let (stored, digest) =
-            protect_block(env, &sealer, file_id, block_no, encode_block(records))?;
+        let (stored, digest) = protect_block(&sealer, file_id, block_no, encode_block(records))?;
         file.write_all(stored.as_slice())?;
         blocks.push(BlockMeta {
             offset,
@@ -351,7 +344,7 @@ pub fn build(
     };
 
     let (meta_stored, meta_digest) =
-        protect_block(env, &sealer, file_id, META_BLOCK_NO, meta.to_bytes())?;
+        protect_block(&sealer, file_id, META_BLOCK_NO, meta.to_bytes())?;
     file.write_all(meta_stored.as_slice())?;
     file.write_all(&meta_digest)?;
     file.write_all(&(meta_stored.len() as u64).to_le_bytes())?;
@@ -427,7 +420,7 @@ impl SsTable {
         // from the path by convention, and the decoded meta must agree.
         let file_id = file_id_from_path(path)?;
         let sealer = table_sealer(&env, file_id);
-        let meta_plain = open_block(&env, &sealer, file_id, META_BLOCK_NO, footer, &meta_digest)?;
+        let meta_plain = open_block(&sealer, file_id, META_BLOCK_NO, footer, &meta_digest)?;
         let meta = SsTableMeta::from_bytes(&meta_plain)
             .map_err(|e| StoreError::Integrity(format!("sstable meta: {e}")))?;
         if meta.file_id != file_id {
@@ -562,7 +555,6 @@ impl SsTable {
             })?;
         self.env.charge_storage_read(stored.len());
         let plain = open_block(
-            &self.env,
             &self.sealer,
             self.meta.file_id,
             block_no as u32,

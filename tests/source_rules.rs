@@ -48,6 +48,11 @@ const RULES: &[Rule] = &[
         allowed: "crates/crypto|crates/tee", ..BLANK },
     // Log strings and trace payloads leave the enclave: inside the trusted
     // crates none of them names secret material.
+    // A `Sealer` prices the storage crypto it runs (DESIGN.md §6): only
+    // the profile-to-protection mapping reads the profile's crypto flags.
+    Rule { name: "L006 storage crypto is priced where it runs",
+        tokens: "profile.encryption|profile.authentication|charge_crypto|charge_hash",
+        within: "crates/*/src", allowed: "crates/store/src/env.rs", ..BLANK },
     Rule { name: "L005 no secret in a format string or trace payload",
         tokens: "plaintext|plain|decrypted|user_key|key_material|key_bytes|secret",
         with: "format!|println!|eprintln!|print!|eprint!|write!|writeln!|panic!\
@@ -263,6 +268,25 @@ fn l001_flags_crypto_outside_trusted_modules() {
         breaches(l001, "crates/store/src/memtable.rs", seal).len(),
         1
     );
+}
+
+#[test]
+fn l006_flags_a_hand_placed_crypto_charge() {
+    let l006 = rule("L006");
+    let charge = "self.env.charge_crypto(value.len());\n";
+    let want = format!(
+        "L006 storage crypto is priced where it runs crates/store/src/memtable.rs:1: {}",
+        charge.trim()
+    );
+    assert_eq!(
+        breaches(l006, "crates/store/src/memtable.rs", charge),
+        [want]
+    );
+    let flag = "if self.env.profile.authentication {\n";
+    assert_eq!(breaches(l006, "crates/store/src/log.rs", flag).len(), 1);
+    // The one mapping from a profile to a `Protection` reads the flags.
+    let mapping = "match (profile.encryption, profile.authentication) {\n";
+    assert!(breaches(l006, "crates/store/src/env.rs", mapping).is_empty());
 }
 
 #[test]
