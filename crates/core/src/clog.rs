@@ -120,9 +120,8 @@ impl Clog {
         let (writer, records) =
             LogWriter::resume(Rc::clone(&env), CLOG_NAME, &env.dir.join(CLOG_FILE))?;
         let mut state = HashMap::new();
-        for (_, payload) in &records {
-            let rec = ClogRecord::from_bytes(payload)
-                .map_err(|e| StoreError::Integrity(format!("clog record: {e}")))?;
+        for record in &records {
+            let rec = log::decode::<ClogRecord>(CLOG_NAME, record)?;
             let (ClogRecord::Start { gtx, .. } | ClogRecord::Decision { gtx, .. }) = &rec;
             let st = state.entry(*gtx).or_insert(TxProtocolState {
                 participants: vec![],
@@ -349,10 +348,8 @@ mod tests {
         // Recover.
         let clog = Clog::open(env(dir.path()))?;
         assert_eq!(clog.decision(gtx), Some(true));
-        let st = clog
-            .protocol_state(gtx)
-            .ok_or_else(|| StoreError::Integrity("recovered state missing".into()))?;
-        assert_eq!(st.participants, vec![1, 2]);
+        let participants = clog.protocol_state(gtx).map(|st| st.participants);
+        assert_eq!(participants, Some(vec![1, 2]));
         Ok(())
     }
 
@@ -493,16 +490,14 @@ mod tests {
             handed.sort_by_key(|(_, gtx)| gtx.seq);
             let on_disk = log::replay(&e, CLOG_NAME, &path)?.records;
             assert_eq!(on_disk.len(), 16);
-            for ((counter, gtx), (seq, (at, payload))) in
-                handed.into_iter().zip((1..=16u64).zip(on_disk))
+            for ((counter, gtx), (seq, record)) in handed.into_iter().zip((1..=16u64).zip(on_disk))
             {
                 assert_eq!(
-                    (counter?, at),
+                    (counter?, record.0),
                     (seq, seq),
                     "counters are 1..=16 without gap"
                 );
-                let rec = ClogRecord::from_bytes(&payload)
-                    .map_err(|e| StoreError::Integrity(format!("clog record: {e}")))?;
+                let rec = log::decode::<ClogRecord>(CLOG_NAME, &record)?;
                 assert!(matches!(rec, ClogRecord::Start { gtx: g, .. } if g == gtx));
             }
             Ok(())

@@ -38,7 +38,7 @@ pub use messages::{Abort, AbortCause};
 pub use node::{NodeOptions, RecoveryOutcome, TreatyNode};
 pub use shard::ShardMap;
 
-use treaty_store::GlobalTxId;
+use treaty_store::{GlobalTxId, StoreError};
 
 /// Errors surfaced by the distributed layer.
 #[derive(Debug, Clone, PartialEq, Eq, thiserror::Error)]
@@ -50,9 +50,10 @@ pub enum TreatyError {
     /// A network problem prevented completing the request.
     #[error("network: {0}")]
     Net(String),
-    /// The storage engine reported an error.
+    /// The storage engine reported an error: an integrity or freshness
+    /// refusal keeps its typed [`treaty_store::Breach`].
     #[error("storage: {0}")]
-    Store(String),
+    Store(#[from] StoreError),
     /// The remote node rejected the request (authentication, unknown
     /// transaction, …).
     #[error("rejected: {0}")]
@@ -70,12 +71,6 @@ pub enum TreatyError {
 impl From<treaty_net::NetError> for TreatyError {
     fn from(e: treaty_net::NetError) -> Self {
         TreatyError::Net(e.to_string())
-    }
-}
-
-impl From<treaty_store::StoreError> for TreatyError {
-    fn from(e: treaty_store::StoreError) -> Self {
-        TreatyError::Store(e.to_string())
     }
 }
 

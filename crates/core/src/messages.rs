@@ -612,12 +612,18 @@ mod tests {
 
     #[test]
     fn abort_cause_classifies_store_errors() {
-        use treaty_store::StoreError;
+        use treaty_store::{Check, StoreError, Stored};
         for (e, cause) in [
             (StoreError::LockTimeout, AbortCause::LockTimeout),
             (StoreError::Conflict, AbortCause::Conflict),
-            (StoreError::Integrity("bad".into()), AbortCause::Integrity),
-            (StoreError::Rollback("stale".into()), AbortCause::Integrity),
+            (
+                StoreError::integrity(Stored::MemValue, Check::Digest),
+                AbortCause::Integrity,
+            ),
+            (
+                StoreError::rollback(Stored::Log { log: "clog".into() }, Check::Missing),
+                AbortCause::Integrity,
+            ),
             (StoreError::Finished, AbortCause::SliceLost),
             (StoreError::Io("disk".into()), AbortCause::LogFailed),
             (StoreError::Unsupported, AbortCause::Unsupported),

@@ -37,7 +37,7 @@ use crate::memtable::{
 };
 use crate::sstable::{self, SsTable, TableCursor};
 use crate::txn::{GlobalTxId, Txn, TxnMode, WriteOp};
-use crate::{Result, StoreError};
+use crate::{Check, Result, StoreError, Stored};
 
 /// How long a lock request waits before it gives up: deadlock avoidance
 /// by timeout.
@@ -1394,14 +1394,8 @@ impl TreatyStore {
         treaty_sim::runtime::set_tag("e:flush");
         let _span = treaty_sim::obs::span(Phase::StoreFlush);
         let entries = work.frozen.freeze_entries()?;
-        let tombstones = work.frozen.range_tombstones();
-        let file_id = self
-            .inner
-            .next_file_id
-            .replace(self.inner.next_file_id.get() + 1);
-        let path = self.inner.env.dir.join(sstable::file_name(file_id));
-        sstable::build(&self.inner.env, &path, file_id, &entries, &tombstones)?;
-        let table = Rc::new(SsTable::open(Rc::clone(&self.inner.env), &path)?);
+        let table = self.write_table(&entries, &work.frozen.range_tombstones())?;
+        let file_id = table.meta().file_id;
         {
             let mut levels = self.inner.levels.borrow_mut();
             let mut next = (**levels).clone();
@@ -1779,13 +1773,11 @@ impl TreatyStore {
         entries: &[VersionedEntry],
         range_tombstones: &[RangeTombstone],
     ) -> Result<Rc<SsTable>> {
-        let file_id = self
-            .inner
-            .next_file_id
-            .replace(self.inner.next_file_id.get() + 1);
+        let file_id = self.inner.next_file_id.get();
+        self.inner.next_file_id.set(file_id + 1);
         let path = self.inner.env.dir.join(sstable::file_name(file_id));
         sstable::build(&self.inner.env, &path, file_id, entries, range_tombstones)?;
-        Ok(Rc::new(SsTable::open(Rc::clone(&self.inner.env), &path)?))
+        Ok(Rc::new(SsTable::open(Rc::clone(&self.inner.env), file_id)?))
     }
 
     /// Deletes retired files whose MANIFEST edits have stabilized (§VI:
@@ -1852,10 +1844,8 @@ impl TreatyStore {
         let mut table_levels: BTreeMap<u64, usize> = BTreeMap::new();
         let mut live_gens: Vec<u64> = Vec::new();
         let mut max_gen = 0;
-        for (_, payload) in &edits {
-            let edit = ManifestEdit::from_bytes(payload)
-                .map_err(|e| StoreError::Integrity(format!("manifest edit: {e}")))?;
-            match edit {
+        for record in &edits {
+            match log::decode::<ManifestEdit>(manifest.name(), record)? {
                 ManifestEdit::NewWal { gen } => {
                     live_gens.push(gen);
                     max_gen = max_gen.max(gen);
@@ -1872,32 +1862,21 @@ impl TreatyStore {
 
         // Rebuild the SSTable hierarchy, verifying each footer.
         let mut levels: Vec<Vec<Rc<SsTable>>> = vec![Vec::new(); 7];
-        let mut max_file_id = 0;
+        let max_file_id = table_levels.last_key_value().map_or(0, |(id, _)| *id);
         let mut max_seq = 0;
-        let mut l0_order: Vec<(u64, Rc<SsTable>)> = Vec::new();
-        for (file_id, level) in &table_levels {
-            let path = env.dir.join(sstable::file_name(*file_id));
-            let table = Rc::new(SsTable::open(Rc::clone(&env), &path)?);
-            max_file_id = max_file_id.max(*file_id);
+        for (&file_id, &level) in &table_levels {
+            let table = Rc::new(SsTable::open(Rc::clone(&env), file_id)?);
             max_seq = max_seq.max(table.meta().max_seq);
-            if *level == 0 {
-                l0_order.push((*file_id, table));
-            } else {
-                // The level is whatever the decoded edit says: a profile
-                // without log authentication reads it as the disk wrote it.
-                levels
-                    .get_mut(*level)
-                    .ok_or_else(|| {
-                        StoreError::Integrity(format!(
-                            "manifest puts table {file_id} on level {level}, which does not exist"
-                        ))
-                    })?
-                    .push(table);
-            }
+            // The level is whatever the decoded edit says: a profile
+            // without log authentication reads it as the disk wrote it.
+            let Some(level) = levels.get_mut(level) else {
+                let footer = Stored::TableMeta { file_id };
+                return Err(StoreError::integrity(footer, Check::Misplaced));
+            };
+            level.push(table);
         }
         // L0 newest (highest file id) first; deeper levels by key range.
-        l0_order.sort_by_key(|&(file_id, _)| std::cmp::Reverse(file_id));
-        levels[0] = l0_order.into_iter().map(|(_, t)| t).collect();
+        levels[0].reverse();
         for level in levels.iter_mut().skip(1) {
             level.sort_by(|a, b| a.meta().min_key.cmp(&b.meta().min_key));
         }
@@ -1913,14 +1892,12 @@ impl TreatyStore {
             let name = wal_name(*gen);
             let path = env.dir.join(&name);
             if !path.exists() {
-                return Err(StoreError::Rollback(format!(
-                    "live WAL {name} missing — storage rolled back"
-                )));
+                let log = Stored::Log { log: name };
+                return Err(StoreError::rollback(log, Check::Missing));
             }
-            for (_, payload) in log::recover(&env, &name, &path)?.records {
-                let rec = WalRecord::from_bytes(&payload)
-                    .map_err(|e| StoreError::Integrity(format!("wal record: {e}")))?;
-                match rec {
+            for record in log::recover(&env, &name, &path)?.records {
+                let breach = |check| StoreError::integrity(Stored::record(&name, record.0), check);
+                match log::decode::<WalRecord>(&name, &record)? {
                     WalRecord::Commit {
                         seq,
                         writes,
@@ -1953,11 +1930,7 @@ impl TreatyStore {
                         for w in &writes {
                             locks
                                 .try_lock(owner, &w.key, crate::locks::LockMode::Exclusive)
-                                .map_err(|_| {
-                                    StoreError::Integrity(
-                                        "conflicting prepared transactions in WAL".into(),
-                                    )
-                                })?;
+                                .map_err(|_| breach(Check::ConflictingPrepare))?;
                         }
                         let lock_keys: Vec<UserKey> =
                             writes.iter().map(|w| w.key.clone()).collect();
@@ -1985,11 +1958,7 @@ impl TreatyStore {
                         // its `Prepare` (or a re-log of it), and records are
                         // MAC'd and counter-sequenced: a commit with nothing
                         // to apply is an acknowledged write gone, not a no-op.
-                        None if commit => {
-                            return Err(StoreError::Integrity(format!(
-                                "commit decision for {gtx} without a prepare in any live WAL"
-                            )));
-                        }
+                        None if commit => return Err(breach(Check::OrphanDecide)),
                         None => {}
                     },
                 }

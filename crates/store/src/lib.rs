@@ -46,6 +46,8 @@ pub use env::{EngineConfig, Env};
 pub use locks::{LockMode, LockTable, EOF_SENTINEL};
 pub use txn::{CommitInfo, EngineTxn, GlobalTxId, NullEngine, Txn, TxnEngine, TxnMode};
 
+use treaty_counter::CounterError;
+
 /// Errors surfaced by the storage engine.
 #[derive(Debug, Clone, PartialEq, Eq, thiserror::Error)]
 pub enum StoreError {
@@ -60,14 +62,14 @@ pub enum StoreError {
     Finished,
     /// Integrity verification failed on persistent data.
     #[error("integrity violation: {0}")]
-    Integrity(String),
+    Integrity(Breach),
     /// Freshness verification failed: the storage was rolled back to a
     /// stale (if internally consistent) state.
     #[error("rollback attack detected: {0}")]
-    Rollback(String),
+    Rollback(Breach),
     /// The trusted counter service failed.
     #[error("stabilization failed: {0}")]
-    Stabilization(String),
+    Stabilization(#[from] CounterError),
     /// Underlying file I/O failed.
     #[error("storage i/o: {0}")]
     Io(String),
@@ -91,15 +93,90 @@ pub enum StoreError {
     Unsupported,
 }
 
-impl From<std::io::Error> for StoreError {
-    fn from(e: std::io::Error) -> Self {
-        StoreError::Io(e.to_string())
+impl StoreError {
+    /// `object` failed `check`: it was tampered with.
+    pub fn integrity(object: Stored, check: Check) -> Self {
+        StoreError::Integrity(Breach { object, check })
+    }
+
+    /// `object` failed `check`: it was rolled back.
+    pub fn rollback(object: Stored, check: Check) -> Self {
+        StoreError::Rollback(Breach { object, check })
     }
 }
 
-impl From<treaty_counter::CounterError> for StoreError {
-    fn from(e: treaty_counter::CounterError) -> Self {
-        StoreError::Stabilization(e.to_string())
+/// A refusal for integrity or freshness (§III): the stored object whose
+/// check failed, and the check. Its `Display` is a breach's only text.
+#[derive(Debug, Clone, PartialEq, Eq, thiserror::Error)]
+#[error("{object} {check}")]
+pub struct Breach {
+    /// What failed.
+    pub object: Stored,
+    /// The rule it failed.
+    pub check: Check,
+}
+
+/// A stored object a [`Breach`] names.
+#[derive(Debug, Clone, PartialEq, Eq, thiserror::Error)]
+pub enum Stored {
+    /// Record `counter` of the log `log` (`wal-000001`, `manifest`, `clog`).
+    #[error("log {log} record {counter}")]
+    LogRecord { log: String, counter: u64 },
+    /// The log `log` as a whole.
+    #[error("log {log}")]
+    Log { log: String },
+    /// Block `block_no` of SSTable `file_id`.
+    #[error("sstable {file_id} block {block_no}")]
+    TableBlock { file_id: u64, block_no: u32 },
+    /// SSTable `file_id`'s sealed footer, its meta block.
+    #[error("sstable {file_id} footer")]
+    TableMeta { file_id: u64 },
+    /// A MemTable value in untrusted host memory.
+    #[error("memtable value in host memory")]
+    MemValue,
+}
+
+impl Stored {
+    /// Record `counter` of the log `log`.
+    pub fn record(log: &str, counter: u64) -> Self {
+        let log = log.into();
+        Stored::LogRecord { log, counter }
+    }
+}
+
+/// The rule a [`Breach`]'s object failed, in words that follow the
+/// object's name. DESIGN.md §4 names the tamper behind each.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, thiserror::Error)]
+pub enum Check {
+    #[error("fails its MAC or GCM tag")]
+    Tag,
+    #[error("does not hash to the digest the enclave holds")]
+    Digest,
+    #[error("does not decode")]
+    Decode,
+    #[error("sits where another object belongs")]
+    Misplaced,
+    #[error("breaks the key order its sealed fences pin")]
+    FenceOrder,
+    #[error("is shorter than its sealed length")]
+    Truncated,
+    #[error("is missing")]
+    Missing,
+    #[error("skips a counter value")]
+    CounterGap,
+    #[error("ends behind its trusted counter's stabilized value")]
+    BehindStable,
+    #[error("holds two prepared transactions that lock one key")]
+    ConflictingPrepare,
+    #[error("commits a transaction no live WAL prepared")]
+    OrphanDecide,
+    #[error("would reuse a nonce")]
+    NonceReuse,
+}
+
+impl From<std::io::Error> for StoreError {
+    fn from(e: std::io::Error) -> Self {
+        StoreError::Io(e.to_string())
     }
 }
 

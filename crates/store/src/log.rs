@@ -27,6 +27,7 @@ use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
 use treaty_counter::TrustedCounter;
+use treaty_crypto::codec::Record;
 use treaty_crypto::{hash, Sealer};
 use treaty_sched::GroupCommit;
 use treaty_sim::crashpoint::CrashPoint;
@@ -34,7 +35,7 @@ use treaty_sim::FiberCell;
 use treaty_tee::HostBytes;
 
 use crate::env::Env;
-use crate::{Result, StoreError};
+use crate::{Check, Result, StoreError, Stored};
 
 const MAC_LEN: usize = 32;
 const HEADER_LEN: usize = 12;
@@ -63,6 +64,17 @@ fn log_sealer(env: &Rc<Env>, name: &str) -> Sealer {
     env.sealer(env.keys.storage, [h.0[0], h.0[1], h.0[2], h.0[3]])
 }
 
+/// Decodes a verified record of the log `log` as an `R`; one that does
+/// not decode is refused, naming the record.
+///
+/// # Errors
+///
+/// [`StoreError::Integrity`] with [`Check::Decode`].
+pub fn decode<R: Record>(log: &str, (counter, payload): &(u64, Vec<u8>)) -> Result<R> {
+    R::from_bytes(payload)
+        .map_err(|_| StoreError::integrity(Stored::record(log, *counter), Check::Decode))
+}
+
 /// Frames one record onto the end of `out`, sealed as its counter value.
 /// Its MAC is the [`Sealer`]'s tag over the log's name, the counter and the
 /// stored payload, hashed where they lie; the reader fixes the name and
@@ -81,7 +93,7 @@ fn encode_record(
 ) -> Result<()> {
     let sealed = sealer
         .seal(counter, name.as_bytes(), plain)
-        .map_err(|e| StoreError::Integrity(format!("log {name}: record {counter}: {e}")))?;
+        .map_err(|_| StoreError::integrity(Stored::record(name, counter), Check::NonceReuse))?;
     let payload_len = sealed.as_ref().map_or(plain.len(), |ct| ct.len());
     out.push_u64(counter);
     out.push_u32(payload_len as u32);
@@ -145,14 +157,16 @@ impl LogWriter {
         recovered_counter: u64,
     ) -> Result<Self> {
         let name = name.into();
+        let sealer = log_sealer(&env, &name);
+        Self::sealed(env, name, sealer, path, recovered_counter)
+    }
+
+    /// [`LogWriter::open`] with the log's [`Sealer`] made, at counter `last`.
+    fn sealed(env: Rc<Env>, name: String, sealer: Sealer, path: &Path, last: u64) -> Result<Self> {
         let file = OpenOptions::new().create(true).append(true).open(path)?;
-        let counter = TrustedCounter::new(
-            counter_id(&env, &name),
-            Rc::clone(&env.backend),
-            recovered_counter,
-        );
+        let counter = TrustedCounter::new(counter_id(&env, &name), Rc::clone(&env.backend), last);
         Ok(LogWriter {
-            sealer: log_sealer(&env, &name),
+            sealer,
             env,
             name,
             path: path.to_path_buf(),
@@ -179,13 +193,16 @@ impl LogWriter {
         path: &Path,
     ) -> Result<(Self, LogRecords)> {
         let name = name.into();
-        let recovered = recover(&env, &name, path)?;
+        // One Sealer reads the log back and then seals its new records.
+        let sealer = log_sealer(&env, &name);
+        let recovered = replay_sealed(&env, &sealer, &name, path)?;
+        verify_freshness(&env, &name, recovered.last_counter)?;
         if recovered.torn_tail {
             let file = OpenOptions::new().write(true).open(path)?;
             file.set_len(recovered.verified_len)?;
             file.sync_all()?;
         }
-        let writer = Self::open(env, name, path, recovered.last_counter)?;
+        let writer = Self::sealed(env, name, sealer, path, recovered.last_counter)?;
         Ok((writer, recovered.records))
     }
 
@@ -333,6 +350,11 @@ pub struct LogReplay {
 /// * [`StoreError::Rollback`] — counter values are missing or reordered,
 /// * [`StoreError::Io`] — the file cannot be read.
 pub fn replay(env: &Rc<Env>, name: &str, path: &Path) -> Result<LogReplay> {
+    replay_sealed(env, &log_sealer(env, name), name, path)
+}
+
+/// [`replay`] with the log's [`Sealer`] already made.
+fn replay_sealed(env: &Env, sealer: &Sealer, name: &str, path: &Path) -> Result<LogReplay> {
     let raw = match std::fs::read(path) {
         Ok(raw) => {
             env.charge_storage_read(raw.len());
@@ -342,29 +364,19 @@ pub fn replay(env: &Rc<Env>, name: &str, path: &Path) -> Result<LogReplay> {
         Err(e) => return Err(e.into()),
     };
 
-    let sealer = log_sealer(env, name);
     let mut records = Vec::new();
     let mut expected = 1;
     let mut pos = 0usize;
     let mut torn_tail = false;
 
     while pos < raw.len() {
-        if pos + HEADER_LEN > raw.len() {
+        let Some(&header) = raw[pos..].first_chunk::<HEADER_LEN>() else {
             torn_tail = true;
             break;
-        }
-        // Bounds were checked above, so the conversions cannot fail; a
-        // typed error keeps the recovery path panic-free regardless.
-        let counter = u64::from_le_bytes(
-            raw[pos..pos + 8]
-                .try_into()
-                .map_err(|_| StoreError::Io(format!("log {name}: malformed frame header")))?,
-        );
-        let len = u32::from_le_bytes(
-            raw[pos + 8..pos + 12]
-                .try_into()
-                .map_err(|_| StoreError::Io(format!("log {name}: malformed frame header")))?,
-        ) as usize;
+        };
+        let [counter @ .., l0, l1, l2, l3] = header;
+        let counter = u64::from_le_bytes(counter);
+        let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
         if pos + HEADER_LEN + len + MAC_LEN > raw.len() {
             torn_tail = true;
             break;
@@ -379,24 +391,18 @@ pub fn replay(env: &Rc<Env>, name: &str, path: &Path) -> Result<LogReplay> {
         // chasing.
         env.charge(env.costs.record_frame_ns + env.costs.syscall_ns(env.profile.tee));
 
+        // Entries deleted or reordered.
         if counter != expected {
-            return Err(StoreError::Rollback(format!(
-                "log {name}: expected counter {expected}, found {counter} — entries deleted or reordered"
-            )));
+            let record = Stored::record(name, counter);
+            return Err(StoreError::rollback(record, Check::CounterGap));
         }
-
+        let failed = |_| StoreError::integrity(Stored::record(name, counter), Check::Tag);
         sealer
             .check(&[name.as_bytes(), &counter.to_le_bytes(), payload], mac)
-            .map_err(|_| {
-                StoreError::Integrity(format!(
-                    "log {name}: record {counter} failed authentication"
-                ))
-            })?;
+            .map_err(failed)?;
         let plain = sealer
             .open(counter, name.as_bytes(), payload.to_vec())
-            .map_err(|_| {
-                StoreError::Integrity(format!("log {name}: record {counter} failed decryption"))
-            })?;
+            .map_err(failed)?;
 
         records.push((counter, plain));
         expected += 1;
@@ -432,10 +438,8 @@ fn verify_freshness(env: &Env, name: &str, last_counter: u64) -> Result<()> {
     }
     let stabilized = env.backend.latest(&counter_id(env, name));
     if last_counter < stabilized {
-        return Err(StoreError::Rollback(format!(
-            "log {name}: last counter {last_counter} behind stabilized {stabilized} — \
-             storage was rolled back to a stale state"
-        )));
+        let log = Stored::Log { log: name.into() };
+        return Err(StoreError::rollback(log, Check::BehindStable));
     }
     Ok(())
 }

@@ -28,7 +28,7 @@ use treaty_tee::{HostBytes, HostHandle};
 
 use crate::bloom::fingerprint;
 use crate::env::Env;
-use crate::{Result, StoreError};
+use crate::{Check, Result, StoreError, Stored};
 
 /// A user-visible key.
 pub type UserKey = Vec<u8>;
@@ -355,19 +355,18 @@ impl MemTable {
         else {
             return Ok(None);
         };
+        let failed = |check| StoreError::integrity(Stored::MemValue, check);
         let stored = self
             .env
             .vault
             .load(*handle)
-            .map_err(|e| StoreError::Integrity(e.to_string()))?;
+            .map_err(|_| failed(Check::Missing))?;
         let plain = self
             .sealer
             .open_framed(key, stored)
-            .map_err(|_| StoreError::Integrity("host value failed decryption".into()))?;
+            .map_err(|_| failed(Check::Tag))?;
         if self.sealer.digest(&plain) != *digest {
-            return Err(StoreError::Integrity(
-                "memtable value hash mismatch — host memory tampered".into(),
-            ));
+            return Err(failed(Check::Digest));
         }
         Ok(Some(plain))
     }
@@ -639,7 +638,7 @@ mod tests {
             let _ = env.vault.corrupt(treaty_tee::HostHandle(h), 20);
         }
         let err = mt.get(b"k", SeqNum::MAX).unwrap_err();
-        assert!(matches!(err, StoreError::Integrity(_)));
+        assert_eq!(err, StoreError::integrity(Stored::MemValue, Check::Tag));
     }
 
     #[test]
@@ -652,7 +651,7 @@ mod tests {
             let _ = env.vault.corrupt(treaty_tee::HostHandle(h), 3);
         }
         let err = mt.get(b"k", SeqNum::MAX).unwrap_err();
-        assert!(matches!(err, StoreError::Integrity(_)));
+        assert_eq!(err, StoreError::integrity(Stored::MemValue, Check::Digest));
     }
 
     #[test]

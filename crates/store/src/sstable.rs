@@ -39,7 +39,7 @@ use crate::bloom::BloomFilter;
 use crate::cache::approx_records_bytes;
 use crate::env::Env;
 use crate::memtable::{RangeTombstone, SeqNum, UserKey, VersionedEntry};
-use crate::{Result, StoreError};
+use crate::{Check, Result, StoreError, Stored};
 
 const MAGIC: u64 = 0x5452_4541_5459_5354; // "TREATYST"
 const META_BLOCK_NO: u32 = u32::MAX;
@@ -114,6 +114,16 @@ fn table_sealer(env: &Rc<Env>, file_id: u64) -> Sealer {
     env.sealer(env.keys.storage, file_id.to_le_bytes())
 }
 
+/// Block `block_no` of table `file_id` failed `check`; the meta block is
+/// the table's footer.
+fn breach(file_id: u64, block_no: u32, check: Check) -> StoreError {
+    let object = match block_no {
+        META_BLOCK_NO => Stored::TableMeta { file_id },
+        _ => Stored::TableBlock { file_id, block_no },
+    };
+    StoreError::integrity(object, check)
+}
+
 /// Protects one block for untrusted storage, returning the stored bytes
 /// (as boundary-typed [`HostBytes`]) plus its footer digest: zeros where
 /// the GCM tag covers the block, else its tag over its place and its bytes.
@@ -128,7 +138,7 @@ fn protect_block(
     let place = sealer.nonce(block_no.into());
     let sealed = sealer
         .seal(block_no.into(), &place, &plain)
-        .map_err(|e| StoreError::Integrity(format!("sstable {file_id} block {block_no}: {e}")))?;
+        .map_err(|_| breach(file_id, block_no, Check::NonceReuse))?;
     Ok(match sealed {
         Some(ct) => (HostBytes::from_ciphertext(ct), [0u8; 32]),
         // Unencrypted profiles store cleartext blocks by design; integrity
@@ -150,17 +160,13 @@ fn open_block(
     stored: Vec<u8>,
     digest: &[u8; 32],
 ) -> Result<Vec<u8>> {
-    let failed = |what| StoreError::Integrity(format!("sstable {file_id} block {block_no} {what}"));
+    let failed = |_| breach(file_id, block_no, Check::Tag);
     let place = sealer.nonce(block_no.into());
     // A block the Sealer does not seal carries its tag in the footer.
     if sealer.mode() != Protection::Full {
-        sealer
-            .check(&[&place, &stored], digest)
-            .map_err(|_| failed("failed authentication"))?;
+        sealer.check(&[&place, &stored], digest).map_err(failed)?;
     }
-    sealer
-        .open(block_no.into(), &place, stored)
-        .map_err(|_| failed("failed decryption — storage tampered"))
+    sealer.open(block_no.into(), &place, stored).map_err(failed)
 }
 
 /// One record inside a block.
@@ -202,36 +208,26 @@ fn encode_block(entries: &[VersionedEntry]) -> Vec<u8> {
     out
 }
 
-fn decode_records(mut buf: &[u8]) -> Result<Vec<SsRecord>> {
+/// One block's records; `None` where its plaintext does not decode.
+fn decode_records(mut buf: &[u8]) -> Option<Vec<SsRecord>> {
     let mut out = Vec::new();
-    let bad = || StoreError::Integrity("malformed sstable block".into());
     while !buf.is_empty() {
-        if buf.len() < 4 {
-            return Err(bad());
-        }
-        let klen = u32::from_le_bytes(buf[..4].try_into().map_err(|_| bad())?) as usize;
+        let klen = u32::from_le_bytes(buf.get(..4)?.try_into().ok()?) as usize;
         buf = &buf[4..];
         if buf.len() < klen + 13 {
-            return Err(bad());
+            return None;
         }
         let key = buf[..klen].to_vec();
-        let seq = u64::from_le_bytes(buf[klen..klen + 8].try_into().map_err(|_| bad())?);
+        let seq = u64::from_le_bytes(buf[klen..klen + 8].try_into().ok()?);
         let kind = buf[klen + 8];
-        let vlen =
-            u32::from_le_bytes(buf[klen + 9..klen + 13].try_into().map_err(|_| bad())?) as usize;
+        let vlen = u32::from_le_bytes(buf[klen + 9..klen + 13].try_into().ok()?) as usize;
         buf = &buf[klen + 13..];
-        if buf.len() < vlen {
-            return Err(bad());
-        }
-        let value = if kind == 1 {
-            Some(buf[..vlen].to_vec())
-        } else {
-            None
-        };
+        let value = buf.get(..vlen)?;
+        let value = (kind == 1).then(|| value.to_vec());
         buf = &buf[vlen..];
         out.push(SsRecord { key, seq, value });
     }
-    Ok(out)
+    Some(out)
 }
 
 /// Builds an SSTable from sorted entries (user key asc, seq desc within a
@@ -383,50 +379,42 @@ impl std::fmt::Debug for SsTable {
 }
 
 impl SsTable {
-    /// Opens an SSTable, verifying and loading its meta footer into the
-    /// enclave.
+    /// Opens table `file_id` in the store's directory, verifying and
+    /// loading its meta footer into the enclave.
     ///
     /// # Errors
     ///
-    /// [`StoreError::Integrity`] if the footer is malformed or fails
-    /// verification; [`StoreError::Io`] on read failure.
-    pub fn open(env: Rc<Env>, path: &Path) -> Result<Self> {
-        let file = File::open(path)?;
+    /// [`StoreError::Integrity`] naming the footer if it is malformed or
+    /// fails verification; [`StoreError::Io`] on read failure.
+    pub fn open(env: Rc<Env>, file_id: u64) -> Result<Self> {
+        let path = env.dir.join(file_name(file_id));
+        let failed = |check| breach(file_id, META_BLOCK_NO, check);
+        let file = File::open(&path)?;
         let file_len = file.metadata()?.len();
         if file_len < 48 {
-            return Err(StoreError::Integrity("sstable too short".into()));
+            return Err(failed(Check::Truncated));
         }
-        let mut tail = [0u8; 16];
-        file.read_exact_at(&mut tail, file_len - 16)?;
-        let footer_err = || StoreError::Integrity("sstable footer malformed".into());
-        let meta_len = u64::from_le_bytes(tail[..8].try_into().map_err(|_| footer_err())?);
-        let magic = u64::from_le_bytes(tail[8..].try_into().map_err(|_| footer_err())?);
-        if magic != MAGIC {
-            return Err(StoreError::Integrity("bad sstable magic".into()));
-        }
-        if meta_len > file_len - 48 {
-            return Err(StoreError::Integrity("bad sstable meta length".into()));
+        let mut tail = [[0u8; 8]; 2];
+        file.read_exact_at(tail.as_flattened_mut(), file_len - 16)?;
+        let [meta_len, magic] = tail.map(u64::from_le_bytes);
+        if magic != MAGIC || meta_len > file_len - 48 {
+            return Err(failed(Check::Decode));
         }
         // The sealed meta and its digest, in one read.
         let mut footer = vec![0u8; meta_len as usize + 32];
         file.read_exact_at(&mut footer, file_len - 48 - meta_len)?;
-        let meta_digest: [u8; 32] = footer[meta_len as usize..]
+        let meta_digest: [u8; 32] = footer
+            .split_off(meta_len as usize)
             .try_into()
-            .map_err(|_| footer_err())?;
-        footer.truncate(meta_len as usize);
+            .map_err(|_| failed(Check::Decode))?;
         env.charge_storage_read(meta_len as usize);
 
-        // The nonce and aad need file_id before the meta decodes: it comes
-        // from the path by convention, and the decoded meta must agree.
-        let file_id = file_id_from_path(path)?;
+        // The meta is sealed under its table's id, and must carry it.
         let sealer = table_sealer(&env, file_id);
         let meta_plain = open_block(&sealer, file_id, META_BLOCK_NO, footer, &meta_digest)?;
-        let meta = SsTableMeta::from_bytes(&meta_plain)
-            .map_err(|e| StoreError::Integrity(format!("sstable meta: {e}")))?;
+        let meta = SsTableMeta::from_bytes(&meta_plain).map_err(|_| failed(Check::Decode))?;
         if meta.file_id != file_id {
-            return Err(StoreError::Integrity(
-                "sstable meta/file id mismatch".into(),
-            ));
+            return Err(failed(Check::Misplaced));
         }
         // Fence monotonicity over the whole index, checked once with the
         // seal: adjacent blocks must not overlap beyond sharing a
@@ -435,25 +423,15 @@ impl SsTable {
         // means the enclave's own view is corrupt — fail loudly. Cursors
         // and point reads then trust the fences as lower bounds.
         for (i, bm) in meta.blocks.iter().enumerate() {
-            if bm.first_key > bm.last_key {
-                return Err(StoreError::Integrity(format!(
-                    "sstable {} block {i} fence keys inverted",
-                    meta.file_id
-                )));
-            }
-            if i > 0 && meta.blocks[i - 1].last_key > bm.first_key {
-                return Err(StoreError::Integrity(format!(
-                    "sstable {} blocks {}..{i} fence keys overlap — index reordered",
-                    meta.file_id,
-                    i - 1
-                )));
+            if bm.first_key > bm.last_key || (i > 0 && meta.blocks[i - 1].last_key > bm.first_key) {
+                return Err(failed(Check::FenceOrder));
             }
         }
         // Footer digests and the Bloom filter now live in trusted memory.
         env.enclave.alloc_trusted(trusted_footprint(&meta));
         Ok(SsTable {
             env,
-            path: path.to_path_buf(),
+            path,
             file,
             meta,
             sealer,
@@ -540,28 +518,20 @@ impl SsTable {
     /// failure, not an I/O error: the sealed footer says the block exists.
     fn read_block_uncached(&self, block_no: usize) -> Result<Rc<Vec<SsRecord>>> {
         let bm = &self.meta.blocks[block_no];
+        let (file_id, block_no) = (self.meta.file_id, block_no as u32);
+        let failed = |check| breach(file_id, block_no, check);
         let mut stored = vec![0u8; bm.len as usize];
         self.file
             .read_exact_at(&mut stored, bm.offset)
-            .map_err(|e| {
-                if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                    StoreError::Integrity(format!(
-                        "sstable {} block {block_no} truncated by untrusted storage",
-                        self.meta.file_id
-                    ))
-                } else {
-                    StoreError::from(e)
-                }
+            .map_err(|e| match e.kind() {
+                std::io::ErrorKind::UnexpectedEof => failed(Check::Truncated),
+                _ => e.into(),
             })?;
         self.env.charge_storage_read(stored.len());
-        let plain = open_block(
-            &self.sealer,
-            self.meta.file_id,
-            block_no as u32,
-            stored,
-            &bm.digest,
-        )?;
-        Ok(Rc::new(decode_records(&plain)?))
+        let plain = open_block(&self.sealer, file_id, block_no, stored, &bm.digest)?;
+        decode_records(&plain)
+            .map(Rc::new)
+            .ok_or_else(|| failed(Check::Decode))
     }
 
     /// Index range of blocks whose `[first_key, last_key]` span covers
@@ -762,24 +732,20 @@ impl TableCursor {
         } else {
             self.table.read_block_uncached(block_no)?
         };
-        let fail = |what: &str| {
-            Err(StoreError::Integrity(format!(
-                "sstable {} block {block_no}: {what} — scanned range spliced or reordered",
-                meta.file_id
-            )))
-        };
-        // Content must match the sealed fences exactly.
+        // A block that breaks its fences was spliced or reordered: its
+        // content must match them exactly, which an empty block cannot.
+        let fail = || Err(breach(meta.file_id, block_no as u32, Check::FenceOrder));
         let (Some(first), Some(last)) = (records.first(), records.last()) else {
-            return fail("empty block under non-empty fences");
+            return fail();
         };
         if first.key != bm.first_key || last.key != bm.last_key {
-            return fail("record keys disagree with sealed fence keys");
+            return fail();
         }
         // In-block order: key asc, seq desc within a key.
         for w in records.windows(2) {
             let ordered = w[0].key < w[1].key || (w[0].key == w[1].key && w[0].seq > w[1].seq);
             if !ordered {
-                return fail("records out of order");
+                return fail();
             }
         }
         // Cross-block continuity: the block must continue strictly after
@@ -787,7 +753,7 @@ impl TableCursor {
         if let Some((lk, ls)) = &self.last {
             let continues = *lk < first.key || (*lk == first.key && *ls > first.seq);
             if !continues {
-                return fail("block does not continue the previous block");
+                return fail();
             }
         }
         self.records = Some(records);
@@ -848,15 +814,6 @@ fn trusted_footprint(meta: &SsTableMeta) -> u64 {
             .unwrap_or(0)
 }
 
-/// Extracts the numeric file id from an `sst-NNNNNN.sst` path.
-fn file_id_from_path(path: &Path) -> Result<u64> {
-    path.file_stem()
-        .and_then(|s| s.to_str())
-        .and_then(|s| s.strip_prefix("sst-"))
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| StoreError::Integrity("sstable path does not carry a file id".into()))
-}
-
 /// The conventional file name for an SSTable id.
 pub fn file_name(file_id: u64) -> String {
     format!("sst-{file_id:06}.sst")
@@ -894,7 +851,7 @@ mod tests {
         let env = Env::for_testing(profile, dir.path());
         let path = dir.path().join(file_name(1));
         build(&env, &path, 1, &entries(n), &[])?;
-        let table = Rc::new(SsTable::open(Rc::clone(&env), &path)?);
+        let table = Rc::new(SsTable::open(Rc::clone(&env), 1)?);
         Ok((dir, env, table))
     }
 
@@ -953,7 +910,7 @@ mod tests {
             (b"k".to_vec(), 1, Some(b"v1".to_vec())),
         ];
         build(&env, &path, 2, &rows, &[])?;
-        let t = SsTable::open(env, &path)?;
+        let t = SsTable::open(env, 2)?;
         assert_eq!(get(&t, b"k", SeqNum::MAX)?, Some(Some(b"v9".to_vec())));
         assert_eq!(get(&t, b"k", 6)?, Some(Some(b"v5".to_vec())));
         assert_eq!(get(&t, b"k", 4)?, Some(Some(b"v1".to_vec())));
@@ -982,7 +939,11 @@ mod tests {
             raw[10] ^= 0x01; // inside block 0
             std::fs::write(t.path(), &raw)?;
             let err = get(&t, b"key-00000", SeqNum::MAX).unwrap_err();
-            assert!(matches!(err, StoreError::Integrity(_)), "{profile:?}");
+            let block = Stored::TableBlock {
+                file_id: 1,
+                block_no: 0,
+            };
+            assert_eq!(err, StoreError::integrity(block, Check::Tag), "{profile:?}");
         }
         Ok(())
     }
@@ -994,8 +955,11 @@ mod tests {
         let mid = raw.len() - 100; // inside the sealed meta
         raw[mid] ^= 0x01;
         std::fs::write(t.path(), &raw)?;
-        let err = SsTable::open(env, t.path()).unwrap_err();
-        assert!(matches!(err, StoreError::Integrity(_)));
+        let err = SsTable::open(env, 1).unwrap_err();
+        assert_eq!(
+            err,
+            StoreError::integrity(Stored::TableMeta { file_id: 1 }, Check::Tag)
+        );
         Ok(())
     }
 
@@ -1087,7 +1051,7 @@ mod tests {
         let env = Env::for_testing(SecurityProfile::treaty_full(), dir.path());
         let path = dir.path().join(file_name(1));
         build(&env, &path, 1, rows, &[])?;
-        let table = Rc::new(SsTable::open(Rc::clone(&env), &path)?);
+        let table = Rc::new(SsTable::open(Rc::clone(&env), 1)?);
         Ok((dir, env, table))
     }
 
@@ -1179,7 +1143,7 @@ mod tests {
         let env = Env::for_testing_with(SecurityProfile::treaty_full(), dir.path(), config);
         let path = dir.path().join(file_name(1));
         build(&env, &path, 1, &entries(200), &[])?;
-        let t = Rc::new(SsTable::open(Rc::clone(&env), &path)?);
+        let t = Rc::new(SsTable::open(Rc::clone(&env), 1)?);
         assert!(t.meta().blocks.len() >= 2);
         // A key strictly between block 0's last key and block 1's first
         // key: append a suffix to the former.
@@ -1329,7 +1293,7 @@ mod tests {
             seq: 777,
         }];
         build(&env, &path, 1, &entries(30), &rts)?;
-        let t = SsTable::open(Rc::clone(&env), &path)?;
+        let t = SsTable::open(Rc::clone(&env), 1)?;
         assert_eq!(t.meta().range_tombstones, rts);
         assert_eq!(t.meta().max_seq, 777);
 
@@ -1343,12 +1307,15 @@ mod tests {
         let pos = raw
             .windows(needle.len())
             .position(|w| w == needle)
-            .ok_or_else(|| StoreError::Integrity("footer must hold the tombstones".into()))?;
+            .ok_or_else(|| StoreError::Io("footer must hold the tombstones".into()))?;
         let mut tampered = raw.clone();
         tampered[pos + needle.len() - 8] ^= 0x01; // the tombstone's seq
         std::fs::write(&path, &tampered)?;
-        let err = SsTable::open(env, &path).unwrap_err();
-        assert!(matches!(err, StoreError::Integrity(_)));
+        let err = SsTable::open(env, 1).unwrap_err();
+        assert_eq!(
+            err,
+            StoreError::integrity(Stored::TableMeta { file_id: 1 }, Check::Tag)
+        );
         Ok(())
     }
 
@@ -1363,7 +1330,7 @@ mod tests {
             seq: 5,
         }];
         build(&env, &path, 1, &[], &rts)?;
-        let t = Rc::new(SsTable::open(Rc::clone(&env), &path)?);
+        let t = Rc::new(SsTable::open(Rc::clone(&env), 1)?);
         assert_eq!(t.meta().entries, 0);
         assert!(t.covers(b"b"));
         assert!(!t.covers(b"z"));
@@ -1396,11 +1363,14 @@ mod tests {
         let pos = raw
             .windows(needle.len())
             .position(|w| w == needle)
-            .ok_or_else(|| StoreError::Integrity("footer must hold the encoded filter".into()))?;
+            .ok_or_else(|| StoreError::Io("footer must hold the encoded filter".into()))?;
         raw[pos + needle.len() / 2] ^= 0x01; // inside the filter's bit array
         std::fs::write(t.path(), &raw)?;
-        let err = SsTable::open(env, t.path()).unwrap_err();
-        assert!(matches!(err, StoreError::Integrity(_)));
+        let err = SsTable::open(env, 1).unwrap_err();
+        assert_eq!(
+            err,
+            StoreError::integrity(Stored::TableMeta { file_id: 1 }, Check::Tag)
+        );
         Ok(())
     }
 
@@ -1437,7 +1407,7 @@ mod tests {
         let env = Env::for_testing(SecurityProfile::treaty_full(), path_buf);
         let path = path_buf.join(file_name(1));
         build(&env, &path, 1, &entries(100), &[])?;
-        let t = SsTable::open(Rc::clone(&env), &path)?;
+        let t = SsTable::open(Rc::clone(&env), 1)?;
         let t0 = treaty_sim::runtime::now();
         assert!(get(&t, b"key-00010", SeqNum::MAX)?.is_some());
         let miss_ns = treaty_sim::runtime::now() - t0;
@@ -1479,7 +1449,7 @@ mod tests {
         assert!(env.block_cache.is_none());
         let path = dir.path().join(file_name(1));
         build(&env, &path, 1, &entries(50), &[])?;
-        let t = SsTable::open(Rc::clone(&env), &path)?;
+        let t = SsTable::open(Rc::clone(&env), 1)?;
         assert!(t.meta().filter.is_none());
         let v = get(&t, b"key-00011", SeqNum::MAX)?;
         assert_eq!(
@@ -1489,15 +1459,23 @@ mod tests {
         Ok(())
     }
 
+    /// The adversary renamed sst-000001 to sst-000999 (e.g. to swap
+    /// tables): open must fail because the sealed meta pins the id. Where
+    /// a tag runs, table 999's nonce refuses the meta sealed as table 1's;
+    /// where none runs, the decoded meta names table 1.
     #[test]
     fn wrong_file_name_rejected() -> Result<()> {
-        let (_d, env, t) = build_one(SecurityProfile::treaty_full(), 10)?;
-        let renamed = t.path().with_file_name(file_name(999));
-        std::fs::rename(t.path(), &renamed)?;
-        // The adversary renamed sst-000001 to sst-000999 (e.g. to swap
-        // tables): open must fail because the sealed meta pins the id.
-        let err = SsTable::open(env, &renamed).unwrap_err();
-        assert!(matches!(err, StoreError::Integrity(_)));
+        for (profile, check) in [
+            (SecurityProfile::treaty_full(), Check::Tag),
+            (SecurityProfile::treaty_no_enc(), Check::Tag),
+            (SecurityProfile::rocksdb(), Check::Misplaced),
+        ] {
+            let (_d, env, t) = build_one(profile, 10)?;
+            std::fs::rename(t.path(), t.path().with_file_name(file_name(999)))?;
+            let err = SsTable::open(env, 999).unwrap_err();
+            let footer = Stored::TableMeta { file_id: 999 };
+            assert_eq!(err, StoreError::integrity(footer, check), "{profile:?}");
+        }
         Ok(())
     }
 }

@@ -8,7 +8,9 @@ use treaty_sched::block_on;
 use treaty_sim::runtime::{join, now, spawn};
 use treaty_sim::SecurityProfile;
 use treaty_store::txn::WriteOp;
-use treaty_store::{EngineTxn, Env, GlobalTxId, StoreError, TreatyStore, TxnEngine, TxnMode};
+use treaty_store::{
+    Check, EngineTxn, Env, GlobalTxId, StoreError, Stored, TreatyStore, TxnEngine, TxnMode,
+};
 
 fn open(profile: SecurityProfile, dir: &std::path::Path) -> (Rc<Env>, TreatyStore) {
     let env = Env::for_testing(profile, dir);
@@ -1101,13 +1103,104 @@ fn a_deleted_live_wal_generation_is_refused() {
         let store = TreatyStore::open(Rc::clone(&env)).unwrap();
         put(&store, b"b", b"2");
         drop(store);
-        std::fs::remove_file(newest_wal(dir.path())).unwrap();
+        let wal = newest_wal(dir.path());
+        std::fs::remove_file(&wal).unwrap();
         let err = TreatyStore::open(env).unwrap_err();
-        assert!(
-            matches!(&err, StoreError::Rollback(m) if m.contains("missing")),
-            "{profile:?}: {err:?}"
+        let log = wal.file_name().unwrap().to_string_lossy().into_owned();
+        assert_eq!(
+            err,
+            StoreError::rollback(Stored::Log { log }, Check::Missing),
+            "{profile:?}"
         );
     }
+}
+
+/// Every kind of stored object, tampered once, is refused by a breach
+/// that names it: a WAL record, a live WAL, an SSTable block, an SSTable
+/// footer and a MemTable value in host memory.
+#[test]
+fn every_stored_object_is_named_by_its_breach() {
+    use treaty_store::sstable;
+    let profile = SecurityProfile::treaty_full();
+    let flip = |path: &std::path::Path, at: usize| {
+        let mut raw = std::fs::read(path).unwrap();
+        raw[at] ^= 0x01;
+        std::fs::write(path, raw).unwrap();
+    };
+    let name = |path: &std::path::Path| path.file_name().unwrap().to_string_lossy().into_owned();
+
+    // One byte of the first WAL record's payload, behind its 12-byte
+    // header: the record's MAC fails.
+    let dir = tempfile::tempdir().unwrap();
+    let (env, store) = open(profile, dir.path());
+    put(&store, b"a", b"1");
+    drop(store);
+    let wal = newest_wal(dir.path());
+    flip(&wal, 13);
+    let record = Stored::LogRecord {
+        log: name(&wal),
+        counter: 1,
+    };
+    assert_eq!(
+        TreatyStore::open(env).unwrap_err(),
+        StoreError::integrity(record, Check::Tag)
+    );
+
+    // The live WAL deleted: the MANIFEST still lists it.
+    let dir = tempfile::tempdir().unwrap();
+    let (env, store) = open(profile, dir.path());
+    put(&store, b"a", b"1");
+    drop(store);
+    let wal = newest_wal(dir.path());
+    std::fs::remove_file(&wal).unwrap();
+    let log = Stored::Log { log: name(&wal) };
+    assert_eq!(
+        TreatyStore::open(env).unwrap_err(),
+        StoreError::rollback(log, Check::Missing)
+    );
+
+    // A flushed table's first byte, in block 0: the block's GCM tag fails
+    // when a read reaches it. Its footer's last sealed byte, in front of
+    // the 48 bytes of digest, length and magic: the table fails at open.
+    for footer in [false, true] {
+        let dir = tempfile::tempdir().unwrap();
+        let (env, store) = open(profile, dir.path());
+        put(&store, b"a", b"1");
+        store.flush().unwrap();
+        let file_id = store.live_file_ids()[0];
+        drop(store);
+        let path = dir.path().join(sstable::file_name(file_id));
+        let len = std::fs::metadata(&path).unwrap().len() as usize;
+        flip(&path, if footer { len - 49 } else { 0 });
+        let err = match TreatyStore::open(env) {
+            Ok(store) => store.get_committed(b"a").unwrap_err(),
+            Err(err) => err,
+        };
+        let table = match footer {
+            true => Stored::TableMeta { file_id },
+            false => Stored::TableBlock {
+                file_id,
+                block_no: 0,
+            },
+        };
+        assert_eq!(
+            err,
+            StoreError::integrity(table, Check::Tag),
+            "footer: {footer}"
+        );
+    }
+
+    // Every live host buffer flipped: the MemTable value fails its tag.
+    let dir = tempfile::tempdir().unwrap();
+    let (env, store) = open(profile, dir.path());
+    put(&store, b"a", &[7u8; 100]);
+    for h in 0..16 {
+        let _ = env.vault.corrupt(treaty_tee::HostHandle(h), 20);
+    }
+    assert_eq!(
+        store.get_committed(b"a").unwrap_err(),
+        StoreError::integrity(Stored::MemValue, Check::Tag)
+    );
 }
 
 #[test]
@@ -2623,7 +2716,7 @@ fn open_tables_hold_one_descriptor_each_and_release_it_on_retirement() {
     let victim_id = store.live_file_ids()[0];
     let victim = sstable::file_name(victim_id);
     let path = root.join(&victim);
-    let table = Rc::new(SsTable::open(Rc::clone(&env), &path).unwrap());
+    let table = Rc::new(SsTable::open(Rc::clone(&env), victim_id).unwrap());
     let entries = table.meta().entries;
     let mut cursor = table.range_cursor(b"", false);
     drop(table);

@@ -10,11 +10,12 @@
 //! cargo run --release --example adversary_drill
 //! ```
 
-use treaty::core::{Cluster, ClusterOptions};
+use treaty::core::{Cluster, ClusterOptions, TreatyError};
 use treaty::obs::{Counter, Obs};
 use treaty::sched::block_on;
 use treaty::sim::runtime::sleep;
 use treaty::sim::SecurityProfile;
+use treaty::store::StoreError;
 
 fn main() {
     let dir = tempfile::tempdir().expect("tempdir");
@@ -88,8 +89,10 @@ fn main() {
         let wal = newest_wal(&node_dir);
         std::fs::write(&wal, &stale).expect("roll back the WAL");
         match cluster.restart_node(0) {
-            Err(e) => println!("   recovery refused to start: {e}"),
-            Ok(()) => panic!("rollback attack went undetected!"),
+            Err(TreatyError::Store(StoreError::Rollback(breach))) => {
+                println!("   recovery refused to start: {breach}")
+            }
+            other => panic!("rollback attack went undetected: {other:?}"),
         }
         println!("== all four attacks detected or suppressed ==");
     });

@@ -4,10 +4,10 @@
 
 use std::rc::Rc;
 
-use treaty::core::{Cluster, ClusterOptions};
+use treaty::core::{Cluster, ClusterOptions, TreatyError};
 use treaty::sched::block_on;
 use treaty::sim::SecurityProfile;
-use treaty::store::{EngineTxn as _, Env, TreatyStore, TxnMode};
+use treaty::store::{Breach, Check, EngineTxn as _, Env, StoreError, Stored, TreatyStore, TxnMode};
 
 const SECRET: &[u8] = b"TOP-SECRET-PAYLOAD-0xDEADBEEF";
 
@@ -377,6 +377,53 @@ fn no_iv_or_request_number_repeats_across_a_restart() {
                     dg.rpc_id
                 );
             }
+        }
+    });
+}
+
+/// A WAL put back to an older copy of itself, after the node stabilized
+/// more records in it, is refused when the node restarts: the cluster
+/// hands back the store's typed `Rollback`, whose breach names that WAL.
+#[test]
+fn a_restored_older_wal_is_refused_naming_that_wal() {
+    let dir = tempfile::tempdir().unwrap();
+    let path = dir.path().to_path_buf();
+    block_on(move || {
+        let mut cluster = Cluster::start(options(SecurityProfile::treaty_full(), &path)).unwrap();
+        let client = cluster.client();
+        // Ten keys a round, so every shard holds a write of each.
+        let commit_round = |round: u32| {
+            let mut tx = client.begin(1);
+            for k in 0..10u32 {
+                tx.put(format!("r{round}-k{k}").as_bytes(), b"v").unwrap();
+            }
+            tx.commit().unwrap();
+        };
+        commit_round(0);
+        let wal = std::fs::read_dir(path.join("node-0"))
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .map(|e| e.path())
+            .filter(|p| p.file_name().unwrap().to_string_lossy().starts_with("wal-"))
+            .max()
+            .unwrap();
+        let older = std::fs::read(&wal).unwrap();
+        commit_round(1);
+        assert!(
+            std::fs::read(&wal).unwrap().len() > older.len(),
+            "round 1 wrote no record to {wal:?}"
+        );
+
+        cluster.crash_node(0);
+        std::fs::write(&wal, &older).unwrap();
+        let log = wal.file_name().unwrap().to_string_lossy().into_owned();
+        let want = Breach {
+            object: Stored::Log { log },
+            check: Check::BehindStable,
+        };
+        match cluster.restart_node(0) {
+            Err(TreatyError::Store(StoreError::Rollback(breach))) => assert_eq!(breach, want),
+            other => panic!("a restored older WAL must be refused as a rollback of it: {other:?}"),
         }
     });
 }
