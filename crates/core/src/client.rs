@@ -223,10 +223,7 @@ impl TreatyClient {
         let local = self.next_seq.replace(self.next_seq.get() + 1);
         let tx_id = ((self.client_id as u64) << 32) | local as u64;
         let meta = TxMeta::new(self.client_id as u64, tx_id, 1);
-        let (_, bytes) = self
-            .rpc
-            .call(node, req::OBS_SNAPSHOT, &meta, &[])
-            .map_err(|e| TreatyError::Net(e.to_string()))?;
+        let (_, bytes) = self.rpc.call(node, req::OBS_SNAPSHOT, &meta, &[])?;
         decode::<ObsSnapshotReply>(&bytes)
             .ok_or_else(|| TreatyError::Rejected("malformed obs snapshot reply".into()))
     }
@@ -335,7 +332,7 @@ impl<'a> DistTxn<'a> {
             Err(e) => {
                 self.finished = true;
                 self.best_effort_rollback();
-                return Err(TreatyError::Net(e.to_string()));
+                return Err(e.into());
             }
         };
         match decode::<OpResult>(&bytes) {
@@ -487,7 +484,7 @@ impl<'a> DistTxn<'a> {
                 // The outcome is ambiguous (classic 2PC client ambiguity);
                 // the rollback below is a no-op if the commit already won.
                 self.best_effort_rollback();
-                return Err(TreatyError::Net(e.to_string()));
+                return Err(e.into());
             }
         };
         match decode::<CommitResult>(&bytes) {
@@ -517,8 +514,7 @@ impl<'a> DistTxn<'a> {
         let meta = self.meta();
         self.client
             .rpc
-            .call(self.coordinator, req::CLIENT_ROLLBACK, &meta, &[])
-            .map_err(|e| TreatyError::Net(e.to_string()))?;
+            .call(self.coordinator, req::CLIENT_ROLLBACK, &meta, &[])?;
         Ok(())
     }
 }

@@ -465,7 +465,7 @@ mod tests {
         use treaty_sim::runtime;
         let dir = tempfile::tempdir()?;
         let e = Env::for_testing(SecurityProfile::native_treaty(), dir.path());
-        let one_flush = e.costs.ssd_append_ns(e.profile.tee, 0);
+        let one_flush = e.disk().append_ns(0);
         let path = dir.path().join(CLOG_FILE);
         treaty_sched::block_on(move || {
             let clog = Rc::new(Clog::open(Rc::clone(&e))?);
@@ -509,7 +509,6 @@ mod tests {
     /// for the torn frame's body.
     #[test]
     fn a_torn_clog_tail_reopens_after_more_appends() -> Result<()> {
-        use std::io::Write as _;
         let dir = tempfile::tempdir()?;
         let e = env(dir.path());
         let first = GlobalTxId { node: 1, seq: 1 };
@@ -519,12 +518,11 @@ mod tests {
             clog.log_decision(first, true)?;
         }
         // A crash tore record 3: its header is on disk, its body is not.
-        let mut header = 3u64.to_le_bytes().to_vec();
-        header.extend_from_slice(&100u32.to_le_bytes());
-        std::fs::OpenOptions::new()
-            .append(true)
-            .open(dir.path().join(CLOG_FILE))?
-            .write_all(&header)?;
+        let path = dir.path().join(CLOG_FILE);
+        let mut raw = std::fs::read(&path)?;
+        raw.extend_from_slice(&3u64.to_le_bytes());
+        raw.extend_from_slice(&100u32.to_le_bytes());
+        std::fs::write(&path, raw)?;
         let later: Vec<GlobalTxId> = (2..5).map(|seq| GlobalTxId { node: 1, seq }).collect();
         {
             let clog = Clog::open(Rc::clone(&e))?;

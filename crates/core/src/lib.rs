@@ -38,6 +38,7 @@ pub use messages::{Abort, AbortCause};
 pub use node::{NodeOptions, RecoveryOutcome, TreatyNode};
 pub use shard::ShardMap;
 
+use treaty_net::NetError;
 use treaty_store::{GlobalTxId, StoreError};
 
 /// Errors surfaced by the distributed layer.
@@ -49,7 +50,7 @@ pub enum TreatyError {
     Aborted(GlobalTxId, Abort),
     /// A network problem prevented completing the request.
     #[error("network: {0}")]
-    Net(String),
+    Net(#[from] NetError),
     /// The storage engine reported an error: an integrity or freshness
     /// refusal keeps its typed [`treaty_store::Breach`].
     #[error("storage: {0}")]
@@ -66,12 +67,6 @@ pub enum TreatyError {
     /// depends on matching formatted message strings.
     #[error("snapshot retry: {0}")]
     SnapshotRetry(String),
-}
-
-impl From<treaty_net::NetError> for TreatyError {
-    fn from(e: treaty_net::NetError) -> Self {
-        TreatyError::Net(e.to_string())
-    }
 }
 
 /// Result alias for the distributed layer.

@@ -11,6 +11,7 @@ use treaty_core::{
     check_list_append, Abort, AbortCause, Cluster, ClusterOptions, HistoryError, TreatyError,
     TxnObservation,
 };
+use treaty_net::NetError;
 use treaty_sched::block_on;
 use treaty_sim::obs::{Counter, Phase};
 use treaty_sim::runtime::{join, sleep, spawn};
@@ -641,7 +642,7 @@ fn protocol_only_cluster_runs_without_storage() {
         // dropped and the client times out.
         assert!(matches!(
             client.snapshot_read(&[b"a".to_vec()]),
-            Err(TreatyError::Net(_))
+            Err(TreatyError::Net(NetError::Timeout))
         ));
         // No files were created.
         let entries = std::fs::read_dir(&path).map(|d| d.count()).unwrap_or(0);

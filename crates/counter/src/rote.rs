@@ -24,7 +24,8 @@ use treaty_crypto::codec::Record;
 use treaty_crypto::{Key, Protection, TxMeta};
 use treaty_net::{EndpointId, Fabric, Rpc, RpcConfig};
 use treaty_sched::FiberMutex;
-use treaty_sim::{runtime, FiberCell, Nanos};
+use treaty_sim::disk::{Disk, Sleep};
+use treaty_sim::{runtime, FiberCell, Nanos, TeeMode};
 use treaty_tee::{seal, unseal, Measurement, SealedBlob};
 
 use crate::{CounterBackend, CounterError};
@@ -87,8 +88,8 @@ impl Record for SealedState {
     const MAGIC: u8 = 0x71;
 }
 
-/// What a replica restarting from `seal_path` knows: the sealed stable
-/// map, or nothing when it never sealed.
+/// What a replica restarting from `path` on `disk` knows: the sealed
+/// stable map, or nothing when it never sealed.
 ///
 /// # Panics
 ///
@@ -97,14 +98,14 @@ impl Record for SealedState {
     clippy::expect_used,
     reason = "tampered replica storage must not restart, and RoteReplica::start's signature is fixed"
 )]
-fn recover(seal_path: &Path, sealing_key: &Key, measurement: &Measurement) -> ReplicaState {
-    if !seal_path.exists() {
+fn recover(disk: &Disk, path: &Path, key: &Key, measurement: &Measurement) -> ReplicaState {
+    let Some(raw) = disk.read_unpriced(path).transpose() else {
         return ReplicaState::default();
-    }
-    let recovered: Option<SealedState> = std::fs::read(seal_path)
+    };
+    let recovered: Option<SealedState> = raw
         .ok()
         .and_then(|raw| SealedBlob::from_bytes(&raw).ok())
-        .and_then(|blob| unseal(sealing_key, measurement, &blob).ok())
+        .and_then(|blob| unseal(key, measurement, &blob).ok())
         .and_then(|plain| SealedState::from_bytes(&plain).ok());
     let sealed = recovered
         .expect("replica sealed state is corrupt or was tampered with — refusing to restart");
@@ -119,6 +120,8 @@ pub struct RoteReplica {
     rpc: Rc<Rpc>,
     state: FiberCell<ReplicaState>,
     seal_path: PathBuf,
+    /// The replica's own disk, under SCONE.
+    disk: Disk,
     seal_lock: FiberMutex,
     seal_seq: Cell<u64>,
     /// The state version the last finished seal contains. Read and
@@ -154,13 +157,15 @@ impl RoteReplica {
     ) -> Rc<Self> {
         let measurement = Measurement::of_code("treaty-rote-replica-v1");
         let seal_path = seal_dir.join(format!("rote-{endpoint}.seal"));
-        let state = recover(&seal_path, &sealing_key, &measurement);
+        let disk = Disk::new(TeeMode::Scone, fabric.costs().clone(), Rc::new(Sleep));
+        let state = recover(&disk, &seal_path, &sealing_key, &measurement);
 
         let rpc = Rpc::new(fabric, endpoint, RpcConfig::client(Protection::Full, key));
         let replica = Rc::new(RoteReplica {
             rpc: Rc::clone(&rpc),
             state: FiberCell::new(state),
             seal_path,
+            disk,
             seal_lock: FiberMutex::new("counter.rote_seal"),
             seal_seq: Cell::new(0),
             sealed_version: Cell::new(0),
@@ -269,13 +274,7 @@ impl RoteReplica {
         nonce[..4].copy_from_slice(&self.endpoint.to_be_bytes());
         nonce[4..].copy_from_slice(&seq.to_be_bytes());
         let blob = seal(&self.sealing_key, &self.measurement, nonce, &state_bytes);
-        let raw = blob.to_bytes();
-        // Charge the sealing write before making it visible.
-        let costs = self.rpc.fabric().costs();
-        runtime::sleep(costs.ssd_append_ns(treaty_sim::TeeMode::Scone, raw.len()));
-        let tmp = self.seal_path.with_extension("tmp");
-        std::fs::write(&tmp, &raw)?;
-        std::fs::rename(&tmp, &self.seal_path)?;
+        self.disk.replace(&self.seal_path, &blob.to_bytes())?;
         self.sealed_version.set(covers);
         drop(guard);
         Ok(())
@@ -832,6 +831,7 @@ mod tests {
                         assert!(matches!(ack, RoteMsg::Ack));
                         // What a replica crashing right now restarts with.
                         let on_disk = recover(
+                            &replica.disk,
                             &replica.seal_path,
                             &replica.sealing_key,
                             &replica.measurement,

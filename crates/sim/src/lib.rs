@@ -31,6 +31,7 @@
 pub mod cell;
 pub mod costs;
 pub mod crashpoint;
+pub mod disk;
 pub mod obs;
 pub mod profile;
 pub mod runtime;

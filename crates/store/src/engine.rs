@@ -683,7 +683,7 @@ impl TreatyStore {
     /// Returns integrity/rollback errors if the persistent state fails
     /// verification, and I/O errors if the directory is unusable.
     pub fn open(env: Rc<Env>) -> Result<Self> {
-        std::fs::create_dir_all(&env.dir)?;
+        env.disk().create_dir(&env.dir)?;
         Self::recover(env)
     }
 
@@ -1818,11 +1818,12 @@ impl TreatyStore {
                 u64::MAX
             }
         };
+        let disk = self.inner.env.disk();
         let mut gc = self.inner.pending_gc.borrow_mut();
         let mut kept = Vec::new();
         for (counter, path) in gc.drain(..) {
             if counter <= stable {
-                let _ = std::fs::remove_file(&path);
+                let _ = disk.remove(&path);
                 self.count().files_deleted += 1;
             } else {
                 kept.push((counter, path));

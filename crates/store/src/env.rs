@@ -7,7 +7,7 @@ use std::rc::Rc;
 use treaty_counter::{CounterBackend, NullBackend};
 use treaty_crypto::{Key, KeyHierarchy, Meter, Primitive, Protection, Sealer};
 use treaty_sched::CorePool;
-use treaty_sim::obs::Counter;
+use treaty_sim::disk::{Cpu, Disk};
 use treaty_sim::{runtime, CostModel, FiberCell, Nanos, SecurityProfile};
 use treaty_tee::{Enclave, HostVault};
 
@@ -209,33 +209,21 @@ impl Env {
         Sealer::new(key, prefix, protection(&self.profile), Rc::clone(self) as _)
     }
 
+    /// A [`Disk`] under the profile's TEE mode whose accesses this node
+    /// is charged for (the [`Cpu`] below): the only maker of the store's.
+    pub fn disk(self: &Rc<Self>) -> Disk {
+        Disk::new(self.profile.tee, self.costs.clone(), Rc::clone(self) as _)
+    }
+
     /// Charges pure CPU work, applying the enclave multiplier under SCONE.
     pub fn charge_cpu(&self, ns: Nanos) {
         self.charge(self.costs.enclave_cpu(self.profile.tee, ns));
     }
 
-    /// Charges an SSD log append + flush of `bytes`.
-    pub fn charge_ssd_append(&self, bytes: usize) {
-        // Two syscalls (write + fsync), each an enclave↔host boundary
-        // crossing under a TEE (world switch or its SCONE async equivalent).
-        if self.profile.tee == treaty_sim::TeeMode::Scone {
-            treaty_sim::obs::counter_add(Counter::TeeWorldSwitch, 2);
-        }
-        self.charge(self.costs.ssd_append_ns(self.profile.tee, bytes));
-    }
-
-    /// Charges a (page-cache-resident) storage read of `bytes`.
-    pub fn charge_storage_read(&self, bytes: usize) {
-        if self.profile.tee == treaty_sim::TeeMode::Scone {
-            treaty_sim::obs::counter_add(Counter::TeeWorldSwitch, 1);
-        }
-        self.charge(self.costs.storage_read_ns(self.profile.tee, bytes));
-    }
-
     /// Charges a trusted block-cache hit: an in-enclave lookup over
     /// `bytes` of cached records — no syscall, no boundary copy, no
-    /// decrypt. Strictly cheaper than [`Env::charge_storage_read`] plus
-    /// decryption as long as the enclave is not pathologically
+    /// decrypt. Strictly cheaper than a block read from the [`Env::disk`]
+    /// plus decryption as long as the enclave is not pathologically
     /// overcommitted (the cache sheds itself under EPC pressure precisely
     /// to stay out of that regime).
     pub fn charge_cache_hit(&self, bytes: usize) {
@@ -257,6 +245,14 @@ impl Meter for Env {
             Primitive::Aes => self.costs.aes_ns(bytes),
             Primitive::Sha => self.costs.sha_ns(bytes),
         });
+    }
+}
+
+/// Disk I/O is this node's CPU work: a [`Disk`] made by [`Env::disk`]
+/// charges each access here.
+impl Cpu for Env {
+    fn charge(&self, ns: Nanos) {
+        Env::charge(self, ns);
     }
 }
 
@@ -282,15 +278,5 @@ mod tests {
             env.charge(5_000);
             assert_eq!(now(), 5_000);
         });
-    }
-
-    #[test]
-    fn scone_storage_ops_cost_more() {
-        let dir = tempfile::tempdir().unwrap();
-        let env_native = Env::for_testing(SecurityProfile::rocksdb(), dir.path());
-        let env_scone = Env::for_testing(SecurityProfile::treaty_enc(), dir.path());
-        let n = env_native.costs.ssd_append_ns(env_native.profile.tee, 4096);
-        let s = env_scone.costs.ssd_append_ns(env_scone.profile.tee, 4096);
-        assert!(s > n);
     }
 }

@@ -21,8 +21,6 @@
 //! freshness check, and [`LogWriter::resume`] reopens a recovered log for
 //! append with its torn tail cut.
 
-use std::fs::{File, OpenOptions};
-use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
@@ -31,7 +29,7 @@ use treaty_crypto::codec::Record;
 use treaty_crypto::{hash, Sealer};
 use treaty_sched::GroupCommit;
 use treaty_sim::crashpoint::CrashPoint;
-use treaty_sim::FiberCell;
+use treaty_sim::disk::Appender;
 use treaty_tee::HostBytes;
 
 use crate::env::Env;
@@ -129,7 +127,7 @@ pub struct LogWriter {
     path: PathBuf,
     counter: Rc<TrustedCounter>,
     sealer: Sealer,
-    file: FiberCell<File>,
+    file: Appender,
     /// The write lock, and the queue of single appends waiting for it.
     writes: GroupCommit<Vec<u8>, Result<u64>>,
 }
@@ -163,7 +161,7 @@ impl LogWriter {
 
     /// [`LogWriter::open`] with the log's [`Sealer`] made, at counter `last`.
     fn sealed(env: Rc<Env>, name: String, sealer: Sealer, path: &Path, last: u64) -> Result<Self> {
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
+        let file = env.disk().appender(path)?;
         let counter = TrustedCounter::new(counter_id(&env, &name), Rc::clone(&env.backend), last);
         Ok(LogWriter {
             sealer,
@@ -171,7 +169,7 @@ impl LogWriter {
             name,
             path: path.to_path_buf(),
             counter,
-            file: FiberCell::new(file),
+            file,
             writes: GroupCommit::new("store.wal_write"),
         })
     }
@@ -198,9 +196,7 @@ impl LogWriter {
         let recovered = replay_sealed(&env, &sealer, &name, path)?;
         verify_freshness(&env, &name, recovered.last_counter)?;
         if recovered.torn_tail {
-            let file = OpenOptions::new().write(true).open(path)?;
-            file.set_len(recovered.verified_len)?;
-            file.sync_all()?;
+            env.disk().cut(path, recovered.verified_len)?;
         }
         let writer = Self::sealed(env, name, sealer, path, recovered.last_counter)?;
         Ok((writer, recovered.records))
@@ -283,13 +279,7 @@ impl LogWriter {
             last = c;
             encode_record(&self.sealer, &self.name, c, plain, &mut buf)?;
         }
-        self.env.charge_ssd_append(buf.len());
-        {
-            let mut f = self.file.borrow_mut();
-            f.write_all(buf.as_slice())?;
-            f.flush()?;
-            f.sync_data()?;
-        }
+        self.file.append(buf.as_slice())?;
         // Only now may a counter round cover these records: one led while
         // the write was in flight must not hand the group a value the
         // file cannot show after a crash.
@@ -354,15 +344,8 @@ pub fn replay(env: &Rc<Env>, name: &str, path: &Path) -> Result<LogReplay> {
 }
 
 /// [`replay`] with the log's [`Sealer`] already made.
-fn replay_sealed(env: &Env, sealer: &Sealer, name: &str, path: &Path) -> Result<LogReplay> {
-    let raw = match std::fs::read(path) {
-        Ok(raw) => {
-            env.charge_storage_read(raw.len());
-            raw
-        }
-        Err(e) if e.kind() == ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(e.into()),
-    };
+fn replay_sealed(env: &Rc<Env>, sealer: &Sealer, name: &str, path: &Path) -> Result<LogReplay> {
+    let raw = env.disk().read(path)?.unwrap_or_default();
 
     let mut records = Vec::new();
     let mut expected = 1;
@@ -447,7 +430,7 @@ fn verify_freshness(env: &Env, name: &str, last_counter: u64) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use treaty_sim::SecurityProfile;
+    use treaty_sim::{FiberCell, SecurityProfile};
 
     fn env(profile: SecurityProfile) -> Result<(tempfile::TempDir, Rc<Env>)> {
         let dir = tempfile::tempdir()?;
@@ -637,7 +620,7 @@ mod tests {
             }
             // The five queued behind the first write shared two flushes
             // (before the batch, after it): four in all, not seven.
-            let flush = env.costs.ssd_append_ns(env.profile.tee, 0);
+            let flush = env.disk().append_ns(0);
             assert!(
                 runtime::now() - began < 6 * flush,
                 "seven flushes, not four"

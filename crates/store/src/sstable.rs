@@ -17,22 +17,21 @@
 //! `u32::MAX`, and its digests are loaded *into the enclave* at open so
 //! every subsequent block read can be verified against trusted state.
 //!
-//! Host I/O: a build writes the whole file through one buffer and syncs it
-//! once; an open table holds the one descriptor it opened, and reads each
-//! block with one positioned read. Holding it weakens no check: every block
-//! is still verified against its AEAD tag (nonce and AAD bound to `file_id`
-//! and `block_no`) or the sealed footer's digest, and file ids are never
+//! Host I/O goes through the store's [`treaty_sim::disk::Disk`]: a build
+//! writes the whole file through one buffer and syncs it once; an open
+//! table holds the one descriptor it opened, and reads each block with one
+//! positioned read. Holding it weakens no check: every block is still
+//! verified against its AEAD tag (nonce and AAD bound to `file_id` and
+//! `block_no`) or the sealed footer's digest, and file ids are never
 //! reused.
 
-use std::fs::File;
-use std::io::{BufWriter, Write};
-use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
 use treaty_crypto::codec;
 use treaty_crypto::codec::Record;
 use treaty_crypto::{Protection, Sealer};
+use treaty_sim::disk::Reader;
 use treaty_tee::HostBytes;
 
 use crate::bloom::BloomFilter;
@@ -43,9 +42,6 @@ use crate::{Check, Result, StoreError, Stored};
 
 const MAGIC: u64 = 0x5452_4541_5459_5354; // "TREATYST"
 const META_BLOCK_NO: u32 = u32::MAX;
-/// The write buffer of one table build: a flush-sized table in a handful
-/// of `write` calls, without holding a whole compaction output twice.
-const BUILD_BUFFER_BYTES: usize = 256 << 10;
 
 /// Metadata for one block.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -252,7 +248,7 @@ pub fn build(
         !entries.is_empty() || !range_tombstones.is_empty(),
         "cannot build an empty sstable"
     );
-    let mut file = BufWriter::with_capacity(BUILD_BUFFER_BYTES, File::create(path)?);
+    let mut file = env.disk().writer(path)?;
     let sealer = table_sealer(env, file_id);
     let mut blocks = Vec::new();
     let mut offset = 0u64;
@@ -264,7 +260,7 @@ pub fn build(
         };
         let block_no = blocks.len() as u32;
         let (stored, digest) = protect_block(&sealer, file_id, block_no, encode_block(records))?;
-        file.write_all(stored.as_slice())?;
+        file.write(stored.as_slice())?;
         blocks.push(BlockMeta {
             offset,
             len: stored.len() as u32,
@@ -341,14 +337,12 @@ pub fn build(
 
     let (meta_stored, meta_digest) =
         protect_block(&sealer, file_id, META_BLOCK_NO, meta.to_bytes())?;
-    file.write_all(meta_stored.as_slice())?;
-    file.write_all(&meta_digest)?;
-    file.write_all(&(meta_stored.len() as u64).to_le_bytes())?;
-    file.write_all(&MAGIC.to_le_bytes())?;
-    file.into_inner().map_err(|e| e.into_error())?.sync_data()?;
-
+    file.write(meta_stored.as_slice())?;
+    file.write(&meta_digest)?;
+    file.write(&(meta_stored.len() as u64).to_le_bytes())?;
+    file.write(&MAGIC.to_le_bytes())?;
     // Writing the table costs one sequential SSD write of its full size.
-    env.charge_ssd_append((offset as usize) + meta_stored.len() + 48);
+    file.finish()?;
     Ok(meta)
 }
 
@@ -360,13 +354,10 @@ pub struct SsTable {
     /// drops: every block read is one positioned read on it. A table that
     /// garbage collection unlinked stays readable for the cursors that
     /// still hold it.
-    file: File,
+    file: Reader,
     meta: SsTableMeta,
     /// Opens the table's blocks; it seals none.
     sealer: Sealer,
-    /// On-disk size, captured once at open so level-size checks on the
-    /// commit path never issue a host `metadata` syscall per table.
-    disk_bytes: u64,
 }
 
 impl std::fmt::Debug for SsTable {
@@ -389,25 +380,20 @@ impl SsTable {
     pub fn open(env: Rc<Env>, file_id: u64) -> Result<Self> {
         let path = env.dir.join(file_name(file_id));
         let failed = |check| breach(file_id, META_BLOCK_NO, check);
-        let file = File::open(&path)?;
-        let file_len = file.metadata()?.len();
+        let file = env.disk().reader(&path)?;
+        let file_len = file.size();
         if file_len < 48 {
             return Err(failed(Check::Truncated));
         }
-        let mut tail = [[0u8; 8]; 2];
-        file.read_exact_at(tail.as_flattened_mut(), file_len - 16)?;
-        let [meta_len, magic] = tail.map(u64::from_le_bytes);
+        // The meta's digest, its length and the magic, then the meta.
+        let tail = file.tail::<48>()?;
+        let meta_digest: [u8; 32] = std::array::from_fn(|i| tail[i]);
+        let [meta_len, magic] =
+            [32, 40].map(|at| u64::from_le_bytes(std::array::from_fn(|i| tail[at + i])));
         if magic != MAGIC || meta_len > file_len - 48 {
             return Err(failed(Check::Decode));
         }
-        // The sealed meta and its digest, in one read.
-        let mut footer = vec![0u8; meta_len as usize + 32];
-        file.read_exact_at(&mut footer, file_len - 48 - meta_len)?;
-        let meta_digest: [u8; 32] = footer
-            .split_off(meta_len as usize)
-            .try_into()
-            .map_err(|_| failed(Check::Decode))?;
-        env.charge_storage_read(meta_len as usize);
+        let footer = file.read_at(file_len - 48 - meta_len, meta_len as usize)?;
 
         // The meta is sealed under its table's id, and must carry it.
         let sealer = table_sealer(&env, file_id);
@@ -435,7 +421,6 @@ impl SsTable {
             file,
             meta,
             sealer,
-            disk_bytes: file_len,
         })
     }
 
@@ -451,7 +436,7 @@ impl SsTable {
 
     /// On-disk file size in bytes, as measured at open.
     pub fn disk_bytes(&self) -> u64 {
-        self.disk_bytes
+        self.file.size()
     }
 
     /// True if `key` falls inside this table's key range: from `min_key`
@@ -520,14 +505,13 @@ impl SsTable {
         let bm = &self.meta.blocks[block_no];
         let (file_id, block_no) = (self.meta.file_id, block_no as u32);
         let failed = |check| breach(file_id, block_no, check);
-        let mut stored = vec![0u8; bm.len as usize];
-        self.file
-            .read_exact_at(&mut stored, bm.offset)
+        let stored = self
+            .file
+            .read_at(bm.offset, bm.len as usize)
             .map_err(|e| match e.kind() {
                 std::io::ErrorKind::UnexpectedEof => failed(Check::Truncated),
                 _ => e.into(),
             })?;
-        self.env.charge_storage_read(stored.len());
         let plain = open_block(&self.sealer, file_id, block_no, stored, &bm.digest)?;
         decode_records(&plain)
             .map(Rc::new)

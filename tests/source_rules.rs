@@ -46,13 +46,20 @@ const RULES: &[Rule] = &[
     Rule { name: "L001 enclave-only crypto",
         tokens: "aead_open|aead_seal|hmac_sign|hmac_verify", within: ROOTS,
         allowed: "crates/crypto|crates/tee", ..BLANK },
-    // Log strings and trace payloads leave the enclave: inside the trusted
-    // crates none of them names secret material.
     // A `Sealer` prices the storage crypto it runs (DESIGN.md §6): only
     // the profile-to-protection mapping reads the profile's crypto flags.
     Rule { name: "L006 storage crypto is priced where it runs",
         tokens: "profile.encryption|profile.authentication|charge_crypto|charge_hash",
         within: "crates/*/src", allowed: "crates/store/src/env.rs", ..BLANK },
+    // A `Disk` makes a node's bytes durable and prices each access
+    // (DESIGN.md §1): no node crate syncs, cuts or opens a file to write
+    // it by hand, nor prices the disk itself.
+    Rule { name: "L007 one module makes bytes durable and prices them",
+        tokens: "sync_data|sync_all|set_len|OpenOptions|charge_ssd_append|charge_storage_read\
+                 |ssd_append_ns",
+        within: "crates/store/src|crates/counter/src|crates/core/src", ..BLANK },
+    // Log strings and trace payloads leave the enclave: inside the trusted
+    // crates none of them names secret material.
     Rule { name: "L005 no secret in a format string or trace payload",
         tokens: "plaintext|plain|decrypted|user_key|key_material|key_bytes|secret",
         with: "format!|println!|eprintln!|print!|eprint!|write!|writeln!|panic!\
@@ -107,11 +114,11 @@ const RULES: &[Rule] = &[
     Rule { name: "one codec declaration per type", tokens: "impl Decode for", within: ROOTS,
         allowed: "crates/crypto/src/codec.rs|crates/core/src/messages.rs|crates/store/src/bloom.rs",
         required: "crates/core/src/messages.rs|crates/store/src/bloom.rs", ..BLANK },
-    Rule { name: "one descriptor per table, opened in SsTable::open", tokens: "File::open",
+    Rule { name: "one descriptor per table, opened in SsTable::open", tokens: "reader(",
         within: "crates/store/src/sstable.rs", allowed: "crates/store/src/sstable.rs fn open",
         required: "crates/store/src/sstable.rs fn open", ..BLANK },
     Rule { name: "a table is read by position, never by seek", tokens: "Seek|SeekFrom",
-        within: "crates/store/src/sstable.rs", ..BLANK },
+        within: "crates/store/src/sstable.rs|crates/sim/src/disk.rs", ..BLANK },
 ];
 
 fn rule(name: &str) -> &'static Rule {
@@ -287,6 +294,40 @@ fn l006_flags_a_hand_placed_crypto_charge() {
     // The one mapping from a profile to a `Protection` reads the flags.
     let mapping = "match (profile.encryption, profile.authentication) {\n";
     assert!(breaches(l006, "crates/store/src/env.rs", mapping).is_empty());
+}
+
+#[test]
+fn l007_flags_a_durable_write_outside_the_disk() {
+    let l007 = rule("L007");
+    let sync = "file.sync_data()?;\n";
+    let want = format!(
+        "L007 one module makes bytes durable and prices them crates/store/src/log.rs:1: {}",
+        sync.trim()
+    );
+    assert_eq!(breaches(l007, "crates/store/src/log.rs", sync), [want]);
+    for line in [
+        "let file = OpenOptions::new().write(true).open(path)?;\n",
+        "file.set_len(recovered.verified_len)?;\n",
+        "file.sync_all()?;\n",
+        "self.env.charge_ssd_append(buf.len());\n",
+        "env.charge_storage_read(meta_len as usize);\n",
+        "runtime::sleep(costs.ssd_append_ns(TeeMode::Scone, raw.len()));\n",
+    ] {
+        for path in [
+            "crates/store/src/sstable.rs",
+            "crates/counter/src/rote.rs",
+            "crates/core/src/clog.rs",
+        ] {
+            assert_eq!(breaches(l007, path, line).len(), 1, "{path}: {line}");
+        }
+        // The disk itself runs them, and a crate outside the node's
+        // storage is out of scope.
+        assert!(breaches(l007, "crates/sim/src/disk.rs", line).is_empty());
+        assert!(breaches(l007, "crates/bench/src/lib.rs", line).is_empty());
+    }
+    // A test that bounds a flush asks the disk for its price.
+    let price = "let one_flush = e.disk().append_ns(0);\n";
+    assert!(breaches(l007, "crates/core/src/clog.rs", price).is_empty());
 }
 
 #[test]
